@@ -23,7 +23,7 @@ use std::sync::Arc;
 
 use s2d_baselines::partition_1d_rowwise;
 use s2d_core::heuristic::{s2d_from_vector_partition, HeuristicConfig};
-use s2d_engine::{Backend, CompiledPlan, KernelFormat, ParallelEngine};
+use s2d_engine::{Backend, CompiledPlan, KernelFormat, ParallelEngine, PoolOptions};
 use s2d_gen::fem::fem_like;
 use s2d_gen::powerlaw::power_law;
 use s2d_gen::rmat::{rmat, RmatConfig};
@@ -92,12 +92,13 @@ fn bench_matrix(c: &mut Criterion, name: &str, a: &Csr) {
     let plan = Arc::new(plan);
     let mut y = vec![0.0; a.nrows()];
     let format = bench_kernel_format();
+    let cp = Arc::new(CompiledPlan::compile_with(&plan, format));
     for backend in Backend::all() {
-        // Setup (compilation, buffers, worker spawn) is paid here, once
-        // — the measured loop is the amortized steady state. The
-        // compiled backends run whatever kernel format the CI matrix
-        // selected; format-suffixed ids keep the trajectories separate.
-        let mut op = backend.build_with(&plan, 1, format);
+        // Setup (buffers, worker spawn) is paid here, once — the
+        // measured loop is the amortized steady state. The compiled
+        // backends run whatever kernel format the CI matrix selected;
+        // format-suffixed ids keep the trajectories separate.
+        let mut op = backend.build(&plan, &cp, 1, None);
         let id = match (backend, format) {
             (Backend::CompiledSeq | Backend::CompiledPool { .. }, f)
                 if f != KernelFormat::CsrSlice =>
@@ -241,7 +242,7 @@ fn acceptance_summary(_c: &mut Criterion) {
     cp.execute(&mut ws, &x, &mut y); // warm the buffers
     let seq = best_of(3, 20, || cp.execute(&mut ws, &x, &mut y));
 
-    let mut pool = ParallelEngine::new(cp);
+    let mut pool = ParallelEngine::with_options(cp, PoolOptions::default());
     pool.execute(&x, &mut y);
     let pooled = best_of(3, 20, || pool.execute(&x, &mut y));
 
@@ -402,13 +403,13 @@ fn telemetry_acceptance_summary(_c: &mut Criterion) {
     let a = rmat(&RmatConfig::graph500(rmat_scale(), 8), 1).to_csr();
     let plan = Arc::new(plan_for(&a));
     let x = x_for(a.ncols());
-    let format = KernelFormat::CsrSlice;
+    let cp = Arc::new(CompiledPlan::compile(&plan));
 
     // Bitwise identity on both compiled backends.
     for backend in [Backend::CompiledSeq, Backend::CompiledPool { threads: 0, pin: false }] {
         let sink = Arc::new(TelemetrySink::new(K));
-        let mut plain = backend.build_with(&plan, 1, format);
-        let mut obs = backend.build_obs(&plan, 1, format, Some(Arc::clone(&sink)));
+        let mut plain = backend.build(&plan, &cp, 1, None);
+        let mut obs = backend.build(&plan, &cp, 1, Some(Arc::clone(&sink)));
         let mut y_plain = vec![0.0; a.nrows()];
         let mut y_obs = vec![0.0; a.nrows()];
         plain.apply(&x, &mut y_plain);
@@ -419,8 +420,8 @@ fn telemetry_acceptance_summary(_c: &mut Criterion) {
 
     // Overhead on the sequential path, best-of-3 batches of 20.
     let sink = Arc::new(TelemetrySink::new(K));
-    let mut plain = Backend::CompiledSeq.build_with(&plan, 1, format);
-    let mut obs = Backend::CompiledSeq.build_obs(&plan, 1, format, Some(Arc::clone(&sink)));
+    let mut plain = Backend::CompiledSeq.build(&plan, &cp, 1, None);
+    let mut obs = Backend::CompiledSeq.build(&plan, &cp, 1, Some(Arc::clone(&sink)));
     let mut y = vec![0.0; a.nrows()];
     plain.apply(&x, &mut y); // warm
     obs.apply(&x, &mut y);

@@ -1,20 +1,15 @@
 //! Raw-speed bench: the explicit-SIMD kernel paths (scalar vs AVX2)
-//! crossed with the intra-rank pool schedules (rank-split vs
-//! NNZ-chunked) on the three matrix families the kernels were built
-//! for — degree-skewed R-MAT, heavy-tailed power-law, regular FEM
-//! stencil.
+//! and the NNZ-chunked worker pool on the three matrix families the
+//! kernels were built for — degree-skewed R-MAT, heavy-tailed
+//! power-law, regular FEM stencil.
 //!
-//! Beyond the criterion trajectories, two acceptance ratios are
-//! measured directly and asserted:
+//! Beyond the criterion trajectories, one acceptance ratio is measured
+//! directly and asserted:
 //!
 //! * **ISA**: at r = 8 the AVX2 batch kernels must beat the scalar
 //!   reference by ≥ 1.2× on at least one family (skipped with a notice
 //!   when the CPU has no AVX2 — the portable path is then the only
 //!   path). This holds on a single core: it is pure kernel throughput.
-//! * **Schedule**: on the power-law family (the one with the skewed
-//!   per-rank NNZ distribution rank-split is worst at), the NNZ-chunked
-//!   pool must beat the rank-split pool by ≥ 1.3×. Needs real
-//!   parallelism, so it only asserts on machines with ≥ 4 cores.
 //!
 //! The measured matrix is also written as a small JSON artifact
 //! (`BENCH_ISA.json`, or the path in `S2D_BENCH_ISA_JSON`) for CI to
@@ -26,13 +21,10 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
-use std::sync::Arc;
 
 use s2d_baselines::partition_1d_rowwise;
 use s2d_core::heuristic::{s2d_from_vector_partition, HeuristicConfig};
-use s2d_engine::{
-    Backend, CompiledPlan, KernelFormat, KernelIsa, ParallelEngine, PoolOptions, PoolSchedule,
-};
+use s2d_engine::{Backend, CompiledPlan, KernelFormat, KernelIsa, ParallelEngine, PoolOptions};
 use s2d_gen::fem::fem_like;
 use s2d_gen::powerlaw::power_law;
 use s2d_gen::rmat::{rmat, RmatConfig};
@@ -110,29 +102,29 @@ fn bench_isa(c: &mut Criterion) {
     }
 }
 
-/// Criterion trajectories: `raw/schedule/<schedule>/<matrix>/r8` — the
-/// persistent pool under both intra-rank schedules at the machine's
-/// core count.
-fn bench_schedule(c: &mut Criterion) {
+/// Criterion trajectories: `raw/pool/<matrix>/r8` — the persistent
+/// pool (NNZ-chunked schedule) at the machine's core count.
+fn bench_pool(c: &mut Criterion) {
     for (name, a) in matrices() {
-        let plan = Arc::new(plan_for(&a));
-        for schedule in [PoolSchedule::RankSplit, PoolSchedule::NnzChunked { chunk_ops: 0 }] {
-            let cp = CompiledPlan::compile(&plan);
-            let mut engine = ParallelEngine::with_options(
-                cp,
-                PoolOptions { threads: 0, width: R, schedule, ..PoolOptions::default() },
-            );
-            let x = block(a.ncols(), R);
-            let mut y = vec![0.0; a.nrows() * R];
-            engine.execute_batch(&x, &mut y, R); // spawn + warm
-            c.bench_function(&format!("raw/schedule/{}/{name}/r{R}", schedule.label()), |b| {
-                b.iter(|| {
-                    engine.execute_batch(&x, &mut y, R);
-                    black_box(y[0])
-                })
-            });
-        }
+        let mut engine = pool_for(&plan_for(&a));
+        let x = block(a.ncols(), R);
+        let mut y = vec![0.0; a.nrows() * R];
+        engine.execute_batch(&x, &mut y, R); // spawn + warm
+        c.bench_function(&format!("raw/pool/{name}/r{R}"), |b| {
+            b.iter(|| {
+                engine.execute_batch(&x, &mut y, R);
+                black_box(y[0])
+            })
+        });
     }
+}
+
+/// The default pool over `plan`, sized for r = 8.
+fn pool_for(plan: &SpmvPlan) -> ParallelEngine {
+    ParallelEngine::with_options(
+        CompiledPlan::compile(plan),
+        PoolOptions { width: R, ..PoolOptions::default() },
+    )
 }
 
 /// One acceptance row: best-of timings for a family at r = 8.
@@ -140,17 +132,12 @@ struct Row {
     name: &'static str,
     scalar: f64,
     avx2: Option<f64>,
-    rank_split: f64,
-    chunked: f64,
+    pool: f64,
 }
 
 impl Row {
     fn isa_ratio(&self) -> Option<f64> {
         self.avx2.map(|v| self.scalar / v)
-    }
-
-    fn schedule_ratio(&self) -> f64 {
-        self.rank_split / self.chunked
     }
 
     fn json(&self) -> String {
@@ -165,17 +152,9 @@ impl Row {
         format!(
             concat!(
                 "{{\"matrix\":\"{}\",\"r\":{},\"scalar_secs\":{:e},\"avx2_secs\":{},",
-                "\"isa_ratio\":{},\"rank_split_secs\":{:e},\"nnz_chunked_secs\":{:e},",
-                "\"schedule_ratio\":{:.4}}}"
+                "\"isa_ratio\":{},\"nnz_chunked_secs\":{:e}}}"
             ),
-            self.name,
-            R,
-            self.scalar,
-            avx2,
-            ratio,
-            self.rank_split,
-            self.chunked,
-            self.schedule_ratio(),
+            self.name, R, self.scalar, avx2, ratio, self.pool,
         )
     }
 }
@@ -190,52 +169,36 @@ fn time_isa(plan: &SpmvPlan, a: &Csr, isa: KernelIsa) -> f64 {
     best_of(3, 10, || cp.execute_batch(&mut ws, &x, &mut y, R)).as_secs_f64()
 }
 
-/// Best-of measurement of one (family, schedule) pool leg at r = 8.
-fn time_schedule(plan: &Arc<SpmvPlan>, a: &Csr, schedule: PoolSchedule) -> f64 {
-    let cp = CompiledPlan::compile(plan);
-    let mut engine = ParallelEngine::with_options(
-        cp,
-        PoolOptions { threads: 0, width: R, schedule, ..PoolOptions::default() },
-    );
+/// Best-of measurement of one family's pool leg at r = 8.
+fn time_pool(plan: &SpmvPlan, a: &Csr) -> f64 {
+    let mut engine = pool_for(plan);
     let x = block(a.ncols(), R);
     let mut y = vec![0.0; a.nrows() * R];
     engine.execute_batch(&x, &mut y, R); // spawn + warm
     best_of(3, 10, || engine.execute_batch(&x, &mut y, R)).as_secs_f64()
 }
 
-/// The acceptance matrix itself: ISA × schedule on every family, the
-/// two asserted ratios, and the JSON artifact for CI.
+/// The acceptance matrix itself: ISA legs plus the pool on every
+/// family, the asserted ISA ratio, and the JSON artifact for CI.
 fn raw_speed_acceptance(_c: &mut Criterion) {
     let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
     let avx2 = KernelIsa::avx2_available();
     let mut rows = Vec::new();
     println!("--------------------------------------------------------------");
     for (name, a) in matrices() {
-        let plan = Arc::new(plan_for(&a));
+        let plan = plan_for(&a);
         let scalar = time_isa(&plan, &a, KernelIsa::Scalar);
         let avx2_t = avx2.then(|| time_isa(&plan, &a, KernelIsa::Avx2));
-        let rank_split = time_schedule(&plan, &a, PoolSchedule::RankSplit);
-        let chunked = time_schedule(&plan, &a, PoolSchedule::NnzChunked { chunk_ops: 0 });
-        let row = Row { name, scalar, avx2: avx2_t, rank_split, chunked };
-        match row.isa_ratio() {
-            Some(r) => println!(
-                "raw {name}/k{K}/r{R}: scalar {:.3} ms, avx2 {:.3} ms ({r:.2}x) | \
-                 rank-split {:.3} ms, nnz-chunked {:.3} ms ({:.2}x, {cores} cores)",
-                scalar * 1e3,
-                row.avx2.unwrap() * 1e3,
-                rank_split * 1e3,
-                chunked * 1e3,
-                row.schedule_ratio(),
-            ),
-            None => println!(
-                "raw {name}/k{K}/r{R}: scalar {:.3} ms (no AVX2 on this CPU) | \
-                 rank-split {:.3} ms, nnz-chunked {:.3} ms ({:.2}x, {cores} cores)",
-                scalar * 1e3,
-                rank_split * 1e3,
-                chunked * 1e3,
-                row.schedule_ratio(),
-            ),
-        }
+        let row = Row { name, scalar, avx2: avx2_t, pool: time_pool(&plan, &a) };
+        let isa = match row.isa_ratio() {
+            Some(r) => format!("avx2 {:.3} ms ({r:.2}x)", row.avx2.unwrap() * 1e3),
+            None => "no AVX2 on this CPU".to_string(),
+        };
+        println!(
+            "raw {name}/k{K}/r{R}: scalar {:.3} ms, {isa} | pool {:.3} ms ({cores} cores)",
+            scalar * 1e3,
+            row.pool * 1e3,
+        );
         rows.push(row);
     }
     println!(
@@ -259,7 +222,7 @@ fn raw_speed_acceptance(_c: &mut Criterion) {
         println!("wrote {path}");
     }
 
-    // (a) ISA acceptance: AVX2 must pay off at r = 8 on at least one
+    // ISA acceptance: AVX2 must pay off at r = 8 on at least one
     // family. Pure kernel throughput — asserted even on one core.
     if avx2 {
         let best = rows.iter().filter_map(Row::isa_ratio).fold(0.0f64, f64::max);
@@ -274,34 +237,12 @@ fn raw_speed_acceptance(_c: &mut Criterion) {
         println!("AVX2 unavailable: ISA acceptance skipped (scalar is the only path)");
     }
 
-    // (b) Schedule acceptance: chunking must fix the power-law
-    // imbalance — only meaningful with real parallelism.
-    let pl = rows.iter().find(|r| r.name == "powerlaw").expect("powerlaw family present");
-    if cores >= 4 {
-        let floor = 1.3;
-        println!(
-            "powerlaw nnz-chunked-vs-rank-split ratio: {:.2}x (floor {floor})",
-            pl.schedule_ratio()
-        );
-        assert!(
-            pl.schedule_ratio() >= floor,
-            "NNZ-chunked must beat rank-split by >= {floor}x on the power-law family \
-             (got {:.2}x on {cores} cores)",
-            pl.schedule_ratio()
-        );
-    } else {
-        println!(
-            "only {cores} core(s): schedule acceptance skipped (chunking needs parallelism \
-             to pay; ratio measured at {:.2}x)",
-            pl.schedule_ratio()
-        );
-    }
     println!("--------------------------------------------------------------");
 }
 
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
-    targets = bench_isa, bench_schedule, raw_speed_acceptance
+    targets = bench_isa, bench_pool, raw_speed_acceptance
 }
 criterion_main!(benches);

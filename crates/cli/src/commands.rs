@@ -76,7 +76,7 @@ report file (the CI smoke artifact).
 
 ENGINES (--engine <backend>)
   mailbox            deterministic sequential interpreter (the oracle)
-  threaded           one OS thread per rank over message-passing channels
+  threaded           compiled plan, one OS thread per rank over message passing
   compiled-seq       compiled plan, sequential zero-alloc workspace
   compiled-pool[:N][@pin]  compiled plan on the persistent worker pool
                      (N workers; default one per rank, capped at CPUs;
@@ -109,8 +109,8 @@ KERNEL ISA (--isa, compiled engines only)
 
 --rhs R runs a batched multi-RHS SpMV (Y = A·X with R columns). The
 compiled backends execute the whole block at once (row-major X, one
-len x R message block per exchange); the interpreters run column by
-column as the oracle.
+len x R message block per exchange); the mailbox oracle runs column by
+column.
 
 `spmv --profile` runs the multiply with telemetry on and prints the
 execution report: per-rank phase times (compute / gather / scatter /
@@ -509,8 +509,8 @@ pub fn run_engine_batch(
 /// [`Backend`]: `--engine` parses straight into the enum and the whole
 /// run goes through the one `SpmvOperator` interface. The compiled
 /// backends run the batch natively with kernels lowered to `format`;
-/// the interpreters run column by column (they are the oracle, not the
-/// fast path). `engine == "auto"` compiles first and then picks
+/// the mailbox interpreter runs column by column (it is the oracle,
+/// not the fast path). `engine == "auto"` compiles first and then picks
 /// compiled-seq vs compiled-pool from the plan's op count
 /// (`Backend::auto`).
 pub fn run_engine_batch_with(
@@ -528,7 +528,7 @@ pub fn run_engine_batch_with(
 
 /// [`run_engine_batch_with`] with an explicit [`KernelIsa`] and an
 /// optional telemetry sink: when `sink` is given the operator is built
-/// instrumented (`Backend::build_cfg`) and records per-rank phase
+/// instrumented (`Backend::build` with the sink) and records per-rank phase
 /// spans, work counters and wall time for the whole chained run.
 /// Results are bitwise identical either way (and across ISAs). Also
 /// returns the operator's per-worker multiply-add loads when the path
@@ -561,9 +561,11 @@ pub fn run_engine_batch_obs(
     (y, setup, loads)
 }
 
-/// Builds the operator for `--engine`, optionally instrumented.
-/// Returns the operator and whether the path is a compiled one (i.e.
-/// setup time is meaningful to report).
+/// Builds the operator for `--engine`, optionally instrumented: compile
+/// once, pick the backend (`auto` decides from the compiled op count —
+/// the crossover is ISA-aware), build over the compiled plan. Returns
+/// the operator and whether the path is one of the fast compiled ones
+/// (i.e. setup time is meaningful to report).
 fn build_engine_op(
     plan: &std::sync::Arc<SpmvPlan>,
     engine: &str,
@@ -572,36 +574,14 @@ fn build_engine_op(
     rhs: usize,
     sink: Option<&Arc<TelemetrySink>>,
 ) -> (Box<dyn SpmvOperator + Send>, bool) {
-    if engine == "auto" {
-        // Compile once, decide from the compiled op count (the
-        // crossover is ISA-aware), and reuse the compiled plan for the
-        // chosen operator — no recompilation.
-        let cp = s2d_engine::CompiledPlan::compile_with_isa(plan, format, isa);
-        let backend = Backend::auto(&cp);
-        let op: Box<dyn SpmvOperator + Send> = match (backend, sink) {
-            (Backend::CompiledPool { threads, pin }, s) => {
-                Box::new(s2d_engine::CompiledPoolOperator::with_config(
-                    cp,
-                    threads,
-                    rhs,
-                    pin,
-                    s.map(Arc::clone),
-                ))
-            }
-            (_, None) => Box::new(s2d_engine::CompiledSeqOperator::new(cp, rhs)),
-            (_, Some(s)) => {
-                Box::new(s2d_engine::CompiledSeqOperator::with_telemetry(cp, rhs, Arc::clone(s)))
-            }
-        };
-        (op, true)
+    let cp = Arc::new(s2d_engine::CompiledPlan::compile_with_isa(plan, format, isa));
+    let backend: Backend = if engine == "auto" {
+        Backend::auto(&cp)
     } else {
-        let backend: Backend = match engine.parse() {
-            Ok(b) => b,
-            Err(e) => fail(e),
-        };
-        let compiled = matches!(backend, Backend::CompiledSeq | Backend::CompiledPool { .. });
-        (backend.build_cfg(plan, rhs, format, isa, sink.map(Arc::clone)), compiled)
-    }
+        engine.parse().unwrap_or_else(|e| fail(e))
+    };
+    let compiled = matches!(backend, Backend::CompiledSeq | Backend::CompiledPool { .. });
+    (backend.build(plan, &cp, rhs, sink.map(Arc::clone)), compiled)
 }
 
 fn cmd_spmv(args: &Args) {

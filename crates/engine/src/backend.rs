@@ -1,39 +1,46 @@
 //! The [`Backend`] selector and the compiled [`SpmvOperator`]
 //! implementations.
 //!
-//! Every execution path in the workspace — the two interpreting
-//! executors from `s2d-spmv` and the two compiled paths from this crate
-//! — is constructible from the same [`SpmvPlan`] through
-//! [`Backend::build`], which returns a boxed [`SpmvOperator`]. Consumers
-//! (solvers, the CLI, benches, the differential and conformance
-//! harnesses) select a backend by value or by name and stay otherwise
-//! backend-agnostic; adding a new execution path means adding one enum
-//! variant and one operator struct.
+//! The workspace executes a plan in exactly two ways: the mailbox
+//! **oracle** (`s2d-spmv`'s deliberately naive interpreter, kept as the
+//! semantic reference every other path is differentially held to) and
+//! the **compiled rank programs** of one [`CompiledPlan`], walked by
+//! one of three drivers. [`Backend::build`] puts all four behind a
+//! boxed [`SpmvOperator`]; consumers (solvers, the CLI, benches, the
+//! differential and conformance harnesses) select a backend by value or
+//! by name and stay otherwise backend-agnostic.
 //!
 //! # Choosing a backend
 //!
-//! * [`Backend::Mailbox`] — deterministic sequential interpreter.
-//!   Slowest by far (hash maps everywhere); use it as the semantic
-//!   oracle, never as a fast path.
-//! * [`Backend::Threaded`] — one OS thread per virtual processor over
-//!   the message-passing runtime. Spawns threads per call and its
-//!   accumulation order varies between runs — the *concurrent
-//!   validation* path.
-//! * [`Backend::CompiledSeq`] — the flat-buffer compiled plan on a
-//!   sequential [`Workspace`]. Zero allocation per
+//! * [`Backend::Mailbox`] — the oracle: deterministic sequential
+//!   interpretation of the uncompiled plan. Slowest by far (hash maps
+//!   everywhere); never a fast path.
+//! * [`Backend::CompiledSeq`] — the compiled programs walked **in
+//!   place** on a sequential [`Workspace`]. Zero allocation per
 //!   iteration; the fastest choice whenever one iteration costs less
 //!   than ~1 ms (pool barrier overhead dominates below that) and the
 //!   right baseline for kernel work.
-//! * [`Backend::CompiledPool`] — the same compiled plan on the
-//!   persistent worker pool. Wins on matrices big enough that one
-//!   iteration costs ≳ 1 ms; `threads = 0` sizes the pool to
+//! * [`Backend::CompiledPool`] — the same programs on the persistent
+//!   worker **pool**. Wins on matrices big enough that one iteration
+//!   costs ≳ 1 ms; `threads = 0` sizes the pool to
 //!   `min(K, available CPUs)`.
+//! * [`Backend::Threaded`] — the same programs over message-passing
+//!   **endpoints**, one OS thread per rank ([`EndpointOperator`]).
+//!   Spawns its threads per call: the distributed-execution shape
+//!   (sharded serving sessions and the SPMD solvers run the same
+//!   walker) and the concurrent validation of a plan's message
+//!   structure, not a fast path.
 //!
-//! Undecided? [`Backend::auto`] applies the crossover rule to a
-//! compiled plan (`--engine auto` on the CLI). Kernel format: the
-//! compiled backends accept a [`KernelFormat`] through
-//! [`Backend::build_with`] — `auto` picks per rank × phase from
-//! compile-time row statistics; see the `formats` module docs.
+//! All three compiled drivers apply receives in the compiled `recvs`
+//! order, so they agree **bitwise** with each other on the same
+//! compiled plan — and, with the default CSR-slice kernels, with the
+//! oracle. Plan errors surface when the plan is compiled, never inside
+//! an `apply`.
+//!
+//! Undecided? [`Backend::auto`] applies the seq-vs-pool crossover rule
+//! to a compiled plan (`--engine auto` on the CLI). Kernel format and
+//! ISA are properties of the [`CompiledPlan`] handed to
+//! [`Backend::build`] — see the `formats` module docs.
 //!
 //! Batch width: pass the widest `r` you will use to [`Backend::build`]
 //! so buffers are sized once. Widths 1, 2, 4 and 8 run fixed-width
@@ -48,20 +55,22 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use s2d_obs::{Phase, TelemetrySink};
-use s2d_spmv::{MailboxOperator, SpmvOperator, SpmvPlan, ThreadedOperator};
+use s2d_runtime::ChaosConfig;
+use s2d_spmv::{MailboxOperator, SpmvOperator, SpmvPlan};
 
 use crate::compile::CompiledPlan;
 use crate::exec::Workspace;
-use crate::formats::{KernelFormat, KernelIsa};
 use crate::pool::{ParallelEngine, PoolOptions};
 use crate::telemetry::ExecTelemetry;
+use crate::threaded::EndpointOperator;
 
 /// Selects one of the four SpMV execution backends.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Backend {
     /// Deterministic sequential interpreter (the semantic oracle).
     Mailbox,
-    /// One OS thread per rank over message-passing channels.
+    /// Compiled plan over message-passing endpoints, one OS thread per
+    /// rank.
     Threaded,
     /// Compiled plan, sequential zero-alloc workspace execution.
     CompiledSeq,
@@ -99,67 +108,34 @@ impl Backend {
         }
     }
 
-    /// Builds this backend's operator over `plan`, sized for batches of
-    /// up to `width` right-hand sides, with the default
-    /// [`KernelFormat::CsrSlice`] kernels.
+    /// Builds this backend's operator, sized for batches of up to
+    /// `width` right-hand sides, from a plan and its **already
+    /// compiled** form (`cp` must have been compiled from `plan`; the
+    /// kernel format and ISA are whatever it was compiled with).
     ///
-    /// All setup happens here — plan compilation, buffer allocation,
-    /// worker-thread spawn — so that `apply`/`apply_batch` run at
-    /// steady-state cost. The interpreting backends keep a reference to
-    /// the shared plan; the compiled backends drop it after compiling.
-    pub fn build(&self, plan: &Arc<SpmvPlan>, width: usize) -> Box<dyn SpmvOperator + Send> {
-        self.build_with(plan, width, KernelFormat::CsrSlice)
-    }
-
-    /// [`Backend::build`] with an explicit [`KernelFormat`] for the
-    /// compiled backends (the interpreting backends have no kernels and
-    /// ignore it).
-    pub fn build_with(
-        &self,
-        plan: &Arc<SpmvPlan>,
-        width: usize,
-        format: KernelFormat,
-    ) -> Box<dyn SpmvOperator + Send> {
-        self.build_cfg(plan, width, format, KernelIsa::Auto, None)
-    }
-
-    /// [`Backend::build_with`] with optional telemetry. With a sink
-    /// attached, the compiled backends record per-rank phase spans and
-    /// work counters; the interpreting backends (which have no phase
-    /// structure to hook) are wrapped in an [`ObservedOperator`] that
-    /// accounts whole applications under rank 0. Results are bitwise
-    /// identical to the sink-less build.
+    /// Only buffer allocation and worker-thread spawn happen here, so
+    /// any number of independent operators can be stamped from one
+    /// cached `(plan, cp)` pair — the compiled drivers share `cp`, the
+    /// oracle shares `plan`.
+    ///
+    /// With a `sink`, the compiled drivers record per-rank phase spans
+    /// and work counters; the oracle (which has no phase structure to
+    /// hook) accounts whole applications as compute spans under rank
+    /// 0. Results are bitwise identical to the
+    /// sink-less build.
     ///
     /// # Panics
-    /// Panics if the sink was sized for a rank count other than the
-    /// plan's.
-    pub fn build_obs(
+    /// Panics if `width` is 0 or the sink was sized for a rank count
+    /// other than the plan's.
+    pub fn build(
         &self,
         plan: &Arc<SpmvPlan>,
+        cp: &Arc<CompiledPlan>,
         width: usize,
-        format: KernelFormat,
-        sink: Option<Arc<TelemetrySink>>,
-    ) -> Box<dyn SpmvOperator + Send> {
-        self.build_cfg(plan, width, format, KernelIsa::Auto, sink)
-    }
-
-    /// The fully-general builder: kernel format **and** instruction-set
-    /// choice ([`KernelIsa`] — `Auto` probes the CPU once, `Scalar`
-    /// pins the bitwise reference loops, `Avx2` demands the SIMD paths)
-    /// plus optional telemetry. Every ISA produces bitwise-identical
-    /// results (the vector lanes map to the batch dimension, never the
-    /// accumulation chain); the knob exists for benchmarking and for
-    /// the tuner's ISA axis. The interpreting backends have no kernels
-    /// and ignore both knobs.
-    pub fn build_cfg(
-        &self,
-        plan: &Arc<SpmvPlan>,
-        width: usize,
-        format: KernelFormat,
-        isa: KernelIsa,
         sink: Option<Arc<TelemetrySink>>,
     ) -> Box<dyn SpmvOperator + Send> {
         assert!(width >= 1, "batch width must be at least 1");
+        let cp = Arc::clone(cp);
         match *self {
             Backend::Mailbox => {
                 let op = MailboxOperator::new(Arc::clone(plan));
@@ -168,49 +144,12 @@ impl Backend {
                     None => Box::new(op),
                 }
             }
-            Backend::Threaded => {
-                let op = ThreadedOperator::new(Arc::clone(plan));
-                match sink {
-                    Some(s) => Box::new(ObservedOperator::new(op, s)),
-                    None => Box::new(op),
-                }
-            }
-            Backend::CompiledSeq => {
-                let cp = CompiledPlan::compile_with_isa(plan, format, isa);
-                match sink {
-                    Some(s) => Box::new(CompiledSeqOperator::with_telemetry(cp, width, s)),
-                    None => Box::new(CompiledSeqOperator::new(cp, width)),
-                }
-            }
-            Backend::CompiledPool { threads, pin } => {
-                let cp = CompiledPlan::compile_with_isa(plan, format, isa);
-                Box::new(CompiledPoolOperator::with_config(cp, threads, width, pin, sink))
-            }
-        }
-    }
-
-    /// Builds this backend's operator from an **already-compiled** plan
-    /// — the cache-hit path: a serving layer that cached the
-    /// [`CompiledPlan`] of a (matrix, partition, format) combination
-    /// skips recompilation entirely and pays only the buffer/worker
-    /// setup. The compiled backends clone `cp` (flat-buffer memcpy);
-    /// the interpreting backends take the shared plan as usual. Each
-    /// call yields an independent operator, so several worker threads
-    /// can each hold one over the same cached artifact.
-    pub fn build_from_compiled(
-        &self,
-        plan: &Arc<SpmvPlan>,
-        cp: &CompiledPlan,
-        width: usize,
-    ) -> Box<dyn SpmvOperator + Send> {
-        assert!(width >= 1, "batch width must be at least 1");
-        match *self {
-            Backend::Mailbox => Box::new(MailboxOperator::new(Arc::clone(plan))),
-            Backend::Threaded => Box::new(ThreadedOperator::new(Arc::clone(plan))),
-            Backend::CompiledSeq => Box::new(CompiledSeqOperator::new(cp.clone(), width)),
-            Backend::CompiledPool { threads, pin } => {
-                Box::new(CompiledPoolOperator::with_config(cp.clone(), threads, width, pin, None))
-            }
+            Backend::Threaded => Box::new(EndpointOperator::new(cp, ChaosConfig::off(), sink)),
+            Backend::CompiledSeq => Box::new(CompiledSeqOperator::new(cp, width, sink)),
+            Backend::CompiledPool { threads, pin } => Box::new(CompiledPoolOperator::new(
+                cp,
+                PoolOptions { threads, width, pin, sink, ..PoolOptions::default() },
+            )),
         }
     }
 
@@ -320,31 +259,27 @@ impl std::fmt::Display for Backend {
 }
 
 /// [`Backend::CompiledSeq`] as an operator: one compiled plan plus its
-/// sequential [`Workspace`], compiled once at construction.
+/// sequential [`Workspace`].
 pub struct CompiledSeqOperator {
-    cp: CompiledPlan,
+    cp: Arc<CompiledPlan>,
     ws: Workspace,
     obs: Option<ExecTelemetry>,
 }
 
 impl CompiledSeqOperator {
     /// Wraps an already-compiled plan with a workspace for batches of
-    /// up to `width`.
-    pub fn new(cp: CompiledPlan, width: usize) -> CompiledSeqOperator {
-        let ws = cp.workspace_batch(width.max(1));
-        CompiledSeqOperator { cp, ws, obs: None }
-    }
-
-    /// [`CompiledSeqOperator::new`] with a telemetry sink: every
-    /// application records per-rank phase spans and work counters.
-    /// Results stay bitwise identical to the sink-less operator.
-    pub fn with_telemetry(
-        cp: CompiledPlan,
+    /// up to `width`. With a `sink`, every application records per-rank
+    /// phase spans and work counters; results stay bitwise identical to
+    /// the sink-less operator.
+    pub fn new(
+        cp: impl Into<Arc<CompiledPlan>>,
         width: usize,
-        sink: Arc<TelemetrySink>,
+        sink: Option<Arc<TelemetrySink>>,
     ) -> CompiledSeqOperator {
-        let obs = Some(ExecTelemetry::new(&cp, sink));
-        CompiledSeqOperator { obs, ..CompiledSeqOperator::new(cp, width) }
+        let cp = cp.into();
+        let ws = cp.workspace_batch(width.max(1));
+        let obs = sink.map(|sink| ExecTelemetry::new(&cp, sink));
+        CompiledSeqOperator { cp, ws, obs }
     }
 
     /// The compiled plan this operator executes.
@@ -386,55 +321,17 @@ impl SpmvOperator for CompiledSeqOperator {
 /// on a persistent worker pool, spawned once at construction.
 pub struct CompiledPoolOperator {
     engine: ParallelEngine,
-    /// Requested worker count (0 = default sizing), kept so a
-    /// width-growth rebuild preserves the choice.
-    threads: usize,
-    /// Core pinning, kept for the same rebuild reason.
-    pin: bool,
-    /// Telemetry sink, kept so a width-growth rebuild stays
-    /// instrumented (the rebuilt pool records into the same sink).
-    sink: Option<Arc<TelemetrySink>>,
+    /// The construction knobs, kept so a width-growth rebuild preserves
+    /// them (and stays instrumented on the same sink).
+    opts: PoolOptions,
 }
 
 impl CompiledPoolOperator {
-    /// Builds the pool over an already-compiled plan (`threads = 0` →
-    /// default sizing) with buffers for batches of up to `width`.
-    pub fn new(cp: CompiledPlan, threads: usize, width: usize) -> CompiledPoolOperator {
-        CompiledPoolOperator::with_config(cp, threads, width, false, None)
-    }
-
-    /// [`CompiledPoolOperator::new`] with a telemetry sink: workers
-    /// record per-rank phase spans (including barrier waits) and work
-    /// counters. Results stay bitwise identical to the sink-less pool.
-    pub fn with_telemetry(
-        cp: CompiledPlan,
-        threads: usize,
-        width: usize,
-        sink: Arc<TelemetrySink>,
-    ) -> CompiledPoolOperator {
-        CompiledPoolOperator::with_config(cp, threads, width, false, Some(sink))
-    }
-
-    /// The fully-general constructor: worker count, batch capacity,
-    /// core pinning and optional telemetry.
-    pub fn with_config(
-        cp: CompiledPlan,
-        threads: usize,
-        width: usize,
-        pin: bool,
-        sink: Option<Arc<TelemetrySink>>,
-    ) -> CompiledPoolOperator {
-        let engine = ParallelEngine::with_options(
-            cp,
-            PoolOptions {
-                threads,
-                width: width.max(1),
-                pin,
-                sink: sink.clone(),
-                ..PoolOptions::default()
-            },
-        );
-        CompiledPoolOperator { engine, threads, pin, sink }
+    /// Builds the pool over an already-compiled plan; see
+    /// [`PoolOptions`] for the knobs (`width` is the batch capacity).
+    pub fn new(cp: impl Into<Arc<CompiledPlan>>, opts: PoolOptions) -> CompiledPoolOperator {
+        let engine = ParallelEngine::with_options(cp, opts.clone());
+        CompiledPoolOperator { engine, opts }
     }
 
     /// The underlying pool (e.g. to query `threads()` or
@@ -466,9 +363,9 @@ impl SpmvOperator for CompiledPoolOperator {
             // Width growth requires re-sizing the shared buffers, which
             // means rebuilding the pool — expensive, so build with the
             // widest batch you plan to use.
-            let cp = self.engine.plan().clone();
-            *self =
-                CompiledPoolOperator::with_config(cp, self.threads, r, self.pin, self.sink.take());
+            let cp = Arc::clone(self.engine.plan());
+            let opts = PoolOptions { width: r, ..self.opts.clone() };
+            *self = CompiledPoolOperator::new(cp, opts);
         }
         // Native chained path: one dispatch, workers stay hot across
         // iterations.
@@ -481,26 +378,21 @@ impl SpmvOperator for CompiledPoolOperator {
 }
 
 /// Whole-application telemetry for operators with no internal phase
-/// structure to hook (the interpreting backends): each apply is
+/// structure to hook (the mailbox oracle): each apply is
 /// recorded as one compute span under rank 0, plus run-level wall
 /// time and iteration counts on the sink.
 ///
 /// Purely additive — the wrapped operator's results (and its
 /// [`SpmvOperator::deterministic`] contract) pass through untouched.
-pub struct ObservedOperator<O> {
+struct ObservedOperator<O> {
     inner: O,
     sink: Arc<TelemetrySink>,
 }
 
 impl<O: SpmvOperator> ObservedOperator<O> {
     /// Wraps `inner` so every application is accounted on `sink`.
-    pub fn new(inner: O, sink: Arc<TelemetrySink>) -> ObservedOperator<O> {
+    fn new(inner: O, sink: Arc<TelemetrySink>) -> ObservedOperator<O> {
         ObservedOperator { inner, sink }
-    }
-
-    /// The wrapped operator.
-    pub fn inner(&self) -> &O {
-        &self.inner
     }
 
     fn observe(&mut self, iters: u64, body: impl FnOnce(&mut O)) {
@@ -546,7 +438,18 @@ impl<O: SpmvOperator> SpmvOperator for ObservedOperator<O> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::formats::KernelFormat;
     use s2d_core::fig1::{fig1_matrix, fig1_partition};
+
+    /// Compiles `plan` to `format` and builds `backend` over the pair.
+    fn build(
+        backend: Backend,
+        plan: &Arc<SpmvPlan>,
+        width: usize,
+        format: KernelFormat,
+    ) -> Box<dyn SpmvOperator + Send> {
+        backend.build(plan, &Arc::new(CompiledPlan::compile_with(plan, format)), width, None)
+    }
 
     fn assert_close(a: &[f64], b: &[f64]) {
         assert_eq!(a.len(), b.len());
@@ -563,7 +466,7 @@ mod tests {
         let x: Vec<f64> = (0..a.ncols()).map(|j| (j as f64) * 0.5 - 3.0).collect();
         let want = a.spmv_alloc(&x);
         for backend in Backend::all() {
-            let mut op = backend.build(&plan, 1);
+            let mut op = build(backend, &plan, 1, KernelFormat::CsrSlice);
             assert_eq!((op.nrows(), op.ncols()), (a.nrows(), a.ncols()));
             let mut y = vec![0.0; a.nrows()];
             op.apply(&x, &mut y);
@@ -615,10 +518,10 @@ mod tests {
         let plan = Arc::new(SpmvPlan::single_phase(&a, &p));
         let x: Vec<f64> = (0..a.ncols()).map(|j| (j as f64) * 0.5 - 3.0).collect();
         let mut want = vec![0.0; a.nrows()];
-        Backend::CompiledSeq.build(&plan, 1).apply(&x, &mut want);
+        build(Backend::CompiledSeq, &plan, 1, KernelFormat::CsrSlice).apply(&x, &mut want);
         for backend in [Backend::CompiledSeq, Backend::CompiledPool { threads: 2, pin: false }] {
             for format in KernelFormat::all() {
-                let mut op = backend.build_with(&plan, 1, format);
+                let mut op = build(backend, &plan, 1, format);
                 let mut y = vec![0.0; a.nrows()];
                 op.apply(&x, &mut y);
                 assert_eq!(y, want, "{backend}/{format} must match the CSR default bitwise");
@@ -631,27 +534,23 @@ mod tests {
         let a = fig1_matrix();
         let p = fig1_partition();
         let plan = Arc::new(SpmvPlan::single_phase(&a, &p));
-        let cp = CompiledPlan::compile_with(&plan, KernelFormat::CsrSlice);
+        let cp = Arc::new(CompiledPlan::compile_with(&plan, KernelFormat::CsrSlice));
         let x: Vec<f64> = (0..a.ncols()).map(|j| (j as f64) * 0.5 - 3.0).collect();
         for backend in Backend::all() {
-            let mut fresh = backend.build(&plan, 1);
+            let mut fresh = build(backend, &plan, 1, KernelFormat::CsrSlice);
             // Two operators over the same cached artifact, as serve
             // workers would hold them.
-            let mut cached_a = backend.build_from_compiled(&plan, &cp, 1);
-            let mut cached_b = backend.build_from_compiled(&plan, &cp, 1);
+            let mut cached_a = backend.build(&plan, &cp, 1, None);
+            let mut cached_b = backend.build(&plan, &cp, 1, None);
             let mut want = vec![0.0; a.nrows()];
             let mut got_a = vec![0.0; a.nrows()];
             let mut got_b = vec![0.0; a.nrows()];
             fresh.apply(&x, &mut want);
             cached_a.apply(&x, &mut got_a);
             cached_b.apply(&x, &mut got_b);
-            if fresh.deterministic() {
-                assert_eq!(got_a, want, "{backend}");
-                assert_eq!(got_b, want, "{backend}");
-            } else {
-                assert_close(&got_a, &want);
-                assert_close(&got_b, &want);
-            }
+            assert!(fresh.deterministic(), "{backend}: every backend is deterministic");
+            assert_eq!(got_a, want, "{backend}");
+            assert_eq!(got_b, want, "{backend}");
         }
     }
 
@@ -696,7 +595,7 @@ mod tests {
         let p = fig1_partition();
         let plan = Arc::new(SpmvPlan::single_phase(&a, &p));
         for backend in [Backend::CompiledSeq, Backend::CompiledPool { threads: 2, pin: false }] {
-            let mut op = backend.build(&plan, 1);
+            let mut op = build(backend, &plan, 1, KernelFormat::CsrSlice);
             let r = 3;
             let x: Vec<f64> = (0..a.ncols() * r).map(|i| ((i * 7) % 13) as f64 - 6.0).collect();
             let mut y = vec![0.0; a.nrows() * r];

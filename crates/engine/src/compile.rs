@@ -1,7 +1,7 @@
 //! The plan compiler: `SpmvPlan` → [`CompiledPlan`].
 //!
-//! The interpreting executors (`s2d-spmv`'s mailbox and threaded paths)
-//! resolve every multiply-add and every message word through per-rank
+//! The interpreting oracle (`s2d-spmv`'s mailbox executor) resolves
+//! every multiply-add and every message word through per-rank
 //! `HashMap<u32, f64>` lookups. That is the right tool for validating
 //! plan semantics and exactly the wrong one for the workload the paper
 //! cares about — thousands of SpMV iterations against one matrix.
@@ -20,9 +20,10 @@
 //!   per-phase staging buffer, so a communication phase is just indexed
 //!   copies through preallocated memory.
 //!
-//! All "processor lacks `x[j]`" conditions the interpreters detect at run
+//! All "processor lacks `x[j]`" conditions the interpreter detects at run
 //! time are detected here at compile time, once — the execution paths
-//! contain no fallible lookups at all.
+//! (all three drivers of the compiled programs) contain no fallible
+//! lookups at all.
 //!
 //! # Kernel formats
 //!
@@ -41,7 +42,7 @@ use s2d_spmv::{MsgSpec, PlanPhase, SpmvPlan};
 use crate::formats::{CsrKernel, Kernel, KernelFormat, KernelIsa, KernelStats};
 
 /// Local-slot sentinel: "this global row never materializes on its
-/// owner" (the assembled result is 0 there, matching the interpreters).
+/// owner" (the assembled result is 0 there, matching the interpreter).
 pub const NO_SLOT: u32 = u32::MAX;
 
 /// One [`MsgSpec`] lowered to local index lists.
@@ -185,7 +186,7 @@ impl RankState {
     }
 
     /// Slot for accumulating into `y[i]` (creates the partial on first
-    /// touch, like the interpreters' `entry().or_insert(0.0)`).
+    /// touch, like the interpreter's `entry().or_insert(0.0)`).
     fn y_accum(&mut self, i: u32) -> u32 {
         if let Some(&slot) = self.ymap.get(&i) {
             self.ylive[slot as usize] = true;
@@ -211,12 +212,12 @@ impl RankState {
 
 impl CompiledPlan {
     /// Compiles `plan` with the default [`KernelFormat::CsrSlice`]
-    /// kernels — bitwise-identical to the interpreting executors.
+    /// kernels — bitwise-identical to the interpreting oracle.
     ///
     /// # Panics
     /// Panics with a "plan bug" message if the plan reads an `x` value
     /// or drains a partial `y` its rank cannot hold — the same
-    /// conditions the interpreting executors detect mid-run.
+    /// conditions the interpreting oracle detects mid-run.
     pub fn compile(plan: &SpmvPlan) -> CompiledPlan {
         CompiledPlan::compile_with(plan, KernelFormat::CsrSlice)
     }

@@ -29,12 +29,10 @@
 //! scatter and assembly are format-oblivious — one workspace executes
 //! the same plan compiled to any format.
 
-use std::time::Instant;
-
 use s2d_obs::Phase;
 
 use crate::compile::{CompiledMsg, CompiledPlan, RankStep, NO_SLOT};
-use crate::telemetry::ExecTelemetry;
+use crate::telemetry::{call_end, span_end, span_start, ExecTelemetry};
 
 /// Preallocated buffers for executing one [`CompiledPlan`] at batch
 /// widths up to the allocated `width`.
@@ -142,15 +140,17 @@ impl CompiledPlan {
     }
 
     #[inline(always)]
-    fn seed(&self, ws: &mut Workspace, x: &[f64], r: usize) {
+    fn seed(&self, ws: &mut Workspace, x: &[f64], r: usize, obs: Option<&ExecTelemetry>) {
         for rk in 0..self.ranks.len() {
+            let t = span_start(obs);
             self.seed_rank(ws, x, r, rk);
+            span_end(obs, rk, Phase::Gather, t);
         }
     }
 
     /// Runs all phases over the workspace buffers.
     #[inline(always)]
-    fn run_phases(&self, ws: &mut Workspace, r: usize) {
+    fn run_phases(&self, ws: &mut Workspace, r: usize, obs: Option<&ExecTelemetry>) {
         // Phases in plan order; within a communication phase all sends
         // stage (and drain) before any receive applies, which is the
         // simultaneous-exchange semantics.
@@ -158,26 +158,40 @@ impl CompiledPlan {
         for p in 0..num_phases {
             let mut is_comm = false;
             for (rk, rp) in self.ranks.iter().enumerate() {
+                let t = span_start(obs);
                 match &rp.steps[p] {
-                    RankStep::Compute(kernel) => kernel.run_batch(&ws.x[rk], &mut ws.y[rk], r),
+                    RankStep::Compute(kernel) => {
+                        kernel.run_batch(&ws.x[rk], &mut ws.y[rk], r);
+                        span_end(obs, rk, Phase::Compute, t);
+                    }
                     RankStep::Comm { phase, sends, .. } => {
                         is_comm = true;
                         let staging = &mut ws.staging[*phase as usize];
                         for m in sends {
-                            stage_send(m, &ws.x[rk], &mut ws.y[rk], staging, r);
+                            let base = m.offset as usize * r;
+                            stage_send(m, &ws.x[rk], &mut ws.y[rk], staging, base, r);
                         }
+                        span_end(obs, rk, Phase::Gather, t);
                     }
                 }
             }
             if is_comm {
                 for (rk, rp) in self.ranks.iter().enumerate() {
                     if let RankStep::Comm { phase, recvs, .. } = &rp.steps[p] {
+                        let t = span_start(obs);
                         let staging = &ws.staging[*phase as usize];
                         for m in recvs {
-                            apply_recv(m, &mut ws.x[rk], &mut ws.y[rk], staging, r);
+                            let base = m.offset as usize * r;
+                            apply_recv(m, &mut ws.x[rk], &mut ws.y[rk], staging, base, r);
                         }
+                        span_end(obs, rk, Phase::Scatter, t);
                     }
                 }
+            }
+        }
+        if let Some(o) = obs {
+            for rk in 0..self.ranks.len() {
+                o.bump_iter(rk, r);
             }
         }
     }
@@ -222,26 +236,14 @@ impl CompiledPlan {
         r: usize,
         iters: usize,
     ) {
-        self.check_batch(ws, x, y, r, iters);
-        // Monomorphize the common widths: `pass` is `inline(always)`
-        // all the way down, so a constant `r` const-folds the `0..r`
-        // block loops in seed / staging / assembly into straight-line
-        // code (at r = 1, exactly the pre-batching scalar executor).
-        match r {
-            1 => self.pass::<1>(ws, x, y, iters),
-            2 => self.pass::<2>(ws, x, y, iters),
-            4 => self.pass::<4>(ws, x, y, iters),
-            8 => self.pass::<8>(ws, x, y, iters),
-            _ => self.pass_impl(ws, x, y, r, iters),
-        }
+        self.execute_batch_iters_obs(ws, x, y, r, iters, None);
     }
 
     /// [`CompiledPlan::execute_batch_iters`] with optional telemetry:
     /// with a sink attached, per-rank phase spans and work counters are
-    /// recorded along the way. The numeric path is untouched — results
-    /// are bitwise identical with and without a sink (the instrumented
-    /// pass interleaves clock reads between the same calls in the same
-    /// order).
+    /// recorded along the way (see the `telemetry` module docs for the
+    /// phase attribution). The numeric path is the same code either way
+    /// — results are bitwise identical with and without a sink.
     pub fn execute_batch_iters_obs(
         &self,
         ws: &mut Workspace,
@@ -251,26 +253,26 @@ impl CompiledPlan {
         iters: usize,
         obs: Option<&ExecTelemetry>,
     ) {
-        match obs {
-            None => self.execute_batch_iters(ws, x, y, r, iters),
-            Some(obs) => {
-                self.check_batch(ws, x, y, r, iters);
-                let t = Instant::now();
-                // Same const-width monomorphization as the uninstrumented
-                // dispatch: without it the instrumented pass runs the
-                // generic-width loops and the comparison bench would
-                // blame telemetry for a codegen difference.
-                match r {
-                    1 => self.pass_obs_w::<1>(ws, x, y, iters, obs),
-                    2 => self.pass_obs_w::<2>(ws, x, y, iters, obs),
-                    4 => self.pass_obs_w::<4>(ws, x, y, iters, obs),
-                    8 => self.pass_obs_w::<8>(ws, x, y, iters, obs),
-                    _ => self.pass_obs(ws, x, y, r, iters, obs),
-                }
-                obs.sink().add_wall(t.elapsed().as_nanos() as u64);
-                obs.sink().add_iterations(iters as u64);
-            }
+        self.check_batch(ws, x, y, r, iters);
+        let t = span_start(obs);
+        // Monomorphize the common widths, with telemetry off and on:
+        // `pass_impl` is `inline(always)` all the way down, so a
+        // constant `r` const-folds the `0..r` block loops in seed /
+        // staging / assembly into straight-line code (at r = 1, exactly
+        // the pre-batching scalar executor), and a constant `None`
+        // folds every span away.
+        match (r, obs.is_some()) {
+            (1, false) => self.pass::<1, false>(ws, x, y, iters, obs),
+            (2, false) => self.pass::<2, false>(ws, x, y, iters, obs),
+            (4, false) => self.pass::<4, false>(ws, x, y, iters, obs),
+            (8, false) => self.pass::<8, false>(ws, x, y, iters, obs),
+            (1, true) => self.pass::<1, true>(ws, x, y, iters, obs),
+            (2, true) => self.pass::<2, true>(ws, x, y, iters, obs),
+            (4, true) => self.pass::<4, true>(ws, x, y, iters, obs),
+            (8, true) => self.pass::<8, true>(ws, x, y, iters, obs),
+            _ => self.pass_impl(ws, x, y, r, iters, obs),
         }
+        call_end(obs, t, iters);
     }
 
     fn check_batch(&self, ws: &Workspace, x: &[f64], y: &[f64], r: usize, iters: usize) {
@@ -285,133 +287,64 @@ impl CompiledPlan {
         }
     }
 
-    /// Fixed-width instantiation of the iteration pass.
-    fn pass<const R: usize>(&self, ws: &mut Workspace, x: &[f64], y: &mut [f64], iters: usize) {
-        self.pass_impl(ws, x, y, R, iters);
-    }
-
-    /// The shared pass body; callers provide `r` as a literal constant
-    /// (via [`CompiledPlan::pass`]) or as a runtime width.
-    #[inline(always)]
-    fn pass_impl(&self, ws: &mut Workspace, x: &[f64], y: &mut [f64], r: usize, iters: usize) {
-        let mut carrier = std::mem::take(&mut ws.carrier);
-        self.seed(ws, x, r);
-        self.run_phases(ws, r);
-        for _ in 1..iters {
-            self.assemble(ws, &mut carrier[..self.nrows * r], r);
-            self.seed(ws, &carrier[..self.nrows * r], r);
-            self.run_phases(ws, r);
-        }
-        self.assemble(ws, y, r);
-        ws.carrier = carrier;
-    }
-
-    /// Fixed-width instantiation of the instrumented pass.
-    fn pass_obs_w<const R: usize>(
+    /// Fixed-width instantiation of the iteration pass; `OBS = false`
+    /// hands `pass_impl` a literal `None`.
+    fn pass<const R: usize, const OBS: bool>(
         &self,
         ws: &mut Workspace,
         x: &[f64],
         y: &mut [f64],
         iters: usize,
-        obs: &ExecTelemetry,
+        obs: Option<&ExecTelemetry>,
     ) {
-        self.pass_obs(ws, x, y, R, iters, obs);
+        self.pass_impl(ws, x, y, R, iters, if OBS { obs } else { None });
     }
 
-    /// The instrumented twin of [`CompiledPlan::pass_impl`]: identical
-    /// call sequence (bitwise-identical results), with per-rank phase
-    /// spans and per-iteration work counters recorded into `obs`. See
-    /// the `telemetry` module docs for the phase attribution.
+    /// The one pass body; callers provide `r` and `obs` as literal
+    /// constants (via [`CompiledPlan::pass`]) or as runtime values.
+    /// Whole-output assembly is recorded under rank 0.
     #[inline(always)]
-    fn pass_obs(
+    fn pass_impl(
         &self,
         ws: &mut Workspace,
         x: &[f64],
         y: &mut [f64],
         r: usize,
         iters: usize,
-        obs: &ExecTelemetry,
+        obs: Option<&ExecTelemetry>,
     ) {
         let mut carrier = std::mem::take(&mut ws.carrier);
-        self.seed_obs(ws, x, r, obs);
-        self.run_phases_obs(ws, r, obs);
-        self.bump_all(r, obs);
+        self.seed(ws, x, r, obs);
+        self.run_phases(ws, r, obs);
         for _ in 1..iters {
-            let t = Instant::now();
+            let t = span_start(obs);
             self.assemble(ws, &mut carrier[..self.nrows * r], r);
-            obs.rec(0).record(Phase::Scatter, t.elapsed().as_nanos() as u64);
-            self.seed_obs(ws, &carrier[..self.nrows * r], r, obs);
-            self.run_phases_obs(ws, r, obs);
-            self.bump_all(r, obs);
+            span_end(obs, 0, Phase::Scatter, t);
+            self.seed(ws, &carrier[..self.nrows * r], r, obs);
+            self.run_phases(ws, r, obs);
         }
-        let t = Instant::now();
+        let t = span_start(obs);
         self.assemble(ws, y, r);
-        obs.rec(0).record(Phase::Scatter, t.elapsed().as_nanos() as u64);
+        span_end(obs, 0, Phase::Scatter, t);
         ws.carrier = carrier;
-    }
-
-    #[inline(always)]
-    fn seed_obs(&self, ws: &mut Workspace, x: &[f64], r: usize, obs: &ExecTelemetry) {
-        for rk in 0..self.ranks.len() {
-            let t = Instant::now();
-            self.seed_rank(ws, x, r, rk);
-            obs.rec(rk).record(Phase::Gather, t.elapsed().as_nanos() as u64);
-        }
-    }
-
-    fn bump_all(&self, r: usize, obs: &ExecTelemetry) {
-        for rk in 0..self.ranks.len() {
-            obs.bump_iter(rk, r);
-        }
-    }
-
-    /// Instrumented twin of [`CompiledPlan::run_phases`] — same phase
-    /// walk, same per-rank order, clock reads in between.
-    #[inline(always)]
-    fn run_phases_obs(&self, ws: &mut Workspace, r: usize, obs: &ExecTelemetry) {
-        let num_phases = self.ranks.first().map_or(0, |rp| rp.steps.len());
-        for p in 0..num_phases {
-            let mut is_comm = false;
-            for (rk, rp) in self.ranks.iter().enumerate() {
-                match &rp.steps[p] {
-                    RankStep::Compute(kernel) => {
-                        let t = Instant::now();
-                        kernel.run_batch(&ws.x[rk], &mut ws.y[rk], r);
-                        obs.rec(rk).record(Phase::Compute, t.elapsed().as_nanos() as u64);
-                    }
-                    RankStep::Comm { phase, sends, .. } => {
-                        is_comm = true;
-                        let t = Instant::now();
-                        let staging = &mut ws.staging[*phase as usize];
-                        for m in sends {
-                            stage_send(m, &ws.x[rk], &mut ws.y[rk], staging, r);
-                        }
-                        obs.rec(rk).record(Phase::Gather, t.elapsed().as_nanos() as u64);
-                    }
-                }
-            }
-            if is_comm {
-                for (rk, rp) in self.ranks.iter().enumerate() {
-                    if let RankStep::Comm { phase, recvs, .. } = &rp.steps[p] {
-                        let t = Instant::now();
-                        let staging = &ws.staging[*phase as usize];
-                        for m in recvs {
-                            apply_recv(m, &mut ws.x[rk], &mut ws.y[rk], staging, r);
-                        }
-                        obs.rec(rk).record(Phase::Scatter, t.elapsed().as_nanos() as u64);
-                    }
-                }
-            }
-        }
     }
 }
 
-/// Copies a send's `x` gather and `y` drain into the staging region
-/// (`r` consecutive words per listed slot).
+/// Copies a send's `x` gather and `y` drain into the message's region
+/// of `staging`, starting at word `base` (`r` consecutive words per
+/// listed slot). The in-place executor passes the phase staging buffer
+/// and `m.offset * r`; the endpoint walker a per-message payload and 0.
 #[allow(clippy::manual_memcpy)] // see `CompiledPlan::seed`
 #[inline(always)]
-pub(crate) fn stage_send(m: &CompiledMsg, x: &[f64], y: &mut [f64], staging: &mut [f64], r: usize) {
-    let mut w = m.offset as usize * r;
+pub(crate) fn stage_send(
+    m: &CompiledMsg,
+    x: &[f64],
+    y: &mut [f64],
+    staging: &mut [f64],
+    base: usize,
+    r: usize,
+) {
+    let mut w = base;
     for &slot in &m.x_idx {
         let s = slot as usize * r;
         for q in 0..r {
@@ -429,11 +362,19 @@ pub(crate) fn stage_send(m: &CompiledMsg, x: &[f64], y: &mut [f64], staging: &mu
     }
 }
 
-/// Applies a receive's staging region: overwrite `x`, accumulate `y`.
+/// Applies a receive's region of `staging` (see [`stage_send`] for
+/// `base`): overwrite `x`, accumulate `y`.
 #[allow(clippy::manual_memcpy)] // see `CompiledPlan::seed`
 #[inline(always)]
-pub(crate) fn apply_recv(m: &CompiledMsg, x: &mut [f64], y: &mut [f64], staging: &[f64], r: usize) {
-    let mut w = m.offset as usize * r;
+pub(crate) fn apply_recv(
+    m: &CompiledMsg,
+    x: &mut [f64],
+    y: &mut [f64],
+    staging: &[f64],
+    base: usize,
+    r: usize,
+) {
+    let mut w = base;
     for &slot in &m.x_idx {
         let s = slot as usize * r;
         for q in 0..r {

@@ -1,21 +1,25 @@
 //! Compiled SpMV execution engine.
 //!
-//! The interpreting executors in `s2d-spmv` validate plan *semantics*;
-//! this crate makes plans *fast*. It follows the inspector/executor
-//! pattern of the OSKI line and shared-memory SpMV practice: pay a
-//! one-time compilation cost per `(matrix, partition)` pair, then run
-//! thousands of iterations over flat, cache-friendly arrays.
+//! The mailbox interpreter in `s2d-spmv` validates plan *semantics* and
+//! stays as the one deliberately naive test oracle; this crate makes
+//! plans *fast*, and is the only other thing that executes them. It
+//! follows the inspector/executor pattern of the OSKI line and
+//! shared-memory SpMV practice: pay a one-time compilation cost per
+//! `(matrix, partition)` pair, then run thousands of iterations over
+//! flat, cache-friendly arrays. One compiled program per rank
+//! ([`RankProgram`]), three drivers that walk it — in place,
+//! on a worker pool, over message-passing endpoints — rather than one
+//! executor per schedule.
 //!
 //! The pipeline:
 //!
 //! ```text
-//!   SpmvPlan ──CompiledPlan::compile──▶ CompiledPlan
+//!   SpmvPlan ──CompiledPlan::compile──▶ CompiledPlan (K RankPrograms)
 //!                                          │
-//!                      ┌───────────────────┴──────────────────┐
-//!            Workspace + execute                    ParallelEngine
-//!            execute_batch(X, r)                 execute_batch(X, r)
-//!            (sequential, zero-alloc            (persistent worker pool,
-//!             iteration loop)                    atomic phase barriers)
+//!            ┌─────────────────────────────┼─────────────────────────────┐
+//!   Workspace + execute             ParallelEngine             RankProgram::spmv_over
+//!   (in place: sequential,        (persistent worker pool,    (s2d-runtime endpoints, one
+//!    zero-alloc iteration loop)    atomic phase barriers)      rank per thread / SPMD solver)
 //! ```
 //!
 //! * [`compile`] — renumbers every rank's `x`/`y` footprint into dense
@@ -27,7 +31,13 @@
 //! * [`exec`] — the sequential executor over a reusable [`Workspace`];
 //! * [`pool`] — the [`ParallelEngine`]: long-lived OS threads running
 //!   `execute_iters(n)` for solver loops with zero per-iteration
-//!   allocation.
+//!   allocation;
+//! * [`threaded`] — the endpoint walker ([`RankProgram::spmv_over`])
+//!   and [`EndpointOperator`], which runs it on one OS thread per rank.
+//!
+//! All three drivers apply a communication phase's receives in the
+//! compiled `recvs` order, so on one compiled plan they agree bitwise —
+//! whatever the thread count, delivery order or batch width.
 //!
 //! # Kernel formats
 //!
@@ -69,8 +79,8 @@
 //! once (`Y = A·X`): `Kernel::run_batch`, `CompiledPlan::execute_batch`
 //! / `execute_batch_iters` over a [`Workspace`] allocated with
 //! `workspace_batch(r)`, and `ParallelEngine::execute_batch` on a pool
-//! built with `new_batch`/`with_threads_batch`. The memory layout is
-//! row-major everywhere:
+//! built with a [`PoolOptions::width`] of at least `r`. The memory
+//! layout is row-major everywhere:
 //!
 //! * global vectors: index `g`, column `q` at `x[g*r + q]` — an `n × r`
 //!   block, never `r` separate vectors;
@@ -92,23 +102,22 @@
 //! column, results are bitwise identical to the single-RHS path: only
 //! the traversal is shared, never the accumulation order.
 //!
-//! `s2d-solver`'s `RankCtx` runs its per-rank SpMV on the same compiled
-//! per-rank programs ([`RankProgram`]) — including the batched layout
-//! via `RankCtx::spmv_batch`, which block power iteration consumes — so
-//! CG, Jacobi, power iteration, block power and PageRank all ride this
-//! path; the interpreting executors remain as the cross-check oracle
-//! (see `crates/engine/tests/props.rs` and the differential harness in
+//! `s2d-solver`'s `RankCtx` runs its per-rank SpMV through the same
+//! endpoint walker — including the batched layout via
+//! `RankCtx::spmv_batch`, which block power iteration consumes — so CG,
+//! Jacobi, power iteration, block power and PageRank all ride this
+//! path; the mailbox interpreter remains as the cross-check oracle (see
+//! `crates/engine/tests/props.rs` and the differential harness in
 //! `crates/engine/tests/differential.rs`).
 //!
 //! # The unified operator surface
 //!
-//! The [`backend`] module puts every execution path — the two
-//! interpreting executors of `s2d-spmv` plus the two compiled paths
-//! here — behind `s2d_spmv::SpmvOperator`, selected by the [`Backend`]
-//! enum: `Backend::build(&plan, width)` pays all setup (compilation,
-//! buffers, worker threads) once and returns an operator whose
-//! `apply`/`apply_batch` write into caller-owned buffers with zero
-//! steady-state allocation on the compiled paths. See the [`backend`]
+//! The [`backend`] module puts the oracle and the three compiled
+//! drivers behind `s2d_spmv::SpmvOperator`, selected by the [`Backend`]
+//! enum: `Backend::build(&plan, &compiled, width, sink)` pays the
+//! remaining setup (buffers, worker threads) once and returns an
+//! operator whose `apply`/`apply_batch` write into caller-owned buffers
+//! with zero steady-state allocation on the in-place and pool drivers. See the [`backend`]
 //! module docs for selection guidance (when the pool beats the
 //! sequential workspace, how to pick a batch width). The conformance
 //! suite in `crates/engine/tests/conformance.rs` holds every backend to
@@ -120,8 +129,9 @@ pub mod exec;
 pub mod formats;
 pub mod pool;
 pub mod telemetry;
+pub mod threaded;
 
-pub use backend::{Backend, CompiledPoolOperator, CompiledSeqOperator, ObservedOperator};
+pub use backend::{Backend, CompiledPoolOperator, CompiledSeqOperator};
 pub use compile::{CompiledMsg, CompiledPlan, RankProgram, RankStep, NO_SLOT};
 pub use exec::Workspace;
 pub use formats::{
@@ -129,3 +139,4 @@ pub use formats::{
 };
 pub use pool::{ParallelEngine, PoolOptions, PoolSchedule};
 pub use telemetry::ExecTelemetry;
+pub use threaded::{EndpointOperator, Payload, RankLocal};

@@ -15,27 +15,24 @@
 //! Soundness rests on two invariants:
 //!
 //! 1. **Spatial**: every shared element has exactly one writer at any
-//!    program point. Under the legacy [`PoolSchedule::RankSplit`] the
-//!    unit is the buffer: a rank's `x`/`y` buffers are touched only by
-//!    the worker that owns the rank. Under the default
-//!    [`PoolSchedule::NnzChunked`] the unit is the element: a compute
-//!    phase is pre-split into kernel chunks whose `y` slots are
-//!    pairwise disjoint (the schedule only splits
+//!    program point, and the unit is the element: a compute phase is
+//!    pre-split into kernel chunks whose `y` slots are pairwise
+//!    disjoint (the schedule only splits
 //!    [`Kernel::splittable`](crate::Kernel::splittable) kernels, whose
 //!    units never share a row), `x` is read-only during compute, and
-//!    seeding / staging / emitting stay with the owning worker.
-//!    Staging regions are written only by the message's sender and
-//!    read only by its receiver, and send regions are pairwise
+//!    seeding / staging / emitting stay with the worker that owns the
+//!    rank. Staging regions are written only by the message's sender
+//!    and read only by its receiver, and send regions are pairwise
 //!    disjoint. The compiler produces plans with this shape, and
-//!    because every `CompiledPlan` field is public (the solver
-//!    consumes the per-rank programs directly),
-//!    [`ParallelEngine::with_threads`] re-validates it instead of
+//!    because every `CompiledPlan` field is public (the endpoint
+//!    walker's callers consume the per-rank programs directly),
+//!    [`ParallelEngine::with_options`] re-validates it instead of
 //!    trusting the caller — a hand-built plan that overlaps send
 //!    regions is rejected before any thread runs.
 //! 2. **Temporal**: every writer→reader handoff (staging, the gathered
-//!    global vector, the job descriptor, and — under the chunked
-//!    schedule — the seed→compute and compute→drain transitions of
-//!    every rank's buffers) crosses a barrier with release/acquire
+//!    global vector, the job descriptor, and the seed→compute and
+//!    compute→drain transitions of every rank's buffers) crosses a
+//!    barrier with release/acquire
 //!    ordering, so there is no unsynchronized cross-thread access to
 //!    the same element. If a worker panics, the barriers are
 //!    *poisoned*: every waiter bails out immediately, no further
@@ -44,8 +41,8 @@
 //!
 //! # NNZ-chunked scheduling
 //!
-//! Rank-split scheduling serializes on the heaviest rank — exactly the
-//! skewed dense-row regime semi-2D partitions target. The default
+//! Giving each worker whole ranks serializes on the heaviest rank —
+//! exactly the skewed dense-row regime semi-2D partitions target. The
 //! schedule therefore splits every splittable compute kernel at unit
 //! (row-segment / SELL-chunk) boundaries into chunks of at least a
 //! target multiply-add count and packs the chunks onto workers with a
@@ -71,14 +68,12 @@ use std::cell::UnsafeCell;
 use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Instant;
 
 use s2d_obs::{Phase, TelemetrySink};
-use s2d_spmv::SpmvPlan;
 
 use crate::compile::{CompiledMsg, CompiledPlan, RankStep};
 use crate::formats::KernelFormat;
-use crate::telemetry::ExecTelemetry;
+use crate::telemetry::{call_end, span_end, span_start, ExecTelemetry};
 
 /// A flat `f64` buffer shareable across worker threads (see the module
 /// docs for the access discipline that makes this sound). Indexing is
@@ -138,12 +133,11 @@ impl ShBuf {
     /// # Safety
     /// For every element the returned slice is actually used to access,
     /// the caller must be the unique accessor for the slice's lifetime.
-    /// Under rank-split that holds buffer-wide (a worker and the
-    /// `x`/`y` buffers of the ranks it owns); under the chunked
-    /// schedule concurrent views of one `y` buffer exist, but each
-    /// chunk reads and writes only its own units' row slots, which are
-    /// pairwise disjoint across the phase's chunks (spatial invariant),
-    /// with barriers ordering every cross-thread handoff.
+    /// Concurrent views of one `y` buffer exist during a compute
+    /// phase, but each chunk reads and writes only its own units' row
+    /// slots, which are pairwise disjoint across the phase's chunks
+    /// (spatial invariant), with barriers ordering every cross-thread
+    /// handoff.
     #[inline]
     #[allow(clippy::mut_from_ref)]
     unsafe fn as_mut_slice(&self) -> &mut [f64] {
@@ -202,15 +196,12 @@ impl SpinBarrier {
 /// How a pool distributes compute-phase work over its workers.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum PoolSchedule {
-    /// Contiguous rank blocks per worker (the pre-chunking behavior):
-    /// compute phases need no barrier, but the phase serializes on the
-    /// heaviest rank.
-    RankSplit,
     /// NNZ-weighted greedy LPT packing of kernel chunks (see the module
     /// docs): splittable kernels are cut at unit boundaries into runs
     /// of at least `chunk_ops` stored multiply-adds and the runs are
     /// packed heaviest-first onto the least-loaded worker. Bitwise
-    /// identical to rank-split at any worker count or chunk size.
+    /// identical to the sequential executor at any worker count or
+    /// chunk size.
     NnzChunked {
         /// Minimum stored multiply-adds per chunk; `0` picks a target
         /// from the phase's total work and the worker count.
@@ -228,15 +219,14 @@ impl PoolSchedule {
     /// Stable short label for bench and profile output.
     pub fn label(self) -> &'static str {
         match self {
-            PoolSchedule::RankSplit => "rank-split",
             PoolSchedule::NnzChunked { .. } => "nnz-chunked",
         }
     }
 }
 
 /// Construction knobs for [`ParallelEngine::with_options`]. The
-/// `Default` value reproduces [`ParallelEngine::new`]: default worker
-/// sizing, width 1, the chunked schedule, no pinning, no telemetry.
+/// `Default` value is default worker sizing, width 1, the automatic
+/// chunk target, no pinning, no telemetry.
 #[derive(Clone, Default)]
 pub struct PoolOptions {
     /// Worker count; `0` selects the default sizing
@@ -251,8 +241,10 @@ pub struct PoolOptions {
     /// a silent no-op elsewhere or on failure — affinity is a
     /// performance hint, never a correctness requirement).
     pub pin: bool,
-    /// Optional telemetry sink (see
-    /// [`ParallelEngine::with_telemetry`]).
+    /// Optional telemetry sink: workers time their compute / gather /
+    /// scatter work per owned rank and their barrier waits (recorded
+    /// under the first rank of each worker's range) into it. Results
+    /// are bitwise identical to an uninstrumented pool.
     pub sink: Option<Arc<TelemetrySink>>,
 }
 
@@ -384,7 +376,7 @@ fn pin_to_core(_core: usize) {}
 
 /// State shared between the control thread and the workers.
 struct Shared {
-    plan: CompiledPlan,
+    plan: Arc<CompiledPlan>,
     /// Batch capacity the shared buffers were sized for.
     width: usize,
     /// Per-rank local vectors (`nx × width` / `ny × width` words).
@@ -400,15 +392,13 @@ struct Shared {
     /// stale word written at another stride.
     zero_rows: Vec<Vec<u32>>,
     /// Contiguous rank range per worker (ownership: seeding, staging,
-    /// emitting — and all compute under rank-split).
+    /// emitting).
     assign: Vec<std::ops::Range<usize>>,
     /// The schedule knob the pool was built with.
     schedule: PoolSchedule,
-    /// Baked chunk→worker compute map; `None` under rank-split.
-    chunks: Option<ChunkSchedule>,
-    /// Planned compute multiply-adds per worker per iteration (the
-    /// fixed map makes planned == achieved).
-    loads: Vec<u64>,
+    /// Baked chunk→worker compute map (its `planned` loads are also
+    /// the achieved ones — the map is fixed).
+    chunks: ChunkSchedule,
     /// Pin worker `w` to CPU `w` at startup.
     pin: bool,
     /// Job descriptor: input pointer + chained iteration count + batch
@@ -534,64 +524,19 @@ fn validate_for_pool(plan: &CompiledPlan) {
 }
 
 impl ParallelEngine {
-    /// Pool over `plan` with one worker per rank, capped at the number
-    /// of available CPUs.
-    pub fn new(plan: CompiledPlan) -> ParallelEngine {
-        ParallelEngine::new_batch(plan, 1)
-    }
-
-    /// Pool sized for batches of up to `width` right-hand sides, with
-    /// the default worker count.
-    pub fn new_batch(plan: CompiledPlan, width: usize) -> ParallelEngine {
-        let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
-        let threads = plan.k.min(cpus).max(1);
-        ParallelEngine::with_threads_batch(plan, threads, width)
-    }
-
-    /// Compiles `plan` and builds the pool in one step.
-    pub fn from_plan(plan: &SpmvPlan) -> ParallelEngine {
-        ParallelEngine::new(CompiledPlan::compile(plan))
-    }
-
-    /// Pool with an explicit worker count (clamped to `1..=plan.k`;
-    /// ranks are distributed over workers in contiguous blocks).
+    /// Builds the pool over `plan`: every knob (worker count, batch
+    /// capacity, chunk target, core pinning, telemetry) comes from one
+    /// [`PoolOptions`]. Ranks are distributed over workers in
+    /// contiguous blocks; an explicit worker count is clamped to
+    /// `1..=plan.k`.
     ///
     /// # Panics
     /// Panics if `plan` violates the invariants the shared-buffer
     /// execution depends on (see `validate_for_pool` in the source) —
     /// plans produced by [`CompiledPlan::compile`] always satisfy them.
-    pub fn with_threads(plan: CompiledPlan, threads: usize) -> ParallelEngine {
-        ParallelEngine::with_threads_batch(plan, threads, 1)
-    }
-
-    /// [`ParallelEngine::with_threads`] with shared buffers sized for
-    /// batches of up to `width` right-hand sides (row-major blocks, see
-    /// the `exec` module docs for the layout).
-    pub fn with_threads_batch(plan: CompiledPlan, threads: usize, width: usize) -> ParallelEngine {
-        ParallelEngine::with_options(plan, PoolOptions { threads, width, ..PoolOptions::default() })
-    }
-
-    /// A telemetry-recording pool: workers time their compute / gather
-    /// / scatter work per owned rank and their barrier waits (recorded
-    /// under the first rank of each worker's range) into `sink`.
-    /// `threads = 0` selects the default sizing. Results are bitwise
-    /// identical to an uninstrumented pool.
-    pub fn with_telemetry(
-        plan: CompiledPlan,
-        threads: usize,
-        width: usize,
-        sink: Arc<TelemetrySink>,
-    ) -> ParallelEngine {
-        ParallelEngine::with_options(
-            plan,
-            PoolOptions { threads, width, sink: Some(sink), ..PoolOptions::default() },
-        )
-    }
-
-    /// The fully-general constructor: every knob (worker count,
-    /// batch capacity, compute schedule, core pinning, telemetry) in
-    /// one [`PoolOptions`]. All other constructors delegate here.
-    pub fn with_options(plan: CompiledPlan, opts: PoolOptions) -> ParallelEngine {
+    pub fn with_options(plan: impl Into<Arc<CompiledPlan>>, opts: PoolOptions) -> ParallelEngine {
+        let plan = plan.into();
+        validate_for_pool(&plan);
         let threads = if opts.threads == 0 {
             let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
             plan.k.min(cpus).max(1)
@@ -599,19 +544,7 @@ impl ParallelEngine {
             opts.threads
         };
         let obs = opts.sink.map(|sink| ExecTelemetry::new(&plan, sink));
-        ParallelEngine::build(plan, threads, opts.width.max(1), opts.schedule, opts.pin, obs)
-    }
-
-    fn build(
-        plan: CompiledPlan,
-        threads: usize,
-        width: usize,
-        schedule: PoolSchedule,
-        pin: bool,
-        obs: Option<ExecTelemetry>,
-    ) -> ParallelEngine {
-        validate_for_pool(&plan);
-        assert!(width >= 1, "batch width must be at least 1");
+        let (width, schedule, pin) = (opts.width.max(1), opts.schedule, opts.pin);
         let k = plan.k;
         let threads = threads.clamp(1, k);
         // Balanced contiguous split; threads ≤ k keeps every range
@@ -634,28 +567,8 @@ impl ParallelEngine {
                 zero_rows[plan.y_part[i] as usize].push(i as u32);
             }
         }
-        let chunks = match schedule {
-            PoolSchedule::RankSplit => None,
-            PoolSchedule::NnzChunked { chunk_ops } => {
-                Some(chunk_schedule(&plan, threads, chunk_ops))
-            }
-        };
-        let loads = match &chunks {
-            Some(cs) => cs.planned.clone(),
-            None => assign
-                .iter()
-                .map(|rg| {
-                    plan.ranks[rg.clone()]
-                        .iter()
-                        .flat_map(|rp| &rp.steps)
-                        .map(|s| match s {
-                            RankStep::Compute(kernel) => kernel.ops() as u64,
-                            RankStep::Comm { .. } => 0,
-                        })
-                        .sum()
-                })
-                .collect(),
-        };
+        let PoolSchedule::NnzChunked { chunk_ops } = schedule;
+        let chunks = chunk_schedule(&plan, threads, chunk_ops);
         let shared = Arc::new(Shared {
             width,
             zero_rows,
@@ -666,7 +579,6 @@ impl ParallelEngine {
             assign,
             schedule,
             chunks,
-            loads,
             pin,
             job_x: AtomicPtr::new(std::ptr::null_mut()),
             job_iters: AtomicUsize::new(0),
@@ -701,7 +613,7 @@ impl ParallelEngine {
     }
 
     /// The compiled plan this pool executes.
-    pub fn plan(&self) -> &CompiledPlan {
+    pub fn plan(&self) -> &Arc<CompiledPlan> {
         &self.shared.plan
     }
 
@@ -722,14 +634,14 @@ impl ParallelEngine {
     /// also the achieved per-iteration load — multiply by iterations ×
     /// batch width for executed madds.
     pub fn worker_loads(&self) -> &[u64] {
-        &self.shared.loads
+        &self.shared.chunks.planned
     }
 
     /// Compute imbalance: `max / mean` of
     /// [`worker_loads`](ParallelEngine::worker_loads) (1.0 = perfectly
     /// balanced; a pool with no compute work also reports 1.0).
     pub fn load_imbalance(&self) -> f64 {
-        let loads = &self.shared.loads;
+        let loads = self.worker_loads();
         let total: u64 = loads.iter().sum();
         if loads.is_empty() || total == 0 {
             return 1.0;
@@ -765,15 +677,14 @@ impl ParallelEngine {
     ///
     /// # Panics
     /// Panics if `r` exceeds the width the pool was built with
-    /// ([`ParallelEngine::new_batch`] / `with_threads_batch`), or if a
-    /// worker thread panicked.
+    /// ([`PoolOptions::width`]), or if a worker thread panicked.
     pub fn execute_batch_iters(&mut self, x: &[f64], y: &mut [f64], r: usize, iters: usize) {
         let plan = &self.shared.plan;
         assert!(iters >= 1, "at least one iteration");
         assert!(r >= 1, "batch width must be at least 1");
         assert!(
             r <= self.shared.width,
-            "pool was built for batches of {} (got {r}); use new_batch/with_threads_batch",
+            "pool was built for batches of {} (got {r}); raise PoolOptions::width",
             self.shared.width
         );
         assert_eq!(x.len(), plan.ncols * r, "input length mismatch");
@@ -788,7 +699,7 @@ impl ParallelEngine {
         self.shared.job_x.store(x.as_ptr() as *mut f64, Ordering::Relaxed);
         self.shared.job_iters.store(iters, Ordering::Relaxed);
         self.shared.job_width.store(r, Ordering::Relaxed);
-        let t = self.shared.obs.as_ref().map(|_| Instant::now());
+        let t = span_start(self.shared.obs.as_ref());
         let _ = self.shared.gate.wait(&self.shared.poisoned); // release the workers
         let _ = self.shared.gate.wait(&self.shared.poisoned); // wait for completion
         assert!(
@@ -798,10 +709,7 @@ impl ParallelEngine {
         for (i, yi) in y.iter_mut().enumerate() {
             *yi = self.shared.global.get(i);
         }
-        if let (Some(obs), Some(t)) = (&self.shared.obs, t) {
-            obs.sink().add_wall(t.elapsed().as_nanos() as u64);
-            obs.sink().add_iterations(iters as u64);
-        }
+        call_end(self.shared.obs.as_ref(), t, iters);
     }
 }
 
@@ -857,19 +765,16 @@ fn apply_recv(m: &CompiledMsg, x: &ShBuf, y: &ShBuf, staging: &ShBuf, r: usize) 
     }
 }
 
-/// Starts a span clock only when telemetry is attached — the `None`
-/// path keeps the job loop free of clock reads.
-#[inline]
-fn obs_start(obs: &Option<ExecTelemetry>) -> Option<Instant> {
-    obs.as_ref().map(|_| Instant::now())
-}
-
-/// Records a span started by [`obs_start`] under `(rank, phase)`.
-#[inline]
-fn obs_record(obs: &Option<ExecTelemetry>, rk: usize, ph: Phase, t: Option<Instant>) {
-    if let (Some(o), Some(t)) = (obs.as_ref(), t) {
-        o.rec(rk).record(ph, t.elapsed().as_nanos() as u64);
-    }
+/// Waits at the workers' phase barrier, recording the wait under rank
+/// `rk` when telemetry is attached. Returns `true` if the engine is
+/// poisoned (the caller must stop touching the shared buffers).
+#[must_use]
+fn sync_wait(shared: &Shared, rk: usize) -> bool {
+    let obs = shared.obs.as_ref();
+    let t = span_start(obs);
+    let poisoned = shared.sync.wait(&shared.poisoned);
+    span_end(obs, rk, Phase::BarrierWait, t);
+    poisoned
 }
 
 /// One worker's share of one job at batch width `r`. Returns early
@@ -880,8 +785,8 @@ fn obs_record(obs: &Option<ExecTelemetry>, rk: usize, ph: Phase, t: Option<Insta
 /// per owned rank (barrier waits under `my.start`) — clock reads only,
 /// the numeric path is identical.
 fn run_job(shared: &Shared, w: usize, iters: usize, xp: *const f64, r: usize) {
-    let plan = &shared.plan;
-    let obs = &shared.obs;
+    let plan: &CompiledPlan = &shared.plan;
+    let obs = shared.obs.as_ref();
     let my = &shared.assign[w];
     let num_phases = plan.ranks.first().map_or(0, |rp| rp.steps.len());
     for it in 0..iters {
@@ -889,7 +794,7 @@ fn run_job(shared: &Shared, w: usize, iters: usize, xp: *const f64, r: usize) {
         // later ones from the previous gathered result) and reset the
         // partial sums.
         for rk in my.clone() {
-            let t = obs_start(obs);
+            let t = span_start(obs);
             let rp = &plan.ranks[rk];
             for &(g, slot) in &rp.x_seed {
                 for q in 0..r {
@@ -908,133 +813,86 @@ fn run_job(shared: &Shared, w: usize, iters: usize, xp: *const f64, r: usize) {
             for i in 0..rp.ny * r {
                 shared.y[rk].set(i, 0.0);
             }
-            obs_record(obs, rk, Phase::Gather, t);
+            span_end(obs, rk, Phase::Gather, t);
         }
-        if shared.chunks.is_some() {
-            // Chunked compute reads x and writes y that *other* workers
-            // seeded — no chunk may start before every seed landed.
-            let t = obs_start(obs);
-            let poisoned = shared.sync.wait(&shared.poisoned);
-            obs_record(obs, my.start, Phase::BarrierWait, t);
-            if poisoned {
-                return;
-            }
+        // Chunked compute reads x and writes y that *other* workers
+        // seeded — no chunk may start before every seed landed.
+        if sync_wait(shared, my.start) {
+            return;
         }
         for p in 0..num_phases {
             // Step kinds agree across ranks at a given phase index
             // (checked by validate_for_pool).
             let is_comm = matches!(plan.ranks[my.start].steps[p], RankStep::Comm { .. });
             if !is_comm {
-                if let Some(cs) = &shared.chunks {
-                    for run in &cs.phases[p][w] {
-                        let rk = run.rank as usize;
-                        let t = obs_start(obs);
-                        let RankStep::Compute(kernel) = &plan.ranks[rk].steps[p] else {
-                            unreachable!("chunk schedule points at a compute step")
-                        };
-                        // SAFETY: a chunk reads and writes only the y
-                        // row slots of its own units, which are
-                        // pairwise disjoint across the phase's chunks
-                        // (only splittable kernels are split); x is
-                        // read-only for the whole phase; and the seed
-                        // barrier before / sync barrier after the
-                        // phase order every cross-worker handoff — so
-                        // per element these views are uniquely live,
-                        // the same discipline ShBuf::get/set rely on.
-                        let (x, y) =
-                            unsafe { (shared.x[rk].as_slice(), shared.y[rk].as_mut_slice()) };
-                        kernel.run_batch_range(x, y, r, run.lo as usize, run.hi as usize);
-                        obs_record(obs, rk, Phase::Compute, t);
-                    }
-                    // Every chunk of the phase lands before any later
-                    // reader (staging, a following phase, the emit)
-                    // touches the y buffers.
-                    let t = obs_start(obs);
-                    let poisoned = shared.sync.wait(&shared.poisoned);
-                    obs_record(obs, my.start, Phase::BarrierWait, t);
-                    if poisoned {
-                        return;
-                    }
-                } else {
-                    for rk in my.clone() {
-                        if let RankStep::Compute(kernel) = &plan.ranks[rk].steps[p] {
-                            let t = obs_start(obs);
-                            // SAFETY: rank rk belongs to this worker
-                            // alone (spatial invariant), x and y are
-                            // distinct buffers, and barriers order
-                            // every handoff — so these are the only
-                            // live views. Running through plain slices
-                            // shares one kernel implementation (every
-                            // KernelFormat) with the sequential
-                            // executor instead of duplicating the
-                            // format dispatch over UnsafeCell access.
-                            let (x, y) =
-                                unsafe { (shared.x[rk].as_slice(), shared.y[rk].as_mut_slice()) };
-                            kernel.run_batch(x, y, r);
-                            obs_record(obs, rk, Phase::Compute, t);
-                        }
-                    }
+                for run in &shared.chunks.phases[p][w] {
+                    let rk = run.rank as usize;
+                    let t = span_start(obs);
+                    let RankStep::Compute(kernel) = &plan.ranks[rk].steps[p] else {
+                        unreachable!("chunk schedule points at a compute step")
+                    };
+                    // SAFETY: a chunk reads and writes only the y row
+                    // slots of its own units, which are pairwise
+                    // disjoint across the phase's chunks (only
+                    // splittable kernels are split); x is read-only for
+                    // the whole phase; and the seed barrier before /
+                    // sync barrier after the phase order every
+                    // cross-worker handoff — so per element these views
+                    // are uniquely live, the same discipline
+                    // ShBuf::get/set rely on. Running through plain
+                    // slices shares one kernel implementation (every
+                    // KernelFormat) with the sequential executor
+                    // instead of duplicating the format dispatch over
+                    // UnsafeCell access.
+                    let (x, y) = unsafe { (shared.x[rk].as_slice(), shared.y[rk].as_mut_slice()) };
+                    kernel.run_batch_range(x, y, r, run.lo as usize, run.hi as usize);
+                    span_end(obs, rk, Phase::Compute, t);
+                }
+                // Every chunk of the phase lands before any later
+                // reader (staging, a following phase, the emit) touches
+                // the y buffers.
+                if sync_wait(shared, my.start) {
+                    return;
                 }
                 continue;
             }
             for rk in my.clone() {
                 if let RankStep::Comm { phase, sends, .. } = &plan.ranks[rk].steps[p] {
-                    let t = obs_start(obs);
+                    let t = span_start(obs);
                     let staging = &shared.staging[*phase as usize];
                     for m in sends {
                         stage_send(m, &shared.x[rk], &shared.y[rk], staging, r);
                     }
-                    obs_record(obs, rk, Phase::Gather, t);
+                    span_end(obs, rk, Phase::Gather, t);
                 }
             }
-            {
-                // Everyone staged (and drained) before anyone applies.
-                let t = obs_start(obs);
-                let poisoned = shared.sync.wait(&shared.poisoned);
-                obs_record(obs, my.start, Phase::BarrierWait, t);
-                if poisoned {
-                    return;
-                }
-                for rk in my.clone() {
-                    if let RankStep::Comm { phase, recvs, .. } = &plan.ranks[rk].steps[p] {
-                        let t = obs_start(obs);
-                        let staging = &shared.staging[*phase as usize];
-                        for m in recvs {
-                            apply_recv(m, &shared.x[rk], &shared.y[rk], staging, r);
-                        }
-                        obs_record(obs, rk, Phase::Scatter, t);
+            // Everyone staged (and drained) before anyone applies.
+            if sync_wait(shared, my.start) {
+                return;
+            }
+            for rk in my.clone() {
+                if let RankStep::Comm { phase, recvs, .. } = &plan.ranks[rk].steps[p] {
+                    let t = span_start(obs);
+                    let staging = &shared.staging[*phase as usize];
+                    for m in recvs {
+                        apply_recv(m, &shared.x[rk], &shared.y[rk], staging, r);
                     }
-                }
-                // Applies finish before the next writer reuses the
-                // staging buffer (next iteration, same phase).
-                let t = obs_start(obs);
-                let poisoned = shared.sync.wait(&shared.poisoned);
-                obs_record(obs, my.start, Phase::BarrierWait, t);
-                if poisoned {
-                    return;
+                    span_end(obs, rk, Phase::Scatter, t);
                 }
             }
+            // Applies finish before the next writer reuses the staging
+            // buffer (next iteration, same phase).
+            if sync_wait(shared, my.start) {
+                return;
+            }
         }
-        // Before gathering: every worker's seeding for this iteration
-        // must be done, since seeding reads `global` (it > 0) and the
-        // gather below writes it. The chunked schedule's seed barrier
-        // already orders this; under rank-split, a comm phase's
-        // stage/apply barriers order it transitively, but a
-        // (hand-built) plan without comm phases needs an explicit
-        // barrier when iterations chain.
-        if iters > 1
-            && plan.staging_words.is_empty()
-            && shared.chunks.is_none()
-            && shared.sync.wait(&shared.poisoned)
-        {
-            return;
-        }
-        // Gather owned results into the global block. Rows no rank
-        // materializes are zeroed at this job's stride on the first
-        // iteration (a previous job of a different width may have left
-        // stale words at these positions).
+        // Gather owned results into the global block (the seed barrier
+        // already ordered this iteration's reads of `global` before
+        // these writes). Rows no rank materializes are zeroed at this
+        // job's stride on the first iteration (a previous job of a
+        // different width may have left stale words at these positions).
         for rk in my.clone() {
-            let t = obs_start(obs);
+            let t = span_start(obs);
             for &(g, slot) in &plan.ranks[rk].y_emit {
                 for q in 0..r {
                     shared.global.set(g as usize * r + q, shared.y[rk].get(slot as usize * r + q));
@@ -1047,7 +905,7 @@ fn run_job(shared: &Shared, w: usize, iters: usize, xp: *const f64, r: usize) {
                     }
                 }
             }
-            obs_record(obs, rk, Phase::Scatter, t);
+            span_end(obs, rk, Phase::Scatter, t);
         }
         if let Some(o) = obs {
             for rk in my.clone() {
@@ -1056,10 +914,7 @@ fn run_job(shared: &Shared, w: usize, iters: usize, xp: *const f64, r: usize) {
         }
         if it + 1 < iters {
             // Reseeding reads the global block other workers wrote.
-            let t = obs_start(obs);
-            let poisoned = shared.sync.wait(&shared.poisoned);
-            obs_record(obs, my.start, Phase::BarrierWait, t);
-            if poisoned {
+            if sync_wait(shared, my.start) {
                 return;
             }
         }
@@ -1118,6 +973,12 @@ mod tests {
     use s2d_core::fig1::{fig1_matrix, fig1_partition};
     use s2d_spmv::SpmvPlan;
 
+    /// Pool with an explicit worker count and batch capacity
+    /// (`threads = 0` → default sizing).
+    fn pool(cp: CompiledPlan, threads: usize, width: usize) -> ParallelEngine {
+        ParallelEngine::with_options(cp, PoolOptions { threads, width, ..PoolOptions::default() })
+    }
+
     fn assert_close(a: &[f64], b: &[f64]) {
         assert_eq!(a.len(), b.len());
         for (idx, (u, v)) in a.iter().zip(b).enumerate() {
@@ -1136,7 +997,7 @@ mod tests {
             SpmvPlan::mesh(&a, &p, 3, 1),
         ] {
             let want = plan.execute_mailbox(&x);
-            let mut engine = ParallelEngine::from_plan(&plan);
+            let mut engine = pool(CompiledPlan::compile(&plan), 0, 1);
             let mut y = vec![0.0; a.nrows()];
             engine.execute(&x, &mut y);
             assert_close(&y, &want);
@@ -1148,7 +1009,7 @@ mod tests {
         let a = fig1_matrix();
         let p = fig1_partition();
         let plan = SpmvPlan::single_phase(&a, &p);
-        let mut engine = ParallelEngine::from_plan(&plan);
+        let mut engine = pool(CompiledPlan::compile(&plan), 0, 1);
         let x: Vec<f64> = (0..a.ncols()).map(|j| 1.0 / (j + 1) as f64).collect();
         let mut first = vec![0.0; a.nrows()];
         engine.execute(&x, &mut first);
@@ -1168,7 +1029,7 @@ mod tests {
         let want = plan.execute_mailbox(&x);
         let cp = CompiledPlan::compile(&plan);
         for threads in 1..=4 {
-            let mut engine = ParallelEngine::with_threads(cp.clone(), threads);
+            let mut engine = pool(cp.clone(), threads, 1);
             let mut y = vec![0.0; a.nrows()];
             engine.execute(&x, &mut y);
             assert_close(&y, &want);
@@ -1183,7 +1044,7 @@ mod tests {
         let mut ws = cp.workspace();
         let mut want = vec![0.0; a.nrows()];
         cp.execute_iters(&mut ws, &x, &mut want, 4);
-        let mut engine = ParallelEngine::new(cp);
+        let mut engine = pool(cp, 0, 1);
         let mut y = vec![0.0; a.nrows()];
         engine.execute_iters(&x, &mut y, 4);
         assert_close(&y, &want);
@@ -1197,7 +1058,7 @@ mod tests {
             let cp = CompiledPlan::compile(&plan);
             for r in [2usize, 3, 8] {
                 let x = crate::exec::tests::batch_input(a.ncols(), r, 5);
-                let mut engine = ParallelEngine::with_threads_batch(cp.clone(), 3, r);
+                let mut engine = pool(cp.clone(), 3, r);
                 let mut y = vec![0.0; a.nrows() * r];
                 engine.execute_batch(&x, &mut y, r);
                 let mut ws = cp.workspace();
@@ -1224,7 +1085,7 @@ mod tests {
         let mut ws = cp.workspace_batch(r);
         let mut want = vec![0.0; a.nrows() * r];
         cp.execute_batch_iters(&mut ws, &x, &mut want, r, 3);
-        let mut engine = ParallelEngine::with_threads_batch(cp, 2, r);
+        let mut engine = pool(cp, 2, r);
         let mut y = vec![0.0; a.nrows() * r];
         engine.execute_batch_iters(&x, &mut y, r, 3);
         assert_eq!(y, want, "pool batch-iters must match the workspace executor bitwise");
@@ -1247,7 +1108,7 @@ mod tests {
         let p = SpmvPartition::rowwise(&a, parts.clone(), parts, 2);
         let plan = SpmvPlan::single_phase(&a, &p);
         let cp = CompiledPlan::compile(&plan);
-        let mut engine = ParallelEngine::with_threads_batch(cp, 2, 4);
+        let mut engine = pool(cp, 2, 4);
         let x4 = crate::exec::tests::batch_input(4, 4, 1);
         let mut y4 = vec![0.0; 16];
         engine.execute_batch(&x4, &mut y4, 4);
@@ -1266,10 +1127,10 @@ mod tests {
         let (a, plan) = crate::exec::tests::square_setup(24, 4);
         let x: Vec<f64> = (0..a.ncols()).map(|j| (j as f64).sin() * 2.0).collect();
         let mut want = vec![0.0; a.nrows()];
-        ParallelEngine::with_threads(CompiledPlan::compile(&plan), 3).execute(&x, &mut want);
+        pool(CompiledPlan::compile(&plan), 3, 1).execute(&x, &mut want);
         for format in KernelFormat::all() {
             let cp = CompiledPlan::compile_with(&plan, format);
-            let mut engine = ParallelEngine::with_threads(cp, 3);
+            let mut engine = pool(cp, 3, 1);
             assert_eq!(engine.kernel_format(), format);
             let mut y = vec![0.0; a.nrows()];
             engine.execute(&x, &mut y);
@@ -1280,17 +1141,14 @@ mod tests {
     #[test]
     fn chunked_schedule_matches_rank_split_bitwise() {
         // The acceptance bar for the NNZ-chunked schedule: bitwise
-        // equality with rank-split at every worker count and chunk
-        // size, including chained iterations.
+        // equality with the sequential executor (the reference the
+        // retired rank-split schedule was itself held to) at every
+        // worker count and chunk size, including chained iterations.
         let (a, plan) = crate::exec::tests::square_setup(24, 4);
         let x: Vec<f64> = (0..a.ncols()).map(|j| (j as f64).sin() + 0.25).collect();
         let cp = CompiledPlan::compile(&plan);
         let mut want = vec![0.0; a.nrows()];
-        ParallelEngine::with_options(
-            cp.clone(),
-            PoolOptions { threads: 1, schedule: PoolSchedule::RankSplit, ..PoolOptions::default() },
-        )
-        .execute_iters(&x, &mut want, 3);
+        cp.execute_iters(&mut cp.workspace(), &x, &mut want, 3);
         for threads in [1usize, 2, 3, 4] {
             for chunk_ops in [0usize, 1, 7, 1 << 20] {
                 let mut engine = ParallelEngine::with_options(
@@ -1314,7 +1172,9 @@ mod tests {
         let cp = CompiledPlan::compile(&plan);
         let total = cp.total_ops();
         assert!(total > 0, "test matrix must have work");
-        for schedule in [PoolSchedule::RankSplit, PoolSchedule::NnzChunked { chunk_ops: 1 }] {
+        for schedule in
+            [PoolSchedule::NnzChunked { chunk_ops: 0 }, PoolSchedule::NnzChunked { chunk_ops: 1 }]
+        {
             let engine = ParallelEngine::with_options(
                 cp.clone(),
                 PoolOptions { threads: 3, schedule, ..PoolOptions::default() },
@@ -1323,8 +1183,7 @@ mod tests {
             assert_eq!(
                 engine.worker_loads().iter().sum::<u64>(),
                 total,
-                "{}: every madd is scheduled exactly once",
-                schedule.label()
+                "{schedule:?}: every madd is scheduled exactly once"
             );
             assert!(engine.load_imbalance() >= 1.0);
         }
@@ -1338,7 +1197,7 @@ mod tests {
         let x: Vec<f64> = (0..a.ncols()).map(|j| 0.5 * j as f64 - 1.0).collect();
         let cp = CompiledPlan::compile(&plan);
         let mut want = vec![0.0; a.nrows()];
-        ParallelEngine::with_threads(cp.clone(), 2).execute(&x, &mut want);
+        pool(cp.clone(), 2, 1).execute(&x, &mut want);
         let mut pinned = ParallelEngine::with_options(
             cp,
             PoolOptions { threads: 2, pin: true, ..PoolOptions::default() },
@@ -1353,7 +1212,7 @@ mod tests {
     fn oversized_batch_is_rejected() {
         let a = fig1_matrix();
         let p = fig1_partition();
-        let mut engine = ParallelEngine::from_plan(&SpmvPlan::single_phase(&a, &p));
+        let mut engine = pool(CompiledPlan::compile(&SpmvPlan::single_phase(&a, &p)), 0, 1);
         let x = vec![0.0; a.ncols() * 2];
         let mut y = vec![0.0; a.nrows() * 2];
         engine.execute_batch(&x, &mut y, 2);
@@ -1363,7 +1222,7 @@ mod tests {
     fn drop_joins_workers_cleanly() {
         let a = fig1_matrix();
         let p = fig1_partition();
-        let engine = ParallelEngine::from_plan(&SpmvPlan::single_phase(&a, &p));
+        let engine = pool(CompiledPlan::compile(&SpmvPlan::single_phase(&a, &p)), 0, 1);
         assert!(engine.threads() >= 1);
         drop(engine); // must not hang
     }
@@ -1387,7 +1246,7 @@ mod tests {
             }
         }
         assert!(clobbered, "test needs a plan with at least two sends");
-        let _ = ParallelEngine::with_threads(cp, 2);
+        let _ = pool(cp, 2, 1);
     }
 
     #[test]
@@ -1405,7 +1264,7 @@ mod tests {
             })
             .expect("plan has a nonempty kernel");
         *slot = u32::MAX;
-        let _ = ParallelEngine::with_threads(cp, 1);
+        let _ = pool(cp, 1, 1);
     }
 
     #[test]
@@ -1427,7 +1286,7 @@ mod tests {
             })
             .expect("plan has a nonempty kernel");
         *kernel.row_ptr.last_mut().unwrap() = u32::MAX >> 8;
-        let mut engine = ParallelEngine::with_threads(cp, 2);
+        let mut engine = pool(cp, 2, 1);
         let x: Vec<f64> = (0..a.ncols()).map(|j| j as f64).collect();
         let mut y = vec![0.0; a.nrows()];
         let result =

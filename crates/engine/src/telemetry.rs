@@ -17,14 +17,17 @@
 //! * **barrier-wait** — the worker pool's phase barriers, recorded
 //!   under the first rank of the waiting worker's contiguous range.
 //!
-//! Instrumentation never touches the numeric path: the instrumented
-//! executors interleave clock reads between exactly the same seeding /
-//! kernel / staging / assembly calls in the same order, so
-//! telemetry-on results are bitwise identical to telemetry-off.
+//! Instrumentation never touches the numeric path: every walker takes
+//! an `Option<&ExecTelemetry>` and brackets its seeding / kernel /
+//! staging / assembly calls with [`span_start`] / [`span_end`], which
+//! read the clock only when telemetry is attached — the calls and their
+//! order are the same either way, so telemetry-on results are bitwise
+//! identical to telemetry-off.
 
 use std::sync::Arc;
+use std::time::Instant;
 
-use s2d_obs::{PhaseRecorder, TelemetrySink};
+use s2d_obs::{Phase, PhaseRecorder, TelemetrySink};
 
 use crate::compile::{CompiledPlan, RankStep};
 
@@ -74,7 +77,7 @@ impl ExecTelemetry {
 
     /// Rank `rk`'s recorder.
     #[inline]
-    pub(crate) fn rec(&self, rk: usize) -> &PhaseRecorder {
+    fn rec(&self, rk: usize) -> &PhaseRecorder {
         self.sink.rank(rk)
     }
 
@@ -85,5 +88,31 @@ impl ExecTelemetry {
     pub(crate) fn bump_iter(&self, rk: usize, r: usize) {
         let r = r as u64;
         self.rec(rk).add_counts(self.rows[rk] * r, self.madds[rk] * r, self.words[rk] * r);
+    }
+}
+
+/// Opens a span iff telemetry is attached — the off path reads no
+/// clock, and with a literal `None` the whole span const-folds away.
+#[inline(always)]
+pub fn span_start(obs: Option<&ExecTelemetry>) -> Option<Instant> {
+    obs.map(|_| Instant::now())
+}
+
+/// Closes a span opened by [`span_start`], recording it under
+/// `(rank, phase)`.
+#[inline(always)]
+pub fn span_end(obs: Option<&ExecTelemetry>, rk: usize, ph: Phase, t: Option<Instant>) {
+    if let (Some(o), Some(t)) = (obs, t) {
+        o.rec(rk).record(ph, t.elapsed().as_nanos() as u64);
+    }
+}
+
+/// Closes a whole-call span opened by [`span_start`]: run-level wall
+/// time plus `iters` engine iterations on the sink.
+#[inline]
+pub(crate) fn call_end(obs: Option<&ExecTelemetry>, t: Option<Instant>, iters: usize) {
+    if let (Some(o), Some(t)) = (obs, t) {
+        o.sink.add_wall(t.elapsed().as_nanos() as u64);
+        o.sink.add_iterations(iters as u64);
     }
 }

@@ -5,9 +5,10 @@
 //!
 //! 1. `apply` agrees with the reference CSR SpMV;
 //! 2. `apply_batch` column `q` equals `apply` on column `q` — bitwise
-//!    for deterministic backends, within floating-point tolerance for
-//!    backends whose accumulation order is run-dependent (the threaded
-//!    executor reports `deterministic() == false`);
+//!    for deterministic backends (all four today: the endpoint walker
+//!    folds receives in plan order, so `Backend::Threaded` reports
+//!    `deterministic() == true` too), within floating-point tolerance
+//!    for any future backend whose accumulation order is run-dependent;
 //! 3. repeated `apply` calls are stable (bitwise for deterministic
 //!    backends), i.e. an operator's internal state never leaks between
 //!    calls;
@@ -17,11 +18,11 @@ use std::sync::Arc;
 
 use s2d_core::optimal::s2d_optimal;
 use s2d_core::partition::SpmvPartition;
-use s2d_engine::{Backend, KernelFormat};
+use s2d_engine::{Backend, CompiledPlan, KernelFormat};
 use s2d_gen::fem::fem_like;
 use s2d_gen::rmat::{rmat, RmatConfig};
 use s2d_sparse::{Coo, Csr};
-use s2d_spmv::{PlanKind, SpmvOperator};
+use s2d_spmv::{PlanKind, SpmvOperator, SpmvPlan};
 
 /// Batch widths swept per operator — width 5 exceeds the built width
 /// (`MAX_R`), so every backend's on-demand growth path (workspace
@@ -80,6 +81,16 @@ fn partition_for(a: &Csr, k: usize) -> SpmvPartition {
     let per = n.div_ceil(k);
     let parts: Vec<u32> = (0..n).map(|i| (i / per) as u32).collect();
     s2d_optimal(a, &parts, &parts, k)
+}
+
+/// Compiles `plan` to `format` and builds `backend` over the pair.
+fn build(
+    backend: Backend,
+    plan: &Arc<SpmvPlan>,
+    width: usize,
+    format: KernelFormat,
+) -> Box<dyn SpmvOperator + Send> {
+    backend.build(plan, &Arc::new(CompiledPlan::compile_with(plan, format)), width, None)
 }
 
 /// Runs the shared property set over one operator.
@@ -153,7 +164,7 @@ fn every_backend_conforms_on_every_plan_kind() {
             for kind in PlanKind::all() {
                 let plan = Arc::new(kind.build(&a, &p));
                 for backend in Backend::all() {
-                    let mut op = backend.build(&plan, MAX_R);
+                    let mut op = build(backend, &plan, MAX_R, KernelFormat::CsrSlice);
                     check_operator(&mut *op, &a, &format!("{mname}/k{k}/{kind}/{backend}"));
                 }
             }
@@ -178,7 +189,7 @@ fn every_kernel_format_conforms_on_every_plan_kind() {
                     for backend in
                         [Backend::CompiledSeq, Backend::CompiledPool { threads: 0, pin: false }]
                     {
-                        let mut op = backend.build_with(&plan, MAX_R, format);
+                        let mut op = build(backend, &plan, MAX_R, format);
                         check_operator(
                             &mut *op,
                             &a,
@@ -203,10 +214,10 @@ fn kernel_formats_agree_bitwise_with_csr() {
             let plan = Arc::new(kind.build(&a, &p));
             let x = block_for(a.ncols(), 1, 21);
             let mut want = vec![0.0; a.nrows()];
-            Backend::CompiledSeq.build(&plan, 1).apply(&x, &mut want);
+            build(Backend::CompiledSeq, &plan, 1, KernelFormat::CsrSlice).apply(&x, &mut want);
             for format in KernelFormat::all() {
                 let mut y = vec![0.0; a.nrows()];
-                Backend::CompiledSeq.build_with(&plan, 1, format).apply(&x, &mut y);
+                build(Backend::CompiledSeq, &plan, 1, format).apply(&x, &mut y);
                 assert_eq!(y, want, "{mname}/{kind}/{format} must match CSR bitwise");
             }
         }
@@ -219,7 +230,12 @@ fn explicit_pool_thread_counts_conform() {
     let p = partition_for(a, 4);
     let plan = Arc::new(PlanKind::SinglePhase.build(a, &p));
     for threads in 1..=4 {
-        let mut op = Backend::CompiledPool { threads, pin: false }.build(&plan, MAX_R);
+        let mut op = build(
+            Backend::CompiledPool { threads, pin: false },
+            &plan,
+            MAX_R,
+            KernelFormat::CsrSlice,
+        );
         check_operator(&mut *op, a, &format!("pool:{threads}"));
     }
 }
@@ -237,7 +253,7 @@ fn backends_agree_bitwise_where_promised() {
     for backend in
         [Backend::Mailbox, Backend::CompiledSeq, Backend::CompiledPool { threads: 0, pin: false }]
     {
-        let mut op = backend.build(&plan, 1);
+        let mut op = build(backend, &plan, 1, KernelFormat::CsrSlice);
         let mut y = vec![0.0; a.nrows()];
         op.apply(&x, &mut y);
         results.push((backend, y));

@@ -9,7 +9,7 @@
 //! control thread instead of deadlocking on a barrier.
 
 use s2d_core::optimal::s2d_optimal;
-use s2d_engine::{CompiledPlan, Kernel, KernelFormat, ParallelEngine, RankStep};
+use s2d_engine::{CompiledPlan, Kernel, KernelFormat, ParallelEngine, PoolOptions, RankStep};
 use s2d_gen::rmat::{rmat, RmatConfig};
 use s2d_spmv::SpmvPlan;
 
@@ -25,6 +25,12 @@ fn mesh_setup() -> (usize, SpmvPlan) {
     (n, SpmvPlan::mesh_default(&a, &p))
 }
 
+/// Pool with an explicit worker count and batch capacity
+/// (`threads = 0` → default sizing).
+fn pool(cp: CompiledPlan, threads: usize, width: usize) -> ParallelEngine {
+    ParallelEngine::with_options(cp, PoolOptions { threads, width, ..PoolOptions::default() })
+}
+
 fn x_for(n: usize) -> Vec<f64> {
     (0..n).map(|j| ((j * 37) % 19) as f64 / 3.0 - 2.5).collect()
 }
@@ -37,7 +43,7 @@ fn identical_results_across_thread_counts() {
     let cores = std::thread::available_parallelism().map_or(1, |c| c.get());
     let mut reference: Option<Vec<f64>> = None;
     for threads in [1usize, 2, 4, cores] {
-        let mut engine = ParallelEngine::with_threads(cp.clone(), threads);
+        let mut engine = pool(cp.clone(), threads, 1);
         let mut y = vec![0.0; n];
         engine.execute_iters(&x, &mut y, 3);
         match &reference {
@@ -53,7 +59,7 @@ fn identical_results_across_thread_counts() {
 fn repeated_jobs_on_one_engine_are_bitwise_stable() {
     let (n, plan) = mesh_setup();
     let x = x_for(n);
-    let mut engine = ParallelEngine::from_plan(&plan);
+    let mut engine = pool(CompiledPlan::compile(&plan), 0, 1);
     let mut first = vec![0.0; n];
     engine.execute_iters(&x, &mut first, 4);
     for round in 0..10 {
@@ -71,7 +77,7 @@ fn batch_width_does_not_change_a_column() {
     let (n, plan) = mesh_setup();
     let x = x_for(n);
     let cp = CompiledPlan::compile(&plan);
-    let mut engine = ParallelEngine::new_batch(cp, 8);
+    let mut engine = pool(cp, 0, 8);
     let mut narrow = vec![0.0; n];
     engine.execute(&x, &mut narrow);
     let r = 8;
@@ -98,11 +104,11 @@ fn every_kernel_format_is_bitwise_deterministic_and_reproduces_csr() {
     let (n, plan) = mesh_setup();
     let x = x_for(n);
     let mut want = vec![0.0; n];
-    ParallelEngine::new(CompiledPlan::compile(&plan)).execute_iters(&x, &mut want, 3);
+    pool(CompiledPlan::compile(&plan), 0, 1).execute_iters(&x, &mut want, 3);
     for format in KernelFormat::all() {
         let cp = CompiledPlan::compile_with(&plan, format);
         for threads in [1usize, 3, 8] {
-            let mut engine = ParallelEngine::with_threads(cp.clone(), threads);
+            let mut engine = pool(cp.clone(), threads, 1);
             let mut y = vec![0.0; n];
             engine.execute_iters(&x, &mut y, 3);
             assert_eq!(y, want, "{format} x{threads} threads must match the CSR default bitwise");
@@ -128,7 +134,7 @@ fn poisoned_pool_reports_the_panic_instead_of_hanging() {
         })
         .expect("plan has a nonempty kernel");
     *kernel.row_ptr.last_mut().unwrap() = u32::MAX >> 8;
-    let mut engine = ParallelEngine::with_threads(cp, 4);
+    let mut engine = pool(cp, 4, 1);
     let x = x_for(n);
     let mut y = vec![0.0; n];
     let first =

@@ -107,11 +107,11 @@ fn differential_check(
     x: &[f64],
     rs: &[usize],
 ) -> Result<(), TestCaseError> {
-    let cp = CompiledPlan::compile(plan);
+    let cp = Arc::new(CompiledPlan::compile(plan));
     prop_assert_eq!(cp.total_ops(), plan.total_ops(), "{}: op count drift", kind);
     let plan = Arc::new(plan.clone());
     let mut ops: Vec<(String, Box<dyn SpmvOperator + Send>)> =
-        Backend::all().iter().map(|b| (b.to_string(), b.build(&plan, MAX_R))).collect();
+        Backend::all().iter().map(|b| (b.to_string(), b.build(&plan, &cp, MAX_R, None))).collect();
     // Kernel-format sweep: every non-default format on the sequential
     // compiled path (the format implementations), plus `auto` on the
     // pool (format × shared-buffer execution). The CSR defaults are
@@ -127,15 +127,16 @@ fn differential_check(
         prop_assert_eq!(cpf.total_ops(), plan.total_ops(), "{}/{}: op count drift", kind, format);
         ops.push((
             format!("compiled-seq/{format}"),
-            Box::new(s2d_engine::CompiledSeqOperator::new(cpf, MAX_R)),
+            Box::new(s2d_engine::CompiledSeqOperator::new(cpf, MAX_R, None)),
         ));
     }
     ops.push((
         "compiled-pool/auto".to_string(),
-        Backend::CompiledPool { threads: 0, pin: false }.build_with(
+        Backend::CompiledPool { threads: 0, pin: false }.build(
             &plan,
+            &Arc::new(CompiledPlan::compile_with(&plan, KernelFormat::Auto)),
             MAX_R,
-            KernelFormat::Auto,
+            None,
         ),
     ));
 

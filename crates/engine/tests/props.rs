@@ -1,17 +1,18 @@
-//! Property tests: the compiled engine (sequential workspace executor
-//! and the persistent worker pool) must reproduce `execute_mailbox` on
-//! random R-MAT and power-law matrices, across all four plan kinds —
+//! Property tests: the compiled engine (sequential workspace executor,
+//! the persistent worker pool and the endpoint walker) must reproduce
+//! `execute_mailbox` on random R-MAT and power-law matrices, across all four plan kinds —
 //! row-parallel 1D, two-phase 2D, single-phase s2D, mesh-routed s2D-b —
 //! and processor counts K ∈ {1, 2, 4, 7, 16}.
 
 use proptest::prelude::*;
 use s2d_core::optimal::s2d_optimal;
 use s2d_core::partition::SpmvPartition;
-use s2d_engine::{CompiledPlan, ParallelEngine};
+use s2d_engine::{CompiledPlan, EndpointOperator, ParallelEngine, PoolOptions};
 use s2d_gen::powerlaw::power_law;
 use s2d_gen::rmat::{rmat, RmatConfig};
+use s2d_runtime::ChaosConfig;
 use s2d_sparse::Csr;
-use s2d_spmv::SpmvPlan;
+use s2d_spmv::{SpmvOperator, SpmvPlan};
 
 const KS: [usize; 5] = [1, 2, 4, 7, 16];
 
@@ -111,10 +112,45 @@ proptest! {
             for (kind, plan) in plans_for(&a, k) {
                 let want = plan.execute_mailbox(&x);
                 let cp = CompiledPlan::compile(&plan);
-                let mut engine = ParallelEngine::with_threads(cp, threads);
+                let mut engine = ParallelEngine::with_options(
+                    cp,
+                    PoolOptions { threads, ..PoolOptions::default() },
+                );
                 let mut y = vec![0.0; a.nrows()];
                 engine.execute(&x, &mut y);
                 assert_close(&y, &want, kind)?;
+            }
+        }
+    }
+
+    /// The endpoint walker (the `execute_threaded` legs of the old
+    /// plan-level suites, strengthened): one OS thread per rank under
+    /// chaos-delayed delivery is **bitwise** equal to the sequential
+    /// executor at r = 1 and r = 4, and agrees with the oracle.
+    #[test]
+    fn endpoints_match_compiled_seq_bitwise(
+        a in matrix_strategy(),
+        xseed in 0u64..100,
+        chaos_seed in 0u64..1000,
+    ) {
+        for k in [1usize, 4, 7] {
+            for (kind, plan) in plans_for(&a, k) {
+                let cp = std::sync::Arc::new(CompiledPlan::compile(&plan));
+                let chaos = ChaosConfig::with_delays(40, chaos_seed);
+                let mut op = EndpointOperator::new(std::sync::Arc::clone(&cp), chaos, None);
+                for r in [1usize, 4] {
+                    let x: Vec<f64> =
+                        (0..r as u64).flat_map(|q| x_for(a.ncols(), xseed + q)).collect();
+                    let mut want = vec![0.0; a.nrows() * r];
+                    cp.execute_batch(&mut cp.workspace_batch(r), &x, &mut want, r);
+                    let mut y = vec![f64::NAN; a.nrows() * r];
+                    op.apply_batch(&x, &mut y, r);
+                    prop_assert_eq!(&y, &want, "{} k={} r={}", kind, k, r);
+                }
+                let x = x_for(a.ncols(), xseed);
+                let mut y = vec![0.0; a.nrows()];
+                op.apply(&x, &mut y);
+                assert_close(&y, &plan.execute_mailbox(&x), kind)?;
             }
         }
     }

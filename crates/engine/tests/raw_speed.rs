@@ -9,9 +9,9 @@
 //!   scalar chain.
 //! * Schedule differential: the chunked pool splits kernels only at row
 //!   boundaries, so any worker count × chunk size × repetition yields
-//!   the rank-split (and sequential) result exactly.
+//!   the sequential executor's result exactly.
 //! * The per-worker load accounting is conserved: planned multiply-adds
-//!   sum to the plan's op count under both schedules.
+//!   sum to the plan's op count at every chunk granularity.
 
 use std::sync::Arc;
 
@@ -86,7 +86,7 @@ fn isa_choice_is_bitwise_invisible_on_the_sequential_path() {
                     plan.total_ops(),
                     "{name}/{format}/{isa}: ISA must not change op accounting"
                 );
-                let mut op = CompiledSeqOperator::new(cp, MAX_R);
+                let mut op = CompiledSeqOperator::new(cp, MAX_R, None);
                 let mut all = Vec::new();
                 for r in RS {
                     let x = block_for(plan.ncols, r, 23);
@@ -114,7 +114,10 @@ fn isa_choice_is_bitwise_invisible_on_the_pool_path() {
         let mut reference: Option<Vec<f64>> = None;
         for isa in isas() {
             let cp = CompiledPlan::compile_with_isa(&plan, KernelFormat::Auto, isa);
-            let mut op = CompiledPoolOperator::with_config(cp, 3, MAX_R, false, None);
+            let mut op = CompiledPoolOperator::new(
+                cp,
+                PoolOptions { threads: 3, width: MAX_R, ..PoolOptions::default() },
+            );
             let x = block_for(plan.ncols, MAX_R, 29);
             let mut y = vec![0.0; plan.nrows * MAX_R];
             op.apply_batch_iters(&x, &mut y, MAX_R, 3);
@@ -127,9 +130,10 @@ fn isa_choice_is_bitwise_invisible_on_the_pool_path() {
 }
 
 /// Chunked scheduling is bitwise-deterministic: every worker count ×
-/// chunk granularity × repetition reproduces the rank-split result
-/// exactly, on every matrix family and under chained iterations (which
-/// exercise the seed/sync barrier structure, not just one pass).
+/// chunk granularity × repetition reproduces the sequential executor
+/// (the reference the retired rank-split schedule was held to) exactly,
+/// on every matrix family and under chained iterations (which exercise
+/// the seed/sync barrier structure, not just one pass).
 #[test]
 fn chunked_pool_is_bitwise_across_threads_chunks_and_repeats() {
     for (name, a) in matrices() {
@@ -137,17 +141,8 @@ fn chunked_pool_is_bitwise_across_threads_chunks_and_repeats() {
         let x = block_for(plan.ncols, 4, 31);
         let want = {
             let cp = CompiledPlan::compile_with(&plan, KernelFormat::Auto);
-            let mut engine = ParallelEngine::with_options(
-                cp,
-                PoolOptions {
-                    threads: 1,
-                    width: 4,
-                    schedule: PoolSchedule::RankSplit,
-                    ..PoolOptions::default()
-                },
-            );
             let mut y = vec![0.0; plan.nrows * 4];
-            engine.execute_batch_iters(&x, &mut y, 4, 3);
+            cp.execute_batch_iters(&mut cp.workspace_batch(4), &x, &mut y, 4, 3);
             y
         };
         for threads in [1, 2, 3, 4] {
@@ -168,7 +163,7 @@ fn chunked_pool_is_bitwise_across_threads_chunks_and_repeats() {
                     engine.execute_batch_iters(&x, &mut y, 4, 3);
                     assert_eq!(
                         y, want,
-                        "{name}: t={threads} chunk={chunk_ops} rep={rep} diverged from rank-split"
+                        "{name}: t={threads} chunk={chunk_ops} rep={rep} diverged from sequential"
                     );
                 }
             }
@@ -177,15 +172,17 @@ fn chunked_pool_is_bitwise_across_threads_chunks_and_repeats() {
 }
 
 /// The fixed chunk→worker map conserves work: planned per-worker
-/// multiply-adds sum to the compiled plan's total under both schedules,
-/// and the operator surfaces them through the `SpmvOperator` trait.
+/// multiply-adds sum to the compiled plan's total at every chunk
+/// granularity, and the operator surfaces them through the `SpmvOperator` trait.
 #[test]
 fn worker_loads_are_conserved_and_surface_through_the_operator() {
     let (_, a) = &matrices()[1];
     let plan = Arc::new(plan_for(a, 4));
     let cp = CompiledPlan::compile_with(&plan, KernelFormat::CsrSlice);
     let total = cp.total_ops();
-    for schedule in [PoolSchedule::RankSplit, PoolSchedule::NnzChunked { chunk_ops: 0 }] {
+    for schedule in
+        [PoolSchedule::NnzChunked { chunk_ops: 0 }, PoolSchedule::NnzChunked { chunk_ops: 64 }]
+    {
         let engine = ParallelEngine::with_options(
             cp.clone(),
             PoolOptions { threads: 3, width: 1, schedule, ..PoolOptions::default() },
@@ -193,18 +190,17 @@ fn worker_loads_are_conserved_and_surface_through_the_operator() {
         assert_eq!(
             engine.worker_loads().iter().sum::<u64>(),
             total,
-            "{}: planned loads must cover every multiply-add exactly once",
-            schedule.label()
+            "{schedule:?}: planned loads must cover every multiply-add exactly once"
         );
-        assert!(engine.load_imbalance() >= 1.0, "{}: max/mean is at least 1", schedule.label());
+        assert!(engine.load_imbalance() >= 1.0, "{schedule:?}: max/mean is at least 1");
     }
     // And through the trait object, the way the profile report gets it.
-    let op = CompiledPoolOperator::with_config(cp, 3, 1, false, None);
+    let op = CompiledPoolOperator::new(cp, PoolOptions { threads: 3, ..PoolOptions::default() });
     let loads = (&op as &dyn SpmvOperator).worker_loads().expect("pool operators report loads");
     assert_eq!(loads.iter().sum::<u64>(), total);
     // The sequential path has no workers to report.
     let cp_seq = CompiledPlan::compile(&plan);
-    let seq = CompiledSeqOperator::new(cp_seq, 1);
+    let seq = CompiledSeqOperator::new(cp_seq, 1, None);
     assert!((&seq as &dyn SpmvOperator).worker_loads().is_none());
 }
 
@@ -218,7 +214,10 @@ fn pinned_pool_matches_unpinned_at_plan_level() {
     let mut outs = Vec::new();
     for pin in [false, true] {
         let cp = CompiledPlan::compile_with(&plan, KernelFormat::Auto);
-        let mut op = CompiledPoolOperator::with_config(cp, 2, 4, pin, None);
+        let mut op = CompiledPoolOperator::new(
+            cp,
+            PoolOptions { threads: 2, width: 4, pin, ..PoolOptions::default() },
+        );
         let mut y = vec![0.0; plan.nrows * 4];
         op.apply_batch_iters(&x, &mut y, 4, 2);
         outs.push(y);

@@ -1,8 +1,7 @@
 //! Telemetry acceptance: instrumentation must observe, never perturb.
 //!
 //! * telemetry-on results are **bitwise identical** to telemetry-off
-//!   for every deterministic backend (tolerance-checked for the
-//!   threaded executor, whose accumulation order is run-dependent);
+//!   for every deterministic backend (all four today);
 //! * on the compiled sequential path, per-phase time sums approximate
 //!   recorded wall time (phases partition the iteration loop);
 //! * recorded counters match the plan's static work profile and scale
@@ -31,6 +30,19 @@ fn plan_for(a: &Csr) -> Arc<s2d_spmv::SpmvPlan> {
     Arc::new(PlanKind::SinglePhase.build(a, &p))
 }
 
+/// Compiles `plan` to `format` and builds `backend` over the pair,
+/// recording on `sink` when given.
+fn build(
+    backend: Backend,
+    plan: &Arc<s2d_spmv::SpmvPlan>,
+    width: usize,
+    format: KernelFormat,
+    sink: Option<&Arc<TelemetrySink>>,
+) -> Box<dyn SpmvOperator + Send> {
+    let cp = Arc::new(CompiledPlan::compile_with(plan, format));
+    backend.build(plan, &cp, width, sink.map(Arc::clone))
+}
+
 fn input(n: usize, r: usize) -> Vec<f64> {
     (0..n * r).map(|i| ((i as u64).wrapping_mul(48271) % 101) as f64 / 13.0 - 3.5).collect()
 }
@@ -52,9 +64,9 @@ fn telemetry_is_bitwise_invisible() {
     let n = a.nrows();
     for backend in Backend::all() {
         let label = backend.label();
-        let mut plain = backend.build(&plan, 4);
+        let mut plain = build(backend, &plan, 4, KernelFormat::CsrSlice, None);
         let sink = Arc::new(TelemetrySink::new(K));
-        let mut obs = backend.build_obs(&plan, 4, KernelFormat::Auto, Some(Arc::clone(&sink)));
+        let mut obs = build(backend, &plan, 4, KernelFormat::Auto, Some(&sink));
 
         let x = input(n, 1);
         let (mut y0, mut y1) = (vec![0.0; n], vec![f64::NAN; n]);
@@ -104,8 +116,7 @@ fn phase_times_sum_to_wall_seq() {
     let plan = plan_for(&a);
     let n = a.nrows();
     let sink = Arc::new(TelemetrySink::new(K));
-    let mut op =
-        Backend::CompiledSeq.build_obs(&plan, 1, KernelFormat::Auto, Some(Arc::clone(&sink)));
+    let mut op = build(Backend::CompiledSeq, &plan, 1, KernelFormat::Auto, Some(&sink));
     let x = input(n, 1);
     let mut y = vec![0.0; n];
     op.apply_batch_iters(&x, &mut y, 1, 50);
@@ -134,7 +145,7 @@ fn counters_match_static_profile() {
     let n = a.nrows();
     for backend in [Backend::CompiledSeq, Backend::CompiledPool { threads: 2, pin: false }] {
         let sink = Arc::new(TelemetrySink::new(K));
-        let mut op = backend.build_obs(&plan, 2, KernelFormat::CsrSlice, Some(Arc::clone(&sink)));
+        let mut op = build(backend, &plan, 2, KernelFormat::CsrSlice, Some(&sink));
         let (r, iters) = (2usize, 3usize);
         let x = input(n, r);
         let mut y = vec![0.0; n * r];
@@ -177,8 +188,7 @@ fn sink_reset_between_runs() {
     let plan = plan_for(&a);
     let n = a.nrows();
     let sink = Arc::new(TelemetrySink::new(K));
-    let mut op =
-        Backend::CompiledSeq.build_obs(&plan, 1, KernelFormat::Auto, Some(Arc::clone(&sink)));
+    let mut op = build(Backend::CompiledSeq, &plan, 1, KernelFormat::Auto, Some(&sink));
     let x = input(n, 1);
     let mut y = vec![0.0; n];
     op.apply(&x, &mut y);

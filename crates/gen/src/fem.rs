@@ -15,6 +15,13 @@ use s2d_sparse::{Coo, Csr};
 /// interior row degree ≈ `davg`. If `dmax > 2·davg`, a small geometric
 /// tail of denser rows is added (3dtube/pkustk12 have such rows), mirrored
 /// to keep the pattern symmetric.
+///
+/// `seed` feeds **only** that dense-row tail: the stencil itself (pattern
+/// and unit values) is a pure function of `n_target` and `davg`, so with
+/// `dmax ≤ 2·davg` every seed yields the identical matrix. A caller that
+/// needs seed-dependent FEM inputs (the committed benchmark's `fem-steady`
+/// and `serve-closed` workloads) must vary something else — e.g. scale the
+/// values by a seeded factor afterwards.
 pub fn fem_like(n_target: usize, davg: f64, dmax: usize, seed: u64) -> Csr {
     assert!(n_target >= 8, "grid too small");
     let side = (n_target as f64).cbrt().round().max(2.0) as usize;

@@ -106,7 +106,7 @@ pub struct ExecutionReport {
 /// core performs even though [`RankReport::madds`] never counts it).
 #[derive(Clone, Debug, PartialEq)]
 pub struct WorkerLoadReport {
-    /// Intra-rank schedule label (`"nnz-chunked"` or `"rank-split"`).
+    /// Intra-rank schedule label (`"nnz-chunked"`, the pool's schedule).
     pub schedule: String,
     /// Multiply-adds executed by each worker per iteration.
     pub madds: Vec<u64>,

@@ -22,15 +22,20 @@
 //!   rmat14/K = 16) and scatter back per caller, bitwise identical to
 //!   running each request alone.
 //!
-//! For distributed execution the [`ShardedOperator`] runs sessions over
-//! `s2d-runtime` endpoints with a deterministic reduction order, so
-//! even chaos-injected delivery cannot change a result bit — the
-//! property the serve differential tests pin down.
+//! Every session executes the cached **compiled plan** — there is no
+//! serving-side plan interpreter. In-process sessions walk it on the
+//! configured [`Backend`](s2d::Backend); with
+//! [`sharded`](ServerConfig::sharded) set, the same compiled rank
+//! programs run over `s2d-runtime` endpoints, one rank per thread
+//! ([`s2d_engine::EndpointOperator`]). All drivers fold partial sums in
+//! the compiled receive order, so sharded serving — even under
+//! chaos-injected delivery — is bitwise identical to a direct
+//! `CompiledSeq` session, which the serve differential tests pin down;
+//! and a malformed plan is rejected when it is compiled at
+//! registration, never inside a request.
 
 mod cache;
 mod server;
-mod sharded;
 
 pub use cache::{PlanCache, PrepKey};
 pub use server::{ServeError, Server, ServerConfig, SessionId, Ticket};
-pub use sharded::ShardedOperator;

@@ -22,13 +22,13 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use s2d::{Backend, ConfigKey, KernelFormat, Session, SpmvOperator, Strategy};
+use s2d_engine::EndpointOperator;
 use s2d_obs::{ServeSnapshot, ServeStats};
 use s2d_runtime::ChaosConfig;
 use s2d_sparse::Csr;
 use s2d_tune::TuningCache;
 
 use crate::cache::{PlanCache, PrepKey};
-use crate::sharded::ShardedOperator;
 
 /// Serving knobs; [`ServerConfig::default`] is the sensible production
 /// shape (coalescing on, bounded queues, in-process compiled backend).
@@ -58,9 +58,10 @@ pub struct ServerConfig {
     pub batch_window: Duration,
     /// Preparation-cache capacity (entries).
     pub cache_capacity: usize,
-    /// Run sessions rank-sharded over `s2d-runtime` endpoints instead
-    /// of the in-process backend (the distributed-execution path;
-    /// results are bitwise identical).
+    /// Run sessions rank-sharded — the cached compiled plan walked over
+    /// `s2d-runtime` endpoints, one rank per thread — instead of on the
+    /// in-process backend (the distributed-execution path; results are
+    /// bitwise identical).
     pub sharded: bool,
     /// Delivery-delay injection for sharded sessions (ignored
     /// otherwise) — fault-testing knob, results stay bitwise identical.
@@ -90,8 +91,12 @@ pub enum ServeError {
     QueueFull,
     /// The request's deadline passed before execution started.
     Expired,
-    /// The session was shut down before the request could run.
+    /// The session was shut down (or its worker died) before the
+    /// request could run, or the id never named a session.
     SessionClosed,
+    /// The request's vector length is not `ncols × width` for this
+    /// session, or its width is 0.
+    ShapeMismatch,
 }
 
 impl std::fmt::Display for ServeError {
@@ -100,6 +105,7 @@ impl std::fmt::Display for ServeError {
             ServeError::QueueFull => "queue full",
             ServeError::Expired => "deadline expired",
             ServeError::SessionClosed => "session closed",
+            ServeError::ShapeMismatch => "request shape does not match the session",
         })
     }
 }
@@ -159,6 +165,20 @@ impl SessionQueue {
     fn close(&self) {
         self.state.lock().expect("queue lock").1 = true;
         self.cond.notify_all();
+    }
+
+    /// Closes the queue and refuses everything still in it — for a
+    /// worker that can no longer execute requests.
+    fn close_and_refuse(&self) {
+        let pending = {
+            let mut st = self.state.lock().expect("queue lock");
+            st.1 = true;
+            std::mem::take(&mut st.0)
+        };
+        self.cond.notify_all();
+        for req in pending {
+            let _ = req.resp.send(Err(ServeError::SessionClosed));
+        }
     }
 }
 
@@ -242,7 +262,7 @@ impl Server {
             b.prepare()
         });
         let operator: Box<dyn SpmvOperator + Send> = if self.config.sharded {
-            Box::new(ShardedOperator::with_chaos(Arc::clone(prep.plan()), self.config.chaos))
+            Box::new(EndpointOperator::new(Arc::clone(prep.compiled()), self.config.chaos, None))
         } else {
             Box::new(prep.session(backend, width))
         };
@@ -263,8 +283,8 @@ impl Server {
         SessionId(id)
     }
 
-    /// Submits one right-hand side (`x.len()` = the session's `ncols`)
-    /// with no deadline.
+    /// Submits one right-hand side (`x.len()` = the session's `ncols`,
+    /// else [`ServeError::ShapeMismatch`]) with no deadline.
     pub fn submit(&self, sid: SessionId, x: Vec<f64>) -> Result<Ticket, ServeError> {
         self.submit_request(sid, x, 1, None)
     }
@@ -282,15 +302,15 @@ impl Server {
     }
 
     /// Submits an already-batched request of `width` right-hand sides
-    /// (row-major, `x.len()` = `ncols * width`). Wide requests run as
-    /// their own batch; they are not coalesced with others.
+    /// (row-major, `x.len()` = `ncols * width`, `width ≥ 1`, else
+    /// [`ServeError::ShapeMismatch`]). Wide requests run as their own
+    /// batch; they are not coalesced with others.
     pub fn submit_batch(
         &self,
         sid: SessionId,
         x: Vec<f64>,
         width: usize,
     ) -> Result<Ticket, ServeError> {
-        assert!(width >= 1, "batch width must be at least 1");
         self.submit_request(sid, x, width, None)
     }
 
@@ -311,7 +331,11 @@ impl Server {
             let entry = sessions.get(&sid.0).ok_or(ServeError::SessionClosed)?;
             (Arc::clone(&entry.queue), entry.ncols)
         };
-        assert_eq!(x.len(), ncols * width, "input length must be ncols * width");
+        // Caller-supplied shapes are outside input: refuse, don't
+        // panic the caller's thread.
+        if width == 0 || ncols.checked_mul(width) != Some(x.len()) {
+            return Err(ServeError::ShapeMismatch);
+        }
         let (tx, rx) = mpsc::channel();
         match queue.push(Request { x, width, deadline, resp: tx }) {
             Ok(()) => {
@@ -365,7 +389,12 @@ impl Drop for Server {
     }
 }
 
-/// Spawns one session's worker: pull, coalesce, execute, scatter.
+/// Spawns one session's worker. If the operator panics, the worker
+/// does not just vanish with its queue still open (queued tickets and
+/// every later submission would block forever): the unwind is caught,
+/// the queue is closed, and everything pending is answered with
+/// [`ServeError::SessionClosed`]. The batch in flight during the panic
+/// reads the same error — its response senders drop with the unwind.
 fn spawn_worker(
     mut operator: Box<dyn SpmvOperator + Send>,
     queue: Arc<SessionQueue>,
@@ -374,66 +403,82 @@ fn spawn_worker(
     batch_window: Duration,
 ) -> JoinHandle<()> {
     std::thread::spawn(move || {
-        let nrows = operator.nrows();
-        loop {
-            // Block for the first request (or exit once closed AND
-            // drained — close still lets queued work finish).
-            let first = {
-                let mut st = queue.state.lock().expect("queue lock");
-                loop {
-                    if let Some(req) = st.0.pop_front() {
-                        break req;
-                    }
-                    if st.1 {
-                        return;
-                    }
-                    st = queue.cond.wait(st).expect("queue lock");
-                }
-            };
-            let Some(first) = admit_or_expire(first, &stats) else { continue };
-
-            if first.width > 1 {
-                // Pre-batched request: runs alone.
-                run_batch(&mut *operator, nrows, vec![first], &stats);
-                continue;
-            }
-
-            // Coalesce: gather more single-RHS requests until the batch
-            // is full, a wide request heads the queue, or the window
-            // closes.
-            let mut batch = vec![first];
-            let window_end = Instant::now() + batch_window;
-            loop {
-                if batch.len() >= max_coalesce {
-                    break;
-                }
-                let mut st = queue.state.lock().expect("queue lock");
-                while batch.len() < max_coalesce && st.0.front().is_some_and(|r| r.width == 1) {
-                    let req = st.0.pop_front().expect("front checked");
-                    drop(st);
-                    if let Some(req) = admit_or_expire(req, &stats) {
-                        batch.push(req);
-                    }
-                    st = queue.state.lock().expect("queue lock");
-                }
-                if batch.len() >= max_coalesce || st.0.front().is_some_and(|r| r.width > 1) || st.1
-                {
-                    break;
-                }
-                let now = Instant::now();
-                if now >= window_end {
-                    break;
-                }
-                let (guard, timeout) =
-                    queue.cond.wait_timeout(st, window_end - now).expect("queue lock");
-                drop(guard);
-                if timeout.timed_out() {
-                    break;
-                }
-            }
-            run_batch(&mut *operator, nrows, batch, &stats);
+        let run = std::panic::AssertUnwindSafe(|| {
+            worker_loop(&mut *operator, &queue, &stats, max_coalesce, batch_window)
+        });
+        if std::panic::catch_unwind(run).is_err() {
+            queue.close_and_refuse();
         }
     })
+}
+
+/// One session's worker body: pull, coalesce, execute, scatter — until
+/// the queue is closed and drained.
+fn worker_loop(
+    operator: &mut dyn SpmvOperator,
+    queue: &SessionQueue,
+    stats: &ServeStats,
+    max_coalesce: usize,
+    batch_window: Duration,
+) {
+    let nrows = operator.nrows();
+    loop {
+        // Block for the first request (or exit once closed AND
+        // drained — close still lets queued work finish).
+        let first = {
+            let mut st = queue.state.lock().expect("queue lock");
+            loop {
+                if let Some(req) = st.0.pop_front() {
+                    break req;
+                }
+                if st.1 {
+                    return;
+                }
+                st = queue.cond.wait(st).expect("queue lock");
+            }
+        };
+        let Some(first) = admit_or_expire(first, stats) else { continue };
+
+        if first.width > 1 {
+            // Pre-batched request: runs alone.
+            run_batch(operator, nrows, vec![first], stats);
+            continue;
+        }
+
+        // Coalesce: gather more single-RHS requests until the batch
+        // is full, a wide request heads the queue, or the window
+        // closes.
+        let mut batch = vec![first];
+        let window_end = Instant::now() + batch_window;
+        loop {
+            if batch.len() >= max_coalesce {
+                break;
+            }
+            let mut st = queue.state.lock().expect("queue lock");
+            while batch.len() < max_coalesce && st.0.front().is_some_and(|r| r.width == 1) {
+                let req = st.0.pop_front().expect("front checked");
+                drop(st);
+                if let Some(req) = admit_or_expire(req, stats) {
+                    batch.push(req);
+                }
+                st = queue.state.lock().expect("queue lock");
+            }
+            if batch.len() >= max_coalesce || st.0.front().is_some_and(|r| r.width > 1) || st.1 {
+                break;
+            }
+            let now = Instant::now();
+            if now >= window_end {
+                break;
+            }
+            let (guard, timeout) =
+                queue.cond.wait_timeout(st, window_end - now).expect("queue lock");
+            drop(guard);
+            if timeout.timed_out() {
+                break;
+            }
+        }
+        run_batch(operator, nrows, batch, stats);
+    }
 }
 
 /// Deadline gate at dequeue time: refused requests answer immediately.
@@ -494,5 +539,65 @@ fn run_batch(
         let col: Vec<f64> = (0..nrows).map(|g| y[g * r + q]).collect();
         stats.complete();
         let _ = req.resp.send(Ok(col));
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// An operator that panics on its second application.
+    struct PanicsOnSecond {
+        applied: usize,
+    }
+
+    impl SpmvOperator for PanicsOnSecond {
+        fn nrows(&self) -> usize {
+            2
+        }
+
+        fn ncols(&self) -> usize {
+            2
+        }
+
+        fn apply(&mut self, x: &[f64], y: &mut [f64]) {
+            self.applied += 1;
+            assert!(self.applied < 2, "operator failure injected by the test");
+            y.copy_from_slice(x);
+        }
+    }
+
+    #[test]
+    fn a_panicking_operator_closes_the_session_instead_of_hanging_it() {
+        let queue = Arc::new(SessionQueue::new(8));
+        let stats = Arc::new(ServeStats::new());
+        // Queue everything before the worker starts, so the requests
+        // behind the fatal one are provably still queued when it dies.
+        let tickets: Vec<Ticket> = (0..4)
+            .map(|i| {
+                let (tx, rx) = mpsc::channel();
+                let req = Request { x: vec![i as f64, 1.0], width: 1, deadline: None, resp: tx };
+                queue.push(req).expect("admission");
+                Ticket { rx }
+            })
+            .collect();
+        // max_coalesce 1: one request per batch, so the second batch is
+        // the one that panics.
+        let worker = spawn_worker(
+            Box::new(PanicsOnSecond { applied: 0 }),
+            Arc::clone(&queue),
+            stats,
+            1,
+            Duration::ZERO,
+        );
+        let results: Vec<_> = tickets.into_iter().map(Ticket::wait).collect();
+        assert_eq!(results[0], Ok(vec![0.0, 1.0]), "work before the panic completes");
+        for (i, r) in results.iter().enumerate().skip(1) {
+            assert_eq!(*r, Err(ServeError::SessionClosed), "request {i}");
+        }
+        worker.join().expect("the worker catches the unwind and exits cleanly");
+        let (tx, _rx) = mpsc::channel();
+        let late = Request { x: vec![0.0; 2], width: 1, deadline: None, resp: tx };
+        assert_eq!(queue.push(late).err(), Some(ServeError::SessionClosed));
     }
 }

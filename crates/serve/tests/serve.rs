@@ -123,11 +123,15 @@ fn chaotic_sharded_serving_is_bitwise_identical_to_quiet_solves() {
     const PER_CLIENT: usize = 4;
     let inputs: Vec<Vec<f64>> = (0..CLIENTS * PER_CLIENT).map(|i| rhs(a.ncols(), i)).collect();
 
-    // Quiet per-request reference through the same sharded executor.
+    // Quiet per-request reference through the same endpoint walker.
     let quiet = {
         use s2d::SpmvOperator;
         let prep = Session::builder(&a).partitioner(strategy, k).prepare();
-        let mut op = s2d_serve::ShardedOperator::new(Arc::clone(prep.plan()));
+        let mut op = s2d_engine::EndpointOperator::new(
+            Arc::clone(prep.compiled()),
+            ChaosConfig::off(),
+            None,
+        );
         inputs
             .iter()
             .map(|x| {
@@ -167,6 +171,9 @@ fn chaotic_sharded_serving_is_bitwise_identical_to_quiet_solves() {
             );
         }
     }
+    // One compiled program, one receive order: the sharded runs are
+    // also the direct in-process CompiledSeq session's bits.
+    assert_eq!(quiet, sequential_reference(&a, strategy, k, &inputs));
     assert_eq!(server.snapshot().completed, (CLIENTS * PER_CLIENT) as u64);
 }
 
@@ -332,4 +339,37 @@ fn unregister_closes_the_session_and_runs_pending_work() {
     server.unregister(sid);
     assert!(t.wait().is_ok(), "queued work finishes before the worker exits");
     assert_eq!(server.submit(sid, rhs(a.ncols(), 1)).err(), Some(ServeError::SessionClosed));
+}
+
+#[test]
+fn malformed_requests_are_refused_not_panicked_on() {
+    let a = test_matrix(6);
+    let server = Server::new(ServerConfig::default());
+    let sid = server.register(&a, Strategy::OneDRow, 2);
+    let n = a.ncols();
+    // Wrong length, at width 1 and as a batch.
+    assert_eq!(server.submit(sid, vec![0.0; n + 1]).err(), Some(ServeError::ShapeMismatch));
+    assert_eq!(server.submit(sid, Vec::new()).err(), Some(ServeError::ShapeMismatch));
+    let soon = Instant::now() + Duration::from_secs(5);
+    assert_eq!(
+        server.submit_with_deadline(sid, vec![0.0; n - 1], soon).err(),
+        Some(ServeError::ShapeMismatch)
+    );
+    assert_eq!(
+        server.submit_batch(sid, vec![0.0; 2 * n], 3).err(),
+        Some(ServeError::ShapeMismatch)
+    );
+    // Width 0 is malformed whatever the length.
+    assert_eq!(server.submit_batch(sid, Vec::new(), 0).err(), Some(ServeError::ShapeMismatch));
+    assert_eq!(server.submit_batch(sid, vec![0.0; n], 0).err(), Some(ServeError::ShapeMismatch));
+    // An id that names no session.
+    server.unregister(sid);
+    assert_eq!(server.submit(sid, vec![0.0; n]).err(), Some(ServeError::SessionClosed));
+    // Nothing above was admitted, and the server still serves.
+    assert_eq!(server.snapshot().admitted, 0);
+    let sid = server.register(&a, Strategy::OneDRow, 2);
+    let y = server.solve(sid, rhs(n, 0)).expect("solve");
+    for (g, w) in y.iter().zip(&a.spmv_alloc(&rhs(n, 0))) {
+        assert!((g - w).abs() <= 1e-9 * w.abs().max(1.0), "{g} vs {w}");
+    }
 }

@@ -13,9 +13,7 @@ use s2d_obs::TelemetrySink;
 use s2d_sparse::Csr;
 use s2d_spmv::{SpmvOperator, SpmvPlan};
 
-use crate::engine::{
-    gather_global, scatter, spmd_compute_obs, spmd_compute_on, EnginePath, RankCtx,
-};
+use crate::engine::{gather_global, scatter, spmd_compute_inner, RankCtx};
 use crate::operator::{axpy, dot, dot_self, Reduce, Solo};
 
 /// Options for [`cg_solve`].
@@ -62,38 +60,15 @@ pub fn cg_solve(
     b: &[f64],
     opts: &CgOptions,
 ) -> CgResult {
-    cg_solve_on(EnginePath::Compiled, a, p, plan, b, opts)
-}
-
-/// [`cg_solve`] on an explicit [`EnginePath`] — the interpreted path is
-/// the cross-check oracle for the compiled engine.
-pub fn cg_solve_on(
-    path: EnginePath,
-    a: &Csr,
-    p: &SpmvPartition,
-    plan: &SpmvPlan,
-    b: &[f64],
-    opts: &CgOptions,
-) -> CgResult {
-    assert_eq!(b.len(), a.nrows(), "right-hand side length mismatch");
-    let b_parts = parking_lot::Mutex::new(scatter(b, p));
-    let opts = *opts;
-
-    let rank_out = spmd_compute_on(path, a, p, plan, |ctx: &mut RankCtx| {
-        let b_local = std::mem::take(&mut b_parts.lock()[ctx.rank() as usize]);
-        let core = cg_core(ctx, &b_local, &opts, None);
-        (ctx.owned.clone(), core)
-    });
-
-    assemble(rank_out, a.nrows())
+    cg_spmd(a, p, plan, b, opts, None)
 }
 
 /// [`cg_solve`] with telemetry: every rank records its SpMV phase
 /// spans, work counters and reduction spans on `sink`
-/// ([`RankCtx::set_telemetry`]), and rank 0 records one solver-
-/// iteration span per CG iteration (rank 0 only, so the sink's
-/// iteration count is not multiplied by `k` — SPMD ranks iterate in
-/// lockstep). Results are bitwise identical to [`cg_solve`].
+/// ([`spmd_compute_obs`](crate::engine::spmd_compute_obs)), and rank 0
+/// records one solver-iteration span per CG iteration (rank 0 only, so
+/// the sink's iteration count is not multiplied by `k` — SPMD ranks
+/// iterate in lockstep). Results are bitwise identical to [`cg_solve`].
 pub fn cg_solve_obs(
     a: &Csr,
     p: &SpmvPartition,
@@ -102,14 +77,24 @@ pub fn cg_solve_obs(
     opts: &CgOptions,
     sink: &Arc<TelemetrySink>,
 ) -> CgResult {
+    cg_spmd(a, p, plan, b, opts, Some(sink))
+}
+
+fn cg_spmd(
+    a: &Csr,
+    p: &SpmvPartition,
+    plan: &SpmvPlan,
+    b: &[f64],
+    opts: &CgOptions,
+    sink: Option<&Arc<TelemetrySink>>,
+) -> CgResult {
     assert_eq!(b.len(), a.nrows(), "right-hand side length mismatch");
     let b_parts = parking_lot::Mutex::new(scatter(b, p));
-    let opts = *opts;
 
-    let rank_out = spmd_compute_obs(a, p, plan, sink, |ctx: &mut RankCtx| {
+    let rank_out = spmd_compute_inner(a, p, plan, sink, |ctx: &mut RankCtx| {
         let b_local = std::mem::take(&mut b_parts.lock()[ctx.rank() as usize]);
-        let iter_obs = if ctx.rank() == 0 { Some(sink.as_ref()) } else { None };
-        let core = cg_core(ctx, &b_local, &opts, iter_obs);
+        let iter_obs = sink.filter(|_| ctx.rank() == 0).map(|s| s.as_ref());
+        let core = cg_core(ctx, &b_local, opts, iter_obs);
         (ctx.owned.clone(), core)
     });
 
@@ -144,8 +129,8 @@ pub fn cg_solve_with(op: impl SpmvOperator, b: &[f64], opts: &CgOptions) -> CgRe
 
 /// [`cg_solve_with`] recording one solver-iteration span per CG
 /// iteration on `sink` ([`TelemetrySink::record_solver_iter`]). Pair
-/// with an operator built by `Backend::build_obs` on the same sink to
-/// get phase-level detail under the iteration spans.
+/// with an operator built by `Backend::build` on the same sink to get
+/// phase-level detail under the iteration spans.
 pub fn cg_solve_with_obs(
     op: impl SpmvOperator,
     b: &[f64],
@@ -348,20 +333,35 @@ mod tests {
     #[test]
     fn compiled_engine_matches_interpreted_cross_check() {
         // The acceptance gate for the compiled engine: CG end-to-end on
-        // the compiled path converges to the same residual (and the
-        // same iterate, bitwise — identical accumulation order) as the
-        // interpreted runtime-based path.
+        // the compiled rank programs — walked over endpoints, the same
+        // walker the SPMD solvers run — converges to the same residual
+        // (and the same iterate, bitwise — identical accumulation
+        // order) as on the interpreting mailbox oracle.
+        use s2d_engine::{Backend, CompiledPlan};
         let a = laplacian2d(8);
         let p = block_rowwise(&a, 4);
-        let plan = SpmvPlan::single_phase(&a, &p);
+        let plan = Arc::new(SpmvPlan::single_phase(&a, &p));
         let b: Vec<f64> = (0..a.nrows()).map(|i| ((i % 7) as f64) - 3.0).collect();
-        let compiled = cg_solve_on(EnginePath::Compiled, &a, &p, &plan, &b, &CgOptions::default());
-        let interpreted =
-            cg_solve_on(EnginePath::Interpreted, &a, &p, &plan, &b, &CgOptions::default());
+        let cp = Arc::new(CompiledPlan::compile(&plan));
+        let compiled =
+            cg_solve_with(Backend::Threaded.build(&plan, &cp, 1, None), &b, &CgOptions::default());
+        let interpreted = cg_solve_with(
+            s2d_spmv::MailboxOperator::new(Arc::clone(&plan)),
+            &b,
+            &CgOptions::default(),
+        );
         assert!(compiled.converged && interpreted.converged);
         assert_eq!(compiled.iterations, interpreted.iterations);
         assert_eq!(compiled.relative_residual, interpreted.relative_residual);
         assert_eq!(compiled.x, interpreted.x);
+        // And the SPMD solve — same walker, distributed reductions —
+        // reaches the same solution (reduction order differs, so to
+        // tolerance).
+        let spmd = cg_solve(&a, &p, &plan, &b, &CgOptions::default());
+        assert!(spmd.converged);
+        for (u, v) in spmd.x.iter().zip(&interpreted.x) {
+            assert!((u - v).abs() <= 1e-8 * v.abs().max(1.0), "{u} vs {v}");
+        }
     }
 
     #[test]

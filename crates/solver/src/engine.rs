@@ -14,69 +14,35 @@
 //! Distributed vectors are plain `Vec<f64>` aligned with the rank's
 //! sorted list of owned global indices ([`RankCtx::owned`]).
 //!
-//! # Execution paths
+//! # Execution
 //!
-//! `spmv` runs on one of two engines ([`EnginePath`]):
+//! `spmv` is the workspace's one endpoint walker,
+//! [`s2d_engine::RankProgram::spmv_over`], called on this rank's
+//! compiled program: dense local renumbering, format-lowered kernels
+//! (CSR slices here — the plan is compiled with the default format),
+//! message payloads staged by precomputed gather lists and applied by
+//! precomputed scatter lists in the compiled receive order. No hashing
+//! anywhere in the iteration path, and — because that receive order is
+//! the one every compiled driver uses — a distributed multiply is
+//! bitwise identical to `Backend::CompiledSeq` and to the mailbox
+//! oracle on the same plan.
 //!
-//! * **Compiled** (default) — the rank's [`s2d_engine::RankProgram`]:
-//!   dense local renumbering, format-lowered kernels (CSR slices by
-//!   default; whatever `s2d_engine::KernelFormat` the plan was compiled
-//!   with runs unchanged here, since the per-rank walk executes kernels
-//!   through the same `Kernel::run_batch` entry point), message
-//!   payloads built by precomputed gather lists and applied by
-//!   precomputed scatter lists. No hashing anywhere in the iteration
-//!   path.
-//! * **Interpreted** — the original `HashMap`-keyed walk of the plan's
-//!   phases, kept as the semantic cross-check oracle.
-//!
-//! Both paths exchange *positional* payloads (plain value vectors whose
-//! layout the plan itself defines), so they interoperate with the same
-//! runtime collectives and can be compared bit for bit.
-//!
-//! [`EnginePath`] selects only the *per-rank kernel implementation*
-//! inside the SPMD world. Solver math no longer branches on it: the
-//! cores in `cg`/`jacobi`/`power`/`block_power` are generic over
+//! Solver math does not live here: the cores in
+//! `cg`/`jacobi`/`power`/`block_power` are generic over
 //! `SpmvOperator + Reduce` (see [`crate::operator`]), which [`RankCtx`]
 //! implements — the same cores also run solo on any whole-plan
 //! `s2d_engine::Backend` operator.
 
-use std::collections::HashMap;
 use std::sync::Arc;
-use std::time::Instant;
 
 use s2d_core::partition::SpmvPartition;
-use s2d_engine::{CompiledPlan, RankProgram, RankStep, NO_SLOT};
-use s2d_obs::{Phase, PhaseRecorder, TelemetrySink};
-use s2d_runtime::collectives::allreduce;
-use s2d_runtime::{spmd, Cluster, Endpoint};
+use s2d_engine::telemetry::{span_end, span_start};
+use s2d_engine::{CompiledPlan, ExecTelemetry, Payload, RankLocal, NO_SLOT};
+use s2d_obs::{Phase, TelemetrySink};
+use s2d_runtime::collectives::{allreduce, combine_vec};
+use s2d_runtime::{spmd, Cluster, Endpoint, MAX, SUM};
 use s2d_sparse::Csr;
-use s2d_spmv::{MsgSpec, MultTask, PlanPhase, SpmvPlan};
-
-/// Message payload: `x` values and partial-`y` values, positional (the
-/// plan's message specs define which global index each slot carries).
-pub type Payload = (Vec<f64>, Vec<f64>);
-
-/// Which engine executes [`RankCtx::spmv`].
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum EnginePath {
-    /// Flat compiled kernels (the production path).
-    #[default]
-    Compiled,
-    /// `HashMap`-keyed plan interpretation (the cross-check oracle).
-    Interpreted,
-}
-
-/// One rank's owned slice of an interpreted communication phase.
-struct CommPhase {
-    outgoing: Vec<MsgSpec>,
-    incoming: Vec<MsgSpec>,
-}
-
-/// One rank's interpreted plan phase.
-enum EnginePhase {
-    Compute(Vec<MultTask>),
-    Comm(CommPhase),
-}
+use s2d_spmv::SpmvPlan;
 
 /// Hands out unique message tags; every rank draws the same sequence
 /// because SPMD ranks execute the same call sites in the same order.
@@ -92,126 +58,47 @@ impl TagAlloc {
     }
 }
 
-/// The per-rank state of whichever engine was selected — only that
-/// engine's buffers are built (the other path costs nothing).
-enum RankEngine {
-    Compiled {
-        /// The whole compiled plan, shared across ranks (each rank
-        /// reads only its own `RankProgram` — no per-rank deep copy).
-        compiled: Arc<CompiledPlan>,
-        rank: usize,
-        /// Flat local vectors sized to the rank's compiled footprint.
-        xloc: Vec<f64>,
-        yloc: Vec<f64>,
-        /// `(position in owned, local x slot)` seeding pairs.
-        seed_slots: Vec<(u32, u32)>,
-        /// Local y slot per owned position ([`NO_SLOT`] → result is 0).
-        result_slots: Vec<u32>,
-    },
-    Interpreted {
-        phases: Vec<EnginePhase>,
-        xbuf: HashMap<u32, f64>,
-        ybuf: HashMap<u32, f64>,
-        /// Scratch column reused across the `r` per-column passes of a
-        /// batched call (and across calls).
-        col: Vec<f64>,
-    },
-}
-
 /// The per-rank compute context passed to [`spmd_compute`] closures.
 pub struct RankCtx {
     ep: Endpoint<Payload>,
-    comm_phases: u32,
     tags: TagAlloc,
     /// Sorted global indices owned by this rank (`x` and `y` coincide —
     /// symmetric vector partition).
     pub owned: Vec<u32>,
-    engine: RankEngine,
-    /// Shared telemetry sink; this rank records under its own recorder.
-    obs: Option<Arc<TelemetrySink>>,
+    /// The whole compiled plan, shared across ranks (each rank walks
+    /// only its own `RankProgram` — no per-rank deep copy).
+    compiled: Arc<CompiledPlan>,
+    /// Walker state: local blocks plus the maps between positions in
+    /// `owned` and this rank's local slots.
+    local: RankLocal,
+    /// Shared telemetry; this rank records under its own recorder.
+    obs: Option<Arc<ExecTelemetry>>,
 }
 
 impl RankCtx {
-    /// Builds the selected engine's per-rank state. `compiled` must be
-    /// `Some` exactly when `path` is [`EnginePath::Compiled`].
-    fn compile(
-        plan: &SpmvPlan,
-        compiled: Option<&Arc<CompiledPlan>>,
-        path: EnginePath,
-        rank: u32,
+    fn new(
+        compiled: &Arc<CompiledPlan>,
         owned: Vec<u32>,
         ep: Endpoint<Payload>,
+        obs: Option<Arc<ExecTelemetry>>,
     ) -> Self {
-        let comm_phases =
-            plan.phases.iter().filter(|p| matches!(p, PlanPhase::Comm(_))).count() as u32;
-        let engine = match path {
-            EnginePath::Compiled => {
-                let compiled =
-                    Arc::clone(compiled.expect("compiled plan required for the compiled path"));
-                let prog = &compiled.ranks[rank as usize];
-                let seed_slots = prog
-                    .x_seed
-                    .iter()
-                    .map(|&(g, slot)| {
-                        let pos = owned.binary_search(&g).expect("seeded entry must be owned");
-                        (pos as u32, slot)
-                    })
-                    .collect();
-                let result_slots = owned.iter().map(|&g| compiled.y_slot[g as usize]).collect();
-                let (nx, ny) = (prog.nx, prog.ny);
-                RankEngine::Compiled {
-                    xloc: vec![0.0; nx],
-                    yloc: vec![0.0; ny],
-                    seed_slots,
-                    result_slots,
-                    rank: rank as usize,
-                    compiled,
-                }
-            }
-            EnginePath::Interpreted => {
-                // This rank's task lists and message specs, cloned out
-                // of the plan.
-                let phases = plan
-                    .phases
-                    .iter()
-                    .map(|phase| match phase {
-                        PlanPhase::Compute(tasks) => {
-                            EnginePhase::Compute(tasks[rank as usize].clone())
-                        }
-                        PlanPhase::Comm(msgs) => EnginePhase::Comm(CommPhase {
-                            outgoing: msgs.iter().filter(|m| m.src == rank).cloned().collect(),
-                            incoming: msgs.iter().filter(|m| m.dst == rank).cloned().collect(),
-                        }),
-                    })
-                    .collect();
-                RankEngine::Interpreted {
-                    phases,
-                    xbuf: HashMap::new(),
-                    ybuf: HashMap::new(),
-                    col: Vec::new(),
-                }
-            }
-        };
-        RankCtx { ep, comm_phases, tags: TagAlloc { next: 0 }, owned, engine, obs: None }
-    }
-
-    /// Attaches a shared telemetry sink: subsequent SpMVs record
-    /// gather / compute / scatter phase spans and work counters under
-    /// this rank's recorder (compiled path only — the interpreted
-    /// oracle stays uninstrumented), and reductions record
-    /// [`Phase::Reduce`] spans. Purely observational: instrumented
-    /// runs are bitwise identical to uninstrumented ones.
-    ///
-    /// # Panics
-    /// Panics if the sink was sized for a different rank count.
-    pub fn set_telemetry(&mut self, sink: Arc<TelemetrySink>) {
-        assert_eq!(sink.k(), self.size(), "telemetry sink sized for a different rank count");
-        self.obs = Some(sink);
-    }
-
-    /// This rank's recorder, when telemetry is attached.
-    fn rec(&self) -> Option<&PhaseRecorder> {
-        self.obs.as_ref().map(|s| s.rank(self.ep.rank() as usize))
+        let prog = &compiled.ranks[ep.rank() as usize];
+        let pos = |g: u32| owned.binary_search(&g).expect("seeded entry must be owned") as u32;
+        let seed = prog.x_seed.iter().map(|&(g, slot)| (pos(g), slot)).collect();
+        let emit = owned
+            .iter()
+            .enumerate()
+            .map(|(i, &g)| (i as u32, compiled.y_slot[g as usize]))
+            .filter(|&(_, slot)| slot != NO_SLOT)
+            .collect();
+        RankCtx {
+            ep,
+            tags: TagAlloc { next: 0 },
+            owned,
+            compiled: Arc::clone(compiled),
+            local: RankLocal::new(seed, emit),
+            obs,
+        }
     }
 
     /// This rank's id.
@@ -227,14 +114,6 @@ impl RankCtx {
     /// Number of vector entries owned by this rank.
     pub fn local_len(&self) -> usize {
         self.owned.len()
-    }
-
-    /// The engine executing [`RankCtx::spmv`].
-    pub fn path(&self) -> EnginePath {
-        match self.engine {
-            RankEngine::Compiled { .. } => EnginePath::Compiled,
-            RankEngine::Interpreted { .. } => EnginePath::Interpreted,
-        }
     }
 
     /// Executes one distributed SpMV: `v` holds the values of the owned
@@ -263,71 +142,19 @@ impl RankCtx {
     /// the same layout for the owned `y` entries and is fully
     /// overwritten.
     ///
-    /// On the compiled path every message carries `len × r` words — one
-    /// exchange round per communication phase regardless of `r` — and
-    /// the kernels run the fixed-width batched inner loops. The
-    /// interpreted oracle executes the batch column by column through
-    /// one reused scratch column buffer, so the two paths stay
-    /// comparable bit for bit with no per-column allocation.
+    /// Every message carries `len × r` words — one exchange round per
+    /// communication phase regardless of `r` — and the kernels run the
+    /// fixed-width batched inner loops. With telemetry attached
+    /// ([`spmd_compute_obs`]), gather / compute / scatter spans and
+    /// work counters are recorded under this rank's recorder.
     pub fn spmv_batch_into(&mut self, v: &[f64], out: &mut [f64], r: usize) {
         assert!(r >= 1, "batch width must be at least 1");
         assert_eq!(v.len(), self.owned.len() * r, "local block length mismatch");
         assert_eq!(out.len(), self.owned.len() * r, "output block length mismatch");
-        let rk = self.ep.rank() as usize;
-        let obs_rec = self.obs.as_ref().map(|s| s.rank(rk));
-        match &mut self.engine {
-            RankEngine::Compiled { compiled, rank, xloc, yloc, seed_slots, result_slots } => {
-                let tag0 = self.tags.take(self.comm_phases.max(1));
-                let prog = &compiled.ranks[*rank];
-                // Grow the cached local blocks on first use of a wider
-                // batch; stride-r addressing ignores any excess tail.
-                if xloc.len() < prog.nx * r {
-                    xloc.resize(prog.nx * r, 0.0);
-                }
-                if yloc.len() < prog.ny * r {
-                    yloc.resize(prog.ny * r, 0.0);
-                }
-                spmv_compiled(
-                    &mut self.ep,
-                    prog,
-                    xloc,
-                    yloc,
-                    seed_slots,
-                    result_slots,
-                    v,
-                    out,
-                    r,
-                    tag0,
-                    obs_rec,
-                );
-            }
-            RankEngine::Interpreted { phases, xbuf, ybuf, col } => {
-                // Column-by-column oracle: r independent single-RHS
-                // walks, re-interleaved, all through the single scratch
-                // column buffer. Tags are drawn per column — the same
-                // sequence on every rank (SPMD call sites).
-                let m = self.owned.len();
-                col.resize(m, 0.0);
-                for q in 0..r {
-                    for i in 0..m {
-                        col[i] = v[i * r + q];
-                    }
-                    let tag0 = self.tags.take(self.comm_phases.max(1));
-                    spmv_interpreted(
-                        &mut self.ep,
-                        phases,
-                        xbuf,
-                        ybuf,
-                        &self.owned,
-                        col,
-                        out,
-                        r,
-                        q,
-                        tag0,
-                    );
-                }
-            }
-        }
+        let comm_phases = self.compiled.staging_words.len() as u32;
+        let tag0 = self.tags.take(comm_phases.max(1));
+        let prog = &self.compiled.ranks[self.ep.rank() as usize];
+        prog.spmv_over(&mut self.ep, &mut self.local, v, out, r, tag0, self.obs.as_deref());
     }
 
     /// Global dot product `⟨u, v⟩` over all ranks' owned entries.
@@ -350,49 +177,29 @@ impl RankCtx {
 
     /// Global sum of a per-rank scalar.
     pub fn sum(&mut self, local: f64) -> f64 {
-        let tag = self.tags.take(2);
-        let t = self.obs.as_ref().map(|_| Instant::now());
-        let out = allreduce(&mut self.ep, tag, (vec![local], Vec::new()), |a, b| {
-            (vec![a.0[0] + b.0[0]], Vec::new())
-        });
-        self.record_reduce(t);
-        out.0[0]
+        self.sum_vec(vec![local])[0]
     }
 
     /// Global max of a per-rank scalar.
     pub fn max(&mut self, local: f64) -> f64 {
-        let tag = self.tags.take(2);
-        let t = self.obs.as_ref().map(|_| Instant::now());
-        let out = allreduce(&mut self.ep, tag, (vec![local], Vec::new()), |a, b| {
-            (vec![a.0[0].max(b.0[0])], Vec::new())
-        });
-        self.record_reduce(t);
-        out.0[0]
+        self.reduce(vec![local], |a, b| combine_vec(MAX, a, b))[0]
     }
 
     /// Global elementwise-sum allreduce of a small dense vector (every
     /// rank contributes and receives `vals.len()` entries). Used for
     /// fused multi-scalar reductions (e.g. CG's `(r·r, p·Ap)` pair).
     pub fn sum_vec(&mut self, vals: Vec<f64>) -> Vec<f64> {
-        let tag = self.tags.take(2);
-        let t = self.obs.as_ref().map(|_| Instant::now());
-        let out = allreduce(&mut self.ep, tag, (vals, Vec::new()), |mut a, b| {
-            for (av, bv) in a.0.iter_mut().zip(&b.0) {
-                *av += *bv;
-            }
-            a
-        });
-        self.record_reduce(t);
-        out.0
+        self.reduce(vals, |a, b| combine_vec(SUM, a, b))
     }
 
-    /// Closes a [`Phase::Reduce`] span opened before an allreduce.
-    fn record_reduce(&self, t: Option<Instant>) {
-        if let Some(t) = t {
-            if let Some(rec) = self.rec() {
-                rec.record(Phase::Reduce, t.elapsed().as_nanos() as u64);
-            }
-        }
+    /// One allreduce under a fresh tag pair, recorded as a
+    /// [`Phase::Reduce`] span when telemetry is attached.
+    fn reduce(&mut self, vals: Payload, combine: impl Fn(Payload, Payload) -> Payload) -> Payload {
+        let tag = self.tags.take(2);
+        let t = span_start(self.obs.as_deref());
+        let out = allreduce(&mut self.ep, tag, vals, combine);
+        span_end(self.obs.as_deref(), self.ep.rank() as usize, Phase::Reduce, t);
+        out
     }
 
     /// `y += alpha · x`, purely local.
@@ -447,197 +254,6 @@ impl crate::operator::Reduce for RankCtx {
     }
 }
 
-/// Opens a span iff a recorder is attached (the off path reads no
-/// clock at all).
-#[inline]
-fn span_start(obs: Option<&PhaseRecorder>) -> Option<Instant> {
-    obs.map(|_| Instant::now())
-}
-
-/// Closes a span opened by [`span_start`].
-#[inline]
-fn span_end(obs: Option<&PhaseRecorder>, ph: Phase, t: Option<Instant>) {
-    if let (Some(rec), Some(t)) = (obs, t) {
-        rec.record(ph, t.elapsed().as_nanos() as u64);
-    }
-}
-
-/// The compiled path: flat buffers, precomputed index lists, zero
-/// hashing, batch width `r` (message payloads are `len × r` word
-/// blocks, `r` consecutive words per listed slot). Writes the owned
-/// result block into `out`; payload vectors are the only per-call
-/// allocations (they move into the runtime's channels).
-///
-/// When `obs` carries this rank's recorder, phase spans and work
-/// counters are recorded around (never inside) the numeric steps:
-/// seeding and send staging as gather, kernels as compute, receive
-/// application and result copy-out as scatter. The instrumented walk
-/// performs the identical operations in the identical order.
-#[allow(clippy::too_many_arguments)]
-fn spmv_compiled(
-    ep: &mut Endpoint<Payload>,
-    prog: &RankProgram,
-    xloc: &mut [f64],
-    yloc: &mut [f64],
-    seed_slots: &[(u32, u32)],
-    result_slots: &[u32],
-    v: &[f64],
-    out: &mut [f64],
-    r: usize,
-    tag0: u32,
-    obs: Option<&PhaseRecorder>,
-) {
-    let (mut madds, mut words) = (0u64, 0u64);
-    let t = span_start(obs);
-    for &(pos, slot) in seed_slots {
-        let (src, dst) = (pos as usize * r, slot as usize * r);
-        xloc[dst..dst + r].copy_from_slice(&v[src..src + r]);
-    }
-    yloc[..prog.ny * r].fill(0.0);
-    span_end(obs, Phase::Gather, t);
-    let mut comm_idx = 0u32;
-    for step in &prog.steps {
-        match step {
-            RankStep::Compute(kernel) => {
-                let t = span_start(obs);
-                kernel.run_batch(xloc, yloc, r);
-                span_end(obs, Phase::Compute, t);
-                if obs.is_some() {
-                    madds += kernel.ops() as u64;
-                }
-            }
-            RankStep::Comm { sends, recvs, .. } => {
-                let tag = tag0 + comm_idx;
-                comm_idx += 1;
-                let t = span_start(obs);
-                for m in sends {
-                    let mut xs = Vec::with_capacity(m.x_idx.len() * r);
-                    for &s in &m.x_idx {
-                        xs.extend_from_slice(&xloc[s as usize * r..s as usize * r + r]);
-                    }
-                    let mut ys = Vec::with_capacity(m.y_idx.len() * r);
-                    for &s in &m.y_idx {
-                        let at = s as usize * r;
-                        ys.extend_from_slice(&yloc[at..at + r]);
-                        yloc[at..at + r].fill(0.0); // moved, not copied
-                    }
-                    if obs.is_some() {
-                        words += m.words() as u64;
-                    }
-                    ep.send(m.peer, tag, (xs, ys));
-                }
-                span_end(obs, Phase::Gather, t);
-                // All sends are posted; targeted receives can land in
-                // spec order without deadlock.
-                let t = span_start(obs);
-                for m in recvs {
-                    let (xs, ys) = ep.recv_match(m.peer, tag).payload;
-                    debug_assert_eq!(xs.len(), m.x_idx.len() * r);
-                    debug_assert_eq!(ys.len(), m.y_idx.len() * r);
-                    for (i, &slot) in m.x_idx.iter().enumerate() {
-                        let at = slot as usize * r;
-                        xloc[at..at + r].copy_from_slice(&xs[i * r..(i + 1) * r]);
-                    }
-                    for (i, &slot) in m.y_idx.iter().enumerate() {
-                        let at = slot as usize * r;
-                        for q in 0..r {
-                            yloc[at + q] += ys[i * r + q];
-                        }
-                    }
-                }
-                span_end(obs, Phase::Scatter, t);
-            }
-        }
-    }
-    let t = span_start(obs);
-    for (i, &s) in result_slots.iter().enumerate() {
-        if s == NO_SLOT {
-            out[i * r..(i + 1) * r].fill(0.0);
-        } else {
-            out[i * r..(i + 1) * r].copy_from_slice(&yloc[s as usize * r..s as usize * r + r]);
-        }
-    }
-    span_end(obs, Phase::Scatter, t);
-    if let Some(rec) = obs {
-        let rows = result_slots.iter().filter(|&&s| s != NO_SLOT).count() as u64;
-        let r = r as u64;
-        rec.add_counts(rows * r, madds * r, words * r);
-    }
-}
-
-/// The interpreted oracle: the original `HashMap`-keyed phase walk over
-/// one column `v`, writing the result into column `q` of the row-major
-/// `len × r` block `out`.
-#[allow(clippy::too_many_arguments)]
-fn spmv_interpreted(
-    ep: &mut Endpoint<Payload>,
-    phases: &[EnginePhase],
-    xbuf: &mut HashMap<u32, f64>,
-    ybuf: &mut HashMap<u32, f64>,
-    owned: &[u32],
-    v: &[f64],
-    out: &mut [f64],
-    r: usize,
-    q: usize,
-    tag0: u32,
-) {
-    xbuf.clear();
-    ybuf.clear();
-    for (&g, &val) in owned.iter().zip(v) {
-        xbuf.insert(g, val);
-    }
-    let mut comm_idx = 0u32;
-    for phase in phases {
-        match phase {
-            EnginePhase::Compute(tasks) => {
-                for t in tasks {
-                    let xv = *xbuf.get(&t.col).unwrap_or_else(|| {
-                        panic!("rank {} lacks x[{}]: plan bug", ep.rank(), t.col)
-                    });
-                    *ybuf.entry(t.row).or_insert(0.0) += t.val * xv;
-                }
-            }
-            EnginePhase::Comm(cp) => {
-                let tag = tag0 + comm_idx;
-                comm_idx += 1;
-                for m in &cp.outgoing {
-                    let xs: Vec<f64> = m
-                        .x_cols
-                        .iter()
-                        .map(|&j| {
-                            *xbuf.get(&j).unwrap_or_else(|| {
-                                panic!("rank {} lacks x[{j}] to send", ep.rank())
-                            })
-                        })
-                        .collect();
-                    let ys: Vec<f64> = m
-                        .y_rows
-                        .iter()
-                        .map(|&i| {
-                            ybuf.remove(&i).unwrap_or_else(|| {
-                                panic!("rank {} lacks partial y[{i}]", ep.rank())
-                            })
-                        })
-                        .collect();
-                    ep.send(m.dst, tag, (xs, ys));
-                }
-                for m in &cp.incoming {
-                    let (xs, ys) = ep.recv_match(m.src, tag).payload;
-                    for (&j, val) in m.x_cols.iter().zip(xs) {
-                        xbuf.insert(j, val);
-                    }
-                    for (&i, val) in m.y_rows.iter().zip(ys) {
-                        *ybuf.entry(i).or_insert(0.0) += val;
-                    }
-                }
-            }
-        }
-    }
-    for (i, g) in owned.iter().enumerate() {
-        out[i * r + q] = ybuf.get(g).copied().unwrap_or(0.0);
-    }
-}
-
 /// Validates the solver preconditions and derives per-rank owned-index
 /// lists from the (symmetric) vector partition.
 fn owned_indices(plan: &SpmvPlan, p: &SpmvPartition) -> Vec<Vec<u32>> {
@@ -657,9 +273,9 @@ fn owned_indices(plan: &SpmvPlan, p: &SpmvPartition) -> Vec<Vec<u32>> {
     owned
 }
 
-/// Runs `body` SPMD on `plan.k` ranks, each with a [`RankCtx`] compiled
-/// from `plan` running on the default (compiled) engine; returns the
-/// per-rank results in rank order.
+/// Runs `body` SPMD on `plan.k` ranks, each with a [`RankCtx`] over
+/// its compiled slice of `plan`; returns the per-rank results in rank
+/// order.
 ///
 /// `a` is used only for shape checks; `plan` must have been built from
 /// `(a, p)`.
@@ -672,28 +288,13 @@ where
     R: Send,
     F: Fn(&mut RankCtx) -> R + Sync,
 {
-    spmd_compute_on(EnginePath::Compiled, a, p, plan, body)
+    spmd_compute_inner(a, p, plan, None, body)
 }
 
-/// [`spmd_compute`] with an explicit [`EnginePath`].
-pub fn spmd_compute_on<R, F>(
-    path: EnginePath,
-    a: &Csr,
-    p: &SpmvPartition,
-    plan: &SpmvPlan,
-    body: F,
-) -> Vec<R>
-where
-    R: Send,
-    F: Fn(&mut RankCtx) -> R + Sync,
-{
-    spmd_compute_inner(path, a, p, plan, None, body)
-}
-
-/// [`spmd_compute`] with a telemetry sink attached to every rank's
-/// context ([`RankCtx::set_telemetry`]): each rank records its SpMV
-/// phase spans, work counters and reduction spans under its own
-/// recorder. The sink must be sized for `plan.k` ranks.
+/// [`spmd_compute`] with telemetry: each rank records its SpMV phase
+/// spans, work counters and reduction spans under its own recorder.
+/// The sink must be sized for `plan.k` ranks. Purely observational:
+/// instrumented runs are bitwise identical to uninstrumented ones.
 pub fn spmd_compute_obs<R, F>(
     a: &Csr,
     p: &SpmvPartition,
@@ -705,15 +306,14 @@ where
     R: Send,
     F: Fn(&mut RankCtx) -> R + Sync,
 {
-    spmd_compute_inner(EnginePath::Compiled, a, p, plan, Some(sink), body)
+    spmd_compute_inner(a, p, plan, Some(sink), body)
 }
 
-fn spmd_compute_inner<R, F>(
-    path: EnginePath,
+pub(crate) fn spmd_compute_inner<R, F>(
     a: &Csr,
     p: &SpmvPartition,
     plan: &SpmvPlan,
-    obs: Option<&Arc<TelemetrySink>>,
+    sink: Option<&Arc<TelemetrySink>>,
     body: F,
 ) -> Vec<R>
 where
@@ -723,25 +323,15 @@ where
     assert_eq!(a.nrows(), plan.nrows);
     assert_eq!(a.ncols(), plan.ncols);
     let owned = owned_indices(plan, p);
-    // Only the selected engine's state is built: the one-time compile
-    // runs solely on the compiled path, and the interpreted path's
-    // per-rank task-list clones happen solely on the interpreted path.
-    let compiled = match path {
-        EnginePath::Compiled => Some(Arc::new(CompiledPlan::compile(plan))),
-        EnginePath::Interpreted => None,
-    };
+    let compiled = Arc::new(CompiledPlan::compile(plan));
+    let obs = sink.map(|sink| Arc::new(ExecTelemetry::new(&compiled, Arc::clone(sink))));
     let owned_ref = parking_lot::Mutex::new(owned);
     spmd(Cluster::<Payload>::new(plan.k), |ep| {
-        let rank = ep.rank();
-        let my_owned = std::mem::take(&mut owned_ref.lock()[rank as usize]);
+        let my_owned = std::mem::take(&mut owned_ref.lock()[ep.rank() as usize]);
         // Endpoint moves into the context; the context lives for the
         // whole body.
         let ep = std::mem::replace(ep, dummy_endpoint());
-        let mut ctx = RankCtx::compile(plan, compiled.as_ref(), path, rank, my_owned, ep);
-        if let Some(sink) = obs {
-            ctx.set_telemetry(Arc::clone(sink));
-        }
-        body(&mut ctx)
+        body(&mut RankCtx::new(&compiled, my_owned, ep, obs.clone()))
     })
 }
 
@@ -829,24 +419,30 @@ mod tests {
         }
     }
 
+    /// The interpreting oracle applied to a global row-major block.
+    fn mailbox_apply(plan: &SpmvPlan, x: &[f64], r: usize) -> Vec<f64> {
+        use s2d_spmv::SpmvOperator;
+        let mut op = s2d_spmv::MailboxOperator::new(Arc::new(plan.clone()));
+        let mut y = vec![0.0; plan.nrows * r];
+        op.apply_batch(x, &mut y, r);
+        y
+    }
+
     #[test]
     fn compiled_and_interpreted_paths_agree_bitwise() {
         let (a, p, plan) = setup(36, 5);
         let x: Vec<f64> = (0..36).map(|i| ((i * 13) % 11) as f64 / 7.0 - 0.6).collect();
-        let mut results = Vec::new();
-        for path in [EnginePath::Compiled, EnginePath::Interpreted] {
-            let locals = parking_lot::Mutex::new(scatter(&x, &p));
-            let out = spmd_compute_on(path, &a, &p, &plan, |ctx| {
-                assert_eq!(ctx.path(), path);
-                let v = std::mem::take(&mut locals.lock()[ctx.rank() as usize]);
-                let y1 = ctx.spmv(&v);
-                let y2 = ctx.spmv(&y1); // chained: A(Ax)
-                (ctx.owned.clone(), y2)
-            });
-            results.push(gather_global(&out, 36));
-        }
+        let locals = parking_lot::Mutex::new(scatter(&x, &p));
+        let out = spmd_compute(&a, &p, &plan, |ctx| {
+            let v = std::mem::take(&mut locals.lock()[ctx.rank() as usize]);
+            let y1 = ctx.spmv(&v);
+            let y2 = ctx.spmv(&y1); // chained: A(Ax)
+            (ctx.owned.clone(), y2)
+        });
+        let compiled = gather_global(&out, 36);
+        let interpreted = mailbox_apply(&plan, &mailbox_apply(&plan, &x, 1), 1);
         // Same plan, same per-rank accumulation order → identical floats.
-        assert_eq!(results[0], results[1]);
+        assert_eq!(compiled, interpreted);
     }
 
     #[test]
@@ -924,32 +520,29 @@ mod tests {
         let r = 4;
         let n = a.nrows();
         let xblock: Vec<f64> = (0..n * r).map(|i| ((i * 37) % 23) as f64 / 7.0 - 1.5).collect();
-        let mut results = Vec::new();
-        for path in [EnginePath::Compiled, EnginePath::Interpreted] {
-            let locals = parking_lot::Mutex::new({
-                let mut parts: Vec<Vec<f64>> = vec![Vec::new(); p.k];
-                for g in 0..n {
-                    parts[p.x_part[g] as usize].extend_from_slice(&xblock[g * r..(g + 1) * r]);
-                }
-                parts
-            });
-            let out = spmd_compute_on(path, &a, &p, &plan, |ctx| {
-                let v = std::mem::take(&mut locals.lock()[ctx.rank() as usize]);
-                let y1 = ctx.spmv_batch(&v, r);
-                let y2 = ctx.spmv_batch(&y1, r); // chained: A(AX)
-                (ctx.owned.clone(), y2)
-            });
-            let mut got = vec![0.0; n * r];
-            for (idx, vals) in &out {
-                for (i, &g) in idx.iter().enumerate() {
-                    got[g as usize * r..(g as usize + 1) * r]
-                        .copy_from_slice(&vals[i * r..(i + 1) * r]);
-                }
+        let locals = parking_lot::Mutex::new({
+            let mut parts: Vec<Vec<f64>> = vec![Vec::new(); p.k];
+            for g in 0..n {
+                parts[p.x_part[g] as usize].extend_from_slice(&xblock[g * r..(g + 1) * r]);
             }
-            results.push(got);
+            parts
+        });
+        let out = spmd_compute(&a, &p, &plan, |ctx| {
+            let v = std::mem::take(&mut locals.lock()[ctx.rank() as usize]);
+            let y1 = ctx.spmv_batch(&v, r);
+            let y2 = ctx.spmv_batch(&y1, r); // chained: A(AX)
+            (ctx.owned.clone(), y2)
+        });
+        let mut compiled = vec![0.0; n * r];
+        for (idx, vals) in &out {
+            for (i, &g) in idx.iter().enumerate() {
+                compiled[g as usize * r..(g as usize + 1) * r]
+                    .copy_from_slice(&vals[i * r..(i + 1) * r]);
+            }
         }
+        let interpreted = mailbox_apply(&plan, &mailbox_apply(&plan, &xblock, r), r);
         // Same per-rank accumulation order per column → identical floats.
-        assert_eq!(results[0], results[1]);
+        assert_eq!(compiled, interpreted);
     }
 
     #[test]

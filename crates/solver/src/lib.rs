@@ -6,9 +6,14 @@
 //! those downstream workloads, running SPMD on the `s2d-runtime`
 //! substrate with the SpMV plans of `s2d-spmv`:
 //!
-//! * [`engine`] — the per-rank SpMV engine (compile a plan once, execute
-//!   it every iteration with fresh tags) and the rank-local vector/
-//!   reduction toolkit;
+//! * [`engine`] — the per-rank SPMD context: the plan is compiled once
+//!   and every iteration walks this rank's compiled program through
+//!   `s2d-engine`'s one endpoint walker (fresh tags per call), plus the
+//!   rank-local vector / reduction toolkit. This crate contains no plan
+//!   interpreter of its own — the workspace has one oracle (the mailbox
+//!   interpreter in `s2d-spmv`) and one compiled program with three
+//!   drivers (in place, pool, endpoints), and the distributed solvers
+//!   are the third driver's SPMD form;
 //! * [`cg`] — conjugate gradients for symmetric positive definite
 //!   systems;
 //! * [`jacobi`] — the Jacobi stationary iteration;
@@ -38,7 +43,9 @@
 //!   `jacobi_solve_with`, `power_iteration_with`, `pagerank_with`,
 //!   `block_power_iteration_with`) take any whole-plan operator, so
 //!   every solver runs on every `s2d_engine::Backend` — or on an
-//!   `s2d::Session` built fluently in the facade crate.
+//!   `s2d::Session` built fluently in the facade crate. Injecting the
+//!   mailbox oracle (`s2d_spmv::MailboxOperator`) is how the tests
+//!   cross-check the compiled paths bitwise.
 
 pub mod block_power;
 pub mod cg;
@@ -50,10 +57,8 @@ pub mod power;
 pub use block_power::{
     block_power_iteration, block_power_iteration_with, BlockPowerOptions, BlockPowerResult,
 };
-pub use cg::{
-    cg_solve, cg_solve_obs, cg_solve_on, cg_solve_with, cg_solve_with_obs, CgOptions, CgResult,
-};
-pub use engine::{spmd_compute, spmd_compute_obs, spmd_compute_on, EnginePath, RankCtx};
+pub use cg::{cg_solve, cg_solve_obs, cg_solve_with, cg_solve_with_obs, CgOptions, CgResult};
+pub use engine::{spmd_compute, spmd_compute_obs, RankCtx};
 pub use jacobi::{
     diagonal_of, jacobi_solve, jacobi_solve_with, jacobi_solve_with_obs, JacobiOptions,
     JacobiResult,

@@ -9,7 +9,7 @@
 use std::sync::Arc;
 
 use s2d_core::partition::SpmvPartition;
-use s2d_engine::Backend;
+use s2d_engine::{Backend, CompiledPlan};
 use s2d_solver::{
     block_power_iteration_with, cg_solve, cg_solve_with, diagonal_of, jacobi_solve_with,
     pagerank_with, power_iteration_with, to_column_stochastic, BlockPowerOptions, CgOptions,
@@ -47,6 +47,11 @@ fn block_rowwise(a: &Csr, k: usize) -> SpmvPartition {
     SpmvPartition::rowwise(a, part.clone(), part, k)
 }
 
+/// Compiles `plan` (default kernels) and builds `backend` over it.
+fn build(backend: Backend, plan: &Arc<SpmvPlan>, width: usize) -> Box<dyn SpmvOperator + Send> {
+    backend.build(plan, &Arc::new(CompiledPlan::compile(plan)), width, None)
+}
+
 fn single_phase_arc(a: &Csr, k: usize) -> Arc<SpmvPlan> {
     Arc::new(SpmvPlan::single_phase(a, &block_rowwise(a, k)))
 }
@@ -63,7 +68,7 @@ fn cg_solves_on_every_backend_and_matches_distributed() {
     assert!(distributed.converged);
     let plan = Arc::new(plan);
     for backend in Backend::all() {
-        let op = backend.build(&plan, 1);
+        let op = build(backend, &plan, 1);
         let res = cg_solve_with(op, &b, &CgOptions::default());
         assert!(res.converged, "{backend}: CG must converge");
         for (g, w) in res.x.iter().zip(&x_star) {
@@ -94,7 +99,7 @@ fn jacobi_solves_on_every_backend() {
     let diag = diagonal_of(&a);
     let plan = single_phase_arc(&a, 4);
     for backend in Backend::all() {
-        let op = backend.build(&plan, 1);
+        let op = build(backend, &plan, 1);
         let res = jacobi_solve_with(op, &diag, &b, &JacobiOptions::default());
         assert!(res.converged, "{backend}: Jacobi must converge");
         for (g, w) in res.x.iter().zip(&x_star) {
@@ -114,7 +119,7 @@ fn power_iteration_finds_dominant_eigenpair_on_every_backend() {
     let a = m.to_csr();
     let plan = single_phase_arc(&a, 3);
     for backend in Backend::all() {
-        let op = backend.build(&plan, 1);
+        let op = build(backend, &plan, 1);
         let res = power_iteration_with(op, &PowerOptions::default());
         assert!(res.converged, "{backend}");
         assert!((res.eigenvalue - n as f64).abs() < 1e-6, "{backend}: lambda {}", res.eigenvalue);
@@ -134,7 +139,7 @@ fn pagerank_on_every_backend() {
     let (m, dangling) = to_column_stochastic(&adj.to_csr());
     let plan = single_phase_arc(&m, 2);
     for backend in Backend::all() {
-        let op = backend.build(&plan, 1);
+        let op = build(backend, &plan, 1);
         let res = pagerank_with(op, &dangling, &PagerankOptions::default());
         assert!(res.converged, "{backend}");
         let total: f64 = res.ranks.iter().sum();
@@ -158,7 +163,7 @@ fn block_power_finds_top_r_on_every_backend() {
     let plan = single_phase_arc(&a, 3);
     for backend in Backend::all() {
         // Width r up front: the batched path carries the whole block.
-        let op = backend.build(&plan, r);
+        let op = build(backend, &plan, r);
         let res = block_power_iteration_with(op, r, &BlockPowerOptions::default());
         assert!(res.converged, "{backend}");
         for (q, want) in [(0usize, 12.0f64), (1, 11.0), (2, 10.0)] {
@@ -177,7 +182,7 @@ fn session_style_reuse_one_operator_many_solves() {
     // amortized-session usage pattern (setup cost paid once).
     let a = laplacian2d(6);
     let plan = single_phase_arc(&a, 3);
-    let mut op = Backend::CompiledSeq.build(&plan, 1);
+    let mut op = build(Backend::CompiledSeq, &plan, 1);
     let b = vec![1.0; a.nrows()];
     let first = cg_solve_with(&mut op, &b, &CgOptions::default());
     let second = cg_solve_with(&mut op, &b, &CgOptions::default());
@@ -201,7 +206,7 @@ fn injected_solvers_work_on_every_plan_kind() {
     for kind in PlanKind::all() {
         let plan = Arc::new(kind.build(&a, &p));
         for backend in Backend::all() {
-            let op = backend.build(&plan, 1);
+            let op = build(backend, &plan, 1);
             assert_eq!((op.nrows(), op.ncols()), (n, n));
             let res = cg_solve_with(op, &b, &CgOptions::default());
             assert!(res.converged, "{kind}/{backend}");

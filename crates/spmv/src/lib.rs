@@ -12,15 +12,17 @@
 //! * **mesh-routed s2D-b** — precompute, two mesh hops with partial-sum
 //!   aggregation at intermediates, compute (Section VI-B).
 //!
-//! Executors: [`exec::execute_mailbox_into`] (deterministic, sequential
-//! interpretation — works for any `K`) and
-//! [`threaded::execute_threaded_into`] (one OS thread per virtual
-//! processor, crossbeam channels — the concurrent validation path).
+//! One executor lives here: [`exec::execute_mailbox_into`], a
+//! deterministic, deliberately naive sequential interpretation (works
+//! for any `K`) kept as the semantic **oracle** every fast path is
+//! differentially tested against. Everything else that runs a plan —
+//! sequentially, on a worker pool, or with real message passing over
+//! `s2d-runtime` — executes its compiled form in `s2d-engine`.
 //!
-//! The [`operator::SpmvOperator`] trait unifies these interpreting
-//! executors with the compiled backends in `s2d-engine` behind one
-//! stateful `apply`/`apply_batch` interface writing into caller-owned
-//! buffers; `s2d_engine::Backend` selects among all of them, and the
+//! The [`operator::SpmvOperator`] trait unifies the oracle with the
+//! compiled backends in `s2d-engine` behind one stateful
+//! `apply`/`apply_batch` interface writing into caller-owned buffers;
+//! `s2d_engine::Backend` selects among all of them, and the
 //! `s2d` facade crate's `Session` builder wires matrix + partition +
 //! plan kind + backend together fluently.
 
@@ -28,8 +30,7 @@ pub mod bridge;
 pub mod exec;
 pub mod operator;
 pub mod plan;
-pub mod threaded;
 
 pub use bridge::{simulate_plan, to_phase_specs};
-pub use operator::{apply_batch_columnwise, MailboxOperator, SpmvOperator, ThreadedOperator};
+pub use operator::{apply_batch_columnwise, MailboxOperator, SpmvOperator};
 pub use plan::{MsgSpec, MultTask, PlanKind, PlanPhase, RowProfile, SpmvPlan};

@@ -8,10 +8,10 @@
 //! so the steady-state iteration loop of a solver performs no
 //! per-iteration allocation on backends that support it.
 //!
-//! Two interpreting operators live here ([`MailboxOperator`],
-//! [`ThreadedOperator`]); the compiled operators and the `Backend`
-//! selector live in `s2d-engine` (`s2d_engine::Backend`), which builds
-//! any backend's operator from the same [`SpmvPlan`]. Solvers in
+//! The one interpreting operator lives here ([`MailboxOperator`], the
+//! test oracle); the compiled operators and the `Backend` selector live
+//! in `s2d-engine` (`s2d_engine::Backend`), which builds any backend's
+//! operator from the same [`SpmvPlan`]. Solvers in
 //! `s2d-solver` are generic over this trait, so every solver runs on
 //! every backend.
 
@@ -31,9 +31,9 @@ use crate::plan::SpmvPlan;
 ///   Per column the result must agree with `apply` on that column —
 ///   bitwise when [`SpmvOperator::deterministic`] returns `true`.
 /// * Repeated `apply` calls with the same input yield the same output —
-///   bitwise for deterministic backends, within floating-point
-///   tolerance otherwise (e.g. a backend whose message arrival order
-///   varies between runs).
+///   bitwise for deterministic backends (every backend in this
+///   workspace), within floating-point tolerance otherwise (e.g. an
+///   implementation that folds messages in arrival order).
 ///
 /// Implementations may grow internal buffers on the first call at a new
 /// batch width; steady-state calls at an already-seen width must not
@@ -233,49 +233,6 @@ impl SpmvOperator for MailboxOperator {
     }
 }
 
-/// The threaded executor (one OS thread per virtual processor over the
-/// message-passing runtime) as an operator.
-///
-/// Thread spawn is inherent to each call — this is the concurrent
-/// *validation* path, not a fast path — and message arrival order makes
-/// accumulation order run-dependent, so
-/// [`deterministic`](SpmvOperator::deterministic) is `false`: repeated
-/// applications agree within floating-point tolerance, not bitwise.
-pub struct ThreadedOperator {
-    plan: std::sync::Arc<SpmvPlan>,
-}
-
-impl ThreadedOperator {
-    /// Builds the operator over a shared plan.
-    pub fn new(plan: std::sync::Arc<SpmvPlan>) -> ThreadedOperator {
-        ThreadedOperator { plan }
-    }
-
-    /// The plan this operator executes.
-    pub fn plan(&self) -> &SpmvPlan {
-        &self.plan
-    }
-}
-
-impl SpmvOperator for ThreadedOperator {
-    fn nrows(&self) -> usize {
-        self.plan.nrows
-    }
-
-    fn ncols(&self) -> usize {
-        self.plan.ncols
-    }
-
-    fn apply(&mut self, x: &[f64], y: &mut [f64]) {
-        check_shapes(&self.plan, x, y, 1);
-        crate::threaded::execute_threaded_into(&self.plan, x, y);
-    }
-
-    fn deterministic(&self) -> bool {
-        false
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -302,19 +259,6 @@ mod tests {
         let mut y2 = vec![9.0; a.nrows()];
         op.apply(&x, &mut y2);
         assert_eq!(y, y2, "deterministic operator must be bitwise stable");
-    }
-
-    #[test]
-    fn threaded_operator_matches_serial() {
-        let a = fig1_matrix();
-        let p = fig1_partition();
-        let plan = Arc::new(SpmvPlan::two_phase(&a, &p));
-        let x: Vec<f64> = (0..a.ncols()).map(|j| 1.0 / (j + 1) as f64).collect();
-        let mut op = ThreadedOperator::new(plan);
-        assert!(!op.deterministic());
-        let mut y = vec![0.0; a.nrows()];
-        op.apply(&x, &mut y);
-        assert_close(&y, &a.spmv_alloc(&x));
     }
 
     #[test]

@@ -318,16 +318,6 @@ impl SpmvPlan {
         );
         y
     }
-
-    /// Executes the plan with one thread per virtual processor.
-    ///
-    /// Convenience wrapper over
-    /// [`execute_threaded_into`](crate::threaded::execute_threaded_into).
-    pub fn execute_threaded(&self, x: &[f64]) -> Vec<f64> {
-        let mut y = vec![0.0f64; self.nrows];
-        crate::threaded::execute_threaded_into(self, x, &mut y);
-        y
-    }
 }
 
 /// Row-length profile of one processor's compute work — see

@@ -21,9 +21,11 @@
 //!   behind one [`Strategy`] enum, quality reports, cost-model-driven
 //!   [`Strategy::Auto`].
 //! * [`sim`] — α–β–γ distributed machine model and metrics.
-//! * [`spmv`] — the SpMV plan language and interpreting executors.
+//! * [`spmv`] — the SpMV plan language and the mailbox interpreter (the
+//!   one test oracle).
 //! * [`engine`] — the compiled execution engine (flat-buffer plan
-//!   compiler + persistent worker pool).
+//!   compiler + the three drivers of the compiled rank programs: in
+//!   place, worker pool, message-passing endpoints).
 //! * [`runtime`] — the MPI-like message-passing substrate.
 //! * [`solver`] — distributed CG, Jacobi, power iteration, PageRank.
 //! * [`gen`] — synthetic matrix generators and the paper's two test suites.

@@ -103,7 +103,7 @@ impl<'a> SessionBuilder<'a> {
     /// [`KernelFormat::CsrSlice`]; [`KernelFormat::Auto`] picks per
     /// rank × phase from compile-time row statistics — see the
     /// `s2d_engine::formats` docs for selection guidance). The
-    /// interpreting backends have no kernels and ignore it.
+    /// mailbox oracle has no kernels and ignores it.
     pub fn kernel_format(mut self, format: KernelFormat) -> Self {
         self.kernel_format = format;
         self
@@ -113,8 +113,8 @@ impl<'a> SessionBuilder<'a> {
     /// (default [`KernelIsa::Auto`]: probe the CPU once at compile time
     /// and use the AVX2 paths when available). Results are bitwise
     /// identical across ISAs — the SIMD lanes map to the batch
-    /// dimension — so this knob only changes speed. The interpreting
-    /// backends ignore it.
+    /// dimension — so this knob only changes speed. The mailbox oracle
+    /// ignores it.
     pub fn kernel_isa(mut self, isa: KernelIsa) -> Self {
         self.kernel_isa = isa;
         self
@@ -154,10 +154,18 @@ impl<'a> SessionBuilder<'a> {
     /// # Panics
     /// As [`SessionBuilder::build`].
     pub fn prepare(self) -> Prepared {
-        let (partition, strategy) = self.resolve_partition();
+        let (partition, strategy) = match (self.partition, self.strategy) {
+            (Some(p), None) => (p.clone(), None),
+            (None, Some((s, k))) => (s.partition_with(self.a, k, &self.partitioner_cfg), Some(s)),
+            (Some(_), Some(_)) => {
+                panic!("SessionBuilder: choose either .partition() or .partitioner(), not both")
+            }
+            (None, None) => panic!("SessionBuilder: a partition or a partitioner is required"),
+        };
         let kind = self.plan_kind.unwrap_or_else(|| PlanKind::auto(self.a, &partition));
         let plan = Arc::new(kind.build(self.a, &partition));
-        let compiled = CompiledPlan::compile_with_isa(&plan, self.kernel_format, self.kernel_isa);
+        let compiled =
+            Arc::new(CompiledPlan::compile_with_isa(&plan, self.kernel_format, self.kernel_isa));
         Prepared {
             fingerprint: self.a.fingerprint(),
             partition,
@@ -170,20 +178,12 @@ impl<'a> SessionBuilder<'a> {
         }
     }
 
-    fn resolve_partition(&self) -> (SpmvPartition, Option<Strategy>) {
-        match (self.partition, self.strategy) {
-            (Some(p), None) => (p.clone(), None),
-            (None, Some((s, k))) => (s.partition_with(self.a, k, &self.partitioner_cfg), Some(s)),
-            (Some(_), Some(_)) => {
-                panic!("SessionBuilder: choose either .partition() or .partitioner(), not both")
-            }
-            (None, None) => panic!("SessionBuilder: a partition or a partitioner is required"),
-        }
-    }
-
     /// Builds the plan, pays the backend's setup cost, and returns the
-    /// ready session. When a [`SessionBuilder::partitioner`] strategy
-    /// was chosen, the partitioning runs here too.
+    /// ready session: [`SessionBuilder::prepare`] followed by
+    /// [`Prepared::session`] with the builder's backend and batch
+    /// width (and, with [`SessionBuilder::telemetry`], a fresh sink).
+    /// When a [`SessionBuilder::partitioner`] strategy was chosen, the
+    /// partitioning runs here too.
     ///
     /// # Panics
     /// Panics if neither a partition nor a partitioner was supplied
@@ -191,47 +191,16 @@ impl<'a> SessionBuilder<'a> {
     /// chosen plan kind's prerequisites fail (e.g.
     /// [`PlanKind::SinglePhase`] on a non-s2D partition).
     pub fn build(self) -> Session {
-        let (partition, _) = self.resolve_partition();
-        let kind = self.plan_kind.unwrap_or_else(|| PlanKind::auto(self.a, &partition));
-        let plan = Arc::new(kind.build(self.a, &partition));
-        let stats = plan.comm_stats();
-        let (operator, telemetry) = if self.telemetry {
-            let sink = Arc::new(TelemetrySink::new(partition.k));
-            let label =
-                self.strategy.map(|(s, _)| s.to_string()).unwrap_or_else(|| "explicit".to_string());
-            let quality = PartitionQuality::measure_plan(self.a, &partition, kind, &plan, label);
-            let op = self.backend.build_cfg(
-                &plan,
-                self.batch_width,
-                self.kernel_format,
-                self.kernel_isa,
-                Some(Arc::clone(&sink)),
-            );
-            (op, Some((sink, quality)))
-        } else {
-            let op = self.backend.build_cfg(
-                &plan,
-                self.batch_width,
-                self.kernel_format,
-                self.kernel_isa,
-                None,
-            );
-            (op, None)
-        };
-        Session {
-            plan,
-            operator,
-            stats,
-            partition,
-            strategy: self.strategy.map(|(s, _)| s),
-            kind,
-            backend: self.backend,
-            kernel_format: self.kernel_format,
-            kernel_isa: self.kernel_isa,
-            batch_width: self.batch_width,
-            fingerprint: self.a.fingerprint(),
-            telemetry,
-        }
+        let (a, backend, batch_width, telemetry) =
+            (self.a, self.backend, self.batch_width, self.telemetry);
+        let prepared = self.prepare();
+        let telemetry = telemetry.then(|| {
+            let Prepared { partition, strategy, kind, plan, .. } = &prepared;
+            let label = strategy.map_or_else(|| "explicit".to_string(), |s| s.to_string());
+            let quality = PartitionQuality::measure_plan(a, partition, *kind, plan, label);
+            (Arc::new(TelemetrySink::new(partition.k)), quality)
+        });
+        prepared.stamp(backend, batch_width, telemetry)
     }
 }
 
@@ -247,7 +216,7 @@ pub struct Prepared {
     strategy: Option<Strategy>,
     kind: PlanKind,
     plan: Arc<SpmvPlan>,
-    compiled: CompiledPlan,
+    compiled: Arc<CompiledPlan>,
     kernel_format: KernelFormat,
     kernel_isa: KernelIsa,
 }
@@ -286,8 +255,9 @@ impl Prepared {
 
     /// The compiled artifact itself — e.g. to read its
     /// [`kernel_stats`](CompiledPlan::kernel_stats) when shortlisting
-    /// kernel formats, or its op count for [`Backend::auto`].
-    pub fn compiled(&self) -> &CompiledPlan {
+    /// kernel formats, or its op count for [`Backend::auto`]. Shared,
+    /// not copied, by every session stamped from this preparation.
+    pub fn compiled(&self) -> &Arc<CompiledPlan> {
         &self.compiled
     }
 
@@ -296,16 +266,7 @@ impl Prepared {
     /// configuration search: partitioning and plan construction (the
     /// expensive steps) are reused; only kernel compilation runs again.
     pub fn with_format(&self, format: KernelFormat) -> Prepared {
-        Prepared {
-            fingerprint: self.fingerprint,
-            partition: self.partition.clone(),
-            strategy: self.strategy,
-            kind: self.kind,
-            plan: Arc::clone(&self.plan),
-            compiled: CompiledPlan::compile_with_isa(&self.plan, format, self.kernel_isa),
-            kernel_format: format,
-            kernel_isa: self.kernel_isa,
-        }
+        self.recompiled(format, self.kernel_isa)
     }
 
     /// Like [`Prepared::with_format`], but re-lowering to the same
@@ -313,14 +274,18 @@ impl Prepared {
     /// a configuration search (results are bitwise identical across
     /// ISAs, so only timing differs).
     pub fn with_isa(&self, isa: KernelIsa) -> Prepared {
+        self.recompiled(self.kernel_format, isa)
+    }
+
+    fn recompiled(&self, format: KernelFormat, isa: KernelIsa) -> Prepared {
         Prepared {
             fingerprint: self.fingerprint,
             partition: self.partition.clone(),
             strategy: self.strategy,
             kind: self.kind,
             plan: Arc::clone(&self.plan),
-            compiled: CompiledPlan::compile_with_isa(&self.plan, self.kernel_format, isa),
-            kernel_format: self.kernel_format,
+            compiled: Arc::new(CompiledPlan::compile_with_isa(&self.plan, format, isa)),
+            kernel_format: format,
             kernel_isa: isa,
         }
     }
@@ -331,11 +296,19 @@ impl Prepared {
     /// call yields an independent session, so concurrent workers can
     /// each hold one over the same `Prepared`.
     pub fn session(&self, backend: Backend, batch_width: usize) -> Session {
-        assert!(batch_width >= 1, "batch width must be at least 1");
-        let operator = backend.build_from_compiled(&self.plan, &self.compiled, batch_width);
+        self.stamp(backend, batch_width, None)
+    }
+
+    fn stamp(
+        &self,
+        backend: Backend,
+        batch_width: usize,
+        telemetry: Option<(Arc<TelemetrySink>, PartitionQuality)>,
+    ) -> Session {
+        let sink = telemetry.as_ref().map(|(sink, _)| Arc::clone(sink));
         Session {
             plan: Arc::clone(&self.plan),
-            operator,
+            operator: backend.build(&self.plan, &self.compiled, batch_width, sink),
             stats: self.plan.comm_stats(),
             partition: self.partition.clone(),
             strategy: self.strategy,
@@ -345,7 +318,7 @@ impl Prepared {
             kernel_isa: self.kernel_isa,
             batch_width,
             fingerprint: self.fingerprint,
-            telemetry: None,
+            telemetry,
         }
     }
 }

@@ -26,6 +26,17 @@ fn assert_close(got: &[f64], want: &[f64], ctx: &str) {
     }
 }
 
+/// One multiply on the compiled plan with real message passing: one
+/// OS thread per rank over the runtime's endpoints.
+fn execute_threaded(plan: &SpmvPlan, x: &[f64]) -> Vec<f64> {
+    use s2d::engine::{CompiledPlan, EndpointOperator};
+    use s2d::SpmvOperator;
+    let chaos = s2d::runtime::ChaosConfig::off();
+    let mut y = vec![0.0; plan.nrows];
+    EndpointOperator::new(CompiledPlan::compile(plan), chaos, None).apply(x, &mut y);
+    y
+}
+
 /// Runs every SpMV algorithm legal for the partition and compares against
 /// the serial reference.
 fn check_all_executors(a: &Csr, p: &s2d::core::SpmvPartition, ctx: &str) {
@@ -38,11 +49,11 @@ fn check_all_executors(a: &Csr, p: &s2d::core::SpmvPartition, ctx: &str) {
     if p.is_s2d(a) {
         let single = SpmvPlan::single_phase(a, p);
         assert_close(&single.execute_mailbox(&x), &want, &format!("{ctx}/single/mailbox"));
-        assert_close(&single.execute_threaded(&x), &want, &format!("{ctx}/single/threaded"));
+        assert_close(&execute_threaded(&single, &x), &want, &format!("{ctx}/single/threaded"));
 
         let mesh = SpmvPlan::mesh_default(a, p);
         assert_close(&mesh.execute_mailbox(&x), &want, &format!("{ctx}/mesh/mailbox"));
-        assert_close(&mesh.execute_threaded(&x), &want, &format!("{ctx}/mesh/threaded"));
+        assert_close(&execute_threaded(&mesh, &x), &want, &format!("{ctx}/mesh/threaded"));
     }
 }
 
@@ -136,7 +147,7 @@ fn batched_pipeline_matches_r_independent_serial_spmvs() {
     // pipeline: Y = A·X for an r-column X must equal r independent
     // serial SpMVs, on both the sequential workspace executor and the
     // worker pool, for specialized (2, 8) and generic (3) widths.
-    use s2d::engine::{CompiledPlan, ParallelEngine};
+    use s2d::engine::{CompiledPlan, ParallelEngine, PoolOptions};
     let k = 8;
     for spec in suite_a().into_iter().take(2) {
         let a = spec.generate(Scale::Tiny, 19);
@@ -161,7 +172,10 @@ fn batched_pipeline_matches_r_independent_serial_spmvs() {
             let mut ws = cp.workspace_batch(r);
             let mut y_seq = vec![0.0; a.nrows() * r];
             cp.execute_batch(&mut ws, &x, &mut y_seq, r);
-            let mut pool = ParallelEngine::new_batch(cp.clone(), r);
+            let mut pool = ParallelEngine::with_options(
+                cp.clone(),
+                PoolOptions { width: r, ..PoolOptions::default() },
+            );
             let mut y_pool = vec![0.0; a.nrows() * r];
             pool.execute_batch(&x, &mut y_pool, r);
             for q in 0..r {
@@ -191,8 +205,8 @@ fn repeated_spmv_is_stateless() {
     let y1 = plan.execute_mailbox(&x);
     let y2 = plan.execute_mailbox(&x);
     assert_eq!(y1, y2);
-    let y3 = plan.execute_threaded(&x);
-    assert_close(&y3, &y1, "threaded repeat");
+    // The endpoint walker keeps the oracle's accumulation order.
+    assert_eq!(execute_threaded(&plan, &x), y1, "threaded repeat");
 }
 
 #[test]
