@@ -675,10 +675,7 @@ fn cmd_spmv(args: &Args) {
         if let Some(madds) = loads {
             // The pool path: per-worker planned multiply-adds under the
             // fixed chunk→worker map (planned == achieved).
-            report = report.with_workers(s2d_obs::WorkerLoadReport::new(
-                s2d_engine::PoolSchedule::default().label(),
-                madds,
-            ));
+            report = report.with_workers(s2d_obs::WorkerLoadReport::new("nnz-chunked", madds));
         }
         print!("{}", report.render());
     }

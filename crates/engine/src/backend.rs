@@ -4,26 +4,30 @@
 //! The workspace executes a plan in exactly two ways: the mailbox
 //! **oracle** (`s2d-spmv`'s deliberately naive interpreter, kept as the
 //! semantic reference every other path is differentially held to) and
-//! the **compiled rank programs** of one [`CompiledPlan`], walked by
-//! one of three drivers. [`Backend::build`] puts all four behind a
-//! boxed [`SpmvOperator`]; consumers (solvers, the CLI, benches, the
-//! differential and conformance harnesses) select a backend by value or
-//! by name and stay otherwise backend-agnostic.
+//! the **compiled rank programs** of one [`CompiledPlan`]. Those are
+//! executed by one phase-walk body under two transports (in place,
+//! pool — see the `exec` module) plus the endpoint walker.
+//! [`Backend::build`] puts all four behind a boxed [`SpmvOperator`];
+//! consumers (solvers, the CLI, benches, the differential and
+//! conformance harnesses) select a backend by value or by name and
+//! stay otherwise backend-agnostic.
 //!
 //! # Choosing a backend
 //!
 //! * [`Backend::Mailbox`] — the oracle: deterministic sequential
 //!   interpretation of the uncompiled plan. Slowest by far (hash maps
 //!   everywhere); never a fast path.
-//! * [`Backend::CompiledSeq`] — the compiled programs walked **in
-//!   place** on a sequential [`Workspace`]. Zero allocation per
+//! * [`Backend::CompiledSeq`] — the phase-walk body over the **in
+//!   place** transport: one thread, all ranks, a [`Workspace`] of plain
+//!   vectors, no barrier and no atomic anywhere. Zero allocation per
 //!   iteration; the fastest choice whenever one iteration costs less
 //!   than ~1 ms (pool barrier overhead dominates below that) and the
 //!   right baseline for kernel work.
-//! * [`Backend::CompiledPool`] — the same programs on the persistent
-//!   worker **pool**. Wins on matrices big enough that one iteration
-//!   costs ≳ 1 ms; `threads = 0` sizes the pool to
-//!   `min(K, available CPUs)`.
+//! * [`Backend::CompiledPool`] — the same body over the **pool**
+//!   transport: each persistent worker runs it for its rank range and
+//!   its NNZ-balanced chunk bucket, with a barrier at every handoff.
+//!   Wins on matrices big enough that one iteration costs ≳ 1 ms;
+//!   `threads = 0` sizes the pool to `min(K, available CPUs)`.
 //! * [`Backend::Threaded`] — the same programs over message-passing
 //!   **endpoints**, one OS thread per rank ([`EndpointOperator`]).
 //!   Spawns its threads per call: the distributed-execution shape
@@ -31,11 +35,11 @@
 //!   walker) and the concurrent validation of a plan's message
 //!   structure, not a fast path.
 //!
-//! All three compiled drivers apply receives in the compiled `recvs`
-//! order, so they agree **bitwise** with each other on the same
-//! compiled plan — and, with the default CSR-slice kernels, with the
-//! oracle. Plan errors surface when the plan is compiled, never inside
-//! an `apply`.
+//! Body and endpoint walker apply receives in the compiled `recvs`
+//! order through the same staging pair, so all three compiled backends
+//! agree **bitwise** with each other on the same compiled plan — and,
+//! with the default CSR-slice kernels, with the oracle. Plan errors
+//! surface when the plan is compiled, never inside an `apply`.
 //!
 //! Undecided? [`Backend::auto`] applies the seq-vs-pool crossover rule
 //! to a compiled plan (`--engine auto` on the CLI). Kernel format and

@@ -22,7 +22,7 @@
 //!
 //! All "processor lacks `x[j]`" conditions the interpreter detects at run
 //! time are detected here at compile time, once — the execution paths
-//! (all three drivers of the compiled programs) contain no fallible
+//! (the phase-walk body and the endpoint walker) contain no fallible
 //! lookups at all.
 //!
 //! # Kernel formats
@@ -40,10 +40,6 @@ use std::collections::HashMap;
 use s2d_spmv::{MsgSpec, PlanPhase, SpmvPlan};
 
 use crate::formats::{CsrKernel, Kernel, KernelFormat, KernelIsa, KernelStats};
-
-/// Local-slot sentinel: "this global row never materializes on its
-/// owner" (the assembled result is 0 there, matching the interpreter).
-pub const NO_SLOT: u32 = u32::MAX;
 
 /// One [`MsgSpec`] lowered to local index lists.
 ///
@@ -101,12 +97,16 @@ pub struct RankProgram {
     /// `(global row, local slot)` pairs this rank contributes to the
     /// assembled output (rows it owns and actually materializes).
     pub y_emit: Vec<(u32, u32)>,
+    /// Global rows this rank owns that never materialize (no multiply
+    /// and no received partial touches them): emitted as 0.0, matching
+    /// the interpreter.
+    pub y_zero: Vec<u32>,
     /// One step per plan phase, in plan order.
     pub steps: Vec<RankStep>,
 }
 
 /// A fully compiled plan: per-rank programs plus the shared layout
-/// needed to execute them (staging sizes, output assembly map).
+/// needed to execute them (staging sizes, row ownership).
 #[derive(Clone, Debug)]
 pub struct CompiledPlan {
     /// Number of virtual processors.
@@ -121,9 +121,6 @@ pub struct CompiledPlan {
     pub staging_words: Vec<usize>,
     /// Owner rank of every output row (copied from the plan).
     pub y_part: Vec<u32>,
-    /// Owner-local `y` slot of every output row, or [`NO_SLOT`] for
-    /// rows no rank materializes (assembled as 0.0).
-    pub y_slot: Vec<u32>,
     /// The [`KernelFormat`] the plan was compiled with (the *policy* —
     /// under [`KernelFormat::Auto`] individual kernels record their own
     /// concrete choice, see [`Kernel::format`]).
@@ -282,21 +279,21 @@ impl CompiledPlan {
             }
         }
 
-        // Output assembly: each row reads its owner's local slot
-        // (NO_SLOT rows assemble to 0).
-        let mut y_slot = vec![NO_SLOT; plan.nrows];
-        for i in 0..plan.nrows {
-            let owner = plan.y_part[i] as usize;
-            if let Some(&slot) = states[owner].ymap.get(&(i as u32)) {
-                y_slot[i] = slot;
+        // Output emit: each row copies out of its owner's local slot;
+        // rows the owner never materializes are emitted as 0.
+        let mut y_zero: Vec<Vec<u32>> = vec![Vec::new(); k];
+        for (i, &owner) in plan.y_part.iter().enumerate() {
+            if !states[owner as usize].ymap.contains_key(&(i as u32)) {
+                y_zero[owner as usize].push(i as u32);
             }
         }
 
         let ranks = states
             .into_iter()
             .zip(programs)
+            .zip(y_zero)
             .enumerate()
-            .map(|(r, (st, steps))| {
+            .map(|(r, ((st, steps), y_zero))| {
                 let mut y_emit: Vec<(u32, u32)> = st
                     .ymap
                     .iter()
@@ -309,6 +306,7 @@ impl CompiledPlan {
                     ny: st.ymap.len(),
                     x_seed: st.x_seed,
                     y_emit,
+                    y_zero,
                     steps,
                 }
             })
@@ -321,7 +319,6 @@ impl CompiledPlan {
             ranks,
             staging_words,
             y_part: plan.y_part.clone(),
-            y_slot,
             format,
             isa,
             stats,

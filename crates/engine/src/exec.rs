@@ -1,11 +1,33 @@
-//! Sequential execution of a [`CompiledPlan`] over a reusable
-//! [`Workspace`].
+//! The phase-walk body every shared-memory driver runs, the
+//! `Transport` seam it runs over, and the in-place transport over a
+//! reusable [`Workspace`].
 //!
-//! The workspace owns every buffer an iteration touches — per-rank
-//! local `x`/`y` arrays and one staging buffer per communication phase
-//! — so the iteration loop performs **zero heap allocation**: seeding,
-//! kernels, staged copies and output assembly all write into memory
-//! allocated once per (plan, workspace) pair.
+//! One iteration of a [`CompiledPlan`] is written **once**, in
+//! `phase_walk`: seed owned `x` and clear `y` → per phase, run compute
+//! chunks or stage sends / apply receives in the compiled `recvs` order
+//! → emit owned rows → optionally re-seed for chained iterations. What
+//! differs between drivers is only *whose* ranks and chunks a
+//! participant runs, how a buffer range is reached and who waits at a
+//! barrier — that is the crate-private `Transport` trait, with exactly
+//! two implementations:
+//!
+//! * `InPlace` (here): one participant owning all `K` ranks over the
+//!   plain `Vec<f64>` buffers of a `&mut Workspace`, every kernel run
+//!   whole in rank order, and a `sync` that is a literal `false` — so
+//!   barriers, atomics and barrier-wait spans const-fold out of the
+//!   sequential path;
+//! * the pool worker (`pool.rs`): a contiguous rank range, a baked
+//!   chunk bucket, range views over shared buffers, a spin barrier.
+//!
+//! The endpoint walker ([`RankProgram::spmv_over`](crate::RankProgram))
+//! is the only other place compiled steps execute; it shares
+//! `stage_send` / `apply_recv` with the body.
+//!
+//! The workspace owns every buffer an in-place iteration touches —
+//! per-rank local `x`/`y` arrays and one staging buffer per
+//! communication phase — so the iteration loop performs **zero heap
+//! allocation**: seeding, kernels, staged copies and the emit all write
+//! into memory allocated once per (plan, workspace) pair.
 //!
 //! # Batched (multi-RHS) layout
 //!
@@ -26,12 +48,14 @@
 //! [`KernelFormat`](crate::formats::KernelFormat): padded layouts
 //! (SELL chunk fill, whole padding lanes) live inside the kernel's own
 //! value/column arrays and reference existing local slots, so seeding,
-//! scatter and assembly are format-oblivious — one workspace executes
+//! scatter and the emit are format-oblivious — one workspace executes
 //! the same plan compiled to any format.
+
+use std::ops::Range;
 
 use s2d_obs::Phase;
 
-use crate::compile::{CompiledMsg, CompiledPlan, RankStep, NO_SLOT};
+use crate::compile::{CompiledMsg, CompiledPlan, RankStep};
 use crate::telemetry::{call_end, span_end, span_start, ExecTelemetry};
 
 /// Preallocated buffers for executing one [`CompiledPlan`] at batch
@@ -49,7 +73,7 @@ pub struct Workspace {
     pub(crate) y: Vec<Vec<f64>>,
     /// One staging buffer per communication phase (`words × width`).
     pub(crate) staging: Vec<Vec<f64>>,
-    /// Assembled-output carrier for chained iterations.
+    /// Emitted-output carrier for chained iterations.
     pub(crate) carrier: Vec<f64>,
 }
 
@@ -75,6 +99,112 @@ impl Workspace {
     /// The batch capacity this workspace was allocated for.
     pub fn width(&self) -> usize {
         self.width
+    }
+}
+
+/// A buffer the body takes per-message or per-row sub-ranges of: a
+/// plain slice in place, the pool's shared buffer on a worker.
+pub(crate) trait Region {
+    /// Words `lo..lo + len`, exclusively; panics when out of bounds.
+    fn region_mut(&mut self, lo: usize, len: usize) -> &mut [f64];
+}
+
+impl Region for &mut [f64] {
+    #[inline(always)]
+    fn region_mut(&mut self, lo: usize, len: usize) -> &mut [f64] {
+        &mut self[lo..lo + len]
+    }
+}
+
+/// What the phase-walk body needs from the memory it runs over: which
+/// ranks and compute chunks this participant runs, views of the buffers
+/// one step touches, and the barrier between steps. Every view method
+/// returns all the buffers of one rank's step at once, so the body
+/// holds them side by side (and in registers across the step's inner
+/// loop) without re-borrowing the transport. Rank-local `x` / `y` views
+/// cover at least the first `nx × r` / `ny × r` words.
+pub(crate) trait Transport {
+    /// A buffer shared between ranks: a comm phase's staging buffer,
+    /// the block an iteration emits into.
+    type Buf<'a>: Region
+    where
+        Self: 'a;
+
+    /// The ranks this participant seeds, stages, applies and emits for.
+    fn ranks(&self) -> Range<usize>;
+
+    /// Barrier among the participants, recorded as a barrier-wait span
+    /// when `obs` is attached. `true` means a peer died: the caller
+    /// must return without touching any buffer again.
+    fn sync(&mut self, obs: Option<&ExecTelemetry>) -> bool;
+
+    /// Seeding view of owned rank `rk`: the global block to seed from
+    /// (the job input on the `first` iteration, the emitted block of
+    /// the previous iteration after), then the rank's `x` and `y`.
+    fn seed(&mut self, rk: usize, first: bool) -> (&[f64], &mut [f64], &mut [f64]);
+
+    /// The `i`-th compute chunk of phase `p` this participant runs, or
+    /// `None` past the last: its rank, its kernel-unit range (the body
+    /// clamps the end to the kernel's unit count, so `0..usize::MAX` is
+    /// the whole kernel), the rank's `x` and the `y` its units write.
+    fn chunk(&mut self, p: usize, i: usize) -> Option<(usize, Range<usize>, &[f64], &mut [f64])>;
+
+    /// Comm view of owned rank `rk`, for staging its sends or applying
+    /// its receives: its `x`, its `y`, and comm phase `ph`'s staging
+    /// buffer, of which each message has its own region.
+    fn comm(&mut self, rk: usize, ph: usize) -> (&mut [f64], &mut [f64], Self::Buf<'_>);
+
+    /// Emit view of owned rank `rk`: its `y`, and the block this
+    /// iteration emits its owned rows into (`last` = the job's final
+    /// iteration).
+    fn emit(&mut self, rk: usize, last: bool) -> (&[f64], Self::Buf<'_>);
+}
+
+/// The in-place transport: one participant, all ranks, plain vectors.
+/// Non-final iterations emit into the workspace carrier, the final one
+/// straight into the caller's `y`.
+struct InPlace<'a> {
+    ws: &'a mut Workspace,
+    x: &'a [f64],
+    y: &'a mut [f64],
+}
+
+impl Transport for InPlace<'_> {
+    type Buf<'a>
+        = &'a mut [f64]
+    where
+        Self: 'a;
+
+    #[inline(always)]
+    fn ranks(&self) -> Range<usize> {
+        0..self.ws.x.len()
+    }
+
+    #[inline(always)]
+    fn sync(&mut self, _obs: Option<&ExecTelemetry>) -> bool {
+        false
+    }
+
+    #[inline(always)]
+    fn seed(&mut self, rk: usize, first: bool) -> (&[f64], &mut [f64], &mut [f64]) {
+        let src = if first { self.x } else { &self.ws.carrier };
+        (src, &mut self.ws.x[rk], &mut self.ws.y[rk])
+    }
+
+    #[inline(always)]
+    fn chunk(&mut self, _p: usize, i: usize) -> Option<(usize, Range<usize>, &[f64], &mut [f64])> {
+        let ws = &mut *self.ws;
+        (i < ws.x.len()).then(|| (i, 0..usize::MAX, &ws.x[i][..], &mut ws.y[i][..]))
+    }
+
+    #[inline(always)]
+    fn comm(&mut self, rk: usize, ph: usize) -> (&mut [f64], &mut [f64], &mut [f64]) {
+        (&mut self.ws.x[rk], &mut self.ws.y[rk], &mut self.ws.staging[ph])
+    }
+
+    #[inline(always)]
+    fn emit(&mut self, rk: usize, last: bool) -> (&[f64], &mut [f64]) {
+        (&self.ws.y[rk], if last { &mut *self.y } else { &mut self.ws.carrier })
     }
 }
 
@@ -116,111 +246,10 @@ impl CompiledPlan {
         self.execute_batch_iters(ws, x, y, r, 1);
     }
 
-    /// Seeds owned `x` entries and resets the partial sums.
-    // manual_memcpy: the `0..r` element loops are deliberate — `r` is
-    // const-folded by the `pass::<R>` instantiations, while
-    // `copy_from_slice` on a runtime-length region lowers to a per-call
-    // `memcpy` (measured ~25% slower per iteration at r = 1).
-    #[allow(clippy::manual_memcpy)]
-    #[inline(always)]
-    fn seed_rank(&self, ws: &mut Workspace, x: &[f64], r: usize, rk: usize) {
-        let rp = &self.ranks[rk];
-        debug_assert_eq!(ws.x[rk].len(), rp.nx * ws.width, "workspace belongs to a different plan");
-        let xloc = &mut ws.x[rk];
-        // Element loops, not `copy_from_slice`: the region length
-        // `r` is a runtime value, so slice copies lower to per-call
-        // `memcpy` — measurably slower at the common small widths.
-        for &(g, slot) in &rp.x_seed {
-            let (src, dst) = (g as usize * r, slot as usize * r);
-            for q in 0..r {
-                xloc[dst + q] = x[src + q];
-            }
-        }
-        ws.y[rk][..rp.ny * r].fill(0.0);
-    }
-
-    #[inline(always)]
-    fn seed(&self, ws: &mut Workspace, x: &[f64], r: usize, obs: Option<&ExecTelemetry>) {
-        for rk in 0..self.ranks.len() {
-            let t = span_start(obs);
-            self.seed_rank(ws, x, r, rk);
-            span_end(obs, rk, Phase::Gather, t);
-        }
-    }
-
-    /// Runs all phases over the workspace buffers.
-    #[inline(always)]
-    fn run_phases(&self, ws: &mut Workspace, r: usize, obs: Option<&ExecTelemetry>) {
-        // Phases in plan order; within a communication phase all sends
-        // stage (and drain) before any receive applies, which is the
-        // simultaneous-exchange semantics.
-        let num_phases = self.ranks.first().map_or(0, |rp| rp.steps.len());
-        for p in 0..num_phases {
-            let mut is_comm = false;
-            for (rk, rp) in self.ranks.iter().enumerate() {
-                let t = span_start(obs);
-                match &rp.steps[p] {
-                    RankStep::Compute(kernel) => {
-                        kernel.run_batch(&ws.x[rk], &mut ws.y[rk], r);
-                        span_end(obs, rk, Phase::Compute, t);
-                    }
-                    RankStep::Comm { phase, sends, .. } => {
-                        is_comm = true;
-                        let staging = &mut ws.staging[*phase as usize];
-                        for m in sends {
-                            let base = m.offset as usize * r;
-                            stage_send(m, &ws.x[rk], &mut ws.y[rk], staging, base, r);
-                        }
-                        span_end(obs, rk, Phase::Gather, t);
-                    }
-                }
-            }
-            if is_comm {
-                for (rk, rp) in self.ranks.iter().enumerate() {
-                    if let RankStep::Comm { phase, recvs, .. } = &rp.steps[p] {
-                        let t = span_start(obs);
-                        let staging = &ws.staging[*phase as usize];
-                        for m in recvs {
-                            let base = m.offset as usize * r;
-                            apply_recv(m, &mut ws.x[rk], &mut ws.y[rk], staging, base, r);
-                        }
-                        span_end(obs, rk, Phase::Scatter, t);
-                    }
-                }
-            }
-        }
-        if let Some(o) = obs {
-            for rk in 0..self.ranks.len() {
-                o.bump_iter(rk, r);
-            }
-        }
-    }
-
-    /// Assembles the output from each row's owner slot.
-    #[allow(clippy::manual_memcpy)] // see `seed`
-    #[inline(always)]
-    fn assemble(&self, ws: &Workspace, y: &mut [f64], r: usize) {
-        for i in 0..self.nrows {
-            let slot = self.y_slot[i];
-            let dst = i * r;
-            if slot == NO_SLOT {
-                for q in 0..r {
-                    y[dst + q] = 0.0;
-                }
-            } else {
-                let yloc = &ws.y[self.y_part[i] as usize];
-                let src = slot as usize * r;
-                for q in 0..r {
-                    y[dst + q] = yloc[src + q];
-                }
-            }
-        }
-    }
-
     /// `iters` chained applications: `y = A^iters · x` (power-iteration
     /// shape, no normalization). Requires a square plan for `iters > 1`.
     ///
-    /// The workspace's carrier buffer ferries the assembled vector
+    /// The workspace's carrier buffer ferries the emitted vector
     /// between iterations; zero allocation beyond the workspace.
     pub fn execute_iters(&self, ws: &mut Workspace, x: &[f64], y: &mut [f64], iters: usize) {
         self.execute_batch_iters(ws, x, y, 1, iters);
@@ -255,23 +284,7 @@ impl CompiledPlan {
     ) {
         self.check_batch(ws, x, y, r, iters);
         let t = span_start(obs);
-        // Monomorphize the common widths, with telemetry off and on:
-        // `pass_impl` is `inline(always)` all the way down, so a
-        // constant `r` const-folds the `0..r` block loops in seed /
-        // staging / assembly into straight-line code (at r = 1, exactly
-        // the pre-batching scalar executor), and a constant `None`
-        // folds every span away.
-        match (r, obs.is_some()) {
-            (1, false) => self.pass::<1, false>(ws, x, y, iters, obs),
-            (2, false) => self.pass::<2, false>(ws, x, y, iters, obs),
-            (4, false) => self.pass::<4, false>(ws, x, y, iters, obs),
-            (8, false) => self.pass::<8, false>(ws, x, y, iters, obs),
-            (1, true) => self.pass::<1, true>(ws, x, y, iters, obs),
-            (2, true) => self.pass::<2, true>(ws, x, y, iters, obs),
-            (4, true) => self.pass::<4, true>(ws, x, y, iters, obs),
-            (8, true) => self.pass::<8, true>(ws, x, y, iters, obs),
-            _ => self.pass_impl(ws, x, y, r, iters, obs),
-        }
+        walk(self, &mut InPlace { ws, x, y }, r, iters, obs);
         call_end(obs, t, iters);
     }
 
@@ -281,111 +294,207 @@ impl CompiledPlan {
         assert_eq!(x.len(), self.ncols * r, "input length mismatch");
         assert_eq!(y.len(), self.nrows * r, "output length mismatch");
         assert_eq!(ws.x.len(), self.k, "workspace belongs to a different plan");
+        debug_assert!(
+            self.ranks.iter().zip(&ws.x).all(|(rp, x)| x.len() == rp.nx * ws.width),
+            "workspace belongs to a different plan"
+        );
         assert!(ws.width >= r, "workspace width {} cannot hold a batch of {r}", ws.width);
         if iters > 1 {
             assert_eq!(self.nrows, self.ncols, "chained SpMV needs a square plan");
         }
     }
+}
 
-    /// Fixed-width instantiation of the iteration pass; `OBS = false`
-    /// hands `pass_impl` a literal `None`.
-    fn pass<const R: usize, const OBS: bool>(
-        &self,
-        ws: &mut Workspace,
-        x: &[f64],
-        y: &mut [f64],
-        iters: usize,
-        obs: Option<&ExecTelemetry>,
-    ) {
-        self.pass_impl(ws, x, y, R, iters, if OBS { obs } else { None });
-    }
-
-    /// The one pass body; callers provide `r` and `obs` as literal
-    /// constants (via [`CompiledPlan::pass`]) or as runtime values.
-    /// Whole-output assembly is recorded under rank 0.
-    #[inline(always)]
-    fn pass_impl(
-        &self,
-        ws: &mut Workspace,
-        x: &[f64],
-        y: &mut [f64],
-        r: usize,
-        iters: usize,
-        obs: Option<&ExecTelemetry>,
-    ) {
-        let mut carrier = std::mem::take(&mut ws.carrier);
-        self.seed(ws, x, r, obs);
-        self.run_phases(ws, r, obs);
-        for _ in 1..iters {
-            let t = span_start(obs);
-            self.assemble(ws, &mut carrier[..self.nrows * r], r);
-            span_end(obs, 0, Phase::Scatter, t);
-            self.seed(ws, &carrier[..self.nrows * r], r, obs);
-            self.run_phases(ws, r, obs);
-        }
-        let t = span_start(obs);
-        self.assemble(ws, y, r);
-        span_end(obs, 0, Phase::Scatter, t);
-        ws.carrier = carrier;
+/// Runs `iters` chained iterations of `plan` at batch width `r` as the
+/// participant `t`. Monomorphizes the common widths, with telemetry off
+/// and on: `phase_walk` is `inline(always)` all the way down, so a
+/// constant `r` const-folds the `0..r` block loops in seeding, staging
+/// and the emit into straight-line code (at r = 1, exactly a scalar
+/// executor), and a constant `None` folds every span away.
+pub(crate) fn walk<T: Transport>(
+    plan: &CompiledPlan,
+    t: &mut T,
+    r: usize,
+    iters: usize,
+    obs: Option<&ExecTelemetry>,
+) {
+    match r {
+        1 => walk_fixed::<T, 1>(plan, t, iters, obs),
+        2 => walk_fixed::<T, 2>(plan, t, iters, obs),
+        4 => walk_fixed::<T, 4>(plan, t, iters, obs),
+        8 => walk_fixed::<T, 8>(plan, t, iters, obs),
+        _ => phase_walk(plan, t, r, iters, obs),
     }
 }
 
-/// Copies a send's `x` gather and `y` drain into the message's region
-/// of `staging`, starting at word `base` (`r` consecutive words per
-/// listed slot). The in-place executor passes the phase staging buffer
-/// and `m.offset * r`; the endpoint walker a per-message payload and 0.
-#[allow(clippy::manual_memcpy)] // see `CompiledPlan::seed`
-#[inline(always)]
-pub(crate) fn stage_send(
-    m: &CompiledMsg,
-    x: &[f64],
-    y: &mut [f64],
-    staging: &mut [f64],
-    base: usize,
-    r: usize,
+/// Fixed-width instantiations of the body, one per telemetry state (the
+/// off one gets a literal `None`).
+fn walk_fixed<T: Transport, const R: usize>(
+    plan: &CompiledPlan,
+    t: &mut T,
+    iters: usize,
+    obs: Option<&ExecTelemetry>,
 ) {
-    let mut w = base;
+    match obs {
+        Some(_) => phase_walk(plan, t, R, iters, obs),
+        None => phase_walk(plan, t, R, iters, None),
+    }
+}
+
+/// The one phase-walk body: participant `t`'s share of `iters` chained
+/// iterations. Within a communication phase all sends stage (and
+/// drain) before any receive applies — the simultaneous-exchange
+/// semantics — and every handoff between participants crosses
+/// `t.sync`: seed → compute (chunks read `x` and write `y` other
+/// participants seeded), compute → stage, stage → apply, apply → the
+/// next writer of the staging buffer, emit → re-seed.
+// manual_memcpy: the `0..r` element loops are deliberate — `r` is
+// const-folded by the `walk_fixed::<R>` instantiations, while
+// `copy_from_slice` on a runtime-length region lowers to a per-call
+// `memcpy` (measured ~25% slower per iteration at r = 1).
+#[allow(clippy::manual_memcpy)]
+#[inline(always)]
+fn phase_walk<T: Transport>(
+    plan: &CompiledPlan,
+    t: &mut T,
+    r: usize,
+    iters: usize,
+    obs: Option<&ExecTelemetry>,
+) {
+    let my = t.ranks();
+    let num_phases = plan.ranks.first().map_or(0, |rp| rp.steps.len());
+    for it in 0..iters {
+        for rk in my.clone() {
+            let ts = span_start(obs);
+            let rp = &plan.ranks[rk];
+            let (src, x, y) = t.seed(rk, it == 0);
+            for &(g, slot) in &rp.x_seed {
+                let (s, d) = (g as usize * r, slot as usize * r);
+                for q in 0..r {
+                    x[d + q] = src[s + q];
+                }
+            }
+            y[..rp.ny * r].fill(0.0);
+            span_end(obs, rk, Phase::Gather, ts);
+        }
+        if t.sync(obs) {
+            return;
+        }
+        for p in 0..num_phases {
+            // Step kinds agree across ranks at a phase index.
+            if matches!(plan.ranks[my.start].steps[p], RankStep::Compute(_)) {
+                let mut i = 0;
+                while let Some((rk, units, x, y)) = t.chunk(p, i) {
+                    let ts = span_start(obs);
+                    if let RankStep::Compute(kernel) = &plan.ranks[rk].steps[p] {
+                        kernel.run_batch_range(x, y, r, units.start, units.end.min(kernel.units()));
+                    }
+                    span_end(obs, rk, Phase::Compute, ts);
+                    i += 1;
+                }
+                if t.sync(obs) {
+                    return;
+                }
+                continue;
+            }
+            for rk in my.clone() {
+                if let RankStep::Comm { phase, sends, .. } = &plan.ranks[rk].steps[p] {
+                    let ts = span_start(obs);
+                    let (x, y, mut staging) = t.comm(rk, *phase as usize);
+                    for m in sends {
+                        let region = staging.region_mut(m.offset as usize * r, m.words() * r);
+                        stage_send(m, x, y, region, r);
+                    }
+                    span_end(obs, rk, Phase::Gather, ts);
+                }
+            }
+            if t.sync(obs) {
+                return;
+            }
+            for rk in my.clone() {
+                if let RankStep::Comm { phase, recvs, .. } = &plan.ranks[rk].steps[p] {
+                    let ts = span_start(obs);
+                    let (x, y, mut staging) = t.comm(rk, *phase as usize);
+                    for m in recvs {
+                        let region = staging.region_mut(m.offset as usize * r, m.words() * r);
+                        apply_recv(m, x, y, region, r);
+                    }
+                    span_end(obs, rk, Phase::Scatter, ts);
+                }
+            }
+            if t.sync(obs) {
+                return;
+            }
+        }
+        // Owned rows that materialize copy out of `y`; owned rows that
+        // never do are written as 0.0 at this job's stride (a previous
+        // job of another width may have left stale words there).
+        let last = it + 1 == iters;
+        for rk in my.clone() {
+            let ts = span_start(obs);
+            let rp = &plan.ranks[rk];
+            let (y, mut out) = t.emit(rk, last);
+            for &(g, slot) in &rp.y_emit {
+                let (row, s) = (out.region_mut(g as usize * r, r), slot as usize * r);
+                for q in 0..r {
+                    row[q] = y[s + q];
+                }
+            }
+            for &g in &rp.y_zero {
+                out.region_mut(g as usize * r, r).fill(0.0);
+            }
+            span_end(obs, rk, Phase::Scatter, ts);
+            if let Some(o) = obs {
+                o.bump_iter(rk, r);
+            }
+        }
+        if !last && t.sync(obs) {
+            return;
+        }
+    }
+}
+
+/// Copies a send's `x` gather and `y` drain into `region`, the
+/// message's own staging region or payload (`r` consecutive words per
+/// listed slot).
+#[allow(clippy::manual_memcpy)] // see `phase_walk`
+#[inline(always)]
+pub(crate) fn stage_send(m: &CompiledMsg, x: &[f64], y: &mut [f64], region: &mut [f64], r: usize) {
+    let mut w = 0;
     for &slot in &m.x_idx {
         let s = slot as usize * r;
         for q in 0..r {
-            staging[w + q] = x[s + q];
+            region[w + q] = x[s + q];
         }
         w += r;
     }
     for &slot in &m.y_idx {
         let s = slot as usize * r;
         for q in 0..r {
-            staging[w + q] = y[s + q];
+            region[w + q] = y[s + q];
             y[s + q] = 0.0; // moved, not copied
         }
         w += r;
     }
 }
 
-/// Applies a receive's region of `staging` (see [`stage_send`] for
-/// `base`): overwrite `x`, accumulate `y`.
-#[allow(clippy::manual_memcpy)] // see `CompiledPlan::seed`
+/// Applies a receive's `region` (see [`stage_send`]): overwrite `x`,
+/// accumulate `y`.
+#[allow(clippy::manual_memcpy)] // see `phase_walk`
 #[inline(always)]
-pub(crate) fn apply_recv(
-    m: &CompiledMsg,
-    x: &mut [f64],
-    y: &mut [f64],
-    staging: &[f64],
-    base: usize,
-    r: usize,
-) {
-    let mut w = base;
+pub(crate) fn apply_recv(m: &CompiledMsg, x: &mut [f64], y: &mut [f64], region: &[f64], r: usize) {
+    let mut w = 0;
     for &slot in &m.x_idx {
         let s = slot as usize * r;
         for q in 0..r {
-            x[s + q] = staging[w + q];
+            x[s + q] = region[w + q];
         }
         w += r;
     }
     for &slot in &m.y_idx {
         let s = slot as usize * r;
         for q in 0..r {
-            y[s + q] += staging[w + q];
+            y[s + q] += region[w + q];
         }
         w += r;
     }
@@ -499,6 +608,45 @@ pub(crate) mod tests {
         let mut y = vec![9.0; 3];
         cp.execute(&mut ws, &[2.0, 3.0, 4.0], &mut y);
         assert_eq!(y, vec![2.0, 0.0, 0.0]);
+    }
+
+    #[test]
+    fn mixed_width_jobs_do_not_leak_stale_words() {
+        // Row 1 is empty (never materialized, `y_zero`) and column 1
+        // feeds row 2: a chained job re-seeds x1 from a carrier word
+        // the emit must have zeroed at *this* job's stride — a wider
+        // earlier job left row 0's words there.
+        use crate::pool::{ParallelEngine, PoolOptions};
+        use s2d_core::partition::SpmvPartition;
+        use s2d_sparse::Coo;
+        let mut m = Coo::new(4, 4);
+        m.push(0, 0, 2.0);
+        m.push(2, 1, 3.0);
+        m.push(3, 3, 4.0);
+        m.compress();
+        let a = m.to_csr();
+        let parts = vec![0, 0, 1, 1];
+        let p = SpmvPartition::rowwise(&a, parts.clone(), parts, 2);
+        let cp = CompiledPlan::compile(&SpmvPlan::single_phase(&a, &p));
+        assert_eq!(cp.ranks[0].y_zero, vec![1]);
+        let mut ws = cp.workspace_batch(8);
+        let mut pool = ParallelEngine::with_options(
+            cp.clone(),
+            PoolOptions { threads: 2, width: 8, ..PoolOptions::default() },
+        );
+        for iters in [1usize, 3] {
+            for r in [8usize, 3, 1] {
+                let x = batch_input(4, r, 1);
+                let mut got = vec![9.0; 4 * r];
+                cp.execute_batch_iters(&mut ws, &x, &mut got, r, iters);
+                let mut fresh = vec![9.0; 4 * r];
+                cp.execute_batch_iters(&mut cp.workspace_batch(r), &x, &mut fresh, r, iters);
+                assert_eq!(got, fresh, "r={r} iters={iters}: reused vs fresh workspace");
+                let mut pooled = vec![9.0; 4 * r];
+                pool.execute_batch_iters(&x, &mut pooled, r, iters);
+                assert_eq!(got, pooled, "r={r} iters={iters}: in place vs pool");
+            }
+        }
     }
 
     /// Row-major `n × r` batch whose column `q` is a deterministic

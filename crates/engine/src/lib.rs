@@ -7,19 +7,21 @@
 //! shared-memory SpMV practice: pay a one-time compilation cost per
 //! `(matrix, partition)` pair, then run thousands of iterations over
 //! flat, cache-friendly arrays. One compiled program per rank
-//! ([`RankProgram`]), three drivers that walk it — in place,
-//! on a worker pool, over message-passing endpoints — rather than one
-//! executor per schedule.
+//! ([`RankProgram`]), executed by one phase-walk body under two
+//! transports (in place, worker pool) plus the endpoint walker — rather
+//! than one executor per schedule.
 //!
 //! The pipeline:
 //!
 //! ```text
 //!   SpmvPlan ──CompiledPlan::compile──▶ CompiledPlan (K RankPrograms)
 //!                                          │
-//!            ┌─────────────────────────────┼─────────────────────────────┐
-//!   Workspace + execute             ParallelEngine             RankProgram::spmv_over
-//!   (in place: sequential,        (persistent worker pool,    (s2d-runtime endpoints, one
-//!    zero-alloc iteration loop)    atomic phase barriers)      rank per thread / SPMD solver)
+//!                     ┌────────────────────┴──────────────────┐
+//!           the phase-walk body (exec)               RankProgram::spmv_over
+//!            ┌────────┴──────────┐                  (s2d-runtime endpoints, one
+//!   in-place transport     pool transport            rank per thread / SPMD solver)
+//!   (Workspace + execute:  (ParallelEngine: persistent
+//!    one thread, no sync)   workers, phase barriers)
 //! ```
 //!
 //! * [`compile`] — renumbers every rank's `x`/`y` footprint into dense
@@ -28,16 +30,18 @@
 //! * [`formats`] — the kernel storage formats ([`KernelFormat`]):
 //!   CSR slices, SELL-C-σ sorted chunks, dense-span splits, and the
 //!   per-kernel `auto` selection policy;
-//! * [`exec`] — the sequential executor over a reusable [`Workspace`];
-//! * [`pool`] — the [`ParallelEngine`]: long-lived OS threads running
-//!   `execute_iters(n)` for solver loops with zero per-iteration
-//!   allocation;
+//! * [`exec`] — the phase-walk body, its transport seam, and the
+//!   in-place transport over a reusable [`Workspace`];
+//! * [`pool`] — the [`ParallelEngine`]: long-lived OS threads, each
+//!   running the same body over shared buffers, `execute_iters(n)` for
+//!   solver loops with zero per-iteration allocation;
 //! * [`threaded`] — the endpoint walker ([`RankProgram::spmv_over`])
 //!   and [`EndpointOperator`], which runs it on one OS thread per rank.
 //!
-//! All three drivers apply a communication phase's receives in the
-//! compiled `recvs` order, so on one compiled plan they agree bitwise —
-//! whatever the thread count, delivery order or batch width.
+//! Body and endpoint walker apply a communication phase's receives in
+//! the compiled `recvs` order, so on one compiled plan all drivers
+//! agree bitwise — whatever the thread count, delivery order or batch
+//! width.
 //!
 //! # Kernel formats
 //!
@@ -113,7 +117,7 @@
 //! # The unified operator surface
 //!
 //! The [`backend`] module puts the oracle and the three compiled
-//! drivers behind `s2d_spmv::SpmvOperator`, selected by the [`Backend`]
+//! backends behind `s2d_spmv::SpmvOperator`, selected by the [`Backend`]
 //! enum: `Backend::build(&plan, &compiled, width, sink)` pays the
 //! remaining setup (buffers, worker threads) once and returns an
 //! operator whose `apply`/`apply_batch` write into caller-owned buffers
@@ -132,11 +136,11 @@ pub mod telemetry;
 pub mod threaded;
 
 pub use backend::{Backend, CompiledPoolOperator, CompiledSeqOperator};
-pub use compile::{CompiledMsg, CompiledPlan, RankProgram, RankStep, NO_SLOT};
+pub use compile::{CompiledMsg, CompiledPlan, RankProgram, RankStep};
 pub use exec::Workspace;
 pub use formats::{
     CsrKernel, DenseSplitKernel, Kernel, KernelFormat, KernelIsa, KernelStats, SellKernel, NO_LANE,
 };
-pub use pool::{ParallelEngine, PoolOptions, PoolSchedule};
+pub use pool::{ParallelEngine, PoolOptions};
 pub use telemetry::ExecTelemetry;
 pub use threaded::{EndpointOperator, Payload, RankLocal};

@@ -5,39 +5,57 @@
 //! compiled plan executes over. Running an iteration involves **no
 //! channels, no hashing and no allocation**: the control thread
 //! publishes a job descriptor, releases the workers through an atomic
-//! gate, and the workers walk the phase list with sense-reversing
-//! barriers separating the stage and apply halves of every
-//! communication phase.
+//! gate, and each worker runs the one phase-walk body
+//! (`crate::exec`) as a `PoolWorker` transport — its rank range, its
+//! baked chunk bucket, range views over the shared buffers, and a
+//! sense-reversing barrier at every handoff the body marks.
 //!
 //! # Sharing discipline (why the `unsafe` here is sound)
 //!
-//! All mutable state lives in per-element [`UnsafeCell`]s (`ShBuf`).
-//! Soundness rests on two invariants:
+//! All mutable state lives in `ShBuf`s — `UnsafeCell` words reached
+//! only through three kinds of view, built in `PoolWorker` (and, while
+//! no job runs, by the first touch before the first gate and the
+//! copy-out after the completion gate). Each rests on a spatial
+//! invariant (who may touch the range) and a temporal one (which
+//! barrier orders the handoff):
 //!
-//! 1. **Spatial**: every shared element has exactly one writer at any
-//!    program point, and the unit is the element: a compute phase is
-//!    pre-split into kernel chunks whose `y` slots are pairwise
-//!    disjoint (the schedule only splits
-//!    [`Kernel::splittable`](crate::Kernel::splittable) kernels, whose
-//!    units never share a row), `x` is read-only during compute, and
-//!    seeding / staging / emitting stay with the worker that owns the
-//!    rank. Staging regions are written only by the message's sender
-//!    and read only by its receiver, and send regions are pairwise
-//!    disjoint. The compiler produces plans with this shape, and
-//!    because every `CompiledPlan` field is public (the endpoint
-//!    walker's callers consume the per-rank programs directly),
-//!    [`ParallelEngine::with_options`] re-validates it instead of
-//!    trusting the caller — a hand-built plan that overlaps send
-//!    regions is rejected before any thread runs.
-//! 2. **Temporal**: every writer→reader handoff (staging, the gathered
-//!    global vector, the job descriptor, and the seed→compute and
-//!    compute→drain transitions of every rank's buffers) crosses a
-//!    barrier with release/acquire
-//!    ordering, so there is no unsynchronized cross-thread access to
-//!    the same element. If a worker panics, the barriers are
-//!    *poisoned*: every waiter bails out immediately, no further
-//!    shared-buffer access happens, and the control thread re-raises
-//!    the failure instead of deadlocking.
+//! 1. **Range views of a rank's own `x` / `y`** (`region_mut` over the
+//!    first `nx × r` / `ny × r` words) while seeding, staging, applying
+//!    and emitting. Spatial: those steps stay with the worker that owns
+//!    the rank. Temporal: the barriers on either side of every compute
+//!    phase separate them from the chunks other workers run on the
+//!    same buffers.
+//! 2. **Range views of a shared buffer**: a message's staging region
+//!    (`region_mut`, for its one sender while staging and its one
+//!    receiver while applying), the gathered block row by row
+//!    (`region_mut` for the owner of the row), the whole gathered block
+//!    and a rank's `x` read-only (`region`) while re-seeding resp.
+//!    computing. Spatial: send regions are pairwise disjoint, so are
+//!    receive regions, and emitted rows are owned by the emitting rank,
+//!    hence disjoint across workers. Temporal: stage → apply, apply →
+//!    next stage into the same buffer, emit → re-seed and seed →
+//!    compute each cross a barrier, so a range is never written while
+//!    another view of it is live.
+//! 3. **The one aliased view**: a compute chunk's `y`
+//!    (`as_mut_slice`, whole buffer), held by every worker running a
+//!    chunk of that rank. It cannot be a range — a chunk writes the
+//!    *row slots* of its units, not a contiguous run. Spatial: the
+//!    schedule only splits [`Kernel::splittable`](crate::Kernel::splittable)
+//!    kernels, whose units never share a row, so per element the view
+//!    is uniquely live. Temporal: barriers before and after the phase.
+//!
+//! Every barrier is release/acquire, so there is no unsynchronized
+//! cross-thread access to the same element. View bounds are checked on
+//! construction (a corrupt offset panics, it cannot reach out of
+//! bounds). The compiler produces plans with the spatial shape above,
+//! and because every `CompiledPlan` field is public (the endpoint
+//! walker's callers consume the per-rank programs directly),
+//! [`ParallelEngine::with_options`] re-validates it instead of
+//! trusting the caller — a hand-built plan that overlaps send regions
+//! or emits a row it does not own is rejected before any thread runs.
+//! If a worker panics, the barriers are *poisoned*: every waiter bails
+//! out immediately, no further shared-buffer access happens, and the
+//! control thread re-raises the failure instead of deadlocking.
 //!
 //! # NNZ-chunked scheduling
 //!
@@ -65,23 +83,25 @@
 //! elsewhere), keeping those pages node-local for the pool's lifetime.
 
 use std::cell::UnsafeCell;
+use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
 use s2d_obs::{Phase, TelemetrySink};
 
-use crate::compile::{CompiledMsg, CompiledPlan, RankStep};
+use crate::compile::{CompiledPlan, RankStep};
+use crate::exec::{walk, Region, Transport};
 use crate::formats::KernelFormat;
 use crate::telemetry::{call_end, span_end, span_start, ExecTelemetry};
 
-/// A flat `f64` buffer shareable across worker threads (see the module
-/// docs for the access discipline that makes this sound). Indexing is
-/// bounds-checked, so a corrupt slot panics safely instead of reading
-/// out of bounds.
+/// A flat `f64` buffer shareable across worker threads, reached only
+/// through range views (see the module docs for the access discipline
+/// that makes them sound). View bounds are always checked, so a corrupt
+/// offset panics safely instead of reaching out of bounds.
 struct ShBuf(Box<[UnsafeCell<f64>]>);
 
-// SAFETY: all access goes through `get`/`set` under the spatial and
+// SAFETY: all access goes through the views below under the spatial and
 // temporal invariants documented on the module.
 unsafe impl Sync for ShBuf {}
 
@@ -99,45 +119,39 @@ impl ShBuf {
         ShBuf(unsafe { Box::from_raw(raw as *mut [UnsafeCell<f64>]) })
     }
 
+    /// Read-only view of words `lo..lo + len`; panics when the range
+    /// leaves the buffer. Callers hold it only while no thread writes
+    /// the range (module invariants).
     #[inline]
-    fn len(&self) -> usize {
-        self.0.len()
+    fn region(&self, lo: usize, len: usize) -> &[f64] {
+        let cells = &self.0[lo..lo + len];
+        // SAFETY: UnsafeCell<f64> is repr(transparent) over f64, and by
+        // the module invariants the range has no concurrent writer.
+        unsafe { std::slice::from_raw_parts(cells.as_ptr() as *const f64, len) }
     }
 
+    /// Exclusive view of words `lo..lo + len`; panics when the range
+    /// leaves the buffer. Callers hold it only while they are the
+    /// range's unique accessor (module invariants).
     #[inline]
-    fn get(&self, i: usize) -> f64 {
-        // SAFETY: module invariants — no concurrent writer to element i.
-        unsafe { *self.0[i].get() }
+    #[allow(clippy::mut_from_ref)]
+    fn region_mut(&self, lo: usize, len: usize) -> &mut [f64] {
+        let cells = &self.0[lo..lo + len];
+        // SAFETY: as in `region`, and by the module invariants no other
+        // view of the range is live.
+        unsafe { std::slice::from_raw_parts_mut(cells.as_ptr() as *mut f64, len) }
     }
 
-    #[inline]
-    fn set(&self, i: usize, v: f64) {
-        // SAFETY: module invariants — no concurrent access to element i.
-        unsafe { *self.0[i].get() = v }
-    }
-
-    /// Whole-buffer shared view.
-    ///
-    /// # Safety
-    /// The caller must guarantee no thread writes any element of this
-    /// buffer for the lifetime of the returned slice (rank-ownership /
-    /// barrier invariants, see the module docs).
-    #[inline]
-    unsafe fn as_slice(&self) -> &[f64] {
-        // UnsafeCell<f64> is repr(transparent) over f64.
-        std::slice::from_raw_parts(self.0.as_ptr() as *const f64, self.0.len())
-    }
-
-    /// Whole-buffer exclusive view.
+    /// Whole-buffer view for a compute chunk's `y`, the one view that
+    /// is *aliased*: chunks of one rank run on several workers at once.
     ///
     /// # Safety
     /// For every element the returned slice is actually used to access,
-    /// the caller must be the unique accessor for the slice's lifetime.
-    /// Concurrent views of one `y` buffer exist during a compute
-    /// phase, but each chunk reads and writes only its own units' row
-    /// slots, which are pairwise disjoint across the phase's chunks
-    /// (spatial invariant), with barriers ordering every cross-thread
-    /// handoff.
+    /// the caller must be the unique accessor for the slice's lifetime:
+    /// each chunk reads and writes only its own units' row slots, which
+    /// are pairwise disjoint across the phase's chunks (spatial
+    /// invariant) but not a contiguous range, with barriers ordering
+    /// every cross-thread handoff.
     #[inline]
     #[allow(clippy::mut_from_ref)]
     unsafe fn as_mut_slice(&self) -> &mut [f64] {
@@ -193,37 +207,6 @@ impl SpinBarrier {
     }
 }
 
-/// How a pool distributes compute-phase work over its workers.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum PoolSchedule {
-    /// NNZ-weighted greedy LPT packing of kernel chunks (see the module
-    /// docs): splittable kernels are cut at unit boundaries into runs
-    /// of at least `chunk_ops` stored multiply-adds and the runs are
-    /// packed heaviest-first onto the least-loaded worker. Bitwise
-    /// identical to the sequential executor at any worker count or
-    /// chunk size.
-    NnzChunked {
-        /// Minimum stored multiply-adds per chunk; `0` picks a target
-        /// from the phase's total work and the worker count.
-        chunk_ops: usize,
-    },
-}
-
-impl Default for PoolSchedule {
-    fn default() -> PoolSchedule {
-        PoolSchedule::NnzChunked { chunk_ops: 0 }
-    }
-}
-
-impl PoolSchedule {
-    /// Stable short label for bench and profile output.
-    pub fn label(self) -> &'static str {
-        match self {
-            PoolSchedule::NnzChunked { .. } => "nnz-chunked",
-        }
-    }
-}
-
 /// Construction knobs for [`ParallelEngine::with_options`]. The
 /// `Default` value is default worker sizing, width 1, the automatic
 /// chunk target, no pinning, no telemetry.
@@ -235,8 +218,11 @@ pub struct PoolOptions {
     /// Batch capacity the shared buffers are sized for (`0` is treated
     /// as 1).
     pub width: usize,
-    /// Compute-phase work distribution.
-    pub schedule: PoolSchedule,
+    /// Minimum stored multiply-adds per compute chunk of the
+    /// NNZ-chunked schedule (see the module docs); `0` picks a target
+    /// from each phase's total work and the worker count. Results are
+    /// bitwise identical at any worker count or chunk size.
+    pub chunk_ops: usize,
     /// Pin worker `w` to CPU `w` at startup (Linux `sched_setaffinity`;
     /// a silent no-op elsewhere or on failure — affinity is a
     /// performance hint, never a correctness requirement).
@@ -386,16 +372,9 @@ struct Shared {
     staging: Vec<ShBuf>,
     /// The assembled global block (gather target, reseed source).
     global: ShBuf,
-    /// Per-rank owned rows that never materialize ([`NO_SLOT`]): their
-    /// `global` words are zeroed by the owner's worker on every job's
-    /// first gather, so jobs of different batch widths never read a
-    /// stale word written at another stride.
-    zero_rows: Vec<Vec<u32>>,
     /// Contiguous rank range per worker (ownership: seeding, staging,
     /// emitting).
-    assign: Vec<std::ops::Range<usize>>,
-    /// The schedule knob the pool was built with.
-    schedule: PoolSchedule,
+    assign: Vec<Range<usize>>,
     /// Baked chunk→worker compute map (its `planned` loads are also
     /// the achieved ones — the map is fixed).
     chunks: ChunkSchedule,
@@ -440,20 +419,20 @@ pub struct ParallelEngine {
 fn validate_for_pool(plan: &CompiledPlan) {
     let num_phases = plan.ranks.first().map_or(0, |rp| rp.steps.len());
     assert_eq!(plan.y_part.len(), plan.nrows, "y_part length mismatch");
-    let mut send_regions: Vec<Vec<(u32, u32)>> = vec![Vec::new(); plan.staging_words.len()];
+    // Per comm phase: the regions its sends write, the regions its
+    // receives read.
+    let mut regions: Vec<[Vec<(u32, u32)>; 2]> = vec![Default::default(); plan.staging_words.len()];
     for (r, rp) in plan.ranks.iter().enumerate() {
         assert_eq!(rp.steps.len(), num_phases, "rank {r}: misaligned step count");
-        // x_seed global indices are dereferenced through a raw pointer
-        // into the caller's input slice — they MUST be validated here;
-        // an out-of-range one would be an out-of-bounds read, not a
-        // safe panic.
+        // Seeds index the job's input block and the rank's x view.
         assert!(
             rp.x_seed.iter().all(|&(g, s)| (g as usize) < plan.ncols && (s as usize) < rp.nx),
             "rank {r}: x_seed entry out of range"
         );
-        // Ownership (y_part is a function of the row) makes y_emit rows
-        // pairwise disjoint across ranks — two workers writing the same
-        // `global` element concurrently would be a data race.
+        // Ownership (y_part is a function of the row) makes emitted
+        // rows (y_emit and y_zero) pairwise disjoint across ranks — two
+        // workers writing the same `global` element concurrently would
+        // be a data race.
         assert!(
             rp.y_emit.iter().all(|&(g, s)| {
                 (g as usize) < plan.nrows
@@ -461,6 +440,10 @@ fn validate_for_pool(plan: &CompiledPlan) {
                     && plan.y_part[g as usize] as usize == r
             }),
             "rank {r}: y_emit entry out of range or not owned"
+        );
+        assert!(
+            rp.y_zero.iter().all(|&g| plan.y_part.get(g as usize) == Some(&(r as u32))),
+            "rank {r}: y_zero row out of range or not owned"
         );
         for (p, step) in rp.steps.iter().enumerate() {
             match step {
@@ -486,8 +469,8 @@ fn validate_for_pool(plan: &CompiledPlan) {
                             "rank {r} phase {p}: staging region out of bounds"
                         );
                     }
-                    for m in sends {
-                        send_regions[ph].push((m.offset, m.words() as u32));
+                    for (side, msgs) in [sends, recvs].into_iter().enumerate() {
+                        regions[ph][side].extend(msgs.iter().map(|m| (m.offset, m.words() as u32)));
                     }
                 }
             }
@@ -509,16 +492,19 @@ fn validate_for_pool(plan: &CompiledPlan) {
             }
         }
     }
-    // Send regions must be pairwise disjoint — concurrent writers would
-    // otherwise race on the same staging elements.
-    for (ph, mut regions) in send_regions.into_iter().enumerate() {
-        regions.sort_unstable();
-        for pair in regions.windows(2) {
-            assert!(
-                pair[0].0 + pair[0].1 <= pair[1].0,
-                "comm phase {ph}: overlapping staging regions at offset {}",
-                pair[1].0
-            );
+    // Send regions must be pairwise disjoint, and so must receive
+    // regions — two workers would otherwise hold exclusive views of the
+    // same staging elements at once.
+    for (ph, sides) in regions.into_iter().enumerate() {
+        for mut side in sides {
+            side.sort_unstable();
+            for pair in side.windows(2) {
+                assert!(
+                    pair[0].0 + pair[0].1 <= pair[1].0,
+                    "comm phase {ph}: overlapping staging regions at offset {}",
+                    pair[1].0
+                );
+            }
         }
     }
 }
@@ -544,7 +530,7 @@ impl ParallelEngine {
             opts.threads
         };
         let obs = opts.sink.map(|sink| ExecTelemetry::new(&plan, sink));
-        let (width, schedule, pin) = (opts.width.max(1), opts.schedule, opts.pin);
+        let (width, pin) = (opts.width.max(1), opts.pin);
         let k = plan.k;
         let threads = threads.clamp(1, k);
         // Balanced contiguous split; threads ≤ k keeps every range
@@ -553,7 +539,7 @@ impl ParallelEngine {
         let base = k / threads;
         let extra = k % threads;
         let mut next = 0;
-        let assign: Vec<std::ops::Range<usize>> = (0..threads)
+        let assign: Vec<Range<usize>> = (0..threads)
             .map(|w| {
                 let len = base + usize::from(w < extra);
                 let range = next..next + len;
@@ -561,23 +547,14 @@ impl ParallelEngine {
                 range
             })
             .collect();
-        let mut zero_rows: Vec<Vec<u32>> = vec![Vec::new(); k];
-        for i in 0..plan.nrows {
-            if plan.y_slot[i] == crate::compile::NO_SLOT {
-                zero_rows[plan.y_part[i] as usize].push(i as u32);
-            }
-        }
-        let PoolSchedule::NnzChunked { chunk_ops } = schedule;
-        let chunks = chunk_schedule(&plan, threads, chunk_ops);
+        let chunks = chunk_schedule(&plan, threads, opts.chunk_ops);
         let shared = Arc::new(Shared {
             width,
-            zero_rows,
             x: plan.ranks.iter().map(|r| ShBuf::new(r.nx * width)).collect(),
             y: plan.ranks.iter().map(|r| ShBuf::new(r.ny * width)).collect(),
             staging: plan.staging_words.iter().map(|&w| ShBuf::new(w * width)).collect(),
             global: ShBuf::new(plan.nrows * width),
             assign,
-            schedule,
             chunks,
             pin,
             job_x: AtomicPtr::new(std::ptr::null_mut()),
@@ -622,11 +599,6 @@ impl ParallelEngine {
     /// inside the job descriptor, workers never re-decide it.
     pub fn kernel_format(&self) -> KernelFormat {
         self.shared.plan.format
-    }
-
-    /// The compute schedule this pool was built with.
-    pub fn schedule(&self) -> PoolSchedule {
-        self.shared.schedule
     }
 
     /// Planned compute multiply-adds per worker per iteration. The
@@ -706,9 +678,8 @@ impl ParallelEngine {
             !self.shared.poisoned.load(Ordering::Acquire),
             "engine poisoned: a worker thread panicked (see stderr for its message)"
         );
-        for (i, yi) in y.iter_mut().enumerate() {
-            *yi = self.shared.global.get(i);
-        }
+        // Every worker passed the completion gate: no writer is left.
+        y.copy_from_slice(self.shared.global.region(0, y.len()));
         call_end(self.shared.obs.as_ref(), t, iters);
     }
 }
@@ -723,201 +694,100 @@ impl Drop for ParallelEngine {
     }
 }
 
-/// Sender half of a staged message (gather x, drain y), `r` words per
-/// listed slot.
-#[inline]
-fn stage_send(m: &CompiledMsg, x: &ShBuf, y: &ShBuf, staging: &ShBuf, r: usize) {
-    let mut w = m.offset as usize * r;
-    for &slot in &m.x_idx {
-        let s = slot as usize * r;
-        for q in 0..r {
-            staging.set(w + q, x.get(s + q));
-        }
-        w += r;
-    }
-    for &slot in &m.y_idx {
-        let s = slot as usize * r;
-        for q in 0..r {
-            staging.set(w + q, y.get(s + q));
-            y.set(s + q, 0.0); // moved, not copied
-        }
-        w += r;
+/// One worker's side of the [`Transport`] seam for one job at batch
+/// width `r`: its contiguous rank range, its baked chunk bucket, range
+/// views over the shared buffers and the workers' phase barrier. Each
+/// view below names the module invariant it rests on.
+struct PoolWorker<'a> {
+    shared: &'a Shared,
+    w: usize,
+    /// The job's input block (`ncols × r` words).
+    x: &'a [f64],
+    r: usize,
+}
+
+impl PoolWorker<'_> {
+    /// Exclusive views of the first `nx × r` / `ny × r` words of owned
+    /// rank `rk`'s `x` / `y`. Spatial: outside compute phases only the
+    /// rank's owner touches them; temporal: a barrier separates every
+    /// such step from the compute phases around it.
+    #[inline(always)]
+    fn local(&self, rk: usize) -> (&mut [f64], &mut [f64]) {
+        let (sh, rp) = (self.shared, &self.shared.plan.ranks[rk]);
+        (sh.x[rk].region_mut(0, rp.nx * self.r), sh.y[rk].region_mut(0, rp.ny * self.r))
     }
 }
 
-/// Receiver half of a staged message (scatter x, accumulate y).
-#[inline]
-fn apply_recv(m: &CompiledMsg, x: &ShBuf, y: &ShBuf, staging: &ShBuf, r: usize) {
-    let mut w = m.offset as usize * r;
-    for &slot in &m.x_idx {
-        let s = slot as usize * r;
-        for q in 0..r {
-            x.set(s + q, staging.get(w + q));
-        }
-        w += r;
-    }
-    for &slot in &m.y_idx {
-        let s = slot as usize * r;
-        for q in 0..r {
-            y.set(s + q, y.get(s + q) + staging.get(w + q));
-        }
-        w += r;
+/// The per-message / per-row views of a staging buffer or the gathered
+/// block (kind 2 in the module docs).
+impl Region for &ShBuf {
+    #[inline(always)]
+    fn region_mut(&mut self, lo: usize, len: usize) -> &mut [f64] {
+        ShBuf::region_mut(self, lo, len)
     }
 }
 
-/// Waits at the workers' phase barrier, recording the wait under rank
-/// `rk` when telemetry is attached. Returns `true` if the engine is
-/// poisoned (the caller must stop touching the shared buffers).
-#[must_use]
-fn sync_wait(shared: &Shared, rk: usize) -> bool {
-    let obs = shared.obs.as_ref();
-    let t = span_start(obs);
-    let poisoned = shared.sync.wait(&shared.poisoned);
-    span_end(obs, rk, Phase::BarrierWait, t);
-    poisoned
-}
+impl Transport for PoolWorker<'_> {
+    type Buf<'a>
+        = &'a ShBuf
+    where
+        Self: 'a;
 
-/// One worker's share of one job at batch width `r`. Returns early
-/// (without touching the shared buffers again) as soon as a poisoned
-/// barrier reports that a peer died — see the module docs.
-///
-/// When `shared.obs` is attached, the worker also times its phase work
-/// per owned rank (barrier waits under `my.start`) — clock reads only,
-/// the numeric path is identical.
-fn run_job(shared: &Shared, w: usize, iters: usize, xp: *const f64, r: usize) {
-    let plan: &CompiledPlan = &shared.plan;
-    let obs = shared.obs.as_ref();
-    let my = &shared.assign[w];
-    let num_phases = plan.ranks.first().map_or(0, |rp| rp.steps.len());
-    for it in 0..iters {
-        // Seed owned x entries (iteration 0 from the caller's input,
-        // later ones from the previous gathered result) and reset the
-        // partial sums.
-        for rk in my.clone() {
-            let t = span_start(obs);
-            let rp = &plan.ranks[rk];
-            for &(g, slot) in &rp.x_seed {
-                for q in 0..r {
-                    let v = if it == 0 {
-                        // SAFETY: the control thread keeps the input
-                        // slice alive until the completion gate;
-                        // g*r + q < ncols*r == x.len() by the execute
-                        // asserts.
-                        unsafe { *xp.add(g as usize * r + q) }
-                    } else {
-                        shared.global.get(g as usize * r + q)
-                    };
-                    shared.x[rk].set(slot as usize * r + q, v);
-                }
-            }
-            for i in 0..rp.ny * r {
-                shared.y[rk].set(i, 0.0);
-            }
-            span_end(obs, rk, Phase::Gather, t);
-        }
-        // Chunked compute reads x and writes y that *other* workers
-        // seeded — no chunk may start before every seed landed.
-        if sync_wait(shared, my.start) {
-            return;
-        }
-        for p in 0..num_phases {
-            // Step kinds agree across ranks at a given phase index
-            // (checked by validate_for_pool).
-            let is_comm = matches!(plan.ranks[my.start].steps[p], RankStep::Comm { .. });
-            if !is_comm {
-                for run in &shared.chunks.phases[p][w] {
-                    let rk = run.rank as usize;
-                    let t = span_start(obs);
-                    let RankStep::Compute(kernel) = &plan.ranks[rk].steps[p] else {
-                        unreachable!("chunk schedule points at a compute step")
-                    };
-                    // SAFETY: a chunk reads and writes only the y row
-                    // slots of its own units, which are pairwise
-                    // disjoint across the phase's chunks (only
-                    // splittable kernels are split); x is read-only for
-                    // the whole phase; and the seed barrier before /
-                    // sync barrier after the phase order every
-                    // cross-worker handoff — so per element these views
-                    // are uniquely live, the same discipline
-                    // ShBuf::get/set rely on. Running through plain
-                    // slices shares one kernel implementation (every
-                    // KernelFormat) with the sequential executor
-                    // instead of duplicating the format dispatch over
-                    // UnsafeCell access.
-                    let (x, y) = unsafe { (shared.x[rk].as_slice(), shared.y[rk].as_mut_slice()) };
-                    kernel.run_batch_range(x, y, r, run.lo as usize, run.hi as usize);
-                    span_end(obs, rk, Phase::Compute, t);
-                }
-                // Every chunk of the phase lands before any later
-                // reader (staging, a following phase, the emit) touches
-                // the y buffers.
-                if sync_wait(shared, my.start) {
-                    return;
-                }
-                continue;
-            }
-            for rk in my.clone() {
-                if let RankStep::Comm { phase, sends, .. } = &plan.ranks[rk].steps[p] {
-                    let t = span_start(obs);
-                    let staging = &shared.staging[*phase as usize];
-                    for m in sends {
-                        stage_send(m, &shared.x[rk], &shared.y[rk], staging, r);
-                    }
-                    span_end(obs, rk, Phase::Gather, t);
-                }
-            }
-            // Everyone staged (and drained) before anyone applies.
-            if sync_wait(shared, my.start) {
-                return;
-            }
-            for rk in my.clone() {
-                if let RankStep::Comm { phase, recvs, .. } = &plan.ranks[rk].steps[p] {
-                    let t = span_start(obs);
-                    let staging = &shared.staging[*phase as usize];
-                    for m in recvs {
-                        apply_recv(m, &shared.x[rk], &shared.y[rk], staging, r);
-                    }
-                    span_end(obs, rk, Phase::Scatter, t);
-                }
-            }
-            // Applies finish before the next writer reuses the staging
-            // buffer (next iteration, same phase).
-            if sync_wait(shared, my.start) {
-                return;
-            }
-        }
-        // Gather owned results into the global block (the seed barrier
-        // already ordered this iteration's reads of `global` before
-        // these writes). Rows no rank materializes are zeroed at this
-        // job's stride on the first iteration (a previous job of a
-        // different width may have left stale words at these positions).
-        for rk in my.clone() {
-            let t = span_start(obs);
-            for &(g, slot) in &plan.ranks[rk].y_emit {
-                for q in 0..r {
-                    shared.global.set(g as usize * r + q, shared.y[rk].get(slot as usize * r + q));
-                }
-            }
-            if it == 0 {
-                for &g in &shared.zero_rows[rk] {
-                    for q in 0..r {
-                        shared.global.set(g as usize * r + q, 0.0);
-                    }
-                }
-            }
-            span_end(obs, rk, Phase::Scatter, t);
-        }
-        if let Some(o) = obs {
-            for rk in my.clone() {
-                o.bump_iter(rk, r);
-            }
-        }
-        if it + 1 < iters {
-            // Reseeding reads the global block other workers wrote.
-            if sync_wait(shared, my.start) {
-                return;
-            }
-        }
+    #[inline(always)]
+    fn ranks(&self) -> Range<usize> {
+        self.shared.assign[self.w].clone()
+    }
+
+    /// The wait is recorded under the first rank of this worker's range.
+    #[inline(always)]
+    fn sync(&mut self, obs: Option<&ExecTelemetry>) -> bool {
+        let t = span_start(obs);
+        let poisoned = self.shared.sync.wait(&self.shared.poisoned);
+        span_end(obs, self.shared.assign[self.w].start, Phase::BarrierWait, t);
+        poisoned
+    }
+
+    #[inline(always)]
+    fn seed(&mut self, rk: usize, first: bool) -> (&[f64], &mut [f64], &mut [f64]) {
+        // The gathered block is only read while re-seeding: the emit
+        // that wrote it and the next emit are both a barrier away.
+        let (sh, (x, y)) = (self.shared, self.local(rk));
+        (if first { self.x } else { sh.global.region(0, sh.plan.nrows * self.r) }, x, y)
+    }
+
+    #[inline(always)]
+    fn chunk(&mut self, p: usize, i: usize) -> Option<(usize, Range<usize>, &[f64], &mut [f64])> {
+        let (sh, run) = (self.shared, self.shared.chunks.phases[p][self.w].get(i)?);
+        let rk = run.rank as usize;
+        let x = sh.x[rk].region(0, sh.plan.ranks[rk].nx * self.r);
+        // SAFETY: a chunk reads and writes only the y row slots of its
+        // own units, which are pairwise disjoint across the phase's
+        // chunks (only splittable kernels are split); x is read-only
+        // for the whole phase; and the barriers before and after the
+        // phase order every cross-worker handoff — so per element this
+        // view is uniquely live. Running through plain slices shares
+        // one kernel implementation (every KernelFormat) with the
+        // in-place transport.
+        let y = unsafe { sh.y[rk].as_mut_slice() };
+        Some((rk, run.lo as usize..run.hi as usize, x, y))
+    }
+
+    #[inline(always)]
+    fn comm(&mut self, rk: usize, ph: usize) -> (&mut [f64], &mut [f64], &ShBuf) {
+        // A message's region is touched by its one sender while staging
+        // and its one receiver while applying (send regions and receive
+        // regions are each validated pairwise disjoint), a barrier
+        // apart.
+        let (x, y) = self.local(rk);
+        (x, y, &self.shared.staging[ph])
+    }
+
+    #[inline(always)]
+    fn emit(&mut self, rk: usize, _last: bool) -> (&[f64], &ShBuf) {
+        // Emitted rows are owned (validated), hence disjoint across
+        // workers; the seed barrier ordered this iteration's reads of
+        // the gathered block before these writes.
+        (self.local(rk).1, &self.shared.global)
     }
 }
 
@@ -933,14 +803,10 @@ fn worker_loop(shared: &Shared, w: usize) {
     // before the first job gate, hence with no concurrent accessor —
     // places them on this worker's NUMA node under a first-touch
     // policy.
-    let my = shared.assign[w].clone();
-    for rk in my.clone() {
-        for i in 0..shared.x[rk].len() {
-            shared.x[rk].set(i, 0.0);
-        }
-        for i in 0..shared.y[rk].len() {
-            shared.y[rk].set(i, 0.0);
-        }
+    for rk in shared.assign[w].clone() {
+        let rp = &shared.plan.ranks[rk];
+        shared.x[rk].region_mut(0, rp.nx * shared.width).fill(0.0);
+        shared.y[rk].region_mut(0, rp.ny * shared.width).fill(0.0);
     }
     loop {
         if shared.gate.wait(&shared.poisoned) {
@@ -958,7 +824,13 @@ fn worker_loop(shared: &Shared, w: usize) {
         let xp = shared.job_x.load(Ordering::Relaxed) as *const f64;
         let r = shared.job_width.load(Ordering::Relaxed);
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            run_job(shared, w, iters, xp, r)
+            // SAFETY: the control thread keeps the input slice — `ncols
+            // × r` words by the execute asserts — alive and unmodified
+            // until the completion gate.
+            let x = unsafe { std::slice::from_raw_parts(xp, shared.plan.ncols * r) };
+            // A poisoned barrier makes the walk return early, without
+            // touching the shared buffers again.
+            walk(&shared.plan, &mut PoolWorker { shared, w, x, r }, r, iters, shared.obs.as_ref());
         }));
         if outcome.is_err() {
             shared.poisoned.store(true, Ordering::Release);
@@ -1093,7 +965,7 @@ mod tests {
 
     #[test]
     fn mixed_width_jobs_do_not_leak_stale_words() {
-        // A matrix with an empty row (never materialized, NO_SLOT): a
+        // A matrix with an empty row (never materialized, `y_zero`): a
         // wide job writes global words at stride r; a later narrow job
         // must still see 0.0 for the empty row, not a stale word.
         use s2d_core::partition::SpmvPartition;
@@ -1153,11 +1025,7 @@ mod tests {
             for chunk_ops in [0usize, 1, 7, 1 << 20] {
                 let mut engine = ParallelEngine::with_options(
                     cp.clone(),
-                    PoolOptions {
-                        threads,
-                        schedule: PoolSchedule::NnzChunked { chunk_ops },
-                        ..PoolOptions::default()
-                    },
+                    PoolOptions { threads, chunk_ops, ..PoolOptions::default() },
                 );
                 let mut y = vec![0.0; a.nrows()];
                 engine.execute_iters(&x, &mut y, 3);
@@ -1172,18 +1040,15 @@ mod tests {
         let cp = CompiledPlan::compile(&plan);
         let total = cp.total_ops();
         assert!(total > 0, "test matrix must have work");
-        for schedule in
-            [PoolSchedule::NnzChunked { chunk_ops: 0 }, PoolSchedule::NnzChunked { chunk_ops: 1 }]
-        {
+        for chunk_ops in [0usize, 1] {
             let engine = ParallelEngine::with_options(
                 cp.clone(),
-                PoolOptions { threads: 3, schedule, ..PoolOptions::default() },
+                PoolOptions { threads: 3, chunk_ops, ..PoolOptions::default() },
             );
-            assert_eq!(engine.schedule(), schedule);
             assert_eq!(
                 engine.worker_loads().iter().sum::<u64>(),
                 total,
-                "{schedule:?}: every madd is scheduled exactly once"
+                "chunk_ops={chunk_ops}: every madd is scheduled exactly once"
             );
             assert!(engine.load_imbalance() >= 1.0);
         }
@@ -1265,6 +1130,12 @@ mod tests {
             .expect("plan has a nonempty kernel");
         *slot = u32::MAX;
         let _ = pool(cp, 1, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn out_of_range_region_is_rejected() {
+        let _ = ShBuf::new(4).region_mut(2, 3);
     }
 
     #[test]

@@ -9,17 +9,21 @@
 //! Phase attribution on the compiled paths (see the `s2d-obs` crate
 //! docs for phase semantics):
 //!
-//! * **compute** — each kernel's `run_batch` call;
-//! * **gather** — input seeding plus send staging;
-//! * **scatter** — receive application plus output assembly (on the
-//!   sequential executor, whole-output assembly is recorded under
-//!   rank 0);
+//! * **compute** — each kernel run: one span per rank and phase in
+//!   place and over endpoints, one per chunk on the pool;
+//! * **gather** — input seeding plus send staging, under the rank
+//!   whose `x` is seeded / whose sends are staged;
+//! * **scatter** — receive application plus the emit of owned output
+//!   rows, under the receiving / owning rank on every driver (the
+//!   in-place and pool drivers share one body, so their per-rank gather
+//!   and scatter span counts are equal);
 //! * **barrier-wait** — the worker pool's phase barriers, recorded
-//!   under the first rank of the waiting worker's contiguous range.
+//!   under the first rank of the waiting worker's contiguous range
+//!   (the in-place driver has no barrier and records none).
 //!
 //! Instrumentation never touches the numeric path: every walker takes
 //! an `Option<&ExecTelemetry>` and brackets its seeding / kernel /
-//! staging / assembly calls with [`span_start`] / [`span_end`], which
+//! staging / emit steps with [`span_start`] / [`span_end`], which
 //! read the clock only when telemetry is attached — the calls and their
 //! order are the same either way, so telemetry-on results are bitwise
 //! identical to telemetry-off.

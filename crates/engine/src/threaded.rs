@@ -120,7 +120,7 @@ impl RankProgram {
                     let t = span_start(obs);
                     for m in sends {
                         let mut payload = vec![0.0; m.words() * r];
-                        stage_send(m, x, y, &mut payload, 0, r);
+                        stage_send(m, x, y, &mut payload, r);
                         ep.send(m.peer, tag, payload);
                     }
                     span_end(obs, rk, Phase::Gather, t);
@@ -130,7 +130,7 @@ impl RankProgram {
                     for m in recvs {
                         let payload = ep.recv_match(m.peer, tag).payload;
                         assert_eq!(payload.len(), m.words() * r, "message size mismatch");
-                        apply_recv(m, x, y, &payload, 0, r);
+                        apply_recv(m, x, y, &payload, r);
                     }
                     span_end(obs, rk, Phase::Scatter, t);
                 }

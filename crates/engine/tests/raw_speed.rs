@@ -19,7 +19,7 @@ use s2d_core::optimal::s2d_optimal;
 use s2d_core::partition::SpmvPartition;
 use s2d_engine::{
     CompiledPlan, CompiledPoolOperator, CompiledSeqOperator, KernelFormat, KernelIsa,
-    ParallelEngine, PoolOptions, PoolSchedule,
+    ParallelEngine, PoolOptions,
 };
 use s2d_gen::fem::fem_like;
 use s2d_gen::powerlaw::power_law;
@@ -150,14 +150,8 @@ fn chunked_pool_is_bitwise_across_threads_chunks_and_repeats() {
                 let cp = CompiledPlan::compile_with(&plan, KernelFormat::Auto);
                 let mut engine = ParallelEngine::with_options(
                     cp,
-                    PoolOptions {
-                        threads,
-                        width: 4,
-                        schedule: PoolSchedule::NnzChunked { chunk_ops },
-                        ..PoolOptions::default()
-                    },
+                    PoolOptions { threads, width: 4, chunk_ops, ..PoolOptions::default() },
                 );
-                assert_eq!(engine.schedule(), PoolSchedule::NnzChunked { chunk_ops });
                 for rep in 0..2 {
                     let mut y = vec![0.0; plan.nrows * 4];
                     engine.execute_batch_iters(&x, &mut y, 4, 3);
@@ -180,19 +174,17 @@ fn worker_loads_are_conserved_and_surface_through_the_operator() {
     let plan = Arc::new(plan_for(a, 4));
     let cp = CompiledPlan::compile_with(&plan, KernelFormat::CsrSlice);
     let total = cp.total_ops();
-    for schedule in
-        [PoolSchedule::NnzChunked { chunk_ops: 0 }, PoolSchedule::NnzChunked { chunk_ops: 64 }]
-    {
+    for chunk_ops in [0, 64] {
         let engine = ParallelEngine::with_options(
             cp.clone(),
-            PoolOptions { threads: 3, width: 1, schedule, ..PoolOptions::default() },
+            PoolOptions { threads: 3, width: 1, chunk_ops, ..PoolOptions::default() },
         );
         assert_eq!(
             engine.worker_loads().iter().sum::<u64>(),
             total,
-            "{schedule:?}: planned loads must cover every multiply-add exactly once"
+            "chunk_ops={chunk_ops}: planned loads must cover every multiply-add exactly once"
         );
-        assert!(engine.load_imbalance() >= 1.0, "{schedule:?}: max/mean is at least 1");
+        assert!(engine.load_imbalance() >= 1.0, "chunk_ops={chunk_ops}: max/mean is at least 1");
     }
     // And through the trait object, the way the profile report gets it.
     let op = CompiledPoolOperator::new(cp, PoolOptions { threads: 3, ..PoolOptions::default() });

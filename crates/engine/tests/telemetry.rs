@@ -180,6 +180,43 @@ fn counters_match_static_profile() {
     }
 }
 
+/// The in-place and pool drivers run one phase-walk body, so they
+/// attribute alike: per rank, the same work counters and the same
+/// number of gather and scatter spans (the emit is recorded under the
+/// owning rank on both — compute span counts may differ, the pool
+/// records one per chunk), and the in-place driver never waits at a
+/// barrier.
+#[test]
+fn seq_and_pool_attribute_alike() {
+    let a = matrix();
+    let plan = plan_for(&a);
+    let cp = Arc::new(CompiledPlan::compile(&plan));
+    let n = a.nrows();
+    let observe = |backend: Backend, r: usize, iters: usize| {
+        let sink = Arc::new(TelemetrySink::new(K));
+        let mut op = backend.build(&plan, &cp, 4, Some(Arc::clone(&sink)));
+        let mut y = vec![0.0; n * r];
+        op.apply_batch_iters(&input(n, r), &mut y, r, iters);
+        sink
+    };
+    for (r, iters) in [(1, 1), (1, 3), (4, 1), (4, 3)] {
+        let seq = observe(Backend::CompiledSeq, r, iters);
+        for threads in [1, 3] {
+            let pool = observe(Backend::CompiledPool { threads, pin: false }, r, iters);
+            for rk in 0..K {
+                let (s, p) = (seq.rank(rk), pool.rank(rk));
+                let what = format!("r={r} iters={iters} threads={threads} rank {rk}");
+                assert_eq!(s.spans(Phase::BarrierWait), 0, "{what}: in place never waits");
+                assert_eq!(s.rows(), p.rows(), "{what}: rows");
+                assert_eq!(s.madds(), p.madds(), "{what}: madds");
+                assert_eq!(s.comm_words(), p.comm_words(), "{what}: comm words");
+                assert_eq!(s.spans(Phase::Gather), p.spans(Phase::Gather), "{what}: gather");
+                assert_eq!(s.spans(Phase::Scatter), p.spans(Phase::Scatter), "{what}: scatter");
+            }
+        }
+    }
+}
+
 /// `TelemetrySink::reset` rearms a sink for reuse without rebuilding
 /// the operator.
 #[test]

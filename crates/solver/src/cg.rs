@@ -64,11 +64,11 @@ pub fn cg_solve(
 }
 
 /// [`cg_solve`] with telemetry: every rank records its SpMV phase
-/// spans, work counters and reduction spans on `sink`
-/// ([`spmd_compute_obs`](crate::engine::spmd_compute_obs)), and rank 0
-/// records one solver-iteration span per CG iteration (rank 0 only, so
-/// the sink's iteration count is not multiplied by `k` — SPMD ranks
-/// iterate in lockstep). Results are bitwise identical to [`cg_solve`].
+/// spans, work counters and reduction spans on `sink` (sized for
+/// `plan.k` ranks), and rank 0 records one solver-iteration span per CG
+/// iteration (rank 0 only, so the sink's iteration count is not
+/// multiplied by `k` — SPMD ranks iterate in lockstep). Results are
+/// bitwise identical to [`cg_solve`].
 pub fn cg_solve_obs(
     a: &Csr,
     p: &SpmvPartition,
@@ -124,32 +124,10 @@ fn assemble(rank_out: Vec<(Vec<u32>, CgCore)>, n: usize) -> CgResult {
 /// # Panics
 /// Panics if the operator is not square or `b.len() != op.nrows()`.
 pub fn cg_solve_with(op: impl SpmvOperator, b: &[f64], opts: &CgOptions) -> CgResult {
-    cg_solve_with_inner(op, b, opts, None)
-}
-
-/// [`cg_solve_with`] recording one solver-iteration span per CG
-/// iteration on `sink` ([`TelemetrySink::record_solver_iter`]). Pair
-/// with an operator built by `Backend::build` on the same sink to get
-/// phase-level detail under the iteration spans.
-pub fn cg_solve_with_obs(
-    op: impl SpmvOperator,
-    b: &[f64],
-    opts: &CgOptions,
-    sink: &TelemetrySink,
-) -> CgResult {
-    cg_solve_with_inner(op, b, opts, Some(sink))
-}
-
-fn cg_solve_with_inner(
-    op: impl SpmvOperator,
-    b: &[f64],
-    opts: &CgOptions,
-    obs: Option<&TelemetrySink>,
-) -> CgResult {
     let mut c = Solo(op);
     assert_eq!(c.nrows(), c.ncols(), "CG needs a square operator");
     assert_eq!(b.len(), c.nrows(), "right-hand side length mismatch");
-    let core = cg_core(&mut c, b, opts, obs);
+    let core = cg_core(&mut c, b, opts, None);
     CgResult {
         x: core.x,
         iterations: core.iterations,

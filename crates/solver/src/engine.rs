@@ -37,7 +37,7 @@ use std::sync::Arc;
 
 use s2d_core::partition::SpmvPartition;
 use s2d_engine::telemetry::{span_end, span_start};
-use s2d_engine::{CompiledPlan, ExecTelemetry, Payload, RankLocal, NO_SLOT};
+use s2d_engine::{CompiledPlan, ExecTelemetry, Payload, RankLocal};
 use s2d_obs::{Phase, TelemetrySink};
 use s2d_runtime::collectives::{allreduce, combine_vec};
 use s2d_runtime::{spmd, Cluster, Endpoint, MAX, SUM};
@@ -83,14 +83,9 @@ impl RankCtx {
         obs: Option<Arc<ExecTelemetry>>,
     ) -> Self {
         let prog = &compiled.ranks[ep.rank() as usize];
-        let pos = |g: u32| owned.binary_search(&g).expect("seeded entry must be owned") as u32;
+        let pos = |g: u32| owned.binary_search(&g).expect("local entry must be owned") as u32;
         let seed = prog.x_seed.iter().map(|&(g, slot)| (pos(g), slot)).collect();
-        let emit = owned
-            .iter()
-            .enumerate()
-            .map(|(i, &g)| (i as u32, compiled.y_slot[g as usize]))
-            .filter(|&(_, slot)| slot != NO_SLOT)
-            .collect();
+        let emit = prog.y_emit.iter().map(|&(g, slot)| (pos(g), slot)).collect();
         RankCtx {
             ep,
             tags: TagAlloc { next: 0 },
@@ -144,9 +139,10 @@ impl RankCtx {
     ///
     /// Every message carries `len × r` words — one exchange round per
     /// communication phase regardless of `r` — and the kernels run the
-    /// fixed-width batched inner loops. With telemetry attached
-    /// ([`spmd_compute_obs`]), gather / compute / scatter spans and
-    /// work counters are recorded under this rank's recorder.
+    /// fixed-width batched inner loops. With telemetry attached (see
+    /// [`cg_solve_obs`](crate::cg_solve_obs)), gather / compute /
+    /// scatter spans and work counters are recorded under this rank's
+    /// recorder.
     pub fn spmv_batch_into(&mut self, v: &[f64], out: &mut [f64], r: usize) {
         assert!(r >= 1, "batch width must be at least 1");
         assert_eq!(v.len(), self.owned.len() * r, "local block length mismatch");
@@ -291,24 +287,10 @@ where
     spmd_compute_inner(a, p, plan, None, body)
 }
 
-/// [`spmd_compute`] with telemetry: each rank records its SpMV phase
-/// spans, work counters and reduction spans under its own recorder.
-/// The sink must be sized for `plan.k` ranks. Purely observational:
-/// instrumented runs are bitwise identical to uninstrumented ones.
-pub fn spmd_compute_obs<R, F>(
-    a: &Csr,
-    p: &SpmvPartition,
-    plan: &SpmvPlan,
-    sink: &Arc<TelemetrySink>,
-    body: F,
-) -> Vec<R>
-where
-    R: Send,
-    F: Fn(&mut RankCtx) -> R + Sync,
-{
-    spmd_compute_inner(a, p, plan, Some(sink), body)
-}
-
+/// The one SPMD launcher behind [`spmd_compute`]. With a `sink` (sized
+/// for `plan.k` ranks) each rank records its SpMV phase spans, work
+/// counters and reduction spans under its own recorder — purely
+/// observational, results stay bitwise identical.
 pub(crate) fn spmd_compute_inner<R, F>(
     a: &Csr,
     p: &SpmvPartition,

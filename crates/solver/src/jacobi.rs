@@ -7,10 +7,7 @@
 //! per-iteration cost is *exactly* one SpMV — which makes it the cleanest
 //! demonstration of why SpMV partition quality dominates solver runtime.
 
-use std::time::Instant;
-
 use s2d_core::partition::SpmvPartition;
-use s2d_obs::TelemetrySink;
 use s2d_sparse::Csr;
 use s2d_spmv::{SpmvOperator, SpmvPlan};
 
@@ -96,33 +93,11 @@ pub fn jacobi_solve_with(
     b: &[f64],
     opts: &JacobiOptions,
 ) -> JacobiResult {
-    jacobi_solve_with_inner(op, diag, b, opts, None)
-}
-
-/// [`jacobi_solve_with`] recording one solver-iteration span per sweep
-/// on `sink` ([`TelemetrySink::record_solver_iter`]).
-pub fn jacobi_solve_with_obs(
-    op: impl SpmvOperator,
-    diag: &[f64],
-    b: &[f64],
-    opts: &JacobiOptions,
-    sink: &TelemetrySink,
-) -> JacobiResult {
-    jacobi_solve_with_inner(op, diag, b, opts, Some(sink))
-}
-
-fn jacobi_solve_with_inner(
-    op: impl SpmvOperator,
-    diag: &[f64],
-    b: &[f64],
-    opts: &JacobiOptions,
-    obs: Option<&TelemetrySink>,
-) -> JacobiResult {
     let mut c = Solo(op);
     assert_eq!(c.nrows(), c.ncols(), "Jacobi needs a square operator");
     assert_eq!(b.len(), c.nrows(), "right-hand side length mismatch");
     assert_eq!(diag.len(), c.nrows(), "diagonal length mismatch");
-    let (x, iterations, update) = jacobi_core_obs(&mut c, b, diag, opts, obs);
+    let (x, iterations, update) = jacobi_core(&mut c, b, diag, opts);
     JacobiResult { x, iterations, last_update_norm: update, converged: update <= opts.tol }
 }
 
@@ -156,18 +131,6 @@ fn jacobi_core<C: SpmvOperator + Reduce>(
     d_local: &[f64],
     opts: &JacobiOptions,
 ) -> (Vec<f64>, usize, f64) {
-    jacobi_core_obs(c, b_local, d_local, opts, None)
-}
-
-/// [`jacobi_core`] with optional per-sweep solver-iteration spans —
-/// clock reads sit between sweeps, never inside the numeric path.
-fn jacobi_core_obs<C: SpmvOperator + Reduce>(
-    c: &mut C,
-    b_local: &[f64],
-    d_local: &[f64],
-    opts: &JacobiOptions,
-    obs: Option<&TelemetrySink>,
-) -> (Vec<f64>, usize, f64) {
     let m = b_local.len();
     let mut x = vec![0.0f64; m];
     let mut x_new = vec![0.0f64; m];
@@ -175,7 +138,6 @@ fn jacobi_core_obs<C: SpmvOperator + Reduce>(
     let mut iterations = 0usize;
     let mut update = f64::INFINITY;
     while iterations < opts.max_iters {
-        let t0 = obs.map(|_| Instant::now());
         // Ax includes the diagonal: R x = A x − D x.
         c.apply(&x, &mut ax);
         let mut delta2 = 0.0f64;
@@ -188,9 +150,6 @@ fn jacobi_core_obs<C: SpmvOperator + Reduce>(
         update = c.reduce_sum(delta2).sqrt();
         std::mem::swap(&mut x, &mut x_new);
         iterations += 1;
-        if let (Some(sink), Some(t)) = (obs, t0) {
-            sink.record_solver_iter(t.elapsed().as_nanos() as u64);
-        }
         if update <= opts.tol {
             break;
         }

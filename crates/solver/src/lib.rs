@@ -57,14 +57,11 @@ pub mod power;
 pub use block_power::{
     block_power_iteration, block_power_iteration_with, BlockPowerOptions, BlockPowerResult,
 };
-pub use cg::{cg_solve, cg_solve_obs, cg_solve_with, cg_solve_with_obs, CgOptions, CgResult};
-pub use engine::{spmd_compute, spmd_compute_obs, RankCtx};
-pub use jacobi::{
-    diagonal_of, jacobi_solve, jacobi_solve_with, jacobi_solve_with_obs, JacobiOptions,
-    JacobiResult,
-};
+pub use cg::{cg_solve, cg_solve_obs, cg_solve_with, CgOptions, CgResult};
+pub use engine::{spmd_compute, RankCtx};
+pub use jacobi::{diagonal_of, jacobi_solve, jacobi_solve_with, JacobiOptions, JacobiResult};
 pub use operator::{Reduce, Solo};
 pub use power::{
-    pagerank, pagerank_with, power_iteration, power_iteration_with, power_iteration_with_obs,
-    to_column_stochastic, PagerankOptions, PagerankResult, PowerOptions, PowerResult,
+    pagerank, pagerank_with, power_iteration, power_iteration_with, to_column_stochastic,
+    PagerankOptions, PagerankResult, PowerOptions, PowerResult,
 };

@@ -6,10 +6,7 @@
 //! motivate bounded-latency partitionings. PageRank specializes it to
 //! the damped column-stochastic link matrix.
 
-use std::time::Instant;
-
 use s2d_core::partition::SpmvPartition;
-use s2d_obs::TelemetrySink;
 use s2d_sparse::{Coo, Csr};
 use s2d_spmv::{SpmvOperator, SpmvPlan};
 
@@ -86,20 +83,6 @@ pub fn power_iteration_with(op: impl SpmvOperator, opts: &PowerOptions) -> Power
     PowerResult { eigenvalue: lambda, eigenvector: v, iterations, converged }
 }
 
-/// [`power_iteration_with`] recording one solver-iteration span per
-/// multiply on `sink` ([`TelemetrySink::record_solver_iter`]).
-pub fn power_iteration_with_obs(
-    op: impl SpmvOperator,
-    opts: &PowerOptions,
-    sink: &TelemetrySink,
-) -> PowerResult {
-    let mut c = Solo(op);
-    assert_eq!(c.nrows(), c.ncols(), "power iteration needs a square operator");
-    let n = c.nrows();
-    let (v, lambda, iterations, converged) = power_core_obs(&mut c, n, opts, Some(sink));
-    PowerResult { eigenvalue: lambda, eigenvector: v, iterations, converged }
-}
-
 /// The power-iteration body, written once against operator injection.
 /// `n` is the *global* dimension (for the uniform start vector); the
 /// iterate `v` is this participant's local slice. The loop ping-pongs
@@ -109,17 +92,6 @@ fn power_core<C: SpmvOperator + Reduce>(
     n: usize,
     opts: &PowerOptions,
 ) -> (Vec<f64>, f64, usize, bool) {
-    power_core_obs(c, n, opts, None)
-}
-
-/// [`power_core`] with optional per-iteration solver spans — clock
-/// reads sit between iterations, never inside the numeric path.
-fn power_core_obs<C: SpmvOperator + Reduce>(
-    c: &mut C,
-    n: usize,
-    opts: &PowerOptions,
-    obs: Option<&TelemetrySink>,
-) -> (Vec<f64>, f64, usize, bool) {
     let m = c.ncols();
     let mut v = vec![1.0 / (n as f64).sqrt(); m];
     let mut av = vec![0.0f64; m];
@@ -127,7 +99,6 @@ fn power_core_obs<C: SpmvOperator + Reduce>(
     let mut iterations = 0usize;
     let mut converged = false;
     while iterations < opts.max_iters {
-        let t0 = obs.map(|_| Instant::now());
         c.apply(&v, &mut av);
         // Fused reductions: ⟨v, Av⟩ (Rayleigh) and ⟨Av, Av⟩ (norm).
         let vav_l: f64 = v.iter().zip(&av).map(|(x, y)| x * y).sum();
@@ -142,9 +113,6 @@ fn power_core_obs<C: SpmvOperator + Reduce>(
         std::mem::swap(&mut v, &mut av);
         scale(1.0 / av_norm, &mut v);
         iterations += 1;
-        if let (Some(sink), Some(t)) = (obs, t0) {
-            sink.record_solver_iter(t.elapsed().as_nanos() as u64);
-        }
         if (rayleigh - lambda).abs() <= opts.tol * rayleigh.abs().max(1.0) {
             lambda = rayleigh;
             converged = true;

@@ -24,8 +24,9 @@
 //! * [`spmv`] — the SpMV plan language and the mailbox interpreter (the
 //!   one test oracle).
 //! * [`engine`] — the compiled execution engine (flat-buffer plan
-//!   compiler + the three drivers of the compiled rank programs: in
-//!   place, worker pool, message-passing endpoints).
+//!   compiler + one phase-walk body for the compiled rank programs
+//!   under two transports — in place, worker pool — plus the
+//!   message-passing endpoint walker).
 //! * [`runtime`] — the MPI-like message-passing substrate.
 //! * [`solver`] — distributed CG, Jacobi, power iteration, PageRank.
 //! * [`gen`] — synthetic matrix generators and the paper's two test suites.
@@ -110,7 +111,7 @@ pub use s2d_sparse as sparse;
 pub use s2d_spmv as spmv;
 
 pub use key::ConfigKey;
-pub use s2d_engine::{Backend, KernelFormat, KernelIsa, PoolSchedule};
+pub use s2d_engine::{Backend, KernelFormat, KernelIsa};
 pub use s2d_obs::{ExecutionReport, TelemetrySink};
 pub use s2d_partition::{PartitionQuality, Partitioner, PartitionerConfig, S2dVariant, Strategy};
 pub use s2d_spmv::{PlanKind, SpmvOperator};

@@ -14,7 +14,7 @@ use std::sync::Arc;
 
 use s2d_core::comm::CommStats;
 use s2d_core::partition::SpmvPartition;
-use s2d_engine::{Backend, CompiledPlan, KernelFormat, KernelIsa, PoolSchedule};
+use s2d_engine::{Backend, CompiledPlan, KernelFormat, KernelIsa};
 use s2d_obs::{ExecutionReport, ModelRef, TelemetrySink, WorkerLoadReport};
 use s2d_partition::{PartitionQuality, Partitioner, PartitionerConfig, Strategy};
 use s2d_sparse::Csr;
@@ -432,9 +432,9 @@ impl Session {
     }
 
     /// The telemetry sink, when the session was built with
-    /// [`SessionBuilder::telemetry`] — e.g. to pass to the solver
-    /// `*_with_obs` entry points so solver-iteration spans land in the
-    /// same report, or to `reset()` between measured windows.
+    /// [`SessionBuilder::telemetry`] — e.g. to `reset()` between
+    /// measured windows, or to record spans of one's own
+    /// ([`TelemetrySink::record_solver_iter`]) into the same report.
     pub fn telemetry_sink(&self) -> Option<&Arc<TelemetrySink>> {
         self.telemetry.as_ref().map(|(sink, _)| sink)
     }
@@ -460,12 +460,10 @@ impl Session {
             };
             let report = ExecutionReport::collect(sink, self.backend.label(), Some(model));
             match self.operator.worker_loads() {
-                // The pool path: every constructor uses the default
-                // (NNZ-chunked) intra-rank schedule, so label it as
-                // such — the loads are the planned == achieved
-                // multiply-adds of the fixed chunk→worker map.
-                Some(madds) => report
-                    .with_workers(WorkerLoadReport::new(PoolSchedule::default().label(), madds)),
+                // The pool path: the loads are the planned == achieved
+                // multiply-adds of the fixed (NNZ-chunked) chunk→worker
+                // map.
+                Some(madds) => report.with_workers(WorkerLoadReport::new("nnz-chunked", madds)),
                 None => report,
             }
         })
