@@ -78,15 +78,16 @@ ENGINES (--engine <backend>)
   mailbox            deterministic sequential interpreter (the oracle)
   threaded           compiled plan, one OS thread per rank over message passing
   compiled-seq       compiled plan, sequential zero-alloc workspace
-  compiled-pool[:N][@pin]  compiled plan on the persistent worker pool
-                     (N workers; default one per rank, capped at CPUs;
-                      `@pin` pins worker w to core w; `compiled` and
-                      `pool` are accepted aliases)
+  compiled-pool[:N][@pin]  compiled plan on the persistent pool: this
+                     thread plus N-1 workers that park when idle
+                     (N participants; default one per rank, capped at
+                      CPUs; `@pin` pins spawned worker w >= 1 to core
+                      w; `compiled` and `pool` are accepted aliases)
   auto               compile, then pick compiled-seq or compiled-pool
-                     from the plan's op count (with NNZ-chunked
-                     scheduling the pool pays off above ~1.25e5
-                     multiply-adds per iteration scalar, ~2.5e5 when
-                     the SIMD kernels are active)
+                     from the core count and the plan's op count (the
+                     pool needs two participants - min(K, CPUs) >= 2 -
+                     and ~1.25e5 multiply-adds per iteration scalar,
+                     ~2.5e5 when the SIMD kernels are active)
 
 KERNEL FORMATS (--kernel-format, compiled engines only)
   csr                run-length grouped CSR slices (default, bitwise

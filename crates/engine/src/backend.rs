@@ -20,14 +20,20 @@
 //! * [`Backend::CompiledSeq`] — the phase-walk body over the **in
 //!   place** transport: one thread, all ranks, a [`Workspace`] of plain
 //!   vectors, no barrier and no atomic anywhere. Zero allocation per
-//!   iteration; the fastest choice whenever one iteration costs less
-//!   than ~1 ms (pool barrier overhead dominates below that) and the
-//!   right baseline for kernel work.
+//!   iteration; the choice on one core, for small plans (an iteration
+//!   of a few tens of thousands of multiply-adds costs less than the
+//!   pool's ~7 barrier crossings) and the right baseline for kernel
+//!   work.
 //! * [`Backend::CompiledPool`] — the same body over the **pool**
-//!   transport: each persistent worker runs it for its rank range and
-//!   its NNZ-balanced chunk bucket, with a barrier at every handoff.
-//!   Wins on matrices big enough that one iteration costs ≳ 1 ms;
-//!   `threads = 0` sizes the pool to `min(K, available CPUs)`.
+//!   transport: the calling thread and the persistent workers each run
+//!   it for their rank range and their NNZ-balanced chunk bucket, with
+//!   a barrier at every handoff. `threads` counts participants
+//!   *including the caller* (`threads − 1` OS threads are spawned, and
+//!   an idle pool parks them); `0` sizes the team to `min(K, available
+//!   CPUs)`. With two participants on two cores it measured 0.41 vs
+//!   0.51 ms per iteration at 131 k multiply-adds and 0.80 vs 1.47 ms
+//!   at 1.68 M (the ledger's `engine.pool_apply_*` / `seq_apply_*`
+//!   columns, PR 16); never ask for more participants than cores.
 //! * [`Backend::Threaded`] — the same programs over message-passing
 //!   **endpoints**, one OS thread per rank ([`EndpointOperator`]).
 //!   Spawns its threads per call: the distributed-execution shape
@@ -78,13 +84,17 @@ pub enum Backend {
     Threaded,
     /// Compiled plan, sequential zero-alloc workspace execution.
     CompiledSeq,
-    /// Compiled plan on the persistent worker pool (`threads = 0` →
-    /// one worker per rank, capped at the available CPUs), running the
-    /// NNZ-chunked compute schedule.
+    /// Compiled plan on the persistent pool — the calling thread as
+    /// participant 0 plus spawned workers — running the NNZ-chunked
+    /// compute schedule.
     CompiledPool {
-        /// Worker count; 0 selects the default sizing.
+        /// Participant count, the caller included (`threads − 1` OS
+        /// threads are spawned; 1 spawns none); 0 selects the default
+        /// sizing, one participant per rank capped at the available
+        /// CPUs.
         threads: usize,
-        /// Pin worker `w` to CPU `w` (CLI spelling `pool:N@pin`);
+        /// Pin spawned worker `w ≥ 1` to CPU `w` (CLI spelling
+        /// `pool:N@pin`); the caller's affinity is never touched.
         /// Linux-only performance hint, a no-op elsewhere.
         pin: bool,
     },
@@ -162,8 +172,10 @@ impl Backend {
     /// measured the pool's barrier round trips amortizing around
     /// ≈ 5·10⁵ madds; the NNZ-chunked schedule removes the
     /// serialize-on-the-heaviest-rank penalty that dominated that
-    /// figure, pulling the break-even 4× lower. This is a *model*
-    /// constant, measured on one machine — when an `s2d-tune`
+    /// figure, pulling the break-even 4× lower. (With the caller as
+    /// participant 0 the measured break-even sits lower still — see
+    /// ROADMAP for the table and the pending re-derivation.) This is a
+    /// *model* constant, measured on one machine — when an `s2d-tune`
     /// tuning-cache entry exists for a matrix, its measured backend
     /// pick takes precedence over this threshold.
     pub const POOL_OPS_CROSSOVER: u64 = 125_000;
@@ -174,10 +186,11 @@ impl Backend {
     pub const POOL_OPS_CROSSOVER_SIMD: u64 = 250_000;
 
     /// Picks the compiled backend an already-compiled plan should run
-    /// on: the persistent pool wins only when one iteration carries
-    /// enough work to amortize its barrier round trips, and only when
-    /// there is more than one rank to parallelize over. Everything
-    /// smaller runs faster on the sequential workspace.
+    /// on, on this machine: the persistent pool wins only when it would
+    /// have at least two participants (`min(K, available CPUs) ≥ 2` —
+    /// on one core, or with one rank, a team is pure overhead) and one
+    /// iteration carries enough work to amortize its barrier round
+    /// trips. Everything else runs faster on the sequential workspace.
     ///
     /// ISA-aware: a plan whose kernels resolved to SIMD
     /// ([`CompiledPlan`]'s `isa`, `Auto` on an AVX2 machine) uses
@@ -186,23 +199,19 @@ impl Backend {
     ///
     /// This is the rule behind the CLI's `--engine auto`.
     pub fn auto(cp: &CompiledPlan) -> Backend {
-        let crossover = if cp.isa.simd() {
-            Backend::POOL_OPS_CROSSOVER_SIMD
-        } else {
-            Backend::POOL_OPS_CROSSOVER
-        };
-        Backend::auto_with_crossover(cp, crossover)
+        auto_for(cp, std::thread::available_parallelism().map_or(1, |n| n.get()))
     }
+}
 
-    /// [`Backend::auto`] with an explicit crossover — for machines
-    /// whose measured seq/pool break-even differs from the default
-    /// (the tuner's measurements are the principled way to find it).
-    pub fn auto_with_crossover(cp: &CompiledPlan, crossover_ops: u64) -> Backend {
-        if cp.k > 1 && cp.total_ops() >= crossover_ops {
-            Backend::CompiledPool { threads: 0, pin: false }
-        } else {
-            Backend::CompiledSeq
-        }
+/// [`Backend::auto`]'s rule as a pure function of the plan and the core
+/// count.
+fn auto_for(cp: &CompiledPlan, cores: usize) -> Backend {
+    let crossover =
+        if cp.isa.simd() { Backend::POOL_OPS_CROSSOVER_SIMD } else { Backend::POOL_OPS_CROSSOVER };
+    if cp.k.min(cores) >= 2 && cp.total_ops() >= crossover {
+        Backend::CompiledPool { threads: 0, pin: false }
+    } else {
+        Backend::CompiledSeq
     }
 }
 
@@ -324,7 +333,9 @@ impl SpmvOperator for CompiledSeqOperator {
 /// [`Backend::CompiledPool`] as an operator: the compiled plan running
 /// on a persistent worker pool, spawned once at construction.
 pub struct CompiledPoolOperator {
-    engine: ParallelEngine,
+    /// `None` only inside a width-growth rebuild, between dropping the
+    /// old pool and building the new one.
+    engine: Option<ParallelEngine>,
     /// The construction knobs, kept so a width-growth rebuild preserves
     /// them (and stays instrumented on the same sink).
     opts: PoolOptions,
@@ -334,28 +345,32 @@ impl CompiledPoolOperator {
     /// Builds the pool over an already-compiled plan; see
     /// [`PoolOptions`] for the knobs (`width` is the batch capacity).
     pub fn new(cp: impl Into<Arc<CompiledPlan>>, opts: PoolOptions) -> CompiledPoolOperator {
-        let engine = ParallelEngine::with_options(cp, opts.clone());
+        let engine = Some(ParallelEngine::with_options(cp, opts.clone()));
         CompiledPoolOperator { engine, opts }
     }
 
     /// The underlying pool (e.g. to query `threads()` or
     /// [`ParallelEngine::worker_loads`]).
     pub fn engine(&self) -> &ParallelEngine {
-        &self.engine
+        self.engine.as_ref().expect("a pool exists outside a width-growth rebuild")
+    }
+
+    fn engine_mut(&mut self) -> &mut ParallelEngine {
+        self.engine.as_mut().expect("a pool exists outside a width-growth rebuild")
     }
 }
 
 impl SpmvOperator for CompiledPoolOperator {
     fn nrows(&self) -> usize {
-        self.engine.plan().nrows
+        self.engine().plan().nrows
     }
 
     fn ncols(&self) -> usize {
-        self.engine.plan().ncols
+        self.engine().plan().ncols
     }
 
     fn apply(&mut self, x: &[f64], y: &mut [f64]) {
-        self.engine.execute(x, y);
+        self.engine_mut().execute(x, y);
     }
 
     fn apply_batch(&mut self, x: &[f64], y: &mut [f64], r: usize) {
@@ -363,21 +378,24 @@ impl SpmvOperator for CompiledPoolOperator {
     }
 
     fn apply_batch_iters(&mut self, x: &[f64], y: &mut [f64], r: usize, iters: usize) {
-        if r > self.engine.width() {
+        if r > self.engine().width() {
             // Width growth requires re-sizing the shared buffers, which
             // means rebuilding the pool — expensive, so build with the
-            // widest batch you plan to use.
-            let cp = Arc::clone(self.engine.plan());
-            let opts = PoolOptions { width: r, ..self.opts.clone() };
-            *self = CompiledPoolOperator::new(cp, opts);
+            // widest batch you plan to use. The old pool goes first
+            // (workers joined, buffers freed): the new one must not
+            // spawn and first-touch next to a live team.
+            let cp = Arc::clone(self.engine().plan());
+            self.opts.width = r;
+            self.engine = None;
+            self.engine = Some(ParallelEngine::with_options(cp, self.opts.clone()));
         }
-        // Native chained path: one dispatch, workers stay hot across
-        // iterations.
-        self.engine.execute_batch_iters(x, y, r, iters);
+        // Native chained path: one dispatch, participants stay hot
+        // across iterations.
+        self.engine_mut().execute_batch_iters(x, y, r, iters);
     }
 
     fn worker_loads(&self) -> Option<Vec<u64>> {
-        Some(self.engine.worker_loads().to_vec())
+        Some(self.engine().worker_loads().to_vec())
     }
 }
 
@@ -564,9 +582,14 @@ mod tests {
         let p = fig1_partition();
         let plan = SpmvPlan::single_phase(&a, &p);
         let cp = CompiledPlan::compile(&plan);
-        // fig1 is tiny: far below the pool's amortization floor.
+        // fig1 is tiny: far below the pool's amortization floor, on any
+        // machine.
         assert_eq!(Backend::auto(&cp), Backend::CompiledSeq);
-        // Inflate the op count artificially: the decision flips.
+        for cores in [1, 2, 8] {
+            assert_eq!(auto_for(&cp, cores), Backend::CompiledSeq, "{cores} cores");
+        }
+        // Inflate the op count artificially: the decision flips —
+        // wherever a second participant has a core to run on.
         let mut big = cp.clone();
         if let Some(crate::RankStep::Compute(crate::Kernel::Csr(k))) =
             big.ranks[0].steps.first_mut()
@@ -581,16 +604,18 @@ mod tests {
         } else {
             panic!("fig1 plan starts with a compute phase");
         }
-        assert_eq!(Backend::auto(&big), Backend::CompiledPool { threads: 0, pin: false });
-        // The crossover is an overridable constant, not magic: a floor
-        // below the tiny plan's op count flips even fig1 to the pool,
-        // and an unreachable floor pins the inflated plan to seq.
-        assert_eq!(
-            Backend::auto_with_crossover(&cp, 1),
-            Backend::CompiledPool { threads: 0, pin: false },
-            "fig1 has k > 1 and more than one madd"
-        );
-        assert_eq!(Backend::auto_with_crossover(&big, u64::MAX), Backend::CompiledSeq);
+        assert_eq!(auto_for(&big, 1), Backend::CompiledSeq, "one core: a team is pure overhead");
+        for cores in [2, 8] {
+            assert_eq!(
+                auto_for(&big, cores),
+                Backend::CompiledPool { threads: 0, pin: false },
+                "{cores} cores"
+            );
+        }
+        // One rank leaves nothing to share out, however many cores.
+        let mut lone = big.clone();
+        lone.k = 1;
+        assert_eq!(auto_for(&lone, 8), Backend::CompiledSeq);
     }
 
     #[test]

@@ -32,9 +32,10 @@
 //!   per-kernel `auto` selection policy;
 //! * [`exec`] — the phase-walk body, its transport seam, and the
 //!   in-place transport over a reusable [`Workspace`];
-//! * [`pool`] — the [`ParallelEngine`]: long-lived OS threads, each
-//!   running the same body over shared buffers, `execute_iters(n)` for
-//!   solver loops with zero per-iteration allocation;
+//! * [`pool`] — the [`ParallelEngine`]: the calling thread plus
+//!   long-lived, park-when-idle workers, each running the same body
+//!   over shared buffers, `execute_iters(n)` for solver loops with zero
+//!   per-iteration allocation;
 //! * [`threaded`] — the endpoint walker ([`RankProgram::spmv_over`])
 //!   and [`EndpointOperator`], which runs it on one OS thread per rank.
 //!

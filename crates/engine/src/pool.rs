@@ -1,86 +1,138 @@
 //! The persistent worker-pool runtime for [`CompiledPlan`]s.
 //!
-//! A [`ParallelEngine`] owns long-lived OS threads (spawned once,
-//! parked on a spin barrier between jobs) and the shared flat buffers a
-//! compiled plan executes over. Running an iteration involves **no
-//! channels, no hashing and no allocation**: the control thread
-//! publishes a job descriptor, releases the workers through an atomic
-//! gate, and each worker runs the one phase-walk body
-//! (`crate::exec`) as a `PoolWorker` transport — its rank range, its
-//! baked chunk bucket, range views over the shared buffers, and a
-//! sense-reversing barrier at every handoff the body marks.
+//! A [`ParallelEngine`] runs a compiled plan on `N` **participants**:
+//! the thread that calls [`execute`](ParallelEngine::execute) is
+//! participant 0 and `N − 1` long-lived OS threads (spawned once,
+//! parked while the pool is idle) are participants `1..N` — the way an
+//! OpenMP team includes the thread that opened the parallel region.
+//! There are never more runnable threads than the caller asked for, and
+//! a one-participant pool spawns nothing. Running an iteration involves
+//! **no channels, no hashing and no allocation**: the caller writes a
+//! job descriptor, publishes a job epoch, and every participant —
+//! itself included — runs the one phase-walk body (`crate::exec`) as a
+//! `PoolWorker` transport: its rank range, its baked chunk bucket,
+//! range views over the shared buffers and over the job's own `x` and
+//! `y`, and a sense-reversing barrier at every handoff the body marks.
+//!
+//! # Job hand-off
+//!
+//! * **Start — a published epoch.** The caller stores the descriptor,
+//!   sets the completion count to `N − 1` and bumps `epoch`. An idle
+//!   worker spins on the epoch for a bounded budget and then parks:
+//!   it raises its `parked` flag, re-checks epoch and shutdown, and
+//!   only then calls `park`. The publisher bumps the epoch first and
+//!   reads the flags second, and unparks exactly the flagged workers;
+//!   all four accesses are `SeqCst`, so either the worker's re-check
+//!   sees the new epoch or the publisher sees the flag (an `unpark`
+//!   that lands before the `park` leaves a token and the `park`
+//!   returns at once) — no wake-up is lost. Shutdown takes the same
+//!   path. A live-but-idle pool therefore costs no CPU.
+//! * **Finish — a counted completion.** Every worker decrements the
+//!   count on its way out of the job through a drop guard (normal
+//!   return, poisoned early return or panic alike), and the caller
+//!   waits for zero **unconditionally** — also when the engine is
+//!   poisoned, also when its own share panicked (the panic is caught,
+//!   poison raised, and the original payload re-raised only after the
+//!   count reached zero). The decrement is `AcqRel`, the caller's read
+//!   `Acquire`: everything a worker wrote happens-before the caller's
+//!   return.
+//! * **Inside a job** the phase barrier (`SpinBarrier`, all `N`
+//!   participants) spins and then yields — never parks; jobs are short
+//!   and every participant is runnable.
 //!
 //! # Sharing discipline (why the `unsafe` here is sound)
 //!
-//! All mutable state lives in `ShBuf`s — `UnsafeCell` words reached
-//! only through three kinds of view, built in `PoolWorker` (and, while
-//! no job runs, by the first touch before the first gate and the
-//! copy-out after the completion gate). Each rests on a spatial
-//! invariant (who may touch the range) and a temporal one (which
-//! barrier orders the handoff):
+//! All mutable state is reached through `ShBuf` — `UnsafeCell` words
+//! behind bounds-checked views — in four kinds of view, built in
+//! `PoolWorker` (and, while no job runs, by the first touch each
+//! participant gives its own ranks' buffers before it first arrives at
+//! a barrier). Each rests on a spatial invariant (who may touch the
+//! range; the named `validate_for_pool` check enforces it) and a
+//! temporal one (which barrier, or the counted completion, orders the
+//! handoff):
 //!
 //! 1. **Range views of a rank's own `x` / `y`** (`region_mut` over the
 //!    first `nx × r` / `ny × r` words) while seeding, staging, applying
-//!    and emitting. Spatial: those steps stay with the worker that owns
-//!    the rank. Temporal: the barriers on either side of every compute
-//!    phase separate them from the chunks other workers run on the
-//!    same buffers.
+//!    and emitting. Spatial: those steps stay with the participant that
+//!    owns the rank (`assign` is a partition of the ranks). Temporal:
+//!    the barriers on either side of every compute phase separate them
+//!    from the chunks other participants run on the same buffers.
 //! 2. **Range views of a shared buffer**: a message's staging region
 //!    (`region_mut`, for its one sender while staging and its one
-//!    receiver while applying), the gathered block row by row
-//!    (`region_mut` for the owner of the row), the whole gathered block
-//!    and a rank's `x` read-only (`region`) while re-seeding resp.
-//!    computing. Spatial: send regions are pairwise disjoint, so are
-//!    receive regions, and emitted rows are owned by the emitting rank,
-//!    hence disjoint across workers. Temporal: stage → apply, apply →
-//!    next stage into the same buffer, emit → re-seed and seed →
-//!    compute each cross a barrier, so a range is never written while
-//!    another view of it is live.
+//!    receiver while applying), the chained-iteration carrier `global`
+//!    row by row (`region_mut` for the owner of the row), the whole
+//!    carrier and a rank's `x` read-only (`region`) while re-seeding
+//!    resp. computing. Spatial: send regions are pairwise disjoint, so
+//!    are receive regions ("overlapping staging regions"), and emitted
+//!    rows are owned by the emitting rank ("y_emit … not owned",
+//!    "y_zero … not owned"), hence disjoint across participants.
+//!    Temporal: stage → apply, apply → next stage into the same buffer,
+//!    emit → re-seed and seed → compute each cross a barrier, so a
+//!    range is never written while another view of it is live.
 //! 3. **The one aliased view**: a compute chunk's `y`
-//!    (`as_mut_slice`, whole buffer), held by every worker running a
-//!    chunk of that rank. It cannot be a range — a chunk writes the
+//!    (`as_mut_slice`, whole buffer), held by every participant running
+//!    a chunk of that rank. It cannot be a range — a chunk writes the
 //!    *row slots* of its units, not a contiguous run. Spatial: the
 //!    schedule only splits [`Kernel::splittable`](crate::Kernel::splittable)
 //!    kernels, whose units never share a row, so per element the view
 //!    is uniquely live. Temporal: barriers before and after the phase.
+//! 4. **The job's own vectors**, rebuilt by every participant from the
+//!    raw pointers in the job descriptor: the caller's `x` read-only
+//!    (a plain slice) and the caller's `y` as a borrowed `ShBuf`, into
+//!    which the job's *final* iteration emits directly, row by row —
+//!    there is no gathered copy to hand back afterwards. Spatial: `x`
+//!    is never written; `y` is written only at emitted rows (`y_emit` ∪
+//!    `y_zero`), owned and hence disjoint across participants (the same
+//!    `validate_for_pool` checks as kind 2), and the lengths the views
+//!    are built with are the ones `execute_batch_iters` asserted.
+//!    Temporal: the **counted completion** — the caller neither returns
+//!    nor unwinds out of `execute_batch_iters` before every worker has
+//!    left the job, so both borrows outlive every view derived from
+//!    them, and the caller does not touch `y` itself in between.
 //!
-//! Every barrier is release/acquire, so there is no unsynchronized
-//! cross-thread access to the same element. View bounds are checked on
-//! construction (a corrupt offset panics, it cannot reach out of
-//! bounds). The compiler produces plans with the spatial shape above,
-//! and because every `CompiledPlan` field is public (the endpoint
-//! walker's callers consume the per-rank programs directly),
-//! [`ParallelEngine::with_options`] re-validates it instead of
-//! trusting the caller — a hand-built plan that overlaps send regions
-//! or emits a row it does not own is rejected before any thread runs.
-//! If a worker panics, the barriers are *poisoned*: every waiter bails
-//! out immediately, no further shared-buffer access happens, and the
-//! control thread re-raises the failure instead of deadlocking.
+//! Every barrier and the completion count are release/acquire, so there
+//! is no unsynchronized cross-thread access to the same element. View
+//! bounds are checked on construction (a corrupt offset panics, it
+//! cannot reach out of bounds). The compiler produces plans with the
+//! spatial shape above, and because every `CompiledPlan` field is
+//! public (the endpoint walker's callers consume the per-rank programs
+//! directly), [`ParallelEngine::with_options`] re-validates it instead
+//! of trusting the caller — a hand-built plan that overlaps send
+//! regions or emits a row it does not own is rejected before any thread
+//! runs. If a participant panics — a worker or the caller's own share —
+//! the engine is *poisoned*: every barrier wait bails out immediately,
+//! no further shared-buffer access happens, each participant still
+//! leaves through the counted completion, and the caller re-raises the
+//! failure (its own panic with the original payload) instead of
+//! deadlocking. Workers of a poisoned engine go back to idling — that
+//! is, they park — until the engine drops.
 //!
 //! # NNZ-chunked scheduling
 //!
-//! Giving each worker whole ranks serializes on the heaviest rank —
-//! exactly the skewed dense-row regime semi-2D partitions target. The
+//! Giving each participant whole ranks serializes on the heaviest rank
+//! — exactly the skewed dense-row regime semi-2D partitions target. The
 //! schedule therefore splits every splittable compute kernel at unit
 //! (row-segment / SELL-chunk) boundaries into chunks of at least a
-//! target multiply-add count and packs the chunks onto workers with a
-//! greedy LPT (heaviest-first, least-loaded-worker) pass at
-//! construction time. The chunk→worker map is **fixed** — no work
+//! target multiply-add count and packs the chunks onto participants
+//! with a greedy LPT (heaviest-first, least-loaded-participant) pass at
+//! construction time. The chunk→participant map is **fixed** — no work
 //! stealing — so the hot loop stays allocation-free and results are
-//! bitwise reproducible across runs *and across worker counts*: each
-//! `y` slot is written by exactly one chunk, and a chunk's accumulation
-//! order is the kernel's own unit order regardless of which worker
+//! bitwise reproducible across runs *and across participant counts*:
+//! each `y` slot is written by exactly one chunk, and a chunk's
+//! accumulation order is the kernel's own unit order regardless of who
 //! runs it.
 //!
 //! # NUMA placement
 //!
-//! Buffers are allocated zeroed (untouched pages) and each worker
+//! Buffers are allocated zeroed (untouched pages) and each participant
 //! **first-touches** the `x`/`y` buffers of the ranks it owns before
-//! its first job, so on a first-touch NUMA system the pages land on
-//! the node of the worker that seeds, stages and emits them. Optional
-//! core pinning (`PoolOptions::pin`, CLI `pool:N@pin`) binds worker
-//! `w` to CPU `w` via `sched_setaffinity` on Linux (a no-op
-//! elsewhere), keeping those pages node-local for the pool's lifetime.
+//! its first job (the caller's at construction, on the constructing
+//! thread), so on a first-touch NUMA system the pages land on the node
+//! of the thread that seeds, stages and emits them. Optional core
+//! pinning (`PoolOptions::pin`, CLI `pool:N@pin`) binds spawned worker
+//! `w ≥ 1` to CPU `w` via `sched_setaffinity` on Linux (a no-op
+//! elsewhere), keeping those pages node-local for the pool's lifetime;
+//! the caller's affinity is the caller's business and is never touched.
 
 use std::cell::UnsafeCell;
 use std::ops::Range;
@@ -95,28 +147,42 @@ use crate::exec::{walk, Region, Transport};
 use crate::formats::KernelFormat;
 use crate::telemetry::{call_end, span_end, span_start, ExecTelemetry};
 
-/// A flat `f64` buffer shareable across worker threads, reached only
-/// through range views (see the module docs for the access discipline
-/// that makes them sound). View bounds are always checked, so a corrupt
-/// offset panics safely instead of reaching out of bounds.
-struct ShBuf(Box<[UnsafeCell<f64>]>);
+/// Flat `f64` words shareable across participants, reached only through
+/// range views (see the module docs for the access discipline that
+/// makes them sound). Owned as `Box<ShBuf>` (the engine's buffers) or
+/// borrowed over a caller's slice for the length of a job. View bounds
+/// are always checked, so a corrupt offset panics safely instead of
+/// reaching out of bounds.
+#[repr(transparent)]
+struct ShBuf([UnsafeCell<f64>]);
 
 // SAFETY: all access goes through the views below under the spatial and
 // temporal invariants documented on the module.
 unsafe impl Sync for ShBuf {}
 
 impl ShBuf {
-    fn new(len: usize) -> ShBuf {
+    fn new(len: usize) -> Box<ShBuf> {
         // `vec![0.0; n]` allocates through `alloc_zeroed`, leaving
-        // fresh pages untouched until a worker first-touches them (the
-        // NUMA placement lever); the obvious per-element
+        // fresh pages untouched until a participant first-touches them
+        // (the NUMA placement lever); the obvious per-element
         // `UnsafeCell::new` collect would fault every page on the
-        // control thread instead.
+        // constructing thread instead.
         let raw = Box::into_raw(vec![0.0f64; len].into_boxed_slice());
-        // SAFETY: same allocation; UnsafeCell<f64> is repr(transparent)
-        // over f64, so `[f64]` and `[UnsafeCell<f64>]` have identical
-        // layout.
-        ShBuf(unsafe { Box::from_raw(raw as *mut [UnsafeCell<f64>]) })
+        // SAFETY: same allocation; `ShBuf` is repr(transparent) over
+        // `[UnsafeCell<f64>]` and UnsafeCell<f64> over f64, so `[f64]`
+        // and `ShBuf` have identical layout and pointer metadata.
+        unsafe { Box::from_raw(raw as *mut ShBuf) }
+    }
+
+    /// Borrowed view of `len` caller-owned words at `ptr` (view kind 4).
+    ///
+    /// # Safety
+    /// The words must be valid for reads and writes for `'a`, and for
+    /// that long be accessed only through views derived from this call
+    /// (or sibling calls on the same words) under the module's
+    /// invariants.
+    unsafe fn from_raw_parts<'a>(ptr: *mut f64, len: usize) -> &'a ShBuf {
+        &*(std::ptr::slice_from_raw_parts_mut(ptr, len) as *const ShBuf)
     }
 
     /// Read-only view of words `lo..lo + len`; panics when the range
@@ -143,7 +209,8 @@ impl ShBuf {
     }
 
     /// Whole-buffer view for a compute chunk's `y`, the one view that
-    /// is *aliased*: chunks of one rank run on several workers at once.
+    /// is *aliased*: chunks of one rank run on several participants at
+    /// once.
     ///
     /// # Safety
     /// For every element the returned slice is actually used to access,
@@ -159,9 +226,37 @@ impl ShBuf {
     }
 }
 
-/// Sense-reversing spin barrier (falls back to `yield_now` so it stays
-/// live when workers outnumber cores). `wait` takes the engine's poison
-/// flag: once poisoned, every wait returns `true` immediately and the
+/// Busy-wait budget, in `spin_loop` hints, before a waiter gives up its
+/// core: a barrier waiter then yields between polls (it stays live when
+/// participants outnumber cores), an idle worker parks.
+const SPIN_BUDGET: u32 = 1 << 14;
+
+/// One turn of a wait that never sleeps: a `spin_loop` hint while the
+/// budget lasts, a `yield_now` after.
+#[inline]
+fn spin_or_yield(spins: &mut u32) {
+    *spins += 1;
+    if *spins < SPIN_BUDGET {
+        std::hint::spin_loop();
+    } else {
+        std::thread::yield_now();
+    }
+}
+
+/// Where one participant stands in one barrier crossing.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Crossing {
+    /// Everyone arrived: proceed.
+    Released,
+    /// The engine is poisoned: bail out without touching a buffer.
+    Poisoned,
+    /// Arrived; keep polling for the end of this generation.
+    Pending(usize),
+}
+
+/// Sense-reversing barrier among the `total` participants of a job.
+/// Every step takes the engine's poison flag: once poisoned, every
+/// arrival and every poll reports [`Crossing::Poisoned`] and the
 /// barrier's counts stop meaning anything — the engine is dead and only
 /// shuts down from there.
 struct SpinBarrier {
@@ -175,62 +270,215 @@ impl SpinBarrier {
         SpinBarrier { arrived: AtomicUsize::new(0), generation: AtomicUsize::new(0), total }
     }
 
-    /// Blocks until all `total` participants arrive, or until `poison`
-    /// is raised (returns `true` in that case). Release/acquire on the
+    /// Registers the caller at the barrier. The last arrival resets the
+    /// count and releases the generation. Release/acquire on the
     /// generation counter orders all pre-barrier writes before all
     /// post-barrier reads.
-    #[must_use]
-    fn wait(&self, poison: &AtomicBool) -> bool {
+    fn arrive(&self, poison: &AtomicBool) -> Crossing {
         if poison.load(Ordering::Acquire) {
-            return true;
+            return Crossing::Poisoned;
         }
         let gen = self.generation.load(Ordering::Acquire);
         if self.arrived.fetch_add(1, Ordering::AcqRel) + 1 == self.total {
             self.arrived.store(0, Ordering::Relaxed);
             self.generation.fetch_add(1, Ordering::Release);
-            false
+            Crossing::Released
         } else {
-            let mut spins = 0u32;
-            while self.generation.load(Ordering::Acquire) == gen {
-                if poison.load(Ordering::Acquire) {
-                    return true;
-                }
-                spins += 1;
-                if spins < 1 << 14 {
-                    std::hint::spin_loop();
-                } else {
-                    std::thread::yield_now();
+            Crossing::Pending(gen)
+        }
+    }
+
+    /// One look at a crossing `arrive` left pending on generation `gen`.
+    fn poll(&self, gen: usize, poison: &AtomicBool) -> Crossing {
+        if poison.load(Ordering::Acquire) {
+            Crossing::Poisoned
+        } else if self.generation.load(Ordering::Acquire) != gen {
+            Crossing::Released
+        } else {
+            Crossing::Pending(gen)
+        }
+    }
+
+    /// Blocks until all `total` participants arrive, or until `poison`
+    /// is raised (returns `true` in that case): `arrive`, then `poll`
+    /// spinning for [`SPIN_BUDGET`] and yielding after.
+    #[must_use]
+    fn wait(&self, poison: &AtomicBool) -> bool {
+        let mut crossing = self.arrive(poison);
+        let mut spins = 0u32;
+        loop {
+            match crossing {
+                Crossing::Released => return false,
+                Crossing::Poisoned => return true,
+                Crossing::Pending(gen) => {
+                    spin_or_yield(&mut spins);
+                    crossing = self.poll(gen, poison);
                 }
             }
-            false
+        }
+    }
+}
+
+/// What ends a worker's idle wait.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+enum Wake {
+    /// A job was published under this epoch.
+    Job(usize),
+    /// The engine is dropping.
+    Shutdown,
+}
+
+/// The job hand-off between the caller (participant 0, the publisher)
+/// and the spawned workers, as single non-blocking steps plus the
+/// blocking loops the engine composes from them — the steps are what
+/// the exhaustive interleaving test drives. Orderings: `epoch`,
+/// `shutdown` and the `parked` flags are `SeqCst` (the flag → re-check
+/// / publish → read-flag pair needs store-load ordering); `pending` is
+/// `AcqRel` on the workers' decrement and `Acquire` on the caller's
+/// read; `poisoned` is `Release` / `Acquire`.
+struct Control {
+    /// Bumped once per job, after the descriptor is written.
+    epoch: AtomicUsize,
+    /// Workers still inside the current job (the counted completion).
+    pending: AtomicUsize,
+    /// Per spawned worker (participant `i + 1`): about to park, or
+    /// parked.
+    parked: Box<[AtomicBool]>,
+    shutdown: AtomicBool,
+    /// Raised when a participant panics; poisons the phase barrier.
+    poisoned: AtomicBool,
+    /// All participants: phase-internal synchronization.
+    sync: SpinBarrier,
+}
+
+impl Control {
+    fn new(participants: usize) -> Control {
+        Control {
+            epoch: AtomicUsize::new(0),
+            pending: AtomicUsize::new(0),
+            parked: (1..participants).map(|_| AtomicBool::new(false)).collect(),
+            shutdown: AtomicBool::new(false),
+            poisoned: AtomicBool::new(false),
+            sync: SpinBarrier::new(participants),
+        }
+    }
+
+    /// Publisher: opens a job for every spawned worker. The caller
+    /// follows up with [`Control::is_parked`] per worker.
+    fn publish(&self) {
+        self.pending.store(self.parked.len(), Ordering::Relaxed);
+        self.epoch.fetch_add(1, Ordering::SeqCst);
+    }
+
+    /// Publisher: tells every worker to exit; followed by the same
+    /// [`Control::is_parked`] sweep as a publish.
+    fn shut_down(&self) {
+        self.shutdown.store(true, Ordering::SeqCst);
+    }
+
+    /// Publisher, after `publish` / `shut_down`: does worker `i` need
+    /// an `unpark`?
+    fn is_parked(&self, i: usize) -> bool {
+        self.parked[i].load(Ordering::SeqCst)
+    }
+
+    /// Publisher: has every worker left the current job?
+    fn job_done(&self) -> bool {
+        self.pending.load(Ordering::Acquire) == 0
+    }
+
+    /// Worker: one look for something newer than epoch `seen`.
+    fn poll_idle(&self, seen: usize) -> Option<Wake> {
+        if self.shutdown.load(Ordering::SeqCst) {
+            return Some(Wake::Shutdown);
+        }
+        let epoch = self.epoch.load(Ordering::SeqCst);
+        (epoch != seen).then_some(Wake::Job(epoch))
+    }
+
+    /// Worker `i`: raise the flag *before* the re-check that precedes
+    /// `park`, clear it after waking.
+    fn set_parked(&self, i: usize, parked: bool) {
+        self.parked[i].store(parked, Ordering::SeqCst);
+    }
+
+    /// Worker: leaves the current job; `true` for the last one out.
+    fn leave(&self) -> bool {
+        self.pending.fetch_sub(1, Ordering::AcqRel) == 1
+    }
+
+    fn poison(&self) {
+        self.poisoned.store(true, Ordering::Release);
+    }
+
+    fn is_poisoned(&self) -> bool {
+        self.poisoned.load(Ordering::Acquire)
+    }
+
+    /// Worker `i`'s idle wait: spin on the epoch for [`SPIN_BUDGET`],
+    /// then flag → re-check → `park` until a publish or shutdown shows.
+    /// A stale `unpark` token only costs one extra trip round the loop.
+    fn await_job(&self, i: usize, seen: usize) -> Wake {
+        let mut spins = 0u32;
+        loop {
+            if let Some(wake) = self.poll_idle(seen) {
+                return wake;
+            }
+            spins += 1;
+            if spins < SPIN_BUDGET {
+                std::hint::spin_loop();
+                continue;
+            }
+            self.set_parked(i, true);
+            let wake = self.poll_idle(seen);
+            if wake.is_none() {
+                std::thread::park();
+            }
+            self.set_parked(i, false);
+            if let Some(wake) = wake {
+                return wake;
+            }
+        }
+    }
+
+    /// The caller's completion wait. Never parks: the workers it waits
+    /// for are inside a job, i.e. runnable.
+    fn await_done(&self) {
+        let mut spins = 0u32;
+        while !self.job_done() {
+            spin_or_yield(&mut spins);
         }
     }
 }
 
 /// Construction knobs for [`ParallelEngine::with_options`]. The
-/// `Default` value is default worker sizing, width 1, the automatic
-/// chunk target, no pinning, no telemetry.
+/// `Default` value is default participant sizing, width 1, the
+/// automatic chunk target, no pinning, no telemetry.
 #[derive(Clone, Default)]
 pub struct PoolOptions {
-    /// Worker count; `0` selects the default sizing
-    /// (`min(plan.k, available CPUs)`).
+    /// Participant count, **including the calling thread**: the engine
+    /// spawns `threads − 1` OS threads and the thread that calls
+    /// `execute` works as participant 0, so `1` spawns nothing. `0`
+    /// selects the default sizing (`min(plan.k, available CPUs)`).
     pub threads: usize,
     /// Batch capacity the shared buffers are sized for (`0` is treated
     /// as 1).
     pub width: usize,
     /// Minimum stored multiply-adds per compute chunk of the
     /// NNZ-chunked schedule (see the module docs); `0` picks a target
-    /// from each phase's total work and the worker count. Results are
-    /// bitwise identical at any worker count or chunk size.
+    /// from each phase's total work and the participant count. Results
+    /// are bitwise identical at any participant count or chunk size.
     pub chunk_ops: usize,
-    /// Pin worker `w` to CPU `w` at startup (Linux `sched_setaffinity`;
-    /// a silent no-op elsewhere or on failure — affinity is a
-    /// performance hint, never a correctness requirement).
+    /// Pin spawned worker `w ≥ 1` to CPU `w` at startup (Linux
+    /// `sched_setaffinity`; a silent no-op elsewhere or on failure —
+    /// affinity is a performance hint, never a correctness
+    /// requirement). The calling thread's affinity is never touched.
     pub pin: bool,
-    /// Optional telemetry sink: workers time their compute / gather /
-    /// scatter work per owned rank and their barrier waits (recorded
-    /// under the first rank of each worker's range) into it. Results
-    /// are bitwise identical to an uninstrumented pool.
+    /// Optional telemetry sink: participants time their compute /
+    /// gather / scatter work per owned rank and their barrier waits —
+    /// the caller's completion wait included — (recorded under the
+    /// first rank of each participant's range) into it. Results are
+    /// bitwise identical to an uninstrumented pool.
     pub sink: Option<Arc<TelemetrySink>>,
 }
 
@@ -360,49 +608,47 @@ fn pin_to_core(core: usize) {
 #[cfg(not(target_os = "linux"))]
 fn pin_to_core(_core: usize) {}
 
-/// State shared between the control thread and the workers.
+/// State shared between the caller and the spawned workers.
 struct Shared {
     plan: Arc<CompiledPlan>,
     /// Batch capacity the shared buffers were sized for.
     width: usize,
     /// Per-rank local vectors (`nx × width` / `ny × width` words).
-    x: Vec<ShBuf>,
-    y: Vec<ShBuf>,
+    x: Vec<Box<ShBuf>>,
+    y: Vec<Box<ShBuf>>,
     /// Per-communication-phase staging buffers (`words × width`).
-    staging: Vec<ShBuf>,
-    /// The assembled global block (gather target, reseed source).
-    global: ShBuf,
-    /// Contiguous rank range per worker (ownership: seeding, staging,
-    /// emitting).
+    staging: Vec<Box<ShBuf>>,
+    /// The chained-iteration carrier: every iteration but a job's last
+    /// emits into it, the next one re-seeds from it.
+    global: Box<ShBuf>,
+    /// Contiguous rank range per participant (ownership: seeding,
+    /// staging, emitting).
     assign: Vec<Range<usize>>,
     /// Baked chunk→worker compute map (its `planned` loads are also
     /// the achieved ones — the map is fixed).
     chunks: ChunkSchedule,
-    /// Pin worker `w` to CPU `w` at startup.
+    /// Pin spawned worker `w` to CPU `w` at startup.
     pin: bool,
-    /// Job descriptor: input pointer + chained iteration count + batch
-    /// width. Written by the control thread before the gate, read by
-    /// workers after it.
+    /// Job descriptor: input and output pointers + chained iteration
+    /// count + batch width. Written by the caller before it publishes
+    /// the epoch, read by every participant after it.
     job_x: AtomicPtr<f64>,
+    job_y: AtomicPtr<f64>,
     job_iters: AtomicUsize,
     job_width: AtomicUsize,
-    shutdown: AtomicBool,
-    /// Raised when a worker panics; poisons both barriers.
-    poisoned: AtomicBool,
-    /// Control + workers: job start and job completion.
-    gate: SpinBarrier,
-    /// Workers only: phase-internal synchronization.
-    sync: SpinBarrier,
+    /// Job start, job completion, poison, phase barrier.
+    ctl: Control,
     /// Optional telemetry (fixed at construction — `Shared` is
     /// immutable once workers spawn). `None` keeps the job loop free
     /// of clock reads.
     obs: Option<ExecTelemetry>,
 }
 
-/// A persistent pool of worker threads executing one compiled plan.
+/// A persistent team executing one compiled plan: the calling thread
+/// plus `threads() − 1` spawned workers.
 ///
 /// Construction validates the plan's sharing invariants, spawns the
-/// threads and allocates every buffer;
+/// workers and allocates every buffer;
 /// [`ParallelEngine::execute`] and [`execute_iters`](ParallelEngine::execute_iters)
 /// then run with zero heap allocation.
 pub struct ParallelEngine {
@@ -431,8 +677,8 @@ fn validate_for_pool(plan: &CompiledPlan) {
         );
         // Ownership (y_part is a function of the row) makes emitted
         // rows (y_emit and y_zero) pairwise disjoint across ranks — two
-        // workers writing the same `global` element concurrently would
-        // be a data race.
+        // participants writing the same element of the carrier or of
+        // the job's `y` concurrently would be a data race.
         assert!(
             rp.y_emit.iter().all(|&(g, s)| {
                 (g as usize) < plan.nrows
@@ -510,11 +756,11 @@ fn validate_for_pool(plan: &CompiledPlan) {
 }
 
 impl ParallelEngine {
-    /// Builds the pool over `plan`: every knob (worker count, batch
-    /// capacity, chunk target, core pinning, telemetry) comes from one
-    /// [`PoolOptions`]. Ranks are distributed over workers in
-    /// contiguous blocks; an explicit worker count is clamped to
-    /// `1..=plan.k`.
+    /// Builds the pool over `plan`: every knob (participant count,
+    /// batch capacity, chunk target, core pinning, telemetry) comes
+    /// from one [`PoolOptions`]. Ranks are distributed over
+    /// participants in contiguous blocks; an explicit participant count
+    /// is clamped to `1..=plan.k`.
     ///
     /// # Panics
     /// Panics if `plan` violates the invariants the shared-buffer
@@ -534,8 +780,8 @@ impl ParallelEngine {
         let k = plan.k;
         let threads = threads.clamp(1, k);
         // Balanced contiguous split; threads ≤ k keeps every range
-        // non-empty (workers index `plan.ranks[my.start]` for the step
-        // kind, so an empty range would be out of bounds).
+        // non-empty (participants index `plan.ranks[my.start]` for the
+        // step kind, so an empty range would be out of bounds).
         let base = k / threads;
         let extra = k % threads;
         let mut next = 0;
@@ -558,16 +804,14 @@ impl ParallelEngine {
             chunks,
             pin,
             job_x: AtomicPtr::new(std::ptr::null_mut()),
+            job_y: AtomicPtr::new(std::ptr::null_mut()),
             job_iters: AtomicUsize::new(0),
             job_width: AtomicUsize::new(1),
-            shutdown: AtomicBool::new(false),
-            poisoned: AtomicBool::new(false),
-            gate: SpinBarrier::new(threads + 1),
-            sync: SpinBarrier::new(threads),
+            ctl: Control::new(threads),
             obs,
             plan,
         });
-        let workers = (0..threads)
+        let workers = (1..threads)
             .map(|w| {
                 let shared = Arc::clone(&shared);
                 std::thread::Builder::new()
@@ -576,12 +820,16 @@ impl ParallelEngine {
                     .expect("spawn engine worker")
             })
             .collect();
+        // Participant 0's buffers are first-touched here, on the
+        // constructing thread — normally the one that will execute.
+        shared.first_touch(0);
         ParallelEngine { shared, workers }
     }
 
-    /// Number of worker threads.
+    /// Number of participants: the calling thread plus the spawned
+    /// workers.
     pub fn threads(&self) -> usize {
-        self.workers.len()
+        self.shared.assign.len()
     }
 
     /// Batch capacity this pool's buffers were sized for.
@@ -601,8 +849,8 @@ impl ParallelEngine {
         self.shared.plan.format
     }
 
-    /// Planned compute multiply-adds per worker per iteration. The
-    /// chunk→worker map is fixed (no work stealing), so planned load is
+    /// Planned compute multiply-adds per participant (index 0 = the
+    /// caller) per iteration. The chunk→participant map is fixed (no work stealing), so planned load is
     /// also the achieved per-iteration load — multiply by iterations ×
     /// batch width for executed madds.
     pub fn worker_loads(&self) -> &[u64] {
@@ -628,11 +876,11 @@ impl ParallelEngine {
     }
 
     /// `iters` chained applications: `y = A^iters · x` with one
-    /// dispatch — workers stay hot across iterations, nothing
-    /// allocates, and only the final assembled vector is copied out.
+    /// dispatch — participants stay hot across iterations, nothing
+    /// allocates, and the final iteration emits straight into `y`.
     ///
     /// # Panics
-    /// Panics if a worker thread panicked (the engine is then poisoned
+    /// Panics if a participant panicked (the engine is then poisoned
     /// and every later call fails fast).
     pub fn execute_iters(&mut self, x: &[f64], y: &mut [f64], iters: usize) {
         self.execute_batch_iters(x, y, 1, iters);
@@ -645,71 +893,95 @@ impl ParallelEngine {
     }
 
     /// `iters` chained batched applications: `Y = A^iters · X` with one
-    /// dispatch.
+    /// dispatch. The calling thread works as participant 0 and does not
+    /// return — nor unwind — before every worker has left the job.
     ///
     /// # Panics
     /// Panics if `r` exceeds the width the pool was built with
-    /// ([`PoolOptions::width`]), or if a worker thread panicked.
+    /// ([`PoolOptions::width`]), or if a participant panicked: a panic
+    /// in the caller's own share resurfaces with its original message,
+    /// a worker's as "engine poisoned" (its message is on stderr).
     pub fn execute_batch_iters(&mut self, x: &[f64], y: &mut [f64], r: usize, iters: usize) {
-        let plan = &self.shared.plan;
+        let sh = &*self.shared;
         assert!(iters >= 1, "at least one iteration");
         assert!(r >= 1, "batch width must be at least 1");
         assert!(
-            r <= self.shared.width,
+            r <= sh.width,
             "pool was built for batches of {} (got {r}); raise PoolOptions::width",
-            self.shared.width
+            sh.width
         );
-        assert_eq!(x.len(), plan.ncols * r, "input length mismatch");
-        assert_eq!(y.len(), plan.nrows * r, "output length mismatch");
+        assert_eq!(x.len(), sh.plan.ncols * r, "input length mismatch");
+        assert_eq!(y.len(), sh.plan.nrows * r, "output length mismatch");
         if iters > 1 {
-            assert_eq!(plan.nrows, plan.ncols, "chained SpMV needs a square plan");
+            assert_eq!(sh.plan.nrows, sh.plan.ncols, "chained SpMV needs a square plan");
         }
         assert!(
-            !self.shared.poisoned.load(Ordering::Acquire),
-            "engine poisoned: a worker thread panicked in an earlier call"
+            !sh.ctl.is_poisoned(),
+            "engine poisoned: a participant panicked in an earlier call"
         );
-        self.shared.job_x.store(x.as_ptr() as *mut f64, Ordering::Relaxed);
-        self.shared.job_iters.store(iters, Ordering::Relaxed);
-        self.shared.job_width.store(r, Ordering::Relaxed);
-        let t = span_start(self.shared.obs.as_ref());
-        let _ = self.shared.gate.wait(&self.shared.poisoned); // release the workers
-        let _ = self.shared.gate.wait(&self.shared.poisoned); // wait for completion
+        sh.job_x.store(x.as_ptr() as *mut f64, Ordering::Relaxed);
+        sh.job_y.store(y.as_mut_ptr(), Ordering::Relaxed);
+        sh.job_iters.store(iters, Ordering::Relaxed);
+        sh.job_width.store(r, Ordering::Relaxed);
+        let t = span_start(sh.obs.as_ref());
+        sh.ctl.publish();
+        self.unpark_flagged();
+        let outcome = sh.run_share(0);
+        // Unconditionally: workers hold views derived from `x` and `y`
+        // until they leave, so this frame must outlive the count.
+        let tw = span_start(sh.obs.as_ref());
+        sh.ctl.await_done();
+        span_end(sh.obs.as_ref(), sh.assign[0].start, Phase::BarrierWait, tw);
+        if let Err(payload) = outcome {
+            std::panic::resume_unwind(payload);
+        }
         assert!(
-            !self.shared.poisoned.load(Ordering::Acquire),
+            !sh.ctl.is_poisoned(),
             "engine poisoned: a worker thread panicked (see stderr for its message)"
         );
-        // Every worker passed the completion gate: no writer is left.
-        y.copy_from_slice(self.shared.global.region(0, y.len()));
-        call_end(self.shared.obs.as_ref(), t, iters);
+        call_end(sh.obs.as_ref(), t, iters);
+    }
+
+    /// Unparks the workers that flagged themselves parked; follows
+    /// every `publish` / `shut_down` (see [`Control`]).
+    fn unpark_flagged(&self) {
+        for (i, worker) in self.workers.iter().enumerate() {
+            if self.shared.ctl.is_parked(i) {
+                worker.thread().unpark();
+            }
+        }
     }
 }
 
 impl Drop for ParallelEngine {
     fn drop(&mut self) {
-        self.shared.shutdown.store(true, Ordering::Release);
-        let _ = self.shared.gate.wait(&self.shared.poisoned);
+        self.shared.ctl.shut_down();
+        self.unpark_flagged();
         for h in self.workers.drain(..) {
             let _ = h.join();
         }
     }
 }
 
-/// One worker's side of the [`Transport`] seam for one job at batch
-/// width `r`: its contiguous rank range, its baked chunk bucket, range
-/// views over the shared buffers and the workers' phase barrier. Each
-/// view below names the module invariant it rests on.
+/// One participant's side of the [`Transport`] seam for one job at
+/// batch width `r`: its contiguous rank range, its baked chunk bucket,
+/// range views over the shared buffers and the job's vectors, and the
+/// phase barrier. Each view below names the module invariant it rests
+/// on.
 struct PoolWorker<'a> {
     shared: &'a Shared,
     w: usize,
     /// The job's input block (`ncols × r` words).
     x: &'a [f64],
+    /// The job's output block (`nrows × r` words), view kind 4.
+    y: &'a ShBuf,
     r: usize,
 }
 
 impl PoolWorker<'_> {
     /// Exclusive views of the first `nx × r` / `ny × r` words of owned
-    /// rank `rk`'s `x` / `y`. Spatial: outside compute phases only the
-    /// rank's owner touches them; temporal: a barrier separates every
+    /// rank `rk`'s `x` / `y` (view kind 1). Spatial: outside compute
+    /// phases only the rank's owner touches them; temporal: a barrier separates every
     /// such step from the compute phases around it.
     #[inline(always)]
     fn local(&self, rk: usize) -> (&mut [f64], &mut [f64]) {
@@ -718,8 +990,8 @@ impl PoolWorker<'_> {
     }
 }
 
-/// The per-message / per-row views of a staging buffer or the gathered
-/// block (kind 2 in the module docs).
+/// The per-message / per-row views of a staging buffer or the carrier
+/// (kind 2 in the module docs) and of the job's `y` (kind 4).
 impl Region for &ShBuf {
     #[inline(always)]
     fn region_mut(&mut self, lo: usize, len: usize) -> &mut [f64] {
@@ -738,19 +1010,20 @@ impl Transport for PoolWorker<'_> {
         self.shared.assign[self.w].clone()
     }
 
-    /// The wait is recorded under the first rank of this worker's range.
+    /// The wait is recorded under the first rank of this participant's
+    /// range.
     #[inline(always)]
     fn sync(&mut self, obs: Option<&ExecTelemetry>) -> bool {
         let t = span_start(obs);
-        let poisoned = self.shared.sync.wait(&self.shared.poisoned);
+        let poisoned = self.shared.ctl.sync.wait(&self.shared.ctl.poisoned);
         span_end(obs, self.shared.assign[self.w].start, Phase::BarrierWait, t);
         poisoned
     }
 
     #[inline(always)]
     fn seed(&mut self, rk: usize, first: bool) -> (&[f64], &mut [f64], &mut [f64]) {
-        // The gathered block is only read while re-seeding: the emit
-        // that wrote it and the next emit are both a barrier away.
+        // The carrier is only read while re-seeding: the emit that
+        // wrote it and the next emit are both a barrier away.
         let (sh, (x, y)) = (self.shared, self.local(rk));
         (if first { self.x } else { sh.global.region(0, sh.plan.nrows * self.r) }, x, y)
     }
@@ -783,59 +1056,95 @@ impl Transport for PoolWorker<'_> {
     }
 
     #[inline(always)]
-    fn emit(&mut self, rk: usize, _last: bool) -> (&[f64], &ShBuf) {
+    fn emit(&mut self, rk: usize, last: bool) -> (&[f64], &ShBuf) {
         // Emitted rows are owned (validated), hence disjoint across
-        // workers; the seed barrier ordered this iteration's reads of
-        // the gathered block before these writes.
-        (self.local(rk).1, &self.shared.global)
+        // participants. Into the carrier: the seed barrier ordered this
+        // iteration's reads of it before these writes. Into the job's
+        // `y` on the final iteration: nobody else touches it before the
+        // counted completion.
+        (self.local(rk).1, if last { self.y } else { &self.shared.global })
     }
 }
 
-/// The worker main loop: park at the gate, run the published job, park
-/// again. Lives until the engine drops. A panic in the job body poisons
-/// the engine instead of deadlocking it.
+/// Decrements the completion count when a worker leaves a job, however
+/// it leaves.
+struct Leave<'a>(&'a Control);
+
+impl Drop for Leave<'_> {
+    fn drop(&mut self) {
+        self.0.leave();
+    }
+}
+
+impl Shared {
+    /// First-touches the buffers participant `w` owns: allocation left
+    /// the pages untouched (alloc_zeroed), so writing them here —
+    /// strictly before `w` first arrives at a barrier, and nobody else
+    /// reaches a rank's buffers before its owner crossed one — places
+    /// them on this thread's NUMA node under a first-touch policy.
+    fn first_touch(&self, w: usize) {
+        for rk in self.assign[w].clone() {
+            let rp = &self.plan.ranks[rk];
+            self.x[rk].region_mut(0, rp.nx * self.width).fill(0.0);
+            self.y[rk].region_mut(0, rp.ny * self.width).fill(0.0);
+        }
+    }
+
+    /// Participant `w`'s share of the published job. A panic poisons
+    /// the engine (so nobody waits at a barrier for this participant)
+    /// and is handed back instead of unwinding further.
+    fn run_share(&self, w: usize) -> std::thread::Result<()> {
+        let iters = self.job_iters.load(Ordering::Relaxed);
+        let r = self.job_width.load(Ordering::Relaxed);
+        let xp = self.job_x.load(Ordering::Relaxed) as *const f64;
+        let yp = self.job_y.load(Ordering::Relaxed);
+        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            // SAFETY (view kind 4): the pointers are the caller's `x`
+            // and `y`, `ncols × r` and `nrows × r` words by the execute
+            // asserts. Temporal: the caller stays inside
+            // `execute_batch_iters`, not touching either, until the
+            // completion count reaches zero, and this participant
+            // leaves the job only after `walk` returned. Spatial: `x`
+            // is only read; `y` is written only at this participant's
+            // owned rows (`validate_for_pool`: y_emit ∪ y_zero owned).
+            let (x, y) = unsafe {
+                (
+                    std::slice::from_raw_parts(xp, self.plan.ncols * r),
+                    ShBuf::from_raw_parts(yp, self.plan.nrows * r),
+                )
+            };
+            // A poisoned barrier makes the walk return early, without
+            // touching the shared buffers again.
+            walk(
+                &self.plan,
+                &mut PoolWorker { shared: self, w, x, y, r },
+                r,
+                iters,
+                self.obs.as_ref(),
+            );
+        }));
+        if outcome.is_err() {
+            self.ctl.poison();
+        }
+        outcome
+    }
+}
+
+/// A spawned worker's main loop: idle (spin, then park) until a job is
+/// published, run its share, leave through the counted completion,
+/// idle again. Lives until the engine drops. A panic in the job body
+/// poisons the engine instead of deadlocking it; the worker then idles
+/// like any other.
 fn worker_loop(shared: &Shared, w: usize) {
     if shared.pin {
         pin_to_core(w);
     }
-    // First-touch the buffers this worker owns: allocation left the
-    // pages untouched (alloc_zeroed), so writing them here — strictly
-    // before the first job gate, hence with no concurrent accessor —
-    // places them on this worker's NUMA node under a first-touch
-    // policy.
-    for rk in shared.assign[w].clone() {
-        let rp = &shared.plan.ranks[rk];
-        shared.x[rk].region_mut(0, rp.nx * shared.width).fill(0.0);
-        shared.y[rk].region_mut(0, rp.ny * shared.width).fill(0.0);
-    }
-    loop {
-        if shared.gate.wait(&shared.poisoned) {
-            // Poisoned: the gate no longer synchronizes anything. Idle
-            // until the engine shuts down.
-            while !shared.shutdown.load(Ordering::Acquire) {
-                std::thread::yield_now();
-            }
-            return;
-        }
-        if shared.shutdown.load(Ordering::Acquire) {
-            return;
-        }
-        let iters = shared.job_iters.load(Ordering::Relaxed);
-        let xp = shared.job_x.load(Ordering::Relaxed) as *const f64;
-        let r = shared.job_width.load(Ordering::Relaxed);
-        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            // SAFETY: the control thread keeps the input slice — `ncols
-            // × r` words by the execute asserts — alive and unmodified
-            // until the completion gate.
-            let x = unsafe { std::slice::from_raw_parts(xp, shared.plan.ncols * r) };
-            // A poisoned barrier makes the walk return early, without
-            // touching the shared buffers again.
-            walk(&shared.plan, &mut PoolWorker { shared, w, x, r }, r, iters, shared.obs.as_ref());
-        }));
-        if outcome.is_err() {
-            shared.poisoned.store(true, Ordering::Release);
-        }
-        let _ = shared.gate.wait(&shared.poisoned); // completion
+    shared.first_touch(w);
+    let mut seen = 0;
+    while let Wake::Job(epoch) = shared.ctl.await_job(w - 1, seen) {
+        seen = epoch;
+        let _leave = Leave(&shared.ctl);
+        let _ = shared.run_share(w);
     }
 }
 
@@ -855,6 +1164,51 @@ mod tests {
         assert_eq!(a.len(), b.len());
         for (idx, (u, v)) in a.iter().zip(b).enumerate() {
             assert!((u - v).abs() <= 1e-9 * v.abs().max(1.0), "y[{idx}]: {u} vs {v}");
+        }
+    }
+
+    /// Square tridiagonal system with every fifth row empty (such rows
+    /// never materialize: the owner emits them through `y_zero`),
+    /// block-partitioned into `k` parts.
+    fn holey_setup(n: usize, k: usize) -> (s2d_sparse::Csr, CompiledPlan) {
+        use s2d_core::partition::SpmvPartition;
+        use s2d_sparse::Coo;
+        let mut m = Coo::new(n, n);
+        for i in (0..n).filter(|i| i % 5 != 2) {
+            m.push(i, i, 2.0 + i as f64 / 7.0);
+            if i + 1 < n {
+                m.push(i, i + 1, -1.0);
+            }
+            if i > 0 {
+                m.push(i, i - 1, -0.5);
+            }
+        }
+        m.compress();
+        let a = m.to_csr();
+        let per = n.div_ceil(k);
+        let part: Vec<u32> = (0..n).map(|i| (i / per) as u32).collect();
+        let p = SpmvPartition::rowwise(&a, part.clone(), part, k);
+        let cp = CompiledPlan::compile(&SpmvPlan::single_phase(&a, &p));
+        assert!(cp.ranks.iter().any(|rp| !rp.y_zero.is_empty()), "needs never-materialized rows");
+        (a, cp)
+    }
+
+    /// Runs `f` on a thread of its own and fails the test, instead of
+    /// hanging it, when `f` has not finished after 60 s.
+    fn with_watchdog(what: String, f: impl FnOnce() + Send + 'static) {
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        let runner = std::thread::spawn(move || {
+            f();
+            let _ = done_tx.send(());
+        });
+        match done_rx.recv_timeout(std::time::Duration::from_secs(60)) {
+            Ok(()) => runner.join().expect("scenario thread"),
+            // A dropped sender without a message is a panic inside `f`:
+            // surface it. Only a timeout is a hang.
+            Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => {
+                std::panic::resume_unwind(runner.join().expect_err("scenario panicked"))
+            }
+            Err(std::sync::mpsc::RecvTimeoutError::Timeout) => panic!("{what}: hung"),
         }
     }
 
@@ -1032,6 +1386,49 @@ mod tests {
                 assert_eq!(y, want, "threads={threads} chunk_ops={chunk_ops}");
             }
         }
+        // The final iteration emits straight into the caller's `y`: a
+        // mixed-width sequence on one engine must write every owned row
+        // (`y_emit` and `y_zero`) at the job's stride — `y` starts out
+        // as NaN, the reference is the in-place executor.
+        let (a, cp) = holey_setup(23, 4);
+        let mut ws = cp.workspace_batch(8);
+        for threads in [1usize, 2, 3, 4] {
+            for chunk_ops in [0usize, 1, 1 << 20] {
+                let mut engine = ParallelEngine::with_options(
+                    cp.clone(),
+                    PoolOptions { threads, chunk_ops, width: 8, ..PoolOptions::default() },
+                );
+                for iters in [1usize, 3] {
+                    for r in [8usize, 1, 4] {
+                        let x = crate::exec::tests::batch_input(a.ncols(), r, 3);
+                        let mut want = vec![f64::NAN; a.nrows() * r];
+                        cp.execute_batch_iters(&mut ws, &x, &mut want, r, iters);
+                        let mut y = vec![f64::NAN; a.nrows() * r];
+                        engine.execute_batch_iters(&x, &mut y, r, iters);
+                        assert_eq!(
+                            y.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                            want.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                            "threads={threads} chunk_ops={chunk_ops} r={r} iters={iters}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn worker_loads_are_the_parents() {
+        // The chunk→participant map did not move when the caller became
+        // participant 0: literal loads captured at the parent commit.
+        let (_a, plan) = crate::exec::tests::square_setup(24, 4);
+        let cp = CompiledPlan::compile(&plan);
+        for (chunk_ops, want) in [(0usize, [18u64, 18, 34]), (1, [24, 23, 23]), (7, [26, 26, 18])] {
+            let engine = ParallelEngine::with_options(
+                cp.clone(),
+                PoolOptions { threads: 3, chunk_ops, ..PoolOptions::default() },
+            );
+            assert_eq!(engine.worker_loads(), want, "chunk_ops={chunk_ops}");
+        }
     }
 
     #[test]
@@ -1089,6 +1486,7 @@ mod tests {
         let p = fig1_partition();
         let engine = pool(CompiledPlan::compile(&SpmvPlan::single_phase(&a, &p)), 0, 1);
         assert!(engine.threads() >= 1);
+        assert_eq!(engine.workers.len(), engine.threads() - 1, "the caller is participant 0");
         drop(engine); // must not hang
     }
 
@@ -1167,5 +1565,442 @@ mod tests {
             std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| engine.execute(&x, &mut y)));
         assert!(again.is_err(), "poisoned engine must fail fast on reuse");
         drop(engine); // and Drop must not hang
+    }
+
+    /// The panic message of a caught unwind.
+    fn message(payload: &(dyn std::any::Any + Send)) -> String {
+        payload
+            .downcast_ref::<String>()
+            .cloned()
+            .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
+            .unwrap_or_default()
+    }
+
+    #[test]
+    fn a_panic_in_any_share_poisons_instead_of_hanging() {
+        // `row_ptr`'s end one past `vals` panics (bounds check) in the
+        // chunk holding the rank's last unit and moves its weight by a
+        // single madd, so the chunk lands wherever the schedule puts
+        // it. Whole kernels as chunks (`chunk_ops` huge): pick, from
+        // the baked map, a rank whose chunk runs on the caller (`on` =
+        // 0) resp. on a spawned worker (`on` ≥ 1).
+        // Five ranks of five rows and one of a single row: the
+        // heaviest chunk of a phase always goes to participant 0, the
+        // lightest to whoever is least loaded by then.
+        let (a, plan) = crate::exec::tests::square_setup(26, 6);
+        let clean = CompiledPlan::compile(&plan);
+        for threads in [1usize, 2, 3] {
+            for on_caller in [true, false] {
+                if threads == 1 && !on_caller {
+                    continue; // nothing is spawned
+                }
+                let built = (0..clean.k).find_map(|rk| {
+                    let mut cp = clean.clone();
+                    let (p, units) =
+                        cp.ranks[rk].steps.iter_mut().enumerate().find_map(|(p, s)| match s {
+                            RankStep::Compute(crate::formats::Kernel::Csr(k))
+                                if !k.rows.is_empty() =>
+                            {
+                                *k.row_ptr.last_mut().unwrap() += 1;
+                                Some((p, k.rows.len() as u32))
+                            }
+                            _ => None,
+                        })?;
+                    let engine = ParallelEngine::with_options(
+                        cp,
+                        PoolOptions { threads, chunk_ops: 1 << 20, ..PoolOptions::default() },
+                    );
+                    let on = engine.shared.chunks.phases[p]
+                        .iter()
+                        .position(|b| b.iter().any(|c| c.rank as usize == rk && c.hi == units))
+                        .expect("every unit is scheduled");
+                    ((on == 0) == on_caller).then_some(engine)
+                });
+                let mut engine = built.expect("some rank's chunk runs on the wanted side");
+                let n = a.nrows();
+                with_watchdog(format!("threads={threads} on_caller={on_caller}"), move || {
+                    let x: Vec<f64> = (0..n).map(|j| j as f64).collect();
+                    let mut y = vec![0.0; n];
+                    let first = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                        engine.execute(&x, &mut y)
+                    }))
+                    .expect_err("the panic must surface on the calling thread");
+                    // The caller's own panic keeps its message; a
+                    // worker's is reported as poison.
+                    assert_eq!(
+                        message(&*first).contains("engine poisoned"),
+                        !on_caller,
+                        "threads={threads} on_caller={on_caller}: {:?}",
+                        message(&*first)
+                    );
+                    let second = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                        engine.execute(&x, &mut y)
+                    }))
+                    .expect_err("a poisoned engine must fail fast");
+                    assert!(message(&*second).contains("engine poisoned"));
+                    drop(engine); // joins (parked) workers
+                });
+            }
+        }
+    }
+
+    /// Exhaustive single-threaded model of the job hand-off: the caller
+    /// and `n − 1` workers as small state machines whose transitions
+    /// are the real [`Control`] / [`SpinBarrier`] steps (`thread::park`
+    /// and `unpark` become a token per worker), explored over **every**
+    /// interleaving of two consecutive jobs of two barrier crossings
+    /// each — with a participant panicking (poison) at every position
+    /// inside a job, and the caller shutting down instead of
+    /// publishing at every position between jobs.
+    mod protocol {
+        use super::super::*;
+        use std::collections::HashSet;
+
+        const JOBS: usize = 2;
+        const CROSSINGS: usize = 2;
+
+        /// Where a participant stands inside a job.
+        #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+        enum Body {
+            Arrive(usize),
+            Poll(usize, usize),
+            Done,
+        }
+
+        #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+        enum Caller {
+            /// Between jobs: publish job `j`, or shut down.
+            Choose(usize),
+            /// After `publish`: the unpark sweep, worker by worker.
+            Sweep(usize, usize),
+            Body(usize, Body),
+            AwaitDone(usize),
+            ShutdownSweep(usize),
+            Join,
+            Done,
+        }
+
+        #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+        enum Worker {
+            /// Spinning on the epoch (may give up and flag at any time).
+            Idle,
+            /// Flag raised; the re-check comes next.
+            Flagged,
+            /// Inside `park`.
+            Parked,
+            /// Awake; the flag is lowered next, then `Some` is acted on.
+            Unflag(Option<Wake>),
+            Body(Body),
+            Leaving,
+            Exited,
+        }
+
+        /// Everything but the atomics.
+        #[derive(Clone, Debug, PartialEq, Eq, Hash)]
+        struct Plain {
+            caller: Caller,
+            workers: Vec<Worker>,
+            seen: Vec<usize>,
+            tokens: Vec<bool>,
+            /// Arrivals the barrier counted, per (job, crossing).
+            arrivals: [usize; JOBS * CROSSINGS],
+            /// Jobs each worker has left.
+            left: Vec<usize>,
+            /// Times the completion count hit zero, per job.
+            zeroed: [usize; JOBS],
+            published: usize,
+        }
+
+        struct State {
+            ctl: Control,
+            at: Plain,
+        }
+
+        fn atomics(c: &Control) -> Vec<usize> {
+            let o = Ordering::Relaxed;
+            let mut v = vec![
+                c.epoch.load(o),
+                c.pending.load(o),
+                c.shutdown.load(o) as usize,
+                c.poisoned.load(o) as usize,
+                c.sync.arrived.load(o),
+                c.sync.generation.load(o),
+            ];
+            v.extend(c.parked.iter().map(|p| p.load(o) as usize));
+            v
+        }
+
+        impl State {
+            fn new(n: usize) -> State {
+                State {
+                    ctl: Control::new(n),
+                    at: Plain {
+                        caller: Caller::Choose(0),
+                        workers: vec![Worker::Idle; n - 1],
+                        seen: vec![0; n - 1],
+                        tokens: vec![false; n - 1],
+                        arrivals: [0; JOBS * CROSSINGS],
+                        left: vec![0; n - 1],
+                        zeroed: [0; JOBS],
+                        published: 0,
+                    },
+                }
+            }
+
+            fn fork(&self) -> State {
+                let v = atomics(&self.ctl);
+                let ctl = Control::new(self.at.workers.len() + 1);
+                let o = Ordering::Relaxed;
+                ctl.epoch.store(v[0], o);
+                ctl.pending.store(v[1], o);
+                ctl.shutdown.store(v[2] != 0, o);
+                ctl.poisoned.store(v[3] != 0, o);
+                ctl.sync.arrived.store(v[4], o);
+                ctl.sync.generation.store(v[5], o);
+                for (p, &f) in ctl.parked.iter().zip(&v[6..]) {
+                    p.store(f != 0, o);
+                }
+                State { ctl, at: self.at.clone() }
+            }
+
+            fn key(&self) -> (Vec<usize>, Plain) {
+                (atomics(&self.ctl), self.at.clone())
+            }
+
+            /// One barrier step of a participant inside `job`; `None`
+            /// when the poll left it waiting (no state change).
+            fn body_step(&mut self, job: usize, at: Body) -> Option<Body> {
+                let n = self.at.workers.len() + 1;
+                let poisoned_before = self.ctl.is_poisoned();
+                let (c, verdict) = match at {
+                    Body::Arrive(c) => (c, self.ctl.sync.arrive(&self.ctl.poisoned)),
+                    Body::Poll(c, gen) => (c, self.ctl.sync.poll(gen, &self.ctl.poisoned)),
+                    Body::Done => unreachable!("a finished body takes no barrier step"),
+                };
+                if poisoned_before {
+                    assert_eq!(verdict, Crossing::Poisoned, "after poison every step says so");
+                }
+                let slot = job * CROSSINGS + c;
+                if matches!(at, Body::Arrive(_)) && verdict != Crossing::Poisoned {
+                    self.at.arrivals[slot] += 1;
+                }
+                match (verdict, at) {
+                    (Crossing::Poisoned, _) => Some(Body::Done),
+                    (Crossing::Released, _) => {
+                        assert_eq!(self.at.arrivals[slot], n, "released before everyone arrived");
+                        Some(if c + 1 == CROSSINGS { Body::Done } else { Body::Arrive(c + 1) })
+                    }
+                    (Crossing::Pending(gen), Body::Arrive(_)) => Some(Body::Poll(c, gen)),
+                    (Crossing::Pending(_), _) => None,
+                }
+            }
+
+            /// Worker `i` acts on what ended its idle wait.
+            fn wake(&mut self, i: usize, wake: Wake) {
+                self.at.workers[i] = match wake {
+                    Wake::Shutdown => Worker::Exited,
+                    Wake::Job(epoch) => {
+                        assert_eq!(epoch, self.at.seen[i] + 1, "every epoch is seen exactly once");
+                        self.at.seen[i] = epoch;
+                        Worker::Body(Body::Arrive(0))
+                    }
+                };
+            }
+
+            /// The publisher's look at worker `i` after a publish or a
+            /// shutdown.
+            fn unpark_if_flagged(&mut self, i: usize) {
+                if self.ctl.is_parked(i) {
+                    self.at.tokens[i] = true;
+                }
+            }
+
+            /// No wake-up was lost: once the sweep is over, whoever is
+            /// inside `park` with news to wake up to holds a token.
+            fn assert_parked_have_tokens(&self) {
+                for (i, w) in self.at.workers.iter().enumerate() {
+                    let news = self.ctl.poll_idle(self.at.seen[i]).is_some();
+                    assert!(
+                        !(*w == Worker::Parked && news) || self.at.tokens[i],
+                        "worker {i} sleeps through a publish / shutdown: {:?}",
+                        self.at
+                    );
+                }
+            }
+
+            /// Alternative `alt` of the caller's next step; `false` when
+            /// there is none or it is blocked.
+            fn caller_step(&mut self, alt: usize) -> bool {
+                let workers = self.at.workers.len();
+                let shut_down = |s: &mut State| {
+                    s.ctl.shut_down();
+                    s.at.caller = Caller::ShutdownSweep(0);
+                };
+                match (self.at.caller, alt) {
+                    // A poisoned engine fails fast: no further publish.
+                    (Caller::Choose(j), 0) if j < JOBS && !self.ctl.is_poisoned() => {
+                        self.ctl.publish();
+                        self.at.published += 1;
+                        self.at.caller = Caller::Sweep(j, 0);
+                    }
+                    (Caller::Choose(_), 1) => shut_down(self),
+                    (Caller::Sweep(j, i), 0) => {
+                        self.unpark_if_flagged(i);
+                        self.at.caller = if i + 1 == workers {
+                            self.assert_parked_have_tokens();
+                            Caller::Body(j, Body::Arrive(0))
+                        } else {
+                            Caller::Sweep(j, i + 1)
+                        };
+                    }
+                    (Caller::Body(j, Body::Done), 0) => self.at.caller = Caller::AwaitDone(j),
+                    (Caller::Body(j, at), 0) => match self.body_step(j, at) {
+                        Some(next) => self.at.caller = Caller::Body(j, next),
+                        None => return false,
+                    },
+                    // The caller's own share panics here.
+                    (Caller::Body(j, at), 1) if at != Body::Done && !self.ctl.is_poisoned() => {
+                        self.ctl.poison();
+                        self.at.caller = Caller::Body(j, Body::Done);
+                    }
+                    (Caller::AwaitDone(j), 0) => {
+                        if !self.ctl.job_done() {
+                            return false;
+                        }
+                        // The temporal invariant of view kind 4: the
+                        // caller gets out only after every worker did.
+                        assert!(
+                            self.at.left.iter().all(|&l| l == j + 1),
+                            "caller left job {j} with a worker inside: {:?}",
+                            self.at
+                        );
+                        self.at.caller = Caller::Choose(j + 1);
+                    }
+                    (Caller::ShutdownSweep(i), 0) => {
+                        self.unpark_if_flagged(i);
+                        self.at.caller = if i + 1 == workers {
+                            self.assert_parked_have_tokens();
+                            Caller::Join
+                        } else {
+                            Caller::ShutdownSweep(i + 1)
+                        };
+                    }
+                    (Caller::Join, 0) => {
+                        if self.at.workers.iter().any(|w| *w != Worker::Exited) {
+                            return false;
+                        }
+                        self.at.caller = Caller::Done;
+                    }
+                    _ => return false,
+                }
+                true
+            }
+
+            /// Alternative `alt` of worker `i`'s next step.
+            fn worker_step(&mut self, i: usize, alt: usize) -> bool {
+                match (self.at.workers[i], alt) {
+                    (Worker::Idle, 0) => match self.ctl.poll_idle(self.at.seen[i]) {
+                        Some(wake) => self.wake(i, wake),
+                        None => return false,
+                    },
+                    // Spin budget spent (whatever the last poll saw).
+                    (Worker::Idle, 1) => {
+                        self.ctl.set_parked(i, true);
+                        self.at.workers[i] = Worker::Flagged;
+                    }
+                    (Worker::Flagged, 0) => {
+                        self.at.workers[i] = match self.ctl.poll_idle(self.at.seen[i]) {
+                            None => Worker::Parked,
+                            some => Worker::Unflag(some),
+                        };
+                    }
+                    (Worker::Parked, 0) => {
+                        if !self.at.tokens[i] {
+                            return false;
+                        }
+                        self.at.tokens[i] = false;
+                        self.at.workers[i] = Worker::Unflag(None);
+                    }
+                    (Worker::Unflag(wake), 0) => {
+                        self.ctl.set_parked(i, false);
+                        match wake {
+                            Some(wake) => self.wake(i, wake),
+                            None => self.at.workers[i] = Worker::Idle,
+                        }
+                    }
+                    (Worker::Body(Body::Done), 0) => self.at.workers[i] = Worker::Leaving,
+                    (Worker::Body(at), 0) => match self.body_step(self.at.seen[i] - 1, at) {
+                        Some(next) => self.at.workers[i] = Worker::Body(next),
+                        None => return false,
+                    },
+                    // This worker's share panics here.
+                    (Worker::Body(at), 1) if at != Body::Done && !self.ctl.is_poisoned() => {
+                        self.ctl.poison();
+                        self.at.workers[i] = Worker::Body(Body::Done);
+                    }
+                    (Worker::Leaving, 0) => {
+                        if self.ctl.leave() {
+                            self.at.zeroed[self.at.seen[i] - 1] += 1;
+                        }
+                        self.at.left[i] += 1;
+                        self.at.workers[i] = Worker::Idle;
+                    }
+                    _ => return false,
+                }
+                true
+            }
+        }
+
+        /// Explores every reachable state; returns how many there are.
+        fn explore(n: usize) -> usize {
+            let root = State::new(n);
+            let mut seen = HashSet::from([root.key()]);
+            let mut stack = vec![root];
+            let (mut clean, mut poisoned, mut early) = (0, 0, 0);
+            while let Some(state) = stack.pop() {
+                let mut moved = false;
+                for who in 0..n {
+                    for alt in 0..2 {
+                        let mut next = state.fork();
+                        let stepped = match who {
+                            0 => next.caller_step(alt),
+                            w => next.worker_step(w - 1, alt),
+                        };
+                        moved |= stepped;
+                        if stepped && seen.insert(next.key()) {
+                            stack.push(next);
+                        }
+                    }
+                }
+                if moved {
+                    continue;
+                }
+                // Nobody can move: this must be the orderly end.
+                let at = &state.at;
+                assert_eq!(at.caller, Caller::Done, "everyone is blocked: {at:?}");
+                assert!(at.workers.iter().all(|w| *w == Worker::Exited), "{at:?}");
+                for j in 0..at.published {
+                    assert_eq!(at.zeroed[j], 1, "job {j}: the count hits zero exactly once");
+                    assert!(at.left.iter().all(|&l| l == at.published), "{at:?}");
+                }
+                match (state.ctl.is_poisoned(), at.published) {
+                    (true, _) => poisoned += 1,
+                    (false, JOBS) => clean += 1,
+                    (false, _) => early += 1,
+                }
+            }
+            assert!(clean > 0 && poisoned > 0 && early > 0, "the model lost a scenario");
+            seen.len()
+        }
+
+        #[test]
+        fn every_interleaving_of_two_participants() {
+            assert!(explore(2) > 100);
+        }
+
+        #[test]
+        fn every_interleaving_of_three_participants() {
+            assert!(explore(3) > 10_000);
+        }
     }
 }

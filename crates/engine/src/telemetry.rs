@@ -17,9 +17,11 @@
 //!   rows, under the receiving / owning rank on every driver (the
 //!   in-place and pool drivers share one body, so their per-rank gather
 //!   and scatter span counts are equal);
-//! * **barrier-wait** — the worker pool's phase barriers, recorded
-//!   under the first rank of the waiting worker's contiguous range
-//!   (the in-place driver has no barrier and records none).
+//! * **barrier-wait** — time pool participants waited: the phase
+//!   barriers, and the caller's wait for the workers to leave the job,
+//!   recorded under the first rank of the waiting participant's
+//!   contiguous range (the in-place driver has no barrier and records
+//!   none).
 //!
 //! Instrumentation never touches the numeric path: every walker takes
 //! an `Option<&ExecTelemetry>` and brackets its seeding / kernel /

@@ -11,6 +11,7 @@
 use s2d_core::optimal::s2d_optimal;
 use s2d_engine::{CompiledPlan, Kernel, KernelFormat, ParallelEngine, PoolOptions, RankStep};
 use s2d_gen::rmat::{rmat, RmatConfig};
+use s2d_sparse::Coo;
 use s2d_spmv::SpmvPlan;
 
 /// A mesh-routed s2D plan on a skewed matrix — the plan kind with the
@@ -18,6 +19,26 @@ use s2d_spmv::SpmvPlan;
 fn mesh_setup() -> (usize, SpmvPlan) {
     let a = rmat(&RmatConfig::graph500(7, 6), 42).to_csr();
     let n = a.nrows();
+    let k = 8;
+    let per = n.div_ceil(k);
+    let parts: Vec<u32> = (0..n).map(|i| (i / per) as u32).collect();
+    let p = s2d_optimal(&a, &parts, &parts, k);
+    (n, SpmvPlan::mesh_default(&a, &p))
+}
+
+/// [`mesh_setup`]'s matrix with every fifth row emptied, same
+/// partition and plan kind.
+fn holey_mesh_setup() -> (usize, SpmvPlan) {
+    let full = rmat(&RmatConfig::graph500(7, 6), 42).to_csr();
+    let n = full.nrows();
+    let mut m = Coo::new(n, n);
+    for i in (0..n).filter(|i| i % 5 != 3) {
+        for e in full.rowptr()[i]..full.rowptr()[i + 1] {
+            m.push(i, full.colind()[e] as usize, full.values()[e]);
+        }
+    }
+    m.compress();
+    let a = m.to_csr();
     let k = 8;
     let per = n.div_ceil(k);
     let parts: Vec<u32> = (0..n).map(|i| (i / per) as u32).collect();
@@ -50,6 +71,31 @@ fn identical_results_across_thread_counts() {
             None => reference = Some(y),
             Some(want) => {
                 assert_eq!(&y, want, "thread count {threads} changed the result bitwise");
+            }
+        }
+    }
+    // The job's final iteration emits straight into the caller's `y`:
+    // on a matrix with empty rows, a mixed-width sequence on one engine
+    // must write every owned row (materialized or not) at the job's
+    // stride into a `y` that starts out as NaN, bitwise as CompiledSeq.
+    let (n, plan) = holey_mesh_setup();
+    let cp = CompiledPlan::compile(&plan);
+    assert!(cp.ranks.iter().any(|rp| !rp.y_zero.is_empty()), "needs never-materialized rows");
+    let mut ws = cp.workspace_batch(8);
+    for threads in [1usize, 2, 4, cores] {
+        let mut engine = pool(cp.clone(), threads, 8);
+        for iters in [1usize, 3] {
+            for r in [8usize, 1, 4] {
+                let x: Vec<f64> = (0..n * r).map(|i| ((i * 29) % 23) as f64 / 4.0 - 2.0).collect();
+                let mut want = vec![f64::NAN; n * r];
+                cp.execute_batch_iters(&mut ws, &x, &mut want, r, iters);
+                let mut y = vec![f64::NAN; n * r];
+                engine.execute_batch_iters(&x, &mut y, r, iters);
+                assert_eq!(
+                    y.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                    want.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                    "threads={threads} r={r} iters={iters}"
+                );
             }
         }
     }

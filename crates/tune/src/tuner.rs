@@ -513,19 +513,21 @@ fn format_shortlist(cp: &CompiledPlan) -> Vec<KernelFormat> {
 /// Backends worth measuring: sequential always; the worker pool once
 /// there is parallelism to exploit (`k > 1` — with one rank the pool is
 /// pure overhead and [`Backend::auto`] can never pick it either). The
-/// pool carries the thread-count axis: the default worker count (one
-/// per rank capped at cores), half the machine, and exactly one per
-/// rank — deduplicated by the worker count each would actually spawn,
-/// so a small machine contributes one pool candidate, not three
-/// identical ones.
+/// pool carries the thread-count axis, counted in *participants* (the
+/// calling thread is one of them; `threads − 1` are spawned): the
+/// default (one per rank capped at cores), half the machine, and
+/// exactly one per rank — deduplicated by the participant count each
+/// would actually run with, so a small machine contributes one pool
+/// candidate, not three identical ones.
 fn backend_shortlist(_cp: &CompiledPlan, k: usize) -> Vec<Backend> {
     let mut backends = vec![Backend::CompiledSeq];
     if k > 1 {
         let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
         let mut spawned: Vec<usize> = Vec::new();
         // 0 is the default (one per rank capped at cores); `cores / 2`
-        // leaves the machine half free; `k` is one worker per rank
-        // uncapped (distinct from the default only when k > cores —
+        // leaves the machine half free (on two cores that is the
+        // caller alone: the pool's schedule without a team); `k` is
+        // one participant per rank uncapped (distinct from the default only when k > cores —
         // oversubscription sometimes pays on SMT machines).
         for t in [0, cores / 2, k] {
             // Mirror `ParallelEngine::with_options`: 0 means "one per
