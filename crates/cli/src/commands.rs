@@ -1,22 +1,20 @@
 //! Subcommand dispatch and implementations.
 
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use s2d::Session;
+use s2d::{Session, SessionBuilder};
 use s2d_core::comm::{comm_requirements, single_phase_messages, two_phase_messages, CommStats};
 use s2d_core::partition::SpmvPartition;
 use s2d_engine::{Backend, KernelFormat, KernelIsa};
 use s2d_gen::rmat::{rmat, RmatConfig};
 use s2d_gen::{suite_a, suite_b, Scale};
-use s2d_obs::{ExecutionReport, ModelRef, TelemetrySink};
 use s2d_partition::quality::{fmt_quality_row, quality_header};
 use s2d_partition::{PartitionQuality, Partitioner, PartitionerConfig, Strategy};
 use s2d_runtime::ChaosConfig;
 use s2d_serve::{ServeError, Server, ServerConfig, SessionId};
 use s2d_sim::MachineModel;
 use s2d_sparse::{read_matrix_market_file, write_matrix_market_file, Csr, MatrixStats};
-use s2d_spmv::{simulate_plan, PlanKind, SpmvOperator, SpmvPlan};
+use s2d_spmv::{simulate_plan, PlanKind, SpmvOperator};
 
 use crate::args::Args;
 use crate::partfile::{read_partition_file, write_partition_file};
@@ -34,11 +32,11 @@ USAGE
   s2d analyze   <m.mtx> <p.s2dpart> [--alg single|two|mesh] [--json out.json]
   s2d spmv      <m.mtx> [p.s2dpart] [--alg single|two|mesh]
                 [--partitioner <M> --k K] [--engine <backend>]
-                [--kernel-format <fmt>] [--isa auto|scalar|avx2]
+                [--kernel-format <fmt>] [--isa auto|scalar]
                 [--iters N] [--rhs R] [--profile]
   s2d profile   <m.mtx> [p.s2dpart] [--partitioner <M> --k K]
                 [--engine E[,E...]] [--kernel-format <fmt>]
-                [--isa auto|scalar|avx2]
+                [--isa auto|scalar]
                 [--iters N] [--rhs R] [--json PROFILE.json]
   s2d serve     <m.mtx> [--partitioner <M>] [--k K] [--clients N]
                 [--requests N] [--wide-every W] [--engine <backend>]
@@ -47,11 +45,8 @@ USAGE
                 [--tuning-cache FILE]
                 [--sharded [--chaos-us U] [--chaos-seed S]]
                 [--json SERVE.json]
-  s2d bench-serve [--scale S] [--k K] [--method <M>] [--clients N]
-                [--requests N] [--max-coalesce R]
-                [--json SERVE_BENCH.json]
   s2d tune      <m.mtx> | --rmat SCALE [--edge-factor F] [--seed N]
-                [--k K] [--rhs R] [--budget standard|fast|env]
+                [--k K] [--rhs R] [--budget standard|fast]
                 [--epsilon E] [--cache tuning-cache.json]
                 [--json TUNE.json]
   s2d help
@@ -92,8 +87,9 @@ ENGINES (--engine <backend>)
 KERNEL FORMATS (--kernel-format, compiled engines only)
   csr                run-length grouped CSR slices (default, bitwise
                      reference)
-  sell[:C[:S]]       SELL-C-sigma: sigma-windowed row sort, C-lane
-                     padded chunks (uniform inner trip count)
+  sell               SELL-C-sigma (C = 2, sigma = 256): sigma-windowed
+                     row sort, C-lane padded chunks (uniform inner
+                     trip count)
   dense-split        consecutive-column runs become index-free dense
                      spans (the split-dense-row shape)
   auto               per rank x phase choice from compile-time
@@ -103,9 +99,8 @@ KERNEL ISA (--isa, compiled engines only)
   auto               probe the CPU once at compile time, use AVX2
                      batch kernels when available (default)
   scalar             portable reference loops only
-  avx2               force the explicit AVX2 paths (fails off-x86)
   The SIMD lanes map to the batch dimension (no FMA contraction), so
-  every ISA produces bitwise-identical results; --isa only changes
+  both produce bitwise-identical results; --isa only changes
   speed, and only for --rhs 4 or 8.
 
 --rhs R runs a batched multi-RHS SpMV (Y = A·X with R columns). The
@@ -132,13 +127,8 @@ Wth request a pre-batched width-2 block (mixed-width traffic);
 optionally with --chaos-us delivery-delay injection (results stay
 bitwise identical). One solve is cross-checked against the serial
 reference before the burst; the summary reports throughput plus the
-admission / coalescing / preparation-cache counters. `bench-serve`
-runs the same burst twice on a generated R-MAT — coalescing off
-(--max-coalesce 1) then on — and reports the throughput ratio;
---json writes SERVE_BENCH.json (requests/sec both ways, coalescing
-rate, cache hit rate — the CI serve-smoke artifact). Set
-S2D_SERVE_BENCH_FAST=1 to shrink bench-serve's matrix and burst for
-smoke runs.
+admission / coalescing / preparation-cache counters; --json writes
+them as SERVE.json (a CI cli-smoke artifact).
 
 `tune` runs the measurement-based autotuner (s2d-tune) on a matrix
 file or a generated R-MAT (--rmat SCALE): it expands the static
@@ -148,9 +138,9 @@ and prints the candidate table with the measured winner and the
 models' own pick flagged. --cache persists the verdict in the on-disk
 tuning cache, so the next tune of the same (matrix, k, rhs) — and any
 server started with --tuning-cache pointing at the same file — replays
-it without measuring. --budget fast (or S2D_TUNE_FAST=1 with --budget
-env, the default) is the 1-trial smoke budget; --json writes the full
-verdict as TUNE.json (the CI tune-smoke artifact). `serve
+it without measuring. --budget fast is the 1-trial smoke budget
+(default: standard); --json writes the full verdict as TUNE.json (a CI
+cli-smoke artifact). `serve
 --tuning-cache FILE` makes registrations consult the same cache:
 measured verdicts override the configured strategy/format/backend,
 counted as tuner hits/misses in the serve counters.
@@ -173,7 +163,6 @@ pub fn run(raw: Vec<String>) {
         "spmv" => cmd_spmv(&args),
         "profile" => cmd_profile(&args),
         "serve" => cmd_serve(&args),
-        "bench-serve" => cmd_bench_serve(&args),
         "tune" => cmd_tune(&args),
         "help" | "--help" | "-h" => print!("{HELP}"),
         other => {
@@ -369,12 +358,6 @@ fn kind_for(a: &Csr, p: &SpmvPartition, alg: &str) -> PlanKind {
     }
 }
 
-/// Compiles the plan named by `--alg` (default: the best legal one).
-#[cfg(test)]
-fn plan_for(a: &Csr, p: &SpmvPartition, alg: &str) -> SpmvPlan {
-    kind_for(a, p, alg).build(a, p)
-}
-
 fn cmd_analyze(args: &Args) {
     let mpath = args.positional.get(1).unwrap_or_else(|| fail("analyze requires a matrix file"));
     let ppath = args.positional.get(2).unwrap_or_else(|| fail("analyze requires a partition file"));
@@ -481,115 +464,10 @@ fn cmd_analyze(args: &Args) {
     }
 }
 
-/// Executes `plan` on `x` with the named backend, `iters` chained
-/// applications — shared by `cmd_spmv` and tests. Returns the result
-/// and the setup time (compiled backends only: plan compilation plus
-/// operator construction, paid once per session).
-pub fn run_engine(
-    plan: &std::sync::Arc<SpmvPlan>,
-    x: &[f64],
-    engine: &str,
-    iters: usize,
-) -> (Vec<f64>, Option<std::time::Duration>) {
-    run_engine_batch(plan, x, engine, iters, 1)
-}
-
-/// [`run_engine`] over a row-major `ncols × rhs` input block with the
-/// default CSR kernels.
-pub fn run_engine_batch(
-    plan: &std::sync::Arc<SpmvPlan>,
-    x: &[f64],
-    engine: &str,
-    iters: usize,
-    rhs: usize,
-) -> (Vec<f64>, Option<std::time::Duration>) {
-    run_engine_batch_with(plan, x, engine, KernelFormat::CsrSlice, iters, rhs)
-}
-
-/// [`run_engine_batch`] with an explicit [`KernelFormat`], on any
-/// [`Backend`]: `--engine` parses straight into the enum and the whole
-/// run goes through the one `SpmvOperator` interface. The compiled
-/// backends run the batch natively with kernels lowered to `format`;
-/// the mailbox interpreter runs column by column (it is the oracle,
-/// not the fast path). `engine == "auto"` compiles first and then picks
-/// compiled-seq vs compiled-pool from the plan's op count
-/// (`Backend::auto`).
-pub fn run_engine_batch_with(
-    plan: &std::sync::Arc<SpmvPlan>,
-    x: &[f64],
-    engine: &str,
-    format: KernelFormat,
-    iters: usize,
-    rhs: usize,
-) -> (Vec<f64>, Option<std::time::Duration>) {
-    let (y, setup, _) =
-        run_engine_batch_obs(plan, x, engine, format, KernelIsa::Auto, iters, rhs, None);
-    (y, setup)
-}
-
-/// [`run_engine_batch_with`] with an explicit [`KernelIsa`] and an
-/// optional telemetry sink: when `sink` is given the operator is built
-/// instrumented (`Backend::build` with the sink) and records per-rank phase
-/// spans, work counters and wall time for the whole chained run.
-/// Results are bitwise identical either way (and across ISAs). Also
-/// returns the operator's per-worker multiply-add loads when the path
-/// is the worker pool, for the profile report.
-#[allow(clippy::too_many_arguments)]
-pub fn run_engine_batch_obs(
-    plan: &std::sync::Arc<SpmvPlan>,
-    x: &[f64],
-    engine: &str,
-    format: KernelFormat,
-    isa: KernelIsa,
-    iters: usize,
-    rhs: usize,
-    sink: Option<&Arc<TelemetrySink>>,
-) -> (Vec<f64>, Option<std::time::Duration>, Option<Vec<u64>>) {
-    assert!(rhs >= 1, "at least one right-hand side");
-    assert!(iters >= 1, "at least one iteration");
-    assert_eq!(x.len(), plan.ncols * rhs, "input block length mismatch");
-    // Time the whole session setup (compilation + buffers + workers) —
-    // that is the one-time cost a session amortizes.
-    let ((mut op, compiled), setup_time) =
-        s2d_obs::time(|| build_engine_op(plan, engine, format, isa, rhs, sink));
-    let setup = compiled.then_some(setup_time);
-    let mut y = vec![0.0; plan.nrows * rhs];
-    // One dispatch for the whole chain: the compiled pool keeps its
-    // workers hot across iterations instead of paying a barrier
-    // wake/seed/assemble round trip per application.
-    op.apply_batch_iters(x, &mut y, rhs, iters);
-    let loads = op.worker_loads();
-    (y, setup, loads)
-}
-
-/// Builds the operator for `--engine`, optionally instrumented: compile
-/// once, pick the backend (`auto` decides from the compiled op count —
-/// the crossover is ISA-aware), build over the compiled plan. Returns
-/// the operator and whether the path is one of the fast compiled ones
-/// (i.e. setup time is meaningful to report).
-fn build_engine_op(
-    plan: &std::sync::Arc<SpmvPlan>,
-    engine: &str,
-    format: KernelFormat,
-    isa: KernelIsa,
-    rhs: usize,
-    sink: Option<&Arc<TelemetrySink>>,
-) -> (Box<dyn SpmvOperator + Send>, bool) {
-    let cp = Arc::new(s2d_engine::CompiledPlan::compile_with_isa(plan, format, isa));
-    let backend: Backend = if engine == "auto" {
-        Backend::auto(&cp)
-    } else {
-        engine.parse().unwrap_or_else(|e| fail(e))
-    };
-    let compiled = matches!(backend, Backend::CompiledSeq | Backend::CompiledPool { .. });
-    (backend.build(plan, &cp, rhs, sink.map(Arc::clone)), compiled)
-}
-
-fn cmd_spmv(args: &Args) {
-    let mpath = args.positional.get(1).unwrap_or_else(|| fail("spmv requires a matrix file"));
-    let a = load_matrix(mpath);
-    // The partition comes from a file, or is built in-process by any
-    // Strategy via --partitioner (then no partition file is needed).
+/// The partition `spmv` / `profile` run on: read from the file
+/// argument, or built in-process by any Strategy via `--partitioner`
+/// (then no partition file is needed).
+fn partition_arg(args: &Args, a: &Csr) -> SpmvPartition {
     let p = match (args.positional.get(2), args.get("partitioner")) {
         (Some(_), Some(_)) => fail("give either a partition file or --partitioner, not both"),
         (Some(ppath), None) => match read_partition_file(ppath) {
@@ -600,61 +478,121 @@ fn cmd_spmv(args: &Args) {
             let k = args.parse_or("k", 16usize);
             let epsilon = args.parse_or("epsilon", 0.03f64);
             let seed = args.parse_or("seed", 1u64);
-            build_partition(&a, method, k, epsilon, seed)
+            build_partition(a, method, k, epsilon, seed)
         }
-        (None, None) => fail("spmv requires a partition file or --partitioner <method>"),
+        (None, None) => fail(format!(
+            "{} requires a partition file or --partitioner <method>",
+            args.positional[0]
+        )),
     };
+    p.assert_shape(a);
+    p
+}
+
+/// What `spmv` and `profile` execute: the plan kind, the kernel
+/// lowering, and `iters` chained applications of an `rhs`-wide block.
+struct RunOpts {
+    kind: PlanKind,
+    format: KernelFormat,
+    isa: KernelIsa,
+    iters: usize,
+    rhs: usize,
+}
+
+impl RunOpts {
+    fn parse(args: &Args, a: &Csr, p: &SpmvPartition, default_iters: usize) -> RunOpts {
+        let opts = RunOpts {
+            kind: kind_for(a, p, args.get_or("alg", "auto")),
+            format: args.get_or("kernel-format", "csr").parse().unwrap_or_else(|e| fail(e)),
+            isa: args.get_or("isa", "auto").parse().unwrap_or_else(|e| fail(e)),
+            iters: args.parse_or("iters", default_iters),
+            rhs: args.parse_or("rhs", 1usize),
+        };
+        if opts.iters == 0 || opts.rhs == 0 {
+            fail("--iters and --rhs must be >= 1");
+        }
+        if opts.iters > 1 && a.nrows() != a.ncols() {
+            fail("--iters > 1 needs a square matrix (chained applications)");
+        }
+        opts
+    }
+
+    /// The session builder for `--engine <engine>`: any [`Backend`]
+    /// spelling, or `auto` for [`Backend::auto`] over the compiled
+    /// plan. The compiled backends run the batch natively with kernels
+    /// lowered to `format`; the mailbox interpreter runs column by
+    /// column (it is the oracle, not the fast path).
+    fn session<'a>(&self, a: &'a Csr, p: &'a SpmvPartition, engine: &str) -> SessionBuilder<'a> {
+        let builder = Session::builder(a)
+            .partition(p)
+            .plan_kind(self.kind)
+            .kernel_format(self.format)
+            .kernel_isa(self.isa)
+            .batch_width(self.rhs);
+        match engine {
+            "auto" => builder.auto_backend(),
+            name => builder.backend(name.parse().unwrap_or_else(|e| fail(e))),
+        }
+    }
+
+    /// The row-major `ncols × rhs` input block (column q shifts the
+    /// pattern so the columns are genuinely different vectors) and its
+    /// per-column serial reference after `iters` chained applications —
+    /// numbers are only worth reporting for a run that computed the
+    /// right answer.
+    fn probe(&self, a: &Csr) -> (Vec<f64>, Vec<f64>) {
+        let rhs = self.rhs;
+        let x: Vec<f64> = (0..a.ncols() * rhs)
+            .map(|i| {
+                let (g, q) = (i / rhs, i % rhs);
+                ((g * 37 + q * 11) % 19) as f64 - 9.0
+            })
+            .collect();
+        let mut want = vec![0.0; a.nrows() * rhs];
+        for q in 0..rhs {
+            let mut col: Vec<f64> = (0..a.ncols()).map(|g| x[g * rhs + q]).collect();
+            for _ in 0..self.iters {
+                col = a.spmv_alloc(&col);
+            }
+            for (g, val) in col.into_iter().enumerate() {
+                want[g * rhs + q] = val;
+            }
+        }
+        (x, want)
+    }
+}
+
+fn max_rel_err(got: &[f64], want: &[f64]) -> f64 {
+    got.iter().zip(want).map(|(g, w)| (g - w).abs() / w.abs().max(1.0)).fold(0.0f64, f64::max)
+}
+
+fn cmd_spmv(args: &Args) {
+    let mpath = args.positional.get(1).unwrap_or_else(|| fail("spmv requires a matrix file"));
+    let a = load_matrix(mpath);
+    let p = partition_arg(args, &a);
+    let opts = RunOpts::parse(args, &a, &p, 1);
     let alg = args.get_or("alg", "auto");
     let engine = args.get_or("engine", "threaded");
-    let format: KernelFormat = match args.get_or("kernel-format", "csr").parse() {
-        Ok(f) => f,
-        Err(e) => fail(e),
-    };
-    let isa: KernelIsa = match args.get_or("isa", "auto").parse() {
-        Ok(i) => i,
-        Err(e) => fail(e),
-    };
-    let iters = args.parse_or("iters", 1usize);
-    let rhs = args.parse_or("rhs", 1usize);
-    if iters == 0 {
-        fail("--iters must be >= 1");
-    }
-    if rhs == 0 {
-        fail("--rhs must be >= 1");
-    }
-    if iters > 1 && a.nrows() != a.ncols() {
-        fail("--iters > 1 needs a square matrix (chained applications)");
-    }
-    let kind = kind_for(&a, &p, alg);
-    let plan = std::sync::Arc::new(kind.build(&a, &p));
-    // Row-major ncols × rhs block; column q shifts the pattern so the
-    // columns are genuinely different vectors.
-    let x: Vec<f64> = (0..a.ncols() * rhs)
-        .map(|i| {
-            let (g, q) = (i / rhs, i % rhs);
-            ((g * 37 + q * 11) % 19) as f64 - 9.0
-        })
-        .collect();
-    // Per-column serial reference.
-    let mut want = vec![0.0; a.nrows() * rhs];
-    for q in 0..rhs {
-        let mut col: Vec<f64> = (0..a.ncols()).map(|g| x[g * rhs + q]).collect();
-        for _ in 0..iters {
-            col = a.spmv_alloc(&col);
-        }
-        for (g, val) in col.into_iter().enumerate() {
-            want[g * rhs + q] = val;
-        }
-    }
-    let sink = args.has("profile").then(|| Arc::new(TelemetrySink::new(p.k)));
-    let ((got, setup_time, loads), elapsed) = s2d_obs::time(|| {
-        run_engine_batch_obs(&plan, &x, engine, format, isa, iters, rhs, sink.as_ref())
-    });
-    let max_err =
-        got.iter().zip(&want).map(|(g, w)| (g - w).abs() / w.abs().max(1.0)).fold(0.0f64, f64::max);
-    let compile_note = setup_time
-        .map(|c| format!(", {format} kernels, setup {:.1} ms", c.as_secs_f64() * 1e3))
-        .unwrap_or_default();
+    let (x, want) = opts.probe(&a);
+    let RunOpts { format, iters, rhs, .. } = opts;
+    let mut got = vec![0.0; a.nrows() * rhs];
+    let start = Instant::now();
+    // The whole session setup (plan, compilation, buffers, workers) is
+    // the one-time cost a session amortizes.
+    let (mut session, setup) =
+        s2d_obs::time(|| opts.session(&a, &p, engine).telemetry(args.has("profile")).build());
+    // One dispatch for the whole chain: the compiled pool keeps its
+    // workers hot across iterations instead of paying a barrier
+    // wake/seed/assemble round trip per application.
+    session.apply_batch_iters(&x, &mut got, rhs, iters);
+    let elapsed = start.elapsed();
+    let max_err = max_rel_err(&got, &want);
+    let compile_note =
+        if matches!(session.backend(), Backend::CompiledSeq | Backend::CompiledPool { .. }) {
+            format!(", {format} kernels, setup {:.1} ms", setup.as_secs_f64() * 1e3)
+        } else {
+            String::new()
+        };
     let rhs_note = if rhs > 1 { format!(" x{rhs} rhs") } else { String::new() };
     println!(
         "executed {alg} plan x{iters}{rhs_note} on {} ranks ({engine} engine, {:.1} ms{compile_note}): \
@@ -663,21 +601,9 @@ fn cmd_spmv(args: &Args) {
         elapsed.as_secs_f64() * 1e3,
         if max_err < 1e-9 { "(ok)" } else { "(FAILED)" }
     );
-    if let Some(sink) = &sink {
-        // Score the observed run against the partition's cost-model
-        // prediction — the same comparison `profile` makes per engine.
-        let q = PartitionQuality::measure_plan(&a, &p, kind, &plan, "profile");
-        let model = ModelRef {
-            comm_words: q.volume,
-            alpha_beta_secs: q.alpha_beta_time,
-            loggp_secs: q.loggp_time,
-        };
-        let mut report = ExecutionReport::collect(sink, engine, Some(model));
-        if let Some(madds) = loads {
-            // The pool path: per-worker planned multiply-adds under the
-            // fixed chunk→worker map (planned == achieved).
-            report = report.with_workers(s2d_obs::WorkerLoadReport::new("nnz-chunked", madds));
-        }
+    if let Some(mut report) = session.report() {
+        // Name the engine as the user spelled it (`auto`, `pool:2@pin`).
+        report.backend = engine.to_string();
         print!("{}", report.render());
     }
     if max_err >= 1e-9 {
@@ -692,82 +618,19 @@ fn cmd_spmv(args: &Args) {
 fn cmd_profile(args: &Args) {
     let mpath = args.positional.get(1).unwrap_or_else(|| fail("profile requires a matrix file"));
     let a = load_matrix(mpath);
-    let p = match (args.positional.get(2), args.get("partitioner")) {
-        (Some(_), Some(_)) => fail("give either a partition file or --partitioner, not both"),
-        (Some(ppath), None) => match read_partition_file(ppath) {
-            Ok(p) => p,
-            Err(e) => fail(format!("cannot read {ppath}: {e}")),
-        },
-        (None, Some(method)) => {
-            let k = args.parse_or("k", 16usize);
-            let epsilon = args.parse_or("epsilon", 0.03f64);
-            let seed = args.parse_or("seed", 1u64);
-            build_partition(&a, method, k, epsilon, seed)
-        }
-        (None, None) => fail("profile requires a partition file or --partitioner <method>"),
-    };
-    p.assert_shape(&a);
-    let kind = kind_for(&a, &p, args.get_or("alg", "auto"));
-    let format: KernelFormat = match args.get_or("kernel-format", "csr").parse() {
-        Ok(f) => f,
-        Err(e) => fail(e),
-    };
-    let isa: KernelIsa = match args.get_or("isa", "auto").parse() {
-        Ok(i) => i,
-        Err(e) => fail(e),
-    };
-    let iters = args.parse_or("iters", 10usize);
-    let rhs = args.parse_or("rhs", 1usize);
-    if iters == 0 || rhs == 0 {
-        fail("--iters and --rhs must be >= 1");
-    }
-    if iters > 1 && a.nrows() != a.ncols() {
-        fail("--iters > 1 needs a square matrix (chained applications)");
-    }
-    let x: Vec<f64> = (0..a.ncols() * rhs)
-        .map(|i| {
-            let (g, q) = (i / rhs, i % rhs);
-            ((g * 37 + q * 11) % 19) as f64 - 9.0
-        })
-        .collect();
-    // Serial reference for the last iterate — profiling numbers are
-    // only worth reporting for a run that computed the right answer.
-    let mut want = vec![0.0; a.nrows() * rhs];
-    for q in 0..rhs {
-        let mut col: Vec<f64> = (0..a.ncols()).map(|g| x[g * rhs + q]).collect();
-        for _ in 0..iters {
-            col = a.spmv_alloc(&col);
-        }
-        for (g, val) in col.into_iter().enumerate() {
-            want[g * rhs + q] = val;
-        }
-    }
+    let p = partition_arg(args, &a);
+    let opts = RunOpts::parse(args, &a, &p, 10);
+    let (x, want) = opts.probe(&a);
+    let RunOpts { kind, format, iters, rhs, .. } = opts;
 
     let engines = args.get_or("engine", "compiled-seq,compiled-pool");
     let mut json_reports: Vec<String> = Vec::new();
     for (i, name) in engines.split(',').map(str::trim).filter(|s| !s.is_empty()).enumerate() {
-        let backend: Backend = match name.parse() {
-            Ok(b) => b,
-            Err(e) => fail(e),
-        };
-        let (mut session, setup) = s2d_obs::time(|| {
-            Session::builder(&a)
-                .partition(&p)
-                .plan_kind(kind)
-                .backend(backend)
-                .kernel_format(format)
-                .kernel_isa(isa)
-                .batch_width(rhs)
-                .telemetry(true)
-                .build()
-        });
+        let (mut session, setup) =
+            s2d_obs::time(|| opts.session(&a, &p, name).telemetry(true).build());
         let mut y = vec![0.0; a.nrows() * rhs];
         session.apply_batch_iters(&x, &mut y, rhs, iters);
-        let max_err = y
-            .iter()
-            .zip(&want)
-            .map(|(g, w)| (g - w).abs() / w.abs().max(1.0))
-            .fold(0.0f64, f64::max);
+        let max_err = max_rel_err(&y, &want);
         if max_err >= 1e-9 {
             fail(format!("{name}: max relative error {max_err:.2e} — refusing to report"));
         }
@@ -857,8 +720,7 @@ fn check_served_solve(server: &Server, sid: SessionId, a: &Csr) {
         Ok(y) => y,
         Err(e) => fail(format!("reference solve: {e}")),
     };
-    let max_err =
-        got.iter().zip(&want).map(|(g, w)| (g - w).abs() / w.abs().max(1.0)).fold(0.0f64, f64::max);
+    let max_err = max_rel_err(&got, &want);
     if max_err >= 1e-9 {
         fail(format!("served result off by {max_err:.2e} — refusing to report"));
     }
@@ -969,11 +831,10 @@ fn cmd_tune(args: &Args) {
     };
     let k = args.parse_or("k", 16usize);
     let r = args.parse_or("rhs", 1usize);
-    let budget = match args.get_or("budget", "env") {
+    let budget = match args.get_or("budget", "standard") {
         "standard" => TuneBudget::standard(),
         "fast" => TuneBudget::fast(),
-        "env" => TuneBudget::from_env(),
-        other => fail(format!("unknown --budget {other:?} (standard|fast|env)")),
+        other => fail(format!("unknown --budget {other:?} (standard|fast)")),
     };
     let cfg = PartitionerConfig {
         epsilon: args.parse_or("epsilon", PartitionerConfig::default().epsilon),
@@ -1000,87 +861,6 @@ fn cmd_tune(args: &Args) {
     }
 }
 
-/// CI smoke mode for `bench-serve`: smaller matrix and burst.
-/// `S2D_SERVE_BENCH_FAST=0` (or empty) keeps the full run.
-fn serve_fast_mode() -> bool {
-    std::env::var("S2D_SERVE_BENCH_FAST").is_ok_and(|v| !v.is_empty() && v != "0")
-}
-
-fn cmd_bench_serve(args: &Args) {
-    let fast = serve_fast_mode();
-    let scale: u32 = args.parse_or("scale", if fast { 10 } else { 14 });
-    let k = args.parse_or("k", 16usize);
-    let clients = args.parse_or("clients", 8usize);
-    let per_client = args.parse_or("requests", if fast { 8usize } else { 32 });
-    let max_coalesce = args.parse_or("max-coalesce", 8usize);
-    let method = args.get_or("method", "1d");
-    let strategy: Strategy = match method.parse() {
-        Ok(s) => s,
-        Err(e) => fail(e),
-    };
-    let a = rmat(&RmatConfig::graph500(scale, 8), 1).to_csr();
-    println!(
-        "bench-serve: rmat{scale} ({} rows, {} nnz), {method}/k{k}, \
-         {clients} clients x {per_client} requests",
-        a.nrows(),
-        a.nnz()
-    );
-
-    let run = |coalesce: usize| {
-        let config = ServerConfig {
-            max_coalesce: coalesce,
-            queue_capacity: clients * per_client + clients,
-            ..ServerConfig::default()
-        };
-        let server = Server::new(config);
-        // Register twice: the second registration hits the preparation
-        // cache, so the artifact also exercises (and reports) the
-        // cached path a reconnecting tenant takes.
-        let _cold = server.register(&a, strategy, k);
-        let sid = server.register(&a, strategy, k);
-        check_served_solve(&server, sid, &a);
-        let elapsed = drive_burst(&server, sid, a.ncols(), clients, per_client, 0);
-        let snap = server.snapshot();
-        server.shutdown();
-        (elapsed, snap)
-    };
-
-    let (t_un, snap_un) = run(1);
-    let (t_co, snap_co) = run(max_coalesce);
-    let total = (clients * per_client) as f64;
-    let rps_un = total / t_un.as_secs_f64();
-    let rps_co = total / t_co.as_secs_f64();
-    let speedup = rps_co / rps_un;
-    println!("  uncoalesced (max-coalesce 1): {:.3} s — {rps_un:.0} req/s", t_un.as_secs_f64());
-    println!(
-        "  coalesced   (max-coalesce {max_coalesce}): {:.3} s — {rps_co:.0} req/s \
-         ({:.2}x coalescing)",
-        t_co.as_secs_f64(),
-        snap_co.coalescing_rate()
-    );
-    println!("  speedup {speedup:.2}x, cache hit rate {:.0}%", snap_co.cache_hit_rate() * 100.0);
-    if let Some(path) = args.get("json") {
-        let body = format!(
-            "{{\"matrix\":\"rmat{scale}\",\"method\":{method:?},\"k\":{k},\
-             \"clients\":{clients},\"requests_per_client\":{per_client},\
-             \"uncoalesced\":{{\"seconds\":{},\"requests_per_sec\":{rps_un},\"serve\":{}}},\
-             \"coalesced\":{{\"seconds\":{},\"requests_per_sec\":{rps_co},\
-             \"coalescing_rate\":{},\"cache_hit_rate\":{},\"serve\":{}}},\
-             \"speedup\":{speedup}}}\n",
-            t_un.as_secs_f64(),
-            snap_un.to_json(),
-            t_co.as_secs_f64(),
-            snap_co.coalescing_rate(),
-            snap_co.cache_hit_rate(),
-            snap_co.to_json()
-        );
-        if let Err(e) = std::fs::write(path, body) {
-            fail(format!("cannot write {path}: {e}"));
-        }
-        println!("wrote {path}");
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1097,6 +877,26 @@ mod tests {
         }
         m.compress();
         m.to_csr()
+    }
+
+    /// `iters` chained applications of the row-major `rhs`-wide `x` on
+    /// `--engine <engine>`, the way `spmv` runs them; also returns the
+    /// backend the engine name resolved to.
+    fn run(
+        a: &Csr,
+        p: &SpmvPartition,
+        engine: &str,
+        format: KernelFormat,
+        x: &[f64],
+        iters: usize,
+        rhs: usize,
+    ) -> (Vec<f64>, Backend) {
+        let opts =
+            RunOpts { kind: kind_for(a, p, "auto"), format, isa: KernelIsa::Auto, iters, rhs };
+        let mut session = opts.session(a, p, engine).build();
+        let mut y = vec![0.0; a.nrows() * rhs];
+        session.apply_batch_iters(x, &mut y, rhs, iters);
+        (y, session.backend())
     }
 
     #[test]
@@ -1137,21 +937,19 @@ mod tests {
     fn every_engine_reproduces_the_serial_product() {
         let a = grid(48);
         let p = build_partition(&a, "s2d", 4, 0.10, 3);
-        let plan = std::sync::Arc::new(plan_for(&a, &p, "auto"));
         let x: Vec<f64> = (0..a.ncols()).map(|j| ((j * 37) % 19) as f64 - 9.0).collect();
         let want = a.spmv_alloc(&a.spmv_alloc(&x));
         for backend in Backend::all() {
             let engine = backend.to_string();
-            let (got, setup_time) = run_engine(&plan, &x, &engine, 2);
-            let compiled = matches!(backend, Backend::CompiledSeq | Backend::CompiledPool { .. });
-            assert_eq!(setup_time.is_some(), compiled, "{engine}");
+            let (got, built) = run(&a, &p, &engine, KernelFormat::CsrSlice, &x, 2, 1);
+            assert_eq!(built, backend, "{engine}");
             for (g, w) in got.iter().zip(&want) {
                 assert!((g - w).abs() <= 1e-9 * w.abs().max(1.0), "{engine}: {g} vs {w}");
             }
         }
         // Legacy alias still routes somewhere sensible.
-        let (got, setup_time) = run_engine(&plan, &x, "compiled", 2);
-        assert!(setup_time.is_some());
+        let (got, built) = run(&a, &p, "compiled", KernelFormat::CsrSlice, &x, 2, 1);
+        assert!(matches!(built, Backend::CompiledPool { .. }));
         for (g, w) in got.iter().zip(&want) {
             assert!((g - w).abs() <= 1e-9 * w.abs().max(1.0), "compiled alias: {g} vs {w}");
         }
@@ -1161,13 +959,11 @@ mod tests {
     fn every_kernel_format_reproduces_the_serial_product() {
         let a = grid(48);
         let p = build_partition(&a, "s2d", 4, 0.10, 3);
-        let plan = std::sync::Arc::new(plan_for(&a, &p, "auto"));
         let x: Vec<f64> = (0..a.ncols()).map(|j| ((j * 37) % 19) as f64 - 9.0).collect();
         let want = a.spmv_alloc(&x);
         for engine in ["compiled-seq", "compiled-pool", "auto"] {
             for format in KernelFormat::all() {
-                let (got, setup_time) = run_engine_batch_with(&plan, &x, engine, format, 1, 1);
-                assert!(setup_time.is_some(), "{engine}/{format} is a compiled path");
+                let (got, _) = run(&a, &p, engine, format, &x, 1, 1);
                 for (g, w) in got.iter().zip(&want) {
                     assert!((g - w).abs() <= 1e-9 * w.abs().max(1.0), "{engine}/{format}");
                 }
@@ -1178,15 +974,12 @@ mod tests {
     #[test]
     fn auto_engine_picks_seq_for_small_plans() {
         // A tiny plan sits far below the pool's amortization floor, so
-        // `auto` must run (and report setup like) the sequential path.
+        // `auto` must resolve to the sequential path.
         let a = grid(16);
         let p = build_partition(&a, "s2d", 2, 0.10, 1);
-        let plan = std::sync::Arc::new(plan_for(&a, &p, "auto"));
-        let cp = s2d_engine::CompiledPlan::compile(&plan);
-        assert_eq!(Backend::auto(&cp), Backend::CompiledSeq);
         let x: Vec<f64> = (0..a.ncols()).map(|j| j as f64 * 0.5).collect();
-        let (got, setup) = run_engine(&plan, &x, "auto", 1);
-        assert!(setup.is_some());
+        let (got, built) = run(&a, &p, "auto", KernelFormat::CsrSlice, &x, 1, 1);
+        assert_eq!(built, Backend::CompiledSeq);
         let want = a.spmv_alloc(&x);
         for (g, w) in got.iter().zip(&want) {
             assert!((g - w).abs() <= 1e-9 * w.abs().max(1.0));
@@ -1197,7 +990,6 @@ mod tests {
     fn batched_engines_agree_with_per_column_serial() {
         let a = grid(40);
         let p = build_partition(&a, "s2d", 4, 0.10, 3);
-        let plan = std::sync::Arc::new(plan_for(&a, &p, "auto"));
         let rhs = 3;
         let x: Vec<f64> = (0..a.ncols() * rhs)
             .map(|i| ((i / rhs * 37 + i % rhs * 11) % 19) as f64 - 9.0)
@@ -1213,7 +1005,7 @@ mod tests {
         }
         for backend in Backend::all() {
             let engine = backend.to_string();
-            let (got, _) = run_engine_batch(&plan, &x, &engine, 2, rhs);
+            let (got, _) = run(&a, &p, &engine, KernelFormat::CsrSlice, &x, 2, rhs);
             assert_eq!(got.len(), want.len());
             for (g, w) in got.iter().zip(&want) {
                 assert!((g - w).abs() <= 1e-9 * w.abs().max(1.0), "{engine}: {g} vs {w}");

@@ -122,12 +122,11 @@ pub struct CompiledPlan {
     /// Owner rank of every output row (copied from the plan).
     pub y_part: Vec<u32>,
     /// The [`KernelFormat`] the plan was compiled with (the *policy* —
-    /// under [`KernelFormat::Auto`] individual kernels record their own
-    /// concrete choice, see [`Kernel::format`]).
+    /// under [`KernelFormat::Auto`] each [`Kernel`] variant is that
+    /// kernel's concrete choice).
     pub format: KernelFormat,
     /// The [`KernelIsa`] policy the plan was compiled with (the
-    /// CPU-resolved verdict lives in each kernel, see
-    /// [`Kernel::simd`]).
+    /// CPU-resolved verdict lives in each kernel's `simd` flag).
     pub isa: KernelIsa,
     /// Row-length statistics of every nonempty compute kernel (phase-
     /// major, rank order), gathered from the CSR lowering before format
@@ -255,7 +254,7 @@ impl CompiledPlan {
                         // kernel) are gathered only when the policy
                         // needs them — a fixed-format compile stays one
                         // pass proportional to the plan size. The pick
-                        // is resolved here so `from_csr` never
+                        // is resolved here so `from_csr_isa` never
                         // recomputes the same stats.
                         let concrete = if format == KernelFormat::Auto && csr.ops() > 0 {
                             let st = KernelStats::of(&csr);
@@ -339,26 +338,6 @@ impl CompiledPlan {
                 RankStep::Comm { .. } => 0,
             })
             .sum()
-    }
-
-    /// Per-concrete-format kernel counts, in [`KernelFormat::all`]
-    /// order minus `Auto` — what an [`KernelFormat::Auto`] compile
-    /// actually picked (diagnostics for the CLI and benches).
-    pub fn format_counts(&self) -> Vec<(KernelFormat, usize)> {
-        let mut counts: Vec<(KernelFormat, usize)> = Vec::new();
-        for step in self.ranks.iter().flat_map(|rp| &rp.steps) {
-            if let RankStep::Compute(kernel) = step {
-                if kernel.ops() == 0 {
-                    continue; // empty kernels say nothing about the policy
-                }
-                let f = kernel.format();
-                match counts.iter_mut().find(|(g, _)| *g == f) {
-                    Some((_, n)) => *n += 1,
-                    None => counts.push((f, 1)),
-                }
-            }
-        }
-        counts
     }
 
     /// Row-length statistics of every nonempty compute kernel, flattened
@@ -529,7 +508,7 @@ mod tests {
         assert_eq!(kernel.rows, vec![0, 1, 0]);
         assert_eq!(kernel.row_ptr, vec![0, 1, 2, 3]);
         let mut y = vec![0.0, 0.0];
-        kernel.run(&[10.0], &mut y);
+        kernel.run_batch(&[10.0], &mut y, 1);
         assert_eq!(y, vec![50.0, 20.0]);
     }
 

@@ -15,12 +15,14 @@
 //! * [`CsrKernel`] ([`KernelFormat::CsrSlice`]) — the PR 1 run-length
 //!   grouped CSR slice, bitwise-preserved: it is the reference the
 //!   other formats are held to.
-//! * [`SellKernel`] ([`KernelFormat::SellCSigma`]) — SELL-C-σ: rows
-//!   sorted by length inside windows of σ, packed into chunks of C
-//!   lanes, values stored entry-major inside a chunk and padded to the
-//!   chunk's widest row. The inner loop carries C accumulators with a
-//!   uniform trip count — the vectorizable shape for short irregular
-//!   rows, where the CSR slice pays per-row loop-control overhead.
+//! * [`SellKernel`] ([`KernelFormat::Sell`]) — SELL-C-σ at the one
+//!   measured setting, C = 2 and σ = 256: rows sorted by length inside
+//!   windows of σ, packed into chunks of C lanes, values stored
+//!   entry-major inside a chunk and padded to the chunk's widest row.
+//!   The one loop shape advances all C lanes in lockstep through a
+//!   uniform trip count with the `C × r` accumulator block in
+//!   registers — the shape for short irregular rows, where the CSR
+//!   slice pays per-row loop-control overhead.
 //! * [`DenseSplitKernel`] ([`KernelFormat::DenseRowSplit`]) — for the
 //!   heavy split rows semi-2D produces: maximal runs of *consecutive*
 //!   local column slots become dense spans (`y[i] += vals·x[c0..c0+len]`
@@ -55,12 +57,13 @@
 //! # SIMD ([`KernelIsa`])
 //!
 //! The fixed-width batch paths (`r ∈ {4, 8}`) have explicit AVX2
-//! variants on x86-64, selected at lowering time by [`KernelIsa`]
-//! (runtime `is_x86_feature_detected!` under `auto`). The vector lanes
-//! map to the *batch* dimension — lane `q` of a 4-wide register is
-//! right-hand side `q` — so each lane is an independent accumulator
-//! chain and the vector code performs the exact scalar operation
-//! sequence per accumulator. No FMA, no horizontal reduction, no
+//! variants on x86-64. [`KernelIsa`] is a two-valued axis resolved at
+//! lowering time: `auto` takes them when a runtime
+//! `is_x86_feature_detected!` probe finds AVX2, `scalar` never does.
+//! The vector lanes map to the *batch* dimension — lane `q` of a 4-wide
+//! register is right-hand side `q` — so each lane is an independent
+//! accumulator chain and the vector code performs the exact scalar
+//! operation sequence per accumulator. No FMA, no horizontal reduction, no
 //! reassociation: the AVX2 results are **bitwise identical** to the
 //! scalar reference, and the differential suite pins that with exact
 //! equality. The scalar loops stay as the reference implementation.
@@ -70,9 +73,16 @@
 /// in [`DenseSplitKernel`] span descriptors.
 pub const NO_LANE: u32 = u32::MAX;
 
-/// Chunk heights supported by the SELL fixed-width dispatch.
-const SELL_C_MIN: usize = 2;
-const SELL_C_MAX: usize = 16;
+/// SELL chunk height (lanes per chunk). Two is the largest height whose
+/// `C × r` accumulator block stays in registers at every specialized
+/// batch width (r ≤ 8): measured across R-MAT / power-law / FEM /
+/// ultra-sparse shapes it matched taller chunks at r = 1 and was the
+/// only height that beat the CSR slice at r = 8.
+const SELL_C: usize = 2;
+
+/// SELL sorting window in rows: row order is disturbed by at most this
+/// many positions.
+const SELL_SIGMA: usize = 256;
 
 /// Minimum consecutive-column run length that becomes a dense span in
 /// [`DenseSplitKernel`] (shorter runs stay indexed — the span descriptor
@@ -89,15 +99,9 @@ pub const DENSE_MIN_RUN: usize = 8;
 pub enum KernelFormat {
     /// Run-length grouped CSR slice (PR 1's kernel, bitwise-preserved).
     CsrSlice,
-    /// SELL-C-σ: σ-windowed row sort, C-lane chunks, padded entry-major
-    /// storage. `c` must lie in `2..=16`.
-    SellCSigma {
-        /// Chunk height (rows per chunk).
-        c: usize,
-        /// Sorting window in rows (row order is disturbed at most σ
-        /// positions; `σ = usize::MAX` sorts globally).
-        sigma: usize,
-    },
+    /// SELL-C-σ with C = 2, σ = 256: σ-windowed row sort, C-lane
+    /// chunks, padded entry-major storage.
+    Sell,
     /// Dense-span split: consecutive-column runs execute as dense dot
     /// products, the remainder as indexed entries.
     DenseRowSplit,
@@ -106,23 +110,16 @@ pub enum KernelFormat {
 }
 
 impl KernelFormat {
-    /// The SELL parameters `auto` reaches for: C = 2, σ = 256. The
-    /// small chunk height is deliberate — the entry-major loop keeps a
-    /// `C × R` accumulator block live, and C = 2 is the largest chunk
-    /// whose block stays in registers at every specialized batch width
-    /// (r ≤ 8). Measured across R-MAT / power-law / FEM / ultra-sparse
-    /// shapes, `sell:2` matches the wider chunks at r = 1 and is the
-    /// only SELL variant that beats the CSR slice at r = 8 (wider
-    /// chunks fall back to the lane-major walk and lose the lockstep
-    /// advantage).
-    pub const DEFAULT_SELL: KernelFormat = KernelFormat::SellCSigma { c: 2, sigma: 256 };
+    /// Alias of [`KernelFormat::Sell`]: the name the committed
+    /// benchmark (`benchmark/`) spells it by.
+    pub const DEFAULT_SELL: KernelFormat = KernelFormat::Sell;
 
-    /// Every format with default parameters — the sweep set for
-    /// conformance, differential and bench runs.
+    /// Every format — the sweep set for conformance, differential and
+    /// benchmark runs.
     pub fn all() -> [KernelFormat; 4] {
         [
             KernelFormat::CsrSlice,
-            KernelFormat::DEFAULT_SELL,
+            KernelFormat::Sell,
             KernelFormat::DenseRowSplit,
             KernelFormat::Auto,
         ]
@@ -132,7 +129,7 @@ impl KernelFormat {
     pub fn label(&self) -> &'static str {
         match self {
             KernelFormat::CsrSlice => "csr",
-            KernelFormat::SellCSigma { .. } => "sell",
+            KernelFormat::Sell => "sell",
             KernelFormat::DenseRowSplit => "dense-split",
             KernelFormat::Auto => "auto",
         }
@@ -142,59 +139,36 @@ impl KernelFormat {
 impl std::str::FromStr for KernelFormat {
     type Err = String;
 
-    /// Parses the CLI spelling: `csr`, `sell` / `sell:C` / `sell:C:S`,
-    /// `dense-split` (alias `dense`), `auto`.
+    /// Parses the CLI spelling: `csr`, `sell`, `dense-split` (alias
+    /// `dense`), `auto`.
     fn from_str(s: &str) -> Result<KernelFormat, String> {
         match s {
             "csr" => Ok(KernelFormat::CsrSlice),
-            "sell" => Ok(KernelFormat::DEFAULT_SELL),
+            "sell" => Ok(KernelFormat::Sell),
             "dense-split" | "dense" => Ok(KernelFormat::DenseRowSplit),
             "auto" => Ok(KernelFormat::Auto),
-            other => {
-                if let Some(params) = other.strip_prefix("sell:") {
-                    let mut it = params.splitn(2, ':');
-                    let c: usize =
-                        it.next().unwrap_or("").parse().map_err(|_| {
-                            format!("bad chunk height in {other:?} (want sell:C[:S])")
-                        })?;
-                    let sigma: usize = match it.next() {
-                        None => 256,
-                        Some(sv) => sv
-                            .parse()
-                            .map_err(|_| format!("bad sigma in {other:?} (want sell:C[:S])"))?,
-                    };
-                    if !(SELL_C_MIN..=SELL_C_MAX).contains(&c) {
-                        return Err(format!(
-                            "sell chunk height must be in {SELL_C_MIN}..={SELL_C_MAX} (got {c})"
-                        ));
-                    }
-                    return Ok(KernelFormat::SellCSigma { c, sigma });
-                }
-                Err(format!("unknown kernel format {other:?} (csr|sell[:C[:S]]|dense-split|auto)"))
-            }
+            other => Err(format!("unknown kernel format {other:?} (csr|sell|dense-split|auto)")),
         }
     }
 }
 
 impl std::fmt::Display for KernelFormat {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            KernelFormat::SellCSigma { c, sigma } => write!(f, "sell:{c}:{sigma}"),
-            other => f.write_str(other.label()),
-        }
+        f.write_str(self.label())
     }
 }
 
-/// Selects the instruction set the fixed-width batch loops run on.
+/// Whether the fixed-width batch loops may use the AVX2 bodies: yes
+/// where the CPU has them (`Auto`), or never (`Scalar`).
 ///
 /// Like [`KernelFormat`], the choice is baked in at
 /// [`CompiledPlan::compile_with_isa`](crate::CompiledPlan::compile_with_isa)
 /// time: each lowered kernel stores a resolved "use SIMD" flag, so the
-/// hot dispatch is one branch, not a per-call feature probe. The
-/// default (`Auto`) turns AVX2 on whenever the CPU has it — safe
-/// because the vector paths are bitwise identical to scalar (see the
-/// module docs) — while `Scalar` pins the portable reference loops for
-/// differential testing.
+/// hot dispatch is one branch, not a per-call feature probe. `Auto` is
+/// safe as the default because the vector paths are bitwise identical
+/// to scalar (see the module docs); `Scalar` pins the portable
+/// reference loops for differential testing and for timing the two
+/// against each other.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum KernelIsa {
     /// Use AVX2 when the running CPU supports it, scalar otherwise.
@@ -202,25 +176,14 @@ pub enum KernelIsa {
     Auto,
     /// Portable scalar loops only — the bitwise reference.
     Scalar,
-    /// Request AVX2 explicitly. On a CPU (or architecture) without
-    /// AVX2 this degrades to scalar rather than erroring: the results
-    /// are bitwise identical either way, so a hard failure would only
-    /// hurt portability of configs and caches.
-    Avx2,
 }
 
 impl KernelIsa {
-    /// Every ISA choice — the sweep set for differential tests.
-    pub fn all() -> [KernelIsa; 3] {
-        [KernelIsa::Auto, KernelIsa::Scalar, KernelIsa::Avx2]
-    }
-
     /// Short stable label (bench ids, CLI output, cache files).
     pub fn label(&self) -> &'static str {
         match self {
             KernelIsa::Auto => "auto",
             KernelIsa::Scalar => "scalar",
-            KernelIsa::Avx2 => "avx2",
         }
     }
 
@@ -241,7 +204,7 @@ impl KernelIsa {
     pub fn simd(self) -> bool {
         match self {
             KernelIsa::Scalar => false,
-            KernelIsa::Auto | KernelIsa::Avx2 => KernelIsa::avx2_available(),
+            KernelIsa::Auto => KernelIsa::avx2_available(),
         }
     }
 }
@@ -253,8 +216,7 @@ impl std::str::FromStr for KernelIsa {
         match s {
             "auto" => Ok(KernelIsa::Auto),
             "scalar" => Ok(KernelIsa::Scalar),
-            "avx2" => Ok(KernelIsa::Avx2),
-            other => Err(format!("unknown kernel isa {other:?} (auto|scalar|avx2)")),
+            other => Err(format!("unknown kernel isa {other:?} (auto|scalar)")),
         }
     }
 }
@@ -282,7 +244,7 @@ pub struct KernelStats {
     /// without index loads.
     pub dense_frac: f64,
     /// Stored entries (incl. padding) per real entry if lowered to
-    /// [`KernelFormat::DEFAULT_SELL`]; 1.0 is padding-free.
+    /// [`KernelFormat::Sell`]; 1.0 is padding-free.
     pub sell_fill: f64,
 }
 
@@ -312,11 +274,7 @@ impl KernelStats {
                 }
             }
         }
-        let (c, sigma) = match KernelFormat::DEFAULT_SELL {
-            KernelFormat::SellCSigma { c, sigma } => (c, sigma),
-            _ => unreachable!(),
-        };
-        let padded = sell_padded_entries(csr, c, sigma);
+        let padded = sell_padded_entries(csr);
         KernelStats {
             rows,
             ops,
@@ -330,27 +288,25 @@ impl KernelStats {
 
 /// Stored-entry count (real + padding) of the SELL lowering without
 /// materializing it: sum over chunks of `C ×` the chunk's widest row.
-fn sell_padded_entries(csr: &CsrKernel, c: usize, sigma: usize) -> usize {
-    let order = sell_order(csr, c, sigma);
-    order
-        .chunks(c)
+fn sell_padded_entries(csr: &CsrKernel) -> usize {
+    sell_order(csr)
+        .chunks(SELL_C)
         .map(|chunk| {
             let widest = chunk
                 .iter()
                 .map(|&s| (csr.row_ptr[s as usize + 1] - csr.row_ptr[s as usize]) as usize)
                 .max()
                 .unwrap_or(0);
-            widest * c
+            widest * SELL_C
         })
         .sum()
 }
 
 /// Segment order after the σ-windowed descending length sort (stable,
 /// so equal-length rows keep their original relative order).
-fn sell_order(csr: &CsrKernel, c: usize, sigma: usize) -> Vec<u32> {
+fn sell_order(csr: &CsrKernel) -> Vec<u32> {
     let mut order: Vec<u32> = (0..csr.rows.len() as u32).collect();
-    let window = sigma.max(c);
-    for win in order.chunks_mut(window) {
+    for win in order.chunks_mut(SELL_SIGMA) {
         win.sort_by_key(|&s| {
             std::cmp::Reverse(csr.row_ptr[s as usize + 1] - csr.row_ptr[s as usize])
         });
@@ -377,7 +333,7 @@ pub(crate) fn auto_pick(st: &KernelStats) -> KernelFormat {
         return KernelFormat::DenseRowSplit;
     }
     if st.rows >= 4 * 8 && st.sell_fill <= 1.25 {
-        return KernelFormat::DEFAULT_SELL;
+        return KernelFormat::Sell;
     }
     KernelFormat::CsrSlice
 }
@@ -410,14 +366,8 @@ impl Kernel {
     /// Lowers a CSR slice into `format` (resolving [`KernelFormat::Auto`]
     /// per kernel). Falls back to the CSR slice where a format cannot
     /// represent the kernel faithfully (SELL with duplicated row
-    /// segments).
-    pub fn from_csr(csr: CsrKernel, format: KernelFormat) -> Kernel {
-        Kernel::from_csr_isa(csr, format, KernelIsa::Auto)
-    }
-
-    /// [`Kernel::from_csr`] with an explicit instruction-set choice:
-    /// `isa` is resolved against the running CPU once, here, and the
-    /// verdict is stored in the lowered kernel.
+    /// segments). `isa` is resolved against the running CPU once, here,
+    /// and the verdict is stored in the lowered kernel.
     pub fn from_csr_isa(csr: CsrKernel, format: KernelFormat, isa: KernelIsa) -> Kernel {
         let format = match format {
             KernelFormat::Auto => auto_pick(&KernelStats::of(&csr)),
@@ -426,7 +376,7 @@ impl Kernel {
         let simd = isa.simd();
         let mut kernel = match format {
             KernelFormat::CsrSlice => Kernel::Csr(csr),
-            KernelFormat::SellCSigma { c, sigma } => match SellKernel::build(&csr, c, sigma) {
+            KernelFormat::Sell => match SellKernel::build(&csr) {
                 Some(sell) => Kernel::Sell(sell),
                 None => Kernel::Csr(csr),
             },
@@ -446,16 +396,6 @@ impl Kernel {
         }
     }
 
-    /// True when the kernel will take the AVX2 batch paths for
-    /// `r ∈ {4, 8}`.
-    pub fn simd(&self) -> bool {
-        match self {
-            Kernel::Csr(k) => k.simd,
-            Kernel::Sell(k) => k.simd,
-            Kernel::DenseSplit(k) => k.simd,
-        }
-    }
-
     /// Number of real multiply-adds (format-invariant; padding entries
     /// in SELL chunks are not counted).
     pub fn ops(&self) -> usize {
@@ -463,34 +403,6 @@ impl Kernel {
             Kernel::Csr(k) => k.ops(),
             Kernel::Sell(k) => k.ops,
             Kernel::DenseSplit(k) => k.vals.len(),
-        }
-    }
-
-    /// Number of row segments the kernel accumulates into.
-    pub fn segments(&self) -> usize {
-        match self {
-            Kernel::Csr(k) => k.rows.len(),
-            Kernel::Sell(k) => k.rows.iter().filter(|&&r| r != NO_LANE).count(),
-            Kernel::DenseSplit(k) => k.rows.len(),
-        }
-    }
-
-    /// The concrete format this kernel was lowered to.
-    pub fn format(&self) -> KernelFormat {
-        match self {
-            Kernel::Csr(_) => KernelFormat::CsrSlice,
-            Kernel::Sell(k) => KernelFormat::SellCSigma { c: k.c as usize, sigma: k.sigma },
-            Kernel::DenseSplit(_) => KernelFormat::DenseRowSplit,
-        }
-    }
-
-    /// Runs the kernel over flat local vectors (batch width 1).
-    #[inline]
-    pub fn run(&self, x: &[f64], y: &mut [f64]) {
-        match self {
-            Kernel::Csr(k) => k.run(x, y),
-            Kernel::Sell(k) => k.run_batch(x, y, 1),
-            Kernel::DenseSplit(k) => k.run_batch(x, y, 1),
         }
     }
 
@@ -605,12 +517,6 @@ impl CsrKernel {
     /// Number of multiply-adds in the kernel.
     pub fn ops(&self) -> usize {
         self.vals.len()
-    }
-
-    /// Runs the kernel over flat local vectors.
-    #[inline]
-    pub fn run(&self, x: &[f64], y: &mut [f64]) {
-        self.run_r1(x, y, 0, self.rows.len());
     }
 
     /// The r = 1 loop over segments `lo..hi`.
@@ -757,22 +663,19 @@ impl CsrKernel {
     }
 }
 
-/// SELL-C-σ storage: segments sorted by descending length inside σ-row
-/// windows, packed into chunks of `c` lanes. Within a chunk, entry `e`
-/// of lane `l` lives at `chunk_ptr[ch] + e·c + l` — entry-major, so the
-/// inner loop advances `c` accumulators with one uniform trip count
-/// (the chunk's widest row). Shorter lanes are padded with `val = 0.0`
-/// repeating the lane's last column; whole padding lanes carry
-/// [`NO_LANE`] and their accumulator is discarded.
+/// SELL-C-σ storage (C = 2, σ = 256): segments sorted by descending
+/// length inside σ-row windows, packed into chunks of C lanes. Within a
+/// chunk, entry `e` of lane `l` lives at `chunk_ptr[ch] + e·C + l` —
+/// entry-major, so the inner loop advances C accumulators with one
+/// uniform trip count (the chunk's widest row). Shorter lanes are
+/// padded with `val = 0.0` repeating the lane's last column (column 0
+/// for an empty lane); whole padding lanes carry [`NO_LANE`] and their
+/// accumulator is discarded.
 #[derive(Clone, Debug)]
 pub struct SellKernel {
-    /// Chunk height (lanes per chunk), in `2..=16`.
-    pub(crate) c: u32,
-    /// Sorting window the kernel was built with (metadata only).
-    pub(crate) sigma: usize,
-    /// Entry offsets per chunk (`nchunks + 1`, multiples of `c` apart).
+    /// Entry offsets per chunk (`nchunks + 1`, multiples of C apart).
     pub(crate) chunk_ptr: Vec<u32>,
-    /// Local `y` slot per lane (`nchunks × c`; [`NO_LANE`] = padding).
+    /// Local `y` slot per lane (`nchunks × C`; [`NO_LANE`] = padding).
     pub(crate) rows: Vec<u32>,
     /// Local `x` slot per stored entry (incl. padding entries).
     pub(crate) cols: Vec<u32>,
@@ -789,18 +692,16 @@ impl SellKernel {
     /// Lowers a CSR slice. Returns `None` when the slice repeats a row
     /// across segments (interleaved task lists) — reordering same-row
     /// segments would regroup the accumulation, breaking the bitwise
-    /// contract — or when `c` is outside `2..=16`.
-    pub fn build(csr: &CsrKernel, c: usize, sigma: usize) -> Option<SellKernel> {
-        if !(SELL_C_MIN..=SELL_C_MAX).contains(&c) {
-            return None;
-        }
+    /// contract.
+    pub fn build(csr: &CsrKernel) -> Option<SellKernel> {
+        let c = SELL_C;
         let nseg = csr.rows.len();
         let mut seen = csr.rows.clone();
         seen.sort_unstable();
         if seen.windows(2).any(|w| w[0] == w[1]) {
             return None;
         }
-        let order = sell_order(csr, c, sigma);
+        let order = sell_order(csr);
         let nchunks = nseg.div_ceil(c);
         let mut chunk_ptr = Vec::with_capacity(nchunks + 1);
         chunk_ptr.push(0u32);
@@ -818,6 +719,12 @@ impl SellKernel {
                 let lo = csr.row_ptr[s as usize] as usize;
                 let len = seg_len(&s);
                 rows.push(csr.rows[s as usize]);
+                if len == 0 {
+                    // An empty segment has no last column to repeat: it
+                    // keeps the (col 0, val 0.0) fill of the `resize`
+                    // above, like the whole padding lanes below.
+                    continue;
+                }
                 for e in 0..widest {
                     // Padding repeats the lane's last real column with
                     // val 0.0: `acc += 0.0 · x[c]` is a bitwise no-op
@@ -832,34 +739,12 @@ impl SellKernel {
             rows.resize(rows.len() + (c - chunk.len()), NO_LANE);
             chunk_ptr.push(vals.len() as u32);
         }
-        Some(SellKernel {
-            c: c as u32,
-            sigma,
-            chunk_ptr,
-            rows,
-            cols,
-            vals,
-            ops: csr.ops(),
-            simd: false,
-        })
+        Some(SellKernel { chunk_ptr, rows, cols, vals, ops: csr.ops(), simd: false })
     }
 
-    /// Stored entries per real multiply-add (1.0 = padding-free).
-    pub fn fill(&self) -> f64 {
-        self.vals.len() as f64 / self.ops.max(1) as f64
-    }
-
-    /// See [`Kernel::run_batch`].
-    ///
-    /// Two loop shapes, both order-preserving per row: the chunk runs
-    /// **entry-major** (all `C` lanes advance in lockstep through one
-    /// uniform trip count — the classic SELL vectorization) whenever
-    /// the `C × R` accumulator block fits in registers (≤ 16 f64
-    /// words); beyond that it runs **lane-major** (`R` accumulators per
-    /// lane, like a CSR row over σ-sorted rows) — entry-major with a
-    /// spilled accumulator block measures *slower* than the CSR slice.
-    /// Wide batches therefore want small chunks: the default `sell:2`
-    /// keeps entry-major up to r = 8, `sell:8` only up to r = 2.
+    /// See [`Kernel::run_batch`]. Every specialized width runs the one
+    /// entry-major body, `run_cr` (or its AVX2 twin `run_c2_avx2`):
+    /// order-preserving per row, all C lanes in lockstep.
     #[inline]
     pub fn run_batch(&self, x: &[f64], y: &mut [f64], r: usize) {
         self.run_range(x, y, r, 0, self.chunk_ptr.len().saturating_sub(1));
@@ -868,8 +753,10 @@ impl SellKernel {
     /// [`SellKernel::run_batch`] over SELL chunks `lo..hi` only.
     #[inline]
     pub(crate) fn run_range(&self, x: &[f64], y: &mut [f64], r: usize, lo: usize, hi: usize) {
+        // `run_c2_avx2` hard-codes the chunk height.
+        const _: () = assert!(SELL_C == 2);
         #[cfg(target_arch = "x86_64")]
-        if self.simd && self.c == 2 && (r == 4 || r == 8) {
+        if self.simd && (r == 4 || r == 8) {
             // SAFETY: `simd` is only set from `KernelIsa::simd`, which
             // requires a positive AVX2 feature probe.
             unsafe {
@@ -880,21 +767,11 @@ impl SellKernel {
             }
             return;
         }
-        match (self.c, r) {
-            (2, 1) => self.run_cr::<2, 1>(x, y, lo, hi),
-            (2, 2) => self.run_cr::<2, 2>(x, y, lo, hi),
-            (2, 4) => self.run_cr::<2, 4>(x, y, lo, hi),
-            (2, 8) => self.run_cr::<2, 8>(x, y, lo, hi),
-            (4, 1) => self.run_cr::<4, 1>(x, y, lo, hi),
-            (4, 2) => self.run_cr::<4, 2>(x, y, lo, hi),
-            (4, 4) => self.run_cr::<4, 4>(x, y, lo, hi),
-            (8, 1) => self.run_cr::<8, 1>(x, y, lo, hi),
-            (8, 2) => self.run_cr::<8, 2>(x, y, lo, hi),
-            (16, 1) => self.run_cr::<16, 1>(x, y, lo, hi),
-            (_, 1) => self.run_lanes_fixed::<1>(x, y, lo, hi),
-            (_, 2) => self.run_lanes_fixed::<2>(x, y, lo, hi),
-            (_, 4) => self.run_lanes_fixed::<4>(x, y, lo, hi),
-            (_, 8) => self.run_lanes_fixed::<8>(x, y, lo, hi),
+        match r {
+            1 => self.run_cr::<SELL_C, 1>(x, y, lo, hi),
+            2 => self.run_cr::<SELL_C, 2>(x, y, lo, hi),
+            4 => self.run_cr::<SELL_C, 4>(x, y, lo, hi),
+            8 => self.run_cr::<SELL_C, 8>(x, y, lo, hi),
             _ => self.run_dyn(x, y, r, lo, hi),
         }
     }
@@ -997,38 +874,9 @@ impl SellKernel {
         }
     }
 
-    /// Lane-major walk: each lane runs like a CSR row with `R`
-    /// accumulators in registers (same per-row entry order, so the
-    /// bitwise contract holds), but over σ-sorted rows with the chunk's
-    /// uniform trip count — the batched (`r ≥ 2`) SELL shape.
-    #[inline]
-    fn run_lanes_fixed<const R: usize>(&self, x: &[f64], y: &mut [f64], lo: usize, hi: usize) {
-        let c = self.c as usize;
-        for ch in lo..hi {
-            let base = self.chunk_ptr[ch] as usize;
-            let w = (self.chunk_ptr[ch + 1] as usize - base) / c;
-            for (l, &row) in self.rows[ch * c..(ch + 1) * c].iter().enumerate() {
-                if row == NO_LANE {
-                    continue;
-                }
-                let at = row as usize * R;
-                let mut acc = [0.0f64; R];
-                acc.copy_from_slice(&y[at..at + R]);
-                for e in 0..w {
-                    let v = self.vals[base + e * c + l];
-                    let col = self.cols[base + e * c + l] as usize * R;
-                    for q in 0..R {
-                        acc[q] += v * x[col + q];
-                    }
-                }
-                y[at..at + R].copy_from_slice(&acc);
-            }
-        }
-    }
-
     /// Strided fallback for widths without a specialization.
     fn run_dyn(&self, x: &[f64], y: &mut [f64], r: usize, lo: usize, hi: usize) {
-        let c = self.c as usize;
+        let c = SELL_C;
         for ch in lo..hi {
             let base = self.chunk_ptr[ch] as usize;
             let w = (self.chunk_ptr[ch + 1] as usize - base) / c;
@@ -1049,10 +897,7 @@ impl SellKernel {
     }
 
     fn validate(&self, nx: usize, ny: usize) -> Result<(), String> {
-        let c = self.c as usize;
-        if !(SELL_C_MIN..=SELL_C_MAX).contains(&c) {
-            return Err("malformed kernel chunk height".into());
-        }
+        let c = SELL_C;
         let nchunks = self.chunk_ptr.len().saturating_sub(1);
         if self.chunk_ptr.first() != Some(&0)
             || self.chunk_ptr.last().map(|&e| e as usize) != Some(self.vals.len())
@@ -1150,18 +995,6 @@ impl DenseSplitKernel {
             k.seg_ptr.push(k.span_start.len() as u32);
         }
         k
-    }
-
-    /// Fraction of entries executed as dense spans.
-    pub fn dense_frac(&self) -> f64 {
-        let dense: usize = self
-            .span_len
-            .iter()
-            .zip(&self.span_col0)
-            .filter(|&(_, &c0)| c0 != NO_LANE)
-            .map(|(&len, _)| len as usize)
-            .sum();
-        dense as f64 / self.vals.len().max(1) as f64
     }
 
     /// See [`Kernel::run_batch`].
@@ -1373,6 +1206,15 @@ mod tests {
         (k, nx as usize, 14)
     }
 
+    /// The resolved "take the AVX2 batch paths" flag of a lowered kernel.
+    fn simd(k: &Kernel) -> bool {
+        match k {
+            Kernel::Csr(k) => k.simd,
+            Kernel::Sell(k) => k.simd,
+            Kernel::DenseSplit(k) => k.simd,
+        }
+    }
+
     fn x_for(nx: usize, r: usize) -> Vec<f64> {
         (0..nx * r).map(|i| ((i * 29) % 23) as f64 / 7.0 - 1.5).collect()
     }
@@ -1381,19 +1223,19 @@ mod tests {
     fn format_parse_roundtrip() {
         for (s, want) in [
             ("csr", KernelFormat::CsrSlice),
-            ("sell", KernelFormat::DEFAULT_SELL),
-            ("sell:4", KernelFormat::SellCSigma { c: 4, sigma: 256 }),
-            ("sell:4:64", KernelFormat::SellCSigma { c: 4, sigma: 64 }),
+            ("sell", KernelFormat::Sell),
             ("dense-split", KernelFormat::DenseRowSplit),
             ("dense", KernelFormat::DenseRowSplit),
             ("auto", KernelFormat::Auto),
         ] {
             assert_eq!(s.parse::<KernelFormat>().unwrap(), want, "{s}");
         }
-        assert!("warp".parse::<KernelFormat>().is_err());
-        assert!("sell:1".parse::<KernelFormat>().is_err(), "c below the dispatch floor");
-        assert!("sell:99".parse::<KernelFormat>().is_err());
-        assert!("sell:x".parse::<KernelFormat>().is_err());
+        assert_eq!(KernelFormat::DEFAULT_SELL, KernelFormat::Sell);
+        // The chunk height and window are constants, not spellings.
+        for s in ["warp", "sell:8", "sell:2:256"] {
+            let err = s.parse::<KernelFormat>().unwrap_err();
+            assert!(err.contains("(csr|sell|dense-split|auto)"), "{s}: {err}");
+        }
         // Display round-trips through FromStr.
         for f in KernelFormat::all() {
             assert_eq!(f.to_string().parse::<KernelFormat>().unwrap(), f);
@@ -1402,13 +1244,15 @@ mod tests {
 
     #[test]
     fn isa_parse_roundtrip() {
-        for (s, want) in
-            [("auto", KernelIsa::Auto), ("scalar", KernelIsa::Scalar), ("avx2", KernelIsa::Avx2)]
-        {
+        for (s, want) in [("auto", KernelIsa::Auto), ("scalar", KernelIsa::Scalar)] {
             assert_eq!(s.parse::<KernelIsa>().unwrap(), want, "{s}");
             assert_eq!(want.to_string(), s);
         }
-        assert!("sse2".parse::<KernelIsa>().is_err());
+        // `avx2` was a third spelling of `auto`; `--isa avx2` is refused.
+        for s in ["avx2", "sse2"] {
+            let err = s.parse::<KernelIsa>().unwrap_err();
+            assert!(err.contains("(auto|scalar)"), "{s}: {err}");
+        }
         assert!(!KernelIsa::Scalar.simd(), "scalar always pins the reference loops");
     }
 
@@ -1419,16 +1263,14 @@ mod tests {
             let x = x_for(nx, r);
             for format in KernelFormat::all() {
                 let scalar = Kernel::from_csr_isa(csr.clone(), format, KernelIsa::Scalar);
-                assert!(!scalar.simd());
+                assert!(!simd(&scalar));
                 let mut want = vec![0.1; ny * r];
                 scalar.run_batch(&x, &mut want, r);
-                for isa in [KernelIsa::Auto, KernelIsa::Avx2] {
-                    let k = Kernel::from_csr_isa(csr.clone(), format, isa);
-                    assert_eq!(k.simd(), KernelIsa::avx2_available(), "{format} {isa}");
-                    let mut got = vec![0.1; ny * r];
-                    k.run_batch(&x, &mut got, r);
-                    assert_eq!(got, want, "{format} {isa} r={r}");
-                }
+                let k = Kernel::from_csr_isa(csr.clone(), format, KernelIsa::Auto);
+                assert_eq!(simd(&k), KernelIsa::avx2_available(), "{format}");
+                let mut got = vec![0.1; ny * r];
+                k.run_batch(&x, &mut got, r);
+                assert_eq!(got, want, "{format} r={r}");
             }
         }
     }
@@ -1437,7 +1279,7 @@ mod tests {
     fn unit_ranges_compose_to_the_full_kernel() {
         let (csr, nx, ny) = irregular(11);
         for format in KernelFormat::all() {
-            let k = Kernel::from_csr(csr.clone(), format);
+            let k = Kernel::from_csr_isa(csr.clone(), format, KernelIsa::Auto);
             assert!(k.splittable(), "{format}: unique rows are splittable");
             let units = k.units();
             assert!(units > 0);
@@ -1465,7 +1307,7 @@ mod tests {
         // Rows 0, 1, 0: two units share the row-0 accumulator, so the
         // kernel must run as a single chunk.
         let csr = csr_of(&[(0, 0, 1.0), (1, 0, 2.0), (0, 1, 4.0)]);
-        let k = Kernel::from_csr(csr, KernelFormat::CsrSlice);
+        let k = Kernel::from_csr_isa(csr, KernelFormat::CsrSlice, KernelIsa::Auto);
         assert!(!k.splittable());
     }
 
@@ -1477,7 +1319,7 @@ mod tests {
             let mut want = vec![0.1; ny * r];
             csr.run_batch(&x, &mut want, r);
             for format in KernelFormat::all() {
-                let k = Kernel::from_csr(csr.clone(), format);
+                let k = Kernel::from_csr_isa(csr.clone(), format, KernelIsa::Auto);
                 k.validate(nx, ny).unwrap();
                 let mut got = vec![0.1; ny * r];
                 k.run_batch(&x, &mut got, r);
@@ -1488,31 +1330,13 @@ mod tests {
     }
 
     #[test]
-    fn sell_chunk_heights_all_agree() {
-        let (csr, nx, ny) = irregular(9);
-        let x = x_for(nx, 1);
-        let mut want = vec![0.0; ny];
-        csr.run(&x, &mut want);
-        for c in [2usize, 3, 4, 7, 8, 16] {
-            for sigma in [2usize, 8, 1024] {
-                let sell = SellKernel::build(&csr, c, sigma).expect("unique rows");
-                sell.validate(nx, ny).unwrap();
-                let mut got = vec![0.0; ny];
-                sell.run_batch(&x, &mut got, 1);
-                assert_eq!(got, want, "c={c} sigma={sigma}");
-                assert!(sell.fill() >= 1.0);
-            }
-        }
-    }
-
-    #[test]
     fn sell_rejects_interleaved_rows() {
         // Rows 0, 1, 0 — segment order carries accumulation grouping.
         let csr = csr_of(&[(0, 0, 1.0), (1, 0, 2.0), (0, 1, 4.0)]);
-        assert!(SellKernel::build(&csr, 4, 64).is_none());
-        // from_csr falls back to the CSR slice instead of failing.
-        let k = Kernel::from_csr(csr, KernelFormat::DEFAULT_SELL);
-        assert_eq!(k.format(), KernelFormat::CsrSlice);
+        assert!(SellKernel::build(&csr).is_none());
+        // from_csr_isa falls back to the CSR slice instead of failing.
+        let k = Kernel::from_csr_isa(csr, KernelFormat::Sell, KernelIsa::Auto);
+        assert!(matches!(k, Kernel::Csr(_)));
     }
 
     #[test]
@@ -1528,10 +1352,10 @@ mod tests {
         let csr = csr_of(&tasks);
         let k = DenseSplitKernel::build(&csr);
         k.validate(24, 2).unwrap();
-        assert!(k.dense_frac() > 0.7, "12 of 15 entries are in the dense run");
+        assert_eq!(k.span_col0, [3, NO_LANE], "the 12-entry run is the one dense span");
         let x = x_for(24, 1);
         let mut want = vec![0.0; 2];
-        csr.run(&x, &mut want);
+        csr.run_batch(&x, &mut want, 1);
         let mut got = vec![0.0; 2];
         k.run_batch(&x, &mut got, 1);
         assert_eq!(got, want);
@@ -1569,7 +1393,7 @@ mod tests {
             }
         }
         let short = csr_of(&tasks);
-        assert_eq!(pick(&short), KernelFormat::DEFAULT_SELL);
+        assert_eq!(pick(&short), KernelFormat::Sell);
 
         // Tiny scattered kernel → CSR.
         let tiny = csr_of(&[(0, 0, 1.0)]);
@@ -1603,12 +1427,35 @@ mod tests {
     fn empty_kernel_is_fine_in_every_format() {
         let csr = CsrKernel { row_ptr: vec![0], ..CsrKernel::default() };
         for format in KernelFormat::all() {
-            let k = Kernel::from_csr(csr.clone(), format);
+            let k = Kernel::from_csr_isa(csr.clone(), format, KernelIsa::Auto);
             k.validate(0, 0).unwrap();
             let mut y: Vec<f64> = vec![];
             k.run_batch(&[], &mut y, 4);
-            assert_eq!(k.ops(), 0);
-            assert_eq!(k.segments(), 0);
+            assert_eq!((k.ops(), k.units()), (0, 0));
+        }
+
+        // An empty row *segment* inside a nonempty kernel: every
+        // lowering accepts it and stays bitwise equal to the CSR slice.
+        let csr = CsrKernel {
+            row_ptr: vec![0, 2, 2],
+            rows: vec![0, 1],
+            cols: vec![0, 1],
+            vals: vec![1.0, 2.0],
+            simd: false,
+        };
+        csr.validate(2, 2).unwrap();
+        for format in KernelFormat::all() {
+            let k = Kernel::from_csr_isa(csr.clone(), format, KernelIsa::Auto);
+            k.validate(2, 2).unwrap();
+            assert_eq!(k.ops(), 2, "{format}");
+            for r in [1usize, 2, 3, 4, 8] {
+                let x = x_for(2, r);
+                let mut want = vec![0.1; 2 * r];
+                csr.run_batch(&x, &mut want, r);
+                let mut got = vec![0.1; 2 * r];
+                k.run_batch(&x, &mut got, r);
+                assert_eq!(got, want, "{format} r={r}");
+            }
         }
     }
 

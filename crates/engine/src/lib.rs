@@ -59,10 +59,11 @@
 //! * [`KernelFormat::CsrSlice`] (the default) — the PR 1 kernel,
 //!   bitwise-preserved; right for mixed/long-row slices and the
 //!   baseline every other format is differentially held to.
-//! * [`KernelFormat::SellCSigma`] — sorts rows by length inside σ-row
-//!   windows and packs C-lane padded chunks whose inner loop has a
-//!   uniform trip count; wins on many short irregular rows (graph
-//!   matrices), loses when padding fill gets large.
+//! * [`KernelFormat::Sell`] — SELL-C-σ at C = 2, σ = 256: sorts rows
+//!   by length inside σ-row windows and packs C-lane padded chunks
+//!   that one entry-major loop walks with a uniform trip count; wins
+//!   on many short irregular rows (graph matrices), loses when padding
+//!   fill gets large.
 //! * [`KernelFormat::DenseRowSplit`] — turns runs of consecutive local
 //!   columns into index-free dense spans; right for the heavy split
 //!   rows semi-2D partitions produce (after dense renumbering a split
@@ -101,11 +102,12 @@
 //! the register/cache-blocking lever of the OSKI line. The fixed-width
 //! inner loops (`r ∈ {1, 2, 4, 8}` specializations in
 //! [`Kernel::run_batch`]) carry explicit AVX2 variants for `r ∈ {4,
-//! 8}`, selected by [`KernelIsa`] (`auto` probes the CPU once at
-//! compile time) — the vector lanes map to the batch dimension, so the
-//! SIMD paths are **bitwise identical** to the scalar reference. Per
-//! column, results are bitwise identical to the single-RHS path: only
-//! the traversal is shared, never the accumulation order.
+//! 8}`, taken under [`KernelIsa::Auto`] when a compile-time CPU probe
+//! finds AVX2 and never under [`KernelIsa::Scalar`] — the vector lanes
+//! map to the batch dimension, so the SIMD paths are **bitwise
+//! identical** to the scalar reference. Per column, results are bitwise
+//! identical to the single-RHS path: only the traversal is shared,
+//! never the accumulation order.
 //!
 //! `s2d-solver`'s `RankCtx` runs its per-rank SpMV through the same
 //! endpoint walker — including the batched layout via

@@ -2,7 +2,7 @@
 //! intra-rank schedule are *pure speed* features — every test here pins
 //! that down with exact (bitwise) equality, not tolerances.
 //!
-//! * ISA differential: scalar / AVX2 / auto produce byte-identical
+//! * ISA differential: scalar and auto (AVX2) produce byte-identical
 //!   blocks for every kernel format and batch width, because the vector
 //!   lanes map to the batch dimension (lane `q` is RHS `q`) and no FMA
 //!   contraction is used — each column's accumulation chain is the
@@ -59,19 +59,15 @@ fn block_for(n: usize, r: usize, seed: u64) -> Vec<f64> {
         .collect()
 }
 
-/// Every ISA worth testing on this machine: the portable reference,
-/// the explicit AVX2 paths where the CPU has them, and the probe.
-fn isas() -> Vec<KernelIsa> {
-    let mut isas = vec![KernelIsa::Scalar, KernelIsa::Auto];
-    if KernelIsa::avx2_available() {
-        isas.push(KernelIsa::Avx2);
-    }
-    isas
+/// Both ISA choices: the portable reference, and the probe (the AVX2
+/// paths where the CPU has them).
+fn isas() -> [KernelIsa; 2] {
+    [KernelIsa::Scalar, KernelIsa::Auto]
 }
 
-/// Scalar vs AVX2 vs auto, across every kernel format and batch width,
-/// on the sequential compiled path: exact equality, column by column
-/// and word by word.
+/// Scalar vs auto (AVX2 where available), across every kernel format
+/// and batch width, on the sequential compiled path: exact equality,
+/// column by column and word by word.
 #[test]
 fn isa_choice_is_bitwise_invisible_on_the_sequential_path() {
     for (name, a) in matrices() {

@@ -36,7 +36,7 @@
 //! JSON in the same style as `PartitionQuality::to_json`.
 //!
 //! The [`time`] and [`best_of`] span helpers centralize the ad-hoc
-//! `Instant` timing previously duplicated across the CLI and benches.
+//! `Instant` timing the CLI and the tuner share.
 
 mod report;
 mod serve;
@@ -310,7 +310,7 @@ pub fn time<T>(f: impl FnOnce() -> T) -> (T, Duration) {
 
 /// Noise-robust per-call estimate: runs `f` in `reps` batches of
 /// `iters` calls and returns the minimum per-call average — the
-/// best-of-N idiom the benches use (the minimum of averages discards
+/// best-of-N idiom (the minimum of averages discards
 /// scheduler noise without discarding cache-warm state).
 ///
 /// `reps` and `iters` are clamped to at least 1.

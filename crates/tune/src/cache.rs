@@ -28,8 +28,9 @@ use crate::tuner::TunedChoice;
 ///
 /// History: 1 = the original (strategy, plan, format, backend, width)
 /// space; 2 added the kernel-ISA axis and the pool thread-count
-/// shortlist.
-pub const TUNER_VERSION: u32 = 2;
+/// shortlist; 3 dropped the `sell:C:S` format spellings and the `avx2`
+/// ISA spelling, which version-2 files may hold.
+pub const TUNER_VERSION: u32 = 3;
 
 /// One measured verdict: for this (matrix, k, width), this
 /// configuration won at this per-application cost.
@@ -232,7 +233,7 @@ mod tests {
             choice: TunedChoice {
                 strategy: Strategy::OneDRow,
                 plan_kind: PlanKind::TwoPhase,
-                format: KernelFormat::DEFAULT_SELL,
+                format: KernelFormat::Sell,
                 isa: KernelIsa::Scalar,
                 backend: Backend::CompiledPool { threads: 0, pin: false },
                 width: 1,

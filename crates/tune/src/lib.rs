@@ -41,7 +41,7 @@
 //! let (session, verdict) = Session::builder(&a)
 //!     .partitioner(s2d::Strategy::Auto, 4)
 //!     .batch_width(8)
-//!     .tuned(TuneBudget::from_env())
+//!     .tuned(TuneBudget::standard())
 //!     .tuning_cache("tuning-cache.json")
 //!     .build();
 //! assert_eq!(session.strategy(), Some(verdict.winner.strategy));

@@ -10,8 +10,8 @@
 //! [`Tuner`] uses them for what they are good at — pruning the
 //! configuration space to a shortlist — and then settles the shortlist
 //! the only authoritative way: by running each candidate through the
-//! real [`Session`] stack and timing it with the same best-of-N
-//! discipline the benches use. Because the model's own pick is always
+//! real [`Session`] stack and timing it best-of-N
+//! ([`s2d_obs::best_of`]). Because the model's own pick is always
 //! in the candidate set, the measured winner can never be slower than
 //! the model's choice (up to timer noise) — measurement only ever
 //! recovers performance the models left on the table.
@@ -63,17 +63,6 @@ impl TuneBudget {
     /// exercises every code path in CI without measurement quality.
     pub fn fast() -> TuneBudget {
         TuneBudget { trials: 1, iters: 2, max_candidates: 6 }
-    }
-
-    /// [`TuneBudget::standard`], degraded to [`TuneBudget::fast`] when
-    /// the `S2D_TUNE_FAST` environment variable is set (the CI smoke
-    /// hook, same idiom as the bench suites' `*_BENCH_FAST`).
-    pub fn from_env() -> TuneBudget {
-        if std::env::var_os("S2D_TUNE_FAST").is_some() {
-            TuneBudget::fast()
-        } else {
-            TuneBudget::standard()
-        }
     }
 }
 
@@ -255,7 +244,7 @@ pub struct Tuner<'a> {
 
 impl<'a> Tuner<'a> {
     /// A tuner for `a` over `k` processors, workload width 1, the
-    /// environment-aware default budget, no cache.
+    /// standard budget, no cache.
     ///
     /// # Panics
     /// Panics if `k` is zero.
@@ -265,7 +254,7 @@ impl<'a> Tuner<'a> {
             a,
             k,
             width: 1,
-            budget: TuneBudget::from_env(),
+            budget: TuneBudget::standard(),
             cfg: PartitionerConfig::default(),
             cache_path: None,
         }
@@ -278,7 +267,7 @@ impl<'a> Tuner<'a> {
         self
     }
 
-    /// The measurement budget (default [`TuneBudget::from_env`]).
+    /// The measurement budget (default [`TuneBudget::standard`]).
     pub fn budget(mut self, budget: TuneBudget) -> Self {
         self.budget = budget;
         self
@@ -501,7 +490,7 @@ fn format_shortlist(cp: &CompiledPlan) -> Vec<KernelFormat> {
         let dense_frac = stats.iter().map(|s| s.dense_frac * s.ops as f64).sum::<f64>() / ops;
         let rows = stats.iter().map(|s| s.rows).max().unwrap_or(0);
         if sell_fill <= 1.5 && rows >= 32 {
-            formats.push(KernelFormat::DEFAULT_SELL);
+            formats.push(KernelFormat::Sell);
         }
         if dense_frac >= 0.25 {
             formats.push(KernelFormat::DenseRowSplit);

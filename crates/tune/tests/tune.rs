@@ -69,13 +69,21 @@ fn version_mismatch_discards_stale_verdicts() {
     let first = Tuner::new(&a, 2).budget(TuneBudget::fast()).cache(&path).run();
     assert!(!first.cache_hit);
 
-    // Doctor the file to a future format version: every entry in it is
-    // now unreadable and the cache must act empty.
+    // Doctor the file to a future format version, and to a version-2
+    // file whose verdict spells its format `sell:2:256`: either way the
+    // whole file is discarded by its version, never half-parsed, and
+    // the cache must act empty.
     let body = std::fs::read_to_string(&path).expect("stored cache");
-    let stale = body.replace(&format!("\"version\":{TUNER_VERSION}"), "\"version\":9999");
-    assert_ne!(body, stale, "the version field must be present to doctor");
-    std::fs::write(&path, stale).expect("plant stale version");
-    assert!(TuningCache::load(&path).is_empty());
+    let current = format!("\"version\":{TUNER_VERSION}");
+    let format = format!("\"format\":\"{}\"", first.winner.format);
+    for stale in [
+        body.replace(&current, "\"version\":9999"),
+        body.replace(&current, "\"version\":2").replace(&format, "\"format\":\"sell:2:256\""),
+    ] {
+        assert_ne!(body, stale, "the version field must be present to doctor");
+        std::fs::write(&path, stale).expect("plant stale version");
+        assert!(TuningCache::load(&path).is_empty());
+    }
 
     let again = Tuner::new(&a, 2).budget(TuneBudget::fast()).cache(&path).run();
     assert!(!again.cache_hit, "stale version must re-measure, not replay");

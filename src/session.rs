@@ -28,7 +28,8 @@ pub struct SessionBuilder<'a> {
     strategy: Option<(Strategy, usize)>,
     partitioner_cfg: PartitionerConfig,
     plan_kind: Option<PlanKind>,
-    backend: Backend,
+    /// `None`: [`Backend::auto`] decides once the plan is compiled.
+    backend: Option<Backend>,
     kernel_format: KernelFormat,
     kernel_isa: KernelIsa,
     batch_width: usize,
@@ -95,7 +96,15 @@ impl<'a> SessionBuilder<'a> {
     /// The execution backend (default [`Backend::CompiledSeq`] — see
     /// the `s2d_engine::backend` docs for selection guidance).
     pub fn backend(mut self, backend: Backend) -> Self {
-        self.backend = backend;
+        self.backend = Some(backend);
+        self
+    }
+
+    /// Let [`Backend::auto`] pick the sequential workspace or the pool
+    /// inside [`SessionBuilder::build`], from the compiled plan's op
+    /// count and this machine's cores (the CLI's `--engine auto`).
+    pub fn auto_backend(mut self) -> Self {
+        self.backend = None;
         self
     }
 
@@ -194,6 +203,7 @@ impl<'a> SessionBuilder<'a> {
         let (a, backend, batch_width, telemetry) =
             (self.a, self.backend, self.batch_width, self.telemetry);
         let prepared = self.prepare();
+        let backend = backend.unwrap_or_else(|| Backend::auto(&prepared.compiled));
         let telemetry = telemetry.then(|| {
             let Prepared { partition, strategy, kind, plan, .. } = &prepared;
             let label = strategy.map_or_else(|| "explicit".to_string(), |s| s.to_string());
@@ -351,7 +361,7 @@ impl Session {
             strategy: None,
             partitioner_cfg: PartitionerConfig::default(),
             plan_kind: None,
-            backend: Backend::CompiledSeq,
+            backend: Some(Backend::CompiledSeq),
             kernel_format: KernelFormat::CsrSlice,
             kernel_isa: KernelIsa::Auto,
             batch_width: 1,
@@ -529,6 +539,9 @@ mod tests {
             assert!((g - w).abs() <= 1e-9 * w.abs().max(1.0), "{g} vs {w}");
         }
         assert!(s.stats().total_volume > 0);
+        // A handful of multiply-adds is far below the pool crossover.
+        let auto = Session::builder(&a).partition(&p).auto_backend().build();
+        assert_eq!(auto.backend(), Backend::CompiledSeq);
     }
 
     #[test]
