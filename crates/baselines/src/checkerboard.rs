@@ -40,7 +40,7 @@ pub fn partition_checkerboard(a: &Csr, k: usize, epsilon: f64, seed: u64) -> Che
     let (pr, pc) = mesh_dims(k);
 
     // Pass 1: rows -> Pr stripes (column-net model, symmetric vectors).
-    let cfg1 = PartitionConfig { epsilon, seed, ..Default::default() };
+    let cfg1 = PartitionConfig { epsilon, seed };
     let row_stripe = if pr == 1 {
         vec![0u32; a.nrows()]
     } else {
@@ -64,7 +64,7 @@ pub fn partition_checkerboard(a: &Csr, k: usize, epsilon: f64, seed: u64) -> Che
         let nets: Vec<Vec<u32>> = (0..a.nrows()).map(|i| a.row_cols(i).to_vec()).collect();
         let ncost = vec![1u64; nets.len()];
         let hg = Hypergraph::new(n, pr, vwgt, &nets, ncost);
-        let cfg2 = PartitionConfig { epsilon, seed: seed ^ 0xc13, ..Default::default() };
+        let cfg2 = PartitionConfig { epsilon, seed: seed ^ 0xc13 };
         partition_kway(&hg, pc, &cfg2).parts
     };
 

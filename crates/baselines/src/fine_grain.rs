@@ -19,7 +19,7 @@ use s2d_sparse::Csr;
 /// literature.
 pub fn partition_2d_fine_grain(a: &Csr, k: usize, epsilon: f64, seed: u64) -> SpmvPartition {
     let hg = fine_grain_model(a);
-    let cfg = PartitionConfig { epsilon, seed, ..Default::default() };
+    let cfg = PartitionConfig { epsilon, seed };
     let kp = partition_kway(&hg, k, &cfg);
     let nz_owner = kp.parts;
 

@@ -19,7 +19,7 @@ use s2d_sparse::Csr;
 /// Panics if `a` is not square.
 pub fn partition_s2d_mg(a: &Csr, k: usize, epsilon: f64, seed: u64) -> SpmvPartition {
     let mg = medium_grain_model(a);
-    let cfg = PartitionConfig { epsilon, seed, ..Default::default() };
+    let cfg = PartitionConfig { epsilon, seed };
     let kp = partition_kway(&mg.hg, k, &cfg);
     let parts = kp.parts;
 
@@ -69,7 +69,7 @@ mod tests {
         // The defining property of the composite model.
         let a = random_sparse(150, 4, 2);
         let mg = medium_grain_model(&a);
-        let cfg = PartitionConfig { epsilon: 0.03, seed: 2, ..Default::default() };
+        let cfg = PartitionConfig { epsilon: 0.03, seed: 2 };
         let kp = partition_kway(&mg.hg, 4, &cfg);
         let p = partition_s2d_mg(&a, 4, 0.03, 2);
         let cut = connectivity_minus_one(&mg.hg, &kp.parts, 4);

@@ -24,7 +24,7 @@ pub struct OnedPartition {
 pub fn partition_1d_rowwise(a: &Csr, k: usize, epsilon: f64, seed: u64) -> OnedPartition {
     let square = a.nrows() == a.ncols();
     let hg = column_net_model(a, square);
-    let cfg = PartitionConfig { epsilon, seed, ..Default::default() };
+    let cfg = PartitionConfig { epsilon, seed };
     let kp = partition_kway(&hg, k, &cfg);
     let row_part = kp.parts;
     let col_part = if square { row_part.clone() } else { majority_col_owner(a, &row_part, k) };
@@ -36,7 +36,7 @@ pub fn partition_1d_rowwise(a: &Csr, k: usize, epsilon: f64, seed: u64) -> OnedP
 pub fn partition_1d_colwise(a: &Csr, k: usize, epsilon: f64, seed: u64) -> OnedPartition {
     let square = a.nrows() == a.ncols();
     let hg = row_net_model(a, square);
-    let cfg = PartitionConfig { epsilon, seed, ..Default::default() };
+    let cfg = PartitionConfig { epsilon, seed };
     let kp = partition_kway(&hg, k, &cfg);
     let col_part = kp.parts;
     let row_part = if square { col_part.clone() } else { majority_row_owner(a, &col_part, k) };

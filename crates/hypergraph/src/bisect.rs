@@ -2,38 +2,30 @@
 
 use rand::Rng;
 
-use crate::coarsen::{coarsen_once, CoarseLevel, CoarsenConfig};
-use crate::fm::{fm_refine, BisectState};
+use crate::coarsen::{coarsen_once, CoarseLevel};
+use crate::fm::fm_refine;
 use crate::hg::Hypergraph;
-use crate::kway::PartitionConfig;
+use crate::initial::initial_bisection;
 
-/// Result of a multilevel bisection.
-pub struct Bisection {
-    /// Side (0/1) per vertex.
-    pub side: Vec<u8>,
-    /// Cut-net cutsize of the bisection.
-    pub cut: u64,
-}
+/// Stop coarsening when at most this many vertices remain (matching may
+/// stall earlier, see `coarsen_once`).
+const COARSEN_TO: usize = 96;
 
 /// Bisects `hg` with side-0 target weight fraction `ratio0` and per-side
-/// weight limits `maxw` (per constraint).
-pub fn multilevel_bisect<R: Rng>(
+/// weight limits `maxw` (per constraint). Returns the side (0/1) of every
+/// vertex.
+pub(crate) fn multilevel_bisect<R: Rng>(
     hg: &Hypergraph,
     ratio0: f64,
     maxw: &[Vec<u64>; 2],
-    cfg: &PartitionConfig,
     rng: &mut R,
-) -> Bisection {
+) -> Vec<u8> {
     // V-cycle down: coarsen until small or stalled.
-    let coarsen_cfg = CoarsenConfig {
-        net_size_limit: cfg.coarsen_net_limit,
-        weight_cap_divisor: cfg.coarsen_weight_divisor,
-    };
     let mut levels: Vec<CoarseLevel> = Vec::new();
     {
         let mut cur: &Hypergraph = hg;
-        while cur.nvtx() > cfg.coarsen_to {
-            match coarsen_once(cur, &coarsen_cfg, rng) {
+        while cur.nvtx() > COARSEN_TO {
+            match coarsen_once(cur, rng) {
                 Some(level) => {
                     levels.push(level);
                     cur = &levels.last().expect("just pushed").hg;
@@ -45,14 +37,7 @@ pub fn multilevel_bisect<R: Rng>(
 
     // Initial partition on the coarsest level.
     let coarsest: &Hypergraph = levels.last().map(|l| &l.hg).unwrap_or(hg);
-    let mut side = crate::initial::initial_bisection(
-        coarsest,
-        maxw,
-        cfg.initial_tries,
-        cfg.fm_passes,
-        ratio0,
-        rng,
-    );
+    let mut side = initial_bisection(coarsest, maxw, ratio0, rng);
 
     // V-cycle up: project through each level and refine.
     for lvl in (0..levels.len()).rev() {
@@ -62,22 +47,21 @@ pub fn multilevel_bisect<R: Rng>(
         for v in 0..fine_hg.nvtx() {
             fine_side[v] = side[map[v] as usize];
         }
-        fm_refine(fine_hg, &mut fine_side, maxw, cfg.fm_passes);
+        fm_refine(fine_hg, &mut fine_side, maxw);
         side = fine_side;
     }
     if levels.is_empty() {
         // No coarsening happened: `side` is already on the input hypergraph
         // but refined only as the "coarsest"; one more refinement is free.
-        fm_refine(hg, &mut side, maxw, cfg.fm_passes);
+        fm_refine(hg, &mut side, maxw);
     }
-
-    let cut = BisectState::new(hg, side.clone()).cut;
-    Bisection { side, cut }
+    side
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fm::BisectState;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -100,11 +84,12 @@ mod tests {
         let hg = ring(128);
         let maxw = limits(&hg, 0.5, 0.03);
         let mut rng = StdRng::seed_from_u64(42);
-        let bis = multilevel_bisect(&hg, 0.5, &maxw, &PartitionConfig::default(), &mut rng);
+        let side = multilevel_bisect(&hg, 0.5, &maxw, &mut rng);
+        let cut = BisectState::new(&hg, side.clone()).cut;
         // A cycle cannot be bisected with fewer than 2 cut nets.
-        assert!(bis.cut >= 2);
-        assert!(bis.cut <= 6, "multilevel should find a near-optimal cut, got {}", bis.cut);
-        let w0 = bis.side.iter().filter(|&&s| s == 0).count() as u64;
+        assert!(cut >= 2);
+        assert!(cut <= 6, "multilevel should find a near-optimal cut, got {cut}");
+        let w0 = side.iter().filter(|&&s| s == 0).count() as u64;
         assert!(w0 <= maxw[0][0] && 128 - w0 <= maxw[1][0]);
     }
 
@@ -113,8 +98,8 @@ mod tests {
         let hg = ring(96);
         let maxw = limits(&hg, 0.25, 0.05);
         let mut rng = StdRng::seed_from_u64(9);
-        let bis = multilevel_bisect(&hg, 0.25, &maxw, &PartitionConfig::default(), &mut rng);
-        let w0 = bis.side.iter().filter(|&&s| s == 0).count() as u64;
+        let side = multilevel_bisect(&hg, 0.25, &maxw, &mut rng);
+        let w0 = side.iter().filter(|&&s| s == 0).count() as u64;
         assert!(w0 <= maxw[0][0], "side 0 over its limit: {w0}");
         assert!(w0 >= 15, "side 0 suspiciously empty: {w0}");
     }
@@ -124,7 +109,7 @@ mod tests {
         let hg = ring(8);
         let maxw = limits(&hg, 0.5, 0.1);
         let mut rng = StdRng::seed_from_u64(1);
-        let bis = multilevel_bisect(&hg, 0.5, &maxw, &PartitionConfig::default(), &mut rng);
-        assert!(bis.cut >= 2);
+        let side = multilevel_bisect(&hg, 0.5, &maxw, &mut rng);
+        assert!(BisectState::new(&hg, side).cut >= 2);
     }
 }

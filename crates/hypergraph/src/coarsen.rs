@@ -12,42 +12,28 @@ use rand::Rng;
 
 use crate::hg::Hypergraph;
 
-/// Tuning knobs for one coarsening step.
-#[derive(Clone, Debug)]
-pub struct CoarsenConfig {
-    /// Nets larger than this are ignored while scoring matches.
-    pub net_size_limit: usize,
-    /// A merged cluster may not exceed `total_weight[c] / weight_cap_divisor`
-    /// in any constraint.
-    pub weight_cap_divisor: u64,
-}
-
-impl Default for CoarsenConfig {
-    fn default() -> Self {
-        CoarsenConfig { net_size_limit: 256, weight_cap_divisor: 16 }
-    }
-}
+/// Nets larger than this are ignored while scoring matches.
+const NET_SIZE_LIMIT: usize = 256;
+/// A merged cluster may not exceed `total_weight[c] / WEIGHT_CAP_DIVISOR`
+/// in any constraint.
+const WEIGHT_CAP_DIVISOR: u64 = 16;
 
 /// One level of coarsening: the coarse hypergraph plus the fine→coarse map.
-pub struct CoarseLevel {
+pub(crate) struct CoarseLevel {
     /// Coarse hypergraph with merged identical nets.
-    pub hg: Hypergraph,
+    pub(crate) hg: Hypergraph,
     /// `map[fine_vertex] = coarse_vertex`.
-    pub map: Vec<u32>,
+    pub(crate) map: Vec<u32>,
 }
 
 /// Performs one matching-based coarsening step. Returns `None` when the
 /// matching shrinks the vertex count by less than 5% (coarsening has
 /// stalled and another level would waste time without helping quality).
-pub fn coarsen_once<R: Rng>(
-    hg: &Hypergraph,
-    cfg: &CoarsenConfig,
-    rng: &mut R,
-) -> Option<CoarseLevel> {
+pub(crate) fn coarsen_once<R: Rng>(hg: &Hypergraph, rng: &mut R) -> Option<CoarseLevel> {
     let nvtx = hg.nvtx();
     let ncon = hg.ncon();
     let totals = hg.total_weights();
-    let caps: Vec<u64> = totals.iter().map(|&t| (t / cfg.weight_cap_divisor).max(1)).collect();
+    let caps: Vec<u64> = totals.iter().map(|&t| (t / WEIGHT_CAP_DIVISOR).max(1)).collect();
 
     let mut order: Vec<u32> = (0..nvtx as u32).collect();
     order.shuffle(rng);
@@ -67,7 +53,7 @@ pub fn coarsen_once<R: Rng>(
         touched.clear();
         for &n in hg.nets_of(v) {
             let n = n as usize;
-            if hg.net_size(n) > cfg.net_size_limit {
+            if hg.net_size(n) > NET_SIZE_LIMIT {
                 continue;
             }
             let cost = hg.ncost(n);
@@ -127,7 +113,7 @@ pub fn coarsen_once<R: Rng>(
 /// Contracts `hg` according to `map` (fine vertex → coarse vertex):
 /// accumulates vertex weights, re-pins nets onto clusters, drops single-pin
 /// nets and merges identical ones.
-pub fn contract(hg: &Hypergraph, map: &[u32], ncoarse: usize) -> Hypergraph {
+fn contract(hg: &Hypergraph, map: &[u32], ncoarse: usize) -> Hypergraph {
     let ncon = hg.ncon();
     let mut vwgt = vec![0u64; ncoarse * ncon];
     for v in 0..hg.nvtx() {
@@ -178,7 +164,7 @@ mod tests {
     fn coarsening_halves_chain() {
         let h = chain(64);
         let mut rng = StdRng::seed_from_u64(1);
-        let level = coarsen_once(&h, &CoarsenConfig::default(), &mut rng).expect("should coarsen");
+        let level = coarsen_once(&h, &mut rng).expect("should coarsen");
         assert!(level.hg.nvtx() < 64);
         assert!(level.hg.nvtx() >= 32); // matching merges at most pairs
                                         // Weight is conserved.
@@ -189,7 +175,7 @@ mod tests {
     fn map_is_consistent() {
         let h = chain(32);
         let mut rng = StdRng::seed_from_u64(7);
-        let level = coarsen_once(&h, &CoarsenConfig::default(), &mut rng).expect("should coarsen");
+        let level = coarsen_once(&h, &mut rng).expect("should coarsen");
         assert_eq!(level.map.len(), 32);
         assert!(level.map.iter().all(|&c| (c as usize) < level.hg.nvtx()));
         // Every coarse vertex has at least one fine vertex.
@@ -219,7 +205,7 @@ mod tests {
         let costs = vec![1u64; nets.len()];
         let h = Hypergraph::new(16, 1, wgts, &nets, costs);
         let mut rng = StdRng::seed_from_u64(3);
-        if let Some(level) = coarsen_once(&h, &CoarsenConfig::default(), &mut rng) {
+        if let Some(level) = coarsen_once(&h, &mut rng) {
             // Heaviest coarse cluster is still just the dominant vertex.
             let max_w = (0..level.hg.nvtx()).map(|v| level.hg.vweight(v)[0]).max().unwrap();
             assert_eq!(max_w, 1000);
@@ -231,6 +217,6 @@ mod tests {
         // No nets => no matches => stall.
         let h = Hypergraph::new(8, 1, vec![1; 8], &[], vec![]);
         let mut rng = StdRng::seed_from_u64(5);
-        assert!(coarsen_once(&h, &CoarsenConfig::default(), &mut rng).is_none());
+        assert!(coarsen_once(&h, &mut rng).is_none());
     }
 }

@@ -170,30 +170,34 @@ impl Hypergraph {
     /// column net collapse onto the same cluster set); merging keeps the
     /// coarse hypergraphs small.
     pub fn merge_identical_nets(&self) -> Hypergraph {
-        use std::collections::HashMap;
-        let mut sorted_pins: Vec<Vec<u32>> = Vec::with_capacity(self.nnets());
+        // Every net's pin set, sorted and de-duplicated, in one flat buffer.
+        let mut xsets = Vec::with_capacity(self.nnets() + 1);
+        xsets.push(0usize);
+        let mut sets: Vec<u32> = Vec::with_capacity(self.npins());
+        let mut one: Vec<u32> = Vec::new();
         for n in 0..self.nnets() {
-            let mut p = self.pins_of(n).to_vec();
-            p.sort_unstable();
-            p.dedup();
-            sorted_pins.push(p);
+            one.clear();
+            one.extend_from_slice(self.pins_of(n));
+            one.sort_unstable();
+            one.dedup();
+            sets.extend_from_slice(&one);
+            xsets.push(sets.len());
         }
-        let mut groups: HashMap<&[u32], u64> = HashMap::new();
-        for n in 0..self.nnets() {
-            if sorted_pins[n].len() >= 2 {
-                *groups.entry(&sorted_pins[n]).or_insert(0) += self.ncost[n];
-            }
-        }
-        let mut nets: Vec<&[u32]> = groups.keys().copied().collect();
-        nets.sort_unstable(); // deterministic output order
-        let mut xpins = Vec::with_capacity(nets.len() + 1);
-        xpins.push(0usize);
-        let mut pins = Vec::new();
-        let mut ncost = Vec::with_capacity(nets.len());
-        for net in nets {
-            pins.extend_from_slice(net);
+        let set = |n: u32| &sets[xsets[n as usize]..xsets[n as usize + 1]];
+
+        // Net ids in lexicographic order of their sets: identical nets
+        // become neighbours, and the output order depends on nothing but
+        // the input.
+        let mut order: Vec<u32> = (0..self.nnets() as u32).filter(|&n| set(n).len() >= 2).collect();
+        order.sort_unstable_by(|&a, &b| set(a).cmp(set(b)));
+
+        let mut xpins = vec![0usize];
+        let mut pins: Vec<u32> = Vec::with_capacity(sets.len());
+        let mut ncost: Vec<u64> = Vec::new();
+        for group in order.chunk_by(|&a, &b| set(a) == set(b)) {
+            pins.extend_from_slice(set(group[0]));
             xpins.push(pins.len());
-            ncost.push(groups[net]);
+            ncost.push(group.iter().map(|&n| self.ncost[n as usize]).sum());
         }
         Hypergraph::from_csr(self.nvtx, self.ncon, self.vwgt.clone(), ncost, xpins, pins)
     }

@@ -1,107 +1,84 @@
 //! Initial bisection of the coarsest hypergraph.
 //!
-//! Two generators, both cheap because the coarsest level is small:
-//! greedy hypergraph growing (grow side 0 from a random seed by FM gain)
-//! and random balanced assignment. Each candidate is FM-refined; the best
-//! (feasibility, cut) wins.
+//! Two generators: greedy hypergraph growing (grow side 0 from a random
+//! seed by FM gain) and random balanced assignment. Each candidate is
+//! FM-refined; the best (feasibility, cut) wins.
+//!
+//! The coarsest level is not necessarily small: matching stalls on
+//! hypergraphs whose nets are mostly over the scoring size limit or whose
+//! clusters hit the weight cap (an R-MAT level can stall above a thousand
+//! vertices, far over the `COARSEN_TO` target), so both generators have to
+//! be linear in the pins. Growing is, because it rides the FM gain engine:
+//! a pull updates gains only at its nets' critical pin counts, so each net
+//! is swept a bounded number of times over the whole growth.
 
 use rand::seq::SliceRandom;
 use rand::Rng;
 
-use crate::fm::{fm_refine, BisectState};
+use crate::fm::{fm_refine, BisectState, Gains};
 use crate::hg::Hypergraph;
 
+/// Initial-partition attempts per generator.
+const INITIAL_TRIES: usize = 4;
+
 /// Produces a bisection of `hg` with target side-0 weight fraction
-/// `ratio0`, trying `tries` GHG and `tries` random starts, refining each.
-pub fn initial_bisection<R: Rng>(
+/// `ratio0`, trying [`INITIAL_TRIES`] GHG and as many random starts,
+/// refining each.
+pub(crate) fn initial_bisection<R: Rng>(
     hg: &Hypergraph,
     maxw: &[Vec<u64>; 2],
-    tries: usize,
-    fm_passes: usize,
     ratio0: f64,
     rng: &mut R,
 ) -> Vec<u8> {
-    let mut best: Option<(u64, u64, Vec<u8>)> = None; // (overweight, cut, side)
-    for t in 0..tries.max(1) * 2 {
+    let mut best: Option<((u64, u64), Vec<u8>)> = None; // ((overweight, cut), side)
+    for t in 0..INITIAL_TRIES * 2 {
         let mut side = if t % 2 == 0 {
             greedy_growing(hg, ratio0, rng)
         } else {
             random_balanced(hg, ratio0, rng)
         };
-        let cut = fm_refine(hg, &mut side, maxw, fm_passes);
-        let over = BisectState::new(hg, side.clone()).overweight(maxw);
-        if best.as_ref().map(|(bo, bc, _)| (over, cut) < (*bo, *bc)).unwrap_or(true) {
-            best = Some((over, cut, side));
+        let key = fm_refine(hg, &mut side, maxw);
+        if best.as_ref().is_none_or(|(best_key, _)| key < *best_key) {
+            best = Some((key, side));
         }
     }
-    best.expect("at least one candidate").2
+    best.expect("at least one candidate").1
 }
 
 /// Greedy hypergraph growing: start from a random seed on side 0 and
-/// repeatedly pull in the highest-gain vertex until the side-0 weight
-/// target is reached. Remaining vertices stay on side 1.
-pub fn greedy_growing<R: Rng>(hg: &Hypergraph, ratio0: f64, rng: &mut R) -> Vec<u8> {
+/// repeatedly pull in the highest-gain frontier vertex (ties to the
+/// highest id) until the side-0 weight target is reached. Remaining
+/// vertices stay on side 1. The frontier is whatever the gain engine has
+/// made a candidate: the net-mates of the vertices pulled so far.
+pub(crate) fn greedy_growing<R: Rng>(hg: &Hypergraph, ratio0: f64, rng: &mut R) -> Vec<u8> {
     let nvtx = hg.nvtx();
     if nvtx == 0 {
         return Vec::new();
     }
-    let total0: u64 = hg.total_weight(0);
-    let target = (total0 as f64 * ratio0).round() as u64;
-    let mut side = vec![1u8; nvtx];
-    let mut w0 = 0u64;
-
-    let mut state = BisectState::new(hg, side.clone());
-    let mut heap: std::collections::BinaryHeap<(i64, u32)> = std::collections::BinaryHeap::new();
-    let mut in_side0 = vec![false; nvtx];
-
-    let seed = rng.random_range(0..nvtx);
-    heap.push((0, seed as u32));
-    let mut pulled = 0usize;
-    // Pull until the weight target, but always at least one vertex and
-    // never the whole hypergraph — both sides must end nonempty.
-    while (w0 < target || pulled == 0) && pulled + 1 < nvtx.max(2) {
-        // Grab the best frontier vertex, or a fresh random seed if the
-        // frontier dried up (disconnected hypergraphs).
-        let v = loop {
-            match heap.pop() {
-                Some((g, v)) => {
-                    if in_side0[v as usize] {
-                        continue;
-                    }
-                    // Stale gains are fine for a constructive heuristic, but
-                    // skip grossly stale entries when a fresh gain differs.
-                    let fresh = state.gain(v as usize);
-                    if fresh != g {
-                        heap.push((fresh, v));
-                        continue;
-                    }
-                    break v as usize;
-                }
-                None => match (0..nvtx).find(|&u| !in_side0[u]) {
-                    Some(u) => break u,
-                    None => return state.side,
-                },
+    let target = (hg.total_weight(0) as f64 * ratio0).round() as u64;
+    let mut state = BisectState::new(hg, vec![1u8; nvtx]);
+    let mut gains = Gains::new(&state);
+    // The seed is always pulled; growth after it stops at the weight
+    // target and always leaves a vertex on side 1.
+    gains.move_vertex(&mut state, rng.random_range(0..nvtx));
+    // Lowest-numbered vertex that may still be on side 1: where growth
+    // restarts when the frontier dries up (disconnected hypergraphs).
+    let mut unpulled = 0usize;
+    while state.part_w[0][0] < target && state.count[0] + 1 < nvtx {
+        let v = gains.pop().unwrap_or_else(|| {
+            while state.side[unpulled] == 0 {
+                unpulled += 1;
             }
-        };
-        in_side0[v] = true;
-        state.apply_move(v); // side 1 -> side 0
-        w0 += hg.vweight(v)[0];
-        pulled += 1;
-        for &n in hg.nets_of(v) {
-            for &u in hg.pins_of(n as usize) {
-                if !in_side0[u as usize] {
-                    heap.push((state.gain(u as usize), u));
-                }
-            }
-        }
+            unpulled
+        });
+        gains.move_vertex(&mut state, v);
     }
-    side.copy_from_slice(&state.side);
-    side
+    state.side
 }
 
 /// Random balanced assignment: shuffle, fill side 0 to its weight target,
 /// rest to side 1.
-pub fn random_balanced<R: Rng>(hg: &Hypergraph, ratio0: f64, rng: &mut R) -> Vec<u8> {
+pub(crate) fn random_balanced<R: Rng>(hg: &Hypergraph, ratio0: f64, rng: &mut R) -> Vec<u8> {
     let nvtx = hg.nvtx();
     let total0: u64 = hg.total_weight(0);
     let target = (total0 as f64 * ratio0).round() as u64;
@@ -125,8 +102,59 @@ pub fn random_balanced<R: Rng>(hg: &Hypergraph, ratio0: f64, rng: &mut R) -> Vec
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fm::tests::weighted_hg_strategy;
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    /// The O(n²) growing this module used to run, kept as the oracle: the
+    /// frontier is every net-mate of a pulled vertex, and each pull takes
+    /// the arg-max of the from-scratch gain over it (highest id on ties).
+    fn greedy_growing_reference<R: Rng>(hg: &Hypergraph, ratio0: f64, rng: &mut R) -> Vec<u8> {
+        let nvtx = hg.nvtx();
+        let target = (hg.total_weight(0) as f64 * ratio0).round() as u64;
+        let mut state = BisectState::new(hg, vec![1u8; nvtx]);
+        let mut frontier = vec![false; nvtx];
+        let mut v = rng.random_range(0..nvtx);
+        loop {
+            state.apply_move(v);
+            for &n in hg.nets_of(v) {
+                for &u in hg.pins_of(n as usize) {
+                    frontier[u as usize] = true;
+                }
+            }
+            if state.part_w[0][0] >= target || state.count[0] + 1 >= nvtx {
+                break;
+            }
+            let on_side1 = |u: &usize| state.side[*u] == 1;
+            v = (0..nvtx)
+                .filter(|u| on_side1(u) && frontier[*u])
+                .max_by_key(|&u| (state.gain(u), u))
+                .or_else(|| (0..nvtx).find(on_side1))
+                .expect("side 1 keeps a vertex");
+        }
+        state.side
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Growing on the gain engine selects exactly what the brute-force
+        /// arg-max selects, and draws from the RNG exactly as often.
+        #[test]
+        fn greedy_growing_matches_reference(
+            hg in weighted_hg_strategy(20, 24),
+            ratio0 in 0.1f64..0.9,
+            seed in 0u64..1000,
+        ) {
+            let (mut r1, mut r2) = (StdRng::seed_from_u64(seed), StdRng::seed_from_u64(seed));
+            prop_assert_eq!(
+                greedy_growing(&hg, ratio0, &mut r1),
+                greedy_growing_reference(&hg, ratio0, &mut r2)
+            );
+            prop_assert_eq!(r1.random::<u64>(), r2.random::<u64>());
+        }
+    }
 
     fn clique_pair() -> Hypergraph {
         // Two 4-cliques joined by one net: natural bisection cuts 1 net.
@@ -155,7 +183,7 @@ mod tests {
     fn initial_bisection_finds_natural_cut() {
         let hg = clique_pair();
         let mut rng = StdRng::seed_from_u64(11);
-        let side = initial_bisection(&hg, &limits(&hg, 0.05), 4, 4, 0.5, &mut rng);
+        let side = initial_bisection(&hg, &limits(&hg, 0.05), 0.5, &mut rng);
         let cut = BisectState::new(&hg, side.clone()).cut;
         assert_eq!(cut, 1, "cliques should separate: {side:?}");
     }

@@ -12,45 +12,21 @@ use crate::bisect::multilevel_bisect;
 use crate::hg::Hypergraph;
 use crate::metrics;
 
-/// Partitioner configuration (defaults mirror PaToH's defaults where the
-/// paper relies on them, e.g. 3% imbalance tolerance).
+/// Partitioner configuration: the two values callers choose. Everything
+/// else (coarsening target and limits, initial tries, FM passes) is a
+/// constant next to the code that reads it.
 #[derive(Clone, Debug)]
 pub struct PartitionConfig {
-    /// Allowed K-way load imbalance (`0.03` = the paper's 3%).
+    /// Allowed K-way load imbalance (`0.03` = the paper's 3%, PaToH's
+    /// default).
     pub epsilon: f64,
     /// RNG seed; every run is deterministic given a seed.
     pub seed: u64,
-    /// Stop coarsening when at most this many vertices remain.
-    pub coarsen_to: usize,
-    /// Nets larger than this are ignored while scoring coarsening matches.
-    pub coarsen_net_limit: usize,
-    /// Cluster weight cap divisor during coarsening.
-    pub coarsen_weight_divisor: u64,
-    /// Number of initial-partition attempts (each of GHG and random).
-    pub initial_tries: usize,
-    /// Maximum FM passes per level.
-    pub fm_passes: usize,
 }
 
 impl Default for PartitionConfig {
     fn default() -> Self {
-        PartitionConfig {
-            epsilon: 0.03,
-            seed: 1,
-            coarsen_to: 96,
-            coarsen_net_limit: 256,
-            coarsen_weight_divisor: 16,
-            initial_tries: 4,
-            fm_passes: 3,
-        }
-    }
-}
-
-impl PartitionConfig {
-    /// Same configuration with a different seed (the paper averages over
-    /// three randomized runs).
-    pub fn with_seed(&self, seed: u64) -> Self {
-        PartitionConfig { seed, ..self.clone() }
+        PartitionConfig { epsilon: 0.03, seed: 1 }
     }
 }
 
@@ -87,7 +63,7 @@ pub fn partition_kway(hg: &Hypergraph, k: usize, cfg: &PartitionConfig) -> KwayP
         let eps_b = (1.0 + cfg.epsilon).powf(1.0 / depth) - 1.0;
         let mut rng = StdRng::seed_from_u64(cfg.seed);
         let vertices: Vec<u32> = (0..hg.nvtx() as u32).collect();
-        recurse(hg, &vertices, k, 0, eps_b, cfg, &mut rng, &mut parts);
+        recurse(hg, &vertices, k, 0, eps_b, &mut rng, &mut parts);
     }
     KwayPartition { parts, k }
 }
@@ -95,14 +71,12 @@ pub fn partition_kway(hg: &Hypergraph, k: usize, cfg: &PartitionConfig) -> KwayP
 /// Recursively bisects `hg` (which contains only `vertices` of the
 /// original hypergraph) into `k` parts, writing part ids starting at
 /// `first_part` into `out` (indexed by original vertex id).
-#[allow(clippy::too_many_arguments)]
 fn recurse<R: Rng>(
     hg: &Hypergraph,
     vertices: &[u32],
     k: usize,
     first_part: u32,
     eps_b: f64,
-    cfg: &PartitionConfig,
     rng: &mut R,
     out: &mut [u32],
 ) {
@@ -123,8 +97,7 @@ fn recurse<R: Rng>(
             .map(|&t| ((t as f64) * (1.0 - ratio0) * (1.0 + eps_b)).ceil() as u64)
             .collect(),
     ];
-    let bis = multilevel_bisect(hg, ratio0, &maxw, cfg, rng);
-    let mut side = bis.side;
+    let mut side = multilevel_bisect(hg, ratio0, &maxw, rng);
     repair_counts(hg, &mut side, kl, kr);
 
     // Build the two sub-hypergraphs with net splitting.
@@ -133,7 +106,7 @@ fn recurse<R: Rng>(
             continue;
         }
         let (sub, sub_vertices) = extract_side(hg, vertices, &side, s);
-        recurse(&sub, &sub_vertices, sub_k, sub_first, eps_b, cfg, rng, out);
+        recurse(&sub, &sub_vertices, sub_k, sub_first, eps_b, rng, out);
     }
 }
 

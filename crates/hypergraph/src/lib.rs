@@ -1,27 +1,39 @@
 //! Multilevel hypergraph partitioning — the PaToH substitute.
 //!
 //! The paper partitions with PaToH (closed source). This crate implements
-//! the same algorithmic family so every experiment can run offline:
+//! the same algorithmic family so every experiment can run offline. The
+//! public surface is what callers use:
 //!
 //! * [`hg`] — pin/net CSR hypergraph structure with multi-constraint
 //!   vertex weights;
-//! * [`coarsen`] — randomized heavy-connectivity matching coarsening with
-//!   identical-net merging;
-//! * [`initial`] — greedy hypergraph growing + random initial bisections;
-//! * [`fm`] — Fiduccia–Mattheyses boundary refinement with delta-gain
-//!   updates, hill climbing and rollback;
-//! * [`bisect`] / [`kway`] — multilevel bisection and recursive K-way
-//!   driver with net splitting (so the sum of bisection cuts equals the
-//!   connectivity−1 metric of the final K-way partition);
+//! * [`kway`] — [`partition_kway`], the recursive K-way driver with net
+//!   splitting (so the sum of bisection cuts equals the connectivity−1
+//!   metric of the final K-way partition), and its two options
+//!   ([`PartitionConfig`]: tolerance and seed);
 //! * [`metrics`] — cut-net and connectivity−1 cutsizes, imbalance;
 //! * [`models`] — the column-net, row-net, fine-grain and medium-grain
 //!   hypergraph models of sparse matrices used by the paper.
+//!
+//! The multilevel bisection under the driver is private, and its tuning
+//! values are constants next to the code that reads them:
+//!
+//! * `coarsen` — randomized heavy-connectivity matching coarsening with
+//!   identical-net merging;
+//! * `fm` — the one gain engine (delta-gain rules + lazy max-heap) and
+//!   Fiduccia–Mattheyses boundary refinement with hill climbing and
+//!   rollback on top of it;
+//! * `initial` — greedy hypergraph growing (on the same engine) + random
+//!   initial bisections;
+//! * `bisect` — coarsen → initial partition → uncoarsen + refine.
+//!
+//! Every partition is a pure function of the hypergraph and the seed:
+//! nothing in the crate hashes or iterates in address order.
 
-pub mod bisect;
-pub mod coarsen;
-pub mod fm;
+mod bisect;
+mod coarsen;
+mod fm;
 pub mod hg;
-pub mod initial;
+mod initial;
 pub mod kway;
 pub mod metrics;
 pub mod models;

@@ -31,6 +31,19 @@ fn hg_strategy(max_vtx: usize, max_nets: usize) -> impl Strategy<Value = Hypergr
     })
 }
 
+/// Raw nets as a matrix model or a contraction may hand them over: pins
+/// in any order and repeated inside a net, nets of zero or one pin, whole
+/// nets repeated (few distinct vertices make that likely), costs 1–5.
+fn raw_nets_strategy(max_vtx: usize, max_nets: usize) -> impl Strategy<Value = Hypergraph> {
+    (2..=max_vtx).prop_flat_map(move |nv| {
+        let net = (proptest::collection::vec(0..nv as u32, 0..=4), 1u64..=5);
+        proptest::collection::vec(net, 0..=max_nets).prop_map(move |nets| {
+            let (pins, costs): (Vec<Vec<u32>>, Vec<u64>) = nets.into_iter().unzip();
+            Hypergraph::new(nv, 1, vec![1; nv], &pins, costs)
+        })
+    })
+}
+
 /// Random sparse matrix for the model tests.
 fn coo_strategy(max_dim: usize, max_nnz: usize) -> impl Strategy<Value = Coo> {
     (2..=max_dim, 2..=max_dim).prop_flat_map(move |(m, n)| {
@@ -98,6 +111,27 @@ proptest! {
         let conn = connectivity_minus_one(&hg, &parts, k);
         prop_assert!(cn <= conn);
         prop_assert!(conn <= cn * (k as u64 - 1));
+    }
+
+    /// Identical-net merging against an ordered-map reference: the unique
+    /// pin sets of two or more pins, in lexicographic order, each with the
+    /// summed cost of the nets that had it.
+    #[test]
+    fn merge_identical_nets_matches_btreemap(hg in raw_nets_strategy(5, 24)) {
+        let mut reference = std::collections::BTreeMap::<Vec<u32>, u64>::new();
+        for n in 0..hg.nnets() {
+            let mut set = hg.pins_of(n).to_vec();
+            set.sort_unstable();
+            set.dedup();
+            if set.len() >= 2 {
+                *reference.entry(set).or_insert(0) += hg.ncost(n);
+            }
+        }
+        let merged = hg.merge_identical_nets();
+        let got: Vec<(Vec<u32>, u64)> =
+            (0..merged.nnets()).map(|n| (merged.pins_of(n).to_vec(), merged.ncost(n))).collect();
+        prop_assert_eq!(got, reference.into_iter().collect::<Vec<_>>());
+        prop_assert_eq!(merged.nvtx(), hg.nvtx());
     }
 
     /// The partitioner produces in-range part ids, covers every part when

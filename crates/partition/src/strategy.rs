@@ -307,7 +307,7 @@ impl Partitioner for Strategy {
             Strategy::HypergraphKway => {
                 let square = a.nrows() == a.ncols();
                 let hg = column_net_model(a, false);
-                let kcfg = PartitionConfig { epsilon: eps, seed, ..Default::default() };
+                let kcfg = PartitionConfig { epsilon: eps, seed };
                 let row_part = partition_kway(&hg, k, &kcfg).parts;
                 let col_part =
                     if square { row_part.clone() } else { majority_col_owner(a, &row_part, k) };

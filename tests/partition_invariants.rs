@@ -247,3 +247,77 @@ fn single_processor_partition_has_no_communication() {
     let plan = s2d::spmv::SpmvPlan::single_phase(&a, &oned.partition);
     assert_eq!(plan.execute_mailbox(&x), a.spmv_alloc(&x));
 }
+
+/// FNV-1a over the little-endian bytes of a part vector.
+fn fnv(parts: &[u32]) -> u64 {
+    parts
+        .iter()
+        .flat_map(|p| p.to_le_bytes())
+        .fold(0xcbf2_9ce4_8422_2325, |h, b| (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3))
+}
+
+#[test]
+fn golden_partitions_are_unchanged() {
+    // Fingerprints of the partitions the hypergraph partitioner returns,
+    // recorded at PR 17's commit. A PR that changes any of them changes
+    // every downstream quality number and has to say so.
+    use s2d::gen::denserow::{dense_row_matrix, DenseRowConfig};
+    use s2d::gen::fem::fem_like;
+    use s2d::gen::rmat::{rmat, RmatConfig};
+
+    let n = 512;
+    let inputs = [
+        ("rmat", rmat(&RmatConfig::graph500(9, 8), 5).to_csr()),
+        (
+            "denserow",
+            dense_row_matrix(
+                &DenseRowConfig { n, nnz: 8 * n, dmax: n / 2, tail_decay: 0.5, mirror_cols: true },
+                5,
+            ),
+        ),
+        ("fem", fem_like(1 << 11, 27.0, 27, 5)),
+    ];
+    let mut got = Vec::new();
+    for (name, a) in &inputs {
+        for k in [2, 3, 8, 16] {
+            got.push((
+                format!("{name} 1d-row k={k}"),
+                fnv(&partition_1d_rowwise(a, k, 0.03, 5).row_part),
+            ));
+        }
+    }
+    // Checkerboard's second pass is multi-constraint (ncon = Pr = 4).
+    let cb = partition_checkerboard(&inputs[0].1, 16, 0.10, 5);
+    got.push(("rmat 2d-b rows".into(), fnv(&cb.row_stripe)));
+    got.push(("rmat 2d-b cols".into(), fnv(&cb.col_stripe)));
+    // Fine-grain: one vertex per nonzero, two nets each.
+    let fg = partition_2d_fine_grain(&inputs[1].1, 8, 0.03, 5);
+    got.push(("denserow 2d nz".into(), fnv(&fg.nz_owner)));
+    got.push(("denserow 2d x".into(), fnv(&fg.x_part)));
+    got.push(("denserow 2d y".into(), fnv(&fg.y_part)));
+
+    let golden: [(&str, u64); 17] = [
+        ("rmat 1d-row k=2", 0xc362df8aba558a75),
+        ("rmat 1d-row k=3", 0xb8d6cf22c8c63576),
+        ("rmat 1d-row k=8", 0x3ceb2a490d213d04),
+        ("rmat 1d-row k=16", 0xa577ed740d1fc2ba),
+        ("denserow 1d-row k=2", 0x81f5341378e96185),
+        ("denserow 1d-row k=3", 0x99b37a5a8c923747),
+        ("denserow 1d-row k=8", 0x606266221cd705e6),
+        ("denserow 1d-row k=16", 0xbf70f7f9d98f8963),
+        ("fem 1d-row k=2", 0xeb89391eb8634b54),
+        ("fem 1d-row k=3", 0x4c6589339baca9d7),
+        ("fem 1d-row k=8", 0x61b22f220518f326),
+        ("fem 1d-row k=16", 0xd60d6ee2eb85008c),
+        ("rmat 2d-b rows", 0xcf3cfba5498662e6),
+        ("rmat 2d-b cols", 0x0d88732a61d2d766),
+        ("denserow 2d nz", 0xbcb0b83696ec45e7),
+        ("denserow 2d x", 0x0c4ea340ccb38c20),
+        ("denserow 2d y", 0xfbbf315ea6ce5dc3),
+    ];
+    assert_eq!(got.len(), golden.len());
+    for ((name, h), (gname, gh)) in got.iter().zip(golden) {
+        assert_eq!(name, gname);
+        assert_eq!(*h, gh, "{name}: partition fingerprint {h:#018x} differs from the golden one");
+    }
+}
