@@ -27,8 +27,9 @@ USAGE
   s2d gen       --list
   s2d partition <m.mtx> --method <M> --k <K> [--epsilon E] [--seed N]
                 [--out p.s2dpart] [--quality] [--json report.json]
-  s2d partition-quality [--suite a|b|both] [--k K] [--epsilon E] [--seed N]
-                [--method <M>|all] [--json PARTITION_QUALITY.json]
+  s2d reproduce [<table>|all] [--scale tiny|small|paper] [--seeds N]
+                [--k K] [--suite a|b|both] [--method <M>]
+                [--json REPRODUCTION.json] [--check]
   s2d analyze   <m.mtx> <p.s2dpart> [--alg single|two|mesh] [--json out.json]
   s2d spmv      <m.mtx> [p.s2dpart] [--alg single|two|mesh]
                 [--partitioner <M> --k K] [--engine <backend>]
@@ -64,10 +65,18 @@ METHODS (--method / --partitioner) — the unified Strategy enum
 
 `partition --quality` prints the full quality report (volume, LI,
 messages, phase count, modeled alpha-beta/LogGP per-iteration times);
-`--json` writes it as one JSON object. `partition-quality` sweeps the
-strategies over the paper's generator suites and emits the same table
-per (matrix, strategy), with `--json` collecting everything into one
-report file (the CI smoke artifact).
+`--json` writes it as one JSON object.
+
+`reproduce` regenerates the paper's tables (table1..table7), figure1,
+the five ablation_* entries and the `partitioners` strategy sweep as
+views over one quality sweep: each (suite matrix, K, seed, method) cell
+is partitioned and priced once. Every table prints its measured
+columns, the paper's own rows and the verdicts of its expectations
+(orderings and trends, never digits); --check exits non-zero naming the
+failing expectation, table and cell; --k / --suite / --method narrow a
+table. --json writes every cell and verdict as one versioned document:
+REPRODUCTION.json at the repo root is `reproduce all --scale tiny
+--seeds 1`, and CI regenerates and `cmp`s it.
 
 ENGINES (--engine <backend>)
   mailbox            deterministic sequential interpreter (the oracle)
@@ -158,7 +167,7 @@ pub fn run(raw: Vec<String>) {
     match cmd {
         "gen" => cmd_gen(&args),
         "partition" => cmd_partition(&args),
-        "partition-quality" => cmd_partition_quality(&args),
+        "reproduce" => crate::reproduce::cmd_reproduce(&args),
         "analyze" => cmd_analyze(&args),
         "spmv" => cmd_spmv(&args),
         "profile" => cmd_profile(&args),
@@ -173,7 +182,7 @@ pub fn run(raw: Vec<String>) {
     }
 }
 
-fn fail(msg: impl std::fmt::Display) -> ! {
+pub(crate) fn fail(msg: impl std::fmt::Display) -> ! {
     eprintln!("error: {msg}");
     std::process::exit(1);
 }
@@ -199,12 +208,7 @@ fn cmd_gen(args: &Args) {
     }
     let name = args.get("name").unwrap_or_else(|| fail("gen requires --name (or --list)"));
     let out = args.get("out").unwrap_or_else(|| fail("gen requires --out <file.mtx>"));
-    let scale = match args.get_or("scale", "small") {
-        "tiny" => Scale::Tiny,
-        "small" => Scale::Small,
-        "paper" => Scale::Paper,
-        other => fail(format!("unknown scale {other:?}")),
-    };
+    let scale: Scale = args.get_or("scale", "small").parse().unwrap_or_else(|e: String| fail(e));
     let seed = args.parse_or("seed", 1u64);
     let spec = specs
         .iter()
@@ -291,61 +295,6 @@ pub fn build_partition(a: &Csr, method: &str, k: usize, epsilon: f64, seed: u64)
     strategy.partition_with(a, k, &PartitionerConfig { epsilon, seed })
 }
 
-fn cmd_partition_quality(args: &Args) {
-    let k = args.parse_or("k", 8usize);
-    let epsilon = args.parse_or("epsilon", 0.03f64);
-    let seed = args.parse_or("seed", 1u64);
-    let scale = Scale::from_env();
-    let suite = args.get_or("suite", "both");
-    let specs: Vec<_> = match suite {
-        "a" => suite_a(),
-        "b" => suite_b(),
-        "both" => suite_a().into_iter().chain(suite_b()).collect(),
-        other => fail(format!("unknown suite {other:?} (a|b|both)")),
-    };
-    let method = args.get_or("method", "all");
-    let strategies: Vec<Strategy> = if method == "all" {
-        Strategy::all()
-    } else {
-        match method.parse() {
-            Ok(s) => vec![s],
-            Err(e) => fail(e),
-        }
-    };
-    let cfg = PartitionerConfig { epsilon, seed };
-
-    let mut json_rows: Vec<String> = Vec::new();
-    for spec in &specs {
-        let a = spec.generate(scale, seed);
-        println!("\n{} ({}x{}, {} nnz)", spec.name, a.nrows(), a.ncols(), a.nnz());
-        println!("{}", quality_header());
-        for &s in &strategies {
-            if s.requires_square() && a.nrows() != a.ncols() {
-                continue;
-            }
-            // Reuse the measurement auto_pick already made; relabel so
-            // the report shows both the mode and the winner.
-            let q = if s == Strategy::Auto {
-                let mut q = Strategy::auto_pick(&a, k, &cfg).quality;
-                q.strategy = format!("auto:{}", q.strategy);
-                q
-            } else {
-                let p = s.partition_with(&a, k, &cfg);
-                PartitionQuality::measure(&a, &p, s.to_string())
-            };
-            println!("{}", fmt_quality_row(&q));
-            json_rows.push(format!("{{\"matrix\":\"{}\",\"quality\":{}}}", spec.name, q.to_json()));
-        }
-    }
-    if let Some(json) = args.get("json") {
-        let body = format!("[\n{}\n]\n", json_rows.join(",\n"));
-        if let Err(e) = std::fs::write(json, body) {
-            fail(format!("cannot write {json}: {e}"));
-        }
-        println!("\nwrote {} rows to {json}", json_rows.len());
-    }
-}
-
 /// Resolves the `--alg` name to a plan kind (default: the best legal
 /// one for `(a, p)`).
 fn kind_for(a: &Csr, p: &SpmvPartition, alg: &str) -> PlanKind {
@@ -423,7 +372,7 @@ fn cmd_analyze(args: &Args) {
         report.speedup()
     );
     // The full partition-quality report (same columns as `partition
-    // --quality` / `partition-quality`), priced off the plan already
+    // --quality` / `reproduce partitioners`), priced off the plan already
     // built above: per-processor bottlenecks and the second machine
     // model, so one command covers partition + kernel quality.
     let q = PartitionQuality::measure_plan(&a, &p, kind, &plan, "partition");

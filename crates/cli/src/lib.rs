@@ -9,7 +9,9 @@
 //! * `analyze` — print the quality metrics of a partition (load
 //!   imbalance, communication volume, message counts, modelled speedup);
 //! * `spmv` — execute the partitioned SpMV and verify it against the
-//!   serial reference.
+//!   serial reference;
+//! * `reproduce` — the paper's tables, figure and ablations as views
+//!   over one quality sweep, with checked expectations.
 //!
 //! Argument parsing is hand-rolled (`--flag value` pairs) to keep the
 //! dependency set to the workspace crates.
@@ -17,5 +19,6 @@
 pub mod args;
 pub mod commands;
 pub mod partfile;
+mod reproduce;
 
 pub use commands::run;

@@ -7,7 +7,6 @@
 //! `λ_{k→ℓ} = m̂(H) + n̂(S) + n̂(V)` equals the block's minimum row+column
 //! cover (König), hence no s2D split can do better.
 
-use rayon::prelude::*;
 use s2d_dm::{dm_decompose, DmLabel};
 use s2d_sparse::{BlockStructure, Csr};
 
@@ -73,13 +72,8 @@ pub fn s2d_optimal(a: &Csr, y_part: &[u32], x_part: &[u32], k: usize) -> SpmvPar
     let blocks = BlockStructure::build(a, y_part, x_part, k);
     // Start rowwise; off-diagonal H blocks then flip to the column owner.
     let mut p = SpmvPartition::rowwise(a, y_part.to_vec(), x_part.to_vec(), k);
-    let splits: Vec<BlockSplit> = blocks
-        .iter_off_diagonal()
-        .collect::<Vec<_>>()
-        .into_par_iter()
-        .map(|((l, kk), nz)| split_block(a, l, kk, nz))
-        .collect();
-    for split in &splits {
+    for ((l, kk), nz) in blocks.iter_off_diagonal() {
+        let split = split_block(a, l, kk, nz);
         for &e in &split.h_nz {
             p.nz_owner[e as usize] = split.k;
         }

@@ -5,7 +5,7 @@
 //! with different per-block alternative families:
 //!
 //! 1. DM-analyze every off-diagonal block of the vector partition
-//!    (`analyze_blocks` — parallel, one [`BlockAnalysis`] per block);
+//!    (`analyze_blocks` — one [`BlockAnalysis`] per block);
 //! 2. sweep the blocks in decreasing order of the volume reduction
 //!    `λ⁻ = n̂(A) − min-volume`, flipping a block to the cheapest
 //!    feasible alternative under the load cap `max{W̃, W_lim}`; flips
@@ -19,7 +19,6 @@
 
 use std::collections::BTreeMap;
 
-use rayon::prelude::*;
 use s2d_sparse::{BlockStructure, Csr};
 
 use crate::alternatives::{Alternative, BlockAnalysis};
@@ -83,8 +82,8 @@ pub(crate) struct BlockState {
 }
 
 /// DM-analyzes every off-diagonal block of the `(y_part, x_part)` vector
-/// partition in parallel. Returns the sweep states (all starting at
-/// `A1`) and the loads of the 1D rowwise start.
+/// partition. Returns the sweep states (all starting at `A1`) and the
+/// loads of the 1D rowwise start.
 pub(crate) fn analyze_blocks(
     a: &Csr,
     y_part: &[u32],
@@ -94,8 +93,6 @@ pub(crate) fn analyze_blocks(
     let blocks = BlockStructure::build(a, y_part, x_part, k);
     let states: Vec<BlockState> = blocks
         .iter_off_diagonal()
-        .collect::<Vec<_>>()
-        .into_par_iter()
         .map(|((l, kk), nz)| BlockState {
             analysis: BlockAnalysis::analyze(a, l, kk, nz),
             chosen: Alternative::A1,

@@ -15,7 +15,7 @@
 //! * [`rmat`](mod@rmat) — the R-MAT generator with the paper's exact parameters
 //!   (a, b, c, d) = (0.57, 0.19, 0.19, 0.05) for rmat_20;
 //! * [`suites`] — Table I ("suite A") and Table IV ("suite B") doubles,
-//!   with a scale knob (`S2D_SCALE` = `tiny` | `small` | `paper`).
+//!   with a [`Scale`] knob (`tiny` | `small` | `paper`).
 
 pub mod denserow;
 pub mod fem;

@@ -2,11 +2,12 @@
 //!
 //! Suite A is Table I (comparison with 1D and 2D methods); suite B is
 //! Table IV (matrices with dense rows, for the bounded-latency methods).
-//! Every spec records the paper's `n / nnz / davg / dmax` so the bench
-//! harnesses can print reference and generated statistics side by side.
+//! Every spec records the paper's `n / nnz / davg / dmax` so
+//! `s2d reproduce table1` / `table4` can print reference and generated
+//! statistics side by side.
 //!
-//! The `S2D_SCALE` environment variable selects the size: `tiny` (~1/128,
-//! CI smoke), `small` (~1/16, the default), `paper` (full size).
+//! [`Scale`] selects the size: `tiny` (~1/128, CI smoke), `small`
+//! (~1/16), `paper` (full size).
 
 use s2d_sparse::Csr;
 
@@ -20,23 +21,13 @@ use crate::rmat::{rmat, RmatConfig};
 pub enum Scale {
     /// ~1/128 of the paper's nonzeros — CI smoke tests.
     Tiny,
-    /// ~1/16 — the default for `cargo bench`.
+    /// ~1/16 — the CLI's default.
     Small,
     /// Full size.
     Paper,
 }
 
 impl Scale {
-    /// Reads `S2D_SCALE` (`tiny` | `small` | `paper`); defaults to
-    /// [`Scale::Small`].
-    pub fn from_env() -> Self {
-        match std::env::var("S2D_SCALE").unwrap_or_default().to_ascii_lowercase().as_str() {
-            "tiny" => Scale::Tiny,
-            "paper" => Scale::Paper,
-            _ => Scale::Small,
-        }
-    }
-
     /// The size divisor.
     pub fn divisor(self) -> usize {
         match self {
@@ -62,6 +53,20 @@ impl Scale {
             Scale::Tiny => vec![64, 256],
             Scale::Small => vec![256, 1024],
             Scale::Paper => vec![256, 1024, 4096],
+        }
+    }
+}
+
+impl std::str::FromStr for Scale {
+    type Err = String;
+
+    /// Parses `tiny` | `small` | `paper`; anything else is an error.
+    fn from_str(s: &str) -> Result<Scale, String> {
+        match s {
+            "tiny" => Ok(Scale::Tiny),
+            "small" => Ok(Scale::Small),
+            "paper" => Ok(Scale::Paper),
+            other => Err(format!("unknown scale {other:?} (tiny|small|paper)")),
         }
     }
 }
@@ -348,10 +353,13 @@ mod tests {
     }
 
     #[test]
-    fn scale_from_env_default_is_small() {
-        // Do not set the variable; just exercise the parser default path.
-        if std::env::var("S2D_SCALE").is_err() {
-            assert_eq!(Scale::from_env(), Scale::Small);
+    fn scale_parses_its_labels_and_rejects_typos() {
+        for (name, scale) in
+            [("tiny", Scale::Tiny), ("small", Scale::Small), ("paper", Scale::Paper)]
+        {
+            assert_eq!(name.parse::<Scale>(), Ok(scale));
         }
+        assert!("tinny".parse::<Scale>().is_err());
+        assert!("".parse::<Scale>().is_err());
     }
 }

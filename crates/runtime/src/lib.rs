@@ -26,17 +26,14 @@
 //!   the scoped SPMD driver [`cluster::spmd`];
 //! * [`collectives`] — barrier, reduce/allreduce, broadcast, gather,
 //!   all-to-all built from point-to-point messages;
-//! * [`topology`] — process meshes and torus hop metrics;
 //! * [`chaos`] — delivery-delay injection for robustness tests.
 
 pub mod chaos;
 pub mod cluster;
 pub mod collectives;
 pub mod endpoint;
-pub mod topology;
 
 pub use chaos::ChaosConfig;
 pub use cluster::{spmd, Cluster};
 pub use collectives::{ReduceOp, MAX, MIN, SUM};
 pub use endpoint::{Endpoint, EndpointStats, Envelope, Tag};
-pub use topology::{Mesh2d, Torus3d};

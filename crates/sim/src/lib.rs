@@ -12,8 +12,8 @@
 //!   decomposition?).
 //!
 //! All models consume the same [`PhaseSpec`] streams, so one plan
-//! evaluates under all of them — the machine-model ablation bench
-//! (`cargo bench -p s2d-bench --bench ablation_machine`) relies on this.
+//! evaluates under all of them — the machine-model ablation
+//! (`s2d reproduce ablation_machine`) relies on this.
 
 pub mod alpha_beta;
 pub mod loggp;

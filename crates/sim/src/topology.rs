@@ -8,9 +8,91 @@
 //! showing the paper's method ranking is not an artifact of the
 //! zero-diameter assumption.
 
-use s2d_runtime::Torus3d;
-
 use crate::alpha_beta::{MachineModel, PhaseSpec, SimReport};
+
+/// A 3D torus of dimensions `dx × dy × dz` — the shape of the Cray
+/// Gemini network the paper's timings were taken on. Ranks map to torus
+/// coordinates in row-major order; the hop count between two ranks is
+/// the L1 distance with wraparound per axis.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Torus3d {
+    /// Extent along x.
+    pub dx: usize,
+    /// Extent along y.
+    pub dy: usize,
+    /// Extent along z.
+    pub dz: usize,
+}
+
+impl Torus3d {
+    /// Builds a torus.
+    ///
+    /// # Panics
+    /// Panics if any dimension is zero.
+    pub fn new(dx: usize, dy: usize, dz: usize) -> Self {
+        assert!(dx > 0 && dy > 0 && dz > 0, "torus dimensions must be positive");
+        Torus3d { dx, dy, dz }
+    }
+
+    /// A roughly-cubic torus holding at least `k` nodes.
+    pub fn cubic_for(k: usize) -> Self {
+        assert!(k > 0, "torus needs at least one node");
+        // `cbrt` can round below the true value on large k (making the
+        // cube too small) or a full step above; integer-correct the
+        // estimate to the smallest side with side³ ≥ k.
+        let cube = |v: usize| v as u128 * v as u128 * v as u128;
+        let mut side = ((k as f64).cbrt().ceil() as usize).max(1);
+        while cube(side) < k as u128 {
+            side += 1;
+        }
+        while side > 1 && cube(side - 1) >= k as u128 {
+            side -= 1;
+        }
+        let mut t = Torus3d { dx: side, dy: side, dz: side };
+        // Trim excess planes while capacity stays ≥ k.
+        while t.dx > 1 && (t.dx - 1) * t.dy * t.dz >= k {
+            t.dx -= 1;
+        }
+        while t.dy > 1 && t.dx * (t.dy - 1) * t.dz >= k {
+            t.dy -= 1;
+        }
+        while t.dz > 1 && t.dx * t.dy * (t.dz - 1) >= k {
+            t.dz -= 1;
+        }
+        t
+    }
+
+    /// Node count.
+    pub fn size(&self) -> usize {
+        self.dx * self.dy * self.dz
+    }
+
+    /// Torus coordinates of `rank`.
+    pub fn coords(&self, rank: u32) -> (u32, u32, u32) {
+        debug_assert!((rank as usize) < self.size());
+        let r = rank as usize;
+        let x = r / (self.dy * self.dz);
+        let y = (r / self.dz) % self.dy;
+        let z = r % self.dz;
+        (x as u32, y as u32, z as u32)
+    }
+
+    /// Minimal hop count between `a` and `b` (wraparound L1 distance).
+    pub fn hops(&self, a: u32, b: u32) -> u32 {
+        let (ax, ay, az) = self.coords(a);
+        let (bx, by, bz) = self.coords(b);
+        let axis = |u: u32, v: u32, d: usize| -> u32 {
+            let diff = u.abs_diff(v);
+            diff.min(d as u32 - diff)
+        };
+        axis(ax, bx, self.dx) + axis(ay, by, self.dy) + axis(az, bz, self.dz)
+    }
+
+    /// The largest hop count between any two nodes (network diameter).
+    pub fn diameter(&self) -> u32 {
+        (self.dx as u32 / 2) + (self.dy as u32 / 2) + (self.dz as u32 / 2)
+    }
+}
 
 /// Torus machine: the flat α–β–γ parameters plus a per-hop delay.
 #[derive(Clone, Copy, Debug)]
@@ -137,5 +219,64 @@ mod tests {
         let m = TorusModel::xe6_for(4);
         let r = simulate_on_torus(4, &phases, 1000, &m);
         assert!((r.speedup() - 4.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn torus_hops_wrap_around() {
+        let t = Torus3d::new(4, 4, 4);
+        // (0,0,0) to (3,0,0): wraparound makes it 1 hop, not 3.
+        let a = 0u32;
+        let b = t.coords_to_rank(3, 0, 0);
+        assert_eq!(t.hops(a, b), 1);
+        assert_eq!(t.hops(a, a), 0);
+        // Symmetry.
+        for x in 0..t.size() as u32 {
+            assert_eq!(t.hops(a, x), t.hops(x, a));
+        }
+    }
+
+    #[test]
+    fn torus_diameter_bounds_hops() {
+        let t = Torus3d::new(3, 4, 5);
+        let d = t.diameter();
+        for a in 0..t.size() as u32 {
+            for b in 0..t.size() as u32 {
+                assert!(t.hops(a, b) <= d);
+            }
+        }
+    }
+
+    #[test]
+    fn cubic_for_covers_k() {
+        for k in [1usize, 7, 16, 64, 100, 256, 1000] {
+            let t = Torus3d::cubic_for(k);
+            assert!(t.size() >= k, "k={k} got {}", t.size());
+        }
+    }
+
+    #[test]
+    fn cubic_for_survives_float_rounding_at_large_k() {
+        // Perfect cubes where `cbrt` may round a ULP under the true
+        // root (ceil then yields a side one too small) — the integer
+        // correction must restore coverage and exactness.
+        for side in [1_442_249usize, 2_097_152, 2_642_245] {
+            let k = side * side * side;
+            let t = Torus3d::cubic_for(k);
+            assert!(t.size() >= k, "side={side}: {} < {k}", t.size());
+            assert_eq!((t.dx, t.dy, t.dz), (side, side, side), "side={side}");
+        }
+        // side³ + 1 needs the next side up on at least one axis.
+        let k = 1000usize * 1000 * 1000 + 1;
+        let t = Torus3d::cubic_for(k);
+        assert!(t.size() >= k);
+        assert!(t.dx <= 1001 && t.dy <= 1001 && t.dz <= 1001);
+    }
+}
+
+#[cfg(test)]
+impl Torus3d {
+    /// Test helper: rank at coordinates.
+    fn coords_to_rank(&self, x: u32, y: u32, z: u32) -> u32 {
+        (x as usize * self.dy * self.dz + y as usize * self.dz + z as usize) as u32
     }
 }

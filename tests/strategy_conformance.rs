@@ -8,7 +8,8 @@ use s2d::gen::denserow::{dense_row_matrix, DenseRowConfig};
 use s2d::gen::rmat::{rmat, RmatConfig};
 use s2d::partition::{PartitionQuality, Partitioner, PartitionerConfig, Strategy};
 use s2d::sparse::{Coo, Csr};
-use s2d::{Backend, Session};
+use s2d::spmv::plan::volume_matches_eq3;
+use s2d::{Backend, PlanKind, Session};
 
 fn grid(n: usize) -> Csr {
     let mut m = Coo::new(n, n);
@@ -24,24 +25,25 @@ fn grid(n: usize) -> Csr {
 }
 
 /// The conformance matrix set: regular, scale-free, and dense-row — the
-/// three regimes the strategies specialize for.
+/// three regimes the strategies specialize for — plus a wide and a tall
+/// cut of the generated ones, so every strategy without
+/// `requires_square` is held to the same invariants on non-square
+/// inputs (the generators themselves only emit square matrices).
 fn matrix_set() -> Vec<(&'static str, Csr)> {
+    let rmat8 = rmat(&RmatConfig::graph500(8, 6), 7).to_csr();
+    let denserow = dense_row_matrix(
+        &DenseRowConfig { n: 300, nnz: 2400, dmax: 120, tail_decay: 0.5, mirror_cols: true },
+        11,
+    );
+    let first = |n: usize| (0..n).collect::<Vec<_>>();
+    let wide = denserow.submatrix(&first(100), &first(300));
+    let tall = rmat8.submatrix(&first(256), &first(80));
     vec![
         ("grid64", grid(64)),
-        ("rmat8", rmat(&RmatConfig::graph500(8, 6), 7).to_csr()),
-        (
-            "denserow",
-            dense_row_matrix(
-                &DenseRowConfig {
-                    n: 300,
-                    nnz: 2400,
-                    dmax: 120,
-                    tail_decay: 0.5,
-                    mirror_cols: true,
-                },
-                11,
-            ),
-        ),
+        ("rmat8", rmat8),
+        ("denserow", denserow),
+        ("wide100x300", wide),
+        ("tall256x80", tall),
     ]
 }
 
@@ -62,6 +64,17 @@ fn every_strategy_yields_a_valid_partition() {
                     assert!(
                         p.validate_s2d(&a).is_ok(),
                         "{name}/{s}/K={k} must satisfy the s2D property"
+                    );
+                }
+                let plan = PlanKind::auto(&a, &p).build(&a, &p);
+                assert!(volume_matches_eq3(&a, &p, &plan), "{name}/{s}/K={k}: Eq. 3 volume");
+                let x: Vec<f64> = (0..a.ncols()).map(|j| ((j * 37) % 19) as f64 - 9.0).collect();
+                let mut y = vec![0.0; a.nrows()];
+                Session::builder(&a).partition(&p).build().apply(&x, &mut y);
+                for (i, (g, w)) in y.iter().zip(a.spmv_alloc(&x)).enumerate() {
+                    assert!(
+                        (g - w).abs() <= 1e-9 * w.abs().max(1.0),
+                        "{name}/{s}/K={k}: row {i}: {g} vs {w}"
                     );
                 }
             }
