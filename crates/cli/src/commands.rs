@@ -42,7 +42,7 @@ USAGE
   s2d serve     <m.mtx> [--partitioner <M>] [--k K] [--clients N]
                 [--requests N] [--wide-every W] [--engine <backend>]
                 [--kernel-format <fmt>] [--max-coalesce R]
-                [--window-us U] [--queue Q] [--cache-capacity C]
+                [--queue Q] [--cache-capacity C]
                 [--tuning-cache FILE]
                 [--sharded [--chaos-us U] [--chaos-seed S]]
                 [--json SERVE.json]
@@ -128,9 +128,12 @@ the full partition-quality report plus the per-rank row profiles.
 
 `serve` registers the matrix with the serving layer (s2d-serve) and
 drives a burst of concurrent requests through it from --clients client
-threads: the session worker coalesces up to --max-coalesce pending
-single-RHS requests arriving within --window-us into one batched
-execution and scatters the columns back. --wide-every W makes every
+threads: the session worker runs whatever single-RHS requests are
+queued when it comes free (up to --max-coalesce) as one batched
+execution and scatters the columns back — batching is automatic, there
+is no window to set. --engine and --kernel-format default to auto (the
+engine's own seq-vs-pool and per-kernel format picks); a pool team is
+capped to the machine's cores. --wide-every W makes every
 Wth request a pre-batched width-2 block (mixed-width traffic);
 --sharded runs the session rank-sharded over the runtime endpoints,
 optionally with --chaos-us delivery-delay injection (results stay
@@ -687,11 +690,14 @@ fn cmd_serve(args: &Args) {
     let clients = args.parse_or("clients", 4usize);
     let per_client = args.parse_or("requests", 32usize);
     let wide_every = args.parse_or("wide-every", 0usize);
-    let backend: Backend = match args.get_or("engine", "compiled-seq").parse() {
-        Ok(b) => b,
-        Err(e) => fail(e),
+    if args.has("window-us") {
+        fail("--window-us is gone: batching is automatic (a worker runs whatever is queued)");
+    }
+    let backend: Option<Backend> = match args.get_or("engine", "auto") {
+        "auto" => None,
+        name => Some(name.parse().unwrap_or_else(|e| fail(e))),
     };
-    let format: KernelFormat = match args.get_or("kernel-format", "csr").parse() {
+    let format: KernelFormat = match args.get_or("kernel-format", "auto").parse() {
         Ok(f) => f,
         Err(e) => fail(e),
     };
@@ -706,7 +712,6 @@ fn cmd_serve(args: &Args) {
         tuning_cache: args.get("tuning-cache").map(std::path::PathBuf::from),
         queue_capacity: args.parse_or("queue", (clients * per_client).max(64)),
         max_coalesce: args.parse_or("max-coalesce", 8usize),
-        batch_window: Duration::from_micros(args.parse_or("window-us", 200u64)),
         cache_capacity: args.parse_or("cache-capacity", 8usize),
         sharded,
         chaos: if chaos_us > 0 {
@@ -737,8 +742,8 @@ fn cmd_serve(args: &Args) {
         elapsed.as_secs_f64()
     );
     println!(
-        "serve: {} admitted, {} completed, {} rejected (queue full), {} expired",
-        snap.admitted, snap.completed, snap.rejected_full, snap.expired
+        "serve: {} admitted, {} completed, {} rejected (queue full), {} expired, {} worker deaths",
+        snap.admitted, snap.completed, snap.rejected_full, snap.expired, snap.worker_deaths
     );
     println!(
         "serve: {} batches / {} requests ({:.2}x coalescing), cache {}/{} hits, {} evicted",

@@ -48,9 +48,13 @@
 //! surface when the plan is compiled, never inside an `apply`.
 //!
 //! Undecided? [`Backend::auto`] applies the seq-vs-pool crossover rule
-//! to a compiled plan (`--engine auto` on the CLI). Kernel format and
-//! ISA are properties of the [`CompiledPlan`] handed to
-//! [`Backend::build`] — see the `formats` module docs.
+//! to a compiled plan (`--engine auto` on the CLI). It is also what
+//! `s2d-serve` runs every session on unless told otherwise
+//! (`ServerConfig::backend: None`), with the pool team capped to the
+//! server's core budget so that concurrent sessions never hold more
+//! participants than there are cores. Kernel format and ISA are
+//! properties of the [`CompiledPlan`] handed to [`Backend::build`] —
+//! see the `formats` module docs.
 //!
 //! Batch width: pass the widest `r` you will use to [`Backend::build`]
 //! so buffers are sized once. Widths 1, 2, 4 and 8 run fixed-width

@@ -12,7 +12,9 @@
 //! 3. repeated `apply` calls are stable (bitwise for deterministic
 //!    backends), i.e. an operator's internal state never leaks between
 //!    calls;
-//! 4. shapes are reported correctly and batch width growth works.
+//! 4. shapes are reported correctly and batch width growth works;
+//! 5. `apply` and `apply_batch` overwrite every element of `y` — a
+//!    caller may pass a recycled buffer without clearing it.
 
 use std::sync::Arc;
 
@@ -196,6 +198,43 @@ fn every_kernel_format_conforms_on_every_plan_kind() {
                             &format!("{mname}/k{k}/{kind}/{backend}/{format}"),
                         );
                     }
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn apply_overwrites_every_element_of_y() {
+    // Property 5, at the widths the serving layer runs (solo and a full
+    // coalesced batch): a `y` full of NaN comes back exactly as a
+    // zeroed one does. Every backend on CSR slices, and the compiled
+    // ones on every other format too; the `edge` matrix has rows
+    // without nonzeros, which no kernel visits.
+    for (mname, a) in matrices() {
+        let p = partition_for(&a, 4);
+        for kind in PlanKind::all() {
+            let plan = Arc::new(kind.build(&a, &p));
+            let mut cases: Vec<(Backend, KernelFormat)> =
+                Backend::all().map(|b| (b, KernelFormat::CsrSlice)).to_vec();
+            for format in KernelFormat::all() {
+                cases.push((Backend::CompiledSeq, format));
+                cases.push((Backend::CompiledPool { threads: 0, pin: false }, format));
+            }
+            for (backend, format) in cases {
+                let mut op = build(backend, &plan, 8, format);
+                for r in [1, 8] {
+                    let x = block_for(a.ncols(), r, 5);
+                    let mut clean = vec![0.0; a.nrows() * r];
+                    let mut dirty = vec![f64::NAN; a.nrows() * r];
+                    if r == 1 {
+                        op.apply(&x, &mut clean);
+                        op.apply(&x, &mut dirty);
+                    } else {
+                        op.apply_batch(&x, &mut clean, r);
+                        op.apply_batch(&x, &mut dirty, r);
+                    }
+                    assert_eq!(dirty, clean, "{mname}/{kind}/{backend}/{format} r={r}");
                 }
             }
         }

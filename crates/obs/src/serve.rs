@@ -21,6 +21,7 @@ pub struct ServeStats {
     cache_evictions: AtomicU64,
     tuner_hits: AtomicU64,
     tuner_misses: AtomicU64,
+    worker_deaths: AtomicU64,
 }
 
 impl ServeStats {
@@ -83,6 +84,12 @@ impl ServeStats {
         self.tuner_misses.fetch_add(1, Ordering::Relaxed);
     }
 
+    /// A session worker died (its operator panicked); the session was
+    /// closed and its pending requests refused.
+    pub fn worker_died(&self) {
+        self.worker_deaths.fetch_add(1, Ordering::Relaxed);
+    }
+
     /// Plain-value copy of the counters for reporting.
     pub fn snapshot(&self) -> ServeSnapshot {
         ServeSnapshot {
@@ -97,6 +104,7 @@ impl ServeStats {
             cache_evictions: self.cache_evictions.load(Ordering::Relaxed),
             tuner_hits: self.tuner_hits.load(Ordering::Relaxed),
             tuner_misses: self.tuner_misses.load(Ordering::Relaxed),
+            worker_deaths: self.worker_deaths.load(Ordering::Relaxed),
         }
     }
 }
@@ -128,6 +136,8 @@ pub struct ServeSnapshot {
     pub tuner_hits: u64,
     /// Registrations that consulted the tuning cache and found none.
     pub tuner_misses: u64,
+    /// Session workers that died on a panicking operator.
+    pub worker_deaths: u64,
 }
 
 impl ServeSnapshot {
@@ -159,7 +169,7 @@ impl ServeSnapshot {
                 "\"expired\":{},\"batches\":{},\"coalesced\":{},",
                 "\"coalescing_rate\":{:.4},\"cache_hits\":{},\"cache_misses\":{},",
                 "\"cache_evictions\":{},\"cache_hit_rate\":{:.4},",
-                "\"tuner_hits\":{},\"tuner_misses\":{}}}"
+                "\"tuner_hits\":{},\"tuner_misses\":{},\"worker_deaths\":{}}}"
             ),
             self.admitted,
             self.completed,
@@ -174,6 +184,7 @@ impl ServeSnapshot {
             self.cache_hit_rate(),
             self.tuner_hits,
             self.tuner_misses,
+            self.worker_deaths,
         )
     }
 }
@@ -202,6 +213,7 @@ mod tests {
         s.tuner_hit();
         s.tuner_miss();
         s.tuner_miss();
+        s.worker_died();
         let snap = s.snapshot();
         assert_eq!(snap.admitted, 5);
         assert_eq!(snap.completed, 4);
@@ -212,6 +224,7 @@ mod tests {
         assert!((snap.cache_hit_rate() - 2.0 / 3.0).abs() < 1e-12);
         assert_eq!(snap.cache_evictions, 1);
         assert_eq!((snap.tuner_hits, snap.tuner_misses), (1, 2));
+        assert_eq!(snap.worker_deaths, 1);
     }
 
     #[test]
@@ -231,6 +244,7 @@ mod tests {
         assert!(json.contains("\"coalescing_rate\":8.0000"));
         assert!(json.contains("\"cache_hit_rate\":1.0000"));
         assert!(json.contains("\"tuner_hits\":0"));
+        assert!(json.contains("\"worker_deaths\":0"));
     }
 
     #[test]

@@ -15,16 +15,24 @@
 //!   with immediate [`QueueFull`](ServeError::QueueFull) rejection and
 //!   per-request deadlines ([`Expired`](ServeError::Expired)), so
 //!   overload sheds load instead of stretching latency.
-//! * **Cross-request coalescing** — up to
-//!   [`max_coalesce`](ServerConfig::max_coalesce) pending single-RHS
-//!   requests for one session pack into a single `apply_batch`
-//!   execution (the multi-RHS reuse win measured at ~2–2.4× on
-//!   rmat14/K = 16) and scatter back per caller, bitwise identical to
-//!   running each request alone.
+//! * **Natural batching** — a worker runs whatever single-RHS requests
+//!   are queued when it comes free (up to
+//!   [`max_coalesce`](ServerConfig::max_coalesce)) as a single
+//!   `apply_batch` execution (the multi-RHS reuse win measured at
+//!   ~2–2.4× on rmat14/K = 16) and scatters back per caller, bitwise
+//!   identical to running each request alone. Nothing waits for a batch
+//!   to fill; there is no window to tune.
+//!
+//! Request buffers are recycled (a consumed `x` is a later response's
+//! `y`; callers own every `Vec` they get back), and one server-wide
+//! core budget keeps the participants of all applies in flight within
+//! `available_parallelism()` (both are laid out at the top of
+//! `src/server.rs`).
 //!
 //! Every session executes the cached **compiled plan** — there is no
 //! serving-side plan interpreter. In-process sessions walk it on the
-//! configured [`Backend`](s2d::Backend); with
+//! configured [`Backend`](s2d::Backend) — by default the one
+//! [`Backend::auto`](s2d::Backend::auto) picks for the plan; with
 //! [`sharded`](ServerConfig::sharded) set, the same compiled rank
 //! programs run over `s2d-runtime` endpoints, one rank per thread
 //! ([`s2d_engine::EndpointOperator`]). All drivers fold partial sums in

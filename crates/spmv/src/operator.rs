@@ -30,6 +30,10 @@ use crate::plan::SpmvPlan;
 ///   at `x[g*r + q]` (`x.len() == ncols()*r`, `y.len() == nrows()*r`).
 ///   Per column the result must agree with `apply` on that column —
 ///   bitwise when [`SpmvOperator::deterministic`] returns `true`.
+/// * Both overwrite **every** element of `y`, rows without nonzeros
+///   included, whatever it held before: callers may hand in a recycled
+///   buffer without clearing it (`s2d-serve` does). The engine's
+///   conformance suite checks this with a `NaN`-filled `y`.
 /// * Repeated `apply` calls with the same input yield the same output —
 ///   bitwise for deterministic backends (every backend in this
 ///   workspace), within floating-point tolerance otherwise (e.g. an
