@@ -18,22 +18,22 @@
 //!   interpretation of the uncompiled plan. Slowest by far (hash maps
 //!   everywhere); never a fast path.
 //! * [`Backend::CompiledSeq`] — the phase-walk body over the **in
-//!   place** transport: one thread, all ranks, a [`Workspace`] of plain
-//!   vectors, no barrier and no atomic anywhere. Zero allocation per
-//!   iteration; the choice on one core, for small plans (an iteration
-//!   of a few tens of thousands of multiply-adds costs less than the
-//!   pool's ~7 barrier crossings) and the right baseline for kernel
-//!   work.
+//!   place** transport: one thread, all ranks, a [`Workspace`] that is
+//!   one plain `y` arena, no barrier and no atomic anywhere. Zero
+//!   allocation per iteration; the choice on one core, for small plans
+//!   (an iteration of a few tens of thousands of multiply-adds costs
+//!   less than the pool's 2 + folding-steps barrier crossings) and the
+//!   right baseline for kernel work.
 //! * [`Backend::CompiledPool`] — the same body over the **pool**
 //!   transport: the calling thread and the persistent workers each run
 //!   it for their rank range and their NNZ-balanced chunk bucket, with
 //!   a barrier at every handoff. `threads` counts participants
 //!   *including the caller* (`threads − 1` OS threads are spawned, and
 //!   an idle pool parks them); `0` sizes the team to `min(K, available
-//!   CPUs)`. With two participants on two cores it measured 0.41 vs
-//!   0.51 ms per iteration at 131 k multiply-adds and 0.80 vs 1.47 ms
+//!   CPUs)`. With two participants on two cores it measured 0.19 vs
+//!   0.17 ms per iteration at 131 k multiply-adds and 0.71 vs 1.30 ms
 //!   at 1.68 M (the ledger's `engine.pool_apply_*` / `seq_apply_*`
-//!   columns, PR 16); never ask for more participants than cores.
+//!   columns, PR 23); never ask for more participants than cores.
 //! * [`Backend::Threaded`] — the same programs over message-passing
 //!   **endpoints**, one OS thread per rank ([`EndpointOperator`]).
 //!   Spawns its threads per call: the distributed-execution shape
@@ -41,8 +41,8 @@
 //!   walker) and the concurrent validation of a plan's message
 //!   structure, not a fast path.
 //!
-//! Body and endpoint walker apply receives in the compiled `recvs`
-//! order through the same staging pair, so all three compiled backends
+//! Body and endpoint walker run the same kernels and fold partials in
+//! the compiled `recvs` order, so all three compiled backends
 //! agree **bitwise** with each other on the same compiled plan — and,
 //! with the default CSR-slice kernels, with the oracle. Plan errors
 //! surface when the plan is compiled, never inside an `apply`.
@@ -328,8 +328,8 @@ impl SpmvOperator for CompiledSeqOperator {
             // not allocate.
             self.ws = self.cp.workspace_batch(r);
         }
-        // Native chained path: the workspace's carrier ferries the
-        // iterate, no caller-side copies.
+        // Native chained path: `y` itself ferries the iterate, no
+        // caller-side copies.
         self.cp.execute_batch_iters_obs(&mut self.ws, x, y, r, iters, self.obs.as_ref());
     }
 }

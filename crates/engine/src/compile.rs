@@ -9,21 +9,36 @@
 //! Compilation pays a one-time inspector cost per plan (the OSKI /
 //! inspector-executor pattern) and produces flat buffers:
 //!
-//! * every rank's `x` and `y` footprint is renumbered into dense local
-//!   indices `0..nx` / `0..ny`, so vector storage becomes two flat
-//!   `f64` arrays per rank;
+//! * every `x_j` has exactly **one home**, its global column, which
+//!   every kernel of every rank indexes directly. Between ranks that
+//!   share memory the home space *is* the caller's input and an expand
+//!   word is never moved; a rank that shares nothing (the endpoint
+//!   walker) keeps a private image of it and writes received words in
+//!   at the same indices;
+//! * every rank's partial-`y` footprint is renumbered into dense local
+//!   slots `0..ny`, and the `K` blocks are ranges of **one `y` arena**
+//!   at the cache-line-aligned slot offsets [`RankProgram::y_off`];
 //! * compute phases are lowered to CSR-slice kernels — run-length
-//!   grouped rows over `row_ptr` / `cols` / `vals` arrays of local
-//!   indices, preserving the interpreter's accumulation order exactly;
-//! * every [`MsgSpec`] becomes a pair of index lists (gather at the
-//!   sender, scatter at the receiver) plus a precomputed offset into a
-//!   per-phase staging buffer, so a communication phase is just indexed
-//!   copies through preallocated memory.
+//!   grouped rows over `row_ptr` / `cols` / `vals` arrays of home
+//!   columns and local row slots, preserving the interpreter's
+//!   accumulation order exactly;
+//! * a communication phase becomes flat tables: one list of the homes
+//!   of all its expand words (both ends of a message read one range of
+//!   it), per rank one list of own `y` slots, per message two ranges —
+//!   the endpoint walker's payload layout — and per receiver the
+//!   `(producer slot, own slot)` arena pairs that are the whole phase
+//!   on shared memory: `y[own] += y[producer]`, in `recvs` order.
 //!
-//! All "processor lacks `x[j]`" conditions the interpreter detects at run
-//! time are detected here at compile time, once — the execution paths
-//! (the phase-walk body and the endpoint walker) contain no fallible
-//! lookups at all.
+//! The plan stays a distributed-memory plan: the compiler tracks which
+//! rank holds which `x_j` when, so every "processor lacks `x[j]`"
+//! condition the interpreter detects at run time is detected here, once
+//! — also for a word shared memory would have delivered anyway. A
+//! drained partial *moves*: its slot is dead from then on, and a later
+//! accumulation into that row on that rank (mesh forwarding, or a
+//! partial received in the very phase that drained it) opens a fresh
+//! slot, starting from the `+0.0` the interpreter's re-inserted entry
+//! starts from. So within a phase no fold source is anybody's fold
+//! destination, and the pool folds without staging.
 //!
 //! # Kernel formats
 //!
@@ -35,90 +50,117 @@
 //! format is baked into the kernel's buffer layout here, so execution
 //! never branches on it per entry.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
+use std::ops::Range;
+use std::sync::Arc;
 
 use s2d_spmv::{MsgSpec, PlanPhase, SpmvPlan};
 
 use crate::formats::{CsrKernel, Kernel, KernelFormat, KernelIsa, KernelStats};
 
-/// One [`MsgSpec`] lowered to local index lists.
-///
-/// At the sender the lists *gather*: `x_idx` slots are copied into the
-/// staging buffer, `y_idx` slots are copied and then zeroed (the
-/// partial sums move, they are not duplicated — that is what makes
-/// intermediate aggregation in mesh plans work). At the receiver the
-/// same lists *scatter*: `x_idx` slots are overwritten, `y_idx` slots
-/// accumulated into.
+/// `y`-arena slots per cache line: every rank's block starts on one.
+const LINE_SLOTS: usize = 8;
+
+/// One [`MsgSpec`] as seen from one of its ends: two ranges into the
+/// tables of the [`RankStep::Comm`] it belongs to. The payload is the
+/// `x` words (same homes at both ends), then the `y` words (the sender's
+/// drained slots, accumulated into the receiver's).
 #[derive(Clone, Debug)]
 pub struct CompiledMsg {
     /// The other endpoint: destination for sends, source for receives.
     pub peer: u32,
-    /// Word offset of this message's region in the phase staging buffer.
-    pub offset: u32,
-    /// Local `x` slots (sender: gather; receiver: scatter).
-    pub x_idx: Vec<u32>,
-    /// Local `y` slots (sender: drain; receiver: accumulate).
-    pub y_idx: Vec<u32>,
+    /// This message's expand words, as a range of the step's `x_homes`.
+    pub x: Range<u32>,
+    /// This message's fold words, as a range of the step's `y_slots`.
+    pub y: Range<u32>,
 }
 
 impl CompiledMsg {
     /// Message size in words.
     pub fn words(&self) -> usize {
-        self.x_idx.len() + self.y_idx.len()
+        self.x.len() + self.y.len()
+    }
+
+    /// This message's homes and own slots, out of its step's tables.
+    pub(crate) fn lists<'a>(
+        &self,
+        x_homes: &'a [u32],
+        y_slots: &'a [u32],
+    ) -> (&'a [u32], &'a [u32]) {
+        let at = |r: &Range<u32>| r.start as usize..r.end as usize;
+        (&x_homes[at(&self.x)], &y_slots[at(&self.y)])
     }
 }
 
 /// One rank's view of one plan phase.
 #[derive(Clone, Debug)]
 pub enum RankStep {
-    /// Run the kernel on local buffers.
+    /// Run the kernel on the `x` home space and the rank's `y` block.
     Compute(Kernel),
-    /// Exchange staged messages; `phase` indexes the staging buffer.
+    /// Exchange messages: `sends` / `recvs` over `x_homes` and `y_slots`
+    /// for the endpoint walker, `folds` — all that is left of the phase
+    /// — between ranks that share the `y` arena.
     Comm {
-        /// Ordinal of this communication phase within the plan.
-        phase: u32,
-        /// Outgoing messages (gather + drain into staging).
+        /// Outgoing messages, in plan order.
         sends: Vec<CompiledMsg>,
-        /// Incoming messages (scatter + accumulate from staging).
+        /// Incoming messages, in plan order — the fold order.
         recvs: Vec<CompiledMsg>,
+        /// Home index of every expand word of the phase, message by
+        /// message; one list shared by all ranks.
+        x_homes: Arc<[u32]>,
+        /// This rank's own `y` slots, message by message: the slots its
+        /// sends drain, then the slots its receives accumulate into.
+        y_slots: Vec<u32>,
+        /// `(producer's arena slot, own arena slot)` per received fold
+        /// word, in `recvs` order.
+        folds: Vec<(u32, u32)>,
     },
 }
 
 /// One rank's complete compiled program.
 #[derive(Clone, Debug)]
 pub struct RankProgram {
-    /// Size of the rank's local `x` array.
-    pub nx: usize,
-    /// Size of the rank's local `y` array.
+    /// Size of the rank's `y` block, in slots.
     pub ny: usize,
-    /// `(global column, local slot)` pairs seeded from the input vector
-    /// at the start of every iteration (the rank's *used* owned entries).
-    pub x_seed: Vec<(u32, u32)>,
+    /// Slot offset of the rank's block in the `y` arena (a multiple of
+    /// a cache line).
+    pub y_off: usize,
+    /// The owned columns this rank multiplies by or sends: what a rank
+    /// that does not share the caller's `x` seeds its image with.
+    pub x_seed: Vec<u32>,
     /// `(global row, local slot)` pairs this rank contributes to the
-    /// assembled output (rows it owns and actually materializes).
+    /// assembled output (rows it owns that end the walk live).
     pub y_emit: Vec<(u32, u32)>,
-    /// Global rows this rank owns that never materialize (no multiply
-    /// and no received partial touches them): emitted as 0.0, matching
-    /// the interpreter.
+    /// Global rows this rank owns that end the walk without a live
+    /// partial (never touched, or drained and not accumulated into
+    /// again): emitted as 0.0, matching the interpreter.
     pub y_zero: Vec<u32>,
     /// One step per plan phase, in plan order.
     pub steps: Vec<RankStep>,
 }
 
+impl RankProgram {
+    /// The rank's word range of the `y` arena at batch width `r`.
+    #[inline(always)]
+    pub(crate) fn block(&self, r: usize) -> Range<usize> {
+        self.y_off * r..(self.y_off + self.ny) * r
+    }
+}
+
 /// A fully compiled plan: per-rank programs plus the shared layout
-/// needed to execute them (staging sizes, row ownership).
+/// needed to execute them.
 #[derive(Clone, Debug)]
 pub struct CompiledPlan {
     /// Number of virtual processors.
     pub k: usize,
     /// Output dimension.
     pub nrows: usize,
-    /// Input dimension.
+    /// Input dimension, and the size of the `x` home space.
     pub ncols: usize,
     /// Per-rank programs, indexed by rank.
     pub ranks: Vec<RankProgram>,
-    /// Staging buffer size in words, one entry per communication phase.
-    pub staging_words: Vec<usize>,
+    /// Number of communication phases (one message tag each).
+    pub comm_phases: usize,
     /// Owner rank of every output row (copied from the plan).
     pub y_part: Vec<u32>,
     /// The [`KernelFormat`] the plan was compiled with (the *policy* —
@@ -128,6 +170,10 @@ pub struct CompiledPlan {
     /// The [`KernelIsa`] policy the plan was compiled with (the
     /// CPU-resolved verdict lives in each kernel's `simd` flag).
     pub isa: KernelIsa,
+    /// Per step index: does any rank fold there? Shared-memory
+    /// transports skip a communication step that is all expand, barrier
+    /// included (the pool re-derives and checks this).
+    pub(crate) fold_steps: Vec<bool>,
     /// Row-length statistics of every nonempty compute kernel (phase-
     /// major, rank order), gathered from the CSR lowering before format
     /// conversion — populated only by [`KernelFormat::Auto`] compiles.
@@ -135,71 +181,62 @@ pub struct CompiledPlan {
     stats: Vec<KernelStats>,
 }
 
-/// Per-rank renumbering state used only during compilation.
-#[derive(Default)]
-struct RankState {
-    /// global x id → local slot.
-    xmap: HashMap<u32, u32>,
-    /// Local x slots with a defined value at this point of the walk.
-    xdef: Vec<bool>,
-    /// global y id → local slot.
-    ymap: HashMap<u32, u32>,
-    /// Local y slots currently holding a live partial sum.
-    ylive: Vec<bool>,
-    x_seed: Vec<(u32, u32)>,
+/// Which rank holds which `x_j` at this point of the walk: kept only
+/// to reject plans that work because memory happens to be shared.
+struct XHeld<'a> {
+    x_part: &'a [u32],
+    /// Per column: its owner already reads it (it is in `x_seed`).
+    seeded: Vec<bool>,
+    x_seed: Vec<Vec<u32>>,
+    /// Per rank: the columns received so far.
+    received: Vec<HashSet<u32>>,
 }
 
-impl RankState {
-    /// Slot for reading `x[j]` on rank `r`: must be owned (seeded) or
-    /// previously received.
-    fn x_read(&mut self, j: u32, rank: usize, owned: bool, what: &str) -> u32 {
-        if let Some(&slot) = self.xmap.get(&j) {
-            if !self.xdef[slot as usize] {
-                panic!("processor {rank} lacks x[{j}] {what}: plan bug");
+impl XHeld<'_> {
+    /// Rank `rank` reads `x[j]`: it must own it or have received it.
+    fn read(&mut self, j: u32, rank: usize, what: &str) {
+        if self.x_part[j as usize] as usize == rank {
+            if !std::mem::replace(&mut self.seeded[j as usize], true) {
+                self.x_seed[rank].push(j);
             }
-            return slot;
-        }
-        if !owned {
+        } else if !self.received[rank].contains(&j) {
             panic!("processor {rank} lacks x[{j}] {what}: plan bug");
         }
-        let slot = self.xmap.len() as u32;
-        self.xmap.insert(j, slot);
-        self.xdef.push(true);
-        self.x_seed.push((j, slot));
-        slot
     }
+}
 
-    /// Slot for receiving `x[j]` (defines the value).
-    fn x_write(&mut self, j: u32) -> u32 {
-        if let Some(&slot) = self.xmap.get(&j) {
-            self.xdef[slot as usize] = true;
-            return slot;
+/// One rank's `y` renumbering state.
+#[derive(Default)]
+struct YSlots {
+    /// global row → the slot of its current (or last) partial.
+    slot: HashMap<u32, u32>,
+    /// Per slot: holds a live partial sum at this point of the walk.
+    live: Vec<bool>,
+}
+
+impl YSlots {
+    /// Slot for accumulating into `y[i]`: the live one, else a fresh
+    /// one (first touch, or the old partial was drained — like the
+    /// interpreter's `entry().or_insert(0.0)` after its `remove`).
+    fn accum(&mut self, i: u32) -> u32 {
+        match self.slot.get(&i) {
+            Some(&s) if self.live[s as usize] => s,
+            _ => {
+                let s = self.live.len() as u32;
+                self.slot.insert(i, s);
+                self.live.push(true);
+                s
+            }
         }
-        let slot = self.xmap.len() as u32;
-        self.xmap.insert(j, slot);
-        self.xdef.push(true);
-        slot
     }
 
-    /// Slot for accumulating into `y[i]` (creates the partial on first
-    /// touch, like the interpreter's `entry().or_insert(0.0)`).
-    fn y_accum(&mut self, i: u32) -> u32 {
-        if let Some(&slot) = self.ymap.get(&i) {
-            self.ylive[slot as usize] = true;
-            return slot;
-        }
-        let slot = self.ymap.len() as u32;
-        self.ymap.insert(i, slot);
-        self.ylive.push(true);
-        slot
-    }
-
-    /// Slot for draining `y[i]` into a message: must be live.
-    fn y_drain(&mut self, i: u32, rank: usize) -> u32 {
-        match self.ymap.get(&i) {
-            Some(&slot) if self.ylive[slot as usize] => {
-                self.ylive[slot as usize] = false;
-                slot
+    /// Slot for draining `y[i]` into a message: must be live, and is
+    /// dead afterwards.
+    fn drain(&mut self, i: u32, rank: usize) -> u32 {
+        match self.slot.get(&i) {
+            Some(&s) if self.live[s as usize] => {
+                self.live[s as usize] = false;
+                s
             }
             _ => panic!("processor {rank} lacks partial y[{i}] to send: plan bug"),
         }
@@ -240,16 +277,22 @@ impl CompiledPlan {
     /// Same contract as [`CompiledPlan::compile`].
     pub fn compile_with_isa(plan: &SpmvPlan, format: KernelFormat, isa: KernelIsa) -> CompiledPlan {
         let k = plan.k;
-        let mut states: Vec<RankState> = (0..k).map(|_| RankState::default()).collect();
+        let mut xs = XHeld {
+            x_part: &plan.x_part,
+            seeded: vec![false; plan.ncols],
+            x_seed: vec![Vec::new(); k],
+            received: vec![HashSet::new(); k],
+        };
+        let mut ys: Vec<YSlots> = (0..k).map(|_| YSlots::default()).collect();
         let mut programs: Vec<Vec<RankStep>> = (0..k).map(|_| Vec::new()).collect();
-        let mut staging_words = Vec::new();
+        let mut comm_phases = 0;
         let mut stats = Vec::new();
 
         for phase in &plan.phases {
             match phase {
                 PlanPhase::Compute(tasks) => {
                     for (r, list) in tasks.iter().enumerate() {
-                        let csr = lower_tasks(list, r, &mut states[r], &plan.x_part);
+                        let csr = lower_tasks(list, r, &mut xs, &mut ys[r]);
                         // Statistics (a σ-sort plus a dense-run scan per
                         // kernel) are gathered only when the policy
                         // needs them — a fixed-format compile stays one
@@ -268,46 +311,66 @@ impl CompiledPlan {
                     }
                 }
                 PlanPhase::Comm(msgs) => {
-                    let ordinal = staging_words.len() as u32;
-                    let (sends, recvs, words) = lower_comm(msgs, k, &mut states, &plan.x_part);
-                    staging_words.push(words);
-                    for (r, (s, v)) in sends.into_iter().zip(recvs).enumerate() {
-                        programs[r].push(RankStep::Comm { phase: ordinal, sends: s, recvs: v });
+                    comm_phases += 1;
+                    for (program, step) in
+                        programs.iter_mut().zip(lower_comm(msgs, &mut xs, &mut ys))
+                    {
+                        program.push(step);
                     }
                 }
             }
         }
 
-        // Output emit: each row copies out of its owner's local slot;
-        // rows the owner never materializes are emitted as 0.
+        // The arena layout is known only now (a rank's block grows
+        // through the whole walk): place the blocks, then turn the
+        // folds' rank-local slots into arena slots.
+        let mut y_off = Vec::with_capacity(k);
+        let mut end = 0;
+        for st in &ys {
+            y_off.push(end);
+            end += st.live.len().next_multiple_of(LINE_SLOTS);
+        }
+        assert!(end <= u32::MAX as usize, "y arena exceeds the u32 slot space");
+        for (r, steps) in programs.iter_mut().enumerate() {
+            for step in steps {
+                let RankStep::Comm { recvs, folds, .. } = step else { continue };
+                let mut pairs = folds.iter_mut();
+                for m in recvs.iter() {
+                    for (src, dst) in pairs.by_ref().take(m.y.len()) {
+                        *src += y_off[m.peer as usize] as u32;
+                        *dst += y_off[r] as u32;
+                    }
+                }
+            }
+        }
+        let fold_steps = plan
+            .phases
+            .iter()
+            .map(|ph| matches!(ph, PlanPhase::Comm(msgs) if msgs.iter().any(|m| !m.y_rows.is_empty())))
+            .collect();
+
+        // Output emit: each row copies out of its owner's live slot;
+        // rows whose owner holds no live partial are emitted as 0.
+        let mut y_emit: Vec<Vec<(u32, u32)>> = vec![Vec::new(); k];
         let mut y_zero: Vec<Vec<u32>> = vec![Vec::new(); k];
         for (i, &owner) in plan.y_part.iter().enumerate() {
-            if !states[owner as usize].ymap.contains_key(&(i as u32)) {
-                y_zero[owner as usize].push(i as u32);
+            let st = &ys[owner as usize];
+            match st.slot.get(&(i as u32)) {
+                Some(&s) if st.live[s as usize] => y_emit[owner as usize].push((i as u32, s)),
+                _ => y_zero[owner as usize].push(i as u32),
             }
         }
 
-        let ranks = states
+        let ranks = programs
             .into_iter()
-            .zip(programs)
-            .zip(y_zero)
             .enumerate()
-            .map(|(r, ((st, steps), y_zero))| {
-                let mut y_emit: Vec<(u32, u32)> = st
-                    .ymap
-                    .iter()
-                    .filter(|&(&i, _)| plan.y_part[i as usize] as usize == r)
-                    .map(|(&i, &slot)| (i, slot))
-                    .collect();
-                y_emit.sort_unstable();
-                RankProgram {
-                    nx: st.xmap.len(),
-                    ny: st.ymap.len(),
-                    x_seed: st.x_seed,
-                    y_emit,
-                    y_zero,
-                    steps,
-                }
+            .map(|(r, steps)| RankProgram {
+                ny: ys[r].live.len(),
+                y_off: y_off[r],
+                x_seed: std::mem::take(&mut xs.x_seed[r]),
+                y_emit: std::mem::take(&mut y_emit[r]),
+                y_zero: std::mem::take(&mut y_zero[r]),
+                steps,
             })
             .collect();
 
@@ -316,10 +379,11 @@ impl CompiledPlan {
             nrows: plan.nrows,
             ncols: plan.ncols,
             ranks,
-            staging_words,
+            comm_phases,
             y_part: plan.y_part.clone(),
             format,
             isa,
+            fold_steps,
             stats,
         }
     }
@@ -351,38 +415,44 @@ impl CompiledPlan {
         &self.stats
     }
 
-    /// Bytes of flat buffer storage one workspace for this plan needs —
-    /// the compiled footprint reported by benchmarks.
+    /// Size of the `y` arena in slots: the end of the last rank's
+    /// (line-padded) block.
+    pub(crate) fn arena_slots(&self) -> usize {
+        self.ranks.last().map_or(0, |rp| rp.y_off + rp.ny.next_multiple_of(LINE_SLOTS))
+    }
+
+    /// Bytes a single-RHS [`Workspace`](crate::Workspace) for this plan
+    /// allocates: the `y` arena plus the slack that lets it start on a
+    /// cache line — `x` is read where the caller put it.
     pub fn workspace_bytes(&self) -> usize {
-        let vectors: usize = self.ranks.iter().map(|r| r.nx + r.ny).sum();
-        let staging: usize = self.staging_words.iter().sum();
-        (vectors + staging + self.nrows) * std::mem::size_of::<f64>()
+        (self.arena_slots() + crate::exec::ALIGN_SLACK) * std::mem::size_of::<f64>()
     }
 }
 
-/// Lowers one rank's task list into a run-length grouped CSR slice
-/// (the canonical order-preserving form every [`KernelFormat`] is
-/// converted from).
+/// Lowers one rank's task list into a run-length grouped CSR slice over
+/// home columns and local row slots (the canonical order-preserving
+/// form every [`KernelFormat`] is converted from).
 fn lower_tasks(
     tasks: &[s2d_spmv::MultTask],
     rank: usize,
-    st: &mut RankState,
-    x_part: &[u32],
+    xs: &mut XHeld,
+    ys: &mut YSlots,
 ) -> CsrKernel {
     let mut kernel = CsrKernel::default();
     kernel.row_ptr.push(0);
-    let mut current: Option<u32> = None;
+    // The open segment: its global row and slot.
+    let mut current: Option<(u32, u32)> = None;
     for t in tasks {
-        let col = st.x_read(t.col, rank, x_part[t.col as usize] as usize == rank, "to multiply");
-        let row = st.y_accum(t.row);
-        if current != Some(row) {
+        xs.read(t.col, rank, "to multiply");
+        if current.map(|(row, _)| row) != Some(t.row) {
             if current.is_some() {
                 kernel.row_ptr.push(kernel.cols.len() as u32);
             }
-            kernel.rows.push(row);
-            current = Some(row);
+            let slot = ys.accum(t.row);
+            kernel.rows.push(slot);
+            current = Some((t.row, slot));
         }
-        kernel.cols.push(col);
+        kernel.cols.push(t.col);
         kernel.vals.push(t.val);
     }
     if current.is_some() {
@@ -391,42 +461,57 @@ fn lower_tasks(
     kernel
 }
 
-/// Lowers one communication phase: per-rank send and receive lists plus
-/// the staging footprint. All sends are lowered before any receive so
-/// the drain/define bookkeeping matches the simultaneous-exchange
-/// semantics (payloads capture the pre-phase state).
-#[allow(clippy::type_complexity)]
-fn lower_comm(
-    msgs: &[MsgSpec],
-    k: usize,
-    states: &mut [RankState],
-    x_part: &[u32],
-) -> (Vec<Vec<CompiledMsg>>, Vec<Vec<CompiledMsg>>, usize) {
-    let mut sends: Vec<Vec<CompiledMsg>> = (0..k).map(|_| Vec::new()).collect();
-    let mut recvs: Vec<Vec<CompiledMsg>> = (0..k).map(|_| Vec::new()).collect();
-    let mut offset = 0u32;
-    let mut offsets = Vec::with_capacity(msgs.len());
+/// Lowers one communication phase to one [`RankStep::Comm`] per rank.
+/// All sends are lowered before any receive so the drain/define
+/// bookkeeping matches the simultaneous-exchange semantics (payloads
+/// capture the pre-phase state): a row drained and received in the same
+/// phase folds into a fresh slot, never into the one being read. Fold
+/// pairs are rank-local here; the caller rebases them once the arena
+/// layout is known.
+fn lower_comm(msgs: &[MsgSpec], xs: &mut XHeld, ys: &mut [YSlots]) -> Vec<RankStep> {
+    let k = ys.len();
+    let x_homes: Arc<[u32]> = msgs.iter().flat_map(|m| m.x_cols.iter().copied()).collect();
+    let mut sends: Vec<Vec<CompiledMsg>> = vec![Vec::new(); k];
+    let mut recvs: Vec<Vec<CompiledMsg>> = vec![Vec::new(); k];
+    let mut y_slots: Vec<Vec<u32>> = vec![Vec::new(); k];
+    let mut folds: Vec<Vec<(u32, u32)>> = vec![Vec::new(); k];
+    // Per message: its range of `x_homes`, and where its drained slots
+    // start in the sender's `y_slots`.
+    let mut at = Vec::with_capacity(msgs.len());
+    let mut xo = 0u32;
     for m in msgs {
         let src = m.src as usize;
-        let st = &mut states[src];
-        let x_idx: Vec<u32> = m
-            .x_cols
-            .iter()
-            .map(|&j| st.x_read(j, src, x_part[j as usize] as usize == src, "to send"))
-            .collect();
-        let y_idx: Vec<u32> = m.y_rows.iter().map(|&i| st.y_drain(i, src)).collect();
-        offsets.push(offset);
-        sends[src].push(CompiledMsg { peer: m.dst, offset, x_idx, y_idx });
-        offset += (m.x_cols.len() + m.y_rows.len()) as u32;
+        for &j in &m.x_cols {
+            xs.read(j, src, "to send");
+        }
+        let x = xo..xo + m.x_cols.len() as u32;
+        xo = x.end;
+        let y0 = y_slots[src].len() as u32;
+        y_slots[src].extend(m.y_rows.iter().map(|&i| ys[src].drain(i, src)));
+        at.push((x.clone(), y0));
+        sends[src].push(CompiledMsg { peer: m.dst, x, y: y0..y_slots[src].len() as u32 });
     }
-    for (m, &off) in msgs.iter().zip(&offsets) {
-        let dst = m.dst as usize;
-        let st = &mut states[dst];
-        let x_idx: Vec<u32> = m.x_cols.iter().map(|&j| st.x_write(j)).collect();
-        let y_idx: Vec<u32> = m.y_rows.iter().map(|&i| st.y_accum(i)).collect();
-        recvs[dst].push(CompiledMsg { peer: m.src, offset: off, x_idx, y_idx });
+    for (m, (x, drained)) in msgs.iter().zip(at) {
+        let (src, dst) = (m.src as usize, m.dst as usize);
+        xs.received[dst].extend(m.x_cols.iter().copied());
+        let y0 = y_slots[dst].len() as u32;
+        for (n, &i) in m.y_rows.iter().enumerate() {
+            let from = y_slots[src][drained as usize + n];
+            let into = ys[dst].accum(i);
+            y_slots[dst].push(into);
+            folds[dst].push((from, into));
+        }
+        recvs[dst].push(CompiledMsg { peer: m.src, x, y: y0..y_slots[dst].len() as u32 });
     }
-    (sends, recvs, offset as usize)
+    (0..k)
+        .map(|r| RankStep::Comm {
+            sends: std::mem::take(&mut sends[r]),
+            recvs: std::mem::take(&mut recvs[r]),
+            x_homes: Arc::clone(&x_homes),
+            y_slots: std::mem::take(&mut y_slots[r]),
+            folds: std::mem::take(&mut folds[r]),
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -460,34 +545,39 @@ mod tests {
     #[test]
     fn footprints_are_dense_and_minimal() {
         let cp = CompiledPlan::compile(&tiny_plan());
-        assert_eq!(cp.ranks[0].nx, 1, "rank 0 only ever holds x0");
         assert_eq!(cp.ranks[0].ny, 2, "rank 0 accumulates y0 and the y1 partial");
-        assert_eq!(cp.ranks[1].nx, 2, "rank 1 holds x1 and the received x0");
         assert_eq!(cp.ranks[1].ny, 1);
-        assert_eq!(cp.staging_words, vec![2]);
+        assert_eq!((cp.ranks[0].y_off, cp.ranks[1].y_off), (0, LINE_SLOTS), "line-aligned blocks");
+        assert_eq!((cp.comm_phases, &cp.fold_steps[..]), (1, &[false, true, false][..]));
         assert_eq!(cp.total_ops(), 3);
+        // The arena and its alignment slack are all a workspace holds.
+        assert_eq!(cp.workspace().y.len() * 8, cp.workspace_bytes(), "accounted to the word");
+        assert_eq!(cp.workspace_batch(3).y.len(), 2 * LINE_SLOTS * 3 + 7);
     }
 
     #[test]
     fn seeds_cover_only_used_owned_entries() {
         let cp = CompiledPlan::compile(&tiny_plan());
-        assert_eq!(cp.ranks[0].x_seed, vec![(0, 0)]);
-        // Rank 1 first *uses* x1 in the final compute, after receiving
-        // x0 — so x0 takes local slot 0 and the owned x1 slot 1.
-        assert_eq!(cp.ranks[1].x_seed, vec![(1, 1)]);
+        // x0 reaches rank 1 in a message: read there, but not a seed.
+        assert_eq!((&cp.ranks[0].x_seed, &cp.ranks[1].x_seed), (&vec![0], &vec![1]));
     }
 
     #[test]
     fn drained_partials_are_tracked() {
         let cp = CompiledPlan::compile(&tiny_plan());
-        match &cp.ranks[0].steps[1] {
-            RankStep::Comm { sends, recvs, .. } => {
-                assert_eq!(sends.len(), 1);
-                assert_eq!(sends[0].x_idx.len(), 1);
-                assert_eq!(sends[0].y_idx.len(), 1);
-                assert!(recvs.is_empty());
+        match (&cp.ranks[0].steps[1], &cp.ranks[1].steps[1]) {
+            (
+                RankStep::Comm { sends, recvs, x_homes, y_slots, .. },
+                RankStep::Comm { x_homes: same, folds, .. },
+            ) => {
+                assert_eq!((sends.len(), recvs.len()), (1, 0));
+                assert_eq!(sends[0].lists(x_homes, y_slots), (&[0][..], &[1][..]));
+                // Both ends read one home list; the fold is rank 0's slot
+                // 1 into rank 1's slot 0, as arena slots.
+                assert!(Arc::ptr_eq(x_homes, same));
+                assert_eq!(folds, &[(1, LINE_SLOTS as u32)]);
             }
-            other => panic!("expected comm step, got {other:?}"),
+            other => panic!("expected comm steps, got {other:?}"),
         }
         // y1 is emitted by rank 1 (its owner), not by rank 0 whose
         // partial was drained.
@@ -503,8 +593,13 @@ mod tests {
             MultTask { row: 1, col: 0, val: 2.0 },
             MultTask { row: 0, col: 0, val: 4.0 },
         ];
-        let mut st = RankState::default();
-        let kernel = lower_tasks(&tasks, 0, &mut st, &[0]);
+        let mut xs = XHeld {
+            x_part: &[0],
+            seeded: vec![false],
+            x_seed: vec![Vec::new()],
+            received: vec![HashSet::new()],
+        };
+        let kernel = lower_tasks(&tasks, 0, &mut xs, &mut YSlots::default());
         assert_eq!(kernel.rows, vec![0, 1, 0]);
         assert_eq!(kernel.row_ptr, vec![0, 1, 2, 3]);
         let mut y = vec![0.0, 0.0];

@@ -3,110 +3,92 @@
 //! reusable [`Workspace`].
 //!
 //! One iteration of a [`CompiledPlan`] is written **once**, in
-//! `phase_walk`: seed owned `x` and clear `y` → per phase, run compute
-//! chunks or stage sends / apply receives in the compiled `recvs` order
-//! → emit owned rows → optionally re-seed for chained iterations. What
-//! differs between drivers is only *whose* ranks and chunks a
-//! participant runs, how a buffer range is reached and who waits at a
-//! barrier — that is the crate-private `Transport` trait, with exactly
-//! two implementations:
+//! `phase_walk`: clear the `y` arena → per phase, run compute chunks or
+//! fold the received partials in the compiled `recvs` order → emit
+//! owned rows into the caller's `y`. What differs between drivers is
+//! only *whose* ranks and chunks a participant runs, how a buffer range
+//! is reached and who waits at a barrier — that is the crate-private
+//! `Transport` trait, with exactly two implementations:
 //!
 //! * `InPlace` (here): one participant owning all `K` ranks over the
-//!   plain `Vec<f64>` buffers of a `&mut Workspace`, every kernel run
-//!   whole in rank order, and a `sync` that is a literal `false` — so
-//!   barriers, atomics and barrier-wait spans const-fold out of the
-//!   sequential path;
+//!   plain `y` arena of a `&mut Workspace`, every kernel run whole in
+//!   rank order, and a `sync` that is a literal `false` — so barriers,
+//!   atomics and barrier-wait spans const-fold out of the sequential
+//!   path;
 //! * the pool worker (`pool.rs`): a contiguous rank range, a baked
-//!   chunk bucket, range views over shared buffers, a spin barrier.
+//!   chunk bucket, range views over the shared arena, a spin barrier.
 //!
-//! The endpoint walker ([`RankProgram::spmv_over`](crate::RankProgram))
-//! is the only other place compiled steps execute; it shares
-//! `stage_send` / `apply_recv` with the body.
+//! Both share one address space, so a plan's messages shrink to what
+//! still has to happen there. An **expand** word does not move: every
+//! kernel indexes the `x` home space, which is the caller's input (from
+//! the second chained iteration on, the caller's output — an
+//! iteration's kernels all finish before its emit starts). A **fold**
+//! word is one `y[own] += y[producer]` on the shared arena. A
+//! communication phase without folds costs nothing, so a row-wise 1D
+//! plan is kernels plus emit. The endpoint walker
+//! ([`RankProgram::spmv_over`](crate::RankProgram)) is the only other
+//! place compiled steps execute: the same kernels over a private image
+//! of the home space, with real payloads.
 //!
-//! The workspace owns every buffer an in-place iteration touches —
-//! per-rank local `x`/`y` arrays and one staging buffer per
-//! communication phase — so the iteration loop performs **zero heap
-//! allocation**: seeding, kernels, staged copies and the emit all write
-//! into memory allocated once per (plan, workspace) pair.
-//!
-//! # Batched (multi-RHS) layout
-//!
-//! A workspace is allocated for a batch width `r` (1 for the classic
-//! single-vector case). All vectors are **row-major blocks**: global
-//! index `g` of an `r`-column input `X` occupies `x[g*r .. (g+1)*r]`,
-//! local slot `s` occupies `buf[s*r .. (s+1)*r]`, and each message's
-//! staging region scales from `len` words to `len × r` words (offset
-//! `m.offset * r`). One batched iteration walks every matrix entry and
-//! every gather/scatter list once and moves `r` words per touch — the
-//! register/cache reuse that makes block SpMV cheaper than `r`
-//! single-vector passes.
-//!
-//! # Kernel formats and workspace sizing
-//!
-//! Workspace buffers are sized by the rank's *logical* footprint
-//! (`nx`/`ny` local slots × batch width) regardless of the plan's
-//! [`KernelFormat`](crate::formats::KernelFormat): padded layouts
-//! (SELL chunk fill, whole padding lanes) live inside the kernel's own
-//! value/column arrays and reference existing local slots, so seeding,
-//! scatter and the emit are format-oblivious — one workspace executes
-//! the same plan compiled to any format.
+//! The workspace is the one buffer an in-place iteration writes besides
+//! the caller's `y`, so the loop performs **zero heap allocation**. It
+//! is allocated for a batch width `r` (1 for the classic single-vector
+//! case) and everything is a row-major block — see the crate docs:
+//! arena slot `s` occupies `y[s*r .. (s+1)*r]`, a rank's block starts
+//! at `y_off × r`. Its size follows the ranks' *logical* footprints
+//! (`ny` slots, rounded up to a cache line) whatever the plan's
+//! [`KernelFormat`](crate::formats::KernelFormat): padded layouts live
+//! inside the kernel's own arrays and reference existing columns and
+//! slots, so one workspace executes the same plan compiled to any
+//! format.
 
 use std::ops::Range;
 
 use s2d_obs::Phase;
 
-use crate::compile::{CompiledMsg, CompiledPlan, RankStep};
+use crate::compile::{CompiledPlan, RankStep};
 use crate::telemetry::{call_end, span_end, span_start, ExecTelemetry};
 
-/// Preallocated buffers for executing one [`CompiledPlan`] at batch
-/// widths up to the allocated `width`.
+/// Words an arena allocation carries beyond its payload, so that the
+/// payload can start on a cache line wherever the allocator put it.
+pub(crate) const ALIGN_SLACK: usize = 7;
+
+/// How many words into an allocation at `base` the first 64-byte
+/// boundary lies (at most [`ALIGN_SLACK`]).
+pub(crate) fn align_pad(base: *const f64) -> usize {
+    (base as usize).wrapping_neg() % 64 / std::mem::size_of::<f64>()
+}
+
+/// The preallocated `y` arena for executing one [`CompiledPlan`] at
+/// batch widths up to the allocated `width`.
 ///
 /// A workspace is tied to the layout of the plan that created it;
 /// executing a different plan through it panics on a size check.
 #[derive(Clone, Debug)]
 pub struct Workspace {
-    /// Batch capacity the buffers were sized for.
+    /// Batch capacity the arena was sized for.
     pub(crate) width: usize,
-    /// Per-rank local `x` blocks (`nx × width` words each).
-    pub(crate) x: Vec<Vec<f64>>,
-    /// Per-rank local `y` blocks (`ny × width` words each).
-    pub(crate) y: Vec<Vec<f64>>,
-    /// One staging buffer per communication phase (`words × width`).
-    pub(crate) staging: Vec<Vec<f64>>,
-    /// Emitted-output carrier for chained iterations.
-    pub(crate) carrier: Vec<f64>,
+    /// `arena_slots × width` words plus [`ALIGN_SLACK`].
+    pub(crate) y: Vec<f64>,
 }
 
 impl Workspace {
-    /// Allocates a single-RHS workspace sized for `plan`.
-    pub fn for_plan(plan: &CompiledPlan) -> Workspace {
-        Workspace::for_plan_batch(plan, 1)
-    }
-
-    /// Allocates a workspace able to run batches of up to `width`
-    /// right-hand sides through `plan`.
-    pub fn for_plan_batch(plan: &CompiledPlan, width: usize) -> Workspace {
-        assert!(width >= 1, "batch width must be at least 1");
-        Workspace {
-            width,
-            x: plan.ranks.iter().map(|r| vec![0.0; r.nx * width]).collect(),
-            y: plan.ranks.iter().map(|r| vec![0.0; r.ny * width]).collect(),
-            staging: plan.staging_words.iter().map(|&w| vec![0.0; w * width]).collect(),
-            carrier: vec![0.0; plan.nrows * width],
-        }
-    }
-
     /// The batch capacity this workspace was allocated for.
     pub fn width(&self) -> usize {
         self.width
     }
 }
 
-/// A buffer the body takes per-message or per-row sub-ranges of: a
-/// plain slice in place, the pool's shared buffer on a worker.
+/// A buffer ranks share: the `y` arena, the block an iteration emits
+/// into. A plain slice in place, a view of a shared buffer on a pool
+/// worker.
 pub(crate) trait Region {
     /// Words `lo..lo + len`, exclusively; panics when out of bounds.
     fn region_mut(&mut self, lo: usize, len: usize) -> &mut [f64];
+
+    /// `self[dst..dst + r] += self[src..src + r]`: one fold word at
+    /// batch width `r`. The two ranges are disjoint.
+    fn fold(&mut self, dst: usize, src: usize, r: usize);
 }
 
 impl Region for &mut [f64] {
@@ -114,23 +96,27 @@ impl Region for &mut [f64] {
     fn region_mut(&mut self, lo: usize, len: usize) -> &mut [f64] {
         &mut self[lo..lo + len]
     }
+
+    #[inline(always)]
+    fn fold(&mut self, dst: usize, src: usize, r: usize) {
+        for q in 0..r {
+            self[dst + q] += self[src + q];
+        }
+    }
 }
 
 /// What the phase-walk body needs from the memory it runs over: which
 /// ranks and compute chunks this participant runs, views of the buffers
-/// one step touches, and the barrier between steps. Every view method
-/// returns all the buffers of one rank's step at once, so the body
-/// holds them side by side (and in registers across the step's inner
-/// loop) without re-borrowing the transport. Rank-local `x` / `y` views
-/// cover at least the first `nx × r` / `ny × r` words.
+/// one step touches, and the barrier between steps. A rank's `y` view
+/// is its block of the arena at the job's width.
 pub(crate) trait Transport {
-    /// A buffer shared between ranks: a comm phase's staging buffer,
-    /// the block an iteration emits into.
+    /// A buffer shared between ranks: the `y` arena during a fold, the
+    /// caller's `y` during the emit.
     type Buf<'a>: Region
     where
         Self: 'a;
 
-    /// The ranks this participant seeds, stages, applies and emits for.
+    /// The ranks this participant clears, folds and emits for.
     fn ranks(&self) -> Range<usize>;
 
     /// Barrier among the participants, recorded as a barrier-wait span
@@ -138,35 +124,37 @@ pub(crate) trait Transport {
     /// must return without touching any buffer again.
     fn sync(&mut self, obs: Option<&ExecTelemetry>) -> bool;
 
-    /// Seeding view of owned rank `rk`: the global block to seed from
-    /// (the job input on the `first` iteration, the emitted block of
-    /// the previous iteration after), then the rank's `x` and `y`.
-    fn seed(&mut self, rk: usize, first: bool) -> (&[f64], &mut [f64], &mut [f64]);
-
     /// The `i`-th compute chunk of phase `p` this participant runs, or
     /// `None` past the last: its rank, its kernel-unit range (the body
     /// clamps the end to the kernel's unit count, so `0..usize::MAX` is
-    /// the whole kernel), the rank's `x` and the `y` its units write.
-    fn chunk(&mut self, p: usize, i: usize) -> Option<(usize, Range<usize>, &[f64], &mut [f64])>;
+    /// the whole kernel), the `x` home space (the job's input on the
+    /// `first` iteration, its output after) and the rank's `y` block,
+    /// of which the chunk writes its units' row slots.
+    fn chunk(
+        &mut self,
+        p: usize,
+        i: usize,
+        first: bool,
+    ) -> Option<(usize, Range<usize>, &[f64], &mut [f64])>;
 
-    /// Comm view of owned rank `rk`, for staging its sends or applying
-    /// its receives: its `x`, its `y`, and comm phase `ph`'s staging
-    /// buffer, of which each message has its own region.
-    fn comm(&mut self, rk: usize, ph: usize) -> (&mut [f64], &mut [f64], Self::Buf<'_>);
+    /// The whole `y` arena, for folding into owned ranks' slots from
+    /// their producers'.
+    fn arena(&mut self) -> Self::Buf<'_>;
 
-    /// Emit view of owned rank `rk`: its `y`, and the block this
-    /// iteration emits its owned rows into (`last` = the job's final
-    /// iteration).
-    fn emit(&mut self, rk: usize, last: bool) -> (&[f64], Self::Buf<'_>);
+    /// Owned rank `rk`'s `y` block, exclusively (to clear, to emit
+    /// from), and the job's output block, of which the rank writes its
+    /// owned rows.
+    fn own(&mut self, rk: usize) -> (&mut [f64], Self::Buf<'_>);
 }
 
-/// The in-place transport: one participant, all ranks, plain vectors.
-/// Non-final iterations emit into the workspace carrier, the final one
-/// straight into the caller's `y`.
+/// The in-place transport: one participant, all ranks, one plain arena.
 struct InPlace<'a> {
-    ws: &'a mut Workspace,
+    plan: &'a CompiledPlan,
+    /// The arena at the job's width, from its first cache line.
+    arena: &'a mut [f64],
     x: &'a [f64],
     y: &'a mut [f64],
+    r: usize,
 }
 
 impl Transport for InPlace<'_> {
@@ -177,7 +165,7 @@ impl Transport for InPlace<'_> {
 
     #[inline(always)]
     fn ranks(&self) -> Range<usize> {
-        0..self.ws.x.len()
+        0..self.plan.k
     }
 
     #[inline(always)]
@@ -186,37 +174,37 @@ impl Transport for InPlace<'_> {
     }
 
     #[inline(always)]
-    fn seed(&mut self, rk: usize, first: bool) -> (&[f64], &mut [f64], &mut [f64]) {
-        let src = if first { self.x } else { &self.ws.carrier };
-        (src, &mut self.ws.x[rk], &mut self.ws.y[rk])
+    fn chunk(
+        &mut self,
+        _p: usize,
+        i: usize,
+        first: bool,
+    ) -> Option<(usize, Range<usize>, &[f64], &mut [f64])> {
+        let block = self.plan.ranks.get(i)?.block(self.r);
+        Some((i, 0..usize::MAX, if first { self.x } else { &*self.y }, &mut self.arena[block]))
     }
 
     #[inline(always)]
-    fn chunk(&mut self, _p: usize, i: usize) -> Option<(usize, Range<usize>, &[f64], &mut [f64])> {
-        let ws = &mut *self.ws;
-        (i < ws.x.len()).then(|| (i, 0..usize::MAX, &ws.x[i][..], &mut ws.y[i][..]))
+    fn arena(&mut self) -> &mut [f64] {
+        self.arena
     }
 
     #[inline(always)]
-    fn comm(&mut self, rk: usize, ph: usize) -> (&mut [f64], &mut [f64], &mut [f64]) {
-        (&mut self.ws.x[rk], &mut self.ws.y[rk], &mut self.ws.staging[ph])
-    }
-
-    #[inline(always)]
-    fn emit(&mut self, rk: usize, last: bool) -> (&[f64], &mut [f64]) {
-        (&self.ws.y[rk], if last { &mut *self.y } else { &mut self.ws.carrier })
+    fn own(&mut self, rk: usize) -> (&mut [f64], &mut [f64]) {
+        (&mut self.arena[self.plan.ranks[rk].block(self.r)], self.y)
     }
 }
 
 impl CompiledPlan {
     /// Allocates a single-RHS [`Workspace`] for this plan.
     pub fn workspace(&self) -> Workspace {
-        Workspace::for_plan(self)
+        self.workspace_batch(1)
     }
 
     /// Allocates a [`Workspace`] for batches of up to `width` RHS.
     pub fn workspace_batch(&self, width: usize) -> Workspace {
-        Workspace::for_plan_batch(self, width)
+        assert!(width >= 1, "batch width must be at least 1");
+        Workspace { width, y: vec![0.0; self.arena_slots() * width + ALIGN_SLACK] }
     }
 
     /// Executes one SpMV: `y = A·x`, sequentially, through `ws`.
@@ -249,8 +237,8 @@ impl CompiledPlan {
     /// `iters` chained applications: `y = A^iters · x` (power-iteration
     /// shape, no normalization). Requires a square plan for `iters > 1`.
     ///
-    /// The workspace's carrier buffer ferries the emitted vector
-    /// between iterations; zero allocation beyond the workspace.
+    /// `y` itself ferries the iterate: every iteration emits into it
+    /// and the next one reads it as its input; zero allocation.
     pub fn execute_iters(&self, ws: &mut Workspace, x: &[f64], y: &mut [f64], iters: usize) {
         self.execute_batch_iters(ws, x, y, 1, iters);
     }
@@ -282,35 +270,33 @@ impl CompiledPlan {
         iters: usize,
         obs: Option<&ExecTelemetry>,
     ) {
-        self.check_batch(ws, x, y, r, iters);
-        let t = span_start(obs);
-        walk(self, &mut InPlace { ws, x, y }, r, iters, obs);
-        call_end(obs, t, iters);
-    }
-
-    fn check_batch(&self, ws: &Workspace, x: &[f64], y: &[f64], r: usize, iters: usize) {
         assert!(iters >= 1, "at least one iteration");
         assert!(r >= 1, "batch width must be at least 1");
         assert_eq!(x.len(), self.ncols * r, "input length mismatch");
         assert_eq!(y.len(), self.nrows * r, "output length mismatch");
-        assert_eq!(ws.x.len(), self.k, "workspace belongs to a different plan");
-        debug_assert!(
-            self.ranks.iter().zip(&ws.x).all(|(rp, x)| x.len() == rp.nx * ws.width),
+        assert_eq!(
+            ws.y.len(),
+            self.arena_slots() * ws.width + ALIGN_SLACK,
             "workspace belongs to a different plan"
         );
         assert!(ws.width >= r, "workspace width {} cannot hold a batch of {r}", ws.width);
         if iters > 1 {
             assert_eq!(self.nrows, self.ncols, "chained SpMV needs a square plan");
         }
+        let t = span_start(obs);
+        let pad = align_pad(ws.y.as_ptr());
+        let arena = &mut ws.y[pad..pad + self.arena_slots() * r];
+        walk(self, &mut InPlace { plan: self, arena, x, y, r }, r, iters, obs);
+        call_end(obs, t, iters);
     }
 }
 
 /// Runs `iters` chained iterations of `plan` at batch width `r` as the
 /// participant `t`. Monomorphizes the common widths, with telemetry off
 /// and on: `phase_walk` is `inline(always)` all the way down, so a
-/// constant `r` const-folds the `0..r` block loops in seeding, staging
-/// and the emit into straight-line code (at r = 1, exactly a scalar
-/// executor), and a constant `None` folds every span away.
+/// constant `r` const-folds the `0..r` block loops in the fold and the
+/// emit into straight-line code (at r = 1, exactly a scalar executor),
+/// and a constant `None` folds every span away.
 pub(crate) fn walk<T: Transport>(
     plan: &CompiledPlan,
     t: &mut T,
@@ -342,12 +328,15 @@ fn walk_fixed<T: Transport, const R: usize>(
 }
 
 /// The one phase-walk body: participant `t`'s share of `iters` chained
-/// iterations. Within a communication phase all sends stage (and
-/// drain) before any receive applies — the simultaneous-exchange
-/// semantics — and every handoff between participants crosses
-/// `t.sync`: seed → compute (chunks read `x` and write `y` other
-/// participants seeded), compute → stage, stage → apply, apply → the
-/// next writer of the staging buffer, emit → re-seed.
+/// iterations. Every handoff between participants crosses `t.sync`:
+/// clear → compute (chunks write `y` blocks other participants cleared,
+/// and from the second iteration on read the `x` others just emitted),
+/// compute → whatever reads or rewrites those rows next (a fold, the
+/// next compute phase's chunks, the emit), and fold → the next writer of
+/// a producer's block. A communication step in which no rank folds has
+/// no work and no barrier. A fold reads slots no participant writes
+/// during that step (see `compile.rs`), so only the order within a
+/// receiver matters: the compiled `recvs` order.
 // manual_memcpy: the `0..r` element loops are deliberate — `r` is
 // const-folded by the `walk_fixed::<R>` instantiations, while
 // `copy_from_slice` on a runtime-length region lowers to a per-call
@@ -362,29 +351,20 @@ fn phase_walk<T: Transport>(
     obs: Option<&ExecTelemetry>,
 ) {
     let my = t.ranks();
-    let num_phases = plan.ranks.first().map_or(0, |rp| rp.steps.len());
     for it in 0..iters {
         for rk in my.clone() {
             let ts = span_start(obs);
-            let rp = &plan.ranks[rk];
-            let (src, x, y) = t.seed(rk, it == 0);
-            for &(g, slot) in &rp.x_seed {
-                let (s, d) = (g as usize * r, slot as usize * r);
-                for q in 0..r {
-                    x[d + q] = src[s + q];
-                }
-            }
-            y[..rp.ny * r].fill(0.0);
+            t.own(rk).0.fill(0.0);
             span_end(obs, rk, Phase::Gather, ts);
         }
         if t.sync(obs) {
             return;
         }
-        for p in 0..num_phases {
+        for (p, &folds_here) in plan.fold_steps.iter().enumerate() {
             // Step kinds agree across ranks at a phase index.
             if matches!(plan.ranks[my.start].steps[p], RankStep::Compute(_)) {
                 let mut i = 0;
-                while let Some((rk, units, x, y)) = t.chunk(p, i) {
+                while let Some((rk, units, x, y)) = t.chunk(p, i, it == 0) {
                     let ts = span_start(obs);
                     if let RankStep::Compute(kernel) = &plan.ranks[rk].steps[p] {
                         kernel.run_batch_range(x, y, r, units.start, units.end.min(kernel.units()));
@@ -392,48 +372,34 @@ fn phase_walk<T: Transport>(
                     span_end(obs, rk, Phase::Compute, ts);
                     i += 1;
                 }
-                if t.sync(obs) {
-                    return;
-                }
-                continue;
-            }
-            for rk in my.clone() {
-                if let RankStep::Comm { phase, sends, .. } = &plan.ranks[rk].steps[p] {
-                    let ts = span_start(obs);
-                    let (x, y, mut staging) = t.comm(rk, *phase as usize);
-                    for m in sends {
-                        let region = staging.region_mut(m.offset as usize * r, m.words() * r);
-                        stage_send(m, x, y, region, r);
+            } else if folds_here {
+                for rk in my.clone() {
+                    let RankStep::Comm { folds, .. } = &plan.ranks[rk].steps[p] else { continue };
+                    if folds.is_empty() {
+                        continue;
                     }
-                    span_end(obs, rk, Phase::Gather, ts);
-                }
-            }
-            if t.sync(obs) {
-                return;
-            }
-            for rk in my.clone() {
-                if let RankStep::Comm { phase, recvs, .. } = &plan.ranks[rk].steps[p] {
                     let ts = span_start(obs);
-                    let (x, y, mut staging) = t.comm(rk, *phase as usize);
-                    for m in recvs {
-                        let region = staging.region_mut(m.offset as usize * r, m.words() * r);
-                        apply_recv(m, x, y, region, r);
+                    let mut y = t.arena();
+                    for &(src, dst) in folds {
+                        y.fold(dst as usize * r, src as usize * r, r);
                     }
                     span_end(obs, rk, Phase::Scatter, ts);
                 }
+            } else {
+                continue;
             }
             if t.sync(obs) {
                 return;
             }
         }
-        // Owned rows that materialize copy out of `y`; owned rows that
-        // never do are written as 0.0 at this job's stride (a previous
-        // job of another width may have left stale words there).
-        let last = it + 1 == iters;
+        // Owned rows that end the walk live copy out of `y`; owned rows
+        // that do not are written as 0.0 at this job's stride, so the
+        // caller's block is fully overwritten (and is a whole input for
+        // the next chained iteration).
         for rk in my.clone() {
             let ts = span_start(obs);
             let rp = &plan.ranks[rk];
-            let (y, mut out) = t.emit(rk, last);
+            let (y, mut out) = t.own(rk);
             for &(g, slot) in &rp.y_emit {
                 let (row, s) = (out.region_mut(g as usize * r, r), slot as usize * r);
                 for q in 0..r {
@@ -448,55 +414,6 @@ fn phase_walk<T: Transport>(
                 o.bump_iter(rk, r);
             }
         }
-        if !last && t.sync(obs) {
-            return;
-        }
-    }
-}
-
-/// Copies a send's `x` gather and `y` drain into `region`, the
-/// message's own staging region or payload (`r` consecutive words per
-/// listed slot).
-#[allow(clippy::manual_memcpy)] // see `phase_walk`
-#[inline(always)]
-pub(crate) fn stage_send(m: &CompiledMsg, x: &[f64], y: &mut [f64], region: &mut [f64], r: usize) {
-    let mut w = 0;
-    for &slot in &m.x_idx {
-        let s = slot as usize * r;
-        for q in 0..r {
-            region[w + q] = x[s + q];
-        }
-        w += r;
-    }
-    for &slot in &m.y_idx {
-        let s = slot as usize * r;
-        for q in 0..r {
-            region[w + q] = y[s + q];
-            y[s + q] = 0.0; // moved, not copied
-        }
-        w += r;
-    }
-}
-
-/// Applies a receive's `region` (see [`stage_send`]): overwrite `x`,
-/// accumulate `y`.
-#[allow(clippy::manual_memcpy)] // see `phase_walk`
-#[inline(always)]
-pub(crate) fn apply_recv(m: &CompiledMsg, x: &mut [f64], y: &mut [f64], region: &[f64], r: usize) {
-    let mut w = 0;
-    for &slot in &m.x_idx {
-        let s = slot as usize * r;
-        for q in 0..r {
-            x[s + q] = region[w + q];
-        }
-        w += r;
-    }
-    for &slot in &m.y_idx {
-        let s = slot as usize * r;
-        for q in 0..r {
-            y[s + q] += region[w + q];
-        }
-        w += r;
     }
 }
 
@@ -613,9 +530,9 @@ pub(crate) mod tests {
     #[test]
     fn mixed_width_jobs_do_not_leak_stale_words() {
         // Row 1 is empty (never materialized, `y_zero`) and column 1
-        // feeds row 2: a chained job re-seeds x1 from a carrier word
-        // the emit must have zeroed at *this* job's stride — a wider
-        // earlier job left row 0's words there.
+        // feeds row 2: a chained job reads x1 from the word of `y` the
+        // emit must have zeroed at *this* job's stride — `y` arrives
+        // full of 9.0.
         use crate::pool::{ParallelEngine, PoolOptions};
         use s2d_core::partition::SpmvPartition;
         use s2d_sparse::Coo;

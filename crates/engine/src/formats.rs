@@ -25,10 +25,10 @@
 //!   slice pays per-row loop-control overhead.
 //! * [`DenseSplitKernel`] ([`KernelFormat::DenseRowSplit`]) — for the
 //!   heavy split rows semi-2D produces: maximal runs of *consecutive*
-//!   local column slots become dense spans (`y[i] += vals·x[c0..c0+len]`
-//!   with no index loads at all), the rest stays indexed. After the
-//!   compiler's dense renumbering, a split dense row's footprint is
-//!   exactly such a run.
+//!   (global) columns become dense spans (`y[i] += vals·x[c0..c0+len]`
+//!   with no index loads at all), the rest stays indexed: the shape of
+//!   a split dense row's share on a rank that got a contiguous column
+//!   range.
 //!
 //! [`KernelFormat::Auto`] picks per kernel from row-length statistics
 //! ([`KernelStats`]) gathered at compile time.
@@ -406,11 +406,11 @@ impl Kernel {
         }
     }
 
-    /// Runs the kernel over row-major multi-vector blocks: local slot
-    /// `s` of an `r`-wide batch occupies `buf[s*r .. (s+1)*r]`, one
-    /// word per right-hand side. `r ∈ {1, 2, 4, 8}` dispatch to
-    /// fixed-width specializations; other widths take a strided
-    /// fallback.
+    /// Runs the kernel over row-major multi-vector blocks (`x` the home
+    /// space, `y` the rank's block): index `s` of an `r`-wide batch
+    /// occupies `buf[s*r .. (s+1)*r]`, one word per right-hand side.
+    /// `r ∈ {1, 2, 4, 8}` dispatch to fixed-width specializations;
+    /// other widths take a strided fallback.
     #[inline]
     pub fn run_batch(&self, x: &[f64], y: &mut [f64], r: usize) {
         match self {
@@ -478,9 +478,10 @@ impl Kernel {
     }
 
     /// Checks the structural invariants execution relies on against the
-    /// rank's local footprint (`nx` x-slots, `ny` y-slots). Used by the
-    /// worker pool, whose shared-buffer execution must reject hand-built
-    /// plans before any thread runs.
+    /// footprint it runs over (an `x` home space of `nx` columns, a `y`
+    /// block of `ny` slots). Used by the worker pool, whose
+    /// shared-buffer execution must reject hand-built plans before any
+    /// thread runs.
     pub fn validate(&self, nx: usize, ny: usize) -> Result<(), String> {
         match self {
             Kernel::Csr(k) => k.validate(nx, ny),
@@ -490,7 +491,7 @@ impl Kernel {
     }
 }
 
-/// A compute phase lowered to a CSR slice over local indices.
+/// A compute phase lowered to a CSR slice: home columns, local rows.
 ///
 /// `rows` holds run-length grouped local `y` slots: segment `s` of
 /// `cols`/`vals` (bounded by `row_ptr[s]..row_ptr[s + 1]`) accumulates
@@ -504,7 +505,7 @@ pub struct CsrKernel {
     pub row_ptr: Vec<u32>,
     /// Local `y` slot per segment.
     pub rows: Vec<u32>,
-    /// Local `x` slot per multiply-add.
+    /// `x` home (global column) per multiply-add.
     pub cols: Vec<u32>,
     /// Matrix value per multiply-add.
     pub vals: Vec<f64>,
@@ -677,7 +678,7 @@ pub struct SellKernel {
     pub(crate) chunk_ptr: Vec<u32>,
     /// Local `y` slot per lane (`nchunks × C`; [`NO_LANE`] = padding).
     pub(crate) rows: Vec<u32>,
-    /// Local `x` slot per stored entry (incl. padding entries).
+    /// `x` home per stored entry (incl. padding entries).
     pub(crate) cols: Vec<u32>,
     /// Value per stored entry (0.0 on padding entries).
     pub(crate) vals: Vec<f64>,
@@ -734,8 +735,8 @@ impl SellKernel {
                     vals[base + e * c + l] = if e < len { csr.vals[src] } else { 0.0 };
                 }
             }
-            // Whole padding lanes: col 0 is always a valid slot for a
-            // nonempty kernel; the accumulator is discarded.
+            // Whole padding lanes: col 0 is always inside a nonempty
+            // kernel's home space; the accumulator is discarded.
             rows.resize(rows.len() + (c - chunk.len()), NO_LANE);
             chunk_ptr.push(vals.len() as u32);
         }
@@ -939,7 +940,7 @@ pub struct DenseSplitKernel {
     /// Per span: first local column of a dense run, or [`NO_LANE`] for
     /// an indexed span.
     pub(crate) span_col0: Vec<u32>,
-    /// Local `x` slot per entry (used by indexed spans; kept for all
+    /// `x` home per entry (used by indexed spans; kept for all
     /// entries so validation and debugging see the full pattern).
     pub(crate) cols: Vec<u32>,
     /// Value per entry, in original task order.

@@ -9,7 +9,12 @@
 //! flat, cache-friendly arrays. One compiled program per rank
 //! ([`RankProgram`]), executed by one phase-walk body under two
 //! transports (in place, worker pool) plus the endpoint walker — rather
-//! than one executor per schedule.
+//! than one executor per schedule, and one lowering rather than one per
+//! transport: every `x_j` has a single home (its global column) that
+//! every kernel indexes, every partial sum a slot in one `y` arena.
+//! Ranks that share memory move no expand word and fold by reading the
+//! producer's slot; the endpoint walker runs the same kernels over a
+//! private image of the home space that real payloads fill in.
 //!
 //! The pipeline:
 //!
@@ -19,27 +24,28 @@
 //!                     ┌────────────────────┴──────────────────┐
 //!           the phase-walk body (exec)               RankProgram::spmv_over
 //!            ┌────────┴──────────┐                  (s2d-runtime endpoints, one
-//!   in-place transport     pool transport            rank per thread / SPMD solver)
-//!   (Workspace + execute:  (ParallelEngine: persistent
+//!   in-place transport     pool transport            rank per thread / SPMD solver;
+//!   (Workspace + execute:  (ParallelEngine: persistent   private x image, payloads)
 //!    one thread, no sync)   workers, phase barriers)
 //! ```
 //!
-//! * [`compile`] — renumbers every rank's `x`/`y` footprint into dense
-//!   local indices, lowers compute phases to format-pluggable kernels
-//!   and messages to gather/scatter index lists with staging offsets;
+//! * [`compile`] — lowers compute phases to format-pluggable kernels
+//!   over the `x` homes and the rank's block of the `y` arena, and
+//!   communication phases to flat message tables plus per-receiver fold
+//!   lists — still checking that each rank was *sent* what it reads;
 //! * [`formats`] — the kernel storage formats ([`KernelFormat`]):
 //!   CSR slices, SELL-C-σ sorted chunks, dense-span splits, and the
 //!   per-kernel `auto` selection policy;
 //! * [`exec`] — the phase-walk body, its transport seam, and the
-//!   in-place transport over a reusable [`Workspace`];
+//!   in-place transport over a reusable [`Workspace`] (the `y` arena);
 //! * [`pool`] — the [`ParallelEngine`]: the calling thread plus
 //!   long-lived, park-when-idle workers, each running the same body
-//!   over shared buffers, `execute_iters(n)` for solver loops with zero
-//!   per-iteration allocation;
+//!   over the shared arena, `execute_iters(n)` for solver loops with
+//!   zero per-iteration allocation;
 //! * [`threaded`] — the endpoint walker ([`RankProgram::spmv_over`])
 //!   and [`EndpointOperator`], which runs it on one OS thread per rank.
 //!
-//! Body and endpoint walker apply a communication phase's receives in
+//! Body and endpoint walker fold a communication phase's partials in
 //! the compiled `recvs` order, so on one compiled plan all drivers
 //! agree bitwise — whatever the thread count, delivery order or batch
 //! width.
@@ -64,10 +70,9 @@
 //!   that one entry-major loop walks with a uniform trip count; wins
 //!   on many short irregular rows (graph matrices), loses when padding
 //!   fill gets large.
-//! * [`KernelFormat::DenseRowSplit`] — turns runs of consecutive local
-//!   columns into index-free dense spans; right for the heavy split
-//!   rows semi-2D partitions produce (after dense renumbering a split
-//!   dense row is exactly such a run).
+//! * [`KernelFormat::DenseRowSplit`] — turns runs of consecutive
+//!   columns into index-free dense spans; right for heavy split rows
+//!   whose share on a rank is a contiguous column range.
 //! * [`KernelFormat::Auto`] — per rank × phase choice from compile-time
 //!   row-length statistics ([`KernelStats`]); use it unless you are
 //!   pinning a format for comparison.
@@ -90,14 +95,13 @@
 //!
 //! * global vectors: index `g`, column `q` at `x[g*r + q]` — an `n × r`
 //!   block, never `r` separate vectors;
-//! * rank-local buffers: local slot `s` occupies `buf[s*r .. (s+1)*r]`;
-//! * message staging: each [`CompiledMsg`]'s region scales from `len`
-//!   to `len × r` words (region start `offset * r`), so a communication
-//!   phase still performs one staged copy per message — the payload is
-//!   just `r` times wider.
+//! * the `y` arena: slot `s` occupies `y[s*r .. (s+1)*r]`, so a rank's
+//!   block starts at `y_off × r`;
+//! * message payloads (endpoint walker): each [`CompiledMsg`] scales
+//!   from `len` to `len × r` words — one message, `r` times wider.
 //!
 //! One batched iteration therefore walks the matrix values and the
-//! gather/scatter index lists **once** for all `r` columns, reusing
+//! fold lists **once** for all `r` columns, reusing
 //! each fetched `A` entry `r` times against `r` contiguous `x` words —
 //! the register/cache-blocking lever of the OSKI line. The fixed-width
 //! inner loops (`r ∈ {1, 2, 4, 8}` specializations in

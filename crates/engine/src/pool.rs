@@ -11,7 +11,7 @@
 //! job descriptor, publishes a job epoch, and every participant —
 //! itself included — runs the one phase-walk body (`crate::exec`) as a
 //! `PoolWorker` transport: its rank range, its baked chunk bucket,
-//! range views over the shared buffers and over the job's own `x` and
+//! range views over the shared `y` arena and over the job's own `x` and
 //! `y`, and a sense-reversing barrier at every handoff the body marks.
 //!
 //! # Job hand-off
@@ -42,63 +42,68 @@
 //!
 //! # Sharing discipline (why the `unsafe` here is sound)
 //!
-//! All mutable state is reached through `ShBuf` — `UnsafeCell` words
-//! behind bounds-checked views — in four kinds of view, built in
-//! `PoolWorker` (and, while no job runs, by the first touch each
-//! participant gives its own ranks' buffers before it first arrives at
-//! a barrier). Each rests on a spatial invariant (who may touch the
-//! range; the named `validate_for_pool` check enforces it) and a
-//! temporal one (which barrier, or the counted completion, orders the
-//! handoff):
+//! The `x` home space is the job's input (its output from the second
+//! chained iteration on) and is only read while kernels run; every
+//! partial sum lives in **one `y` arena**, rank `q`'s block being words
+//! `y_off(q) × r .. (y_off(q) + ny(q)) × r`. All mutable state is
+//! reached through `ShBuf` — `UnsafeCell` words behind bounds-checked
+//! views — in three kinds of view, built in `PoolWorker` (and, while no
+//! job runs, by the first touch each participant gives its own ranks'
+//! blocks before it first arrives at a barrier). Each rests on a
+//! spatial invariant (who may touch the range; the quoted
+//! `validate_for_pool` check enforces it) and a temporal one (which
+//! barrier, or the counted completion, orders the handoff):
 //!
-//! 1. **Range views of a rank's own `x` / `y`** (`region_mut` over the
-//!    first `nx × r` / `ny × r` words) while seeding, staging, applying
-//!    and emitting. Spatial: those steps stay with the participant that
-//!    owns the rank (`assign` is a partition of the ranks). Temporal:
-//!    the barriers on either side of every compute phase separate them
-//!    from the chunks other participants run on the same buffers.
-//! 2. **Range views of a shared buffer**: a message's staging region
-//!    (`region_mut`, for its one sender while staging and its one
-//!    receiver while applying), the chained-iteration carrier `global`
-//!    row by row (`region_mut` for the owner of the row), the whole
-//!    carrier and a rank's `x` read-only (`region`) while re-seeding
-//!    resp. computing. Spatial: send regions are pairwise disjoint, so
-//!    are receive regions ("overlapping staging regions"), and emitted
-//!    rows are owned by the emitting rank ("y_emit … not owned",
-//!    "y_zero … not owned"), hence disjoint across participants.
-//!    Temporal: stage → apply, apply → next stage into the same buffer,
-//!    emit → re-seed and seed → compute each cross a barrier, so a
-//!    range is never written while another view of it is live.
-//! 3. **The one aliased view**: a compute chunk's `y`
-//!    (`as_mut_slice`, whole buffer), held by every participant running
-//!    a chunk of that rank. It cannot be a range — a chunk writes the
-//!    *row slots* of its units, not a contiguous run. Spatial: the
-//!    schedule only splits [`Kernel::splittable`](crate::Kernel::splittable)
-//!    kernels, whose units never share a row, so per element the view
-//!    is uniquely live. Temporal: barriers before and after the phase.
-//! 4. **The job's own vectors**, rebuilt by every participant from the
-//!    raw pointers in the job descriptor: the caller's `x` read-only
-//!    (a plain slice) and the caller's `y` as a borrowed `ShBuf`, into
-//!    which the job's *final* iteration emits directly, row by row —
-//!    there is no gathered copy to hand back afterwards. Spatial: `x`
-//!    is never written; `y` is written only at emitted rows (`y_emit` ∪
-//!    `y_zero`), owned and hence disjoint across participants (the same
-//!    `validate_for_pool` checks as kind 2), and the lengths the views
-//!    are built with are the ones `execute_batch_iters` asserted.
-//!    Temporal: the **counted completion** — the caller neither returns
-//!    nor unwinds out of `execute_batch_iters` before every worker has
-//!    left the job, so both borrows outlive every view derived from
-//!    them, and the caller does not touch `y` itself in between.
+//! 1. **Range views of the arena** (`region` / `region_mut`): a rank's
+//!    own block while clearing and emitting; during a fold single
+//!    slots, an own one exclusively and a *producer's* read-only.
+//!    Spatial: those steps stay with the participant that owns the rank
+//!    (`assign` is a partition of the ranks); blocks are disjoint ("y
+//!    blocks overlap"); a fold writes only inside the own block ("fold
+//!    destination outside the own block"), reads only outside it ("fold
+//!    source inside the own block"), and never reads a slot anyone
+//!    writes in that step ("a fold source is a destination of the same
+//!    step" — the compiler opens a fresh slot for a partial that
+//!    arrives for a row drained in the same step, so nothing needs
+//!    staging). Temporal: the barrier after every compute phase orders
+//!    the chunks that produced a partial before the fold that reads it,
+//!    the barrier after every fold step orders that read before the
+//!    block's next writer. A step in which no rank folds (all expand)
+//!    touches nothing and has no barrier; "fold_steps disagrees" keeps
+//!    every participant's barrier count the same.
+//! 2. **The one aliased view**: a compute chunk's `y` (`chunk_mut`, its
+//!    rank's block), held by every participant running a chunk of that
+//!    rank. It cannot be narrower — a chunk writes the *row slots* of
+//!    its units, not a contiguous run. Spatial: the schedule only
+//!    splits [`Kernel::splittable`](crate::Kernel::splittable) kernels,
+//!    whose units never share a row, so per element the view is
+//!    uniquely live; columns lie inside the home space and row slots
+//!    inside the block (`Kernel::validate`). Temporal: barriers before
+//!    and after the phase.
+//! 3. **The job's own vectors**, rebuilt by every participant from the
+//!    raw pointers in the job descriptor: the caller's `x` read-only (a
+//!    plain slice) and the caller's `y` as a borrowed `ShBuf`, into
+//!    which **every** iteration emits row by row and which the next
+//!    chained iteration's kernels read whole — no carrier, no gathered
+//!    copy to hand back. Spatial: `x` is never written; `y` is written
+//!    only at emitted rows (`y_emit` ∪ `y_zero`), owned ("… not owned")
+//!    and hence disjoint across participants; the view lengths are the
+//!    ones `execute_batch_iters` asserted. Temporal: an iteration's
+//!    kernels finish a barrier before its emit; the barrier after the
+//!    next clear orders the emit before the kernels that read it; and
+//!    the **counted completion** — the caller neither returns nor
+//!    unwinds out of `execute_batch_iters` before every worker has left
+//!    the job, so both borrows outlive every view derived from them,
+//!    and the caller does not touch `y` itself in between.
 //!
 //! Every barrier and the completion count are release/acquire, so there
 //! is no unsynchronized cross-thread access to the same element. View
 //! bounds are checked on construction (a corrupt offset panics, it
 //! cannot reach out of bounds). The compiler produces plans with the
-//! spatial shape above, and because every `CompiledPlan` field is
-//! public (the endpoint walker's callers consume the per-rank programs
-//! directly), [`ParallelEngine::with_options`] re-validates it instead
-//! of trusting the caller — a hand-built plan that overlaps send
-//! regions or emits a row it does not own is rejected before any thread
+//! spatial shape above, and because the `CompiledPlan` fields are
+//! public, [`ParallelEngine::with_options`] re-validates it instead of
+//! trusting the caller — a hand-built plan that folds from its own
+//! block or emits a row it does not own is rejected before any thread
 //! runs. If a participant panics — a worker or the caller's own share —
 //! the engine is *poisoned*: every barrier wait bails out immediately,
 //! no further shared-buffer access happens, each participant still
@@ -124,11 +129,11 @@
 //!
 //! # NUMA placement
 //!
-//! Buffers are allocated zeroed (untouched pages) and each participant
-//! **first-touches** the `x`/`y` buffers of the ranks it owns before
-//! its first job (the caller's at construction, on the constructing
-//! thread), so on a first-touch NUMA system the pages land on the node
-//! of the thread that seeds, stages and emits them. Optional core
+//! The arena is allocated zeroed (untouched pages) and each participant
+//! **first-touches** its ranks' blocks (as laid out at full width)
+//! before its first job (the caller's at construction, on the
+//! constructing thread), so on a first-touch NUMA system the pages land
+//! on the node of the thread that clears, folds and emits them. Optional core
 //! pinning (`PoolOptions::pin`, CLI `pool:N@pin`) binds spawned worker
 //! `w ≥ 1` to CPU `w` via `sched_setaffinity` on Linux (a no-op
 //! elsewhere), keeping those pages node-local for the pool's lifetime;
@@ -143,13 +148,13 @@ use std::thread::JoinHandle;
 use s2d_obs::{Phase, TelemetrySink};
 
 use crate::compile::{CompiledPlan, RankStep};
-use crate::exec::{walk, Region, Transport};
+use crate::exec::{align_pad, walk, Region, Transport, ALIGN_SLACK};
 use crate::formats::KernelFormat;
 use crate::telemetry::{call_end, span_end, span_start, ExecTelemetry};
 
 /// Flat `f64` words shareable across participants, reached only through
 /// range views (see the module docs for the access discipline that
-/// makes them sound). Owned as `Box<ShBuf>` (the engine's buffers) or
+/// makes them sound). Owned as `Box<ShBuf>` (the engine's `y` arena) or
 /// borrowed over a caller's slice for the length of a job. View bounds
 /// are always checked, so a corrupt offset panics safely instead of
 /// reaching out of bounds.
@@ -174,7 +179,7 @@ impl ShBuf {
         unsafe { Box::from_raw(raw as *mut ShBuf) }
     }
 
-    /// Borrowed view of `len` caller-owned words at `ptr` (view kind 4).
+    /// Borrowed view of `len` caller-owned words at `ptr` (view kind 3).
     ///
     /// # Safety
     /// The words must be valid for reads and writes for `'a`, and for
@@ -208,9 +213,10 @@ impl ShBuf {
         unsafe { std::slice::from_raw_parts_mut(cells.as_ptr() as *mut f64, len) }
     }
 
-    /// Whole-buffer view for a compute chunk's `y`, the one view that
-    /// is *aliased*: chunks of one rank run on several participants at
-    /// once.
+    /// View of words `lo..lo + len` for a compute chunk's `y` (its
+    /// rank's block), the one view that is *aliased*: chunks of one rank
+    /// run on several participants at once. Panics when the range
+    /// leaves the buffer.
     ///
     /// # Safety
     /// For every element the returned slice is actually used to access,
@@ -221,8 +227,9 @@ impl ShBuf {
     /// every cross-thread handoff.
     #[inline]
     #[allow(clippy::mut_from_ref)]
-    unsafe fn as_mut_slice(&self) -> &mut [f64] {
-        std::slice::from_raw_parts_mut(self.0.as_ptr() as *mut f64, self.0.len())
+    unsafe fn chunk_mut(&self, lo: usize, len: usize) -> &mut [f64] {
+        let cells = &self.0[lo..lo + len];
+        std::slice::from_raw_parts_mut(cells.as_ptr() as *mut f64, len)
     }
 }
 
@@ -611,18 +618,14 @@ fn pin_to_core(_core: usize) {}
 /// State shared between the caller and the spawned workers.
 struct Shared {
     plan: Arc<CompiledPlan>,
-    /// Batch capacity the shared buffers were sized for.
+    /// Batch capacity the arena was sized for.
     width: usize,
-    /// Per-rank local vectors (`nx × width` / `ny × width` words).
-    x: Vec<Box<ShBuf>>,
-    y: Vec<Box<ShBuf>>,
-    /// Per-communication-phase staging buffers (`words × width`).
-    staging: Vec<Box<ShBuf>>,
-    /// The chained-iteration carrier: every iteration but a job's last
-    /// emits into it, the next one re-seeds from it.
-    global: Box<ShBuf>,
-    /// Contiguous rank range per participant (ownership: seeding,
-    /// staging, emitting).
+    /// The `y` arena: `arena_slots × width` words from word `pad` (a
+    /// cache-line boundary) on, in [`ALIGN_SLACK`] more.
+    y: Box<ShBuf>,
+    pad: usize,
+    /// Contiguous rank range per participant (ownership: clearing,
+    /// folding, emitting).
     assign: Vec<Range<usize>>,
     /// Baked chunk→worker compute map (its `planned` loads are also
     /// the achieved ones — the map is fixed).
@@ -657,28 +660,26 @@ pub struct ParallelEngine {
 }
 
 /// Checks the structural invariants the worker pool's unsafe sharing
-/// relies on (every field of [`CompiledPlan`] is public, so the plan
-/// cannot be trusted to come from the compiler).
+/// relies on (every field of [`CompiledPlan`] a walker reads is public,
+/// so the plan cannot be trusted to come from the compiler): the
+/// interval arithmetic behind the module's views.
 ///
 /// # Panics
 /// Panics with a description of the violated invariant.
 fn validate_for_pool(plan: &CompiledPlan) {
-    let num_phases = plan.ranks.first().map_or(0, |rp| rp.steps.len());
+    let num_phases = plan.fold_steps.len();
     assert_eq!(plan.y_part.len(), plan.nrows, "y_part length mismatch");
-    // Per comm phase: the regions its sends write, the regions its
-    // receives read.
-    let mut regions: Vec<[Vec<(u32, u32)>; 2]> = vec![Default::default(); plan.staging_words.len()];
+    // Blocks lie in rank order, so the arena ends after the last one.
+    let mut end = 0;
     for (r, rp) in plan.ranks.iter().enumerate() {
         assert_eq!(rp.steps.len(), num_phases, "rank {r}: misaligned step count");
-        // Seeds index the job's input block and the rank's x view.
-        assert!(
-            rp.x_seed.iter().all(|&(g, s)| (g as usize) < plan.ncols && (s as usize) < rp.nx),
-            "rank {r}: x_seed entry out of range"
-        );
+        assert!(rp.y_off >= end, "rank {r}: y blocks overlap");
+        end = rp.y_off + rp.ny;
+        let own = rp.y_off..end;
         // Ownership (y_part is a function of the row) makes emitted
         // rows (y_emit and y_zero) pairwise disjoint across ranks — two
-        // participants writing the same element of the carrier or of
-        // the job's `y` concurrently would be a data race.
+        // participants writing the same element of the job's `y`
+        // concurrently would be a data race.
         assert!(
             rp.y_emit.iter().all(|&(g, s)| {
                 (g as usize) < plan.nrows
@@ -692,66 +693,54 @@ fn validate_for_pool(plan: &CompiledPlan) {
             "rank {r}: y_zero row out of range or not owned"
         );
         for (p, step) in rp.steps.iter().enumerate() {
+            // Workers read the step kind from their first rank only.
+            assert!(
+                matches!(step, RankStep::Compute(_))
+                    == matches!(plan.ranks[0].steps[p], RankStep::Compute(_)),
+                "phase {p}: step kinds disagree across ranks"
+            );
             match step {
                 RankStep::Compute(kernel) => {
-                    // Per-format structural checks (array shapes, slot
-                    // ranges, chunk/span bounds) — see Kernel::validate.
-                    if let Err(e) = kernel.validate(rp.nx, rp.ny) {
+                    // Per-format structural checks (array shapes,
+                    // columns inside the x home space, row slots inside
+                    // the block) — see Kernel::validate.
+                    if let Err(e) = kernel.validate(plan.ncols, rp.ny) {
                         panic!("rank {r} phase {p}: {e}");
                     }
                 }
-                RankStep::Comm { phase, sends, recvs } => {
-                    let ph = *phase as usize;
-                    assert!(ph < plan.staging_words.len(), "rank {r} phase {p}: bad comm ordinal");
-                    let limit = plan.staging_words[ph] as u32;
-                    for m in sends.iter().chain(recvs) {
+                RankStep::Comm { folds, .. } => {
+                    for &(src, dst) in folds {
                         assert!(
-                            m.x_idx.iter().all(|&s| (s as usize) < rp.nx)
-                                && m.y_idx.iter().all(|&s| (s as usize) < rp.ny),
-                            "rank {r} phase {p}: message slot out of range"
+                            own.contains(&(dst as usize)),
+                            "rank {r} phase {p}: fold destination outside the own block"
                         );
                         assert!(
-                            m.offset.checked_add(m.words() as u32).is_some_and(|end| end <= limit),
-                            "rank {r} phase {p}: staging region out of bounds"
+                            !own.contains(&(src as usize)) && (src as usize) < plan.arena_slots(),
+                            "rank {r} phase {p}: fold source inside the own block or past the arena"
                         );
-                    }
-                    for (side, msgs) in [sends, recvs].into_iter().enumerate() {
-                        regions[ph][side].extend(msgs.iter().map(|m| (m.offset, m.words() as u32)));
                     }
                 }
             }
         }
     }
-    // Kind/ordinal agreement across ranks per phase index (workers read
-    // the step kind from their first rank only).
-    if let Some(first) = plan.ranks.first() {
-        for other in &plan.ranks[1..] {
-            for (p, (a, b)) in first.steps.iter().zip(&other.steps).enumerate() {
-                let agree = match (a, b) {
-                    (RankStep::Compute(_), RankStep::Compute(_)) => true,
-                    (RankStep::Comm { phase: pa, .. }, RankStep::Comm { phase: pb, .. }) => {
-                        pa == pb
-                    }
-                    _ => false,
-                };
-                assert!(agree, "phase {p}: step kinds disagree across ranks");
-            }
-        }
-    }
-    // Send regions must be pairwise disjoint, and so must receive
-    // regions — two workers would otherwise hold exclusive views of the
-    // same staging elements at once.
-    for (ph, sides) in regions.into_iter().enumerate() {
-        for mut side in sides {
-            side.sort_unstable();
-            for pair in side.windows(2) {
-                assert!(
-                    pair[0].0 + pair[0].1 <= pair[1].0,
-                    "comm phase {ph}: overlapping staging regions at offset {}",
-                    pair[1].0
-                );
-            }
-        }
+    // Per step: what one rank reads from a producer's block while
+    // folding, no rank writes; and every participant agrees on whether
+    // the step has a barrier at all.
+    let mut written = vec![false; plan.arena_slots()];
+    for (p, &folds_here) in plan.fold_steps.iter().enumerate() {
+        let folds = || {
+            plan.ranks.iter().flat_map(|rp| match &rp.steps[p] {
+                RankStep::Comm { folds, .. } => &folds[..],
+                RankStep::Compute(_) => &[],
+            })
+        };
+        folds().for_each(|&(_, dst)| written[dst as usize] = true);
+        assert!(
+            folds().all(|&(src, _)| !written[src as usize]),
+            "phase {p}: a fold source is a destination of the same step"
+        );
+        assert_eq!(folds_here, folds().next().is_some(), "phase {p}: fold_steps disagrees");
+        folds().for_each(|&(_, dst)| written[dst as usize] = false);
     }
 }
 
@@ -794,12 +783,11 @@ impl ParallelEngine {
             })
             .collect();
         let chunks = chunk_schedule(&plan, threads, opts.chunk_ops);
+        let y = ShBuf::new(plan.arena_slots() * width + ALIGN_SLACK);
         let shared = Arc::new(Shared {
             width,
-            x: plan.ranks.iter().map(|r| ShBuf::new(r.nx * width)).collect(),
-            y: plan.ranks.iter().map(|r| ShBuf::new(r.ny * width)).collect(),
-            staging: plan.staging_words.iter().map(|&w| ShBuf::new(w * width)).collect(),
-            global: ShBuf::new(plan.nrows * width),
+            pad: align_pad(y.0.as_ptr() as *const f64),
+            y,
             assign,
             chunks,
             pin,
@@ -877,7 +865,7 @@ impl ParallelEngine {
 
     /// `iters` chained applications: `y = A^iters · x` with one
     /// dispatch — participants stay hot across iterations, nothing
-    /// allocates, and the final iteration emits straight into `y`.
+    /// allocates, and `y` itself carries the iterate.
     ///
     /// # Panics
     /// Panics if a participant panicked (the engine is then poisoned
@@ -965,7 +953,7 @@ impl Drop for ParallelEngine {
 
 /// One participant's side of the [`Transport`] seam for one job at
 /// batch width `r`: its contiguous rank range, its baked chunk bucket,
-/// range views over the shared buffers and the job's vectors, and the
+/// range views over the shared arena and the job's vectors, and the
 /// phase barrier. Each view below names the module invariant it rests
 /// on.
 struct PoolWorker<'a> {
@@ -973,35 +961,47 @@ struct PoolWorker<'a> {
     w: usize,
     /// The job's input block (`ncols × r` words).
     x: &'a [f64],
-    /// The job's output block (`nrows × r` words), view kind 4.
+    /// The job's output block (`nrows × r` words), view kind 3.
     y: &'a ShBuf,
     r: usize,
 }
 
 impl PoolWorker<'_> {
-    /// Exclusive views of the first `nx × r` / `ny × r` words of owned
-    /// rank `rk`'s `x` / `y` (view kind 1). Spatial: outside compute
-    /// phases only the rank's owner touches them; temporal: a barrier separates every
-    /// such step from the compute phases around it.
+    /// Rank `rk`'s block in the arena buffer: first word and length.
     #[inline(always)]
-    fn local(&self, rk: usize) -> (&mut [f64], &mut [f64]) {
-        let (sh, rp) = (self.shared, &self.shared.plan.ranks[rk]);
-        (sh.x[rk].region_mut(0, rp.nx * self.r), sh.y[rk].region_mut(0, rp.ny * self.r))
+    fn block(&self, rk: usize) -> (usize, usize) {
+        let block = self.shared.plan.ranks[rk].block(self.r);
+        (self.shared.pad + block.start, block.len())
     }
 }
 
-/// The per-message / per-row views of a staging buffer or the carrier
-/// (kind 2 in the module docs) and of the job's `y` (kind 4).
-impl Region for &ShBuf {
+/// A shared buffer from word `base` on: the arena past its alignment
+/// pad (view kind 1), the job's `y` from 0 (kind 3).
+struct ShView<'a> {
+    buf: &'a ShBuf,
+    base: usize,
+}
+
+impl Region for ShView<'_> {
     #[inline(always)]
     fn region_mut(&mut self, lo: usize, len: usize) -> &mut [f64] {
-        ShBuf::region_mut(self, lo, len)
+        self.buf.region_mut(self.base + lo, len)
+    }
+
+    /// An own slot exclusively, a producer's slot read-only (disjoint:
+    /// validated), both while no one else writes either.
+    #[inline(always)]
+    fn fold(&mut self, dst: usize, src: usize, r: usize) {
+        let from = self.buf.region(self.base + src, r);
+        for (acc, w) in self.buf.region_mut(self.base + dst, r).iter_mut().zip(from) {
+            *acc += w;
+        }
     }
 }
 
 impl Transport for PoolWorker<'_> {
     type Buf<'a>
-        = &'a ShBuf
+        = ShView<'a>
     where
         Self: 'a;
 
@@ -1021,48 +1021,44 @@ impl Transport for PoolWorker<'_> {
     }
 
     #[inline(always)]
-    fn seed(&mut self, rk: usize, first: bool) -> (&[f64], &mut [f64], &mut [f64]) {
-        // The carrier is only read while re-seeding: the emit that
-        // wrote it and the next emit are both a barrier away.
-        let (sh, (x, y)) = (self.shared, self.local(rk));
-        (if first { self.x } else { sh.global.region(0, sh.plan.nrows * self.r) }, x, y)
-    }
-
-    #[inline(always)]
-    fn chunk(&mut self, p: usize, i: usize) -> Option<(usize, Range<usize>, &[f64], &mut [f64])> {
+    fn chunk(
+        &mut self,
+        p: usize,
+        i: usize,
+        first: bool,
+    ) -> Option<(usize, Range<usize>, &[f64], &mut [f64])> {
         let (sh, run) = (self.shared, self.shared.chunks.phases[p][self.w].get(i)?);
         let rk = run.rank as usize;
-        let x = sh.x[rk].region(0, sh.plan.ranks[rk].nx * self.r);
+        // The home space: nobody writes the job's `x`, and the job's
+        // `y` is written only by emits, a barrier away on either side.
+        let x = if first { self.x } else { self.y.region(0, sh.plan.ncols * self.r) };
+        let (lo, len) = self.block(rk);
         // SAFETY: a chunk reads and writes only the y row slots of its
         // own units, which are pairwise disjoint across the phase's
-        // chunks (only splittable kernels are split); x is read-only
-        // for the whole phase; and the barriers before and after the
-        // phase order every cross-worker handoff — so per element this
-        // view is uniquely live. Running through plain slices shares
-        // one kernel implementation (every KernelFormat) with the
-        // in-place transport.
-        let y = unsafe { sh.y[rk].as_mut_slice() };
+        // chunks (only splittable kernels are split); and the barriers
+        // before and after the phase order every cross-worker handoff —
+        // so per element this view is uniquely live. Running through
+        // plain slices shares one kernel implementation (every
+        // KernelFormat) with the in-place transport.
+        let y = unsafe { sh.y.chunk_mut(lo, len) };
         Some((rk, run.lo as usize..run.hi as usize, x, y))
     }
 
     #[inline(always)]
-    fn comm(&mut self, rk: usize, ph: usize) -> (&mut [f64], &mut [f64], &ShBuf) {
-        // A message's region is touched by its one sender while staging
-        // and its one receiver while applying (send regions and receive
-        // regions are each validated pairwise disjoint), a barrier
-        // apart.
-        let (x, y) = self.local(rk);
-        (x, y, &self.shared.staging[ph])
+    fn arena(&mut self) -> ShView<'_> {
+        ShView { buf: &self.shared.y, base: self.shared.pad }
     }
 
+    /// View kinds 1 and 3. The block: outside compute phases only the
+    /// rank's owner touches it, but for producers' slots read in a
+    /// fold, and a barrier separates every clear and emit from the
+    /// compute phases and folds around it. The job's `y`: emitted rows
+    /// are owned (validated), hence disjoint across participants, and
+    /// every kernel that read it as its `x` finished a barrier ago.
     #[inline(always)]
-    fn emit(&mut self, rk: usize, last: bool) -> (&[f64], &ShBuf) {
-        // Emitted rows are owned (validated), hence disjoint across
-        // participants. Into the carrier: the seed barrier ordered this
-        // iteration's reads of it before these writes. Into the job's
-        // `y` on the final iteration: nobody else touches it before the
-        // counted completion.
-        (self.local(rk).1, if last { self.y } else { &self.shared.global })
+    fn own(&mut self, rk: usize) -> (&mut [f64], ShView<'_>) {
+        let (lo, len) = self.block(rk);
+        (self.shared.y.region_mut(lo, len), ShView { buf: self.y, base: 0 })
     }
 }
 
@@ -1077,16 +1073,16 @@ impl Drop for Leave<'_> {
 }
 
 impl Shared {
-    /// First-touches the buffers participant `w` owns: allocation left
-    /// the pages untouched (alloc_zeroed), so writing them here —
-    /// strictly before `w` first arrives at a barrier, and nobody else
-    /// reaches a rank's buffers before its owner crossed one — places
-    /// them on this thread's NUMA node under a first-touch policy.
+    /// First-touches the blocks participant `w` owns, where they lie
+    /// at full width: allocation left the pages untouched
+    /// (alloc_zeroed), so writing them here — strictly before `w` first
+    /// arrives at a barrier, and nobody else reaches a rank's block
+    /// before its owner crossed one — places them on this thread's NUMA
+    /// node under a first-touch policy.
     fn first_touch(&self, w: usize) {
         for rk in self.assign[w].clone() {
-            let rp = &self.plan.ranks[rk];
-            self.x[rk].region_mut(0, rp.nx * self.width).fill(0.0);
-            self.y[rk].region_mut(0, rp.ny * self.width).fill(0.0);
+            let block = self.plan.ranks[rk].block(self.width);
+            self.y.region_mut(self.pad + block.start, block.len()).fill(0.0);
         }
     }
 
@@ -1099,14 +1095,15 @@ impl Shared {
         let xp = self.job_x.load(Ordering::Relaxed) as *const f64;
         let yp = self.job_y.load(Ordering::Relaxed);
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            // SAFETY (view kind 4): the pointers are the caller's `x`
+            // SAFETY (view kind 3): the pointers are the caller's `x`
             // and `y`, `ncols × r` and `nrows × r` words by the execute
             // asserts. Temporal: the caller stays inside
             // `execute_batch_iters`, not touching either, until the
             // completion count reaches zero, and this participant
             // leaves the job only after `walk` returned. Spatial: `x`
             // is only read; `y` is written only at this participant's
-            // owned rows (`validate_for_pool`: y_emit ∪ y_zero owned).
+            // owned rows (`validate_for_pool`: y_emit ∪ y_zero owned),
+            // and read whole only while nobody emits.
             let (x, y) = unsafe {
                 (
                     std::slice::from_raw_parts(xp, self.plan.ncols * r),
@@ -1318,34 +1315,6 @@ mod tests {
     }
 
     #[test]
-    fn mixed_width_jobs_do_not_leak_stale_words() {
-        // A matrix with an empty row (never materialized, `y_zero`): a
-        // wide job writes global words at stride r; a later narrow job
-        // must still see 0.0 for the empty row, not a stale word.
-        use s2d_core::partition::SpmvPartition;
-        use s2d_sparse::Coo;
-        let mut m = Coo::new(4, 4);
-        m.push(0, 0, 2.0);
-        m.push(2, 1, 3.0);
-        m.push(3, 3, 4.0); // row 1 is empty
-        m.compress();
-        let a = m.to_csr();
-        let parts = vec![0, 0, 1, 1];
-        let p = SpmvPartition::rowwise(&a, parts.clone(), parts, 2);
-        let plan = SpmvPlan::single_phase(&a, &p);
-        let cp = CompiledPlan::compile(&plan);
-        let mut engine = pool(cp, 2, 4);
-        let x4 = crate::exec::tests::batch_input(4, 4, 1);
-        let mut y4 = vec![0.0; 16];
-        engine.execute_batch(&x4, &mut y4, 4);
-        // Narrow job on the same engine: empty row must assemble to 0.
-        let x1 = vec![1.0, 1.0, 1.0, 1.0];
-        let mut y1 = vec![9.0; 4];
-        engine.execute(&x1, &mut y1);
-        assert_eq!(y1, vec![2.0, 0.0, 3.0, 4.0]);
-    }
-
-    #[test]
     fn every_kernel_format_agrees_on_the_pool() {
         // The pool shares one kernel implementation with the sequential
         // executor (slice views over the shared buffers), so every
@@ -1386,10 +1355,9 @@ mod tests {
                 assert_eq!(y, want, "threads={threads} chunk_ops={chunk_ops}");
             }
         }
-        // The final iteration emits straight into the caller's `y`: a
+        // Every iteration emits straight into the caller's `y`: a
         // mixed-width sequence on one engine must write every owned row
-        // (`y_emit` and `y_zero`) at the job's stride — `y` starts out
-        // as NaN, the reference is the in-place executor.
+        // at the job's stride — `y` starts out as NaN.
         let (a, cp) = holey_setup(23, 4);
         let mut ws = cp.workspace_batch(8);
         for threads in [1usize, 2, 3, 4] {
@@ -1488,28 +1456,6 @@ mod tests {
         assert!(engine.threads() >= 1);
         assert_eq!(engine.workers.len(), engine.threads() - 1, "the caller is participant 0");
         drop(engine); // must not hang
-    }
-
-    #[test]
-    #[should_panic(expected = "overlapping staging regions")]
-    fn overlapping_send_regions_are_rejected() {
-        // Hand-built plan whose two sends share a staging region — the
-        // exact shape that would race two writers on one cell.
-        let (_a, plan) = crate::exec::tests::square_setup(8, 4);
-        let mut cp = CompiledPlan::compile(&plan);
-        let mut clobbered = false;
-        for rp in &mut cp.ranks {
-            for step in &mut rp.steps {
-                if let RankStep::Comm { sends, .. } = step {
-                    for m in sends {
-                        m.offset = 0;
-                        clobbered = true;
-                    }
-                }
-            }
-        }
-        assert!(clobbered, "test needs a plan with at least two sends");
-        let _ = pool(cp, 2, 1);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //!
 //! [`ExecTelemetry`] pairs a shared [`TelemetrySink`] with the plan's
 //! *static* per-iteration work profile — rows emitted, multiply-adds
-//! and staged send words per rank — precomputed once at operator
+//! and communicated words per rank — precomputed once at operator
 //! construction so the hot loop's counter updates are three relaxed
 //! atomic adds per rank per iteration, never a plan walk.
 //!
@@ -11,14 +11,21 @@
 //!
 //! * **compute** — each kernel run: one span per rank and phase in
 //!   place and over endpoints, one per chunk on the pool;
-//! * **gather** — input seeding plus send staging, under the rank
-//!   whose `x` is seeded / whose sends are staged;
-//! * **scatter** — receive application plus the emit of owned output
-//!   rows, under the receiving / owning rank on every driver (the
+//! * **gather** — over endpoints, input seeding plus send staging,
+//!   under the rank whose `x` image is seeded / whose sends are staged.
+//!   The shared-memory transports (in place, pool) seed and stage
+//!   nothing — kernels read `x` where it is — so all that is left here
+//!   is one span per rank and iteration for clearing its `y` block;
+//! * **scatter** — fold plus emit, under the receiving / owning rank:
+//!   over endpoints the application of received payloads, on shared
+//!   memory one span per rank and communication step *in which that
+//!   rank receives a partial* (`y[own] += y[producer]`), and on every
+//!   driver one per rank and iteration for the emit of owned rows (the
 //!   in-place and pool drivers share one body, so their per-rank gather
 //!   and scatter span counts are equal);
-//! * **barrier-wait** — time pool participants waited: the phase
-//!   barriers, and the caller's wait for the workers to leave the job,
+//! * **barrier-wait** — time pool participants waited: the barriers
+//!   (none at a communication step without folds), and the caller's
+//!   wait for the workers to leave the job,
 //!   recorded under the first rank of the waiting participant's
 //!   contiguous range (the in-place driver has no barrier and records
 //!   none).
@@ -46,8 +53,9 @@ pub struct ExecTelemetry {
     /// Multiply-adds each rank executes per iteration
     /// (format-invariant).
     madds: Vec<u64>,
-    /// Words each rank stages into send regions per iteration (batch
-    /// width 1).
+    /// Words of the messages each rank sends per iteration (batch
+    /// width 1): the plan's communicated words, what Eq. 3 counts —
+    /// also on shared memory, where most of them never move.
     words: Vec<u64>,
 }
 

@@ -34,21 +34,46 @@ use s2d_runtime::{spmd, ChaosConfig, Cluster, Endpoint, Tag};
 use s2d_spmv::SpmvOperator;
 
 use crate::compile::{CompiledPlan, RankProgram, RankStep};
-use crate::exec::{apply_recv, stage_send};
 use crate::telemetry::{call_end, span_end, span_start, ExecTelemetry};
 
-/// Message payload: one staged region — the message's `x` words then
-/// its partial-`y` words, `r` per listed slot, exactly the layout of a
-/// staging region in the in-place executor.
+/// Message payload: the message's `x` words then its partial-`y` words,
+/// `r` per listed index.
 pub type Payload = Vec<f64>;
 
-/// One rank's state for [`RankProgram::spmv_over`]: its local `x`/`y`
-/// blocks (grown on first use of a wider batch) plus the index maps
-/// tying local slots to the caller's input and output vectors.
+/// Encodes a send: the `x` words at the message's `homes`, then the
+/// `y` words of the `slots` it drains. A drained slot is dead — nothing
+/// reads it again — so it is copied, not cleared.
+fn stage_send((homes, slots): (&[u32], &[u32]), x: &[f64], y: &[f64], r: usize) -> Payload {
+    let mut payload = Vec::with_capacity((homes.len() + slots.len()) * r);
+    payload.extend(homes.iter().flat_map(|&h| &x[h as usize * r..][..r]));
+    payload.extend(slots.iter().flat_map(|&s| &y[s as usize * r..][..r]));
+    payload
+}
+
+/// Decodes a received `payload` (see [`stage_send`]): overwrite `x` at
+/// the message's `homes`, accumulate into its `y` `slots`.
+fn apply_recv(lists: (&[u32], &[u32]), x: &mut [f64], y: &mut [f64], payload: &[f64], r: usize) {
+    let (homes, slots) = lists;
+    let (xs, ys) = payload.split_at(homes.len() * r);
+    for (&h, words) in homes.iter().zip(xs.chunks_exact(r)) {
+        x[h as usize * r..][..r].copy_from_slice(words);
+    }
+    for (&s, words) in slots.iter().zip(ys.chunks_exact(r)) {
+        for (acc, w) in y[s as usize * r..][..r].iter_mut().zip(words) {
+            *acc += w;
+        }
+    }
+}
+
+/// One rank's state for [`RankProgram::spmv_over`]: its private image
+/// of the `x` home space and its `y` block (grown on first use of a
+/// wider batch) plus the index maps tying them to the caller's vectors.
 pub struct RankLocal {
+    /// Size of the `x` home space (the plan's `ncols`).
+    nx: usize,
     x: Vec<f64>,
     y: Vec<f64>,
-    /// `(index into the caller's input, local x slot)` seeding pairs.
+    /// `(index into the caller's input, x home)` seeding pairs.
     seed: Vec<(u32, u32)>,
     /// `(index into the caller's output, local y slot)` copy-out pairs;
     /// output entries no pair names are written as 0.
@@ -56,25 +81,27 @@ pub struct RankLocal {
 }
 
 impl RankLocal {
-    /// State for a rank whose caller indexes its input by `seed` and
-    /// its output by `emit` (see the field docs). Slots must lie inside
-    /// the program's footprint; indices inside the vectors later passed
-    /// to [`RankProgram::spmv_over`].
-    pub fn new(seed: Vec<(u32, u32)>, emit: Vec<(u32, u32)>) -> RankLocal {
-        RankLocal { x: Vec::new(), y: Vec::new(), seed, emit }
+    /// State for a rank of a plan with `nx` columns whose caller
+    /// indexes its input by `seed` and its output by `emit` (see the
+    /// field docs). Homes must lie below `nx`, slots inside the `y`
+    /// block, indices inside the vectors later passed to `spmv_over`.
+    pub fn new(nx: usize, seed: Vec<(u32, u32)>, emit: Vec<(u32, u32)>) -> RankLocal {
+        RankLocal { nx, x: Vec::new(), y: Vec::new(), seed, emit }
     }
 }
 
 impl RankProgram {
     /// Executes this rank's share of one batched SpMV over `ep`: seed
-    /// the local `x` block from `v`, walk the steps (kernels on local
-    /// buffers; sends staged into payloads and posted, then receives
-    /// applied in `recvs` order), copy the emitted rows out to `out`
-    /// (fully overwritten). `v` and `out` are row-major blocks of width
-    /// `r`; every message of communication phase `p` travels under tag
-    /// `tag0 + p`, so callers sharing the endpoint with other traffic
-    /// reserve one tag per communication phase. Every rank of the plan
-    /// must make the matching call.
+    /// the owned entries of the private `x` image from `v`, walk the
+    /// steps (the plan's kernels on image and `y` block; sends encoded
+    /// and posted, then receives decoded in `recvs` order — expand words
+    /// land in the image at their homes), copy the emitted rows out to
+    /// `out` (fully overwritten). `v` and
+    /// `out` are row-major blocks of width `r`; every message of
+    /// communication phase `p` travels under tag `tag0 + p`, so callers
+    /// sharing the endpoint with other traffic reserve one tag per
+    /// communication phase. Every rank of the plan must make the
+    /// matching call.
     ///
     /// Payload vectors are the only per-call allocations (they move
     /// into the runtime's channels). With `obs` attached, spans are
@@ -92,22 +119,25 @@ impl RankProgram {
         obs: Option<&ExecTelemetry>,
     ) {
         let rk = ep.rank() as usize;
-        let RankLocal { x, y, seed, emit } = local;
+        let RankLocal { nx, x, y, seed, emit } = local;
         let t = span_start(obs);
-        // Stride-r addressing ignores any excess tail from a wider
-        // earlier batch.
-        if x.len() < self.nx * r {
-            x.resize(self.nx * r, 0.0);
+        // Grow only: stride-r addressing ignores any excess tail from a
+        // wider earlier batch.
+        x.resize(x.len().max(*nx * r), 0.0);
+        y.resize(y.len().max(self.ny * r), 0.0);
+        // Debug builds forget the previous call's image first: a kernel
+        // reading a word no message delivered must not pass a bitwise
+        // suite on a stale copy of the right number.
+        if cfg!(debug_assertions) {
+            x.fill(f64::NAN);
         }
-        if y.len() < self.ny * r {
-            y.resize(self.ny * r, 0.0);
-        }
-        for &(i, slot) in seed.iter() {
-            let (src, dst) = (i as usize * r, slot as usize * r);
+        for &(i, home) in seed.iter() {
+            let (src, dst) = (i as usize * r, home as usize * r);
             x[dst..dst + r].copy_from_slice(&v[src..src + r]);
         }
         y[..self.ny * r].fill(0.0);
         span_end(obs, rk, Phase::Gather, t);
+        let mut tag = tag0;
         for step in &self.steps {
             match step {
                 RankStep::Compute(kernel) => {
@@ -115,13 +145,10 @@ impl RankProgram {
                     kernel.run_batch(x, y, r);
                     span_end(obs, rk, Phase::Compute, t);
                 }
-                RankStep::Comm { phase, sends, recvs } => {
-                    let tag = tag0 + phase;
+                RankStep::Comm { sends, recvs, x_homes, y_slots, .. } => {
                     let t = span_start(obs);
                     for m in sends {
-                        let mut payload = vec![0.0; m.words() * r];
-                        stage_send(m, x, y, &mut payload, r);
-                        ep.send(m.peer, tag, payload);
+                        ep.send(m.peer, tag, stage_send(m.lists(x_homes, y_slots), x, y, r));
                     }
                     span_end(obs, rk, Phase::Gather, t);
                     // All sends are posted; targeted receives can land
@@ -130,9 +157,10 @@ impl RankProgram {
                     for m in recvs {
                         let payload = ep.recv_match(m.peer, tag).payload;
                         assert_eq!(payload.len(), m.words() * r, "message size mismatch");
-                        apply_recv(m, x, y, &payload, r);
+                        apply_recv(m.lists(x_homes, y_slots), x, y, &payload, r);
                     }
                     span_end(obs, rk, Phase::Scatter, t);
+                    tag += 1;
                 }
             }
         }
@@ -183,7 +211,8 @@ impl EndpointOperator {
             .iter()
             .map(|rp| {
                 let emit = rp.y_emit.iter().enumerate().map(|(i, &(_, s))| (i as u32, s)).collect();
-                Mutex::new((RankLocal::new(rp.x_seed.clone(), emit), Vec::new()))
+                let seed = rp.x_seed.iter().map(|&g| (g, g)).collect();
+                Mutex::new((RankLocal::new(cp.ncols, seed, emit), Vec::new()))
             })
             .collect();
         let obs = sink.map(|sink| ExecTelemetry::new(&cp, sink));

@@ -84,14 +84,14 @@ impl RankCtx {
     ) -> Self {
         let prog = &compiled.ranks[ep.rank() as usize];
         let pos = |g: u32| owned.binary_search(&g).expect("local entry must be owned") as u32;
-        let seed = prog.x_seed.iter().map(|&(g, slot)| (pos(g), slot)).collect();
+        let seed = prog.x_seed.iter().map(|&g| (pos(g), g)).collect();
         let emit = prog.y_emit.iter().map(|&(g, slot)| (pos(g), slot)).collect();
         RankCtx {
             ep,
             tags: TagAlloc { next: 0 },
             owned,
             compiled: Arc::clone(compiled),
-            local: RankLocal::new(seed, emit),
+            local: RankLocal::new(compiled.ncols, seed, emit),
             obs,
         }
     }
@@ -147,7 +147,7 @@ impl RankCtx {
         assert!(r >= 1, "batch width must be at least 1");
         assert_eq!(v.len(), self.owned.len() * r, "local block length mismatch");
         assert_eq!(out.len(), self.owned.len() * r, "output block length mismatch");
-        let comm_phases = self.compiled.staging_words.len() as u32;
+        let comm_phases = self.compiled.comm_phases as u32;
         let tag0 = self.tags.take(comm_phases.max(1));
         let prog = &self.compiled.ranks[self.ep.rank() as usize];
         prog.spmv_over(&mut self.ep, &mut self.local, v, out, r, tag0, self.obs.as_deref());
