@@ -8,6 +8,7 @@ use s2d_core::partition::SpmvPartition;
 use s2d_engine::{Backend, KernelFormat, KernelIsa};
 use s2d_gen::rmat::{rmat, RmatConfig};
 use s2d_gen::{suite_a, suite_b, Scale};
+use s2d_obs::{Json, ServeSnapshot, SCHEMA_VERSION};
 use s2d_partition::quality::{fmt_quality_row, quality_header};
 use s2d_partition::{PartitionQuality, Partitioner, PartitionerConfig, Strategy};
 use s2d_runtime::ChaosConfig;
@@ -34,7 +35,7 @@ USAGE
   s2d spmv      <m.mtx> [p.s2dpart] [--alg single|two|mesh]
                 [--partitioner <M> --k K] [--engine <backend>]
                 [--kernel-format <fmt>] [--isa auto|scalar]
-                [--iters N] [--rhs R] [--profile]
+                [--iters N] [--rhs R]
   s2d profile   <m.mtx> [p.s2dpart] [--partitioner <M> --k K]
                 [--engine E[,E...]] [--kernel-format <fmt>]
                 [--isa auto|scalar]
@@ -117,14 +118,15 @@ compiled backends execute the whole block at once (row-major X, one
 len x R message block per exchange); the mailbox oracle runs column by
 column.
 
-`spmv --profile` runs the multiply with telemetry on and prints the
-execution report: per-rank phase times (compute / gather / scatter /
-barrier / reduce), observed load imbalance, and observed communication
-words held against the alpha-beta / LogGP cost-model predictions.
-`profile` does the same across a comma-separated list of engines
-(default compiled-seq,compiled-pool) through the Session facade, with
-`--json` writing one report object per engine. `analyze --json` writes
-the full partition-quality report plus the per-rank row profiles.
+`profile` runs the multiply with telemetry on for each engine of a
+comma-separated list (default compiled-seq,compiled-pool), checks it
+against the serial product, and prints the execution report: per-rank
+phase times (compute / gather / scatter / barrier / reduce), observed
+load imbalance, and observed communication words held against the
+alpha-beta / LogGP cost-model predictions; `--json` writes one report
+object per engine. `analyze --json` writes the full partition-quality
+report plus the per-rank row profiles. Every --json file is one object
+carrying `schema_version` (1).
 
 `serve` registers the matrix with the serving layer (s2d-serve) and
 drives a burst of concurrent requests through it from --clients client
@@ -188,6 +190,22 @@ pub fn run(raw: Vec<String>) {
 pub(crate) fn fail(msg: impl std::fmt::Display) -> ! {
     eprintln!("error: {msg}");
     std::process::exit(1);
+}
+
+/// `body`'s fields behind a leading `schema_version`: the top level of
+/// every JSON file the CLI writes.
+pub(crate) fn versioned(body: Json) -> Json {
+    let Json::Obj(fields) = body else { unreachable!("an artifact is an object") };
+    let doc = Json::obj().set("schema_version", SCHEMA_VERSION);
+    fields.into_iter().fold(doc, |doc, (key, value)| doc.set(&key, value))
+}
+
+/// Writes [`versioned`]`(body)` to `path`, one element per line `depth`
+/// levels deep (see [`Json::to_lines`]), or exits with a diagnostic.
+pub(crate) fn write_artifact(path: &str, body: Json, depth: usize) {
+    if let Err(e) = std::fs::write(path, versioned(body).to_lines(depth) + "\n") {
+        fail(format!("cannot write {path}: {e}"));
+    }
 }
 
 fn load_matrix(path: &str) -> Csr {
@@ -255,9 +273,7 @@ fn cmd_partition(args: &Args) {
         println!("{}", fmt_quality_row(&q));
     }
     if let Some(json) = args.get("json") {
-        if let Err(e) = std::fs::write(json, q.to_json() + "\n") {
-            fail(format!("cannot write {json}: {e}"));
-        }
+        write_artifact(json, q.to_json(), 0);
     }
 }
 
@@ -391,27 +407,21 @@ fn cmd_analyze(args: &Args) {
     // printed: matrix shape, the full quality report, and the per-rank
     // row profiles the kernel auto-selection keys on.
     if let Some(json) = args.get("json") {
-        let rows: Vec<String> = profiles
-            .iter()
-            .map(|pr| {
-                format!(
-                    "{{\"rank\":{},\"rows\":{},\"ops\":{},\"max_row\":{},\"mean_row\":{:.3}}}",
-                    pr.rank, pr.rows, pr.ops, pr.max_row, pr.mean_row
-                )
-            })
-            .collect();
-        let body = format!(
-            "{{\"matrix\":{{\"nrows\":{},\"ncols\":{},\"nnz\":{}}},\
-             \"quality\":{},\"row_profiles\":[{}]}}\n",
-            a.nrows(),
-            a.ncols(),
-            a.nnz(),
-            q.to_json(),
-            rows.join(",")
-        );
-        if let Err(e) = std::fs::write(json, body) {
-            fail(format!("cannot write {json}: {e}"));
-        }
+        let rows = profiles.iter().map(|pr| {
+            Json::obj()
+                .set("rank", pr.rank)
+                .set("rows", pr.rows)
+                .set("ops", pr.ops)
+                .set("max_row", pr.max_row)
+                .set("mean_row", Json::fixed(pr.mean_row, 3))
+        });
+        let matrix =
+            Json::obj().set("nrows", a.nrows()).set("ncols", a.ncols()).set("nnz", a.nnz());
+        let body = Json::obj()
+            .set("matrix", matrix)
+            .set("quality", q.to_json())
+            .set("row_profiles", rows.collect::<Vec<_>>());
+        write_artifact(json, body, 0);
         println!("wrote {json}");
     }
 }
@@ -531,8 +541,7 @@ fn cmd_spmv(args: &Args) {
     let start = Instant::now();
     // The whole session setup (plan, compilation, buffers, workers) is
     // the one-time cost a session amortizes.
-    let (mut session, setup) =
-        s2d_obs::time(|| opts.session(&a, &p, engine).telemetry(args.has("profile")).build());
+    let (mut session, setup) = s2d_obs::time(|| opts.session(&a, &p, engine).build());
     // One dispatch for the whole chain: the compiled pool keeps its
     // workers hot across iterations instead of paying a barrier
     // wake/seed/assemble round trip per application.
@@ -553,11 +562,6 @@ fn cmd_spmv(args: &Args) {
         elapsed.as_secs_f64() * 1e3,
         if max_err < 1e-9 { "(ok)" } else { "(FAILED)" }
     );
-    if let Some(mut report) = session.report() {
-        // Name the engine as the user spelled it (`auto`, `pool:2@pin`).
-        report.backend = engine.to_string();
-        print!("{}", report.render());
-    }
     if max_err >= 1e-9 {
         std::process::exit(1);
     }
@@ -566,7 +570,7 @@ fn cmd_spmv(args: &Args) {
 /// `s2d profile`: runs the multiply through the [`Session`] facade
 /// with telemetry on for each engine in the `--engine` list (default
 /// the two compiled backends), prints one execution report per engine,
-/// and optionally collects them into a JSON array (`--json`).
+/// and optionally writes them to one JSON file (`--json`).
 fn cmd_profile(args: &Args) {
     let mpath = args.positional.get(1).unwrap_or_else(|| fail("profile requires a matrix file"));
     let a = load_matrix(mpath);
@@ -576,7 +580,7 @@ fn cmd_profile(args: &Args) {
     let RunOpts { kind, format, iters, rhs, .. } = opts;
 
     let engines = args.get_or("engine", "compiled-seq,compiled-pool");
-    let mut json_reports: Vec<String> = Vec::new();
+    let mut reports = Vec::new();
     for (i, name) in engines.split(',').map(str::trim).filter(|s| !s.is_empty()).enumerate() {
         let (mut session, setup) =
             s2d_obs::time(|| opts.session(&a, &p, name).telemetry(true).build());
@@ -596,17 +600,15 @@ fn cmd_profile(args: &Args) {
             kind.label()
         );
         print!("{}", report.render());
-        json_reports.push(report.to_json());
+        reports.push(report.to_json());
     }
-    if json_reports.is_empty() {
+    if reports.is_empty() {
         fail("--engine lists no engines");
     }
     if let Some(json) = args.get("json") {
-        let body = format!("[\n{}\n]\n", json_reports.join(",\n"));
-        if let Err(e) = std::fs::write(json, body) {
-            fail(format!("cannot write {json}: {e}"));
-        }
-        println!("\nwrote {} report(s) to {json}", json_reports.len());
+        let n = reports.len();
+        write_artifact(json, Json::obj().set("reports", reports), 2);
+        println!("\nwrote {n} report(s) to {json}");
     }
 }
 
@@ -755,17 +757,32 @@ fn cmd_serve(args: &Args) {
         snap.cache_evictions
     );
     if let Some(path) = args.get("json") {
-        let body = format!(
-            "{{\"matrix\":{mpath:?},\"method\":{method:?},\"k\":{k},\"clients\":{clients},\
-             \"requests\":{total},\"seconds\":{},\"requests_per_sec\":{rps},\"serve\":{}}}\n",
-            elapsed.as_secs_f64(),
-            snap.to_json()
-        );
-        if let Err(e) = std::fs::write(path, body) {
-            fail(format!("cannot write {path}: {e}"));
-        }
+        write_artifact(path, serve_json(mpath, method, k, clients, total, elapsed, &snap), 0);
         println!("wrote {path}");
     }
+}
+
+/// SERVE.json's body: the burst that was driven and the serving
+/// counters after it.
+fn serve_json(
+    matrix: &str,
+    method: &str,
+    k: usize,
+    clients: usize,
+    requests: usize,
+    elapsed: Duration,
+    snap: &ServeSnapshot,
+) -> Json {
+    let secs = elapsed.as_secs_f64();
+    Json::obj()
+        .set("matrix", matrix)
+        .set("method", method)
+        .set("k", k)
+        .set("clients", clients)
+        .set("requests", requests)
+        .set("seconds", secs)
+        .set("requests_per_sec", requests as f64 / secs)
+        .set("serve", snap.to_json())
 }
 
 fn cmd_tune(args: &Args) {
@@ -807,10 +824,7 @@ fn cmd_tune(args: &Args) {
         took.as_secs_f64() * 1e3
     );
     if let Some(json) = args.get("json") {
-        let body = format!("{}\n", verdict.to_json());
-        if let Err(e) = std::fs::write(json, body) {
-            fail(format!("cannot write {json}: {e}"));
-        }
+        write_artifact(json, verdict.to_json(), 0);
         println!("wrote {json}");
     }
 }
@@ -965,6 +979,20 @@ mod tests {
                 assert!((g - w).abs() <= 1e-9 * w.abs().max(1.0), "{engine}: {g} vs {w}");
             }
         }
+    }
+
+    #[test]
+    fn serve_artifact_spells_any_path_as_valid_json() {
+        // A decomposed (NFD) accent, a quote and a backslash: Rust's
+        // `Debug` escaping turns the first into `\u{301}`, which is not JSON.
+        let path = "data/cafe\u{301} \"v2\"\\m.mtx";
+        let snap = ServeSnapshot { admitted: 16, completed: 16, ..ServeSnapshot::default() };
+        let body = serve_json(path, "s2d", 8, 2, 16, Duration::from_millis(250), &snap);
+        let doc = Json::parse(&versioned(body).to_string()).expect("valid JSON");
+        assert_eq!(doc.get("matrix").and_then(Json::as_str), Some(path));
+        assert_eq!(doc.get("schema_version").and_then(Json::as_u64), Some(1));
+        assert_eq!(doc.get("requests_per_sec").and_then(Json::as_f64), Some(64.0));
+        assert_eq!(doc.get("serve").and_then(|s| s.get("completed")), Some(&Json::Int(16)));
     }
 
     #[test]

@@ -24,6 +24,7 @@ use s2d_core::heuristic2::{s2d_generalized, Heuristic2Config};
 use s2d_core::mesh::mesh_dims;
 use s2d_core::partition::SpmvPartition;
 use s2d_gen::{suite_a, suite_b, MatrixSpec, Scale};
+use s2d_obs::Json;
 use s2d_partition::{PartitionQuality, Partitioner, PartitionerConfig, Strategy};
 use s2d_sim::{simulate_on_torus, TorusModel};
 use s2d_sparse::{Csr, MatrixStats};
@@ -31,11 +32,8 @@ use s2d_spmv::plan::volume_matches_eq3;
 use s2d_spmv::{to_phase_specs, PlanKind};
 
 use crate::args::Args;
-use crate::commands::fail;
+use crate::commands::{fail, write_artifact};
 use tables::TABLES;
-
-/// Version of the JSON document [`Run::to_json`] writes.
-const SCHEMA_VERSION: u32 = 1;
 
 /// The paper's two matrix suites (Table I and Table IV).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
@@ -687,44 +685,45 @@ fn run(tables: &[&'static Table], opts: &Opts) -> Run {
 }
 
 impl Run {
-    /// The run as one JSON document (hand-rolled like
-    /// [`PartitionQuality::to_json`]: labels and details carry no
-    /// characters that need escaping), one matrix, cell or verdict per
-    /// line so a moved partition shows up as a line diff.
-    fn to_json(&self) -> String {
-        let opt = |v: Option<String>| v.unwrap_or("null".to_string());
+    /// The run as one JSON document, laid out one matrix, cell or
+    /// verdict per line so a moved partition shows up as a line diff.
+    /// Fractional columns keep the `PartitionQuality` rounding, so the
+    /// file does not churn in the last bits.
+    fn to_json(&self) -> Json {
         let matrices = self.stats.iter().map(|((suite, name), s)| {
-            format!(
-                "{{\"suite\":\"{suite:?}\",\"name\":\"{name}\",\"nrows\":{},\"ncols\":{},\
-                 \"nnz\":{},\"row_davg\":{:.3},\"row_dmax\":{}}}",
-                s.nrows, s.ncols, s.nnz, s.row_davg, s.row_dmax
-            )
+            Json::obj()
+                .set("suite", format!("{suite:?}"))
+                .set("name", *name)
+                .set("nrows", s.nrows)
+                .set("ncols", s.ncols)
+                .set("nnz", s.nnz)
+                .set("row_davg", Json::fixed(s.row_davg, 3))
+                .set("row_dmax", s.row_dmax)
         });
         let cells = self.cells.iter().map(|(((suite, name), (_, seed, _, plan)), c)| {
-            format!(
-                "{{\"suite\":\"{suite:?}\",\"matrix\":\"{name}\",\"seed\":{seed},\
-                 \"priced_as\":\"{plan}\",\"quality\":{},\"torus_time\":{:.9},\
-                 \"naive_mesh_volume\":{},\"eq3\":{}}}",
-                c.quality.to_json(),
-                c.torus_time,
-                opt(c.naive_mesh_volume.map(|v| v.to_string())),
-                opt(c.eq3.map(|v| v.to_string())),
-            )
+            Json::obj()
+                .set("suite", format!("{suite:?}"))
+                .set("matrix", *name)
+                .set("seed", *seed)
+                .set("priced_as", *plan)
+                .set("quality", c.quality.to_json())
+                .set("torus_time", Json::fixed(c.torus_time, 9))
+                .set("naive_mesh_volume", c.naive_mesh_volume)
+                .set("eq3", c.eq3)
         });
         let verdicts = self.verdicts.iter().map(|v| {
-            format!(
-                "{{\"table\":\"{}\",\"id\":\"{}\",\"verdict\":\"{:?}\",\"detail\":\"{}\"}}",
-                v.table, v.id, v.status, v.detail
-            )
+            Json::obj()
+                .set("table", v.table)
+                .set("id", v.id)
+                .set("verdict", format!("{:?}", v.status))
+                .set("detail", v.detail.as_str())
         });
-        let [matrices, cells, verdicts] = [matrices.collect(), cells.collect(), verdicts.collect()]
-            .map(|rows: Vec<_>| rows.join(",\n"));
-        format!(
-            "{{\"schema_version\":{SCHEMA_VERSION},\"scale\":\"{}\",\"seeds\":{},\n\
-             \"matrices\":[\n{matrices}\n],\n\"cells\":[\n{cells}\n],\n\
-             \"expectations\":[\n{verdicts}\n]}}\n",
-            self.scale, self.seeds,
-        )
+        Json::obj()
+            .set("scale", self.scale.as_str())
+            .set("seeds", self.seeds)
+            .set("matrices", matrices.collect::<Vec<_>>())
+            .set("cells", cells.collect::<Vec<_>>())
+            .set("expectations", verdicts.collect::<Vec<_>>())
     }
 }
 
@@ -760,9 +759,7 @@ pub(crate) fn cmd_reproduce(args: &Args) {
     let run = run(&tables, &opts);
     print!("{}", run.text);
     if let Some(path) = args.get("json") {
-        if let Err(e) = std::fs::write(path, run.to_json()) {
-            fail(format!("cannot write {path}: {e}"));
-        }
+        write_artifact(path, run.to_json(), 2);
         println!("wrote {} cells and {} verdicts to {path}", run.cells.len(), run.verdicts.len());
     }
     let failed: Vec<&Verdict> = run.verdicts.iter().filter(|v| v.status == Status::Fail).collect();
@@ -846,9 +843,20 @@ mod tests {
         assert_eq!((caption.status, caption.id), (Status::Pass, "fig1.caption-facts"));
         assert!(caption.detail.contains("lambda(P3->P2) = 3 with n^ = 2, m^ = 1"));
         assert!(caption.detail.contains("P2 sends x[5], y[2] to P1"), "{}", caption.detail);
-        let json = run.to_json();
-        assert!(json.starts_with("{\"schema_version\":1,\"scale\":\"tiny\",\"seeds\":1,"));
-        assert!(json.contains("\"id\":\"fig1.caption-facts\",\"verdict\":\"Pass\""));
+        let text = crate::commands::versioned(run.to_json()).to_lines(2);
+        let json = Json::parse(&text).expect("valid JSON");
+        let Json::Obj(fields) = &json else { panic!("an object") };
+        let head: Vec<_> = fields.iter().take(3).map(|(k, v)| (k.as_str(), v.clone())).collect();
+        assert_eq!(
+            head,
+            [("schema_version", 1u64.into()), ("scale", "tiny".into()), ("seeds", 1u64.into())]
+        );
+        let verdicts = json.get("expectations").and_then(Json::as_arr).expect("verdicts");
+        let [v] = verdicts else { panic!("one verdict") };
+        assert_eq!(v.get("id").and_then(Json::as_str), Some("fig1.caption-facts"));
+        assert_eq!(v.get("verdict").and_then(Json::as_str), Some("Pass"));
+        // One verdict per line.
+        assert!(text.lines().any(|l| l.contains("\"fig1.caption-facts\"") && l.ends_with('}')));
     }
 
     /// Fused messages never outnumber unfused ones, so this is false.

@@ -32,15 +32,23 @@
 //! [`ExecutionReport::collect`] condenses a sink into the headline
 //! artifact: per-rank × per-phase breakdown, observed load imbalance,
 //! and — when a model prediction is supplied — observed-vs-modeled
-//! ratio columns. The report pretty-prints and exports hand-rolled
-//! JSON in the same style as `PartitionQuality::to_json`.
+//! ratio columns. The report pretty-prints, and exports a [`Json`]
+//! value like every other artifact in the workspace.
+//!
+//! [`Json`] is the workspace's one JSON value, writer and reader:
+//! reports, the paper's reproduction, the tuner's verdicts and its
+//! on-disk cache are all built and rendered through it. Every file the
+//! CLI writes carries [`SCHEMA_VERSION`]; the tuning cache keeps its
+//! own `version`.
 //!
 //! The [`time`] and [`best_of`] span helpers centralize the ad-hoc
 //! `Instant` timing the CLI and the tuner share.
 
+mod json;
 mod report;
 mod serve;
 
+pub use json::{Json, SCHEMA_VERSION};
 pub use report::{
     ExecutionReport, ModelComparison, ModelRef, PhaseTimes, RankReport, WorkerLoadReport,
 };

@@ -4,7 +4,7 @@
 //! imbalance, and (when a model prediction is attached)
 //! observed-vs-modeled ratio columns scoring the α–β / LogGP models.
 
-use crate::{Phase, ServeSnapshot, TelemetrySink};
+use crate::{Json, Phase, ServeSnapshot, TelemetrySink};
 
 /// One phase's recorded time on one rank.
 #[derive(Clone, Debug, PartialEq)]
@@ -133,15 +133,13 @@ impl WorkerLoadReport {
         }
     }
 
-    /// One JSON object, same hand-rolled style as the parent report.
-    pub fn to_json(&self) -> String {
-        let madds: Vec<String> = self.madds.iter().map(|m| m.to_string()).collect();
-        format!(
-            "{{\"schedule\":\"{}\",\"imbalance\":{:.4},\"madds\":[{}]}}",
-            self.schedule,
-            self.imbalance(),
-            madds.join(",")
-        )
+    /// One JSON object: the schedule, the planned imbalance and the
+    /// load vector.
+    pub fn to_json(&self) -> Json {
+        Json::obj()
+            .set("schedule", self.schedule.as_str())
+            .set("imbalance", Json::fixed(self.imbalance(), 4))
+            .set("madds", self.madds.clone())
     }
 }
 
@@ -254,84 +252,54 @@ impl ExecutionReport {
         }
     }
 
-    /// Hand-rolled JSON export (one object; stable key set — see the
-    /// schema test).
-    pub fn to_json(&self) -> String {
-        let model = match &self.model {
-            None => "null".to_string(),
-            Some(m) => format!(
-                concat!(
-                    "{{\"modeled_comm_words\":{},\"words_ratio\":{:.4},",
-                    "\"alpha_beta_s\":{:.6e},\"loggp_s\":{:.6e},",
-                    "\"alpha_beta_ratio\":{:.4},\"loggp_ratio\":{:.4}}}"
-                ),
-                m.modeled_comm_words,
-                m.words_ratio,
-                m.alpha_beta_secs,
-                m.loggp_secs,
-                m.alpha_beta_ratio,
-                m.loggp_ratio
-            ),
-        };
-        let ranks: Vec<String> = self
-            .ranks
-            .iter()
-            .map(|r| {
-                let phases: Vec<String> = Phase::all()
-                    .into_iter()
-                    .map(|ph| {
-                        let pt = &r.phases[ph.index()];
-                        let hist: Vec<String> = pt.hist.iter().map(|c| c.to_string()).collect();
-                        format!(
-                            "{{\"phase\":\"{}\",\"ns\":{},\"spans\":{},\"hist\":[{}]}}",
-                            ph.label(),
-                            pt.nanos,
-                            pt.spans,
-                            hist.join(",")
-                        )
-                    })
-                    .collect();
-                format!(
-                    "{{\"rank\":{},\"rows\":{},\"madds\":{},\"comm_words\":{},\"phases\":[{}]}}",
-                    r.rank,
-                    r.rows,
-                    r.madds,
-                    r.comm_words,
-                    phases.join(",")
-                )
-            })
-            .collect();
-        // The serve key is additive: absent (not null) when no serving
-        // layer was attached, so pre-serve consumers see byte-identical
-        // output.
-        let serve = match &self.serve {
-            None => String::new(),
-            Some(s) => format!(",\"serve\":{}", s.to_json()),
-        };
-        // Same additive rule for the workers key.
-        let workers = match &self.workers {
-            None => String::new(),
-            Some(w) => format!(",\"workers\":{}", w.to_json()),
-        };
-        format!(
-            concat!(
-                "{{\"backend\":\"{}\",\"k\":{},\"iterations\":{},\"wall_ns\":{},",
-                "\"solver_iters\":{},\"solver_ns\":{},\"load_imbalance\":{:.4},",
-                "\"comm_words_per_iter\":{:.2},\"model\":{}{}{},\"ranks\":[{}]}}"
-            ),
-            self.backend,
-            self.k,
-            self.iterations,
-            self.wall_nanos,
-            self.solver_iters,
-            self.solver_nanos,
-            self.load_imbalance,
-            self.comm_words_per_iter,
-            model,
-            serve,
-            workers,
-            ranks.join(",")
-        )
+    /// The report as one JSON object (stable key set — see the schema
+    /// test).
+    pub fn to_json(&self) -> Json {
+        let model = self.model.map(|m| {
+            Json::obj()
+                .set("modeled_comm_words", m.modeled_comm_words)
+                .set("words_ratio", Json::fixed(m.words_ratio, 4))
+                .set("alpha_beta_s", m.alpha_beta_secs)
+                .set("loggp_s", m.loggp_secs)
+                .set("alpha_beta_ratio", Json::fixed(m.alpha_beta_ratio, 4))
+                .set("loggp_ratio", Json::fixed(m.loggp_ratio, 4))
+        });
+        let ranks = self.ranks.iter().map(|r| {
+            let phases = Phase::all().map(|ph| {
+                let pt = &r.phases[ph.index()];
+                Json::obj()
+                    .set("phase", ph.label())
+                    .set("ns", pt.nanos)
+                    .set("spans", pt.spans)
+                    .set("hist", pt.hist.clone())
+            });
+            Json::obj()
+                .set("rank", r.rank)
+                .set("rows", r.rows)
+                .set("madds", r.madds)
+                .set("comm_words", r.comm_words)
+                .set("phases", Vec::from(phases))
+        });
+        let mut doc = Json::obj()
+            .set("backend", self.backend.as_str())
+            .set("k", self.k)
+            .set("iterations", self.iterations)
+            .set("wall_ns", self.wall_nanos)
+            .set("solver_iters", self.solver_iters)
+            .set("solver_ns", self.solver_nanos)
+            .set("load_imbalance", Json::fixed(self.load_imbalance, 4))
+            .set("comm_words_per_iter", Json::fixed(self.comm_words_per_iter, 2))
+            .set("model", model);
+        // The serve and workers keys are additive: absent (not null)
+        // when nothing was attached, so earlier consumers see the same
+        // document.
+        if let Some(s) = &self.serve {
+            doc = doc.set("serve", s.to_json());
+        }
+        if let Some(w) = &self.workers {
+            doc = doc.set("workers", w.to_json());
+        }
+        doc.set("ranks", ranks.collect::<Vec<_>>())
     }
 
     /// Human-readable rendering: one row per rank, summary lines below.
@@ -442,24 +410,14 @@ mod tests {
     use super::*;
     use crate::HIST_BUCKETS;
 
-    /// Scalar field extractor for the hand-rolled JSON (no parser in
-    /// the workspace): value text between `"key":` and the next
-    /// top-level `,`/`}`.
-    fn field<'j>(json: &'j str, key: &str) -> &'j str {
-        let pat = format!("\"{key}\":");
-        let start = json.find(&pat).unwrap_or_else(|| panic!("missing key {key}")) + pat.len();
-        let rest = &json[start..];
-        let mut depth = 0usize;
-        for (i, c) in rest.char_indices() {
-            match c {
-                '{' | '[' => depth += 1,
-                '}' | ']' if depth == 0 => return &rest[..i],
-                '}' | ']' => depth -= 1,
-                ',' if depth == 0 => return &rest[..i],
-                _ => {}
-            }
-        }
-        rest
+    /// The report as written to disk and read back.
+    fn reparse(rep: &ExecutionReport) -> Json {
+        Json::parse(&rep.to_json().to_string()).expect("a report renders valid JSON")
+    }
+
+    fn num(doc: &Json, path: &[&str]) -> f64 {
+        let v = path.iter().try_fold(doc, |j, key| j.get(key));
+        v.and_then(Json::as_f64).unwrap_or_else(|| panic!("no number at {path:?}"))
     }
 
     fn sample_sink() -> TelemetrySink {
@@ -508,35 +466,35 @@ mod tests {
     fn json_schema_is_stable_and_roundtrips() {
         let model = ModelRef { comm_words: 24, alpha_beta_secs: 1e-6, loggp_secs: 2e-6 };
         let rep = ExecutionReport::collect(&sample_sink(), "compiled-seq", Some(model));
-        let json = rep.to_json();
-        // Balanced structure.
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert_eq!(json.matches('[').count(), json.matches(']').count());
+        let doc = reparse(&rep);
         // Scalar fields round-trip through the serialized text.
-        assert_eq!(field(&json, "backend"), "\"compiled-seq\"");
-        assert_eq!(field(&json, "k").parse::<usize>().unwrap(), rep.k);
-        assert_eq!(field(&json, "iterations").parse::<u64>().unwrap(), rep.iterations);
-        assert_eq!(field(&json, "wall_ns").parse::<u64>().unwrap(), rep.wall_nanos);
-        assert_eq!(field(&json, "solver_iters").parse::<u64>().unwrap(), rep.solver_iters);
-        assert!(
-            (field(&json, "load_imbalance").parse::<f64>().unwrap() - rep.load_imbalance).abs()
-                < 1e-3
-        );
+        assert_eq!(doc.get("backend").and_then(Json::as_str), Some("compiled-seq"));
+        for (key, want) in [
+            ("k", rep.k as u64),
+            ("iterations", rep.iterations),
+            ("wall_ns", rep.wall_nanos),
+            ("solver_iters", rep.solver_iters),
+        ] {
+            assert_eq!(doc.get(key).and_then(Json::as_u64), Some(want), "{key}");
+        }
+        assert!((num(&doc, &["load_imbalance"]) - rep.load_imbalance).abs() < 1e-3);
         let m = rep.model.unwrap();
-        assert_eq!(
-            field(&json, "modeled_comm_words").parse::<u64>().unwrap(),
-            m.modeled_comm_words
-        );
-        assert!((field(&json, "words_ratio").parse::<f64>().unwrap() - m.words_ratio).abs() < 1e-3);
-        assert!(field(&json, "alpha_beta_s").parse::<f64>().unwrap() > 0.0);
+        assert_eq!(num(&doc, &["model", "modeled_comm_words"]), m.modeled_comm_words as f64);
+        assert!((num(&doc, &["model", "words_ratio"]) - m.words_ratio).abs() < 1e-3);
+        assert_eq!(num(&doc, &["model", "alpha_beta_s"]), m.alpha_beta_secs);
         // One object per rank, one entry per phase, in stable order.
-        assert_eq!(json.matches("\"rank\":").count(), rep.k);
-        for ph in Phase::all() {
-            assert_eq!(json.matches(&format!("\"phase\":\"{}\"", ph.label())).count(), rep.k);
+        let ranks = doc.get("ranks").and_then(Json::as_arr).expect("ranks");
+        assert_eq!(ranks.len(), rep.k);
+        for (rk, r) in ranks.iter().enumerate() {
+            assert_eq!(r.get("rank").and_then(Json::as_u64), Some(rk as u64));
+            let phases = r.get("phases").and_then(Json::as_arr).expect("phases");
+            let labels: Vec<_> =
+                phases.iter().map(|p| p.get("phase").and_then(Json::as_str)).collect();
+            assert_eq!(labels, Phase::all().map(|ph| Some(ph.label())));
         }
         // Without a model the key is an explicit null, not absent.
-        let bare = ExecutionReport::collect(&sample_sink(), "mailbox", None).to_json();
-        assert_eq!(field(&bare, "model"), "null");
+        let bare = reparse(&ExecutionReport::collect(&sample_sink(), "mailbox", None));
+        assert_eq!(bare.get("model"), Some(&Json::Null));
     }
 
     #[test]
@@ -555,9 +513,9 @@ mod tests {
     fn serve_section_is_additive() {
         use crate::ServeStats;
         let bare = ExecutionReport::collect(&sample_sink(), "compiled-seq", None);
-        let bare_json = bare.to_json();
+        let bare_json = reparse(&bare);
         let bare_lines = bare.render().lines().count();
-        assert!(!bare_json.contains("\"serve\""), "absent, not null, without a server");
+        assert_eq!(bare_json.get("serve"), None, "absent, not null, without a server");
 
         let stats = ServeStats::new();
         for _ in 0..6 {
@@ -569,12 +527,12 @@ mod tests {
         stats.cache_hit();
         stats.cache_miss();
         let rep = bare.clone().with_serve(stats.snapshot());
-        let json = rep.to_json();
-        assert_eq!(field(&json, "backend"), field(&bare_json, "backend"));
-        assert_eq!(field(&json, "admitted").parse::<u64>().unwrap(), 6);
-        assert_eq!(field(&json, "batches").parse::<u64>().unwrap(), 2);
-        assert!((field(&json, "coalescing_rate").parse::<f64>().unwrap() - 3.0).abs() < 1e-3);
-        assert!((field(&json, "cache_hit_rate").parse::<f64>().unwrap() - 0.5).abs() < 1e-3);
+        let json = reparse(&rep);
+        assert_eq!(json.get("backend"), bare_json.get("backend"));
+        assert_eq!(num(&json, &["serve", "admitted"]), 6.0);
+        assert_eq!(num(&json, &["serve", "batches"]), 2.0);
+        assert!((num(&json, &["serve", "coalescing_rate"]) - 3.0).abs() < 1e-3);
+        assert!((num(&json, &["serve", "cache_hit_rate"]) - 0.5).abs() < 1e-3);
         let text = rep.render();
         assert_eq!(text.lines().count(), bare_lines + 2, "serve adds exactly two lines");
         assert!(text.contains("coalescing 3.00x"));
@@ -584,18 +542,19 @@ mod tests {
     #[test]
     fn workers_section_is_additive() {
         let bare = ExecutionReport::collect(&sample_sink(), "compiled-pool", None);
-        let bare_json = bare.to_json();
+        let bare_json = reparse(&bare);
         let bare_lines = bare.render().lines().count();
-        assert!(!bare_json.contains("\"workers\""), "absent, not null, off the pool path");
+        assert_eq!(bare_json.get("workers"), None, "absent, not null, off the pool path");
 
         let w = WorkerLoadReport::new("nnz-chunked", vec![100, 120, 80, 100]);
         assert!((w.imbalance() - 1.2).abs() < 1e-12, "max 120 over mean 100");
         let rep = bare.clone().with_workers(w);
-        let json = rep.to_json();
-        assert_eq!(field(&json, "backend"), field(&bare_json, "backend"));
-        assert_eq!(field(&json, "schedule"), "\"nnz-chunked\"");
-        assert!(json.contains("\"madds\":[100,120,80,100]"));
-        assert!((field(&json, "imbalance").parse::<f64>().unwrap() - 1.2).abs() < 1e-3);
+        let json = reparse(&rep);
+        assert_eq!(json.get("backend"), bare_json.get("backend"));
+        let workers = json.get("workers").expect("workers key");
+        assert_eq!(workers.get("schedule").and_then(Json::as_str), Some("nnz-chunked"));
+        assert_eq!(workers.get("madds"), Some(&Json::from(vec![100u64, 120, 80, 100])));
+        assert!((num(workers, &["imbalance"]) - 1.2).abs() < 1e-3);
         let text = rep.render();
         assert_eq!(text.lines().count(), bare_lines + 1, "workers adds exactly one line");
         assert!(text.contains("workers (nnz-chunked): 4 threads"));

@@ -4,6 +4,8 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use crate::Json;
+
 /// Live counters of one serving layer. All methods are `&self` and
 /// relaxed-atomic — workers and admission threads bump them
 /// concurrently without coordination; [`ServeStats::snapshot`] reads a
@@ -161,31 +163,23 @@ impl ServeSnapshot {
         }
     }
 
-    /// One JSON object, hand-rolled like the rest of the crate.
-    pub fn to_json(&self) -> String {
-        format!(
-            concat!(
-                "{{\"admitted\":{},\"completed\":{},\"rejected_full\":{},",
-                "\"expired\":{},\"batches\":{},\"coalesced\":{},",
-                "\"coalescing_rate\":{:.4},\"cache_hits\":{},\"cache_misses\":{},",
-                "\"cache_evictions\":{},\"cache_hit_rate\":{:.4},",
-                "\"tuner_hits\":{},\"tuner_misses\":{},\"worker_deaths\":{}}}"
-            ),
-            self.admitted,
-            self.completed,
-            self.rejected_full,
-            self.expired,
-            self.batches,
-            self.coalesced,
-            self.coalescing_rate(),
-            self.cache_hits,
-            self.cache_misses,
-            self.cache_evictions,
-            self.cache_hit_rate(),
-            self.tuner_hits,
-            self.tuner_misses,
-            self.worker_deaths,
-        )
+    /// One JSON object: every counter, plus the two rates.
+    pub fn to_json(&self) -> Json {
+        Json::obj()
+            .set("admitted", self.admitted)
+            .set("completed", self.completed)
+            .set("rejected_full", self.rejected_full)
+            .set("expired", self.expired)
+            .set("batches", self.batches)
+            .set("coalesced", self.coalesced)
+            .set("coalescing_rate", Json::fixed(self.coalescing_rate(), 4))
+            .set("cache_hits", self.cache_hits)
+            .set("cache_misses", self.cache_misses)
+            .set("cache_evictions", self.cache_evictions)
+            .set("cache_hit_rate", Json::fixed(self.cache_hit_rate(), 4))
+            .set("tuner_hits", self.tuner_hits)
+            .set("tuner_misses", self.tuner_misses)
+            .set("worker_deaths", self.worker_deaths)
     }
 }
 
@@ -239,12 +233,12 @@ mod tests {
         let s = ServeStats::new();
         s.batch(8);
         s.cache_hit();
-        let json = s.snapshot().to_json();
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert!(json.contains("\"coalescing_rate\":8.0000"));
-        assert!(json.contains("\"cache_hit_rate\":1.0000"));
-        assert!(json.contains("\"tuner_hits\":0"));
-        assert!(json.contains("\"worker_deaths\":0"));
+        let json = Json::parse(&s.snapshot().to_json().to_string()).expect("valid JSON");
+        let get = |key| json.get(key).and_then(Json::as_f64);
+        assert_eq!(get("coalescing_rate"), Some(8.0));
+        assert_eq!(get("cache_hit_rate"), Some(1.0));
+        assert_eq!(json.get("tuner_hits").and_then(Json::as_u64), Some(0));
+        assert_eq!(json.get("worker_deaths").and_then(Json::as_u64), Some(0));
     }
 
     #[test]

@@ -3,6 +3,7 @@
 
 use s2d_core::comm::CommStats;
 use s2d_core::partition::SpmvPartition;
+use s2d_obs::Json;
 use s2d_sim::{simulate_loggp, LogGpModel, MachineModel};
 use s2d_sparse::Csr;
 use s2d_spmv::{simulate_plan, to_phase_specs, PlanKind, PlanPhase};
@@ -105,34 +106,26 @@ impl PartitionQuality {
         }
     }
 
-    /// The quality as one JSON object (hand-rolled; the workspace has
-    /// no serde). Strings are labels from [`std::fmt::Display`] impls
-    /// and contain no characters needing escapes.
-    pub fn to_json(&self) -> String {
-        format!(
-            concat!(
-                "{{\"strategy\":\"{}\",\"k\":{},\"s2d\":{},\"plan\":\"{}\",",
-                "\"volume\":{},\"load_imbalance\":{:.6},\"max_load\":{},",
-                "\"total_messages\":{},\"avg_send_msgs\":{:.3},\"max_send_msgs\":{},",
-                "\"max_send_volume\":{},\"comm_phases\":{},",
-                "\"alpha_beta_time\":{:.9},\"loggp_time\":{:.9},\"speedup\":{:.3}}}"
-            ),
-            self.strategy,
-            self.k,
-            self.s2d,
-            self.plan,
-            self.volume,
-            self.load_imbalance,
-            self.max_load,
-            self.total_messages,
-            self.avg_send_msgs,
-            self.max_send_msgs,
-            self.max_send_volume,
-            self.comm_phases,
-            self.alpha_beta_time,
-            self.loggp_time,
-            self.speedup,
-        )
+    /// The quality as one JSON object. Fractional columns are rounded
+    /// to fixed decimals (times to the nanosecond), so the paper's
+    /// columns in `REPRODUCTION.json` do not churn in the last bits.
+    pub fn to_json(&self) -> Json {
+        Json::obj()
+            .set("strategy", self.strategy.as_str())
+            .set("k", self.k)
+            .set("s2d", self.s2d)
+            .set("plan", self.plan)
+            .set("volume", self.volume)
+            .set("load_imbalance", Json::fixed(self.load_imbalance, 6))
+            .set("max_load", self.max_load)
+            .set("total_messages", self.total_messages)
+            .set("avg_send_msgs", Json::fixed(self.avg_send_msgs, 3))
+            .set("max_send_msgs", self.max_send_msgs)
+            .set("max_send_volume", self.max_send_volume)
+            .set("comm_phases", self.comm_phases)
+            .set("alpha_beta_time", Json::fixed(self.alpha_beta_time, 9))
+            .set("loggp_time", Json::fixed(self.loggp_time, 9))
+            .set("speedup", Json::fixed(self.speedup, 3))
     }
 }
 
@@ -188,10 +181,15 @@ mod tests {
         let a = fig1_matrix();
         let p = fig1_partition();
         let q = PartitionQuality::measure(&a, &p, "fig1");
-        let j = q.to_json();
-        assert!(j.starts_with('{') && j.ends_with('}'));
-        assert!(j.contains("\"strategy\":\"fig1\""));
-        assert!(j.contains("\"volume\":"));
-        assert_eq!(j.matches('{').count(), 1);
+        let j = Json::parse(&q.to_json().to_string()).expect("valid JSON");
+        assert_eq!(j.get("strategy").and_then(Json::as_str), Some("fig1"));
+        assert_eq!(j.get("volume").and_then(Json::as_u64), Some(q.volume));
+        assert_eq!(j.get("s2d"), Some(&Json::Bool(true)));
+        // One flat object: no field nests another container.
+        let Json::Obj(fields) = &j else { panic!("an object") };
+        assert!(fields.iter().all(|(_, v)| !matches!(v, Json::Obj(_) | Json::Arr(_))));
+        // Rounded as `{:.9}` prints it.
+        let t = j.get("alpha_beta_time").and_then(Json::as_f64).expect("a time");
+        assert_eq!(t, format!("{:.9}", q.alpha_beta_time).parse::<f64>().unwrap());
     }
 }

@@ -5,18 +5,19 @@
 //! costs real wall time (dozens of timed SpMV executions), so its
 //! verdict is written to a small versioned JSON file and the next
 //! [`Tuner::run`](crate::Tuner::run) over the same (matrix, k, width)
-//! returns it without touching a clock. The file is hand-rolled JSON in
-//! the same style as the quality and profile reports — and because this
-//! is the one artifact the workspace reads *back*, a matching
-//! hand-rolled parser lives here too. Robustness beats fidelity on the
-//! read path: a missing file, a corrupted file, a version-mismatched
-//! file or an unparseable entry all degrade to "no cached verdict"
-//! (the tuner falls back to searching, or its caller to the model
-//! pick) — never to a panic.
+//! returns it without touching a clock. The file is written and read
+//! back through the workspace's one JSON type, [`s2d_obs::Json`], whose
+//! reader keeps the 64-bit matrix fingerprint exact and refuses absurd
+//! nesting instead of overflowing the stack. Robustness beats fidelity
+//! on the read path: a missing file, a corrupted or truncated file, a
+//! version-mismatched file or an unreadable entry all degrade to "no
+//! cached verdict" (the tuner falls back to searching, or its caller to
+//! the model pick) — never to a panic.
 
 use std::path::{Path, PathBuf};
 
 use s2d::ConfigKey;
+use s2d_obs::Json;
 
 use crate::tuner::TunedChoice;
 
@@ -97,7 +98,7 @@ impl TuningCache {
                 std::fs::create_dir_all(dir)?;
             }
         }
-        std::fs::write(&self.path, self.to_json())
+        std::fs::write(&self.path, self.to_json().to_string())
     }
 
     /// Number of cached verdicts.
@@ -111,115 +112,69 @@ impl TuningCache {
     }
 
     /// The serialized file content: one versioned JSON object.
-    pub fn to_json(&self) -> String {
-        let entries: Vec<String> = self.entries.iter().map(entry_json).collect();
-        format!("{{\"version\":{},\"entries\":[{}]}}", TUNER_VERSION, entries.join(","))
+    pub fn to_json(&self) -> Json {
+        let entries = self
+            .entries
+            .iter()
+            .map(|e| with_choice(key_json(e.key), &e.choice, "choice_width").set("secs", e.secs));
+        Json::obj().set("version", TUNER_VERSION).set("entries", entries.collect::<Vec<_>>())
     }
 }
 
-/// One entry as JSON. The enum axes serialize through their canonical
-/// `Display` labels and come back through `FromStr` — the same
-/// round-trip the CLI flags use, so the cache can never invent a
-/// spelling the rest of the workspace doesn't parse. The winner's own
-/// batch width is `choice_width` (it may legitimately differ from the
-/// workload width in the key: "serve r requests one at a time" is a
-/// measurable candidate).
-fn entry_json(e: &CacheEntry) -> String {
-    format!(
-        concat!(
-            "{{{},\"strategy\":\"{}\",\"plan_kind\":\"{}\",\"format\":\"{}\",",
-            "\"isa\":\"{}\",\"backend\":\"{}\",\"choice_width\":{},\"secs\":{:e}}}"
-        ),
-        e.key.json_fields(),
-        e.choice.strategy,
-        e.choice.plan_kind,
-        e.choice.format,
-        e.choice.isa,
-        e.choice.backend,
-        e.choice.width,
-        e.secs,
-    )
+/// `key`'s three fields as an object: a cache entry starts with them,
+/// and the tuner's verdict spells its key the same way.
+pub(crate) fn key_json(key: ConfigKey) -> Json {
+    Json::obj().set("fingerprint", key.fingerprint).set("k", key.k).set("width", key.width)
 }
 
-/// Parses a whole cache file. `None` means "treat as empty": not JSON
-/// we wrote, or a version we don't speak.
+/// `obj` plus `c`'s axes. The enum axes are written through their
+/// canonical `Display` labels and read back through `FromStr` — the same
+/// round-trip the CLI flags use, so the cache can never invent a
+/// spelling the rest of the workspace doesn't parse. The width goes
+/// under `width_key`: a cache entry calls it `choice_width`, since the
+/// winner's own batch width may legitimately differ from the workload
+/// width in the key ("serve r requests one at a time" is a measurable
+/// candidate).
+pub(crate) fn with_choice(obj: Json, c: &TunedChoice, width_key: &str) -> Json {
+    obj.set("strategy", c.strategy.to_string())
+        .set("plan_kind", c.plan_kind.to_string())
+        .set("format", c.format.to_string())
+        .set("isa", c.isa.to_string())
+        .set("backend", c.backend.to_string())
+        .set(width_key, c.width)
+}
+
+/// Parses a whole cache file. `None` means "treat as empty": not JSON,
+/// or a version we don't speak.
 fn parse_file(s: &str) -> Option<Vec<CacheEntry>> {
-    let version: u32 = field(s, "version")?.parse().ok()?;
-    if version != TUNER_VERSION {
+    let doc = Json::parse(s).ok()?;
+    if doc.get("version")?.as_u64()? != u64::from(TUNER_VERSION) {
         return None;
     }
-    let list = entries_block(s)?;
-    // Individually unparseable entries are dropped, not fatal — one
-    // truncated line must not discard every other matrix's verdict.
-    Some(objects(list).into_iter().filter_map(parse_entry).collect())
+    // Individually unreadable entries are dropped, not fatal — one
+    // damaged entry must not discard every other matrix's verdict.
+    Some(doc.get("entries")?.as_arr()?.iter().filter_map(parse_entry).collect())
 }
 
-fn parse_entry(obj: &str) -> Option<CacheEntry> {
+fn parse_entry(e: &Json) -> Option<CacheEntry> {
+    let int = |key: &str| usize::try_from(e.get(key)?.as_u64()?).ok();
+    let label = |key: &str| e.get(key)?.as_str();
     Some(CacheEntry {
         key: ConfigKey {
-            fingerprint: field(obj, "fingerprint")?.parse().ok()?,
-            k: field(obj, "k")?.parse().ok()?,
-            width: field(obj, "width")?.parse().ok()?,
+            fingerprint: e.get("fingerprint")?.as_u64()?,
+            k: int("k")?,
+            width: int("width")?,
         },
         choice: TunedChoice {
-            strategy: str_field(obj, "strategy")?.parse().ok()?,
-            plan_kind: str_field(obj, "plan_kind")?.parse().ok()?,
-            format: str_field(obj, "format")?.parse().ok()?,
-            isa: str_field(obj, "isa")?.parse().ok()?,
-            backend: str_field(obj, "backend")?.parse().ok()?,
-            width: field(obj, "choice_width")?.parse().ok()?,
+            strategy: label("strategy")?.parse().ok()?,
+            plan_kind: label("plan_kind")?.parse().ok()?,
+            format: label("format")?.parse().ok()?,
+            isa: label("isa")?.parse().ok()?,
+            backend: label("backend")?.parse().ok()?,
+            width: int("choice_width")?,
         },
-        secs: field(obj, "secs")?.parse().ok()?,
+        secs: e.get("secs")?.as_f64()?,
     })
-}
-
-/// The raw text of `"key":<value>` up to the next delimiter. Enough of
-/// a JSON scanner for the flat objects this crate writes — no nested
-/// containers inside values, no escaped strings.
-fn field<'s>(obj: &'s str, key: &str) -> Option<&'s str> {
-    let pat = format!("\"{key}\":");
-    let start = obj.find(&pat)? + pat.len();
-    let rest = &obj[start..];
-    let end = rest.find([',', '}', ']']).unwrap_or(rest.len());
-    Some(rest[..end].trim())
-}
-
-/// [`field`] for string values: the content between the quotes.
-fn str_field<'s>(obj: &'s str, key: &str) -> Option<&'s str> {
-    field(obj, key)?.strip_prefix('"')?.strip_suffix('"')
-}
-
-/// The text inside `"entries":[ ... ]` (entry objects hold no arrays,
-/// so the first `]` closes the list).
-fn entries_block(s: &str) -> Option<&str> {
-    let start = s.find("\"entries\":[")? + "\"entries\":[".len();
-    let rest = &s[start..];
-    Some(&rest[..rest.find(']')?])
-}
-
-/// Splits a list body into its top-level `{...}` chunks by brace depth.
-fn objects(list: &str) -> Vec<&str> {
-    let mut out = Vec::new();
-    let mut depth = 0usize;
-    let mut start = 0usize;
-    for (i, c) in list.char_indices() {
-        match c {
-            '{' => {
-                if depth == 0 {
-                    start = i;
-                }
-                depth += 1;
-            }
-            '}' => {
-                depth = depth.saturating_sub(1);
-                if depth == 0 {
-                    out.push(&list[start..=i]);
-                }
-            }
-            _ => {}
-        }
-    }
-    out
 }
 
 #[cfg(test)]
@@ -242,11 +197,15 @@ mod tests {
         }
     }
 
+    fn file(entries: &[CacheEntry]) -> String {
+        let c = TuningCache { path: PathBuf::new(), entries: entries.to_vec() };
+        c.to_json().to_string()
+    }
+
     #[test]
     fn json_round_trips_every_axis() {
         let e = entry(0xdead_beef, 1.25e-4);
-        let json = format!("{{\"version\":{TUNER_VERSION},\"entries\":[{}]}}", entry_json(&e));
-        let back = parse_file(&json).expect("own output parses");
+        let back = parse_file(&file(&[e])).expect("own output parses");
         assert_eq!(back, vec![e]);
     }
 
@@ -265,12 +224,56 @@ mod tests {
     fn garbage_and_version_mismatch_degrade_to_empty() {
         assert!(parse_file("not json at all").is_none());
         assert!(parse_file("{\"version\":999,\"entries\":[]}").is_none(), "future version");
-        // A file with one broken entry keeps the good one.
-        let good = entry_json(&entry(7, 0.125));
-        let json =
-            format!("{{\"version\":{TUNER_VERSION},\"entries\":[{{\"fingerprint\":}},{good}]}}");
+        // A file with one unreadable entry keeps the good one.
+        let good = file(&[entry(7, 0.125)]);
+        let json = good.replace("\"entries\":[", "\"entries\":[{\"fingerprint\":-1},");
         let back = parse_file(&json).expect("file itself is well-formed");
         assert_eq!(back.len(), 1);
         assert_eq!(back[0].key.fingerprint, 7);
+    }
+
+    /// Every hostile file loads as an empty or partial cache: no panic,
+    /// no abort, and a file written by the previous writer still replays.
+    #[test]
+    fn hostile_files_load_empty_or_partial() {
+        let good = file(&[entry(1, 0.5), entry(2, 0.25)]);
+        let max = file(&[entry(u64::MAX, 0.5)]);
+        let nines = "9".repeat(400);
+        let deep = format!("\"entries\":[{}", "[".repeat(100_000));
+        // The previous writer's exact bytes: `secs` printed with `{:e}`.
+        let previous = concat!(
+            r#"{"version":3,"entries":[{"fingerprint":16748617310548547708,"k":8,"width":4,"#,
+            r#""strategy":"1d","plan_kind":"single_phase","format":"auto","isa":"auto","#,
+            r#""backend":"compiled-pool:1","choice_width":4,"secs":8.342e-6}]}"#
+        );
+        let cases: Vec<(&str, String, usize)> = vec![
+            ("truncated", good[..good.len() / 2].to_string(), 0),
+            ("deep nesting", good.replacen("\"entries\":[", &deep, 1), 0),
+            ("u64::MAX fingerprint", max.clone(), 1),
+            (
+                "400-digit number",
+                good.replace("\"fingerprint\":1,", &format!("\"fingerprint\":{nines},")),
+                0,
+            ),
+            ("duplicated key", good.replace("\"secs\":0.5", "\"secs\":0.5,\"secs\":\"x\""), 2),
+            ("wrong types", good.replace("\"k\":4", "\"k\":\"4\"").replacen("\"1d\"", "7", 1), 0),
+            ("wrong type in one entry", good.replacen("\"k\":4", "\"k\":4.0", 1), 1),
+            ("previous writer", previous.to_string(), 1),
+        ];
+        let path = std::env::temp_dir().join(format!("s2d-hostile-{}.json", std::process::id()));
+        let load = |text: &str| {
+            std::fs::write(&path, text).expect("write the case");
+            TuningCache::load(&path)
+        };
+        for (name, text, want) in cases {
+            assert_eq!(load(&text).len(), want, "{name}");
+        }
+        let hit = load(&max).lookup(ConfigKey { fingerprint: u64::MAX, k: 4, width: 8 }).copied();
+        assert_eq!(hit, Some(entry(u64::MAX, 0.5)), "a fingerprint of u64::MAX replays exactly");
+        let key = ConfigKey { fingerprint: 16_748_617_310_548_547_708, k: 8, width: 4 };
+        let e = *load(previous).lookup(key).expect("the previous format replays");
+        assert_eq!((e.secs, e.choice.strategy, e.choice.width), (8.342e-6, Strategy::OneDRow, 4));
+        assert_eq!(e.choice.backend, Backend::CompiledPool { threads: 1, pin: false });
+        std::fs::remove_file(&path).ok();
     }
 }

@@ -31,10 +31,10 @@ use s2d::{
     Strategy,
 };
 use s2d_engine::CompiledPlan;
-use s2d_obs::best_of;
+use s2d_obs::{best_of, Json};
 use s2d_sparse::Csr;
 
-use crate::cache::{CacheEntry, TuningCache};
+use crate::cache::{key_json, with_choice, CacheEntry, TuningCache};
 
 /// How much clock time the search may spend: timing repetitions per
 /// candidate, SpMV iterations per repetition, and a cap on how many
@@ -96,18 +96,6 @@ impl std::fmt::Display for TunedChoice {
         write!(
             f,
             "{}/{}/{}/{}/{}/w{}",
-            self.strategy, self.plan_kind, self.format, self.isa, self.backend, self.width
-        )
-    }
-}
-
-impl TunedChoice {
-    fn json(&self) -> String {
-        format!(
-            concat!(
-                "{{\"strategy\":\"{}\",\"plan_kind\":\"{}\",\"format\":\"{}\",",
-                "\"isa\":\"{}\",\"backend\":\"{}\",\"width\":{}}}"
-            ),
             self.strategy, self.plan_kind, self.format, self.isa, self.backend, self.width
         )
     }
@@ -206,28 +194,23 @@ impl TunedConfig {
         out
     }
 
-    /// One JSON object, hand-rolled like every report in the workspace.
-    pub fn to_json(&self) -> String {
-        let measurements: Vec<String> = self
+    /// The verdict as one JSON object; the key and every choice are
+    /// spelled as in the [`TuningCache`] file.
+    pub fn to_json(&self) -> Json {
+        let choice = |c: &TunedChoice| with_choice(Json::obj(), c, "width");
+        let measurements = self
             .measurements
             .iter()
-            .map(|m| format!("{{\"choice\":{},\"secs\":{:e}}}", m.choice.json(), m.secs))
-            .collect();
-        format!(
-            concat!(
-                "{{\"key\":{{{}}},\"cache_hit\":{},\"winner\":{},\"winner_secs\":{:e},",
-                "\"model\":{},\"model_secs\":{:e},\"speedup_over_model\":{:.4},",
-                "\"measurements\":[{}]}}"
-            ),
-            self.key.json_fields(),
-            self.cache_hit,
-            self.winner.json(),
-            self.winner_secs,
-            self.model.json(),
-            self.model_secs,
-            self.speedup_over_model(),
-            measurements.join(","),
-        )
+            .map(|m| Json::obj().set("choice", choice(&m.choice)).set("secs", m.secs));
+        Json::obj()
+            .set("key", key_json(self.key))
+            .set("cache_hit", self.cache_hit)
+            .set("winner", choice(&self.winner))
+            .set("winner_secs", self.winner_secs)
+            .set("model", choice(&self.model))
+            .set("model_secs", self.model_secs)
+            .set("speedup_over_model", Json::fixed(self.speedup_over_model(), 4))
+            .set("measurements", measurements.collect::<Vec<_>>())
     }
 }
 

@@ -6,6 +6,7 @@ use std::path::PathBuf;
 
 use s2d::{Session, Strategy};
 use s2d_gen::rmat::{rmat, RmatConfig};
+use s2d_obs::Json;
 use s2d_sparse::Csr;
 use s2d_tune::{TuneBudget, Tuned, Tuner, TuningCache, TUNER_VERSION};
 
@@ -157,9 +158,17 @@ fn verdicts_render_and_serialize() {
     let table = verdict.render();
     assert!(table.contains("winner"));
     assert!(table.contains("model"));
-    let json = verdict.to_json();
-    assert_eq!(json.matches('{').count(), json.matches('}').count());
-    assert!(json.contains("\"cache_hit\":false"));
-    assert!(json.contains("\"measurements\":["));
-    assert!(json.contains(&format!("\"k\":{}", 2)));
+    let json = Json::parse(&verdict.to_json().to_string()).expect("valid JSON");
+    assert_eq!(json.get("cache_hit"), Some(&Json::Bool(false)));
+    let measured = json.get("measurements").and_then(Json::as_arr).expect("measurements");
+    assert_eq!(measured.len(), verdict.measurements.len());
+    let key = json.get("key").expect("key");
+    assert_eq!(key.get("k").and_then(Json::as_u64), Some(2));
+    assert_eq!(key.get("fingerprint").and_then(Json::as_u64), Some(verdict.key.fingerprint));
+    let winner = json.get("winner").expect("winner");
+    assert_eq!(
+        winner.get("strategy").and_then(Json::as_str),
+        Some(&*verdict.winner.strategy.to_string())
+    );
+    assert_eq!(json.get("winner_secs").and_then(Json::as_f64), Some(verdict.winner_secs));
 }

@@ -36,13 +36,6 @@ impl ConfigKey {
     pub fn of(a: &Csr, k: usize, width: usize) -> ConfigKey {
         ConfigKey { fingerprint: a.fingerprint(), k, width }
     }
-
-    /// The key fields as JSON members (no surrounding braces), so both
-    /// caches serialize the key identically:
-    /// `"fingerprint":…,"k":…,"width":…`.
-    pub fn json_fields(&self) -> String {
-        format!("\"fingerprint\":{},\"k\":{},\"width\":{}", self.fingerprint, self.k, self.width)
-    }
 }
 
 impl std::fmt::Display for ConfigKey {
@@ -66,12 +59,7 @@ mod tests {
         let mut b = fig1_matrix();
         b.values_mut()[0] += 1.0;
         assert_ne!(key, ConfigKey::of(&b, 3, 4), "matrix content must show");
-    }
-
-    #[test]
-    fn json_fields_are_stable() {
         let key = ConfigKey { fingerprint: 7, k: 2, width: 8 };
-        assert_eq!(key.json_fields(), "\"fingerprint\":7,\"k\":2,\"width\":8");
         assert_eq!(key.to_string(), "0000000000000007/k2/w8");
     }
 }

@@ -639,7 +639,8 @@ mod tests {
             assert_eq!(model.modeled_comm_words, s.quality().unwrap().volume);
             // The report renders and serializes without panicking.
             assert!(report.render().contains(backend.label()));
-            assert!(report.to_json().starts_with('{'));
+            let json = crate::obs::Json::parse(&report.to_json().to_string());
+            assert_eq!(json.map(|j| j.get("k").and_then(|k| k.as_u64())), Ok(Some(p.k as u64)));
         }
 
         // Telemetry off: no sink, no report.
