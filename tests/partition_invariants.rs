@@ -295,8 +295,20 @@ fn golden_partitions_are_unchanged() {
     got.push(("denserow 2d nz".into(), fnv(&fg.nz_owner)));
     got.push(("denserow 2d x".into(), fnv(&fg.x_part)));
     got.push(("denserow 2d y".into(), fnv(&fg.y_part)));
+    // Dense rows at the paper's K: most FM candidates are balance-blocked.
+    let n = 1 << 11;
+    let wide = dense_row_matrix(
+        &DenseRowConfig { n, nnz: 8 * n, dmax: n / 2, tail_decay: 0.5, mirror_cols: true },
+        5,
+    );
+    for k in [32, 64] {
+        got.push((
+            format!("denserow-2k 1d-row k={k}"),
+            fnv(&partition_1d_rowwise(&wide, k, 0.03, 5).row_part),
+        ));
+    }
 
-    let golden: [(&str, u64); 17] = [
+    let golden: [(&str, u64); 19] = [
         ("rmat 1d-row k=2", 0xc362df8aba558a75),
         ("rmat 1d-row k=3", 0xb8d6cf22c8c63576),
         ("rmat 1d-row k=8", 0x3ceb2a490d213d04),
@@ -314,6 +326,8 @@ fn golden_partitions_are_unchanged() {
         ("denserow 2d nz", 0xbcb0b83696ec45e7),
         ("denserow 2d x", 0x0c4ea340ccb38c20),
         ("denserow 2d y", 0xfbbf315ea6ce5dc3),
+        ("denserow-2k 1d-row k=32", 0x3f6f0ffab22ae03b),
+        ("denserow-2k 1d-row k=64", 0x40e76c2c78c735ca),
     ];
     assert_eq!(got.len(), golden.len());
     for ((name, h), (gname, gh)) in got.iter().zip(golden) {
