@@ -167,4 +167,46 @@ mod tests {
         let src = "s2d-partition v1\n2 2 2 2\ny: 0 1\n";
         assert!(read_partition(src.as_bytes()).is_err());
     }
+
+    /// Hostile files: huge declared sizes over short lines, truncation,
+    /// overflowed and non-numeric tokens. Each reads to an error naming
+    /// the problem, never a panic or an allocation of the declared size.
+    #[test]
+    fn hostile_files_are_errors() {
+        const MAGIC: &str = "s2d-partition v1\n";
+        let cases = [
+            ("huge rows", format!("{MAGIC}2 1000000000000 1 1\ny: 0\nx: 0\nnz: 0\n"), "expected"),
+            (
+                "huge columns",
+                format!("{MAGIC}2 1 1000000000000 1\ny: 0\nx: 0\nnz: 0\n"),
+                "expected",
+            ),
+            (
+                "u64::MAX nonzeros",
+                format!("{MAGIC}2 1 1 18446744073709551615\ny: 0\nx: 0\nnz: 0\n"),
+                "expected",
+            ),
+            ("size beyond u64", format!("{MAGIC}2 18446744073709551616 1 1\n"), "bad size"),
+            ("K = 0", format!("{MAGIC}0 1 1 1\ny: 0\nx: 0\nnz: 0\n"), "K must be positive"),
+            ("truncated size line", format!("{MAGIC}2 1 1\n"), "size line"),
+            ("truncated after magic", MAGIC.to_string(), "end of file"),
+            ("truncated ids", format!("{MAGIC}2 2 1 1\ny: 0\n"), "expected 2 ids, found 1"),
+            ("truncated lines", format!("{MAGIC}2 1 1 1\ny: 0\n"), "end of file"),
+            ("too many ids", format!("{MAGIC}2 1 1 1\ny: 0 1\nx: 0\nnz: 0\n"), "expected 1 ids"),
+            (
+                "part id beyond u32",
+                format!("{MAGIC}2 1 1 1\ny: 4294967296\nx: 0\nnz: 0\n"),
+                "bad part id",
+            ),
+            ("negative part id", format!("{MAGIC}2 1 1 1\ny: -1\nx: 0\nnz: 0\n"), "bad part id"),
+            ("non-numeric size", format!("{MAGIC}2 one 1 1\n"), "bad size"),
+            ("missing label", format!("{MAGIC}2 1 1 1\n0\nx: 0\nnz: 0\n"), "starting with"),
+        ];
+        for (name, src, needle) in cases {
+            match read_partition(src.as_bytes()) {
+                Err(e) => assert!(e.to_string().contains(needle), "{name}: {e} lacks {needle:?}"),
+                Ok(p) => panic!("{name}: read {p:?}"),
+            }
+        }
+    }
 }

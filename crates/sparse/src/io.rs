@@ -7,7 +7,12 @@
 use std::io::{BufRead, BufReader, BufWriter, Read, Write};
 use std::path::Path;
 
-use crate::Coo;
+use crate::{Coo, Idx};
+
+/// Most triplets reserved before any entry is read: the size line is a
+/// claim, not an allocation budget, so storage beyond this grows with the
+/// entries actually present.
+const MAX_RESERVE: usize = 1 << 20;
 
 /// Errors produced by the Matrix Market parser.
 #[derive(Debug)]
@@ -100,9 +105,15 @@ pub fn read_matrix_market<R: Read>(reader: R) -> Result<Coo, MmError> {
         return Err(parse_err("size line must contain `nrows ncols nnz`"));
     }
     let (nrows, ncols, nnz) = (dims[0], dims[1], dims[2]);
+    if nrows > Idx::MAX as usize || ncols > Idx::MAX as usize {
+        return Err(parse_err(format!(
+            "dimensions {nrows} x {ncols} exceed the 32-bit index range (at most {})",
+            Idx::MAX
+        )));
+    }
 
-    let cap = if symmetry == Symmetry::General { nnz } else { 2 * nnz };
-    let mut coo = Coo::with_capacity(nrows, ncols, cap);
+    let per_entry = if symmetry == Symmetry::General { 1 } else { 2 };
+    let mut coo = Coo::with_capacity(nrows, ncols, nnz.saturating_mul(per_entry).min(MAX_RESERVE));
     let mut seen = 0usize;
     for line in lines {
         let line = line?;
@@ -219,5 +230,75 @@ mod tests {
     fn rejects_out_of_range() {
         let src = "%%MatrixMarket matrix coordinate real general\n2 2 1\n3 1 1.0\n";
         assert!(read_matrix_market(src.as_bytes()).is_err());
+    }
+
+    /// Hostile files: each parses to its defined matrix or to an error
+    /// naming the problem, and none panics or allocates what its size
+    /// line merely claims.
+    #[test]
+    fn hostile_files_error_or_parse() {
+        const GEN: &str = "%%MatrixMarket matrix coordinate real general\n";
+        const SYM: &str = "%%MatrixMarket matrix coordinate real symmetric\n";
+        let cases: Vec<(&str, String, Result<Vec<(usize, usize, f64)>, &str>)> = vec![
+            (
+                "truncated entries",
+                format!("{GEN}2 2 2\n1 1 1.0\n"),
+                Err("promised 2 entries, found 1"),
+            ),
+            ("truncated entry", format!("{GEN}2 2 1\n1 1\n"), Err("missing value")),
+            ("truncated size line", format!("{GEN}2 2\n"), Err("size line must contain")),
+            ("row index 0", format!("{GEN}2 2 1\n0 1 1.0\n"), Err("outside")),
+            ("column index 0", format!("{GEN}2 2 1\n1 0 1.0\n"), Err("outside")),
+            ("row beyond", format!("{GEN}2 2 1\n3 1 1.0\n"), Err("outside")),
+            ("column beyond", format!("{GEN}2 2 1\n1 3 1.0\n"), Err("outside")),
+            ("2^32+1 rows", format!("{GEN}4294967297 1 1\n1 1 1.0\n"), Err("index range")),
+            ("2^32+1 columns", format!("{GEN}1 4294967297 1\n1 1 1.0\n"), Err("index range")),
+            ("10^12 entries", format!("{GEN}2 2 1000000000000\n"), Err("promised 1000000000000")),
+            (
+                "u64::MAX entries",
+                format!("{GEN}2 2 18446744073709551615\n1 1 1.0\n"),
+                Err("promised 18446744073709551615"),
+            ),
+            (
+                "symmetric overflow",
+                format!("{SYM}2 2 9223372036854775808\n2 1 1.0\n"),
+                Err("promised 9223372036854775808"),
+            ),
+            (
+                "entries beyond the count",
+                format!("{GEN}2 2 1\n1 1 1.0\n2 2 1.0\n"),
+                Err("promised 1 entries, found 2"),
+            ),
+            ("non-numeric size", format!("{GEN}2 two 1\n"), Err("bad size token")),
+            ("negative size", format!("{GEN}-2 2 1\n"), Err("bad size token")),
+            ("non-numeric row", format!("{GEN}2 2 1\nx 1 1.0\n"), Err("bad row index")),
+            ("non-numeric column", format!("{GEN}2 2 1\n1 x 1.0\n"), Err("bad column index")),
+            ("non-numeric value", format!("{GEN}2 2 1\n1 1 one\n"), Err("bad value")),
+            (
+                "duplicates",
+                format!("{GEN}2 2 3\n1 2 1.5\n2 1 1.0\n1 2 2.0\n"),
+                Ok(vec![(0, 1, 3.5), (1, 0, 1.0)]),
+            ),
+            (
+                "symmetric duplicates",
+                format!("{SYM}2 2 2\n2 1 1.0\n2 1 2.0\n"),
+                Ok(vec![(0, 1, 3.0), (1, 0, 3.0)]),
+            ),
+            (
+                "largest dimensions",
+                format!("{GEN}4294967295 4294967295 1\n4294967295 1 2.0\n"),
+                Ok(vec![(4294967294, 0, 2.0)]),
+            ),
+        ];
+        for (name, src, want) in cases {
+            let got = read_matrix_market(src.as_bytes()).map(|coo| coo.iter().collect::<Vec<_>>());
+            match (got, want) {
+                (Ok(got), Ok(want)) => assert_eq!(got, want, "{name}"),
+                (Err(e), Err(needle)) => {
+                    assert!(e.to_string().contains(needle), "{name}: {e:?} lacks {needle:?}")
+                }
+                (got, want) => panic!("{name}: got {got:?}, want {want:?}"),
+            }
+        }
     }
 }
