@@ -307,8 +307,11 @@ fn golden_partitions_are_unchanged() {
             fnv(&partition_1d_rowwise(&wide, k, 0.03, 5).row_part),
         ));
     }
+    // A stencil deep enough for several coarsening levels per bisection.
+    let fem8k = fem_like(1 << 13, 27.0, 27, 5);
+    got.push(("fem-8k 1d-row k=8".into(), fnv(&partition_1d_rowwise(&fem8k, 8, 0.03, 5).row_part)));
 
-    let golden: [(&str, u64); 19] = [
+    let golden: [(&str, u64); 20] = [
         ("rmat 1d-row k=2", 0xc362df8aba558a75),
         ("rmat 1d-row k=3", 0xb8d6cf22c8c63576),
         ("rmat 1d-row k=8", 0x3ceb2a490d213d04),
@@ -328,6 +331,7 @@ fn golden_partitions_are_unchanged() {
         ("denserow 2d y", 0xfbbf315ea6ce5dc3),
         ("denserow-2k 1d-row k=32", 0x3f6f0ffab22ae03b),
         ("denserow-2k 1d-row k=64", 0x40e76c2c78c735ca),
+        ("fem-8k 1d-row k=8", 0xf83898f033524477),
     ];
     assert_eq!(got.len(), golden.len());
     for ((name, h), (gname, gh)) in got.iter().zip(golden) {
