@@ -1,8 +1,8 @@
 //! Fiduccia–Mattheyses bisection refinement and the gain engine under it.
 //!
-//! [`Gains`] holds the textbook delta-gain rules and a lazy max-heap
-//! (entries carry a per-vertex version stamp; stale entries are skipped on
-//! pop) once, for both users: FM refinement here and greedy growing in
+//! [`Gains`] holds the textbook delta-gain rules and an indexed max-heap
+//! (one entry per candidate, re-keyed in place, at most once per move)
+//! once, for both users: FM refinement here and greedy growing in
 //! `initial`. FM adds hill climbing with best-prefix rollback and a
 //! balance mode that lets infeasible partitions walk back into the
 //! balance envelope by accepting overweight-reducing moves regardless of
@@ -21,8 +21,6 @@
 //! move would pick (the loop kept as the test oracle
 //! `fm_pass_reference`), because every key in both structures is the
 //! vertex's current gain.
-
-use std::collections::BinaryHeap;
 
 use crate::hg::Hypergraph;
 
@@ -265,13 +263,20 @@ impl Deferred {
     }
 }
 
+/// `Gains::pos` of a vertex that is not in the heap.
+const NOT_QUEUED: u32 = u32::MAX;
+
 /// The gain engine shared by FM refinement and greedy growing: every
 /// vertex's FM gain, kept current by the textbook delta-gain rules (a
 /// move touches a net's pins only at the net's critical transitions),
-/// plus a lazy max-heap of candidates. Heap entries are `(gain, vertex,
-/// version)`; [`Gains::push`] stamps a fresh version, so a vertex has at
-/// most one live entry and [`Gains::pop`] returns the arg-max gain with
-/// ties to the highest vertex id. Moved vertices are locked.
+/// plus an indexed max-heap of candidates. The heap holds one [`Key`] per
+/// candidate, the `(gain, vertex)` snapshot taken when the vertex was last
+/// (re-)keyed, and `pos` holds each vertex's slot in it; [`Gains::push`]
+/// re-keys a candidate in place, so the heap never holds more than `nvtx`
+/// entries and [`Gains::pop`] returns the arg-max gain with ties to the
+/// highest vertex id. A move applies all its delta-gain rules first and
+/// then re-keys each vertex whose gain they changed once. Moved vertices
+/// are locked and leave the heap.
 ///
 /// FM also parks popped candidates whose moves are balance-blocked in
 /// [`Deferred`] ([`Gains::defer`]); a gain change reprices a deferred
@@ -279,9 +284,14 @@ impl Deferred {
 /// its pop order is the heap's alone.
 pub(crate) struct Gains {
     gain: Vec<i64>,
-    version: Vec<u32>,
     locked: Vec<bool>,
-    heap: BinaryHeap<(i64, u32, u32)>,
+    heap: Vec<Key>,
+    /// Each vertex's slot in `heap`, or [`NOT_QUEUED`].
+    pos: Vec<u32>,
+    /// The vertices whose gain the current move changed, each listed
+    /// once (`stamped`).
+    touched: Vec<u32>,
+    stamped: Vec<bool>,
     deferred: Deferred,
 }
 
@@ -311,9 +321,11 @@ impl Gains {
         }
         Gains {
             gain,
-            version: vec![0; hg.nvtx()],
             locked: vec![false; hg.nvtx()],
-            heap: BinaryHeap::new(),
+            heap: Vec::new(),
+            pos: vec![NOT_QUEUED; hg.nvtx()],
+            touched: Vec::new(),
+            stamped: vec![false; hg.nvtx()],
             deferred: Deferred::default(),
         }
     }
@@ -328,15 +340,64 @@ impl Gains {
         (self.gain[v], v as u32)
     }
 
-    /// Makes `v` a candidate at its current gain, superseding any earlier
-    /// entry for it; a deferred `v` is repriced where it is.
+    /// Makes `v` a candidate at its current gain, re-keying it if it
+    /// already is one; a deferred `v` is repriced where it is.
     pub(crate) fn push(&mut self, v: usize) {
+        debug_assert!(!self.locked[v], "pushed moved vertex {v}");
         if self.deferred.contains(v) {
             self.deferred.reprice(v, self.key(v));
             return;
         }
-        self.version[v] += 1;
-        self.heap.push((self.gain[v], v as u32, self.version[v]));
+        let slot = match self.pos[v] {
+            NOT_QUEUED => {
+                self.heap.push(NO_KEY);
+                self.heap.len() - 1
+            }
+            i => i as usize,
+        };
+        self.place(slot, self.key(v));
+    }
+
+    /// Puts `key` into heap slot `i` (whose old entry is overwritten)
+    /// and moves it up or down until the heap is in order again.
+    fn place(&mut self, mut i: usize, key: Key) {
+        while i > 0 {
+            let parent = (i - 1) / 2;
+            if self.heap[parent] > key {
+                break;
+            }
+            self.heap[i] = self.heap[parent];
+            self.pos[self.heap[i].1 as usize] = i as u32;
+            i = parent;
+        }
+        let len = self.heap.len();
+        loop {
+            let mut child = 2 * i + 1;
+            if child >= len {
+                break;
+            }
+            if child + 1 < len && self.heap[child + 1] > self.heap[child] {
+                child += 1;
+            }
+            if self.heap[child] < key {
+                break;
+            }
+            self.heap[i] = self.heap[child];
+            self.pos[self.heap[i].1 as usize] = i as u32;
+            i = child;
+        }
+        self.heap[i] = key;
+        self.pos[key.1 as usize] = i as u32;
+    }
+
+    /// Takes `v` out of the heap.
+    fn remove(&mut self, v: usize) {
+        let i = self.pos[v] as usize;
+        self.pos[v] = NOT_QUEUED;
+        let last = self.heap.pop().expect("a queued vertex is in the heap");
+        if i < self.heap.len() {
+            self.place(i, last);
+        }
     }
 
     /// Parks `v`, just popped, in the deferred set.
@@ -385,23 +446,39 @@ impl Gains {
 
     /// Removes and returns the best candidate, or `None` when none is left.
     pub(crate) fn pop(&mut self) -> Option<usize> {
-        while let Some((_, v, ver)) = self.heap.pop() {
-            if self.version[v as usize] == ver && !self.locked[v as usize] {
-                return Some(v as usize);
-            }
-        }
-        None
+        let v = self.heap.first()?.1 as usize;
+        self.remove(v);
+        Some(v)
     }
 
     /// Moves `v` to the other side and locks it, updating the gains of
     /// its unlocked net-mates and making each updated one a candidate.
     pub(crate) fn move_vertex(&mut self, state: &mut BisectState<'_>, v: usize) {
         debug_assert_eq!(self.gain[v], state.gain(v), "stale gain for vertex {v}");
+        if self.pos[v] != NOT_QUEUED {
+            self.remove(v);
+        }
         let from = state.side[v];
         self.net_rules(state, v, 1 - from, 1);
         state.apply_move(v);
         self.locked[v] = true;
         self.net_rules(state, v, from, -1);
+        let touched = std::mem::take(&mut self.touched);
+        for &u in &touched {
+            self.stamped[u as usize] = false;
+            self.push(u as usize);
+        }
+        self.touched = touched;
+        self.touched.clear();
+    }
+
+    /// Adds `c` to the gain of `u` and lists `u` for re-keying.
+    fn bump(&mut self, u: usize, c: i64) {
+        self.gain[u] += c;
+        if !self.stamped[u] {
+            self.stamped[u] = true;
+            self.touched.push(u as u32);
+        }
     }
 
     /// The delta-gain rules for the nets of `v`, read off their pin count
@@ -419,8 +496,7 @@ impl Gains {
                     for &u in hg.pins_of(n) {
                         let u = u as usize;
                         if u != v && !self.locked[u] {
-                            self.gain[u] += c;
-                            self.push(u);
+                            self.bump(u, c);
                         }
                     }
                 }
@@ -428,8 +504,7 @@ impl Gains {
                     for &u in hg.pins_of(n) {
                         let u = u as usize;
                         if u != v && !self.locked[u] && state.side[u] == s {
-                            self.gain[u] -= c;
-                            self.push(u);
+                            self.bump(u, -c);
                             break;
                         }
                     }
@@ -800,43 +875,102 @@ pub(crate) mod tests {
         }
     }
 
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(256))]
+    /// The unlocked vertices whose gains the delta-gain rules change when
+    /// `v` moves, read off the pin counts before and after the move: for
+    /// each net of `v`, every other pin when the side `v` enters was
+    /// empty or the side it leaves becomes empty, else the one pin on
+    /// that side when it holds exactly one.
+    fn rule_targets(
+        before: &BisectState<'_>,
+        after: &BisectState<'_>,
+        locked: &[bool],
+        v: usize,
+    ) -> Vec<usize> {
+        let hg = before.hg;
+        let (from, to) = (before.side[v], after.side[v]);
+        let mut out = Vec::new();
+        for &n in hg.nets_of(v) {
+            let n = n as usize;
+            for (state, s) in [(before, to), (after, from)] {
+                let count = state.pins_on(n, s);
+                for &u in hg.pins_of(n) {
+                    let u = u as usize;
+                    let hit = count == 0 || (count == 1 && state.side[u] == s);
+                    if u != v && !locked[u] && hit {
+                        out.push(u);
+                    }
+                }
+            }
+        }
+        out
+    }
 
-        /// After any sequence of engine moves, the gain of every unlocked
-        /// vertex equals the from-scratch recompute, and the candidates
-        /// come out best-first, each once, never a moved vertex.
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(crate::ORACLE_CASES))]
+
+        /// Under any interleaving of pushes, pops and moves of arbitrary
+        /// vertices (a queued one included), the gain of every unlocked
+        /// vertex equals the from-scratch recompute, every pop returns the
+        /// brute-force arg-max `(gain, id)` over the live candidates (the
+        /// pushed vertices and those a move's rules touched, less the
+        /// popped and moved ones), and the heap holds each live candidate
+        /// once, so never more than `nvtx` entries.
         #[test]
         fn engine_gains_match_recompute(
             hg in weighted_hg_strategy(14, 20),
             seed in 0u64..1000,
-            picks in proptest::collection::vec(0usize..1000, 0..=14),
+            ops in proptest::collection::vec((0u8..3, 0usize..1000), 0..=40),
         ) {
             let nvtx = hg.nvtx();
             let side: Vec<u8> =
                 (0..nvtx).map(|v| ((v as u64 * 2654435761 + seed) >> 3) as u8 & 1).collect();
             let mut state = BisectState::new(&hg, side);
             let mut gains = Gains::new(&state);
-            let mut unlocked: Vec<usize> = (0..nvtx).collect();
-            for pick in picks {
+            let mut locked = vec![false; nvtx];
+            let mut live = std::collections::BTreeSet::new();
+            for (op, pick) in ops {
+                let unlocked: Vec<usize> = (0..nvtx).filter(|&u| !locked[u]).collect();
                 if unlocked.is_empty() {
                     break;
                 }
-                let v = unlocked.swap_remove(pick % unlocked.len());
-                gains.move_vertex(&mut state, v);
                 let fresh = BisectState::new(&hg, state.side.clone());
-                prop_assert_eq!(state.cut, fresh.cut);
-                for &u in &unlocked {
-                    prop_assert_eq!(gains.gain(u), fresh.gain(u), "vertex {} after moving {}", u, v);
+                match op {
+                    0 => {
+                        let v = unlocked[pick % unlocked.len()];
+                        gains.push(v);
+                        live.insert(v);
+                    }
+                    1 => {
+                        let want = live.iter().copied().max_by_key(|&u| (fresh.gain(u), u));
+                        prop_assert_eq!(gains.pop(), want);
+                        if let Some(v) = want {
+                            live.remove(&v);
+                        }
+                    }
+                    _ => {
+                        let v = unlocked[pick % unlocked.len()];
+                        gains.move_vertex(&mut state, v);
+                        let after = BisectState::new(&hg, state.side.clone());
+                        locked[v] = true;
+                        live.remove(&v);
+                        live.extend(rule_targets(&fresh, &after, &locked, v));
+                        prop_assert_eq!(state.cut, after.cut);
+                        for u in (0..nvtx).filter(|&u| !locked[u]) {
+                            prop_assert_eq!(gains.gain(u), after.gain(u), "vertex {} after moving {}", u, v);
+                        }
+                    }
                 }
+                prop_assert_eq!(gains.heap.len(), live.len());
+                prop_assert!(gains.heap.len() <= nvtx);
             }
             let mut last = None;
             while let Some(v) = gains.pop() {
-                prop_assert!(unlocked.contains(&v), "popped moved vertex {}", v);
+                prop_assert!(live.remove(&v), "popped {} which is not a live candidate", v);
                 let key = (gains.gain(v), v);
                 prop_assert!(last.is_none_or(|l| key < l), "pop order: {:?} after {:?}", key, last);
                 last = Some(key);
             }
+            prop_assert!(live.is_empty(), "live candidates never popped: {:?}", live);
         }
     }
 

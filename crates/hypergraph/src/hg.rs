@@ -7,7 +7,7 @@
 //! stripe; everything else uses `ncon = 1`).
 
 /// A hypergraph with weighted vertices and weighted nets.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Hypergraph {
     nvtx: usize,
     ncon: usize,
@@ -29,7 +29,7 @@ impl Hypergraph {
     /// `vwgt` holds `ncon` weights per vertex (`vwgt.len() == nvtx * ncon`).
     ///
     /// # Panics
-    /// Panics on inconsistent sizes or out-of-range pins.
+    /// Panics on inconsistent sizes, out-of-range pins or a zero net cost.
     pub fn new(
         nvtx: usize,
         ncon: usize,
@@ -50,7 +50,9 @@ impl Hypergraph {
     /// Builds a hypergraph from CSR pin arrays.
     ///
     /// # Panics
-    /// Panics on inconsistent sizes or out-of-range pins.
+    /// Panics on inconsistent sizes, out-of-range pins or a zero net cost
+    /// (coarsening scores a neighbour by the summed cost of the nets it
+    /// shares, and a score of 0 means "shares none").
     pub fn from_csr(
         nvtx: usize,
         ncon: usize,
@@ -65,6 +67,7 @@ impl Hypergraph {
         assert_eq!(*xpins.last().expect("xpins nonempty"), pins.len());
         assert!(xpins.windows(2).all(|w| w[0] <= w[1]), "xpins must be nondecreasing");
         assert!(pins.iter().all(|&p| (p as usize) < nvtx), "pin out of range");
+        assert!(ncost.iter().all(|&c| c > 0), "net costs must be positive");
 
         // Derive the vertex → nets CSR by counting sort.
         let nnets = ncost.len();
@@ -141,6 +144,13 @@ impl Hypergraph {
         self.xpins[n + 1] - self.xpins[n]
     }
 
+    /// The net → pins CSR arrays: the pins of net `n` are
+    /// `pins[xpins[n]..xpins[n + 1]]`.
+    #[inline]
+    pub(crate) fn pin_csr(&self) -> (&[usize], &[u32]) {
+        (&self.xpins, &self.pins)
+    }
+
     /// Degree (number of incident nets) of vertex `v`.
     #[inline]
     pub fn degree(&self, v: usize) -> usize {
@@ -170,14 +180,102 @@ impl Hypergraph {
     /// column net collapse onto the same cluster set); merging keeps the
     /// coarse hypergraphs small.
     pub fn merge_identical_nets(&self) -> Hypergraph {
-        // Every net's pin set, sorted and de-duplicated, in one flat buffer.
-        let mut xsets = Vec::with_capacity(self.nnets() + 1);
+        merge_nets(
+            self.nvtx,
+            self.ncon,
+            self.vwgt.clone(),
+            &self.ncost,
+            self.xpins.clone(),
+            self.pins.clone(),
+        )
+    }
+}
+
+/// [`Hypergraph::merge_identical_nets`] on CSR arrays, which it takes
+/// over: each net's pins are sorted and de-duplicated in place, then the
+/// nets of two or more pins are put in lexicographic order of their sets
+/// (identical nets become neighbours, and the output order depends on
+/// nothing but the input) by a counting sort on the first pin and a
+/// comparison sort of each first-pin bucket on the rest.
+pub(crate) fn merge_nets(
+    nvtx: usize,
+    ncon: usize,
+    vwgt: Vec<u64>,
+    ncost: &[u64],
+    mut xpins: Vec<usize>,
+    mut pins: Vec<u32>,
+) -> Hypergraph {
+    let nnets = ncost.len();
+    let mut lo = 0;
+    let mut len = 0;
+    for n in 0..nnets {
+        let hi = xpins[n + 1];
+        pins[lo..hi].sort_unstable();
+        let start = len;
+        for k in lo..hi {
+            let p = pins[k];
+            if len == start || pins[len - 1] != p {
+                pins[len] = p;
+                len += 1;
+            }
+        }
+        xpins[n + 1] = len;
+        lo = hi;
+    }
+    pins.truncate(len);
+    let set = |n: u32| &pins[xpins[n as usize]..xpins[n as usize + 1]];
+
+    // `bucket[p]` ends up as the end of first pin `p`'s range in `order`.
+    let mut bucket = vec![0usize; nvtx + 1];
+    for n in 0..nnets as u32 {
+        if set(n).len() >= 2 {
+            bucket[set(n)[0] as usize + 1] += 1;
+        }
+    }
+    for p in 0..nvtx {
+        bucket[p + 1] += bucket[p];
+    }
+    let mut order = vec![0u32; bucket[nvtx]];
+    for n in 0..nnets as u32 {
+        if set(n).len() >= 2 {
+            let first = set(n)[0] as usize;
+            order[bucket[first]] = n;
+            bucket[first] += 1;
+        }
+    }
+    let mut lo = 0;
+    for &hi in &bucket[..nvtx] {
+        order[lo..hi].sort_unstable_by(|&a, &b| set(a)[1..].cmp(&set(b)[1..]));
+        lo = hi;
+    }
+
+    let mut xmerged = vec![0usize];
+    let mut merged: Vec<u32> = Vec::with_capacity(pins.len());
+    let mut mcost: Vec<u64> = Vec::new();
+    for group in order.chunk_by(|&a, &b| set(a) == set(b)) {
+        merged.extend_from_slice(set(group[0]));
+        xmerged.push(merged.len());
+        mcost.push(group.iter().map(|&n| ncost[n as usize]).sum());
+    }
+    Hypergraph::from_csr(nvtx, ncon, vwgt, mcost, xmerged, merged)
+}
+
+#[cfg(test)]
+pub(crate) mod tests {
+    use super::*;
+    use crate::coarsen::tests::raw_hg_strategy;
+    use proptest::prelude::*;
+
+    /// The merge this module used to run, kept as the oracle: one
+    /// comparison sort of every net's sorted set.
+    pub(crate) fn merge_identical_nets_reference(hg: &Hypergraph) -> Hypergraph {
+        let mut xsets = Vec::with_capacity(hg.nnets() + 1);
         xsets.push(0usize);
-        let mut sets: Vec<u32> = Vec::with_capacity(self.npins());
+        let mut sets: Vec<u32> = Vec::with_capacity(hg.npins());
         let mut one: Vec<u32> = Vec::new();
-        for n in 0..self.nnets() {
+        for n in 0..hg.nnets() {
             one.clear();
-            one.extend_from_slice(self.pins_of(n));
+            one.extend_from_slice(hg.pins_of(n));
             one.sort_unstable();
             one.dedup();
             sets.extend_from_slice(&one);
@@ -185,10 +283,7 @@ impl Hypergraph {
         }
         let set = |n: u32| &sets[xsets[n as usize]..xsets[n as usize + 1]];
 
-        // Net ids in lexicographic order of their sets: identical nets
-        // become neighbours, and the output order depends on nothing but
-        // the input.
-        let mut order: Vec<u32> = (0..self.nnets() as u32).filter(|&n| set(n).len() >= 2).collect();
+        let mut order: Vec<u32> = (0..hg.nnets() as u32).filter(|&n| set(n).len() >= 2).collect();
         order.sort_unstable_by(|&a, &b| set(a).cmp(set(b)));
 
         let mut xpins = vec![0usize];
@@ -197,15 +292,22 @@ impl Hypergraph {
         for group in order.chunk_by(|&a, &b| set(a) == set(b)) {
             pins.extend_from_slice(set(group[0]));
             xpins.push(pins.len());
-            ncost.push(group.iter().map(|&n| self.ncost[n as usize]).sum());
+            ncost.push(group.iter().map(|&n| hg.ncost(n as usize)).sum());
         }
-        Hypergraph::from_csr(self.nvtx, self.ncon, self.vwgt.clone(), ncost, xpins, pins)
+        Hypergraph::from_csr(hg.nvtx(), hg.ncon(), hg.vwgt.clone(), ncost, xpins, pins)
     }
-}
 
-#[cfg(test)]
-mod tests {
-    use super::*;
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(crate::ORACLE_CASES))]
+
+        /// The bucketed merge returns exactly what one comparison sort of
+        /// all sets returns: the same nets, in the same order, with the
+        /// same summed costs.
+        #[test]
+        fn merge_identical_nets_matches_reference(hg in raw_hg_strategy()) {
+            prop_assert_eq!(hg.merge_identical_nets(), merge_identical_nets_reference(&hg));
+        }
+    }
 
     fn sample() -> Hypergraph {
         // 4 vertices, nets: {0,1,2}, {2,3}, {0,3}
@@ -270,5 +372,11 @@ mod tests {
     #[should_panic(expected = "pin out of range")]
     fn rejects_bad_pin() {
         Hypergraph::new(2, 1, vec![1, 1], &[vec![0, 2]], vec![1]);
+    }
+
+    #[test]
+    #[should_panic(expected = "net costs must be positive")]
+    fn rejects_zero_net_cost() {
+        Hypergraph::new(3, 1, vec![1, 1, 1], &[vec![0, 1], vec![1, 2]], vec![1, 0]);
     }
 }

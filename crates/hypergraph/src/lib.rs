@@ -17,9 +17,9 @@
 //! The multilevel bisection under the driver is private, and its tuning
 //! values are constants next to the code that reads them:
 //!
-//! * `coarsen` — randomized heavy-connectivity matching coarsening with
-//!   identical-net merging;
-//! * `fm` — the one gain engine (delta-gain rules + lazy max-heap) and
+//! * `coarsen` — randomized heavy-connectivity matching coarsening that
+//!   scans live (still unmatched) pins only, with identical-net merging;
+//! * `fm` — the one gain engine (delta-gain rules + indexed max-heap) and
 //!   Fiduccia–Mattheyses boundary refinement with hill climbing and
 //!   rollback on top of it;
 //! * `initial` — greedy hypergraph growing (on the same engine) + random
@@ -41,3 +41,9 @@ pub mod models;
 pub use hg::Hypergraph;
 pub use kway::{partition_kway, KwayPartition, PartitionConfig};
 pub use metrics::{connectivity_minus_one, cut_net, imbalance};
+
+/// Cases per run of the proptests that hold a rewritten step against the
+/// code it replaced: the default 256 in debug builds, 4096 in release
+/// builds (CI runs the test suite both ways).
+#[cfg(test)]
+const ORACLE_CASES: u32 = if cfg!(debug_assertions) { 256 } else { 4096 };
