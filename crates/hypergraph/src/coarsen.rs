@@ -59,6 +59,9 @@ pub(crate) fn coarsen_once<R: Rng>(hg: &Hypergraph, rng: &mut R) -> Option<Coars
     let mut mate = vec![UNMATCHED; nvtx];
     // Connectivity to the vertex being matched, or SETTLED.
     let mut score = vec![0u64; nvtx];
+    // The scored vertices in first-touch order, at most nvtx − 1 of
+    // them, so the slot past the last one that every pin visit writes is
+    // always in range.
     let mut touched = vec![0u32; nvtx];
     let mut matched_pairs = 0usize;
     // Net n's unsettled pins, in their original order, are
@@ -180,7 +183,7 @@ fn contract(hg: &Hypergraph, map: &[u32], ncoarse: usize) -> Hypergraph {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use crate::hg::tests::merge_identical_nets_reference;
+    use crate::hg::tests::{defining, merge_identical_nets_reference};
     use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -349,7 +352,7 @@ pub(crate) mod tests {
                 prop_assert_eq!(got.is_some(), want.is_some(), "level {}", level);
                 let (Some(got), Some(want)) = (got, want) else { break };
                 prop_assert_eq!(&got.map, &want.map, "level {}", level);
-                prop_assert_eq!(&got.hg, &want.hg, "level {}", level);
+                prop_assert_eq!(defining(&got.hg), defining(&want.hg), "level {}", level);
                 hg = got.hg;
             }
             prop_assert_eq!(r1.random::<u64>(), r2.random::<u64>());

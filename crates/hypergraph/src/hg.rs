@@ -7,7 +7,7 @@
 //! stripe; everything else uses `ncon = 1`).
 
 /// A hypergraph with weighted vertices and weighted nets.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug)]
 pub struct Hypergraph {
     nvtx: usize,
     ncon: usize,
@@ -297,6 +297,12 @@ pub(crate) mod tests {
         Hypergraph::from_csr(hg.nvtx(), hg.ncon(), hg.vwgt.clone(), ncost, xpins, pins)
     }
 
+    /// What defines `hg` (its vertex → nets index is derived from it):
+    /// the value the oracle proptests compare.
+    pub(crate) fn defining(hg: &Hypergraph) -> (usize, usize, &[u64], &[u64], &[usize], &[u32]) {
+        (hg.nvtx, hg.ncon, &hg.vwgt, &hg.ncost, &hg.xpins, &hg.pins)
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(crate::ORACLE_CASES))]
 
@@ -305,7 +311,8 @@ pub(crate) mod tests {
         /// same summed costs.
         #[test]
         fn merge_identical_nets_matches_reference(hg in raw_hg_strategy()) {
-            prop_assert_eq!(hg.merge_identical_nets(), merge_identical_nets_reference(&hg));
+            let (got, want) = (hg.merge_identical_nets(), merge_identical_nets_reference(&hg));
+            prop_assert_eq!(defining(&got), defining(&want));
         }
     }
 

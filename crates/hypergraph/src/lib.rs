@@ -18,7 +18,7 @@
 //! values are constants next to the code that reads them:
 //!
 //! * `coarsen` — randomized heavy-connectivity matching coarsening that
-//!   scans live (still unmatched) pins only, with identical-net merging;
+//!   scans live (still matchable) pins only, with identical-net merging;
 //! * `fm` — the one gain engine (delta-gain rules + indexed max-heap) and
 //!   Fiduccia–Mattheyses boundary refinement with hill climbing and
 //!   rollback on top of it;
