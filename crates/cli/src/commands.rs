@@ -11,7 +11,6 @@ use s2d_gen::{suite_a, suite_b, Scale};
 use s2d_obs::{Json, ServeSnapshot, SCHEMA_VERSION};
 use s2d_partition::quality::{fmt_quality_row, quality_header};
 use s2d_partition::{PartitionQuality, Partitioner, PartitionerConfig, Strategy};
-use s2d_runtime::ChaosConfig;
 use s2d_serve::{ServeError, Server, ServerConfig, SessionId};
 use s2d_sim::MachineModel;
 use s2d_sparse::{read_matrix_market_file, write_matrix_market_file, Csr, MatrixStats};
@@ -45,7 +44,7 @@ USAGE
                 [--kernel-format <fmt>] [--max-coalesce R]
                 [--queue Q] [--cache-capacity C]
                 [--tuning-cache FILE]
-                [--sharded [--chaos-us U] [--chaos-seed S]]
+                [--sharded]
                 [--json SERVE.json]
   s2d tune      <m.mtx> | --rmat SCALE [--edge-factor F] [--seed N]
                 [--k K] [--rhs R] [--budget standard|fast]
@@ -137,9 +136,8 @@ is no window to set. --engine and --kernel-format default to auto (the
 engine's own seq-vs-pool and per-kernel format picks); a pool team is
 capped to the machine's cores. --wide-every W makes every
 Wth request a pre-batched width-2 block (mixed-width traffic);
---sharded runs the session rank-sharded over the runtime endpoints,
-optionally with --chaos-us delivery-delay injection (results stay
-bitwise identical). One solve is cross-checked against the serial
+--sharded runs the session rank-sharded over the runtime endpoints
+(results stay bitwise identical). One solve is cross-checked against the serial
 reference before the burst; the summary reports throughput plus the
 admission / coalescing / preparation-cache counters; --json writes
 them as SERVE.json (a CI cli-smoke artifact).
@@ -695,6 +693,9 @@ fn cmd_serve(args: &Args) {
     if args.has("window-us") {
         fail("--window-us is gone: batching is automatic (a worker runs whatever is queued)");
     }
+    if args.has("chaos-us") || args.has("chaos-seed") {
+        fail("--chaos-us / --chaos-seed are gone: sharded sessions deliver without delays");
+    }
     let backend: Option<Backend> = match args.get_or("engine", "auto") {
         "auto" => None,
         name => Some(name.parse().unwrap_or_else(|e| fail(e))),
@@ -704,10 +705,6 @@ fn cmd_serve(args: &Args) {
         Err(e) => fail(e),
     };
     let sharded = args.has("sharded");
-    let chaos_us = args.parse_or("chaos-us", 0u32);
-    if chaos_us > 0 && !sharded {
-        fail("--chaos-us injects delivery delays into the sharded runtime; add --sharded");
-    }
     let config = ServerConfig {
         backend,
         format,
@@ -716,11 +713,6 @@ fn cmd_serve(args: &Args) {
         max_coalesce: args.parse_or("max-coalesce", 8usize),
         cache_capacity: args.parse_or("cache-capacity", 8usize),
         sharded,
-        chaos: if chaos_us > 0 {
-            ChaosConfig::with_delays(chaos_us, args.parse_or("chaos-seed", 1u64))
-        } else {
-            ChaosConfig::off()
-        },
     };
     let server = Server::new(config);
     let (sid, reg) = s2d_obs::time(|| server.register(&a, strategy, k));

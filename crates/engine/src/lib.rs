@@ -113,11 +113,10 @@
 //! identical to the single-RHS path: only the traversal is shared,
 //! never the accumulation order.
 //!
-//! `s2d-solver`'s `RankCtx` runs its per-rank SpMV through the same
-//! endpoint walker — including the batched layout via
-//! `RankCtx::spmv_batch`, which block power iteration consumes — so CG,
-//! Jacobi, power iteration, block power and PageRank all ride this
-//! path; the mailbox interpreter remains as the cross-check oracle (see
+//! `s2d-solver`'s SPMD `pagerank` runs its per-rank SpMV through the
+//! same endpoint walker, and every solver's `*_with` entry point runs on
+//! `Backend::Threaded`, which walks it too; the mailbox interpreter
+//! remains as the cross-check oracle (see
 //! `crates/engine/tests/props.rs` and the differential harness in
 //! `crates/engine/tests/differential.rs`).
 //!

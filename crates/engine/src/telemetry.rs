@@ -32,7 +32,7 @@
 //!
 //! Instrumentation never touches the numeric path: every walker takes
 //! an `Option<&ExecTelemetry>` and brackets its seeding / kernel /
-//! staging / emit steps with [`span_start`] / [`span_end`], which
+//! staging / emit steps with `span_start` / `span_end`, which
 //! read the clock only when telemetry is attached — the calls and their
 //! order are the same either way, so telemetry-on results are bitwise
 //! identical to telemetry-off.
@@ -108,14 +108,14 @@ impl ExecTelemetry {
 /// Opens a span iff telemetry is attached — the off path reads no
 /// clock, and with a literal `None` the whole span const-folds away.
 #[inline(always)]
-pub fn span_start(obs: Option<&ExecTelemetry>) -> Option<Instant> {
+pub(crate) fn span_start(obs: Option<&ExecTelemetry>) -> Option<Instant> {
     obs.map(|_| Instant::now())
 }
 
 /// Closes a span opened by [`span_start`], recording it under
 /// `(rank, phase)`.
 #[inline(always)]
-pub fn span_end(obs: Option<&ExecTelemetry>, rk: usize, ph: Phase, t: Option<Instant>) {
+pub(crate) fn span_end(obs: Option<&ExecTelemetry>, rk: usize, ph: Phase, t: Option<Instant>) {
     if let (Some(o), Some(t)) = (obs, t) {
         o.rec(rk).record(ph, t.elapsed().as_nanos() as u64);
     }

@@ -4,8 +4,10 @@
 //! [`RankProgram::spmv_over`] is the **one** endpoint walker in the
 //! workspace. [`EndpointOperator`] drives it for whole-plan execution
 //! ([`Backend::Threaded`](crate::Backend), rank-sharded serving
-//! sessions), and `s2d-solver`'s `RankCtx` calls it per rank inside its
-//! SPMD solver loops.
+//! sessions), and `s2d-solver`'s SPMD `pagerank` calls it per rank
+//! inside its solver loop. A rank that panics fails the whole apply
+//! (the runtime's `spmd` re-raises its panic) instead of leaving its
+//! peers waiting on a message.
 //!
 //! Every message is tagged `tag0 + phase` and received with a targeted
 //! `recv_match(peer, tag)` in the compiled `recvs` order. Two
@@ -155,7 +157,7 @@ impl RankProgram {
                     // in spec order without deadlock.
                     let t = span_start(obs);
                     for m in recvs {
-                        let payload = ep.recv_match(m.peer, tag).payload;
+                        let payload = ep.recv_match(m.peer, tag);
                         assert_eq!(payload.len(), m.words() * r, "message size mismatch");
                         apply_recv(m.lists(x_homes, y_slots), x, y, &payload, r);
                     }

@@ -96,9 +96,9 @@ mod tests {
             for t in (0..3u32).rev() {
                 for src in 0..k as u32 {
                     if src != me {
-                        let env = ep.recv_match(src, t);
-                        assert_eq!(env.payload, u64::from(src * 100 + t));
-                        sum += env.payload;
+                        let payload = ep.recv_match(src, t);
+                        assert_eq!(payload, u64::from(src * 100 + t));
+                        sum += payload;
                     }
                 }
             }

@@ -1,107 +1,24 @@
-//! Collectives built from point-to-point messages.
+//! The one collective, built from point-to-point messages.
 //!
-//! The SpMV kernels only need sends and receives, but the iterative
-//! solvers on top of them (`s2d-solver`) need global reductions for dot
-//! products and norms, and the harnesses need barriers and gathers. All
-//! collectives here are **bulk-synchronous**: every rank of the cluster
-//! must call the same collective with the same `tag`; per-sender FIFO
-//! delivery then makes repeated calls with the same tag unambiguous.
+//! The SpMV kernels only need sends and receives; the iterative solvers
+//! on top of them (`s2d-solver`) need global reductions for dot products
+//! and norms, which [`allreduce`] provides. It is **bulk-synchronous**:
+//! every rank of the cluster must call it with the same `tag`; per-sender
+//! FIFO delivery then makes repeated calls with the same tag
+//! unambiguous.
 //!
-//! Algorithms: reductions and broadcasts run on binomial trees
-//! (`⌈log₂K⌉` rounds, the textbook MPI implementation); the barrier uses
-//! the dissemination algorithm; gather and all-to-all are direct.
+//! Algorithm: a binomial-tree reduction onto rank 0, then a
+//! binomial-tree broadcast back out (`⌈log₂K⌉` rounds each, the
+//! textbook MPI implementation).
 
-use crate::endpoint::{Endpoint, Tag, Words};
-
-/// A binary reduction operator over element type `E`.
-pub trait ReduceOp<E>: Copy {
-    /// Combines two elements.
-    fn combine(&self, a: E, b: E) -> E;
-}
-
-/// Elementwise sum.
-#[derive(Clone, Copy, Debug)]
-pub struct Sum;
-/// Elementwise maximum.
-#[derive(Clone, Copy, Debug)]
-pub struct Max;
-/// Elementwise minimum.
-#[derive(Clone, Copy, Debug)]
-pub struct Min;
-
-/// The sum operator.
-pub const SUM: Sum = Sum;
-/// The max operator.
-pub const MAX: Max = Max;
-/// The min operator.
-pub const MIN: Min = Min;
-
-impl ReduceOp<f64> for Sum {
-    fn combine(&self, a: f64, b: f64) -> f64 {
-        a + b
-    }
-}
-
-impl ReduceOp<f64> for Max {
-    fn combine(&self, a: f64, b: f64) -> f64 {
-        a.max(b)
-    }
-}
-
-impl ReduceOp<f64> for Min {
-    fn combine(&self, a: f64, b: f64) -> f64 {
-        a.min(b)
-    }
-}
-
-impl ReduceOp<u64> for Sum {
-    fn combine(&self, a: u64, b: u64) -> u64 {
-        a + b
-    }
-}
-
-impl ReduceOp<u64> for Max {
-    fn combine(&self, a: u64, b: u64) -> u64 {
-        a.max(b)
-    }
-}
-
-impl ReduceOp<u64> for Min {
-    fn combine(&self, a: u64, b: u64) -> u64 {
-        a.min(b)
-    }
-}
-
-/// Applies `op` elementwise to equal-length vectors.
-pub fn combine_vec<E, O: ReduceOp<E>>(op: O, a: Vec<E>, b: Vec<E>) -> Vec<E> {
-    assert_eq!(a.len(), b.len(), "reduction vectors must have equal length");
-    a.into_iter().zip(b).map(|(x, y)| op.combine(x, y)).collect()
-}
-
-/// Dissemination barrier: returns only after every rank has entered.
-///
-/// `⌈log₂K⌉` rounds; in round `r` each rank signals `rank + 2^r (mod K)`
-/// and waits for `rank − 2^r (mod K)`.
-pub fn barrier<T: Words + Default>(ep: &mut Endpoint<T>, tag: Tag) {
-    let k = ep.size() as u32;
-    let me = ep.rank();
-    let mut step = 1u32;
-    while step < k {
-        let to = (me + step) % k;
-        let from = (me + k - step) % k;
-        ep.send(to, tag, T::default());
-        let _ = ep.recv_match(from, tag);
-        step <<= 1;
-    }
-}
+use crate::endpoint::{Endpoint, Tag};
 
 /// Binomial-tree reduction of `value` onto `root`. Returns `Some(total)`
 /// on `root`, `None` elsewhere. `combine` must be associative (the tree
 /// fixes the association order; commutativity is not required because
 /// children combine in rank order).
-pub fn reduce<T, F>(ep: &mut Endpoint<T>, root: u32, tag: Tag, value: T, combine: F) -> Option<T>
+fn reduce<T, F>(ep: &mut Endpoint<T>, root: u32, tag: Tag, value: T, combine: F) -> Option<T>
 where
-    T: Words,
     F: Fn(T, T) -> T,
 {
     let k = ep.size() as u32;
@@ -120,8 +37,7 @@ where
         let child_v = vrank + step;
         if child_v < k {
             let child = (child_v + root) % k;
-            let env = ep.recv_match(child, tag);
-            acc = combine(acc, env.payload);
+            acc = combine(acc, ep.recv_match(child, tag));
         }
         step <<= 1;
     }
@@ -130,9 +46,9 @@ where
 
 /// Binomial-tree broadcast from `root`. On `root`, `value` must be
 /// `Some`; every rank returns the broadcast value.
-pub fn broadcast<T>(ep: &mut Endpoint<T>, root: u32, tag: Tag, value: Option<T>) -> T
+fn broadcast<T>(ep: &mut Endpoint<T>, root: u32, tag: Tag, value: Option<T>) -> T
 where
-    T: Words + Clone,
+    T: Clone,
 {
     let k = ep.size() as u32;
     assert!(root < k, "root rank out of range");
@@ -150,7 +66,7 @@ where
             mask <<= 1;
         }
         let parent = ((vrank - mask) + root) % k;
-        ep.recv_match(parent, tag).payload
+        ep.recv_match(parent, tag)
     };
     // Send phase: forward to `vrank + m` for every m below our receive
     // mask, largest subtree first.
@@ -170,67 +86,16 @@ where
 }
 
 /// Reduce-then-broadcast allreduce: every rank returns the combined
-/// value.
+/// value. Uses tags `tag` and `tag + 1`; `combine` must be associative,
+/// and children combine in rank order, so the result is the same bits
+/// on every rank and in every run.
 pub fn allreduce<T, F>(ep: &mut Endpoint<T>, tag: Tag, value: T, combine: F) -> T
 where
-    T: Words + Clone,
+    T: Clone,
     F: Fn(T, T) -> T,
 {
     let total = reduce(ep, 0, tag, value, combine);
     broadcast(ep, 0, tag.wrapping_add(1), total)
-}
-
-/// Allreduce of a scalar `f64` under `op` — the solver's dot-product
-/// primitive.
-pub fn allreduce_scalar<O: ReduceOp<f64>>(
-    ep: &mut Endpoint<Vec<f64>>,
-    tag: Tag,
-    v: f64,
-    op: O,
-) -> f64 {
-    let out = allreduce(ep, tag, vec![v], |a, b| combine_vec(op, a, b));
-    out[0]
-}
-
-/// Direct gather: every rank's `value` arrives at `root`, which returns
-/// them in rank order; other ranks return `None`.
-pub fn gather<T: Words>(ep: &mut Endpoint<T>, root: u32, tag: Tag, value: T) -> Option<Vec<T>> {
-    let k = ep.size() as u32;
-    assert!(root < k, "root rank out of range");
-    if ep.rank() != root {
-        ep.send(root, tag, value);
-        return None;
-    }
-    let mut slots: Vec<Option<T>> = (0..k).map(|_| None).collect();
-    slots[root as usize] = Some(value);
-    for _ in 0..k - 1 {
-        let env = ep.recv_tag(tag);
-        assert!(slots[env.src as usize].is_none(), "duplicate gather contribution");
-        slots[env.src as usize] = Some(env.payload);
-    }
-    Some(slots.into_iter().map(|s| s.expect("all ranks contribute")).collect())
-}
-
-/// Direct personalized all-to-all: `parts[d]` goes to rank `d`; returns
-/// the received parts in rank order (own part passed through untouched).
-pub fn alltoall<T: Words>(ep: &mut Endpoint<T>, tag: Tag, parts: Vec<T>) -> Vec<T> {
-    let k = ep.size() as u32;
-    assert_eq!(parts.len(), k as usize, "one part per destination rank");
-    let me = ep.rank();
-    let mut slots: Vec<Option<T>> = (0..k).map(|_| None).collect();
-    for (d, part) in parts.into_iter().enumerate() {
-        if d as u32 == me {
-            slots[d] = Some(part);
-        } else {
-            ep.send(d as u32, tag, part);
-        }
-    }
-    for _ in 0..k - 1 {
-        let env = ep.recv_tag(tag);
-        assert!(slots[env.src as usize].is_none(), "duplicate all-to-all part");
-        slots[env.src as usize] = Some(env.payload);
-    }
-    slots.into_iter().map(|s| s.expect("all ranks contribute")).collect()
 }
 
 #[cfg(test)]
@@ -276,63 +141,11 @@ mod tests {
     #[test]
     fn allreduce_agrees_on_all_ranks() {
         for &k in &SIZES {
-            let out = spmd(Cluster::<Vec<f64>>::new(k), |ep| {
-                allreduce(ep, 2, vec![f64::from(ep.rank()) + 0.5], |a, b| combine_vec(SUM, a, b))
+            let out = spmd(Cluster::<f64>::new(k), |ep| {
+                allreduce(ep, 2, f64::from(ep.rank()) + 0.5, |a, b| a + b)
             });
             let expect: f64 = (0..k).map(|r| r as f64 + 0.5).sum();
-            assert!(out.iter().all(|v| (v[0] - expect).abs() < 1e-12), "k={k}");
-        }
-    }
-
-    #[test]
-    fn allreduce_scalar_max() {
-        let out = spmd(Cluster::<Vec<f64>>::new(5), |ep| {
-            allreduce_scalar(ep, 0, f64::from(ep.rank() % 3), MAX)
-        });
-        assert!(out.iter().all(|&v| v == 2.0));
-    }
-
-    #[test]
-    fn barrier_orders_phases() {
-        // Without the barrier the tag-7 receive could match a phase-2
-        // send; the barrier guarantees all phase-1 traffic has landed.
-        for &k in &SIZES {
-            if k == 1 {
-                continue;
-            }
-            let out = spmd(Cluster::<u64>::new(k), |ep| {
-                let me = ep.rank();
-                let next = (me + 1) % ep.size() as u32;
-                ep.send(next, 7, u64::from(me));
-                let got = ep.recv_tag(7).payload;
-                barrier(ep, 1000);
-                got
-            });
-            for (r, &got) in out.iter().enumerate() {
-                assert_eq!(got, ((r + k - 1) % k) as u64);
-            }
-        }
-    }
-
-    #[test]
-    fn gather_collects_in_rank_order() {
-        let out = spmd(Cluster::<u64>::new(4), |ep| gather(ep, 2, 0, u64::from(ep.rank()) * 11));
-        assert_eq!(out[2], Some(vec![0, 11, 22, 33]));
-        assert_eq!(out[0], None);
-    }
-
-    #[test]
-    fn alltoall_transposes() {
-        let k = 4usize;
-        let out = spmd(Cluster::<u64>::new(k), |ep| {
-            let me = u64::from(ep.rank());
-            let parts: Vec<u64> = (0..k as u64).map(|d| me * 10 + d).collect();
-            alltoall(ep, 3, parts)
-        });
-        // Rank d receives src*10 + d from every src.
-        for (d, row) in out.iter().enumerate() {
-            let expect: Vec<u64> = (0..k as u64).map(|s| s * 10 + d as u64).collect();
-            assert_eq!(row, &expect);
+            assert!(out.iter().all(|v| (v - expect).abs() < 1e-12), "k={k}");
         }
     }
 

@@ -15,121 +15,36 @@ use crate::chaos::ChaosConfig;
 /// Message tag, used to separate logical streams (phases, iterations).
 pub type Tag = u32;
 
-/// Wildcard source for [`Endpoint::recv_match`]: accept any sender.
-pub const ANY_SOURCE: u32 = u32::MAX;
-
 /// A delivered message with its envelope.
-#[derive(Clone, Debug, PartialEq)]
-pub struct Envelope<T> {
-    /// Sending rank.
-    pub src: u32,
-    /// Logical stream tag.
-    pub tag: Tag,
-    /// The payload.
-    pub payload: T,
+pub(crate) struct Envelope<T> {
+    src: u32,
+    tag: Tag,
+    payload: T,
 }
 
-/// Traffic counters of one endpoint — inspected after an SPMD run to
-/// cross-check analytic communication statistics.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct EndpointStats {
-    /// Messages sent by this rank.
-    pub sent_msgs: u64,
-    /// Payload words sent (as reported by the payload's [`Words`] impl).
-    pub sent_words: u64,
-    /// Messages received by this rank.
-    pub recv_msgs: u64,
-    /// Payload words received.
-    pub recv_words: u64,
-}
-
-/// Payloads that know their size in machine words, for traffic
-/// accounting. A "word" is one 8-byte value, matching the paper's
-/// communication-volume unit (one vector entry).
-pub trait Words {
-    /// Size of the payload in 8-byte words.
-    fn words(&self) -> u64;
-}
-
-/// One word per entry — the paper's convention: a communicated vector
-/// entry costs a single word, and the index accompanying it is folded
-/// into that unit rather than billed separately.
-impl Words for Vec<f64> {
-    fn words(&self) -> u64 {
-        self.len() as u64
-    }
-}
-
-impl Words for Vec<u64> {
-    fn words(&self) -> u64 {
-        self.len() as u64
-    }
-}
-
-impl Words for f64 {
-    fn words(&self) -> u64 {
-        1
-    }
-}
-
-impl Words for u64 {
-    fn words(&self) -> u64 {
-        1
-    }
-}
-
-impl Words for () {
-    fn words(&self) -> u64 {
-        0
-    }
-}
-
-impl<A: Words, B: Words> Words for (A, B) {
-    fn words(&self) -> u64 {
-        self.0.words() + self.1.words()
-    }
-}
-
-/// Indexed payloads: one word for each `u32` index plus whatever the
-/// payload itself reports. (`Vec<(u32, f64)>` thus counts 2 words per
-/// element — explicit index streams are billed, unlike the implicit
-/// index of the plain `Vec<f64>` convention above.)
-impl<T: Words> Words for Vec<(u32, T)> {
-    fn words(&self) -> u64 {
-        self.len() as u64 + self.iter().map(|(_, p)| p.words()).sum::<u64>()
-    }
-}
+/// What an inbox carries: a message, or the id of a rank that panicked
+/// (posted by [`crate::spmd`] so that no peer waits on it forever).
+pub(crate) type Delivery<T> = Result<Envelope<T>, u32>;
 
 /// One rank's communication handle. `T` is the payload type; all ranks
 /// of a cluster share it.
 pub struct Endpoint<T> {
     rank: u32,
-    size: usize,
-    peers: Vec<Sender<Envelope<T>>>,
-    inbox: Receiver<Envelope<T>>,
+    peers: Vec<Sender<Delivery<T>>>,
+    inbox: Receiver<Delivery<T>>,
     pending: VecDeque<Envelope<T>>,
-    stats: EndpointStats,
     chaos: ChaosConfig,
 }
 
-impl<T: Words> Endpoint<T> {
+impl<T> Endpoint<T> {
     /// Assembles an endpoint from its parts (used by [`crate::cluster`]).
     pub(crate) fn new(
         rank: u32,
-        peers: Vec<Sender<Envelope<T>>>,
-        inbox: Receiver<Envelope<T>>,
+        peers: Vec<Sender<Delivery<T>>>,
+        inbox: Receiver<Delivery<T>>,
         chaos: ChaosConfig,
     ) -> Self {
-        let size = peers.len();
-        Endpoint {
-            rank,
-            size,
-            peers,
-            inbox,
-            pending: VecDeque::new(),
-            stats: EndpointStats::default(),
-            chaos,
-        }
+        Endpoint { rank, peers, inbox, pending: VecDeque::new(), chaos }
     }
 
     /// This rank's id, `0..size`.
@@ -139,12 +54,7 @@ impl<T: Words> Endpoint<T> {
 
     /// Number of ranks in the cluster.
     pub fn size(&self) -> usize {
-        self.size
-    }
-
-    /// Traffic counters so far.
-    pub fn stats(&self) -> EndpointStats {
-        self.stats
+        self.peers.len()
     }
 
     /// Sends `payload` to `dst` under `tag`. Sends are buffered and never
@@ -154,59 +64,48 @@ impl<T: Words> Endpoint<T> {
     /// Panics if `dst` is out of range or the destination endpoint was
     /// dropped mid-run (an SPMD harness bug, not a recoverable error).
     pub fn send(&mut self, dst: u32, tag: Tag, payload: T) {
-        assert!((dst as usize) < self.size, "destination rank {dst} out of range");
+        assert!((dst as usize) < self.size(), "destination rank {dst} out of range");
         self.chaos.maybe_delay(self.rank, dst, tag);
-        self.stats.sent_msgs += 1;
-        self.stats.sent_words += payload.words();
         self.peers[dst as usize]
-            .send(Envelope { src: self.rank, tag, payload })
+            .send(Ok(Envelope { src: self.rank, tag, payload }))
             .expect("peer endpoint alive for the whole SPMD region");
     }
 
-    /// Receives the next message regardless of source or tag, in arrival
-    /// order (pending buffer first).
-    pub fn recv_any(&mut self) -> Envelope<T> {
-        let env = if let Some(env) = self.pending.pop_front() {
-            env
-        } else {
-            self.inbox.recv().expect("senders alive for the whole SPMD region")
-        };
-        self.stats.recv_msgs += 1;
-        self.stats.recv_words += env.payload.words();
-        env
-    }
-
-    /// Receives the next message matching `(src, tag)`; `src` may be
-    /// [`ANY_SOURCE`]. Non-matching arrivals are parked and later receives
-    /// see them, so matching is insensitive to delivery interleaving.
-    pub fn recv_match(&mut self, src: u32, tag: Tag) -> Envelope<T> {
-        let matches = |env: &Envelope<T>| (src == ANY_SOURCE || env.src == src) && env.tag == tag;
+    /// Receives the payload of the next message from `src` under `tag`.
+    /// Non-matching arrivals are parked and later receives see them, so
+    /// matching is insensitive to delivery interleaving.
+    ///
+    /// # Panics
+    /// Panics, naming the rank, if a rank of the cluster panicked
+    /// before the matching message arrived.
+    pub fn recv_match(&mut self, src: u32, tag: Tag) -> T {
+        let matches = |env: &Envelope<T>| env.src == src && env.tag == tag;
         if let Some(pos) = self.pending.iter().position(matches) {
-            let env = self.pending.remove(pos).expect("position valid");
-            self.stats.recv_msgs += 1;
-            self.stats.recv_words += env.payload.words();
-            return env;
+            return self.pending.remove(pos).expect("position valid").payload;
         }
         loop {
-            let env = self.inbox.recv().expect("senders alive for the whole SPMD region");
-            if matches(&env) {
-                self.stats.recv_msgs += 1;
-                self.stats.recv_words += env.payload.words();
-                return env;
+            match self.inbox.recv().expect("senders alive for the whole SPMD region") {
+                Ok(env) if matches(&env) => return env.payload,
+                Ok(env) => self.pending.push_back(env),
+                Err(failed) => panic!("rank {}: SPMD rank {failed} panicked", self.rank),
             }
-            self.pending.push_back(env);
         }
-    }
-
-    /// Receives a message with `tag` from any source.
-    pub fn recv_tag(&mut self, tag: Tag) -> Envelope<T> {
-        self.recv_match(ANY_SOURCE, tag)
     }
 
     /// True if no unconsumed message is parked in the pending buffer.
     /// SPMD programs should end drained; tests assert this.
     pub fn drained(&self) -> bool {
         self.pending.is_empty() && self.inbox.is_empty()
+    }
+
+    /// Tells every other rank that this one panicked. Best effort: a
+    /// peer that already returned never reads its inbox again.
+    pub(crate) fn post_failure(&self) {
+        for (dst, peer) in self.peers.iter().enumerate() {
+            if dst as u32 != self.rank {
+                let _ = peer.send(Err(self.rank));
+            }
+        }
     }
 }
 
@@ -223,8 +122,8 @@ mod tests {
                 ep.send(1, 3, vec![3.0]);
                 Vec::new()
             } else {
-                let a = ep.recv_match(0, 3).payload;
-                let b = ep.recv_match(0, 7).payload;
+                let a = ep.recv_match(0, 3);
+                let b = ep.recv_match(0, 7);
                 vec![a[0], b[0]]
             }
         });
@@ -236,60 +135,9 @@ mod tests {
     fn self_send_is_delivered() {
         let out = spmd(Cluster::<f64>::new(1), |ep| {
             ep.send(0, 0, 42.0);
-            ep.recv_tag(0).payload
+            ep.recv_match(0, 0)
         });
         assert_eq!(out, vec![42.0]);
-    }
-
-    #[test]
-    fn any_source_accepts_first_arrival() {
-        let out = spmd(Cluster::<u64>::new(3), |ep| {
-            if ep.rank() != 2 {
-                ep.send(2, 1, ep.rank() as u64);
-                0
-            } else {
-                let a = ep.recv_tag(1);
-                let b = ep.recv_tag(1);
-                assert_ne!(a.src, b.src);
-                a.payload + b.payload
-            }
-        });
-        assert_eq!(out[2], 1);
-    }
-
-    #[test]
-    fn stats_count_messages_and_words() {
-        let out = spmd(Cluster::<Vec<f64>>::new(2), |ep| {
-            if ep.rank() == 0 {
-                ep.send(1, 0, vec![1.0, 2.0, 3.0]);
-            } else {
-                let _ = ep.recv_tag(0);
-            }
-            ep.stats()
-        });
-        assert_eq!(out[0].sent_msgs, 1);
-        assert_eq!(out[0].sent_words, 3);
-        assert_eq!(out[1].recv_msgs, 1);
-        assert_eq!(out[1].recv_words, 3);
-    }
-
-    #[test]
-    fn indexed_payloads_count_index_and_payload_words() {
-        use super::Words;
-        // (index, scalar): 1 index word + 1 payload word per element.
-        assert_eq!(vec![(3u32, 1.5f64), (7, 2.5)].words(), 4);
-        // (index, vector): 1 index word + len payload words per element.
-        assert_eq!(vec![(0u32, vec![1.0f64, 2.0, 3.0])].words(), 4);
-        let out = spmd(Cluster::<Vec<(u32, f64)>>::new(2), |ep| {
-            if ep.rank() == 0 {
-                ep.send(1, 0, vec![(4, 1.0), (9, 2.0), (2, 3.0)]);
-            } else {
-                let _ = ep.recv_tag(0);
-            }
-            ep.stats()
-        });
-        assert_eq!(out[0].sent_words, 6);
-        assert_eq!(out[1].recv_words, 6);
     }
 
     #[test]
@@ -297,7 +145,7 @@ mod tests {
         let out = spmd(Cluster::<u64>::new(2), |ep| {
             let peer = 1 - ep.rank();
             ep.send(peer, 0, 5);
-            let _ = ep.recv_tag(0);
+            let _ = ep.recv_match(peer, 0);
             ep.drained()
         });
         assert_eq!(out, vec![true, true]);

@@ -1,48 +1,12 @@
 //! Chaos smoke test: the delivery-delay fault hooks
 //! (`Cluster::with_chaos` + `ChaosConfig`) driven through the public
-//! collectives. Injected delays reorder deliveries between senders but
+//! allreduce. Injected delays reorder deliveries between senders but
 //! must never change any computed value — the runtime's matching
 //! (per-sender FIFO + tag matching) carries all the determinism.
 
-use s2d_runtime::collectives::{allreduce_scalar, alltoall, barrier, broadcast, gather};
-use s2d_runtime::{spmd, ChaosConfig, Cluster, SUM};
+use s2d_runtime::{allreduce, spmd, ChaosConfig, Cluster};
 
 const K: usize = 5;
-
-/// Runs one mixed collective workload (the shapes the solver stack
-/// leans on) and returns each rank's observable result.
-fn workload(chaos: ChaosConfig) -> Vec<(Vec<u64>, u64)> {
-    spmd(Cluster::<Vec<u64>>::with_chaos(K, chaos), |ep| {
-        let me = u64::from(ep.rank());
-        // All-to-all: rank r sends [r*10 + dst] to each dst.
-        let parts: Vec<Vec<u64>> = (0..K as u64).map(|dst| vec![me * 10 + dst]).collect();
-        let got = alltoall(ep, 1, parts);
-        let flat: Vec<u64> = got.into_iter().flatten().collect();
-        barrier(ep, 2);
-        // Gather to rank 0, then broadcast the sum back out.
-        let at_root = gather(ep, 0, 3, vec![me * me]);
-        let total = at_root.map(|rows| rows.into_iter().flatten().sum::<u64>());
-        let total = broadcast(ep, 0, 4, total.map(|t| vec![t]))[0];
-        (flat, total)
-    })
-}
-
-#[test]
-fn chaotic_collectives_match_the_quiet_run() {
-    let quiet = workload(ChaosConfig::off());
-    // Two chaotic seeds: different interleavings, same observables.
-    for seed in [3, 11] {
-        let noisy = workload(ChaosConfig::with_delays(120, seed));
-        assert_eq!(noisy, quiet, "seed {seed} changed a collective result");
-    }
-    // Spot-check the quiet run itself.
-    let want_total: u64 = (0..K as u64).map(|r| r * r).sum();
-    for (rk, (flat, total)) in quiet.iter().enumerate() {
-        assert_eq!(*total, want_total, "rank {rk}");
-        let want: Vec<u64> = (0..K as u64).map(|src| src * 10 + rk as u64).collect();
-        assert_eq!(flat, &want, "rank {rk} alltoall row");
-    }
-}
 
 #[test]
 fn chaotic_allreduce_is_bitwise_deterministic() {
@@ -51,12 +15,12 @@ fn chaotic_allreduce_is_bitwise_deterministic() {
     // rank order by construction, so floating-point sums are bitwise
     // stable. Run the same chaotic config twice and an undelayed one.
     let run = |chaos: ChaosConfig| {
-        spmd(Cluster::<Vec<f64>>::with_chaos(K, chaos), |ep| {
+        spmd(Cluster::<f64>::with_chaos(K, chaos), |ep| {
             let mine = 0.1 * (f64::from(ep.rank()) + 1.0);
-            let s1 = allreduce_scalar(ep, 7, mine, SUM);
+            let s1 = allreduce(ep, 7, mine, |a, b| a + b);
             // A second round seeded by the first catches cross-round
             // tag confusion under delay.
-            allreduce_scalar(ep, 9, s1 * mine, SUM)
+            allreduce(ep, 9, s1 * mine, |a, b| a + b)
         })
     };
     let a = run(ChaosConfig::with_delays(90, 42));

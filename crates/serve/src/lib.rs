@@ -36,9 +36,10 @@
 //! [`sharded`](ServerConfig::sharded) set, the same compiled rank
 //! programs run over `s2d-runtime` endpoints, one rank per thread
 //! ([`s2d_engine::EndpointOperator`]). All drivers fold partial sums in
-//! the compiled receive order, so sharded serving — even under
-//! chaos-injected delivery — is bitwise identical to a direct
-//! `CompiledSeq` session, which the serve differential tests pin down;
+//! the compiled receive order, so sharded serving is bitwise identical
+//! to a direct `CompiledSeq` session, which the serve differential
+//! tests pin down (the engine's own suites pin the endpoint operator
+//! under chaos-delayed delivery);
 //! and a malformed plan is rejected when it is compiled at
 //! registration, never inside a request.
 

@@ -92,13 +92,10 @@ pub struct ServerConfig {
     /// Preparation-cache capacity (entries).
     pub cache_capacity: usize,
     /// Run sessions rank-sharded — the cached compiled plan walked over
-    /// `s2d-runtime` endpoints, one rank per thread — instead of on the
-    /// in-process backend (the distributed-execution path; results are
-    /// bitwise identical).
+    /// `s2d-runtime` endpoints, one rank per thread, with undelayed
+    /// delivery — instead of on the in-process backend (the
+    /// distributed-execution path; results are bitwise identical).
     pub sharded: bool,
-    /// Delivery-delay injection for sharded sessions (ignored
-    /// otherwise) — fault-testing knob, results stay bitwise identical.
-    pub chaos: ChaosConfig,
 }
 
 impl Default for ServerConfig {
@@ -111,7 +108,6 @@ impl Default for ServerConfig {
             max_coalesce: 8,
             cache_capacity: 8,
             sharded: false,
-            chaos: ChaosConfig::off(),
         }
     }
 }
@@ -412,7 +408,7 @@ impl Server {
         });
         let (cp, cores) = (prep.compiled(), self.budget.cores);
         if self.config.sharded {
-            let operator = EndpointOperator::new(Arc::clone(cp), self.config.chaos, None);
+            let operator = EndpointOperator::new(Arc::clone(cp), ChaosConfig::off(), None);
             self.start(Box::new(operator), within_budget(Backend::Threaded, cp.k, cores).1)
         } else {
             let backend = backend.unwrap_or_else(|| Backend::auto(cp));

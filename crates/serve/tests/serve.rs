@@ -1,6 +1,6 @@
 //! Serve-layer acceptance tests: the differential guarantees
 //! (coalesced concurrent execution bitwise-identical to sequential
-//! per-request solves, with and without chaos), admission behavior
+//! per-request solves, in process and rank-sharded), admission behavior
 //! (queue-full rejection, deadline expiry) and cache reuse across
 //! registrations.
 
@@ -226,15 +226,15 @@ fn wide_and_tall_matrices_are_served_bitwise() {
 }
 
 #[test]
-fn chaotic_sharded_serving_is_bitwise_identical_to_quiet_solves() {
+fn coalesced_sharded_serving_is_bitwise_identical_to_per_request_solves() {
     let a = test_matrix(7);
     let (strategy, k) = (Strategy::OneDRow, 4);
     const CLIENTS: usize = 3;
     const PER_CLIENT: usize = 4;
     let inputs: Vec<Vec<f64>> = (0..CLIENTS * PER_CLIENT).map(|i| rhs(a.ncols(), i)).collect();
 
-    // Quiet per-request reference through the same endpoint walker.
-    let quiet = {
+    // Per-request reference through the same endpoint walker.
+    let solo = {
         use s2d::SpmvOperator;
         let prep = Session::builder(&a).partitioner(strategy, k).prepare();
         let mut op = s2d_engine::EndpointOperator::new(
@@ -254,7 +254,6 @@ fn chaotic_sharded_serving_is_bitwise_identical_to_quiet_solves() {
 
     let server = Arc::new(Server::new(ServerConfig {
         sharded: true,
-        chaos: ChaosConfig::with_delays(100, 9),
         max_coalesce: 4,
         ..ServerConfig::default()
     }));
@@ -275,14 +274,14 @@ fn chaotic_sharded_serving_is_bitwise_identical_to_quiet_solves() {
         for (m, y) in h.join().expect("client").into_iter().enumerate() {
             let i = c * PER_CLIENT + m;
             assert_eq!(
-                y, quiet[i],
-                "request {i}: chaotic coalesced sharded run must match quiet run bitwise"
+                y, solo[i],
+                "request {i}: coalesced sharded run must match solo run bitwise"
             );
         }
     }
     // One compiled program, one receive order: the sharded runs are
     // also the direct in-process CompiledSeq session's bits.
-    assert_eq!(quiet, sequential_reference(&a, strategy, k, &inputs));
+    assert_eq!(solo, sequential_reference(&a, strategy, k, &inputs));
     assert_eq!(server.snapshot().completed, (CLIENTS * PER_CLIENT) as u64);
 }
 

@@ -1,26 +1,23 @@
-//! Distributed block power iteration (subspace / orthogonal iteration).
+//! Block power iteration (subspace / orthogonal iteration).
 //!
 //! Classic power iteration tracks one dominant eigenvector; block power
 //! iteration tracks an `r`-dimensional dominant invariant subspace by
 //! repeatedly applying `A` to an orthonormal block `V ∈ ℝ^{n×r}` and
 //! re-orthonormalizing. It is the canonical consumer of **batched**
-//! SpMV ([`RankCtx::spmv_batch`]): every iteration multiplies the same
-//! matrix against `r` vectors at once, so each fetched matrix entry is
-//! reused `r` times and every communication phase ships one `len × r`
+//! SpMV (`SpmvOperator::apply_batch`): every iteration multiplies the
+//! same matrix against `r` vectors at once, so each fetched matrix entry
+//! is reused `r` times and every communication phase ships one `len × r`
 //! block instead of `r` separate messages.
 //!
-//! Vectors are stored rank-locally as row-major `local_len × r` blocks
-//! (owned entry `i`, column `q` at `v[i*r + q]`), matching the batched
-//! engine layout end to end — no transposes anywhere in the loop.
+//! Blocks are stored row-major, `len × r` (entry `i`, column `q` at
+//! `v[i*r + q]`), matching the batched engine layout end to end — no
+//! transposes anywhere in the loop.
 
-use s2d_core::partition::SpmvPartition;
-use s2d_sparse::Csr;
-use s2d_spmv::{SpmvOperator, SpmvPlan};
+use s2d_spmv::SpmvOperator;
 
-use crate::engine::{spmd_compute, RankCtx};
 use crate::operator::{Reduce, Solo};
 
-/// Options for [`block_power_iteration`].
+/// Options for [`block_power_iteration_with`].
 #[derive(Clone, Copy, Debug)]
 pub struct BlockPowerOptions {
     /// Stop when every Ritz-value estimate moves less than `tol`
@@ -57,57 +54,14 @@ fn col_dot(u: &[f64], v: &[f64], r: usize, cu: usize, cv: usize) -> f64 {
     (0..m).map(|i| u[i * r + cu] * v[i * r + cv]).sum()
 }
 
-/// Runs distributed block power iteration for the `r` most dominant
-/// eigenpairs, starting from a deterministic full-rank block.
+/// Runs block power iteration for the `r` most dominant eigenpairs of
+/// any square [`SpmvOperator`] (the batched `apply_batch` path carries
+/// the block), starting from a deterministic full-rank block.
 ///
 /// Each iteration: one batched SpMV (`W = A·V`), one fused `r`-wide
-/// reduction for the Ritz values, then a distributed classical
-/// Gram-Schmidt re-orthonormalization of `W` (per column: one fused
-/// reduction for all projections, one for the norm).
-///
-/// # Panics
-/// Panics if the matrix is not square, the vector partition is not
-/// symmetric, or `r` is 0 or exceeds the matrix dimension.
-pub fn block_power_iteration(
-    a: &Csr,
-    p: &SpmvPartition,
-    plan: &SpmvPlan,
-    r: usize,
-    opts: &BlockPowerOptions,
-) -> BlockPowerResult {
-    let n = a.nrows();
-    assert!(r >= 1 && r <= n, "block width must be in 1..=n");
-    let opts = *opts;
-    let out = spmd_compute(a, p, plan, |ctx: &mut RankCtx| {
-        let owned = ctx.owned.clone();
-        let v0 = start_block(&owned, r);
-        let (v, lambda, iterations, converged) = block_power_core(ctx, v0, r, &opts);
-        (owned, v, lambda, iterations, converged)
-    });
-
-    let (_, _, lambda, iterations, converged) = &out[0];
-    let eigenvectors = (0..r)
-        .map(|q| {
-            let mut global = vec![0.0; n];
-            for (idx, block, ..) in &out {
-                for (i, &g) in idx.iter().enumerate() {
-                    global[g as usize] = block[i * r + q];
-                }
-            }
-            global
-        })
-        .collect();
-    BlockPowerResult {
-        eigenvalues: lambda.clone(),
-        eigenvectors,
-        iterations: *iterations,
-        converged: *converged,
-    }
-}
-
-/// [`block_power_iteration`] by **operator injection**: runs the same
-/// core on any square [`SpmvOperator`] (the batched `apply_batch` path
-/// carries the block).
+/// reduction for the Ritz values, then a classical Gram-Schmidt
+/// re-orthonormalization of `W` (per column: one fused reduction for
+/// all projections, one for the norm).
 ///
 /// # Panics
 /// Panics if the operator is not square or `r` is 0 or exceeds the
@@ -121,23 +75,20 @@ pub fn block_power_iteration_with(
     assert_eq!(c.nrows(), c.ncols(), "block power iteration needs a square operator");
     let n = c.nrows();
     assert!(r >= 1 && r <= n, "block width must be in 1..=n");
-    let all: Vec<u32> = (0..n as u32).collect();
-    let v0 = start_block(&all, r);
+    let v0 = start_block(n, r);
     let (v, lambda, iterations, converged) = block_power_core(&mut c, v0, r, opts);
     let eigenvectors = (0..r).map(|q| (0..n).map(|i| v[i * r + q]).collect()).collect();
     BlockPowerResult { eigenvalues: lambda, eigenvectors, iterations, converged }
 }
 
-/// Deterministic, globally consistent, full-rank start block over the
-/// listed global indices: column `q` mixes a shifted hash of the global
-/// index, so every participant builds the same global block regardless
-/// of how rows are distributed.
-fn start_block(owned: &[u32], r: usize) -> Vec<f64> {
-    let mut v = vec![0.0f64; owned.len() * r];
-    for (i, &g) in owned.iter().enumerate() {
+/// Deterministic full-rank `n × r` start block: column `q` mixes a
+/// shifted hash of the row index.
+fn start_block(n: usize, r: usize) -> Vec<f64> {
+    let mut v = vec![0.0f64; n * r];
+    for g in 0..n {
         for q in 0..r {
             let h = (g as u64).wrapping_mul(2654435761).wrapping_add(q as u64 * 40503);
-            v[i * r + q] = (h % 1009) as f64 / 1009.0 + 0.1;
+            v[g * r + q] = (h % 1009) as f64 / 1009.0 + 0.1;
         }
     }
     v
@@ -184,9 +135,9 @@ fn block_power_core<C: SpmvOperator + Reduce>(
     (v, lambda, iterations, converged)
 }
 
-/// Distributed classical Gram-Schmidt over the columns of a row-major
-/// `local_len × r` block: after the call the columns are orthonormal
-/// (across all ranks). Returns `false` if a column's norm collapsed —
+/// Classical Gram-Schmidt over the columns of a row-major `len × r`
+/// block: after the call the columns are orthonormal (across all
+/// participants). Returns `false` if a column's norm collapsed —
 /// that column is left zero and the basis is rank-deficient.
 fn orthonormalize<C: Reduce + ?Sized>(c: &mut C, v: &mut [f64], r: usize) -> bool {
     let m = v.len() / r;
@@ -224,14 +175,22 @@ fn orthonormalize<C: Reduce + ?Sized>(c: &mut C, v: &mut [f64], r: usize) -> boo
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::power::{power_iteration, PowerOptions};
-    use s2d_sparse::Coo;
+    use crate::power::{power_iteration_with, PowerOptions};
+    use s2d_core::partition::SpmvPartition;
+    use s2d_engine::{Backend, CompiledPlan};
+    use s2d_sparse::{Coo, Csr};
+    use s2d_spmv::SpmvPlan;
 
-    fn block_rowwise(a: &Csr, k: usize) -> SpmvPartition {
+    /// The endpoint walker (one rank per thread) over a block-row
+    /// partition of `a` into `k` parts, at batch width `r`.
+    fn threaded(a: &Csr, k: usize, r: usize) -> Box<dyn SpmvOperator + Send> {
         let n = a.nrows();
-        let per = n.div_ceil(k);
-        let part: Vec<u32> = (0..n).map(|i| (i / per) as u32).collect();
-        SpmvPartition::rowwise(a, part.clone(), part, k)
+        let part: Vec<u32> = (0..n).map(|i| (i / n.div_ceil(k)) as u32).collect();
+        let plan = std::sync::Arc::new(SpmvPlan::single_phase(
+            a,
+            &SpmvPartition::rowwise(a, part.clone(), part, k),
+        ));
+        Backend::Threaded.build(&plan, &std::sync::Arc::new(CompiledPlan::compile(&plan)), r, None)
     }
 
     #[test]
@@ -243,10 +202,8 @@ mod tests {
         }
         m.compress();
         let a = m.to_csr();
-        let p = block_rowwise(&a, 3);
-        let plan = SpmvPlan::single_phase(&a, &p);
         let r = 3;
-        let res = block_power_iteration(&a, &p, &plan, r, &BlockPowerOptions::default());
+        let res = block_power_iteration_with(threaded(&a, 3, r), r, &BlockPowerOptions::default());
         assert!(res.converged, "diagonal matrix must converge");
         for (q, want) in [(0usize, 12.0f64), (1, 11.0), (2, 10.0)] {
             assert!(
@@ -273,15 +230,8 @@ mod tests {
         }
         m.compress();
         let a = m.to_csr();
-        let p = block_rowwise(&a, 4);
-        let plan = SpmvPlan::single_phase(&a, &p);
-        let res = block_power_iteration(
-            &a,
-            &p,
-            &plan,
-            4,
-            &BlockPowerOptions { tol: 1e-12, max_iters: 500 },
-        );
+        let opts = BlockPowerOptions { tol: 1e-12, max_iters: 500 };
+        let res = block_power_iteration_with(threaded(&a, 4, 4), 4, &opts);
         for i in 0..4 {
             for j in 0..4 {
                 let dot: f64 =
@@ -301,10 +251,9 @@ mod tests {
         }
         m.compress();
         let a = m.to_csr();
-        let p = block_rowwise(&a, 3);
-        let plan = SpmvPlan::single_phase(&a, &p);
-        let block = block_power_iteration(&a, &p, &plan, 1, &BlockPowerOptions::default());
-        let single = power_iteration(&a, &p, &plan, &PowerOptions::default());
+        let block =
+            block_power_iteration_with(threaded(&a, 3, 1), 1, &BlockPowerOptions::default());
+        let single = power_iteration_with(threaded(&a, 3, 1), &PowerOptions::default());
         assert!(block.converged && single.converged);
         assert!(
             (block.eigenvalues[0] - single.eigenvalue).abs() < 1e-6,

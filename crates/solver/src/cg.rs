@@ -1,22 +1,15 @@
-//! Distributed conjugate gradients.
+//! Conjugate gradients.
 //!
-//! Textbook CG for symmetric positive definite `A`, run SPMD: the only
-//! communication per iteration is the SpMV itself plus two fused scalar
+//! Textbook CG for symmetric positive definite `A`. Distributed, the
+//! only communication per iteration is the SpMV itself plus two scalar
 //! allreduces — precisely the workload whose communication volume and
 //! latency the paper's partitionings optimize.
 
-use std::sync::Arc;
-use std::time::Instant;
+use s2d_spmv::SpmvOperator;
 
-use s2d_core::partition::SpmvPartition;
-use s2d_obs::TelemetrySink;
-use s2d_sparse::Csr;
-use s2d_spmv::{SpmvOperator, SpmvPlan};
-
-use crate::engine::{gather_global, scatter, spmd_compute_inner, RankCtx};
 use crate::operator::{axpy, dot, dot_self, Reduce, Solo};
 
-/// Options for [`cg_solve`].
+/// Options for [`cg_solve_with`].
 #[derive(Clone, Copy, Debug)]
 pub struct CgOptions {
     /// Stop when `‖r‖ ≤ tol · ‖b‖`.
@@ -47,79 +40,9 @@ pub struct CgResult {
     pub converged: bool,
 }
 
-/// Solves `A x = b` by distributed CG over the partition `p` (symmetric
-/// vector partition required) and its compiled `plan`.
-///
-/// # Panics
-/// Panics if the matrix is not square, the vector partition is not
-/// symmetric, or `b.len() != n`.
-pub fn cg_solve(
-    a: &Csr,
-    p: &SpmvPartition,
-    plan: &SpmvPlan,
-    b: &[f64],
-    opts: &CgOptions,
-) -> CgResult {
-    cg_spmd(a, p, plan, b, opts, None)
-}
-
-/// [`cg_solve`] with telemetry: every rank records its SpMV phase
-/// spans, work counters and reduction spans on `sink` (sized for
-/// `plan.k` ranks), and rank 0 records one solver-iteration span per CG
-/// iteration (rank 0 only, so the sink's iteration count is not
-/// multiplied by `k` — SPMD ranks iterate in lockstep). Results are
-/// bitwise identical to [`cg_solve`].
-pub fn cg_solve_obs(
-    a: &Csr,
-    p: &SpmvPartition,
-    plan: &SpmvPlan,
-    b: &[f64],
-    opts: &CgOptions,
-    sink: &Arc<TelemetrySink>,
-) -> CgResult {
-    cg_spmd(a, p, plan, b, opts, Some(sink))
-}
-
-fn cg_spmd(
-    a: &Csr,
-    p: &SpmvPartition,
-    plan: &SpmvPlan,
-    b: &[f64],
-    opts: &CgOptions,
-    sink: Option<&Arc<TelemetrySink>>,
-) -> CgResult {
-    assert_eq!(b.len(), a.nrows(), "right-hand side length mismatch");
-    let b_parts = parking_lot::Mutex::new(scatter(b, p));
-
-    let rank_out = spmd_compute_inner(a, p, plan, sink, |ctx: &mut RankCtx| {
-        let b_local = std::mem::take(&mut b_parts.lock()[ctx.rank() as usize]);
-        let iter_obs = sink.filter(|_| ctx.rank() == 0).map(|s| s.as_ref());
-        let core = cg_core(ctx, &b_local, opts, iter_obs);
-        (ctx.owned.clone(), core)
-    });
-
-    assemble(rank_out, a.nrows())
-}
-
-/// Gathers per-rank CG outcomes into the global result.
-fn assemble(rank_out: Vec<(Vec<u32>, CgCore)>, n: usize) -> CgResult {
-    let locals: Vec<(Vec<u32>, Vec<f64>)> =
-        rank_out.iter().map(|(owned, core)| (owned.clone(), core.x.clone())).collect();
-    let x = gather_global(&locals, n);
-    let lead = &rank_out[0].1;
-    CgResult {
-        x,
-        iterations: lead.iterations,
-        relative_residual: lead.relative_residual,
-        history: lead.history.clone(),
-        converged: lead.converged,
-    }
-}
-
-/// [`cg_solve`] by **operator injection**: runs the same CG core on any
-/// [`SpmvOperator`] — every `s2d_engine::Backend` operator, a
-/// `s2d::Session`, or a custom impl. Vectors are global
-/// (`b.len() == op.nrows()`).
+/// Solves `A x = b` by CG on any [`SpmvOperator`] — every
+/// `s2d_engine::Backend` operator, a `s2d::Session`, or a custom impl.
+/// Vectors are global (`b.len() == op.nrows()`).
 ///
 /// # Panics
 /// Panics if the operator is not square or `b.len() != op.nrows()`.
@@ -127,24 +50,7 @@ pub fn cg_solve_with(op: impl SpmvOperator, b: &[f64], opts: &CgOptions) -> CgRe
     let mut c = Solo(op);
     assert_eq!(c.nrows(), c.ncols(), "CG needs a square operator");
     assert_eq!(b.len(), c.nrows(), "right-hand side length mismatch");
-    let core = cg_core(&mut c, b, opts, None);
-    CgResult {
-        x: core.x,
-        iterations: core.iterations,
-        relative_residual: core.relative_residual,
-        history: core.history,
-        converged: core.converged,
-    }
-}
-
-/// One participant's CG outcome (local slice of the iterate plus the
-/// globally-agreed scalars).
-struct CgCore {
-    x: Vec<f64>,
-    iterations: usize,
-    relative_residual: f64,
-    history: Vec<f64>,
-    converged: bool,
+    cg_core(&mut c, b, opts)
 }
 
 /// The CG body, written once against operator injection: `C` supplies
@@ -152,16 +58,8 @@ struct CgCore {
 /// Under SPMD every rank executes identical control flow — every branch
 /// depends only on globally-reduced scalars. The iteration loop is
 /// allocation-free: `Ap` lives in a buffer allocated once up front.
-///
-/// When `obs` is set, one solver-iteration span is recorded per loop
-/// iteration; the clock reads sit between iterations, never inside the
-/// numeric path, so instrumented runs are bitwise identical.
-fn cg_core<C: SpmvOperator + Reduce>(
-    c: &mut C,
-    b_local: &[f64],
-    opts: &CgOptions,
-    obs: Option<&TelemetrySink>,
-) -> CgCore {
+/// The result's `x` is this participant's slice of the iterate.
+fn cg_core<C: SpmvOperator + Reduce>(c: &mut C, b_local: &[f64], opts: &CgOptions) -> CgResult {
     let m = b_local.len();
     let mut x = vec![0.0f64; m];
     let mut r = b_local.to_vec();
@@ -174,7 +72,6 @@ fn cg_core<C: SpmvOperator + Reduce>(
     let mut iterations = 0usize;
 
     while !converged && iterations < opts.max_iters {
-        let t0 = obs.map(|_| Instant::now());
         c.apply(&pdir, &mut ap);
         let pap = dot(c, &pdir, &ap);
         if pap <= 0.0 {
@@ -193,18 +90,19 @@ fn cg_core<C: SpmvOperator + Reduce>(
         iterations += 1;
         history.push(rr.sqrt() / b_norm);
         converged = rr.sqrt() <= opts.tol * b_norm;
-        if let (Some(sink), Some(t)) = (obs, t0) {
-            sink.record_solver_iter(t.elapsed().as_nanos() as u64);
-        }
     }
 
-    CgCore { x, iterations, relative_residual: rr.sqrt() / b_norm, history, converged }
+    CgResult { x, iterations, relative_residual: rr.sqrt() / b_norm, history, converged }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use s2d_sparse::Coo;
+    use crate::engine::spmd_solve;
+    use s2d_core::partition::SpmvPartition;
+    use s2d_sparse::{Coo, Csr};
+    use s2d_spmv::SpmvPlan;
+    use std::sync::Arc;
 
     /// 2D 5-point Laplacian on an `s × s` grid (SPD).
     fn laplacian2d(s: usize) -> Csr {
@@ -235,16 +133,28 @@ mod tests {
         SpmvPartition::rowwise(a, part.clone(), part, k)
     }
 
+    /// The CG core on `k` SPMD ranks over a block-row partition of `a`.
+    fn cg_spmd(a: &Csr, k: usize, b: &[f64], opts: &CgOptions) -> CgResult {
+        let p = block_rowwise(a, k);
+        let plan = SpmvPlan::single_phase(a, &p);
+        spmd_solve(
+            a,
+            &p,
+            &plan,
+            &[b],
+            |r: &mut CgResult| &mut r.x,
+            |ctx, b| cg_core(ctx, b[0], opts),
+        )
+    }
+
     #[test]
     fn solves_laplacian_to_tolerance() {
         let a = laplacian2d(8);
-        let p = block_rowwise(&a, 4);
-        let plan = SpmvPlan::single_phase(&a, &p);
         // Manufactured solution: x* = (1, 2, ..., n)/n, b = A x*.
         let n = a.nrows();
         let x_star: Vec<f64> = (1..=n).map(|i| i as f64 / n as f64).collect();
         let b = a.spmv_alloc(&x_star);
-        let res = cg_solve(&a, &p, &plan, &b, &CgOptions::default());
+        let res = cg_spmd(&a, 4, &b, &CgOptions::default());
         assert!(res.converged, "CG must converge on SPD Laplacian");
         for (g, w) in res.x.iter().zip(&x_star) {
             assert!((g - w).abs() < 1e-7, "{g} vs {w}");
@@ -259,10 +169,8 @@ mod tests {
     #[test]
     fn history_is_monotone_enough_and_reported() {
         let a = laplacian2d(6);
-        let p = block_rowwise(&a, 3);
-        let plan = SpmvPlan::single_phase(&a, &p);
         let b = vec![1.0; a.nrows()];
-        let res = cg_solve(&a, &p, &plan, &b, &CgOptions::default());
+        let res = cg_spmd(&a, 3, &b, &CgOptions::default());
         assert!(res.converged);
         assert_eq!(res.history.len(), res.iterations + 1);
         assert!(res.history[0] > res.relative_residual);
@@ -273,9 +181,7 @@ mod tests {
     #[test]
     fn zero_rhs_converges_immediately() {
         let a = laplacian2d(4);
-        let p = block_rowwise(&a, 2);
-        let plan = SpmvPlan::single_phase(&a, &p);
-        let res = cg_solve(&a, &p, &plan, &vec![0.0; a.nrows()], &CgOptions::default());
+        let res = cg_spmd(&a, 2, &vec![0.0; a.nrows()], &CgOptions::default());
         assert!(res.converged);
         assert_eq!(res.iterations, 0);
         assert!(res.x.iter().all(|&v| v == 0.0));
@@ -284,10 +190,8 @@ mod tests {
     #[test]
     fn iteration_cap_is_respected() {
         let a = laplacian2d(10);
-        let p = block_rowwise(&a, 4);
-        let plan = SpmvPlan::single_phase(&a, &p);
         let b = vec![1.0; a.nrows()];
-        let res = cg_solve(&a, &p, &plan, &b, &CgOptions { tol: 1e-14, max_iters: 3 });
+        let res = cg_spmd(&a, 4, &b, &CgOptions { tol: 1e-14, max_iters: 3 });
         assert!(!res.converged);
         assert_eq!(res.iterations, 3);
     }
@@ -301,9 +205,7 @@ mod tests {
         }
         m.compress();
         let a = m.to_csr();
-        let p = block_rowwise(&a, 2);
-        let plan = SpmvPlan::single_phase(&a, &p);
-        let res = cg_solve(&a, &p, &plan, &vec![1.0; 6], &CgOptions::default());
+        let res = cg_spmd(&a, 2, &vec![1.0; 6], &CgOptions::default());
         assert!(!res.converged);
         assert_eq!(res.iterations, 0);
     }
@@ -335,30 +237,10 @@ mod tests {
         // And the SPMD solve — same walker, distributed reductions —
         // reaches the same solution (reduction order differs, so to
         // tolerance).
-        let spmd = cg_solve(&a, &p, &plan, &b, &CgOptions::default());
+        let spmd = cg_spmd(&a, 4, &b, &CgOptions::default());
         assert!(spmd.converged);
         for (u, v) in spmd.x.iter().zip(&interpreted.x) {
             assert!((u - v).abs() <= 1e-8 * v.abs().max(1.0), "{u} vs {v}");
-        }
-    }
-
-    #[test]
-    fn telemetry_run_is_bitwise_identical_and_recorded() {
-        let a = laplacian2d(8);
-        let p = block_rowwise(&a, 4);
-        let plan = SpmvPlan::single_phase(&a, &p);
-        let b: Vec<f64> = (0..a.nrows()).map(|i| ((i % 7) as f64) - 3.0).collect();
-        let plain = cg_solve(&a, &p, &plan, &b, &CgOptions::default());
-        let sink = Arc::new(TelemetrySink::new(4));
-        let observed = cg_solve_obs(&a, &p, &plan, &b, &CgOptions::default(), &sink);
-        assert_eq!(plain.x, observed.x, "telemetry must not perturb the iterate");
-        assert_eq!(plain.iterations, observed.iterations);
-        // Rank 0 recorded one span per CG iteration; every rank
-        // recorded reduction spans and compute phase work.
-        assert_eq!(sink.solver_iters(), plain.iterations as u64);
-        for rk in 0..4 {
-            assert!(sink.rank(rk).spans(s2d_obs::Phase::Reduce) > 0, "rank {rk}: no reduces");
-            assert!(sink.rank(rk).madds() > 0, "rank {rk}: no madds counted");
         }
     }
 
@@ -368,9 +250,7 @@ mod tests {
         let b: Vec<f64> = (0..a.nrows()).map(|i| ((i % 5) as f64) - 2.0).collect();
         let mut solutions = Vec::new();
         for k in [1, 2, 4, 7] {
-            let p = block_rowwise(&a, k);
-            let plan = SpmvPlan::single_phase(&a, &p);
-            let res = cg_solve(&a, &p, &plan, &b, &CgOptions::default());
+            let res = cg_spmd(&a, k, &b, &CgOptions::default());
             assert!(res.converged, "k={k}");
             solutions.push(res.x);
         }

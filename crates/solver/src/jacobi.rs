@@ -1,4 +1,4 @@
-//! Distributed Jacobi iteration.
+//! Jacobi iteration.
 //!
 //! `x_{t+1} = D⁻¹ (b − R x_t)` with `A = D + R`. Converges for strictly
 //! diagonally dominant systems; one SpMV and one scalar allreduce (the
@@ -7,14 +7,12 @@
 //! per-iteration cost is *exactly* one SpMV — which makes it the cleanest
 //! demonstration of why SpMV partition quality dominates solver runtime.
 
-use s2d_core::partition::SpmvPartition;
 use s2d_sparse::Csr;
-use s2d_spmv::{SpmvOperator, SpmvPlan};
+use s2d_spmv::SpmvOperator;
 
-use crate::engine::{gather_global, scatter, spmd_compute, RankCtx};
 use crate::operator::{Reduce, Solo};
 
-/// Options for [`jacobi_solve`].
+/// Options for [`jacobi_solve_with`].
 #[derive(Clone, Copy, Debug)]
 pub struct JacobiOptions {
     /// Stop when `‖x_{t+1} − x_t‖ ≤ tol`.
@@ -42,47 +40,9 @@ pub struct JacobiResult {
     pub converged: bool,
 }
 
-/// Solves `A x = b` by distributed Jacobi sweeps.
-///
-/// # Panics
-/// Panics if the matrix is not square, has a zero diagonal entry, or the
-/// vector partition is not symmetric.
-pub fn jacobi_solve(
-    a: &Csr,
-    p: &SpmvPartition,
-    plan: &SpmvPlan,
-    b: &[f64],
-    opts: &JacobiOptions,
-) -> JacobiResult {
-    assert_eq!(b.len(), a.nrows(), "right-hand side length mismatch");
-    // Per-rank diagonal and rhs slices, aligned with owned indices.
-    let diag = diagonal_of(a);
-    let b_parts = parking_lot::Mutex::new(scatter(b, p));
-    let d_parts = parking_lot::Mutex::new(scatter(&diag, p));
-    let opts = *opts;
-
-    let out = spmd_compute(a, p, plan, |ctx: &mut RankCtx| {
-        let b_local = std::mem::take(&mut b_parts.lock()[ctx.rank() as usize]);
-        let d_local = std::mem::take(&mut d_parts.lock()[ctx.rank() as usize]);
-        let (x, iterations, update) = jacobi_core(ctx, &b_local, &d_local, &opts);
-        (ctx.owned.clone(), x, iterations, update)
-    });
-
-    let locals: Vec<(Vec<u32>, Vec<f64>)> =
-        out.iter().map(|(o, x, _, _)| (o.clone(), x.clone())).collect();
-    let (_, _, iterations, update) = &out[0];
-    JacobiResult {
-        x: gather_global(&locals, a.nrows()),
-        iterations: *iterations,
-        last_update_norm: *update,
-        converged: *update <= opts.tol,
-    }
-}
-
-/// [`jacobi_solve`] by **operator injection**: runs the same sweep core
-/// on any [`SpmvOperator`]. `diag` is the matrix diagonal (global,
-/// `op.nrows()` entries — extract it with [`diagonal_of`] when the
-/// matrix is at hand).
+/// Solves `A x = b` by Jacobi sweeps on any [`SpmvOperator`]. `diag`
+/// is the matrix diagonal (global, `op.nrows()` entries — extract it
+/// with [`diagonal_of`] when the matrix is at hand).
 ///
 /// # Panics
 /// Panics if the operator is not square, a diagonal entry is zero, or
@@ -97,8 +57,7 @@ pub fn jacobi_solve_with(
     assert_eq!(c.nrows(), c.ncols(), "Jacobi needs a square operator");
     assert_eq!(b.len(), c.nrows(), "right-hand side length mismatch");
     assert_eq!(diag.len(), c.nrows(), "diagonal length mismatch");
-    let (x, iterations, update) = jacobi_core(&mut c, b, diag, opts);
-    JacobiResult { x, iterations, last_update_norm: update, converged: update <= opts.tol }
+    jacobi_core(&mut c, b, diag, opts)
 }
 
 /// Extracts the matrix diagonal, rejecting zero entries (Jacobi's
@@ -124,13 +83,14 @@ pub fn diagonal_of(a: &Csr) -> Vec<f64> {
 
 /// The Jacobi sweep body, written once against operator injection.
 /// The loop is allocation-free: `Ax` and the next iterate ping-pong
-/// through buffers allocated once up front.
+/// through buffers allocated once up front. The result's `x` is this
+/// participant's slice of the iterate.
 fn jacobi_core<C: SpmvOperator + Reduce>(
     c: &mut C,
     b_local: &[f64],
     d_local: &[f64],
     opts: &JacobiOptions,
-) -> (Vec<f64>, usize, f64) {
+) -> JacobiResult {
     let m = b_local.len();
     let mut x = vec![0.0f64; m];
     let mut x_new = vec![0.0f64; m];
@@ -154,13 +114,16 @@ fn jacobi_core<C: SpmvOperator + Reduce>(
             break;
         }
     }
-    (x, iterations, update)
+    JacobiResult { x, iterations, last_update_norm: update, converged: update <= opts.tol }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::spmd_solve;
+    use s2d_core::partition::SpmvPartition;
     use s2d_sparse::Coo;
+    use s2d_spmv::SpmvPlan;
 
     /// Strictly diagonally dominant test system.
     fn dominant(n: usize) -> Csr {
@@ -183,14 +146,28 @@ mod tests {
         SpmvPartition::rowwise(a, part.clone(), part, k)
     }
 
+    /// The Jacobi core on `k` SPMD ranks over a block-row partition.
+    fn jacobi_spmd(a: &Csr, k: usize, b: &[f64], opts: &JacobiOptions) -> JacobiResult {
+        let p = block_rowwise(a, k);
+        let plan = SpmvPlan::single_phase(a, &p);
+        let diag = diagonal_of(a);
+        let inputs: [&[f64]; 2] = [b, &diag];
+        spmd_solve(
+            a,
+            &p,
+            &plan,
+            &inputs,
+            |r: &mut JacobiResult| &mut r.x,
+            |ctx, v| jacobi_core(ctx, v[0], v[1], opts),
+        )
+    }
+
     #[test]
     fn converges_on_dominant_system() {
         let a = dominant(36);
-        let p = block_rowwise(&a, 4);
-        let plan = SpmvPlan::single_phase(&a, &p);
         let x_star: Vec<f64> = (0..36).map(|i| ((i % 7) as f64) - 3.0).collect();
         let b = a.spmv_alloc(&x_star);
-        let res = jacobi_solve(&a, &p, &plan, &b, &JacobiOptions::default());
+        let res = jacobi_spmd(&a, 4, &b, &JacobiOptions::default());
         assert!(res.converged, "Jacobi must converge (update {})", res.last_update_norm);
         for (g, w) in res.x.iter().zip(&x_star) {
             assert!((g - w).abs() < 1e-7, "{g} vs {w}");
@@ -200,10 +177,7 @@ mod tests {
     #[test]
     fn respects_iteration_cap() {
         let a = dominant(20);
-        let p = block_rowwise(&a, 2);
-        let plan = SpmvPlan::single_phase(&a, &p);
-        let res =
-            jacobi_solve(&a, &p, &plan, &vec![1.0; 20], &JacobiOptions { tol: 0.0, max_iters: 5 });
+        let res = jacobi_spmd(&a, 2, &vec![1.0; 20], &JacobiOptions { tol: 0.0, max_iters: 5 });
         assert_eq!(res.iterations, 5);
         assert!(!res.converged);
     }
@@ -212,9 +186,7 @@ mod tests {
     #[should_panic(expected = "nonzero diagonal")]
     fn zero_diagonal_is_rejected() {
         let a = Coo::from_pattern(3, 3, &[(0, 0), (1, 2), (2, 1)]).to_csr();
-        let p = block_rowwise(&a, 1);
-        let plan = SpmvPlan::single_phase(&a, &p);
-        let _ = jacobi_solve(&a, &p, &plan, &[1.0, 1.0, 1.0], &JacobiOptions::default());
+        let _ = jacobi_spmd(&a, 1, &[1.0, 1.0, 1.0], &JacobiOptions::default());
     }
 
     #[test]
@@ -232,11 +204,11 @@ mod tests {
         }
         m.compress();
         let a = m.to_csr();
-        let p = block_rowwise(&a, 5);
-        let plan = SpmvPlan::single_phase(&a, &p);
         let b: Vec<f64> = (0..n).map(|i| (i as f64).sin()).collect();
-        let xj = jacobi_solve(&a, &p, &plan, &b, &JacobiOptions::default());
-        let xc = crate::cg::cg_solve(&a, &p, &plan, &b, &crate::cg::CgOptions::default());
+        let xj = jacobi_spmd(&a, 5, &b, &JacobiOptions::default());
+        let plan = std::sync::Arc::new(SpmvPlan::single_phase(&a, &block_rowwise(&a, 5)));
+        let mailbox = s2d_spmv::MailboxOperator::new(plan);
+        let xc = crate::cg_solve_with(mailbox, &b, &crate::CgOptions::default());
         assert!(xj.converged && xc.converged);
         for (u, v) in xj.x.iter().zip(&xc.x) {
             assert!((u - v).abs() < 1e-6, "jacobi {u} vs cg {v}");

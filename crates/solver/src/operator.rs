@@ -5,14 +5,14 @@
 //!
 //! * [`SpmvOperator`] (from `s2d-spmv`) — the repeated `y = A·x` /
 //!   `Y = A·X` kernel, writing into caller-owned buffers;
-//! * [`Reduce`] — the global reductions (sum, fused vector sum, max) a
+//! * [`Reduce`] — the global reductions (sum, fused vector sum) a
 //!   distributed solver needs around the multiply.
 //!
 //! Two families implement both:
 //!
-//! * [`RankCtx`](crate::engine::RankCtx) — the SPMD per-rank context:
+//! * the SPMD per-rank context behind [`pagerank`](crate::pagerank):
 //!   `apply` runs this rank's slice of the plan (communicating with its
-//!   peers), reductions ride the runtime's binomial-tree collectives.
+//!   peers), reductions ride the runtime's binomial-tree allreduce.
 //!   Vectors are the rank's *local* slices.
 //! * [`Solo`] — wraps any whole-plan backend operator
 //!   (`s2d_engine::Backend::build` gives one per backend) into a
@@ -37,20 +37,17 @@ pub trait Reduce {
     /// Elementwise global sum of a small dense vector (fused
     /// multi-scalar reduction — one exchange for several scalars).
     fn reduce_sum_vec(&mut self, locals: Vec<f64>) -> Vec<f64>;
-
-    /// Global max of a per-rank scalar.
-    fn reduce_max(&mut self, local: f64) -> f64;
 }
 
 /// Global dot product `⟨u, v⟩` over the participating ranks.
-pub fn dot<C: Reduce + ?Sized>(c: &mut C, u: &[f64], v: &[f64]) -> f64 {
+pub(crate) fn dot<C: Reduce + ?Sized>(c: &mut C, u: &[f64], v: &[f64]) -> f64 {
     debug_assert_eq!(u.len(), v.len());
     let local: f64 = u.iter().zip(v).map(|(a, b)| a * b).sum();
     c.reduce_sum(local)
 }
 
 /// Global `⟨v, v⟩`.
-pub fn dot_self<C: Reduce + ?Sized>(c: &mut C, v: &[f64]) -> f64 {
+pub(crate) fn dot_self<C: Reduce + ?Sized>(c: &mut C, v: &[f64]) -> f64 {
     let local: f64 = v.iter().map(|a| a * a).sum();
     c.reduce_sum(local)
 }
@@ -95,14 +92,10 @@ impl<O> Reduce for Solo<O> {
     fn reduce_sum_vec(&mut self, locals: Vec<f64>) -> Vec<f64> {
         locals
     }
-
-    fn reduce_max(&mut self, local: f64) -> f64 {
-        local
-    }
 }
 
 /// `y += alpha · x`, purely local.
-pub fn axpy(alpha: f64, x: &[f64], y: &mut [f64]) {
+pub(crate) fn axpy(alpha: f64, x: &[f64], y: &mut [f64]) {
     debug_assert_eq!(x.len(), y.len());
     for (yi, xi) in y.iter_mut().zip(x) {
         *yi += alpha * xi;
@@ -110,7 +103,7 @@ pub fn axpy(alpha: f64, x: &[f64], y: &mut [f64]) {
 }
 
 /// `v *= alpha`, purely local.
-pub fn scale(alpha: f64, v: &mut [f64]) {
+pub(crate) fn scale(alpha: f64, v: &mut [f64]) {
     for vi in v.iter_mut() {
         *vi *= alpha;
     }

@@ -1,4 +1,4 @@
-//! Distributed power iteration and PageRank.
+//! Power iteration and PageRank.
 //!
 //! Power iteration finds the dominant eigenpair of `A` by repeated
 //! normalized SpMV — the kernel at the heart of spectral methods and of
@@ -10,10 +10,10 @@ use s2d_core::partition::SpmvPartition;
 use s2d_sparse::{Coo, Csr};
 use s2d_spmv::{SpmvOperator, SpmvPlan};
 
-use crate::engine::{gather_global, scatter, spmd_compute, RankCtx};
+use crate::engine::spmd_solve;
 use crate::operator::{scale, Reduce, Solo};
 
-/// Options for [`power_iteration`].
+/// Options for [`power_iteration_with`].
 #[derive(Clone, Copy, Debug)]
 pub struct PowerOptions {
     /// Stop when the eigenvalue estimate moves less than `tol`.
@@ -41,37 +41,8 @@ pub struct PowerResult {
     pub converged: bool,
 }
 
-/// Runs distributed power iteration from the uniform start vector.
-///
-/// # Panics
-/// Panics if the matrix is not square or the vector partition is not
-/// symmetric.
-pub fn power_iteration(
-    a: &Csr,
-    p: &SpmvPartition,
-    plan: &SpmvPlan,
-    opts: &PowerOptions,
-) -> PowerResult {
-    let n = a.nrows();
-    let opts = *opts;
-    let out = spmd_compute(a, p, plan, |ctx: &mut RankCtx| {
-        let (v, lambda, iterations, converged) = power_core(ctx, n, &opts);
-        (ctx.owned.clone(), v, lambda, iterations, converged)
-    });
-
-    let locals: Vec<(Vec<u32>, Vec<f64>)> =
-        out.iter().map(|(o, v, _, _, _)| (o.clone(), v.clone())).collect();
-    let (_, _, lambda, iterations, converged) = &out[0];
-    PowerResult {
-        eigenvalue: *lambda,
-        eigenvector: gather_global(&locals, n),
-        iterations: *iterations,
-        converged: *converged,
-    }
-}
-
-/// [`power_iteration`] by **operator injection**: runs the same core on
-/// any square [`SpmvOperator`].
+/// Runs power iteration from the uniform start vector on any square
+/// [`SpmvOperator`].
 ///
 /// # Panics
 /// Panics if the operator is not square.
@@ -79,19 +50,15 @@ pub fn power_iteration_with(op: impl SpmvOperator, opts: &PowerOptions) -> Power
     let mut c = Solo(op);
     assert_eq!(c.nrows(), c.ncols(), "power iteration needs a square operator");
     let n = c.nrows();
-    let (v, lambda, iterations, converged) = power_core(&mut c, n, opts);
-    PowerResult { eigenvalue: lambda, eigenvector: v, iterations, converged }
+    power_core(&mut c, n, opts)
 }
 
 /// The power-iteration body, written once against operator injection.
 /// `n` is the *global* dimension (for the uniform start vector); the
-/// iterate `v` is this participant's local slice. The loop ping-pongs
-/// `v`/`Av` through two buffers — no per-iteration allocation.
-fn power_core<C: SpmvOperator + Reduce>(
-    c: &mut C,
-    n: usize,
-    opts: &PowerOptions,
-) -> (Vec<f64>, f64, usize, bool) {
+/// iterate `v` (the result's `eigenvector`) is this participant's local
+/// slice. The loop ping-pongs `v`/`Av` through two buffers — no
+/// per-iteration allocation.
+fn power_core<C: SpmvOperator + Reduce>(c: &mut C, n: usize, opts: &PowerOptions) -> PowerResult {
     let m = c.ncols();
     let mut v = vec![1.0 / (n as f64).sqrt(); m];
     let mut av = vec![0.0f64; m];
@@ -120,7 +87,7 @@ fn power_core<C: SpmvOperator + Reduce>(
         }
         lambda = rayleigh;
     }
-    (v, lambda, iterations, converged)
+    PowerResult { eigenvalue: lambda, eigenvector: v, iterations, converged }
 }
 
 /// Options for [`pagerank`].
@@ -177,11 +144,15 @@ pub fn to_column_stochastic(a: &Csr) -> (Csr, Vec<bool>) {
 }
 
 /// Distributed PageRank on a column-stochastic `m` (see
-/// [`to_column_stochastic`]); `dangling` marks zero-outlink pages whose
-/// mass is redistributed uniformly.
+/// [`to_column_stochastic`]) over the partition `p` and its `plan`: one
+/// rank per part, exchanging messages over `s2d-runtime` endpoints.
+/// `dangling` marks zero-outlink pages whose mass is redistributed
+/// uniformly.
 ///
 /// # Panics
-/// Panics on shape/partition violations (see [`spmd_compute`]).
+/// Panics if the matrix is not square, the vector partition is not
+/// symmetric, `plan` was not built from `(m, p)`, or `dangling.len()`
+/// mismatches.
 pub fn pagerank(
     m: &Csr,
     p: &SpmvPartition,
@@ -190,32 +161,14 @@ pub fn pagerank(
     opts: &PagerankOptions,
 ) -> PagerankResult {
     let n = m.nrows();
-    assert_eq!(dangling.len(), n);
-    let opts = *opts;
-    let dang_parts = parking_lot::Mutex::new(scatter(
-        &dangling.iter().map(|&d| if d { 1.0 } else { 0.0 }).collect::<Vec<f64>>(),
-        p,
-    ));
-
-    let out = spmd_compute(m, p, plan, |ctx: &mut RankCtx| {
-        let dang = std::mem::take(&mut dang_parts.lock()[ctx.rank() as usize]);
-        let (r, iterations, converged) = pagerank_core(ctx, &dang, n, &opts);
-        (ctx.owned.clone(), r, iterations, converged)
-    });
-
-    let locals: Vec<(Vec<u32>, Vec<f64>)> =
-        out.iter().map(|(o, r, _, _)| (o.clone(), r.clone())).collect();
-    let (_, _, iterations, converged) = &out[0];
-    PagerankResult {
-        ranks: gather_global(&locals, n),
-        iterations: *iterations,
-        converged: *converged,
-    }
+    let dang = dangling_weights(dangling, n);
+    let ranks: fn(&mut PagerankResult) -> &mut Vec<f64> = |r| &mut r.ranks;
+    spmd_solve(m, p, plan, &[&dang], ranks, |ctx, d| pagerank_core(ctx, d[0], n, opts))
 }
 
 /// [`pagerank`] by **operator injection**: runs the same core on any
 /// square [`SpmvOperator`] over the column-stochastic link matrix (see
-/// [`to_column_stochastic`]).
+/// [`to_column_stochastic`]), whole vectors in one participant.
 ///
 /// # Panics
 /// Panics if the operator is not square or `dangling.len()` mismatches.
@@ -227,22 +180,26 @@ pub fn pagerank_with(
     let mut c = Solo(op);
     assert_eq!(c.nrows(), c.ncols(), "PageRank needs a square operator");
     let n = c.nrows();
+    pagerank_core(&mut c, &dangling_weights(dangling, n), n, opts)
+}
+
+/// The dangling mask as 0/1 weights.
+fn dangling_weights(dangling: &[bool], n: usize) -> Vec<f64> {
     assert_eq!(dangling.len(), n, "dangling mask length mismatch");
-    let dang: Vec<f64> = dangling.iter().map(|&d| if d { 1.0 } else { 0.0 }).collect();
-    let (ranks, iterations, converged) = pagerank_core(&mut c, &dang, n, opts);
-    PagerankResult { ranks, iterations, converged }
+    dangling.iter().map(|&d| if d { 1.0 } else { 0.0 }).collect()
 }
 
 /// The PageRank body, written once against operator injection. `dang`
 /// is this participant's slice of the dangling mask as 0/1 weights; `n`
-/// the global page count. `M·r` and the next iterate ping-pong through
-/// preallocated buffers.
+/// the global page count; the result's `ranks` are this participant's
+/// slice. `M·r` and the next iterate ping-pong through preallocated
+/// buffers.
 fn pagerank_core<C: SpmvOperator + Reduce>(
     c: &mut C,
     dang: &[f64],
     n: usize,
     opts: &PagerankOptions,
-) -> (Vec<f64>, usize, bool) {
+) -> PagerankResult {
     let ml = c.ncols();
     let mut r = vec![1.0 / n as f64; ml];
     let mut r_new = vec![0.0f64; ml];
@@ -269,7 +226,7 @@ fn pagerank_core<C: SpmvOperator + Reduce>(
             break;
         }
     }
-    (r, iterations, converged)
+    PagerankResult { ranks: r, iterations, converged }
 }
 
 #[cfg(test)]
@@ -283,6 +240,16 @@ mod tests {
         SpmvPartition::rowwise(a, part.clone(), part, k)
     }
 
+    /// The power-iteration core on `k` SPMD ranks over a block-row
+    /// partition.
+    fn power_spmd(a: &Csr, k: usize, opts: &PowerOptions) -> PowerResult {
+        let p = block_rowwise(a, k);
+        let plan = SpmvPlan::single_phase(a, &p);
+        let n = a.nrows();
+        let v: fn(&mut PowerResult) -> &mut Vec<f64> = |r| &mut r.eigenvector;
+        spmd_solve(a, &p, &plan, &[], v, |ctx, _| power_core(ctx, n, opts))
+    }
+
     #[test]
     fn power_iteration_finds_dominant_eigenvalue() {
         // Diagonal matrix: dominant eigenvalue is the largest entry.
@@ -293,9 +260,7 @@ mod tests {
         }
         m.compress();
         let a = m.to_csr();
-        let p = block_rowwise(&a, 3);
-        let plan = SpmvPlan::single_phase(&a, &p);
-        let res = power_iteration(&a, &p, &plan, &PowerOptions::default());
+        let res = power_spmd(&a, 3, &PowerOptions::default());
         assert!(res.converged);
         assert!((res.eigenvalue - n as f64).abs() < 1e-6, "lambda {}", res.eigenvalue);
         // Eigenvector concentrates on the last coordinate.
@@ -314,9 +279,7 @@ mod tests {
         }
         m.compress();
         let a = m.to_csr();
-        let p = block_rowwise(&a, 4);
-        let plan = SpmvPlan::single_phase(&a, &p);
-        let res = power_iteration(&a, &p, &plan, &PowerOptions { tol: 1e-12, max_iters: 5000 });
+        let res = power_spmd(&a, 4, &PowerOptions { tol: 1e-12, max_iters: 5000 });
         let expect = 2.0 * (std::f64::consts::PI / (n as f64 + 1.0)).cos();
         assert!((res.eigenvalue - expect).abs() < 1e-6, "{} vs {expect}", res.eigenvalue);
     }
@@ -362,6 +325,36 @@ mod tests {
         for r in &res.ranks {
             assert!((r - 1.0 / n as f64).abs() < 1e-9, "uniform expected, got {r}");
         }
+    }
+
+    #[test]
+    fn a_plan_from_another_partition_fails_instead_of_hanging() {
+        // The plan gives rank 1 an entry `p` gives rank 0, so only rank
+        // 1 panics while rank 0 waits for its message. The watchdog turns
+        // a hang into a failure instead of a stuck test binary.
+        let n = 8;
+        let mut adj = Coo::new(n, n);
+        for j in 0..n {
+            adj.push((j + 1) % n, j, 1.0);
+        }
+        adj.compress();
+        let (m, dangling) = to_column_stochastic(&adj.to_csr());
+        let split = |first: usize| (0..n).map(|i| u32::from(i >= first)).collect::<Vec<u32>>();
+        let p = SpmvPartition::rowwise(&m, split(4), split(4), 2);
+        let plan = SpmvPlan::single_phase(&m, &SpmvPartition::rowwise(&m, split(3), split(3), 2));
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        let runner = std::thread::spawn(move || {
+            let run = std::panic::catch_unwind(|| {
+                pagerank(&m, &p, &plan, &dangling, &PagerankOptions::default())
+            });
+            let _ = done_tx.send(run.map_err(|e| e.downcast_ref::<String>().cloned()));
+        });
+        let run = done_rx
+            .recv_timeout(std::time::Duration::from_secs(5))
+            .expect("SPMD PageRank still waiting 5 s after a rank panicked");
+        runner.join().expect("the runner catches the panic");
+        let msg = run.expect_err("a mismatched plan must fail").unwrap_or_default();
+        assert!(msg.contains("local entry must be owned"), "{msg}");
     }
 
     #[test]

@@ -4,14 +4,14 @@
 //! solvers (`cg`, `jacobi`, `power`, `pagerank`, `block_power`) run
 //! unchanged on each of the four execution backends
 //! (`s2d_engine::Backend::all()`) through their `*_with` entry points,
-//! and agree with the distributed SPMD path on the same problem.
+//! and the SPMD `pagerank` agrees with them on the same problem.
 
 use std::sync::Arc;
 
 use s2d_core::partition::SpmvPartition;
 use s2d_engine::{Backend, CompiledPlan};
 use s2d_solver::{
-    block_power_iteration_with, cg_solve, cg_solve_with, diagonal_of, jacobi_solve_with,
+    block_power_iteration_with, cg_solve_with, diagonal_of, jacobi_solve_with, pagerank,
     pagerank_with, power_iteration_with, to_column_stochastic, BlockPowerOptions, CgOptions,
     JacobiOptions, PagerankOptions, PowerOptions,
 };
@@ -57,25 +57,18 @@ fn single_phase_arc(a: &Csr, k: usize) -> Arc<SpmvPlan> {
 }
 
 #[test]
-fn cg_solves_on_every_backend_and_matches_distributed() {
+fn cg_solves_on_every_backend() {
     let a = laplacian2d(8);
-    let p = block_rowwise(&a, 4);
-    let plan = SpmvPlan::single_phase(&a, &p);
+    let plan = single_phase_arc(&a, 4);
     let n = a.nrows();
     let x_star: Vec<f64> = (1..=n).map(|i| i as f64 / n as f64).collect();
     let b = a.spmv_alloc(&x_star);
-    let distributed = cg_solve(&a, &p, &plan, &b, &CgOptions::default());
-    assert!(distributed.converged);
-    let plan = Arc::new(plan);
     for backend in Backend::all() {
         let op = build(backend, &plan, 1);
         let res = cg_solve_with(op, &b, &CgOptions::default());
         assert!(res.converged, "{backend}: CG must converge");
         for (g, w) in res.x.iter().zip(&x_star) {
             assert!((g - w).abs() < 1e-7, "{backend}: {g} vs {w}");
-        }
-        for (g, w) in res.x.iter().zip(&distributed.x) {
-            assert!((g - w).abs() < 1e-7, "{backend} vs distributed: {g} vs {w}");
         }
     }
 }
@@ -146,6 +139,34 @@ fn pagerank_on_every_backend() {
         assert!((total - 1.0).abs() < 1e-9, "{backend}: mass {total}");
         for j in 1..n {
             assert!(res.ranks[0] > res.ranks[j], "{backend}: hub must outrank leaves");
+        }
+    }
+}
+
+#[test]
+fn spmd_pagerank_matches_the_injected_solve_on_every_backend() {
+    // An irregular link graph: two outlinks per page, every fifth page
+    // dangling, so the teleport and dangling terms both carry mass.
+    let n = 60;
+    let mut adj = Coo::new(n, n);
+    for j in (0..n).filter(|j| j % 5 != 0) {
+        adj.push((j * 7 + 3) % n, j, 1.0);
+        adj.push((j * j + 1) % n, j, 1.0);
+    }
+    adj.compress();
+    let (m, dangling) = to_column_stochastic(&adj.to_csr());
+    let p = block_rowwise(&m, 4);
+    let opts = PagerankOptions::default();
+    for kind in PlanKind::all() {
+        let plan = Arc::new(kind.build(&m, &p));
+        let spmd = pagerank(&m, &p, &plan, &dangling, &opts);
+        assert!(spmd.converged, "{kind}: SPMD PageRank must converge");
+        for backend in Backend::all() {
+            let with = pagerank_with(build(backend, &plan, 1), &dangling, &opts);
+            assert!(with.iterations.abs_diff(spmd.iterations) <= 1, "{kind}/{backend}");
+            for (u, v) in spmd.ranks.iter().zip(&with.ranks) {
+                assert!((u - v).abs() <= 1e-9, "{kind}/{backend}: {u} vs {v}");
+            }
         }
     }
 }

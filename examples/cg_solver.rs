@@ -1,10 +1,12 @@
-//! Distributed conjugate gradients on the SPMD runtime — the workload
-//! partition quality exists for: one partition, one plan, hundreds of
-//! SpMVs plus dot products.
+//! Distributed conjugate gradients — the workload partition quality
+//! exists for: one partition, one plan, hundreds of SpMVs plus dot
+//! products.
 //!
 //! Solves a 2D Poisson problem with the `s2d-solver` CG on top of the
-//! fused single-phase s2D plan, and shows the per-iteration
-//! communication bill the partition bought us.
+//! fused single-phase s2D plan, first with the plan's ranks exchanging
+//! messages over the runtime endpoints (`Backend::Threaded`, one OS
+//! thread per rank), and shows the per-iteration communication bill the
+//! partition bought us.
 //!
 //! ```text
 //! cargo run --release --example cg_solver
@@ -12,7 +14,7 @@
 
 use s2d::baselines::partition_1d_rowwise;
 use s2d::core::heuristic::{s2d_from_vector_partition, HeuristicConfig};
-use s2d::solver::{cg_solve, cg_solve_with, CgOptions};
+use s2d::solver::{cg_solve_with, CgOptions};
 use s2d::sparse::{Coo, Csr};
 use s2d::spmv::SpmvPlan;
 use s2d::{Backend, Session};
@@ -61,7 +63,9 @@ fn main() {
     let x_star: Vec<f64> = (0..a.nrows()).map(|i| (i as f64 * 0.37).sin()).collect();
     let b = a.spmv_alloc(&x_star);
 
-    let res = cg_solve(&a, &s2d, &plan, &b, &CgOptions { tol: 1e-10, max_iters: 2000 });
+    let opts = CgOptions { tol: 1e-10, max_iters: 2000 };
+    let mut distributed = Session::builder(&a).partition(&s2d).backend(Backend::Threaded).build();
+    let res = cg_solve_with(&mut distributed, &b, &opts);
     println!(
         "CG: {} iterations, converged = {}, relative residual {:.2e}",
         res.iterations, res.converged, res.relative_residual
@@ -81,7 +85,7 @@ fn main() {
     for backend in Backend::all() {
         let mut session = Session::builder(&a).partition(&s2d).backend(backend).build();
         let t = std::time::Instant::now();
-        let inj = cg_solve_with(&mut session, &b, &CgOptions { tol: 1e-10, max_iters: 2000 });
+        let inj = cg_solve_with(&mut session, &b, &opts);
         let ms = t.elapsed().as_secs_f64() * 1e3;
         println!(
             "  {backend:<14} {} iterations, residual {:.2e}, {ms:.1} ms",

@@ -28,7 +28,7 @@
 //!   under two transports — in place, worker pool — plus the
 //!   message-passing endpoint walker).
 //! * [`runtime`] — the MPI-like message-passing substrate.
-//! * [`solver`] — distributed CG, Jacobi, power iteration, PageRank.
+//! * [`solver`] — CG, Jacobi, power iteration, block power, PageRank.
 //! * [`gen`] — synthetic matrix generators and the paper's two test suites.
 //!
 //! ## Quickstart
