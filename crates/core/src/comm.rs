@@ -36,30 +36,137 @@ impl CommRequirements {
 
 /// Computes the communication requirements of partition `p` on `a`.
 /// Works for any partition class (1D, 2D, s2D).
+///
+/// Linear in `nnz + n + K` time and memory: both lists are built by
+/// counting passes over `K` buckets and deduplicated through stamp
+/// arrays, and only the unique entries are ever sorted.
 pub fn comm_requirements(a: &Csr, p: &SpmvPartition) -> CommRequirements {
     p.assert_shape(a);
-    let mut x_reqs: Vec<(u32, u32, u32)> = Vec::new();
-    let mut y_reqs: Vec<(u32, u32, u32)> = Vec::new();
-    for i in 0..a.nrows() {
-        let yi = p.y_part[i];
-        for e in a.row_range(i) {
-            let j = a.colind()[e];
-            let holder = p.nz_owner[e];
-            let xj = p.x_part[j as usize];
-            if holder != xj {
-                x_reqs.push((xj, holder, j));
+    CommRequirements { x_reqs: x_requirements(a, p), y_reqs: y_requirements(a, p) }
+}
+
+/// Exclusive prefix sums of per-bucket counts held at `counts[b + 1]`:
+/// afterwards `counts[b]` is bucket `b`'s first position.
+fn bucket_starts(counts: &mut [usize]) {
+    for b in 1..counts.len() {
+        counts[b] += counts[b - 1];
+    }
+}
+
+/// The x-requirements, sorted by `(src, dst, j)`. The columns of the
+/// nonzeros that need a foreign `x_j` are bucketed by holder (`dst`);
+/// each bucket is deduplicated through a per-column stamp and its
+/// survivors sorted; a stable counting pass by owner (`src`) then
+/// yields the final order.
+fn x_requirements(a: &Csr, p: &SpmvPartition) -> Vec<(u32, u32, u32)> {
+    let (k, x_part, nz_owner) = (p.k, &p.x_part[..], &p.nz_owner[..]);
+    let foreign = a.colind().iter().zip(nz_owner).filter(|&(&j, &h)| h != x_part[j as usize]);
+    let mut at = vec![0usize; k + 1];
+    for (_, &h) in foreign.clone() {
+        at[h as usize + 1] += 1;
+    }
+    bucket_starts(&mut at);
+    let mut cols = vec![0u32; at[k]];
+    let mut fill = at.clone();
+    for (&j, &h) in foreign {
+        cols[fill[h as usize]] = j;
+        fill[h as usize] += 1;
+    }
+    // Compact each bucket in place to its sorted distinct columns;
+    // `fill[dst]` becomes the end of bucket `dst`'s survivors.
+    let mut stamp = vec![u32::MAX; a.ncols()];
+    let mut per_src = vec![0usize; k + 1];
+    let mut kept = 0;
+    for dst in 0..k {
+        let begin = kept;
+        for e in at[dst]..at[dst + 1] {
+            let j = cols[e];
+            if std::mem::replace(&mut stamp[j as usize], dst as u32) != dst as u32 {
+                cols[kept] = j;
+                kept += 1;
+                per_src[x_part[j as usize] as usize + 1] += 1;
             }
-            if holder != yi {
-                y_reqs.push((holder, yi, i as u32));
+        }
+        cols[begin..kept].sort_unstable();
+        at[dst] = begin;
+        fill[dst] = kept;
+    }
+    bucket_starts(&mut per_src);
+    let mut reqs = vec![(0, 0, 0); kept];
+    for dst in 0..k {
+        for &j in &cols[at[dst]..fill[dst]] {
+            let src = x_part[j as usize];
+            reqs[per_src[src as usize]] = (src, dst as u32, j);
+            per_src[src as usize] += 1;
+        }
+    }
+    reqs
+}
+
+/// The y-requirements, sorted by `(src, dst, i)`. Rows are visited in
+/// `(y_part[i], i)` order (a counting pass over the owners), so the
+/// distinct holders of each row — deduplicated through a per-part
+/// stamp — come out in `(dst, i)` order; a stable counting pass by
+/// holder (`src`) then yields the final order.
+fn y_requirements(a: &Csr, p: &SpmvPartition) -> Vec<(u32, u32, u32)> {
+    let (k, y_part, nz_owner) = (p.k, &p.y_part[..], &p.nz_owner[..]);
+    let mut at = vec![0usize; k + 1];
+    for &owner in y_part {
+        at[owner as usize + 1] += 1;
+    }
+    bucket_starts(&mut at);
+    let mut rows = vec![0u32; a.nrows()];
+    for (i, &owner) in y_part.iter().enumerate() {
+        rows[at[owner as usize]] = i as u32;
+        at[owner as usize] += 1;
+    }
+    let mut stamp = vec![u32::MAX; k];
+    let mut per_src = vec![0usize; k + 1];
+    let mut found = Vec::new();
+    for &i in &rows {
+        let dst = y_part[i as usize];
+        for &h in &nz_owner[a.row_range(i as usize)] {
+            if h != dst && std::mem::replace(&mut stamp[h as usize], i) != i {
+                found.push((h, dst, i));
+                per_src[h as usize + 1] += 1;
             }
         }
     }
-    x_reqs.sort_unstable();
-    x_reqs.dedup();
-    y_reqs.sort_unstable();
-    y_reqs.dedup();
-    CommRequirements { x_reqs, y_reqs }
+    bucket_starts(&mut per_src);
+    let mut reqs = vec![(0, 0, 0); found.len()];
+    for req in found {
+        reqs[per_src[req.0 as usize]] = req;
+        per_src[req.0 as usize] += 1;
+    }
+    reqs
 }
+
+/// The requirement runs of both lists per `(src, dst)` pair, in
+/// ascending pair order: `((src, dst), x run, y run)`, where either run
+/// may be empty. One linear merge of the two sorted lists — the shape
+/// of every message a plan sends.
+pub fn pair_runs<'a>(
+    x_reqs: &'a [(u32, u32, u32)],
+    y_reqs: &'a [(u32, u32, u32)],
+) -> impl Iterator<Item = PairRun<'a>> {
+    let (mut x, mut y) = (x_reqs, y_reqs);
+    std::iter::from_fn(move || {
+        let key = match (x.first(), y.first()) {
+            (None, None) => return None,
+            (Some(&(s, d, _)), None) | (None, Some(&(s, d, _))) => (s, d),
+            (Some(&(xs, xd, _)), Some(&(ys, yd, _))) => (xs, xd).min((ys, yd)),
+        };
+        let take = |list: &mut &'a [(u32, u32, u32)]| {
+            let (run, rest) = list.split_at(list.partition_point(|&(s, d, _)| (s, d) == key));
+            *list = rest;
+            run
+        };
+        Some((key, take(&mut x), take(&mut y)))
+    })
+}
+
+/// One item of [`pair_runs`]: `((src, dst), x run, y run)`.
+pub type PairRun<'a> = ((u32, u32), &'a [(u32, u32, u32)], &'a [(u32, u32, u32)]);
 
 /// Aggregated communication statistics of a set of phases.
 ///
@@ -137,32 +244,16 @@ impl CommStats {
 ///
 /// Returns one phase of `(src, dst, words)`.
 pub fn single_phase_messages(reqs: &CommRequirements) -> Vec<(u32, u32, u64)> {
-    let mut combined: std::collections::BTreeMap<(u32, u32), u64> =
-        std::collections::BTreeMap::new();
-    for &(src, dst, _) in &reqs.x_reqs {
-        *combined.entry((src, dst)).or_insert(0) += 1;
-    }
-    for &(src, dst, _) in &reqs.y_reqs {
-        *combined.entry((src, dst)).or_insert(0) += 1;
-    }
-    combined.into_iter().map(|((s, d), w)| (s, d, w)).collect()
+    pair_runs(&reqs.x_reqs, &reqs.y_reqs)
+        .map(|((s, d), x, y)| (s, d, (x.len() + y.len()) as u64))
+        .collect()
 }
 
 /// Groups requirements into **two-phase** messages (standard 2D SpMV):
 /// phase 1 expands x, phase 2 folds y. Returns `[expand, fold]`.
 pub fn two_phase_messages(reqs: &CommRequirements) -> [Vec<(u32, u32, u64)>; 2] {
-    let mut expand: std::collections::BTreeMap<(u32, u32), u64> = std::collections::BTreeMap::new();
-    for &(src, dst, _) in &reqs.x_reqs {
-        *expand.entry((src, dst)).or_insert(0) += 1;
-    }
-    let mut fold: std::collections::BTreeMap<(u32, u32), u64> = std::collections::BTreeMap::new();
-    for &(src, dst, _) in &reqs.y_reqs {
-        *fold.entry((src, dst)).or_insert(0) += 1;
-    }
-    [
-        expand.into_iter().map(|((s, d), w)| (s, d, w)).collect(),
-        fold.into_iter().map(|((s, d), w)| (s, d, w)).collect(),
-    ]
+    let words = |list| pair_runs(list, &[]).map(|((s, d), run, _)| (s, d, run.len() as u64)).collect();
+    [words(&reqs.x_reqs), words(&reqs.y_reqs)]
 }
 
 /// Single-phase statistics of an s2D partition (asserts the s2D property
@@ -183,7 +274,110 @@ pub fn two_phase_comm_stats(a: &Csr, p: &SpmvPartition) -> CommStats {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use s2d_sparse::Coo;
+
+    /// Cases per oracle property: every case is a matrix of at most 40
+    /// × 40, so the release run affords many.
+    const ORACLE_CASES: u32 = if cfg!(debug_assertions) { 256 } else { 2048 };
+
+    /// The original construction — one triple per nonzero, then a sort
+    /// and a dedup of the whole list — kept as the oracle for the
+    /// bucketed one.
+    fn comm_requirements_reference(a: &Csr, p: &SpmvPartition) -> CommRequirements {
+        p.assert_shape(a);
+        let mut x_reqs: Vec<(u32, u32, u32)> = Vec::new();
+        let mut y_reqs: Vec<(u32, u32, u32)> = Vec::new();
+        for i in 0..a.nrows() {
+            let yi = p.y_part[i];
+            for e in a.row_range(i) {
+                let j = a.colind()[e];
+                let holder = p.nz_owner[e];
+                let xj = p.x_part[j as usize];
+                if holder != xj {
+                    x_reqs.push((xj, holder, j));
+                }
+                if holder != yi {
+                    y_reqs.push((holder, yi, i as u32));
+                }
+            }
+        }
+        x_reqs.sort_unstable();
+        x_reqs.dedup();
+        y_reqs.sort_unstable();
+        y_reqs.dedup();
+        CommRequirements { x_reqs, y_reqs }
+    }
+
+    /// Words per `(src, dst)` through a `BTreeMap`, as the original
+    /// groupings counted them.
+    fn words_by_pair_reference<'a>(
+        lists: impl IntoIterator<Item = &'a [(u32, u32, u32)]>,
+    ) -> Vec<(u32, u32, u64)> {
+        let mut words = std::collections::BTreeMap::new();
+        for &(src, dst, _) in lists.into_iter().flatten() {
+            *words.entry((src, dst)).or_insert(0) += 1;
+        }
+        words.into_iter().map(|((s, d), w)| (s, d, w)).collect()
+    }
+
+    /// A random matrix — rectangular, with rows and columns blanked at
+    /// random — and a partition over `K ∈ {1, 2, 17, 65, 130}` parts:
+    /// s2D (each nonzero with its row's or its column's owner) or an
+    /// arbitrary 2D one.
+    fn instance() -> impl Strategy<Value = (Csr, SpmvPartition)> {
+        (0..5usize, 1..=40usize, 1..=40usize, 0..2u8).prop_flat_map(|(ki, nrows, ncols, s2d)| {
+            let k = [1, 2, 17, 65, 130][ki];
+            (
+                collection::vec((0..nrows, 0..ncols), 0..=150),
+                collection::vec(0..4u8, nrows + ncols),
+                collection::vec(0..k as u32, nrows + ncols),
+                collection::vec(0..k as u32, 150),
+            )
+                .prop_map(move |(entries, blank, vector_parts, owners)| {
+                    let mut coo = Coo::new(nrows, ncols);
+                    for (r, c) in entries {
+                        if blank[r] != 0 && blank[nrows + c] != 0 {
+                            coo.push(r, c, 1.0);
+                        }
+                    }
+                    coo.compress();
+                    let a = coo.to_csr();
+                    let (y_part, x_part) = vector_parts.split_at(nrows);
+                    let (y_part, x_part) = (y_part.to_vec(), x_part.to_vec());
+                    let nz_owner = (0..a.nrows())
+                        .flat_map(|i| a.row_range(i).map(move |e| (i, e)))
+                        .map(|(i, e)| match (s2d, owners[e] % 2) {
+                            (1, 0) => y_part[i],
+                            (1, _) => x_part[a.colind()[e] as usize],
+                            _ => owners[e],
+                        })
+                        .collect();
+                    (a, SpmvPartition { k, x_part, y_part, nz_owner })
+                })
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(ORACLE_CASES))]
+
+        /// The bucketed requirements and the linear merges equal the
+        /// sort + dedup construction and the `BTreeMap` groupings.
+        #[test]
+        fn requirements_and_groupings_match_reference((a, p) in instance()) {
+            let reqs = comm_requirements(&a, &p);
+            let want = comm_requirements_reference(&a, &p);
+            prop_assert_eq!(&reqs.x_reqs, &want.x_reqs);
+            prop_assert_eq!(&reqs.y_reqs, &want.y_reqs);
+            prop_assert_eq!(
+                single_phase_messages(&reqs),
+                words_by_pair_reference([&want.x_reqs[..], &want.y_reqs[..]])
+            );
+            let [expand, fold] = two_phase_messages(&reqs);
+            prop_assert_eq!(expand, words_by_pair_reference([&want.x_reqs[..]]));
+            prop_assert_eq!(fold, words_by_pair_reference([&want.y_reqs[..]]));
+        }
+    }
 
     /// 4x4 with a cross-part column and row.
     fn setup() -> (Csr, SpmvPartition) {

@@ -1,8 +1,10 @@
 //! The SpMV plan language and the four plan builders.
 
-use s2d_core::comm::{comm_requirements, single_phase_messages, CommRequirements, CommStats};
+use s2d_core::comm::{
+    comm_requirements, pair_runs, single_phase_messages, CommRequirements, CommStats,
+};
 use s2d_core::mesh::MeshRouting;
-use s2d_core::partition::SpmvPartition;
+use s2d_core::partition::{S2dViolation, SpmvPartition};
 use s2d_sparse::Csr;
 
 /// One multiply-add: `ȳ[row] += val · x[col]`, executed by the processor
@@ -64,46 +66,54 @@ pub struct SpmvPlan {
     pub phases: Vec<PlanPhase>,
 }
 
+/// Per-processor task lists.
+type Tasks = Vec<Vec<MultTask>>;
+
 /// Splits the owned nonzeros into (precompute, rest) per processor:
-/// precompute = `x` local and `y` non-local (computed before the fused
-/// communication), rest = `y` local.
-fn split_tasks(a: &Csr, p: &SpmvPartition) -> (Vec<Vec<MultTask>>, Vec<Vec<MultTask>>) {
-    let mut pre: Vec<Vec<MultTask>> = vec![Vec::new(); p.k];
-    let mut rest: Vec<Vec<MultTask>> = vec![Vec::new(); p.k];
+/// rest = `y` local, precompute = `y` non-local, computed before the
+/// fused communication — which is legal only if `x` is local, the s2D
+/// condition. A counting pass checks it (returning the first violation
+/// in CSR order) and sizes every list; a second pass fills them.
+fn split_tasks(a: &Csr, p: &SpmvPartition) -> Result<(Tasks, Tasks), S2dViolation> {
+    let mut sizes = vec![(0usize, 0usize); p.k];
     for i in 0..a.nrows() {
-        let yi = p.y_part[i];
         for e in a.row_range(i) {
-            let j = a.colind()[e];
-            let owner = p.nz_owner[e] as usize;
-            let task = MultTask { row: i as u32, col: j, val: a.values()[e] };
-            if p.y_part[i] == p.nz_owner[e] {
-                rest[owner].push(task);
+            let owner = p.nz_owner[e];
+            let j = a.colind()[e] as usize;
+            if owner == p.y_part[i] {
+                sizes[owner as usize].1 += 1;
+            } else if owner == p.x_part[j] {
+                sizes[owner as usize].0 += 1;
             } else {
-                debug_assert_eq!(
-                    p.x_part[j as usize], p.nz_owner[e],
-                    "nonzero ({i},{j}) violates the s2D constraint"
-                );
-                pre[owner].push(task);
+                return Err(S2dViolation { nnz_id: e, row: i, col: j, owner });
             }
-            let _ = yi;
         }
     }
-    (pre, rest)
+    let (mut pre, mut rest): (Tasks, Tasks) =
+        sizes.iter().map(|&(n, m)| (Vec::with_capacity(n), Vec::with_capacity(m))).unzip();
+    for i in 0..a.nrows() {
+        for e in a.row_range(i) {
+            let owner = p.nz_owner[e];
+            let task = MultTask { row: i as u32, col: a.colind()[e], val: a.values()[e] };
+            if owner == p.y_part[i] {
+                rest[owner as usize].push(task);
+            } else {
+                pre[owner as usize].push(task);
+            }
+        }
+    }
+    Ok((pre, rest))
+}
+
+/// The item ids of one requirement run.
+fn items(run: &[(u32, u32, u32)]) -> Vec<u32> {
+    run.iter().map(|&(_, _, item)| item).collect()
 }
 
 /// Builds combined `[x̂, ŷ]` messages from requirement lists.
 fn combined_messages(reqs: &CommRequirements) -> Vec<MsgSpec> {
-    use std::collections::BTreeMap;
-    let mut by_pair: BTreeMap<(u32, u32), (Vec<u32>, Vec<u32>)> = BTreeMap::new();
-    for &(src, dst, j) in &reqs.x_reqs {
-        by_pair.entry((src, dst)).or_default().0.push(j);
-    }
-    for &(src, dst, i) in &reqs.y_reqs {
-        by_pair.entry((src, dst)).or_default().1.push(i);
-    }
-    by_pair
-        .into_iter()
-        .map(|((src, dst), (x_cols, y_rows))| MsgSpec { src, dst, x_cols, y_rows })
+    pair_runs(&reqs.x_reqs, &reqs.y_reqs)
+        .map(|((src, dst), x, y)| MsgSpec { src, dst, x_cols: items(x), y_rows: items(y) })
         .collect()
 }
 
@@ -114,9 +124,9 @@ impl SpmvPlan {
     /// # Panics
     /// Panics if `p` is not a valid s2D partition of `a`.
     pub fn single_phase(a: &Csr, p: &SpmvPartition) -> Self {
-        p.validate_s2d(a).expect("single-phase SpMV requires an s2D partition");
-        let (pre, rest) = split_tasks(a, p);
         let reqs = comm_requirements(a, p);
+        let (pre, rest) =
+            split_tasks(a, p).expect("single-phase SpMV requires an s2D partition");
         let phases = vec![
             PlanPhase::Compute(pre),
             PlanPhase::Comm(combined_messages(&reqs)),
@@ -135,9 +145,8 @@ impl SpmvPlan {
     /// The standard two-phase algorithm for arbitrary 2D partitions
     /// (Section I): Expand → Compute → Fold.
     pub fn two_phase(a: &Csr, p: &SpmvPartition) -> Self {
-        p.assert_shape(a);
         let reqs = comm_requirements(a, p);
-        let mut all: Vec<Vec<MultTask>> = vec![Vec::new(); p.k];
+        let mut all: Tasks = p.loads().into_iter().map(|n| Vec::with_capacity(n as usize)).collect();
         for i in 0..a.nrows() {
             for e in a.row_range(i) {
                 all[p.nz_owner[e] as usize].push(MultTask {
@@ -147,13 +156,11 @@ impl SpmvPlan {
                 });
             }
         }
-        let expand: Vec<MsgSpec> = group_pairwise(&reqs.x_reqs)
-            .into_iter()
-            .map(|((src, dst), cols)| MsgSpec { src, dst, x_cols: cols, y_rows: Vec::new() })
+        let expand: Vec<MsgSpec> = pair_runs(&reqs.x_reqs, &[])
+            .map(|((src, dst), x, _)| MsgSpec { src, dst, x_cols: items(x), y_rows: Vec::new() })
             .collect();
-        let fold: Vec<MsgSpec> = group_pairwise(&reqs.y_reqs)
-            .into_iter()
-            .map(|((src, dst), rows)| MsgSpec { src, dst, x_cols: Vec::new(), y_rows: rows })
+        let fold: Vec<MsgSpec> = pair_runs(&[], &reqs.y_reqs)
+            .map(|((src, dst), _, y)| MsgSpec { src, dst, x_cols: Vec::new(), y_rows: items(y) })
             .collect();
         let phases = vec![PlanPhase::Comm(expand), PlanPhase::Compute(all), PlanPhase::Comm(fold)];
         SpmvPlan {
@@ -172,9 +179,8 @@ impl SpmvPlan {
     /// # Panics
     /// Panics if `p` is not s2D or `pr·pc != k`.
     pub fn mesh(a: &Csr, p: &SpmvPartition, pr: usize, pc: usize) -> Self {
-        p.validate_s2d(a).expect("s2D-b requires an s2D partition");
-        let (pre, rest) = split_tasks(a, p);
         let reqs = comm_requirements(a, p);
+        let (pre, rest) = split_tasks(a, p).expect("s2D-b requires an s2D partition");
         let routing = MeshRouting::build(p.k, pr, pc, &reqs);
         let phase1: Vec<MsgSpec> = routing
             .phase1
@@ -428,15 +434,6 @@ impl std::fmt::Display for PlanKind {
     }
 }
 
-fn group_pairwise(reqs: &[(u32, u32, u32)]) -> std::collections::BTreeMap<(u32, u32), Vec<u32>> {
-    let mut map: std::collections::BTreeMap<(u32, u32), Vec<u32>> =
-        std::collections::BTreeMap::new();
-    for &(src, dst, item) in reqs {
-        map.entry((src, dst)).or_default().push(item);
-    }
-    map
-}
-
 /// Consistency check used by tests: the plan's single-phase volume must
 /// match equation (3) computed from the requirement sets directly.
 pub fn volume_matches_eq3(a: &Csr, p: &SpmvPartition, plan: &SpmvPlan) -> bool {
@@ -449,7 +446,118 @@ pub fn volume_matches_eq3(a: &Csr, p: &SpmvPartition, plan: &SpmvPlan) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use s2d_core::fig1::{fig1_matrix, fig1_partition};
+    use s2d_sparse::Coo;
+
+    /// Cases per oracle property (matrices of at most 40 × 40).
+    const ORACLE_CASES: u32 = if cfg!(debug_assertions) { 256 } else { 2048 };
+
+    /// The original split: tasks pushed into growing lists.
+    fn split_tasks_reference(a: &Csr, p: &SpmvPartition) -> (Tasks, Tasks) {
+        let mut pre: Tasks = vec![Vec::new(); p.k];
+        let mut rest: Tasks = vec![Vec::new(); p.k];
+        for i in 0..a.nrows() {
+            for e in a.row_range(i) {
+                let task = MultTask { row: i as u32, col: a.colind()[e], val: a.values()[e] };
+                if p.y_part[i] == p.nz_owner[e] {
+                    rest[p.nz_owner[e] as usize].push(task);
+                } else {
+                    pre[p.nz_owner[e] as usize].push(task);
+                }
+            }
+        }
+        (pre, rest)
+    }
+
+    /// The original grouping: per `(src, dst)` through a `BTreeMap`.
+    fn combined_messages_reference(reqs: &CommRequirements) -> Vec<MsgSpec> {
+        use std::collections::BTreeMap;
+        let mut by_pair: BTreeMap<(u32, u32), (Vec<u32>, Vec<u32>)> = BTreeMap::new();
+        for &(src, dst, j) in &reqs.x_reqs {
+            by_pair.entry((src, dst)).or_default().0.push(j);
+        }
+        for &(src, dst, i) in &reqs.y_reqs {
+            by_pair.entry((src, dst)).or_default().1.push(i);
+        }
+        by_pair
+            .into_iter()
+            .map(|((src, dst), (x_cols, y_rows))| MsgSpec { src, dst, x_cols, y_rows })
+            .collect()
+    }
+
+    /// A random rectangular matrix with blanked rows and columns, and a
+    /// partition over `K ∈ {1, 2, 17, 65, 130}` parts: s2D, or (about
+    /// every other case) arbitrary 2D.
+    fn instance() -> impl Strategy<Value = (Csr, SpmvPartition)> {
+        (0..5usize, 1..=40usize, 1..=40usize, 0..2u8).prop_flat_map(|(ki, nrows, ncols, s2d)| {
+            let k = [1, 2, 17, 65, 130][ki];
+            (
+                collection::vec((0..nrows, 0..ncols, 1..8u8), 0..=150),
+                collection::vec(0..4u8, nrows + ncols),
+                collection::vec(0..k as u32, nrows + ncols),
+                collection::vec(0..k as u32, 150),
+            )
+                .prop_map(move |(entries, blank, vector_parts, owners)| {
+                    let mut coo = Coo::new(nrows, ncols);
+                    for (r, c, v) in entries {
+                        if blank[r] != 0 && blank[nrows + c] != 0 {
+                            coo.push(r, c, f64::from(v) * 0.5);
+                        }
+                    }
+                    coo.compress();
+                    let a = coo.to_csr();
+                    let (y_part, x_part) = vector_parts.split_at(nrows);
+                    let nz_owner = (0..a.nrows())
+                        .flat_map(|i| a.row_range(i).map(move |e| (i, e)))
+                        .map(|(i, e)| match (s2d, owners[e] % 2) {
+                            (1, 0) => y_part[i],
+                            (1, _) => x_part[a.colind()[e] as usize],
+                            _ => owners[e],
+                        })
+                        .collect();
+                    let (x_part, y_part) = (x_part.to_vec(), y_part.to_vec());
+                    (a, SpmvPartition { k, x_part, y_part, nz_owner })
+                })
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(ORACLE_CASES))]
+
+        /// The counted split finds exactly `validate_s2d`'s first
+        /// violation and otherwise equals the pushed one; the linear
+        /// merges equal the `BTreeMap` grouping, for the fused plan and
+        /// for both phases of the two-phase plan.
+        #[test]
+        fn split_and_messages_match_reference((a, p) in instance()) {
+            let reqs = comm_requirements(&a, &p);
+            match (split_tasks(&a, &p), p.validate_s2d(&a)) {
+                (Ok(split), Ok(())) => prop_assert_eq!(
+                    format!("{split:?}"),
+                    format!("{:?}", split_tasks_reference(&a, &p))
+                ),
+                (Err(got), Err(want)) => prop_assert_eq!(got, want),
+                (got, want) => prop_assert!(false, "split {got:?}, validate {want:?}"),
+            }
+            prop_assert_eq!(
+                format!("{:?}", combined_messages(&reqs)),
+                format!("{:?}", combined_messages_reference(&reqs))
+            );
+            let plan = SpmvPlan::two_phase(&a, &p);
+            let only = |x_reqs, y_reqs| {
+                combined_messages_reference(&CommRequirements { x_reqs, y_reqs })
+            };
+            prop_assert_eq!(
+                format!("{:?}", plan.phases[0]),
+                format!("{:?}", PlanPhase::Comm(only(reqs.x_reqs.clone(), Vec::new())))
+            );
+            prop_assert_eq!(
+                format!("{:?}", plan.phases[2]),
+                format!("{:?}", PlanPhase::Comm(only(Vec::new(), reqs.y_reqs.clone())))
+            );
+        }
+    }
 
     #[test]
     fn fig1_single_phase_structure() {
