@@ -40,6 +40,15 @@
 //! starts from. So within a phase no fold source is anybody's fold
 //! destination, and the pool folds without staging.
 //!
+//! That bookkeeping is hash-free and linear in the plan size. Per rank
+//! the compiler keeps append-only logs — the columns it received, the
+//! `(row, slot)` of every slot it opened — and two dense stamped views
+//! (column → held, global row → slot) that are reloaded from one
+//! rank's logs whenever the walk turns to that rank: once per compute
+//! phase, once per side of a communication phase, once for the output
+//! emit. Every array a kernel or a communication table holds is
+//! counted before it is allocated, at its final size.
+//!
 //! # Kernel formats
 //!
 //! Compute phases are first lowered to order-preserving CSR slices
@@ -50,7 +59,6 @@
 //! format is baked into the kernel's buffer layout here, so execution
 //! never branches on it per entry.
 
-use std::collections::{HashMap, HashSet};
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -181,64 +189,135 @@ pub struct CompiledPlan {
     stats: Vec<KernelStats>,
 }
 
-/// Which rank holds which `x_j` at this point of the walk: kept only
-/// to reject plans that work because memory happens to be shared.
-struct XHeld<'a> {
+/// A dense map over keys `0..len` that empties in O(1): an entry
+/// counts only while its tag is the current one.
+struct StampMap {
+    tag: u32,
+    tags: Vec<u32>,
+    vals: Vec<u32>,
+}
+
+impl StampMap {
+    fn new(len: usize) -> StampMap {
+        StampMap { tag: 0, tags: vec![0; len], vals: vec![0; len] }
+    }
+
+    /// Forgets every entry.
+    fn clear(&mut self) {
+        if self.tag == u32::MAX {
+            self.tags.fill(0);
+            self.tag = 0;
+        }
+        self.tag += 1;
+    }
+
+    fn get(&self, key: u32) -> Option<u32> {
+        (self.tags[key as usize] == self.tag).then(|| self.vals[key as usize])
+    }
+
+    fn insert(&mut self, key: u32, val: u32) {
+        self.tags[key as usize] = self.tag;
+        self.vals[key as usize] = val;
+    }
+}
+
+/// Who holds what at this point of the walk. Per rank, the `x` columns
+/// it received (kept only to reject plans that work because memory
+/// happens to be shared) and its `y` renumbering live in append-only
+/// logs; [`Walk::focus`] loads one rank's logs into two dense views,
+/// and every check and slot lookup goes through those. The walk visits
+/// ranks one at a time (per compute phase, per side of a communication
+/// phase), so each log is reloaded a bounded number of times and the
+/// state stays O(n + K + plan size) — no per-rank hash maps.
+struct Walk<'a> {
     x_part: &'a [u32],
     /// Per column: its owner already reads it (it is in `x_seed`).
     seeded: Vec<bool>,
     x_seed: Vec<Vec<u32>>,
-    /// Per rank: the columns received so far.
-    received: Vec<HashSet<u32>>,
+    /// Per rank: every column received so far (repeats allowed).
+    received: Vec<Vec<u32>>,
+    /// Per rank: `(global row, slot)` of every slot opened so far, in
+    /// order — a row's last entry is its current (or last) partial.
+    opened: Vec<Vec<(u32, u32)>>,
+    /// Per rank and slot: holds a live partial sum at this point.
+    live: Vec<Vec<bool>>,
+    /// The rank the views describe.
+    rank: usize,
+    /// Columns the focused rank has received (values unused).
+    held: StampMap,
+    /// The focused rank's global row → slot.
+    slot: StampMap,
 }
 
-impl XHeld<'_> {
-    /// Rank `rank` reads `x[j]`: it must own it or have received it.
-    fn read(&mut self, j: u32, rank: usize, what: &str) {
+impl<'a> Walk<'a> {
+    fn new(x_part: &'a [u32], nrows: usize, k: usize) -> Walk<'a> {
+        Walk {
+            x_part,
+            seeded: vec![false; x_part.len()],
+            x_seed: vec![Vec::new(); k],
+            received: vec![Vec::new(); k],
+            opened: vec![Vec::new(); k],
+            live: vec![Vec::new(); k],
+            rank: 0,
+            held: StampMap::new(x_part.len()),
+            slot: StampMap::new(nrows),
+        }
+    }
+
+    /// Points the views at `rank`.
+    fn focus(&mut self, rank: usize) {
+        self.rank = rank;
+        self.held.clear();
+        for &j in &self.received[rank] {
+            self.held.insert(j, 0);
+        }
+        self.slot.clear();
+        for &(i, s) in &self.opened[rank] {
+            self.slot.insert(i, s);
+        }
+    }
+
+    /// The focused rank reads `x[j]`: it must own it or have received
+    /// it.
+    fn read(&mut self, j: u32, what: &str) {
+        let rank = self.rank;
         if self.x_part[j as usize] as usize == rank {
             if !std::mem::replace(&mut self.seeded[j as usize], true) {
                 self.x_seed[rank].push(j);
             }
-        } else if !self.received[rank].contains(&j) {
+        } else if self.held.get(j).is_none() {
             panic!("processor {rank} lacks x[{j}] {what}: plan bug");
         }
     }
-}
 
-/// One rank's `y` renumbering state.
-#[derive(Default)]
-struct YSlots {
-    /// global row → the slot of its current (or last) partial.
-    slot: HashMap<u32, u32>,
-    /// Per slot: holds a live partial sum at this point of the walk.
-    live: Vec<bool>,
-}
-
-impl YSlots {
-    /// Slot for accumulating into `y[i]`: the live one, else a fresh
-    /// one (first touch, or the old partial was drained — like the
-    /// interpreter's `entry().or_insert(0.0)` after its `remove`).
+    /// The focused rank's slot for accumulating into `y[i]`: the live
+    /// one, else a fresh one (first touch, or the old partial was
+    /// drained — like the interpreter's `entry().or_insert(0.0)` after
+    /// its `remove`).
     fn accum(&mut self, i: u32) -> u32 {
-        match self.slot.get(&i) {
-            Some(&s) if self.live[s as usize] => s,
+        let live = &mut self.live[self.rank];
+        match self.slot.get(i) {
+            Some(s) if live[s as usize] => s,
             _ => {
-                let s = self.live.len() as u32;
+                let s = live.len() as u32;
+                live.push(true);
+                self.opened[self.rank].push((i, s));
                 self.slot.insert(i, s);
-                self.live.push(true);
                 s
             }
         }
     }
 
-    /// Slot for draining `y[i]` into a message: must be live, and is
-    /// dead afterwards.
-    fn drain(&mut self, i: u32, rank: usize) -> u32 {
-        match self.slot.get(&i) {
-            Some(&s) if self.live[s as usize] => {
-                self.live[s as usize] = false;
+    /// The focused rank's slot for draining `y[i]` into a message: must
+    /// be live, and is dead afterwards.
+    fn drain(&mut self, i: u32) -> u32 {
+        let live = &mut self.live[self.rank];
+        match self.slot.get(i) {
+            Some(s) if live[s as usize] => {
+                live[s as usize] = false;
                 s
             }
-            _ => panic!("processor {rank} lacks partial y[{i}] to send: plan bug"),
+            _ => panic!("processor {} lacks partial y[{i}] to send: plan bug", self.rank),
         }
     }
 }
@@ -277,14 +356,9 @@ impl CompiledPlan {
     /// Same contract as [`CompiledPlan::compile`].
     pub fn compile_with_isa(plan: &SpmvPlan, format: KernelFormat, isa: KernelIsa) -> CompiledPlan {
         let k = plan.k;
-        let mut xs = XHeld {
-            x_part: &plan.x_part,
-            seeded: vec![false; plan.ncols],
-            x_seed: vec![Vec::new(); k],
-            received: vec![HashSet::new(); k],
-        };
-        let mut ys: Vec<YSlots> = (0..k).map(|_| YSlots::default()).collect();
-        let mut programs: Vec<Vec<RankStep>> = (0..k).map(|_| Vec::new()).collect();
+        let mut walk = Walk::new(&plan.x_part, plan.nrows, k);
+        let mut programs: Vec<Vec<RankStep>> =
+            (0..k).map(|_| Vec::with_capacity(plan.phases.len())).collect();
         let mut comm_phases = 0;
         let mut stats = Vec::new();
 
@@ -292,7 +366,7 @@ impl CompiledPlan {
             match phase {
                 PlanPhase::Compute(tasks) => {
                     for (r, list) in tasks.iter().enumerate() {
-                        let csr = lower_tasks(list, r, &mut xs, &mut ys[r]);
+                        let csr = lower_tasks(list, r, &mut walk);
                         // Statistics (a σ-sort plus a dense-run scan per
                         // kernel) are gathered only when the policy
                         // needs them — a fixed-format compile stays one
@@ -313,7 +387,7 @@ impl CompiledPlan {
                 PlanPhase::Comm(msgs) => {
                     comm_phases += 1;
                     for (program, step) in
-                        programs.iter_mut().zip(lower_comm(msgs, &mut xs, &mut ys))
+                        programs.iter_mut().zip(lower_comm(msgs, &mut walk))
                     {
                         program.push(step);
                     }
@@ -326,9 +400,9 @@ impl CompiledPlan {
         // folds' rank-local slots into arena slots.
         let mut y_off = Vec::with_capacity(k);
         let mut end = 0;
-        for st in &ys {
+        for live in &walk.live {
             y_off.push(end);
-            end += st.live.len().next_multiple_of(LINE_SLOTS);
+            end += live.len().next_multiple_of(LINE_SLOTS);
         }
         assert!(end <= u32::MAX as usize, "y arena exceeds the u32 slot space");
         for (r, steps) in programs.iter_mut().enumerate() {
@@ -351,23 +425,28 @@ impl CompiledPlan {
 
         // Output emit: each row copies out of its owner's live slot;
         // rows whose owner holds no live partial are emitted as 0.
-        let mut y_emit: Vec<Vec<(u32, u32)>> = vec![Vec::new(); k];
-        let mut y_zero: Vec<Vec<u32>> = vec![Vec::new(); k];
+        // Rows are grouped by owner (ascending within each), so every
+        // owner's view is loaded once.
+        let mut owned: Vec<Vec<u32>> = vec![Vec::new(); k];
         for (i, &owner) in plan.y_part.iter().enumerate() {
-            let st = &ys[owner as usize];
-            match st.slot.get(&(i as u32)) {
-                Some(&s) if st.live[s as usize] => y_emit[owner as usize].push((i as u32, s)),
-                _ => y_zero[owner as usize].push(i as u32),
-            }
+            owned[owner as usize].push(i as u32);
+        }
+        let mut y_emit: Vec<Vec<(u32, u32)>> = Vec::with_capacity(k);
+        let mut y_zero: Vec<Vec<u32>> = Vec::with_capacity(k);
+        for (r, rows) in owned.iter().enumerate() {
+            walk.focus(r);
+            let live = |i: u32| walk.slot.get(i).filter(|&s| walk.live[r][s as usize]);
+            y_emit.push(rows.iter().filter_map(|&i| live(i).map(|s| (i, s))).collect());
+            y_zero.push(rows.iter().copied().filter(|&i| live(i).is_none()).collect());
         }
 
         let ranks = programs
             .into_iter()
             .enumerate()
             .map(|(r, steps)| RankProgram {
-                ny: ys[r].live.len(),
+                ny: walk.live[r].len(),
                 y_off: y_off[r],
-                x_seed: std::mem::take(&mut xs.x_seed[r]),
+                x_seed: std::mem::take(&mut walk.x_seed[r]),
                 y_emit: std::mem::take(&mut y_emit[r]),
                 y_zero: std::mem::take(&mut y_zero[r]),
                 steps,
@@ -431,85 +510,130 @@ impl CompiledPlan {
 
 /// Lowers one rank's task list into a run-length grouped CSR slice over
 /// home columns and local row slots (the canonical order-preserving
-/// form every [`KernelFormat`] is converted from).
-fn lower_tasks(
-    tasks: &[s2d_spmv::MultTask],
-    rank: usize,
-    xs: &mut XHeld,
-    ys: &mut YSlots,
-) -> CsrKernel {
-    let mut kernel = CsrKernel::default();
+/// form every [`KernelFormat`] is converted from). Every array is
+/// allocated at its final size.
+fn lower_tasks(tasks: &[s2d_spmv::MultTask], rank: usize, walk: &mut Walk) -> CsrKernel {
+    let segments = tasks.chunk_by(|a, b| a.row == b.row).count();
+    let mut kernel = CsrKernel {
+        row_ptr: Vec::with_capacity(segments + 1),
+        rows: Vec::with_capacity(segments),
+        cols: Vec::with_capacity(tasks.len()),
+        vals: Vec::with_capacity(tasks.len()),
+        simd: false,
+    };
     kernel.row_ptr.push(0);
-    // The open segment: its global row and slot.
-    let mut current: Option<(u32, u32)> = None;
-    for t in tasks {
-        xs.read(t.col, rank, "to multiply");
-        if current.map(|(row, _)| row) != Some(t.row) {
-            if current.is_some() {
-                kernel.row_ptr.push(kernel.cols.len() as u32);
-            }
-            let slot = ys.accum(t.row);
-            kernel.rows.push(slot);
-            current = Some((t.row, slot));
-        }
-        kernel.cols.push(t.col);
-        kernel.vals.push(t.val);
+    if tasks.is_empty() {
+        return kernel;
     }
-    if current.is_some() {
+    walk.focus(rank);
+    for run in tasks.chunk_by(|a, b| a.row == b.row) {
+        for t in run {
+            walk.read(t.col, "to multiply");
+            kernel.cols.push(t.col);
+            kernel.vals.push(t.val);
+        }
+        kernel.rows.push(walk.accum(run[0].row));
         kernel.row_ptr.push(kernel.cols.len() as u32);
     }
     kernel
+}
+
+/// Per rank, the indices of the messages it appears in on one side, in
+/// plan order, each list allocated at its final size.
+fn by_rank(msgs: &[MsgSpec], k: usize, side: impl Fn(&MsgSpec) -> u32) -> Vec<Vec<usize>> {
+    let mut count = vec![0usize; k];
+    for m in msgs {
+        count[side(m) as usize] += 1;
+    }
+    let mut lists: Vec<Vec<usize>> = count.into_iter().map(Vec::with_capacity).collect();
+    for (n, m) in msgs.iter().enumerate() {
+        lists[side(m) as usize].push(n);
+    }
+    lists
 }
 
 /// Lowers one communication phase to one [`RankStep::Comm`] per rank.
 /// All sends are lowered before any receive so the drain/define
 /// bookkeeping matches the simultaneous-exchange semantics (payloads
 /// capture the pre-phase state): a row drained and received in the same
-/// phase folds into a fresh slot, never into the one being read. Fold
-/// pairs are rank-local here; the caller rebases them once the arena
-/// layout is known.
-fn lower_comm(msgs: &[MsgSpec], xs: &mut XHeld, ys: &mut [YSlots]) -> Vec<RankStep> {
-    let k = ys.len();
-    let x_homes: Arc<[u32]> = msgs.iter().flat_map(|m| m.x_cols.iter().copied()).collect();
-    let mut sends: Vec<Vec<CompiledMsg>> = vec![Vec::new(); k];
-    let mut recvs: Vec<Vec<CompiledMsg>> = vec![Vec::new(); k];
-    let mut y_slots: Vec<Vec<u32>> = vec![Vec::new(); k];
-    let mut folds: Vec<Vec<(u32, u32)>> = vec![Vec::new(); k];
-    // Per message: its range of `x_homes`, and where its drained slots
-    // start in the sender's `y_slots`.
-    let mut at = Vec::with_capacity(msgs.len());
-    let mut xo = 0u32;
-    for m in msgs {
-        let src = m.src as usize;
-        for &j in &m.x_cols {
-            xs.read(j, src, "to send");
+/// phase folds into a fresh slot, never into the one being read. Each
+/// side is walked rank by rank — a rank's own lists keep plan order,
+/// which is all its slot numbering depends on. Fold pairs are
+/// rank-local here; the caller rebases them once the arena layout is
+/// known.
+fn lower_comm(msgs: &[MsgSpec], walk: &mut Walk) -> Vec<RankStep> {
+    let k = walk.live.len();
+    let mut homes = Vec::with_capacity(msgs.iter().map(|m| m.x_cols.len()).sum());
+    let x_ranges: Vec<Range<u32>> = msgs
+        .iter()
+        .map(|m| {
+            let start = homes.len() as u32;
+            homes.extend_from_slice(&m.x_cols);
+            start..homes.len() as u32
+        })
+        .collect();
+    let x_homes: Arc<[u32]> = homes.into();
+    let (by_src, by_dst) = (by_rank(msgs, k, |m| m.src), by_rank(msgs, k, |m| m.dst));
+    let words = |list: &[usize]| list.iter().map(|&n| msgs[n].y_rows.len()).sum::<usize>();
+    let mut y_slots: Vec<Vec<u32>> =
+        (0..k).map(|r| Vec::with_capacity(words(&by_src[r]) + words(&by_dst[r]))).collect();
+    let mut sends: Vec<Vec<CompiledMsg>> = Vec::with_capacity(k);
+    // Per message: where its drained slots start in the sender's `y_slots`.
+    let mut drained = vec![0u32; msgs.len()];
+    for (src, list) in by_src.iter().enumerate() {
+        if !list.is_empty() {
+            walk.focus(src);
         }
-        let x = xo..xo + m.x_cols.len() as u32;
-        xo = x.end;
-        let y0 = y_slots[src].len() as u32;
-        y_slots[src].extend(m.y_rows.iter().map(|&i| ys[src].drain(i, src)));
-        at.push((x.clone(), y0));
-        sends[src].push(CompiledMsg { peer: m.dst, x, y: y0..y_slots[src].len() as u32 });
+        sends.push(
+            list.iter()
+                .map(|&n| {
+                    let m = &msgs[n];
+                    for &j in &m.x_cols {
+                        walk.read(j, "to send");
+                    }
+                    let y0 = y_slots[src].len() as u32;
+                    for &i in &m.y_rows {
+                        y_slots[src].push(walk.drain(i));
+                    }
+                    drained[n] = y0;
+                    CompiledMsg { peer: m.dst, x: x_ranges[n].clone(), y: y0..y_slots[src].len() as u32 }
+                })
+                .collect(),
+        );
     }
-    for (m, (x, drained)) in msgs.iter().zip(at) {
-        let (src, dst) = (m.src as usize, m.dst as usize);
-        xs.received[dst].extend(m.x_cols.iter().copied());
-        let y0 = y_slots[dst].len() as u32;
-        for (n, &i) in m.y_rows.iter().enumerate() {
-            let from = y_slots[src][drained as usize + n];
-            let into = ys[dst].accum(i);
-            y_slots[dst].push(into);
-            folds[dst].push((from, into));
+    let mut steps = Vec::with_capacity(k);
+    for (dst, list) in by_dst.iter().enumerate() {
+        if !list.is_empty() {
+            walk.focus(dst);
         }
-        recvs[dst].push(CompiledMsg { peer: m.src, x, y: y0..y_slots[dst].len() as u32 });
+        let mut folds = Vec::with_capacity(words(list));
+        let recvs = list
+            .iter()
+            .map(|&n| {
+                let m = &msgs[n];
+                walk.received[dst].extend_from_slice(&m.x_cols);
+                let y0 = y_slots[dst].len() as u32;
+                for (o, &i) in m.y_rows.iter().enumerate() {
+                    let from = y_slots[m.src as usize][drained[n] as usize + o];
+                    let into = walk.accum(i);
+                    y_slots[dst].push(into);
+                    folds.push((from, into));
+                }
+                CompiledMsg { peer: m.src, x: x_ranges[n].clone(), y: y0..y_slots[dst].len() as u32 }
+            })
+            .collect();
+        steps.push((recvs, folds));
     }
-    (0..k)
-        .map(|r| RankStep::Comm {
-            sends: std::mem::take(&mut sends[r]),
-            recvs: std::mem::take(&mut recvs[r]),
+    sends
+        .into_iter()
+        .zip(steps)
+        .zip(y_slots)
+        .map(|((sends, (recvs, folds)), y_slots)| RankStep::Comm {
+            sends,
+            recvs,
             x_homes: Arc::clone(&x_homes),
-            y_slots: std::mem::take(&mut y_slots[r]),
-            folds: std::mem::take(&mut folds[r]),
+            y_slots,
+            folds,
         })
         .collect()
 }
@@ -593,13 +717,7 @@ mod tests {
             MultTask { row: 1, col: 0, val: 2.0 },
             MultTask { row: 0, col: 0, val: 4.0 },
         ];
-        let mut xs = XHeld {
-            x_part: &[0],
-            seeded: vec![false],
-            x_seed: vec![Vec::new()],
-            received: vec![HashSet::new()],
-        };
-        let kernel = lower_tasks(&tasks, 0, &mut xs, &mut YSlots::default());
+        let kernel = lower_tasks(&tasks, 0, &mut Walk::new(&[0], 2, 1));
         assert_eq!(kernel.rows, vec![0, 1, 0]);
         assert_eq!(kernel.row_ptr, vec![0, 1, 2, 3]);
         let mut y = vec![0.0, 0.0];
