@@ -73,34 +73,26 @@ impl Csr {
     }
 
     /// A 64-bit content fingerprint over the matrix shape, sparsity
-    /// structure and value bits (FNV-1a). Two matrices fingerprint
-    /// equally iff they are bitwise-identical CSR instances (up to hash
-    /// collision), which makes the fingerprint a stable cache key for
-    /// per-matrix preparation (partitioning, plan compilation) across
-    /// repeat registrations.
+    /// structure and value bits. Two matrices fingerprint equally iff
+    /// they are bitwise-identical CSR instances (up to hash collision),
+    /// which makes the fingerprint a stable cache key for per-matrix
+    /// preparation (partitioning, plan compilation) across repeat
+    /// registrations.
+    ///
+    /// The arrays are read as 64-bit words — two column indices per
+    /// word — dealt round-robin to four independent lanes of XXH64's
+    /// multiply-rotate round, so the multiplies overlap instead of
+    /// forming one dependent chain; the lanes are merged and avalanched
+    /// at the end.
     pub fn fingerprint(&self) -> u64 {
-        const OFFSET: u64 = 0xcbf29ce484222325;
-        const PRIME: u64 = 0x100000001b3;
-        let mut h = OFFSET;
-        let mut mix = |v: u64| {
-            for byte in v.to_le_bytes() {
-                h ^= u64::from(byte);
-                h = h.wrapping_mul(PRIME);
-            }
-        };
-        mix(self.nrows as u64);
-        mix(self.ncols as u64);
-        mix(self.colind.len() as u64);
-        for &p in &self.rowptr {
-            mix(p as u64);
-        }
-        for &c in &self.colind {
-            mix(u64::from(c));
-        }
-        for &v in &self.vals {
-            mix(v.to_bits());
-        }
-        h
+        let mut h = WordHash::new();
+        h.feed::<usize, 1>(&[self.nrows, self.ncols, self.nnz()], |w| w[0] as u64);
+        h.feed::<usize, 1>(&self.rowptr, |w| w[0] as u64);
+        h.feed::<Idx, 2>(&self.colind, |w| {
+            u64::from(w[0]) | w.get(1).map_or(0, |&c| u64::from(c) << 32)
+        });
+        h.feed::<f64, 1>(&self.vals, |w| w[0].to_bits());
+        h.finish()
     }
 
     /// Row pointer array (`nrows + 1` entries).
@@ -292,6 +284,60 @@ impl Csr {
     }
 }
 
+/// The four-lane word hash behind [`Csr::fingerprint`], with XXH64's
+/// primes, round, lane merge and final avalanche.
+struct WordHash {
+    lanes: [u64; 4],
+    words: u64,
+}
+
+const P1: u64 = 0x9E37_79B1_85EB_CA87;
+const P2: u64 = 0xC2B2_AE3D_27D4_EB4F;
+const P3: u64 = 0x1656_67B1_9E37_79F9;
+const P4: u64 = 0x85EB_CA77_C2B2_AE63;
+
+fn round(lane: u64, word: u64) -> u64 {
+    lane.wrapping_add(word.wrapping_mul(P2)).rotate_left(31).wrapping_mul(P1)
+}
+
+impl WordHash {
+    fn new() -> WordHash {
+        WordHash { lanes: [P1.wrapping_add(P2), P2, 0, P1.wrapping_neg()], words: 0 }
+    }
+
+    /// Hashes `items`, `PER` of them to a word (`word` packs them; the
+    /// last word may hold fewer), word `w` of the slice into lane
+    /// `w % 4`.
+    fn feed<T, const PER: usize>(&mut self, items: &[T], word: impl Fn(&[T]) -> u64) {
+        let mut blocks = items.chunks_exact(4 * PER);
+        for block in blocks.by_ref() {
+            for (lane, w) in self.lanes.iter_mut().zip(block.chunks_exact(PER)) {
+                *lane = round(*lane, word(w));
+            }
+        }
+        for (lane, w) in self.lanes.iter_mut().zip(blocks.remainder().chunks(PER)) {
+            *lane = round(*lane, word(w));
+        }
+        self.words += items.len().div_ceil(PER) as u64;
+    }
+
+    fn finish(&self) -> u64 {
+        let [a, b, c, d] = self.lanes;
+        let mut h = a
+            .rotate_left(1)
+            .wrapping_add(b.rotate_left(7))
+            .wrapping_add(c.rotate_left(12))
+            .wrapping_add(d.rotate_left(18));
+        for lane in self.lanes {
+            h = (h ^ round(0, lane)).wrapping_mul(P1).wrapping_add(P4);
+        }
+        h = h.wrapping_add(self.words);
+        h = (h ^ (h >> 33)).wrapping_mul(P2);
+        h = (h ^ (h >> 29)).wrapping_mul(P3);
+        h ^ (h >> 32)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -366,5 +412,59 @@ mod tests {
         a.sort_and_sum_duplicates();
         assert_eq!(a.row_cols(0), &[0, 2]);
         assert_eq!(a.row_vals(0), &[5.0, 3.0]);
+    }
+
+    /// Every single-bit change of `rowptr`, `colind` or `vals`, every
+    /// swap of two adjacent distinct values or columns, and every
+    /// change of shape moves the fingerprint; clones keep it. The
+    /// matrices cover odd and even `nnz` (a half-filled last column
+    /// word) and both remainder paths of the four lanes.
+    #[test]
+    fn fingerprint_sees_every_bit() {
+        let odd = sample().to_coo();
+        let mut even = odd.clone();
+        even.push(1, 1, -0.5);
+        even.compress();
+        let wide = Coo::from_triplets(
+            2,
+            9,
+            vec![0, 0, 0, 0, 0, 1, 1, 1, 1],
+            vec![0, 1, 2, 3, 8, 4, 5, 6, 7],
+            (1..=9).map(|v| v as f64 * 0.75).collect(),
+        );
+        for a in [odd.to_csr(), even.to_csr(), wide.to_csr()] {
+            let fp = a.fingerprint();
+            assert_eq!(a.clone().fingerprint(), fp, "clones fingerprint equally");
+            let moved = |edit: &dyn Fn(&mut Csr), what: String| {
+                let mut b = a.clone();
+                edit(&mut b);
+                assert_ne!(b.fingerprint(), fp, "{what} of a {}-nonzero matrix", a.nnz());
+            };
+            for e in 0..a.rowptr.len() {
+                for bit in 0..usize::BITS {
+                    moved(&|b| b.rowptr[e] ^= 1 << bit, format!("rowptr[{e}] bit {bit}"));
+                }
+            }
+            for e in 0..a.nnz() {
+                for bit in 0..Idx::BITS {
+                    moved(&|b| b.colind[e] ^= 1 << bit, format!("colind[{e}] bit {bit}"));
+                }
+                for bit in 0..64 {
+                    let flip = |b: &mut Csr| b.vals[e] = f64::from_bits(b.vals[e].to_bits() ^ 1 << bit);
+                    moved(&flip, format!("vals[{e}] bit {bit}"));
+                }
+            }
+            for e in 1..a.nnz() {
+                moved(&|b| b.vals.swap(e - 1, e), format!("swapping vals {} and {e}", e - 1));
+                moved(&|b| b.colind.swap(e - 1, e), format!("swapping colind {} and {e}", e - 1));
+            }
+        }
+        let empties = [Csr::zero(0, 0), Csr::zero(3, 2), Csr::zero(2, 3), Csr::zero(0, 3)];
+        for (n, a) in empties.iter().enumerate() {
+            assert_eq!(a.fingerprint(), a.clone().fingerprint());
+            for b in &empties[n + 1..] {
+                assert_ne!(a.fingerprint(), b.fingerprint(), "{a:?} vs {b:?}");
+            }
+        }
     }
 }

@@ -30,8 +30,12 @@ use crate::tuner::TunedChoice;
 /// History: 1 = the original (strategy, plan, format, backend, width)
 /// space; 2 added the kernel-ISA axis and the pool thread-count
 /// shortlist; 3 dropped the `sell:C:S` format spellings and the `avx2`
-/// ISA spelling, which version-2 files may hold.
-pub const TUNER_VERSION: u32 = 3;
+/// ISA spelling, which version-2 files may hold; 4 follows the switch
+/// of [`Csr::fingerprint`](s2d_sparse::Csr::fingerprint) from
+/// byte-wise FNV-1a to a four-lane word hash — every matrix now keys
+/// differently, so version-3 entries could never be hit again and are
+/// dropped as stale instead of lingering as dead weight.
+pub const TUNER_VERSION: u32 = 4;
 
 /// One measured verdict: for this (matrix, k, width), this
 /// configuration won at this per-application cost.
@@ -240,9 +244,11 @@ mod tests {
         let max = file(&[entry(u64::MAX, 0.5)]);
         let nines = "9".repeat(400);
         let deep = format!("\"entries\":[{}", "[".repeat(100_000));
-        // The previous writer's exact bytes: `secs` printed with `{:e}`.
+        // The previous writer's exact bytes (`secs` printed with `{:e}`)
+        // under the current version, and a version-3 file, whose
+        // fingerprints came from the retired hash.
         let previous = concat!(
-            r#"{"version":3,"entries":[{"fingerprint":16748617310548547708,"k":8,"width":4,"#,
+            r#"{"version":4,"entries":[{"fingerprint":16748617310548547708,"k":8,"width":4,"#,
             r#""strategy":"1d","plan_kind":"single_phase","format":"auto","isa":"auto","#,
             r#""backend":"compiled-pool:1","choice_width":4,"secs":8.342e-6}]}"#
         );
@@ -259,6 +265,7 @@ mod tests {
             ("wrong types", good.replace("\"k\":4", "\"k\":\"4\"").replacen("\"1d\"", "7", 1), 0),
             ("wrong type in one entry", good.replacen("\"k\":4", "\"k\":4.0", 1), 1),
             ("previous writer", previous.to_string(), 1),
+            ("version 3", previous.replace("\"version\":4", "\"version\":3"), 0),
         ];
         let path = std::env::temp_dir().join(format!("s2d-hostile-{}.json", std::process::id()));
         let load = |text: &str| {
