@@ -187,6 +187,11 @@ mod tests {
                 "expected",
             ),
             ("size beyond u64", format!("{MAGIC}2 18446744073709551616 1 1\n"), "bad size"),
+            (
+                "2^32-1 empty rows",
+                format!("{MAGIC}2 4294967295 1 0\ny:\nx: 0\nnz:\n"),
+                "y: expected 4294967295 ids, found 0",
+            ),
             ("K = 0", format!("{MAGIC}0 1 1 1\ny: 0\nx: 0\nnz: 0\n"), "K must be positive"),
             ("truncated size line", format!("{MAGIC}2 1 1\n"), "size line"),
             ("truncated after magic", MAGIC.to_string(), "end of file"),

@@ -14,6 +14,17 @@ use crate::{Coo, Idx};
 /// entries actually present.
 const MAX_RESERVE: usize = 1 << 20;
 
+/// Largest row or column count the reader accepts: 2^27 = 134,217,728,
+/// the order of the largest Graph500-style matrices in the SuiteSparse
+/// collection. The size line is a claim here too: converting to CSR
+/// allocates a row pointer of `nrows + 1` words however few entries
+/// follow, which an unchecked `4294967295 1 0` would make 34 GB; at
+/// the cap it is 1 GiB.
+pub const MAX_DIM: usize = 1 << 27;
+
+// Every index below the cap is a valid `Idx`.
+const _: () = assert!(MAX_DIM <= Idx::MAX as usize);
+
 /// Errors produced by the Matrix Market parser.
 #[derive(Debug)]
 pub enum MmError {
@@ -105,10 +116,9 @@ pub fn read_matrix_market<R: Read>(reader: R) -> Result<Coo, MmError> {
         return Err(parse_err("size line must contain `nrows ncols nnz`"));
     }
     let (nrows, ncols, nnz) = (dims[0], dims[1], dims[2]);
-    if nrows > Idx::MAX as usize || ncols > Idx::MAX as usize {
+    if nrows > MAX_DIM || ncols > MAX_DIM {
         return Err(parse_err(format!(
-            "dimensions {nrows} x {ncols} exceed the 32-bit index range (at most {})",
-            Idx::MAX
+            "dimensions {nrows} x {ncols} exceed the cap of {MAX_DIM} rows or columns"
         )));
     }
 
@@ -251,8 +261,10 @@ mod tests {
             ("column index 0", format!("{GEN}2 2 1\n1 0 1.0\n"), Err("outside")),
             ("row beyond", format!("{GEN}2 2 1\n3 1 1.0\n"), Err("outside")),
             ("column beyond", format!("{GEN}2 2 1\n1 3 1.0\n"), Err("outside")),
-            ("2^32+1 rows", format!("{GEN}4294967297 1 1\n1 1 1.0\n"), Err("index range")),
-            ("2^32+1 columns", format!("{GEN}1 4294967297 1\n1 1 1.0\n"), Err("index range")),
+            ("2^32+1 rows", format!("{GEN}4294967297 1 1\n1 1 1.0\n"), Err("exceed the cap")),
+            ("2^32+1 columns", format!("{GEN}1 4294967297 1\n1 1 1.0\n"), Err("exceed the cap")),
+            ("2^32-1 empty rows", format!("{GEN}4294967295 1 0\n"), Err("exceed the cap")),
+            ("cap+1 columns", format!("{GEN}1 {} 0\n", MAX_DIM + 1), Err("exceed the cap")),
             ("10^12 entries", format!("{GEN}2 2 1000000000000\n"), Err("promised 1000000000000")),
             (
                 "u64::MAX entries",
@@ -286,8 +298,8 @@ mod tests {
             ),
             (
                 "largest dimensions",
-                format!("{GEN}4294967295 4294967295 1\n4294967295 1 2.0\n"),
-                Ok(vec![(4294967294, 0, 2.0)]),
+                format!("{GEN}{MAX_DIM} {MAX_DIM} 1\n{MAX_DIM} 1 2.0\n"),
+                Ok(vec![(MAX_DIM - 1, 0, 2.0)]),
             ),
         ];
         for (name, src, want) in cases {
