@@ -252,7 +252,8 @@ pub fn single_phase_messages(reqs: &CommRequirements) -> Vec<(u32, u32, u64)> {
 /// Groups requirements into **two-phase** messages (standard 2D SpMV):
 /// phase 1 expands x, phase 2 folds y. Returns `[expand, fold]`.
 pub fn two_phase_messages(reqs: &CommRequirements) -> [Vec<(u32, u32, u64)>; 2] {
-    let words = |list| pair_runs(list, &[]).map(|((s, d), run, _)| (s, d, run.len() as u64)).collect();
+    let words =
+        |list| pair_runs(list, &[]).map(|((s, d), run, _)| (s, d, run.len() as u64)).collect();
     [words(&reqs.x_reqs), words(&reqs.y_reqs)]
 }
 

@@ -386,9 +386,7 @@ impl CompiledPlan {
                 }
                 PlanPhase::Comm(msgs) => {
                     comm_phases += 1;
-                    for (program, step) in
-                        programs.iter_mut().zip(lower_comm(msgs, &mut walk))
-                    {
+                    for (program, step) in programs.iter_mut().zip(lower_comm(msgs, &mut walk)) {
                         program.push(step);
                     }
                 }
@@ -596,7 +594,11 @@ fn lower_comm(msgs: &[MsgSpec], walk: &mut Walk) -> Vec<RankStep> {
                         y_slots[src].push(walk.drain(i));
                     }
                     drained[n] = y0;
-                    CompiledMsg { peer: m.dst, x: x_ranges[n].clone(), y: y0..y_slots[src].len() as u32 }
+                    CompiledMsg {
+                        peer: m.dst,
+                        x: x_ranges[n].clone(),
+                        y: y0..y_slots[src].len() as u32,
+                    }
                 })
                 .collect(),
         );
@@ -619,7 +621,11 @@ fn lower_comm(msgs: &[MsgSpec], walk: &mut Walk) -> Vec<RankStep> {
                     y_slots[dst].push(into);
                     folds.push((from, into));
                 }
-                CompiledMsg { peer: m.src, x: x_ranges[n].clone(), y: y0..y_slots[dst].len() as u32 }
+                CompiledMsg {
+                    peer: m.src,
+                    x: x_ranges[n].clone(),
+                    y: y0..y_slots[dst].len() as u32,
+                }
             })
             .collect();
         steps.push((recvs, folds));

@@ -450,7 +450,8 @@ mod tests {
                     moved(&|b| b.colind[e] ^= 1 << bit, format!("colind[{e}] bit {bit}"));
                 }
                 for bit in 0..64 {
-                    let flip = |b: &mut Csr| b.vals[e] = f64::from_bits(b.vals[e].to_bits() ^ 1 << bit);
+                    let flip =
+                        |b: &mut Csr| b.vals[e] = f64::from_bits(b.vals[e].to_bits() ^ 1 << bit);
                     moved(&flip, format!("vals[{e}] bit {bit}"));
                 }
             }

@@ -1,8 +1,6 @@
 //! The SpMV plan language and the four plan builders.
 
-use s2d_core::comm::{
-    comm_requirements, pair_runs, single_phase_messages, CommRequirements, CommStats,
-};
+use s2d_core::comm::{comm_requirements, pair_runs, single_phase_messages, CommStats};
 use s2d_core::mesh::MeshRouting;
 use s2d_core::partition::{S2dViolation, SpmvPartition};
 use s2d_sparse::Csr;
@@ -105,14 +103,12 @@ fn split_tasks(a: &Csr, p: &SpmvPartition) -> Result<(Tasks, Tasks), S2dViolatio
     Ok((pre, rest))
 }
 
-/// The item ids of one requirement run.
-fn items(run: &[(u32, u32, u32)]) -> Vec<u32> {
-    run.iter().map(|&(_, _, item)| item).collect()
-}
-
-/// Builds combined `[x̂, ŷ]` messages from requirement lists.
-fn combined_messages(reqs: &CommRequirements) -> Vec<MsgSpec> {
-    pair_runs(&reqs.x_reqs, &reqs.y_reqs)
+/// Builds one `[x̂, ŷ]` message per `(src, dst)` pair of the sorted
+/// requirement lists (pass an empty list for an expand-only or a
+/// fold-only phase).
+fn messages(x_reqs: &[(u32, u32, u32)], y_reqs: &[(u32, u32, u32)]) -> Vec<MsgSpec> {
+    let items = |run: &[(u32, u32, u32)]| run.iter().map(|&(_, _, item)| item).collect();
+    pair_runs(x_reqs, y_reqs)
         .map(|((src, dst), x, y)| MsgSpec { src, dst, x_cols: items(x), y_rows: items(y) })
         .collect()
 }
@@ -125,11 +121,10 @@ impl SpmvPlan {
     /// Panics if `p` is not a valid s2D partition of `a`.
     pub fn single_phase(a: &Csr, p: &SpmvPartition) -> Self {
         let reqs = comm_requirements(a, p);
-        let (pre, rest) =
-            split_tasks(a, p).expect("single-phase SpMV requires an s2D partition");
+        let (pre, rest) = split_tasks(a, p).expect("single-phase SpMV requires an s2D partition");
         let phases = vec![
             PlanPhase::Compute(pre),
-            PlanPhase::Comm(combined_messages(&reqs)),
+            PlanPhase::Comm(messages(&reqs.x_reqs, &reqs.y_reqs)),
             PlanPhase::Compute(rest),
         ];
         SpmvPlan {
@@ -146,7 +141,8 @@ impl SpmvPlan {
     /// (Section I): Expand → Compute → Fold.
     pub fn two_phase(a: &Csr, p: &SpmvPartition) -> Self {
         let reqs = comm_requirements(a, p);
-        let mut all: Tasks = p.loads().into_iter().map(|n| Vec::with_capacity(n as usize)).collect();
+        let mut all: Tasks =
+            p.loads().into_iter().map(|n| Vec::with_capacity(n as usize)).collect();
         for i in 0..a.nrows() {
             for e in a.row_range(i) {
                 all[p.nz_owner[e] as usize].push(MultTask {
@@ -156,13 +152,11 @@ impl SpmvPlan {
                 });
             }
         }
-        let expand: Vec<MsgSpec> = pair_runs(&reqs.x_reqs, &[])
-            .map(|((src, dst), x, _)| MsgSpec { src, dst, x_cols: items(x), y_rows: Vec::new() })
-            .collect();
-        let fold: Vec<MsgSpec> = pair_runs(&[], &reqs.y_reqs)
-            .map(|((src, dst), _, y)| MsgSpec { src, dst, x_cols: Vec::new(), y_rows: items(y) })
-            .collect();
-        let phases = vec![PlanPhase::Comm(expand), PlanPhase::Compute(all), PlanPhase::Comm(fold)];
+        let phases = vec![
+            PlanPhase::Comm(messages(&reqs.x_reqs, &[])),
+            PlanPhase::Compute(all),
+            PlanPhase::Comm(messages(&[], &reqs.y_reqs)),
+        ];
         SpmvPlan {
             k: p.k,
             nrows: a.nrows(),
@@ -447,6 +441,7 @@ pub fn volume_matches_eq3(a: &Csr, p: &SpmvPartition, plan: &SpmvPlan) -> bool {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use s2d_core::comm::CommRequirements;
     use s2d_core::fig1::{fig1_matrix, fig1_partition};
     use s2d_sparse::Coo;
 
@@ -541,7 +536,7 @@ mod tests {
                 (got, want) => prop_assert!(false, "split {got:?}, validate {want:?}"),
             }
             prop_assert_eq!(
-                format!("{:?}", combined_messages(&reqs)),
+                format!("{:?}", messages(&reqs.x_reqs, &reqs.y_reqs)),
                 format!("{:?}", combined_messages_reference(&reqs))
             );
             let plan = SpmvPlan::two_phase(&a, &p);
