@@ -20,7 +20,7 @@ const MAX_RESERVE: usize = 1 << 20;
 /// allocates a row pointer of `nrows + 1` words however few entries
 /// follow, which an unchecked `4294967295 1 0` would make 34 GB; at
 /// the cap it is 1 GiB.
-pub const MAX_DIM: usize = 1 << 27;
+const MAX_DIM: usize = 1 << 27;
 
 // Every index below the cap is a valid `Idx`.
 const _: () = assert!(MAX_DIM <= Idx::MAX as usize);
