@@ -12,6 +12,8 @@
 //! * [`medium_grain`] — the medium-grain method of Pelt & Bisseling 2014
 //!   adapted to emit an s2D partition (the paper's `s2D-mg`).
 
+#![forbid(unsafe_code)]
+
 pub mod boman;
 pub mod checkerboard;
 pub mod fine_grain;

@@ -120,7 +120,7 @@ column.
 `profile` runs the multiply with telemetry on for each engine of a
 comma-separated list (default compiled-seq,compiled-pool), checks it
 against the serial product, and prints the execution report: per-rank
-phase times (compute / gather / scatter / barrier / reduce), observed
+phase times (compute / gather / scatter / barrier), observed
 load imbalance, and observed communication words held against the
 alpha-beta / LogGP cost-model predictions; `--json` writes one report
 object per engine. `analyze --json` writes the full partition-quality

@@ -16,6 +16,8 @@
 //! Argument parsing is hand-rolled (`--flag value` pairs) to keep the
 //! dependency set to the workspace crates.
 
+#![forbid(unsafe_code)]
+
 pub mod args;
 pub mod commands;
 pub mod partfile;

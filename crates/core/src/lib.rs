@@ -28,6 +28,8 @@
 //! * [`iterate`] — alternating vector/nonzero refinement (toward
 //!   simultaneous vector + nonzero partitioning).
 
+#![forbid(unsafe_code)]
+
 pub mod alternatives;
 pub mod comm;
 pub mod fig1;

@@ -12,6 +12,8 @@
 //!   column as part of the horizontal (`H`), square (`S`) or vertical (`V`)
 //!   block.
 
+#![forbid(unsafe_code)]
+
 pub mod decompose;
 pub mod matching;
 

@@ -184,9 +184,15 @@ impl Backend {
     /// pick takes precedence over this threshold.
     pub const POOL_OPS_CROSSOVER: u64 = 125_000;
 
-    /// Crossover for SIMD-kernel plans: AVX2 speeds the *sequential*
-    /// baseline roughly 2× at batched widths, so the pool needs about
-    /// twice the per-iteration work before its barriers amortize.
+    /// Crossover for SIMD-kernel plans: AVX2 speeds up the *sequential*
+    /// baseline at batched widths, so the pool needs more per-iteration
+    /// work before its barriers amortize. The factor of 2 over
+    /// [`Backend::POOL_OPS_CROSSOVER`] is an upper estimate: on the four
+    /// benchmark workloads (2-vCPU x86-64 VM with AVX2, medians of three
+    /// traced passes) the scalar r = 8 apply took 1.1–1.3× as long as
+    /// the AVX2 one (`engine.isa_scalar_r8_ms / engine.seq_apply_r8_ms`:
+    /// 1.10 on `fem-steady`, 1.24 on `denserow-k64`, 1.16 on
+    /// `rmat-pagerank`, 1.27 on `serve-closed`).
     pub const POOL_OPS_CROSSOVER_SIMD: u64 = 250_000;
 
     /// Picks the compiled backend an already-compiled plan should run

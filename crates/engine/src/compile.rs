@@ -512,13 +512,11 @@ impl CompiledPlan {
 /// allocated at its final size.
 fn lower_tasks(tasks: &[s2d_spmv::MultTask], rank: usize, walk: &mut Walk) -> CsrKernel {
     let segments = tasks.chunk_by(|a, b| a.row == b.row).count();
-    let mut kernel = CsrKernel {
-        row_ptr: Vec::with_capacity(segments + 1),
-        rows: Vec::with_capacity(segments),
-        cols: Vec::with_capacity(tasks.len()),
-        vals: Vec::with_capacity(tasks.len()),
-        simd: false,
-    };
+    let mut kernel = CsrKernel::default();
+    kernel.row_ptr.reserve_exact(segments + 1);
+    kernel.rows.reserve_exact(segments);
+    kernel.cols.reserve_exact(tasks.len());
+    kernel.vals.reserve_exact(tasks.len());
     kernel.row_ptr.push(0);
     if tasks.is_empty() {
         return kernel;

@@ -56,17 +56,19 @@
 //!
 //! # SIMD ([`KernelIsa`])
 //!
-//! The fixed-width batch paths (`r ∈ {4, 8}`) have explicit AVX2
-//! variants on x86-64. [`KernelIsa`] is a two-valued axis resolved at
-//! lowering time: `auto` takes them when a runtime
-//! `is_x86_feature_detected!` probe finds AVX2, `scalar` never does.
-//! The vector lanes map to the *batch* dimension — lane `q` of a 4-wide
-//! register is right-hand side `q` — so each lane is an independent
-//! accumulator chain and the vector code performs the exact scalar
-//! operation sequence per accumulator. No FMA, no horizontal reduction, no
-//! reassociation: the AVX2 results are **bitwise identical** to the
-//! scalar reference, and the differential suite pins that with exact
-//! equality. The scalar loops stay as the reference implementation.
+//! Each format has one fixed-width body per batch width `R`. For
+//! `r ∈ {4, 8}` on x86-64 the one width dispatcher (`run_range`) can
+//! take the same body compiled under
+//! `#[target_feature(enable = "avx2")]` instead. [`KernelIsa`] is a
+//! two-valued axis resolved at lowering time: `auto` takes the AVX2
+//! build when a runtime `is_x86_feature_detected!` probe finds AVX2,
+//! `scalar` never does. The compiler maps the vector lanes to the
+//! *batch* dimension — lane `q` of a 4-wide register is right-hand side
+//! `q` — so each lane is an independent accumulator chain running the
+//! source's `mul` then `add`. No FMA is enabled and nothing is
+//! reassociated, so the AVX2 results are **bitwise identical** to the
+//! scalar build of the same source, and the differential suite pins
+//! that with exact equality.
 
 /// Lane sentinel in [`SellKernel`]: this lane of the chunk is pure
 /// padding, its accumulator is discarded. Also the "no dense run" marker
@@ -158,8 +160,8 @@ impl std::fmt::Display for KernelFormat {
     }
 }
 
-/// Whether the fixed-width batch loops may use the AVX2 bodies: yes
-/// where the CPU has them (`Auto`), or never (`Scalar`).
+/// Whether the fixed-width batch loops may run compiled for AVX2: yes
+/// where the CPU has it (`Auto`), or never (`Scalar`).
 ///
 /// Like [`KernelFormat`], the choice is baked in at
 /// [`CompiledPlan::compile_with_isa`](crate::CompiledPlan::compile_with_isa)
@@ -491,6 +493,65 @@ impl Kernel {
     }
 }
 
+/// The bodies of one storage format; [`BatchBodies::run_range`] is the
+/// one width dispatcher over them.
+trait BatchBodies: Sized {
+    /// The resolved "take the AVX2 build" flag.
+    fn simd(&self) -> bool;
+    /// The fixed-width body: `R` accumulators per row in registers.
+    fn run_fixed<const R: usize>(&self, x: &[f64], y: &mut [f64], lo: usize, hi: usize);
+    /// The strided fallback for widths without a specialization.
+    fn run_dyn(&self, x: &[f64], y: &mut [f64], r: usize, lo: usize, hi: usize);
+
+    /// Runs units `lo..hi` over `r`-wide row-major blocks.
+    #[inline]
+    fn run_range(&self, x: &[f64], y: &mut [f64], r: usize, lo: usize, hi: usize) {
+        match r {
+            1 => self.run_fixed::<1>(x, y, lo, hi),
+            2 => self.run_fixed::<2>(x, y, lo, hi),
+            // SAFETY: every kernel's `simd` flag is private to this
+            // module and only set from `KernelIsa::simd`, which requires
+            // a positive AVX2 feature probe on the running CPU.
+            #[cfg(target_arch = "x86_64")]
+            4 | 8 if self.simd() => unsafe { fixed_avx2(self, x, y, r, lo, hi) },
+            4 => self.run_fixed::<4>(x, y, lo, hi),
+            8 => self.run_fixed::<8>(x, y, lo, hi),
+            _ => self.run_dyn(x, y, r, lo, hi),
+        }
+    }
+}
+
+/// [`BatchBodies::run_fixed`] at `r ∈ {4, 8}` compiled with AVX2 enabled:
+/// the same source as the scalar build, its vector lanes the right-hand
+/// sides, each with its own `mul`-then-`add` chain (no FMA, nothing
+/// reassociated), so the results are bitwise identical.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn fixed_avx2<K: BatchBodies>(k: &K, x: &[f64], y: &mut [f64], r: usize, lo: usize, hi: usize) {
+    if r == 4 {
+        k.run_fixed::<4>(x, y, lo, hi)
+    } else {
+        k.run_fixed::<8>(x, y, lo, hi)
+    }
+}
+
+/// `acc[q] += v · x[col + q]` per lane. Wider than one lane, `x` is
+/// read through one `R`-word slice, so one bounds check covers the
+/// entry and the lane loop vectorizes. `R = 1` keeps the direct index
+/// (faster there), and `#[track_caller]` keeps one panic location per
+/// call site, so that code matches the loops that indexed `x` themselves.
+#[inline(always)]
+#[track_caller]
+fn madd<const R: usize>(acc: &mut [f64; R], v: f64, x: &[f64], col: usize) {
+    if R == 1 {
+        acc[0] += v * x[col];
+    } else {
+        for (a, &xq) in acc.iter_mut().zip(&x[col..col + R]) {
+            *a += v * xq;
+        }
+    }
+}
+
 /// A compute phase lowered to a CSR slice: home columns, local rows.
 ///
 /// `rows` holds run-length grouped local `y` slots: segment `s` of
@@ -510,8 +571,9 @@ pub struct CsrKernel {
     /// Matrix value per multiply-add.
     pub vals: Vec<f64>,
     /// Take the AVX2 batch paths (resolved from [`KernelIsa`] at
-    /// lowering; bitwise-equivalent either way).
-    pub simd: bool,
+    /// lowering; bitwise-equivalent either way). Private to this
+    /// module: the AVX2 dispatch's safety rests on it.
+    simd: bool,
 }
 
 impl CsrKernel {
@@ -545,36 +607,34 @@ impl CsrKernel {
         self.run_range(x, y, r, 0, self.rows.len());
     }
 
-    /// [`CsrKernel::run_batch`] over segments `lo..hi` only.
-    #[inline]
-    pub(crate) fn run_range(&self, x: &[f64], y: &mut [f64], r: usize, lo: usize, hi: usize) {
-        match r {
-            1 => self.run_r1(x, y, lo, hi),
-            2 => self.run_fixed::<2>(x, y, lo, hi),
-            4 => {
-                #[cfg(target_arch = "x86_64")]
-                if self.simd {
-                    // SAFETY: `simd` is only set from `KernelIsa::simd`,
-                    // which requires a positive AVX2 feature probe.
-                    return unsafe { self.run_avx2::<1>(x, y, lo, hi) };
-                }
-                self.run_fixed::<4>(x, y, lo, hi)
-            }
-            8 => {
-                #[cfg(target_arch = "x86_64")]
-                if self.simd {
-                    // SAFETY: as above — AVX2 was detected at lowering.
-                    return unsafe { self.run_avx2::<2>(x, y, lo, hi) };
-                }
-                self.run_fixed::<8>(x, y, lo, hi)
-            }
-            _ => self.run_dyn(x, y, r, lo, hi),
+    fn validate(&self, nx: usize, ny: usize) -> Result<(), String> {
+        if self.row_ptr.len() != self.rows.len() + 1 {
+            return Err("malformed kernel row_ptr".into());
         }
+        if self.cols.len() != self.vals.len() {
+            return Err("malformed kernel arrays".into());
+        }
+        if !(self.rows.iter().all(|&s| (s as usize) < ny)
+            && self.cols.iter().all(|&s| (s as usize) < nx))
+        {
+            return Err("kernel slot out of range".into());
+        }
+        Ok(())
+    }
+}
+
+impl BatchBodies for CsrKernel {
+    fn simd(&self) -> bool {
+        self.simd
     }
 
-    /// Fixed-width inner loop: `R` accumulators live in registers.
-    #[inline]
+    /// Fixed-width inner loop: `R` accumulators live in registers
+    /// (`r = 1` takes the dedicated `run_r1`).
+    #[inline(always)]
     fn run_fixed<const R: usize>(&self, x: &[f64], y: &mut [f64], lo: usize, hi: usize) {
+        if R == 1 {
+            return self.run_r1(x, y, lo, hi);
+        }
         for s in lo..hi {
             let elo = self.row_ptr[s] as usize;
             let ehi = self.row_ptr[s + 1] as usize;
@@ -582,53 +642,9 @@ impl CsrKernel {
             let mut acc = [0.0f64; R];
             acc.copy_from_slice(&y[row..row + R]);
             for e in elo..ehi {
-                let v = self.vals[e];
-                let col = self.cols[e] as usize * R;
-                for (q, a) in acc.iter_mut().enumerate() {
-                    *a += v * x[col + q];
-                }
+                madd(&mut acc, self.vals[e], x, self.cols[e] as usize * R);
             }
             y[row..row + R].copy_from_slice(&acc);
-        }
-    }
-
-    /// AVX2 inner loop for `r = 4·NV`: each 4-wide vector register
-    /// holds 4 *batch* lanes of one accumulator chain, so the
-    /// operation sequence per lane is exactly [`CsrKernel::run_fixed`]'s
-    /// (`mul` then `add`, no FMA) — bitwise identical results.
-    ///
-    /// # Safety
-    ///
-    /// The caller must have verified that the running CPU supports
-    /// AVX2 (`KernelIsa::avx2_available`). Memory safety does not
-    /// depend on that: all loads and stores go through bounds-checked
-    /// subslices.
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx2")]
-    unsafe fn run_avx2<const NV: usize>(&self, x: &[f64], y: &mut [f64], lo: usize, hi: usize) {
-        use std::arch::x86_64::*;
-        let r = NV * 4;
-        for s in lo..hi {
-            let elo = self.row_ptr[s] as usize;
-            let ehi = self.row_ptr[s + 1] as usize;
-            let row = self.rows[s] as usize * r;
-            let yy = &mut y[row..row + r];
-            let mut acc = [_mm256_setzero_pd(); NV];
-            for (n, a) in acc.iter_mut().enumerate() {
-                *a = _mm256_loadu_pd(yy.as_ptr().add(4 * n));
-            }
-            for e in elo..ehi {
-                let v = _mm256_set1_pd(self.vals[e]);
-                let col = self.cols[e] as usize * r;
-                let xs = &x[col..col + r];
-                for (n, a) in acc.iter_mut().enumerate() {
-                    let xv = _mm256_loadu_pd(xs.as_ptr().add(4 * n));
-                    *a = _mm256_add_pd(*a, _mm256_mul_pd(v, xv));
-                }
-            }
-            for (n, a) in acc.iter().enumerate() {
-                _mm256_storeu_pd(yy.as_mut_ptr().add(4 * n), *a);
-            }
         }
     }
 
@@ -646,21 +662,6 @@ impl CsrKernel {
                 }
             }
         }
-    }
-
-    fn validate(&self, nx: usize, ny: usize) -> Result<(), String> {
-        if self.row_ptr.len() != self.rows.len() + 1 {
-            return Err("malformed kernel row_ptr".into());
-        }
-        if self.cols.len() != self.vals.len() {
-            return Err("malformed kernel arrays".into());
-        }
-        if !(self.rows.iter().all(|&s| (s as usize) < ny)
-            && self.cols.iter().all(|&s| (s as usize) < nx))
-        {
-            return Err("kernel slot out of range".into());
-        }
-        Ok(())
     }
 }
 
@@ -685,8 +686,9 @@ pub struct SellKernel {
     /// Real multiply-adds (excludes padding).
     pub(crate) ops: usize,
     /// Take the AVX2 batch paths (resolved from [`KernelIsa`] at
-    /// lowering; bitwise-equivalent either way).
-    pub(crate) simd: bool,
+    /// lowering; bitwise-equivalent either way). Private to this
+    /// module: the AVX2 dispatch's safety rests on it.
+    simd: bool,
 }
 
 impl SellKernel {
@@ -744,98 +746,18 @@ impl SellKernel {
     }
 
     /// See [`Kernel::run_batch`]. Every specialized width runs the one
-    /// entry-major body, `run_cr` (or its AVX2 twin `run_c2_avx2`):
-    /// order-preserving per row, all C lanes in lockstep.
+    /// entry-major body, `run_cr`: order-preserving per row, all C lanes
+    /// in lockstep.
     #[inline]
     pub fn run_batch(&self, x: &[f64], y: &mut [f64], r: usize) {
         self.run_range(x, y, r, 0, self.chunk_ptr.len().saturating_sub(1));
-    }
-
-    /// [`SellKernel::run_batch`] over SELL chunks `lo..hi` only.
-    #[inline]
-    pub(crate) fn run_range(&self, x: &[f64], y: &mut [f64], r: usize, lo: usize, hi: usize) {
-        // `run_c2_avx2` hard-codes the chunk height.
-        const _: () = assert!(SELL_C == 2);
-        #[cfg(target_arch = "x86_64")]
-        if self.simd && (r == 4 || r == 8) {
-            // SAFETY: `simd` is only set from `KernelIsa::simd`, which
-            // requires a positive AVX2 feature probe.
-            unsafe {
-                match r {
-                    4 => self.run_c2_avx2::<1>(x, y, lo, hi),
-                    _ => self.run_c2_avx2::<2>(x, y, lo, hi),
-                }
-            }
-            return;
-        }
-        match r {
-            1 => self.run_cr::<SELL_C, 1>(x, y, lo, hi),
-            2 => self.run_cr::<SELL_C, 2>(x, y, lo, hi),
-            4 => self.run_cr::<SELL_C, 4>(x, y, lo, hi),
-            8 => self.run_cr::<SELL_C, 8>(x, y, lo, hi),
-            _ => self.run_dyn(x, y, r, lo, hi),
-        }
-    }
-
-    /// AVX2 entry-major loop for `c = 2`, `r = 4·NV`: the `2 × R`
-    /// accumulator block becomes `2 × NV` vector registers whose lanes
-    /// are batch lanes, performing [`SellKernel::run_cr`]'s exact
-    /// operation sequence per accumulator (`mul` then `add`, no FMA) —
-    /// bitwise identical results, [`NO_LANE`] discard behavior
-    /// included.
-    ///
-    /// # Safety
-    ///
-    /// The caller must have verified that the running CPU supports
-    /// AVX2 (`KernelIsa::avx2_available`). All loads and stores go
-    /// through bounds-checked subslices.
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx2")]
-    unsafe fn run_c2_avx2<const NV: usize>(&self, x: &[f64], y: &mut [f64], lo: usize, hi: usize) {
-        use std::arch::x86_64::*;
-        let r = NV * 4;
-        for ch in lo..hi {
-            let base = self.chunk_ptr[ch] as usize;
-            let end = self.chunk_ptr[ch + 1] as usize;
-            let lanes = &self.rows[ch * 2..(ch + 1) * 2];
-            let mut acc = [[_mm256_setzero_pd(); NV]; 2];
-            for (l, &row) in lanes.iter().enumerate() {
-                if row != NO_LANE {
-                    let yy = &y[row as usize * r..row as usize * r + r];
-                    for (n, a) in acc[l].iter_mut().enumerate() {
-                        *a = _mm256_loadu_pd(yy.as_ptr().add(4 * n));
-                    }
-                }
-            }
-            let vals = &self.vals[base..end];
-            let cols = &self.cols[base..end];
-            for (ev, ec) in vals.chunks_exact(2).zip(cols.chunks_exact(2)) {
-                for l in 0..2 {
-                    let v = _mm256_set1_pd(ev[l]);
-                    let at = ec[l] as usize * r;
-                    let xs = &x[at..at + r];
-                    for (n, a) in acc[l].iter_mut().enumerate() {
-                        let xv = _mm256_loadu_pd(xs.as_ptr().add(4 * n));
-                        *a = _mm256_add_pd(*a, _mm256_mul_pd(v, xv));
-                    }
-                }
-            }
-            for (l, &row) in lanes.iter().enumerate() {
-                if row != NO_LANE {
-                    let yy = &mut y[row as usize * r..row as usize * r + r];
-                    for (n, a) in acc[l].iter().enumerate() {
-                        _mm256_storeu_pd(yy.as_mut_ptr().add(4 * n), *a);
-                    }
-                }
-            }
-        }
     }
 
     /// Fully unrolled shape: `C` chunk lanes × `R` right-hand sides of
     /// accumulators in registers, uniform inner trip count.
     /// `chunks_exact(C)` gives the optimizer a compile-time row width,
     /// eliding the per-entry bounds checks.
-    #[inline]
+    #[inline(always)]
     fn run_cr<const C: usize, const R: usize>(
         &self,
         x: &[f64],
@@ -875,28 +797,6 @@ impl SellKernel {
         }
     }
 
-    /// Strided fallback for widths without a specialization.
-    fn run_dyn(&self, x: &[f64], y: &mut [f64], r: usize, lo: usize, hi: usize) {
-        let c = SELL_C;
-        for ch in lo..hi {
-            let base = self.chunk_ptr[ch] as usize;
-            let w = (self.chunk_ptr[ch + 1] as usize - base) / c;
-            for (l, &row) in self.rows[ch * c..(ch + 1) * c].iter().enumerate() {
-                if row == NO_LANE {
-                    continue;
-                }
-                let at = row as usize * r;
-                for e in 0..w {
-                    let v = self.vals[base + e * c + l];
-                    let col = self.cols[base + e * c + l] as usize * r;
-                    for q in 0..r {
-                        y[at + q] += v * x[col + q];
-                    }
-                }
-            }
-        }
-    }
-
     fn validate(&self, nx: usize, ny: usize) -> Result<(), String> {
         let c = SELL_C;
         let nchunks = self.chunk_ptr.len().saturating_sub(1);
@@ -918,6 +818,39 @@ impl SellKernel {
             return Err("kernel slot out of range".into());
         }
         Ok(())
+    }
+}
+
+impl BatchBodies for SellKernel {
+    fn simd(&self) -> bool {
+        self.simd
+    }
+
+    #[inline(always)]
+    fn run_fixed<const R: usize>(&self, x: &[f64], y: &mut [f64], lo: usize, hi: usize) {
+        self.run_cr::<SELL_C, R>(x, y, lo, hi)
+    }
+
+    /// Strided fallback for widths without a specialization.
+    fn run_dyn(&self, x: &[f64], y: &mut [f64], r: usize, lo: usize, hi: usize) {
+        let c = SELL_C;
+        for ch in lo..hi {
+            let base = self.chunk_ptr[ch] as usize;
+            let w = (self.chunk_ptr[ch + 1] as usize - base) / c;
+            for (l, &row) in self.rows[ch * c..(ch + 1) * c].iter().enumerate() {
+                if row == NO_LANE {
+                    continue;
+                }
+                let at = row as usize * r;
+                for e in 0..w {
+                    let v = self.vals[base + e * c + l];
+                    let col = self.cols[base + e * c + l] as usize * r;
+                    for q in 0..r {
+                        y[at + q] += v * x[col + q];
+                    }
+                }
+            }
+        }
     }
 }
 
@@ -946,8 +879,9 @@ pub struct DenseSplitKernel {
     /// Value per entry, in original task order.
     pub(crate) vals: Vec<f64>,
     /// Take the AVX2 batch paths (resolved from [`KernelIsa`] at
-    /// lowering; bitwise-equivalent either way).
-    pub(crate) simd: bool,
+    /// lowering; bitwise-equivalent either way). Private to this
+    /// module: the AVX2 dispatch's safety rests on it.
+    simd: bool,
 }
 
 impl DenseSplitKernel {
@@ -1004,135 +938,6 @@ impl DenseSplitKernel {
         self.run_range(x, y, r, 0, self.rows.len());
     }
 
-    /// [`DenseSplitKernel::run_batch`] over segments `lo..hi` only.
-    #[inline]
-    pub(crate) fn run_range(&self, x: &[f64], y: &mut [f64], r: usize, lo: usize, hi: usize) {
-        match r {
-            1 => self.run_fixed::<1>(x, y, lo, hi),
-            2 => self.run_fixed::<2>(x, y, lo, hi),
-            4 => {
-                #[cfg(target_arch = "x86_64")]
-                if self.simd {
-                    // SAFETY: `simd` is only set from `KernelIsa::simd`,
-                    // which requires a positive AVX2 feature probe.
-                    return unsafe { self.run_avx2::<1>(x, y, lo, hi) };
-                }
-                self.run_fixed::<4>(x, y, lo, hi)
-            }
-            8 => {
-                #[cfg(target_arch = "x86_64")]
-                if self.simd {
-                    // SAFETY: as above — AVX2 was detected at lowering.
-                    return unsafe { self.run_avx2::<2>(x, y, lo, hi) };
-                }
-                self.run_fixed::<8>(x, y, lo, hi)
-            }
-            _ => self.run_dyn(x, y, r, lo, hi),
-        }
-    }
-
-    /// AVX2 span loop for `r = 4·NV`: one set of `NV` vector
-    /// accumulators per segment, batch lanes in the vector lanes, the
-    /// exact [`DenseSplitKernel::run_fixed`] operation sequence (`mul`
-    /// then `add`, no FMA) for both dense and indexed spans — bitwise
-    /// identical results.
-    ///
-    /// # Safety
-    ///
-    /// The caller must have verified that the running CPU supports
-    /// AVX2 (`KernelIsa::avx2_available`). All loads and stores go
-    /// through bounds-checked subslices.
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx2")]
-    unsafe fn run_avx2<const NV: usize>(&self, x: &[f64], y: &mut [f64], lo: usize, hi: usize) {
-        use std::arch::x86_64::*;
-        let r = NV * 4;
-        for s in lo..hi {
-            let row = self.rows[s] as usize * r;
-            let yy = &mut y[row..row + r];
-            let mut acc = [_mm256_setzero_pd(); NV];
-            for (n, a) in acc.iter_mut().enumerate() {
-                *a = _mm256_loadu_pd(yy.as_ptr().add(4 * n));
-            }
-            for sp in self.seg_ptr[s] as usize..self.seg_ptr[s + 1] as usize {
-                let start = self.span_start[sp] as usize;
-                let len = self.span_len[sp] as usize;
-                let c0 = self.span_col0[sp];
-                for i in 0..len {
-                    let v = _mm256_set1_pd(self.vals[start + i]);
-                    let col = if c0 != NO_LANE {
-                        (c0 as usize + i) * r
-                    } else {
-                        self.cols[start + i] as usize * r
-                    };
-                    let xs = &x[col..col + r];
-                    for (n, a) in acc.iter_mut().enumerate() {
-                        let xv = _mm256_loadu_pd(xs.as_ptr().add(4 * n));
-                        *a = _mm256_add_pd(*a, _mm256_mul_pd(v, xv));
-                    }
-                }
-            }
-            for (n, a) in acc.iter().enumerate() {
-                _mm256_storeu_pd(yy.as_mut_ptr().add(4 * n), *a);
-            }
-        }
-    }
-
-    #[inline]
-    fn run_fixed<const R: usize>(&self, x: &[f64], y: &mut [f64], lo: usize, hi: usize) {
-        for s in lo..hi {
-            let row = self.rows[s] as usize * R;
-            let mut acc = [0.0f64; R];
-            acc.copy_from_slice(&y[row..row + R]);
-            for sp in self.seg_ptr[s] as usize..self.seg_ptr[s + 1] as usize {
-                let start = self.span_start[sp] as usize;
-                let len = self.span_len[sp] as usize;
-                let c0 = self.span_col0[sp];
-                if c0 != NO_LANE {
-                    let c0 = c0 as usize;
-                    for i in 0..len {
-                        let v = self.vals[start + i];
-                        let col = (c0 + i) * R;
-                        for q in 0..R {
-                            acc[q] += v * x[col + q];
-                        }
-                    }
-                } else {
-                    for i in 0..len {
-                        let v = self.vals[start + i];
-                        let col = self.cols[start + i] as usize * R;
-                        for q in 0..R {
-                            acc[q] += v * x[col + q];
-                        }
-                    }
-                }
-            }
-            y[row..row + R].copy_from_slice(&acc);
-        }
-    }
-
-    fn run_dyn(&self, x: &[f64], y: &mut [f64], r: usize, lo: usize, hi: usize) {
-        for s in lo..hi {
-            let row = self.rows[s] as usize * r;
-            for sp in self.seg_ptr[s] as usize..self.seg_ptr[s + 1] as usize {
-                let start = self.span_start[sp] as usize;
-                let len = self.span_len[sp] as usize;
-                let c0 = self.span_col0[sp];
-                for i in 0..len {
-                    let v = self.vals[start + i];
-                    let col = if c0 != NO_LANE {
-                        (c0 as usize + i) * r
-                    } else {
-                        self.cols[start + i] as usize * r
-                    };
-                    for q in 0..r {
-                        y[row + q] += v * x[col + q];
-                    }
-                }
-            }
-        }
-    }
-
     fn validate(&self, nx: usize, ny: usize) -> Result<(), String> {
         if self.seg_ptr.len() != self.rows.len() + 1
             || self.cols.len() != self.vals.len()
@@ -1163,6 +968,60 @@ impl DenseSplitKernel {
             return Err("kernel slot out of range".into());
         }
         Ok(())
+    }
+}
+
+impl BatchBodies for DenseSplitKernel {
+    fn simd(&self) -> bool {
+        self.simd
+    }
+
+    /// Fixed-width span loop: `R` accumulators live in registers.
+    #[inline(always)]
+    fn run_fixed<const R: usize>(&self, x: &[f64], y: &mut [f64], lo: usize, hi: usize) {
+        for s in lo..hi {
+            let row = self.rows[s] as usize * R;
+            let mut acc = [0.0f64; R];
+            acc.copy_from_slice(&y[row..row + R]);
+            for sp in self.seg_ptr[s] as usize..self.seg_ptr[s + 1] as usize {
+                let start = self.span_start[sp] as usize;
+                let len = self.span_len[sp] as usize;
+                let c0 = self.span_col0[sp];
+                if c0 != NO_LANE {
+                    let c0 = c0 as usize;
+                    for i in 0..len {
+                        madd(&mut acc, self.vals[start + i], x, (c0 + i) * R);
+                    }
+                } else {
+                    for i in 0..len {
+                        madd(&mut acc, self.vals[start + i], x, self.cols[start + i] as usize * R);
+                    }
+                }
+            }
+            y[row..row + R].copy_from_slice(&acc);
+        }
+    }
+
+    fn run_dyn(&self, x: &[f64], y: &mut [f64], r: usize, lo: usize, hi: usize) {
+        for s in lo..hi {
+            let row = self.rows[s] as usize * r;
+            for sp in self.seg_ptr[s] as usize..self.seg_ptr[s + 1] as usize {
+                let start = self.span_start[sp] as usize;
+                let len = self.span_len[sp] as usize;
+                let c0 = self.span_col0[sp];
+                for i in 0..len {
+                    let v = self.vals[start + i];
+                    let col = if c0 != NO_LANE {
+                        (c0 as usize + i) * r
+                    } else {
+                        self.cols[start + i] as usize * r
+                    };
+                    for q in 0..r {
+                        y[row + q] += v * x[col + q];
+                    }
+                }
+            }
+        }
     }
 }
 
@@ -1259,19 +1118,39 @@ mod tests {
 
     #[test]
     fn simd_paths_match_scalar_bitwise() {
-        let (csr, nx, ny) = irregular(11);
-        for r in [1usize, 4, 8] {
-            let x = x_for(nx, r);
-            for format in KernelFormat::all() {
-                let scalar = Kernel::from_csr_isa(csr.clone(), format, KernelIsa::Scalar);
-                assert!(!simd(&scalar));
-                let mut want = vec![0.1; ny * r];
-                scalar.run_batch(&x, &mut want, r);
-                let k = Kernel::from_csr_isa(csr.clone(), format, KernelIsa::Auto);
-                assert_eq!(simd(&k), KernelIsa::avx2_available(), "{format}");
-                let mut got = vec![0.1; ny * r];
-                k.run_batch(&x, &mut got, r);
-                assert_eq!(got, want, "{format} r={r}");
+        // Every arm of the width dispatcher (r = 3 and 5 take the
+        // strided fallback), over the irregular kernel and one with an
+        // empty segment, as a full pass and as a two-cut unit split.
+        let (irr, irr_nx, irr_ny) = irregular(11);
+        let empty_seg = CsrKernel {
+            row_ptr: vec![0, 2, 2],
+            rows: vec![0, 1],
+            cols: vec![0, 1],
+            vals: vec![1.0, 2.0],
+            simd: false,
+        };
+        for (csr, nx, ny) in [(irr, irr_nx, irr_ny), (empty_seg, 2, 2)] {
+            for r in [1usize, 2, 3, 4, 5, 8] {
+                let x = x_for(nx, r);
+                for format in KernelFormat::all() {
+                    let scalar = Kernel::from_csr_isa(csr.clone(), format, KernelIsa::Scalar);
+                    assert!(!simd(&scalar));
+                    let mut want = vec![0.1; ny * r];
+                    scalar.run_batch(&x, &mut want, r);
+                    let k = Kernel::from_csr_isa(csr.clone(), format, KernelIsa::Auto);
+                    assert_eq!(simd(&k), KernelIsa::avx2_available(), "{format}");
+                    let mut got = vec![0.1; ny * r];
+                    k.run_batch(&x, &mut got, r);
+                    assert_eq!(got, want, "{format} r={r}");
+
+                    let units = k.units();
+                    let (cut1, cut2) = (units / 3, 2 * units / 3);
+                    let mut split = vec![0.1; ny * r];
+                    k.run_batch_range(&x, &mut split, r, cut1, cut2);
+                    k.run_batch_range(&x, &mut split, r, cut2, units);
+                    k.run_batch_range(&x, &mut split, r, 0, cut1);
+                    assert_eq!(split, want, "{format} r={r} split at {cut1}, {cut2}");
+                }
             }
         }
     }

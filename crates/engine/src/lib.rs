@@ -105,13 +105,13 @@
 //! each fetched `A` entry `r` times against `r` contiguous `x` words —
 //! the register/cache-blocking lever of the OSKI line. The fixed-width
 //! inner loops (`r ∈ {1, 2, 4, 8}` specializations in
-//! [`Kernel::run_batch`]) carry explicit AVX2 variants for `r ∈ {4,
-//! 8}`, taken under [`KernelIsa::Auto`] when a compile-time CPU probe
-//! finds AVX2 and never under [`KernelIsa::Scalar`] — the vector lanes
-//! map to the batch dimension, so the SIMD paths are **bitwise
-//! identical** to the scalar reference. Per column, results are bitwise
-//! identical to the single-RHS path: only the traversal is shared,
-//! never the accumulation order.
+//! [`Kernel::run_batch`]) are one body per format; for `r ∈ {4, 8}` the
+//! same body is also compiled with AVX2 enabled and taken under
+//! [`KernelIsa::Auto`] when a runtime CPU probe finds AVX2, never under
+//! [`KernelIsa::Scalar`]. The vector lanes map to the batch dimension,
+//! so the AVX2 paths are **bitwise identical** to the scalar reference.
+//! Per column, results are bitwise identical to the single-RHS path:
+//! only the traversal is shared, never the accumulation order.
 //!
 //! `s2d-solver`'s SPMD `pagerank` runs its per-rank SpMV through the
 //! same endpoint walker, and every solver's `*_with` entry point runs on
@@ -132,6 +132,8 @@
 //! sequential workspace, how to pick a batch width). The conformance
 //! suite in `crates/engine/tests/conformance.rs` holds every backend to
 //! one shared property set.
+
+#![deny(unsafe_op_in_unsafe_fn, clippy::undocumented_unsafe_blocks)]
 
 pub mod backend;
 pub mod compile;

@@ -187,7 +187,10 @@ impl ShBuf {
     /// (or sibling calls on the same words) under the module's
     /// invariants.
     unsafe fn from_raw_parts<'a>(ptr: *mut f64, len: usize) -> &'a ShBuf {
-        &*(std::ptr::slice_from_raw_parts_mut(ptr, len) as *const ShBuf)
+        // SAFETY: `ShBuf` is repr(transparent) over `[UnsafeCell<f64>]`,
+        // which has `[f64]`'s layout, so the cast keeps pointer and
+        // length; validity and access for `'a` are the caller's contract.
+        unsafe { &*(std::ptr::slice_from_raw_parts_mut(ptr, len) as *const ShBuf) }
     }
 
     /// Read-only view of words `lo..lo + len`; panics when the range
@@ -229,7 +232,9 @@ impl ShBuf {
     #[allow(clippy::mut_from_ref)]
     unsafe fn chunk_mut(&self, lo: usize, len: usize) -> &mut [f64] {
         let cells = &self.0[lo..lo + len];
-        std::slice::from_raw_parts_mut(cells.as_ptr() as *mut f64, len)
+        // SAFETY: as in `region_mut` for layout and bounds; unique access
+        // to every element actually used is the caller's contract.
+        unsafe { std::slice::from_raw_parts_mut(cells.as_ptr() as *mut f64, len) }
     }
 }
 
@@ -1095,7 +1100,7 @@ impl Shared {
         let xp = self.job_x.load(Ordering::Relaxed) as *const f64;
         let yp = self.job_y.load(Ordering::Relaxed);
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            // SAFETY (view kind 3): the pointers are the caller's `x`
+            // SAFETY: (view kind 3) the pointers are the caller's `x`
             // and `y`, `ncols × r` and `nrows × r` words by the execute
             // asserts. Temporal: the caller stays inside
             // `execute_batch_iters`, not touching either, until the

@@ -1,12 +1,13 @@
-//! Raw-speed acceptance: the explicit-SIMD kernels and the NNZ-chunked
-//! intra-rank schedule are *pure speed* features — every test here pins
-//! that down with exact (bitwise) equality, not tolerances.
+//! Raw-speed acceptance: the AVX2 builds of the kernels and the
+//! NNZ-chunked intra-rank schedule are *pure speed* features — every
+//! test here pins that down with exact (bitwise) equality, not
+//! tolerances.
 //!
 //! * ISA differential: scalar and auto (AVX2) produce byte-identical
-//!   blocks for every kernel format and batch width, because the vector
-//!   lanes map to the batch dimension (lane `q` is RHS `q`) and no FMA
-//!   contraction is used — each column's accumulation chain is the
-//!   scalar chain.
+//!   blocks for every kernel format and batch width, because both run
+//!   the same body, the vector lanes map to the batch dimension (lane
+//!   `q` is RHS `q`) and no FMA contraction is used — each column's
+//!   accumulation chain is the scalar chain.
 //! * Schedule differential: the chunked pool splits kernels only at row
 //!   boundaries, so any worker count × chunk size × repetition yields
 //!   the sequential executor's result exactly.

@@ -17,6 +17,8 @@
 //! * [`suites`] — Table I ("suite A") and Table IV ("suite B") doubles,
 //!   with a [`Scale`] knob (`tiny` | `small` | `paper`).
 
+#![forbid(unsafe_code)]
+
 pub mod denserow;
 pub mod fem;
 pub mod powerlaw;

@@ -29,6 +29,8 @@
 //! Every partition is a pure function of the hypergraph and the seed:
 //! nothing in the crate hashes or iterates in address order.
 
+#![forbid(unsafe_code)]
+
 mod bisect;
 mod coarsen;
 mod fm;

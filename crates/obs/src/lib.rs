@@ -9,7 +9,7 @@
 //! The design center is a [`TelemetrySink`]: one lock-free
 //! [`PhaseRecorder`] per virtual processor, each holding monotonic-clock
 //! span totals, span counts and a log₂ duration histogram per execution
-//! [`Phase`] (compute / gather / scatter / barrier-wait / reduce), plus
+//! [`Phase`] (compute / gather / scatter / barrier-wait), plus
 //! work counters (rows emitted, multiply-adds, staged communication
 //! words). Recorders are plain relaxed atomics padded to their own cache
 //! lines — engine workers on different ranks never contend and never
@@ -26,8 +26,7 @@
 //!   application and output assembly;
 //! * **barrier-wait** — time parked at a synchronization barrier (the
 //!   worker pool's phase barriers), the direct observation of load
-//!   imbalance;
-//! * **reduce** — global reductions (solver dot products and norms).
+//!   imbalance.
 //!
 //! [`ExecutionReport::collect`] condenses a sink into the headline
 //! artifact: per-rank × per-phase breakdown, observed load imbalance,
@@ -43,6 +42,8 @@
 //!
 //! The [`time`] and [`best_of`] span helpers centralize the ad-hoc
 //! `Instant` timing the CLI and the tuner share.
+
+#![forbid(unsafe_code)]
 
 mod json;
 mod report;
@@ -69,17 +70,15 @@ pub enum Phase {
     Scatter,
     /// Time parked at a synchronization barrier.
     BarrierWait,
-    /// Global reductions (dot products, norms).
-    Reduce,
 }
 
 impl Phase {
     /// Number of phases (array dimension of per-phase storage).
-    pub const COUNT: usize = 5;
+    pub const COUNT: usize = 4;
 
     /// Every phase, in storage order.
     pub fn all() -> [Phase; Phase::COUNT] {
-        [Phase::Compute, Phase::Gather, Phase::Scatter, Phase::BarrierWait, Phase::Reduce]
+        [Phase::Compute, Phase::Gather, Phase::Scatter, Phase::BarrierWait]
     }
 
     /// Storage index of this phase (dense, `0..Phase::COUNT`).
@@ -90,7 +89,6 @@ impl Phase {
             Phase::Gather => 1,
             Phase::Scatter => 2,
             Phase::BarrierWait => 3,
-            Phase::Reduce => 4,
         }
     }
 
@@ -101,7 +99,6 @@ impl Phase {
             Phase::Gather => "gather",
             Phase::Scatter => "scatter",
             Phase::BarrierWait => "barrier",
-            Phase::Reduce => "reduce",
         }
     }
 }
@@ -217,17 +214,15 @@ impl PhaseRecorder {
 }
 
 /// The shared telemetry collection point: one [`PhaseRecorder`] per
-/// rank plus run-level counters (iterations, wall time inside
-/// instrumented executions, solver iterations).
+/// rank plus run-level counters (iterations and wall time inside
+/// instrumented executions).
 ///
-/// Cheap to share (`Arc`) between the control thread, pool workers and
-/// SPMD solver ranks; all writes are relaxed atomics.
+/// Cheap to share (`Arc`) between the control thread and pool workers;
+/// all writes are relaxed atomics.
 pub struct TelemetrySink {
     ranks: Vec<PhaseRecorder>,
     iterations: AtomicU64,
     wall_nanos: AtomicU64,
-    solver_iters: AtomicU64,
-    solver_nanos: AtomicU64,
 }
 
 impl TelemetrySink {
@@ -238,8 +233,6 @@ impl TelemetrySink {
             ranks: (0..k).map(|_| PhaseRecorder::default()).collect(),
             iterations: AtomicU64::new(0),
             wall_nanos: AtomicU64::new(0),
-            solver_iters: AtomicU64::new(0),
-            solver_nanos: AtomicU64::new(0),
         }
     }
 
@@ -266,13 +259,6 @@ impl TelemetrySink {
         self.wall_nanos.fetch_add(nanos, Ordering::Relaxed);
     }
 
-    /// Records one solver iteration of `nanos`.
-    #[inline]
-    pub fn record_solver_iter(&self, nanos: u64) {
-        self.solver_iters.fetch_add(1, Ordering::Relaxed);
-        self.solver_nanos.fetch_add(nanos, Ordering::Relaxed);
-    }
-
     /// Engine iterations accounted so far.
     pub fn iterations(&self) -> u64 {
         self.iterations.load(Ordering::Relaxed)
@@ -283,16 +269,6 @@ impl TelemetrySink {
         self.wall_nanos.load(Ordering::Relaxed)
     }
 
-    /// Solver iterations recorded so far.
-    pub fn solver_iters(&self) -> u64 {
-        self.solver_iters.load(Ordering::Relaxed)
-    }
-
-    /// Total nanoseconds across recorded solver iterations.
-    pub fn solver_nanos(&self) -> u64 {
-        self.solver_nanos.load(Ordering::Relaxed)
-    }
-
     /// Resets every recorder and counter to zero (e.g. to profile a
     /// steady-state window after warmup).
     pub fn reset(&self) {
@@ -301,8 +277,6 @@ impl TelemetrySink {
         }
         self.iterations.store(0, Ordering::Relaxed);
         self.wall_nanos.store(0, Ordering::Relaxed);
-        self.solver_iters.store(0, Ordering::Relaxed);
-        self.solver_nanos.store(0, Ordering::Relaxed);
     }
 }
 
@@ -364,12 +338,12 @@ mod tests {
         let rec = PhaseRecorder::default();
         rec.record(Phase::Compute, 100);
         rec.record(Phase::Compute, 200);
-        rec.record(Phase::Reduce, 7);
+        rec.record(Phase::BarrierWait, 7);
         rec.add_counts(3, 50, 12);
         rec.add_counts(3, 50, 12);
         assert_eq!(rec.nanos(Phase::Compute), 300);
         assert_eq!(rec.spans(Phase::Compute), 2);
-        assert_eq!(rec.spans(Phase::Reduce), 1);
+        assert_eq!(rec.spans(Phase::BarrierWait), 1);
         assert_eq!(rec.nanos(Phase::Gather), 0);
         assert_eq!((rec.rows(), rec.madds(), rec.comm_words()), (6, 100, 24));
         let h = rec.histogram(Phase::Compute);
@@ -383,17 +357,14 @@ mod tests {
         sink.rank(1).record(Phase::Gather, 42);
         sink.add_iterations(5);
         sink.add_wall(1000);
-        sink.record_solver_iter(300);
         assert_eq!(sink.k(), 2);
         assert_eq!(sink.iterations(), 5);
-        assert_eq!(sink.solver_iters(), 1);
+        assert_eq!(sink.wall_nanos(), 1000);
         sink.reset();
         assert_eq!(sink.rank(1).nanos(Phase::Gather), 0);
         assert_eq!(sink.rank(1).spans(Phase::Gather), 0);
         assert_eq!(sink.iterations(), 0);
         assert_eq!(sink.wall_nanos(), 0);
-        assert_eq!(sink.solver_iters(), 0);
-        assert_eq!(sink.solver_nanos(), 0);
     }
 
     #[test]

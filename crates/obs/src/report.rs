@@ -75,10 +75,6 @@ pub struct ExecutionReport {
     pub iterations: u64,
     /// Wall nanoseconds inside instrumented executions.
     pub wall_nanos: u64,
-    /// Solver iterations recorded (0 outside solver runs).
-    pub solver_iters: u64,
-    /// Total nanoseconds across solver iterations.
-    pub solver_nanos: u64,
     /// Per-rank telemetry rows.
     pub ranks: Vec<RankReport>,
     /// Observed load imbalance: max/mean per-rank compute time over
@@ -206,8 +202,6 @@ impl ExecutionReport {
             k: sink.k(),
             iterations,
             wall_nanos: sink.wall_nanos(),
-            solver_iters: sink.solver_iters(),
-            solver_nanos: sink.solver_nanos(),
             ranks,
             load_imbalance,
             comm_words_per_iter,
@@ -285,8 +279,6 @@ impl ExecutionReport {
             .set("k", self.k)
             .set("iterations", self.iterations)
             .set("wall_ns", self.wall_nanos)
-            .set("solver_iters", self.solver_iters)
-            .set("solver_ns", self.solver_nanos)
             .set("load_imbalance", Json::fixed(self.load_imbalance, 4))
             .set("comm_words_per_iter", Json::fixed(self.comm_words_per_iter, 2))
             .set("model", model);
@@ -314,18 +306,17 @@ impl ExecutionReport {
             fmt_ns(self.iter_secs() * 1e9),
         ));
         out.push_str(&format!(
-            "{:>5} {:>11} {:>11} {:>11} {:>11} {:>11} {:>9} {:>11} {:>9}\n",
-            "rank", "compute", "gather", "scatter", "barrier", "reduce", "rows", "madds", "words"
+            "{:>5} {:>11} {:>11} {:>11} {:>11} {:>9} {:>11} {:>9}\n",
+            "rank", "compute", "gather", "scatter", "barrier", "rows", "madds", "words"
         ));
         for r in &self.ranks {
             out.push_str(&format!(
-                "{:>5} {:>11} {:>11} {:>11} {:>11} {:>11} {:>9} {:>11} {:>9}\n",
+                "{:>5} {:>11} {:>11} {:>11} {:>11} {:>9} {:>11} {:>9}\n",
                 r.rank,
                 fmt_ns(r.phases[Phase::Compute.index()].nanos as f64),
                 fmt_ns(r.phases[Phase::Gather.index()].nanos as f64),
                 fmt_ns(r.phases[Phase::Scatter.index()].nanos as f64),
                 fmt_ns(r.phases[Phase::BarrierWait.index()].nanos as f64),
-                fmt_ns(r.phases[Phase::Reduce.index()].nanos as f64),
                 r.rows,
                 r.madds,
                 r.comm_words
@@ -356,13 +347,6 @@ impl ExecutionReport {
                     self.comm_words_per_iter
                 ));
             }
-        }
-        if self.solver_iters > 0 {
-            out.push_str(&format!(
-                "solver iterations: {} (mean {})\n",
-                self.solver_iters,
-                fmt_ns(self.solver_nanos as f64 / self.solver_iters as f64)
-            ));
         }
         if let Some(s) = &self.serve {
             out.push_str(&format!(
@@ -469,12 +453,9 @@ mod tests {
         let doc = reparse(&rep);
         // Scalar fields round-trip through the serialized text.
         assert_eq!(doc.get("backend").and_then(Json::as_str), Some("compiled-seq"));
-        for (key, want) in [
-            ("k", rep.k as u64),
-            ("iterations", rep.iterations),
-            ("wall_ns", rep.wall_nanos),
-            ("solver_iters", rep.solver_iters),
-        ] {
+        for (key, want) in
+            [("k", rep.k as u64), ("iterations", rep.iterations), ("wall_ns", rep.wall_nanos)]
+        {
             assert_eq!(doc.get(key).and_then(Json::as_u64), Some(want), "{key}");
         }
         assert!((num(&doc, &["load_imbalance"]) - rep.load_imbalance).abs() < 1e-3);
@@ -504,9 +485,10 @@ mod tests {
         assert_eq!(compute.hist.iter().sum::<u64>(), compute.spans);
         assert_ne!(compute.hist.last(), Some(&0));
         assert!(compute.hist.len() <= HIST_BUCKETS);
-        // A phase with no spans serializes an empty histogram.
-        let reduce = &rep.ranks[0].phases[Phase::Reduce.index()];
-        assert!(reduce.hist.is_empty() && reduce.spans == 0);
+        // A phase with no spans serializes an empty histogram (only
+        // rank 0 waits at a barrier in the sample).
+        let barrier = &rep.ranks[1].phases[Phase::BarrierWait.index()];
+        assert!(barrier.hist.is_empty() && barrier.spans == 0);
     }
 
     #[test]

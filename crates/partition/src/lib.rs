@@ -26,6 +26,8 @@
 //!   statistics prune the candidate set, the machine model picks the
 //!   winner — the partitioning analogue of `KernelFormat::Auto`.
 
+#![forbid(unsafe_code)]
+
 pub mod quality;
 pub mod strategy;
 

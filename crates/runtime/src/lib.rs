@@ -24,6 +24,8 @@
 //! * `collectives` — [`allreduce`], built from point-to-point messages;
 //! * `chaos` — delivery-delay injection for robustness tests.
 
+#![forbid(unsafe_code)]
+
 mod chaos;
 mod cluster;
 mod collectives;

@@ -43,6 +43,8 @@
 //! and a malformed plan is rejected when it is compiled at
 //! registration, never inside a request.
 
+#![forbid(unsafe_code)]
+
 mod cache;
 mod server;
 

@@ -15,6 +15,8 @@
 //! evaluates under all of them — the machine-model ablation
 //! (`s2d reproduce ablation_machine`) relies on this.
 
+#![forbid(unsafe_code)]
+
 pub mod alpha_beta;
 pub mod loggp;
 pub mod topology;

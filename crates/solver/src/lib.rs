@@ -39,6 +39,8 @@
 //! and the SpMV itself communicate. This crate contains no plan
 //! interpreter of its own.
 
+#![forbid(unsafe_code)]
+
 mod block_power;
 mod cg;
 mod engine;

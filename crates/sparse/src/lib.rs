@@ -10,6 +10,8 @@
 //! ~1.2 M rows and ~8 M nonzeros, so 32-bit indices halve the memory
 //! traffic of every kernel without restricting the reproduction.
 
+#![forbid(unsafe_code)]
+
 pub mod block;
 pub mod coo;
 pub mod csc;

@@ -26,6 +26,8 @@
 //! `s2d` facade crate's `Session` builder wires matrix + partition +
 //! plan kind + backend together fluently.
 
+#![forbid(unsafe_code)]
+
 pub mod bridge;
 pub mod exec;
 pub mod operator;

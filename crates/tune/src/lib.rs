@@ -47,6 +47,8 @@
 //! assert_eq!(session.strategy(), Some(verdict.winner.strategy));
 //! ```
 
+#![forbid(unsafe_code)]
+
 use std::path::PathBuf;
 
 use s2d::{Session, SessionBuilder};

@@ -93,6 +93,8 @@
 //! }
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod key;
 pub mod session;
 

@@ -327,7 +327,6 @@ impl Prepared {
             kernel_format: self.kernel_format,
             kernel_isa: self.kernel_isa,
             batch_width,
-            fingerprint: self.fingerprint,
             telemetry,
         }
     }
@@ -346,7 +345,6 @@ pub struct Session {
     kernel_format: KernelFormat,
     kernel_isa: KernelIsa,
     batch_width: usize,
-    fingerprint: u64,
     /// Telemetry sink plus the partition's modeled quality, present
     /// when the session was built with `.telemetry(true)`.
     telemetry: Option<(Arc<TelemetrySink>, PartitionQuality)>,
@@ -434,17 +432,9 @@ impl Session {
         self.batch_width
     }
 
-    /// The source matrix's [`Csr::fingerprint`], captured at build
-    /// time — lets holders of a bare session key caches without
-    /// re-hashing the matrix.
-    pub fn matrix_fingerprint(&self) -> u64 {
-        self.fingerprint
-    }
-
     /// The telemetry sink, when the session was built with
     /// [`SessionBuilder::telemetry`] — e.g. to `reset()` between
-    /// measured windows, or to record spans of one's own
-    /// ([`TelemetrySink::record_solver_iter`]) into the same report.
+    /// measured windows.
     pub fn telemetry_sink(&self) -> Option<&Arc<TelemetrySink>> {
         self.telemetry.as_ref().map(|(sink, _)| sink)
     }
@@ -477,17 +467,6 @@ impl Session {
                 None => report,
             }
         })
-    }
-
-    /// Mutable access to the underlying operator (e.g. to hand it to a
-    /// solver by `&mut` without consuming the session).
-    pub fn operator_mut(&mut self) -> &mut (dyn SpmvOperator + Send) {
-        &mut *self.operator
-    }
-
-    /// Consumes the session, returning the bare operator.
-    pub fn into_operator(self) -> Box<dyn SpmvOperator + Send> {
-        self.operator
     }
 }
 
@@ -663,7 +642,6 @@ mod tests {
         // Stamp out several independent sessions from one preparation.
         for backend in [Backend::CompiledSeq, Backend::CompiledPool { threads: 2, pin: false }] {
             let mut s = prep.session(backend, 1);
-            assert_eq!(s.matrix_fingerprint(), a.fingerprint());
             assert_eq!(s.backend(), backend);
             let mut y = vec![0.0; a.nrows()];
             s.apply(&x, &mut y);
