@@ -312,14 +312,15 @@ pub fn build_partition(a: &Csr, method: &str, k: usize, epsilon: f64, seed: u64)
     strategy.partition_with(a, k, &PartitionerConfig { epsilon, seed })
 }
 
-/// Resolves the `--alg` name to a plan kind (default: the best legal
-/// one for `(a, p)`).
-fn kind_for(a: &Csr, p: &SpmvPartition, alg: &str) -> PlanKind {
+/// Resolves the `--alg` name to a plan kind; `auto` is `None`, the
+/// best legal kind, decided while the plan is built
+/// ([`PlanKind::build_auto`]).
+fn kind_for(alg: &str) -> Option<PlanKind> {
     if alg == "auto" {
-        return PlanKind::auto(a, p);
+        return None;
     }
     match alg.parse::<PlanKind>() {
-        Ok(kind) => kind,
+        Ok(kind) => Some(kind),
         Err(e) => fail(e),
     }
 }
@@ -334,8 +335,10 @@ fn cmd_analyze(args: &Args) {
     };
     p.assert_shape(&a);
     let alg = args.get_or("alg", "auto");
-    let kind = kind_for(&a, &p, alg);
-    let plan = kind.build(&a, &p);
+    let (kind, plan) = match kind_for(alg) {
+        Some(kind) => (kind, kind.build(&a, &p)),
+        None => PlanKind::build_auto(&a, &p),
+    };
     let stats: CommStats = plan.comm_stats();
     let report = simulate_plan(&plan, &MachineModel::cray_xe6());
 
@@ -449,10 +452,11 @@ fn partition_arg(args: &Args, a: &Csr) -> SpmvPartition {
     p
 }
 
-/// What `spmv` and `profile` execute: the plan kind, the kernel
-/// lowering, and `iters` chained applications of an `rhs`-wide block.
+/// What `spmv` and `profile` execute: the plan kind (`None`: the
+/// session builder's default, the best legal one), the kernel lowering,
+/// and `iters` chained applications of an `rhs`-wide block.
 struct RunOpts {
-    kind: PlanKind,
+    kind: Option<PlanKind>,
     format: KernelFormat,
     isa: KernelIsa,
     iters: usize,
@@ -460,9 +464,9 @@ struct RunOpts {
 }
 
 impl RunOpts {
-    fn parse(args: &Args, a: &Csr, p: &SpmvPartition, default_iters: usize) -> RunOpts {
+    fn parse(args: &Args, a: &Csr, default_iters: usize) -> RunOpts {
         let opts = RunOpts {
-            kind: kind_for(a, p, args.get_or("alg", "auto")),
+            kind: kind_for(args.get_or("alg", "auto")),
             format: args.get_or("kernel-format", "csr").parse().unwrap_or_else(|e| fail(e)),
             isa: args.get_or("isa", "auto").parse().unwrap_or_else(|e| fail(e)),
             iters: args.parse_or("iters", default_iters),
@@ -483,12 +487,14 @@ impl RunOpts {
     /// lowered to `format`; the mailbox interpreter runs column by
     /// column (it is the oracle, not the fast path).
     fn session<'a>(&self, a: &'a Csr, p: &'a SpmvPartition, engine: &str) -> SessionBuilder<'a> {
-        let builder = Session::builder(a)
+        let mut builder = Session::builder(a)
             .partition(p)
-            .plan_kind(self.kind)
             .kernel_format(self.format)
             .kernel_isa(self.isa)
             .batch_width(self.rhs);
+        if let Some(kind) = self.kind {
+            builder = builder.plan_kind(kind);
+        }
         match engine {
             "auto" => builder.auto_backend(),
             name => builder.backend(name.parse().unwrap_or_else(|e| fail(e))),
@@ -530,7 +536,7 @@ fn cmd_spmv(args: &Args) {
     let mpath = args.positional.get(1).unwrap_or_else(|| fail("spmv requires a matrix file"));
     let a = load_matrix(mpath);
     let p = partition_arg(args, &a);
-    let opts = RunOpts::parse(args, &a, &p, 1);
+    let opts = RunOpts::parse(args, &a, 1);
     let alg = args.get_or("alg", "auto");
     let engine = args.get_or("engine", "threaded");
     let (x, want) = opts.probe(&a);
@@ -573,9 +579,9 @@ fn cmd_profile(args: &Args) {
     let mpath = args.positional.get(1).unwrap_or_else(|| fail("profile requires a matrix file"));
     let a = load_matrix(mpath);
     let p = partition_arg(args, &a);
-    let opts = RunOpts::parse(args, &a, &p, 10);
+    let opts = RunOpts::parse(args, &a, 10);
     let (x, want) = opts.probe(&a);
-    let RunOpts { kind, format, iters, rhs, .. } = opts;
+    let RunOpts { format, iters, rhs, .. } = opts;
 
     let engines = args.get_or("engine", "compiled-seq,compiled-pool");
     let mut reports = Vec::new();
@@ -595,7 +601,7 @@ fn cmd_profile(args: &Args) {
         println!(
             "setup {:.1} ms ({} plan, {format} kernels)",
             setup.as_secs_f64() * 1e3,
-            kind.label()
+            session.plan_kind().label()
         );
         print!("{}", report.render());
         reports.push(report.to_json());
@@ -851,8 +857,7 @@ mod tests {
         iters: usize,
         rhs: usize,
     ) -> (Vec<f64>, Backend) {
-        let opts =
-            RunOpts { kind: kind_for(a, p, "auto"), format, isa: KernelIsa::Auto, iters, rhs };
+        let opts = RunOpts { kind: None, format, isa: KernelIsa::Auto, iters, rhs };
         let mut session = opts.session(a, p, engine).build();
         let mut y = vec![0.0; a.nrows() * rhs];
         session.apply_batch_iters(x, &mut y, rhs, iters);

@@ -250,11 +250,13 @@ fn sweep_matrix(a: &Csr, key: MatrixKey, needs: &BTreeSet<Need>, cells: &mut Cel
             parts.insert(build, p);
         }
         let p = &parts[build];
-        let kind = match plan {
-            "auto" => PlanKind::auto(a, p),
-            named => named.parse().expect("table plans are plan kinds"),
+        let (kind, built_plan) = match plan {
+            "auto" => PlanKind::build_auto(a, p),
+            named => {
+                let kind: PlanKind = named.parse().expect("table plans are plan kinds");
+                (kind, kind.build(a, p))
+            }
         };
-        let built_plan = kind.build(a, p);
         let quality = PartitionQuality::measure_plan(a, p, kind, &built_plan, build);
         let specs = to_phase_specs(&built_plan);
         let torus = simulate_on_torus(k, &specs, built_plan.total_ops(), &TorusModel::xe6_for(k));

@@ -46,25 +46,33 @@
 //! (column → held, global row → slot) that are reloaded from one
 //! rank's logs whenever the walk turns to that rank: once per compute
 //! phase, once per side of a communication phase, once for the output
-//! emit. Every array a kernel or a communication table holds is
-//! counted before it is allocated, at its final size.
+//! emit. Every array a communication table holds is counted before it
+//! is allocated, at its final size; a kernel's arrays are allocated at
+//! their final size once the walk has found its segments.
 //!
 //! # Kernel formats
 //!
-//! Compute phases are first lowered to order-preserving CSR slices
-//! ([`CsrKernel`]) and then converted to the requested
-//! [`KernelFormat`] (see [`CompiledPlan::compile_with`]): SELL-C-σ
-//! chunks for short irregular rows, dense spans for split dense rows,
-//! or a per-kernel automatic choice driven by [`KernelStats`] — the
-//! format is baked into the kernel's buffer layout here, so execution
-//! never branches on it per entry.
+//! The walk over a compute phase leaves, per rank, only a segment
+//! table: run-length grouped rows as boundaries into the rank's task
+//! list, the local slot of each segment, and whether a slot repeats
+//! (the task list interleaved a row). Each kernel is then built once,
+//! straight from the task list into the requested [`KernelFormat`]
+//! (see [`CompiledPlan::compile_with`]) at its final size: an
+//! order-preserving CSR slice ([`CsrKernel`]), SELL-C-σ chunks for
+//! short irregular rows, dense spans for split dense rows, or a
+//! per-kernel automatic choice driven by [`KernelStats`], gathered once
+//! from the segment table. No intermediate copy of the entries is made,
+//! and the format is baked into the kernel's buffer layout here, so
+//! execution never branches on it per entry.
 
 use std::ops::Range;
 use std::sync::Arc;
 
-use s2d_spmv::{MsgSpec, PlanPhase, SpmvPlan};
+use s2d_spmv::{MsgSpec, MultTask, PlanPhase, SpmvPlan};
 
-use crate::formats::{CsrKernel, Kernel, KernelFormat, KernelIsa, KernelStats};
+use crate::formats::{
+    CsrKernel, DenseRuns, Kernel, KernelFormat, KernelIsa, KernelStats, Segmented,
+};
 
 /// `y`-arena slots per cache line: every rank's block starts on one.
 const LINE_SLOTS: usize = 8;
@@ -183,9 +191,9 @@ pub struct CompiledPlan {
     /// included (the pool re-derives and checks this).
     pub(crate) fold_steps: Vec<bool>,
     /// Row-length statistics of every nonempty compute kernel (phase-
-    /// major, rank order), gathered from the CSR lowering before format
-    /// conversion — populated only by [`KernelFormat::Auto`] compiles.
-    /// See [`CompiledPlan::kernel_stats`].
+    /// major, rank order), gathered from each kernel's segment table
+    /// before it is built — populated only by [`KernelFormat::Auto`]
+    /// compiles. See [`CompiledPlan::kernel_stats`].
     stats: Vec<KernelStats>,
 }
 
@@ -247,6 +255,9 @@ struct Walk<'a> {
     held: StampMap,
     /// The focused rank's global row → slot.
     slot: StampMap,
+    /// Rows that head a segment of the kernel being lowered (values
+    /// unused).
+    kernel_rows: StampMap,
 }
 
 impl<'a> Walk<'a> {
@@ -261,6 +272,7 @@ impl<'a> Walk<'a> {
             rank: 0,
             held: StampMap::new(x_part.len()),
             slot: StampMap::new(nrows),
+            kernel_rows: StampMap::new(nrows),
         }
     }
 
@@ -366,22 +378,14 @@ impl CompiledPlan {
             match phase {
                 PlanPhase::Compute(tasks) => {
                     for (r, list) in tasks.iter().enumerate() {
-                        let csr = lower_tasks(list, r, &mut walk);
                         // Statistics (a σ-sort plus a dense-run scan per
                         // kernel) are gathered only when the policy
                         // needs them — a fixed-format compile stays one
-                        // pass proportional to the plan size. The pick
-                        // is resolved here so `from_csr_isa` never
-                        // recomputes the same stats.
-                        let concrete = if format == KernelFormat::Auto && csr.ops() > 0 {
-                            let st = KernelStats::of(&csr);
-                            stats.push(st);
-                            crate::formats::auto_pick(&st)
-                        } else {
-                            format
-                        };
-                        programs[r]
-                            .push(RankStep::Compute(Kernel::from_csr_isa(csr, concrete, isa)));
+                        // pass proportional to the plan size.
+                        let (kernel, st) =
+                            Kernel::lower(lower_tasks(list, r, &mut walk), format, isa);
+                        stats.extend(st.filter(|st| st.ops > 0));
+                        programs[r].push(RankStep::Compute(kernel));
                     }
                 }
                 PlanPhase::Comm(msgs) => {
@@ -483,11 +487,12 @@ impl CompiledPlan {
 
     /// Row-length statistics of every nonempty compute kernel, flattened
     /// over ranks and phases — the compile-time evidence the `auto`
-    /// policy decided from, gathered from the CSR lowering *before*
-    /// format conversion (so they describe the task lists, not any
-    /// padded layout). Recorded only by [`KernelFormat::Auto`] compiles;
-    /// fixed-format compiles skip the gathering (it costs a σ-sort per
-    /// kernel) and report an empty slice.
+    /// policy decided from, gathered once per kernel from its segment
+    /// table and task list *before* the kernel is built (so they
+    /// describe the task lists, not any padded layout). Recorded only by
+    /// [`KernelFormat::Auto`] compiles; fixed-format compiles skip the
+    /// gathering (it costs a σ-sort per kernel) and report an empty
+    /// slice.
     pub fn kernel_stats(&self) -> &[KernelStats] {
         &self.stats
     }
@@ -506,30 +511,90 @@ impl CompiledPlan {
     }
 }
 
-/// Lowers one rank's task list into a run-length grouped CSR slice over
-/// home columns and local row slots (the canonical order-preserving
-/// form every [`KernelFormat`] is converted from). Every array is
-/// allocated at its final size.
-fn lower_tasks(tasks: &[s2d_spmv::MultTask], rank: usize, walk: &mut Walk) -> CsrKernel {
-    let segments = tasks.chunk_by(|a, b| a.row == b.row).count();
-    let mut kernel = CsrKernel::default();
-    kernel.row_ptr.reserve_exact(segments + 1);
-    kernel.rows.reserve_exact(segments);
-    kernel.cols.reserve_exact(tasks.len());
-    kernel.vals.reserve_exact(tasks.len());
-    kernel.row_ptr.push(0);
+/// One rank's compute kernel as the walk leaves it: the segment table
+/// over its task list, from which [`Kernel::lower`] builds the kernel.
+struct TaskSegments<'t> {
+    tasks: &'t [MultTask],
+    /// Segment boundaries into `tasks`.
+    bounds: Vec<u32>,
+    /// Local `y` slot per segment.
+    slots: Vec<u32>,
+    /// Some row heads more than one segment.
+    repeats: bool,
+    /// Consecutive-column runs, counted as the walk reads the columns.
+    dense: DenseRuns,
+}
+
+impl Segmented for TaskSegments<'_> {
+    fn bounds(&self) -> &[u32] {
+        &self.bounds
+    }
+
+    fn slots(&self) -> &[u32] {
+        &self.slots
+    }
+
+    fn col(&self, e: usize) -> u32 {
+        self.tasks[e].col
+    }
+
+    fn val(&self, e: usize) -> f64 {
+        self.tasks[e].val
+    }
+
+    fn repeats(&self) -> bool {
+        self.repeats
+    }
+
+    fn dense_entries(&self) -> usize {
+        self.dense.entries
+    }
+
+    fn into_csr(mut self) -> CsrKernel {
+        self.bounds.shrink_to_fit();
+        self.slots.shrink_to_fit();
+        let mut kernel = CsrKernel::default();
+        kernel.cols = self.tasks.iter().map(|t| t.col).collect();
+        kernel.vals = self.tasks.iter().map(|t| t.val).collect();
+        kernel.row_ptr = self.bounds;
+        kernel.rows = self.slots;
+        kernel
+    }
+}
+
+/// Walks one rank's task list in one pass: checks that the rank holds
+/// every `x` it multiplies by, opens its `y` slots, groups the tasks
+/// into run-length segments over home columns and local row slots (the
+/// order-preserving form every [`KernelFormat`] is built from), and
+/// counts the consecutive-column runs for [`KernelStats`]. Within one
+/// compute phase no slot is drained, so a slot repeats exactly when a
+/// row heads two segments. Only the walk finds the segments, so their
+/// table grows as it goes.
+fn lower_tasks<'t>(tasks: &'t [MultTask], rank: usize, walk: &mut Walk) -> TaskSegments<'t> {
+    let mut kernel = TaskSegments {
+        tasks,
+        bounds: vec![0],
+        slots: Vec::new(),
+        repeats: false,
+        dense: DenseRuns::default(),
+    };
     if tasks.is_empty() {
         return kernel;
     }
     walk.focus(rank);
+    walk.kernel_rows.clear();
+    let mut end = 0;
     for run in tasks.chunk_by(|a, b| a.row == b.row) {
         for t in run {
             walk.read(t.col, "to multiply");
-            kernel.cols.push(t.col);
-            kernel.vals.push(t.val);
         }
-        kernel.rows.push(walk.accum(run[0].row));
-        kernel.row_ptr.push(kernel.cols.len() as u32);
+        kernel.dense.segment(run.iter().map(|t| t.col));
+        let row = run[0].row;
+        kernel.repeats |= walk.kernel_rows.get(row).is_some();
+        walk.kernel_rows.insert(row, 0);
+        kernel.slots.push(walk.accum(row));
+        end += run.len();
+        kernel.bounds.push(end as u32);
     }
     kernel
 }
@@ -645,7 +710,121 @@ fn lower_comm(msgs: &[MsgSpec], walk: &mut Walk) -> Vec<RankStep> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use s2d_spmv::{MultTask, SpmvPlan};
+    use crate::formats::{oracle, DENSE_MIN_RUN, SELL_SIGMA};
+    use proptest::prelude::*;
+
+    /// Cases per oracle property.
+    const ORACLE_CASES: u32 = if cfg!(debug_assertions) { 256 } else { 2048 };
+
+    /// The walk as it was before it left only a segment table: the
+    /// task list copied into a CSR slice.
+    fn lower_tasks_reference(tasks: &[MultTask], rank: usize, walk: &mut Walk) -> CsrKernel {
+        let segments = tasks.chunk_by(|a, b| a.row == b.row).count();
+        let mut kernel = CsrKernel::default();
+        kernel.row_ptr.reserve_exact(segments + 1);
+        kernel.rows.reserve_exact(segments);
+        kernel.cols.reserve_exact(tasks.len());
+        kernel.vals.reserve_exact(tasks.len());
+        kernel.row_ptr.push(0);
+        if tasks.is_empty() {
+            return kernel;
+        }
+        walk.focus(rank);
+        for run in tasks.chunk_by(|a, b| a.row == b.row) {
+            for t in run {
+                walk.read(t.col, "to multiply");
+                kernel.cols.push(t.col);
+                kernel.vals.push(t.val);
+            }
+            kernel.rows.push(walk.accum(run[0].row));
+            kernel.row_ptr.push(kernel.cols.len() as u32);
+        }
+        kernel
+    }
+
+    /// Columns of the generated kernels' home space.
+    const NX: u32 = 96;
+
+    /// A random task list over rows `0..nrows`: 1–3 segments (`shape`
+    /// 0), a few dozen (1), or more than one σ window (2). Segments are
+    /// short scattered runs or consecutive-column runs around
+    /// [`DENSE_MIN_RUN`]; with `interleave` the rows are drawn from a
+    /// small pool, so rows recur in separate segments.
+    fn task_list(shape: usize, interleave: bool, seed: u64, nrows: u32) -> Vec<MultTask> {
+        let mut rng = TestRng::for_case("task_list", seed);
+        let nseg = match shape {
+            0 => 1 + rng.below(3),
+            1 => 4 + rng.below(40),
+            _ => SELL_SIGMA as u64 + 1 + rng.below(100),
+        } as u32;
+        let offset = rng.below(u64::from(nrows)) as u32;
+        let mut tasks = Vec::new();
+        for s in 0..nseg {
+            // 7919 is a prime above `nrows`: distinct `s`, distinct rows.
+            let row = if interleave {
+                rng.below(u64::from(nseg / 2 + 1)) as u32
+            } else {
+                (s * 7919 + offset) % nrows
+            };
+            let mut push = |col: u32, rng: &mut TestRng| {
+                let val = (rng.below(17) as f64 - 8.0) * 0.25;
+                tasks.push(MultTask { row, col, val });
+            };
+            if rng.below(4) == 0 {
+                let len = DENSE_MIN_RUN as u32 - 1 + rng.below(12) as u32;
+                let c0 = rng.below(u64::from(NX - len)) as u32;
+                for col in c0..c0 + len {
+                    push(col, &mut rng);
+                }
+            } else {
+                for _ in 0..1 + rng.below(6) {
+                    let col = rng.below(u64::from(NX)) as u32;
+                    push(col, &mut rng);
+                }
+            }
+        }
+        tasks
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(ORACLE_CASES))]
+
+        /// Every format under both ISAs: the kernel built straight from
+        /// the segment table, and its `auto` statistics, equal the old
+        /// CSR-first lowering's — for a kernel whose slots are all new
+        /// and for a second one on the same rank that reuses some. The
+        /// CSR wrappers (`from_csr_isa`, `KernelStats::of`) are held to
+        /// the same oracle.
+        #[test]
+        fn lowering_matches_the_oracle(
+            (shape, interleave, seeds) in (0..3usize, 0..2u8, (0..u64::MAX, 0..u64::MAX))
+        ) {
+            let nrows = 2 * SELL_SIGMA as u32 + 256;
+            let first = task_list(shape, interleave == 1, seeds.0, nrows);
+            let second = task_list(2 - shape, interleave == 0, seeds.1, nrows);
+            let x_part = vec![0; NX as usize];
+            for format in KernelFormat::all() {
+                for isa in [KernelIsa::Auto, KernelIsa::Scalar] {
+                    let mut walk = Walk::new(&x_part, nrows as usize, 1);
+                    let mut old_walk = Walk::new(&x_part, nrows as usize, 1);
+                    for tasks in [&first, &second] {
+                        let (got, stats) = Kernel::lower(lower_tasks(tasks, 0, &mut walk), format, isa);
+                        let csr = lower_tasks_reference(tasks, 0, &mut old_walk);
+                        let want_stats = (format == KernelFormat::Auto).then(|| oracle::stats_of(&csr));
+                        prop_assert_eq!(format!("{stats:?}"), format!("{want_stats:?}"));
+                        prop_assert_eq!(
+                            format!("{:?}", KernelStats::of(&csr)),
+                            format!("{:?}", oracle::stats_of(&csr))
+                        );
+                        let wrapped = Kernel::from_csr_isa(csr.clone(), format, isa);
+                        let want = format!("{:?}", oracle::from_csr_isa(csr, format, isa));
+                        prop_assert_eq!(format!("{got:?}"), want.clone(), "{} {}", format, isa);
+                        prop_assert_eq!(format!("{wrapped:?}"), want, "{} {} wrapper", format, isa);
+                    }
+                }
+            }
+        }
+    }
 
     /// A tiny hand-built two-rank plan: rank 0 computes y0 += 2·x0,
     /// ships x0 and its partial y1 to rank 1; rank 1 finishes y1.
@@ -721,7 +900,9 @@ mod tests {
             MultTask { row: 1, col: 0, val: 2.0 },
             MultTask { row: 0, col: 0, val: 4.0 },
         ];
-        let kernel = lower_tasks(&tasks, 0, &mut Walk::new(&[0], 2, 1));
+        let segments = lower_tasks(&tasks, 0, &mut Walk::new(&[0], 2, 1));
+        assert!(segments.repeats, "row 0 heads two segments");
+        let kernel = segments.into_csr();
         assert_eq!(kernel.rows, vec![0, 1, 0]);
         assert_eq!(kernel.row_ptr, vec![0, 1, 2, 3]);
         let mut y = vec![0.0, 0.0];

@@ -84,7 +84,7 @@ const SELL_C: usize = 2;
 
 /// SELL sorting window in rows: row order is disturbed by at most this
 /// many positions.
-const SELL_SIGMA: usize = 256;
+pub(crate) const SELL_SIGMA: usize = 256;
 
 /// Minimum consecutive-column run length that becomes a dense span in
 /// [`DenseSplitKernel`] (shorter runs stay indexed — the span descriptor
@@ -229,8 +229,11 @@ impl std::fmt::Display for KernelIsa {
     }
 }
 
-/// Row-length statistics of one lowered kernel — the evidence
-/// [`KernelFormat::Auto`] decides from, gathered once at compile time.
+/// Row-length statistics of one kernel — the evidence
+/// [`KernelFormat::Auto`] decides from. The compiler gathers them once
+/// per kernel from its segment table and task list, before the kernel
+/// is built in any format; [`KernelStats::of`] runs the same routine on
+/// a CSR slice.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct KernelStats {
     /// Row segments in the kernel.
@@ -251,32 +254,23 @@ pub struct KernelStats {
 }
 
 impl KernelStats {
-    /// Gathers the statistics of a CSR slice.
+    /// Gathers the statistics of a CSR slice — the same routine the
+    /// compiler runs on a task list under [`KernelFormat::Auto`].
     pub fn of(csr: &CsrKernel) -> KernelStats {
-        let rows = csr.rows.len();
-        let ops = csr.vals.len();
+        KernelStats::gather(csr, SellLayout::of(&csr.row_ptr).padded)
+    }
+
+    /// The statistics of a kernel whose SELL lowering stores `padded`
+    /// entries.
+    fn gather<S: Segmented + ?Sized>(k: &S, padded: usize) -> KernelStats {
+        let rows = k.slots().len();
         if rows == 0 {
             return KernelStats::default();
         }
-        let mut max_row = 0usize;
-        let mut dense_entries = 0usize;
-        for s in 0..rows {
-            let (lo, hi) = (csr.row_ptr[s] as usize, csr.row_ptr[s + 1] as usize);
-            max_row = max_row.max(hi - lo);
-            // Count entries in maximal consecutive-column runs.
-            let mut run = 1usize;
-            for e in lo + 1..=hi {
-                if e < hi && csr.cols[e] == csr.cols[e - 1] + 1 {
-                    run += 1;
-                } else {
-                    if run >= DENSE_MIN_RUN {
-                        dense_entries += run;
-                    }
-                    run = 1;
-                }
-            }
-        }
-        let padded = sell_padded_entries(csr);
+        let bounds = k.bounds();
+        let ops = bounds[rows] as usize;
+        let max_row = bounds.windows(2).map(|w| (w[1] - w[0]) as usize).max().unwrap_or(0);
+        let dense_entries = k.dense_entries();
         KernelStats {
             rows,
             ops,
@@ -288,32 +282,138 @@ impl KernelStats {
     }
 }
 
-/// Stored-entry count (real + padding) of the SELL lowering without
-/// materializing it: sum over chunks of `C ×` the chunk's widest row.
-fn sell_padded_entries(csr: &CsrKernel) -> usize {
-    sell_order(csr)
-        .chunks(SELL_C)
-        .map(|chunk| {
-            let widest = chunk
-                .iter()
-                .map(|&s| (csr.row_ptr[s as usize + 1] - csr.row_ptr[s as usize]) as usize)
-                .max()
-                .unwrap_or(0);
-            widest * SELL_C
-        })
-        .sum()
+/// A kernel on its way to a storage format: segment `s` covers entries
+/// `bounds()[s]..bounds()[s + 1]` and accumulates into `slots()[s]`.
+/// The compiler's walk yields one over the plan's task list; a
+/// [`CsrKernel`] is one too. [`Kernel::lower`] is the one lowering over
+/// either.
+pub(crate) trait Segmented {
+    /// Segment boundaries into the entries (`segments + 1` of them).
+    fn bounds(&self) -> &[u32];
+    /// Local `y` slot per segment.
+    fn slots(&self) -> &[u32];
+    /// `x` home of entry `e`.
+    fn col(&self, e: usize) -> u32;
+    /// Matrix value of entry `e`.
+    fn val(&self, e: usize) -> f64;
+    /// True when some slot heads more than one segment.
+    fn repeats(&self) -> bool;
+    /// Entries inside consecutive-column runs of at least
+    /// [`DENSE_MIN_RUN`] ([`DenseRuns`]).
+    fn dense_entries(&self) -> usize;
+    /// The kernel as a CSR slice, every array at its final size.
+    fn into_csr(self) -> CsrKernel;
 }
 
-/// Segment order after the σ-windowed descending length sort (stable,
-/// so equal-length rows keep their original relative order).
-fn sell_order(csr: &CsrKernel) -> Vec<u32> {
-    let mut order: Vec<u32> = (0..csr.rows.len() as u32).collect();
-    for win in order.chunks_mut(SELL_SIGMA) {
-        win.sort_by_key(|&s| {
-            std::cmp::Reverse(csr.row_ptr[s as usize + 1] - csr.row_ptr[s as usize])
-        });
+/// Counts the entries that lie in maximal consecutive-column runs of at
+/// least [`DENSE_MIN_RUN`], fed one segment at a time — the share a
+/// dense-span kernel executes without index loads.
+#[derive(Default)]
+pub(crate) struct DenseRuns {
+    /// Entries counted so far.
+    pub(crate) entries: usize,
+}
+
+impl DenseRuns {
+    /// Counts one segment's entries, given its columns in order.
+    pub(crate) fn segment(&mut self, cols: impl IntoIterator<Item = u32>) {
+        let mut cols = cols.into_iter();
+        let Some(mut prev) = cols.next() else { return };
+        let mut run = 1;
+        for col in cols {
+            if col == prev + 1 {
+                run += 1;
+            } else {
+                self.close(run);
+                run = 1;
+            }
+            prev = col;
+        }
+        self.close(run);
     }
-    order
+
+    fn close(&mut self, run: usize) {
+        if run >= DENSE_MIN_RUN {
+            self.entries += run;
+        }
+    }
+}
+
+impl Segmented for CsrKernel {
+    fn bounds(&self) -> &[u32] {
+        &self.row_ptr
+    }
+
+    fn slots(&self) -> &[u32] {
+        &self.rows
+    }
+
+    fn col(&self, e: usize) -> u32 {
+        self.cols[e]
+    }
+
+    fn val(&self, e: usize) -> f64 {
+        self.vals[e]
+    }
+
+    fn repeats(&self) -> bool {
+        has_repeats(&self.rows)
+    }
+
+    fn dense_entries(&self) -> usize {
+        let mut runs = DenseRuns::default();
+        for seg in self.row_ptr.windows(2) {
+            runs.segment(self.cols[seg[0] as usize..seg[1] as usize].iter().copied());
+        }
+        runs.entries
+    }
+
+    fn into_csr(self) -> CsrKernel {
+        self
+    }
+}
+
+/// True when a slot occurs twice in `slots`.
+fn has_repeats(slots: &[u32]) -> bool {
+    let mut seen = slots.to_vec();
+    seen.sort_unstable();
+    seen.windows(2).any(|w| w[0] == w[1])
+}
+
+/// Where a kernel's segments go in its SELL lowering, computed once per
+/// kernel and shared by the statistics and the packer.
+struct SellLayout {
+    /// Segment order after the σ-windowed descending length sort
+    /// (stable: equal-length segments keep their relative order).
+    order: Vec<u32>,
+    /// Stored entries, real plus padding: over chunks, `C ×` the
+    /// chunk's widest segment.
+    padded: usize,
+}
+
+impl SellLayout {
+    fn of(bounds: &[u32]) -> SellLayout {
+        let len = |s: usize| bounds[s + 1] - bounds[s];
+        let nseg = bounds.len().saturating_sub(1);
+        let mut order = Vec::with_capacity(nseg);
+        // Sorting `(!len, s)` ascending is the stable descending sort
+        // by length: ties keep ascending `s`.
+        let mut keys = Vec::with_capacity(SELL_SIGMA.min(nseg));
+        for lo in (0..nseg).step_by(SELL_SIGMA) {
+            keys.clear();
+            keys.extend(
+                (lo..nseg.min(lo + SELL_SIGMA)).map(|s| (u64::from(!len(s)) << 32) | s as u64),
+            );
+            keys.sort_unstable();
+            order.extend(keys.iter().map(|&key| key as u32));
+        }
+        let padded = order
+            .chunks(SELL_C)
+            .map(|chunk| chunk.iter().map(|&s| len(s as usize) as usize).max().unwrap_or(0))
+            .sum::<usize>()
+            * SELL_C;
+        SellLayout { order, padded }
+    }
 }
 
 /// Picks a concrete format for one kernel from its statistics.
@@ -366,27 +466,45 @@ impl Default for Kernel {
 
 impl Kernel {
     /// Lowers a CSR slice into `format` (resolving [`KernelFormat::Auto`]
-    /// per kernel). Falls back to the CSR slice where a format cannot
-    /// represent the kernel faithfully (SELL with duplicated row
-    /// segments). `isa` is resolved against the running CPU once, here,
-    /// and the verdict is stored in the lowered kernel.
+    /// per kernel) — [`Kernel::lower`] over the slice's own arrays.
     pub fn from_csr_isa(csr: CsrKernel, format: KernelFormat, isa: KernelIsa) -> Kernel {
-        let format = match format {
-            KernelFormat::Auto => auto_pick(&KernelStats::of(&csr)),
-            fixed => fixed,
+        Kernel::lower(csr, format, isa).0
+    }
+
+    /// The one lowering: builds kernel `k` straight into `format`, every
+    /// array at its final size. [`KernelFormat::Auto`] gathers the
+    /// [`KernelStats`] and the SELL layout once, picks from the stats
+    /// and hands the layout to the packer; the stats are returned for
+    /// an `Auto` lowering only. Falls back to the CSR slice where a
+    /// format cannot represent the kernel faithfully (SELL with a
+    /// repeated slot). `isa` is resolved against the running CPU once,
+    /// here, and the verdict is stored in the lowered kernel.
+    pub(crate) fn lower<S: Segmented>(
+        k: S,
+        format: KernelFormat,
+        isa: KernelIsa,
+    ) -> (Kernel, Option<KernelStats>) {
+        let (format, layout, stats) = match format {
+            KernelFormat::Auto => {
+                let layout = SellLayout::of(k.bounds());
+                let stats = KernelStats::gather(&k, layout.padded);
+                (auto_pick(&stats), Some(layout), Some(stats))
+            }
+            fixed => (fixed, None, None),
         };
-        let simd = isa.simd();
         let mut kernel = match format {
-            KernelFormat::CsrSlice => Kernel::Csr(csr),
-            KernelFormat::Sell => match SellKernel::build(&csr) {
-                Some(sell) => Kernel::Sell(sell),
-                None => Kernel::Csr(csr),
-            },
-            KernelFormat::DenseRowSplit => Kernel::DenseSplit(DenseSplitKernel::build(&csr)),
+            KernelFormat::Sell if !k.repeats() => {
+                let layout = layout.unwrap_or_else(|| SellLayout::of(k.bounds()));
+                Kernel::Sell(SellKernel::pack(&k, &layout))
+            }
+            KernelFormat::CsrSlice | KernelFormat::Sell => Kernel::Csr(k.into_csr()),
+            KernelFormat::DenseRowSplit => {
+                Kernel::DenseSplit(DenseSplitKernel::build(k.into_csr()))
+            }
             KernelFormat::Auto => unreachable!("resolved above"),
         };
-        kernel.set_simd(simd);
-        kernel
+        kernel.set_simd(isa.simd());
+        (kernel, stats)
     }
 
     /// Sets the resolved "use the AVX2 batch paths" flag.
@@ -455,14 +573,11 @@ impl Kernel {
     /// builder rejects duplicated rows, and [`NO_LANE`] padding lanes
     /// are never written.
     pub fn splittable(&self) -> bool {
-        let rows = match self {
-            Kernel::Csr(k) => &k.rows,
-            Kernel::Sell(_) => return true,
-            Kernel::DenseSplit(k) => &k.rows,
-        };
-        let mut seen = rows.clone();
-        seen.sort_unstable();
-        seen.windows(2).all(|w| w[0] != w[1])
+        match self {
+            Kernel::Csr(k) => !has_repeats(&k.rows),
+            Kernel::Sell(_) => true,
+            Kernel::DenseSplit(k) => !has_repeats(&k.rows),
+        }
     }
 
     /// [`Kernel::run_batch`] restricted to units `lo..hi` — the
@@ -697,52 +812,53 @@ impl SellKernel {
     /// segments would regroup the accumulation, breaking the bitwise
     /// contract.
     pub fn build(csr: &CsrKernel) -> Option<SellKernel> {
-        let c = SELL_C;
-        let nseg = csr.rows.len();
-        let mut seen = csr.rows.clone();
-        seen.sort_unstable();
-        if seen.windows(2).any(|w| w[0] == w[1]) {
-            return None;
-        }
-        let order = sell_order(csr);
-        let nchunks = nseg.div_ceil(c);
+        (!csr.repeats()).then(|| SellKernel::pack(csr, &SellLayout::of(&csr.row_ptr)))
+    }
+
+    /// Packs kernel `k` (no repeated slot) along `layout`, entry by
+    /// entry into arrays allocated at their final size.
+    fn pack<S: Segmented + ?Sized>(k: &S, layout: &SellLayout) -> SellKernel {
+        let (bounds, slots) = (k.bounds(), k.slots());
+        let nchunks = layout.order.len().div_ceil(SELL_C);
         let mut chunk_ptr = Vec::with_capacity(nchunks + 1);
         chunk_ptr.push(0u32);
-        let mut rows = Vec::with_capacity(nchunks * c);
-        let mut cols = Vec::new();
-        let mut vals = Vec::new();
-        for chunk in order.chunks(c) {
-            let seg_len =
-                |&s: &u32| (csr.row_ptr[s as usize + 1] - csr.row_ptr[s as usize]) as usize;
-            let widest = chunk.iter().map(seg_len).max().unwrap_or(0);
-            let base = vals.len();
-            cols.resize(base + widest * c, 0u32);
-            vals.resize(base + widest * c, 0.0f64);
-            for (l, &s) in chunk.iter().enumerate() {
-                let lo = csr.row_ptr[s as usize] as usize;
-                let len = seg_len(&s);
-                rows.push(csr.rows[s as usize]);
-                if len == 0 {
-                    // An empty segment has no last column to repeat: it
-                    // keeps the (col 0, val 0.0) fill of the `resize`
-                    // above, like the whole padding lanes below.
-                    continue;
-                }
-                for e in 0..widest {
-                    // Padding repeats the lane's last real column with
-                    // val 0.0: `acc += 0.0 · x[c]` is a bitwise no-op
-                    // for finite x (see the module docs).
-                    let src = lo + e.min(len - 1);
-                    cols[base + e * c + l] = csr.cols[src];
-                    vals[base + e * c + l] = if e < len { csr.vals[src] } else { 0.0 };
+        let mut rows = Vec::with_capacity(nchunks * SELL_C);
+        let mut cols = Vec::with_capacity(layout.padded);
+        let mut vals = Vec::with_capacity(layout.padded);
+        for chunk in layout.order.chunks(SELL_C) {
+            // Per lane: first entry and length. Whole padding lanes
+            // carry [`NO_LANE`] and no entries; their accumulator is
+            // discarded.
+            let mut lanes = [(0usize, 0usize); SELL_C];
+            for (lane, &s) in lanes.iter_mut().zip(chunk) {
+                let (lo, hi) = (bounds[s as usize] as usize, bounds[s as usize + 1] as usize);
+                *lane = (lo, hi - lo);
+                rows.push(slots[s as usize]);
+            }
+            rows.resize(rows.len() + (SELL_C - chunk.len()), NO_LANE);
+            let widest = lanes.iter().map(|&(_, len)| len).max().unwrap_or(0);
+            for e in 0..widest {
+                for &(lo, len) in &lanes {
+                    if len == 0 {
+                        // No last column to repeat: col 0 is always
+                        // inside a nonempty kernel's home space.
+                        cols.push(0);
+                        vals.push(0.0);
+                    } else {
+                        // Padding repeats the lane's last real column
+                        // with val 0.0: `acc += 0.0 · x[c]` is a bitwise
+                        // no-op for finite x (see the module docs).
+                        let src = lo + e.min(len - 1);
+                        cols.push(k.col(src));
+                        vals.push(if e < len { k.val(src) } else { 0.0 });
+                    }
                 }
             }
-            // Whole padding lanes: col 0 is always inside a nonempty
-            // kernel's home space; the accumulator is discarded.
-            rows.resize(rows.len() + (c - chunk.len()), NO_LANE);
             chunk_ptr.push(vals.len() as u32);
         }
-        Some(SellKernel { chunk_ptr, rows, cols, vals, ops: csr.ops(), simd: false })
+        debug_assert_eq!(vals.len(), layout.padded);
+        let ops = bounds.last().map_or(0, |&e| e as usize);
+        SellKernel { chunk_ptr, rows, cols, vals, ops, simd: false }
     }
 
     /// See [`Kernel::run_batch`]. Every specialized width runs the one
@@ -885,51 +1001,48 @@ pub struct DenseSplitKernel {
 }
 
 impl DenseSplitKernel {
-    /// Lowers a CSR slice (always succeeds; order is preserved).
-    pub fn build(csr: &CsrKernel) -> DenseSplitKernel {
+    /// Lowers a CSR slice (always succeeds; order is preserved). The
+    /// slice's `rows`, `cols` and `vals` become the kernel's own.
+    pub fn build(csr: CsrKernel) -> DenseSplitKernel {
+        let CsrKernel { row_ptr, rows, cols, vals, .. } = csr;
         let mut k = DenseSplitKernel {
-            seg_ptr: vec![0],
-            rows: csr.rows.clone(),
-            cols: csr.cols.clone(),
-            vals: csr.vals.clone(),
+            seg_ptr: Vec::with_capacity(rows.len() + 1),
+            rows,
+            cols,
+            vals,
             ..DenseSplitKernel::default()
         };
-        for s in 0..csr.rows.len() {
-            let (lo, hi) = (csr.row_ptr[s] as usize, csr.row_ptr[s + 1] as usize);
+        k.seg_ptr.push(0);
+        for s in 0..k.rows.len() {
+            let (lo, hi) = (row_ptr[s] as usize, row_ptr[s + 1] as usize);
             let mut run_start = lo;
             let mut pending_start = lo; // start of the current indexed stretch
-            let push = |k: &mut DenseSplitKernel, pend: usize, dlo: usize, dhi: usize| {
-                // Emit the indexed stretch before the dense run, then
-                // the dense run itself.
-                if dlo > pend {
-                    k.span_start.push(pend as u32);
-                    k.span_len.push((dlo - pend) as u32);
-                    k.span_col0.push(NO_LANE);
-                }
-                if dhi > dlo {
-                    k.span_start.push(dlo as u32);
-                    k.span_len.push((dhi - dlo) as u32);
-                    k.span_col0.push(csr.cols[dlo]);
-                }
-            };
             for e in lo + 1..=hi {
-                let run_continues = e < hi && csr.cols[e] == csr.cols[e - 1] + 1;
+                let run_continues = e < hi && k.cols[e] == k.cols[e - 1] + 1;
                 if !run_continues {
                     if e - run_start >= DENSE_MIN_RUN {
-                        push(&mut k, pending_start, run_start, e);
+                        // The indexed stretch before the dense run, then
+                        // the dense run itself.
+                        k.push_span(pending_start, run_start, NO_LANE);
+                        k.push_span(run_start, e, k.cols[run_start]);
                         pending_start = e;
                     }
                     run_start = e;
                 }
             }
-            if hi > pending_start {
-                k.span_start.push(pending_start as u32);
-                k.span_len.push((hi - pending_start) as u32);
-                k.span_col0.push(NO_LANE);
-            }
+            k.push_span(pending_start, hi, NO_LANE);
             k.seg_ptr.push(k.span_start.len() as u32);
         }
         k
+    }
+
+    /// Appends the span over entries `lo..hi` unless it is empty.
+    fn push_span(&mut self, lo: usize, hi: usize, col0: u32) {
+        if hi > lo {
+            self.span_start.push(lo as u32);
+            self.span_len.push((hi - lo) as u32);
+            self.span_col0.push(col0);
+        }
     }
 
     /// See [`Kernel::run_batch`].
@@ -1022,6 +1135,177 @@ impl BatchBodies for DenseSplitKernel {
                 }
             }
         }
+    }
+}
+
+/// The lowering as it was before kernels were built straight from the
+/// compiler's segment table: a stable σ-sort per statistics call, a
+/// sorted copy of `rows` for the SELL repeat check, chunk-by-chunk
+/// growth, and a dense-split build that copies its input. Kept as the
+/// oracle the one lowering ([`Kernel::lower`]) is held to.
+#[cfg(test)]
+pub(crate) mod oracle {
+    use super::*;
+
+    fn sell_order(csr: &CsrKernel) -> Vec<u32> {
+        let mut order: Vec<u32> = (0..csr.rows.len() as u32).collect();
+        for win in order.chunks_mut(SELL_SIGMA) {
+            win.sort_by_key(|&s| {
+                std::cmp::Reverse(csr.row_ptr[s as usize + 1] - csr.row_ptr[s as usize])
+            });
+        }
+        order
+    }
+
+    fn sell_padded_entries(csr: &CsrKernel) -> usize {
+        sell_order(csr)
+            .chunks(SELL_C)
+            .map(|chunk| {
+                let widest = chunk
+                    .iter()
+                    .map(|&s| (csr.row_ptr[s as usize + 1] - csr.row_ptr[s as usize]) as usize)
+                    .max()
+                    .unwrap_or(0);
+                widest * SELL_C
+            })
+            .sum()
+    }
+
+    pub(crate) fn stats_of(csr: &CsrKernel) -> KernelStats {
+        let rows = csr.rows.len();
+        let ops = csr.vals.len();
+        if rows == 0 {
+            return KernelStats::default();
+        }
+        let mut max_row = 0usize;
+        let mut dense_entries = 0usize;
+        for s in 0..rows {
+            let (lo, hi) = (csr.row_ptr[s] as usize, csr.row_ptr[s + 1] as usize);
+            max_row = max_row.max(hi - lo);
+            let mut run = 1usize;
+            for e in lo + 1..=hi {
+                if e < hi && csr.cols[e] == csr.cols[e - 1] + 1 {
+                    run += 1;
+                } else {
+                    if run >= DENSE_MIN_RUN {
+                        dense_entries += run;
+                    }
+                    run = 1;
+                }
+            }
+        }
+        let padded = sell_padded_entries(csr);
+        KernelStats {
+            rows,
+            ops,
+            max_row,
+            mean_row: ops as f64 / rows as f64,
+            dense_frac: dense_entries as f64 / ops as f64,
+            sell_fill: padded as f64 / ops.max(1) as f64,
+        }
+    }
+
+    fn sell_build(csr: &CsrKernel) -> Option<SellKernel> {
+        let c = SELL_C;
+        let nseg = csr.rows.len();
+        let mut seen = csr.rows.clone();
+        seen.sort_unstable();
+        if seen.windows(2).any(|w| w[0] == w[1]) {
+            return None;
+        }
+        let order = sell_order(csr);
+        let nchunks = nseg.div_ceil(c);
+        let mut chunk_ptr = Vec::with_capacity(nchunks + 1);
+        chunk_ptr.push(0u32);
+        let mut rows = Vec::with_capacity(nchunks * c);
+        let mut cols = Vec::new();
+        let mut vals = Vec::new();
+        for chunk in order.chunks(c) {
+            let seg_len =
+                |&s: &u32| (csr.row_ptr[s as usize + 1] - csr.row_ptr[s as usize]) as usize;
+            let widest = chunk.iter().map(seg_len).max().unwrap_or(0);
+            let base = vals.len();
+            cols.resize(base + widest * c, 0u32);
+            vals.resize(base + widest * c, 0.0f64);
+            for (l, &s) in chunk.iter().enumerate() {
+                let lo = csr.row_ptr[s as usize] as usize;
+                let len = seg_len(&s);
+                rows.push(csr.rows[s as usize]);
+                if len == 0 {
+                    continue;
+                }
+                for e in 0..widest {
+                    let src = lo + e.min(len - 1);
+                    cols[base + e * c + l] = csr.cols[src];
+                    vals[base + e * c + l] = if e < len { csr.vals[src] } else { 0.0 };
+                }
+            }
+            rows.resize(rows.len() + (c - chunk.len()), NO_LANE);
+            chunk_ptr.push(vals.len() as u32);
+        }
+        Some(SellKernel { chunk_ptr, rows, cols, vals, ops: csr.ops(), simd: false })
+    }
+
+    fn dense_build(csr: &CsrKernel) -> DenseSplitKernel {
+        let mut k = DenseSplitKernel {
+            seg_ptr: vec![0],
+            rows: csr.rows.clone(),
+            cols: csr.cols.clone(),
+            vals: csr.vals.clone(),
+            ..DenseSplitKernel::default()
+        };
+        for s in 0..csr.rows.len() {
+            let (lo, hi) = (csr.row_ptr[s] as usize, csr.row_ptr[s + 1] as usize);
+            let mut run_start = lo;
+            let mut pending_start = lo;
+            let push = |k: &mut DenseSplitKernel, pend: usize, dlo: usize, dhi: usize| {
+                if dlo > pend {
+                    k.span_start.push(pend as u32);
+                    k.span_len.push((dlo - pend) as u32);
+                    k.span_col0.push(NO_LANE);
+                }
+                if dhi > dlo {
+                    k.span_start.push(dlo as u32);
+                    k.span_len.push((dhi - dlo) as u32);
+                    k.span_col0.push(csr.cols[dlo]);
+                }
+            };
+            for e in lo + 1..=hi {
+                let run_continues = e < hi && csr.cols[e] == csr.cols[e - 1] + 1;
+                if !run_continues {
+                    if e - run_start >= DENSE_MIN_RUN {
+                        push(&mut k, pending_start, run_start, e);
+                        pending_start = e;
+                    }
+                    run_start = e;
+                }
+            }
+            if hi > pending_start {
+                k.span_start.push(pending_start as u32);
+                k.span_len.push((hi - pending_start) as u32);
+                k.span_col0.push(NO_LANE);
+            }
+            k.seg_ptr.push(k.span_start.len() as u32);
+        }
+        k
+    }
+
+    pub(crate) fn from_csr_isa(csr: CsrKernel, format: KernelFormat, isa: KernelIsa) -> Kernel {
+        let format = match format {
+            KernelFormat::Auto => auto_pick(&stats_of(&csr)),
+            fixed => fixed,
+        };
+        let mut kernel = match format {
+            KernelFormat::CsrSlice => Kernel::Csr(csr),
+            KernelFormat::Sell => match sell_build(&csr) {
+                Some(sell) => Kernel::Sell(sell),
+                None => Kernel::Csr(csr),
+            },
+            KernelFormat::DenseRowSplit => Kernel::DenseSplit(dense_build(&csr)),
+            KernelFormat::Auto => unreachable!("resolved above"),
+        };
+        kernel.set_simd(isa.simd());
+        kernel
     }
 }
 
@@ -1230,7 +1514,7 @@ mod tests {
             tasks.push((1, e * 7, 1.0 - e as f64));
         }
         let csr = csr_of(&tasks);
-        let k = DenseSplitKernel::build(&csr);
+        let k = DenseSplitKernel::build(csr.clone());
         k.validate(24, 2).unwrap();
         assert_eq!(k.span_col0, [3, NO_LANE], "the 12-entry run is the one dense span");
         let x = x_for(24, 1);

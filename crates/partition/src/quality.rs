@@ -53,8 +53,8 @@ impl PartitionQuality {
     /// ([`PlanKind::auto`]: fused single-phase when the partition is
     /// s2D, two-phase otherwise) with the XE6-flavoured machine models.
     pub fn measure(a: &Csr, p: &SpmvPartition, strategy: impl Into<String>) -> Self {
-        let kind = PlanKind::auto(a, p);
-        Self::measure_with(a, p, kind, strategy)
+        let (kind, plan) = PlanKind::build_auto(a, p);
+        Self::measure_plan(a, p, kind, &plan, strategy)
     }
 
     /// [`PartitionQuality::measure`] under an explicit plan kind (e.g.

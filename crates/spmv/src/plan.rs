@@ -72,11 +72,22 @@ type Tasks = Vec<Vec<MultTask>>;
 /// fused communication — which is legal only if `x` is local, the s2D
 /// condition. A counting pass checks it (returning the first violation
 /// in CSR order) and sizes every list; a second pass fills them.
+///
+/// The split runs before `comm_requirements` checks the partition in
+/// full, so it checks what it relies on itself: the lengths, and each
+/// owner it reads. A misfit panics through
+/// [`SpmvPartition::assert_shape`], which names it.
 fn split_tasks(a: &Csr, p: &SpmvPartition) -> Result<(Tasks, Tasks), S2dViolation> {
+    if p.x_part.len() != a.ncols() || p.y_part.len() != a.nrows() || p.nz_owner.len() != a.nnz() {
+        p.assert_shape(a);
+    }
     let mut sizes = vec![(0usize, 0usize); p.k];
     for i in 0..a.nrows() {
         for e in a.row_range(i) {
             let owner = p.nz_owner[e];
+            if owner as usize >= p.k {
+                p.assert_shape(a);
+            }
             let j = a.colind()[e] as usize;
             if owner == p.y_part[i] {
                 sizes[owner as usize].1 += 1;
@@ -120,21 +131,28 @@ impl SpmvPlan {
     /// # Panics
     /// Panics if `p` is not a valid s2D partition of `a`.
     pub fn single_phase(a: &Csr, p: &SpmvPartition) -> Self {
+        Self::try_single_phase(a, p).expect("single-phase SpMV requires an s2D partition")
+    }
+
+    /// [`SpmvPlan::single_phase`], or the first nonzero (in CSR order)
+    /// that breaks the s2D property. The split runs first, so a non-s2D
+    /// partition is rejected before any requirement list is built.
+    fn try_single_phase(a: &Csr, p: &SpmvPartition) -> Result<Self, S2dViolation> {
+        let (pre, rest) = split_tasks(a, p)?;
         let reqs = comm_requirements(a, p);
-        let (pre, rest) = split_tasks(a, p).expect("single-phase SpMV requires an s2D partition");
         let phases = vec![
             PlanPhase::Compute(pre),
             PlanPhase::Comm(messages(&reqs.x_reqs, &reqs.y_reqs)),
             PlanPhase::Compute(rest),
         ];
-        SpmvPlan {
+        Ok(SpmvPlan {
             k: p.k,
             nrows: a.nrows(),
             ncols: a.ncols(),
             x_part: p.x_part.clone(),
             y_part: p.y_part.clone(),
             phases,
-        }
+        })
     }
 
     /// The standard two-phase algorithm for arbitrary 2D partitions
@@ -173,8 +191,8 @@ impl SpmvPlan {
     /// # Panics
     /// Panics if `p` is not s2D or `pr·pc != k`.
     pub fn mesh(a: &Csr, p: &SpmvPartition, pr: usize, pc: usize) -> Self {
-        let reqs = comm_requirements(a, p);
         let (pre, rest) = split_tasks(a, p).expect("s2D-b requires an s2D partition");
+        let reqs = comm_requirements(a, p);
         let routing = MeshRouting::build(p.k, pr, pc, &reqs);
         let phase1: Vec<MsgSpec> = routing
             .phase1
@@ -385,12 +403,23 @@ impl PlanKind {
     /// The best legal kind for `(a, p)`: fused single-phase when the
     /// partition satisfies the s2D property, two-phase otherwise. The
     /// one rule behind the CLI's `--alg auto` and the `Session`
-    /// builder's default.
+    /// builder's default. To build the plan as well, use
+    /// [`PlanKind::build_auto`], which decides in the same pass.
     pub fn auto(a: &Csr, p: &SpmvPartition) -> PlanKind {
         if p.is_s2d(a) {
             PlanKind::SinglePhase
         } else {
             PlanKind::TwoPhase
+        }
+    }
+
+    /// [`PlanKind::auto`] followed by [`PlanKind::build`], in one s2D
+    /// pass: the single-phase split checks the property as it counts,
+    /// and a violation falls back to the two-phase plan.
+    pub fn build_auto(a: &Csr, p: &SpmvPartition) -> (PlanKind, SpmvPlan) {
+        match SpmvPlan::try_single_phase(a, p) {
+            Ok(plan) => (PlanKind::SinglePhase, plan),
+            Err(_) => (PlanKind::TwoPhase, SpmvPlan::two_phase(a, p)),
         }
     }
 
@@ -552,6 +581,15 @@ mod tests {
                 format!("{:?}", PlanPhase::Comm(only(Vec::new(), reqs.y_reqs.clone())))
             );
         }
+
+        /// One s2D pass decides the kind and builds the plan exactly as
+        /// the separate scan followed by the build does.
+        #[test]
+        fn build_auto_is_auto_then_build((a, p) in instance()) {
+            let (kind, plan) = PlanKind::build_auto(&a, &p);
+            prop_assert_eq!(kind, PlanKind::auto(&a, &p));
+            prop_assert_eq!(format!("{plan:?}"), format!("{:?}", kind.build(&a, &p)));
+        }
     }
 
     #[test]
@@ -625,6 +663,15 @@ mod tests {
             let total: u64 = profiles.iter().map(|pr| pr.ops).sum();
             assert_eq!(total, a.nnz() as u64);
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "nz owner out of range")]
+    fn split_names_an_owner_out_of_range() {
+        let a = fig1_matrix();
+        let mut p = fig1_partition();
+        p.nz_owner[0] = 99;
+        let _ = PlanKind::build_auto(&a, &p);
     }
 
     #[test]

@@ -87,7 +87,7 @@ impl<'a> SessionBuilder<'a> {
 
     /// The plan construction to use. Defaults to the best legal one:
     /// single-phase when the partition satisfies the s2D property,
-    /// two-phase otherwise.
+    /// two-phase otherwise ([`PlanKind::build_auto`], one s2D pass).
     pub fn plan_kind(mut self, kind: PlanKind) -> Self {
         self.plan_kind = Some(kind);
         self
@@ -164,15 +164,20 @@ impl<'a> SessionBuilder<'a> {
     /// As [`SessionBuilder::build`].
     pub fn prepare(self) -> Prepared {
         let (partition, strategy) = match (self.partition, self.strategy) {
-            (Some(p), None) => (p.clone(), None),
-            (None, Some((s, k))) => (s.partition_with(self.a, k, &self.partitioner_cfg), Some(s)),
+            (Some(p), None) => (Arc::new(p.clone()), None),
+            (None, Some((s, k))) => {
+                (Arc::new(s.partition_with(self.a, k, &self.partitioner_cfg)), Some(s))
+            }
             (Some(_), Some(_)) => {
                 panic!("SessionBuilder: choose either .partition() or .partitioner(), not both")
             }
             (None, None) => panic!("SessionBuilder: a partition or a partitioner is required"),
         };
-        let kind = self.plan_kind.unwrap_or_else(|| PlanKind::auto(self.a, &partition));
-        let plan = Arc::new(kind.build(self.a, &partition));
+        let (kind, plan) = match self.plan_kind {
+            Some(kind) => (kind, kind.build(self.a, &partition)),
+            None => PlanKind::build_auto(self.a, &partition),
+        };
+        let plan = Arc::new(plan);
         let compiled =
             Arc::new(CompiledPlan::compile_with_isa(&plan, self.kernel_format, self.kernel_isa));
         Prepared {
@@ -219,10 +224,11 @@ impl<'a> SessionBuilder<'a> {
 /// kind, kernel format) combination. Immutable and cheap to share
 /// (`Arc<Prepared>` in a cache); [`Prepared::session`] stamps out
 /// independent ready-to-run sessions from it without re-partitioning
-/// or recompiling.
+/// or recompiling. The partition is shared, not copied, by every
+/// session and re-lowered preparation made from it.
 pub struct Prepared {
     fingerprint: u64,
-    partition: SpmvPartition,
+    partition: Arc<SpmvPartition>,
     strategy: Option<Strategy>,
     kind: PlanKind,
     plan: Arc<SpmvPlan>,
@@ -290,7 +296,7 @@ impl Prepared {
     fn recompiled(&self, format: KernelFormat, isa: KernelIsa) -> Prepared {
         Prepared {
             fingerprint: self.fingerprint,
-            partition: self.partition.clone(),
+            partition: Arc::clone(&self.partition),
             strategy: self.strategy,
             kind: self.kind,
             plan: Arc::clone(&self.plan),
@@ -320,7 +326,7 @@ impl Prepared {
             plan: Arc::clone(&self.plan),
             operator: backend.build(&self.plan, &self.compiled, batch_width, sink),
             stats: self.plan.comm_stats(),
-            partition: self.partition.clone(),
+            partition: Arc::clone(&self.partition),
             strategy: self.strategy,
             kind: self.kind,
             backend,
@@ -338,7 +344,7 @@ pub struct Session {
     plan: Arc<SpmvPlan>,
     operator: Box<dyn SpmvOperator + Send>,
     stats: CommStats,
-    partition: SpmvPartition,
+    partition: Arc<SpmvPartition>,
     strategy: Option<Strategy>,
     kind: PlanKind,
     backend: Backend,
@@ -646,6 +652,47 @@ mod tests {
             let mut y = vec![0.0; a.nrows()];
             s.apply(&x, &mut y);
             assert_eq!(y, want, "{backend}: prepared session must match direct build");
+        }
+    }
+
+    #[test]
+    fn default_plan_kind_matches_auto_then_build() {
+        let a = fig1_matrix();
+        // Break the s2D property: row 0 / column 0 both live on P1, the
+        // nonzero moves to P3.
+        let mut broken = fig1_partition();
+        broken.nz_owner[0] = 2;
+        // A fine-grain 2D partition places nonzeros freely.
+        let graph =
+            crate::gen::rmat::rmat(&crate::gen::rmat::RmatConfig::graph500(7, 8), 5).to_csr();
+        let fine = crate::baselines::partition_2d_fine_grain(&graph, 4, 0.03, 5);
+        for (a, p, want_kind) in [
+            (&a, &fig1_partition(), PlanKind::SinglePhase),
+            (&a, &broken, PlanKind::TwoPhase),
+            (&graph, &fine, PlanKind::TwoPhase),
+        ] {
+            let kind = PlanKind::auto(a, p);
+            assert_eq!(kind, want_kind);
+            let want = format!("{:?}", kind.build(a, p));
+            let prep = Session::builder(a).partition(p).prepare();
+            assert_eq!((prep.plan_kind(), format!("{:?}", prep.plan())), (kind, want.clone()));
+            let s = Session::builder(a).partition(p).build();
+            assert_eq!((s.plan_kind(), format!("{:?}", s.plan())), (kind, want));
+        }
+    }
+
+    #[test]
+    fn sessions_share_the_prepared_partition() {
+        let a = fig1_matrix();
+        let p = fig1_partition();
+        let prep = Session::builder(&a).partition(&p).prepare();
+        for backend in [Backend::CompiledSeq, Backend::Mailbox] {
+            assert!(std::ptr::eq(prep.session(backend, 1).partition(), prep.partition()));
+        }
+        for relowered in [prep.with_format(KernelFormat::Sell), prep.with_isa(KernelIsa::Scalar)] {
+            assert!(std::ptr::eq(relowered.partition(), prep.partition()));
+            let s = relowered.session(Backend::CompiledSeq, 1);
+            assert!(std::ptr::eq(s.partition(), prep.partition()));
         }
     }
 
