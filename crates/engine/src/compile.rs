@@ -906,7 +906,7 @@ mod tests {
         assert_eq!(kernel.rows, vec![0, 1, 0]);
         assert_eq!(kernel.row_ptr, vec![0, 1, 2, 3]);
         let mut y = vec![0.0, 0.0];
-        kernel.run_batch(&[10.0], &mut y, 1);
+        Kernel::Csr(kernel).run_batch(&[10.0], &mut y, 1);
         assert_eq!(y, vec![50.0, 20.0]);
     }
 

@@ -79,9 +79,9 @@ impl Workspace {
     }
 }
 
-/// A buffer ranks share: the `y` arena, the block an iteration emits
-/// into. A plain slice in place, a view of a shared buffer on a pool
-/// worker.
+/// A buffer ranks share: the `y` arena, a rank's block of it that
+/// compute chunks write, the block an iteration emits into. A plain
+/// slice in place, a view of a shared buffer on a pool worker.
 pub(crate) trait Region {
     /// Words `lo..lo + len`, exclusively; panics when out of bounds.
     fn region_mut(&mut self, lo: usize, len: usize) -> &mut [f64];
@@ -110,8 +110,8 @@ impl Region for &mut [f64] {
 /// one step touches, and the barrier between steps. A rank's `y` view
 /// is its block of the arena at the job's width.
 pub(crate) trait Transport {
-    /// A buffer shared between ranks: the `y` arena during a fold, the
-    /// caller's `y` during the emit.
+    /// A buffer shared between ranks: the `y` arena (whole in a fold,
+    /// from a rank's block on in a compute chunk), the caller's `y` in the emit.
     type Buf<'a>: Region
     where
         Self: 'a;
@@ -128,14 +128,14 @@ pub(crate) trait Transport {
     /// `None` past the last: its rank, its kernel-unit range (the body
     /// clamps the end to the kernel's unit count, so `0..usize::MAX` is
     /// the whole kernel), the `x` home space (the job's input on the
-    /// `first` iteration, its output after) and the rank's `y` block,
-    /// of which the chunk writes its units' row slots.
+    /// `first` iteration, its output after) and a buffer from the rank's
+    /// `y` block on, of which the kernel fetches one unit's row at a time.
     fn chunk(
         &mut self,
         p: usize,
         i: usize,
         first: bool,
-    ) -> Option<(usize, Range<usize>, &[f64], &mut [f64])>;
+    ) -> Option<(usize, Range<usize>, &[f64], Self::Buf<'_>)>;
 
     /// The whole `y` arena, for folding into owned ranks' slots from
     /// their producers'.

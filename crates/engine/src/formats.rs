@@ -70,6 +70,8 @@
 //! scalar build of the same source, and the differential suite pins
 //! that with exact equality.
 
+use crate::exec::Region;
+
 /// Lane sentinel in [`SellKernel`]: this lane of the chunk is pure
 /// padding, its accumulator is discarded. Also the "no dense run" marker
 /// in [`DenseSplitKernel`] span descriptors.
@@ -466,7 +468,7 @@ impl Default for Kernel {
 
 impl Kernel {
     /// Lowers a CSR slice into `format` (resolving [`KernelFormat::Auto`]
-    /// per kernel) — [`Kernel::lower`] over the slice's own arrays.
+    /// per kernel) — `Kernel::lower` over the slice's own arrays.
     pub fn from_csr_isa(csr: CsrKernel, format: KernelFormat, isa: KernelIsa) -> Kernel {
         Kernel::lower(csr, format, isa).0
     }
@@ -533,11 +535,7 @@ impl Kernel {
     /// other widths take a strided fallback.
     #[inline]
     pub fn run_batch(&self, x: &[f64], y: &mut [f64], r: usize) {
-        match self {
-            Kernel::Csr(k) => k.run_batch(x, y, r),
-            Kernel::Sell(k) => k.run_batch(x, y, r),
-            Kernel::DenseSplit(k) => k.run_batch(x, y, r),
-        }
+        self.run_batch_range(x, y, r, 0, self.units());
     }
 
     /// Number of schedulable **units** — the granularity the worker
@@ -581,12 +579,20 @@ impl Kernel {
     }
 
     /// [`Kernel::run_batch`] restricted to units `lo..hi` — the
-    /// chunked-schedule entry point. `run_batch_range(.., 0, units())`
-    /// is exactly `run_batch`, and because chunk boundaries never cut
-    /// a unit, running a kernel as any partition of unit ranges is
-    /// bitwise identical to one full pass.
+    /// chunked-schedule entry point — over any [`Region`] holding the
+    /// rank's block. `run_batch_range(.., 0, units())` is exactly
+    /// `run_batch`, and because chunk boundaries never cut a unit,
+    /// running a kernel as any partition of unit ranges is bitwise
+    /// identical to one full pass.
     #[inline]
-    pub fn run_batch_range(&self, x: &[f64], y: &mut [f64], r: usize, lo: usize, hi: usize) {
+    pub(crate) fn run_batch_range(
+        &self,
+        x: &[f64],
+        y: impl Region,
+        r: usize,
+        lo: usize,
+        hi: usize,
+    ) {
         match self {
             Kernel::Csr(k) => k.run_range(x, y, r, lo, hi),
             Kernel::Sell(k) => k.run_range(x, y, r, lo, hi),
@@ -609,18 +615,20 @@ impl Kernel {
 }
 
 /// The bodies of one storage format; [`BatchBodies::run_range`] is the
-/// one width dispatcher over them.
+/// one width dispatcher over them. A body writes `y` one row at a time:
+/// each unit fetches only its own row's words, `region_mut(slot * r, r)`,
+/// so chunks of one kernel running at once never view each other's rows.
 trait BatchBodies: Sized {
     /// The resolved "take the AVX2 build" flag.
     fn simd(&self) -> bool;
     /// The fixed-width body: `R` accumulators per row in registers.
-    fn run_fixed<const R: usize>(&self, x: &[f64], y: &mut [f64], lo: usize, hi: usize);
+    fn run_fixed<const R: usize>(&self, x: &[f64], y: impl Region, lo: usize, hi: usize);
     /// The strided fallback for widths without a specialization.
-    fn run_dyn(&self, x: &[f64], y: &mut [f64], r: usize, lo: usize, hi: usize);
+    fn run_dyn(&self, x: &[f64], y: impl Region, r: usize, lo: usize, hi: usize);
 
     /// Runs units `lo..hi` over `r`-wide row-major blocks.
     #[inline]
-    fn run_range(&self, x: &[f64], y: &mut [f64], r: usize, lo: usize, hi: usize) {
+    fn run_range(&self, x: &[f64], y: impl Region, r: usize, lo: usize, hi: usize) {
         match r {
             1 => self.run_fixed::<1>(x, y, lo, hi),
             2 => self.run_fixed::<2>(x, y, lo, hi),
@@ -642,7 +650,7 @@ trait BatchBodies: Sized {
 /// reassociated), so the results are bitwise identical.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-fn fixed_avx2<K: BatchBodies>(k: &K, x: &[f64], y: &mut [f64], r: usize, lo: usize, hi: usize) {
+fn fixed_avx2<K: BatchBodies>(k: &K, x: &[f64], y: impl Region, r: usize, lo: usize, hi: usize) {
     if r == 4 {
         k.run_fixed::<4>(x, y, lo, hi)
     } else {
@@ -699,7 +707,7 @@ impl CsrKernel {
 
     /// The r = 1 loop over segments `lo..hi`.
     #[inline]
-    fn run_r1(&self, x: &[f64], y: &mut [f64], lo: usize, hi: usize) {
+    fn run_r1(&self, x: &[f64], mut y: impl Region, lo: usize, hi: usize) {
         // Dedicated scalar loop: semantically the r = 1 specialization
         // of `run_fixed` (identical accumulation order, bit for bit),
         // but written with scalar loads/stores — the array-of-one
@@ -707,19 +715,13 @@ impl CsrKernel {
         for s in lo..hi {
             let elo = self.row_ptr[s] as usize;
             let ehi = self.row_ptr[s + 1] as usize;
-            let mut acc = y[self.rows[s] as usize];
+            let out = &mut y.region_mut(self.rows[s] as usize, 1)[0];
+            let mut acc = *out;
             for e in elo..ehi {
                 acc += self.vals[e] * x[self.cols[e] as usize];
             }
-            y[self.rows[s] as usize] = acc;
+            *out = acc;
         }
-    }
-
-    /// Runs the kernel over row-major multi-vector blocks (see
-    /// [`Kernel::run_batch`] for the layout and dispatch).
-    #[inline]
-    pub fn run_batch(&self, x: &[f64], y: &mut [f64], r: usize) {
-        self.run_range(x, y, r, 0, self.rows.len());
     }
 
     fn validate(&self, nx: usize, ny: usize) -> Result<(), String> {
@@ -746,34 +748,34 @@ impl BatchBodies for CsrKernel {
     /// Fixed-width inner loop: `R` accumulators live in registers
     /// (`r = 1` takes the dedicated `run_r1`).
     #[inline(always)]
-    fn run_fixed<const R: usize>(&self, x: &[f64], y: &mut [f64], lo: usize, hi: usize) {
+    fn run_fixed<const R: usize>(&self, x: &[f64], mut y: impl Region, lo: usize, hi: usize) {
         if R == 1 {
             return self.run_r1(x, y, lo, hi);
         }
         for s in lo..hi {
             let elo = self.row_ptr[s] as usize;
             let ehi = self.row_ptr[s + 1] as usize;
-            let row = self.rows[s] as usize * R;
+            let row = y.region_mut(self.rows[s] as usize * R, R);
             let mut acc = [0.0f64; R];
-            acc.copy_from_slice(&y[row..row + R]);
+            acc.copy_from_slice(row);
             for e in elo..ehi {
                 madd(&mut acc, self.vals[e], x, self.cols[e] as usize * R);
             }
-            y[row..row + R].copy_from_slice(&acc);
+            row.copy_from_slice(&acc);
         }
     }
 
     /// Generic strided fallback for widths without a specialization.
-    fn run_dyn(&self, x: &[f64], y: &mut [f64], r: usize, lo: usize, hi: usize) {
+    fn run_dyn(&self, x: &[f64], mut y: impl Region, r: usize, lo: usize, hi: usize) {
         for s in lo..hi {
             let elo = self.row_ptr[s] as usize;
             let ehi = self.row_ptr[s + 1] as usize;
-            let row = self.rows[s] as usize * r;
+            let row = y.region_mut(self.rows[s] as usize * r, r);
             for e in elo..ehi {
                 let v = self.vals[e];
                 let col = self.cols[e] as usize * r;
                 for q in 0..r {
-                    y[row + q] += v * x[col + q];
+                    row[q] += v * x[col + q];
                 }
             }
         }
@@ -861,23 +863,16 @@ impl SellKernel {
         SellKernel { chunk_ptr, rows, cols, vals, ops, simd: false }
     }
 
-    /// See [`Kernel::run_batch`]. Every specialized width runs the one
-    /// entry-major body, `run_cr`: order-preserving per row, all C lanes
-    /// in lockstep.
-    #[inline]
-    pub fn run_batch(&self, x: &[f64], y: &mut [f64], r: usize) {
-        self.run_range(x, y, r, 0, self.chunk_ptr.len().saturating_sub(1));
-    }
-
-    /// Fully unrolled shape: `C` chunk lanes × `R` right-hand sides of
-    /// accumulators in registers, uniform inner trip count.
+    /// Fully unrolled shape — every specialized width runs it:
+    /// `C` chunk lanes × `R` right-hand sides of accumulators in
+    /// registers, uniform inner trip count, order-preserving per row.
     /// `chunks_exact(C)` gives the optimizer a compile-time row width,
     /// eliding the per-entry bounds checks.
     #[inline(always)]
     fn run_cr<const C: usize, const R: usize>(
         &self,
         x: &[f64],
-        y: &mut [f64],
+        mut y: impl Region,
         lo: usize,
         hi: usize,
     ) {
@@ -888,8 +883,7 @@ impl SellKernel {
             let mut acc = [[0.0f64; R]; C];
             for (l, &row) in lanes.iter().enumerate() {
                 if row != NO_LANE {
-                    let at = row as usize * R;
-                    acc[l].copy_from_slice(&y[at..at + R]);
+                    acc[l].copy_from_slice(y.region_mut(row as usize * R, R));
                 }
             }
             let vals = &self.vals[base..end];
@@ -906,8 +900,7 @@ impl SellKernel {
             }
             for (l, &row) in lanes.iter().enumerate() {
                 if row != NO_LANE {
-                    let at = row as usize * R;
-                    y[at..at + R].copy_from_slice(&acc[l]);
+                    y.region_mut(row as usize * R, R).copy_from_slice(&acc[l]);
                 }
             }
         }
@@ -943,12 +936,12 @@ impl BatchBodies for SellKernel {
     }
 
     #[inline(always)]
-    fn run_fixed<const R: usize>(&self, x: &[f64], y: &mut [f64], lo: usize, hi: usize) {
+    fn run_fixed<const R: usize>(&self, x: &[f64], y: impl Region, lo: usize, hi: usize) {
         self.run_cr::<SELL_C, R>(x, y, lo, hi)
     }
 
     /// Strided fallback for widths without a specialization.
-    fn run_dyn(&self, x: &[f64], y: &mut [f64], r: usize, lo: usize, hi: usize) {
+    fn run_dyn(&self, x: &[f64], mut y: impl Region, r: usize, lo: usize, hi: usize) {
         let c = SELL_C;
         for ch in lo..hi {
             let base = self.chunk_ptr[ch] as usize;
@@ -957,12 +950,12 @@ impl BatchBodies for SellKernel {
                 if row == NO_LANE {
                     continue;
                 }
-                let at = row as usize * r;
+                let out = y.region_mut(row as usize * r, r);
                 for e in 0..w {
                     let v = self.vals[base + e * c + l];
                     let col = self.cols[base + e * c + l] as usize * r;
                     for q in 0..r {
-                        y[at + q] += v * x[col + q];
+                        out[q] += v * x[col + q];
                     }
                 }
             }
@@ -1045,12 +1038,6 @@ impl DenseSplitKernel {
         }
     }
 
-    /// See [`Kernel::run_batch`].
-    #[inline]
-    pub fn run_batch(&self, x: &[f64], y: &mut [f64], r: usize) {
-        self.run_range(x, y, r, 0, self.rows.len());
-    }
-
     fn validate(&self, nx: usize, ny: usize) -> Result<(), String> {
         if self.seg_ptr.len() != self.rows.len() + 1
             || self.cols.len() != self.vals.len()
@@ -1091,11 +1078,11 @@ impl BatchBodies for DenseSplitKernel {
 
     /// Fixed-width span loop: `R` accumulators live in registers.
     #[inline(always)]
-    fn run_fixed<const R: usize>(&self, x: &[f64], y: &mut [f64], lo: usize, hi: usize) {
+    fn run_fixed<const R: usize>(&self, x: &[f64], mut y: impl Region, lo: usize, hi: usize) {
         for s in lo..hi {
-            let row = self.rows[s] as usize * R;
+            let row = y.region_mut(self.rows[s] as usize * R, R);
             let mut acc = [0.0f64; R];
-            acc.copy_from_slice(&y[row..row + R]);
+            acc.copy_from_slice(row);
             for sp in self.seg_ptr[s] as usize..self.seg_ptr[s + 1] as usize {
                 let start = self.span_start[sp] as usize;
                 let len = self.span_len[sp] as usize;
@@ -1111,13 +1098,13 @@ impl BatchBodies for DenseSplitKernel {
                     }
                 }
             }
-            y[row..row + R].copy_from_slice(&acc);
+            row.copy_from_slice(&acc);
         }
     }
 
-    fn run_dyn(&self, x: &[f64], y: &mut [f64], r: usize, lo: usize, hi: usize) {
+    fn run_dyn(&self, x: &[f64], mut y: impl Region, r: usize, lo: usize, hi: usize) {
         for s in lo..hi {
-            let row = self.rows[s] as usize * r;
+            let row = y.region_mut(self.rows[s] as usize * r, r);
             for sp in self.seg_ptr[s] as usize..self.seg_ptr[s + 1] as usize {
                 let start = self.span_start[sp] as usize;
                 let len = self.span_len[sp] as usize;
@@ -1130,7 +1117,7 @@ impl BatchBodies for DenseSplitKernel {
                         self.cols[start + i] as usize * r
                     };
                     for q in 0..r {
-                        y[row + q] += v * x[col + q];
+                        row[q] += v * x[col + q];
                     }
                 }
             }
@@ -1430,9 +1417,9 @@ mod tests {
                     let units = k.units();
                     let (cut1, cut2) = (units / 3, 2 * units / 3);
                     let mut split = vec![0.1; ny * r];
-                    k.run_batch_range(&x, &mut split, r, cut1, cut2);
-                    k.run_batch_range(&x, &mut split, r, cut2, units);
-                    k.run_batch_range(&x, &mut split, r, 0, cut1);
+                    k.run_batch_range(&x, &mut split[..], r, cut1, cut2);
+                    k.run_batch_range(&x, &mut split[..], r, cut2, units);
+                    k.run_batch_range(&x, &mut split[..], r, 0, cut1);
                     assert_eq!(split, want, "{format} r={r} split at {cut1}, {cut2}");
                 }
             }
@@ -1458,9 +1445,9 @@ mod tests {
                 // the property the pool's chunked schedule rests on.
                 let (cut1, cut2) = (units / 3, 2 * units / 3);
                 let mut got = vec![0.2; ny * r];
-                k.run_batch_range(&x, &mut got, r, cut2, units);
-                k.run_batch_range(&x, &mut got, r, 0, cut1);
-                k.run_batch_range(&x, &mut got, r, cut1, cut2);
+                k.run_batch_range(&x, &mut got[..], r, cut2, units);
+                k.run_batch_range(&x, &mut got[..], r, 0, cut1);
+                k.run_batch_range(&x, &mut got[..], r, cut1, cut2);
                 assert_eq!(got, want, "{format} r={r}");
             }
         }
@@ -1478,10 +1465,11 @@ mod tests {
     #[test]
     fn every_format_matches_csr_bitwise_on_irregular_kernels() {
         let (csr, nx, ny) = irregular(11);
+        let reference = Kernel::Csr(csr.clone());
         for r in [1usize, 2, 3, 4, 5, 8] {
             let x = x_for(nx, r);
             let mut want = vec![0.1; ny * r];
-            csr.run_batch(&x, &mut want, r);
+            reference.run_batch(&x, &mut want, r);
             for format in KernelFormat::all() {
                 let k = Kernel::from_csr_isa(csr.clone(), format, KernelIsa::Auto);
                 k.validate(nx, ny).unwrap();
@@ -1519,9 +1507,9 @@ mod tests {
         assert_eq!(k.span_col0, [3, NO_LANE], "the 12-entry run is the one dense span");
         let x = x_for(24, 1);
         let mut want = vec![0.0; 2];
-        csr.run_batch(&x, &mut want, 1);
+        Kernel::Csr(csr).run_batch(&x, &mut want, 1);
         let mut got = vec![0.0; 2];
-        k.run_batch(&x, &mut got, 1);
+        Kernel::DenseSplit(k).run_batch(&x, &mut got, 1);
         assert_eq!(got, want);
     }
 
@@ -1608,6 +1596,7 @@ mod tests {
             simd: false,
         };
         csr.validate(2, 2).unwrap();
+        let reference = Kernel::Csr(csr.clone());
         for format in KernelFormat::all() {
             let k = Kernel::from_csr_isa(csr.clone(), format, KernelIsa::Auto);
             k.validate(2, 2).unwrap();
@@ -1615,7 +1604,7 @@ mod tests {
             for r in [1usize, 2, 3, 4, 8] {
                 let x = x_for(2, r);
                 let mut want = vec![0.1; 2 * r];
-                csr.run_batch(&x, &mut want, r);
+                reference.run_batch(&x, &mut want, r);
                 let mut got = vec![0.1; 2 * r];
                 k.run_batch(&x, &mut got, r);
                 assert_eq!(got, want, "{format} r={r}");

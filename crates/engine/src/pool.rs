@@ -47,40 +47,41 @@
 //! partial sum lives in **one `y` arena**, rank `q`'s block being words
 //! `y_off(q) × r .. (y_off(q) + ny(q)) × r`. All mutable state is
 //! reached through `ShBuf` — `UnsafeCell` words behind bounds-checked
-//! views — in three kinds of view, built in `PoolWorker` (and, while no
-//! job runs, by the first touch each participant gives its own ranks'
-//! blocks before it first arrives at a barrier). Each rests on a
-//! spatial invariant (who may touch the range; the quoted
+//! range views — in two kinds of view, built in `PoolWorker` (and,
+//! while no job runs, by the first touch each participant gives its own
+//! ranks' blocks before it first arrives at a barrier). Each is a range
+//! that no other participant writes between two barriers, and rests on
+//! a spatial invariant (who may touch the range; the quoted
 //! `validate_for_pool` check enforces it) and a temporal one (which
 //! barrier, or the counted completion, orders the handoff):
 //!
-//! 1. **Range views of the arena** (`region` / `region_mut`): a rank's
-//!    own block while clearing and emitting; during a fold single
-//!    slots, an own one exclusively and a *producer's* read-only.
-//!    Spatial: those steps stay with the participant that owns the rank
-//!    (`assign` is a partition of the ranks); blocks are disjoint ("y
-//!    blocks overlap"); a fold writes only inside the own block ("fold
+//! 1. **Range views of the arena** (`region` / `region_mut`, through a
+//!    `ShView` based at the arena or at a rank's block): a rank's own
+//!    block while clearing and emitting; during a fold single slots, an
+//!    own one exclusively and a *producer's* read-only; during a compute
+//!    phase one unit's row slot at a time, exclusively, for as long as
+//!    the kernel body accumulates that row. Spatial: clear, fold and
+//!    emit stay with the participant that owns the rank (`assign` is a
+//!    partition of the ranks); blocks are disjoint ("y blocks
+//!    overlap"); a fold writes only inside the own block ("fold
 //!    destination outside the own block"), reads only outside it ("fold
 //!    source inside the own block"), and never reads a slot anyone
 //!    writes in that step ("a fold source is a destination of the same
 //!    step" — the compiler opens a fresh slot for a partial that
 //!    arrives for a row drained in the same step, so nothing needs
-//!    staging). Temporal: the barrier after every compute phase orders
+//!    staging). Chunks of one rank run on several participants at once,
+//!    but the schedule only splits
+//!    [`Kernel::splittable`](crate::Kernel::splittable) kernels, whose
+//!    units never share a row, so no two chunks view the same slot; row
+//!    slots lie inside the block and columns inside the home space
+//!    (`Kernel::validate`). Temporal: the barrier after clearing orders
+//!    it before the chunks, the barrier after every compute phase orders
 //!    the chunks that produced a partial before the fold that reads it,
 //!    the barrier after every fold step orders that read before the
 //!    block's next writer. A step in which no rank folds (all expand)
 //!    touches nothing and has no barrier; "fold_steps disagrees" keeps
 //!    every participant's barrier count the same.
-//! 2. **The one aliased view**: a compute chunk's `y` (`chunk_mut`, its
-//!    rank's block), held by every participant running a chunk of that
-//!    rank. It cannot be narrower — a chunk writes the *row slots* of
-//!    its units, not a contiguous run. Spatial: the schedule only
-//!    splits [`Kernel::splittable`](crate::Kernel::splittable) kernels,
-//!    whose units never share a row, so per element the view is
-//!    uniquely live; columns lie inside the home space and row slots
-//!    inside the block (`Kernel::validate`). Temporal: barriers before
-//!    and after the phase.
-//! 3. **The job's own vectors**, rebuilt by every participant from the
+//! 2. **The job's own vectors**, rebuilt by every participant from the
 //!    raw pointers in the job descriptor: the caller's `x` read-only (a
 //!    plain slice) and the caller's `y` as a borrowed `ShBuf`, into
 //!    which **every** iteration emits row by row and which the next
@@ -179,7 +180,7 @@ impl ShBuf {
         unsafe { Box::from_raw(raw as *mut ShBuf) }
     }
 
-    /// Borrowed view of `len` caller-owned words at `ptr` (view kind 3).
+    /// Borrowed view of `len` caller-owned words at `ptr` (view kind 2).
     ///
     /// # Safety
     /// The words must be valid for reads and writes for `'a`, and for
@@ -213,27 +214,6 @@ impl ShBuf {
         let cells = &self.0[lo..lo + len];
         // SAFETY: as in `region`, and by the module invariants no other
         // view of the range is live.
-        unsafe { std::slice::from_raw_parts_mut(cells.as_ptr() as *mut f64, len) }
-    }
-
-    /// View of words `lo..lo + len` for a compute chunk's `y` (its
-    /// rank's block), the one view that is *aliased*: chunks of one rank
-    /// run on several participants at once. Panics when the range
-    /// leaves the buffer.
-    ///
-    /// # Safety
-    /// For every element the returned slice is actually used to access,
-    /// the caller must be the unique accessor for the slice's lifetime:
-    /// each chunk reads and writes only its own units' row slots, which
-    /// are pairwise disjoint across the phase's chunks (spatial
-    /// invariant) but not a contiguous range, with barriers ordering
-    /// every cross-thread handoff.
-    #[inline]
-    #[allow(clippy::mut_from_ref)]
-    unsafe fn chunk_mut(&self, lo: usize, len: usize) -> &mut [f64] {
-        let cells = &self.0[lo..lo + len];
-        // SAFETY: as in `region_mut` for layout and bounds; unique access
-        // to every element actually used is the caller's contract.
         unsafe { std::slice::from_raw_parts_mut(cells.as_ptr() as *mut f64, len) }
     }
 }
@@ -966,7 +946,7 @@ struct PoolWorker<'a> {
     w: usize,
     /// The job's input block (`ncols × r` words).
     x: &'a [f64],
-    /// The job's output block (`nrows × r` words), view kind 3.
+    /// The job's output block (`nrows × r` words), view kind 2.
     y: &'a ShBuf,
     r: usize,
 }
@@ -981,7 +961,8 @@ impl PoolWorker<'_> {
 }
 
 /// A shared buffer from word `base` on: the arena past its alignment
-/// pad (view kind 1), the job's `y` from 0 (kind 3).
+/// pad or from a rank's block (view kind 1), the job's `y` from 0
+/// (kind 2).
 struct ShView<'a> {
     buf: &'a ShBuf,
     base: usize,
@@ -1031,21 +1012,15 @@ impl Transport for PoolWorker<'_> {
         p: usize,
         i: usize,
         first: bool,
-    ) -> Option<(usize, Range<usize>, &[f64], &mut [f64])> {
+    ) -> Option<(usize, Range<usize>, &[f64], ShView<'_>)> {
         let (sh, run) = (self.shared, self.shared.chunks.phases[p][self.w].get(i)?);
         let rk = run.rank as usize;
         // The home space: nobody writes the job's `x`, and the job's
         // `y` is written only by emits, a barrier away on either side.
         let x = if first { self.x } else { self.y.region(0, sh.plan.ncols * self.r) };
-        let (lo, len) = self.block(rk);
-        // SAFETY: a chunk reads and writes only the y row slots of its
-        // own units, which are pairwise disjoint across the phase's
-        // chunks (only splittable kernels are split); and the barriers
-        // before and after the phase order every cross-worker handoff —
-        // so per element this view is uniquely live. Running through
-        // plain slices shares one kernel implementation (every
-        // KernelFormat) with the in-place transport.
-        let y = unsafe { sh.y.chunk_mut(lo, len) };
+        // View kind 1: the kernel takes one unit's row slot at a time,
+        // and no other chunk of the phase has a unit on that row.
+        let y = ShView { buf: &sh.y, base: self.block(rk).0 };
         Some((rk, run.lo as usize..run.hi as usize, x, y))
     }
 
@@ -1054,7 +1029,7 @@ impl Transport for PoolWorker<'_> {
         ShView { buf: &self.shared.y, base: self.shared.pad }
     }
 
-    /// View kinds 1 and 3. The block: outside compute phases only the
+    /// View kinds 1 and 2. The block: outside compute phases only the
     /// rank's owner touches it, but for producers' slots read in a
     /// fold, and a barrier separates every clear and emit from the
     /// compute phases and folds around it. The job's `y`: emitted rows
@@ -1100,7 +1075,7 @@ impl Shared {
         let xp = self.job_x.load(Ordering::Relaxed) as *const f64;
         let yp = self.job_y.load(Ordering::Relaxed);
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            // SAFETY: (view kind 3) the pointers are the caller's `x`
+            // SAFETY: (view kind 2) the pointers are the caller's `x`
             // and `y`, `ncols × r` and `nrows × r` words by the execute
             // asserts. Temporal: the caller stays inside
             // `execute_batch_iters`, not touching either, until the
@@ -1319,22 +1294,70 @@ mod tests {
         assert_eq!(y, want, "pool batch-iters must match the workspace executor bitwise");
     }
 
+    /// True when `engine` starts a compute chunk inside a kernel that
+    /// `is` accepts.
+    fn cuts(engine: &ParallelEngine, is: impl Fn(&crate::formats::Kernel) -> bool) -> bool {
+        let sh = &engine.shared;
+        sh.chunks.phases.iter().enumerate().any(|(p, buckets)| {
+            buckets.iter().flatten().any(|run| {
+                let step = &sh.plan.ranks[run.rank as usize].steps[p];
+                run.lo > 0 && matches!(step, RankStep::Compute(k) if is(k))
+            })
+        })
+    }
+
     #[test]
     fn every_kernel_format_agrees_on_the_pool() {
-        // The pool shares one kernel implementation with the sequential
-        // executor (slice views over the shared buffers), so every
-        // format must agree bitwise with the CSR pool result.
-        let (a, plan) = crate::exec::tests::square_setup(24, 4);
-        let x: Vec<f64> = (0..a.ncols()).map(|j| (j as f64).sin() * 2.0).collect();
-        let mut want = vec![0.0; a.nrows()];
-        pool(CompiledPlan::compile(&plan), 3, 1).execute(&x, &mut want);
+        // The pool runs the in-place executor's kernel bodies over range
+        // views of the shared arena, one unit's row at a time: every
+        // format and ISA, at every specialized width and the strided
+        // fallback, cut into chunks mid-kernel and spread over 1-3
+        // participants, must match the in-place executor bitwise on the
+        // same compiled plan. The dense rows cover most columns, so the
+        // split rows keep runs of at least DENSE_MIN_RUN consecutive
+        // columns, and dense spans are cut too.
+        use crate::formats::{Kernel, KernelIsa, NO_LANE};
+        use s2d_core::optimal::s2d_optimal;
+        use s2d_gen::denserow::{dense_row_matrix, DenseRowConfig};
+        let (n, k) = (96, 4);
+        let cfg =
+            DenseRowConfig { n, nnz: 6 * n, dmax: n - 8, tail_decay: 0.5, mirror_cols: false };
+        let a = dense_row_matrix(&cfg, 3);
+        let parts: Vec<u32> = (0..n).map(|i| (i * k / n) as u32).collect();
+        let plan = SpmvPlan::single_phase(&a, &s2d_optimal(&a, &parts, &parts, k));
         for format in KernelFormat::all() {
-            let cp = CompiledPlan::compile_with(&plan, format);
-            let mut engine = pool(cp, 3, 1);
-            assert_eq!(engine.kernel_format(), format);
-            let mut y = vec![0.0; a.nrows()];
-            engine.execute(&x, &mut y);
-            assert_eq!(y, want, "{format}");
+            for isa in [KernelIsa::Auto, KernelIsa::Scalar] {
+                let cp = Arc::new(CompiledPlan::compile_with_isa(&plan, format, isa));
+                for chunk_ops in [0usize, 1, 7] {
+                    for threads in 1..=3 {
+                        let opts =
+                            PoolOptions { threads, chunk_ops, width: 8, ..PoolOptions::default() };
+                        let mut engine = ParallelEngine::with_options(Arc::clone(&cp), opts);
+                        assert_eq!(engine.kernel_format(), format);
+                        if chunk_ops == 1 && format == KernelFormat::Sell {
+                            assert!(cuts(&engine, |k| matches!(k, Kernel::Sell(_))));
+                        }
+                        if chunk_ops == 1 && format == KernelFormat::DenseRowSplit {
+                            assert!(cuts(&engine, |k| match k {
+                                Kernel::DenseSplit(d) => d.span_col0.iter().any(|&c| c != NO_LANE),
+                                _ => false,
+                            }));
+                        }
+                        for r in [1usize, 2, 3, 4, 8] {
+                            let x = crate::exec::tests::batch_input(n, r, 4);
+                            let mut want = vec![0.0; n * r];
+                            cp.execute_batch(&mut cp.workspace_batch(r), &x, &mut want, r);
+                            let mut y = vec![f64::NAN; n * r];
+                            engine.execute_batch(&x, &mut y, r);
+                            assert_eq!(
+                                y.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                                want.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                                "{format} {isa} chunk_ops={chunk_ops} threads={threads} r={r}"
+                            );
+                        }
+                    }
+                }
+            }
         }
     }
 
@@ -1818,7 +1841,7 @@ mod tests {
                         if !self.ctl.job_done() {
                             return false;
                         }
-                        // The temporal invariant of view kind 4: the
+                        // The temporal invariant of view kind 2: the
                         // caller gets out only after every worker did.
                         assert!(
                             self.at.left.iter().all(|&l| l == j + 1),
