@@ -263,7 +263,7 @@ fn sweep_matrix(a: &Csr, key: MatrixKey, needs: &BTreeSet<Need>, cells: &mut Cel
         let cell = Cell {
             quality,
             torus_time: torus.parallel_time,
-            naive_mesh_volume: matches!(kind, PlanKind::Mesh { .. } | PlanKind::MeshAuto)
+            naive_mesh_volume: (kind == PlanKind::Mesh)
                 .then(|| naive_mesh_volume(&comm_requirements(a, p), k)),
             eq3: (kind == PlanKind::SinglePhase).then(|| volume_matches_eq3(a, p, &built_plan)),
         };

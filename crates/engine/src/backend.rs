@@ -18,16 +18,16 @@
 //!   interpretation of the uncompiled plan. Slowest by far (hash maps
 //!   everywhere); never a fast path.
 //! * [`Backend::CompiledSeq`] — the phase-walk body over the **in
-//!   place** transport: one thread, all ranks, a [`Workspace`] that is
-//!   one plain `y` arena, no barrier and no atomic anywhere. Zero
+//!   place** transport ([`CompiledSeqOperator`]): one thread, all
+//!   ranks, one plain `y` arena, no barrier and no atomic anywhere. Zero
 //!   allocation per iteration; the choice on one core, for small plans
 //!   (an iteration of a few tens of thousands of multiply-adds costs
 //!   less than the pool's 2 + folding-steps barrier crossings) and the
 //!   right baseline for kernel work.
 //! * [`Backend::CompiledPool`] — the same body over the **pool**
-//!   transport: the calling thread and the persistent workers each run
-//!   it for their rank range and their NNZ-balanced chunk bucket, with
-//!   a barrier at every handoff. `threads` counts participants
+//!   transport ([`ParallelEngine`]): the calling thread and the
+//!   persistent workers each run it for their rank range and their
+//!   NNZ-balanced chunk bucket, with a barrier at every handoff. `threads` counts participants
 //!   *including the caller* (`threads − 1` OS threads are spawned, and
 //!   an idle pool parks them); `0` sizes the team to `min(K, available
 //!   CPUs)`. With two participants on two cores it measured 0.19 vs
@@ -62,7 +62,7 @@
 //! amortize matrix traversal (r = 8 measures ~2–2.4× faster than 8
 //! single applications on rmat14/K = 16) at the cost of `r×` vector
 //! memory. Operators grow on demand if a wider batch shows up later
-//! ([`CompiledPoolOperator`] rebuilds its pool to do so — pay that once,
+//! (a [`ParallelEngine`] rebuilds its team to do so — pay that once,
 //! up front, by building with the right width).
 
 use std::sync::Arc;
@@ -73,9 +73,8 @@ use s2d_runtime::ChaosConfig;
 use s2d_spmv::{MailboxOperator, SpmvOperator, SpmvPlan};
 
 use crate::compile::CompiledPlan;
-use crate::exec::Workspace;
+use crate::exec::CompiledSeqOperator;
 use crate::pool::{ParallelEngine, PoolOptions};
-use crate::telemetry::ExecTelemetry;
 use crate::threaded::EndpointOperator;
 
 /// Selects one of the four SpMV execution backends.
@@ -86,7 +85,7 @@ pub enum Backend {
     /// Compiled plan over message-passing endpoints, one OS thread per
     /// rank.
     Threaded,
-    /// Compiled plan, sequential zero-alloc workspace execution.
+    /// Compiled plan, sequential zero-alloc execution over one arena.
     CompiledSeq,
     /// Compiled plan on the persistent pool — the calling thread as
     /// participant 0 plus spawned workers — running the NNZ-chunked
@@ -164,7 +163,7 @@ impl Backend {
             }
             Backend::Threaded => Box::new(EndpointOperator::new(cp, ChaosConfig::off(), sink)),
             Backend::CompiledSeq => Box::new(CompiledSeqOperator::new(cp, width, sink)),
-            Backend::CompiledPool { threads, pin } => Box::new(CompiledPoolOperator::new(
+            Backend::CompiledPool { threads, pin } => Box::new(ParallelEngine::with_options(
                 cp,
                 PoolOptions { threads, width, pin, sink, ..PoolOptions::default() },
             )),
@@ -200,7 +199,7 @@ impl Backend {
     /// have at least two participants (`min(K, available CPUs) ≥ 2` —
     /// on one core, or with one rank, a team is pure overhead) and one
     /// iteration carries enough work to amortize its barrier round
-    /// trips. Everything else runs faster on the sequential workspace.
+    /// trips. Everything else runs faster on the sequential operator.
     ///
     /// ISA-aware: a plan whose kernels resolved to SIMD
     /// ([`CompiledPlan`]'s `isa`, `Auto` on an AVX2 machine) uses
@@ -278,134 +277,6 @@ impl std::fmt::Display for Backend {
             }
             other => f.write_str(other.label()),
         }
-    }
-}
-
-/// [`Backend::CompiledSeq`] as an operator: one compiled plan plus its
-/// sequential [`Workspace`].
-pub struct CompiledSeqOperator {
-    cp: Arc<CompiledPlan>,
-    ws: Workspace,
-    obs: Option<ExecTelemetry>,
-}
-
-impl CompiledSeqOperator {
-    /// Wraps an already-compiled plan with a workspace for batches of
-    /// up to `width`. With a `sink`, every application records per-rank
-    /// phase spans and work counters; results stay bitwise identical to
-    /// the sink-less operator.
-    pub fn new(
-        cp: impl Into<Arc<CompiledPlan>>,
-        width: usize,
-        sink: Option<Arc<TelemetrySink>>,
-    ) -> CompiledSeqOperator {
-        let cp = cp.into();
-        let ws = cp.workspace_batch(width.max(1));
-        let obs = sink.map(|sink| ExecTelemetry::new(&cp, sink));
-        CompiledSeqOperator { cp, ws, obs }
-    }
-
-    /// The compiled plan this operator executes.
-    pub fn compiled(&self) -> &CompiledPlan {
-        &self.cp
-    }
-}
-
-impl SpmvOperator for CompiledSeqOperator {
-    fn nrows(&self) -> usize {
-        self.cp.nrows
-    }
-
-    fn ncols(&self) -> usize {
-        self.cp.ncols
-    }
-
-    fn apply(&mut self, x: &[f64], y: &mut [f64]) {
-        self.cp.execute_batch_iters_obs(&mut self.ws, x, y, 1, 1, self.obs.as_ref());
-    }
-
-    fn apply_batch(&mut self, x: &[f64], y: &mut [f64], r: usize) {
-        self.apply_batch_iters(x, y, r, 1);
-    }
-
-    fn apply_batch_iters(&mut self, x: &[f64], y: &mut [f64], r: usize, iters: usize) {
-        if r > self.ws.width() {
-            // One-time growth; steady-state calls at a seen width do
-            // not allocate.
-            self.ws = self.cp.workspace_batch(r);
-        }
-        // Native chained path: `y` itself ferries the iterate, no
-        // caller-side copies.
-        self.cp.execute_batch_iters_obs(&mut self.ws, x, y, r, iters, self.obs.as_ref());
-    }
-}
-
-/// [`Backend::CompiledPool`] as an operator: the compiled plan running
-/// on a persistent worker pool, spawned once at construction.
-pub struct CompiledPoolOperator {
-    /// `None` only inside a width-growth rebuild, between dropping the
-    /// old pool and building the new one.
-    engine: Option<ParallelEngine>,
-    /// The construction knobs, kept so a width-growth rebuild preserves
-    /// them (and stays instrumented on the same sink).
-    opts: PoolOptions,
-}
-
-impl CompiledPoolOperator {
-    /// Builds the pool over an already-compiled plan; see
-    /// [`PoolOptions`] for the knobs (`width` is the batch capacity).
-    pub fn new(cp: impl Into<Arc<CompiledPlan>>, opts: PoolOptions) -> CompiledPoolOperator {
-        let engine = Some(ParallelEngine::with_options(cp, opts.clone()));
-        CompiledPoolOperator { engine, opts }
-    }
-
-    /// The underlying pool (e.g. to query `threads()` or
-    /// [`ParallelEngine::worker_loads`]).
-    pub fn engine(&self) -> &ParallelEngine {
-        self.engine.as_ref().expect("a pool exists outside a width-growth rebuild")
-    }
-
-    fn engine_mut(&mut self) -> &mut ParallelEngine {
-        self.engine.as_mut().expect("a pool exists outside a width-growth rebuild")
-    }
-}
-
-impl SpmvOperator for CompiledPoolOperator {
-    fn nrows(&self) -> usize {
-        self.engine().plan().nrows
-    }
-
-    fn ncols(&self) -> usize {
-        self.engine().plan().ncols
-    }
-
-    fn apply(&mut self, x: &[f64], y: &mut [f64]) {
-        self.engine_mut().execute(x, y);
-    }
-
-    fn apply_batch(&mut self, x: &[f64], y: &mut [f64], r: usize) {
-        self.apply_batch_iters(x, y, r, 1);
-    }
-
-    fn apply_batch_iters(&mut self, x: &[f64], y: &mut [f64], r: usize, iters: usize) {
-        if r > self.engine().width() {
-            // Width growth requires re-sizing the shared buffers, which
-            // means rebuilding the pool — expensive, so build with the
-            // widest batch you plan to use. The old pool goes first
-            // (workers joined, buffers freed): the new one must not
-            // spawn and first-touch next to a live team.
-            let cp = Arc::clone(self.engine().plan());
-            self.opts.width = r;
-            self.engine = None;
-            self.engine = Some(ParallelEngine::with_options(cp, self.opts.clone()));
-        }
-        // Native chained path: one dispatch, participants stay hot
-        // across iterations.
-        self.engine_mut().execute_batch_iters(x, y, r, iters);
-    }
-
-    fn worker_loads(&self) -> Option<Vec<u64>> {
-        Some(self.engine().worker_loads().to_vec())
     }
 }
 
@@ -630,22 +501,21 @@ mod tests {
 
     #[test]
     fn compiled_operators_grow_to_wider_batches() {
+        // The sequential half; the pool's is `pool_grows_to_wider_batches`.
         let a = fig1_matrix();
         let p = fig1_partition();
         let plan = Arc::new(SpmvPlan::single_phase(&a, &p));
-        for backend in [Backend::CompiledSeq, Backend::CompiledPool { threads: 2, pin: false }] {
-            let mut op = build(backend, &plan, 1, KernelFormat::CsrSlice);
-            let r = 3;
-            let x: Vec<f64> = (0..a.ncols() * r).map(|i| ((i * 7) % 13) as f64 - 6.0).collect();
-            let mut y = vec![0.0; a.nrows() * r];
-            op.apply_batch(&x, &mut y, r); // width 1 → grows to 3
-            for q in 0..r {
-                let xq: Vec<f64> = (0..a.ncols()).map(|g| x[g * r + q]).collect();
-                let mut yq = vec![0.0; a.nrows()];
-                op.apply(&xq, &mut yq);
-                let got: Vec<f64> = (0..a.nrows()).map(|g| y[g * r + q]).collect();
-                assert_eq!(got, yq, "{backend} column {q}");
-            }
+        let mut op = build(Backend::CompiledSeq, &plan, 1, KernelFormat::CsrSlice);
+        let r = 3;
+        let x: Vec<f64> = (0..a.ncols() * r).map(|i| ((i * 7) % 13) as f64 - 6.0).collect();
+        let mut y = vec![0.0; a.nrows() * r];
+        op.apply_batch(&x, &mut y, r); // width 1 → grows to 3
+        for q in 0..r {
+            let xq: Vec<f64> = (0..a.ncols()).map(|g| x[g * r + q]).collect();
+            let mut yq = vec![0.0; a.nrows()];
+            op.apply(&xq, &mut yq);
+            let got: Vec<f64> = (0..a.nrows()).map(|g| y[g * r + q]).collect();
+            assert_eq!(got, yq, "column {q}");
         }
     }
 }

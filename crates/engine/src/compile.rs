@@ -503,8 +503,8 @@ impl CompiledPlan {
         self.ranks.last().map_or(0, |rp| rp.y_off + rp.ny.next_multiple_of(LINE_SLOTS))
     }
 
-    /// Bytes a single-RHS [`Workspace`](crate::Workspace) for this plan
-    /// allocates: the `y` arena plus the slack that lets it start on a
+    /// Bytes a single-RHS [`CompiledSeqOperator`](crate::CompiledSeqOperator)
+    /// allocates for this plan: the `y` arena plus the slack that lets it start on a
     /// cache line — `x` is read where the caller put it.
     pub fn workspace_bytes(&self) -> usize {
         (self.arena_slots() + crate::exec::ALIGN_SLACK) * std::mem::size_of::<f64>()
@@ -857,9 +857,11 @@ mod tests {
         assert_eq!((cp.ranks[0].y_off, cp.ranks[1].y_off), (0, LINE_SLOTS), "line-aligned blocks");
         assert_eq!((cp.comm_phases, &cp.fold_steps[..]), (1, &[false, true, false][..]));
         assert_eq!(cp.total_ops(), 3);
-        // The arena and its alignment slack are all a workspace holds.
-        assert_eq!(cp.workspace().y.len() * 8, cp.workspace_bytes(), "accounted to the word");
-        assert_eq!(cp.workspace_batch(3).y.len(), 2 * LINE_SLOTS * 3 + 7);
+        // The arena and its alignment slack are all a sequential
+        // operator holds.
+        let arena = |width| crate::exec::tests::seq(&cp, width).arena.len();
+        assert_eq!(arena(1) * 8, cp.workspace_bytes(), "accounted to the word");
+        assert_eq!(arena(3), 2 * LINE_SLOTS * 3 + 7);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! The phase-walk body every shared-memory driver runs, the
-//! `Transport` seam it runs over, and the in-place transport over a
-//! reusable [`Workspace`].
+//! `Transport` seam it runs over, and the in-place transport with its
+//! operator, [`CompiledSeqOperator`].
 //!
 //! One iteration of a [`CompiledPlan`] is written **once**, in
 //! `phase_walk`: clear the `y` arena → per phase, run compute chunks or
@@ -11,10 +11,10 @@
 //! `Transport` trait, with exactly two implementations:
 //!
 //! * `InPlace` (here): one participant owning all `K` ranks over the
-//!   plain `y` arena of a `&mut Workspace`, every kernel run whole in
-//!   rank order, and a `sync` that is a literal `false` — so barriers,
-//!   atomics and barrier-wait spans const-fold out of the sequential
-//!   path;
+//!   plain `y` arena of a [`CompiledSeqOperator`], every kernel run
+//!   whole in rank order, and a `sync` that is a literal `false` — so
+//!   barriers, atomics and barrier-wait spans const-fold out of the
+//!   sequential path;
 //! * the pool worker (`pool.rs`): a contiguous rank range, a baked
 //!   chunk bucket, range views over the shared arena, a spin barrier.
 //!
@@ -30,21 +30,23 @@
 //! place compiled steps execute: the same kernels over a private image
 //! of the home space, with real payloads.
 //!
-//! The workspace is the one buffer an in-place iteration writes besides
-//! the caller's `y`, so the loop performs **zero heap allocation**. It
-//! is allocated for a batch width `r` (1 for the classic single-vector
-//! case) and everything is a row-major block — see the crate docs:
-//! arena slot `s` occupies `y[s*r .. (s+1)*r]`, a rank's block starts
-//! at `y_off × r`. Its size follows the ranks' *logical* footprints
-//! (`ny` slots, rounded up to a cache line) whatever the plan's
-//! [`KernelFormat`](crate::formats::KernelFormat): padded layouts live
-//! inside the kernel's own arrays and reference existing columns and
-//! slots, so one workspace executes the same plan compiled to any
-//! format.
+//! The operator's arena is the one buffer an in-place iteration writes
+//! besides the caller's `y`, so the loop performs **zero heap
+//! allocation**. It is allocated for a batch width `r` (1 for the
+//! classic single-vector case) and everything is a row-major block —
+//! see the crate docs: arena slot `s` occupies `y[s*r .. (s+1)*r]`, a
+//! rank's block starts at `y_off × r`. Its size follows the ranks'
+//! *logical* footprints (`ny` slots, rounded up to a cache line)
+//! whatever the plan's [`KernelFormat`](crate::formats::KernelFormat):
+//! padded layouts live inside the kernel's own arrays and reference
+//! existing columns and slots, so one arena executes the same plan
+//! compiled to any format.
 
 use std::ops::Range;
+use std::sync::Arc;
 
-use s2d_obs::Phase;
+use s2d_obs::{Phase, TelemetrySink};
+use s2d_spmv::SpmvOperator;
 
 use crate::compile::{CompiledPlan, RankStep};
 use crate::telemetry::{call_end, span_end, span_start, ExecTelemetry};
@@ -57,26 +59,6 @@ pub(crate) const ALIGN_SLACK: usize = 7;
 /// boundary lies (at most [`ALIGN_SLACK`]).
 pub(crate) fn align_pad(base: *const f64) -> usize {
     (base as usize).wrapping_neg() % 64 / std::mem::size_of::<f64>()
-}
-
-/// The preallocated `y` arena for executing one [`CompiledPlan`] at
-/// batch widths up to the allocated `width`.
-///
-/// A workspace is tied to the layout of the plan that created it;
-/// executing a different plan through it panics on a size check.
-#[derive(Clone, Debug)]
-pub struct Workspace {
-    /// Batch capacity the arena was sized for.
-    pub(crate) width: usize,
-    /// `arena_slots × width` words plus [`ALIGN_SLACK`].
-    pub(crate) y: Vec<f64>,
-}
-
-impl Workspace {
-    /// The batch capacity this workspace was allocated for.
-    pub fn width(&self) -> usize {
-        self.width
-    }
 }
 
 /// A buffer ranks share: the `y` arena, a rank's block of it that
@@ -195,99 +177,99 @@ impl Transport for InPlace<'_> {
     }
 }
 
-impl CompiledPlan {
-    /// Allocates a single-RHS [`Workspace`] for this plan.
-    pub fn workspace(&self) -> Workspace {
-        self.workspace_batch(1)
+/// [`Backend::CompiledSeq`](crate::Backend::CompiledSeq) as an operator:
+/// one compiled plan, run by the phase-walk body over the in-place
+/// transport, plus the preallocated `y` arena it walks over.
+///
+/// Per column, results are bitwise identical to `r` single-RHS
+/// applications and to `execute_mailbox` (same accumulation order); a
+/// chained application lets `y` itself ferry the iterate.
+pub struct CompiledSeqOperator {
+    cp: Arc<CompiledPlan>,
+    /// Batch capacity the arena was sized for.
+    width: usize,
+    /// `arena_slots × width` words plus [`ALIGN_SLACK`].
+    pub(crate) arena: Vec<f64>,
+    obs: Option<ExecTelemetry>,
+}
+
+impl CompiledSeqOperator {
+    /// Wraps an already-compiled plan with an arena for batches of up to
+    /// `width`. With a `sink`, every application records per-rank phase
+    /// spans and work counters; results stay bitwise identical to the
+    /// sink-less operator.
+    pub fn new(
+        cp: impl Into<Arc<CompiledPlan>>,
+        width: usize,
+        sink: Option<Arc<TelemetrySink>>,
+    ) -> CompiledSeqOperator {
+        let cp = cp.into();
+        let width = width.max(1);
+        let arena = vec![0.0; cp.arena_slots() * width + ALIGN_SLACK];
+        let obs = sink.map(|sink| ExecTelemetry::new(&cp, sink));
+        CompiledSeqOperator { cp, width, arena, obs }
     }
 
-    /// Allocates a [`Workspace`] for batches of up to `width` RHS.
-    pub fn workspace_batch(&self, width: usize) -> Workspace {
-        assert!(width >= 1, "batch width must be at least 1");
-        Workspace { width, y: vec![0.0; self.arena_slots() * width + ALIGN_SLACK] }
-    }
-
-    /// Executes one SpMV: `y = A·x`, sequentially, through `ws`.
-    ///
-    /// Matches `execute_mailbox` exactly (same accumulation order), at
-    /// flat-array speed and with no allocation.
-    ///
-    /// # Panics
-    /// Panics if `x`/`y` lengths don't match the plan or `ws` was built
-    /// for a different plan.
-    pub fn execute(&self, ws: &mut Workspace, x: &[f64], y: &mut [f64]) {
-        self.execute_batch(ws, x, y, 1);
-    }
-
-    /// Executes one batched SpMV: `Y = A·X` for `r` right-hand sides.
-    ///
-    /// `x` is row-major `ncols × r`, `y` row-major `nrows × r` (column
-    /// `q` of global index `g` lives at `g*r + q`). Per column the
-    /// result is bitwise identical to `r` single-RHS executions — the
-    /// accumulation order per (row, column) pair is unchanged; only the
-    /// traversal is shared.
+    /// `iters` chained applications at batch width `r` through the
+    /// arena: `Y = A^iters · X`, `x` row-major `ncols × r` and `y`
+    /// row-major `nrows × r` (column `q` of global index `g` at
+    /// `g*r + q`).
     ///
     /// # Panics
     /// Panics if `x`/`y` lengths don't match `r` copies of the plan's
-    /// dimensions, or `ws` was allocated for a smaller width.
-    pub fn execute_batch(&self, ws: &mut Workspace, x: &[f64], y: &mut [f64], r: usize) {
-        self.execute_batch_iters(ws, x, y, r, 1);
-    }
-
-    /// `iters` chained applications: `y = A^iters · x` (power-iteration
-    /// shape, no normalization). Requires a square plan for `iters > 1`.
-    ///
-    /// `y` itself ferries the iterate: every iteration emits into it
-    /// and the next one reads it as its input; zero allocation.
-    pub fn execute_iters(&self, ws: &mut Workspace, x: &[f64], y: &mut [f64], iters: usize) {
-        self.execute_batch_iters(ws, x, y, 1, iters);
-    }
-
-    /// `iters` chained batched applications: `Y = A^iters · X` over `r`
-    /// right-hand sides at once.
-    pub fn execute_batch_iters(
-        &self,
-        ws: &mut Workspace,
-        x: &[f64],
-        y: &mut [f64],
-        r: usize,
-        iters: usize,
-    ) {
-        self.execute_batch_iters_obs(ws, x, y, r, iters, None);
-    }
-
-    /// [`CompiledPlan::execute_batch_iters`] with optional telemetry:
-    /// with a sink attached, per-rank phase spans and work counters are
-    /// recorded along the way (see the `telemetry` module docs for the
-    /// phase attribution). The numeric path is the same code either way
-    /// — results are bitwise identical with and without a sink.
-    pub fn execute_batch_iters_obs(
-        &self,
-        ws: &mut Workspace,
-        x: &[f64],
-        y: &mut [f64],
-        r: usize,
-        iters: usize,
-        obs: Option<&ExecTelemetry>,
-    ) {
+    /// dimensions, the arena holds fewer than `r` columns, or `iters > 1`
+    /// on a non-square plan.
+    fn run(&mut self, x: &[f64], y: &mut [f64], r: usize, iters: usize) {
+        let cp = &*self.cp;
+        let obs = self.obs.as_ref();
         assert!(iters >= 1, "at least one iteration");
         assert!(r >= 1, "batch width must be at least 1");
-        assert_eq!(x.len(), self.ncols * r, "input length mismatch");
-        assert_eq!(y.len(), self.nrows * r, "output length mismatch");
+        assert_eq!(x.len(), cp.ncols * r, "input length mismatch");
+        assert_eq!(y.len(), cp.nrows * r, "output length mismatch");
         assert_eq!(
-            ws.y.len(),
-            self.arena_slots() * ws.width + ALIGN_SLACK,
-            "workspace belongs to a different plan"
+            self.arena.len(),
+            cp.arena_slots() * self.width + ALIGN_SLACK,
+            "arena belongs to a different plan"
         );
-        assert!(ws.width >= r, "workspace width {} cannot hold a batch of {r}", ws.width);
+        assert!(self.width >= r, "arena width {} cannot hold a batch of {r}", self.width);
         if iters > 1 {
-            assert_eq!(self.nrows, self.ncols, "chained SpMV needs a square plan");
+            assert_eq!(cp.nrows, cp.ncols, "chained SpMV needs a square plan");
         }
         let t = span_start(obs);
-        let pad = align_pad(ws.y.as_ptr());
-        let arena = &mut ws.y[pad..pad + self.arena_slots() * r];
-        walk(self, &mut InPlace { plan: self, arena, x, y, r }, r, iters, obs);
+        let pad = align_pad(self.arena.as_ptr());
+        let arena = &mut self.arena[pad..pad + cp.arena_slots() * r];
+        walk(cp, &mut InPlace { plan: cp, arena, x, y, r }, r, iters, obs);
         call_end(obs, t, iters);
+    }
+}
+
+impl SpmvOperator for CompiledSeqOperator {
+    fn nrows(&self) -> usize {
+        self.cp.nrows
+    }
+
+    fn ncols(&self) -> usize {
+        self.cp.ncols
+    }
+
+    fn apply(&mut self, x: &[f64], y: &mut [f64]) {
+        self.run(x, y, 1, 1);
+    }
+
+    fn apply_batch(&mut self, x: &[f64], y: &mut [f64], r: usize) {
+        self.apply_batch_iters(x, y, r, 1);
+    }
+
+    fn apply_batch_iters(&mut self, x: &[f64], y: &mut [f64], r: usize, iters: usize) {
+        if r > self.width {
+            // One-time growth; steady-state calls at a seen width do
+            // not allocate.
+            self.width = r;
+            self.arena = vec![0.0; self.cp.arena_slots() * r + ALIGN_SLACK];
+        }
+        // Native chained path: `y` itself ferries the iterate, no
+        // caller-side copies.
+        self.run(x, y, r, iters);
     }
 }
 
@@ -423,6 +405,12 @@ pub(crate) mod tests {
     use s2d_core::fig1::{fig1_matrix, fig1_partition};
     use s2d_spmv::SpmvPlan;
 
+    /// A sequential operator over a copy of `cp`, sized for batches of
+    /// up to `width`.
+    pub(crate) fn seq(cp: &CompiledPlan, width: usize) -> CompiledSeqOperator {
+        CompiledSeqOperator::new(cp.clone(), width, None)
+    }
+
     fn assert_close(a: &[f64], b: &[f64]) {
         assert_eq!(a.len(), b.len());
         for (idx, (u, v)) in a.iter().zip(b).enumerate() {
@@ -442,9 +430,8 @@ pub(crate) mod tests {
             SpmvPlan::mesh(&a, &p, 1, 3),
         ] {
             let cp = CompiledPlan::compile(&plan);
-            let mut ws = cp.workspace();
             let mut y = vec![0.0; a.nrows()];
-            cp.execute(&mut ws, &x, &mut y);
+            seq(&cp, 1).apply(&x, &mut y);
             assert_close(&y, &plan.execute_mailbox(&x));
         }
     }
@@ -458,9 +445,8 @@ pub(crate) mod tests {
         let x: Vec<f64> = (0..a.ncols()).map(|j| 1.0 / (j as f64 + 1.0)).collect();
         let plan = SpmvPlan::single_phase(&a, &p);
         let cp = CompiledPlan::compile(&plan);
-        let mut ws = cp.workspace();
         let mut y = vec![0.0; a.nrows()];
-        cp.execute(&mut ws, &x, &mut y);
+        seq(&cp, 1).apply(&x, &mut y);
         assert_eq!(y, plan.execute_mailbox(&x));
     }
 
@@ -470,11 +456,11 @@ pub(crate) mod tests {
         let p = fig1_partition();
         let plan = SpmvPlan::single_phase(&a, &p);
         let cp = CompiledPlan::compile(&plan);
-        let mut ws = cp.workspace();
+        let mut op = seq(&cp, 1);
         let mut y = vec![0.0; a.nrows()];
         for seed in 0..5 {
             let x: Vec<f64> = (0..a.ncols()).map(|j| ((j + seed) % 7) as f64 - 3.0).collect();
-            cp.execute(&mut ws, &x, &mut y);
+            op.apply(&x, &mut y);
             assert_close(&y, &a.spmv_alloc(&x));
         }
     }
@@ -505,10 +491,9 @@ pub(crate) mod tests {
     fn execute_iters_chains_applications() {
         let (a, plan) = square_setup(12, 3);
         let cp = CompiledPlan::compile(&plan);
-        let mut ws = cp.workspace();
         let x: Vec<f64> = (0..a.ncols()).map(|j| (j as f64).cos()).collect();
         let mut y = vec![0.0; a.nrows()];
-        cp.execute_iters(&mut ws, &x, &mut y, 3);
+        seq(&cp, 1).apply_batch_iters(&x, &mut y, 1, 3);
         let want = a.spmv_alloc(&a.spmv_alloc(&a.spmv_alloc(&x)));
         assert_close(&y, &want);
     }
@@ -521,9 +506,8 @@ pub(crate) mod tests {
         let p = SpmvPartition::rowwise(&a, vec![0, 1, 1], vec![0, 0, 1], 2);
         let plan = SpmvPlan::single_phase(&a, &p);
         let cp = CompiledPlan::compile(&plan);
-        let mut ws = cp.workspace();
         let mut y = vec![9.0; 3];
-        cp.execute(&mut ws, &[2.0, 3.0, 4.0], &mut y);
+        seq(&cp, 1).apply(&[2.0, 3.0, 4.0], &mut y);
         assert_eq!(y, vec![2.0, 0.0, 0.0]);
     }
 
@@ -546,7 +530,7 @@ pub(crate) mod tests {
         let p = SpmvPartition::rowwise(&a, parts.clone(), parts, 2);
         let cp = CompiledPlan::compile(&SpmvPlan::single_phase(&a, &p));
         assert_eq!(cp.ranks[0].y_zero, vec![1]);
-        let mut ws = cp.workspace_batch(8);
+        let mut ws = seq(&cp, 8);
         let mut pool = ParallelEngine::with_options(
             cp.clone(),
             PoolOptions { threads: 2, width: 8, ..PoolOptions::default() },
@@ -555,12 +539,12 @@ pub(crate) mod tests {
             for r in [8usize, 3, 1] {
                 let x = batch_input(4, r, 1);
                 let mut got = vec![9.0; 4 * r];
-                cp.execute_batch_iters(&mut ws, &x, &mut got, r, iters);
+                ws.apply_batch_iters(&x, &mut got, r, iters);
                 let mut fresh = vec![9.0; 4 * r];
-                cp.execute_batch_iters(&mut cp.workspace_batch(r), &x, &mut fresh, r, iters);
-                assert_eq!(got, fresh, "r={r} iters={iters}: reused vs fresh workspace");
+                seq(&cp, r).apply_batch_iters(&x, &mut fresh, r, iters);
+                assert_eq!(got, fresh, "r={r} iters={iters}: reused vs fresh arena");
                 let mut pooled = vec![9.0; 4 * r];
-                pool.execute_batch_iters(&x, &mut pooled, r, iters);
+                pool.apply_batch_iters(&x, &mut pooled, r, iters);
                 assert_eq!(got, pooled, "r={r} iters={iters}: in place vs pool");
             }
         }
@@ -598,7 +582,7 @@ pub(crate) mod tests {
         ] {
             let mut want = vec![0.0; a.nrows()];
             let csr = CompiledPlan::compile(&plan);
-            csr.execute(&mut csr.workspace(), &x, &mut want);
+            seq(&csr, 1).apply(&x, &mut want);
             for format in KernelFormat::all() {
                 let cp = CompiledPlan::compile_with(&plan, format);
                 assert_eq!(cp.format, format);
@@ -606,9 +590,9 @@ pub(crate) mod tests {
                 for r in [1usize, 3, 8] {
                     let xb = batch_input(a.ncols(), r, 5);
                     let mut got = vec![0.0; a.nrows() * r];
-                    cp.execute_batch(&mut cp.workspace_batch(r), &xb, &mut got, r);
+                    seq(&cp, r).apply_batch(&xb, &mut got, r);
                     let mut wb = vec![0.0; a.nrows() * r];
-                    csr.execute_batch(&mut csr.workspace_batch(r), &xb, &mut wb, r);
+                    seq(&csr, r).apply_batch(&xb, &mut wb, r);
                     assert_eq!(got, wb, "{format} r={r} must match CSR bitwise");
                 }
             }
@@ -627,14 +611,13 @@ pub(crate) mod tests {
             let cp = CompiledPlan::compile(&plan);
             for r in [1usize, 2, 3, 4, 5, 8] {
                 let x = batch_input(a.ncols(), r, 7);
-                let mut ws = cp.workspace_batch(r);
                 let mut y = vec![0.0; a.nrows() * r];
-                cp.execute_batch(&mut ws, &x, &mut y, r);
-                let mut ws1 = cp.workspace();
+                seq(&cp, r).apply_batch(&x, &mut y, r);
+                let mut single = seq(&cp, 1);
                 for q in 0..r {
                     let xq = column(&x, a.ncols(), r, q);
                     let mut yq = vec![0.0; a.nrows()];
-                    cp.execute(&mut ws1, &xq, &mut yq);
+                    single.apply(&xq, &mut yq);
                     assert_eq!(column(&y, a.nrows(), r, q), yq, "r={r} column {q}");
                 }
             }
@@ -647,9 +630,8 @@ pub(crate) mod tests {
         let cp = CompiledPlan::compile(&plan);
         let r = 3;
         let x = batch_input(a.ncols(), r, 11);
-        let mut ws = cp.workspace_batch(r);
         let mut y = vec![0.0; a.nrows() * r];
-        cp.execute_batch_iters(&mut ws, &x, &mut y, r, 3);
+        seq(&cp, r).apply_batch_iters(&x, &mut y, r, 3);
         for q in 0..r {
             let xq = column(&x, a.ncols(), r, q);
             let want = a.spmv_alloc(&a.spmv_alloc(&a.spmv_alloc(&xq)));
@@ -661,26 +643,15 @@ pub(crate) mod tests {
     fn oversized_workspace_accepts_smaller_batches() {
         let (a, plan) = square_setup(10, 2);
         let cp = CompiledPlan::compile(&plan);
-        let mut ws = cp.workspace_batch(8);
+        let mut op = seq(&cp, 8);
         for r in [1usize, 2, 5, 8] {
             let x = batch_input(a.ncols(), r, 3);
             let mut y = vec![0.0; a.nrows() * r];
-            cp.execute_batch(&mut ws, &x, &mut y, r);
+            op.apply_batch(&x, &mut y, r);
             for q in 0..r {
                 let xq = column(&x, a.ncols(), r, q);
                 assert_close(&column(&y, a.nrows(), r, q), &a.spmv_alloc(&xq));
             }
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "cannot hold a batch")]
-    fn undersized_workspace_is_rejected() {
-        let (a, plan) = square_setup(10, 2);
-        let cp = CompiledPlan::compile(&plan);
-        let mut ws = cp.workspace_batch(2);
-        let x = batch_input(a.ncols(), 4, 3);
-        let mut y = vec![0.0; a.nrows() * 4];
-        cp.execute_batch(&mut ws, &x, &mut y, 4);
     }
 }

@@ -21,12 +21,16 @@
 //! ```text
 //!   SpmvPlan ──CompiledPlan::compile──▶ CompiledPlan (K RankPrograms)
 //!                                          │
-//!                     ┌────────────────────┴──────────────────┐
-//!           the phase-walk body (exec)               RankProgram::spmv_over
-//!            ┌────────┴──────────┐                  (s2d-runtime endpoints, one
-//!   in-place transport     pool transport            rank per thread / SPMD solver;
-//!   (Workspace + execute:  (ParallelEngine: persistent   private x image, payloads)
-//!    one thread, no sync)   workers, phase barriers)
+//!                     ┌────────────────────┴───────────────────┐
+//!           the phase-walk body (exec)                 RankProgram::spmv_over
+//!            ┌────────┴──────────┐                   (s2d-runtime endpoints,
+//!   in-place transport     pool transport             one rank per thread,
+//!   (CompiledSeqOperator:  (ParallelEngine:           private x image,
+//!    one thread, one        persistent workers,       payloads:
+//!    arena, no sync)        phase barriers)           EndpointOperator)
+//!            │                    │                           │
+//!            └────────────────────┴───────────┬───────────────┘
+//!                    SpmvOperator::apply / apply_batch / apply_batch_iters
 //! ```
 //!
 //! * [`compile`] — lowers compute phases to format-pluggable kernels
@@ -37,11 +41,12 @@
 //!   CSR slices, SELL-C-σ sorted chunks, dense-span splits, and the
 //!   per-kernel `auto` selection policy;
 //! * [`exec`] — the phase-walk body, its transport seam, and the
-//!   in-place transport over a reusable [`Workspace`] (the `y` arena);
+//!   in-place transport's operator, [`CompiledSeqOperator`], which owns
+//!   the `y` arena it reuses across calls;
 //! * [`pool`] — the [`ParallelEngine`]: the calling thread plus
 //!   long-lived, park-when-idle workers, each running the same body
-//!   over the shared arena, `execute_iters(n)` for solver loops with
-//!   zero per-iteration allocation;
+//!   over the shared arena, `apply_batch_iters(.., n)` for solver loops
+//!   with zero per-iteration allocation;
 //! * [`threaded`] — the endpoint walker ([`RankProgram::spmv_over`])
 //!   and [`EndpointOperator`], which runs it on one OS thread per rank.
 //!
@@ -56,7 +61,7 @@
 //! loop: [`CompiledPlan::compile_with`] lowers every compute phase to
 //! the requested [`KernelFormat`], and the format is baked into the
 //! kernel's buffer layout (chunk packing, padding, span tables) —
-//! every executor (sequential workspace, worker pool, the solver's
+//! every executor (sequential operator, worker pool, the solver's
 //! per-rank programs) runs whatever format the plan carries through
 //! the one [`Kernel::run_batch`] entry point.
 //!
@@ -87,11 +92,11 @@
 //! # Batched (multi-RHS) execution
 //!
 //! Every compiled path also runs **blocks** of `r` right-hand sides at
-//! once (`Y = A·X`): `Kernel::run_batch`, `CompiledPlan::execute_batch`
-//! / `execute_batch_iters` over a [`Workspace`] allocated with
-//! `workspace_batch(r)`, and `ParallelEngine::execute_batch` on a pool
-//! built with a [`PoolOptions::width`] of at least `r`. The memory
-//! layout is row-major everywhere:
+//! once (`Y = A·X`): [`Kernel::run_batch`], and `apply_batch` /
+//! `apply_batch_iters` on either shared-memory operator — a
+//! [`CompiledSeqOperator`] or a [`ParallelEngine`] — built with a width
+//! of at least `r` (a wider batch grows the operator's buffers once).
+//! The memory layout is row-major everywhere:
 //!
 //! * global vectors: index `g`, column `q` at `x[g*r + q]` — an `n × r`
 //!   block, never `r` separate vectors;
@@ -127,9 +132,11 @@
 //! enum: `Backend::build(&plan, &compiled, width, sink)` pays the
 //! remaining setup (buffers, worker threads) once and returns an
 //! operator whose `apply`/`apply_batch` write into caller-owned buffers
-//! with zero steady-state allocation on the in-place and pool drivers. See the [`backend`]
-//! module docs for selection guidance (when the pool beats the
-//! sequential workspace, how to pick a batch width). The conformance
+//! with zero steady-state allocation on the in-place and pool drivers.
+//! That operator interface is the only public way to run a compiled
+//! plan: pay the inspector once, then make one multiply call on one
+//! handle. See the [`backend`] module docs for selection guidance (when the pool beats the
+//! sequential operator, how to pick a batch width). The conformance
 //! suite in `crates/engine/tests/conformance.rs` holds every backend to
 //! one shared property set.
 
@@ -143,9 +150,9 @@ pub mod pool;
 pub mod telemetry;
 pub mod threaded;
 
-pub use backend::{Backend, CompiledPoolOperator, CompiledSeqOperator};
+pub use backend::Backend;
 pub use compile::{CompiledMsg, CompiledPlan, RankProgram, RankStep};
-pub use exec::Workspace;
+pub use exec::CompiledSeqOperator;
 pub use formats::{
     CsrKernel, DenseSplitKernel, Kernel, KernelFormat, KernelIsa, KernelStats, SellKernel, NO_LANE,
 };

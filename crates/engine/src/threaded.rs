@@ -288,7 +288,7 @@ mod tests {
             for r in [1usize, 4] {
                 let x = batch_input(plan.ncols, r, 13);
                 let mut want = vec![0.0; plan.nrows * r];
-                cp.execute_batch(&mut cp.workspace_batch(r), &x, &mut want, r);
+                crate::exec::tests::seq(&cp, r).apply_batch(&x, &mut want, r);
                 let configs = std::iter::once(ChaosConfig::off())
                     .chain((0..seeds).map(|seed| ChaosConfig::with_delays(max_delay_us, seed)));
                 for chaos in configs {
@@ -355,7 +355,7 @@ mod tests {
         let a = fig1_matrix();
         let p = fig1_partition();
         assert_bitwise_seq_under_chaos(&SpmvPlan::mesh(&a, &p, 3, 1), 200, 8, "mesh3x1");
-        assert_bitwise_seq_under_chaos(&PlanKind::MeshAuto.build(&a, &p), 200, 2, "mesh-auto");
+        assert_bitwise_seq_under_chaos(&PlanKind::Mesh.build(&a, &p), 200, 2, "mesh");
     }
 
     #[test]

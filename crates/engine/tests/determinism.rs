@@ -9,10 +9,12 @@
 //! control thread instead of deadlocking on a barrier.
 
 use s2d_core::optimal::s2d_optimal;
-use s2d_engine::{CompiledPlan, Kernel, KernelFormat, ParallelEngine, PoolOptions, RankStep};
+use s2d_engine::{
+    CompiledPlan, CompiledSeqOperator, Kernel, KernelFormat, ParallelEngine, PoolOptions, RankStep,
+};
 use s2d_gen::rmat::{rmat, RmatConfig};
 use s2d_sparse::Coo;
-use s2d_spmv::SpmvPlan;
+use s2d_spmv::{SpmvOperator, SpmvPlan};
 
 /// A mesh-routed s2D plan on a skewed matrix — the plan kind with the
 /// most comm phases, i.e. the most barrier crossings per iteration.
@@ -66,7 +68,7 @@ fn identical_results_across_thread_counts() {
     for threads in [1usize, 2, 4, cores] {
         let mut engine = pool(cp.clone(), threads, 1);
         let mut y = vec![0.0; n];
-        engine.execute_iters(&x, &mut y, 3);
+        engine.apply_batch_iters(&x, &mut y, 1, 3);
         match &reference {
             None => reference = Some(y),
             Some(want) => {
@@ -81,16 +83,16 @@ fn identical_results_across_thread_counts() {
     let (n, plan) = holey_mesh_setup();
     let cp = CompiledPlan::compile(&plan);
     assert!(cp.ranks.iter().any(|rp| !rp.y_zero.is_empty()), "needs never-materialized rows");
-    let mut ws = cp.workspace_batch(8);
+    let mut ws = CompiledSeqOperator::new(cp.clone(), 8, None);
     for threads in [1usize, 2, 4, cores] {
         let mut engine = pool(cp.clone(), threads, 8);
         for iters in [1usize, 3] {
             for r in [8usize, 1, 4] {
                 let x: Vec<f64> = (0..n * r).map(|i| ((i * 29) % 23) as f64 / 4.0 - 2.0).collect();
                 let mut want = vec![f64::NAN; n * r];
-                cp.execute_batch_iters(&mut ws, &x, &mut want, r, iters);
+                ws.apply_batch_iters(&x, &mut want, r, iters);
                 let mut y = vec![f64::NAN; n * r];
-                engine.execute_batch_iters(&x, &mut y, r, iters);
+                engine.apply_batch_iters(&x, &mut y, r, iters);
                 assert_eq!(
                     y.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
                     want.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
@@ -107,10 +109,10 @@ fn repeated_jobs_on_one_engine_are_bitwise_stable() {
     let x = x_for(n);
     let mut engine = pool(CompiledPlan::compile(&plan), 0, 1);
     let mut first = vec![0.0; n];
-    engine.execute_iters(&x, &mut first, 4);
+    engine.apply_batch_iters(&x, &mut first, 1, 4);
     for round in 0..10 {
         let mut again = vec![0.0; n];
-        engine.execute_iters(&x, &mut again, 4);
+        engine.apply_batch_iters(&x, &mut again, 1, 4);
         assert_eq!(again, first, "round {round}: fixed schedule must be bitwise deterministic");
     }
 }
@@ -125,7 +127,7 @@ fn batch_width_does_not_change_a_column() {
     let cp = CompiledPlan::compile(&plan);
     let mut engine = pool(cp, 0, 8);
     let mut narrow = vec![0.0; n];
-    engine.execute(&x, &mut narrow);
+    engine.apply(&x, &mut narrow);
     let r = 8;
     let mut block = vec![0.0; n * r];
     for g in 0..n {
@@ -135,7 +137,7 @@ fn batch_width_does_not_change_a_column() {
         }
     }
     let mut y = vec![0.0; n * r];
-    engine.execute_batch(&block, &mut y, r);
+    engine.apply_batch(&block, &mut y, r);
     let col0: Vec<f64> = (0..n).map(|g| y[g * r]).collect();
     assert_eq!(col0, narrow, "column 0 of the batch must equal the single-RHS result bitwise");
 }
@@ -150,13 +152,13 @@ fn every_kernel_format_is_bitwise_deterministic_and_reproduces_csr() {
     let (n, plan) = mesh_setup();
     let x = x_for(n);
     let mut want = vec![0.0; n];
-    pool(CompiledPlan::compile(&plan), 0, 1).execute_iters(&x, &mut want, 3);
+    pool(CompiledPlan::compile(&plan), 0, 1).apply_batch_iters(&x, &mut want, 1, 3);
     for format in KernelFormat::all() {
         let cp = CompiledPlan::compile_with(&plan, format);
         for threads in [1usize, 3, 8] {
             let mut engine = pool(cp.clone(), threads, 1);
             let mut y = vec![0.0; n];
-            engine.execute_iters(&x, &mut y, 3);
+            engine.apply_batch_iters(&x, &mut y, 1, 3);
             assert_eq!(y, want, "{format} x{threads} threads must match the CSR default bitwise");
         }
     }
@@ -183,11 +185,10 @@ fn poisoned_pool_reports_the_panic_instead_of_hanging() {
     let mut engine = pool(cp, 4, 1);
     let x = x_for(n);
     let mut y = vec![0.0; n];
-    let first =
-        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| engine.execute(&x, &mut y)));
+    let first = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| engine.apply(&x, &mut y)));
     assert!(first.is_err(), "worker panic must surface on the control thread");
     let second = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        engine.execute_iters(&x, &mut y, 2)
+        engine.apply_batch_iters(&x, &mut y, 1, 2)
     }));
     assert!(second.is_err(), "poisoned engine must fail fast on reuse");
     drop(engine); // must join, not hang

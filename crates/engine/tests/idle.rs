@@ -9,7 +9,7 @@ use std::time::Duration;
 
 use s2d_core::fig1::{fig1_matrix, fig1_partition};
 use s2d_engine::{CompiledPlan, ParallelEngine, PoolOptions};
-use s2d_spmv::SpmvPlan;
+use s2d_spmv::{SpmvOperator, SpmvPlan};
 
 /// `utime + stime` of this process (all its threads), in seconds.
 fn cpu_seconds() -> f64 {
@@ -47,7 +47,7 @@ fn an_idle_pool_burns_no_cpu_and_one_participant_spawns_nothing() {
         cp.clone(),
         PoolOptions { threads: 1, ..PoolOptions::default() },
     );
-    solo.execute(&x, &mut y);
+    solo.apply(&x, &mut y);
     assert_eq!(os_threads(), before, "threads: 1 must not spawn");
     drop(solo);
 
@@ -58,15 +58,23 @@ fn an_idle_pool_burns_no_cpu_and_one_participant_spawns_nothing() {
         ParallelEngine::with_options(cp, PoolOptions { threads: 3, ..PoolOptions::default() });
     assert_eq!(os_threads(), before + 2, "threads: 3 spawns two workers");
     let mut again = vec![0.0; a.nrows()];
-    team.execute(&x, &mut again);
+    team.apply(&x, &mut again);
     assert_eq!(again, y);
     let cpu = cpu_seconds();
     std::thread::sleep(Duration::from_millis(300));
     let burnt = cpu_seconds() - cpu;
     assert!(burnt < 0.1, "an idle pool burnt {burnt:.3} s of CPU in 300 ms");
     // Parked workers still wake up for the next job, and for shutdown.
-    team.execute(&x, &mut again);
+    team.apply(&x, &mut again);
     assert_eq!(again, y);
+    // A batch wider than the pool was built for rebuilds the team, and
+    // the old team goes first: two workers, never four.
+    let r = 4;
+    let block: Vec<f64> = x.iter().flat_map(|&v| [v; 4]).collect();
+    let mut wide = vec![0.0; a.nrows() * r];
+    team.apply_batch(&block, &mut wide, r);
+    assert_eq!(os_threads(), before + 2, "width growth joins the old team before spawning");
+    assert!(wide.chunks(r).zip(&y).all(|(row, &v)| row.iter().all(|&w| w == v)));
     drop(team);
     assert_eq!(os_threads(), before, "Drop joins every worker");
 }

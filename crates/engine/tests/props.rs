@@ -1,4 +1,4 @@
-//! Property tests: the compiled engine (sequential workspace executor,
+//! Property tests: the compiled engine (sequential executor,
 //! the persistent worker pool and the endpoint walker) must reproduce
 //! `execute_mailbox` on random R-MAT and power-law matrices, across all four plan kinds —
 //! row-parallel 1D, two-phase 2D, single-phase s2D, mesh-routed s2D-b —
@@ -7,7 +7,9 @@
 use proptest::prelude::*;
 use s2d_core::optimal::s2d_optimal;
 use s2d_core::partition::SpmvPartition;
-use s2d_engine::{CompiledPlan, EndpointOperator, ParallelEngine, PoolOptions};
+use s2d_engine::{
+    CompiledPlan, CompiledSeqOperator, EndpointOperator, ParallelEngine, PoolOptions,
+};
 use s2d_gen::powerlaw::power_law;
 use s2d_gen::rmat::{rmat, RmatConfig};
 use s2d_runtime::ChaosConfig;
@@ -88,13 +90,13 @@ proptest! {
                 let want = plan.execute_mailbox(&x);
                 let cp = CompiledPlan::compile(&plan);
                 prop_assert_eq!(cp.total_ops(), plan.total_ops());
-                let mut ws = cp.workspace();
+                let mut op = CompiledSeqOperator::new(cp, 1, None);
                 let mut y = vec![0.0; a.nrows()];
-                cp.execute(&mut ws, &x, &mut y);
+                op.apply(&x, &mut y);
                 assert_close(&y, &want, kind)?;
-                // Reuse the workspace: second run must be identical.
+                // Reuse the arena: second run must be identical.
                 let mut y2 = vec![0.0; a.nrows()];
-                cp.execute(&mut ws, &x, &mut y2);
+                op.apply(&x, &mut y2);
                 prop_assert_eq!(&y, &y2);
             }
         }
@@ -117,7 +119,7 @@ proptest! {
                     PoolOptions { threads, ..PoolOptions::default() },
                 );
                 let mut y = vec![0.0; a.nrows()];
-                engine.execute(&x, &mut y);
+                engine.apply(&x, &mut y);
                 assert_close(&y, &want, kind)?;
             }
         }
@@ -142,7 +144,8 @@ proptest! {
                     let x: Vec<f64> =
                         (0..r as u64).flat_map(|q| x_for(a.ncols(), xseed + q)).collect();
                     let mut want = vec![0.0; a.nrows() * r];
-                    cp.execute_batch(&mut cp.workspace_batch(r), &x, &mut want, r);
+                    CompiledSeqOperator::new(std::sync::Arc::clone(&cp), r, None)
+                        .apply_batch(&x, &mut want, r);
                     let mut y = vec![f64::NAN; a.nrows() * r];
                     op.apply_batch(&x, &mut y, r);
                     prop_assert_eq!(&y, &want, "{} k={} r={}", kind, k, r);

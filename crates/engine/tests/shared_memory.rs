@@ -18,7 +18,8 @@ use std::sync::Arc;
 use s2d_core::fig1::{fig1_matrix, fig1_partition};
 use s2d_core::optimal::s2d_optimal;
 use s2d_engine::{
-    CompiledPlan, EndpointOperator, KernelFormat, ParallelEngine, PoolOptions, RankStep,
+    CompiledPlan, CompiledSeqOperator, EndpointOperator, KernelFormat, ParallelEngine, PoolOptions,
+    RankStep,
 };
 use s2d_gen::denserow::{dense_row_matrix, DenseRowConfig};
 use s2d_runtime::ChaosConfig;
@@ -94,7 +95,7 @@ fn assert_every_driver_matches_the_mailbox(plan: SpmvPlan, what: &str) {
     let mut oracle = MailboxOperator::new(Arc::clone(&plan));
     for format in [KernelFormat::CsrSlice, KernelFormat::Auto] {
         let cp = Arc::new(CompiledPlan::compile_with(&plan, format));
-        let mut ws = cp.workspace_batch(8);
+        let mut ws = CompiledSeqOperator::new(Arc::clone(&cp), 8, None);
         let mut pools: Vec<ParallelEngine> = (1..=3)
             .map(|threads| {
                 let opts = PoolOptions { threads, width: 8, ..PoolOptions::default() };
@@ -109,11 +110,11 @@ fn assert_every_driver_matches_the_mailbox(plan: SpmvPlan, what: &str) {
                 let mut want = vec![f64::NAN; n * r];
                 oracle.apply_batch_iters(&x, &mut want, r, iters);
                 let mut y = vec![f64::NAN; n * r];
-                cp.execute_batch_iters(&mut ws, &x, &mut y, r, iters);
+                ws.apply_batch_iters(&x, &mut y, r, iters);
                 assert_eq!(y, want, "{at}: in place");
                 for pool in &mut pools {
                     y.fill(f64::NAN);
-                    pool.execute_batch_iters(&x, &mut y, r, iters);
+                    pool.apply_batch_iters(&x, &mut y, r, iters);
                     assert_eq!(y, want, "{at}: pool of {}", pool.threads());
                 }
                 y.fill(f64::NAN);
@@ -166,7 +167,7 @@ fn endpoint_walker_under_chaos_equals_compiled_seq_on_dense_rows() {
         for r in [1usize, 4] {
             let x = input(n, r);
             let mut want = vec![0.0; n * r];
-            cp.execute_batch(&mut cp.workspace_batch(r), &x, &mut want, r);
+            CompiledSeqOperator::new(Arc::clone(&cp), r, None).apply_batch(&x, &mut want, r);
             let configs = std::iter::once(ChaosConfig::off())
                 .chain((0..3).map(|seed| ChaosConfig::with_delays(120, seed)));
             for chaos in configs {

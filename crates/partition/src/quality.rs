@@ -58,7 +58,7 @@ impl PartitionQuality {
     }
 
     /// [`PartitionQuality::measure`] under an explicit plan kind (e.g.
-    /// [`PlanKind::MeshAuto`] to price the bounded-latency routing).
+    /// [`PlanKind::Mesh`] to price the bounded-latency routing).
     pub fn measure_with(
         a: &Csr,
         p: &SpmvPartition,
@@ -172,7 +172,7 @@ mod tests {
         assert!(q.alpha_beta_time > 0.0 && q.loggp_time > 0.0);
         assert_eq!(q.max_load, p.loads().into_iter().max().unwrap());
         // Mesh pricing routes through two phases.
-        let qm = PartitionQuality::measure_with(&a, &p, PlanKind::MeshAuto, "fig1");
+        let qm = PartitionQuality::measure_with(&a, &p, PlanKind::Mesh, "fig1");
         assert_eq!(qm.comm_phases, 2);
     }
 

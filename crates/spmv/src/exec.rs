@@ -18,7 +18,7 @@ use crate::plan::{PlanPhase, SpmvPlan};
 /// across calls keeps the per-call cost to clearing the maps instead of
 /// reallocating them.
 #[derive(Clone, Debug)]
-pub struct MailboxState {
+pub(crate) struct MailboxState {
     xbuf: Vec<HashMap<u32, f64>>,
     ybuf: Vec<HashMap<u32, f64>>,
     captured: Vec<f64>,
@@ -27,7 +27,7 @@ pub struct MailboxState {
 impl MailboxState {
     /// Allocates state sized for `plan` (capture buffer sized for the
     /// largest communication phase up front).
-    pub fn for_plan(plan: &SpmvPlan) -> MailboxState {
+    pub(crate) fn for_plan(plan: &SpmvPlan) -> MailboxState {
         let max_words = plan
             .phases
             .iter()
@@ -52,7 +52,12 @@ impl MailboxState {
 /// # Panics
 /// Panics if a multiply-add needs an `x` value its processor does not
 /// hold — that is a plan construction bug, not a data error.
-pub fn execute_mailbox_into(plan: &SpmvPlan, x: &[f64], y: &mut [f64], state: &mut MailboxState) {
+pub(crate) fn execute_mailbox_into(
+    plan: &SpmvPlan,
+    x: &[f64],
+    y: &mut [f64],
+    state: &mut MailboxState,
+) {
     assert_eq!(x.len(), plan.ncols, "input length mismatch");
     assert_eq!(y.len(), plan.nrows, "output length mismatch");
     assert_eq!(state.xbuf.len(), plan.k, "state belongs to a different plan");

@@ -12,7 +12,8 @@
 //! * **mesh-routed s2D-b** — precompute, two mesh hops with partial-sum
 //!   aggregation at intermediates, compute (Section VI-B).
 //!
-//! One executor lives here: [`exec::execute_mailbox_into`], a
+//! One executor lives here: the mailbox interpreter behind
+//! [`SpmvPlan::execute_mailbox`] and [`MailboxOperator`], a
 //! deterministic, deliberately naive sequential interpretation (works
 //! for any `K`) kept as the semantic **oracle** every fast path is
 //! differentially tested against. Everything else that runs a plan —
@@ -29,10 +30,10 @@
 #![forbid(unsafe_code)]
 
 pub mod bridge;
-pub mod exec;
+mod exec;
 pub mod operator;
 pub mod plan;
 
 pub use bridge::{simulate_plan, to_phase_specs};
-pub use operator::{apply_batch_columnwise, MailboxOperator, SpmvOperator};
+pub use operator::{MailboxOperator, SpmvOperator};
 pub use plan::{MsgSpec, MultTask, PlanKind, PlanPhase, RowProfile, SpmvPlan};

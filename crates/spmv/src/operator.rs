@@ -168,7 +168,7 @@ impl<O: SpmvOperator + ?Sized> SpmvOperator for Box<O> {
 
 /// Shared column-by-column batch fallback: one scratch column pair for
 /// all `r` passes (no per-column allocation).
-pub fn apply_batch_columnwise<O: SpmvOperator + ?Sized>(
+pub(crate) fn apply_batch_columnwise<O: SpmvOperator + ?Sized>(
     op: &mut O,
     x: &[f64],
     y: &mut [f64],
@@ -200,7 +200,7 @@ fn check_shapes(plan: &SpmvPlan, x: &[f64], y: &[f64], r: usize) {
 
 /// The deterministic mailbox interpreter as an operator.
 ///
-/// Holds the per-processor interpretation state ([`MailboxState`])
+/// Holds the per-processor interpretation state (`MailboxState`)
 /// across calls, so repeated applications reuse the hash maps and the
 /// flat capture buffer instead of reallocating them — the convenience
 /// [`SpmvPlan::execute_mailbox`] method pays that setup on every call.

@@ -321,8 +321,7 @@ impl SpmvPlan {
 
     /// Executes the plan with the deterministic mailbox executor.
     ///
-    /// Convenience wrapper over
-    /// [`execute_mailbox_into`](crate::exec::execute_mailbox_into); for
+    /// Allocates fresh interpretation state on every call; for
     /// repeated applications build a
     /// [`MailboxOperator`](crate::operator::MailboxOperator) instead (it
     /// reuses the interpretation state across calls).
@@ -366,15 +365,9 @@ pub enum PlanKind {
     SinglePhase,
     /// Two-phase Expand / Fold (works for any partition).
     TwoPhase,
-    /// Mesh-routed s2D-b with an explicit `pr × pc` processor mesh.
-    Mesh {
-        /// Mesh rows.
-        pr: usize,
-        /// Mesh columns.
-        pc: usize,
-    },
-    /// Mesh-routed s2D-b on the default nearly-square mesh.
-    MeshAuto,
+    /// Mesh-routed s2D-b on the default nearly-square mesh (an explicit
+    /// `pr × pc` mesh is [`SpmvPlan::mesh`]).
+    Mesh,
 }
 
 impl PlanKind {
@@ -388,16 +381,13 @@ impl PlanKind {
         match *self {
             PlanKind::SinglePhase => SpmvPlan::single_phase(a, p),
             PlanKind::TwoPhase => SpmvPlan::two_phase(a, p),
-            PlanKind::Mesh { pr, pc } => SpmvPlan::mesh(a, p, pr, pc),
-            PlanKind::MeshAuto => SpmvPlan::mesh_default(a, p),
+            PlanKind::Mesh => SpmvPlan::mesh_default(a, p),
         }
     }
 
-    /// The three parameter-free kinds, for conformance/differential
-    /// sweeps (explicit meshes are covered by [`PlanKind::MeshAuto`]'s
-    /// default dimensions).
+    /// Every kind, for conformance/differential sweeps.
     pub fn all() -> [PlanKind; 3] {
-        [PlanKind::SinglePhase, PlanKind::TwoPhase, PlanKind::MeshAuto]
+        [PlanKind::SinglePhase, PlanKind::TwoPhase, PlanKind::Mesh]
     }
 
     /// The best legal kind for `(a, p)`: fused single-phase when the
@@ -428,7 +418,7 @@ impl PlanKind {
         match self {
             PlanKind::SinglePhase => "single_phase",
             PlanKind::TwoPhase => "two_phase",
-            PlanKind::Mesh { .. } | PlanKind::MeshAuto => "mesh",
+            PlanKind::Mesh => "mesh",
         }
     }
 }
@@ -442,7 +432,7 @@ impl std::str::FromStr for PlanKind {
         match s {
             "single" | "single_phase" | "single-phase" => Ok(PlanKind::SinglePhase),
             "two" | "two_phase" | "two-phase" => Ok(PlanKind::TwoPhase),
-            "mesh" => Ok(PlanKind::MeshAuto),
+            "mesh" => Ok(PlanKind::Mesh),
             other => Err(format!("unknown plan kind {other:?} (single|two|mesh)")),
         }
     }
@@ -450,10 +440,7 @@ impl std::str::FromStr for PlanKind {
 
 impl std::fmt::Display for PlanKind {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            PlanKind::Mesh { pr, pc } => write!(f, "mesh({pr}x{pc})"),
-            other => f.write_str(other.label()),
-        }
+        f.write_str(self.label())
     }
 }
 

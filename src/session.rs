@@ -37,30 +37,6 @@ pub struct SessionBuilder<'a> {
 }
 
 impl<'a> SessionBuilder<'a> {
-    /// The matrix this builder configures a session over — read access
-    /// for wrappers (e.g. the `s2d-tune` tuned builder) that need to
-    /// search configurations before delegating back to
-    /// [`SessionBuilder::build`].
-    pub fn matrix(&self) -> &'a Csr {
-        self.a
-    }
-
-    /// The `(strategy, k)` chosen through [`SessionBuilder::partitioner`],
-    /// if any.
-    pub fn chosen_partitioner(&self) -> Option<(Strategy, usize)> {
-        self.strategy
-    }
-
-    /// The partitioner knobs currently configured.
-    pub fn chosen_partitioner_config(&self) -> PartitionerConfig {
-        self.partitioner_cfg
-    }
-
-    /// The batch width currently configured (default 1).
-    pub fn chosen_batch_width(&self) -> usize {
-        self.batch_width
-    }
-
     /// The partition to run on. Either this or
     /// [`SessionBuilder::partitioner`] is required.
     pub fn partition(mut self, p: &'a SpmvPartition) -> Self {

@@ -145,9 +145,10 @@ fn optimal_split_executes_on_suite_matrices() {
 fn batched_pipeline_matches_r_independent_serial_spmvs() {
     // The full generate → partition → plan → compile → execute-batch
     // pipeline: Y = A·X for an r-column X must equal r independent
-    // serial SpMVs, on both the sequential workspace executor and the
+    // serial SpMVs, on both the sequential executor and the
     // worker pool, for specialized (2, 8) and generic (3) widths.
-    use s2d::engine::{CompiledPlan, ParallelEngine, PoolOptions};
+    use s2d::engine::{CompiledPlan, CompiledSeqOperator, ParallelEngine, PoolOptions};
+    use s2d::SpmvOperator;
     let k = 8;
     for spec in suite_a().into_iter().take(2) {
         let a = spec.generate(Scale::Tiny, 19);
@@ -169,15 +170,14 @@ fn batched_pipeline_matches_r_independent_serial_spmvs() {
                     ((g * 2654435761 + q * 97) % 1000) as f64 / 97.0 - 5.0
                 })
                 .collect();
-            let mut ws = cp.workspace_batch(r);
             let mut y_seq = vec![0.0; a.nrows() * r];
-            cp.execute_batch(&mut ws, &x, &mut y_seq, r);
+            CompiledSeqOperator::new(cp.clone(), r, None).apply_batch(&x, &mut y_seq, r);
             let mut pool = ParallelEngine::with_options(
                 cp.clone(),
                 PoolOptions { width: r, ..PoolOptions::default() },
             );
             let mut y_pool = vec![0.0; a.nrows() * r];
-            pool.execute_batch(&x, &mut y_pool, r);
+            pool.apply_batch(&x, &mut y_pool, r);
             for q in 0..r {
                 let xq: Vec<f64> = (0..n).map(|g| x[g * r + q]).collect();
                 let want = a.spmv_alloc(&xq);
