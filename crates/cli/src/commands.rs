@@ -84,14 +84,15 @@ ENGINES (--engine <backend>)
   compiled-seq       compiled plan, sequential zero-alloc workspace
   compiled-pool[:N][@pin]  compiled plan on the persistent pool: this
                      thread plus N-1 workers that park when idle
-                     (N participants; default one per rank, capped at
-                      CPUs; `@pin` pins spawned worker w >= 1 to core
-                      w; `compiled` and `pool` are accepted aliases)
+                     (N participants; team size: see
+                      Backend::participants; `@pin` pins spawned worker
+                      w >= 1 to core w; `compiled` and `pool` are
+                      accepted aliases)
   auto               compile, then pick compiled-seq or compiled-pool
                      from the core count and the plan's op count (the
-                     pool needs two participants - min(K, CPUs) >= 2 -
-                     and ~1.25e5 multiply-adds per iteration scalar,
-                     ~2.5e5 when the SIMD kernels are active)
+                     pool needs a default team of two participants and
+                     ~1.25e5 multiply-adds per iteration scalar, ~2.5e5
+                     when the SIMD kernels are active)
 
 KERNEL FORMATS (--kernel-format, compiled engines only)
   csr                run-length grouped CSR slices (default, bitwise

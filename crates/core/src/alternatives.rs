@@ -28,7 +28,7 @@
 //! offload (useful when the row owner holds a catastrophically dense
 //! row), mirroring how `A1` trades volume for zero movement.
 
-use s2d_dm::{dm_decompose, DmLabel};
+use s2d_dm::{dm_decompose, DmDecomposition, DmLabel};
 use s2d_sparse::Csr;
 
 /// One of the four split alternatives of an off-diagonal block.
@@ -80,58 +80,70 @@ pub struct BlockAnalysis {
     pub v_cols: u32,
 }
 
+/// Compacts the block holding `nz_ids` of `a` to its nonempty rows and
+/// columns, decomposes it (Dulmage–Mendelsohn, label vectors spanning
+/// exactly those rows and columns) and hands `visit` each nonzero's
+/// local `(row, col)` edge, in `nz_ids` order, with the decomposition.
+pub(crate) fn with_block_dm<R>(
+    a: &Csr,
+    nz_ids: &[u32],
+    visit: impl FnOnce(&[(u32, u32)], &DmDecomposition) -> R,
+) -> R {
+    let mut rows: Vec<u32> = Vec::with_capacity(nz_ids.len());
+    let mut cols: Vec<u32> = Vec::with_capacity(nz_ids.len());
+    for &e in nz_ids {
+        rows.push(a.row_of_nnz(e as usize) as u32);
+        cols.push(a.colind()[e as usize]);
+    }
+    let mut urows = rows.clone();
+    urows.sort_unstable();
+    urows.dedup();
+    let mut ucols = cols.clone();
+    ucols.sort_unstable();
+    ucols.dedup();
+    let edges: Vec<(u32, u32)> = rows
+        .iter()
+        .zip(&cols)
+        .map(|(&r, &c)| {
+            let lr = urows.binary_search(&r).expect("row present") as u32;
+            let lc = ucols.binary_search(&c).expect("col present") as u32;
+            (lr, lc)
+        })
+        .collect();
+    let dm = dm_decompose(urows.len(), ucols.len(), &edges);
+    visit(&edges, &dm)
+}
+
 impl BlockAnalysis {
     /// Analyzes the off-diagonal block `(l, k)` holding `nz_ids` of `a`.
     pub fn analyze(a: &Csr, l: u32, k: u32, nz_ids: &[u32]) -> Self {
-        // Compactify rows and columns.
-        let mut rows: Vec<u32> = Vec::with_capacity(nz_ids.len());
-        let mut cols: Vec<u32> = Vec::with_capacity(nz_ids.len());
-        for &e in nz_ids {
-            rows.push(a.row_of_nnz(e as usize) as u32);
-            cols.push(a.colind()[e as usize]);
-        }
-        let mut urows = rows.clone();
-        urows.sort_unstable();
-        urows.dedup();
-        let mut ucols = cols.clone();
-        ucols.sort_unstable();
-        ucols.dedup();
-        let edges: Vec<(u32, u32)> = rows
-            .iter()
-            .zip(&cols)
-            .map(|(&r, &c)| {
-                let lr = urows.binary_search(&r).expect("row present") as u32;
-                let lc = ucols.binary_search(&c).expect("col present") as u32;
-                (lr, lc)
-            })
-            .collect();
-        let dm = dm_decompose(urows.len(), ucols.len(), &edges);
-
-        let mut h_diag_nz = Vec::new();
-        let mut hs_rows_nz = Vec::new();
-        for (&e, &(lr, lc)) in nz_ids.iter().zip(&edges) {
-            let row_label = dm.row_label[lr as usize];
-            if row_label != DmLabel::Vertical {
-                hs_rows_nz.push(e);
+        with_block_dm(a, nz_ids, |edges, dm| {
+            let mut h_diag_nz = Vec::new();
+            let mut hs_rows_nz = Vec::new();
+            for (&e, &(lr, lc)) in nz_ids.iter().zip(edges) {
+                let row_label = dm.row_label[lr as usize];
+                if row_label != DmLabel::Vertical {
+                    hs_rows_nz.push(e);
+                }
+                if dm.col_label[lc as usize] == DmLabel::Horizontal {
+                    debug_assert_eq!(row_label, DmLabel::Horizontal, "H cols pin H rows");
+                    h_diag_nz.push(e);
+                }
             }
-            if dm.col_label[lc as usize] == DmLabel::Horizontal {
-                debug_assert_eq!(row_label, DmLabel::Horizontal, "H cols pin H rows");
-                h_diag_nz.push(e);
+            BlockAnalysis {
+                l,
+                k,
+                nz: nz_ids.to_vec(),
+                h_diag_nz,
+                hs_rows_nz,
+                m_hat: dm.row_label.len() as u32,
+                n_hat: dm.col_label.len() as u32,
+                h_rows: dm.h_rows as u32,
+                h_cols: dm.h_cols as u32,
+                s_size: dm.s_size as u32,
+                v_cols: dm.v_cols as u32,
             }
-        }
-        BlockAnalysis {
-            l,
-            k,
-            nz: nz_ids.to_vec(),
-            h_diag_nz,
-            hs_rows_nz,
-            m_hat: urows.len() as u32,
-            n_hat: ucols.len() as u32,
-            h_rows: dm.h_rows as u32,
-            h_cols: dm.h_cols as u32,
-            s_size: dm.s_size as u32,
-            v_cols: dm.v_cols as u32,
-        }
+        })
     }
 
     /// Pairwise communication volume `λ_{k→ℓ}` under `alt` (eq. 3).

@@ -231,12 +231,6 @@ impl CommStats {
     pub fn max_send_volume(&self) -> u64 {
         self.send_volume.iter().copied().max().unwrap_or(0)
     }
-
-    /// Maximum of send+receive message count over processors — the
-    /// per-processor latency bottleneck.
-    pub fn max_sendrecv_msgs(&self) -> u32 {
-        (0..self.k).map(|p| self.send_msgs[p].max(self.recv_msgs[p])).max().unwrap_or(0)
-    }
 }
 
 /// Groups requirements into **single-phase** messages (s2D SpMV): the

@@ -7,9 +7,10 @@
 //! `λ_{k→ℓ} = m̂(H) + n̂(S) + n̂(V)` equals the block's minimum row+column
 //! cover (König), hence no s2D split can do better.
 
-use s2d_dm::{dm_decompose, DmLabel};
+use s2d_dm::DmLabel;
 use s2d_sparse::{BlockStructure, Csr};
 
+use crate::alternatives::with_block_dm;
 use crate::partition::SpmvPartition;
 
 /// The DM-based split of one off-diagonal block. The heuristics price
@@ -27,39 +28,17 @@ pub(crate) struct BlockSplit {
 
 /// Computes the DM split of the block `(_l, k)` holding `nz_ids`.
 pub(crate) fn split_block(a: &Csr, _l: u32, k: u32, nz_ids: &[u32]) -> BlockSplit {
-    // Compactify the block's rows and columns.
-    let mut rows: Vec<u32> = Vec::with_capacity(nz_ids.len());
-    let mut cols: Vec<u32> = Vec::with_capacity(nz_ids.len());
-    for &e in nz_ids {
-        rows.push(a.row_of_nnz(e as usize) as u32);
-        cols.push(a.colind()[e as usize]);
-    }
-    let mut urows = rows.clone();
-    urows.sort_unstable();
-    urows.dedup();
-    let mut ucols = cols.clone();
-    ucols.sort_unstable();
-    ucols.dedup();
-    let edges: Vec<(u32, u32)> = rows
-        .iter()
-        .zip(&cols)
-        .map(|(&r, &c)| {
-            let lr = urows.binary_search(&r).expect("row present") as u32;
-            let lc = ucols.binary_search(&c).expect("col present") as u32;
-            (lr, lc)
-        })
-        .collect();
-
-    let dm = dm_decompose(urows.len(), ucols.len(), &edges);
-    let mut h_nz = Vec::new();
-    for (&e, &(_, lc)) in nz_ids.iter().zip(&edges) {
-        // An edge lies in the H diagonal block iff its column is in C_H
-        // (all edges incident to C_H have rows in R_H).
-        if dm.col_label[lc as usize] == DmLabel::Horizontal {
-            h_nz.push(e);
+    with_block_dm(a, nz_ids, |edges, dm| {
+        let mut h_nz = Vec::new();
+        for (&e, &(_, lc)) in nz_ids.iter().zip(edges) {
+            // An edge lies in the H diagonal block iff its column is in
+            // C_H (all edges incident to C_H have rows in R_H).
+            if dm.col_label[lc as usize] == DmLabel::Horizontal {
+                h_nz.push(e);
+            }
         }
-    }
-    BlockSplit { k, h_nz }
+        BlockSplit { k, h_nz }
+    })
 }
 
 /// Builds the volume-optimal s2D partition for the given vector partition

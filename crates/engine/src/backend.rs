@@ -27,13 +27,12 @@
 //! * [`Backend::CompiledPool`] — the same body over the **pool**
 //!   transport ([`ParallelEngine`]): the calling thread and the
 //!   persistent workers each run it for their rank range and their
-//!   NNZ-balanced chunk bucket, with a barrier at every handoff. `threads` counts participants
-//!   *including the caller* (`threads − 1` OS threads are spawned, and
-//!   an idle pool parks them); `0` sizes the team to `min(K, available
-//!   CPUs)`. With two participants on two cores it measured 0.19 vs
-//!   0.17 ms per iteration at 131 k multiply-adds and 0.71 vs 1.30 ms
-//!   at 1.68 M (the ledger's `engine.pool_apply_*` / `seq_apply_*`
-//!   columns, PR 23); never ask for more participants than cores.
+//!   NNZ-balanced chunk bucket, with a barrier at every handoff; the
+//!   team size is [`Backend::participants`]. With two participants on
+//!   two cores it measured 0.19 vs 0.17 ms per iteration at 131 k
+//!   multiply-adds and 0.71 vs 1.30 ms at 1.68 M (the ledger's
+//!   `engine.pool_apply_*` / `seq_apply_*` columns); never ask for
+//!   more participants than cores.
 //! * [`Backend::Threaded`] — the same programs over message-passing
 //!   **endpoints**, one OS thread per rank ([`EndpointOperator`]).
 //!   Spawns its threads per call: the distributed-execution shape
@@ -50,7 +49,7 @@
 //! Undecided? [`Backend::auto`] applies the seq-vs-pool crossover rule
 //! to a compiled plan (`--engine auto` on the CLI). It is also what
 //! `s2d-serve` runs every session on unless told otherwise
-//! (`ServerConfig::backend: None`), with the pool team capped to the
+//! (`ServerConfig::backend: None`), with the team capped to the
 //! server's core budget so that concurrent sessions never hold more
 //! participants than there are cores. Kernel format and ISA are
 //! properties of the [`CompiledPlan`] handed to [`Backend::build`] —
@@ -91,10 +90,9 @@ pub enum Backend {
     /// participant 0 plus spawned workers — running the NNZ-chunked
     /// compute schedule.
     CompiledPool {
-        /// Participant count, the caller included (`threads − 1` OS
-        /// threads are spawned; 1 spawns none); 0 selects the default
-        /// sizing, one participant per rank capped at the available
-        /// CPUs.
+        /// Requested participant count, the caller included; 0 selects
+        /// the default sizing. The team actually run is
+        /// [`Backend::participants`].
         threads: usize,
         /// Pin spawned worker `w ≥ 1` to CPU `w` (CLI spelling
         /// `pool:N@pin`); the caller's affinity is never touched.
@@ -138,8 +136,7 @@ impl Backend {
     /// With a `sink`, the compiled drivers record per-rank phase spans
     /// and work counters; the oracle (which has no phase structure to
     /// hook) accounts whole applications as compute spans under rank
-    /// 0. Results are bitwise identical to the
-    /// sink-less build.
+    /// 0. Results are bitwise identical to the sink-less build.
     ///
     /// # Panics
     /// Panics if `width` is 0 or the sink was sized for a rank count
@@ -194,12 +191,28 @@ impl Backend {
     /// `rmat-pagerank`, 1.27 on `serve-closed`).
     pub const POOL_OPS_CROSSOVER_SIMD: u64 = 250_000;
 
+    /// The one team-size rule: how many participants, the calling
+    /// thread included, run a plan of `k ≥ 1` ranks on `cores` CPUs.
+    /// Mailbox and seq run 1; Threaded runs one OS thread per rank;
+    /// the default pool (`threads: 0`) runs `min(k, cores)`, at least
+    /// 1; `threads: t` runs `t` clamped to `1..=k`, never capped at
+    /// `cores`. A pool of `N` participants spawns `N − 1` OS threads.
+    pub fn participants(&self, k: usize, cores: usize) -> usize {
+        match *self {
+            Backend::Mailbox | Backend::CompiledSeq => 1,
+            Backend::Threaded => k,
+            Backend::CompiledPool { threads: 0, .. } => k.min(cores).max(1),
+            Backend::CompiledPool { threads, .. } => threads.clamp(1, k),
+        }
+    }
+
     /// Picks the compiled backend an already-compiled plan should run
-    /// on, on this machine: the persistent pool wins only when it would
-    /// have at least two participants (`min(K, available CPUs) ≥ 2` —
-    /// on one core, or with one rank, a team is pure overhead) and one
-    /// iteration carries enough work to amortize its barrier round
-    /// trips. Everything else runs faster on the sequential operator.
+    /// on, on this machine: the persistent pool wins only when its
+    /// default team ([`Backend::participants`]) has at least two
+    /// participants — on one core, or with one rank, a team is pure
+    /// overhead — and one iteration carries enough work to amortize
+    /// its barrier round trips. Everything else runs faster on the
+    /// sequential operator.
     ///
     /// ISA-aware: a plan whose kernels resolved to SIMD
     /// ([`CompiledPlan`]'s `isa`, `Auto` on an AVX2 machine) uses
@@ -217,8 +230,9 @@ impl Backend {
 fn auto_for(cp: &CompiledPlan, cores: usize) -> Backend {
     let crossover =
         if cp.isa.simd() { Backend::POOL_OPS_CROSSOVER_SIMD } else { Backend::POOL_OPS_CROSSOVER };
-    if cp.k.min(cores) >= 2 && cp.total_ops() >= crossover {
-        Backend::CompiledPool { threads: 0, pin: false }
+    let pool = Backend::CompiledPool { threads: 0, pin: false };
+    if pool.participants(cp.k, cores) >= 2 && cp.total_ops() >= crossover {
+        pool
     } else {
         Backend::CompiledSeq
     }
@@ -497,6 +511,31 @@ mod tests {
         let mut lone = big.clone();
         lone.k = 1;
         assert_eq!(auto_for(&lone, 8), Backend::CompiledSeq);
+    }
+
+    #[test]
+    fn team_size_follows_one_rule() {
+        let pool = |threads| Backend::CompiledPool { threads, pin: false };
+        // (backend, k, cores) -> participants
+        for (backend, k, cores, want) in [
+            (Backend::Mailbox, 8, 4, 1),
+            (Backend::CompiledSeq, 8, 4, 1),
+            (Backend::CompiledSeq, 1, 1, 1),
+            (Backend::Threaded, 8, 2, 8),
+            (Backend::Threaded, 1, 8, 1),
+            (pool(0), 8, 2, 2),
+            (pool(0), 3, 16, 3),
+            (pool(0), 8, 1, 1),
+            (pool(0), 1, 8, 1),
+            (pool(6), 8, 4, 6),
+            (pool(6), 2, 4, 2),
+            (pool(32), 8, 64, 8),
+            (pool(4), 1, 8, 1),
+            (pool(4), 8, 1, 4),
+            (Backend::CompiledPool { threads: 3, pin: true }, 8, 2, 3),
+        ] {
+            assert_eq!(backend.participants(k, cores), want, "{backend} k={k} cores={cores}");
+        }
     }
 
     #[test]

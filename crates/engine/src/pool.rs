@@ -149,6 +149,7 @@ use std::thread::JoinHandle;
 use s2d_obs::{Phase, TelemetrySink};
 use s2d_spmv::SpmvOperator;
 
+use crate::backend::Backend;
 use crate::compile::{CompiledPlan, RankStep};
 use crate::exec::{align_pad, walk, Region, Transport, ALIGN_SLACK};
 use crate::telemetry::{call_end, span_end, span_start, ExecTelemetry};
@@ -448,10 +449,11 @@ impl Control {
 /// automatic chunk target, no pinning, no telemetry.
 #[derive(Clone, Default)]
 pub struct PoolOptions {
-    /// Participant count, **including the calling thread**: the engine
-    /// spawns `threads − 1` OS threads and the thread that applies
-    /// the operator works as participant 0, so `1` spawns nothing. `0`
-    /// selects the default sizing (`min(plan.k, available CPUs)`).
+    /// Requested participant count, **including the calling thread**:
+    /// the thread that applies the operator works as participant 0, so
+    /// `N` participants spawn `N − 1` OS threads. `0` selects the
+    /// default sizing; the team actually run is
+    /// [`Backend::participants`] of `Backend::CompiledPool { threads, .. }`.
     pub threads: usize,
     /// Batch capacity the shared buffers are sized for (`0` is treated
     /// as 1).
@@ -732,9 +734,9 @@ fn validate_for_pool(plan: &CompiledPlan) {
 impl ParallelEngine {
     /// Builds the pool over `plan`: every knob (participant count,
     /// batch capacity, chunk target, core pinning, telemetry) comes
-    /// from one [`PoolOptions`]. Ranks are distributed over
-    /// participants in contiguous blocks; an explicit participant count
-    /// is clamped to `1..=plan.k`.
+    /// from one [`PoolOptions`]. The team size is
+    /// [`Backend::participants`]; ranks are distributed over
+    /// participants in contiguous blocks.
     ///
     /// # Panics
     /// Panics if `plan` violates the invariants the shared-buffer
@@ -743,16 +745,10 @@ impl ParallelEngine {
     pub fn with_options(plan: impl Into<Arc<CompiledPlan>>, opts: PoolOptions) -> ParallelEngine {
         let plan = plan.into();
         validate_for_pool(&plan);
-        let threads = if opts.threads == 0 {
-            let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
-            plan.k.min(cpus).max(1)
-        } else {
-            opts.threads
-        };
+        let (width, pin, k) = (opts.width.max(1), opts.pin, plan.k);
+        let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
+        let threads = Backend::CompiledPool { threads: opts.threads, pin }.participants(k, cpus);
         let obs = opts.sink.map(|sink| ExecTelemetry::new(&plan, sink));
-        let (width, pin) = (opts.width.max(1), opts.pin);
-        let k = plan.k;
-        let threads = threads.clamp(1, k);
         // Balanced contiguous split; threads ≤ k keeps every range
         // non-empty (participants index `plan.ranks[my.start]` for the
         // step kind, so an empty range would be out of bounds).

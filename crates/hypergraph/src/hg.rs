@@ -167,11 +167,6 @@ impl Hypergraph {
         (0..self.ncon).map(|c| self.total_weight(c)).collect()
     }
 
-    /// Sum of net costs (an upper bound on any cut).
-    pub fn total_net_cost(&self) -> u64 {
-        self.ncost.iter().sum()
-    }
-
     /// Merges nets with identical pin sets (summing their costs) and drops
     /// nets with fewer than two pins. Pin order within a net is not
     /// significant; nets are compared as sorted sets.

@@ -17,8 +17,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use s2d::{ConfigKey, PlanKind, Prepared, Strategy};
-use s2d_engine::{KernelFormat, KernelIsa};
+use s2d::{ConfigKey, KernelFormat, KernelIsa, PlanKind, Prepared, Strategy};
 use s2d_obs::ServeStats;
 
 /// Everything that determines a [`Prepared`] artifact (plus the batch

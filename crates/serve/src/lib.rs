@@ -35,7 +35,9 @@
 //! [`Backend::auto`](s2d::Backend::auto) picks for the plan; with
 //! [`sharded`](ServerConfig::sharded) set, the same compiled rank
 //! programs run over `s2d-runtime` endpoints, one rank per thread
-//! ([`s2d_engine::EndpointOperator`]). All drivers fold partial sums in
+//! ([`Backend::Threaded`](s2d::Backend::Threaded)). Every session is
+//! stamped by [`Prepared::session`](s2d::Prepared::session) from the
+//! cached preparation. Every walker folds partial sums in
 //! the compiled receive order, so sharded serving is bitwise identical
 //! to a direct `CompiledSeq` session, which the serve differential
 //! tests pin down (the engine's own suites pin the endpoint operator

@@ -39,12 +39,12 @@
 //!
 //! The server owns one counting pool of `available_parallelism()`
 //! permits. A worker holds as many permits as its operator has
-//! participants (1 for `CompiledSeq`, the team size for the pool,
-//! `min(K, cores)` for a sharded session) for the duration of each
-//! `apply*`, so the participants of all applies in flight never exceed
-//! the cores, for any number and order of registrations: pool sessions
-//! take turns instead of spinning at each other's barriers. A session
-//! whose team would exceed the budget is built with a smaller team.
+//! participants ([`Backend::participants`], at most the budget) for
+//! the duration of each `apply*`, so the participants of all applies
+//! in flight never exceed the cores, for any number and order of
+//! registrations: pool sessions take turns instead of spinning at each
+//! other's barriers. A pool session whose team would exceed the budget
+//! is built with a smaller team.
 
 use std::collections::{HashMap, VecDeque};
 use std::path::PathBuf;
@@ -54,9 +54,7 @@ use std::thread::JoinHandle;
 use std::time::Instant;
 
 use s2d::{Backend, ConfigKey, KernelFormat, Session, SpmvOperator, Strategy};
-use s2d_engine::EndpointOperator;
 use s2d_obs::{ServeSnapshot, ServeStats};
-use s2d_runtime::ChaosConfig;
 use s2d_sparse::Csr;
 use s2d_tune::TuningCache;
 
@@ -69,8 +67,9 @@ use crate::cache::{PlanCache, PrepKey};
 pub struct ServerConfig {
     /// Backend each session's worker executes on; `None` (the default)
     /// lets [`Backend::auto`] decide per session from its compiled
-    /// plan and this machine's cores. A pool team is capped to the
-    /// server's core budget either way.
+    /// plan and this machine's cores. A pool team
+    /// ([`Backend::participants`]) is capped to the server's core
+    /// budget either way.
     pub backend: Option<Backend>,
     /// Kernel format sessions compile to.
     pub format: KernelFormat,
@@ -91,10 +90,10 @@ pub struct ServerConfig {
     pub max_coalesce: usize,
     /// Preparation-cache capacity (entries).
     pub cache_capacity: usize,
-    /// Run sessions rank-sharded — the cached compiled plan walked over
-    /// `s2d-runtime` endpoints, one rank per thread, with undelayed
-    /// delivery — instead of on the in-process backend (the
-    /// distributed-execution path; results are bitwise identical).
+    /// Run sessions rank-sharded over `s2d-runtime` endpoints (bitwise
+    /// identical results). Equal to `backend: Some(Backend::Threaded)`
+    /// and it overrides the configured or tuned backend; it stays only
+    /// because the committed benchmark names it.
     pub sharded: bool,
 }
 
@@ -306,17 +305,15 @@ impl Drop for Permits<'_> {
     }
 }
 
-/// The backend to build for a plan over `k` ranks so that its team
-/// fits `cores`, and the permits each of its applies holds.
-fn within_budget(backend: Backend, k: usize, cores: usize) -> (Backend, usize) {
+/// `backend` with a pool team cut to `cores`, and the permits each of
+/// its applies holds: its participants, at most `cores`.
+fn cut_to_budget(backend: Backend, k: usize, cores: usize) -> (Backend, usize) {
+    let permits = backend.participants(k, cores).min(cores);
     match backend {
-        Backend::Mailbox | Backend::CompiledSeq => (backend, 1),
-        // One OS thread per rank for the length of the apply.
-        Backend::Threaded => (backend, k.clamp(1, cores)),
-        Backend::CompiledPool { threads, pin } => {
-            let team = if threads == 0 { k } else { threads.min(k) }.clamp(1, cores);
-            (Backend::CompiledPool { threads: team, pin }, team)
+        Backend::CompiledPool { pin, .. } => {
+            (Backend::CompiledPool { threads: permits, pin }, permits)
         }
+        other => (other, permits),
     }
 }
 
@@ -406,15 +403,13 @@ impl Server {
             }
             b.prepare()
         });
-        let (cp, cores) = (prep.compiled(), self.budget.cores);
-        if self.config.sharded {
-            let operator = EndpointOperator::new(Arc::clone(cp), ChaosConfig::off(), None);
-            self.start(Box::new(operator), within_budget(Backend::Threaded, cp.k, cores).1)
-        } else {
-            let backend = backend.unwrap_or_else(|| Backend::auto(cp));
-            let (backend, participants) = within_budget(backend, cp.k, cores);
-            self.start(Box::new(prep.session(backend, width)), participants)
-        }
+        let backend = match (self.config.sharded, backend) {
+            (true, _) => Backend::Threaded,
+            (false, Some(backend)) => backend,
+            (false, None) => Backend::auto(prep.compiled()),
+        };
+        let (backend, permits) = cut_to_budget(backend, prep.compiled().k, self.budget.cores);
+        self.start(Box::new(prep.session(backend, width)), permits)
     }
 
     /// Starts a session over a ready operator whose applies occupy
@@ -882,13 +877,13 @@ mod tests {
     fn teams_are_cut_to_the_budget() {
         let pool = |threads| Backend::CompiledPool { threads, pin: false };
         // (backend, k, cores) -> (built backend, permits per apply)
-        assert_eq!(within_budget(Backend::CompiledSeq, 8, 4), (Backend::CompiledSeq, 1));
-        assert_eq!(within_budget(Backend::Mailbox, 8, 4), (Backend::Mailbox, 1));
-        assert_eq!(within_budget(pool(0), 8, 2), (pool(2), 2), "default sizing: min(K, cores)");
-        assert_eq!(within_budget(pool(0), 3, 16), (pool(3), 3));
-        assert_eq!(within_budget(pool(6), 8, 4), (pool(4), 4), "an oversized team is cut");
-        assert_eq!(within_budget(pool(6), 2, 4), (pool(2), 2), "never more than one per rank");
-        assert_eq!(within_budget(pool(0), 8, 1), (pool(1), 1));
-        assert_eq!(within_budget(Backend::Threaded, 8, 2), (Backend::Threaded, 2));
+        assert_eq!(cut_to_budget(Backend::CompiledSeq, 8, 4), (Backend::CompiledSeq, 1));
+        assert_eq!(cut_to_budget(Backend::Mailbox, 8, 4), (Backend::Mailbox, 1));
+        assert_eq!(cut_to_budget(pool(0), 8, 2), (pool(2), 2), "default sizing: min(K, cores)");
+        assert_eq!(cut_to_budget(pool(0), 3, 16), (pool(3), 3));
+        assert_eq!(cut_to_budget(pool(6), 8, 4), (pool(4), 4), "an oversized team is cut");
+        assert_eq!(cut_to_budget(pool(6), 2, 4), (pool(2), 2), "never more than one per rank");
+        assert_eq!(cut_to_budget(pool(0), 8, 1), (pool(1), 1));
+        assert_eq!(cut_to_budget(Backend::Threaded, 8, 2), (Backend::Threaded, 2));
     }
 }

@@ -34,11 +34,6 @@ impl MachineModel {
     pub fn cray_xe6() -> Self {
         MachineModel { alpha: 2.0e-6, beta: 2.0e-9, gamma: 1.0e-9 }
     }
-
-    /// A latency-free machine — useful to isolate bandwidth effects.
-    pub fn zero_latency() -> Self {
-        MachineModel { alpha: 0.0, ..Self::cray_xe6() }
-    }
 }
 
 impl Default for MachineModel {

@@ -82,6 +82,10 @@ impl<O: SpmvOperator> SpmvOperator for Solo<O> {
     fn deterministic(&self) -> bool {
         self.0.deterministic()
     }
+
+    fn worker_loads(&self) -> Option<Vec<u64>> {
+        self.0.worker_loads()
+    }
 }
 
 impl<O> Reduce for Solo<O> {

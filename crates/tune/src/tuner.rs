@@ -330,10 +330,11 @@ impl<'a> Tuner<'a> {
         } else {
             vec![KernelIsa::Auto]
         };
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        let backends = backend_shortlist(self.k, cores);
         for s in Strategy::auto_candidates(self.a, self.k) {
             let base = self.prepare(s, KernelFormat::Auto);
             let kind = base.plan_kind();
-            let backends = backend_shortlist(base.compiled(), self.k);
             let formats = format_shortlist(base.compiled());
             let base_idx = preps.len();
             preps.push(base);
@@ -482,34 +483,58 @@ fn format_shortlist(cp: &CompiledPlan) -> Vec<KernelFormat> {
     formats
 }
 
-/// Backends worth measuring: sequential always; the worker pool once
-/// there is parallelism to exploit (`k > 1` — with one rank the pool is
-/// pure overhead and [`Backend::auto`] can never pick it either). The
-/// pool carries the thread-count axis, counted in *participants* (the
-/// calling thread is one of them; `threads − 1` are spawned): the
-/// default (one per rank capped at cores), half the machine, and
-/// exactly one per rank — deduplicated by the participant count each
-/// would actually run with, so a small machine contributes one pool
-/// candidate, not three identical ones.
-fn backend_shortlist(_cp: &CompiledPlan, k: usize) -> Vec<Backend> {
+/// Backends worth measuring on `cores` CPUs: sequential always; the
+/// pool once `k > 1` (with one rank it is pure overhead and
+/// [`Backend::auto`] never picks it), at the default sizing, half the
+/// machine and one participant per rank — each team
+/// ([`Backend::participants`]) measured once.
+fn backend_shortlist(k: usize, cores: usize) -> Vec<Backend> {
     let mut backends = vec![Backend::CompiledSeq];
     if k > 1 {
-        let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-        let mut spawned: Vec<usize> = Vec::new();
-        // 0 is the default (one per rank capped at cores); `cores / 2`
-        // leaves the machine half free (on two cores that is the
-        // caller alone: the pool's schedule without a team); `k` is
-        // one participant per rank uncapped (distinct from the default only when k > cores —
-        // oversubscription sometimes pays on SMT machines).
-        for t in [0, cores / 2, k] {
-            // Mirror `ParallelEngine::with_options`: 0 means "one per
-            // rank, capped at cores".
-            let eff = if t == 0 { k.min(cores).max(1) } else { t };
-            if !spawned.contains(&eff) {
-                spawned.push(eff);
-                backends.push(Backend::CompiledPool { threads: t, pin: false });
+        let mut teams: Vec<usize> = Vec::new();
+        // `cores / 2` leaves the machine half free (on two cores that
+        // is the caller alone: the pool's schedule without a team); `k`
+        // is one participant per rank uncapped (distinct from the
+        // default only when k > cores — oversubscription sometimes
+        // pays on SMT machines).
+        for threads in [0, cores / 2, k] {
+            let pool = Backend::CompiledPool { threads, pin: false };
+            let team = pool.participants(k, cores);
+            if !teams.contains(&team) {
+                teams.push(team);
+                backends.push(pool);
             }
         }
     }
     backends
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn backend_shortlist_measures_each_team_once() {
+        let pool = |threads| Backend::CompiledPool { threads, pin: false };
+        // (k, cores) -> candidates; on 64 cores `pool:32` and `pool:8`
+        // would both run the default's 8 participants.
+        for (k, cores, want) in [
+            (8, 64, vec![Backend::CompiledSeq, pool(0)]),
+            (16, 2, vec![Backend::CompiledSeq, pool(0), pool(1), pool(16)]),
+            (1, 8, vec![Backend::CompiledSeq]),
+            (4, 1, vec![Backend::CompiledSeq, pool(0), pool(4)]),
+        ] {
+            let got = backend_shortlist(k, cores);
+            assert_eq!(got, want, "k={k} cores={cores}");
+            let mut teams: Vec<usize> = got
+                .iter()
+                .filter(|b| matches!(b, Backend::CompiledPool { .. }))
+                .map(|b| b.participants(k, cores))
+                .collect();
+            let n = teams.len();
+            teams.sort_unstable();
+            teams.dedup();
+            assert_eq!(teams.len(), n, "k={k} cores={cores}: a team is measured twice");
+        }
+    }
 }

@@ -161,10 +161,9 @@ impl<'a> SessionBuilder<'a> {
             partition,
             strategy,
             kind,
+            stats: plan.comm_stats(),
             plan,
             compiled,
-            kernel_format: self.kernel_format,
-            kernel_isa: self.kernel_isa,
         }
     }
 
@@ -196,21 +195,28 @@ impl<'a> SessionBuilder<'a> {
 }
 
 /// The cacheable product of [`SessionBuilder::prepare`]: partition,
-/// plan and compiled kernels for one (matrix, strategy/partition, plan
-/// kind, kernel format) combination. Immutable and cheap to share
-/// (`Arc<Prepared>` in a cache); [`Prepared::session`] stamps out
-/// independent ready-to-run sessions from it without re-partitioning
-/// or recompiling. The partition is shared, not copied, by every
+/// plan, its communication statistics and compiled kernels for one
+/// (matrix, strategy/partition, plan kind, kernel format) combination.
+/// Immutable, and cheap to clone: partition, plan and compiled kernels
+/// are shared behind `Arc`s, and only the O(k) statistics are copied.
+/// [`Prepared::session`] stamps out independent ready-to-run sessions
+/// from it without re-partitioning or recompiling; each session holds a
+/// clone, so the partition and plan are shared, not copied, by every
 /// session and re-lowered preparation made from it.
+#[derive(Clone)]
 pub struct Prepared {
     fingerprint: u64,
     partition: Arc<SpmvPartition>,
     strategy: Option<Strategy>,
     kind: PlanKind,
     plan: Arc<SpmvPlan>,
+    /// By value: a session copies these few O(k) vectors after its
+    /// operator is built, and those last, small blocks keep the
+    /// set-up's large freed blocks in the heap for the next set-up
+    /// (behind an `Arc`, repeated `fem-steady` set-ups re-faulted
+    /// ~13 k pages each and took ~40 % longer).
+    stats: CommStats,
     compiled: Arc<CompiledPlan>,
-    kernel_format: KernelFormat,
-    kernel_isa: KernelIsa,
 }
 
 impl Prepared {
@@ -237,12 +243,12 @@ impl Prepared {
 
     /// The kernel format the plan was compiled with.
     pub fn kernel_format(&self) -> KernelFormat {
-        self.kernel_format
+        self.compiled.format
     }
 
     /// The kernel ISA policy the plan was compiled with.
     pub fn kernel_isa(&self) -> KernelIsa {
-        self.kernel_isa
+        self.compiled.isa
     }
 
     /// The compiled artifact itself — e.g. to read its
@@ -258,7 +264,7 @@ impl Prepared {
     /// configuration search: partitioning and plan construction (the
     /// expensive steps) are reused; only kernel compilation runs again.
     pub fn with_format(&self, format: KernelFormat) -> Prepared {
-        self.recompiled(format, self.kernel_isa)
+        self.recompiled(format, self.kernel_isa())
     }
 
     /// Like [`Prepared::with_format`], but re-lowering to the same
@@ -266,20 +272,12 @@ impl Prepared {
     /// a configuration search (results are bitwise identical across
     /// ISAs, so only timing differs).
     pub fn with_isa(&self, isa: KernelIsa) -> Prepared {
-        self.recompiled(self.kernel_format, isa)
+        self.recompiled(self.kernel_format(), isa)
     }
 
     fn recompiled(&self, format: KernelFormat, isa: KernelIsa) -> Prepared {
-        Prepared {
-            fingerprint: self.fingerprint,
-            partition: Arc::clone(&self.partition),
-            strategy: self.strategy,
-            kind: self.kind,
-            plan: Arc::clone(&self.plan),
-            compiled: Arc::new(CompiledPlan::compile_with_isa(&self.plan, format, isa)),
-            kernel_format: format,
-            kernel_isa: isa,
-        }
+        let compiled = Arc::new(CompiledPlan::compile_with_isa(&self.plan, format, isa));
+        Prepared { compiled, ..self.clone() }
     }
 
     /// Builds a ready [`Session`] from the cached artifacts: only the
@@ -299,33 +297,23 @@ impl Prepared {
     ) -> Session {
         let sink = telemetry.as_ref().map(|(sink, _)| Arc::clone(sink));
         Session {
-            plan: Arc::clone(&self.plan),
             operator: backend.build(&self.plan, &self.compiled, batch_width, sink),
-            stats: self.plan.comm_stats(),
-            partition: Arc::clone(&self.partition),
-            strategy: self.strategy,
-            kind: self.kind,
+            // Cloned after the build: see the `stats` field.
+            prepared: self.clone(),
             backend,
-            kernel_format: self.kernel_format,
-            kernel_isa: self.kernel_isa,
             batch_width,
             telemetry,
         }
     }
 }
 
-/// A ready-to-run SpMV session: the built plan, its communication
-/// statistics, and one backend operator with all setup cost paid.
+/// A ready-to-run SpMV session: the [`Prepared`] it was stamped from
+/// (partition, plan, communication statistics, compiled kernels) plus
+/// one backend operator with all setup cost paid.
 pub struct Session {
-    plan: Arc<SpmvPlan>,
+    prepared: Prepared,
     operator: Box<dyn SpmvOperator + Send>,
-    stats: CommStats,
-    partition: Arc<SpmvPartition>,
-    strategy: Option<Strategy>,
-    kind: PlanKind,
     backend: Backend,
-    kernel_format: KernelFormat,
-    kernel_isa: KernelIsa,
     batch_width: usize,
     /// Telemetry sink plus the partition's modeled quality, present
     /// when the session was built with `.telemetry(true)`.
@@ -362,18 +350,19 @@ impl Session {
 
     /// The built plan.
     pub fn plan(&self) -> &SpmvPlan {
-        &self.plan
+        self.prepared.plan()
     }
 
-    /// Per-iteration communication statistics of the plan.
+    /// Per-iteration communication statistics of the plan (computed
+    /// once, by [`SessionBuilder::prepare`]).
     pub fn stats(&self) -> &CommStats {
-        &self.stats
+        &self.prepared.stats
     }
 
     /// The partition the session runs on (hand-built or produced by the
     /// chosen [`Strategy`]).
     pub fn partition(&self) -> &SpmvPartition {
-        &self.partition
+        self.prepared.partition()
     }
 
     /// The partitioning strategy that produced the session's partition,
@@ -382,12 +371,12 @@ impl Session {
     /// reports `Auto`, not the concrete winner — use
     /// [`Strategy::auto_pick`] directly when the choice matters.
     pub fn strategy(&self) -> Option<Strategy> {
-        self.strategy
+        self.prepared.strategy
     }
 
     /// The plan kind that was built.
     pub fn plan_kind(&self) -> PlanKind {
-        self.kind
+        self.prepared.plan_kind()
     }
 
     /// The backend executing this session.
@@ -395,16 +384,14 @@ impl Session {
         self.backend
     }
 
-    /// The kernel-format policy the session's compiled kernels were
-    /// lowered with (meaningful for the compiled backends only).
+    /// See [`Prepared::kernel_format`] (compiled backends only).
     pub fn kernel_format(&self) -> KernelFormat {
-        self.kernel_format
+        self.prepared.kernel_format()
     }
 
-    /// The kernel ISA policy the session's compiled kernels select
-    /// batch paths with (meaningful for the compiled backends only).
+    /// See [`Prepared::kernel_isa`] (compiled backends only).
     pub fn kernel_isa(&self) -> KernelIsa {
-        self.kernel_isa
+        self.prepared.kernel_isa()
     }
 
     /// The batch width requested at build time (what the buffers were
@@ -456,11 +443,11 @@ impl Session {
 /// solver `*_with` entry points.
 impl SpmvOperator for Session {
     fn nrows(&self) -> usize {
-        self.plan.nrows
+        self.prepared.plan.nrows
     }
 
     fn ncols(&self) -> usize {
-        self.plan.ncols
+        self.prepared.plan.ncols
     }
 
     fn apply(&mut self, x: &[f64], y: &mut [f64]) {
@@ -477,6 +464,10 @@ impl SpmvOperator for Session {
 
     fn deterministic(&self) -> bool {
         self.operator.deterministic()
+    }
+
+    fn worker_loads(&self) -> Option<Vec<u64>> {
+        self.operator.worker_loads()
     }
 }
 
@@ -629,6 +620,22 @@ mod tests {
             s.apply(&x, &mut y);
             assert_eq!(y, want, "{backend}: prepared session must match direct build");
         }
+    }
+
+    #[test]
+    fn wrapped_pool_sessions_report_the_pools_loads() {
+        let a = fig1_matrix();
+        let p = fig1_partition();
+        let prep = Session::builder(&a).partition(&p).prepare();
+        let pool = Backend::CompiledPool { threads: 2, pin: false };
+        let want = pool.build(prep.plan(), prep.compiled(), 1, None).worker_loads();
+        assert!(want.is_some(), "the pool has a fixed worker schedule");
+        let mut s = prep.session(pool, 1);
+        assert_eq!((&mut s as &mut dyn SpmvOperator).worker_loads(), want);
+        let mut solo = s2d_solver::Solo(prep.session(pool, 1));
+        assert_eq!((&mut solo as &mut dyn SpmvOperator).worker_loads(), want);
+        let mut seq = prep.session(Backend::CompiledSeq, 1);
+        assert_eq!((&mut seq as &mut dyn SpmvOperator).worker_loads(), None);
     }
 
     #[test]
