@@ -29,7 +29,7 @@ USAGE
                 [--out p.s2dpart] [--quality] [--json report.json]
   s2d reproduce [<table>|all] [--scale tiny|small|paper] [--seeds N]
                 [--k K] [--suite a|b|both] [--method <M>]
-                [--json REPRODUCTION.json] [--check]
+                [--json REPRODUCTION.json] [--check] [--against OLD.json]
   s2d analyze   <m.mtx> <p.s2dpart> [--alg single|two|mesh] [--json out.json]
   s2d spmv      <m.mtx> [p.s2dpart] [--alg single|two|mesh]
                 [--partitioner <M> --k K] [--engine <backend>]
@@ -76,7 +76,10 @@ columns, the paper's own rows and the verdicts of its expectations
 failing expectation, table and cell; --k / --suite / --method narrow a
 table. --json writes every cell and verdict as one versioned document:
 REPRODUCTION.json at the repo root is `reproduce all --scale tiny
---seeds 1`, and CI regenerates and `cmp`s it.
+--seeds 1`, and CI regenerates and `cmp`s it. --against OLD.json
+compares the run with an earlier document: per table and (suite, K) the
+geomean new/old ratios of volume, max load and messages, then every
+cell that moved and every verdict that flipped.
 
 ENGINES (--engine <backend>)
   mailbox            deterministic sequential interpreter (the oracle)

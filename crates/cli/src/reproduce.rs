@@ -12,6 +12,7 @@
 //! one is committed as `REPRODUCTION.json` and CI regenerates and
 //! `cmp`s it.
 
+mod against;
 mod tables;
 
 use std::collections::{BTreeMap, BTreeSet};
@@ -82,9 +83,11 @@ enum Check {
     Rels(&'static str),
     /// `a / b` is larger at each K than at the previous one.
     RatioGrowsWithK(&'static str, &'static str),
-    /// The method has the lowest value of the column on more matrices
-    /// than any other method (ties go to the earlier method).
-    Plurality(&'static str, &'static str),
+    /// The method wins more matrices than any other method, where a
+    /// method wins a matrix when its value of the column is within the
+    /// relative tie tolerance of the lowest there (tied methods all win
+    /// it).
+    Plurality(&'static str, &'static str, f64),
     /// Every method whose strategy `claims_s2d`, priced under the fused
     /// plan, produced an s2D partition whose volume matches Eq. 3.
     ClaimsHold,
@@ -465,7 +468,7 @@ impl Grid<'_> {
                 let (before, now) = (ratio(prev)?, ratio(point)?);
                 noted(now > before, format!("ratio {before:.2} at K={} -> {now:.2}", prev.k))
             }
-            Check::Plurality(label, col) => {
+            Check::Plurality(label, col, tie) => {
                 let mut wins: Vec<(&str, usize)> =
                     self.sel.methods.iter().map(|m| (m.label, 0)).collect();
                 for m in self.matrices_of(point.suite) {
@@ -473,8 +476,10 @@ impl Grid<'_> {
                     let times: Option<Vec<f64>> =
                         wins.iter().map(|(l, _)| self.at(here, l, col)).collect();
                     let times = times?;
-                    let first_lowest = |b, i| if times[i] < times[b] { i } else { b };
-                    wins[(0..times.len()).reduce(first_lowest)?].1 += 1;
+                    let lowest = times.iter().copied().reduce(f64::min)?;
+                    for (win, t) in wins.iter_mut().zip(times) {
+                        win.1 += usize::from(t <= lowest * (1.0 + tie));
+                    }
                 }
                 let mine = wins.iter().find(|(l, _)| *l == label)?.1;
                 let tally: Vec<_> = wins.iter().map(|(l, w)| format!("{l} {w}")).collect();
@@ -758,11 +763,22 @@ pub(crate) fn cmd_reproduce(args: &Args) {
             m.to_string()
         }),
     };
+    let old = args.get("against").map(|path| {
+        let text = std::fs::read_to_string(path)
+            .unwrap_or_else(|e| fail(format!("cannot read {path}: {e}")));
+        Json::parse(&text).unwrap_or_else(|e| fail(format!("{path} is not JSON: {e}")))
+    });
     let run = run(&tables, &opts);
     print!("{}", run.text);
     if let Some(path) = args.get("json") {
         write_artifact(path, run.to_json(), 2);
         println!("wrote {} cells and {} verdicts to {path}", run.cells.len(), run.verdicts.len());
+    }
+    if let Some(old) = old {
+        let selections: Vec<Selection> = tables.iter().map(|t| Selection::new(t, &opts)).collect();
+        let report = against::against(&run.to_json(), &old, &selections, opts.seeds);
+        let path = args.get_or("against", "");
+        print!("== against {path} ==\n{}", report.unwrap_or_else(|e| fail(format!("{path}: {e}"))));
     }
     let failed: Vec<&Verdict> = run.verdicts.iter().filter(|v| v.status == Status::Fail).collect();
     if args.has("check") && !failed.is_empty() {

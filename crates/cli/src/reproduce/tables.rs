@@ -20,6 +20,10 @@ const fn e(id: &'static str, scope: Scope, check: Check) -> Expectation {
 /// Every (matrix, K, seed) of the table.
 const CELLS: Scope = Cell(&[]);
 
+/// Relative gap under which `ablation_machine` counts two modeled times
+/// as a tie (the reason is next to its expectations).
+const MACHINE_TIE: f64 = 0.005;
+
 /// Columns of the per-method view; the row names the method.
 const PER_METHOD: &str = "volume li avg max t_us sp";
 
@@ -236,10 +240,18 @@ pub(super) static TABLES: [Table; 14] = [
             "1D.sp 2D.sp s2D.sp | 1D.sp_torus 2D.sp_torus s2D.sp_torus \
              | 1D.sp_loggp 2D.sp_loggp s2D.sp_loggp",
         ),
+        // s2D is Algorithm 1 on the 1D run's vector partition, so on
+        // every matrix but ASIC_680k the two move nearly the same words:
+        // their time gap is -0.49..+0.42 % at `small` and under 0.32 % at
+        // `tiny`, while a reseed (seeds 1-5, `tiny`) moves either
+        // method's time by a median 3 % (0.01-13 %) per matrix. A win by
+        // less than `MACHINE_TIE` is a reseed's coin flip, so it is a
+        // tie that both methods win; s2D must still win more matrices
+        // than any other method (ASIC_680k: 4-35 % below 1D).
         expectations: &[
-            e("machine.s2d-plurality-alpha-beta", Mean(A), Plurality("s2D", "t_ab")),
-            e("machine.s2d-plurality-torus", Mean(A), Plurality("s2D", "t_torus")),
-            e("machine.s2d-plurality-loggp", Mean(A), Plurality("s2D", "t_loggp")),
+            e("machine.s2d-plurality-alpha-beta", Mean(A), Plurality("s2D", "t_ab", MACHINE_TIE)),
+            e("machine.s2d-plurality-torus", Mean(A), Plurality("s2D", "t_torus", MACHINE_TIE)),
+            e("machine.s2d-plurality-loggp", Mean(A), Plurality("s2D", "t_loggp", MACHINE_TIE)),
         ],
         ..BASE
     },
@@ -271,12 +283,22 @@ pub(super) static TABLES: [Table; 14] = [
                      >= A1@0.30.volume >= A1@1.00.volume >= A1@10.0.volume",
                 ),
             ),
+            // Algorithm 2's balance pass may buy balance with a few
+            // words: c-big seed 3 reads 10 414 words at eps = 0.00 and
+            // 10 416 (+0.02 %) at 0.01. The smallest seed-to-seed spread
+            // of these volumes (seeds 1-5, `tiny`) is 0.50 %, on c-big, so
+            // a rise under a fifth of it, 0.1 %, is a tie; a larger rise
+            // still fails.
             e(
                 "wlim.alg2-volume-falls-with-epsilon",
                 CELLS,
                 Rels(
-                    "A2@0.00.volume >= A2@0.01.volume >= A2@0.03.volume >= A2@0.10.volume \
-                     >= A2@0.30.volume >= A2@1.00.volume >= A2@10.0.volume",
+                    "1.001*A2@0.00.volume >= A2@0.01.volume; \
+                     1.001*A2@0.01.volume >= A2@0.03.volume; \
+                     1.001*A2@0.03.volume >= A2@0.10.volume; \
+                     1.001*A2@0.10.volume >= A2@0.30.volume; \
+                     1.001*A2@0.30.volume >= A2@1.00.volume; \
+                     1.001*A2@1.00.volume >= A2@10.0.volume",
                 ),
             ),
             e("wlim.alg2-no-worse-than-alg1-at-equal-epsilon", CELLS, Rels(WLIM_A2_NO_WORSE)),
