@@ -6,7 +6,7 @@
 //! communication volume (Catalyurek & Aykanat 1999, as used by the paper).
 
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 
 use crate::bisect::multilevel_bisect;
 use crate::hg::Hypergraph;
@@ -20,7 +20,9 @@ pub struct PartitionConfig {
     /// Allowed K-way load imbalance (`0.03` = the paper's 3%, PaToH's
     /// default).
     pub epsilon: f64,
-    /// RNG seed; every run is deterministic given a seed.
+    /// RNG seed; every run is deterministic given a seed. Each bisection
+    /// of the recursion draws from its own generator, seeded from this
+    /// seed and the range of parts the bisection splits.
     pub seed: u64,
 }
 
@@ -55,36 +57,37 @@ impl KwayPartition {
 /// (best effort) minimizing the connectivity−1 metric.
 pub fn partition_kway(hg: &Hypergraph, k: usize, cfg: &PartitionConfig) -> KwayPartition {
     assert!(k >= 1, "k must be positive");
-    let mut parts = vec![0u32; hg.nvtx()];
-    if k > 1 {
-        let depth = (k as f64).log2().ceil().max(1.0);
-        // Spread the global tolerance over bisection levels so the final
-        // K-way imbalance stays within epsilon.
-        let eps_b = (1.0 + cfg.epsilon).powf(1.0 / depth) - 1.0;
-        let mut rng = StdRng::seed_from_u64(cfg.seed);
-        let vertices: Vec<u32> = (0..hg.nvtx() as u32).collect();
-        recurse(hg, &vertices, k, 0, eps_b, &mut rng, &mut parts);
+    if k == 1 {
+        return KwayPartition { parts: vec![0; hg.nvtx()], k };
     }
-    KwayPartition { parts, k }
+    let depth = (k as f64).log2().ceil().max(1.0);
+    // Spread the global tolerance over bisection levels so the final
+    // K-way imbalance stays within epsilon.
+    let eps_b = (1.0 + cfg.epsilon).powf(1.0 / depth) - 1.0;
+    KwayPartition { parts: recurse(hg, k, 0, eps_b, cfg.seed), k }
 }
 
-/// Recursively bisects `hg` (which contains only `vertices` of the
-/// original hypergraph) into `k` parts, writing part ids starting at
-/// `first_part` into `out` (indexed by original vertex id).
-fn recurse<R: Rng>(
-    hg: &Hypergraph,
-    vertices: &[u32],
-    k: usize,
-    first_part: u32,
-    eps_b: f64,
-    rng: &mut R,
-    out: &mut [u32],
-) {
-    if k == 1 {
-        for &v in vertices {
-            out[v as usize] = first_part;
-        }
-        return;
+/// SplitMix64's output function: a bijective 64-bit mix.
+fn splitmix64(z: u64) -> u64 {
+    let z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    let z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    let z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
+}
+
+/// The seed of the bisection that splits parts `first_part..first_part
+/// + k`: each node of the recursion tree owns a distinct part range, so
+/// it draws from its own generator, whatever order (or thread) the
+/// nodes run in.
+pub(crate) fn node_seed(seed: u64, first_part: u32, k: usize) -> u64 {
+    splitmix64(splitmix64(splitmix64(seed) ^ u64::from(first_part)) ^ k as u64)
+}
+
+/// Recursively bisects `hg` into `k` parts numbered from `first_part`
+/// and returns the part of each of its vertices.
+fn recurse(hg: &Hypergraph, k: usize, first_part: u32, eps_b: f64, seed: u64) -> Vec<u32> {
+    if k == 1 || hg.nvtx() == 0 {
+        return vec![first_part; hg.nvtx()];
     }
     let kl = k.div_ceil(2);
     let kr = k - kl;
@@ -97,17 +100,16 @@ fn recurse<R: Rng>(
             .map(|&t| ((t as f64) * (1.0 - ratio0) * (1.0 + eps_b)).ceil() as u64)
             .collect(),
     ];
-    let mut side = multilevel_bisect(hg, ratio0, &maxw, rng);
+    let mut rng = StdRng::seed_from_u64(node_seed(seed, first_part, k));
+    let mut side = multilevel_bisect(hg, ratio0, &maxw, &mut rng);
     repair_counts(hg, &mut side, kl, kr);
 
-    // Build the two sub-hypergraphs with net splitting.
-    for (s, sub_k, sub_first) in [(0u8, kl, first_part), (1u8, kr, first_part + kl as u32)] {
-        if hg.nvtx() == 0 {
-            continue;
-        }
-        let (sub, sub_vertices) = extract_side(hg, vertices, &side, s);
-        recurse(&sub, &sub_vertices, sub_k, sub_first, eps_b, rng, out);
-    }
+    // Bisect the two sub-hypergraphs (net splitting), then read each
+    // vertex's part off its side's result in vertex order.
+    let left = recurse(&extract_side(hg, &side, 0), kl, first_part, eps_b, seed);
+    let right = recurse(&extract_side(hg, &side, 1), kr, first_part + kl as u32, eps_b, seed);
+    let mut halves = [left.into_iter(), right.into_iter()];
+    side.iter().map(|&s| halves[s as usize].next().expect("one part per vertex")).collect()
 }
 
 /// Ensures side 0 holds at least `kl` vertices and side 1 at least `kr`
@@ -146,18 +148,18 @@ fn repair_counts(hg: &Hypergraph, side: &mut [u8], kl: usize, kr: usize) {
     }
 }
 
-/// Extracts the sub-hypergraph induced by side `s`: vertices renumbered,
-/// nets restricted to the side (net splitting), single-pin nets dropped.
-/// Returns the sub-hypergraph and the original ids of its vertices.
-fn extract_side(hg: &Hypergraph, vertices: &[u32], side: &[u8], s: u8) -> (Hypergraph, Vec<u32>) {
+/// Extracts the sub-hypergraph induced by side `s`: vertices renumbered
+/// in order, nets restricted to the side (net splitting), single-pin
+/// nets dropped.
+fn extract_side(hg: &Hypergraph, side: &[u8], s: u8) -> Hypergraph {
     let ncon = hg.ncon();
     let mut local_of = vec![u32::MAX; hg.nvtx()];
-    let mut sub_vertices = Vec::new();
+    let mut nsub = 0u32;
     let mut vwgt = Vec::new();
     for v in 0..hg.nvtx() {
         if side[v] == s {
-            local_of[v] = sub_vertices.len() as u32;
-            sub_vertices.push(vertices[v]);
+            local_of[v] = nsub;
+            nsub += 1;
             vwgt.extend_from_slice(hg.vweight(v));
         }
     }
@@ -179,8 +181,7 @@ fn extract_side(hg: &Hypergraph, vertices: &[u32], side: &[u8], s: u8) -> (Hyper
             pins.truncate(start);
         }
     }
-    let sub = Hypergraph::from_csr(sub_vertices.len(), ncon, vwgt, ncost, xpins, pins);
-    (sub, sub_vertices)
+    Hypergraph::from_csr(nsub as usize, ncon, vwgt, ncost, xpins, pins)
 }
 
 #[cfg(test)]

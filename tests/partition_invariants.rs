@@ -259,7 +259,7 @@ fn fnv(parts: &[u32]) -> u64 {
 #[test]
 fn golden_partitions_are_unchanged() {
     // Fingerprints of the partitions the hypergraph partitioner returns,
-    // recorded at PR 17's commit. A PR that changes any of them changes
+    // re-recorded when each bisection got its own seed. A change that moves any of them changes
     // every downstream quality number and has to say so.
     use s2d::gen::denserow::{dense_row_matrix, DenseRowConfig};
     use s2d::gen::fem::fem_like;
@@ -312,30 +312,34 @@ fn golden_partitions_are_unchanged() {
     got.push(("fem-8k 1d-row k=8".into(), fnv(&partition_1d_rowwise(&fem8k, 8, 0.03, 5).row_part)));
 
     let golden: [(&str, u64); 20] = [
-        ("rmat 1d-row k=2", 0xc362df8aba558a75),
-        ("rmat 1d-row k=3", 0xb8d6cf22c8c63576),
-        ("rmat 1d-row k=8", 0x3ceb2a490d213d04),
-        ("rmat 1d-row k=16", 0xa577ed740d1fc2ba),
-        ("denserow 1d-row k=2", 0x81f5341378e96185),
-        ("denserow 1d-row k=3", 0x99b37a5a8c923747),
-        ("denserow 1d-row k=8", 0x606266221cd705e6),
-        ("denserow 1d-row k=16", 0xbf70f7f9d98f8963),
-        ("fem 1d-row k=2", 0xeb89391eb8634b54),
-        ("fem 1d-row k=3", 0x4c6589339baca9d7),
-        ("fem 1d-row k=8", 0x61b22f220518f326),
-        ("fem 1d-row k=16", 0xd60d6ee2eb85008c),
-        ("rmat 2d-b rows", 0xcf3cfba5498662e6),
-        ("rmat 2d-b cols", 0x0d88732a61d2d766),
-        ("denserow 2d nz", 0xbcb0b83696ec45e7),
-        ("denserow 2d x", 0x0c4ea340ccb38c20),
-        ("denserow 2d y", 0xfbbf315ea6ce5dc3),
-        ("denserow-2k 1d-row k=32", 0x3f6f0ffab22ae03b),
-        ("denserow-2k 1d-row k=64", 0x40e76c2c78c735ca),
-        ("fem-8k 1d-row k=8", 0xf83898f033524477),
+        ("rmat 1d-row k=2", 0x42a7ad02473cf915),
+        ("rmat 1d-row k=3", 0x3d2198d556f6ac04),
+        ("rmat 1d-row k=8", 0xb0ce574070ab1e71),
+        ("rmat 1d-row k=16", 0xbfeb10020d1cdf8a),
+        ("denserow 1d-row k=2", 0x93c76737bb99e0c4),
+        ("denserow 1d-row k=3", 0xbe0cd88988a0d654),
+        ("denserow 1d-row k=8", 0xe7209ec09145e106),
+        ("denserow 1d-row k=16", 0xbf04442a7869e705),
+        ("fem 1d-row k=2", 0x8806efba068b81c4),
+        ("fem 1d-row k=3", 0xe9371c866afdc954),
+        ("fem 1d-row k=8", 0xce2d46c4e5f34976),
+        ("fem 1d-row k=16", 0x0b19cb22bf49257a),
+        ("rmat 2d-b rows", 0xa2b1c47dafb2c857),
+        ("rmat 2d-b cols", 0x11b5d4cfe07b5874),
+        ("denserow 2d nz", 0x18b2e60070c763c2),
+        ("denserow 2d x", 0xab94f637af389a07),
+        ("denserow 2d y", 0x729280d76defa5c4),
+        ("denserow-2k 1d-row k=32", 0xfc9db40b7bb1ea73),
+        ("denserow-2k 1d-row k=64", 0xb1808194df8a57ac),
+        ("fem-8k 1d-row k=8", 0xd6822b2edbc33475),
     ];
-    assert_eq!(got.len(), golden.len());
+    let table: String = got.iter().map(|(l, h)| format!("(\"{l}\", {h:#018x}),\n")).collect();
+    assert_eq!(got.len(), golden.len(), "recorded fingerprints:\n{table}");
     for ((name, h), (gname, gh)) in got.iter().zip(golden) {
         assert_eq!(name, gname);
-        assert_eq!(*h, gh, "{name}: partition fingerprint {h:#018x} differs from the golden one");
+        assert_eq!(
+            *h, gh,
+            "{name}: partition fingerprint {h:#018x} differs from the golden one\n{table}"
+        );
     }
 }

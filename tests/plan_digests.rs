@@ -78,18 +78,18 @@ fn plan_digests_are_unchanged() {
     }
 
     let golden: [(&str, u64, u64); 12] = [
-        ("denserow single_phase", 0xdd758efb906c7845, 0x6087c89ec5622fe4),
-        ("denserow two_phase", 0xd60b196f2b8f852d, 0xf654a3a77308e83c),
-        ("denserow mesh", 0x136491fdd0b841f7, 0xe984e7e62933a017),
-        ("denserow fine-grain two_phase", 0xe216b9709132aa7e, 0x6e2288db26828237),
-        ("rmat single_phase", 0x16243a3a1073ac0f, 0x23c635efc54a87d3),
-        ("rmat two_phase", 0xc2c8da3101abfbc7, 0xce63f08b4345389d),
-        ("rmat mesh", 0xede8aeef1f3349e3, 0x0fb8ef0ca9da3fa7),
-        ("rmat fine-grain two_phase", 0x4a8011506f0c5f2e, 0xca98c2e78421409d),
-        ("stencil single_phase", 0xf53158b92576ab64, 0x888b8af7a2751e09),
-        ("stencil two_phase", 0x9b0d092ba5ccba59, 0x88d45b27e18d487b),
-        ("stencil mesh", 0x76341c5aaa6c06ae, 0x1118c98afddfe4ce),
-        ("stencil fine-grain two_phase", 0xc72fde8d6547429f, 0xf89e2694a40ecfc8),
+        ("denserow single_phase", 0x17200553e3fdc67e, 0x4211a6ee56de4b41),
+        ("denserow two_phase", 0x9d7e8ed027ae8ac6, 0x53b46f3c0db1ab1f),
+        ("denserow mesh", 0xd30ec2cb953c72fb, 0x96793eafc2d23910),
+        ("denserow fine-grain two_phase", 0x12f63c563a775bd6, 0xcdf92f25b7779844),
+        ("rmat single_phase", 0x140f6ec621bbfbaf, 0xeaea65b1d239d544),
+        ("rmat two_phase", 0xac64200cb4612e49, 0xf85acc003c3c67aa),
+        ("rmat mesh", 0x9b4cf27718b84ab4, 0x402268554b4610dd),
+        ("rmat fine-grain two_phase", 0xb8d392d4b2cae8d1, 0xc464121e3b218014),
+        ("stencil single_phase", 0x67b43f639eab99ae, 0x4d7f379780bc7f85),
+        ("stencil two_phase", 0x58e5f2008c56c9a3, 0xc458702bbf04a98b),
+        ("stencil mesh", 0x1c987d98853d27fd, 0x9d9ac0d5df56929f),
+        ("stencil fine-grain two_phase", 0xcabcb48a20f59fb9, 0x46eb0f32b94a0f45),
     ];
     let table: String =
         got.iter().map(|(l, p, c)| format!("(\"{l}\", {p:#018x}, {c:#018x}),\n")).collect();
