@@ -6,6 +6,7 @@ use crate::coarsen::{coarsen_once, CoarseLevel};
 use crate::fm::fm_refine;
 use crate::hg::Hypergraph;
 use crate::initial::initial_bisection;
+use crate::pool::Pool;
 
 /// Stop coarsening when at most this many vertices remain (matching may
 /// stall earlier, see `coarsen_once`).
@@ -13,48 +14,46 @@ const COARSEN_TO: usize = 96;
 
 /// Bisects `hg` with side-0 target weight fraction `ratio0` and per-side
 /// weight limits `maxw` (per constraint). Returns the side (0/1) of every
-/// vertex.
+/// vertex. Every level and every scratch buffer comes from `pool` and
+/// goes back to it as soon as the V-cycle has passed it.
 pub(crate) fn multilevel_bisect<R: Rng>(
     hg: &Hypergraph,
     ratio0: f64,
     maxw: &[Vec<u64>; 2],
     rng: &mut R,
+    pool: &mut Pool,
 ) -> Vec<u8> {
-    // V-cycle down: coarsen until small or stalled.
-    let mut levels: Vec<CoarseLevel> = Vec::new();
-    {
-        let mut cur: &Hypergraph = hg;
-        while cur.nvtx() > COARSEN_TO {
-            match coarsen_once(cur, rng) {
-                Some(level) => {
-                    levels.push(level);
-                    cur = &levels.last().expect("just pushed").hg;
-                }
-                None => break,
-            }
+    // V-cycle down: coarsen until small or stalled. Each level keeps at
+    // most 95% of the vertices above it.
+    let depth = (hg.nvtx() as f64 / COARSEN_TO as f64).ln() / (1.0 / 0.95f64).ln();
+    let mut levels: Vec<CoarseLevel> = pool.with_capacity(depth.max(0.0) as usize + 1);
+    while levels.last().map_or(hg, |l| &l.hg).nvtx() > COARSEN_TO {
+        match coarsen_once(levels.last().map_or(hg, |l| &l.hg), rng, pool) {
+            Some(level) => levels.push(level),
+            None => break,
         }
     }
 
     // Initial partition on the coarsest level.
-    let coarsest: &Hypergraph = levels.last().map(|l| &l.hg).unwrap_or(hg);
-    let mut side = initial_bisection(coarsest, maxw, ratio0, rng);
+    let coarsest: &Hypergraph = levels.last().map_or(hg, |l| &l.hg);
+    let mut side = initial_bisection(coarsest, maxw, ratio0, rng, pool);
 
     // V-cycle up: project through each level and refine.
-    for lvl in (0..levels.len()).rev() {
-        let fine_hg: &Hypergraph = if lvl == 0 { hg } else { &levels[lvl - 1].hg };
-        let map = &levels[lvl].map;
-        let mut fine_side = vec![0u8; fine_hg.nvtx()];
-        for v in 0..fine_hg.nvtx() {
-            fine_side[v] = side[map[v] as usize];
-        }
-        fm_refine(fine_hg, &mut fine_side, maxw);
-        side = fine_side;
-    }
     if levels.is_empty() {
         // No coarsening happened: `side` is already on the input hypergraph
         // but refined only as the "coarsest"; one more refinement is free.
-        fm_refine(hg, &mut side, maxw);
+        fm_refine(hg, &mut side, maxw, pool);
     }
+    while let Some(level) = levels.pop() {
+        let mut fine_side = pool.with_capacity(level.map.len());
+        fine_side.extend(level.map.iter().map(|&c| side[c as usize]));
+        pool.give(side);
+        pool.give(level.map);
+        level.hg.recycle(pool);
+        fm_refine(levels.last().map_or(hg, |l| &l.hg), &mut fine_side, maxw, pool);
+        side = fine_side;
+    }
+    pool.give(levels);
     side
 }
 
@@ -84,8 +83,8 @@ mod tests {
         let hg = ring(128);
         let maxw = limits(&hg, 0.5, 0.03);
         let mut rng = StdRng::seed_from_u64(42);
-        let side = multilevel_bisect(&hg, 0.5, &maxw, &mut rng);
-        let cut = BisectState::new(&hg, side.clone()).cut;
+        let side = multilevel_bisect(&hg, 0.5, &maxw, &mut rng, &mut Pool::default());
+        let cut = BisectState::new(&hg, side.clone(), &mut Pool::default()).cut;
         // A cycle cannot be bisected with fewer than 2 cut nets.
         assert!(cut >= 2);
         assert!(cut <= 6, "multilevel should find a near-optimal cut, got {cut}");
@@ -98,7 +97,7 @@ mod tests {
         let hg = ring(96);
         let maxw = limits(&hg, 0.25, 0.05);
         let mut rng = StdRng::seed_from_u64(9);
-        let side = multilevel_bisect(&hg, 0.25, &maxw, &mut rng);
+        let side = multilevel_bisect(&hg, 0.25, &maxw, &mut rng, &mut Pool::default());
         let w0 = side.iter().filter(|&&s| s == 0).count() as u64;
         assert!(w0 <= maxw[0][0], "side 0 over its limit: {w0}");
         assert!(w0 >= 15, "side 0 suspiciously empty: {w0}");
@@ -109,7 +108,7 @@ mod tests {
         let hg = ring(8);
         let maxw = limits(&hg, 0.5, 0.1);
         let mut rng = StdRng::seed_from_u64(1);
-        let side = multilevel_bisect(&hg, 0.5, &maxw, &mut rng);
-        assert!(BisectState::new(&hg, side).cut >= 2);
+        let side = multilevel_bisect(&hg, 0.5, &maxw, &mut rng, &mut Pool::default());
+        assert!(BisectState::new(&hg, side, &mut Pool::default()).cut >= 2);
     }
 }

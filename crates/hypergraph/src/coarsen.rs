@@ -25,6 +25,7 @@ use rand::seq::SliceRandom;
 use rand::Rng;
 
 use crate::hg::{merge_nets, Hypergraph};
+use crate::pool::Pool;
 
 /// Nets larger than this are ignored while scoring matches.
 const NET_SIZE_LIMIT: usize = 256;
@@ -43,33 +44,41 @@ pub(crate) struct CoarseLevel {
 /// `score` of a settled vertex (no sum of positive net costs reaches it).
 const SETTLED: u64 = u64::MAX;
 
-/// Performs one matching-based coarsening step. Returns `None` when the
-/// matching shrinks the vertex count by less than 5% (coarsening has
-/// stalled and another level would waste time without helping quality).
-pub(crate) fn coarsen_once<R: Rng>(hg: &Hypergraph, rng: &mut R) -> Option<CoarseLevel> {
+/// Performs one matching-based coarsening step, its scratch and the level
+/// taken from `pool`. Returns `None` when the matching shrinks the vertex
+/// count by less than 5% (coarsening has stalled and another level would
+/// waste time without helping quality).
+pub(crate) fn coarsen_once<R: Rng>(
+    hg: &Hypergraph,
+    rng: &mut R,
+    pool: &mut Pool,
+) -> Option<CoarseLevel> {
     let nvtx = hg.nvtx();
     let ncon = hg.ncon();
-    let totals = hg.total_weights();
-    let caps: Vec<u64> = totals.iter().map(|&t| (t / WEIGHT_CAP_DIVISOR).max(1)).collect();
+    let mut caps = hg.total_weights_in(pool);
+    for cap in &mut caps {
+        *cap = (*cap / WEIGHT_CAP_DIVISOR).max(1);
+    }
 
-    let mut order: Vec<u32> = (0..nvtx as u32).collect();
+    let mut order: Vec<u32> = pool.with_capacity(nvtx);
+    order.extend(0..nvtx as u32);
     order.shuffle(rng);
 
     const UNMATCHED: u32 = u32::MAX;
-    let mut mate = vec![UNMATCHED; nvtx];
+    let mut mate = pool.filled(nvtx, UNMATCHED);
     // Connectivity to the vertex being matched, or SETTLED.
-    let mut score = vec![0u64; nvtx];
+    let mut score = pool.filled(nvtx, 0u64);
     // The scored vertices in first-touch order, at most nvtx − 1 of
     // them, so the slot past the last one that every pin visit writes is
     // always in range.
-    let mut touched = vec![0u32; nvtx];
+    let mut touched = pool.filled(nvtx, 0u32);
     let mut matched_pairs = 0usize;
     // Net n's unsettled pins, in their original order, are
     // live[xpins[n]..live_end[n]] (plus, until its next scan, pins
     // settled since the last one).
     let (xpins, pins) = hg.pin_csr();
-    let mut live = pins.to_vec();
-    let mut live_end = xpins[1..].to_vec();
+    let mut live = pool.copied(pins);
+    let mut live_end = pool.copied(&xpins[1..]);
 
     for &v in &order {
         let v = v as usize;
@@ -120,13 +129,20 @@ pub(crate) fn coarsen_once<R: Rng>(hg: &Hypergraph, rng: &mut R) -> Option<Coars
         }
     }
 
+    pool.give(caps);
+    pool.give(order);
+    pool.give(score);
+    pool.give(touched);
+    pool.give(live);
+    pool.give(live_end);
     let ncoarse = nvtx - matched_pairs;
     if (ncoarse as f64) > 0.95 * nvtx as f64 {
+        pool.give(mate);
         return None;
     }
 
     // Number clusters: matched pair shares an id, singleton keeps its own.
-    let mut map = vec![u32::MAX; nvtx];
+    let mut map = pool.filled(nvtx, u32::MAX);
     let mut next = 0u32;
     for v in 0..nvtx {
         if map[v] != u32::MAX {
@@ -140,15 +156,16 @@ pub(crate) fn coarsen_once<R: Rng>(hg: &Hypergraph, rng: &mut R) -> Option<Coars
     }
     debug_assert_eq!(next as usize, ncoarse);
 
-    Some(CoarseLevel { hg: contract(hg, &map, ncoarse), map })
+    pool.give(mate);
+    Some(CoarseLevel { hg: contract(hg, &map, ncoarse, pool), map })
 }
 
 /// Contracts `hg` according to `map` (fine vertex → coarse vertex):
 /// accumulates vertex weights, re-pins nets onto clusters, drops single-pin
 /// nets and merges identical ones.
-fn contract(hg: &Hypergraph, map: &[u32], ncoarse: usize) -> Hypergraph {
+fn contract(hg: &Hypergraph, map: &[u32], ncoarse: usize, pool: &mut Pool) -> Hypergraph {
     let ncon = hg.ncon();
-    let mut vwgt = vec![0u64; ncoarse * ncon];
+    let mut vwgt = pool.filled(ncoarse * ncon, 0u64);
     for v in 0..hg.nvtx() {
         let cv = map[v] as usize;
         for c in 0..ncon {
@@ -156,11 +173,11 @@ fn contract(hg: &Hypergraph, map: &[u32], ncoarse: usize) -> Hypergraph {
         }
     }
     // Re-pin nets, deduplicating within each net with a stamp array.
-    let mut stamp = vec![u32::MAX; ncoarse];
-    let mut xpins = Vec::with_capacity(hg.nnets() + 1);
+    let mut stamp = pool.filled(ncoarse, u32::MAX);
+    let mut xpins = pool.with_capacity(hg.nnets() + 1);
     xpins.push(0usize);
-    let mut pins: Vec<u32> = Vec::with_capacity(hg.npins());
-    let mut ncost: Vec<u64> = Vec::with_capacity(hg.nnets());
+    let mut pins: Vec<u32> = pool.with_capacity(hg.npins());
+    let mut ncost: Vec<u64> = pool.with_capacity(hg.nnets());
     for n in 0..hg.nnets() {
         let start = pins.len();
         for &p in hg.pins_of(n) {
@@ -177,7 +194,10 @@ fn contract(hg: &Hypergraph, map: &[u32], ncoarse: usize) -> Hypergraph {
             pins.truncate(start); // single-pin net: uncuttable, drop
         }
     }
-    merge_nets(ncoarse, ncon, vwgt, &ncost, xpins, pins)
+    pool.give(stamp);
+    let coarse = merge_nets(ncoarse, ncon, vwgt, &ncost, xpins, pins, pool);
+    pool.give(ncost);
+    coarse
 }
 
 #[cfg(test)]
@@ -347,7 +367,7 @@ pub(crate) mod tests {
             let (mut r1, mut r2) = (StdRng::seed_from_u64(seed), StdRng::seed_from_u64(seed));
             let mut hg = hg;
             for level in 0..4 {
-                let got = coarsen_once(&hg, &mut r1);
+                let got = coarsen_once(&hg, &mut r1, &mut Pool::default());
                 let want = coarsen_once_reference(&hg, &mut r2);
                 prop_assert_eq!(got.is_some(), want.is_some(), "level {}", level);
                 let (Some(got), Some(want)) = (got, want) else { break };
@@ -370,7 +390,7 @@ pub(crate) mod tests {
     fn coarsening_halves_chain() {
         let h = chain(64);
         let mut rng = StdRng::seed_from_u64(1);
-        let level = coarsen_once(&h, &mut rng).expect("should coarsen");
+        let level = coarsen_once(&h, &mut rng, &mut Pool::default()).expect("should coarsen");
         assert!(level.hg.nvtx() < 64);
         assert!(level.hg.nvtx() >= 32); // matching merges at most pairs
                                         // Weight is conserved.
@@ -381,7 +401,7 @@ pub(crate) mod tests {
     fn map_is_consistent() {
         let h = chain(32);
         let mut rng = StdRng::seed_from_u64(7);
-        let level = coarsen_once(&h, &mut rng).expect("should coarsen");
+        let level = coarsen_once(&h, &mut rng, &mut Pool::default()).expect("should coarsen");
         assert_eq!(level.map.len(), 32);
         assert!(level.map.iter().all(|&c| (c as usize) < level.hg.nvtx()));
         // Every coarse vertex has at least one fine vertex.
@@ -396,7 +416,7 @@ pub(crate) mod tests {
     fn contract_drops_internal_nets() {
         let h = chain(4);
         // Merge {0,1} and {2,3}: nets {0,1} and {2,3} become single-pin.
-        let coarse = contract(&h, &[0, 0, 1, 1], 2);
+        let coarse = contract(&h, &[0, 0, 1, 1], 2, &mut Pool::default());
         assert_eq!(coarse.nvtx(), 2);
         assert_eq!(coarse.nnets(), 1); // only net {1,2} survives
         assert_eq!(coarse.vweight(0), &[2]);
@@ -411,7 +431,7 @@ pub(crate) mod tests {
         let costs = vec![1u64; nets.len()];
         let h = Hypergraph::new(16, 1, wgts, &nets, costs);
         let mut rng = StdRng::seed_from_u64(3);
-        if let Some(level) = coarsen_once(&h, &mut rng) {
+        if let Some(level) = coarsen_once(&h, &mut rng, &mut Pool::default()) {
             // Heaviest coarse cluster is still just the dominant vertex.
             let max_w = (0..level.hg.nvtx()).map(|v| level.hg.vweight(v)[0]).max().unwrap();
             assert_eq!(max_w, 1000);
@@ -423,6 +443,6 @@ pub(crate) mod tests {
         // No nets => no matches => stall.
         let h = Hypergraph::new(8, 1, vec![1; 8], &[], vec![]);
         let mut rng = StdRng::seed_from_u64(5);
-        assert!(coarsen_once(&h, &mut rng).is_none());
+        assert!(coarsen_once(&h, &mut rng, &mut Pool::default()).is_none());
     }
 }

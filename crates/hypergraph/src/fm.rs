@@ -23,6 +23,7 @@
 //! vertex's current gain.
 
 use crate::hg::Hypergraph;
+use crate::pool::Pool;
 
 /// Incremental state of a bisection: side of every vertex, per-net pin
 /// counts per side, per-side weights and the current cut-net cutsize.
@@ -41,17 +42,18 @@ pub(crate) struct BisectState<'a> {
 }
 
 impl<'a> BisectState<'a> {
-    /// Builds the incremental state for an assignment.
-    pub(crate) fn new(hg: &'a Hypergraph, side: Vec<u8>) -> Self {
+    /// Builds the incremental state for an assignment, its pin counts
+    /// taken from `pool`.
+    pub(crate) fn new(hg: &'a Hypergraph, side: Vec<u8>, pool: &mut Pool) -> Self {
         assert_eq!(side.len(), hg.nvtx());
         let ncon = hg.ncon();
-        let mut part_w = [vec![0u64; ncon], vec![0u64; ncon]];
+        let mut part_w = [pool.filled(ncon, 0u64), pool.filled(ncon, 0u64)];
         for v in 0..hg.nvtx() {
             for c in 0..ncon {
                 part_w[side[v] as usize][c] += hg.vweight(v)[c];
             }
         }
-        let mut pins = [vec![0u32; hg.nnets()], vec![0u32; hg.nnets()]];
+        let mut pins = [pool.filled(hg.nnets(), 0u32), pool.filled(hg.nnets(), 0u32)];
         for n in 0..hg.nnets() {
             for &p in hg.pins_of(n) {
                 pins[side[p as usize] as usize][n] += 1;
@@ -66,6 +68,18 @@ impl<'a> BisectState<'a> {
             count[s as usize] += 1;
         }
         BisectState { hg, side, pins, part_w, count, cut }
+    }
+
+    /// The assignment, with the pin counts and weights given back to
+    /// `pool`.
+    pub(crate) fn into_side(self, pool: &mut Pool) -> Vec<u8> {
+        for v in self.pins {
+            pool.give(v);
+        }
+        for v in self.part_w {
+            pool.give(v);
+        }
+        self.side
     }
 
     /// Pin count of net `n` on side `s`.
@@ -137,7 +151,7 @@ const FM_PASSES: usize = 3;
 
 /// Candidate key `(gain, vertex)`: the order in which [`Gains::pop`]
 /// returns candidates.
-type Key = (i64, u32);
+pub(crate) type Key = (i64, u32);
 
 /// The key of an empty [`MaxTree`] slot, below every candidate's.
 const NO_KEY: Key = (i64::MIN, 0);
@@ -147,8 +161,8 @@ const NO_KEY: Key = (i64::MIN, 0);
 struct MaxTree(Vec<Key>);
 
 impl MaxTree {
-    fn new(n: usize) -> Self {
-        MaxTree(vec![NO_KEY; 2 * n])
+    fn new(n: usize, pool: &mut Pool) -> Self {
+        MaxTree(pool.filled(2 * n, NO_KEY))
     }
 
     fn set(&mut self, slot: usize, key: Key) {
@@ -210,28 +224,43 @@ impl Deferred {
         self.at.get(v).is_some_and(|&i| i != NOT_DEFERRED)
     }
 
-    fn insert(&mut self, hg: &Hypergraph, v: usize, side: u8, key: Key) {
+    fn insert(&mut self, hg: &Hypergraph, v: usize, side: u8, key: Key, pool: &mut Pool) {
         if self.at.is_empty() {
-            self.build(hg);
+            self.build(hg, pool);
         }
         self.at[v] = self.list.len() as u32;
         self.list.push((v as u32, side));
         self.set_key(v, side, key);
     }
 
-    fn build(&mut self, hg: &Hypergraph) {
+    fn build(&mut self, hg: &Hypergraph, pool: &mut Pool) {
         let n = hg.nvtx();
-        self.at = vec![NOT_DEFERRED; n];
+        self.list = pool.with_capacity(n);
+        self.at = pool.filled(n, NOT_DEFERRED);
         if hg.ncon() == 1 {
-            let mut order: Vec<(u64, u32)> = (0..n).map(|v| (hg.vweight(v)[0], v as u32)).collect();
+            let mut order: Vec<(u64, u32)> = pool.with_capacity(n);
+            order.extend((0..n).map(|v| (hg.vweight(v)[0], v as u32)));
             order.sort_unstable();
-            self.sorted_w = order.iter().map(|&(w, _)| w).collect();
-            self.slot = vec![0; n];
+            self.sorted_w = pool.with_capacity(n);
+            self.sorted_w.extend(order.iter().map(|&(w, _)| w));
+            self.slot = pool.filled(n, 0);
             for (i, &(_, v)) in order.iter().enumerate() {
                 self.slot[v as usize] = i as u32;
             }
-            self.trees = [MaxTree::new(n), MaxTree::new(n)];
+            pool.give(order);
+            self.trees = [MaxTree::new(n, pool), MaxTree::new(n, pool)];
         }
+    }
+
+    /// Gives every array back to `pool`.
+    fn recycle(self, pool: &mut Pool) {
+        let [t0, t1] = self.trees;
+        pool.give(self.list);
+        pool.give(self.at);
+        pool.give(self.sorted_w);
+        pool.give(self.slot);
+        pool.give(t0.0);
+        pool.give(t1.0);
     }
 
     fn set_key(&mut self, v: usize, side: u8, key: Key) {
@@ -296,11 +325,12 @@ pub(crate) struct Gains {
 }
 
 impl Gains {
-    /// Gains of every vertex of `state`, in one sweep over nets. Nothing
-    /// is a candidate until pushed.
-    pub(crate) fn new(state: &BisectState<'_>) -> Self {
+    /// Gains of every vertex of `state`, in one sweep over nets, its
+    /// arrays taken from `pool`. Nothing is a candidate until pushed.
+    pub(crate) fn new(state: &BisectState<'_>, pool: &mut Pool) -> Self {
         let hg = state.hg;
-        let mut gain = vec![0i64; hg.nvtx()];
+        let n = hg.nvtx();
+        let mut gain = pool.filled(n, 0i64);
         for n in 0..hg.nnets() {
             let (p0, p1) = (state.pins_on(n, 0), state.pins_on(n, 1));
             let c = hg.ncost(n) as i64;
@@ -321,13 +351,24 @@ impl Gains {
         }
         Gains {
             gain,
-            locked: vec![false; hg.nvtx()],
-            heap: Vec::new(),
-            pos: vec![NOT_QUEUED; hg.nvtx()],
-            touched: Vec::new(),
-            stamped: vec![false; hg.nvtx()],
+            locked: pool.filled(n, false),
+            heap: pool.with_capacity(n),
+            pos: pool.filled(n, NOT_QUEUED),
+            touched: pool.with_capacity(n),
+            stamped: pool.filled(n, false),
             deferred: Deferred::default(),
         }
+    }
+
+    /// Gives every array back to `pool`, the deferred set's included.
+    pub(crate) fn recycle(self, pool: &mut Pool) {
+        pool.give(self.gain);
+        pool.give(self.locked);
+        pool.give(self.heap);
+        pool.give(self.pos);
+        pool.give(self.touched);
+        pool.give(self.stamped);
+        self.deferred.recycle(pool);
     }
 
     /// Current gain of `v` (meaningful while `v` is unlocked).
@@ -401,9 +442,9 @@ impl Gains {
     }
 
     /// Parks `v`, just popped, in the deferred set.
-    fn defer(&mut self, state: &BisectState<'_>, v: usize) {
+    fn defer(&mut self, state: &BisectState<'_>, v: usize, pool: &mut Pool) {
         let key = self.key(v);
-        self.deferred.insert(state.hg, v, state.side[v], key);
+        self.deferred.insert(state.hg, v, state.side[v], key, pool);
     }
 
     /// The best deferred candidate whose move [`fits`] `state` now, and
@@ -519,17 +560,27 @@ impl Gains {
 /// per-constraint weight limits `maxw`. Returns the `(overweight, cut)`
 /// of the result — the key by which bisections are compared.
 ///
-/// The refined assignment is written back into `side`.
-pub(crate) fn fm_refine(hg: &Hypergraph, side: &mut [u8], maxw: &[Vec<u64>; 2]) -> (u64, u64) {
-    let mut state = BisectState::new(hg, side.to_vec());
+/// The refined assignment is written back into `side`; the scratch comes
+/// from `pool` and goes back to it.
+pub(crate) fn fm_refine(
+    hg: &Hypergraph,
+    side: &mut [u8],
+    maxw: &[Vec<u64>; 2],
+    pool: &mut Pool,
+) -> (u64, u64) {
+    let mut state = BisectState::new(hg, pool.copied(side), pool);
     let mut deferred = Deferred::default();
     for _ in 0..FM_PASSES {
-        if !fm_pass(&mut state, maxw, &mut deferred) {
+        if !fm_pass(&mut state, maxw, &mut deferred, pool) {
             break;
         }
     }
+    deferred.recycle(pool);
     side.copy_from_slice(&state.side);
-    (state.overweight(maxw), state.cut)
+    let key = (state.overweight(maxw), state.cut);
+    let refined = state.into_side(pool);
+    pool.give(refined);
+    key
 }
 
 /// Whether `v`'s move keeps its target side within `maxw` or, in a state
@@ -558,13 +609,19 @@ fn fits(state: &BisectState<'_>, maxw: &[Vec<u64>; 2], over: u64, v: usize) -> b
 /// does not empty its side, from the heap or from `deferred`. A candidate
 /// alone on its side that ranks above the move made is dropped for the
 /// pass, until a gain change makes it a candidate again.
-fn fm_pass(state: &mut BisectState<'_>, maxw: &[Vec<u64>; 2], deferred: &mut Deferred) -> bool {
+fn fm_pass(
+    state: &mut BisectState<'_>,
+    maxw: &[Vec<u64>; 2],
+    deferred: &mut Deferred,
+    pool: &mut Pool,
+) -> bool {
     let hg = state.hg;
     let nvtx = hg.nvtx();
     if nvtx == 0 {
         return false;
     }
-    let mut gains = Gains { deferred: std::mem::take(deferred), ..Gains::new(state) };
+    let mut gains = Gains::new(state, pool);
+    gains.deferred = std::mem::take(deferred);
 
     // Seed with boundary vertices; in infeasible states also seed the
     // overweight side so balance can be restored even with zero cut.
@@ -578,7 +635,7 @@ fn fm_pass(state: &mut BisectState<'_>, maxw: &[Vec<u64>; 2], deferred: &mut Def
         }
         None
     };
-    let mut seeded = vec![false; nvtx];
+    let mut seeded = pool.filled(nvtx, false);
     for n in 0..hg.nnets() {
         if state.pins_on(n, 0) > 0 && state.pins_on(n, 1) > 0 {
             for &u in hg.pins_of(n) {
@@ -601,13 +658,13 @@ fn fm_pass(state: &mut BisectState<'_>, maxw: &[Vec<u64>; 2], deferred: &mut Def
     let start_cut = state.cut;
     let start_over = state.overweight(maxw);
     let mut best_key = (start_over, start_cut);
-    let mut history: Vec<u32> = Vec::new();
+    let mut history: Vec<u32> = pool.with_capacity(nvtx);
     let mut best_len = 0usize;
     let abort_limit = 300.max(nvtx / 8);
     // Popped candidates alone on their side: a move may never empty a
     // side, since with both sides nonempty on entry any all-on-one-side
     // assignment is strictly worse for the recursive K-way driver.
-    let mut held: Vec<usize> = Vec::new();
+    let mut held: Vec<usize> = pool.with_capacity(nvtx);
 
     loop {
         let over = state.overweight(maxw);
@@ -620,7 +677,7 @@ fn fm_pass(state: &mut BisectState<'_>, maxw: &[Vec<u64>; 2], deferred: &mut Def
                 top = Some(v);
                 break;
             } else {
-                gains.defer(state, v);
+                gains.defer(state, v, pool);
             }
         }
         let (parked, lone) = gains.best_deferred(state, maxw, over);
@@ -659,12 +716,16 @@ fn fm_pass(state: &mut BisectState<'_>, maxw: &[Vec<u64>; 2], deferred: &mut Def
         }
     }
     gains.deferred.clear();
-    *deferred = gains.deferred;
+    *deferred = std::mem::take(&mut gains.deferred);
+    gains.recycle(pool);
+    pool.give(seeded);
+    pool.give(held);
 
     // Roll back to the best prefix (apply_move is an involution).
     for &v in history[best_len..].iter().rev() {
         state.apply_move(v as usize);
     }
+    pool.give(history);
     best_key < (start_over, start_cut)
 }
 
@@ -703,7 +764,7 @@ pub(crate) mod tests {
         if nvtx == 0 {
             return false;
         }
-        let mut gains = Gains::new(state);
+        let mut gains = Gains::new(state, &mut Pool::default());
 
         let infeasible_side = |state: &BisectState<'_>| -> Option<u8> {
             for s in 0..2u8 {
@@ -839,11 +900,11 @@ pub(crate) mod tests {
         /// moves of the one that re-pushes them after every move.
         #[test]
         fn fm_pass_matches_reference((hg, side, maxw) in blocked_bisection_strategy()) {
-            let mut state = BisectState::new(&hg, side.clone());
-            let mut reference = BisectState::new(&hg, side);
+            let mut state = BisectState::new(&hg, side.clone(), &mut Pool::default());
+            let mut reference = BisectState::new(&hg, side, &mut Pool::default());
             let mut deferred = Deferred::default();
             for pass in 0..FM_PASSES {
-                let improved = fm_pass(&mut state, &maxw, &mut deferred);
+                let improved = fm_pass(&mut state, &maxw, &mut deferred, &mut Pool::default());
                 prop_assert_eq!(improved, fm_pass_reference(&mut reference, &maxw), "pass {}", pass);
                 prop_assert_eq!(&state.side, &reference.side, "pass {}", pass);
                 prop_assert_eq!(
@@ -865,11 +926,11 @@ pub(crate) mod tests {
         let vwgt = vec![33, 38, 16, 408, 17, 2, 38, 19];
         let hg = Hypergraph::new(4, 2, vwgt, &[vec![0, 1]], vec![4]);
         let maxw = [vec![39, 177], vec![68, 306]];
-        let mut state = BisectState::new(&hg, vec![1, 0, 0, 0]);
-        let mut reference = BisectState::new(&hg, vec![1, 0, 0, 0]);
+        let mut state = BisectState::new(&hg, vec![1, 0, 0, 0], &mut Pool::default());
+        let mut reference = BisectState::new(&hg, vec![1, 0, 0, 0], &mut Pool::default());
         let mut deferred = Deferred::default();
         for _ in 0..FM_PASSES {
-            let improved = fm_pass(&mut state, &maxw, &mut deferred);
+            let improved = fm_pass(&mut state, &maxw, &mut deferred, &mut Pool::default());
             assert_eq!(improved, fm_pass_reference(&mut reference, &maxw));
             assert_eq!(state.side, reference.side);
         }
@@ -924,8 +985,8 @@ pub(crate) mod tests {
             let nvtx = hg.nvtx();
             let side: Vec<u8> =
                 (0..nvtx).map(|v| ((v as u64 * 2654435761 + seed) >> 3) as u8 & 1).collect();
-            let mut state = BisectState::new(&hg, side);
-            let mut gains = Gains::new(&state);
+            let mut state = BisectState::new(&hg, side, &mut Pool::default());
+            let mut gains = Gains::new(&state, &mut Pool::default());
             let mut locked = vec![false; nvtx];
             let mut live = std::collections::BTreeSet::new();
             for (op, pick) in ops {
@@ -933,7 +994,7 @@ pub(crate) mod tests {
                 if unlocked.is_empty() {
                     break;
                 }
-                let fresh = BisectState::new(&hg, state.side.clone());
+                let fresh = BisectState::new(&hg, state.side.clone(), &mut Pool::default());
                 match op {
                     0 => {
                         let v = unlocked[pick % unlocked.len()];
@@ -950,7 +1011,7 @@ pub(crate) mod tests {
                     _ => {
                         let v = unlocked[pick % unlocked.len()];
                         gains.move_vertex(&mut state, v);
-                        let after = BisectState::new(&hg, state.side.clone());
+                        let after = BisectState::new(&hg, state.side.clone(), &mut Pool::default());
                         locked[v] = true;
                         live.remove(&v);
                         live.extend(rule_targets(&fresh, &after, &locked, v));
@@ -992,18 +1053,18 @@ pub(crate) mod tests {
     #[test]
     fn state_tracks_cut_incrementally() {
         let hg = path_hg(4);
-        let mut st = BisectState::new(&hg, vec![0, 1, 0, 1]);
+        let mut st = BisectState::new(&hg, vec![0, 1, 0, 1], &mut Pool::default());
         assert_eq!(st.cut, 3); // all three path nets cut
         st.apply_move(1); // -> 0,0,0,1
         assert_eq!(st.cut, 1);
-        let reference = BisectState::new(&hg, st.side.clone());
+        let reference = BisectState::new(&hg, st.side.clone(), &mut Pool::default());
         assert_eq!(st.cut, reference.cut);
     }
 
     #[test]
     fn apply_move_is_involution() {
         let hg = path_hg(6);
-        let mut st = BisectState::new(&hg, vec![0, 1, 0, 1, 0, 1]);
+        let mut st = BisectState::new(&hg, vec![0, 1, 0, 1, 0, 1], &mut Pool::default());
         let (cut0, w0) = (st.cut, st.part_w.clone());
         st.apply_move(2);
         st.apply_move(2);
@@ -1014,11 +1075,11 @@ pub(crate) mod tests {
     #[test]
     fn gain_matches_recompute_after_moves() {
         let hg = path_hg(8);
-        let mut st = BisectState::new(&hg, vec![0, 0, 1, 1, 0, 1, 0, 1]);
+        let mut st = BisectState::new(&hg, vec![0, 0, 1, 1, 0, 1, 0, 1], &mut Pool::default());
         for v in [0usize, 3, 5] {
             st.apply_move(v);
         }
-        let fresh = BisectState::new(&hg, st.side.clone());
+        let fresh = BisectState::new(&hg, st.side.clone(), &mut Pool::default());
         for v in 0..8 {
             assert_eq!(st.gain(v), fresh.gain(v), "vertex {v}");
         }
@@ -1032,7 +1093,7 @@ pub(crate) mod tests {
         // hill-climb (with zero slack no single move is ever feasible).
         let maxw = limits(&hg, 0.26); // ceil(4 * 1.26) = 6... capped below
         let maxw = [vec![maxw[0][0].min(5)], vec![maxw[1][0].min(5)]];
-        let (_, cut) = fm_refine(&hg, &mut side, &maxw);
+        let (_, cut) = fm_refine(&hg, &mut side, &maxw, &mut Pool::default());
         assert_eq!(cut, 1, "a path bisects with a single cut net: {side:?}");
         let w0 = side.iter().filter(|&&s| s == 0).count();
         assert!((3..=5).contains(&w0), "balance within slack: {side:?}");
@@ -1042,7 +1103,7 @@ pub(crate) mod tests {
     fn fm_restores_balance_when_infeasible() {
         let hg = path_hg(10);
         let mut side = vec![0u8; 10]; // everything on side 0: infeasible
-        fm_refine(&hg, &mut side, &limits(&hg, 0.05));
+        fm_refine(&hg, &mut side, &limits(&hg, 0.05), &mut Pool::default());
         let w0 = side.iter().filter(|&&s| s == 0).count();
         assert!((4..=6).contains(&w0), "rebalanced to ~half: {side:?}");
     }
@@ -1052,7 +1113,7 @@ pub(crate) mod tests {
         let hg = path_hg(12);
         let maxw = limits(&hg, 0.0);
         let mut side: Vec<u8> = (0..12).map(|i| (i % 2) as u8).collect();
-        fm_refine(&hg, &mut side, &maxw);
+        fm_refine(&hg, &mut side, &maxw, &mut Pool::default());
         let w0 = side.iter().filter(|&&s| s == 0).count() as u64;
         assert!(w0 <= maxw[0][0] && (12 - w0) <= maxw[1][0]);
     }
@@ -1064,10 +1125,10 @@ pub(crate) mod tests {
             vec![vec![0, 1, 2], vec![2, 3, 4], vec![4, 5, 0], vec![1, 3, 5], vec![0, 3]];
         let hg = Hypergraph::new(6, 1, vec![1; 6], &nets, vec![1, 2, 3, 4, 5]);
         let start = vec![0u8, 1, 1, 0, 1, 0];
-        let start_cut = BisectState::new(&hg, start.clone()).cut;
+        let start_cut = BisectState::new(&hg, start.clone(), &mut Pool::default()).cut;
         let mut side = start;
-        let (_, cut) = fm_refine(&hg, &mut side, &limits(&hg, 0.1));
+        let (_, cut) = fm_refine(&hg, &mut side, &limits(&hg, 0.1), &mut Pool::default());
         assert!(cut <= start_cut);
-        assert_eq!(cut, BisectState::new(&hg, side).cut);
+        assert_eq!(cut, BisectState::new(&hg, side, &mut Pool::default()).cut);
     }
 }

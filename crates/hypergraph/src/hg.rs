@@ -6,6 +6,8 @@
 //! constraints (checkerboard partitioning needs one constraint per row
 //! stripe; everything else uses `ncon = 1`).
 
+use crate::pool::Pool;
+
 /// A hypergraph with weighted vertices and weighted nets.
 #[derive(Clone, Debug)]
 pub struct Hypergraph {
@@ -61,6 +63,20 @@ impl Hypergraph {
         xpins: Vec<usize>,
         pins: Vec<u32>,
     ) -> Self {
+        Self::from_csr_in(nvtx, ncon, vwgt, ncost, xpins, pins, &mut Pool::default())
+    }
+
+    /// [`Hypergraph::from_csr`] with the derived vertex → nets arrays
+    /// taken from `pool`.
+    pub(crate) fn from_csr_in(
+        nvtx: usize,
+        ncon: usize,
+        vwgt: Vec<u64>,
+        ncost: Vec<u64>,
+        xpins: Vec<usize>,
+        pins: Vec<u32>,
+        pool: &mut Pool,
+    ) -> Self {
         assert!(ncon >= 1, "at least one balance constraint required");
         assert_eq!(vwgt.len(), nvtx * ncon, "vertex weight array size mismatch");
         assert_eq!(xpins.len(), ncost.len() + 1, "xpins/ncost size mismatch");
@@ -71,15 +87,15 @@ impl Hypergraph {
 
         // Derive the vertex → nets CSR by counting sort.
         let nnets = ncost.len();
-        let mut xnets = vec![0usize; nvtx + 1];
+        let mut xnets = pool.filled(nvtx + 1, 0usize);
         for &p in &pins {
             xnets[p as usize + 1] += 1;
         }
         for v in 0..nvtx {
             xnets[v + 1] += xnets[v];
         }
-        let mut vnets = vec![0u32; pins.len()];
-        let mut next = xnets.clone();
+        let mut vnets = pool.filled(pins.len(), 0u32);
+        let mut next = pool.copied(&xnets);
         for n in 0..nnets {
             for k in xpins[n]..xpins[n + 1] {
                 let v = pins[k] as usize;
@@ -87,7 +103,18 @@ impl Hypergraph {
                 next[v] += 1;
             }
         }
+        pool.give(next);
         Hypergraph { nvtx, ncon, vwgt, ncost, xpins, pins, xnets, vnets }
+    }
+
+    /// Gives the hypergraph's arrays back to `pool`.
+    pub(crate) fn recycle(self, pool: &mut Pool) {
+        pool.give(self.vwgt);
+        pool.give(self.ncost);
+        pool.give(self.xpins);
+        pool.give(self.pins);
+        pool.give(self.xnets);
+        pool.give(self.vnets);
     }
 
     /// Number of vertices.
@@ -164,7 +191,18 @@ impl Hypergraph {
 
     /// Total vertex weight per constraint.
     pub fn total_weights(&self) -> Vec<u64> {
-        (0..self.ncon).map(|c| self.total_weight(c)).collect()
+        self.total_weights_in(&mut Pool::plain())
+    }
+
+    /// [`Hypergraph::total_weights`] in a buffer from `pool`.
+    pub(crate) fn total_weights_in(&self, pool: &mut Pool) -> Vec<u64> {
+        let mut totals = pool.filled(self.ncon, 0u64);
+        for w in self.vwgt.chunks_exact(self.ncon) {
+            for (t, &w) in totals.iter_mut().zip(w) {
+                *t += w;
+            }
+        }
+        totals
     }
 
     /// Merges nets with identical pin sets (summing their costs) and drops
@@ -182,6 +220,7 @@ impl Hypergraph {
             &self.ncost,
             self.xpins.clone(),
             self.pins.clone(),
+            &mut Pool::default(),
         )
     }
 }
@@ -191,7 +230,8 @@ impl Hypergraph {
 /// nets of two or more pins are put in lexicographic order of their sets
 /// (identical nets become neighbours, and the output order depends on
 /// nothing but the input) by a counting sort on the first pin and a
-/// comparison sort of each first-pin bucket on the rest.
+/// comparison sort of each first-pin bucket on the rest. Its scratch and
+/// the merged arrays come from `pool`, and `xpins` / `pins` go back to it.
 pub(crate) fn merge_nets(
     nvtx: usize,
     ncon: usize,
@@ -199,6 +239,7 @@ pub(crate) fn merge_nets(
     ncost: &[u64],
     mut xpins: Vec<usize>,
     mut pins: Vec<u32>,
+    pool: &mut Pool,
 ) -> Hypergraph {
     let nnets = ncost.len();
     let mut lo = 0;
@@ -221,7 +262,7 @@ pub(crate) fn merge_nets(
     let set = |n: u32| &pins[xpins[n as usize]..xpins[n as usize + 1]];
 
     // `bucket[p]` ends up as the end of first pin `p`'s range in `order`.
-    let mut bucket = vec![0usize; nvtx + 1];
+    let mut bucket = pool.filled(nvtx + 1, 0usize);
     for n in 0..nnets as u32 {
         if set(n).len() >= 2 {
             bucket[set(n)[0] as usize + 1] += 1;
@@ -230,7 +271,7 @@ pub(crate) fn merge_nets(
     for p in 0..nvtx {
         bucket[p + 1] += bucket[p];
     }
-    let mut order = vec![0u32; bucket[nvtx]];
+    let mut order = pool.filled(bucket[nvtx], 0u32);
     for n in 0..nnets as u32 {
         if set(n).len() >= 2 {
             let first = set(n)[0] as usize;
@@ -244,15 +285,20 @@ pub(crate) fn merge_nets(
         lo = hi;
     }
 
-    let mut xmerged = vec![0usize];
-    let mut merged: Vec<u32> = Vec::with_capacity(pins.len());
-    let mut mcost: Vec<u64> = Vec::new();
+    let mut xmerged = pool.with_capacity(order.len() + 1);
+    xmerged.push(0usize);
+    let mut merged: Vec<u32> = pool.with_capacity(pins.len());
+    let mut mcost: Vec<u64> = pool.with_capacity(order.len());
     for group in order.chunk_by(|&a, &b| set(a) == set(b)) {
         merged.extend_from_slice(set(group[0]));
         xmerged.push(merged.len());
         mcost.push(group.iter().map(|&n| ncost[n as usize]).sum());
     }
-    Hypergraph::from_csr(nvtx, ncon, vwgt, mcost, xmerged, merged)
+    pool.give(bucket);
+    pool.give(order);
+    pool.give(xpins);
+    pool.give(pins);
+    Hypergraph::from_csr_in(nvtx, ncon, vwgt, mcost, xmerged, merged, pool)
 }
 
 #[cfg(test)]

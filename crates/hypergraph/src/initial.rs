@@ -17,29 +17,35 @@ use rand::Rng;
 
 use crate::fm::{fm_refine, BisectState, Gains};
 use crate::hg::Hypergraph;
+use crate::pool::Pool;
 
 /// Initial-partition attempts per generator.
 const INITIAL_TRIES: usize = 4;
 
 /// Produces a bisection of `hg` with target side-0 weight fraction
 /// `ratio0`, trying [`INITIAL_TRIES`] GHG and as many random starts,
-/// refining each.
+/// refining each. Candidates and scratch come from `pool`.
 pub(crate) fn initial_bisection<R: Rng>(
     hg: &Hypergraph,
     maxw: &[Vec<u64>; 2],
     ratio0: f64,
     rng: &mut R,
+    pool: &mut Pool,
 ) -> Vec<u8> {
     let mut best: Option<((u64, u64), Vec<u8>)> = None; // ((overweight, cut), side)
     for t in 0..INITIAL_TRIES * 2 {
         let mut side = if t % 2 == 0 {
-            greedy_growing(hg, ratio0, rng)
+            greedy_growing(hg, ratio0, rng, pool)
         } else {
-            random_balanced(hg, ratio0, rng)
+            random_balanced(hg, ratio0, rng, pool)
         };
-        let key = fm_refine(hg, &mut side, maxw);
+        let key = fm_refine(hg, &mut side, maxw, pool);
         if best.as_ref().is_none_or(|(best_key, _)| key < *best_key) {
-            best = Some((key, side));
+            if let Some((_, worse)) = best.replace((key, side)) {
+                pool.give(worse);
+            }
+        } else {
+            pool.give(side);
         }
     }
     best.expect("at least one candidate").1
@@ -50,14 +56,19 @@ pub(crate) fn initial_bisection<R: Rng>(
 /// highest id) until the side-0 weight target is reached. Remaining
 /// vertices stay on side 1. The frontier is whatever the gain engine has
 /// made a candidate: the net-mates of the vertices pulled so far.
-pub(crate) fn greedy_growing<R: Rng>(hg: &Hypergraph, ratio0: f64, rng: &mut R) -> Vec<u8> {
+pub(crate) fn greedy_growing<R: Rng>(
+    hg: &Hypergraph,
+    ratio0: f64,
+    rng: &mut R,
+    pool: &mut Pool,
+) -> Vec<u8> {
     let nvtx = hg.nvtx();
     if nvtx == 0 {
         return Vec::new();
     }
     let target = (hg.total_weight(0) as f64 * ratio0).round() as u64;
-    let mut state = BisectState::new(hg, vec![1u8; nvtx]);
-    let mut gains = Gains::new(&state);
+    let mut state = BisectState::new(hg, pool.filled(nvtx, 1u8), pool);
+    let mut gains = Gains::new(&state, pool);
     // The seed is always pulled; growth after it stops at the weight
     // target and always leaves a vertex on side 1.
     gains.move_vertex(&mut state, rng.random_range(0..nvtx));
@@ -73,18 +84,25 @@ pub(crate) fn greedy_growing<R: Rng>(hg: &Hypergraph, ratio0: f64, rng: &mut R) 
         });
         gains.move_vertex(&mut state, v);
     }
-    state.side
+    gains.recycle(pool);
+    state.into_side(pool)
 }
 
 /// Random balanced assignment: shuffle, fill side 0 to its weight target,
 /// rest to side 1.
-pub(crate) fn random_balanced<R: Rng>(hg: &Hypergraph, ratio0: f64, rng: &mut R) -> Vec<u8> {
+pub(crate) fn random_balanced<R: Rng>(
+    hg: &Hypergraph,
+    ratio0: f64,
+    rng: &mut R,
+    pool: &mut Pool,
+) -> Vec<u8> {
     let nvtx = hg.nvtx();
     let total0: u64 = hg.total_weight(0);
     let target = (total0 as f64 * ratio0).round() as u64;
-    let mut order: Vec<u32> = (0..nvtx as u32).collect();
+    let mut order: Vec<u32> = pool.with_capacity(nvtx);
+    order.extend(0..nvtx as u32);
     order.shuffle(rng);
-    let mut side = vec![1u8; nvtx];
+    let mut side = pool.filled(nvtx, 1u8);
     let mut w0 = 0u64;
     let mut taken = 0usize;
     for &v in &order {
@@ -96,6 +114,7 @@ pub(crate) fn random_balanced<R: Rng>(hg: &Hypergraph, ratio0: f64, rng: &mut R)
         w0 += hg.vweight(v as usize)[0];
         taken += 1;
     }
+    pool.give(order);
     side
 }
 
@@ -113,7 +132,7 @@ mod tests {
     fn greedy_growing_reference<R: Rng>(hg: &Hypergraph, ratio0: f64, rng: &mut R) -> Vec<u8> {
         let nvtx = hg.nvtx();
         let target = (hg.total_weight(0) as f64 * ratio0).round() as u64;
-        let mut state = BisectState::new(hg, vec![1u8; nvtx]);
+        let mut state = BisectState::new(hg, vec![1u8; nvtx], &mut Pool::default());
         let mut frontier = vec![false; nvtx];
         let mut v = rng.random_range(0..nvtx);
         loop {
@@ -149,7 +168,7 @@ mod tests {
         ) {
             let (mut r1, mut r2) = (StdRng::seed_from_u64(seed), StdRng::seed_from_u64(seed));
             prop_assert_eq!(
-                greedy_growing(&hg, ratio0, &mut r1),
+                greedy_growing(&hg, ratio0, &mut r1, &mut Pool::default()),
                 greedy_growing_reference(&hg, ratio0, &mut r2)
             );
             prop_assert_eq!(r1.random::<u64>(), r2.random::<u64>());
@@ -183,8 +202,8 @@ mod tests {
     fn initial_bisection_finds_natural_cut() {
         let hg = clique_pair();
         let mut rng = StdRng::seed_from_u64(11);
-        let side = initial_bisection(&hg, &limits(&hg, 0.05), 0.5, &mut rng);
-        let cut = BisectState::new(&hg, side.clone()).cut;
+        let side = initial_bisection(&hg, &limits(&hg, 0.05), 0.5, &mut rng, &mut Pool::default());
+        let cut = BisectState::new(&hg, side.clone(), &mut Pool::default()).cut;
         assert_eq!(cut, 1, "cliques should separate: {side:?}");
     }
 
@@ -192,7 +211,7 @@ mod tests {
     fn random_balanced_hits_target() {
         let hg = clique_pair();
         let mut rng = StdRng::seed_from_u64(2);
-        let side = random_balanced(&hg, 0.5, &mut rng);
+        let side = random_balanced(&hg, 0.5, &mut rng, &mut Pool::default());
         let w0 = side.iter().filter(|&&s| s == 0).count();
         assert_eq!(w0, 4);
     }
@@ -201,7 +220,7 @@ mod tests {
     fn greedy_growing_respects_ratio() {
         let hg = clique_pair();
         let mut rng = StdRng::seed_from_u64(3);
-        let side = greedy_growing(&hg, 0.25, &mut rng);
+        let side = greedy_growing(&hg, 0.25, &mut rng, &mut Pool::default());
         let w0 = side.iter().filter(|&&s| s == 0).count();
         assert_eq!(w0, 2); // 25% of weight 8
     }
@@ -210,7 +229,7 @@ mod tests {
     fn handles_disconnected_hypergraph() {
         let hg = Hypergraph::new(6, 1, vec![1; 6], &[vec![0, 1]], vec![1]);
         let mut rng = StdRng::seed_from_u64(4);
-        let side = greedy_growing(&hg, 0.5, &mut rng);
+        let side = greedy_growing(&hg, 0.5, &mut rng, &mut Pool::default());
         let w0 = side.iter().filter(|&&s| s == 0).count();
         assert_eq!(w0, 3);
     }

@@ -5,12 +5,18 @@
 //! partition — the property that makes hypergraph cutsize equal SpMV
 //! communication volume (Catalyurek & Aykanat 1999, as used by the paper).
 
+use std::num::NonZeroUsize;
+use std::panic::resume_unwind;
+use std::sync::atomic::{AtomicUsize, Ordering};
+
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use crate::bisect::multilevel_bisect;
+use crate::fm::BisectState;
 use crate::hg::Hypergraph;
 use crate::metrics;
+use crate::pool::Pool;
 
 /// Partitioner configuration: the two values callers choose. Everything
 /// else (coarsening target and limits, initial tries, FM passes) is a
@@ -22,7 +28,8 @@ pub struct PartitionConfig {
     pub epsilon: f64,
     /// RNG seed; every run is deterministic given a seed. Each bisection
     /// of the recursion draws from its own generator, seeded from this
-    /// seed and the range of parts the bisection splits.
+    /// seed and the range of parts the bisection splits, so the result
+    /// does not depend on how many cores ran the bisections.
     pub seed: u64,
 }
 
@@ -54,8 +61,22 @@ impl KwayPartition {
 }
 
 /// Partitions `hg` into `k` parts with at most `cfg.epsilon` imbalance
-/// (best effort) minimizing the connectivity−1 metric.
+/// (best effort) minimizing the connectivity−1 metric. While a core is
+/// idle, the two halves of a split are bisected at the same time on a
+/// helper thread; the result does not depend on how many cores there
+/// are.
 pub fn partition_kway(hg: &Hypergraph, k: usize, cfg: &PartitionConfig) -> KwayPartition {
+    let cores = std::thread::available_parallelism().map_or(1, NonZeroUsize::get);
+    partition_kway_on(hg, k, cfg, Team::new(cores, LEND_MIN_PINS))
+}
+
+/// [`partition_kway`] on `team`.
+pub(crate) fn partition_kway_on(
+    hg: &Hypergraph,
+    k: usize,
+    cfg: &PartitionConfig,
+    team: Team,
+) -> KwayPartition {
     assert!(k >= 1, "k must be positive");
     if k == 1 {
         return KwayPartition { parts: vec![0; hg.nvtx()], k };
@@ -64,7 +85,50 @@ pub fn partition_kway(hg: &Hypergraph, k: usize, cfg: &PartitionConfig) -> KwayP
     // Spread the global tolerance over bisection levels so the final
     // K-way imbalance stays within epsilon.
     let eps_b = (1.0 + cfg.epsilon).powf(1.0 / depth) - 1.0;
-    KwayPartition { parts: recurse(hg, k, 0, eps_b, cfg.seed), k }
+    let parts = recurse(hg, k, 0, eps_b, cfg.seed, Some(&team), &mut Pool::plain());
+    KwayPartition { parts, k }
+}
+
+/// The fewest pins of a node that lends its buffers to a helper for its
+/// right half. A helper costs about a quarter megabyte of resident memory
+/// of its own (stack, thread-local and allocator state: measured on
+/// Linux with glibc); below this size that is a large share of what the
+/// whole partition holds, and the caller bisects both halves itself.
+const LEND_MIN_PINS: usize = 1 << 15;
+
+/// The helper threads a partition may start: the calling thread and at
+/// most `threads − 1` helpers at a time, for nodes of at least
+/// `min_pins` pins.
+pub(crate) struct Team {
+    free: AtomicUsize,
+    min_pins: usize,
+}
+
+impl Team {
+    pub(crate) fn new(threads: usize, min_pins: usize) -> Team {
+        Team { free: AtomicUsize::new(threads.max(1) - 1), min_pins }
+    }
+
+    /// Takes a free helper slot, if there is one.
+    fn claim(&self) -> bool {
+        let take = |free: usize| free.checked_sub(1);
+        self.free.fetch_update(Ordering::AcqRel, Ordering::Acquire, take).is_ok()
+    }
+
+    fn release(&self) {
+        self.free.fetch_add(1, Ordering::AcqRel);
+    }
+
+    /// The pool for `hg`, a node the caller is about to bisect: one that
+    /// keeps its buffers, to lend them at the split, while a helper slot
+    /// is free and the node is large enough, else a plain one.
+    fn pool(&self, hg: &Hypergraph) -> Pool {
+        if self.free.load(Ordering::Acquire) > 0 && hg.npins() >= self.min_pins {
+            Pool::default()
+        } else {
+            Pool::plain()
+        }
+    }
 }
 
 /// SplitMix64's output function: a bijective 64-bit mix.
@@ -84,32 +148,113 @@ pub(crate) fn node_seed(seed: u64, first_part: u32, k: usize) -> u64 {
 }
 
 /// Recursively bisects `hg` into `k` parts numbered from `first_part`
-/// and returns the part of each of its vertices.
-fn recurse(hg: &Hypergraph, k: usize, first_part: u32, eps_b: f64, seed: u64) -> Vec<u32> {
+/// and returns the part of each of its vertices. Buffers come from
+/// `pool` and go back to it (see `pool`).
+///
+/// The calling thread holds the `team` and is the only one to start
+/// helpers. At each split it hands its pool to the split's right half,
+/// if a helper slot is free, or drops it: a caller's pool holds one
+/// bisection's buffers at a time, never a hoard across nodes. A helper
+/// bisects its half alone, on the lent pool, trimmed to the half's size.
+/// The root's pool is [`Pool::plain`]: the root's bisection is the
+/// partition's memory peak, so the root lends nothing, and its halves,
+/// the two largest bisections after it, run one after the other. Below
+/// them, two bisections that run at once need no more memory than the
+/// root's did.
+fn recurse(
+    hg: &Hypergraph,
+    k: usize,
+    first_part: u32,
+    eps_b: f64,
+    seed: u64,
+    team: Option<&Team>,
+    pool: &mut Pool,
+) -> Vec<u32> {
     if k == 1 || hg.nvtx() == 0 {
-        return vec![first_part; hg.nvtx()];
+        return pool.filled(hg.nvtx(), first_part);
     }
     let kl = k.div_ceil(2);
     let kr = k - kl;
     let ratio0 = kl as f64 / k as f64;
-    let totals = hg.total_weights();
-    let maxw: [Vec<u64>; 2] = [
-        totals.iter().map(|&t| ((t as f64) * ratio0 * (1.0 + eps_b)).ceil() as u64).collect(),
-        totals
-            .iter()
-            .map(|&t| ((t as f64) * (1.0 - ratio0) * (1.0 + eps_b)).ceil() as u64)
-            .collect(),
-    ];
+    let mut maxw = [hg.total_weights_in(pool), hg.total_weights_in(pool)];
+    for (limits, share) in maxw.iter_mut().zip([ratio0, 1.0 - ratio0]) {
+        for w in limits.iter_mut() {
+            *w = ((*w as f64) * share * (1.0 + eps_b)).ceil() as u64;
+        }
+    }
     let mut rng = StdRng::seed_from_u64(node_seed(seed, first_part, k));
-    let mut side = multilevel_bisect(hg, ratio0, &maxw, &mut rng);
-    repair_counts(hg, &mut side, kl, kr);
+    let mut side = multilevel_bisect(hg, ratio0, &maxw, &mut rng, pool);
+    repair_counts(hg, &mut side, kl, kr, pool);
 
     // Bisect the two sub-hypergraphs (net splitting), then read each
-    // vertex's part off its side's result in vertex order.
-    let left = recurse(&extract_side(hg, &side, 0), kl, first_part, eps_b, seed);
-    let right = recurse(&extract_side(hg, &side, 1), kr, first_part + kl as u32, eps_b, seed);
-    let mut halves = [left.into_iter(), right.into_iter()];
-    side.iter().map(|&s| halves[s as usize].next().expect("one part per vertex")).collect()
+    // vertex's part off its side's result in vertex order. The caller
+    // gives each half a pool of its own (`Team::pool`); a helper bisects
+    // its whole subtree on the one it was lent.
+    let right_first = first_part + kl as u32;
+    let descend = |sub: &Hypergraph, k: usize, first: u32, pool: &mut Pool| match team {
+        Some(t) => recurse(sub, k, first, eps_b, seed, team, &mut t.pool(sub)),
+        None => recurse(sub, k, first, eps_b, seed, None, pool),
+    };
+    let halves = match team {
+        Some(t) if pool.keeps() && kr > 1 && t.claim() => {
+            let mut lent = std::mem::replace(pool, Pool::plain());
+            let left = extract_side(hg, &side, 0, pool);
+            let right = extract_side(hg, &side, 1, pool);
+            lent.trim(size_ratio(&right, hg));
+            let halves = std::thread::scope(|scope| {
+                let right = &right;
+                let helper = scope.spawn(move || {
+                    let parts = recurse(right, kr, right_first, eps_b, seed, None, &mut lent);
+                    t.release();
+                    parts
+                });
+                [
+                    descend(&left, kl, first_part, pool),
+                    helper.join().unwrap_or_else(|e| resume_unwind(e)),
+                ]
+            });
+            left.recycle(pool);
+            right.recycle(pool);
+            halves
+        }
+        _ => {
+            if team.is_some() {
+                // The caller lends nothing here: free this node's buffers.
+                *pool = Pool::plain();
+            }
+            let left = extract_side(hg, &side, 0, pool);
+            let parts = descend(&left, kl, first_part, pool);
+            left.recycle(pool);
+            let right = extract_side(hg, &side, 1, pool);
+            let right_parts = descend(&right, kr, right_first, pool);
+            right.recycle(pool);
+            [parts, right_parts]
+        }
+    };
+    let mut parts = pool.with_capacity(hg.nvtx());
+    let mut next = [halves[0].iter(), halves[1].iter()];
+    parts.extend(side.iter().map(|&s| *next[s as usize].next().expect("one part per vertex")));
+    let [l, r] = halves;
+    pool.give(l);
+    pool.give(r);
+    pool.give(side);
+    for v in maxw {
+        pool.give(v);
+    }
+    parts
+}
+
+/// The largest of `sub`'s vertex, net and pin counts relative to
+/// `hg`'s: how far a pool that bisected `hg` can shrink and still serve
+/// `sub`'s subtree.
+fn size_ratio(sub: &Hypergraph, hg: &Hypergraph) -> f64 {
+    let ratio = |a: usize, b: usize| a as f64 / b.max(1) as f64;
+    let r = [
+        ratio(sub.nvtx(), hg.nvtx()),
+        ratio(sub.nnets(), hg.nnets()),
+        ratio(sub.npins(), hg.npins()),
+    ];
+    r.into_iter().fold(0.0, f64::max).min(1.0)
 }
 
 /// Ensures side 0 holds at least `kl` vertices and side 1 at least `kr`
@@ -118,7 +263,7 @@ fn recurse(hg: &Hypergraph, k: usize, first_part: u32, eps_b: f64, seed: u64) ->
 /// guarantee this: on tiny sub-hypergraphs their `ceil` slack admits
 /// splits like 3|1 for `k = 2+2`. Deficits are repaired by moving the
 /// least cut-damaging vertices from the surplus side.
-fn repair_counts(hg: &Hypergraph, side: &mut [u8], kl: usize, kr: usize) {
+fn repair_counts(hg: &Hypergraph, side: &mut [u8], kl: usize, kr: usize, pool: &mut Pool) {
     let nvtx = hg.nvtx();
     if nvtx < kl + kr {
         return; // fewer vertices than parts: emptiness is unavoidable
@@ -133,7 +278,7 @@ fn repair_counts(hg: &Hypergraph, side: &mut [u8], kl: usize, kr: usize) {
             continue;
         }
         let donor = 1 - s;
-        let mut state = crate::fm::BisectState::new(hg, side.to_vec());
+        let mut state = BisectState::new(hg, pool.copied(side), pool);
         while count[s] < need[s] {
             // Best-gain movable vertex on the donor side.
             let v = (0..nvtx)
@@ -145,35 +290,44 @@ fn repair_counts(hg: &Hypergraph, side: &mut [u8], kl: usize, kr: usize) {
             count[donor] -= 1;
         }
         side.copy_from_slice(&state.side);
+        let repaired = state.into_side(pool);
+        pool.give(repaired);
     }
 }
 
 /// Extracts the sub-hypergraph induced by side `s`: vertices renumbered
 /// in order, nets restricted to the side (net splitting), single-pin
-/// nets dropped.
-fn extract_side(hg: &Hypergraph, side: &[u8], s: u8) -> Hypergraph {
+/// nets dropped. Its arrays come from `pool`, sized exactly.
+fn extract_side(hg: &Hypergraph, side: &[u8], s: u8, pool: &mut Pool) -> Hypergraph {
     let ncon = hg.ncon();
-    let mut local_of = vec![u32::MAX; hg.nvtx()];
+    let mut local_of = pool.filled(hg.nvtx(), u32::MAX);
     let mut nsub = 0u32;
-    let mut vwgt = Vec::new();
     for v in 0..hg.nvtx() {
         if side[v] == s {
             local_of[v] = nsub;
             nsub += 1;
-            vwgt.extend_from_slice(hg.vweight(v));
         }
     }
-    let mut xpins = vec![0usize];
-    let mut pins: Vec<u32> = Vec::new();
-    let mut ncost: Vec<u64> = Vec::new();
+    let mut vwgt = pool.with_capacity(nsub as usize * ncon);
+    for v in (0..hg.nvtx()).filter(|&v| side[v] == s) {
+        vwgt.extend_from_slice(hg.vweight(v));
+    }
+    let kept = |n: usize| hg.pins_of(n).iter().filter(|&&p| local_of[p as usize] != u32::MAX);
+    let (mut nnets, mut npins) = (0, 0);
+    for n in 0..hg.nnets() {
+        let size = kept(n).count();
+        if size >= 2 {
+            nnets += 1;
+            npins += size;
+        }
+    }
+    let mut xpins = pool.with_capacity(nnets + 1);
+    xpins.push(0usize);
+    let mut pins: Vec<u32> = pool.with_capacity(npins);
+    let mut ncost: Vec<u64> = pool.with_capacity(nnets);
     for n in 0..hg.nnets() {
         let start = pins.len();
-        for &p in hg.pins_of(n) {
-            let lp = local_of[p as usize];
-            if lp != u32::MAX {
-                pins.push(lp);
-            }
-        }
+        pins.extend(kept(n).map(|&p| local_of[p as usize]));
         if pins.len() - start >= 2 {
             xpins.push(pins.len());
             ncost.push(hg.ncost(n));
@@ -181,12 +335,55 @@ fn extract_side(hg: &Hypergraph, side: &[u8], s: u8) -> Hypergraph {
             pins.truncate(start);
         }
     }
-    Hypergraph::from_csr(nsub as usize, ncon, vwgt, ncost, xpins, pins)
+    pool.give(local_of);
+    Hypergraph::from_csr_in(nsub as usize, ncon, vwgt, ncost, xpins, pins, pool)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::coarsen::tests::raw_hg_strategy;
+    use crate::models::column_net_model;
+    use proptest::prelude::*;
+    use s2d_gen::denserow::{dense_row_matrix, DenseRowConfig};
+    use s2d_gen::fem::fem_like;
+
+    /// The partition on 1, 2 and 4 threads, helpers lending at every
+    /// node (`min_pins` 0) so that small inputs start them too.
+    fn on_teams(hg: &Hypergraph, k: usize, cfg: &PartitionConfig) -> [Vec<u32>; 3] {
+        [1, 2, 4].map(|threads| partition_kway_on(hg, k, cfg, Team::new(threads, 0)).parts)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Every bisection draws from its own seed, so the partition does
+        /// not depend on which thread ran which half.
+        #[test]
+        fn partition_is_the_same_on_every_team(hg in raw_hg_strategy(), k in 2usize..=12, seed in 0u64..100) {
+            let cfg = PartitionConfig { seed, ..Default::default() };
+            let [one, two, four] = on_teams(&hg, k, &cfg);
+            prop_assert_eq!(&one, &two);
+            prop_assert_eq!(&one, &four);
+        }
+    }
+
+    #[test]
+    fn benchmark_shaped_partitions_are_the_same_on_every_team() {
+        let n = 1 << 11;
+        let dense =
+            DenseRowConfig { n, nnz: 8 * n, dmax: n / 2, tail_decay: 0.5, mirror_cols: true };
+        let inputs = [fem_like(1 << 13, 27.0, 27, 5), dense_row_matrix(&dense, 5)];
+        for a in &inputs {
+            let hg = column_net_model(a, true);
+            for k in [8, 64] {
+                let cfg = PartitionConfig::default();
+                let [one, two, four] = on_teams(&hg, k, &cfg);
+                assert!(one == two && one == four, "k = {k}: the team changed the partition");
+                assert_eq!(partition_kway(&hg, k, &cfg).parts, one, "k = {k}");
+            }
+        }
+    }
 
     fn grid_hg(rows: usize, cols: usize) -> Hypergraph {
         // 2D grid as a graph (2-pin nets): classic partitioning testbed.

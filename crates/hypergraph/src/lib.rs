@@ -24,10 +24,15 @@
 //!   rollback on top of it;
 //! * `initial` — greedy hypergraph growing (on the same engine) + random
 //!   initial bisections;
-//! * `bisect` — coarsen → initial partition → uncoarsen + refine.
+//! * `bisect` — coarsen → initial partition → uncoarsen + refine;
+//! * `pool` — the buffers the bisections borrow and give back, and the
+//!   memory a helper thread bisects in.
 //!
 //! Every partition is a pure function of the hypergraph and the seed:
-//! nothing in the crate hashes or iterates in address order.
+//! nothing in the crate hashes or iterates in address order, and each
+//! bisection draws from its own seed, so [`partition_kway`] gives the
+//! same answer whether the two halves of a split run one after the other
+//! or on two threads.
 
 #![forbid(unsafe_code)]
 
@@ -39,6 +44,7 @@ mod initial;
 pub mod kway;
 pub mod metrics;
 pub mod models;
+mod pool;
 
 pub use hg::Hypergraph;
 pub use kway::{partition_kway, KwayPartition, PartitionConfig};

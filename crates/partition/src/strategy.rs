@@ -22,7 +22,9 @@ pub struct PartitionerConfig {
     /// Load-balance tolerance ε (the paper's 3% default).
     pub epsilon: f64,
     /// RNG seed for the hypergraph engine; runs are deterministic given
-    /// a seed.
+    /// a seed. The engine derives one seed per bisection from it (see
+    /// `s2d_hypergraph::PartitionConfig::seed`), so a partition does not
+    /// depend on the core count.
     pub seed: u64,
 }
 
