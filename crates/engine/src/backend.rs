@@ -26,8 +26,8 @@
 //!   right baseline for kernel work.
 //! * [`Backend::CompiledPool`] — the same body over the **pool**
 //!   transport ([`ParallelEngine`]): the calling thread and the
-//!   persistent workers each run it for their rank range and their
-//!   NNZ-balanced chunk bucket, with a barrier at every handoff; the
+//!   persistent workers each run it for the ranks they own, balanced
+//!   by stored multiply-adds, with a barrier at every handoff; the
 //!   team size is [`Backend::participants`]. With two participants on
 //!   two cores it measured 0.19 vs 0.17 ms per iteration at 131 k
 //!   multiply-adds and 0.71 vs 1.30 ms at 1.68 M (the ledger's
@@ -87,8 +87,8 @@ pub enum Backend {
     /// Compiled plan, sequential zero-alloc execution over one arena.
     CompiledSeq,
     /// Compiled plan on the persistent pool — the calling thread as
-    /// participant 0 plus spawned workers — running the NNZ-chunked
-    /// compute schedule.
+    /// participant 0 plus spawned workers — each participant running
+    /// the ranks it owns.
     CompiledPool {
         /// Requested participant count, the caller included; 0 selects
         /// the default sizing. The team actually run is
@@ -162,17 +162,18 @@ impl Backend {
             Backend::CompiledSeq => Box::new(CompiledSeqOperator::new(cp, width, sink)),
             Backend::CompiledPool { threads, pin } => Box::new(ParallelEngine::with_options(
                 cp,
-                PoolOptions { threads, width, pin, sink, ..PoolOptions::default() },
+                PoolOptions { threads, width, pin, sink },
             )),
         }
     }
 
     /// Default seq-vs-pool crossover for [`Backend::auto`] on
-    /// scalar-kernel plans, in multiply-adds per iteration. PR 1
-    /// measured the pool's barrier round trips amortizing around
-    /// ≈ 5·10⁵ madds; the NNZ-chunked schedule removes the
-    /// serialize-on-the-heaviest-rank penalty that dominated that
-    /// figure, pulling the break-even 4× lower. (With the caller as
+    /// scalar-kernel plans, in multiply-adds per iteration. The first
+    /// pool measured its barrier round trips amortizing around
+    /// ≈ 5·10⁵ madds on contiguous rank ranges, which serialized on the
+    /// heaviest rank; on a balanced partition, whole ranks packed by
+    /// weight run as fast as split kernels did, which pulled the
+    /// break-even 4× lower. (With the caller as
     /// participant 0 the measured break-even sits lower still — see
     /// ROADMAP for the table and the pending re-derivation.) This is a
     /// *model* constant, measured on one machine — when an `s2d-tune`

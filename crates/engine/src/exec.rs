@@ -3,20 +3,23 @@
 //! operator, [`CompiledSeqOperator`].
 //!
 //! One iteration of a [`CompiledPlan`] is written **once**, in
-//! `phase_walk`: clear the `y` arena → per phase, run compute chunks or
-//! fold the received partials in the compiled `recvs` order → emit
-//! owned rows into the caller's `y`. What differs between drivers is
-//! only *whose* ranks and chunks a participant runs, how a buffer range
+//! `phase_walk`: clear the `y` arena → per phase, run each owned rank's
+//! kernel whole or fold its received partials in the compiled `recvs`
+//! order → emit owned rows into the caller's `y`. What differs between
+//! drivers is only *which* ranks a participant owns, how a buffer range
 //! is reached and who waits at a barrier — that is the crate-private
 //! `Transport` trait, with exactly two implementations:
 //!
 //! * `InPlace` (here): one participant owning all `K` ranks over the
-//!   plain `y` arena of a [`CompiledSeqOperator`], every kernel run
-//!   whole in rank order, and a `sync` that is a literal `false` — so
-//!   barriers, atomics and barrier-wait spans const-fold out of the
-//!   sequential path;
-//! * the pool worker (`pool.rs`): a contiguous rank range, a baked
-//!   chunk bucket, range views over the shared arena, a spin barrier.
+//!   plain `y` arena of a [`CompiledSeqOperator`], and a `sync` that is
+//!   a literal `false` — so barriers, atomics and barrier-wait spans
+//!   const-fold out of the sequential path;
+//! * the pool worker (`pool.rs`): the ranks the participant owns, views
+//!   over the shared arena, a spin barrier.
+//!
+//! Either way a rank's kernel runs whole, in unit order, on the one
+//! participant that owns the rank, so every `y` word has the same
+//! accumulation order on every driver and at every team size.
 //!
 //! Both share one address space, so a plan's messages shrink to what
 //! still has to happen there. An **expand** word does not move: every
@@ -61,9 +64,9 @@ pub(crate) fn align_pad(base: *const f64) -> usize {
     (base as usize).wrapping_neg() % 64 / std::mem::size_of::<f64>()
 }
 
-/// A buffer ranks share: the `y` arena, a rank's block of it that
-/// compute chunks write, the block an iteration emits into. A plain
-/// slice in place, a view of a shared buffer on a pool worker.
+/// A buffer ranks share: the `y` arena that folds read and write, the
+/// block an iteration emits into. A plain slice in place, a view of a
+/// shared buffer on a pool worker.
 pub(crate) trait Region {
     /// Words `lo..lo + len`, exclusively; panics when out of bounds.
     fn region_mut(&mut self, lo: usize, len: usize) -> &mut [f64];
@@ -88,36 +91,31 @@ impl Region for &mut [f64] {
 }
 
 /// What the phase-walk body needs from the memory it runs over: which
-/// ranks and compute chunks this participant runs, views of the buffers
-/// one step touches, and the barrier between steps. A rank's `y` view
-/// is its block of the arena at the job's width.
+/// ranks this participant owns, views of the buffers one step touches,
+/// and the barrier between steps. A rank's `y` block is its block of
+/// the arena at the job's width.
 pub(crate) trait Transport {
-    /// A buffer shared between ranks: the `y` arena (whole in a fold,
-    /// from a rank's block on in a compute chunk), the caller's `y` in the emit.
+    /// A buffer shared between ranks: the whole `y` arena in a fold, the
+    /// caller's `y` in the emit.
     type Buf<'a>: Region
     where
         Self: 'a;
 
-    /// The ranks this participant clears, folds and emits for.
-    fn ranks(&self) -> Range<usize>;
+    /// The owned ranks, ascending.
+    type Ranks: Iterator<Item = usize> + Clone;
+
+    /// The ranks this participant clears, computes, folds and emits for.
+    fn ranks(&self) -> Self::Ranks;
 
     /// Barrier among the participants, recorded as a barrier-wait span
     /// when `obs` is attached. `true` means a peer died: the caller
     /// must return without touching any buffer again.
     fn sync(&mut self, obs: Option<&ExecTelemetry>) -> bool;
 
-    /// The `i`-th compute chunk of phase `p` this participant runs, or
-    /// `None` past the last: its rank, its kernel-unit range (the body
-    /// clamps the end to the kernel's unit count, so `0..usize::MAX` is
-    /// the whole kernel), the `x` home space (the job's input on the
-    /// `first` iteration, its output after) and a buffer from the rank's
-    /// `y` block on, of which the kernel fetches one unit's row at a time.
-    fn chunk(
-        &mut self,
-        p: usize,
-        i: usize,
-        first: bool,
-    ) -> Option<(usize, Range<usize>, &[f64], Self::Buf<'_>)>;
+    /// Owned rank `rk`'s kernel operands: the `x` home space (the job's
+    /// input on the `first` iteration, its output after) and the rank's
+    /// `y` block, exclusively.
+    fn compute(&mut self, rk: usize, first: bool) -> (&[f64], &mut [f64]);
 
     /// The whole `y` arena, for folding into owned ranks' slots from
     /// their producers'.
@@ -144,6 +142,7 @@ impl Transport for InPlace<'_> {
         = &'a mut [f64]
     where
         Self: 'a;
+    type Ranks = Range<usize>;
 
     #[inline(always)]
     fn ranks(&self) -> Range<usize> {
@@ -156,14 +155,9 @@ impl Transport for InPlace<'_> {
     }
 
     #[inline(always)]
-    fn chunk(
-        &mut self,
-        _p: usize,
-        i: usize,
-        first: bool,
-    ) -> Option<(usize, Range<usize>, &[f64], &mut [f64])> {
-        let block = self.plan.ranks.get(i)?.block(self.r);
-        Some((i, 0..usize::MAX, if first { self.x } else { &*self.y }, &mut self.arena[block]))
+    fn compute(&mut self, rk: usize, first: bool) -> (&[f64], &mut [f64]) {
+        let block = self.plan.ranks[rk].block(self.r);
+        (if first { self.x } else { &*self.y }, &mut self.arena[block])
     }
 
     #[inline(always)]
@@ -310,15 +304,15 @@ fn walk_fixed<T: Transport, const R: usize>(
 }
 
 /// The one phase-walk body: participant `t`'s share of `iters` chained
-/// iterations. Every handoff between participants crosses `t.sync`:
-/// clear → compute (chunks write `y` blocks other participants cleared,
-/// and from the second iteration on read the `x` others just emitted),
-/// compute → whatever reads or rewrites those rows next (a fold, the
-/// next compute phase's chunks, the emit), and fold → the next writer of
-/// a producer's block. A communication step in which no rank folds has
-/// no work and no barrier. A fold reads slots no participant writes
-/// during that step (see `compile.rs`), so only the order within a
-/// receiver matters: the compiled `recvs` order.
+/// iterations, every step run for each owned rank in turn. Every
+/// handoff between participants crosses `t.sync`: clear → compute (from
+/// the second iteration on, kernels read the `x` others just emitted),
+/// compute → whatever reads those rows next (a fold of another rank,
+/// the emit), and fold → the next writer of a producer's block. A
+/// communication step in which no rank folds has no work and no
+/// barrier. A fold reads slots no participant writes during that step
+/// (see `compile.rs`), so only the order within a receiver matters: the
+/// compiled `recvs` order.
 // manual_memcpy: the `0..r` element loops are deliberate — `r` is
 // const-folded by the `walk_fixed::<R>` instantiations, while
 // `copy_from_slice` on a runtime-length region lowers to a per-call
@@ -344,31 +338,27 @@ fn phase_walk<T: Transport>(
         }
         for (p, &folds_here) in plan.fold_steps.iter().enumerate() {
             // Step kinds agree across ranks at a phase index.
-            if matches!(plan.ranks[my.start].steps[p], RankStep::Compute(_)) {
-                let mut i = 0;
-                while let Some((rk, units, x, y)) = t.chunk(p, i, it == 0) {
-                    let ts = span_start(obs);
-                    if let RankStep::Compute(kernel) = &plan.ranks[rk].steps[p] {
-                        kernel.run_batch_range(x, y, r, units.start, units.end.min(kernel.units()));
-                    }
-                    span_end(obs, rk, Phase::Compute, ts);
-                    i += 1;
-                }
-            } else if folds_here {
-                for rk in my.clone() {
-                    let RankStep::Comm { folds, .. } = &plan.ranks[rk].steps[p] else { continue };
-                    if folds.is_empty() {
-                        continue;
-                    }
-                    let ts = span_start(obs);
-                    let mut y = t.arena();
-                    for &(src, dst) in folds {
-                        y.fold(dst as usize * r, src as usize * r, r);
-                    }
-                    span_end(obs, rk, Phase::Scatter, ts);
-                }
-            } else {
+            if !folds_here && !matches!(plan.ranks[0].steps[p], RankStep::Compute(_)) {
                 continue;
+            }
+            for rk in my.clone() {
+                match &plan.ranks[rk].steps[p] {
+                    RankStep::Compute(kernel) => {
+                        let ts = span_start(obs);
+                        let (x, y) = t.compute(rk, it == 0);
+                        kernel.run_batch(x, y, r);
+                        span_end(obs, rk, Phase::Compute, ts);
+                    }
+                    RankStep::Comm { folds, .. } if !folds.is_empty() => {
+                        let ts = span_start(obs);
+                        let mut y = t.arena();
+                        for &(src, dst) in folds {
+                            y.fold(dst as usize * r, src as usize * r, r);
+                        }
+                        span_end(obs, rk, Phase::Scatter, ts);
+                    }
+                    RankStep::Comm { .. } => {}
+                }
             }
             if t.sync(obs) {
                 return;

@@ -57,7 +57,7 @@
 //! # SIMD ([`KernelIsa`])
 //!
 //! Each format has one fixed-width body per batch width `R`. For
-//! `r ∈ {4, 8}` on x86-64 the one width dispatcher (`run_range`) can
+//! `r ∈ {4, 8}` on x86-64 the one width dispatcher (`run`) can
 //! take the same body compiled under
 //! `#[target_feature(enable = "avx2")]` instead. [`KernelIsa`] is a
 //! two-valued axis resolved at lowering time: `auto` takes the AVX2
@@ -69,8 +69,6 @@
 //! reassociated, so the AVX2 results are **bitwise identical** to the
 //! scalar build of the same source, and the differential suite pins
 //! that with exact equality.
-
-use crate::exec::Region;
 
 /// Lane sentinel in [`SellKernel`]: this lane of the chunk is pure
 /// padding, its accumulator is discarded. Also the "no dense run" marker
@@ -535,68 +533,21 @@ impl Kernel {
     /// other widths take a strided fallback.
     #[inline]
     pub fn run_batch(&self, x: &[f64], y: &mut [f64], r: usize) {
-        self.run_batch_range(x, y, r, 0, self.units());
-    }
-
-    /// Number of schedulable **units** — the granularity the worker
-    /// pool's NNZ-chunked schedule may split this kernel at. A unit is
-    /// a row segment (CSR slice, dense-split) or a SELL chunk; units
-    /// execute independently when the kernel is [`Kernel::splittable`].
-    pub fn units(&self) -> usize {
         match self {
-            Kernel::Csr(k) => k.rows.len(),
-            Kernel::Sell(k) => k.chunk_ptr.len().saturating_sub(1),
-            Kernel::DenseSplit(k) => k.rows.len(),
+            Kernel::Csr(k) => k.run(x, y, r),
+            Kernel::Sell(k) => k.run(x, y, r),
+            Kernel::DenseSplit(k) => k.run(x, y, r),
         }
     }
 
-    /// Stored work (multiply-adds, incl. SELL padding — that is what
-    /// the hardware executes) of unit `u`. Drives the NNZ-weighted
-    /// chunk split.
-    pub fn unit_ops(&self, u: usize) -> usize {
+    /// Stored multiply-adds, SELL padding included — the work the
+    /// hardware executes, and the weight the worker pool balances rank
+    /// ownership by.
+    pub(crate) fn stored_ops(&self) -> usize {
         match self {
-            Kernel::Csr(k) => (k.row_ptr[u + 1] - k.row_ptr[u]) as usize,
-            Kernel::Sell(k) => (k.chunk_ptr[u + 1] - k.chunk_ptr[u]) as usize,
-            Kernel::DenseSplit(k) => (k.seg_ptr[u] as usize..k.seg_ptr[u + 1] as usize)
-                .map(|sp| k.span_len[sp] as usize)
-                .sum(),
-        }
-    }
-
-    /// True when distinct units write **disjoint** `y` slots, so unit
-    /// ranges may run on different workers concurrently. A CSR or
-    /// dense-split kernel whose task list interleaved a row into
-    /// several segments is not splittable (two units share an
-    /// accumulator target); SELL kernels are always splittable — the
-    /// builder rejects duplicated rows, and [`NO_LANE`] padding lanes
-    /// are never written.
-    pub fn splittable(&self) -> bool {
-        match self {
-            Kernel::Csr(k) => !has_repeats(&k.rows),
-            Kernel::Sell(_) => true,
-            Kernel::DenseSplit(k) => !has_repeats(&k.rows),
-        }
-    }
-
-    /// [`Kernel::run_batch`] restricted to units `lo..hi` — the
-    /// chunked-schedule entry point — over any [`Region`] holding the
-    /// rank's block. `run_batch_range(.., 0, units())` is exactly
-    /// `run_batch`, and because chunk boundaries never cut a unit,
-    /// running a kernel as any partition of unit ranges is bitwise
-    /// identical to one full pass.
-    #[inline]
-    pub(crate) fn run_batch_range(
-        &self,
-        x: &[f64],
-        y: impl Region,
-        r: usize,
-        lo: usize,
-        hi: usize,
-    ) {
-        match self {
-            Kernel::Csr(k) => k.run_range(x, y, r, lo, hi),
-            Kernel::Sell(k) => k.run_range(x, y, r, lo, hi),
-            Kernel::DenseSplit(k) => k.run_range(x, y, r, lo, hi),
+            Kernel::Csr(k) => k.vals.len(),
+            Kernel::Sell(k) => k.vals.len(),
+            Kernel::DenseSplit(k) => k.vals.len(),
         }
     }
 
@@ -614,32 +565,31 @@ impl Kernel {
     }
 }
 
-/// The bodies of one storage format; [`BatchBodies::run_range`] is the
-/// one width dispatcher over them. A body writes `y` one row at a time:
-/// each unit fetches only its own row's words, `region_mut(slot * r, r)`,
-/// so chunks of one kernel running at once never view each other's rows.
+/// The bodies of one storage format; [`BatchBodies::run`] is the one
+/// width dispatcher over them. A body runs the whole kernel, in unit
+/// (row segment or SELL chunk) order, over the rank's `y` block.
 trait BatchBodies: Sized {
     /// The resolved "take the AVX2 build" flag.
     fn simd(&self) -> bool;
     /// The fixed-width body: `R` accumulators per row in registers.
-    fn run_fixed<const R: usize>(&self, x: &[f64], y: impl Region, lo: usize, hi: usize);
+    fn run_fixed<const R: usize>(&self, x: &[f64], y: &mut [f64]);
     /// The strided fallback for widths without a specialization.
-    fn run_dyn(&self, x: &[f64], y: impl Region, r: usize, lo: usize, hi: usize);
+    fn run_dyn(&self, x: &[f64], y: &mut [f64], r: usize);
 
-    /// Runs units `lo..hi` over `r`-wide row-major blocks.
+    /// Runs the kernel over `r`-wide row-major blocks.
     #[inline]
-    fn run_range(&self, x: &[f64], y: impl Region, r: usize, lo: usize, hi: usize) {
+    fn run(&self, x: &[f64], y: &mut [f64], r: usize) {
         match r {
-            1 => self.run_fixed::<1>(x, y, lo, hi),
-            2 => self.run_fixed::<2>(x, y, lo, hi),
+            1 => self.run_fixed::<1>(x, y),
+            2 => self.run_fixed::<2>(x, y),
             // SAFETY: every kernel's `simd` flag is private to this
             // module and only set from `KernelIsa::simd`, which requires
             // a positive AVX2 feature probe on the running CPU.
             #[cfg(target_arch = "x86_64")]
-            4 | 8 if self.simd() => unsafe { fixed_avx2(self, x, y, r, lo, hi) },
-            4 => self.run_fixed::<4>(x, y, lo, hi),
-            8 => self.run_fixed::<8>(x, y, lo, hi),
-            _ => self.run_dyn(x, y, r, lo, hi),
+            4 | 8 if self.simd() => unsafe { fixed_avx2(self, x, y, r) },
+            4 => self.run_fixed::<4>(x, y),
+            8 => self.run_fixed::<8>(x, y),
+            _ => self.run_dyn(x, y, r),
         }
     }
 }
@@ -650,11 +600,11 @@ trait BatchBodies: Sized {
 /// reassociated), so the results are bitwise identical.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-fn fixed_avx2<K: BatchBodies>(k: &K, x: &[f64], y: impl Region, r: usize, lo: usize, hi: usize) {
+fn fixed_avx2<K: BatchBodies>(k: &K, x: &[f64], y: &mut [f64], r: usize) {
     if r == 4 {
-        k.run_fixed::<4>(x, y, lo, hi)
+        k.run_fixed::<4>(x, y)
     } else {
-        k.run_fixed::<8>(x, y, lo, hi)
+        k.run_fixed::<8>(x, y)
     }
 }
 
@@ -705,17 +655,17 @@ impl CsrKernel {
         self.vals.len()
     }
 
-    /// The r = 1 loop over segments `lo..hi`.
+    /// The r = 1 loop over the segments.
     #[inline]
-    fn run_r1(&self, x: &[f64], mut y: impl Region, lo: usize, hi: usize) {
+    fn run_r1(&self, x: &[f64], y: &mut [f64]) {
         // Dedicated scalar loop: semantically the r = 1 specialization
         // of `run_fixed` (identical accumulation order, bit for bit),
         // but written with scalar loads/stores — the array-of-one
         // shape costs measurable throughput on the hot path.
-        for s in lo..hi {
+        for s in 0..self.rows.len() {
             let elo = self.row_ptr[s] as usize;
             let ehi = self.row_ptr[s + 1] as usize;
-            let out = &mut y.region_mut(self.rows[s] as usize, 1)[0];
+            let out = &mut y[self.rows[s] as usize];
             let mut acc = *out;
             for e in elo..ehi {
                 acc += self.vals[e] * x[self.cols[e] as usize];
@@ -748,14 +698,15 @@ impl BatchBodies for CsrKernel {
     /// Fixed-width inner loop: `R` accumulators live in registers
     /// (`r = 1` takes the dedicated `run_r1`).
     #[inline(always)]
-    fn run_fixed<const R: usize>(&self, x: &[f64], mut y: impl Region, lo: usize, hi: usize) {
+    fn run_fixed<const R: usize>(&self, x: &[f64], y: &mut [f64]) {
         if R == 1 {
-            return self.run_r1(x, y, lo, hi);
+            return self.run_r1(x, y);
         }
-        for s in lo..hi {
+        for s in 0..self.rows.len() {
             let elo = self.row_ptr[s] as usize;
             let ehi = self.row_ptr[s + 1] as usize;
-            let row = y.region_mut(self.rows[s] as usize * R, R);
+            let at = self.rows[s] as usize * R;
+            let row = &mut y[at..at + R];
             let mut acc = [0.0f64; R];
             acc.copy_from_slice(row);
             for e in elo..ehi {
@@ -766,11 +717,12 @@ impl BatchBodies for CsrKernel {
     }
 
     /// Generic strided fallback for widths without a specialization.
-    fn run_dyn(&self, x: &[f64], mut y: impl Region, r: usize, lo: usize, hi: usize) {
-        for s in lo..hi {
+    fn run_dyn(&self, x: &[f64], y: &mut [f64], r: usize) {
+        for s in 0..self.rows.len() {
             let elo = self.row_ptr[s] as usize;
             let ehi = self.row_ptr[s + 1] as usize;
-            let row = y.region_mut(self.rows[s] as usize * r, r);
+            let at = self.rows[s] as usize * r;
+            let row = &mut y[at..at + r];
             for e in elo..ehi {
                 let v = self.vals[e];
                 let col = self.cols[e] as usize * r;
@@ -869,21 +821,16 @@ impl SellKernel {
     /// `chunks_exact(C)` gives the optimizer a compile-time row width,
     /// eliding the per-entry bounds checks.
     #[inline(always)]
-    fn run_cr<const C: usize, const R: usize>(
-        &self,
-        x: &[f64],
-        mut y: impl Region,
-        lo: usize,
-        hi: usize,
-    ) {
-        for ch in lo..hi {
+    fn run_cr<const C: usize, const R: usize>(&self, x: &[f64], y: &mut [f64]) {
+        for ch in 0..self.chunk_ptr.len().saturating_sub(1) {
             let base = self.chunk_ptr[ch] as usize;
             let end = self.chunk_ptr[ch + 1] as usize;
             let lanes = &self.rows[ch * C..(ch + 1) * C];
             let mut acc = [[0.0f64; R]; C];
             for (l, &row) in lanes.iter().enumerate() {
                 if row != NO_LANE {
-                    acc[l].copy_from_slice(y.region_mut(row as usize * R, R));
+                    let at = row as usize * R;
+                    acc[l].copy_from_slice(&y[at..at + R]);
                 }
             }
             let vals = &self.vals[base..end];
@@ -900,7 +847,8 @@ impl SellKernel {
             }
             for (l, &row) in lanes.iter().enumerate() {
                 if row != NO_LANE {
-                    y.region_mut(row as usize * R, R).copy_from_slice(&acc[l]);
+                    let at = row as usize * R;
+                    y[at..at + R].copy_from_slice(&acc[l]);
                 }
             }
         }
@@ -936,21 +884,22 @@ impl BatchBodies for SellKernel {
     }
 
     #[inline(always)]
-    fn run_fixed<const R: usize>(&self, x: &[f64], y: impl Region, lo: usize, hi: usize) {
-        self.run_cr::<SELL_C, R>(x, y, lo, hi)
+    fn run_fixed<const R: usize>(&self, x: &[f64], y: &mut [f64]) {
+        self.run_cr::<SELL_C, R>(x, y)
     }
 
     /// Strided fallback for widths without a specialization.
-    fn run_dyn(&self, x: &[f64], mut y: impl Region, r: usize, lo: usize, hi: usize) {
+    fn run_dyn(&self, x: &[f64], y: &mut [f64], r: usize) {
         let c = SELL_C;
-        for ch in lo..hi {
+        for ch in 0..self.chunk_ptr.len().saturating_sub(1) {
             let base = self.chunk_ptr[ch] as usize;
             let w = (self.chunk_ptr[ch + 1] as usize - base) / c;
             for (l, &row) in self.rows[ch * c..(ch + 1) * c].iter().enumerate() {
                 if row == NO_LANE {
                     continue;
                 }
-                let out = y.region_mut(row as usize * r, r);
+                let at = row as usize * r;
+                let out = &mut y[at..at + r];
                 for e in 0..w {
                     let v = self.vals[base + e * c + l];
                     let col = self.cols[base + e * c + l] as usize * r;
@@ -1078,9 +1027,10 @@ impl BatchBodies for DenseSplitKernel {
 
     /// Fixed-width span loop: `R` accumulators live in registers.
     #[inline(always)]
-    fn run_fixed<const R: usize>(&self, x: &[f64], mut y: impl Region, lo: usize, hi: usize) {
-        for s in lo..hi {
-            let row = y.region_mut(self.rows[s] as usize * R, R);
+    fn run_fixed<const R: usize>(&self, x: &[f64], y: &mut [f64]) {
+        for s in 0..self.rows.len() {
+            let at = self.rows[s] as usize * R;
+            let row = &mut y[at..at + R];
             let mut acc = [0.0f64; R];
             acc.copy_from_slice(row);
             for sp in self.seg_ptr[s] as usize..self.seg_ptr[s + 1] as usize {
@@ -1102,9 +1052,10 @@ impl BatchBodies for DenseSplitKernel {
         }
     }
 
-    fn run_dyn(&self, x: &[f64], mut y: impl Region, r: usize, lo: usize, hi: usize) {
-        for s in lo..hi {
-            let row = y.region_mut(self.rows[s] as usize * r, r);
+    fn run_dyn(&self, x: &[f64], y: &mut [f64], r: usize) {
+        for s in 0..self.rows.len() {
+            let at = self.rows[s] as usize * r;
+            let row = &mut y[at..at + r];
             for sp in self.seg_ptr[s] as usize..self.seg_ptr[s + 1] as usize {
                 let start = self.span_start[sp] as usize;
                 let len = self.span_len[sp] as usize;
@@ -1391,7 +1342,7 @@ mod tests {
     fn simd_paths_match_scalar_bitwise() {
         // Every arm of the width dispatcher (r = 3 and 5 take the
         // strided fallback), over the irregular kernel and one with an
-        // empty segment, as a full pass and as a two-cut unit split.
+        // empty segment.
         let (irr, irr_nx, irr_ny) = irregular(11);
         let empty_seg = CsrKernel {
             row_ptr: vec![0, 2, 2],
@@ -1413,53 +1364,9 @@ mod tests {
                     let mut got = vec![0.1; ny * r];
                     k.run_batch(&x, &mut got, r);
                     assert_eq!(got, want, "{format} r={r}");
-
-                    let units = k.units();
-                    let (cut1, cut2) = (units / 3, 2 * units / 3);
-                    let mut split = vec![0.1; ny * r];
-                    k.run_batch_range(&x, &mut split[..], r, cut1, cut2);
-                    k.run_batch_range(&x, &mut split[..], r, cut2, units);
-                    k.run_batch_range(&x, &mut split[..], r, 0, cut1);
-                    assert_eq!(split, want, "{format} r={r} split at {cut1}, {cut2}");
                 }
             }
         }
-    }
-
-    #[test]
-    fn unit_ranges_compose_to_the_full_kernel() {
-        let (csr, nx, ny) = irregular(11);
-        for format in KernelFormat::all() {
-            let k = Kernel::from_csr_isa(csr.clone(), format, KernelIsa::Auto);
-            assert!(k.splittable(), "{format}: unique rows are splittable");
-            let units = k.units();
-            assert!(units > 0);
-            let total: usize = (0..units).map(|u| k.unit_ops(u)).sum();
-            assert!(total >= k.ops(), "{format}: stored work covers real work");
-            for r in [1usize, 4, 8] {
-                let x = x_for(nx, r);
-                let mut want = vec![0.2; ny * r];
-                k.run_batch(&x, &mut want, r);
-                // Any partition of the unit range, run in any order,
-                // must be bitwise identical to one full pass — this is
-                // the property the pool's chunked schedule rests on.
-                let (cut1, cut2) = (units / 3, 2 * units / 3);
-                let mut got = vec![0.2; ny * r];
-                k.run_batch_range(&x, &mut got[..], r, cut2, units);
-                k.run_batch_range(&x, &mut got[..], r, 0, cut1);
-                k.run_batch_range(&x, &mut got[..], r, cut1, cut2);
-                assert_eq!(got, want, "{format} r={r}");
-            }
-        }
-    }
-
-    #[test]
-    fn interleaved_rows_are_not_splittable() {
-        // Rows 0, 1, 0: two units share the row-0 accumulator, so the
-        // kernel must run as a single chunk.
-        let csr = csr_of(&[(0, 0, 1.0), (1, 0, 2.0), (0, 1, 4.0)]);
-        let k = Kernel::from_csr_isa(csr, KernelFormat::CsrSlice, KernelIsa::Auto);
-        assert!(!k.splittable());
     }
 
     #[test]
@@ -1583,7 +1490,7 @@ mod tests {
             k.validate(0, 0).unwrap();
             let mut y: Vec<f64> = vec![];
             k.run_batch(&[], &mut y, 4);
-            assert_eq!((k.ops(), k.units()), (0, 0));
+            assert_eq!((k.ops(), k.stored_ops()), (0, 0));
         }
 
         // An empty row *segment* inside a nonempty kernel: every

@@ -45,7 +45,8 @@
 //!   the `y` arena it reuses across calls;
 //! * [`pool`] — the [`ParallelEngine`]: the calling thread plus
 //!   long-lived, park-when-idle workers, each running the same body
-//!   over the shared arena, `apply_batch_iters(.., n)` for solver loops
+//!   for the ranks it owns over the shared arena,
+//!   `apply_batch_iters(.., n)` for solver loops
 //!   with zero per-iteration allocation;
 //! * [`threaded`] — the endpoint walker ([`RankProgram::spmv_over`])
 //!   and [`EndpointOperator`], which runs it on one OS thread per rank.

@@ -10,9 +10,9 @@
 //! **no channels, no hashing and no allocation**: the caller writes a
 //! job descriptor, publishes a job epoch, and every participant —
 //! itself included — runs the one phase-walk body (`crate::exec`) as a
-//! `PoolWorker` transport: its rank range, its baked chunk bucket,
-//! range views over the shared `y` arena and over the job's own `x` and
-//! `y`, and a sense-reversing barrier at every handoff the body marks.
+//! `PoolWorker` transport: the ranks it owns, views over the shared `y`
+//! arena and over the job's own `x` and `y`, and a sense-reversing
+//! barrier at every handoff the body marks.
 //!
 //! # Job hand-off
 //!
@@ -55,29 +55,24 @@
 //! `validate_for_pool` check enforces it) and a temporal one (which
 //! barrier, or the counted completion, orders the handoff):
 //!
-//! 1. **Range views of the arena** (`region` / `region_mut`, through a
-//!    `ShView` based at the arena or at a rank's block): a rank's own
-//!    block while clearing and emitting; during a fold single slots, an
-//!    own one exclusively and a *producer's* read-only; during a compute
-//!    phase one unit's row slot at a time, exclusively, for as long as
-//!    the kernel body accumulates that row. Spatial: clear, fold and
-//!    emit stay with the participant that owns the rank (`assign` is a
-//!    partition of the ranks); blocks are disjoint ("y blocks
-//!    overlap"); a fold writes only inside the own block ("fold
-//!    destination outside the own block"), reads only outside it ("fold
-//!    source inside the own block"), and never reads a slot anyone
-//!    writes in that step ("a fold source is a destination of the same
-//!    step" — the compiler opens a fresh slot for a partial that
-//!    arrives for a row drained in the same step, so nothing needs
-//!    staging). Chunks of one rank run on several participants at once,
-//!    but the schedule only splits
-//!    [`Kernel::splittable`](crate::Kernel::splittable) kernels, whose
-//!    units never share a row, so no two chunks view the same slot; row
-//!    slots lie inside the block and columns inside the home space
-//!    (`Kernel::validate`). Temporal: the barrier after clearing orders
-//!    it before the chunks, the barrier after every compute phase orders
-//!    the chunks that produced a partial before the fold that reads it,
-//!    the barrier after every fold step orders that read before the
+//! 1. **Range views of the arena** (`region` / `region_mut`, directly
+//!    or through a `ShView` based at the arena): a rank's own block,
+//!    exclusively, while clearing, computing and emitting; during a
+//!    fold single slots, an own one exclusively and a *producer's*
+//!    read-only. Spatial: every arena block has exactly one writer —
+//!    clear, compute, fold and emit all stay with the participant that
+//!    owns the rank (`assign` is a partition of the ranks); blocks are
+//!    disjoint ("y blocks overlap"); a kernel's row slots lie inside
+//!    its block and its columns inside the home space
+//!    (`Kernel::validate`); a fold writes only inside the own block
+//!    ("fold destination outside the own block"), reads only outside it
+//!    ("fold source inside the own block"), and never reads a slot
+//!    anyone writes in that step ("a fold source is a destination of
+//!    the same step" — the compiler opens a fresh slot for a partial
+//!    that arrives for a row drained in the same step, so nothing needs
+//!    staging). Temporal: the barrier after every compute phase orders
+//!    the kernel that produced a partial before the fold that reads it,
+//!    and the barrier after every fold step orders that read before the
 //!    block's next writer. A step in which no rank folds (all expand)
 //!    touches nothing and has no barrier; "fold_steps disagrees" keeps
 //!    every participant's barrier count the same.
@@ -113,20 +108,20 @@
 //! deadlocking. Workers of a poisoned engine go back to idling — that
 //! is, they park — until the engine drops.
 //!
-//! # NNZ-chunked scheduling
+//! # The partition is the schedule
 //!
-//! Giving each participant whole ranks serializes on the heaviest rank
-//! — exactly the skewed dense-row regime semi-2D partitions target. The
-//! schedule therefore splits every splittable compute kernel at unit
-//! (row-segment / SELL-chunk) boundaries into chunks of at least a
-//! target multiply-add count and packs the chunks onto participants
-//! with a greedy LPT (heaviest-first, least-loaded-participant) pass at
-//! construction time. The chunk→participant map is **fixed** — no work
-//! stealing — so the hot loop stays allocation-free and results are
-//! bitwise reproducible across runs *and across participant counts*:
-//! each `y` slot is written by exactly one chunk, and a chunk's
-//! accumulation order is the kernel's own unit order regardless of who
-//! runs it.
+//! Balancing each rank's multiply-adds is the partitioner's job — the
+//! point of the s2D partition — so the pool does not re-split kernels
+//! at run time. Each participant owns whole ranks, packed once at
+//! construction by a greedy LPT pass (heaviest rank first onto the
+//! least-loaded participant) over each rank's stored multiply-adds,
+//! and runs every kernel of its ranks whole, in unit order. The
+//! rank→participant map is **fixed** — no work stealing — so the hot
+//! loop stays allocation-free and results are bitwise reproducible
+//! across runs *and across participant counts*: each `y` word's
+//! accumulation order is its kernel's own, whoever owns the rank. What
+//! the map cannot do is rescue a badly balanced partition: the
+//! heaviest rank bounds the phase.
 //!
 //! # NUMA placement
 //!
@@ -134,14 +129,13 @@
 //! **first-touches** its ranks' blocks (as laid out at full width)
 //! before its first job (the caller's at construction, on the
 //! constructing thread), so on a first-touch NUMA system the pages land
-//! on the node of the thread that clears, folds and emits them. Optional core
+//! on the node of the thread that writes them. Optional core
 //! pinning (`PoolOptions::pin`, CLI `pool:N@pin`) binds spawned worker
 //! `w ≥ 1` to CPU `w` via `sched_setaffinity` on Linux (a no-op
 //! elsewhere), keeping those pages node-local for the pool's lifetime;
 //! the caller's affinity is the caller's business and is never touched.
 
 use std::cell::UnsafeCell;
-use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -445,8 +439,8 @@ impl Control {
 }
 
 /// Construction knobs for [`ParallelEngine::with_options`]. The
-/// `Default` value is default participant sizing, width 1, the
-/// automatic chunk target, no pinning, no telemetry.
+/// `Default` value is default participant sizing, width 1, no pinning,
+/// no telemetry.
 #[derive(Clone, Default)]
 pub struct PoolOptions {
     /// Requested participant count, **including the calling thread**:
@@ -458,11 +452,6 @@ pub struct PoolOptions {
     /// Batch capacity the shared buffers are sized for (`0` is treated
     /// as 1).
     pub width: usize,
-    /// Minimum stored multiply-adds per compute chunk of the
-    /// NNZ-chunked schedule (see the module docs); `0` picks a target
-    /// from each phase's total work and the participant count. Results
-    /// are bitwise identical at any participant count or chunk size.
-    pub chunk_ops: usize,
     /// Pin spawned worker `w ≥ 1` to CPU `w` at startup (Linux
     /// `sched_setaffinity`; a silent no-op elsewhere or on failure —
     /// affinity is a performance hint, never a correctness
@@ -470,115 +459,47 @@ pub struct PoolOptions {
     pub pin: bool,
     /// Optional telemetry sink: participants time their compute /
     /// gather / scatter work per owned rank and their barrier waits —
-    /// the caller's completion wait included — (recorded under the
-    /// first rank of each participant's range) into it. Results are
+    /// the caller's completion wait included — (recorded under each
+    /// participant's first owned rank) into it. Results are
     /// bitwise identical to an uninstrumented pool.
     pub sink: Option<Arc<TelemetrySink>>,
 }
 
-/// One contiguous run `lo..hi` of one compute kernel's units, executed
-/// by a fixed worker every iteration.
-#[derive(Clone, Copy, Debug)]
-struct ChunkRun {
-    rank: u32,
-    lo: u32,
-    hi: u32,
+/// Stored multiply-adds rank `rk` executes per iteration, over all its
+/// compute phases.
+fn rank_ops(plan: &CompiledPlan, rk: usize) -> u64 {
+    plan.ranks[rk]
+        .steps
+        .iter()
+        .map(|step| match step {
+            RankStep::Compute(kernel) => kernel.stored_ops() as u64,
+            RankStep::Comm { .. } => 0,
+        })
+        .sum()
 }
 
-/// The baked chunk→worker map: for every phase index, per worker, the
-/// chunk list it executes (empty at comm phase indices), plus the
-/// per-worker planned stored multiply-adds per iteration.
-struct ChunkSchedule {
-    phases: Vec<Vec<Vec<ChunkRun>>>,
-    planned: Vec<u64>,
-}
-
-/// Floor on the automatic chunk target: below this, barrier and
-/// cache-line traffic beats any balance win from finer chunks.
-const MIN_CHUNK_OPS: usize = 2048;
-
-/// The automatic target aims for about this many chunks per worker per
-/// phase — enough granularity for LPT to balance a skewed rank, few
-/// enough to keep the per-chunk dispatch cost invisible.
-const CHUNKS_PER_WORKER: usize = 4;
-
-/// Builds the NNZ-chunked schedule for `plan` on `threads` workers.
-/// Fully deterministic: chunk boundaries follow kernel unit order and
-/// every LPT tie (equal weight, equal load) is broken by fixed
-/// `(rank, lo)` / lowest-worker-index orderings.
-fn chunk_schedule(plan: &CompiledPlan, threads: usize, chunk_ops: usize) -> ChunkSchedule {
-    let num_phases = plan.ranks.first().map_or(0, |rp| rp.steps.len());
-    let mut phases = Vec::with_capacity(num_phases);
-    let mut planned = vec![0u64; threads];
-    for p in 0..num_phases {
-        let mut buckets: Vec<Vec<ChunkRun>> = vec![Vec::new(); threads];
-        // Step kinds agree across ranks at a phase index (validated).
-        if matches!(plan.ranks.first().map(|rp| &rp.steps[p]), Some(RankStep::Compute(_))) {
-            let phase_ops: usize = plan
-                .ranks
-                .iter()
-                .map(|rp| match &rp.steps[p] {
-                    RankStep::Compute(k) => (0..k.units()).map(|u| k.unit_ops(u)).sum(),
-                    RankStep::Comm { .. } => 0,
-                })
-                .sum();
-            let target = if chunk_ops > 0 {
-                chunk_ops
-            } else {
-                (phase_ops / (threads * CHUNKS_PER_WORKER).max(1)).max(MIN_CHUNK_OPS)
-            };
-            let mut chunks: Vec<(u64, ChunkRun)> = Vec::new();
-            for (rk, rp) in plan.ranks.iter().enumerate() {
-                let RankStep::Compute(kernel) = &rp.steps[p] else { continue };
-                let units = kernel.units();
-                if units == 0 {
-                    continue;
-                }
-                if !kernel.splittable() {
-                    // Duplicate-row kernels would put one row's
-                    // accumulation chain in two chunks — keep them
-                    // whole so the spatial invariant holds.
-                    let ops: usize = (0..units).map(|u| kernel.unit_ops(u)).sum();
-                    chunks
-                        .push((ops as u64, ChunkRun { rank: rk as u32, lo: 0, hi: units as u32 }));
-                    continue;
-                }
-                let (mut lo, mut acc) = (0usize, 0usize);
-                for u in 0..units {
-                    acc += kernel.unit_ops(u);
-                    if acc >= target || u + 1 == units {
-                        chunks.push((
-                            acc as u64,
-                            ChunkRun { rank: rk as u32, lo: lo as u32, hi: (u + 1) as u32 },
-                        ));
-                        lo = u + 1;
-                        acc = 0;
-                    }
-                }
-            }
-            // Greedy LPT: heaviest chunk first onto the least-loaded
-            // (lowest-index on ties) worker.
-            chunks.sort_by(|a, b| {
-                b.0.cmp(&a.0).then(a.1.rank.cmp(&b.1.rank)).then(a.1.lo.cmp(&b.1.lo))
-            });
-            let mut load = vec![0u64; threads];
-            for &(ops, run) in &chunks {
-                let w = (0..threads).min_by_key(|&w| (load[w], w)).expect("at least one worker");
-                load[w] += ops;
-                buckets[w].push(run);
-            }
-            // The map is what balances; each worker still walks its
-            // chunks in storage order to stay cache-friendly.
-            for b in &mut buckets {
-                b.sort_unstable_by_key(|c| (c.rank, c.lo));
-            }
-            for (pl, ld) in planned.iter_mut().zip(&load) {
-                *pl += ld;
-            }
-        }
-        phases.push(buckets);
+/// Rank ownership on `threads` participants: one greedy LPT pass over
+/// [`rank_ops`] — heaviest rank first (lowest rank on ties) onto the
+/// least-loaded participant (on ties one that owns nothing yet, then
+/// the lowest index) — with each participant's ranks kept ascending.
+/// At `threads ≤ k` every participant owns at least one rank.
+fn owners(plan: &CompiledPlan, threads: usize) -> Vec<Vec<usize>> {
+    let ops: Vec<u64> = (0..plan.k).map(|rk| rank_ops(plan, rk)).collect();
+    let mut order: Vec<usize> = (0..plan.k).collect();
+    order.sort_by_key(|&rk| (std::cmp::Reverse(ops[rk]), rk));
+    let mut load = vec![0u64; threads];
+    let mut assign = vec![Vec::new(); threads];
+    for rk in order {
+        let w = (0..threads)
+            .min_by_key(|&w| (load[w], !assign[w].is_empty(), w))
+            .expect("at least one participant");
+        load[w] += ops[rk];
+        assign[w].push(rk);
     }
-    ChunkSchedule { phases, planned }
+    for ranks in &mut assign {
+        ranks.sort_unstable();
+    }
+    assign
 }
 
 /// Best-effort bind of the calling thread to CPU `core` (modulo the
@@ -611,12 +532,9 @@ struct Shared {
     /// cache-line boundary) on, in [`ALIGN_SLACK`] more.
     y: Box<ShBuf>,
     pad: usize,
-    /// Contiguous rank range per participant (ownership: clearing,
-    /// folding, emitting).
-    assign: Vec<Range<usize>>,
-    /// Baked chunk→worker compute map (its `planned` loads are also
-    /// the achieved ones — the map is fixed).
-    chunks: ChunkSchedule,
+    /// The ranks each participant owns, ascending: it clears, computes,
+    /// folds and emits for them (see [`owners`]).
+    assign: Vec<Vec<usize>>,
     /// Pin spawned worker `w` to CPU `w` at startup.
     pin: bool,
     /// Job descriptor: input and output pointers + chained iteration
@@ -680,7 +598,7 @@ fn validate_for_pool(plan: &CompiledPlan) {
             "rank {r}: y_zero row out of range or not owned"
         );
         for (p, step) in rp.steps.iter().enumerate() {
-            // Workers read the step kind from their first rank only.
+            // Workers read the step kind from rank 0 only.
             assert!(
                 matches!(step, RankStep::Compute(_))
                     == matches!(plan.ranks[0].steps[p], RankStep::Compute(_)),
@@ -733,10 +651,10 @@ fn validate_for_pool(plan: &CompiledPlan) {
 
 impl ParallelEngine {
     /// Builds the pool over `plan`: every knob (participant count,
-    /// batch capacity, chunk target, core pinning, telemetry) comes
-    /// from one [`PoolOptions`]. The team size is
-    /// [`Backend::participants`]; ranks are distributed over
-    /// participants in contiguous blocks.
+    /// batch capacity, core pinning, telemetry) comes from one
+    /// [`PoolOptions`]. The team size is [`Backend::participants`];
+    /// each participant owns whole ranks, balanced by stored
+    /// multiply-adds (see the module docs).
     ///
     /// # Panics
     /// Panics if `plan` violates the invariants the shared-buffer
@@ -749,28 +667,15 @@ impl ParallelEngine {
         let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
         let threads = Backend::CompiledPool { threads: opts.threads, pin }.participants(k, cpus);
         let obs = opts.sink.map(|sink| ExecTelemetry::new(&plan, sink));
-        // Balanced contiguous split; threads ≤ k keeps every range
-        // non-empty (participants index `plan.ranks[my.start]` for the
-        // step kind, so an empty range would be out of bounds).
-        let base = k / threads;
-        let extra = k % threads;
-        let mut next = 0;
-        let assign: Vec<Range<usize>> = (0..threads)
-            .map(|w| {
-                let len = base + usize::from(w < extra);
-                let range = next..next + len;
-                next += len;
-                range
-            })
-            .collect();
-        let chunks = chunk_schedule(&plan, threads, opts.chunk_ops);
+        // threads ≤ k: every participant owns a rank to record its
+        // barrier waits under.
+        let assign = owners(&plan, threads);
         let y = ShBuf::new(plan.arena_slots() * width + ALIGN_SLACK);
         let shared = Arc::new(Shared {
             width,
             pad: align_pad(y.0.as_ptr() as *const f64),
             y,
             assign,
-            chunks,
             pin,
             job_x: AtomicPtr::new(std::ptr::null_mut()),
             job_y: AtomicPtr::new(std::ptr::null_mut()),
@@ -826,8 +731,7 @@ impl ParallelEngine {
     /// to widen a pool, so build with the widest batch you plan to use.
     /// The old team goes first (workers joined, arena freed): the new
     /// one must not spawn and first-touch next to a live team. Plan,
-    /// rank assignment, chunk schedule, pinning and telemetry carry
-    /// over; the job hand-off (and any poison) starts afresh.
+    /// rank ownership, pinning and telemetry carry over; the job hand-off (and any poison) starts afresh.
     fn grow(&mut self, width: usize) {
         self.join_workers();
         let sh = Arc::get_mut(&mut self.shared).expect("joined workers hold no state");
@@ -883,7 +787,7 @@ impl ParallelEngine {
         // until they leave, so this frame must outlive the count.
         let tw = span_start(sh.obs.as_ref());
         sh.ctl.await_done();
-        span_end(sh.obs.as_ref(), sh.assign[0].start, Phase::BarrierWait, tw);
+        span_end(sh.obs.as_ref(), sh.assign[0][0], Phase::BarrierWait, tw);
         if let Err(payload) = outcome {
             std::panic::resume_unwind(payload);
         }
@@ -931,13 +835,19 @@ impl SpmvOperator for ParallelEngine {
         self.run(x, y, r, iters);
     }
 
-    /// Planned compute multiply-adds per participant (index 0 = the
-    /// caller) per iteration. The chunk→participant map is fixed (no
-    /// work stealing), so planned load is also the achieved
-    /// per-iteration load — multiply by iterations × batch width for
-    /// executed madds.
+    /// Planned stored multiply-adds per participant (index 0 = the
+    /// caller) per iteration: the sum over the ranks it owns. The
+    /// rank→participant map is fixed (no work stealing), so planned
+    /// load is also the achieved per-iteration load — multiply by
+    /// iterations × batch width for executed madds.
     fn worker_loads(&self) -> Option<Vec<u64>> {
-        Some(self.shared.chunks.planned.clone())
+        let sh = &*self.shared;
+        Some(
+            sh.assign
+                .iter()
+                .map(|ranks| ranks.iter().map(|&rk| rank_ops(&sh.plan, rk)).sum())
+                .collect(),
+        )
     }
 }
 
@@ -948,10 +858,9 @@ impl Drop for ParallelEngine {
 }
 
 /// One participant's side of the [`Transport`] seam for one job at
-/// batch width `r`: its contiguous rank range, its baked chunk bucket,
-/// range views over the shared arena and the job's vectors, and the
-/// phase barrier. Each view below names the module invariant it rests
-/// on.
+/// batch width `r`: the ranks it owns, range views over the shared
+/// arena and the job's vectors, and the phase barrier. Each view below
+/// names the module invariant it rests on.
 struct PoolWorker<'a> {
     shared: &'a Shared,
     w: usize,
@@ -972,8 +881,7 @@ impl PoolWorker<'_> {
 }
 
 /// A shared buffer from word `base` on: the arena past its alignment
-/// pad or from a rank's block (view kind 1), the job's `y` from 0
-/// (kind 2).
+/// pad (view kind 1), the job's `y` from 0 (kind 2).
 struct ShView<'a> {
     buf: &'a ShBuf,
     base: usize,
@@ -996,43 +904,36 @@ impl Region for ShView<'_> {
     }
 }
 
-impl Transport for PoolWorker<'_> {
+impl<'s> Transport for PoolWorker<'s> {
     type Buf<'a>
         = ShView<'a>
     where
         Self: 'a;
+    type Ranks = std::iter::Copied<std::slice::Iter<'s, usize>>;
 
     #[inline(always)]
-    fn ranks(&self) -> Range<usize> {
-        self.shared.assign[self.w].clone()
+    fn ranks(&self) -> Self::Ranks {
+        self.shared.assign[self.w].iter().copied()
     }
 
-    /// The wait is recorded under the first rank of this participant's
-    /// range.
+    /// The wait is recorded under this participant's first owned rank.
     #[inline(always)]
     fn sync(&mut self, obs: Option<&ExecTelemetry>) -> bool {
         let t = span_start(obs);
         let poisoned = self.shared.ctl.sync.wait(&self.shared.ctl.poisoned);
-        span_end(obs, self.shared.assign[self.w].start, Phase::BarrierWait, t);
+        span_end(obs, self.shared.assign[self.w][0], Phase::BarrierWait, t);
         poisoned
     }
 
+    /// View kinds 1 and 2. The home space: nobody writes the job's `x`,
+    /// and the job's `y` is written only by emits, a barrier away on
+    /// either side. The block: only the rank's owner writes it, and
+    /// producers' slots are read in a fold only a barrier later.
     #[inline(always)]
-    fn chunk(
-        &mut self,
-        p: usize,
-        i: usize,
-        first: bool,
-    ) -> Option<(usize, Range<usize>, &[f64], ShView<'_>)> {
-        let (sh, run) = (self.shared, self.shared.chunks.phases[p][self.w].get(i)?);
-        let rk = run.rank as usize;
-        // The home space: nobody writes the job's `x`, and the job's
-        // `y` is written only by emits, a barrier away on either side.
-        let x = if first { self.x } else { self.y.region(0, sh.plan.ncols * self.r) };
-        // View kind 1: the kernel takes one unit's row slot at a time,
-        // and no other chunk of the phase has a unit on that row.
-        let y = ShView { buf: &sh.y, base: self.block(rk).0 };
-        Some((rk, run.lo as usize..run.hi as usize, x, y))
+    fn compute(&mut self, rk: usize, first: bool) -> (&[f64], &mut [f64]) {
+        let x = if first { self.x } else { self.y.region(0, self.shared.plan.ncols * self.r) };
+        let (lo, len) = self.block(rk);
+        (x, self.shared.y.region_mut(lo, len))
     }
 
     #[inline(always)]
@@ -1040,12 +941,12 @@ impl Transport for PoolWorker<'_> {
         ShView { buf: &self.shared.y, base: self.shared.pad }
     }
 
-    /// View kinds 1 and 2. The block: outside compute phases only the
-    /// rank's owner touches it, but for producers' slots read in a
-    /// fold, and a barrier separates every clear and emit from the
-    /// compute phases and folds around it. The job's `y`: emitted rows
-    /// are owned (validated), hence disjoint across participants, and
-    /// every kernel that read it as its `x` finished a barrier ago.
+    /// View kinds 1 and 2. The block: only the rank's owner touches
+    /// it, but for producers' slots read in a fold, and a barrier
+    /// separates every clear and emit from the folds around it. The
+    /// job's `y`: emitted rows are owned (validated), hence disjoint
+    /// across participants, and every kernel that read it as its `x`
+    /// finished a barrier ago.
     #[inline(always)]
     fn own(&mut self, rk: usize) -> (&mut [f64], ShView<'_>) {
         let (lo, len) = self.block(rk);
@@ -1071,7 +972,7 @@ impl Shared {
     /// before its owner crossed one — places them on this thread's NUMA
     /// node under a first-touch policy.
     fn first_touch(&self, w: usize) {
-        for rk in self.assign[w].clone() {
+        for &rk in &self.assign[w] {
             let block = self.plan.ranks[rk].block(self.width);
             self.y.region_mut(self.pad + block.start, block.len()).fill(0.0);
         }
@@ -1304,29 +1205,16 @@ mod tests {
         assert_eq!(y, want, "pool batch-iters must match the sequential executor bitwise");
     }
 
-    /// True when `engine` starts a compute chunk inside a kernel that
-    /// `is` accepts.
-    fn cuts(engine: &ParallelEngine, is: impl Fn(&crate::formats::Kernel) -> bool) -> bool {
-        let sh = &engine.shared;
-        sh.chunks.phases.iter().enumerate().any(|(p, buckets)| {
-            buckets.iter().flatten().any(|run| {
-                let step = &sh.plan.ranks[run.rank as usize].steps[p];
-                run.lo > 0 && matches!(step, RankStep::Compute(k) if is(k))
-            })
-        })
-    }
-
     #[test]
     fn every_kernel_format_agrees_on_the_pool() {
-        // The pool runs the in-place executor's kernel bodies over range
-        // views of the shared arena, one unit's row at a time: every
-        // format and ISA, at every specialized width and the strided
-        // fallback, cut into chunks mid-kernel and spread over 1-3
-        // participants, must match the in-place executor bitwise on the
-        // same compiled plan. The dense rows cover most columns, so the
-        // split rows keep runs of at least DENSE_MIN_RUN consecutive
-        // columns, and dense spans are cut too.
-        use crate::formats::{Kernel, KernelFormat, KernelIsa, NO_LANE};
+        // The pool runs the in-place executor's kernel bodies over the
+        // owners' blocks of the shared arena: every format and ISA, at
+        // every specialized width and the strided fallback, spread over
+        // 1-3 participants, must match the in-place executor bitwise on
+        // the same compiled plan. The dense rows cover most columns, so
+        // the split rows keep runs of at least DENSE_MIN_RUN consecutive
+        // columns.
+        use crate::formats::{KernelFormat, KernelIsa};
         use s2d_core::optimal::s2d_optimal;
         use s2d_gen::denserow::{dense_row_matrix, DenseRowConfig};
         let (n, k) = (96, 4);
@@ -1338,83 +1226,20 @@ mod tests {
         for format in KernelFormat::all() {
             for isa in [KernelIsa::Auto, KernelIsa::Scalar] {
                 let cp = Arc::new(CompiledPlan::compile_with_isa(&plan, format, isa));
-                for chunk_ops in [0usize, 1, 7] {
-                    for threads in 1..=3 {
-                        let opts =
-                            PoolOptions { threads, chunk_ops, width: 8, ..PoolOptions::default() };
-                        let mut engine = ParallelEngine::with_options(Arc::clone(&cp), opts);
-                        assert_eq!(engine.shared.plan.format, format);
-                        if chunk_ops == 1 && format == KernelFormat::Sell {
-                            assert!(cuts(&engine, |k| matches!(k, Kernel::Sell(_))));
-                        }
-                        if chunk_ops == 1 && format == KernelFormat::DenseRowSplit {
-                            assert!(cuts(&engine, |k| match k {
-                                Kernel::DenseSplit(d) => d.span_col0.iter().any(|&c| c != NO_LANE),
-                                _ => false,
-                            }));
-                        }
-                        for r in [1usize, 2, 3, 4, 8] {
-                            let x = crate::exec::tests::batch_input(n, r, 4);
-                            let mut want = vec![0.0; n * r];
-                            seq(&cp, r).apply_batch(&x, &mut want, r);
-                            let mut y = vec![f64::NAN; n * r];
-                            engine.apply_batch(&x, &mut y, r);
-                            assert_eq!(
-                                y.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                                want.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                                "{format} {isa} chunk_ops={chunk_ops} threads={threads} r={r}"
-                            );
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn chunked_schedule_matches_rank_split_bitwise() {
-        // The acceptance bar for the NNZ-chunked schedule: bitwise
-        // equality with the sequential executor (the reference the
-        // retired rank-split schedule was itself held to) at every
-        // worker count and chunk size, including chained iterations.
-        let (a, plan) = crate::exec::tests::square_setup(24, 4);
-        let x: Vec<f64> = (0..a.ncols()).map(|j| (j as f64).sin() + 0.25).collect();
-        let cp = CompiledPlan::compile(&plan);
-        let mut want = vec![0.0; a.nrows()];
-        seq(&cp, 1).apply_batch_iters(&x, &mut want, 1, 3);
-        for threads in [1usize, 2, 3, 4] {
-            for chunk_ops in [0usize, 1, 7, 1 << 20] {
-                let mut engine = ParallelEngine::with_options(
-                    cp.clone(),
-                    PoolOptions { threads, chunk_ops, ..PoolOptions::default() },
-                );
-                let mut y = vec![0.0; a.nrows()];
-                engine.apply_batch_iters(&x, &mut y, 1, 3);
-                assert_eq!(y, want, "threads={threads} chunk_ops={chunk_ops}");
-            }
-        }
-        // Every iteration emits straight into the caller's `y`: a
-        // mixed-width sequence on one engine must write every owned row
-        // at the job's stride — `y` starts out as NaN.
-        let (a, cp) = holey_setup(23, 4);
-        let mut ws = seq(&cp, 8);
-        for threads in [1usize, 2, 3, 4] {
-            for chunk_ops in [0usize, 1, 1 << 20] {
-                let mut engine = ParallelEngine::with_options(
-                    cp.clone(),
-                    PoolOptions { threads, chunk_ops, width: 8, ..PoolOptions::default() },
-                );
-                for iters in [1usize, 3] {
-                    for r in [8usize, 1, 4] {
-                        let x = crate::exec::tests::batch_input(a.ncols(), r, 3);
-                        let mut want = vec![f64::NAN; a.nrows() * r];
-                        ws.apply_batch_iters(&x, &mut want, r, iters);
-                        let mut y = vec![f64::NAN; a.nrows() * r];
-                        engine.apply_batch_iters(&x, &mut y, r, iters);
+                for threads in 1..=3 {
+                    let opts = PoolOptions { threads, width: 8, ..PoolOptions::default() };
+                    let mut engine = ParallelEngine::with_options(Arc::clone(&cp), opts);
+                    assert_eq!(engine.shared.plan.format, format);
+                    for r in [1usize, 2, 3, 4, 8] {
+                        let x = crate::exec::tests::batch_input(n, r, 4);
+                        let mut want = vec![0.0; n * r];
+                        seq(&cp, r).apply_batch(&x, &mut want, r);
+                        let mut y = vec![f64::NAN; n * r];
+                        engine.apply_batch(&x, &mut y, r);
                         assert_eq!(
                             y.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
                             want.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                            "threads={threads} chunk_ops={chunk_ops} r={r} iters={iters}"
+                            "{format} {isa} threads={threads} r={r}"
                         );
                     }
                 }
@@ -1423,18 +1248,57 @@ mod tests {
     }
 
     #[test]
-    fn worker_loads_are_the_parents() {
-        // The chunk→participant map did not move when the caller became
-        // participant 0: literal loads captured at the parent commit.
-        let (_a, plan) = crate::exec::tests::square_setup(24, 4);
+    fn chunked_schedule_matches_rank_split_bitwise() {
+        // The acceptance bar for whole-rank ownership: bitwise equality
+        // with the sequential executor at every participant count,
+        // including chained iterations.
+        let (a, plan) = crate::exec::tests::square_setup(24, 4);
+        let x: Vec<f64> = (0..a.ncols()).map(|j| (j as f64).sin() + 0.25).collect();
         let cp = CompiledPlan::compile(&plan);
-        for (chunk_ops, want) in [(0usize, [18u64, 18, 34]), (1, [24, 23, 23]), (7, [26, 26, 18])] {
-            let engine = ParallelEngine::with_options(
-                cp.clone(),
-                PoolOptions { threads: 3, chunk_ops, ..PoolOptions::default() },
-            );
-            assert_eq!(engine.worker_loads().unwrap(), want, "chunk_ops={chunk_ops}");
+        let mut want = vec![0.0; a.nrows()];
+        seq(&cp, 1).apply_batch_iters(&x, &mut want, 1, 3);
+        for threads in [1usize, 2, 3, 4] {
+            let mut engine = pool(cp.clone(), threads, 1);
+            let mut y = vec![0.0; a.nrows()];
+            engine.apply_batch_iters(&x, &mut y, 1, 3);
+            assert_eq!(y, want, "threads={threads}");
         }
+        // Every iteration emits straight into the caller's `y`: a
+        // mixed-width sequence on one engine must write every owned row
+        // at the job's stride — `y` starts out as NaN.
+        let (a, cp) = holey_setup(23, 4);
+        let mut ws = seq(&cp, 8);
+        for threads in [1usize, 2, 3, 4] {
+            let mut engine = pool(cp.clone(), threads, 8);
+            for iters in [1usize, 3] {
+                for r in [8usize, 1, 4] {
+                    let x = crate::exec::tests::batch_input(a.ncols(), r, 3);
+                    let mut want = vec![f64::NAN; a.nrows() * r];
+                    ws.apply_batch_iters(&x, &mut want, r, iters);
+                    let mut y = vec![f64::NAN; a.nrows() * r];
+                    engine.apply_batch_iters(&x, &mut y, r, iters);
+                    assert_eq!(
+                        y.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                        want.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                        "threads={threads} r={r} iters={iters}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn worker_loads_are_the_parents() {
+        // The rank→participant map is a pure function of the plan and
+        // the team size: literal loads and owners.
+        let (_a, plan) = crate::exec::tests::square_setup(24, 4);
+        let engine = pool(CompiledPlan::compile(&plan), 3, 1);
+        assert_eq!(engine.worker_loads().unwrap(), [18, 18, 34]);
+        assert_eq!(engine.shared.assign, [vec![1], vec![2], vec![0, 3]]);
+        let (_a, plan) = crate::exec::tests::square_setup(26, 6);
+        let engine = pool(CompiledPlan::compile(&plan), 4, 1);
+        assert_eq!(engine.worker_loads().unwrap(), [29, 17, 15, 15]);
+        assert_eq!(engine.shared.assign, [vec![0, 1], vec![2, 5], vec![3], vec![4]]);
     }
 
     #[test]
@@ -1443,19 +1307,103 @@ mod tests {
         let cp = CompiledPlan::compile(&plan);
         let total = cp.total_ops();
         assert!(total > 0, "test matrix must have work");
-        for chunk_ops in [0usize, 1] {
-            let engine = ParallelEngine::with_options(
-                cp.clone(),
-                PoolOptions { threads: 3, chunk_ops, ..PoolOptions::default() },
-            );
-            let loads = engine.worker_loads().unwrap();
-            assert_eq!(
-                loads.iter().sum::<u64>(),
-                total,
-                "chunk_ops={chunk_ops}: every madd is scheduled exactly once"
-            );
-            // max / mean is at least 1.
-            assert!(loads.iter().max().unwrap() * loads.len() as u64 >= total);
+        let loads = pool(cp, 3, 1).worker_loads().unwrap();
+        assert_eq!(loads.iter().sum::<u64>(), total, "every madd is owned exactly once");
+        // max / mean is at least 1.
+        assert!(loads.iter().max().unwrap() * loads.len() as u64 >= total);
+    }
+
+    /// A power-law matrix, block-partitioned into `k` parts, as a
+    /// single-phase plan: ranks of very different weight.
+    fn skewed_plan(k: usize, format: crate::formats::KernelFormat) -> CompiledPlan {
+        use s2d_core::partition::SpmvPartition;
+        let a = s2d_gen::powerlaw::power_law(240, 8 * 240, 2.1, 200, 5);
+        let n = a.nrows();
+        let part: Vec<u32> = (0..n).map(|i| (i * k / n) as u32).collect();
+        let p = SpmvPartition::rowwise(&a, part.clone(), part, k);
+        CompiledPlan::compile_with(&SpmvPlan::single_phase(&a, &p), format)
+    }
+
+    #[test]
+    fn every_rank_has_exactly_one_owner() {
+        use crate::formats::KernelFormat;
+        // Ranks 2 and 3 own no rows at all: zero-weight ranks must still
+        // leave no participant empty.
+        let idle = {
+            use s2d_core::partition::SpmvPartition;
+            let (a, _) = crate::exec::tests::square_setup(12, 2);
+            let part: Vec<u32> = (0..12).map(|i| (i / 6) as u32).collect();
+            let p = SpmvPartition::rowwise(&a, part.clone(), part, 4);
+            CompiledPlan::compile(&SpmvPlan::single_phase(&a, &p))
+        };
+        for cp in [
+            CompiledPlan::compile(&crate::exec::tests::square_setup(26, 6).1),
+            skewed_plan(8, KernelFormat::Auto),
+            idle,
+        ] {
+            for threads in 1..=cp.k {
+                let engine = pool(cp.clone(), threads, 1);
+                let assign = &engine.shared.assign;
+                assert_eq!(assign.len(), threads);
+                assert!(assign.iter().all(|ranks| !ranks.is_empty()), "threads={threads}");
+                assert!(assign.iter().all(|ranks| ranks.windows(2).all(|w| w[0] < w[1])));
+                let mut all: Vec<usize> = assign.iter().flatten().copied().collect();
+                all.sort_unstable();
+                assert_eq!(all, (0..cp.k).collect::<Vec<_>>(), "threads={threads}");
+            }
+        }
+    }
+
+    #[test]
+    fn worker_loads_sum_to_the_stored_work() {
+        // SELL padding is work a participant executes: the loads count
+        // stored multiply-adds, which the CSR slice and the dense-split
+        // format keep equal to the plan's real ones.
+        use crate::formats::KernelFormat;
+        for format in KernelFormat::all() {
+            let cp = skewed_plan(8, format);
+            let stored: u64 = cp
+                .ranks
+                .iter()
+                .flat_map(|rp| &rp.steps)
+                .map(|step| match step {
+                    RankStep::Compute(kernel) => kernel.stored_ops() as u64,
+                    RankStep::Comm { .. } => 0,
+                })
+                .sum();
+            assert!(stored >= cp.total_ops(), "{format}");
+            if format != KernelFormat::Sell {
+                assert_eq!(stored, cp.total_ops(), "{format}");
+            }
+            for threads in 1..=4 {
+                let loads = pool(cp.clone(), threads, 1).worker_loads().unwrap();
+                assert_eq!(loads.iter().sum::<u64>(), stored, "{format} threads={threads}");
+            }
+        }
+    }
+
+    #[test]
+    fn ownership_balances_no_worse_than_a_count_split() {
+        // The count-contiguous split: `k / threads` consecutive ranks
+        // per participant, the first `k % threads` one more.
+        let count_split = |cp: &CompiledPlan, threads: usize| -> u64 {
+            let (base, extra) = (cp.k / threads, cp.k % threads);
+            let mut next = 0;
+            (0..threads)
+                .map(|w| {
+                    let len = base + usize::from(w < extra);
+                    next += len;
+                    (next - len..next).map(|rk| rank_ops(cp, rk)).sum::<u64>()
+                })
+                .max()
+                .unwrap()
+        };
+        let skewed = skewed_plan(8, crate::formats::KernelFormat::Auto);
+        let square = CompiledPlan::compile(&crate::exec::tests::square_setup(26, 6).1);
+        for (cp, threads) in [(&skewed, 3), (&skewed, 2), (&square, 3)] {
+            let lpt = *pool(cp.clone(), threads, 1).worker_loads().unwrap().iter().max().unwrap();
+            let split = count_split(cp, threads);
+            assert!(lpt <= split, "k={} threads={threads}: LPT {lpt} vs count split {split}", cp.k);
         }
     }
 
@@ -1576,14 +1524,13 @@ mod tests {
     #[test]
     fn a_panic_in_any_share_poisons_instead_of_hanging() {
         // `row_ptr`'s end one past `vals` panics (bounds check) in the
-        // chunk holding the rank's last unit and moves its weight by a
-        // single madd, so the chunk lands wherever the schedule puts
-        // it. Whole kernels as chunks (`chunk_ops` huge): pick, from
-        // the baked map, a rank whose chunk runs on the caller (`on` =
-        // 0) resp. on a spawned worker (`on` ≥ 1).
+        // rank's last segment and leaves its stored work as it was, so
+        // the rank keeps its owner. Pick, from the ownership map, a
+        // rank owned by the caller (`on` = 0) resp. by a spawned worker
+        // (`on` ≥ 1).
         // Five ranks of five rows and one of a single row: the
-        // heaviest chunk of a phase always goes to participant 0, the
-        // lightest to whoever is least loaded by then.
+        // heaviest rank always goes to participant 0, the lightest to
+        // whoever is least loaded by then.
         let (a, plan) = crate::exec::tests::square_setup(26, 6);
         let clean = CompiledPlan::compile(&plan);
         for threads in [1usize, 2, 3] {
@@ -1593,24 +1540,20 @@ mod tests {
                 }
                 let built = (0..clean.k).find_map(|rk| {
                     let mut cp = clean.clone();
-                    let (p, units) =
-                        cp.ranks[rk].steps.iter_mut().enumerate().find_map(|(p, s)| match s {
-                            RankStep::Compute(crate::formats::Kernel::Csr(k))
-                                if !k.rows.is_empty() =>
-                            {
-                                *k.row_ptr.last_mut().unwrap() += 1;
-                                Some((p, k.rows.len() as u32))
-                            }
-                            _ => None,
-                        })?;
-                    let engine = ParallelEngine::with_options(
-                        cp,
-                        PoolOptions { threads, chunk_ops: 1 << 20, ..PoolOptions::default() },
-                    );
-                    let on = engine.shared.chunks.phases[p]
+                    cp.ranks[rk].steps.iter_mut().find_map(|s| match s {
+                        RankStep::Compute(crate::formats::Kernel::Csr(k)) if !k.rows.is_empty() => {
+                            *k.row_ptr.last_mut().unwrap() += 1;
+                            Some(())
+                        }
+                        _ => None,
+                    })?;
+                    let engine = pool(cp, threads, 1);
+                    let on = engine
+                        .shared
+                        .assign
                         .iter()
-                        .position(|b| b.iter().any(|c| c.rank as usize == rk && c.hi == units))
-                        .expect("every unit is scheduled");
+                        .position(|ranks| ranks.contains(&rk))
+                        .expect("every rank is owned");
                     ((on == 0) == on_caller).then_some(engine)
                 });
                 let mut engine = built.expect("some rank's chunk runs on the wanted side");

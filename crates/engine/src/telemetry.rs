@@ -9,8 +9,7 @@
 //! Phase attribution on the compiled paths (see the `s2d-obs` crate
 //! docs for phase semantics):
 //!
-//! * **compute** — each kernel run: one span per rank and phase in
-//!   place and over endpoints, one per chunk on the pool;
+//! * **compute** — each kernel run: one span per rank and phase;
 //! * **gather** — over endpoints, input seeding plus send staging,
 //!   under the rank whose `x` image is seeded / whose sends are staged.
 //!   The shared-memory transports (in place, pool) seed and stage
@@ -26,9 +25,8 @@
 //! * **barrier-wait** — time pool participants waited: the barriers
 //!   (none at a communication step without folds), and the caller's
 //!   wait for the workers to leave the job,
-//!   recorded under the first rank of the waiting participant's
-//!   contiguous range (the in-place driver has no barrier and records
-//!   none).
+//!   recorded under the first rank the waiting participant owns (the
+//!   in-place driver has no barrier and records none).
 //!
 //! Instrumentation never touches the numeric path: every walker takes
 //! an `Option<&ExecTelemetry>` and brackets its seeding / kernel /

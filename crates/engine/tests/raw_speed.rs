@@ -1,18 +1,17 @@
-//! Raw-speed acceptance: the AVX2 builds of the kernels and the
-//! NNZ-chunked intra-rank schedule are *pure speed* features — every
-//! test here pins that down with exact (bitwise) equality, not
-//! tolerances.
+//! Raw-speed acceptance: the AVX2 builds of the kernels and the worker
+//! pool are *pure speed* features — every test here pins that down with
+//! exact (bitwise) equality, not tolerances, and none times anything.
 //!
 //! * ISA differential: scalar and auto (AVX2) produce byte-identical
 //!   blocks for every kernel format and batch width, because both run
 //!   the same body, the vector lanes map to the batch dimension (lane
 //!   `q` is RHS `q`) and no FMA contraction is used — each column's
 //!   accumulation chain is the scalar chain.
-//! * Schedule differential: the chunked pool splits kernels only at row
-//!   boundaries, so any worker count × chunk size × repetition yields
-//!   the sequential executor's result exactly.
-//! * The per-worker load accounting is conserved: planned multiply-adds
-//!   sum to the plan's op count at every chunk granularity.
+//! * Schedule differential: each participant runs its own ranks'
+//!   kernels whole, in unit order, so any participant count ×
+//!   repetition yields the sequential executor's result exactly.
+//! * The per-participant load accounting is conserved: planned
+//!   multiply-adds sum to the plan's op count.
 
 use std::sync::Arc;
 
@@ -102,7 +101,7 @@ fn isa_choice_is_bitwise_invisible_on_the_sequential_path() {
 }
 
 /// The same exact-equality contract through the worker pool, where the
-/// SIMD kernels run on chunk sub-ranges rather than whole kernels.
+/// SIMD kernels run on the participants that own their ranks.
 #[test]
 fn isa_choice_is_bitwise_invisible_on_the_pool_path() {
     for (name, a) in matrices() {
@@ -125,11 +124,10 @@ fn isa_choice_is_bitwise_invisible_on_the_pool_path() {
     }
 }
 
-/// Chunked scheduling is bitwise-deterministic: every worker count ×
-/// chunk granularity × repetition reproduces the sequential executor
-/// (the reference the retired rank-split schedule was held to) exactly,
-/// on every matrix family and under chained iterations (which exercise
-/// the seed/sync barrier structure, not just one pass).
+/// Whole-rank ownership is bitwise-deterministic: every participant
+/// count × repetition reproduces the sequential executor exactly, on
+/// every matrix family and under chained iterations (which exercise the
+/// seed/sync barrier structure, not just one pass).
 #[test]
 fn chunked_pool_is_bitwise_across_threads_chunks_and_repeats() {
     for (name, a) in matrices() {
@@ -142,50 +140,40 @@ fn chunked_pool_is_bitwise_across_threads_chunks_and_repeats() {
             y
         };
         for threads in [1, 2, 3, 4] {
-            for chunk_ops in [0, 1, 7, 1 << 20] {
-                let cp = CompiledPlan::compile_with(&plan, KernelFormat::Auto);
-                let mut engine = ParallelEngine::with_options(
-                    cp,
-                    PoolOptions { threads, width: 4, chunk_ops, ..PoolOptions::default() },
-                );
-                for rep in 0..2 {
-                    let mut y = vec![0.0; plan.nrows * 4];
-                    engine.apply_batch_iters(&x, &mut y, 4, 3);
-                    assert_eq!(
-                        y, want,
-                        "{name}: t={threads} chunk={chunk_ops} rep={rep} diverged from sequential"
-                    );
-                }
+            let cp = CompiledPlan::compile_with(&plan, KernelFormat::Auto);
+            let mut engine = ParallelEngine::with_options(
+                cp,
+                PoolOptions { threads, width: 4, ..PoolOptions::default() },
+            );
+            for rep in 0..2 {
+                let mut y = vec![0.0; plan.nrows * 4];
+                engine.apply_batch_iters(&x, &mut y, 4, 3);
+                assert_eq!(y, want, "{name}: t={threads} rep={rep} diverged from sequential");
             }
         }
     }
 }
 
-/// The fixed chunk→worker map conserves work: planned per-worker
-/// multiply-adds sum to the compiled plan's total at every chunk
-/// granularity, and the operator surfaces them through the `SpmvOperator` trait.
+/// The fixed rank→participant map conserves work: planned
+/// per-participant multiply-adds sum to the compiled plan's total, and
+/// the operator surfaces them through the `SpmvOperator` trait.
 #[test]
 fn worker_loads_are_conserved_and_surface_through_the_operator() {
     let (_, a) = &matrices()[1];
     let plan = Arc::new(plan_for(a, 4));
     let cp = CompiledPlan::compile_with(&plan, KernelFormat::CsrSlice);
     let total = cp.total_ops();
-    for chunk_ops in [0, 64] {
-        let engine = ParallelEngine::with_options(
-            cp.clone(),
-            PoolOptions { threads: 3, width: 1, chunk_ops, ..PoolOptions::default() },
-        );
-        let loads = engine.worker_loads().expect("pool operators report loads");
-        assert_eq!(
-            loads.iter().sum::<u64>(),
-            total,
-            "chunk_ops={chunk_ops}: planned loads must cover every multiply-add exactly once"
-        );
-        assert!(
-            loads.iter().max().unwrap() * loads.len() as u64 >= total,
-            "chunk_ops={chunk_ops}: max/mean is at least 1"
-        );
-    }
+    let engine = ParallelEngine::with_options(
+        cp.clone(),
+        PoolOptions { threads: 3, width: 1, ..PoolOptions::default() },
+    );
+    let loads = engine.worker_loads().expect("pool operators report loads");
+    assert_eq!(
+        loads.iter().sum::<u64>(),
+        total,
+        "planned loads must cover every multiply-add exactly once"
+    );
+    assert!(loads.iter().max().unwrap() * loads.len() as u64 >= total, "max/mean is at least 1");
     // And through the trait object, the way the profile report gets it.
     let op = ParallelEngine::with_options(cp, PoolOptions { threads: 3, ..PoolOptions::default() });
     let loads = (&op as &dyn SpmvOperator).worker_loads().expect("pool operators report loads");

@@ -182,10 +182,9 @@ fn counters_match_static_profile() {
 
 /// The in-place and pool drivers run one phase-walk body, so they
 /// attribute alike: per rank, the same work counters and the same
-/// number of gather and scatter spans (the emit is recorded under the
-/// owning rank on both — compute span counts may differ, the pool
-/// records one per chunk), and the in-place driver never waits at a
-/// barrier.
+/// number of compute, gather and scatter spans (each rank's kernels,
+/// clear and emit run on its owner on both), and the in-place driver
+/// never waits at a barrier.
 #[test]
 fn seq_and_pool_attribute_alike() {
     let a = matrix();
@@ -210,6 +209,7 @@ fn seq_and_pool_attribute_alike() {
                 assert_eq!(s.rows(), p.rows(), "{what}: rows");
                 assert_eq!(s.madds(), p.madds(), "{what}: madds");
                 assert_eq!(s.comm_words(), p.comm_words(), "{what}: comm words");
+                assert_eq!(s.spans(Phase::Compute), p.spans(Phase::Compute), "{what}: compute");
                 assert_eq!(s.spans(Phase::Gather), p.spans(Phase::Gather), "{what}: gather");
                 assert_eq!(s.spans(Phase::Scatter), p.spans(Phase::Scatter), "{what}: scatter");
             }

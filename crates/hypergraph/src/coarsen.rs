@@ -320,7 +320,8 @@ pub(crate) mod tests {
     /// in the shapes the live-pin scan and the bucketed merge must get
     /// right: 2–48 vertices with one or two constraints, weights 1–3
     /// (the `total / 16` cap often blocks a pair) plus up to two vertices
-    /// heavier than any cap, costs 1–4, nets of 0–8 pins with repeats,
+    /// heavier than any cap, costs 1–4, nets of 0–8 pins drawn with
+    /// repeats (the constructor keeps each pin's first occurrence),
     /// up to two nets of 257–300 pins (over `NET_SIZE_LIMIT`), and up to
     /// four nets that list an earlier net's pins in another order.
     pub(crate) fn raw_hg_strategy() -> impl Strategy<Value = Hypergraph> {

@@ -29,6 +29,9 @@ impl Hypergraph {
     /// Builds a hypergraph from per-net pin lists.
     ///
     /// `vwgt` holds `ncon` weights per vertex (`vwgt.len() == nvtx * ncon`).
+    /// A pin a net lists more than once is kept once, at its first
+    /// occurrence (the partitioner's gain rules count each pin of a net
+    /// once).
     ///
     /// # Panics
     /// Panics on inconsistent sizes, out-of-range pins or a zero net cost.
@@ -49,7 +52,9 @@ impl Hypergraph {
         Self::from_csr(nvtx, ncon, vwgt, ncost, xpins, pins)
     }
 
-    /// Builds a hypergraph from CSR pin arrays.
+    /// Builds a hypergraph from CSR pin arrays. A pin a net lists more
+    /// than once is kept once, at its first occurrence, as in
+    /// [`Hypergraph::new`].
     ///
     /// # Panics
     /// Panics on inconsistent sizes, out-of-range pins or a zero net cost
@@ -60,9 +65,10 @@ impl Hypergraph {
         ncon: usize,
         vwgt: Vec<u64>,
         ncost: Vec<u64>,
-        xpins: Vec<usize>,
-        pins: Vec<u32>,
+        mut xpins: Vec<usize>,
+        mut pins: Vec<u32>,
     ) -> Self {
+        dedup_pins(nvtx, &mut xpins, &mut pins);
         Self::from_csr_in(nvtx, ncon, vwgt, ncost, xpins, pins, &mut Pool::default())
     }
 
@@ -299,6 +305,36 @@ pub(crate) fn merge_nets(
     pool.give(xpins);
     pool.give(pins);
     Hypergraph::from_csr_in(nvtx, ncon, vwgt, mcost, xmerged, merged, pool)
+}
+
+/// Drops every repeat of a pin inside its net, keeping first
+/// occurrences in order, and shrinks `xpins` to match. Arrays that
+/// [`Hypergraph::from_csr_in`] rejects are left as they are, for its
+/// asserts to name the fault.
+fn dedup_pins(nvtx: usize, xpins: &mut [usize], pins: &mut Vec<u32>) {
+    let well_formed = xpins.last() == Some(&pins.len())
+        && xpins.windows(2).all(|w| w[0] <= w[1])
+        && pins.iter().all(|&p| (p as usize) < nvtx);
+    if !well_formed {
+        return;
+    }
+    // `last[v]` is the net that last kept pin `v`.
+    let mut last = vec![usize::MAX; nvtx];
+    let (mut lo, mut kept) = (xpins[0], xpins[0]);
+    for n in 0..xpins.len() - 1 {
+        let hi = xpins[n + 1];
+        for k in lo..hi {
+            let v = pins[k];
+            if last[v as usize] != n {
+                last[v as usize] = n;
+                pins[kept] = v;
+                kept += 1;
+            }
+        }
+        lo = hi;
+        xpins[n + 1] = kept;
+    }
+    pins.truncate(kept);
 }
 
 #[cfg(test)]

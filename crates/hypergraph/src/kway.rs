@@ -372,6 +372,17 @@ mod tests {
             prop_assert_eq!(&one, &two);
             prop_assert_eq!(&one, &four);
         }
+
+        /// Raw nets straight from the constructor, repeated pins
+        /// included: the gain engine's debug checks hold, and every
+        /// vertex gets a part.
+        #[test]
+        fn partition_runs_on_raw_hypergraphs(hg in raw_hg_strategy(), k in 2usize..=12, seed in 0u64..100) {
+            let cfg = PartitionConfig { seed, ..Default::default() };
+            let parts = partition_kway(&hg, k, &cfg).parts;
+            prop_assert_eq!(parts.len(), hg.nvtx());
+            prop_assert!(parts.iter().all(|&p| (p as usize) < k));
+        }
     }
 
     #[test]

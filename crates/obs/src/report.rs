@@ -93,25 +93,23 @@ pub struct ExecutionReport {
     pub workers: Option<WorkerLoadReport>,
 }
 
-/// Per-worker multiply-add loads under the pool's intra-rank schedule.
+/// Per-worker multiply-add loads on the worker pool.
 ///
-/// The pool's chunk→worker map is fixed at build time and identical
+/// Each pool worker owns whole ranks, fixed at build time and identical
 /// every iteration, so the planned loads *are* the achieved loads — no
 /// per-iteration counters needed. `madds[w]` is the stored work worker
 /// `w` executes per iteration (SELL padding included: it is work the
 /// core performs even though [`RankReport::madds`] never counts it).
 #[derive(Clone, Debug, PartialEq)]
 pub struct WorkerLoadReport {
-    /// Intra-rank schedule label (`"nnz-chunked"`, the pool's schedule).
-    pub schedule: String,
     /// Multiply-adds executed by each worker per iteration.
     pub madds: Vec<u64>,
 }
 
 impl WorkerLoadReport {
-    /// Wraps a schedule label and the per-worker load vector.
-    pub fn new(schedule: impl Into<String>, madds: Vec<u64>) -> WorkerLoadReport {
-        WorkerLoadReport { schedule: schedule.into(), madds }
+    /// Wraps the per-worker load vector.
+    pub fn new(madds: Vec<u64>) -> WorkerLoadReport {
+        WorkerLoadReport { madds }
     }
 
     /// Planned load imbalance: max/mean worker multiply-adds (1.0 for
@@ -129,11 +127,9 @@ impl WorkerLoadReport {
         }
     }
 
-    /// One JSON object: the schedule, the planned imbalance and the
-    /// load vector.
+    /// One JSON object: the planned imbalance and the load vector.
     pub fn to_json(&self) -> Json {
         Json::obj()
-            .set("schedule", self.schedule.as_str())
             .set("imbalance", Json::fixed(self.imbalance(), 4))
             .set("madds", self.madds.clone())
     }
@@ -366,8 +362,7 @@ impl ExecutionReport {
         }
         if let Some(w) = &self.workers {
             out.push_str(&format!(
-                "workers ({}): {} threads, planned madd imbalance (max/mean): {:.3}\n",
-                w.schedule,
+                "workers: {} threads, planned madd imbalance (max/mean): {:.3}\n",
                 w.madds.len(),
                 w.imbalance()
             ));
@@ -528,23 +523,23 @@ mod tests {
         let bare_lines = bare.render().lines().count();
         assert_eq!(bare_json.get("workers"), None, "absent, not null, off the pool path");
 
-        let w = WorkerLoadReport::new("nnz-chunked", vec![100, 120, 80, 100]);
+        let w = WorkerLoadReport::new(vec![100, 120, 80, 100]);
         assert!((w.imbalance() - 1.2).abs() < 1e-12, "max 120 over mean 100");
         let rep = bare.clone().with_workers(w);
         let json = reparse(&rep);
         assert_eq!(json.get("backend"), bare_json.get("backend"));
         let workers = json.get("workers").expect("workers key");
-        assert_eq!(workers.get("schedule").and_then(Json::as_str), Some("nnz-chunked"));
+        assert_eq!(workers.get("schedule"), None, "the pool has one schedule: no label");
         assert_eq!(workers.get("madds"), Some(&Json::from(vec![100u64, 120, 80, 100])));
         assert!((num(workers, &["imbalance"]) - 1.2).abs() < 1e-3);
         let text = rep.render();
         assert_eq!(text.lines().count(), bare_lines + 1, "workers adds exactly one line");
-        assert!(text.contains("workers (nnz-chunked): 4 threads"));
+        assert!(text.contains("workers: 4 threads"));
         assert!(text.contains("imbalance (max/mean): 1.200"));
 
         // Degenerate shapes report 1.0, never NaN.
-        assert_eq!(WorkerLoadReport::new("rank-split", vec![7]).imbalance(), 1.0);
-        assert_eq!(WorkerLoadReport::new("rank-split", vec![0, 0]).imbalance(), 1.0);
+        assert_eq!(WorkerLoadReport::new(vec![7]).imbalance(), 1.0);
+        assert_eq!(WorkerLoadReport::new(vec![0, 0]).imbalance(), 1.0);
     }
 
     #[test]

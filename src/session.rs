@@ -430,9 +430,8 @@ impl Session {
             let report = ExecutionReport::collect(sink, self.backend.label(), Some(model));
             match self.operator.worker_loads() {
                 // The pool path: the loads are the planned == achieved
-                // multiply-adds of the fixed (NNZ-chunked) chunk→worker
-                // map.
-                Some(madds) => report.with_workers(WorkerLoadReport::new("nnz-chunked", madds)),
+                // multiply-adds of the fixed rank→worker map.
+                Some(madds) => report.with_workers(WorkerLoadReport::new(madds)),
                 None => report,
             }
         })
