@@ -84,7 +84,7 @@ cell that moved and every verdict that flipped.
 ENGINES (--engine <backend>)
   mailbox            deterministic sequential interpreter (the oracle)
   threaded           compiled plan, one OS thread per rank over message passing
-  compiled-seq       compiled plan, sequential zero-alloc workspace
+  compiled-seq       compiled plan on a pool of one: this thread, no workers
   compiled-pool[:N][@pin]  compiled plan on the persistent pool: this
                      thread plus N-1 workers that park when idle
                      (N participants; team size: see

@@ -5,8 +5,8 @@
 //! **oracle** (`s2d-spmv`'s deliberately naive interpreter, kept as the
 //! semantic reference every other path is differentially held to) and
 //! the **compiled rank programs** of one [`CompiledPlan`]. Those are
-//! executed by one phase-walk body under two transports (in place,
-//! pool — see the `exec` module) plus the endpoint walker.
+//! executed by one phase-walk body on the pool — a team of one for
+//! `CompiledSeq`, see the `exec` module — plus the endpoint walker.
 //! [`Backend::build`] puts all four behind a boxed [`SpmvOperator`];
 //! consumers (solvers, the CLI, benches, the differential and
 //! conformance harnesses) select a backend by value or by name and
@@ -17,18 +17,18 @@
 //! * [`Backend::Mailbox`] — the oracle: deterministic sequential
 //!   interpretation of the uncompiled plan. Slowest by far (hash maps
 //!   everywhere); never a fast path.
-//! * [`Backend::CompiledSeq`] — the phase-walk body over the **in
-//!   place** transport ([`CompiledSeqOperator`]): one thread, all
-//!   ranks, one plain `y` arena, no barrier and no atomic anywhere. Zero
+//! * [`Backend::CompiledSeq`] — the pool as a **team of one**
+//!   ([`ParallelEngine`] with one participant): the calling thread, all
+//!   ranks, one `y` arena, no spawned thread and no barrier. Zero
 //!   allocation per iteration; the choice on one core, for small plans
 //!   (an iteration of a few tens of thousands of multiply-adds costs
-//!   less than the pool's 2 + folding-steps barrier crossings) and the
-//!   right baseline for kernel work.
-//! * [`Backend::CompiledPool`] — the same body over the **pool**
-//!   transport ([`ParallelEngine`]): the calling thread and the
-//!   persistent workers each run it for the ranks they own, balanced
-//!   by stored multiply-adds, with a barrier at every handoff; the
-//!   team size is [`Backend::participants`]. With two participants on
+//!   less than a larger team's 2 + folding-steps barrier crossings) and
+//!   the right baseline for kernel work.
+//! * [`Backend::CompiledPool`] — the same body on a larger team: the
+//!   calling thread and the persistent workers each run it for the
+//!   ranks they own, balanced by stored multiply-adds, with a barrier
+//!   at every handoff; the team size is [`Backend::participants`].
+//!   With two participants on
 //!   two cores it measured 0.19 vs 0.17 ms per iteration at 131 k
 //!   multiply-adds and 0.71 vs 1.30 ms at 1.68 M (the ledger's
 //!   `engine.pool_apply_*` / `seq_apply_*` columns); never ask for
@@ -72,7 +72,6 @@ use s2d_runtime::ChaosConfig;
 use s2d_spmv::{MailboxOperator, SpmvOperator, SpmvPlan};
 
 use crate::compile::CompiledPlan;
-use crate::exec::CompiledSeqOperator;
 use crate::pool::{ParallelEngine, PoolOptions};
 use crate::threaded::EndpointOperator;
 
@@ -84,7 +83,8 @@ pub enum Backend {
     /// Compiled plan over message-passing endpoints, one OS thread per
     /// rank.
     Threaded,
-    /// Compiled plan, sequential zero-alloc execution over one arena.
+    /// Compiled plan on the pool as a team of one: the calling thread
+    /// runs every rank, zero-alloc, over one arena.
     CompiledSeq,
     /// Compiled plan on the persistent pool — the calling thread as
     /// participant 0 plus spawned workers — each participant running
@@ -159,7 +159,10 @@ impl Backend {
                 }
             }
             Backend::Threaded => Box::new(EndpointOperator::new(cp, ChaosConfig::off(), sink)),
-            Backend::CompiledSeq => Box::new(CompiledSeqOperator::new(cp, width, sink)),
+            Backend::CompiledSeq => Box::new(ParallelEngine::with_options(
+                cp,
+                PoolOptions { threads: 1, width, pin: false, sink },
+            )),
             Backend::CompiledPool { threads, pin } => Box::new(ParallelEngine::with_options(
                 cp,
                 PoolOptions { threads, width, pin, sink },
@@ -348,7 +351,7 @@ impl<O: SpmvOperator> SpmvOperator for ObservedOperator<O> {
         self.inner.deterministic()
     }
 
-    fn worker_loads(&self) -> Option<Vec<u64>> {
+    fn worker_loads(&self) -> Option<Vec<Vec<u64>>> {
         self.inner.worker_loads()
     }
 }

@@ -503,8 +503,9 @@ impl CompiledPlan {
         self.ranks.last().map_or(0, |rp| rp.y_off + rp.ny.next_multiple_of(LINE_SLOTS))
     }
 
-    /// Bytes a single-RHS [`CompiledSeqOperator`](crate::CompiledSeqOperator)
-    /// allocates for this plan: the `y` arena plus the slack that lets it start on a
+    /// Bytes a single-RHS [`ParallelEngine`](crate::ParallelEngine) — at
+    /// any team size, `CompiledSeq` included — allocates for this plan's
+    /// buffers: the `y` arena plus the slack that lets it start on a
     /// cache line — `x` is read where the caller put it.
     pub fn workspace_bytes(&self) -> usize {
         (self.arena_slots() + crate::exec::ALIGN_SLACK) * std::mem::size_of::<f64>()
@@ -857,9 +858,9 @@ mod tests {
         assert_eq!((cp.ranks[0].y_off, cp.ranks[1].y_off), (0, LINE_SLOTS), "line-aligned blocks");
         assert_eq!((cp.comm_phases, &cp.fold_steps[..]), (1, &[false, true, false][..]));
         assert_eq!(cp.total_ops(), 3);
-        // The arena and its alignment slack are all a sequential
-        // operator holds.
-        let arena = |width| crate::exec::tests::seq(&cp, width).arena.len();
+        // The arena and its alignment slack are all a team of one
+        // holds.
+        let arena = |width| crate::pool::tests::arena_len(&crate::exec::tests::seq(&cp, width));
         assert_eq!(arena(1) * 8, cp.workspace_bytes(), "accounted to the word");
         assert_eq!(arena(3), 2 * LINE_SLOTS * 3 + 7);
     }

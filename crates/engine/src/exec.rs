@@ -1,27 +1,20 @@
-//! The phase-walk body every shared-memory driver runs, the
-//! `Transport` seam it runs over, and the in-place transport with its
-//! operator, [`CompiledSeqOperator`].
+//! The phase-walk body: what one participant of a
+//! [`ParallelEngine`](crate::ParallelEngine) does with the ranks it
+//! owns.
 //!
 //! One iteration of a [`CompiledPlan`] is written **once**, in
 //! `phase_walk`: clear the `y` arena → per phase, run each owned rank's
 //! kernel whole or fold its received partials in the compiled `recvs`
-//! order → emit owned rows into the caller's `y`. What differs between
-//! drivers is only *which* ranks a participant owns, how a buffer range
-//! is reached and who waits at a barrier — that is the crate-private
-//! `Transport` trait, with exactly two implementations:
+//! order → emit owned rows into the caller's `y`. Every shared-memory
+//! run walks it on the pool: a team of `N` participants, each owning
+//! whole ranks (views over the shared arena, a spin barrier at every
+//! handoff), and [`Backend::CompiledSeq`](crate::Backend::CompiledSeq)
+//! as a team of one, which owns all `K` ranks in ascending order and
+//! crosses no barrier. A rank's kernel runs whole, in unit order, on the
+//! one participant that owns the rank, so every `y` word has the same
+//! accumulation order at every team size.
 //!
-//! * `InPlace` (here): one participant owning all `K` ranks over the
-//!   plain `y` arena of a [`CompiledSeqOperator`], and a `sync` that is
-//!   a literal `false` — so barriers, atomics and barrier-wait spans
-//!   const-fold out of the sequential path;
-//! * the pool worker (`pool.rs`): the ranks the participant owns, views
-//!   over the shared arena, a spin barrier.
-//!
-//! Either way a rank's kernel runs whole, in unit order, on the one
-//! participant that owns the rank, so every `y` word has the same
-//! accumulation order on every driver and at every team size.
-//!
-//! Both share one address space, so a plan's messages shrink to what
+//! Ranks that share one address space shrink a plan's messages to what
 //! still has to happen there. An **expand** word does not move: every
 //! kernel indexes the `x` home space, which is the caller's input (from
 //! the second chained iteration on, the caller's output — an
@@ -33,26 +26,22 @@
 //! place compiled steps execute: the same kernels over a private image
 //! of the home space, with real payloads.
 //!
-//! The operator's arena is the one buffer an in-place iteration writes
-//! besides the caller's `y`, so the loop performs **zero heap
-//! allocation**. It is allocated for a batch width `r` (1 for the
-//! classic single-vector case) and everything is a row-major block —
-//! see the crate docs: arena slot `s` occupies `y[s*r .. (s+1)*r]`, a
-//! rank's block starts at `y_off × r`. Its size follows the ranks'
-//! *logical* footprints (`ny` slots, rounded up to a cache line)
-//! whatever the plan's [`KernelFormat`](crate::formats::KernelFormat):
-//! padded layouts live inside the kernel's own arrays and reference
-//! existing columns and slots, so one arena executes the same plan
-//! compiled to any format.
+//! The arena is the one buffer an iteration writes besides the caller's
+//! `y`, so the loop performs **zero heap allocation**. It is allocated
+//! for a batch width `r` and everything is a row-major block — see the
+//! crate docs: arena slot `s` occupies `y[s*r .. (s+1)*r]`, a rank's
+//! block starts at `y_off × r`. Its size follows the ranks' *logical*
+//! footprints (`ny` slots, rounded up to a cache line) whatever the
+//! plan's [`KernelFormat`](crate::formats::KernelFormat): padded layouts
+//! live inside the kernel's own arrays and reference existing columns
+//! and slots, so one arena executes the same plan compiled to any
+//! format.
 
-use std::ops::Range;
-use std::sync::Arc;
-
-use s2d_obs::{Phase, TelemetrySink};
-use s2d_spmv::SpmvOperator;
+use s2d_obs::Phase;
 
 use crate::compile::{CompiledPlan, RankStep};
-use crate::telemetry::{call_end, span_end, span_start, ExecTelemetry};
+use crate::pool::PoolWorker;
+use crate::telemetry::{span_end, span_start, ExecTelemetry};
 
 /// Words an arena allocation carries beyond its payload, so that the
 /// payload can start on a cache line wherever the allocator put it.
@@ -64,236 +53,33 @@ pub(crate) fn align_pad(base: *const f64) -> usize {
     (base as usize).wrapping_neg() % 64 / std::mem::size_of::<f64>()
 }
 
-/// A buffer ranks share: the `y` arena that folds read and write, the
-/// block an iteration emits into. A plain slice in place, a view of a
-/// shared buffer on a pool worker.
-pub(crate) trait Region {
-    /// Words `lo..lo + len`, exclusively; panics when out of bounds.
-    fn region_mut(&mut self, lo: usize, len: usize) -> &mut [f64];
-
-    /// `self[dst..dst + r] += self[src..src + r]`: one fold word at
-    /// batch width `r`. The two ranges are disjoint.
-    fn fold(&mut self, dst: usize, src: usize, r: usize);
-}
-
-impl Region for &mut [f64] {
-    #[inline(always)]
-    fn region_mut(&mut self, lo: usize, len: usize) -> &mut [f64] {
-        &mut self[lo..lo + len]
-    }
-
-    #[inline(always)]
-    fn fold(&mut self, dst: usize, src: usize, r: usize) {
-        for q in 0..r {
-            self[dst + q] += self[src + q];
-        }
-    }
-}
-
-/// What the phase-walk body needs from the memory it runs over: which
-/// ranks this participant owns, views of the buffers one step touches,
-/// and the barrier between steps. A rank's `y` block is its block of
-/// the arena at the job's width.
-pub(crate) trait Transport {
-    /// A buffer shared between ranks: the whole `y` arena in a fold, the
-    /// caller's `y` in the emit.
-    type Buf<'a>: Region
-    where
-        Self: 'a;
-
-    /// The owned ranks, ascending.
-    type Ranks: Iterator<Item = usize> + Clone;
-
-    /// The ranks this participant clears, computes, folds and emits for.
-    fn ranks(&self) -> Self::Ranks;
-
-    /// Barrier among the participants, recorded as a barrier-wait span
-    /// when `obs` is attached. `true` means a peer died: the caller
-    /// must return without touching any buffer again.
-    fn sync(&mut self, obs: Option<&ExecTelemetry>) -> bool;
-
-    /// Owned rank `rk`'s kernel operands: the `x` home space (the job's
-    /// input on the `first` iteration, its output after) and the rank's
-    /// `y` block, exclusively.
-    fn compute(&mut self, rk: usize, first: bool) -> (&[f64], &mut [f64]);
-
-    /// The whole `y` arena, for folding into owned ranks' slots from
-    /// their producers'.
-    fn arena(&mut self) -> Self::Buf<'_>;
-
-    /// Owned rank `rk`'s `y` block, exclusively (to clear, to emit
-    /// from), and the job's output block, of which the rank writes its
-    /// owned rows.
-    fn own(&mut self, rk: usize) -> (&mut [f64], Self::Buf<'_>);
-}
-
-/// The in-place transport: one participant, all ranks, one plain arena.
-struct InPlace<'a> {
-    plan: &'a CompiledPlan,
-    /// The arena at the job's width, from its first cache line.
-    arena: &'a mut [f64],
-    x: &'a [f64],
-    y: &'a mut [f64],
-    r: usize,
-}
-
-impl Transport for InPlace<'_> {
-    type Buf<'a>
-        = &'a mut [f64]
-    where
-        Self: 'a;
-    type Ranks = Range<usize>;
-
-    #[inline(always)]
-    fn ranks(&self) -> Range<usize> {
-        0..self.plan.k
-    }
-
-    #[inline(always)]
-    fn sync(&mut self, _obs: Option<&ExecTelemetry>) -> bool {
-        false
-    }
-
-    #[inline(always)]
-    fn compute(&mut self, rk: usize, first: bool) -> (&[f64], &mut [f64]) {
-        let block = self.plan.ranks[rk].block(self.r);
-        (if first { self.x } else { &*self.y }, &mut self.arena[block])
-    }
-
-    #[inline(always)]
-    fn arena(&mut self) -> &mut [f64] {
-        self.arena
-    }
-
-    #[inline(always)]
-    fn own(&mut self, rk: usize) -> (&mut [f64], &mut [f64]) {
-        (&mut self.arena[self.plan.ranks[rk].block(self.r)], self.y)
-    }
-}
-
-/// [`Backend::CompiledSeq`](crate::Backend::CompiledSeq) as an operator:
-/// one compiled plan, run by the phase-walk body over the in-place
-/// transport, plus the preallocated `y` arena it walks over.
-///
-/// Per column, results are bitwise identical to `r` single-RHS
-/// applications and to `execute_mailbox` (same accumulation order); a
-/// chained application lets `y` itself ferry the iterate.
-pub struct CompiledSeqOperator {
-    cp: Arc<CompiledPlan>,
-    /// Batch capacity the arena was sized for.
-    width: usize,
-    /// `arena_slots × width` words plus [`ALIGN_SLACK`].
-    pub(crate) arena: Vec<f64>,
-    obs: Option<ExecTelemetry>,
-}
-
-impl CompiledSeqOperator {
-    /// Wraps an already-compiled plan with an arena for batches of up to
-    /// `width`. With a `sink`, every application records per-rank phase
-    /// spans and work counters; results stay bitwise identical to the
-    /// sink-less operator.
-    pub fn new(
-        cp: impl Into<Arc<CompiledPlan>>,
-        width: usize,
-        sink: Option<Arc<TelemetrySink>>,
-    ) -> CompiledSeqOperator {
-        let cp = cp.into();
-        let width = width.max(1);
-        let arena = vec![0.0; cp.arena_slots() * width + ALIGN_SLACK];
-        let obs = sink.map(|sink| ExecTelemetry::new(&cp, sink));
-        CompiledSeqOperator { cp, width, arena, obs }
-    }
-
-    /// `iters` chained applications at batch width `r` through the
-    /// arena: `Y = A^iters · X`, `x` row-major `ncols × r` and `y`
-    /// row-major `nrows × r` (column `q` of global index `g` at
-    /// `g*r + q`).
-    ///
-    /// # Panics
-    /// Panics if `x`/`y` lengths don't match `r` copies of the plan's
-    /// dimensions, the arena holds fewer than `r` columns, or `iters > 1`
-    /// on a non-square plan.
-    fn run(&mut self, x: &[f64], y: &mut [f64], r: usize, iters: usize) {
-        let cp = &*self.cp;
-        let obs = self.obs.as_ref();
-        assert!(iters >= 1, "at least one iteration");
-        assert!(r >= 1, "batch width must be at least 1");
-        assert_eq!(x.len(), cp.ncols * r, "input length mismatch");
-        assert_eq!(y.len(), cp.nrows * r, "output length mismatch");
-        assert_eq!(
-            self.arena.len(),
-            cp.arena_slots() * self.width + ALIGN_SLACK,
-            "arena belongs to a different plan"
-        );
-        assert!(self.width >= r, "arena width {} cannot hold a batch of {r}", self.width);
-        if iters > 1 {
-            assert_eq!(cp.nrows, cp.ncols, "chained SpMV needs a square plan");
-        }
-        let t = span_start(obs);
-        let pad = align_pad(self.arena.as_ptr());
-        let arena = &mut self.arena[pad..pad + cp.arena_slots() * r];
-        walk(cp, &mut InPlace { plan: cp, arena, x, y, r }, r, iters, obs);
-        call_end(obs, t, iters);
-    }
-}
-
-impl SpmvOperator for CompiledSeqOperator {
-    fn nrows(&self) -> usize {
-        self.cp.nrows
-    }
-
-    fn ncols(&self) -> usize {
-        self.cp.ncols
-    }
-
-    fn apply(&mut self, x: &[f64], y: &mut [f64]) {
-        self.run(x, y, 1, 1);
-    }
-
-    fn apply_batch(&mut self, x: &[f64], y: &mut [f64], r: usize) {
-        self.apply_batch_iters(x, y, r, 1);
-    }
-
-    fn apply_batch_iters(&mut self, x: &[f64], y: &mut [f64], r: usize, iters: usize) {
-        if r > self.width {
-            // One-time growth; steady-state calls at a seen width do
-            // not allocate.
-            self.width = r;
-            self.arena = vec![0.0; self.cp.arena_slots() * r + ALIGN_SLACK];
-        }
-        // Native chained path: `y` itself ferries the iterate, no
-        // caller-side copies.
-        self.run(x, y, r, iters);
-    }
-}
-
 /// Runs `iters` chained iterations of `plan` at batch width `r` as the
 /// participant `t`. Monomorphizes the common widths, with telemetry off
 /// and on: `phase_walk` is `inline(always)` all the way down, so a
 /// constant `r` const-folds the `0..r` block loops in the fold and the
 /// emit into straight-line code (at r = 1, exactly a scalar executor),
 /// and a constant `None` folds every span away.
-pub(crate) fn walk<T: Transport>(
+pub(crate) fn walk(
     plan: &CompiledPlan,
-    t: &mut T,
+    t: &mut PoolWorker<'_>,
     r: usize,
     iters: usize,
     obs: Option<&ExecTelemetry>,
 ) {
     match r {
-        1 => walk_fixed::<T, 1>(plan, t, iters, obs),
-        2 => walk_fixed::<T, 2>(plan, t, iters, obs),
-        4 => walk_fixed::<T, 4>(plan, t, iters, obs),
-        8 => walk_fixed::<T, 8>(plan, t, iters, obs),
+        1 => walk_fixed::<1>(plan, t, iters, obs),
+        2 => walk_fixed::<2>(plan, t, iters, obs),
+        4 => walk_fixed::<4>(plan, t, iters, obs),
+        8 => walk_fixed::<8>(plan, t, iters, obs),
         _ => phase_walk(plan, t, r, iters, obs),
     }
 }
 
 /// Fixed-width instantiations of the body, one per telemetry state (the
 /// off one gets a literal `None`).
-fn walk_fixed<T: Transport, const R: usize>(
+fn walk_fixed<const R: usize>(
     plan: &CompiledPlan,
-    t: &mut T,
+    t: &mut PoolWorker<'_>,
     iters: usize,
     obs: Option<&ExecTelemetry>,
 ) {
@@ -305,7 +91,8 @@ fn walk_fixed<T: Transport, const R: usize>(
 
 /// The one phase-walk body: participant `t`'s share of `iters` chained
 /// iterations, every step run for each owned rank in turn. Every
-/// handoff between participants crosses `t.sync`: clear → compute (from
+/// handoff between participants crosses `t.sync` (which a team of one
+/// skips): clear → compute (from
 /// the second iteration on, kernels read the `x` others just emitted),
 /// compute → whatever reads those rows next (a fold of another rank,
 /// the emit), and fold → the next writer of a producer's block. A
@@ -319,16 +106,16 @@ fn walk_fixed<T: Transport, const R: usize>(
 // `memcpy` (measured ~25% slower per iteration at r = 1).
 #[allow(clippy::manual_memcpy)]
 #[inline(always)]
-fn phase_walk<T: Transport>(
+fn phase_walk(
     plan: &CompiledPlan,
-    t: &mut T,
+    t: &mut PoolWorker<'_>,
     r: usize,
     iters: usize,
     obs: Option<&ExecTelemetry>,
 ) {
     let my = t.ranks();
     for it in 0..iters {
-        for rk in my.clone() {
+        for &rk in my {
             let ts = span_start(obs);
             t.own(rk).0.fill(0.0);
             span_end(obs, rk, Phase::Gather, ts);
@@ -341,7 +128,7 @@ fn phase_walk<T: Transport>(
             if !folds_here && !matches!(plan.ranks[0].steps[p], RankStep::Compute(_)) {
                 continue;
             }
-            for rk in my.clone() {
+            for &rk in my {
                 match &plan.ranks[rk].steps[p] {
                     RankStep::Compute(kernel) => {
                         let ts = span_start(obs);
@@ -368,7 +155,7 @@ fn phase_walk<T: Transport>(
         // that do not are written as 0.0 at this job's stride, so the
         // caller's block is fully overwritten (and is a whole input for
         // the next chained iteration).
-        for rk in my.clone() {
+        for &rk in my {
             let ts = span_start(obs);
             let rp = &plan.ranks[rk];
             let (y, mut out) = t.own(rk);
@@ -392,13 +179,17 @@ fn phase_walk<T: Transport>(
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use crate::pool::{ParallelEngine, PoolOptions};
     use s2d_core::fig1::{fig1_matrix, fig1_partition};
-    use s2d_spmv::SpmvPlan;
+    use s2d_spmv::{SpmvOperator, SpmvPlan};
 
-    /// A sequential operator over a copy of `cp`, sized for batches of
-    /// up to `width`.
-    pub(crate) fn seq(cp: &CompiledPlan, width: usize) -> CompiledSeqOperator {
-        CompiledSeqOperator::new(cp.clone(), width, None)
+    /// The sequential operator — a team of one — over a copy of `cp`,
+    /// sized for batches of up to `width`.
+    pub(crate) fn seq(cp: &CompiledPlan, width: usize) -> ParallelEngine {
+        ParallelEngine::with_options(
+            cp.clone(),
+            PoolOptions { threads: 1, width, ..PoolOptions::default() },
+        )
     }
 
     fn assert_close(a: &[f64], b: &[f64]) {
@@ -507,7 +298,6 @@ pub(crate) mod tests {
         // feeds row 2: a chained job reads x1 from the word of `y` the
         // emit must have zeroed at *this* job's stride — `y` arrives
         // full of 9.0.
-        use crate::pool::{ParallelEngine, PoolOptions};
         use s2d_core::partition::SpmvPartition;
         use s2d_sparse::Coo;
         let mut m = Coo::new(4, 4);
@@ -535,7 +325,7 @@ pub(crate) mod tests {
                 assert_eq!(got, fresh, "r={r} iters={iters}: reused vs fresh arena");
                 let mut pooled = vec![9.0; 4 * r];
                 pool.apply_batch_iters(&x, &mut pooled, r, iters);
-                assert_eq!(got, pooled, "r={r} iters={iters}: in place vs pool");
+                assert_eq!(got, pooled, "r={r} iters={iters}: team of one vs pool");
             }
         }
     }

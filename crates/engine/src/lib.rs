@@ -7,10 +7,10 @@
 //! shared-memory SpMV practice: pay a one-time compilation cost per
 //! `(matrix, partition)` pair, then run thousands of iterations over
 //! flat, cache-friendly arrays. One compiled program per rank
-//! ([`RankProgram`]), executed by one phase-walk body under two
-//! transports (in place, worker pool) plus the endpoint walker — rather
-//! than one executor per schedule, and one lowering rather than one per
-//! transport: every `x_j` has a single home (its global column) that
+//! ([`RankProgram`]), executed by one phase-walk body on the worker
+//! pool (a team of one for `CompiledSeq`) plus the endpoint walker —
+//! rather than one executor per schedule, and one lowering rather than
+//! one per transport: every `x_j` has a single home (its global column) that
 //! every kernel indexes, every partial sum a slot in one `y` arena.
 //! Ranks that share memory move no expand word and fold by reading the
 //! producer's slot; the endpoint walker runs the same kernels over a
@@ -22,14 +22,13 @@
 //!   SpmvPlan ──CompiledPlan::compile──▶ CompiledPlan (K RankPrograms)
 //!                                          │
 //!                     ┌────────────────────┴───────────────────┐
-//!           the phase-walk body (exec)                 RankProgram::spmv_over
-//!            ┌────────┴──────────┐                   (s2d-runtime endpoints,
-//!   in-place transport     pool transport             one rank per thread,
-//!   (CompiledSeqOperator:  (ParallelEngine:           private x image,
-//!    one thread, one        persistent workers,       payloads:
-//!    arena, no sync)        phase barriers)           EndpointOperator)
-//!            │                    │                           │
-//!            └────────────────────┴───────────┬───────────────┘
+//!          the phase-walk body (exec)                 RankProgram::spmv_over
+//!          on the pool (ParallelEngine:              (s2d-runtime endpoints,
+//!           caller + persistent workers,              one rank per thread,
+//!           phase barriers; CompiledSeq:              private x image,
+//!           a team of one, no barrier)                payloads:
+//!                    │                                EndpointOperator)
+//!                    └────────────────────┬───────────────────┘
 //!                    SpmvOperator::apply / apply_batch / apply_batch_iters
 //! ```
 //!
@@ -40,14 +39,12 @@
 //! * [`formats`] — the kernel storage formats ([`KernelFormat`]):
 //!   CSR slices, SELL-C-σ sorted chunks, dense-span splits, and the
 //!   per-kernel `auto` selection policy;
-//! * [`exec`] — the phase-walk body, its transport seam, and the
-//!   in-place transport's operator, [`CompiledSeqOperator`], which owns
-//!   the `y` arena it reuses across calls;
+//! * `exec` — the phase-walk body, run by every pool participant;
 //! * [`pool`] — the [`ParallelEngine`]: the calling thread plus
-//!   long-lived, park-when-idle workers, each running the same body
-//!   for the ranks it owns over the shared arena,
-//!   `apply_batch_iters(.., n)` for solver loops
-//!   with zero per-iteration allocation;
+//!   long-lived, park-when-idle workers, each running the body for the
+//!   ranks it owns over the shared `y` arena it reuses across calls,
+//!   `apply_batch_iters(.., n)` for solver loops with zero
+//!   per-iteration allocation; a team of one is `CompiledSeq`;
 //! * [`threaded`] — the endpoint walker ([`RankProgram::spmv_over`])
 //!   and [`EndpointOperator`], which runs it on one OS thread per rank.
 //!
@@ -62,7 +59,7 @@
 //! loop: [`CompiledPlan::compile_with`] lowers every compute phase to
 //! the requested [`KernelFormat`], and the format is baked into the
 //! kernel's buffer layout (chunk packing, padding, span tables) —
-//! every executor (sequential operator, worker pool, the solver's
+//! every executor (worker pool at any team size, the solver's
 //! per-rank programs) runs whatever format the plan carries through
 //! the one [`Kernel::run_batch`] entry point.
 //!
@@ -94,9 +91,9 @@
 //!
 //! Every compiled path also runs **blocks** of `r` right-hand sides at
 //! once (`Y = A·X`): [`Kernel::run_batch`], and `apply_batch` /
-//! `apply_batch_iters` on either shared-memory operator — a
-//! [`CompiledSeqOperator`] or a [`ParallelEngine`] — built with a width
-//! of at least `r` (a wider batch grows the operator's buffers once).
+//! `apply_batch_iters` on the shared-memory operator, a
+//! [`ParallelEngine`] of any team size, built with a width of at least
+//! `r` (a wider batch grows the operator's buffers once).
 //! The memory layout is row-major everywhere:
 //!
 //! * global vectors: index `g`, column `q` at `x[g*r + q]` — an `n × r`
@@ -133,7 +130,7 @@
 //! enum: `Backend::build(&plan, &compiled, width, sink)` pays the
 //! remaining setup (buffers, worker threads) once and returns an
 //! operator whose `apply`/`apply_batch` write into caller-owned buffers
-//! with zero steady-state allocation on the in-place and pool drivers.
+//! with zero steady-state allocation on the pool.
 //! That operator interface is the only public way to run a compiled
 //! plan: pay the inspector once, then make one multiply call on one
 //! handle. See the [`backend`] module docs for selection guidance (when the pool beats the
@@ -145,7 +142,7 @@
 
 pub mod backend;
 pub mod compile;
-pub mod exec;
+mod exec;
 pub mod formats;
 pub mod pool;
 pub mod telemetry;
@@ -153,7 +150,6 @@ pub mod threaded;
 
 pub use backend::Backend;
 pub use compile::{CompiledMsg, CompiledPlan, RankProgram, RankStep};
-pub use exec::CompiledSeqOperator;
 pub use formats::{
     CsrKernel, DenseSplitKernel, Kernel, KernelFormat, KernelIsa, KernelStats, SellKernel, NO_LANE,
 };

@@ -5,14 +5,18 @@
 //! participant 0 and `N − 1` long-lived OS threads (spawned once,
 //! parked while the pool is idle) are participants `1..N` — the way an
 //! OpenMP team includes the thread that opened the parallel region.
-//! There are never more runnable threads than the caller asked for, and
-//! a one-participant pool spawns nothing. Running an iteration involves
-//! **no channels, no hashing and no allocation**: the caller writes a
-//! job descriptor, publishes a job epoch, and every participant —
-//! itself included — runs the one phase-walk body (`crate::exec`) as a
-//! `PoolWorker` transport: the ranks it owns, views over the shared `y`
-//! arena and over the job's own `x` and `y`, and a sense-reversing
-//! barrier at every handoff the body marks.
+//! There are never more runnable threads than the caller asked for.
+//! Running an iteration involves **no channels, no hashing and no
+//! allocation**: the caller writes a job descriptor, publishes a job
+//! epoch, and every participant — itself included — runs the one
+//! phase-walk body (`crate::exec`) as a `PoolWorker`: the ranks it
+//! owns, views over the shared `y` arena and over the job's own `x` and
+//! `y`, and a sense-reversing barrier at every handoff the body marks.
+//!
+//! A **team of one** is the sequential backend: [`Backend::CompiledSeq`]
+//! builds a one-participant pool, which spawns no thread, owns every
+//! rank in ascending order and — decided from the team size, not from
+//! an option — crosses no barrier and records no barrier-wait span.
 //!
 //! # Job hand-off
 //!
@@ -48,9 +52,10 @@
 //! `y_off(q) × r .. (y_off(q) + ny(q)) × r`. All mutable state is
 //! reached through `ShBuf` — `UnsafeCell` words behind bounds-checked
 //! range views — in two kinds of view, built in `PoolWorker` (and,
-//! while no job runs, by the first touch each participant gives its own
-//! ranks' blocks before it first arrives at a barrier). Each is a range
-//! that no other participant writes between two barriers, and rests on
+//! while no job runs, by the first touch each participant of a larger
+//! team gives its own ranks' blocks before it first arrives at a
+//! barrier). Each is a range that no other participant writes between
+//! two barriers, and rests on
 //! a spatial invariant (who may touch the range; the quoted
 //! `validate_for_pool` check enforces it) and a temporal one (which
 //! barrier, or the counted completion, orders the handoff):
@@ -126,10 +131,11 @@
 //! # NUMA placement
 //!
 //! The arena is allocated zeroed (untouched pages) and each participant
-//! **first-touches** its ranks' blocks (as laid out at full width)
-//! before its first job (the caller's at construction, on the
-//! constructing thread), so on a first-touch NUMA system the pages land
-//! on the node of the thread that writes them. Optional core
+//! of a larger team **first-touches** its ranks' blocks (as laid out at
+//! full width) before its first job (the caller's at construction, on
+//! the constructing thread), so on a first-touch NUMA system the pages
+//! land on the node of the thread that writes them. A team of one has
+//! no placement to make: its first job touches the pages. Optional core
 //! pinning (`PoolOptions::pin`, CLI `pool:N@pin`) binds spawned worker
 //! `w ≥ 1` to CPU `w` via `sched_setaffinity` on Linux (a no-op
 //! elsewhere), keeping those pages node-local for the pool's lifetime;
@@ -145,7 +151,7 @@ use s2d_spmv::SpmvOperator;
 
 use crate::backend::Backend;
 use crate::compile::{CompiledPlan, RankStep};
-use crate::exec::{align_pad, walk, Region, Transport, ALIGN_SLACK};
+use crate::exec::{align_pad, walk, ALIGN_SLACK};
 use crate::telemetry::{call_end, span_end, span_start, ExecTelemetry};
 
 /// Flat `f64` words shareable across participants, reached only through
@@ -459,23 +465,25 @@ pub struct PoolOptions {
     pub pin: bool,
     /// Optional telemetry sink: participants time their compute /
     /// gather / scatter work per owned rank and their barrier waits —
-    /// the caller's completion wait included — (recorded under each
-    /// participant's first owned rank) into it. Results are
-    /// bitwise identical to an uninstrumented pool.
+    /// the caller's completion wait included; a team of one has none —
+    /// (recorded under each participant's first owned rank) into it.
+    /// Results are bitwise identical to an uninstrumented pool.
     pub sink: Option<Arc<TelemetrySink>>,
+}
+
+/// Stored multiply-adds one step executes per iteration (0 for a
+/// communication step).
+fn step_ops(step: &RankStep) -> u64 {
+    match step {
+        RankStep::Compute(kernel) => kernel.stored_ops() as u64,
+        RankStep::Comm { .. } => 0,
+    }
 }
 
 /// Stored multiply-adds rank `rk` executes per iteration, over all its
 /// compute phases.
 fn rank_ops(plan: &CompiledPlan, rk: usize) -> u64 {
-    plan.ranks[rk]
-        .steps
-        .iter()
-        .map(|step| match step {
-            RankStep::Compute(kernel) => kernel.stored_ops() as u64,
-            RankStep::Comm { .. } => 0,
-        })
-        .sum()
+    plan.ranks[rk].steps.iter().map(step_ops).sum()
 }
 
 /// Rank ownership on `threads` participants: one greedy LPT pass over
@@ -701,9 +709,9 @@ impl ParallelEngine {
         self.shared.width
     }
 
-    /// Spawns participants `1..threads()` and first-touches participant
-    /// 0's blocks on the calling thread — normally the one that will
-    /// execute.
+    /// Spawns participants `1..threads()` and, next to them,
+    /// first-touches participant 0's blocks on the calling thread —
+    /// normally the one that will execute.
     fn spawn(&mut self) {
         self.workers = (1..self.threads())
             .map(|w| {
@@ -714,7 +722,9 @@ impl ParallelEngine {
                     .expect("spawn engine worker")
             })
             .collect();
-        self.shared.first_touch(0);
+        if !self.workers.is_empty() {
+            self.shared.first_touch(0);
+        }
     }
 
     /// Shuts the team down: every worker leaves its idle wait and is
@@ -784,10 +794,12 @@ impl ParallelEngine {
         self.unpark_flagged();
         let outcome = sh.run_share(0);
         // Unconditionally: workers hold views derived from `x` and `y`
-        // until they leave, so this frame must outlive the count.
-        let tw = span_start(sh.obs.as_ref());
+        // until they leave, so this frame must outlive the count. A
+        // team of one waits for nobody and records no wait.
+        let obs = sh.obs.as_ref().filter(|_| !self.workers.is_empty());
+        let tw = span_start(obs);
         sh.ctl.await_done();
-        span_end(sh.obs.as_ref(), sh.assign[0][0], Phase::BarrierWait, tw);
+        span_end(obs, sh.assign[0][0], Phase::BarrierWait, tw);
         if let Err(payload) = outcome {
             std::panic::resume_unwind(payload);
         }
@@ -835,17 +847,25 @@ impl SpmvOperator for ParallelEngine {
         self.run(x, y, r, iters);
     }
 
-    /// Planned stored multiply-adds per participant (index 0 = the
-    /// caller) per iteration: the sum over the ranks it owns. The
+    /// Planned stored multiply-adds per iteration, one row per compute
+    /// phase with one entry per participant (index 0 = the caller): the
+    /// sum over the ranks it owns. Phases are separated by barriers, so
+    /// each row's maximum is what that phase costs. The
     /// rank→participant map is fixed (no work stealing), so planned
     /// load is also the achieved per-iteration load — multiply by
     /// iterations × batch width for executed madds.
-    fn worker_loads(&self) -> Option<Vec<u64>> {
+    fn worker_loads(&self) -> Option<Vec<Vec<u64>>> {
         let sh = &*self.shared;
+        let compute = (0..sh.plan.fold_steps.len())
+            .filter(|&p| matches!(sh.plan.ranks[0].steps[p], RankStep::Compute(_)));
         Some(
-            sh.assign
-                .iter()
-                .map(|ranks| ranks.iter().map(|&rk| rank_ops(&sh.plan, rk)).sum())
+            compute
+                .map(|p| {
+                    let load = |ranks: &Vec<usize>| {
+                        ranks.iter().map(|&rk| step_ops(&sh.plan.ranks[rk].steps[p])).sum()
+                    };
+                    sh.assign.iter().map(load).collect()
+                })
                 .collect(),
         )
     }
@@ -857,11 +877,11 @@ impl Drop for ParallelEngine {
     }
 }
 
-/// One participant's side of the [`Transport`] seam for one job at
-/// batch width `r`: the ranks it owns, range views over the shared
-/// arena and the job's vectors, and the phase barrier. Each view below
-/// names the module invariant it rests on.
-struct PoolWorker<'a> {
+/// One participant's share of one job at batch width `r`, as the
+/// phase-walk body (`crate::exec`) sees it: the ranks it owns, range
+/// views over the shared arena and the job's vectors, and the phase
+/// barrier. Each view below names the module invariant it rests on.
+pub(crate) struct PoolWorker<'a> {
     shared: &'a Shared,
     w: usize,
     /// The job's input block (`ncols × r` words).
@@ -871,76 +891,64 @@ struct PoolWorker<'a> {
     r: usize,
 }
 
-impl PoolWorker<'_> {
+impl<'a> PoolWorker<'a> {
     /// Rank `rk`'s block in the arena buffer: first word and length.
     #[inline(always)]
     fn block(&self, rk: usize) -> (usize, usize) {
         let block = self.shared.plan.ranks[rk].block(self.r);
         (self.shared.pad + block.start, block.len())
     }
-}
 
-/// A shared buffer from word `base` on: the arena past its alignment
-/// pad (view kind 1), the job's `y` from 0 (kind 2).
-struct ShView<'a> {
-    buf: &'a ShBuf,
-    base: usize,
-}
-
-impl Region for ShView<'_> {
+    /// The ranks this participant clears, computes, folds and emits
+    /// for, ascending.
     #[inline(always)]
-    fn region_mut(&mut self, lo: usize, len: usize) -> &mut [f64] {
-        self.buf.region_mut(self.base + lo, len)
+    pub(crate) fn ranks(&self) -> &'a [usize] {
+        &self.shared.assign[self.w]
     }
 
-    /// An own slot exclusively, a producer's slot read-only (disjoint:
-    /// validated), both while no one else writes either.
+    /// Barrier among the participants, recorded under this
+    /// participant's first owned rank as a barrier-wait span when `obs`
+    /// is attached. `true` means a peer died: the caller must return
+    /// without touching any buffer again. A team of one has no peer to
+    /// wait for: it returns at once, touching no atomic and recording
+    /// no span.
     #[inline(always)]
-    fn fold(&mut self, dst: usize, src: usize, r: usize) {
-        let from = self.buf.region(self.base + src, r);
-        for (acc, w) in self.buf.region_mut(self.base + dst, r).iter_mut().zip(from) {
-            *acc += w;
+    pub(crate) fn sync(&mut self, obs: Option<&ExecTelemetry>) -> bool {
+        if self.shared.assign.len() == 1 {
+            return false;
         }
-    }
-}
-
-impl<'s> Transport for PoolWorker<'s> {
-    type Buf<'a>
-        = ShView<'a>
-    where
-        Self: 'a;
-    type Ranks = std::iter::Copied<std::slice::Iter<'s, usize>>;
-
-    #[inline(always)]
-    fn ranks(&self) -> Self::Ranks {
-        self.shared.assign[self.w].iter().copied()
-    }
-
-    /// The wait is recorded under this participant's first owned rank.
-    #[inline(always)]
-    fn sync(&mut self, obs: Option<&ExecTelemetry>) -> bool {
         let t = span_start(obs);
         let poisoned = self.shared.ctl.sync.wait(&self.shared.ctl.poisoned);
         span_end(obs, self.shared.assign[self.w][0], Phase::BarrierWait, t);
         poisoned
     }
 
+    /// Owned rank `rk`'s kernel operands: the `x` home space (the job's
+    /// input on the `first` iteration, its output after) and the rank's
+    /// `y` block, exclusively.
+    ///
     /// View kinds 1 and 2. The home space: nobody writes the job's `x`,
     /// and the job's `y` is written only by emits, a barrier away on
     /// either side. The block: only the rank's owner writes it, and
     /// producers' slots are read in a fold only a barrier later.
     #[inline(always)]
-    fn compute(&mut self, rk: usize, first: bool) -> (&[f64], &mut [f64]) {
+    pub(crate) fn compute(&mut self, rk: usize, first: bool) -> (&[f64], &mut [f64]) {
         let x = if first { self.x } else { self.y.region(0, self.shared.plan.ncols * self.r) };
         let (lo, len) = self.block(rk);
         (x, self.shared.y.region_mut(lo, len))
     }
 
+    /// The whole `y` arena, for folding into owned ranks' slots from
+    /// their producers'.
     #[inline(always)]
-    fn arena(&mut self) -> ShView<'_> {
+    pub(crate) fn arena(&mut self) -> ShView<'_> {
         ShView { buf: &self.shared.y, base: self.shared.pad }
     }
 
+    /// Owned rank `rk`'s `y` block, exclusively (to clear, to emit
+    /// from), and the job's output block, of which the rank writes its
+    /// owned rows.
+    ///
     /// View kinds 1 and 2. The block: only the rank's owner touches
     /// it, but for producers' slots read in a fold, and a barrier
     /// separates every clear and emit from the folds around it. The
@@ -948,9 +956,36 @@ impl<'s> Transport for PoolWorker<'s> {
     /// across participants, and every kernel that read it as its `x`
     /// finished a barrier ago.
     #[inline(always)]
-    fn own(&mut self, rk: usize) -> (&mut [f64], ShView<'_>) {
+    pub(crate) fn own(&mut self, rk: usize) -> (&mut [f64], ShView<'_>) {
         let (lo, len) = self.block(rk);
         (self.shared.y.region_mut(lo, len), ShView { buf: self.y, base: 0 })
+    }
+}
+
+/// A shared buffer from word `base` on: the arena past its alignment
+/// pad (view kind 1), the job's `y` from 0 (kind 2).
+pub(crate) struct ShView<'a> {
+    buf: &'a ShBuf,
+    base: usize,
+}
+
+impl ShView<'_> {
+    /// Words `lo..lo + len`, exclusively; panics when out of bounds.
+    #[inline(always)]
+    pub(crate) fn region_mut(&mut self, lo: usize, len: usize) -> &mut [f64] {
+        self.buf.region_mut(self.base + lo, len)
+    }
+
+    /// `self[dst..dst + r] += self[src..src + r]`: one fold word at
+    /// batch width `r` — an own slot exclusively, a producer's slot
+    /// read-only (disjoint: validated), both while no one else writes
+    /// either.
+    #[inline(always)]
+    pub(crate) fn fold(&mut self, dst: usize, src: usize, r: usize) {
+        let from = self.buf.region(self.base + src, r);
+        for (acc, w) in self.buf.region_mut(self.base + dst, r).iter_mut().zip(from) {
+            *acc += w;
+        }
     }
 }
 
@@ -1038,11 +1073,22 @@ fn worker_loop(shared: &Shared, w: usize) {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::exec::tests::seq;
     use s2d_core::fig1::{fig1_matrix, fig1_partition};
     use s2d_spmv::SpmvPlan;
+
+    /// Words of `engine`'s `y` arena allocation, alignment slack
+    /// included.
+    pub(crate) fn arena_len(engine: &ParallelEngine) -> usize {
+        engine.shared.y.0.len()
+    }
+
+    /// Per-participant multiply-adds over all compute phases.
+    fn totals(engine: &ParallelEngine) -> Vec<u64> {
+        s2d_obs::WorkerLoadReport::new(engine.worker_loads().unwrap()).madds()
+    }
 
     /// Pool with an explicit worker count and batch capacity
     /// (`threads = 0` → default sizing).
@@ -1207,13 +1253,12 @@ mod tests {
 
     #[test]
     fn every_kernel_format_agrees_on_the_pool() {
-        // The pool runs the in-place executor's kernel bodies over the
-        // owners' blocks of the shared arena: every format and ISA, at
-        // every specialized width and the strided fallback, spread over
-        // 1-3 participants, must match the in-place executor bitwise on
-        // the same compiled plan. The dense rows cover most columns, so
-        // the split rows keep runs of at least DENSE_MIN_RUN consecutive
-        // columns.
+        // The pool runs the kernel bodies over the owners' blocks of the
+        // shared arena: every format and ISA, at every specialized width
+        // and the strided fallback, spread over 1-3 participants, must
+        // match a team of one bitwise on the same compiled plan. The
+        // dense rows cover most columns, so the split rows keep runs of
+        // at least DENSE_MIN_RUN consecutive columns.
         use crate::formats::{KernelFormat, KernelIsa};
         use s2d_core::optimal::s2d_optimal;
         use s2d_gen::denserow::{dense_row_matrix, DenseRowConfig};
@@ -1293,11 +1338,11 @@ mod tests {
         // the team size: literal loads and owners.
         let (_a, plan) = crate::exec::tests::square_setup(24, 4);
         let engine = pool(CompiledPlan::compile(&plan), 3, 1);
-        assert_eq!(engine.worker_loads().unwrap(), [18, 18, 34]);
+        assert_eq!(engine.worker_loads().unwrap(), [[0, 0, 0], [18, 18, 34]]);
         assert_eq!(engine.shared.assign, [vec![1], vec![2], vec![0, 3]]);
         let (_a, plan) = crate::exec::tests::square_setup(26, 6);
         let engine = pool(CompiledPlan::compile(&plan), 4, 1);
-        assert_eq!(engine.worker_loads().unwrap(), [29, 17, 15, 15]);
+        assert_eq!(engine.worker_loads().unwrap(), [[0, 0, 0, 0], [29, 17, 15, 15]]);
         assert_eq!(engine.shared.assign, [vec![0, 1], vec![2, 5], vec![3], vec![4]]);
     }
 
@@ -1307,10 +1352,17 @@ mod tests {
         let cp = CompiledPlan::compile(&plan);
         let total = cp.total_ops();
         assert!(total > 0, "test matrix must have work");
-        let loads = pool(cp, 3, 1).worker_loads().unwrap();
+        let loads = totals(&pool(cp, 3, 1));
         assert_eq!(loads.iter().sum::<u64>(), total, "every madd is owned exactly once");
         // max / mean is at least 1.
         assert!(loads.iter().max().unwrap() * loads.len() as u64 >= total);
+        // One row per compute phase, one entry per participant: on
+        // Fig. 1's s2D plan both compute phases carry work.
+        let cp = CompiledPlan::compile(&SpmvPlan::single_phase(&fig1_matrix(), &fig1_partition()));
+        let loads = pool(cp.clone(), 2, 1).worker_loads().unwrap();
+        assert_eq!(loads.iter().map(Vec::len).collect::<Vec<_>>(), [2, 2]);
+        assert!(loads.iter().all(|row| row.iter().sum::<u64>() > 0));
+        assert_eq!(loads.concat().iter().sum::<u64>(), cp.total_ops());
     }
 
     /// A power-law matrix, block-partitioned into `k` parts, as a
@@ -1376,7 +1428,7 @@ mod tests {
                 assert_eq!(stored, cp.total_ops(), "{format}");
             }
             for threads in 1..=4 {
-                let loads = pool(cp.clone(), threads, 1).worker_loads().unwrap();
+                let loads = totals(&pool(cp.clone(), threads, 1));
                 assert_eq!(loads.iter().sum::<u64>(), stored, "{format} threads={threads}");
             }
         }
@@ -1401,7 +1453,7 @@ mod tests {
         let skewed = skewed_plan(8, crate::formats::KernelFormat::Auto);
         let square = CompiledPlan::compile(&crate::exec::tests::square_setup(26, 6).1);
         for (cp, threads) in [(&skewed, 3), (&skewed, 2), (&square, 3)] {
-            let lpt = *pool(cp.clone(), threads, 1).worker_loads().unwrap().iter().max().unwrap();
+            let lpt = *totals(&pool(cp.clone(), threads, 1)).iter().max().unwrap();
             let split = count_split(cp, threads);
             assert!(lpt <= split, "k={} threads={threads}: LPT {lpt} vs count split {split}", cp.k);
         }

@@ -12,21 +12,21 @@
 //! * **compute** — each kernel run: one span per rank and phase;
 //! * **gather** — over endpoints, input seeding plus send staging,
 //!   under the rank whose `x` image is seeded / whose sends are staged.
-//!   The shared-memory transports (in place, pool) seed and stage
-//!   nothing — kernels read `x` where it is — so all that is left here
-//!   is one span per rank and iteration for clearing its `y` block;
+//!   The pool seeds and stages nothing — kernels read `x` where it is —
+//!   so all that is left here is one span per rank and iteration for
+//!   clearing its `y` block;
 //! * **scatter** — fold plus emit, under the receiving / owning rank:
 //!   over endpoints the application of received payloads, on shared
 //!   memory one span per rank and communication step *in which that
 //!   rank receives a partial* (`y[own] += y[producer]`), and on every
-//!   driver one per rank and iteration for the emit of owned rows (the
-//!   in-place and pool drivers share one body, so their per-rank gather
-//!   and scatter span counts are equal);
+//!   driver one per rank and iteration for the emit of owned rows (every
+//!   team size runs one body, so per-rank gather and scatter span counts
+//!   do not depend on it);
 //! * **barrier-wait** — time pool participants waited: the barriers
 //!   (none at a communication step without folds), and the caller's
 //!   wait for the workers to leave the job,
-//!   recorded under the first rank the waiting participant owns (the
-//!   in-place driver has no barrier and records none).
+//!   recorded under the first rank the waiting participant owns (a
+//!   team of one, `CompiledSeq`, has no barrier and records none).
 //!
 //! Instrumentation never touches the numeric path: every walker takes
 //! an `Option<&ExecTelemetry>` and brackets its seeding / kernel /

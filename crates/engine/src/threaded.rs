@@ -20,8 +20,8 @@
 //!   phases need;
 //! * **bitwise determinism under any delivery interleaving** — the
 //!   fold order of partial sums is the plan's `recvs` order, never the
-//!   arrival order, and that is the same order the in-place sequential
-//!   executor and the pool apply. A chaos-delayed run, a quiet run and
+//!   arrival order, and that is the same order the pool applies at
+//!   every team size. A chaos-delayed run, a quiet run and
 //!   a [`Backend::CompiledSeq`](crate::Backend) run of the same
 //!   compiled plan produce the same bits, at every batch width.
 //!

@@ -9,9 +9,7 @@
 //! control thread instead of deadlocking on a barrier.
 
 use s2d_core::optimal::s2d_optimal;
-use s2d_engine::{
-    CompiledPlan, CompiledSeqOperator, Kernel, KernelFormat, ParallelEngine, PoolOptions, RankStep,
-};
+use s2d_engine::{CompiledPlan, Kernel, KernelFormat, ParallelEngine, PoolOptions, RankStep};
 use s2d_gen::rmat::{rmat, RmatConfig};
 use s2d_sparse::Coo;
 use s2d_spmv::{SpmvOperator, SpmvPlan};
@@ -83,7 +81,7 @@ fn identical_results_across_thread_counts() {
     let (n, plan) = holey_mesh_setup();
     let cp = CompiledPlan::compile(&plan);
     assert!(cp.ranks.iter().any(|rp| !rp.y_zero.is_empty()), "needs never-materialized rows");
-    let mut ws = CompiledSeqOperator::new(cp.clone(), 8, None);
+    let mut ws = pool(cp.clone(), 1, 8);
     for threads in [1usize, 2, 4, cores] {
         let mut engine = pool(cp.clone(), threads, 8);
         for iters in [1usize, 3] {

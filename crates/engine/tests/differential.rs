@@ -3,7 +3,7 @@
 //!
 //! One driver builds every [`Backend`] operator over the same plan
 //! (via `Backend::all()` — mailbox interpreter, threaded executor,
-//! compiled sequential workspace, compiled worker pool) and asserts
+//! compiled pool as a team of one, compiled worker pool) and asserts
 //! that every pair agrees on `apply`, and that every backend's
 //! `apply_batch` columns agree with the mailbox oracle — property-
 //! tested over all four plan kinds, K ∈ {1, 2, 4, 7, 16} and batch
@@ -127,7 +127,7 @@ fn differential_check(
         prop_assert_eq!(cpf.total_ops(), plan.total_ops(), "{}/{}: op count drift", kind, format);
         ops.push((
             format!("compiled-seq/{format}"),
-            Box::new(s2d_engine::CompiledSeqOperator::new(cpf, MAX_R, None)),
+            Backend::CompiledSeq.build(&plan, &Arc::new(cpf), MAX_R, None),
         ));
     }
     ops.push((

@@ -5,10 +5,11 @@
 
 #![cfg(target_os = "linux")]
 
+use std::sync::Arc;
 use std::time::Duration;
 
 use s2d_core::fig1::{fig1_matrix, fig1_partition};
-use s2d_engine::{CompiledPlan, ParallelEngine, PoolOptions};
+use s2d_engine::{Backend, CompiledPlan, ParallelEngine, PoolOptions};
 use s2d_spmv::{SpmvOperator, SpmvPlan};
 
 /// `utime + stime` of this process (all its threads), in seconds.
@@ -37,7 +38,8 @@ fn os_threads() -> usize {
 #[test]
 fn an_idle_pool_burns_no_cpu_and_one_participant_spawns_nothing() {
     let a = fig1_matrix();
-    let cp = CompiledPlan::compile(&SpmvPlan::single_phase(&a, &fig1_partition()));
+    let plan = Arc::new(SpmvPlan::single_phase(&a, &fig1_partition()));
+    let cp = CompiledPlan::compile(&plan);
     let x: Vec<f64> = (0..a.ncols()).map(|j| j as f64 - 2.0).collect();
     let mut y = vec![0.0; a.nrows()];
 
@@ -50,6 +52,13 @@ fn an_idle_pool_burns_no_cpu_and_one_participant_spawns_nothing() {
     solo.apply(&x, &mut y);
     assert_eq!(os_threads(), before, "threads: 1 must not spawn");
     drop(solo);
+    // The sequential backend is that team of one.
+    let mut seq = Backend::CompiledSeq.build(&plan, &Arc::new(cp.clone()), 1, None);
+    let mut by_seq = vec![0.0; a.nrows()];
+    seq.apply(&x, &mut by_seq);
+    assert_eq!(by_seq, y);
+    assert_eq!(os_threads(), before, "CompiledSeq must not spawn");
+    drop(seq);
 
     // Three participants = two spawned workers. After a job they spin
     // for a bounded budget and park; 300 ms of idling two spinning (or

@@ -7,9 +7,7 @@
 use proptest::prelude::*;
 use s2d_core::optimal::s2d_optimal;
 use s2d_core::partition::SpmvPartition;
-use s2d_engine::{
-    CompiledPlan, CompiledSeqOperator, EndpointOperator, ParallelEngine, PoolOptions,
-};
+use s2d_engine::{CompiledPlan, EndpointOperator, ParallelEngine, PoolOptions};
 use s2d_gen::powerlaw::power_law;
 use s2d_gen::rmat::{rmat, RmatConfig};
 use s2d_runtime::ChaosConfig;
@@ -90,7 +88,10 @@ proptest! {
                 let want = plan.execute_mailbox(&x);
                 let cp = CompiledPlan::compile(&plan);
                 prop_assert_eq!(cp.total_ops(), plan.total_ops());
-                let mut op = CompiledSeqOperator::new(cp, 1, None);
+                let mut op = ParallelEngine::with_options(
+                    cp,
+                    PoolOptions { threads: 1, width: 1, ..PoolOptions::default() },
+                );
                 let mut y = vec![0.0; a.nrows()];
                 op.apply(&x, &mut y);
                 assert_close(&y, &want, kind)?;
@@ -144,8 +145,11 @@ proptest! {
                     let x: Vec<f64> =
                         (0..r as u64).flat_map(|q| x_for(a.ncols(), xseed + q)).collect();
                     let mut want = vec![0.0; a.nrows() * r];
-                    CompiledSeqOperator::new(std::sync::Arc::clone(&cp), r, None)
-                        .apply_batch(&x, &mut want, r);
+                    ParallelEngine::with_options(
+                        std::sync::Arc::clone(&cp),
+                        PoolOptions { threads: 1, width: r, ..PoolOptions::default() },
+                    )
+                    .apply_batch(&x, &mut want, r);
                     let mut y = vec![f64::NAN; a.nrows() * r];
                     op.apply_batch(&x, &mut y, r);
                     prop_assert_eq!(&y, &want, "{} k={} r={}", kind, k, r);

@@ -17,12 +17,11 @@ use std::sync::Arc;
 
 use s2d_core::optimal::s2d_optimal;
 use s2d_core::partition::SpmvPartition;
-use s2d_engine::{
-    CompiledPlan, CompiledSeqOperator, KernelFormat, KernelIsa, ParallelEngine, PoolOptions,
-};
+use s2d_engine::{Backend, CompiledPlan, KernelFormat, KernelIsa, ParallelEngine, PoolOptions};
 use s2d_gen::fem::fem_like;
 use s2d_gen::powerlaw::power_law;
 use s2d_gen::rmat::{rmat, RmatConfig};
+use s2d_obs::WorkerLoadReport;
 use s2d_sparse::Csr;
 use s2d_spmv::{SpmvOperator, SpmvPlan};
 
@@ -81,7 +80,7 @@ fn isa_choice_is_bitwise_invisible_on_the_sequential_path() {
                     plan.total_ops(),
                     "{name}/{format}/{isa}: ISA must not change op accounting"
                 );
-                let mut op = CompiledSeqOperator::new(cp, MAX_R, None);
+                let mut op = Backend::CompiledSeq.build(&plan, &Arc::new(cp), MAX_R, None);
                 let mut all = Vec::new();
                 for r in RS {
                     let x = block_for(plan.ncols, r, 23);
@@ -136,7 +135,9 @@ fn chunked_pool_is_bitwise_across_threads_chunks_and_repeats() {
         let want = {
             let cp = CompiledPlan::compile_with(&plan, KernelFormat::Auto);
             let mut y = vec![0.0; plan.nrows * 4];
-            CompiledSeqOperator::new(cp, 4, None).apply_batch_iters(&x, &mut y, 4, 3);
+            Backend::CompiledSeq
+                .build(&plan, &Arc::new(cp), 4, None)
+                .apply_batch_iters(&x, &mut y, 4, 3);
             y
         };
         for threads in [1, 2, 3, 4] {
@@ -167,7 +168,8 @@ fn worker_loads_are_conserved_and_surface_through_the_operator() {
         cp.clone(),
         PoolOptions { threads: 3, width: 1, ..PoolOptions::default() },
     );
-    let loads = engine.worker_loads().expect("pool operators report loads");
+    let phases = engine.worker_loads().expect("pool operators report loads");
+    let loads = WorkerLoadReport::new(phases).madds();
     assert_eq!(
         loads.iter().sum::<u64>(),
         total,
@@ -177,11 +179,12 @@ fn worker_loads_are_conserved_and_surface_through_the_operator() {
     // And through the trait object, the way the profile report gets it.
     let op = ParallelEngine::with_options(cp, PoolOptions { threads: 3, ..PoolOptions::default() });
     let loads = (&op as &dyn SpmvOperator).worker_loads().expect("pool operators report loads");
-    assert_eq!(loads.iter().sum::<u64>(), total);
-    // The sequential path has no workers to report.
-    let cp_seq = CompiledPlan::compile(&plan);
-    let seq = CompiledSeqOperator::new(cp_seq, 1, None);
-    assert!((&seq as &dyn SpmvOperator).worker_loads().is_none());
+    assert_eq!(loads.concat().iter().sum::<u64>(), total);
+    // The sequential path is a team of one, holding every phase whole.
+    let seq = Backend::CompiledSeq.build(&plan, &Arc::new(CompiledPlan::compile(&plan)), 1, None);
+    let loads = seq.worker_loads().expect("a team of one reports its loads");
+    assert!(loads.iter().all(|phase| phase.len() == 1), "one participant");
+    assert_eq!(loads.concat().iter().sum::<u64>(), total);
 }
 
 /// A pinned pool (core affinity + first-touch placement) is still

@@ -7,19 +7,18 @@
 //! forwarded and re-aggregated across two phases, and the dense-row
 //! regime walked over real (chaos-delayed) messages by the same
 //! kernels — all held **bitwise** to the mailbox oracle, or, where the
-//! existing suites already pin the in-place driver to it, to
-//! `CompiledSeq`. And the plan stays a distributed-memory plan: an `x`
-//! read before it was sent is still a compile-time "plan bug", and the
-//! pool refuses hand-built folds that would make two participants
-//! touch one slot.
+//! existing suites already pin `CompiledSeq` to it, to `CompiledSeq`.
+//! And the plan stays a distributed-memory plan: an `x` read before it
+//! was sent is still a compile-time "plan bug", and the pool — at every
+//! team size, `CompiledSeq` included — refuses hand-built folds that
+//! would make two participants touch one slot.
 
 use std::sync::Arc;
 
 use s2d_core::fig1::{fig1_matrix, fig1_partition};
 use s2d_core::optimal::s2d_optimal;
 use s2d_engine::{
-    CompiledPlan, CompiledSeqOperator, EndpointOperator, KernelFormat, ParallelEngine, PoolOptions,
-    RankStep,
+    Backend, CompiledPlan, EndpointOperator, KernelFormat, ParallelEngine, PoolOptions, RankStep,
 };
 use s2d_gen::denserow::{dense_row_matrix, DenseRowConfig};
 use s2d_runtime::ChaosConfig;
@@ -86,7 +85,7 @@ fn fold_steps(cp: &CompiledPlan, rk: usize) -> Vec<usize> {
         .collect()
 }
 
-/// In place, on the pool with 1, 2 and 3 participants, and over
+/// As `CompiledSeq`, on the pool with 1, 2 and 3 participants, and over
 /// endpoints, at r ∈ {1, 3, 8} and over 3 chained iterations: every
 /// output equals the mailbox oracle's bit for bit.
 fn assert_every_driver_matches_the_mailbox(plan: SpmvPlan, what: &str) {
@@ -95,7 +94,7 @@ fn assert_every_driver_matches_the_mailbox(plan: SpmvPlan, what: &str) {
     let mut oracle = MailboxOperator::new(Arc::clone(&plan));
     for format in [KernelFormat::CsrSlice, KernelFormat::Auto] {
         let cp = Arc::new(CompiledPlan::compile_with(&plan, format));
-        let mut ws = CompiledSeqOperator::new(Arc::clone(&cp), 8, None);
+        let mut ws = Backend::CompiledSeq.build(&plan, &cp, 8, None);
         let mut pools: Vec<ParallelEngine> = (1..=3)
             .map(|threads| {
                 let opts = PoolOptions { threads, width: 8, ..PoolOptions::default() };
@@ -111,7 +110,7 @@ fn assert_every_driver_matches_the_mailbox(plan: SpmvPlan, what: &str) {
                 oracle.apply_batch_iters(&x, &mut want, r, iters);
                 let mut y = vec![f64::NAN; n * r];
                 ws.apply_batch_iters(&x, &mut y, r, iters);
-                assert_eq!(y, want, "{at}: in place");
+                assert_eq!(y, want, "{at}: compiled-seq");
                 for pool in &mut pools {
                     y.fill(f64::NAN);
                     pool.apply_batch_iters(&x, &mut y, r, iters);
@@ -151,7 +150,7 @@ fn partials_forwarded_across_two_phases_match_the_mailbox() {
     assert_every_driver_matches_the_mailbox(plan, "mesh 2x3");
 }
 
-/// The endpoint walker runs the in-place driver's kernels over a
+/// The endpoint walker runs the pool's kernels over a
 /// private image of the `x` home space: on the dense-row regime at
 /// K = 16, quiet or under delivery delays, it must agree with
 /// `CompiledSeq` bit for bit.
@@ -161,13 +160,13 @@ fn endpoint_walker_under_chaos_equals_compiled_seq_on_dense_rows() {
     let cfg = DenseRowConfig { n, nnz: 8 * n, dmax: n / 2, tail_decay: 0.5, mirror_cols: true };
     let a = dense_row_matrix(&cfg, 9);
     let parts: Vec<u32> = (0..n).map(|i| (i * k / n) as u32).collect();
-    let plan = SpmvPlan::single_phase(&a, &s2d_optimal(&a, &parts, &parts, k));
+    let plan = Arc::new(SpmvPlan::single_phase(&a, &s2d_optimal(&a, &parts, &parts, k)));
     for format in KernelFormat::all() {
         let cp = Arc::new(CompiledPlan::compile_with(&plan, format));
         for r in [1usize, 4] {
             let x = input(n, r);
             let mut want = vec![0.0; n * r];
-            CompiledSeqOperator::new(Arc::clone(&cp), r, None).apply_batch(&x, &mut want, r);
+            Backend::CompiledSeq.build(&plan, &cp, r, None).apply_batch(&x, &mut want, r);
             let configs = std::iter::once(ChaosConfig::off())
                 .chain((0..3).map(|seed| ChaosConfig::with_delays(120, seed)));
             for chaos in configs {
@@ -200,10 +199,15 @@ fn an_x_sent_one_phase_too_late_is_rejected_at_compile_time() {
     let _ = CompiledPlan::compile(&plan);
 }
 
-/// Fig. 1's single-phase plan and, per receiving rank, its first fold
-/// pair: `(rank, step, (source, destination))`.
+/// Fig. 1's single-phase plan.
+fn fig1_plan() -> SpmvPlan {
+    SpmvPlan::single_phase(&fig1_matrix(), &fig1_partition())
+}
+
+/// Fig. 1's single-phase plan compiled and, per receiving rank, its
+/// first fold pair: `(rank, step, (source, destination))`.
 fn fig1_folds() -> (CompiledPlan, Vec<(usize, usize, (u32, u32))>) {
-    let cp = CompiledPlan::compile(&SpmvPlan::single_phase(&fig1_matrix(), &fig1_partition()));
+    let cp = CompiledPlan::compile(&fig1_plan());
     let firsts: Vec<_> = (0..cp.k)
         .filter_map(|rk| {
             cp.ranks[rk].steps.iter().enumerate().find_map(|(p, s)| match s {
@@ -216,15 +220,18 @@ fn fig1_folds() -> (CompiledPlan, Vec<(usize, usize, (u32, u32))>) {
     (cp, firsts)
 }
 
-/// A two-participant pool over `cp` with the source of rank `rk`'s
-/// first fold pair at step `p` overwritten: must refuse to be built.
-fn pool_with_fold_source(mut cp: CompiledPlan, rk: usize, p: usize, src: u32) {
+/// A pool of `backend`'s team size over `cp` with the source of rank
+/// `rk`'s first fold pair at step `p` overwritten: must refuse to be
+/// built.
+fn pool_with_fold_source(backend: Backend, mut cp: CompiledPlan, rk: usize, p: usize, src: u32) {
     match &mut cp.ranks[rk].steps[p] {
         RankStep::Comm { folds, .. } => folds[0].0 = src,
         RankStep::Compute(_) => panic!("not a comm step"),
     }
-    let _ = ParallelEngine::with_options(cp, PoolOptions { threads: 2, ..PoolOptions::default() });
+    let _ = backend.build(&Arc::new(fig1_plan()), &Arc::new(cp), 1, None);
 }
+
+const TWO: Backend = Backend::CompiledPool { threads: 2, pin: false };
 
 /// A receiver's exclusive view of its own slot and its read-only view
 /// of the "producer's" would alias.
@@ -233,7 +240,17 @@ fn pool_with_fold_source(mut cp: CompiledPlan, rk: usize, p: usize, src: u32) {
 fn a_fold_from_the_own_block_is_rejected_by_the_pool() {
     let (cp, firsts) = fig1_folds();
     let (rk, p, (_, dst)) = firsts[0];
-    pool_with_fold_source(cp, rk, p, dst);
+    pool_with_fold_source(TWO, cp, rk, p, dst);
+}
+
+/// The sequential backend is the pool as a team of one: it validates
+/// the hand-built plan like any team and refuses the same fold.
+#[test]
+#[should_panic(expected = "fold source inside the own block")]
+fn a_fold_from_the_own_block_is_rejected_by_compiled_seq() {
+    let (cp, firsts) = fig1_folds();
+    let (rk, p, (_, dst)) = firsts[0];
+    pool_with_fold_source(Backend::CompiledSeq, cp, rk, p, dst);
 }
 
 /// Rank A would read the slot rank B folds into with no barrier between
@@ -246,5 +263,5 @@ fn a_fold_from_a_same_step_destination_is_rejected_by_the_pool() {
     let (cp, firsts) = fig1_folds();
     let ((a, p, _), (_, q, (_, b_dst))) = (firsts[0], firsts[1]);
     assert_eq!(p, q, "single-phase: one comm step");
-    pool_with_fold_source(cp, a, p, b_dst);
+    pool_with_fold_source(TWO, cp, a, p, b_dst);
 }

@@ -205,7 +205,7 @@ fn seq_and_pool_attribute_alike() {
             for rk in 0..K {
                 let (s, p) = (seq.rank(rk), pool.rank(rk));
                 let what = format!("r={r} iters={iters} threads={threads} rank {rk}");
-                assert_eq!(s.spans(Phase::BarrierWait), 0, "{what}: in place never waits");
+                assert_eq!(s.spans(Phase::BarrierWait), 0, "{what}: a team of one never waits");
                 assert_eq!(s.rows(), p.rows(), "{what}: rows");
                 assert_eq!(s.madds(), p.madds(), "{what}: madds");
                 assert_eq!(s.comm_words(), p.comm_words(), "{what}: comm words");

@@ -97,41 +97,50 @@ pub struct ExecutionReport {
 ///
 /// Each pool worker owns whole ranks, fixed at build time and identical
 /// every iteration, so the planned loads *are* the achieved loads — no
-/// per-iteration counters needed. `madds[w]` is the stored work worker
-/// `w` executes per iteration (SELL padding included: it is work the
-/// core performs even though [`RankReport::madds`] never counts it).
+/// per-iteration counters needed. `phases[p][w]` is the stored work
+/// worker `w` executes in compute phase `p` per iteration (SELL padding
+/// included: it is work the core performs even though
+/// [`RankReport::madds`] never counts it).
 #[derive(Clone, Debug, PartialEq)]
 pub struct WorkerLoadReport {
-    /// Multiply-adds executed by each worker per iteration.
-    pub madds: Vec<u64>,
+    /// Multiply-adds executed by each worker per iteration, one row per
+    /// compute phase.
+    pub phases: Vec<Vec<u64>>,
 }
 
 impl WorkerLoadReport {
-    /// Wraps the per-worker load vector.
-    pub fn new(madds: Vec<u64>) -> WorkerLoadReport {
-        WorkerLoadReport { madds }
+    /// Wraps the per-phase, per-worker load table.
+    pub fn new(phases: Vec<Vec<u64>>) -> WorkerLoadReport {
+        WorkerLoadReport { phases }
     }
 
-    /// Planned load imbalance: max/mean worker multiply-adds (1.0 for
-    /// fewer than two workers or an all-zero plan).
+    /// Number of workers.
+    pub fn workers(&self) -> usize {
+        self.phases.first().map_or(0, Vec::len)
+    }
+
+    /// Multiply-adds each worker executes per iteration, over all
+    /// compute phases.
+    pub fn madds(&self) -> Vec<u64> {
+        (0..self.workers()).map(|w| self.phases.iter().map(|row| row[w]).sum()).collect()
+    }
+
+    /// Planned load imbalance: Σ over compute phases of the max worker
+    /// multiply-adds over Σ of the mean (1.0 for fewer than two workers
+    /// or an all-zero plan). Phases are separated by barriers, so a
+    /// worker idle in one phase cannot make up for it in the next.
     pub fn imbalance(&self) -> f64 {
-        if self.madds.len() < 2 {
+        let total: u64 = self.phases.iter().flatten().sum();
+        if self.workers() < 2 || total == 0 {
             return 1.0;
         }
-        let max = *self.madds.iter().max().expect("nonempty") as f64;
-        let mean = self.madds.iter().sum::<u64>() as f64 / self.madds.len() as f64;
-        if mean > 0.0 {
-            max / mean
-        } else {
-            1.0
-        }
+        let max: u64 = self.phases.iter().filter_map(|row| row.iter().max()).sum();
+        max as f64 * self.workers() as f64 / total as f64
     }
 
-    /// One JSON object: the planned imbalance and the load vector.
+    /// One JSON object: the planned imbalance and the per-worker totals.
     pub fn to_json(&self) -> Json {
-        Json::obj()
-            .set("imbalance", Json::fixed(self.imbalance(), 4))
-            .set("madds", self.madds.clone())
+        Json::obj().set("imbalance", Json::fixed(self.imbalance(), 4)).set("madds", self.madds())
     }
 }
 
@@ -363,7 +372,7 @@ impl ExecutionReport {
         if let Some(w) = &self.workers {
             out.push_str(&format!(
                 "workers: {} threads, planned madd imbalance (max/mean): {:.3}\n",
-                w.madds.len(),
+                w.workers(),
                 w.imbalance()
             ));
         }
@@ -523,7 +532,7 @@ mod tests {
         let bare_lines = bare.render().lines().count();
         assert_eq!(bare_json.get("workers"), None, "absent, not null, off the pool path");
 
-        let w = WorkerLoadReport::new(vec![100, 120, 80, 100]);
+        let w = WorkerLoadReport::new(vec![vec![100, 120, 80, 100]]);
         assert!((w.imbalance() - 1.2).abs() < 1e-12, "max 120 over mean 100");
         let rep = bare.clone().with_workers(w);
         let json = reparse(&rep);
@@ -538,8 +547,23 @@ mod tests {
         assert!(text.contains("imbalance (max/mean): 1.200"));
 
         // Degenerate shapes report 1.0, never NaN.
-        assert_eq!(WorkerLoadReport::new(vec![7]).imbalance(), 1.0);
-        assert_eq!(WorkerLoadReport::new(vec![0, 0]).imbalance(), 1.0);
+        assert_eq!(WorkerLoadReport::new(vec![vec![7]]).imbalance(), 1.0);
+        assert_eq!(WorkerLoadReport::new(vec![vec![0, 0]]).imbalance(), 1.0);
+    }
+
+    #[test]
+    fn imbalance_sums_the_phases_a_barrier_separates() {
+        // Balanced totals, unbalanced phases: each phase keeps one
+        // worker idle, so the plan costs twice its mean.
+        let w = WorkerLoadReport::new(vec![vec![10, 0], vec![0, 10]]);
+        assert_eq!(w.madds(), [10, 10]);
+        assert_eq!(w.imbalance(), 2.0);
+        let json = Json::parse(&w.to_json().to_string()).expect("valid JSON");
+        assert_eq!(json.get("madds"), Some(&Json::from(vec![10u64, 10])));
+        assert!((num(&json, &["imbalance"]) - 2.0).abs() < 1e-3);
+        // Σ max 15 + 12 over Σ mean 10 + 8.
+        let w = WorkerLoadReport::new(vec![vec![15, 5], vec![4, 12]]);
+        assert_eq!(w.imbalance(), 1.5);
     }
 
     #[test]

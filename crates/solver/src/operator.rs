@@ -83,7 +83,7 @@ impl<O: SpmvOperator> SpmvOperator for Solo<O> {
         self.0.deterministic()
     }
 
-    fn worker_loads(&self) -> Option<Vec<u64>> {
+    fn worker_loads(&self) -> Option<Vec<Vec<u64>>> {
         self.0.worker_loads()
     }
 }

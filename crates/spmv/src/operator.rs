@@ -95,10 +95,11 @@ pub trait SpmvOperator {
     }
 
     /// Planned compute multiply-adds per internal worker per iteration,
-    /// for backends with a fixed worker schedule (the compiled pool);
-    /// `None` for backends without one. `max/mean` of the returned
-    /// vector is the schedule's compute imbalance.
-    fn worker_loads(&self) -> Option<Vec<u64>> {
+    /// one row per compute phase with one entry per worker, for
+    /// backends with a fixed worker schedule (the compiled pool); `None`
+    /// for backends without one. Σ over phases of each row's max, over
+    /// Σ of each row's mean, is the schedule's compute imbalance.
+    fn worker_loads(&self) -> Option<Vec<Vec<u64>>> {
         None
     }
 }
@@ -131,7 +132,7 @@ impl<O: SpmvOperator + ?Sized> SpmvOperator for &mut O {
         (**self).deterministic()
     }
 
-    fn worker_loads(&self) -> Option<Vec<u64>> {
+    fn worker_loads(&self) -> Option<Vec<Vec<u64>>> {
         (**self).worker_loads()
     }
 }
@@ -161,7 +162,7 @@ impl<O: SpmvOperator + ?Sized> SpmvOperator for Box<O> {
         (**self).deterministic()
     }
 
-    fn worker_loads(&self) -> Option<Vec<u64>> {
+    fn worker_loads(&self) -> Option<Vec<Vec<u64>>> {
         (**self).worker_loads()
     }
 }

@@ -487,16 +487,16 @@ fn format_shortlist(cp: &CompiledPlan) -> Vec<KernelFormat> {
 /// pool once `k > 1` (with one rank it is pure overhead and
 /// [`Backend::auto`] never picks it), at the default sizing, half the
 /// machine and one participant per rank — each team
-/// ([`Backend::participants`]) measured once.
+/// ([`Backend::participants`]) measured once, and a team of one only
+/// as `CompiledSeq`, which is that team.
 fn backend_shortlist(k: usize, cores: usize) -> Vec<Backend> {
     let mut backends = vec![Backend::CompiledSeq];
     if k > 1 {
-        let mut teams: Vec<usize> = Vec::new();
+        let mut teams = vec![Backend::CompiledSeq.participants(k, cores)];
         // `cores / 2` leaves the machine half free (on two cores that
-        // is the caller alone: the pool's schedule without a team); `k`
-        // is one participant per rank uncapped (distinct from the
-        // default only when k > cores — oversubscription sometimes
-        // pays on SMT machines).
+        // is the caller alone: `CompiledSeq`); `k` is one participant
+        // per rank uncapped (distinct from the default only when
+        // k > cores — oversubscription sometimes pays on SMT machines).
         for threads in [0, cores / 2, k] {
             let pool = Backend::CompiledPool { threads, pin: false };
             let team = pool.participants(k, cores);
@@ -517,20 +517,18 @@ mod tests {
     fn backend_shortlist_measures_each_team_once() {
         let pool = |threads| Backend::CompiledPool { threads, pin: false };
         // (k, cores) -> candidates; on 64 cores `pool:32` and `pool:8`
-        // would both run the default's 8 participants.
+        // would both run the default's 8 participants, and `CompiledSeq`
+        // is the team of one that `pool:1` (two cores, halved) and the
+        // default pool on one core would run.
         for (k, cores, want) in [
             (8, 64, vec![Backend::CompiledSeq, pool(0)]),
-            (16, 2, vec![Backend::CompiledSeq, pool(0), pool(1), pool(16)]),
+            (16, 2, vec![Backend::CompiledSeq, pool(0), pool(16)]),
             (1, 8, vec![Backend::CompiledSeq]),
-            (4, 1, vec![Backend::CompiledSeq, pool(0), pool(4)]),
+            (4, 1, vec![Backend::CompiledSeq, pool(4)]),
         ] {
             let got = backend_shortlist(k, cores);
             assert_eq!(got, want, "k={k} cores={cores}");
-            let mut teams: Vec<usize> = got
-                .iter()
-                .filter(|b| matches!(b, Backend::CompiledPool { .. }))
-                .map(|b| b.participants(k, cores))
-                .collect();
+            let mut teams: Vec<usize> = got.iter().map(|b| b.participants(k, cores)).collect();
             let n = teams.len();
             teams.sort_unstable();
             teams.dedup();

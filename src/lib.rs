@@ -24,8 +24,8 @@
 //! * [`spmv`] — the SpMV plan language and the mailbox interpreter (the
 //!   one test oracle).
 //! * [`engine`] — the compiled execution engine (flat-buffer plan
-//!   compiler + one phase-walk body for the compiled rank programs
-//!   under two transports — in place, worker pool — plus the
+//!   compiler + one phase-walk body for the compiled rank programs on
+//!   the worker pool — a team of one for `CompiledSeq` — plus the
 //!   message-passing endpoint walker).
 //! * [`runtime`] — the MPI-like message-passing substrate.
 //! * [`solver`] — CG, Jacobi, power iteration, block power, PageRank.

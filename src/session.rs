@@ -76,7 +76,7 @@ impl<'a> SessionBuilder<'a> {
         self
     }
 
-    /// Let [`Backend::auto`] pick the sequential workspace or the pool
+    /// Let [`Backend::auto`] pick the sequential team of one or a pool
     /// inside [`SessionBuilder::build`], from the compiled plan's op
     /// count and this machine's cores (the CLI's `--engine auto`).
     pub fn auto_backend(mut self) -> Self {
@@ -431,7 +431,7 @@ impl Session {
             match self.operator.worker_loads() {
                 // The pool path: the loads are the planned == achieved
                 // multiply-adds of the fixed rank→worker map.
-                Some(madds) => report.with_workers(WorkerLoadReport::new(madds)),
+                Some(phases) => report.with_workers(WorkerLoadReport::new(phases)),
                 None => report,
             }
         })
@@ -465,7 +465,7 @@ impl SpmvOperator for Session {
         self.operator.deterministic()
     }
 
-    fn worker_loads(&self) -> Option<Vec<u64>> {
+    fn worker_loads(&self) -> Option<Vec<Vec<u64>>> {
         self.operator.worker_loads()
     }
 }
@@ -633,8 +633,11 @@ mod tests {
         assert_eq!((&mut s as &mut dyn SpmvOperator).worker_loads(), want);
         let mut solo = s2d_solver::Solo(prep.session(pool, 1));
         assert_eq!((&mut solo as &mut dyn SpmvOperator).worker_loads(), want);
+        // A team of one holds every phase's whole load.
+        let whole: Vec<Vec<u64>> =
+            want.unwrap().iter().map(|phase| vec![phase.iter().sum()]).collect();
         let mut seq = prep.session(Backend::CompiledSeq, 1);
-        assert_eq!((&mut seq as &mut dyn SpmvOperator).worker_loads(), None);
+        assert_eq!((&mut seq as &mut dyn SpmvOperator).worker_loads(), Some(whole));
     }
 
     #[test]

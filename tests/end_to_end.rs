@@ -147,7 +147,7 @@ fn batched_pipeline_matches_r_independent_serial_spmvs() {
     // pipeline: Y = A·X for an r-column X must equal r independent
     // serial SpMVs, on both the sequential executor and the
     // worker pool, for specialized (2, 8) and generic (3) widths.
-    use s2d::engine::{CompiledPlan, CompiledSeqOperator, ParallelEngine, PoolOptions};
+    use s2d::engine::{CompiledPlan, ParallelEngine, PoolOptions};
     use s2d::SpmvOperator;
     let k = 8;
     for spec in suite_a().into_iter().take(2) {
@@ -171,7 +171,11 @@ fn batched_pipeline_matches_r_independent_serial_spmvs() {
                 })
                 .collect();
             let mut y_seq = vec![0.0; a.nrows() * r];
-            CompiledSeqOperator::new(cp.clone(), r, None).apply_batch(&x, &mut y_seq, r);
+            ParallelEngine::with_options(
+                cp.clone(),
+                PoolOptions { threads: 1, width: r, ..PoolOptions::default() },
+            )
+            .apply_batch(&x, &mut y_seq, r);
             let mut pool = ParallelEngine::with_options(
                 cp.clone(),
                 PoolOptions { width: r, ..PoolOptions::default() },
