@@ -148,10 +148,11 @@ them as SERVE.json (a CI cli-smoke artifact).
 
 `tune` runs the measurement-based autotuner (s2d-tune) on a matrix
 file or a generated R-MAT (--rmat SCALE): it expands the static
-models' shortlist into (strategy x kernel-format x backend x
-batch-width) candidates, times each through the real Session stack,
-and prints the candidate table with the measured winner and the
-models' own pick flagged. --cache persists the verdict in the on-disk
+models' shortlist into (strategy x kernel-format x backend)
+candidates, the pool at no more participants than cores, times every
+one at the --rhs width through the real Session stack, and prints the
+candidate table with the measured winner and the models' own pick
+flagged. --cache persists the verdict in the on-disk
 tuning cache, so the next tune of the same (matrix, k, rhs) — and any
 server started with --tuning-cache pointing at the same file — replays
 it without measuring. --budget fast is the 1-trial smoke budget

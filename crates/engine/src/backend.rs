@@ -113,12 +113,14 @@ impl Backend {
         ]
     }
 
-    /// Short stable label (bench ids, CLI output, test diagnostics).
+    /// Short stable label (bench ids, CLI output, test diagnostics). A
+    /// pool of one participant builds exactly what `CompiledSeq`
+    /// builds, so it is labelled `compiled-seq` too.
     pub fn label(&self) -> &'static str {
         match self {
             Backend::Mailbox => "mailbox",
             Backend::Threaded => "threaded",
-            Backend::CompiledSeq => "compiled-seq",
+            Backend::CompiledSeq | Backend::CompiledPool { threads: 1, .. } => "compiled-seq",
             Backend::CompiledPool { .. } => "compiled-pool",
         }
     }
@@ -249,7 +251,8 @@ impl std::str::FromStr for Backend {
     /// (alias `seq`), `compiled-pool` / `pool` with an optional worker
     /// count as `pool:N` and an optional `@pin` suffix for core
     /// pinning (`pool:4@pin`), and the legacy alias `compiled` for the
-    /// pool.
+    /// pool. A team of one (`pool:1`, with or without `@pin`: the caller
+    /// is never pinned) is `CompiledSeq`.
     fn from_str(s: &str) -> Result<Backend, String> {
         match s {
             "mailbox" => return Ok(Backend::Mailbox),
@@ -270,6 +273,9 @@ impl std::str::FromStr for Backend {
                     let threads: usize = n
                         .parse()
                         .map_err(|_| format!("bad worker count in {s:?} (want pool:N[@pin])"))?;
+                    if threads == 1 {
+                        return Ok(Backend::CompiledSeq);
+                    }
                     return Ok(Backend::CompiledPool { threads, pin });
                 }
                 Err(format!(
@@ -283,7 +289,7 @@ impl std::str::FromStr for Backend {
 impl std::fmt::Display for Backend {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            Backend::CompiledPool { threads, pin } if *threads > 0 || *pin => {
+            Backend::CompiledPool { threads, pin } if *threads != 1 && (*threads > 0 || *pin) => {
                 f.write_str("compiled-pool")?;
                 if *threads > 0 {
                     write!(f, ":{threads}")?;
@@ -410,6 +416,11 @@ mod tests {
             ("pool@pin", Backend::CompiledPool { threads: 0, pin: true }),
             ("pool:4@pin", Backend::CompiledPool { threads: 4, pin: true }),
             ("compiled-pool:2@pin", Backend::CompiledPool { threads: 2, pin: true }),
+            // A team of one is the sequential backend, pinned or not.
+            ("pool:1", Backend::CompiledSeq),
+            ("compiled-pool:1", Backend::CompiledSeq),
+            ("pool:1@pin", Backend::CompiledSeq),
+            ("compiled-pool:1@pin", Backend::CompiledSeq),
         ] {
             assert_eq!(s.parse::<Backend>().unwrap(), want, "{s}");
         }
@@ -427,6 +438,10 @@ mod tests {
             Backend::CompiledPool { threads: 0, pin: true }.to_string(),
             "compiled-pool@pin"
         );
+        for pin in [false, true] {
+            let one = Backend::CompiledPool { threads: 1, pin };
+            assert_eq!((one.label(), one.to_string()), ("compiled-seq", "compiled-seq".into()));
+        }
         for backend in Backend::all() {
             assert_eq!(backend.to_string().parse::<Backend>().unwrap(), backend);
         }

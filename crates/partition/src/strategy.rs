@@ -201,20 +201,32 @@ impl Strategy {
     /// (K ≥ 4 — latency-bound routing starts paying when the α term
     /// dominates) and `s2d-mg` when skewed.
     pub fn auto_pick(a: &Csr, k: usize, cfg: &PartitionerConfig) -> AutoPick {
-        let mut best: Option<(f64, Strategy, SpmvPartition, PartitionQuality)> = None;
-        for s in Strategy::auto_candidates(a, k) {
+        let priced = Strategy::auto_candidates(a, k).into_iter().map(|s| {
             let p = s.partition_with(a, k, cfg);
             let q = PartitionQuality::measure(a, &p, s.to_string());
-            let better = match &best {
-                None => true,
-                Some((t, ..)) => q.alpha_beta_time < *t,
-            };
-            if better {
-                best = Some((q.alpha_beta_time, s, p, q));
-            }
-        }
-        let (_, strategy, partition, quality) = best.expect("candidate set is never empty");
+            ((s, p), q)
+        });
+        let ((strategy, partition), quality) =
+            Strategy::cheapest(priced).expect("candidate set is never empty");
         AutoPick { strategy, partition, quality }
+    }
+
+    /// The model's choice among already-partitioned candidates: the one
+    /// with the cheapest modeled α–β–γ per-iteration time
+    /// ([`PartitionQuality::alpha_beta_time`]), ties to the earlier;
+    /// `None` when there is none. The one pricing rule behind
+    /// [`Strategy::auto_pick`] and the `s2d-tune` model pick, which
+    /// prices the partitions it has prepared anyway.
+    pub fn cheapest<T>(
+        priced: impl IntoIterator<Item = (T, PartitionQuality)>,
+    ) -> Option<(T, PartitionQuality)> {
+        priced.into_iter().reduce(|best, c| {
+            if c.1.alpha_beta_time < best.1.alpha_beta_time {
+                c
+            } else {
+                best
+            }
+        })
     }
 
     /// The matrix-statistics-pruned candidate shortlist behind

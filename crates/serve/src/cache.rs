@@ -17,7 +17,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use s2d::{ConfigKey, KernelFormat, KernelIsa, PlanKind, Prepared, Strategy};
+use s2d::{ConfigKey, KernelFormat, PlanKind, Prepared, Strategy};
 use s2d_obs::ServeStats;
 
 /// Everything that determines a [`Prepared`] artifact (plus the batch
@@ -37,10 +37,6 @@ pub struct PrepKey {
     pub plan_kind: Option<PlanKind>,
     /// Kernel format the plan compiles to.
     pub format: KernelFormat,
-    /// Kernel ISA the plan's batch paths select with (bitwise-neutral,
-    /// but a Scalar preparation must not satisfy an Auto lookup — the
-    /// compiled artifact differs).
-    pub isa: KernelIsa,
 }
 
 struct Entry {
@@ -123,7 +119,6 @@ mod tests {
             strategy: None,
             plan_kind: None,
             format: KernelFormat::CsrSlice,
-            isa: KernelIsa::Auto,
         }
     }
 

@@ -390,14 +390,13 @@ impl Server {
             }
             verdict
         });
-        let (strategy, plan_kind, format, isa, backend) = match tuned {
-            Some(c) => (c.strategy, Some(c.plan_kind), c.format, c.isa, Some(c.backend)),
-            None => (strategy, None, self.config.format, s2d::KernelIsa::Auto, self.config.backend),
+        let (strategy, plan_kind, format, backend) = match tuned {
+            Some(c) => (c.strategy, Some(c.plan_kind), c.format, Some(c.backend)),
+            None => (strategy, None, self.config.format, self.config.backend),
         };
-        let key = PrepKey { key: ckey, strategy: Some(strategy), plan_kind, format, isa };
+        let key = PrepKey { key: ckey, strategy: Some(strategy), plan_kind, format };
         let prep = self.cache.get_or_prepare(key, || {
-            let mut b =
-                Session::builder(a).partitioner(strategy, k).kernel_format(format).kernel_isa(isa);
+            let mut b = Session::builder(a).partitioner(strategy, k).kernel_format(format);
             if let Some(kind) = plan_kind {
                 b = b.plan_kind(kind);
             }

@@ -34,8 +34,10 @@ use crate::tuner::TunedChoice;
 /// of [`Csr::fingerprint`](s2d_sparse::Csr::fingerprint) from
 /// byte-wise FNV-1a to a four-lane word hash — every matrix now keys
 /// differently, so version-3 entries could never be hit again and are
-/// dropped as stale instead of lingering as dead weight.
-pub const TUNER_VERSION: u32 = 4;
+/// dropped as stale instead of lingering as dead weight; 5 dropped the
+/// ISA and winner-width axes (`isa`, `choice_width`): every candidate
+/// now runs the engine's own ISA choice at the workload width.
+pub const TUNER_VERSION: u32 = 5;
 
 /// One measured verdict: for this (matrix, k, width), this
 /// configuration won at this per-application cost.
@@ -120,7 +122,7 @@ impl TuningCache {
         let entries = self
             .entries
             .iter()
-            .map(|e| with_choice(key_json(e.key), &e.choice, "choice_width").set("secs", e.secs));
+            .map(|e| with_choice(key_json(e.key), &e.choice).set("secs", e.secs));
         Json::obj().set("version", TUNER_VERSION).set("entries", entries.collect::<Vec<_>>())
     }
 }
@@ -134,18 +136,12 @@ pub(crate) fn key_json(key: ConfigKey) -> Json {
 /// `obj` plus `c`'s axes. The enum axes are written through their
 /// canonical `Display` labels and read back through `FromStr` — the same
 /// round-trip the CLI flags use, so the cache can never invent a
-/// spelling the rest of the workspace doesn't parse. The width goes
-/// under `width_key`: a cache entry calls it `choice_width`, since the
-/// winner's own batch width may legitimately differ from the workload
-/// width in the key ("serve r requests one at a time" is a measurable
-/// candidate).
-pub(crate) fn with_choice(obj: Json, c: &TunedChoice, width_key: &str) -> Json {
+/// spelling the rest of the workspace doesn't parse.
+pub(crate) fn with_choice(obj: Json, c: &TunedChoice) -> Json {
     obj.set("strategy", c.strategy.to_string())
         .set("plan_kind", c.plan_kind.to_string())
         .set("format", c.format.to_string())
-        .set("isa", c.isa.to_string())
         .set("backend", c.backend.to_string())
-        .set(width_key, c.width)
 }
 
 /// Parses a whole cache file. `None` means "treat as empty": not JSON,
@@ -173,9 +169,7 @@ fn parse_entry(e: &Json) -> Option<CacheEntry> {
             strategy: label("strategy")?.parse().ok()?,
             plan_kind: label("plan_kind")?.parse().ok()?,
             format: label("format")?.parse().ok()?,
-            isa: label("isa")?.parse().ok()?,
             backend: label("backend")?.parse().ok()?,
-            width: int("choice_width")?,
         },
         secs: e.get("secs")?.as_f64()?,
     })
@@ -184,7 +178,7 @@ fn parse_entry(e: &Json) -> Option<CacheEntry> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use s2d::{Backend, KernelFormat, KernelIsa, PlanKind, Strategy};
+    use s2d::{Backend, KernelFormat, PlanKind, Strategy};
 
     fn entry(fp: u64, secs: f64) -> CacheEntry {
         CacheEntry {
@@ -193,9 +187,7 @@ mod tests {
                 strategy: Strategy::OneDRow,
                 plan_kind: PlanKind::TwoPhase,
                 format: KernelFormat::Sell,
-                isa: KernelIsa::Scalar,
                 backend: Backend::CompiledPool { threads: 0, pin: false },
-                width: 1,
             },
             secs,
         }
@@ -237,17 +229,24 @@ mod tests {
     }
 
     /// Every hostile file loads as an empty or partial cache: no panic,
-    /// no abort, and a file written by the previous writer still replays.
+    /// no abort, and a current-version file whose `secs` were written
+    /// as `{:e}` still replays.
     #[test]
     fn hostile_files_load_empty_or_partial() {
         let good = file(&[entry(1, 0.5), entry(2, 0.25)]);
         let max = file(&[entry(u64::MAX, 0.5)]);
         let nines = "9".repeat(400);
         let deep = format!("\"entries\":[{}", "[".repeat(100_000));
-        // The previous writer's exact bytes (`secs` printed with `{:e}`)
-        // under the current version, and a version-3 file, whose
-        // fingerprints came from the retired hash.
+        // A writer's bytes with `secs` printed with `{:e}` under the
+        // current version; the same entry in a version-4 file, which
+        // still carried `isa` and `choice_width`; and a version-3 file,
+        // whose fingerprints came from the retired hash.
         let previous = concat!(
+            r#"{"version":5,"entries":[{"fingerprint":16748617310548547708,"k":8,"width":4,"#,
+            r#""strategy":"1d","plan_kind":"single_phase","format":"auto","#,
+            r#""backend":"compiled-pool:1","secs":8.342e-6}]}"#
+        );
+        let version4 = concat!(
             r#"{"version":4,"entries":[{"fingerprint":16748617310548547708,"k":8,"width":4,"#,
             r#""strategy":"1d","plan_kind":"single_phase","format":"auto","isa":"auto","#,
             r#""backend":"compiled-pool:1","choice_width":4,"secs":8.342e-6}]}"#
@@ -265,7 +264,8 @@ mod tests {
             ("wrong types", good.replace("\"k\":4", "\"k\":\"4\"").replacen("\"1d\"", "7", 1), 0),
             ("wrong type in one entry", good.replacen("\"k\":4", "\"k\":4.0", 1), 1),
             ("previous writer", previous.to_string(), 1),
-            ("version 3", previous.replace("\"version\":4", "\"version\":3"), 0),
+            ("version 4", version4.to_string(), 0),
+            ("version 3", version4.replace("\"version\":4", "\"version\":3"), 0),
         ];
         let path = std::env::temp_dir().join(format!("s2d-hostile-{}.json", std::process::id()));
         let load = |text: &str| {
@@ -279,8 +279,9 @@ mod tests {
         assert_eq!(hit, Some(entry(u64::MAX, 0.5)), "a fingerprint of u64::MAX replays exactly");
         let key = ConfigKey { fingerprint: 16_748_617_310_548_547_708, k: 8, width: 4 };
         let e = *load(previous).lookup(key).expect("the previous format replays");
-        assert_eq!((e.secs, e.choice.strategy, e.choice.width), (8.342e-6, Strategy::OneDRow, 4));
-        assert_eq!(e.choice.backend, Backend::CompiledPool { threads: 1, pin: false });
+        assert_eq!((e.secs, e.choice.strategy), (8.342e-6, Strategy::OneDRow));
+        // `pool:1` is the team of one, so it reads back as `compiled-seq`.
+        assert_eq!(e.choice.backend, Backend::CompiledSeq);
         std::fs::remove_file(&path).ok();
     }
 }

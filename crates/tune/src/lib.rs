@@ -5,10 +5,11 @@
 //! [`Backend::auto`](s2d::Backend::auto)) pick configurations from
 //! *static models*. This crate closes the loop empirically: the
 //! [`Tuner`] builds a model-driven shortlist of (strategy ×
-//! kernel-format × kernel-ISA × backend/thread-count × batch-width)
-//! candidates, micro-benchmarks
-//! each one through the real [`Session`](s2d::Session) stack, and
-//! returns the measured winner as a [`TunedConfig`]. Verdicts persist
+//! kernel format × backend/team size) candidates, micro-benchmarks
+//! every one of them at the workload's batch width through the real
+//! [`Session`](s2d::Session) stack, and returns the measured winner as
+//! a [`TunedConfig`]. The kernel ISA is not an axis: the engine picks
+//! it, and the results are bitwise identical either way. Verdicts persist
 //! in a versioned on-disk [`TuningCache`], so a matrix is tuned once
 //! per (fingerprint, k, width) — every later run, including in other
 //! processes, replays the verdict in microseconds.
@@ -35,7 +36,6 @@
 //!     .partitioner(w.strategy, 4)
 //!     .plan_kind(w.plan_kind)
 //!     .kernel_format(w.format)
-//!     .kernel_isa(w.isa)
 //!     .backend(w.backend)
 //!     .batch_width(8)
 //!     .build();

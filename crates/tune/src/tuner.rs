@@ -8,27 +8,34 @@
 //! models: they embed constants (machine balance, thread-spawn cost,
 //! cache behaviour) that no closed form gets right on every matrix. The
 //! [`Tuner`] uses them for what they are good at — pruning the
-//! configuration space to a shortlist — and then settles the shortlist
-//! the only authoritative way: by running each candidate through the
-//! real [`Session`] stack and timing it best-of-N
+//! configuration space to a short list — and then settles the whole
+//! list the only authoritative way: by running every candidate through
+//! the real [`Session`] stack and timing it best-of-N
 //! ([`s2d_obs::best_of`]). Because the model's own pick is always
 //! in the candidate set, the measured winner can never be slower than
 //! the model's choice (up to timer noise) — measurement only ever
 //! recovers performance the models left on the table.
 //!
+//! The list spans only the axes a static model gets wrong: strategy,
+//! kernel format and backend. The kernel ISA is the engine's own
+//! decision (the AVX2 body is the scalar source, bitwise identical; on
+//! a 2-vCPU AVX2 VM the scalar build was 1.03–1.28× slower in 7 of 8
+//! benchmark-matrix × seq/pool cells), and every candidate serves the
+//! workload's full batch width (r single applies were 2.3–3.7× slower
+//! than one width-r batch in all 8).
+//!
 //! Preparation cost is kept proportional to the *strategy* axis, not
 //! the candidate count: one [`prepare`](s2d::SessionBuilder::prepare)
-//! per strategy (the expensive leg: partitioning + plan construction),
-//! then
+//! per strategy (the expensive leg: partitioning + plan construction,
+//! and the partition the model prices), then
 //! [`Prepared::with_format`] re-lowers kernels per format (cheap) and
-//! [`Prepared::session`] stamps per-backend/width operators (cheaper
-//! still).
+//! [`Prepared::session`] stamps per-backend operators (cheaper still).
 
 use std::path::PathBuf;
 
 use s2d::{
-    Backend, ConfigKey, KernelFormat, KernelIsa, PartitionerConfig, PlanKind, Prepared, Session,
-    Strategy,
+    Backend, ConfigKey, KernelFormat, PartitionQuality, PartitionerConfig, PlanKind, Prepared,
+    Session, Strategy,
 };
 use s2d_engine::CompiledPlan;
 use s2d_obs::{best_of, Json};
@@ -36,9 +43,9 @@ use s2d_sparse::Csr;
 
 use crate::cache::{key_json, with_choice, CacheEntry, TuningCache};
 
-/// How much clock time the search may spend: timing repetitions per
-/// candidate, SpMV iterations per repetition, and a cap on how many
-/// candidates get measured at all.
+/// How much clock time the search may spend on each candidate: timing
+/// repetitions, and SpMV iterations per repetition. Every candidate is
+/// measured.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct TuneBudget {
     /// Timing repetitions per candidate ([`s2d_obs::best_of`]'s
@@ -46,23 +53,19 @@ pub struct TuneBudget {
     pub trials: usize,
     /// SpMV workload applications per repetition.
     pub iters: u32,
-    /// Most candidates measured (the model's own pick is exempt from
-    /// the cap — it is always measured, so the winner-vs-model
-    /// comparison always exists).
-    pub max_candidates: usize,
 }
 
 impl TuneBudget {
     /// The default search effort: enough repetitions for stable
     /// verdicts on micro-second kernels.
     pub fn standard() -> TuneBudget {
-        TuneBudget { trials: 3, iters: 10, max_candidates: 16 }
+        TuneBudget { trials: 3, iters: 10 }
     }
 
-    /// A smoke-test budget: one trial, two iterations, few candidates —
+    /// A smoke-test budget: one trial of two iterations per candidate —
     /// exercises every code path in CI without measurement quality.
     pub fn fast() -> TuneBudget {
-        TuneBudget { trials: 1, iters: 2, max_candidates: 6 }
+        TuneBudget { trials: 1, iters: 2 }
     }
 }
 
@@ -76,34 +79,20 @@ pub struct TunedChoice {
     pub plan_kind: PlanKind,
     /// Kernel format the plan compiles to.
     pub format: KernelFormat,
-    /// Kernel ISA the batch paths select with. Bitwise-neutral (the
-    /// SIMD lanes map to the batch dimension), so it is a pure speed
-    /// axis; `scalar` is only shortlisted where AVX2 exists to compare
-    /// against.
-    pub isa: KernelIsa,
-    /// Execution backend. The pool's thread count is part of this axis:
-    /// the shortlist tries the default worker count, half the machine,
-    /// and one-per-rank where those differ.
+    /// Execution backend. The pool's team size is part of this axis:
+    /// the shortlist tries the default team and half the machine where
+    /// those differ.
     pub backend: Backend,
-    /// Batch width the candidate serves the workload at. Usually the
-    /// workload width; a `1` here means "r separate single-RHS applies
-    /// beat one width-r batch" (real on cache-thrashing widths).
-    pub width: usize,
 }
 
 impl std::fmt::Display for TunedChoice {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "{}/{}/{}/{}/{}/w{}",
-            self.strategy, self.plan_kind, self.format, self.isa, self.backend, self.width
-        )
+        write!(f, "{}/{}/{}/{}", self.strategy, self.plan_kind, self.format, self.backend)
     }
 }
 
 /// One candidate's timing: seconds per workload application (one
-/// width-r batch, or r single applies for width-1 candidates — the
-/// denominators match, so the numbers compare directly).
+/// batch at the workload width).
 #[derive(Clone, Copy, Debug)]
 pub struct Measurement {
     /// The configuration measured.
@@ -172,7 +161,7 @@ impl TunedConfig {
         by_time.sort_by(|x, y| x.secs.total_cmp(&y.secs));
         out.push_str(&format!(
             "{:<50} {:>12} {:>10}\n",
-            "candidate (strategy/plan/format/isa/backend/width)", "µs/apply", "vs winner"
+            "candidate (strategy/plan/format/backend)", "µs/apply", "vs winner"
         ));
         for m in by_time {
             let mark = if m.choice == self.winner {
@@ -197,7 +186,7 @@ impl TunedConfig {
     /// The verdict as one JSON object; the key and every choice are
     /// spelled as in the [`TuningCache`] file.
     pub fn to_json(&self) -> Json {
-        let choice = |c: &TunedChoice| with_choice(Json::obj(), c, "width");
+        let choice = |c: &TunedChoice| with_choice(Json::obj(), c);
         let measurements = self
             .measurements
             .iter()
@@ -272,15 +261,12 @@ impl<'a> Tuner<'a> {
         self
     }
 
-    /// The deterministic candidate shortlist the search will measure
-    /// (before the budget's cap): every strategy the cost model would
-    /// consider × the formats the compile-time row statistics shortlist
-    /// × the kernel ISAs worth comparing (auto vs. forced-scalar, on
-    /// AVX2 machines only) × sequential/pooled execution (the pool at
-    /// the deduplicated thread-count shortlist) × batched/unbatched
-    /// service.
-    /// Exposed for inspection and tests; [`Tuner::run`] measures
-    /// exactly these.
+    /// The deterministic candidate list the search measures, every
+    /// entry once: every strategy the cost model would consider × the
+    /// formats the compile-time row statistics shortlist × sequential
+    /// and pooled execution (the pool at each distinct team size no
+    /// larger than the core count). Exposed for inspection and tests;
+    /// [`Tuner::run`] measures exactly these.
     pub fn candidates(&self) -> Vec<TunedChoice> {
         self.expand().1.into_iter().map(|(c, _)| c).collect()
     }
@@ -313,134 +299,79 @@ impl<'a> Tuner<'a> {
         tuned
     }
 
-    /// The model-driven candidate set: the shared [`Prepared`]
-    /// artifacts plus each choice paired with the index of the one it
-    /// runs on. Deterministic: the strategy shortlist is a pure
-    /// function of matrix structure, the format shortlist of
-    /// compile-time statistics, and the iteration order is fixed.
-    fn expand(&self) -> (Vec<Prepared>, Vec<(TunedChoice, usize)>) {
+    /// The search space: the shared [`Prepared`] artifacts, each
+    /// candidate paired with the index of the one it runs on, and the
+    /// static models' combined pick. Deterministic: the strategy
+    /// shortlist is a pure function of matrix structure, the format
+    /// shortlist of compile-time statistics, and the iteration order is
+    /// fixed.
+    ///
+    /// The model's strategy is [`Strategy::cheapest`] over the
+    /// partitions prepared here (the rule [`Strategy::auto_pick`]
+    /// applies to partitions of its own); its format is Auto and its
+    /// backend [`Backend::auto`]'s pick, which is always in the backend
+    /// shortlist — so the model pick is always a candidate.
+    fn expand(&self) -> (Vec<Prepared>, Vec<(TunedChoice, usize)>, TunedChoice) {
         let mut preps: Vec<Prepared> = Vec::new();
         let mut cands: Vec<(TunedChoice, usize)> = Vec::new();
-        let widths: Vec<usize> = if self.width > 1 { vec![self.width, 1] } else { vec![1] };
-        // The ISA axis only exists where there are two ISAs to compare:
-        // off-AVX2 machines Auto *is* scalar, so measuring both would
-        // time the same code twice.
-        let isas: Vec<KernelIsa> = if KernelIsa::avx2_available() {
-            vec![KernelIsa::Auto, KernelIsa::Scalar]
-        } else {
-            vec![KernelIsa::Auto]
-        };
+        let mut priced = Vec::new();
         let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
         let backends = backend_shortlist(self.k, cores);
-        for s in Strategy::auto_candidates(self.a, self.k) {
-            let base = self.prepare(s, KernelFormat::Auto);
-            let kind = base.plan_kind();
+        for strategy in Strategy::auto_candidates(self.a, self.k) {
+            let base = Session::builder(self.a)
+                .partitioner(strategy, self.k)
+                .partitioner_config(self.cfg)
+                .kernel_format(KernelFormat::Auto)
+                .prepare();
+            let (plan_kind, base_idx) = (base.plan_kind(), preps.len());
+            let quality = PartitionQuality::measure_plan(
+                self.a,
+                base.partition(),
+                plan_kind,
+                base.plan(),
+                strategy.to_string(),
+            );
+            priced.push(((strategy, plan_kind, base_idx), quality));
             let formats = format_shortlist(base.compiled());
-            let base_idx = preps.len();
             preps.push(base);
-            for f in formats {
-                let fmt_idx = if f == KernelFormat::Auto {
+            for format in formats {
+                let idx = if format == KernelFormat::Auto {
                     base_idx
                 } else {
-                    let lowered = preps[base_idx].with_format(f);
+                    let lowered = preps[base_idx].with_format(format);
                     preps.push(lowered);
                     preps.len() - 1
                 };
-                for &isa in &isas {
-                    let idx = if isa == KernelIsa::Auto {
-                        fmt_idx
-                    } else {
-                        // Re-lowering under another ISA is the cheap
-                        // leg, like `with_format`.
-                        let relowered = preps[fmt_idx].with_isa(isa);
-                        preps.push(relowered);
-                        preps.len() - 1
-                    };
-                    for &backend in &backends {
-                        for &width in &widths {
-                            cands.push((
-                                TunedChoice {
-                                    strategy: s,
-                                    plan_kind: kind,
-                                    format: f,
-                                    isa,
-                                    backend,
-                                    width,
-                                },
-                                idx,
-                            ));
-                        }
-                    }
+                for &backend in &backends {
+                    cands.push((TunedChoice { strategy, plan_kind, format, backend }, idx));
                 }
             }
         }
-        (preps, cands)
-    }
-
-    fn prepare(&self, strategy: Strategy, format: KernelFormat) -> Prepared {
-        Session::builder(self.a)
-            .partitioner(strategy, self.k)
-            .partitioner_config(self.cfg)
-            .kernel_format(format)
-            .prepare()
+        let ((strategy, plan_kind, idx), _) =
+            Strategy::cheapest(priced).expect("the strategy shortlist is never empty");
+        let backend = Backend::auto(preps[idx].compiled());
+        let model = TunedChoice { strategy, plan_kind, format: KernelFormat::Auto, backend };
+        (preps, cands, model)
     }
 
     fn search(&self, key: ConfigKey) -> TunedConfig {
         let r = self.width;
-        let (preps, mut cands) = self.expand();
-
-        // The static models' combined pick for this workload — always
-        // kept in the measured set, whatever the candidate cap says.
-        // Its strategy is in the shortlist by construction (`auto_pick`
-        // minimizes over `auto_candidates`), Auto format and the full
-        // workload width are always expanded, and `Backend::auto`'s
-        // pick is in the backend shortlist — so this scan always finds
-        // it.
-        let model_strategy = Strategy::auto_pick(self.a, self.k, &self.cfg).strategy;
-        let model_pos = cands
+        let (preps, cands, model) = self.expand();
+        // Deterministic width-r row-major workload block.
+        let x: Vec<f64> = (0..self.a.ncols() * r).map(|i| 0.25 * ((i % 23) as f64) - 2.0).collect();
+        let mut y = vec![0.0; self.a.nrows() * r];
+        let measurements: Vec<Measurement> = cands
             .iter()
-            .position(|(c, idx)| {
-                c.strategy == model_strategy
-                    && c.format == KernelFormat::Auto
-                    && c.isa == KernelIsa::Auto
-                    && c.width == r
-                    && c.backend == Backend::auto(preps[*idx].compiled())
-            })
-            .expect("the model pick is always a candidate");
-        let model_cand = cands[model_pos];
-        cands.truncate(self.budget.max_candidates.max(1));
-        if !cands.contains(&model_cand) {
-            cands.push(model_cand);
-        }
-        let model = model_cand.0;
-
-        // Deterministic workload block: width-r row-major input, plus
-        // its columns pre-extracted for width-1 candidates.
-        let (nrows, ncols) = (self.a.nrows(), self.a.ncols());
-        let x: Vec<f64> = (0..ncols * r).map(|i| 0.25 * ((i % 23) as f64) - 2.0).collect();
-        let cols: Vec<Vec<f64>> =
-            (0..r).map(|q| (0..ncols).map(|j| x[j * r + q]).collect()).collect();
-
-        let mut measurements = Vec::with_capacity(cands.len());
-        for (choice, idx) in &cands {
-            let mut session = preps[*idx].session(choice.backend, choice.width);
-            let secs = if choice.width == r {
-                let mut y = vec![0.0; nrows * r];
-                best_of(self.budget.trials, self.budget.iters, || {
+            .map(|&(choice, idx)| {
+                let mut session = preps[idx].session(choice.backend, r);
+                let secs = best_of(self.budget.trials, self.budget.iters, || {
                     session.apply_batch(&x, &mut y, r)
-                })
-            } else {
-                let mut y = vec![0.0; nrows];
-                best_of(self.budget.trials, self.budget.iters, || {
-                    for xq in &cols {
-                        session.apply(xq, &mut y);
-                    }
-                })
-            };
-            measurements.push(Measurement { choice: *choice, secs: secs.as_secs_f64() });
-        }
+                });
+                Measurement { choice, secs: secs.as_secs_f64() }
+            })
+            .collect();
 
-        let winner = measurements
+        let winner = *measurements
             .iter()
             .min_by(|x, y| x.secs.total_cmp(&y.secs))
             .expect("candidate set is never empty");
@@ -455,7 +386,7 @@ impl<'a> Tuner<'a> {
             winner_secs: winner.secs,
             model,
             model_secs,
-            measurements: measurements.clone(),
+            measurements,
             cache_hit: false,
         }
     }
@@ -483,27 +414,21 @@ fn format_shortlist(cp: &CompiledPlan) -> Vec<KernelFormat> {
     formats
 }
 
-/// Backends worth measuring on `cores` CPUs: sequential always; the
-/// pool once `k > 1` (with one rank it is pure overhead and
-/// [`Backend::auto`] never picks it), at the default sizing, half the
-/// machine and one participant per rank — each team
-/// ([`Backend::participants`]) measured once, and a team of one only
-/// as `CompiledSeq`, which is that team.
+/// Backends worth measuring on `cores` CPUs: sequential always, and
+/// the pool at the default sizing and at half the machine — each team
+/// ([`Backend::participants`]) measured once and none larger than
+/// `cores`. A team of one is measured only as `CompiledSeq`, which is
+/// that team, so with one rank or one core the pool is not measured
+/// (it is pure overhead there, and [`Backend::auto`] never picks it).
 fn backend_shortlist(k: usize, cores: usize) -> Vec<Backend> {
     let mut backends = vec![Backend::CompiledSeq];
-    if k > 1 {
-        let mut teams = vec![Backend::CompiledSeq.participants(k, cores)];
-        // `cores / 2` leaves the machine half free (on two cores that
-        // is the caller alone: `CompiledSeq`); `k` is one participant
-        // per rank uncapped (distinct from the default only when
-        // k > cores — oversubscription sometimes pays on SMT machines).
-        for threads in [0, cores / 2, k] {
-            let pool = Backend::CompiledPool { threads, pin: false };
-            let team = pool.participants(k, cores);
-            if !teams.contains(&team) {
-                teams.push(team);
-                backends.push(pool);
-            }
+    // `cores / 2` leaves the machine half free (on two cores that is
+    // the caller alone: `CompiledSeq`).
+    for threads in [0, cores / 2] {
+        let pool = Backend::CompiledPool { threads, pin: false };
+        let team = pool.participants(k, cores);
+        if backends.iter().all(|b| b.participants(k, cores) != team) {
+            backends.push(pool);
         }
     }
     backends
@@ -522,13 +447,15 @@ mod tests {
         // default pool on one core would run.
         for (k, cores, want) in [
             (8, 64, vec![Backend::CompiledSeq, pool(0)]),
-            (16, 2, vec![Backend::CompiledSeq, pool(0), pool(16)]),
+            (16, 2, vec![Backend::CompiledSeq, pool(0)]),
+            (16, 8, vec![Backend::CompiledSeq, pool(0), pool(4)]),
             (1, 8, vec![Backend::CompiledSeq]),
-            (4, 1, vec![Backend::CompiledSeq, pool(4)]),
+            (4, 1, vec![Backend::CompiledSeq]),
         ] {
             let got = backend_shortlist(k, cores);
             assert_eq!(got, want, "k={k} cores={cores}");
             let mut teams: Vec<usize> = got.iter().map(|b| b.participants(k, cores)).collect();
+            assert!(teams.iter().all(|&t| t <= cores), "k={k} cores={cores}: oversubscribed");
             let n = teams.len();
             teams.sort_unstable();
             teams.dedup();

@@ -1,9 +1,10 @@
-//! Tuning acceptance tests: cache round-trip and degradation, and
-//! verdict determinism.
+//! Tuning acceptance tests: cache round-trip and degradation, verdict
+//! determinism, and the search's coverage of its own candidate list.
 
 use std::path::PathBuf;
 
-use s2d::Strategy;
+use s2d::{Backend, KernelFormat, PartitionerConfig, Strategy};
+use s2d_gen::fem::fem_like;
 use s2d_gen::rmat::{rmat, RmatConfig};
 use s2d_obs::Json;
 use s2d_sparse::Csr;
@@ -69,15 +70,19 @@ fn version_mismatch_discards_stale_verdicts() {
     let first = Tuner::new(&a, 2).budget(TuneBudget::fast()).cache(&path).run();
     assert!(!first.cache_hit);
 
-    // Doctor the file to a future format version, and to a version-2
-    // file whose verdict spells its format `sell:2:256`: either way the
-    // whole file is discarded by its version, never half-parsed, and
-    // the cache must act empty.
+    // Doctor the file to a future format version, to a version-4 file
+    // whose verdict still carries the retired `isa` and `choice_width`
+    // fields, and to a version-2 file whose verdict spells its format
+    // `sell:2:256`: either way the whole file is discarded by its
+    // version, never half-parsed, and the cache must act empty.
     let body = std::fs::read_to_string(&path).expect("stored cache");
     let current = format!("\"version\":{TUNER_VERSION}");
     let format = format!("\"format\":\"{}\"", first.winner.format);
+    let backend = format!("\"backend\":\"{}\"", first.winner.backend);
     for stale in [
         body.replace(&current, "\"version\":9999"),
+        body.replace(&current, "\"version\":4")
+            .replace(&backend, &format!("\"isa\":\"auto\",{backend},\"choice_width\":1")),
         body.replace(&current, "\"version\":2").replace(&format, "\"format\":\"sell:2:256\""),
     ] {
         assert_ne!(body, stale, "the version field must be present to doctor");
@@ -100,12 +105,10 @@ fn candidate_shortlist_is_deterministic_and_spans_every_axis() {
     for s in Strategy::auto_candidates(&a, 4) {
         assert!(cands.iter().any(|c| c.strategy == s), "missing strategy {s}");
     }
-    // Both service widths (one width-4 batch vs. 4 single applies) and
-    // both backends are represented.
-    assert!(cands.iter().any(|c| c.width == 4) && cands.iter().any(|c| c.width == 1));
+    // Both backends are represented.
     assert!(
-        cands.iter().any(|c| c.backend == s2d::Backend::CompiledSeq)
-            && cands.iter().any(|c| c.backend != s2d::Backend::CompiledSeq)
+        cands.iter().any(|c| c.backend == Backend::CompiledSeq)
+            && cands.iter().any(|c| c.backend != Backend::CompiledSeq)
     );
 }
 
@@ -133,4 +136,55 @@ fn verdicts_render_and_serialize() {
         Some(&*verdict.winner.strategy.to_string())
     );
     assert_eq!(json.get("winner_secs").and_then(Json::as_f64), Some(verdict.winner_secs));
+}
+
+/// True when `v` holds some value twice.
+fn has_duplicates<T: PartialEq>(v: &[T]) -> bool {
+    v.iter().enumerate().any(|(i, x)| v[..i].contains(x))
+}
+
+#[test]
+fn fast_search_measures_every_candidate_once() {
+    let a = test_matrix(7);
+    let tuner = || Tuner::new(&a, 4).width(4).budget(TuneBudget::fast());
+    let cands = tuner().candidates();
+    assert!(!has_duplicates(&cands), "a candidate is listed twice");
+    let verdict = tuner().run();
+    let measured: Vec<_> = verdict.measurements.iter().map(|m| m.choice).collect();
+    assert_eq!(measured, cands, "the search measures its whole list, in order");
+    assert!(measured.contains(&verdict.model), "model pick {} is not measured", verdict.model);
+    assert!(measured.contains(&verdict.winner));
+}
+
+#[test]
+fn model_pick_prices_the_prepared_partitions_like_auto_pick() {
+    // R-MAT is skewed (its shortlist adds `s2d-gen`, `2d` and `s2d-mg`);
+    // the 3D stencil is not.
+    let skewed = test_matrix(7);
+    let plain = fem_like(512, 7.0, 7, 1);
+    let k = 4;
+    assert!(
+        Strategy::auto_candidates(&skewed, k).len() > Strategy::auto_candidates(&plain, k).len(),
+        "one matrix must be skewed and the other not"
+    );
+    for a in [&skewed, &plain] {
+        let verdict = Tuner::new(a, k).budget(TuneBudget::fast()).run();
+        let pick = Strategy::auto_pick(a, k, &PartitionerConfig::default());
+        assert_eq!(verdict.model.strategy, pick.strategy);
+        assert_eq!(verdict.model.format, KernelFormat::Auto);
+    }
+}
+
+#[test]
+fn no_candidate_oversubscribes_the_machine() {
+    let a = test_matrix(8);
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    // k = 16 ranks exceed the core count of most machines, so one
+    // participant per rank would oversubscribe them.
+    let k = 16;
+    for c in Tuner::new(&a, k).candidates() {
+        let team = c.backend.participants(k, cores);
+        assert!(team <= cores, "{c}: {team} participants on {cores} cores");
+        assert!(team > 1 || c.backend == Backend::CompiledSeq, "{c}: a team of one is seq");
+    }
 }
