@@ -10,7 +10,7 @@ use s2d_gen::rmat::{rmat, RmatConfig};
 use s2d_gen::{suite_a, suite_b, Scale};
 use s2d_obs::{Json, ServeSnapshot, SCHEMA_VERSION};
 use s2d_partition::quality::{fmt_quality_row, quality_header};
-use s2d_partition::{PartitionQuality, Partitioner, PartitionerConfig, Strategy};
+use s2d_partition::{PartitionQuality, PartitionerConfig, Strategy};
 use s2d_serve::{ServeError, Server, ServerConfig, SessionId};
 use s2d_sim::MachineModel;
 use s2d_sparse::{read_matrix_market_file, write_matrix_market_file, Csr, MatrixStats};
@@ -212,10 +212,13 @@ pub(crate) fn write_artifact(path: &str, body: Json, depth: usize) {
 }
 
 fn load_matrix(path: &str) -> Csr {
-    match read_matrix_market_file(path) {
-        Ok(coo) => coo.to_csr(),
-        Err(e) => fail(format!("cannot read {path}: {e}")),
-    }
+    read_matrix_market_file(path)
+        .unwrap_or_else(|e| fail(format!("cannot read {path}: {e}")))
+        .to_csr()
+}
+
+fn load_partition(path: &str) -> SpmvPartition {
+    read_partition_file(path).unwrap_or_else(|e| fail(format!("cannot read {path}: {e}")))
 }
 
 fn cmd_gen(args: &Args) {
@@ -280,10 +283,22 @@ fn cmd_partition(args: &Args) {
     }
 }
 
-/// Parses `method` into a [`Strategy`] (exiting on unknown names),
-/// partitions, and measures the quality. For `auto` the quality's
-/// strategy label reports the concrete winner, and the measurement
-/// `auto_pick` already made is reused rather than repeated.
+/// Parses `method` into a [`Strategy`] that can partition `a`, or
+/// exits with a diagnostic: on an unknown name, and on a square-only
+/// method ([`Strategy::requires_square`]) for a rectangular matrix.
+fn strategy_for(a: &Csr, method: &str) -> Strategy {
+    let strategy: Strategy = method.parse().unwrap_or_else(|e| fail(e));
+    let (m, n) = (a.nrows(), a.ncols());
+    if strategy.requires_square() && m != n {
+        fail(format!("method {method} requires a square matrix, not {m}x{n}"));
+    }
+    strategy
+}
+
+/// Partitions by `method` ([`strategy_for`]) and measures the quality.
+/// For `auto` the quality's strategy label reports the concrete winner,
+/// and the measurement `auto_pick` already made is reused rather than
+/// repeated.
 fn build_partition_measured(
     a: &Csr,
     method: &str,
@@ -291,10 +306,7 @@ fn build_partition_measured(
     epsilon: f64,
     seed: u64,
 ) -> (SpmvPartition, PartitionQuality) {
-    let strategy: Strategy = match method.parse() {
-        Ok(s) => s,
-        Err(e) => fail(e),
-    };
+    let strategy = strategy_for(a, method);
     let cfg = PartitionerConfig { epsilon, seed };
     if strategy == Strategy::Auto {
         let pick = Strategy::auto_pick(a, k, &cfg);
@@ -306,38 +318,24 @@ fn build_partition_measured(
     }
 }
 
-/// Builds a partition by method name — shared by `partition`, `spmv
-/// --partitioner` and tests. Every name of the unified [`Strategy`]
-/// enum is accepted (including the legacy spellings).
-pub fn build_partition(a: &Csr, method: &str, k: usize, epsilon: f64, seed: u64) -> SpmvPartition {
-    let strategy: Strategy = match method.parse() {
-        Ok(s) => s,
-        Err(e) => fail(e),
-    };
-    strategy.partition_with(a, k, &PartitionerConfig { epsilon, seed })
+/// Partitions by `method` ([`strategy_for`]), for `spmv` / `profile
+/// --partitioner`.
+fn build_partition(a: &Csr, method: &str, k: usize, epsilon: f64, seed: u64) -> SpmvPartition {
+    strategy_for(a, method).partition_with(a, k, &PartitionerConfig { epsilon, seed })
 }
 
 /// Resolves the `--alg` name to a plan kind; `auto` is `None`, the
 /// best legal kind, decided while the plan is built
 /// ([`PlanKind::build_auto`]).
 fn kind_for(alg: &str) -> Option<PlanKind> {
-    if alg == "auto" {
-        return None;
-    }
-    match alg.parse::<PlanKind>() {
-        Ok(kind) => Some(kind),
-        Err(e) => fail(e),
-    }
+    (alg != "auto").then(|| alg.parse().unwrap_or_else(|e| fail(e)))
 }
 
 fn cmd_analyze(args: &Args) {
     let mpath = args.positional.get(1).unwrap_or_else(|| fail("analyze requires a matrix file"));
     let ppath = args.positional.get(2).unwrap_or_else(|| fail("analyze requires a partition file"));
     let a = load_matrix(mpath);
-    let p = match read_partition_file(ppath) {
-        Ok(p) => p,
-        Err(e) => fail(format!("cannot read {ppath}: {e}")),
-    };
+    let p = load_partition(ppath);
     p.assert_shape(&a);
     let alg = args.get_or("alg", "auto");
     let (kind, plan) = match kind_for(alg) {
@@ -438,10 +436,7 @@ fn cmd_analyze(args: &Args) {
 fn partition_arg(args: &Args, a: &Csr) -> SpmvPartition {
     let p = match (args.positional.get(2), args.get("partitioner")) {
         (Some(_), Some(_)) => fail("give either a partition file or --partitioner, not both"),
-        (Some(ppath), None) => match read_partition_file(ppath) {
-            Ok(p) => p,
-            Err(e) => fail(format!("cannot read {ppath}: {e}")),
-        },
+        (Some(ppath), None) => load_partition(ppath),
         (None, Some(method)) => {
             let k = args.parse_or("k", 16usize);
             let epsilon = args.parse_or("epsilon", 0.03f64);
@@ -693,10 +688,7 @@ fn cmd_serve(args: &Args) {
     let mpath = args.positional.get(1).unwrap_or_else(|| fail("serve requires a matrix file"));
     let a = load_matrix(mpath);
     let method = args.get_or("partitioner", "s2d");
-    let strategy: Strategy = match method.parse() {
-        Ok(s) => s,
-        Err(e) => fail(e),
-    };
+    let strategy = strategy_for(&a, method);
     let k = args.parse_or("k", 16usize);
     let clients = args.parse_or("clients", 4usize);
     let per_client = args.parse_or("requests", 32usize);
@@ -711,10 +703,8 @@ fn cmd_serve(args: &Args) {
         "auto" => None,
         name => Some(name.parse().unwrap_or_else(|e| fail(e))),
     };
-    let format: KernelFormat = match args.get_or("kernel-format", "auto").parse() {
-        Ok(f) => f,
-        Err(e) => fail(e),
-    };
+    let format: KernelFormat =
+        args.get_or("kernel-format", "auto").parse().unwrap_or_else(|e| fail(e));
     let sharded = args.has("sharded");
     let config = ServerConfig {
         backend,

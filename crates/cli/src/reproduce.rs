@@ -2,9 +2,10 @@
 //! views over one quality sweep.
 //!
 //! A *cell* is `(suite matrix, K, seed, method)`, a method being
-//! `(label, how the partition is built, plan kind)`. Every distinct
-//! cell the selected tables need is partitioned once through
-//! [`Strategy::partition_with`] and priced once through
+//! `(label, how the partition is built, plan kind)`. The builds of each
+//! `(matrix, K, seed)` the selected tables need are partitioned together
+//! in one [`Strategy::partition_all`] call, so the 1D rowwise run they
+//! refine is made once, and every distinct cell is priced once through
 //! [`PartitionQuality::measure_plan`]; the tables ([`tables::TABLES`])
 //! are data — which cells, which columns, the paper's reference rows
 //! and a list of expectations the runner parses and evaluates. The
@@ -23,10 +24,9 @@ use s2d_core::fig1::{fig1_matrix, fig1_partition};
 use s2d_core::heuristic::{s2d_from_vector_partition, HeuristicConfig};
 use s2d_core::heuristic2::{s2d_generalized, Heuristic2Config};
 use s2d_core::mesh::mesh_dims;
-use s2d_core::partition::SpmvPartition;
 use s2d_gen::{suite_a, suite_b, MatrixSpec, Scale};
 use s2d_obs::Json;
-use s2d_partition::{PartitionQuality, Partitioner, PartitionerConfig, Strategy};
+use s2d_partition::{PartitionQuality, PartitionerConfig, Strategy};
 use s2d_sim::{simulate_on_torus, TorusModel};
 use s2d_sparse::{Csr, MatrixStats};
 use s2d_spmv::plan::volume_matches_eq3;
@@ -212,45 +212,46 @@ fn naive_mesh_volume(reqs: &CommRequirements, k: usize) -> u64 {
         .sum()
 }
 
-/// Partitions and prices every needed cell of one matrix. The
-/// partitions of one `(K, seed)` are kept while its cells are priced;
-/// its `1d` entry doubles as the vector partition the `@ε` builds
-/// start from.
-fn sweep_matrix(a: &Csr, key: MatrixKey, needs: &BTreeSet<Need>, cells: &mut Cells) {
-    let mut parts: BTreeMap<&str, SpmvPartition> = BTreeMap::new();
-    let mut parts_of = (0, 0);
-    for &need in needs {
+/// Partitions and prices every cell that `keys` (names of the one
+/// matrix `a`) need. The builds of one `(K, seed)` are partitioned
+/// together and kept while its cells are priced: the strategies in one
+/// [`Strategy::partition_all`] call, and each `@ε` build from that
+/// call's `1d` entry.
+fn sweep_matrix(a: &Csr, keys: &[(MatrixKey, BTreeSet<Need>)], cells: &mut Cells) {
+    let needs: BTreeSet<Need> = keys.iter().flat_map(|(_, needs)| needs).copied().collect();
+    let (mut parts, mut parts_of) = (BTreeMap::new(), None);
+    for &need in &needs {
         let (k, seed, build, plan) = need;
-        if parts_of != (k, seed) {
+        if parts_of != Some((k, seed)) {
+            parts_of = Some((k, seed));
+            let builds = needs.iter().filter(|n| (n.0, n.1) == (k, seed)).map(|n| n.2);
+            let (refined, mut named): (BTreeSet<&str>, BTreeSet<&str>) =
+                builds.partition(|b| b.contains('@'));
+            if !refined.is_empty() {
+                named.insert("1d");
+            }
+            let strategies: Vec<Strategy> =
+                named.iter().map(|b| b.parse().expect("table methods are strategies")).collect();
+            let cfg = PartitionerConfig { epsilon: 0.03, seed };
             parts.clear();
-            parts_of = (k, seed);
-        }
-        let cfg = PartitionerConfig { epsilon: 0.03, seed };
-        if !parts.contains_key(build) {
-            let p = match build.split_once('@') {
-                None => {
-                    let strategy: Strategy = build.parse().expect("table methods are strategies");
-                    strategy.partition_with(a, k, &cfg)
-                }
-                Some((alg, epsilon)) => {
-                    let epsilon = epsilon.parse().expect("a load tolerance");
-                    let v = parts
-                        .entry("1d")
-                        .or_insert_with(|| Strategy::OneDRow.partition_with(a, k, &cfg));
-                    match alg {
-                        "s2d" => {
-                            let cfg = HeuristicConfig { epsilon, ..Default::default() };
-                            s2d_from_vector_partition(a, &v.y_part, &v.x_part, &cfg)
-                        }
-                        "s2d-gen" => {
-                            let cfg = Heuristic2Config { epsilon, ..Default::default() };
-                            s2d_generalized(a, &v.y_part, &v.x_part, k, &cfg)
-                        }
-                        other => panic!("{other}@E is not a build (s2d@E | s2d-gen@E)"),
+            parts.extend(named.into_iter().zip(Strategy::partition_all(&strategies, a, k, &cfg)));
+            for build in refined {
+                let (alg, epsilon) = build.split_once('@').expect("a refined build");
+                let epsilon = epsilon.parse().expect("a load tolerance");
+                let v = &parts["1d"];
+                let p = match alg {
+                    "s2d" => {
+                        let cfg = HeuristicConfig { epsilon, ..Default::default() };
+                        s2d_from_vector_partition(a, &v.y_part, &v.x_part, &cfg)
                     }
-                }
-            };
-            parts.insert(build, p);
+                    "s2d-gen" => {
+                        let cfg = Heuristic2Config { epsilon, ..Default::default() };
+                        s2d_generalized(a, &v.y_part, &v.x_part, k, &cfg)
+                    }
+                    other => panic!("{other}@E is not a build (s2d@E | s2d-gen@E)"),
+                };
+                parts.insert(build, p);
+            }
         }
         let p = &parts[build];
         let (kind, built_plan) = match plan {
@@ -270,7 +271,9 @@ fn sweep_matrix(a: &Csr, key: MatrixKey, needs: &BTreeSet<Need>, cells: &mut Cel
                 .then(|| naive_mesh_volume(&comm_requirements(a, p), k)),
             eq3: (kind == PlanKind::SinglePhase).then(|| volume_matches_eq3(a, p, &built_plan)),
         };
-        cells.insert((key, need), cell);
+        for (key, _) in keys.iter().filter(|(_, needs)| needs.contains(&need)) {
+            cells.insert((*key, need), cell.clone());
+        }
     }
 }
 
@@ -294,14 +297,23 @@ fn needs_of(
 }
 
 /// Generates every matrix the selections touch and runs each distinct
-/// cell once.
+/// cell once. Keys whose matrices share a fingerprint (`c-big` and
+/// `ASIC_680k` of both suites, at `tiny`) are swept as one matrix, which
+/// is generated again for its sweep, so only one is held at a time.
 fn sweep(selections: &[Selection], opts: &Opts) -> (BTreeMap<MatrixKey, MatrixStats>, Cells) {
     let (mut stats, mut cells) = (BTreeMap::new(), Cells::new());
+    let mut matrices: BTreeMap<u64, (MatrixSpec, Vec<(MatrixKey, BTreeSet<Need>)>)> =
+        BTreeMap::new();
     for (key, (spec, needs)) in needs_of(selections, opts.seeds) {
-        eprintln!("reproduce: {:?}/{}: {} cells", key.0, key.1, needs.len());
         let a = spec.generate(opts.scale, 1);
         stats.insert(key, MatrixStats::of(&a));
-        sweep_matrix(&a, key, &needs, &mut cells);
+        matrices.entry(a.fingerprint()).or_insert((spec, Vec::new())).1.push((key, needs));
+    }
+    for (spec, keys) in matrices.into_values() {
+        for ((suite, name), needs) in &keys {
+            eprintln!("reproduce: {suite:?}/{name}: {} cells", needs.len());
+        }
+        sweep_matrix(&spec.generate(opts.scale, 1), &keys, &mut cells);
     }
     (stats, cells)
 }
@@ -816,7 +828,8 @@ mod tests {
     fn specs_name_only_their_tables_methods_and_known_columns() {
         let fig1 = (Suite::A, "fig1");
         let mut probe = Cells::new();
-        sweep_matrix(&fig1_matrix(), fig1, &BTreeSet::from([(3, 1, "1d", "mesh")]), &mut probe);
+        let needs = BTreeSet::from([(3, 1, "1d", "mesh")]);
+        sweep_matrix(&fig1_matrix(), &[(fig1, needs)], &mut probe);
         let probe = probe.pop_first().expect("one cell").1;
         for t in &TABLES {
             let sel = Selection::new(t, &tiny());

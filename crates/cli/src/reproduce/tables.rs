@@ -10,9 +10,10 @@ use super::View::{Figure1, Properties, Rows};
 use super::{Check, Expectation, Scope, Table};
 use s2d_gen::Scale;
 
-// Methods are spelled `[label=]build[:plan]`. 1D and s2D share the 1D
-// run's vector partition, so they share communication patterns; s2D-b
-// is the s2D nonzero partition rerouted over the `Pr × Pc` mesh.
+// Methods are spelled `[label=]build[:plan]`. 1D and s2D share one 1D
+// run's vector partition (`Strategy::partition_all`), so they share
+// communication patterns; s2D-b is the s2D nonzero partition rerouted
+// over the `Pr × Pc` mesh.
 
 const fn e(id: &'static str, scope: Scope, check: Check) -> Expectation {
     Expectation { id, scope, check }

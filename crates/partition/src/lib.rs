@@ -1,6 +1,5 @@
 //! The unified partitioner layer: one [`Strategy`] enum over the
-//! paper's semi-2D methods and every baseline, behind one
-//! [`Partitioner`] trait.
+//! paper's semi-2D methods and every baseline.
 //!
 //! The paper's contribution *is* the partitioning — semi-2D splitting
 //! of dense rows against 1D and 2D baselines — yet historically the
@@ -15,10 +14,9 @@
 //! * [`Strategy`] — every partitioning method as one enum variant, with
 //!   `FromStr`/`Display`/[`Strategy::all`] so sessions, the CLI, the
 //!   benches and the conformance suites sweep the same set; adding a
-//!   partitioner means adding a variant and an arm.
-//! * [`Partitioner`] — the one-method trait (`partition(&Csr, k)`)
-//!   every strategy implements; custom partitioners slot in beside the
-//!   built-ins.
+//!   partitioner means adding a variant and an arm. Strategies that
+//!   start from the 1D rowwise vector partition share one run of it
+//!   inside one [`Strategy::partition_all`] call.
 //! * [`PartitionQuality`] — the paper's reporting columns (communication
 //!   volume, load imbalance, message counts, phase counts) priced
 //!   through the `s2d-sim` α–β–γ and LogGP machine models.
@@ -32,4 +30,4 @@ pub mod quality;
 pub mod strategy;
 
 pub use quality::PartitionQuality;
-pub use strategy::{AutoPick, Partitioner, PartitionerConfig, S2dVariant, Strategy};
+pub use strategy::{AutoPick, PartitionerConfig, S2dVariant, Strategy};

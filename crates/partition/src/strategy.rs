@@ -1,6 +1,6 @@
-//! The [`Strategy`] enum and the [`Partitioner`] trait.
+//! The [`Strategy`] enum: every partitioning method as one value.
 
-use s2d_baselines::oned::majority_col_owner;
+use s2d_baselines::oned::{majority_col_owner, OnedPartition};
 use s2d_baselines::{
     partition_1d_b, partition_1d_colwise, partition_1d_rowwise, partition_2d_fine_grain,
     partition_checkerboard, partition_s2d_mg,
@@ -34,29 +34,6 @@ impl Default for PartitionerConfig {
     }
 }
 
-/// A partitioning method: matrix + processor count in, full data
-/// partition out. Every [`Strategy`] variant implements this; custom
-/// partitioners slot in beside the built-ins (sessions and solvers only
-/// see the produced [`SpmvPartition`]).
-pub trait Partitioner {
-    /// Short stable label (bench ids, CLI output, JSON reports).
-    fn label(&self) -> String;
-
-    /// Partitions `a` over `k` processors with explicit knobs.
-    ///
-    /// # Panics
-    /// Panics when the method's structural prerequisites fail (the
-    /// mesh-shaped baselines and the iterative refinement require a
-    /// square matrix — see [`Strategy::requires_square`]).
-    fn partition_with(&self, a: &Csr, k: usize, cfg: &PartitionerConfig) -> SpmvPartition;
-
-    /// Partitions `a` over `k` processors with the default knobs
-    /// (ε = 3%, seed 1).
-    fn partition(&self, a: &Csr, k: usize) -> SpmvPartition {
-        self.partition_with(a, k, &PartitionerConfig::default())
-    }
-}
-
 /// Which semi-2D split refines the 1D-induced vector partition —
 /// the deduplicated `heuristic`/`heuristic2` surface (both run the
 /// shared sweep engine in `s2d_core::sweep`; see the module docs there
@@ -76,27 +53,6 @@ pub enum S2dVariant {
     /// Alternating vector/nonzero refinement (Section VII outlook);
     /// square matrices only.
     Iterative,
-}
-
-impl S2dVariant {
-    /// Every variant, in sweep order.
-    pub fn all() -> [S2dVariant; 4] {
-        [
-            S2dVariant::Algorithm1,
-            S2dVariant::Generalized,
-            S2dVariant::Optimal,
-            S2dVariant::Iterative,
-        ]
-    }
-
-    fn label(&self) -> &'static str {
-        match self {
-            S2dVariant::Algorithm1 => "s2d",
-            S2dVariant::Generalized => "s2d-gen",
-            S2dVariant::Optimal => "s2d-opt",
-            S2dVariant::Iterative => "s2d-it",
-        }
-    }
 }
 
 /// Every partitioning method in the workspace as one selectable value.
@@ -150,9 +106,12 @@ impl Strategy {
 
     /// Every concrete strategy (everything but [`Strategy::Auto`]).
     pub fn fixed() -> Vec<Strategy> {
-        let mut v: Vec<Strategy> =
-            S2dVariant::all().into_iter().map(|variant| Strategy::SemiTwoD { variant }).collect();
-        v.extend([
+        let s2d = |variant| Strategy::SemiTwoD { variant };
+        vec![
+            s2d(S2dVariant::Algorithm1),
+            s2d(S2dVariant::Generalized),
+            s2d(S2dVariant::Optimal),
+            s2d(S2dVariant::Iterative),
             Strategy::OneDRow,
             Strategy::OneDCol,
             Strategy::Checkerboard,
@@ -160,8 +119,7 @@ impl Strategy {
             Strategy::MediumGrain,
             Strategy::Boman,
             Strategy::HypergraphKway,
-        ]);
-        v
+        ]
     }
 
     /// True when the produced partition is guaranteed to satisfy the
@@ -189,26 +147,123 @@ impl Strategy {
         )
     }
 
-    /// Runs the auto-selection and reports what won and why: matrix
-    /// statistics prune [`Strategy::fixed`] down to a candidate
-    /// shortlist, each candidate partitions the matrix, and the α–β–γ
-    /// model prices each one's best legal plan; the cheapest modeled
-    /// per-iteration time wins (ties to the earlier candidate).
+    /// Partitions `a` over `k` processors with explicit knobs.
     ///
-    /// The shortlist always contains `1d` and `s2d`; dense-row/skewed
-    /// matrices add `s2d-gen` and `2d` (1D row balance collapses
-    /// there); square matrices add `2d-b` once the mesh is nontrivial
-    /// (K ≥ 4 — latency-bound routing starts paying when the α term
-    /// dominates) and `s2d-mg` when skewed.
+    /// # Panics
+    /// Panics when [`Strategy::requires_square`] holds and `a` is not
+    /// square.
+    pub fn partition_with(&self, a: &Csr, k: usize, cfg: &PartitionerConfig) -> SpmvPartition {
+        self.partition_reusing(a, k, cfg, &mut None)
+    }
+
+    /// Partitions `a` over `k` processors with the default knobs
+    /// (ε = 3%, seed 1).
+    pub fn partition(&self, a: &Csr, k: usize) -> SpmvPartition {
+        self.partition_with(a, k, &PartitionerConfig::default())
+    }
+
+    /// Partitions `a` with each of `strategies`: entry `i` is exactly
+    /// `strategies[i].partition_with(a, k, cfg)`, but the strategies
+    /// that start from the 1D rowwise vector partition (`1d`, `s2d*`,
+    /// `1d-b`, `auto`'s candidates) share one run of it.
+    ///
+    /// # Panics
+    /// As [`Strategy::partition_with`], for any of `strategies`.
+    pub fn partition_all(
+        strategies: &[Strategy],
+        a: &Csr,
+        k: usize,
+        cfg: &PartitionerConfig,
+    ) -> Vec<SpmvPartition> {
+        let mut oned = None;
+        strategies.iter().map(|s| s.partition_reusing(a, k, cfg, &mut oned)).collect()
+    }
+
+    /// Runs the auto-selection and reports what won and why: matrix
+    /// statistics prune [`Strategy::fixed`] down to the
+    /// [`Strategy::auto_candidates`] shortlist, which is partitioned as
+    /// by [`Strategy::partition_all`] (one 1D rowwise run for `1d`,
+    /// `s2d` and `s2d-gen`), and the α–β–γ model prices each
+    /// candidate's best legal plan; the cheapest modeled per-iteration
+    /// time wins (ties to the earlier candidate).
     pub fn auto_pick(a: &Csr, k: usize, cfg: &PartitionerConfig) -> AutoPick {
+        Strategy::pick(a, k, cfg, &mut None)
+    }
+
+    /// [`Strategy::auto_pick`], sharing `oned` (see
+    /// [`Strategy::partition_reusing`]).
+    fn pick(
+        a: &Csr,
+        k: usize,
+        cfg: &PartitionerConfig,
+        oned: &mut Option<OnedPartition>,
+    ) -> AutoPick {
         let priced = Strategy::auto_candidates(a, k).into_iter().map(|s| {
-            let p = s.partition_with(a, k, cfg);
+            let p = s.partition_reusing(a, k, cfg, oned);
             let q = PartitionQuality::measure(a, &p, s.to_string());
             ((s, p), q)
         });
         let ((strategy, partition), quality) =
             Strategy::cheapest(priced).expect("candidate set is never empty");
         AutoPick { strategy, partition, quality }
+    }
+
+    /// [`Strategy::partition_with`], taking the 1D rowwise partition
+    /// from `oned` and leaving it there on first need: `oned` is `None`
+    /// or the 1D rowwise partition of `(a, k, cfg)`.
+    fn partition_reusing(
+        &self,
+        a: &Csr,
+        k: usize,
+        cfg: &PartitionerConfig,
+        oned: &mut Option<OnedPartition>,
+    ) -> SpmvPartition {
+        let square = a.nrows() == a.ncols();
+        assert!(square || !self.requires_square(), "{self} requires a square matrix");
+        let (eps, seed) = (cfg.epsilon, cfg.seed);
+        let rowwise = || partition_1d_rowwise(a, k, eps, seed);
+        match *self {
+            Strategy::SemiTwoD { variant } => {
+                let v = oned.get_or_insert_with(rowwise);
+                match variant {
+                    S2dVariant::Algorithm1 => s2d_heuristic_kway(
+                        a,
+                        &v.row_part,
+                        &v.col_part,
+                        k,
+                        &HeuristicConfig { epsilon: eps, ..Default::default() },
+                    ),
+                    S2dVariant::Generalized => s2d_generalized(
+                        a,
+                        &v.row_part,
+                        &v.col_part,
+                        k,
+                        &Heuristic2Config { epsilon: eps, ..Default::default() },
+                    ),
+                    S2dVariant::Optimal => s2d_optimal(a, &v.row_part, &v.col_part, k),
+                    S2dVariant::Iterative => {
+                        let inner = Heuristic2Config { epsilon: eps, ..Default::default() };
+                        let cfg = IterateConfig { inner, ..Default::default() };
+                        iterate_s2d(a, &v.row_part, k, &cfg).partition
+                    }
+                }
+            }
+            Strategy::OneDRow => oned.get_or_insert_with(rowwise).partition.clone(),
+            Strategy::OneDCol => partition_1d_colwise(a, k, eps, seed).partition,
+            Strategy::Checkerboard => partition_checkerboard(a, k, eps, seed).partition,
+            Strategy::FineGrain => partition_2d_fine_grain(a, k, eps, seed),
+            Strategy::MediumGrain => partition_s2d_mg(a, k, eps, seed),
+            Strategy::Boman => partition_1d_b(a, &oned.get_or_insert_with(rowwise).row_part, k),
+            Strategy::HypergraphKway => {
+                let hg = column_net_model(a, false);
+                let kcfg = PartitionConfig { epsilon: eps, seed };
+                let row_part = partition_kway(&hg, k, &kcfg).parts;
+                let col_part =
+                    if square { row_part.clone() } else { majority_col_owner(a, &row_part, k) };
+                SpmvPartition::rowwise(a, row_part, col_part, k)
+            }
+            Strategy::Auto => Strategy::pick(a, k, cfg, oned).partition,
+        }
     }
 
     /// The model's choice among already-partitioned candidates: the one
@@ -236,7 +291,8 @@ impl Strategy {
     /// empty: `1d` and `s2d` are always present; dense-row/skewed
     /// matrices add `s2d-gen` and `2d` (1D row balance collapses
     /// there); square matrices add `2d-b` once the mesh is nontrivial
-    /// (K ≥ 4) and `s2d-mg` when skewed.
+    /// (K ≥ 4 — latency-bound routing starts paying when the α term
+    /// dominates) and `s2d-mg` when skewed.
     pub fn auto_candidates(a: &Csr, k: usize) -> Vec<Strategy> {
         let stats = MatrixStats::of(a);
         let square = a.nrows() == a.ncols();
@@ -270,68 +326,6 @@ pub struct AutoPick {
     pub quality: PartitionQuality,
 }
 
-impl Partitioner for Strategy {
-    fn label(&self) -> String {
-        self.to_string()
-    }
-
-    fn partition_with(&self, a: &Csr, k: usize, cfg: &PartitionerConfig) -> SpmvPartition {
-        let (eps, seed) = (cfg.epsilon, cfg.seed);
-        match *self {
-            Strategy::SemiTwoD { variant } => {
-                let oned = partition_1d_rowwise(a, k, eps, seed);
-                match variant {
-                    S2dVariant::Algorithm1 => s2d_heuristic_kway(
-                        a,
-                        &oned.row_part,
-                        &oned.col_part,
-                        k,
-                        &HeuristicConfig { epsilon: eps, ..Default::default() },
-                    ),
-                    S2dVariant::Generalized => s2d_generalized(
-                        a,
-                        &oned.row_part,
-                        &oned.col_part,
-                        k,
-                        &Heuristic2Config { epsilon: eps, ..Default::default() },
-                    ),
-                    S2dVariant::Optimal => s2d_optimal(a, &oned.row_part, &oned.col_part, k),
-                    S2dVariant::Iterative => {
-                        assert_eq!(
-                            a.nrows(),
-                            a.ncols(),
-                            "s2d-it requires a square matrix (symmetric refinement)"
-                        );
-                        let inner = Heuristic2Config { epsilon: eps, ..Default::default() };
-                        let cfg = IterateConfig { inner, ..Default::default() };
-                        iterate_s2d(a, &oned.row_part, k, &cfg).partition
-                    }
-                }
-            }
-            Strategy::OneDRow => partition_1d_rowwise(a, k, eps, seed).partition,
-            Strategy::OneDCol => partition_1d_colwise(a, k, eps, seed).partition,
-            Strategy::Checkerboard => partition_checkerboard(a, k, eps, seed).partition,
-            Strategy::FineGrain => partition_2d_fine_grain(a, k, eps, seed),
-            Strategy::MediumGrain => partition_s2d_mg(a, k, eps, seed),
-            Strategy::Boman => {
-                assert_eq!(a.nrows(), a.ncols(), "1d-b requires a square matrix");
-                let oned = partition_1d_rowwise(a, k, eps, seed);
-                partition_1d_b(a, &oned.row_part, k)
-            }
-            Strategy::HypergraphKway => {
-                let square = a.nrows() == a.ncols();
-                let hg = column_net_model(a, false);
-                let kcfg = PartitionConfig { epsilon: eps, seed };
-                let row_part = partition_kway(&hg, k, &kcfg).parts;
-                let col_part =
-                    if square { row_part.clone() } else { majority_col_owner(a, &row_part, k) };
-                SpmvPartition::rowwise(a, row_part, col_part, k)
-            }
-            Strategy::Auto => Strategy::auto_pick(a, k, cfg).partition,
-        }
-    }
-}
-
 impl std::str::FromStr for Strategy {
     type Err = String;
 
@@ -363,7 +357,10 @@ impl std::str::FromStr for Strategy {
 impl std::fmt::Display for Strategy {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let s = match self {
-            Strategy::SemiTwoD { variant } => variant.label(),
+            Strategy::SemiTwoD { variant: S2dVariant::Algorithm1 } => "s2d",
+            Strategy::SemiTwoD { variant: S2dVariant::Generalized } => "s2d-gen",
+            Strategy::SemiTwoD { variant: S2dVariant::Optimal } => "s2d-opt",
+            Strategy::SemiTwoD { variant: S2dVariant::Iterative } => "s2d-it",
             Strategy::OneDRow => "1d",
             Strategy::OneDCol => "1d-col",
             Strategy::Checkerboard => "2d-b",
@@ -465,7 +462,7 @@ mod tests {
         let pick = Strategy::auto_pick(&a, 4, &PartitionerConfig::default());
         assert_ne!(pick.strategy, Strategy::Auto);
         pick.partition.assert_shape(&a);
-        // The Partitioner impl returns the same partition.
+        // Partitioning by `auto` returns the same partition.
         assert_eq!(Strategy::Auto.partition(&a, 4), pick.partition);
     }
 

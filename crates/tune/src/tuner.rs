@@ -25,9 +25,10 @@
 //! than one width-r batch in all 8).
 //!
 //! Preparation cost is kept proportional to the *strategy* axis, not
-//! the candidate count: one [`prepare`](s2d::SessionBuilder::prepare)
-//! per strategy (the expensive leg: partitioning + plan construction,
-//! and the partition the model prices), then
+//! the candidate count: one [`Strategy::partition_all`] call partitions
+//! every strategy (the expensive leg; `1d`, `s2d` and `s2d-gen` share
+//! one 1D rowwise run), one [`prepare`](s2d::SessionBuilder::prepare)
+//! per partition builds the plan the model prices, then
 //! [`Prepared::with_format`] re-lowers kernels per format (cheap) and
 //! [`Prepared::session`] stamps per-backend operators (cheaper still).
 
@@ -317,12 +318,11 @@ impl<'a> Tuner<'a> {
         let mut priced = Vec::new();
         let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
         let backends = backend_shortlist(self.k, cores);
-        for strategy in Strategy::auto_candidates(self.a, self.k) {
-            let base = Session::builder(self.a)
-                .partitioner(strategy, self.k)
-                .partitioner_config(self.cfg)
-                .kernel_format(KernelFormat::Auto)
-                .prepare();
+        let strategies = Strategy::auto_candidates(self.a, self.k);
+        let parts = Strategy::partition_all(&strategies, self.a, self.k, &self.cfg);
+        for (strategy, p) in strategies.into_iter().zip(parts) {
+            let base =
+                Session::builder(self.a).partition(&p).kernel_format(KernelFormat::Auto).prepare();
             let (plan_kind, base_idx) = (base.plan_kind(), preps.len());
             let quality = PartitionQuality::measure_plan(
                 self.a,

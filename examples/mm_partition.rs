@@ -7,14 +7,15 @@
 //!
 //! `method` is any strategy name (`s2d` default, `1d`, `1d-col`, `2d`,
 //! `2d-b`, `s2d-gen`, `s2d-opt`, `s2d-it`, `s2d-mg`, `1d-b`, `hg-kway`,
-//! `auto` — see `s2d::partition::Strategy`). Without arguments a demo
+//! `auto` — see `s2d::partition::Strategy`; `2d-b`, `s2d-mg`, `1d-b`
+//! and `s2d-it` need a square matrix). Without arguments a demo
 //! matrix is generated and partitioned. Prints the partition-quality
 //! report and per-processor loads; writes `<matrix>.part.<K>` with one
 //! owner id per nonzero (CSR order).
 
 use std::io::Write;
 
-use s2d::partition::{quality, PartitionQuality, Partitioner, Strategy};
+use s2d::partition::{quality, PartitionQuality, Strategy};
 use s2d::sparse::io::read_matrix_market_file;
 use s2d::sparse::Csr;
 
@@ -44,6 +45,10 @@ fn main() {
         eprintln!("{e}");
         std::process::exit(2);
     });
+    if strategy.requires_square() && a.nrows() != a.ncols() {
+        eprintln!("method {method} requires a square matrix, not {}x{}", a.nrows(), a.ncols());
+        std::process::exit(2);
+    }
     let p = strategy.partition(&a, k);
     let q = PartitionQuality::measure(&a, &p, strategy.to_string());
 

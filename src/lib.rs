@@ -17,7 +17,7 @@
 //! * [`hypergraph`] — multilevel hypergraph partitioner + SpMV models.
 //! * [`core`] — the s2D partitioning methods (the paper's contribution).
 //! * [`baselines`] — 1D, 2D fine-grain, checkerboard, 1D-b, medium-grain.
-//! * [`partition`] — the unified [`Partitioner`] layer: every method
+//! * [`partition`] — the unified partitioner layer: every method
 //!   behind one [`Strategy`] enum, quality reports, cost-model-driven
 //!   [`Strategy::Auto`].
 //! * [`sim`] — α–β–γ distributed machine model and metrics.
@@ -115,6 +115,6 @@ pub use s2d_spmv as spmv;
 pub use key::ConfigKey;
 pub use s2d_engine::{Backend, KernelFormat, KernelIsa};
 pub use s2d_obs::{ExecutionReport, TelemetrySink};
-pub use s2d_partition::{PartitionQuality, Partitioner, PartitionerConfig, S2dVariant, Strategy};
+pub use s2d_partition::{PartitionQuality, PartitionerConfig, S2dVariant, Strategy};
 pub use s2d_spmv::{PlanKind, SpmvOperator};
 pub use session::{Prepared, Session, SessionBuilder};

@@ -16,7 +16,7 @@ use s2d_core::comm::CommStats;
 use s2d_core::partition::SpmvPartition;
 use s2d_engine::{Backend, CompiledPlan, KernelFormat, KernelIsa};
 use s2d_obs::{ExecutionReport, ModelRef, TelemetrySink, WorkerLoadReport};
-use s2d_partition::{PartitionQuality, Partitioner, PartitionerConfig, Strategy};
+use s2d_partition::{PartitionQuality, PartitionerConfig, Strategy};
 use s2d_sparse::Csr;
 use s2d_spmv::{PlanKind, SpmvOperator, SpmvPlan};
 

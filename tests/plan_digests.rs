@@ -16,7 +16,7 @@ use s2d::gen::denserow::{dense_row_matrix, DenseRowConfig};
 use s2d::gen::fem::fem_like;
 use s2d::gen::rmat::{rmat, RmatConfig};
 use s2d::sparse::Csr;
-use s2d::{KernelFormat, KernelIsa, Partitioner, PlanKind, Strategy};
+use s2d::{KernelFormat, KernelIsa, PlanKind, Strategy};
 
 /// FNV-1a over a value's `Debug` text, streamed (the compiled plans'
 /// text runs to megabytes).

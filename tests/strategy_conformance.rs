@@ -6,7 +6,7 @@
 
 use s2d::gen::denserow::{dense_row_matrix, DenseRowConfig};
 use s2d::gen::rmat::{rmat, RmatConfig};
-use s2d::partition::{PartitionQuality, Partitioner, PartitionerConfig, Strategy};
+use s2d::partition::{PartitionQuality, PartitionerConfig, Strategy};
 use s2d::sparse::{Coo, Csr};
 use s2d::spmv::plan::volume_matches_eq3;
 use s2d::{Backend, PlanKind, Session};
