@@ -336,7 +336,7 @@ fn cmd_analyze(args: &Args) {
     let ppath = args.positional.get(2).unwrap_or_else(|| fail("analyze requires a partition file"));
     let a = load_matrix(mpath);
     let p = load_partition(ppath);
-    p.assert_shape(&a);
+    fits(&p, &a);
     let alg = args.get_or("alg", "auto");
     let (kind, plan) = match kind_for(alg) {
         Some(kind) => (kind, kind.build(&a, &p)),
@@ -448,8 +448,15 @@ fn partition_arg(args: &Args, a: &Csr) -> SpmvPartition {
             args.positional[0]
         )),
     };
-    p.assert_shape(a);
+    fits(&p, a);
     p
+}
+
+/// Exits 1 naming the misfit when `p` is not a partition of `a`.
+fn fits(p: &SpmvPartition, a: &Csr) {
+    if let Err(misfit) = p.check_shape(a) {
+        fail(format!("the partition does not fit the matrix: {misfit}"));
+    }
 }
 
 /// What `spmv` and `profile` execute: the plan kind (`None`: the

@@ -59,18 +59,35 @@ impl SpmvPartition {
         SpmvPartition { k, x_part, y_part, nz_owner }
     }
 
+    /// Checks structural consistency against `a` (lengths and ranges):
+    /// `Err` names the first misfit, as [`SpmvPartition::assert_shape`]
+    /// reports it.
+    pub fn check_shape(&self, a: &Csr) -> Result<(), String> {
+        let length = |what: &str, got: usize, want: usize| {
+            (got != want).then(|| format!("{what}: {got} entries, the matrix needs {want}"))
+        };
+        let k = self.k as u32;
+        let range = |what: &str, parts: &[u32]| {
+            parts.iter().any(|&p| p >= k).then(|| format!("{what} (K = {k})"))
+        };
+        let misfit = length("x partition length", self.x_part.len(), a.ncols())
+            .or_else(|| length("y partition length", self.y_part.len(), a.nrows()))
+            .or_else(|| length("nonzero owner length", self.nz_owner.len(), a.nnz()))
+            .or_else(|| range("x part out of range", &self.x_part))
+            .or_else(|| range("y part out of range", &self.y_part))
+            .or_else(|| range("nz owner out of range", &self.nz_owner));
+        misfit.map_or(Ok(()), Err)
+    }
+
     /// Checks structural consistency against `a` (lengths and ranges).
     ///
     /// # Panics
-    /// Panics on inconsistency; used by constructors of downstream plans.
+    /// Panics with [`SpmvPartition::check_shape`]'s message on
+    /// inconsistency; used by constructors of downstream plans.
     pub fn assert_shape(&self, a: &Csr) {
-        assert_eq!(self.x_part.len(), a.ncols(), "x partition length");
-        assert_eq!(self.y_part.len(), a.nrows(), "y partition length");
-        assert_eq!(self.nz_owner.len(), a.nnz(), "nonzero owner length");
-        let k = self.k as u32;
-        assert!(self.x_part.iter().all(|&p| p < k), "x part out of range");
-        assert!(self.y_part.iter().all(|&p| p < k), "y part out of range");
-        assert!(self.nz_owner.iter().all(|&p| p < k), "nz owner out of range");
+        if let Err(misfit) = self.check_shape(a) {
+            panic!("{misfit}");
+        }
     }
 
     /// Verifies the s2D property (Problem 1): every nonzero is owned by
@@ -128,6 +145,20 @@ mod tests {
 
     fn sample() -> Csr {
         Coo::from_pattern(4, 4, &[(0, 0), (0, 2), (1, 1), (2, 3), (3, 0)]).to_csr()
+    }
+
+    #[test]
+    fn check_shape_names_the_first_misfit() {
+        let a = sample();
+        let p = SpmvPartition::rowwise(&a, vec![0, 0, 1, 1], vec![0, 1, 0, 1], 2);
+        assert_eq!(p.check_shape(&a), Ok(()));
+        let short = SpmvPartition { x_part: vec![0; 3], ..p.clone() };
+        let err = short.check_shape(&a).expect_err("x is one entry short");
+        assert_eq!(err, "x partition length: 3 entries, the matrix needs 4");
+        let mut owner = p.clone();
+        owner.nz_owner[4] = 2;
+        owner.y_part[0] = 2;
+        assert_eq!(owner.check_shape(&a), Err("y part out of range (K = 2)".to_string()));
     }
 
     #[test]

@@ -41,14 +41,26 @@
 //! destination, and the pool folds without staging.
 //!
 //! That bookkeeping is hash-free and linear in the plan size. Per rank
-//! the compiler keeps append-only logs — the columns it received, the
-//! `(row, slot)` of every slot it opened — and two dense stamped views
-//! (column → held, global row → slot) that are reloaded from one
-//! rank's logs whenever the walk turns to that rank: once per compute
-//! phase, once per side of a communication phase, once for the output
-//! emit. Every array a communication table holds is counted before it
-//! is allocated, at its final size; a kernel's arrays are allocated at
-//! their final size once the walk has found its segments.
+//! the compiler keeps append-only logs — the owned columns it seeds,
+//! the columns it received, the `(row, slot)` of every slot it opened
+//! and which slots are live — and each thread of the walk keeps two
+//! dense stamped views (column → held, global row → slot) that it
+//! reloads from one rank's logs whenever it turns to that rank: once
+//! per compute phase, once per side of a communication phase, once for
+//! the output emit. Every array a communication table holds is counted
+//! before it is allocated, at its final size; a kernel's arrays are
+//! allocated at their final size once the walk has found its segments.
+//!
+//! A compute phase's ranks are independent: lowering a rank writes its
+//! own logs only, and the one array shared across ranks, which owned
+//! columns are seeded already, only at the columns that rank owns. So
+//! a team lowers them: the caller and up to `available_parallelism()
+//! − 1` scoped helpers, each on a contiguous group of ranks with about
+//! an equal share of the phase's tasks and on views of its own, for a
+//! plan of at least `TEAM_MIN_TASKS` tasks. Kernels and statistics
+//! are put back in rank order, so the compiled plan is the one a team
+//! of one builds, bit for bit. Communication phases, the arena layout
+//! and the emit stay on the caller.
 //!
 //! # Kernel formats
 //!
@@ -65,7 +77,11 @@
 //! and the format is baked into the kernel's buffer layout here, so
 //! execution never branches on it per entry.
 
+use std::num::NonZeroUsize;
 use std::ops::Range;
+use std::panic::resume_unwind;
+use std::sync::atomic::AtomicBool;
+use std::sync::atomic::Ordering::Relaxed;
 use std::sync::Arc;
 
 use s2d_spmv::{MsgSpec, MultTask, PlanPhase, SpmvPlan};
@@ -229,28 +245,24 @@ impl StampMap {
     }
 }
 
-/// Who holds what at this point of the walk. Per rank, the `x` columns
-/// it received (kept only to reject plans that work because memory
-/// happens to be shared) and its `y` renumbering live in append-only
-/// logs; [`Walk::focus`] loads one rank's logs into two dense views,
-/// and every check and slot lookup goes through those. The walk visits
-/// ranks one at a time (per compute phase, per side of a communication
-/// phase), so each log is reloaded a bounded number of times and the
-/// state stays O(n + K + plan size) — no per-rank hash maps.
-struct Walk<'a> {
-    x_part: &'a [u32],
-    /// Per column: its owner already reads it (it is in `x_seed`).
-    seeded: Vec<bool>,
-    x_seed: Vec<Vec<u32>>,
-    /// Per rank: every column received so far (repeats allowed).
-    received: Vec<Vec<u32>>,
-    /// Per rank: `(global row, slot)` of every slot opened so far, in
-    /// order — a row's last entry is its current (or last) partial.
-    opened: Vec<Vec<(u32, u32)>>,
-    /// Per rank and slot: holds a live partial sum at this point.
-    live: Vec<Vec<bool>>,
-    /// The rank the views describe.
-    rank: usize,
+/// What the walk has recorded for one rank so far: append-only logs
+/// that only the rank's own lowering writes.
+#[derive(Default)]
+struct RankLog {
+    /// The owned columns the rank reads, in the order it first reads
+    /// them: its `x_seed`.
+    x_seed: Vec<u32>,
+    /// Every column received so far (repeats allowed).
+    received: Vec<u32>,
+    /// `(global row, slot)` of every slot opened so far, in order — a
+    /// row's last entry is its current (or last) partial.
+    opened: Vec<(u32, u32)>,
+    /// Per slot: holds a live partial sum at this point.
+    live: Vec<bool>,
+}
+
+/// The dense views one thread of the walk loads a rank's logs into.
+struct Views {
     /// Columns the focused rank has received (values unused).
     held: StampMap,
     /// The focused rank's global row → slot.
@@ -260,77 +272,129 @@ struct Walk<'a> {
     kernel_rows: StampMap,
 }
 
-impl<'a> Walk<'a> {
-    fn new(x_part: &'a [u32], nrows: usize, k: usize) -> Walk<'a> {
-        Walk {
-            x_part,
-            seeded: vec![false; x_part.len()],
-            x_seed: vec![Vec::new(); k],
-            received: vec![Vec::new(); k],
-            opened: vec![Vec::new(); k],
-            live: vec![Vec::new(); k],
-            rank: 0,
-            held: StampMap::new(x_part.len()),
+impl Views {
+    fn new(ncols: usize, nrows: usize) -> Views {
+        Views {
+            held: StampMap::new(ncols),
             slot: StampMap::new(nrows),
             kernel_rows: StampMap::new(nrows),
         }
     }
+}
 
-    /// Points the views at `rank`.
-    fn focus(&mut self, rank: usize) {
-        self.rank = rank;
-        self.held.clear();
-        for &j in &self.received[rank] {
-            self.held.insert(j, 0);
-        }
-        self.slot.clear();
-        for &(i, s) in &self.opened[rank] {
-            self.slot.insert(i, s);
+/// Who holds what at this point of the walk. Per rank, the `x` columns
+/// it received (kept only to reject plans that work because memory
+/// happens to be shared) and its `y` renumbering live in the rank's
+/// [`RankLog`]; [`Walk::focus`] loads one rank's logs into two dense
+/// views, and every check and slot lookup goes through those. The walk
+/// visits ranks one at a time per thread (per compute phase, per side
+/// of a communication phase), so each log is reloaded a bounded number
+/// of times and the state stays O(n + K + plan size) per thread — no
+/// per-rank hash maps.
+struct Walk<'a> {
+    x_part: &'a [u32],
+    /// Per column: its owner already reads it (it is in the owner's
+    /// `x_seed`). Only the owner's lowering reads or writes an entry,
+    /// so ranks lowered on different threads share the array at
+    /// disjoint entries, and scope spawn and join order the phases:
+    /// `Relaxed`.
+    seeded: Vec<AtomicBool>,
+    logs: Vec<RankLog>,
+    /// The caller's views.
+    views: Views,
+    /// One set of views per helper that lowered a compute phase so
+    /// far, kept for the next phase. The caller allocates them, so
+    /// they come from (and go back to) its own allocator arena.
+    spare: Vec<Views>,
+}
+
+impl<'a> Walk<'a> {
+    fn new(x_part: &'a [u32], nrows: usize, k: usize) -> Walk<'a> {
+        Walk {
+            x_part,
+            seeded: x_part.iter().map(|_| AtomicBool::new(false)).collect(),
+            logs: (0..k).map(|_| RankLog::default()).collect(),
+            views: Views::new(x_part.len(), nrows),
+            spare: Vec::new(),
         }
     }
 
-    /// The focused rank reads `x[j]`: it must own it or have received
-    /// it.
+    /// Points the caller's views at `rank`.
+    fn focus(&mut self, rank: usize) -> Focus<'_> {
+        Focus::new(rank, self.x_part, &self.seeded, &mut self.logs[rank], &mut self.views)
+    }
+}
+
+/// One rank in focus: its logs, loaded into one thread's views.
+struct Focus<'w> {
+    rank: usize,
+    x_part: &'w [u32],
+    seeded: &'w [AtomicBool],
+    log: &'w mut RankLog,
+    views: &'w mut Views,
+}
+
+impl<'w> Focus<'w> {
+    /// Loads `log`, rank `rank`'s logs, into `views`.
+    fn new(
+        rank: usize,
+        x_part: &'w [u32],
+        seeded: &'w [AtomicBool],
+        log: &'w mut RankLog,
+        views: &'w mut Views,
+    ) -> Focus<'w> {
+        views.held.clear();
+        for &j in &log.received {
+            views.held.insert(j, 0);
+        }
+        views.slot.clear();
+        for &(i, s) in &log.opened {
+            views.slot.insert(i, s);
+        }
+        Focus { rank, x_part, seeded, log, views }
+    }
+
+    /// The rank reads `x[j]`: it must own it or have received it.
     fn read(&mut self, j: u32, what: &str) {
         let rank = self.rank;
         if self.x_part[j as usize] as usize == rank {
-            if !std::mem::replace(&mut self.seeded[j as usize], true) {
-                self.x_seed[rank].push(j);
+            let seeded = &self.seeded[j as usize];
+            if !seeded.load(Relaxed) {
+                seeded.store(true, Relaxed);
+                self.log.x_seed.push(j);
             }
-        } else if self.held.get(j).is_none() {
+        } else if self.views.held.get(j).is_none() {
             panic!("processor {rank} lacks x[{j}] {what}: plan bug");
         }
     }
 
-    /// The focused rank's slot for accumulating into `y[i]`: the live
-    /// one, else a fresh one (first touch, or the old partial was
-    /// drained — like the interpreter's `entry().or_insert(0.0)` after
-    /// its `remove`).
-    fn accum(&mut self, i: u32) -> u32 {
-        let live = &mut self.live[self.rank];
-        match self.slot.get(i) {
-            Some(s) if live[s as usize] => s,
-            _ => {
-                let s = live.len() as u32;
-                live.push(true);
-                self.opened[self.rank].push((i, s));
-                self.slot.insert(i, s);
-                s
-            }
-        }
+    /// The rank's live slot of `y[i]`, if it holds one.
+    fn live(&self, i: u32) -> Option<u32> {
+        self.views.slot.get(i).filter(|&s| self.log.live[s as usize])
     }
 
-    /// The focused rank's slot for draining `y[i]` into a message: must
-    /// be live, and is dead afterwards.
+    /// The rank's slot for accumulating into `y[i]`: the live one,
+    /// else a fresh one (first touch, or the old partial was drained —
+    /// like the interpreter's `entry().or_insert(0.0)` after its
+    /// `remove`).
+    fn accum(&mut self, i: u32) -> u32 {
+        self.live(i).unwrap_or_else(|| {
+            let s = self.log.live.len() as u32;
+            self.log.live.push(true);
+            self.log.opened.push((i, s));
+            self.views.slot.insert(i, s);
+            s
+        })
+    }
+
+    /// The rank's slot for draining `y[i]` into a message: must be
+    /// live, and is dead afterwards.
     fn drain(&mut self, i: u32) -> u32 {
-        let live = &mut self.live[self.rank];
-        match self.slot.get(i) {
-            Some(s) if live[s as usize] => {
-                live[s as usize] = false;
-                s
-            }
-            _ => panic!("processor {} lacks partial y[{i}] to send: plan bug", self.rank),
-        }
+        let s = self.live(i).unwrap_or_else(|| {
+            panic!("processor {} lacks partial y[{i}] to send: plan bug", self.rank)
+        });
+        self.log.live[s as usize] = false;
+        s
     }
 }
 
@@ -364,9 +428,31 @@ impl CompiledPlan {
     /// scalar reference; [`KernelIsa::Scalar`] pins the reference loops
     /// for differential runs.
     ///
+    /// Every compile entry lands here. A large plan's compute phases are
+    /// lowered by the calling thread and up to
+    /// `available_parallelism() − 1` scoped helpers (see the module
+    /// docs); the compiled plan is the same at any team size.
+    ///
     /// # Panics
     /// Same contract as [`CompiledPlan::compile`].
     pub fn compile_with_isa(plan: &SpmvPlan, format: KernelFormat, isa: KernelIsa) -> CompiledPlan {
+        let team = if plan.total_ops() < TEAM_MIN_TASKS as u64 {
+            1
+        } else {
+            std::thread::available_parallelism().map_or(1, NonZeroUsize::get)
+        };
+        CompiledPlan::compile_on(plan, format, isa, team)
+    }
+
+    /// [`CompiledPlan::compile_with_isa`] on a team of `team` threads,
+    /// the caller included, taken as given (the size floor applies
+    /// where the default team is chosen): see [`lower_phase`].
+    pub(crate) fn compile_on(
+        plan: &SpmvPlan,
+        format: KernelFormat,
+        isa: KernelIsa,
+        team: usize,
+    ) -> CompiledPlan {
         let k = plan.k;
         let mut walk = Walk::new(&plan.x_part, plan.nrows, k);
         let mut programs: Vec<Vec<RankStep>> =
@@ -377,15 +463,10 @@ impl CompiledPlan {
         for phase in &plan.phases {
             match phase {
                 PlanPhase::Compute(tasks) => {
-                    for (r, list) in tasks.iter().enumerate() {
-                        // Statistics (a σ-sort plus a dense-run scan per
-                        // kernel) are gathered only when the policy
-                        // needs them — a fixed-format compile stays one
-                        // pass proportional to the plan size.
-                        let (kernel, st) =
-                            Kernel::lower(lower_tasks(list, r, &mut walk), format, isa);
+                    let kernels = lower_phase(tasks, &mut walk, format, isa, team);
+                    for (program, (kernel, st)) in programs.iter_mut().zip(kernels) {
                         stats.extend(st.filter(|st| st.ops > 0));
-                        programs[r].push(RankStep::Compute(kernel));
+                        program.push(RankStep::Compute(kernel));
                     }
                 }
                 PlanPhase::Comm(msgs) => {
@@ -402,9 +483,9 @@ impl CompiledPlan {
         // folds' rank-local slots into arena slots.
         let mut y_off = Vec::with_capacity(k);
         let mut end = 0;
-        for live in &walk.live {
+        for log in &walk.logs {
             y_off.push(end);
-            end += live.len().next_multiple_of(LINE_SLOTS);
+            end += log.live.len().next_multiple_of(LINE_SLOTS);
         }
         assert!(end <= u32::MAX as usize, "y arena exceeds the u32 slot space");
         for (r, steps) in programs.iter_mut().enumerate() {
@@ -436,19 +517,18 @@ impl CompiledPlan {
         let mut y_emit: Vec<Vec<(u32, u32)>> = Vec::with_capacity(k);
         let mut y_zero: Vec<Vec<u32>> = Vec::with_capacity(k);
         for (r, rows) in owned.iter().enumerate() {
-            walk.focus(r);
-            let live = |i: u32| walk.slot.get(i).filter(|&s| walk.live[r][s as usize]);
-            y_emit.push(rows.iter().filter_map(|&i| live(i).map(|s| (i, s))).collect());
-            y_zero.push(rows.iter().copied().filter(|&i| live(i).is_none()).collect());
+            let rank = walk.focus(r);
+            y_emit.push(rows.iter().filter_map(|&i| rank.live(i).map(|s| (i, s))).collect());
+            y_zero.push(rows.iter().copied().filter(|&i| rank.live(i).is_none()).collect());
         }
 
         let ranks = programs
             .into_iter()
             .enumerate()
             .map(|(r, steps)| RankProgram {
-                ny: walk.live[r].len(),
+                ny: walk.logs[r].live.len(),
                 y_off: y_off[r],
-                x_seed: std::mem::take(&mut walk.x_seed[r]),
+                x_seed: std::mem::take(&mut walk.logs[r].x_seed),
                 y_emit: std::mem::take(&mut y_emit[r]),
                 y_zero: std::mem::take(&mut y_zero[r]),
                 steps,
@@ -526,6 +606,19 @@ struct TaskSegments<'t> {
     dense: DenseRuns,
 }
 
+impl<'t> TaskSegments<'t> {
+    /// The table of no segments yet over `tasks`.
+    fn new(tasks: &'t [MultTask]) -> TaskSegments<'t> {
+        TaskSegments {
+            tasks,
+            bounds: vec![0],
+            slots: Vec::new(),
+            repeats: false,
+            dense: DenseRuns::default(),
+        }
+    }
+}
+
 impl Segmented for TaskSegments<'_> {
     fn bounds(&self) -> &[u32] {
         &self.bounds
@@ -571,33 +664,111 @@ impl Segmented for TaskSegments<'_> {
 /// compute phase no slot is drained, so a slot repeats exactly when a
 /// row heads two segments. Only the walk finds the segments, so their
 /// table grows as it goes.
-fn lower_tasks<'t>(tasks: &'t [MultTask], rank: usize, walk: &mut Walk) -> TaskSegments<'t> {
-    let mut kernel = TaskSegments {
-        tasks,
-        bounds: vec![0],
-        slots: Vec::new(),
-        repeats: false,
-        dense: DenseRuns::default(),
-    };
-    if tasks.is_empty() {
-        return kernel;
-    }
-    walk.focus(rank);
-    walk.kernel_rows.clear();
+fn lower_tasks<'t>(tasks: &'t [MultTask], rank: &mut Focus) -> TaskSegments<'t> {
+    let mut kernel = TaskSegments::new(tasks);
+    rank.views.kernel_rows.clear();
     let mut end = 0;
     for run in tasks.chunk_by(|a, b| a.row == b.row) {
         for t in run {
-            walk.read(t.col, "to multiply");
+            rank.read(t.col, "to multiply");
         }
         kernel.dense.segment(run.iter().map(|t| t.col));
         let row = run[0].row;
-        kernel.repeats |= walk.kernel_rows.get(row).is_some();
-        walk.kernel_rows.insert(row, 0);
-        kernel.slots.push(walk.accum(row));
+        kernel.repeats |= rank.views.kernel_rows.get(row).is_some();
+        rank.views.kernel_rows.insert(row, 0);
+        kernel.slots.push(rank.accum(row));
         end += run.len();
         kernel.bounds.push(end as u32);
     }
     kernel
+}
+
+/// The fewest tasks of a plan whose compute phases a team lowers. A
+/// helper costs about a megabyte of resident memory: its stack and
+/// thread state, and a glibc arena of its own that keeps what the
+/// helper allocated (the kernels of its ranks) where the calling thread
+/// cannot reuse it. Below this size that is a large share of what a
+/// set-up holds, and the time saved (a task takes about 15 ns to walk
+/// and lower, a helper 30–55 µs to start and join on a 2-vCPU x86-64
+/// VM) is small; the caller lowers every rank.
+const TEAM_MIN_TASKS: usize = 1 << 18;
+
+/// Cuts ranks `0..tasks.len()` into `team` contiguous groups of about
+/// equal task counts: the end of each group, the last one's being the
+/// rank count. Groups may be empty.
+fn group_ends(tasks: &[Vec<MultTask>], team: usize) -> Vec<usize> {
+    let total: usize = tasks.iter().map(Vec::len).sum();
+    let mut ends = Vec::with_capacity(team);
+    let mut done = 0;
+    for (r, list) in tasks.iter().enumerate() {
+        done += list.len();
+        while ends.len() + 1 < team && done * team >= (ends.len() + 1) * total {
+            ends.push(r + 1);
+        }
+    }
+    ends.resize(team, tasks.len());
+    ends
+}
+
+/// Lowers one compute phase: per rank, in rank order, its kernel and
+/// (under [`KernelFormat::Auto`]) its statistics.
+///
+/// With a `team` of two or more, the ranks are cut into `team`
+/// contiguous groups of about equal task counts ([`group_ends`]). The caller lowers the first group, and one
+/// scoped helper per other nonempty group lowers that one on views of
+/// its own. A rank's lowering writes only its own [`RankLog`], and
+/// `seeded` only at the columns the rank owns, so the kernels, the
+/// statistics and the logs are those a team of one leaves, whatever
+/// the team. If lowerings panic, the first group's panic is raised,
+/// with its own payload: the one a team of one meets first.
+fn lower_phase(
+    tasks: &[Vec<MultTask>],
+    walk: &mut Walk,
+    format: KernelFormat,
+    isa: KernelIsa,
+    team: usize,
+) -> Vec<(Kernel, Option<KernelStats>)> {
+    let (x_part, seeded) = (walk.x_part, &walk.seeded[..]);
+    let lower = |first: usize, logs: &mut [RankLog], views: &mut Views| {
+        let lower_rank = |(rank, log): (usize, &mut RankLog)| {
+            let list = &tasks[rank];
+            let segments = if list.is_empty() {
+                TaskSegments::new(list)
+            } else {
+                lower_tasks(list, &mut Focus::new(rank, x_part, seeded, log, views))
+            };
+            // Statistics (a σ-sort plus a dense-run scan per kernel)
+            // are gathered only when the policy needs them — a
+            // fixed-format compile stays one pass proportional to the
+            // plan size.
+            Kernel::lower(segments, format, isa)
+        };
+        (first..).zip(logs).map(lower_rank).collect::<Vec<_>>()
+    };
+    let team = team.min(tasks.len());
+    if team < 2 {
+        return lower(0, &mut walk.logs, &mut walk.views);
+    }
+    let ends = group_ends(tasks, team);
+    let (nrows, ncols) = (walk.views.slot.tags.len(), x_part.len());
+    walk.spare.resize_with(walk.spare.len().max(team - 1), || Views::new(ncols, nrows));
+    let (own, mut rest) = walk.logs.split_at_mut(ends[0]);
+    std::thread::scope(|scope| {
+        let lower = &lower;
+        let mut helpers = Vec::with_capacity(team - 1);
+        for (bounds, views) in ends.windows(2).zip(&mut walk.spare) {
+            let (group, tail) = std::mem::take(&mut rest).split_at_mut(bounds[1] - bounds[0]);
+            rest = tail;
+            if !group.is_empty() {
+                helpers.push(scope.spawn(move || lower(bounds[0], group, views)));
+            }
+        }
+        let mut kernels = lower(0, own, &mut walk.views);
+        for helper in helpers {
+            kernels.extend(helper.join().unwrap_or_else(|payload| resume_unwind(payload)));
+        }
+        kernels
+    })
 }
 
 /// Per rank, the indices of the messages it appears in on one side, in
@@ -624,7 +795,7 @@ fn by_rank(msgs: &[MsgSpec], k: usize, side: impl Fn(&MsgSpec) -> u32) -> Vec<Ve
 /// rank-local here; the caller rebases them once the arena layout is
 /// known.
 fn lower_comm(msgs: &[MsgSpec], walk: &mut Walk) -> Vec<RankStep> {
-    let k = walk.live.len();
+    let k = walk.logs.len();
     let mut homes = Vec::with_capacity(msgs.iter().map(|m| m.x_cols.len()).sum());
     let x_ranges: Vec<Range<u32>> = msgs
         .iter()
@@ -643,19 +814,17 @@ fn lower_comm(msgs: &[MsgSpec], walk: &mut Walk) -> Vec<RankStep> {
     // Per message: where its drained slots start in the sender's `y_slots`.
     let mut drained = vec![0u32; msgs.len()];
     for (src, list) in by_src.iter().enumerate() {
-        if !list.is_empty() {
-            walk.focus(src);
-        }
+        let mut rank = (!list.is_empty()).then(|| walk.focus(src));
         sends.push(
             list.iter()
                 .map(|&n| {
-                    let m = &msgs[n];
+                    let (m, rank) = (&msgs[n], rank.as_mut().expect("focused"));
                     for &j in &m.x_cols {
-                        walk.read(j, "to send");
+                        rank.read(j, "to send");
                     }
                     let y0 = y_slots[src].len() as u32;
                     for &i in &m.y_rows {
-                        y_slots[src].push(walk.drain(i));
+                        y_slots[src].push(rank.drain(i));
                     }
                     drained[n] = y0;
                     CompiledMsg {
@@ -669,19 +838,17 @@ fn lower_comm(msgs: &[MsgSpec], walk: &mut Walk) -> Vec<RankStep> {
     }
     let mut steps = Vec::with_capacity(k);
     for (dst, list) in by_dst.iter().enumerate() {
-        if !list.is_empty() {
-            walk.focus(dst);
-        }
+        let mut rank = (!list.is_empty()).then(|| walk.focus(dst));
         let mut folds = Vec::with_capacity(words(list));
         let recvs = list
             .iter()
             .map(|&n| {
-                let m = &msgs[n];
-                walk.received[dst].extend_from_slice(&m.x_cols);
+                let (m, rank) = (&msgs[n], rank.as_mut().expect("focused"));
+                rank.log.received.extend_from_slice(&m.x_cols);
                 let y0 = y_slots[dst].len() as u32;
                 for (o, &i) in m.y_rows.iter().enumerate() {
                     let from = y_slots[m.src as usize][drained[n] as usize + o];
-                    let into = walk.accum(i);
+                    let into = rank.accum(i);
                     y_slots[dst].push(into);
                     folds.push((from, into));
                 }
@@ -730,14 +897,14 @@ mod tests {
         if tasks.is_empty() {
             return kernel;
         }
-        walk.focus(rank);
+        let mut rank = walk.focus(rank);
         for run in tasks.chunk_by(|a, b| a.row == b.row) {
             for t in run {
-                walk.read(t.col, "to multiply");
+                rank.read(t.col, "to multiply");
                 kernel.cols.push(t.col);
                 kernel.vals.push(t.val);
             }
-            kernel.rows.push(walk.accum(run[0].row));
+            kernel.rows.push(rank.accum(run[0].row));
             kernel.row_ptr.push(kernel.cols.len() as u32);
         }
         kernel
@@ -809,7 +976,7 @@ mod tests {
                     let mut walk = Walk::new(&x_part, nrows as usize, 1);
                     let mut old_walk = Walk::new(&x_part, nrows as usize, 1);
                     for tasks in [&first, &second] {
-                        let (got, stats) = Kernel::lower(lower_tasks(tasks, 0, &mut walk), format, isa);
+                        let (got, stats) = Kernel::lower(lower_tasks(tasks, &mut walk.focus(0)), format, isa);
                         let csr = lower_tasks_reference(tasks, 0, &mut old_walk);
                         let want_stats = (format == KernelFormat::Auto).then(|| oracle::stats_of(&csr));
                         prop_assert_eq!(format!("{stats:?}"), format!("{want_stats:?}"));
@@ -824,6 +991,101 @@ mod tests {
                     }
                 }
             }
+        }
+    }
+
+    /// Single-phase, two-phase and mesh plans of a stencil, a dense-row
+    /// matrix at `K = 64` and an R-MAT graph, on s2D partitions (a block
+    /// split of the rows by nonzero count, refined by Algorithm 1).
+    /// `compile_on` takes the team as given, so helpers lower all of
+    /// them, also below [`TEAM_MIN_TASKS`].
+    fn team_plans() -> Vec<(String, SpmvPlan)> {
+        use s2d_core::heuristic::{s2d_heuristic_kway, HeuristicConfig};
+        use s2d_gen::denserow::{dense_row_matrix, DenseRowConfig};
+        use s2d_gen::fem::fem_like;
+        use s2d_gen::rmat::{rmat, RmatConfig};
+        let n = 1 << 12;
+        let dense =
+            DenseRowConfig { n, nnz: 8 * n, dmax: n / 2, tail_decay: 0.5, mirror_cols: true };
+        let inputs = [
+            ("stencil", fem_like(1 << 14, 27.0, 27, 3), 8),
+            ("denserow", dense_row_matrix(&dense, 3), 64),
+            ("rmat", rmat(&RmatConfig::graph500(10, 8), 3).to_csr(), 16),
+        ];
+        let mut plans = Vec::new();
+        for (name, a, k) in inputs {
+            let nnz = a.nnz().max(1);
+            let parts: Vec<u32> = (0..a.nrows())
+                .map(|i| {
+                    let r = a.row_range(i);
+                    ((r.start + r.end) / 2 * k / nnz).min(k - 1) as u32
+                })
+                .collect();
+            let p = s2d_heuristic_kway(&a, &parts, &parts, k, &HeuristicConfig::default());
+            plans.push((format!("{name} single"), SpmvPlan::single_phase(&a, &p)));
+            plans.push((format!("{name} two"), SpmvPlan::two_phase(&a, &p)));
+            plans.push((format!("{name} mesh"), SpmvPlan::mesh_default(&a, &p)));
+        }
+        plans
+    }
+
+    /// The panic message `f` raises.
+    fn panic_message(f: impl FnOnce()) -> String {
+        let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f))
+            .expect_err("the compile must panic");
+        payload.downcast_ref::<String>().cloned().expect("a formatted panic message")
+    }
+
+    /// Every plan a team of 2–4 compiles equals a team of one's, bit
+    /// for bit (`Debug` texts compared), in every format (the dense-row
+    /// plans' dense-split kernels hold dense spans).
+    #[test]
+    fn compiled_plans_are_identical_at_every_team_size() {
+        let mut dense_spans = false;
+        for (name, plan) in team_plans() {
+            for format in KernelFormat::all() {
+                let alone = CompiledPlan::compile_on(&plan, format, KernelIsa::Scalar, 1);
+                dense_spans |= alone.ranks.iter().flat_map(|rp| &rp.steps).any(|step| {
+                    matches!(step, RankStep::Compute(Kernel::DenseSplit(k))
+                        if k.span_col0.iter().any(|&c| c != crate::formats::NO_LANE))
+                });
+                let want = format!("{alone:?}");
+                for team in 2..=4 {
+                    let got = CompiledPlan::compile_on(&plan, format, KernelIsa::Scalar, team);
+                    assert!(format!("{got:?}") == want, "{name} {format} team {team}");
+                }
+            }
+        }
+        assert!(dense_spans, "some dense-split kernel holds a dense span");
+    }
+
+    /// Drops the expand words of one message to `dst` in a single-phase
+    /// plan's communication phase: `dst` then multiplies by an `x` it
+    /// lacks.
+    fn starve(plan: &mut SpmvPlan, dst: u32) {
+        let PlanPhase::Comm(msgs) = &mut plan.phases[1] else { panic!("single-phase plan") };
+        let m = msgs.iter_mut().find(|m| m.dst == dst && !m.x_cols.is_empty());
+        m.expect("a message with expand words").x_cols.clear();
+    }
+
+    /// A plan bug found by a helper is raised with its own message, and
+    /// when several ranks fail, with the message of the rank a team of
+    /// one meets first.
+    #[test]
+    fn plan_bugs_raise_the_same_panic_at_every_team_size() {
+        let (_, mut plan) = team_plans().swap_remove(0);
+        let compile = |plan: &SpmvPlan, team| {
+            panic_message(|| {
+                drop(CompiledPlan::compile_on(plan, KernelFormat::Auto, KernelIsa::Scalar, team))
+            })
+        };
+        // At team 2 the last rank is a helper's, the first the caller's.
+        let last = plan.k as u32 - 1;
+        for dst in [last, 0] {
+            starve(&mut plan, dst);
+            let alone = compile(&plan, 1);
+            assert!(alone.contains(&format!("processor {dst} lacks x")), "{alone}");
+            assert_eq!(compile(&plan, 2), alone);
         }
     }
 
@@ -903,7 +1165,7 @@ mod tests {
             MultTask { row: 1, col: 0, val: 2.0 },
             MultTask { row: 0, col: 0, val: 4.0 },
         ];
-        let segments = lower_tasks(&tasks, 0, &mut Walk::new(&[0], 2, 1));
+        let segments = lower_tasks(&tasks, &mut Walk::new(&[0], 2, 1).focus(0));
         assert!(segments.repeats, "row 0 heads two segments");
         let kernel = segments.into_csr();
         assert_eq!(kernel.rows, vec![0, 1, 0]);

@@ -1,6 +1,11 @@
 //! The SpMV plan language and the four plan builders.
 
-use s2d_core::comm::{comm_requirements, pair_runs, single_phase_messages, CommStats};
+use std::num::NonZeroUsize;
+use std::panic::resume_unwind;
+
+use s2d_core::comm::{
+    comm_requirements, pair_runs, single_phase_messages, CommRequirements, CommStats,
+};
 use s2d_core::mesh::MeshRouting;
 use s2d_core::partition::{S2dViolation, SpmvPartition};
 use s2d_sparse::Csr;
@@ -67,15 +72,37 @@ pub struct SpmvPlan {
 /// Per-processor task lists.
 type Tasks = Vec<Vec<MultTask>>;
 
+/// The fewest nonzeros for which the single-phase split and the
+/// requirement lists are built side by side. A helper costs about a
+/// megabyte of resident memory: its stack and thread state, and a
+/// glibc arena of its own that keeps what the helper allocated (here
+/// the requirement lists) where the calling thread cannot reuse it.
+/// Below this size that is a large share of what a set-up holds, and
+/// the time saved (each pass takes 4–30 ns per nonzero, a helper
+/// 30–55 µs to start and join on a 2-vCPU x86-64 VM) is small; the
+/// caller builds both.
+const SIDE_BY_SIDE_MIN_NNZ: usize = 1 << 18;
+
+/// The team that builds a plan of `a`: the caller alone below
+/// [`SIDE_BY_SIDE_MIN_NNZ`] nonzeros, else as many threads as the
+/// process may run at once.
+fn plan_team(a: &Csr) -> usize {
+    if a.nnz() < SIDE_BY_SIDE_MIN_NNZ {
+        1
+    } else {
+        std::thread::available_parallelism().map_or(1, NonZeroUsize::get)
+    }
+}
+
 /// Splits the owned nonzeros into (precompute, rest) per processor:
 /// rest = `y` local, precompute = `y` non-local, computed before the
 /// fused communication — which is legal only if `x` is local, the s2D
 /// condition. A counting pass checks it (returning the first violation
 /// in CSR order) and sizes every list; a second pass fills them.
 ///
-/// The split runs before `comm_requirements` checks the partition in
-/// full, so it checks what it relies on itself: the lengths, and each
-/// owner it reads. A misfit panics through
+/// The split does not wait for `comm_requirements` to check the
+/// partition in full, so it checks what it relies on itself: the
+/// lengths, and each owner it reads. A misfit panics through
 /// [`SpmvPartition::assert_shape`], which names it.
 fn split_tasks(a: &Csr, p: &SpmvPartition) -> Result<(Tasks, Tasks), S2dViolation> {
     if p.x_part.len() != a.ncols() || p.y_part.len() != a.nrows() || p.nz_owner.len() != a.nnz() {
@@ -114,6 +141,27 @@ fn split_tasks(a: &Csr, p: &SpmvPartition) -> Result<(Tasks, Tasks), S2dViolatio
     Ok((pre, rest))
 }
 
+/// The single-phase split of `(a, p)` beside its requirement lists.
+/// Both passes only read `a` and `p`: on a `team` of two or more, a
+/// scoped helper builds the lists while the caller splits. The team is
+/// taken as given; [`plan_team`] applies the size floor. A misfit panics as it does on a team of one, with the
+/// split's message, else the lists' (a helper's panic is re-raised
+/// with its own payload).
+fn split_and_requirements(
+    a: &Csr,
+    p: &SpmvPartition,
+    team: usize,
+) -> (Result<(Tasks, Tasks), S2dViolation>, CommRequirements) {
+    if team < 2 {
+        return (split_tasks(a, p), comm_requirements(a, p));
+    }
+    std::thread::scope(|scope| {
+        let reqs = scope.spawn(|| comm_requirements(a, p));
+        let split = split_tasks(a, p);
+        (split, reqs.join().unwrap_or_else(|payload| resume_unwind(payload)))
+    })
+}
+
 /// Builds one `[x̂, ŷ]` message per `(src, dst)` pair of the sorted
 /// requirement lists (pass an empty list for an expand-only or a
 /// fold-only phase).
@@ -131,34 +179,34 @@ impl SpmvPlan {
     /// # Panics
     /// Panics if `p` is not a valid s2D partition of `a`.
     pub fn single_phase(a: &Csr, p: &SpmvPartition) -> Self {
-        Self::try_single_phase(a, p).expect("single-phase SpMV requires an s2D partition")
+        Self::single_phase_on(a, p, plan_team(a))
     }
 
-    /// [`SpmvPlan::single_phase`], or the first nonzero (in CSR order)
-    /// that breaks the s2D property. The split runs first, so a non-s2D
-    /// partition is rejected before any requirement list is built.
-    fn try_single_phase(a: &Csr, p: &SpmvPartition) -> Result<Self, S2dViolation> {
-        let (pre, rest) = split_tasks(a, p)?;
-        let reqs = comm_requirements(a, p);
-        let phases = vec![
-            PlanPhase::Compute(pre),
-            PlanPhase::Comm(messages(&reqs.x_reqs, &reqs.y_reqs)),
-            PlanPhase::Compute(rest),
-        ];
-        Ok(SpmvPlan {
-            k: p.k,
-            nrows: a.nrows(),
-            ncols: a.ncols(),
-            x_part: p.x_part.clone(),
-            y_part: p.y_part.clone(),
-            phases,
-        })
+    /// [`SpmvPlan::single_phase`] on an explicit team.
+    fn single_phase_on(a: &Csr, p: &SpmvPartition, team: usize) -> Self {
+        let (split, reqs) = split_and_requirements(a, p, team);
+        let (pre, rest) = split.expect("single-phase SpMV requires an s2D partition");
+        Self::fused(a, p, pre, rest, &reqs)
+    }
+
+    /// The single-phase program over a split and its requirement lists.
+    fn fused(a: &Csr, p: &SpmvPartition, pre: Tasks, rest: Tasks, reqs: &CommRequirements) -> Self {
+        let comm = messages(&reqs.x_reqs, &reqs.y_reqs);
+        Self::over(
+            a,
+            p,
+            vec![PlanPhase::Compute(pre), PlanPhase::Comm(comm), PlanPhase::Compute(rest)],
+        )
     }
 
     /// The standard two-phase algorithm for arbitrary 2D partitions
     /// (Section I): Expand → Compute → Fold.
     pub fn two_phase(a: &Csr, p: &SpmvPartition) -> Self {
-        let reqs = comm_requirements(a, p);
+        Self::expand_fold(a, p, &comm_requirements(a, p))
+    }
+
+    /// The two-phase program over the requirement lists of `(a, p)`.
+    fn expand_fold(a: &Csr, p: &SpmvPartition, reqs: &CommRequirements) -> Self {
         let mut all: Tasks =
             p.loads().into_iter().map(|n| Vec::with_capacity(n as usize)).collect();
         for i in 0..a.nrows() {
@@ -175,14 +223,7 @@ impl SpmvPlan {
             PlanPhase::Compute(all),
             PlanPhase::Comm(messages(&[], &reqs.y_reqs)),
         ];
-        SpmvPlan {
-            k: p.k,
-            nrows: a.nrows(),
-            ncols: a.ncols(),
-            x_part: p.x_part.clone(),
-            y_part: p.y_part.clone(),
-            phases,
-        }
+        Self::over(a, p, phases)
     }
 
     /// The mesh-routed s2D-b algorithm (Section VI-B): Precompute →
@@ -191,8 +232,13 @@ impl SpmvPlan {
     /// # Panics
     /// Panics if `p` is not s2D or `pr·pc != k`.
     pub fn mesh(a: &Csr, p: &SpmvPartition, pr: usize, pc: usize) -> Self {
-        let (pre, rest) = split_tasks(a, p).expect("s2D-b requires an s2D partition");
-        let reqs = comm_requirements(a, p);
+        Self::mesh_on(a, p, pr, pc, plan_team(a))
+    }
+
+    /// [`SpmvPlan::mesh`] on an explicit team.
+    fn mesh_on(a: &Csr, p: &SpmvPartition, pr: usize, pc: usize, team: usize) -> Self {
+        let (split, reqs) = split_and_requirements(a, p, team);
+        let (pre, rest) = split.expect("s2D-b requires an s2D partition");
         let routing = MeshRouting::build(p.k, pr, pc, &reqs);
         let phase1: Vec<MsgSpec> = routing
             .phase1
@@ -220,6 +266,11 @@ impl SpmvPlan {
             PlanPhase::Comm(phase2),
             PlanPhase::Compute(rest),
         ];
+        Self::over(a, p, phases)
+    }
+
+    /// The plan running `phases` over `a` with `p`'s vector placement.
+    fn over(a: &Csr, p: &SpmvPartition, phases: Vec<PlanPhase>) -> Self {
         SpmvPlan {
             k: p.k,
             nrows: a.nrows(),
@@ -405,11 +456,19 @@ impl PlanKind {
 
     /// [`PlanKind::auto`] followed by [`PlanKind::build`], in one s2D
     /// pass: the single-phase split checks the property as it counts,
-    /// and a violation falls back to the two-phase plan.
+    /// and a violation falls back to the two-phase plan, over the same
+    /// requirement lists.
     pub fn build_auto(a: &Csr, p: &SpmvPartition) -> (PlanKind, SpmvPlan) {
-        match SpmvPlan::try_single_phase(a, p) {
-            Ok(plan) => (PlanKind::SinglePhase, plan),
-            Err(_) => (PlanKind::TwoPhase, SpmvPlan::two_phase(a, p)),
+        PlanKind::build_auto_on(a, p, plan_team(a))
+    }
+
+    /// [`PlanKind::build_auto`] on an explicit team. The requirement
+    /// lists are built once, beside the split, and serve either plan.
+    fn build_auto_on(a: &Csr, p: &SpmvPartition, team: usize) -> (PlanKind, SpmvPlan) {
+        let (split, reqs) = split_and_requirements(a, p, team);
+        match split {
+            Ok((pre, rest)) => (PlanKind::SinglePhase, SpmvPlan::fused(a, p, pre, rest, &reqs)),
+            Err(_) => (PlanKind::TwoPhase, SpmvPlan::expand_fold(a, p, &reqs)),
         }
     }
 
@@ -457,7 +516,6 @@ pub fn volume_matches_eq3(a: &Csr, p: &SpmvPartition, plan: &SpmvPlan) -> bool {
 mod tests {
     use super::*;
     use proptest::prelude::*;
-    use s2d_core::comm::CommRequirements;
     use s2d_core::fig1::{fig1_matrix, fig1_partition};
     use s2d_sparse::Coo;
 
@@ -576,6 +634,98 @@ mod tests {
             let (kind, plan) = PlanKind::build_auto(&a, &p);
             prop_assert_eq!(kind, PlanKind::auto(&a, &p));
             prop_assert_eq!(format!("{plan:?}"), format!("{:?}", kind.build(&a, &p)));
+        }
+    }
+
+    /// A stencil, a dense-row matrix at `K = 64` and an R-MAT graph,
+    /// each with an s2D partition (a block split of the rows by nonzero
+    /// count, refined by Algorithm 1) and a 2D one that is not s2D. The
+    /// `*_on` entries take the team as given, so the helper runs on
+    /// all three, also below [`SIDE_BY_SIDE_MIN_NNZ`].
+    fn team_inputs() -> Vec<(&'static str, Csr, SpmvPartition, SpmvPartition)> {
+        use s2d_core::heuristic::{s2d_heuristic_kway, HeuristicConfig};
+        use s2d_gen::denserow::{dense_row_matrix, DenseRowConfig};
+        use s2d_gen::fem::fem_like;
+        use s2d_gen::rmat::{rmat, RmatConfig};
+        let n = 1 << 12;
+        let dense =
+            DenseRowConfig { n, nnz: 8 * n, dmax: n / 2, tail_decay: 0.5, mirror_cols: true };
+        let inputs = [
+            ("stencil", fem_like(1 << 14, 27.0, 27, 3), 8),
+            ("denserow", dense_row_matrix(&dense, 3), 64),
+            ("rmat", rmat(&RmatConfig::graph500(10, 8), 3).to_csr(), 16),
+        ];
+        inputs
+            .into_iter()
+            .map(|(name, a, k)| {
+                let nnz = a.nnz().max(1);
+                let parts: Vec<u32> = (0..a.nrows())
+                    .map(|i| {
+                        let r = a.row_range(i);
+                        ((r.start + r.end) / 2 * k / nnz).min(k - 1) as u32
+                    })
+                    .collect();
+                let cfg = HeuristicConfig::default();
+                let s2d = s2d_heuristic_kway(&a, &parts, &parts, k, &cfg);
+                let owners = (0..a.nnz()).map(|e| (e * 2_654_435_761 % k) as u32).collect();
+                let fine = SpmvPartition { nz_owner: owners, ..s2d.clone() };
+                assert!(s2d.is_s2d(&a) && !fine.is_s2d(&a), "{name}");
+                (name, a, s2d, fine)
+            })
+            .collect()
+    }
+
+    /// The panic message `f` raises.
+    fn panic_message(f: impl FnOnce()) -> String {
+        let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f))
+            .expect_err("the build must panic");
+        payload
+            .downcast_ref::<String>()
+            .cloned()
+            .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
+            .expect("a panic message")
+    }
+
+    /// Every plan a team of 2–4 builds equals a team of one's, bit for
+    /// bit (`Debug` texts compared): single-phase, mesh, and the
+    /// automatic choice on an s2D and on a non-s2D partition (the
+    /// two-phase fallback).
+    #[test]
+    fn plans_are_identical_at_every_team_size() {
+        for (name, a, s2d, fine) in team_inputs() {
+            let (pr, pc) = s2d_core::mesh::mesh_dims(s2d.k);
+            let plans = |team| {
+                let single = SpmvPlan::single_phase_on(&a, &s2d, team);
+                let mesh = SpmvPlan::mesh_on(&a, &s2d, pr, pc, team);
+                let auto = PlanKind::build_auto_on(&a, &s2d, team);
+                let fallback = PlanKind::build_auto_on(&a, &fine, team);
+                assert_eq!((auto.0, fallback.0), (PlanKind::SinglePhase, PlanKind::TwoPhase));
+                format!("{single:?} {mesh:?} {:?} {:?}", auto.1, fallback.1)
+            };
+            let alone = plans(1);
+            for team in 2..=4 {
+                assert!(plans(team) == alone, "{name}: team {team}");
+            }
+        }
+    }
+
+    /// A partition that does not fit the matrix panics with the
+    /// message a team of one raises, whether the caller's split finds
+    /// the misfit or the helper's requirement lists do.
+    #[test]
+    fn misfits_raise_the_same_panic_at_every_team_size() {
+        let (_, a, s2d, _) = team_inputs().swap_remove(0);
+        let mut owner = s2d.clone();
+        *owner.nz_owner.last_mut().expect("nonzeros") = s2d.k as u32;
+        let mut column = s2d.clone();
+        column.x_part[a.colind()[0] as usize] = s2d.k as u32;
+        for (misfit, expected) in
+            [(owner, "nz owner out of range"), (column, "x part out of range")]
+        {
+            let alone = panic_message(|| drop(PlanKind::build_auto_on(&a, &misfit, 1)));
+            assert!(alone.contains(expected), "{alone}");
+            let team = panic_message(|| drop(PlanKind::build_auto_on(&a, &misfit, 2)));
+            assert_eq!(team, alone);
         }
     }
 
