@@ -56,8 +56,8 @@
 //! columns are seeded already, only at the columns that rank owns. So
 //! a team lowers them: the caller and up to `available_parallelism()
 //! − 1` scoped helpers, each on a contiguous group of ranks with about
-//! an equal share of the phase's tasks and on views of its own, for a
-//! plan of at least `TEAM_MIN_TASKS` tasks. Kernels and statistics
+//! an equal share of the phase's tasks and on views of its own, one
+//! helper per `TEAM_MIN_TASKS` tasks of the plan. Kernels and statistics
 //! are put back in rank order, so the compiled plan is the one a team
 //! of one builds, bit for bit. Communication phases, the arena layout
 //! and the emit stay on the caller.
@@ -436,10 +436,11 @@ impl CompiledPlan {
     /// # Panics
     /// Same contract as [`CompiledPlan::compile`].
     pub fn compile_with_isa(plan: &SpmvPlan, format: KernelFormat, isa: KernelIsa) -> CompiledPlan {
-        let team = if plan.total_ops() < TEAM_MIN_TASKS as u64 {
-            1
-        } else {
-            std::thread::available_parallelism().map_or(1, NonZeroUsize::get)
+        let team = match plan.total_ops() as usize / TEAM_MIN_TASKS {
+            0 => 1,
+            helpers => {
+                std::thread::available_parallelism().map_or(1, NonZeroUsize::get).min(helpers + 1)
+            }
         };
         CompiledPlan::compile_on(plan, format, isa, team)
     }
@@ -683,14 +684,16 @@ fn lower_tasks<'t>(tasks: &'t [MultTask], rank: &mut Focus) -> TaskSegments<'t> 
     kernel
 }
 
-/// The fewest tasks of a plan whose compute phases a team lowers. A
-/// helper costs about a megabyte of resident memory: its stack and
+/// The tasks a plan needs per helper that lowers its compute phases.
+/// A helper costs about a megabyte of resident memory: its stack and
 /// thread state, and a glibc arena of its own that keeps what the
 /// helper allocated (the kernels of its ranks) where the calling thread
 /// cannot reuse it. Below this size that is a large share of what a
 /// set-up holds, and the time saved (a task takes about 15 ns to walk
 /// and lower, a helper 30–55 µs to start and join on a 2-vCPU x86-64
-/// VM) is small; the caller lowers every rank.
+/// VM) is small; the caller lowers every rank. Counting helpers by
+/// tasks also bounds their views (24 bytes per row and column each)
+/// on a machine with many cores.
 const TEAM_MIN_TASKS: usize = 1 << 18;
 
 /// Cuts ranks `0..tasks.len()` into `team` contiguous groups of about
