@@ -717,13 +717,14 @@ fn group_ends(tasks: &[Vec<MultTask>], team: usize) -> Vec<usize> {
 /// (under [`KernelFormat::Auto`]) its statistics.
 ///
 /// With a `team` of two or more, the ranks are cut into `team`
-/// contiguous groups of about equal task counts ([`group_ends`]). The caller lowers the first group, and one
-/// scoped helper per other nonempty group lowers that one on views of
-/// its own. A rank's lowering writes only its own [`RankLog`], and
-/// `seeded` only at the columns the rank owns, so the kernels, the
-/// statistics and the logs are those a team of one leaves, whatever
-/// the team. If lowerings panic, the first group's panic is raised,
-/// with its own payload: the one a team of one meets first.
+/// contiguous groups of about equal task counts ([`group_ends`]). The
+/// caller lowers the first group, and one scoped helper per other
+/// nonempty group lowers that one on views of its own. A rank's
+/// lowering writes only its own [`RankLog`], and `seeded` only at the
+/// columns the rank owns, so the kernels, the statistics and the logs
+/// are those a team of one leaves, whatever the team. If lowerings
+/// panic, the first group's panic is raised, with its own payload: the
+/// one a team of one meets first.
 fn lower_phase(
     tasks: &[Vec<MultTask>],
     walk: &mut Walk,

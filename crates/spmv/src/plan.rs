@@ -144,9 +144,9 @@ fn split_tasks(a: &Csr, p: &SpmvPartition) -> Result<(Tasks, Tasks), S2dViolatio
 /// The single-phase split of `(a, p)` beside its requirement lists.
 /// Both passes only read `a` and `p`: on a `team` of two or more, a
 /// scoped helper builds the lists while the caller splits. The team is
-/// taken as given; [`plan_team`] applies the size floor. A misfit panics as it does on a team of one, with the
-/// split's message, else the lists' (a helper's panic is re-raised
-/// with its own payload).
+/// taken as given; [`plan_team`] applies the size floor. A misfit
+/// panics as it does on a team of one, with the split's message, else
+/// the lists' (a helper's panic is re-raised with its own payload).
 fn split_and_requirements(
     a: &Csr,
     p: &SpmvPartition,
