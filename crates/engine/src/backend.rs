@@ -227,7 +227,7 @@ impl Backend {
     ///
     /// This is the rule behind the CLI's `--engine auto`.
     pub fn auto(cp: &CompiledPlan) -> Backend {
-        auto_for(cp, std::thread::available_parallelism().map_or(1, |n| n.get()))
+        auto_for(cp, crate::cpu_count())
     }
 }
 
@@ -365,7 +365,7 @@ impl<O: SpmvOperator> SpmvOperator for ObservedOperator<O> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::formats::KernelFormat;
+    use crate::formats::{KernelFormat, KernelIsa};
     use s2d_core::fig1::{fig1_matrix, fig1_partition};
 
     /// Compiles `plan` to `format` and builds `backend` over the pair.
@@ -375,7 +375,12 @@ mod tests {
         width: usize,
         format: KernelFormat,
     ) -> Box<dyn SpmvOperator + Send> {
-        backend.build(plan, &Arc::new(CompiledPlan::compile_with(plan, format)), width, None)
+        backend.build(
+            plan,
+            &Arc::new(CompiledPlan::compile_with_isa(plan, format, KernelIsa::Auto)),
+            width,
+            None,
+        )
     }
 
     fn assert_close(a: &[f64], b: &[f64]) {
@@ -470,7 +475,11 @@ mod tests {
         let a = fig1_matrix();
         let p = fig1_partition();
         let plan = Arc::new(SpmvPlan::single_phase(&a, &p));
-        let cp = Arc::new(CompiledPlan::compile_with(&plan, KernelFormat::CsrSlice));
+        let cp = Arc::new(CompiledPlan::compile_with_isa(
+            &plan,
+            KernelFormat::CsrSlice,
+            KernelIsa::Auto,
+        ));
         let x: Vec<f64> = (0..a.ncols()).map(|j| (j as f64) * 0.5 - 3.0).collect();
         for backend in Backend::all() {
             let mut fresh = build(backend, &plan, 1, KernelFormat::CsrSlice);

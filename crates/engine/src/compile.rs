@@ -40,27 +40,33 @@
 //! starts from. So within a phase no fold source is anybody's fold
 //! destination, and the pool folds without staging.
 //!
-//! That bookkeeping is hash-free and linear in the plan size. Per rank
-//! the compiler keeps append-only logs — the owned columns it seeds,
-//! the columns it received, the `(row, slot)` of every slot it opened
-//! and which slots are live — and each thread of the walk keeps two
-//! dense stamped views (column → held, global row → slot) that it
-//! reloads from one rank's logs whenever it turns to that rank: once
-//! per compute phase, once per side of a communication phase, once for
-//! the output emit. Every array a communication table holds is counted
-//! before it is allocated, at its final size; a kernel's arrays are
-//! allocated at their final size once the walk has found its segments.
+//! That bookkeeping is hash-free and linear in the plan size. A rank's
+//! lowering depends on the other ranks only through the producer slot
+//! of each fold it receives, so each rank's whole program — every
+//! compute phase, its own sends and then its own receives in each
+//! communication phase, and its output emit — is lowered in one go on
+//! one thread's dense views (column → held, global row → slot), which
+//! are cleared in O(1) when the thread turns to its next rank. The
+//! tables every rank reads are built once before that and only read
+//! after: per communication phase the homes of its expand words, the
+//! message ranges and the per-rank send and receive lists, and per
+//! rank the rows it owns. Every array a communication table holds is
+//! counted before it is allocated, at its final size; a kernel's
+//! arrays are allocated at their final size once the walk has found
+//! its segments.
 //!
-//! A compute phase's ranks are independent: lowering a rank writes its
-//! own logs only, and the one array shared across ranks, which owned
-//! columns are seeded already, only at the columns that rank owns. So
-//! a team lowers them: the caller and up to `available_parallelism()
-//! − 1` scoped helpers, each on a contiguous group of ranks with about
-//! an equal share of the phase's tasks and on views of its own, one
-//! helper per `TEAM_MIN_TASKS` tasks of the plan. Kernels and statistics
-//! are put back in rank order, so the compiled plan is the one a team
-//! of one builds, bit for bit. Communication phases, the arena layout
-//! and the emit stay on the caller.
+//! So a team lowers the ranks: the caller and up to
+//! `available_parallelism() − 1` scoped helpers in one
+//! `std::thread::scope` per compile, one helper per `TEAM_MIN_TASKS`
+//! tasks of the plan, each on a contiguous group of ranks with about
+//! an equal share of the plan's tasks. The one array shared across
+//! ranks, which owned columns are seeded already, is written by each
+//! rank only at the columns it owns. Each thread builds its group's
+//! kernels after the group's walks, one phase at a time — the order
+//! the apply runs them in. The caller then stitches: it places every
+//! rank's block in the `y` arena and gives each fold its producer's
+//! slot, read from the sender's lowered send. The compiled plan is
+//! the one a team of one builds, bit for bit.
 //!
 //! # Kernel formats
 //!
@@ -69,15 +75,14 @@
 //! list, the local slot of each segment, and whether a slot repeats
 //! (the task list interleaved a row). Each kernel is then built once,
 //! straight from the task list into the requested [`KernelFormat`]
-//! (see [`CompiledPlan::compile_with`]) at its final size: an
-//! order-preserving CSR slice ([`CsrKernel`]), SELL-C-σ chunks for
+//! (see [`CompiledPlan::compile_with_isa`]) at its final size: an
+//! order-preserving CSR slice ([`CsrKernel`](crate::CsrKernel)), SELL-C-σ chunks for
 //! short irregular rows, dense spans for split dense rows, or a
 //! per-kernel automatic choice driven by [`KernelStats`], gathered once
 //! from the segment table. No intermediate copy of the entries is made,
 //! and the format is baked into the kernel's buffer layout here, so
 //! execution never branches on it per entry.
 
-use std::num::NonZeroUsize;
 use std::ops::Range;
 use std::panic::resume_unwind;
 use std::sync::atomic::AtomicBool;
@@ -86,9 +91,7 @@ use std::sync::Arc;
 
 use s2d_spmv::{MsgSpec, MultTask, PlanPhase, SpmvPlan};
 
-use crate::formats::{
-    CsrKernel, DenseRuns, Kernel, KernelFormat, KernelIsa, KernelStats, Segmented,
-};
+use crate::formats::{Kernel, KernelFormat, KernelIsa, KernelStats, TaskSegments};
 
 /// `y`-arena slots per cache line: every rank's block starts on one.
 const LINE_SLOTS: usize = 8;
@@ -245,27 +248,12 @@ impl StampMap {
     }
 }
 
-/// What the walk has recorded for one rank so far: append-only logs
-/// that only the rank's own lowering writes.
-#[derive(Default)]
-struct RankLog {
-    /// The owned columns the rank reads, in the order it first reads
-    /// them: its `x_seed`.
-    x_seed: Vec<u32>,
-    /// Every column received so far (repeats allowed).
-    received: Vec<u32>,
-    /// `(global row, slot)` of every slot opened so far, in order — a
-    /// row's last entry is its current (or last) partial.
-    opened: Vec<(u32, u32)>,
-    /// Per slot: holds a live partial sum at this point.
-    live: Vec<bool>,
-}
-
-/// The dense views one thread of the walk loads a rank's logs into.
+/// The dense views one thread lowers a rank on, cleared in O(1) when
+/// it turns to the next rank.
 struct Views {
-    /// Columns the focused rank has received (values unused).
+    /// Columns the rank has received (values unused).
     held: StampMap,
-    /// The focused rank's global row → slot.
+    /// The rank's global row → slot.
     slot: StampMap,
     /// Rows that head a segment of the kernel being lowered (values
     /// unused).
@@ -282,76 +270,38 @@ impl Views {
     }
 }
 
-/// Who holds what at this point of the walk. Per rank, the `x` columns
-/// it received (kept only to reject plans that work because memory
-/// happens to be shared) and its `y` renumbering live in the rank's
-/// [`RankLog`]; [`Walk::focus`] loads one rank's logs into two dense
-/// views, and every check and slot lookup goes through those. The walk
-/// visits ranks one at a time per thread (per compute phase, per side
-/// of a communication phase), so each log is reloaded a bounded number
-/// of times and the state stays O(n + K + plan size) per thread — no
-/// per-rank hash maps.
-struct Walk<'a> {
+/// One rank's lowering in progress: who holds what at this point of
+/// its program. The `x` columns it received (kept only to reject plans
+/// that work because memory happens to be shared) and its `y`
+/// renumbering live in one thread's [`Views`], so the state is
+/// O(n + K + plan size) per thread — no per-rank hash maps.
+struct Lowering<'a> {
+    rank: usize,
     x_part: &'a [u32],
     /// Per column: its owner already reads it (it is in the owner's
     /// `x_seed`). Only the owner's lowering reads or writes an entry,
     /// so ranks lowered on different threads share the array at
-    /// disjoint entries, and scope spawn and join order the phases:
-    /// `Relaxed`.
-    seeded: Vec<AtomicBool>,
-    logs: Vec<RankLog>,
-    /// The caller's views.
-    views: Views,
-    /// One set of views per helper that lowered a compute phase so
-    /// far, kept for the next phase. The caller allocates them, so
-    /// they come from (and go back to) its own allocator arena.
-    spare: Vec<Views>,
+    /// disjoint entries: `Relaxed`.
+    seeded: &'a [AtomicBool],
+    views: &'a mut Views,
+    /// The owned columns the rank reads, in the order it first reads
+    /// them.
+    x_seed: Vec<u32>,
+    /// Per slot: holds a live partial sum at this point.
+    live: Vec<bool>,
 }
 
-impl<'a> Walk<'a> {
-    fn new(x_part: &'a [u32], nrows: usize, k: usize) -> Walk<'a> {
-        Walk {
-            x_part,
-            seeded: x_part.iter().map(|_| AtomicBool::new(false)).collect(),
-            logs: (0..k).map(|_| RankLog::default()).collect(),
-            views: Views::new(x_part.len(), nrows),
-            spare: Vec::new(),
-        }
-    }
-
-    /// Points the caller's views at `rank`.
-    fn focus(&mut self, rank: usize) -> Focus<'_> {
-        Focus::new(rank, self.x_part, &self.seeded, &mut self.logs[rank], &mut self.views)
-    }
-}
-
-/// One rank in focus: its logs, loaded into one thread's views.
-struct Focus<'w> {
-    rank: usize,
-    x_part: &'w [u32],
-    seeded: &'w [AtomicBool],
-    log: &'w mut RankLog,
-    views: &'w mut Views,
-}
-
-impl<'w> Focus<'w> {
-    /// Loads `log`, rank `rank`'s logs, into `views`.
+impl<'a> Lowering<'a> {
+    /// Starts lowering rank `rank` on `views`.
     fn new(
         rank: usize,
-        x_part: &'w [u32],
-        seeded: &'w [AtomicBool],
-        log: &'w mut RankLog,
-        views: &'w mut Views,
-    ) -> Focus<'w> {
+        x_part: &'a [u32],
+        seeded: &'a [AtomicBool],
+        views: &'a mut Views,
+    ) -> Lowering<'a> {
         views.held.clear();
-        for &j in &log.received {
-            views.held.insert(j, 0);
-        }
         views.slot.clear();
-        for &(i, s) in &log.opened {
-            views.slot.insert(i, s);
-        }
-        Focus { rank, x_part, seeded, log, views }
+        Lowering { rank, x_part, seeded, views, x_seed: Vec::new(), live: Vec::new() }
     }
 
     /// The rank reads `x[j]`: it must own it or have received it.
@@ -361,7 +311,7 @@ impl<'w> Focus<'w> {
             let seeded = &self.seeded[j as usize];
             if !seeded.load(Relaxed) {
                 seeded.store(true, Relaxed);
-                self.log.x_seed.push(j);
+                self.x_seed.push(j);
             }
         } else if self.views.held.get(j).is_none() {
             panic!("processor {rank} lacks x[{j}] {what}: plan bug");
@@ -370,7 +320,7 @@ impl<'w> Focus<'w> {
 
     /// The rank's live slot of `y[i]`, if it holds one.
     fn live(&self, i: u32) -> Option<u32> {
-        self.views.slot.get(i).filter(|&s| self.log.live[s as usize])
+        self.views.slot.get(i).filter(|&s| self.live[s as usize])
     }
 
     /// The rank's slot for accumulating into `y[i]`: the live one,
@@ -379,9 +329,8 @@ impl<'w> Focus<'w> {
     /// `remove`).
     fn accum(&mut self, i: u32) -> u32 {
         self.live(i).unwrap_or_else(|| {
-            let s = self.log.live.len() as u32;
-            self.log.live.push(true);
-            self.log.opened.push((i, s));
+            let s = self.live.len() as u32;
+            self.live.push(true);
             self.views.slot.insert(i, s);
             s
         })
@@ -393,8 +342,208 @@ impl<'w> Focus<'w> {
         let s = self.live(i).unwrap_or_else(|| {
             panic!("processor {} lacks partial y[{i}] to send: plan bug", self.rank)
         });
-        self.log.live[s as usize] = false;
+        self.live[s as usize] = false;
         s
+    }
+
+    /// Walks the rank's task list of one compute phase in one pass:
+    /// checks that the rank holds every `x` it multiplies by, opens its
+    /// `y` slots and groups the tasks into run-length segments over
+    /// home columns and local row slots (the order-preserving form
+    /// every [`KernelFormat`] is built from). Within one compute phase
+    /// no slot is drained, so a slot repeats exactly when a row heads
+    /// two segments.
+    fn tasks<'t>(&mut self, tasks: &'t [MultTask]) -> TaskSegments<'t> {
+        let mut kernel = TaskSegments::new(tasks);
+        self.views.kernel_rows.clear();
+        for run in tasks.chunk_by(|a, b| a.row == b.row) {
+            for t in run {
+                self.read(t.col, "to multiply");
+            }
+            let row = run[0].row;
+            let repeat = self.views.kernel_rows.get(row).is_some();
+            self.views.kernel_rows.insert(row, 0);
+            kernel.push(run, self.accum(row), repeat);
+        }
+        kernel
+    }
+
+    /// Lowers the rank's side of one communication phase: its sends,
+    /// then its receives, each in plan order. Sends go first so the
+    /// drain/define bookkeeping matches the simultaneous-exchange
+    /// semantics (payloads capture the pre-phase state): a row drained
+    /// and received in the same phase folds into a fresh slot, never
+    /// into the one being read. The folds are left empty: only the
+    /// stitch knows the producers' slots.
+    fn comm(&mut self, table: &CommTable) -> RankStep {
+        let (msgs, rank) = (table.msgs, self.rank);
+        let (out, inc) = (&table.by_src[rank], &table.by_dst[rank]);
+        let words =
+            |list: &[u32]| list.iter().map(|&n| msgs[n as usize].y_rows.len()).sum::<usize>();
+        let mut y_slots = Vec::with_capacity(words(out) + words(inc));
+        let msg = |n: u32, peer: u32, y: Range<usize>| CompiledMsg {
+            peer,
+            x: table.x_ranges[n as usize].clone(),
+            y: y.start as u32..y.end as u32,
+        };
+        let sends = out
+            .iter()
+            .map(|&n| {
+                let m = &msgs[n as usize];
+                for &j in &m.x_cols {
+                    self.read(j, "to send");
+                }
+                let y0 = y_slots.len();
+                for &i in &m.y_rows {
+                    y_slots.push(self.drain(i));
+                }
+                msg(n, m.dst, y0..y_slots.len())
+            })
+            .collect();
+        let recvs = inc
+            .iter()
+            .map(|&n| {
+                let m = &msgs[n as usize];
+                for &j in &m.x_cols {
+                    self.views.held.insert(j, 0);
+                }
+                let y0 = y_slots.len();
+                for &i in &m.y_rows {
+                    y_slots.push(self.accum(i));
+                }
+                msg(n, m.src, y0..y_slots.len())
+            })
+            .collect();
+        RankStep::Comm {
+            sends,
+            recvs,
+            x_homes: Arc::clone(&table.x_homes),
+            y_slots,
+            folds: Vec::new(),
+        }
+    }
+}
+
+/// What one communication phase is to every rank, built before any
+/// rank is lowered and only read after that.
+struct CommTable<'p> {
+    msgs: &'p [MsgSpec],
+    /// Home index of every expand word of the phase, message by
+    /// message.
+    x_homes: Arc<[u32]>,
+    /// Per message: its range of `x_homes`.
+    x_ranges: Vec<Range<u32>>,
+    /// Per rank: the messages it sends, in plan order.
+    by_src: Vec<Vec<u32>>,
+    /// Per rank: the messages it receives, in plan order.
+    by_dst: Vec<Vec<u32>>,
+}
+
+impl<'p> CommTable<'p> {
+    fn new(msgs: &'p [MsgSpec], k: usize) -> CommTable<'p> {
+        let mut homes = Vec::with_capacity(msgs.iter().map(|m| m.x_cols.len()).sum());
+        let x_ranges = msgs
+            .iter()
+            .map(|m| {
+                let start = homes.len() as u32;
+                homes.extend_from_slice(&m.x_cols);
+                start..homes.len() as u32
+            })
+            .collect();
+        CommTable {
+            msgs,
+            x_homes: homes.into(),
+            x_ranges,
+            by_src: by_rank(k, msgs.iter().map(|m| m.src)),
+            by_dst: by_rank(k, msgs.iter().map(|m| m.dst)),
+        }
+    }
+}
+
+/// One plan phase as every rank's lowering reads it.
+enum Phase<'p> {
+    Compute(&'p [Vec<MultTask>]),
+    Comm(CommTable<'p>),
+}
+
+/// Everything the lowering of one rank reads besides its own state:
+/// built once per compile, shared by the whole team.
+struct Tables<'p> {
+    x_part: &'p [u32],
+    phases: Vec<Phase<'p>>,
+    /// Per rank: the rows it owns, ascending — what it emits.
+    owned: Vec<Vec<u32>>,
+    seeded: Vec<AtomicBool>,
+    format: KernelFormat,
+    isa: KernelIsa,
+}
+
+impl Tables<'_> {
+    /// Lowers ranks `ranks` on `views`: each rank's whole program in
+    /// plan order, then its emit. The kernels are built after all the
+    /// group's walks, one phase at a time — the order the apply runs
+    /// them in. Per rank: its program, with no arena offset and no
+    /// folds yet, and (under [`KernelFormat::Auto`]) the statistics of
+    /// each compute phase's kernel.
+    fn lower_group(
+        &self,
+        ranks: Range<usize>,
+        views: &mut Views,
+    ) -> Vec<(RankProgram, Vec<KernelStats>)> {
+        let mut walked: Vec<_> = ranks
+            .map(|rank| {
+                let (program, segments) = self.walk(rank, views);
+                (program, segments, Vec::new())
+            })
+            .collect();
+        for (p, phase) in self.phases.iter().enumerate() {
+            if let Phase::Compute(_) = phase {
+                for (program, segments, stats) in &mut walked {
+                    let segments = segments.next().expect("one table per compute phase");
+                    // Statistics (a σ-sort plus a dense-run scan per
+                    // kernel) are gathered only when the policy needs
+                    // them — a fixed-format compile stays one pass
+                    // proportional to the plan size.
+                    let (kernel, st) = Kernel::lower(segments, self.format, self.isa);
+                    program.steps[p] = RankStep::Compute(kernel);
+                    stats.extend(st);
+                }
+            }
+        }
+        walked.into_iter().map(|(program, _, stats)| (program, stats)).collect()
+    }
+
+    /// Walks rank `rank`'s whole program: its steps (each compute step
+    /// a placeholder, its segment table returned beside), then its
+    /// output emit — each owned row copies out of the rank's live slot,
+    /// or is emitted as 0 where the rank holds no live partial.
+    fn walk<'p>(
+        &'p self,
+        rank: usize,
+        views: &mut Views,
+    ) -> (RankProgram, std::vec::IntoIter<TaskSegments<'p>>) {
+        let mut lowering = Lowering::new(rank, self.x_part, &self.seeded, views);
+        let mut steps = Vec::with_capacity(self.phases.len());
+        let mut segments = Vec::new();
+        for phase in &self.phases {
+            steps.push(match phase {
+                Phase::Compute(tasks) => {
+                    segments.push(lowering.tasks(&tasks[rank]));
+                    RankStep::Compute(Kernel::default())
+                }
+                Phase::Comm(table) => lowering.comm(table),
+            });
+        }
+        let rows = &self.owned[rank];
+        let program = RankProgram {
+            ny: lowering.live.len(),
+            y_off: 0,
+            y_emit: rows.iter().filter_map(|&i| lowering.live(i).map(|s| (i, s))).collect(),
+            y_zero: rows.iter().copied().filter(|&i| lowering.live(i).is_none()).collect(),
+            x_seed: lowering.x_seed,
+            steps,
+        };
+        (program, segments.into_iter())
     }
 }
 
@@ -407,47 +556,47 @@ impl CompiledPlan {
     /// or drains a partial `y` its rank cannot hold — the same
     /// conditions the interpreting oracle detects mid-run.
     pub fn compile(plan: &SpmvPlan) -> CompiledPlan {
-        CompiledPlan::compile_with(plan, KernelFormat::CsrSlice)
+        CompiledPlan::compile_with_isa(plan, KernelFormat::CsrSlice, KernelIsa::Auto)
     }
 
     /// Compiles `plan`, lowering every compute kernel to `format`
     /// ([`KernelFormat::Auto`] decides per kernel from row-length
-    /// statistics). One pass over the plan; cost is proportional to the
-    /// plan size (nnz + communication volume).
+    /// statistics), with the instruction-set choice `isa` for the
+    /// fixed-width batch loops. [`KernelIsa::Auto`] — AVX2 whenever the
+    /// CPU has it — is always safe because the SIMD paths are bitwise
+    /// identical to the scalar reference; [`KernelIsa::Scalar`] pins
+    /// the reference loops for differential runs. One pass over the
+    /// plan; cost is proportional to the plan size (nnz + communication
+    /// volume).
     ///
-    /// # Panics
-    /// Same contract as [`CompiledPlan::compile`].
-    pub fn compile_with(plan: &SpmvPlan, format: KernelFormat) -> CompiledPlan {
-        CompiledPlan::compile_with_isa(plan, format, KernelIsa::Auto)
-    }
-
-    /// [`CompiledPlan::compile_with`] with an explicit instruction-set
-    /// choice for the fixed-width batch loops. The default elsewhere is
-    /// [`KernelIsa::Auto`] — AVX2 whenever the CPU has it — which is
-    /// always safe because the SIMD paths are bitwise identical to the
-    /// scalar reference; [`KernelIsa::Scalar`] pins the reference loops
-    /// for differential runs.
-    ///
-    /// Every compile entry lands here. A large plan's compute phases are
-    /// lowered by the calling thread and up to
-    /// `available_parallelism() − 1` scoped helpers (see the module
-    /// docs); the compiled plan is the same at any team size.
+    /// Every compile entry lands here. A large plan's ranks are lowered
+    /// by the calling thread and up to `available_parallelism() − 1`
+    /// scoped helpers (see the module docs); the compiled plan is the
+    /// same at any team size.
     ///
     /// # Panics
     /// Same contract as [`CompiledPlan::compile`].
     pub fn compile_with_isa(plan: &SpmvPlan, format: KernelFormat, isa: KernelIsa) -> CompiledPlan {
         let team = match plan.total_ops() as usize / TEAM_MIN_TASKS {
             0 => 1,
-            helpers => {
-                std::thread::available_parallelism().map_or(1, NonZeroUsize::get).min(helpers + 1)
-            }
+            helpers => crate::cpu_count().min(helpers + 1),
         };
         CompiledPlan::compile_on(plan, format, isa, team)
     }
 
     /// [`CompiledPlan::compile_with_isa`] on a team of `team` threads,
     /// the caller included, taken as given (the size floor applies
-    /// where the default team is chosen): see [`lower_phase`].
+    /// where the default team is chosen) and capped at the rank count.
+    ///
+    /// The ranks are cut into contiguous groups of about equal task
+    /// counts ([`group_ends`]). The caller lowers the first group, and
+    /// one scoped helper per other nonempty group lowers that one on
+    /// views the caller allocated for it. A rank's lowering writes only
+    /// its own program, and `seeded` only at the columns the rank owns,
+    /// so the programs and statistics are those a team of one leaves,
+    /// whatever the team. If lowerings panic, the first group's panic
+    /// is raised, with its own payload: the one a team of one meets
+    /// first.
     pub(crate) fn compile_on(
         plan: &SpmvPlan,
         format: KernelFormat,
@@ -455,49 +604,71 @@ impl CompiledPlan {
         team: usize,
     ) -> CompiledPlan {
         let k = plan.k;
-        let mut walk = Walk::new(&plan.x_part, plan.nrows, k);
-        let mut programs: Vec<Vec<RankStep>> =
-            (0..k).map(|_| Vec::with_capacity(plan.phases.len())).collect();
-        let mut comm_phases = 0;
-        let mut stats = Vec::new();
-
-        for phase in &plan.phases {
-            match phase {
-                PlanPhase::Compute(tasks) => {
-                    let kernels = lower_phase(tasks, &mut walk, format, isa, team);
-                    for (program, (kernel, st)) in programs.iter_mut().zip(kernels) {
-                        stats.extend(st.filter(|st| st.ops > 0));
-                        program.push(RankStep::Compute(kernel));
-                    }
+        let tables = Tables {
+            x_part: &plan.x_part,
+            phases: plan
+                .phases
+                .iter()
+                .map(|phase| match phase {
+                    PlanPhase::Compute(tasks) => Phase::Compute(tasks),
+                    PlanPhase::Comm(msgs) => Phase::Comm(CommTable::new(msgs, k)),
+                })
+                .collect(),
+            owned: by_rank(k, plan.y_part.iter().copied()),
+            seeded: plan.x_part.iter().map(|_| AtomicBool::new(false)).collect(),
+            format,
+            isa,
+        };
+        let views = || Views::new(plan.ncols, plan.nrows);
+        let team = team.min(k).max(1);
+        let lowered = if team < 2 {
+            tables.lower_group(0..k, &mut views())
+        } else {
+            let tasks = |r: usize, phase: &Phase| match phase {
+                Phase::Compute(tasks) => tasks[r].len(),
+                Phase::Comm(_) => 0,
+            };
+            let work: Vec<usize> =
+                (0..k).map(|r| tables.phases.iter().map(|ph| tasks(r, ph)).sum()).collect();
+            let ends = group_ends(&work, team);
+            let mut spare: Vec<Views> = (1..team).map(|_| views()).collect();
+            std::thread::scope(|scope| {
+                let tables = &tables;
+                let helpers: Vec<_> = ends
+                    .windows(2)
+                    .zip(&mut spare)
+                    .filter(|(bounds, _)| bounds[0] < bounds[1])
+                    .map(|(bounds, views)| {
+                        let group = bounds[0]..bounds[1];
+                        scope.spawn(move || tables.lower_group(group, views))
+                    })
+                    .collect();
+                let mut lowered = tables.lower_group(0..ends[0], &mut views());
+                for helper in helpers {
+                    lowered.extend(helper.join().unwrap_or_else(|payload| resume_unwind(payload)));
                 }
-                PlanPhase::Comm(msgs) => {
-                    comm_phases += 1;
-                    for (program, step) in programs.iter_mut().zip(lower_comm(msgs, &mut walk)) {
-                        program.push(step);
-                    }
-                }
-            }
-        }
+                lowered
+            })
+        };
+        let (mut ranks, rank_stats): (Vec<RankProgram>, Vec<Vec<KernelStats>>) =
+            lowered.into_iter().unzip();
 
-        // The arena layout is known only now (a rank's block grows
-        // through the whole walk): place the blocks, then turn the
-        // folds' rank-local slots into arena slots.
-        let mut y_off = Vec::with_capacity(k);
+        // The stitch. The arena layout is known only now (a rank's
+        // block grows through its whole program): place the blocks,
+        // then give every receiver its folds, the producer's drained
+        // slots paired with its own, as arena slots.
         let mut end = 0;
-        for log in &walk.logs {
-            y_off.push(end);
-            end += log.live.len().next_multiple_of(LINE_SLOTS);
+        for rp in &mut ranks {
+            rp.y_off = end;
+            end += rp.ny.next_multiple_of(LINE_SLOTS);
         }
         assert!(end <= u32::MAX as usize, "y arena exceeds the u32 slot space");
-        for (r, steps) in programs.iter_mut().enumerate() {
-            for step in steps {
-                let RankStep::Comm { recvs, folds, .. } = step else { continue };
-                let mut pairs = folds.iter_mut();
-                for m in recvs.iter() {
-                    for (src, dst) in pairs.by_ref().take(m.y.len()) {
-                        *src += y_off[m.peer as usize] as u32;
-                        *dst += y_off[r] as u32;
-                    }
+        for (p, phase) in tables.phases.iter().enumerate() {
+            let Phase::Comm(table) = phase else { continue };
+            let folds = stitch(&ranks, p, table);
+            for (rp, pairs) in ranks.iter_mut().zip(folds) {
+                if let RankStep::Comm { folds, .. } = &mut rp.steps[p] {
+                    *folds = pairs;
                 }
             }
         }
@@ -506,34 +677,11 @@ impl CompiledPlan {
             .iter()
             .map(|ph| matches!(ph, PlanPhase::Comm(msgs) if msgs.iter().any(|m| !m.y_rows.is_empty())))
             .collect();
-
-        // Output emit: each row copies out of its owner's live slot;
-        // rows whose owner holds no live partial are emitted as 0.
-        // Rows are grouped by owner (ascending within each), so every
-        // owner's view is loaded once.
-        let mut owned: Vec<Vec<u32>> = vec![Vec::new(); k];
-        for (i, &owner) in plan.y_part.iter().enumerate() {
-            owned[owner as usize].push(i as u32);
-        }
-        let mut y_emit: Vec<Vec<(u32, u32)>> = Vec::with_capacity(k);
-        let mut y_zero: Vec<Vec<u32>> = Vec::with_capacity(k);
-        for (r, rows) in owned.iter().enumerate() {
-            let rank = walk.focus(r);
-            y_emit.push(rows.iter().filter_map(|&i| rank.live(i).map(|s| (i, s))).collect());
-            y_zero.push(rows.iter().copied().filter(|&i| rank.live(i).is_none()).collect());
-        }
-
-        let ranks = programs
-            .into_iter()
-            .enumerate()
-            .map(|(r, steps)| RankProgram {
-                ny: walk.logs[r].live.len(),
-                y_off: y_off[r],
-                x_seed: std::mem::take(&mut walk.logs[r].x_seed),
-                y_emit: std::mem::take(&mut y_emit[r]),
-                y_zero: std::mem::take(&mut y_zero[r]),
-                steps,
-            })
+        // Phase-major, rank order; empty kernels are left out.
+        let compute_phases = rank_stats.first().map_or(0, Vec::len);
+        let stats = (0..compute_phases)
+            .flat_map(|c| rank_stats.iter().map(move |st| st[c]))
+            .filter(|st| st.ops > 0)
             .collect();
 
         CompiledPlan {
@@ -541,7 +689,7 @@ impl CompiledPlan {
             nrows: plan.nrows,
             ncols: plan.ncols,
             ranks,
-            comm_phases,
+            comm_phases: plan.phases.iter().filter(|ph| matches!(ph, PlanPhase::Comm(_))).count(),
             y_part: plan.y_part.clone(),
             format,
             isa,
@@ -593,97 +741,6 @@ impl CompiledPlan {
     }
 }
 
-/// One rank's compute kernel as the walk leaves it: the segment table
-/// over its task list, from which [`Kernel::lower`] builds the kernel.
-struct TaskSegments<'t> {
-    tasks: &'t [MultTask],
-    /// Segment boundaries into `tasks`.
-    bounds: Vec<u32>,
-    /// Local `y` slot per segment.
-    slots: Vec<u32>,
-    /// Some row heads more than one segment.
-    repeats: bool,
-    /// Consecutive-column runs, counted as the walk reads the columns.
-    dense: DenseRuns,
-}
-
-impl<'t> TaskSegments<'t> {
-    /// The table of no segments yet over `tasks`.
-    fn new(tasks: &'t [MultTask]) -> TaskSegments<'t> {
-        TaskSegments {
-            tasks,
-            bounds: vec![0],
-            slots: Vec::new(),
-            repeats: false,
-            dense: DenseRuns::default(),
-        }
-    }
-}
-
-impl Segmented for TaskSegments<'_> {
-    fn bounds(&self) -> &[u32] {
-        &self.bounds
-    }
-
-    fn slots(&self) -> &[u32] {
-        &self.slots
-    }
-
-    fn col(&self, e: usize) -> u32 {
-        self.tasks[e].col
-    }
-
-    fn val(&self, e: usize) -> f64 {
-        self.tasks[e].val
-    }
-
-    fn repeats(&self) -> bool {
-        self.repeats
-    }
-
-    fn dense_entries(&self) -> usize {
-        self.dense.entries
-    }
-
-    fn into_csr(mut self) -> CsrKernel {
-        self.bounds.shrink_to_fit();
-        self.slots.shrink_to_fit();
-        let mut kernel = CsrKernel::default();
-        kernel.cols = self.tasks.iter().map(|t| t.col).collect();
-        kernel.vals = self.tasks.iter().map(|t| t.val).collect();
-        kernel.row_ptr = self.bounds;
-        kernel.rows = self.slots;
-        kernel
-    }
-}
-
-/// Walks one rank's task list in one pass: checks that the rank holds
-/// every `x` it multiplies by, opens its `y` slots, groups the tasks
-/// into run-length segments over home columns and local row slots (the
-/// order-preserving form every [`KernelFormat`] is built from), and
-/// counts the consecutive-column runs for [`KernelStats`]. Within one
-/// compute phase no slot is drained, so a slot repeats exactly when a
-/// row heads two segments. Only the walk finds the segments, so their
-/// table grows as it goes.
-fn lower_tasks<'t>(tasks: &'t [MultTask], rank: &mut Focus) -> TaskSegments<'t> {
-    let mut kernel = TaskSegments::new(tasks);
-    rank.views.kernel_rows.clear();
-    let mut end = 0;
-    for run in tasks.chunk_by(|a, b| a.row == b.row) {
-        for t in run {
-            rank.read(t.col, "to multiply");
-        }
-        kernel.dense.segment(run.iter().map(|t| t.col));
-        let row = run[0].row;
-        kernel.repeats |= rank.views.kernel_rows.get(row).is_some();
-        rank.views.kernel_rows.insert(row, 0);
-        kernel.slots.push(rank.accum(row));
-        end += run.len();
-        kernel.bounds.push(end as u32);
-    }
-    kernel
-}
-
 /// The tasks a plan needs per helper that lowers its compute phases.
 /// A helper costs about a megabyte of resident memory: its stack and
 /// thread state, and a glibc arena of its own that keeps what the
@@ -696,185 +753,67 @@ fn lower_tasks<'t>(tasks: &'t [MultTask], rank: &mut Focus) -> TaskSegments<'t> 
 /// on a machine with many cores.
 const TEAM_MIN_TASKS: usize = 1 << 18;
 
-/// Cuts ranks `0..tasks.len()` into `team` contiguous groups of about
-/// equal task counts: the end of each group, the last one's being the
-/// rank count. Groups may be empty.
-fn group_ends(tasks: &[Vec<MultTask>], team: usize) -> Vec<usize> {
-    let total: usize = tasks.iter().map(Vec::len).sum();
+/// Cuts ranks `0..work.len()` into `team` contiguous groups of about
+/// equal `work` (task counts): the end of each group, the last one's
+/// being the rank count. Groups may be empty.
+fn group_ends(work: &[usize], team: usize) -> Vec<usize> {
+    let total: usize = work.iter().sum();
     let mut ends = Vec::with_capacity(team);
     let mut done = 0;
-    for (r, list) in tasks.iter().enumerate() {
-        done += list.len();
+    for (r, w) in work.iter().enumerate() {
+        done += w;
         while ends.len() + 1 < team && done * team >= (ends.len() + 1) * total {
             ends.push(r + 1);
         }
     }
-    ends.resize(team, tasks.len());
+    ends.resize(team, work.len());
     ends
 }
 
-/// Lowers one compute phase: per rank, in rank order, its kernel and
-/// (under [`KernelFormat::Auto`]) its statistics.
-///
-/// With a `team` of two or more, the ranks are cut into `team`
-/// contiguous groups of about equal task counts ([`group_ends`]). The
-/// caller lowers the first group, and one scoped helper per other
-/// nonempty group lowers that one on views of its own. A rank's
-/// lowering writes only its own [`RankLog`], and `seeded` only at the
-/// columns the rank owns, so the kernels, the statistics and the logs
-/// are those a team of one leaves, whatever the team. If lowerings
-/// panic, the first group's panic is raised, with its own payload: the
-/// one a team of one meets first.
-fn lower_phase(
-    tasks: &[Vec<MultTask>],
-    walk: &mut Walk,
-    format: KernelFormat,
-    isa: KernelIsa,
-    team: usize,
-) -> Vec<(Kernel, Option<KernelStats>)> {
-    let (x_part, seeded) = (walk.x_part, &walk.seeded[..]);
-    let lower = |first: usize, logs: &mut [RankLog], views: &mut Views| {
-        let lower_rank = |(rank, log): (usize, &mut RankLog)| {
-            let list = &tasks[rank];
-            let segments = if list.is_empty() {
-                TaskSegments::new(list)
-            } else {
-                lower_tasks(list, &mut Focus::new(rank, x_part, seeded, log, views))
-            };
-            // Statistics (a σ-sort plus a dense-run scan per kernel)
-            // are gathered only when the policy needs them — a
-            // fixed-format compile stays one pass proportional to the
-            // plan size.
-            Kernel::lower(segments, format, isa)
-        };
-        (first..).zip(logs).map(lower_rank).collect::<Vec<_>>()
-    };
-    let team = team.min(tasks.len());
-    if team < 2 {
-        return lower(0, &mut walk.logs, &mut walk.views);
-    }
-    let ends = group_ends(tasks, team);
-    let (nrows, ncols) = (walk.views.slot.tags.len(), x_part.len());
-    walk.spare.resize_with(walk.spare.len().max(team - 1), || Views::new(ncols, nrows));
-    let (own, mut rest) = walk.logs.split_at_mut(ends[0]);
-    std::thread::scope(|scope| {
-        let lower = &lower;
-        let mut helpers = Vec::with_capacity(team - 1);
-        for (bounds, views) in ends.windows(2).zip(&mut walk.spare) {
-            let (group, tail) = std::mem::take(&mut rest).split_at_mut(bounds[1] - bounds[0]);
-            rest = tail;
-            if !group.is_empty() {
-                helpers.push(scope.spawn(move || lower(bounds[0], group, views)));
-            }
-        }
-        let mut kernels = lower(0, own, &mut walk.views);
-        for helper in helpers {
-            kernels.extend(helper.join().unwrap_or_else(|payload| resume_unwind(payload)));
-        }
-        kernels
-    })
-}
-
-/// Per rank, the indices of the messages it appears in on one side, in
-/// plan order, each list allocated at its final size.
-fn by_rank(msgs: &[MsgSpec], k: usize, side: impl Fn(&MsgSpec) -> u32) -> Vec<Vec<usize>> {
+/// Per rank, the items it owns, in order, each list allocated at its
+/// final size: `owners` yields the owner of items `0, 1, ..`.
+fn by_rank(k: usize, owners: impl Iterator<Item = u32> + Clone) -> Vec<Vec<u32>> {
     let mut count = vec![0usize; k];
-    for m in msgs {
-        count[side(m) as usize] += 1;
+    for r in owners.clone() {
+        count[r as usize] += 1;
     }
-    let mut lists: Vec<Vec<usize>> = count.into_iter().map(Vec::with_capacity).collect();
-    for (n, m) in msgs.iter().enumerate() {
-        lists[side(m) as usize].push(n);
+    let mut lists: Vec<Vec<u32>> = count.into_iter().map(Vec::with_capacity).collect();
+    for (n, r) in owners.enumerate() {
+        lists[r as usize].push(n as u32);
     }
     lists
 }
 
-/// Lowers one communication phase to one [`RankStep::Comm`] per rank.
-/// All sends are lowered before any receive so the drain/define
-/// bookkeeping matches the simultaneous-exchange semantics (payloads
-/// capture the pre-phase state): a row drained and received in the same
-/// phase folds into a fresh slot, never into the one being read. Each
-/// side is walked rank by rank — a rank's own lists keep plan order,
-/// which is all its slot numbering depends on. Fold pairs are
-/// rank-local here; the caller rebases them once the arena layout is
-/// known.
-fn lower_comm(msgs: &[MsgSpec], walk: &mut Walk) -> Vec<RankStep> {
-    let k = walk.logs.len();
-    let mut homes = Vec::with_capacity(msgs.iter().map(|m| m.x_cols.len()).sum());
-    let x_ranges: Vec<Range<u32>> = msgs
-        .iter()
-        .map(|m| {
-            let start = homes.len() as u32;
-            homes.extend_from_slice(&m.x_cols);
-            start..homes.len() as u32
-        })
-        .collect();
-    let x_homes: Arc<[u32]> = homes.into();
-    let (by_src, by_dst) = (by_rank(msgs, k, |m| m.src), by_rank(msgs, k, |m| m.dst));
-    let words = |list: &[usize]| list.iter().map(|&n| msgs[n].y_rows.len()).sum::<usize>();
-    let mut y_slots: Vec<Vec<u32>> =
-        (0..k).map(|r| Vec::with_capacity(words(&by_src[r]) + words(&by_dst[r]))).collect();
-    let mut sends: Vec<Vec<CompiledMsg>> = Vec::with_capacity(k);
-    // Per message: where its drained slots start in the sender's `y_slots`.
-    let mut drained = vec![0u32; msgs.len()];
-    for (src, list) in by_src.iter().enumerate() {
-        let mut rank = (!list.is_empty()).then(|| walk.focus(src));
-        sends.push(
-            list.iter()
-                .map(|&n| {
-                    let (m, rank) = (&msgs[n], rank.as_mut().expect("focused"));
-                    for &j in &m.x_cols {
-                        rank.read(j, "to send");
-                    }
-                    let y0 = y_slots[src].len() as u32;
-                    for &i in &m.y_rows {
-                        y_slots[src].push(rank.drain(i));
-                    }
-                    drained[n] = y0;
-                    CompiledMsg {
-                        peer: m.dst,
-                        x: x_ranges[n].clone(),
-                        y: y0..y_slots[src].len() as u32,
-                    }
-                })
-                .collect(),
-        );
+/// Every rank's folds of communication phase `p` (described by
+/// `table`), once all ranks are lowered and placed: per received fold
+/// word, `(producer's arena slot, own arena slot)`, in `recvs` order.
+/// The producer's slot is the one its lowered send drained.
+fn stitch(ranks: &[RankProgram], p: usize, table: &CommTable) -> Vec<Vec<(u32, u32)>> {
+    let step = |r: usize| match &ranks[r].steps[p] {
+        RankStep::Comm { sends, recvs, y_slots, .. } => (sends, recvs, y_slots),
+        RankStep::Compute(_) => unreachable!("phase {p} is a communication phase"),
+    };
+    // Per message: where its drained slots start in its sender's
+    // `y_slots`.
+    let mut drained = vec![0u32; table.msgs.len()];
+    for (src, list) in table.by_src.iter().enumerate() {
+        for (&n, send) in list.iter().zip(step(src).0) {
+            drained[n as usize] = send.y.start;
+        }
     }
-    let mut steps = Vec::with_capacity(k);
-    for (dst, list) in by_dst.iter().enumerate() {
-        let mut rank = (!list.is_empty()).then(|| walk.focus(dst));
-        let mut folds = Vec::with_capacity(words(list));
-        let recvs = list
-            .iter()
-            .map(|&n| {
-                let (m, rank) = (&msgs[n], rank.as_mut().expect("focused"));
-                rank.log.received.extend_from_slice(&m.x_cols);
-                let y0 = y_slots[dst].len() as u32;
-                for (o, &i) in m.y_rows.iter().enumerate() {
-                    let from = y_slots[m.src as usize][drained[n] as usize + o];
-                    let into = rank.accum(i);
-                    y_slots[dst].push(into);
-                    folds.push((from, into));
-                }
-                CompiledMsg {
-                    peer: m.src,
-                    x: x_ranges[n].clone(),
-                    y: y0..y_slots[dst].len() as u32,
-                }
-            })
-            .collect();
-        steps.push((recvs, folds));
-    }
-    sends
-        .into_iter()
-        .zip(steps)
-        .zip(y_slots)
-        .map(|((sends, (recvs, folds)), y_slots)| RankStep::Comm {
-            sends,
-            recvs,
-            x_homes: Arc::clone(&x_homes),
-            y_slots,
-            folds,
+    (0..ranks.len())
+        .map(|dst| {
+            let (_, recvs, own) = step(dst);
+            let mut folds = Vec::with_capacity(recvs.iter().map(|m| m.y.len()).sum());
+            for (&n, m) in table.by_dst[dst].iter().zip(recvs) {
+                let src = m.peer as usize;
+                let from = &step(src).2[drained[n as usize] as usize..];
+                let into = &own[m.y.start as usize..m.y.end as usize];
+                folds.extend(into.iter().zip(from).map(|(&into, &from)| {
+                    (ranks[src].y_off as u32 + from, ranks[dst].y_off as u32 + into)
+                }));
+            }
+            folds
         })
         .collect()
 }
@@ -883,32 +822,24 @@ fn lower_comm(msgs: &[MsgSpec], walk: &mut Walk) -> Vec<RankStep> {
 mod tests {
     use super::*;
     use crate::formats::{oracle, DENSE_MIN_RUN, SELL_SIGMA};
+    use crate::CsrKernel;
     use proptest::prelude::*;
+    use std::collections::HashMap;
 
     /// Cases per oracle property.
     const ORACLE_CASES: u32 = if cfg!(debug_assertions) { 256 } else { 2048 };
 
-    /// The walk as it was before it left only a segment table: the
-    /// task list copied into a CSR slice.
-    fn lower_tasks_reference(tasks: &[MultTask], rank: usize, walk: &mut Walk) -> CsrKernel {
-        let segments = tasks.chunk_by(|a, b| a.row == b.row).count();
+    /// The CSR slice of `tasks` on a rank whose rows take slots in
+    /// first-touch order (`slots`, kept across kernels): what the
+    /// walk's segment table must lower to.
+    fn csr_reference(tasks: &[MultTask], slots: &mut HashMap<u32, u32>) -> CsrKernel {
         let mut kernel = CsrKernel::default();
-        kernel.row_ptr.reserve_exact(segments + 1);
-        kernel.rows.reserve_exact(segments);
-        kernel.cols.reserve_exact(tasks.len());
-        kernel.vals.reserve_exact(tasks.len());
         kernel.row_ptr.push(0);
-        if tasks.is_empty() {
-            return kernel;
-        }
-        let mut rank = walk.focus(rank);
         for run in tasks.chunk_by(|a, b| a.row == b.row) {
-            for t in run {
-                rank.read(t.col, "to multiply");
-                kernel.cols.push(t.col);
-                kernel.vals.push(t.val);
-            }
-            kernel.rows.push(rank.accum(run[0].row));
+            let next = slots.len() as u32;
+            kernel.rows.push(*slots.entry(run[0].row).or_insert(next));
+            kernel.cols.extend(run.iter().map(|t| t.col));
+            kernel.vals.extend(run.iter().map(|t| t.val));
             kernel.row_ptr.push(kernel.cols.len() as u32);
         }
         kernel
@@ -962,11 +893,10 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(ORACLE_CASES))]
 
         /// Every format under both ISAs: the kernel built straight from
-        /// the segment table, and its `auto` statistics, equal the old
-        /// CSR-first lowering's — for a kernel whose slots are all new
-        /// and for a second one on the same rank that reuses some. The
-        /// CSR wrappers (`from_csr_isa`, `KernelStats::of`) are held to
-        /// the same oracle.
+        /// the walk's segment table, and its `auto` statistics, equal
+        /// the oracle's CSR-first lowering — for a kernel whose slots
+        /// are all new and for a second one on the same rank that
+        /// reuses some.
         #[test]
         fn lowering_matches_the_oracle(
             (shape, interleave, seeds) in (0..3usize, 0..2u8, (0..u64::MAX, 0..u64::MAX))
@@ -977,60 +907,93 @@ mod tests {
             let x_part = vec![0; NX as usize];
             for format in KernelFormat::all() {
                 for isa in [KernelIsa::Auto, KernelIsa::Scalar] {
-                    let mut walk = Walk::new(&x_part, nrows as usize, 1);
-                    let mut old_walk = Walk::new(&x_part, nrows as usize, 1);
+                    let seeded: Vec<AtomicBool> = x_part.iter().map(|_| AtomicBool::new(false)).collect();
+                    let mut views = Views::new(NX as usize, nrows as usize);
+                    let mut rank = Lowering::new(0, &x_part, &seeded, &mut views);
+                    let mut slots = HashMap::new();
                     for tasks in [&first, &second] {
-                        let (got, stats) = Kernel::lower(lower_tasks(tasks, &mut walk.focus(0)), format, isa);
-                        let csr = lower_tasks_reference(tasks, 0, &mut old_walk);
+                        let (got, stats) = Kernel::lower(rank.tasks(tasks), format, isa);
+                        let csr = csr_reference(tasks, &mut slots);
                         let want_stats = (format == KernelFormat::Auto).then(|| oracle::stats_of(&csr));
                         prop_assert_eq!(format!("{stats:?}"), format!("{want_stats:?}"));
-                        prop_assert_eq!(
-                            format!("{:?}", KernelStats::of(&csr)),
-                            format!("{:?}", oracle::stats_of(&csr))
-                        );
-                        let wrapped = Kernel::from_csr_isa(csr.clone(), format, isa);
                         let want = format!("{:?}", oracle::from_csr_isa(csr, format, isa));
-                        prop_assert_eq!(format!("{got:?}"), want.clone(), "{} {}", format, isa);
-                        prop_assert_eq!(format!("{wrapped:?}"), want, "{} {} wrapper", format, isa);
+                        prop_assert_eq!(format!("{got:?}"), want, "{} {}", format, isa);
                     }
                 }
             }
         }
     }
 
-    /// Single-phase, two-phase and mesh plans of a stencil, a dense-row
-    /// matrix at `K = 64` and an R-MAT graph, on s2D partitions (a block
-    /// split of the rows by nonzero count, refined by Algorithm 1).
-    /// `compile_on` takes the team as given, so helpers lower all of
-    /// them, also below [`TEAM_MIN_TASKS`].
-    fn team_plans() -> Vec<(String, SpmvPlan)> {
+    /// Single-phase, two-phase and mesh plans of `a` on an s2D
+    /// partition into `k` parts (a block split of the rows by nonzero
+    /// count, refined by Algorithm 1).
+    fn s2d_plans(name: &str, a: &s2d_sparse::Csr, k: usize) -> Vec<(String, SpmvPlan)> {
         use s2d_core::heuristic::{s2d_heuristic_kway, HeuristicConfig};
+        let nnz = a.nnz().max(1);
+        let parts: Vec<u32> = (0..a.nrows())
+            .map(|i| {
+                let r = a.row_range(i);
+                ((r.start + r.end) / 2 * k / nnz).min(k - 1) as u32
+            })
+            .collect();
+        let p = s2d_heuristic_kway(a, &parts, &parts, k, &HeuristicConfig::default());
+        vec![
+            (format!("{name} single"), SpmvPlan::single_phase(a, &p)),
+            (format!("{name} two"), SpmvPlan::two_phase(a, &p)),
+            (format!("{name} mesh"), SpmvPlan::mesh_default(a, &p)),
+        ]
+    }
+
+    /// The plans of a stencil, a dense-row matrix at `K = 64` and an
+    /// R-MAT graph. `compile_on` takes the team as given, so helpers
+    /// lower all of them, also below [`TEAM_MIN_TASKS`].
+    fn team_plans() -> Vec<(String, SpmvPlan)> {
         use s2d_gen::denserow::{dense_row_matrix, DenseRowConfig};
         use s2d_gen::fem::fem_like;
         use s2d_gen::rmat::{rmat, RmatConfig};
         let n = 1 << 12;
         let dense =
             DenseRowConfig { n, nnz: 8 * n, dmax: n / 2, tail_decay: 0.5, mirror_cols: true };
-        let inputs = [
-            ("stencil", fem_like(1 << 14, 27.0, 27, 3), 8),
-            ("denserow", dense_row_matrix(&dense, 3), 64),
-            ("rmat", rmat(&RmatConfig::graph500(10, 8), 3).to_csr(), 16),
-        ];
-        let mut plans = Vec::new();
-        for (name, a, k) in inputs {
-            let nnz = a.nnz().max(1);
-            let parts: Vec<u32> = (0..a.nrows())
-                .map(|i| {
-                    let r = a.row_range(i);
-                    ((r.start + r.end) / 2 * k / nnz).min(k - 1) as u32
-                })
-                .collect();
-            let p = s2d_heuristic_kway(&a, &parts, &parts, k, &HeuristicConfig::default());
-            plans.push((format!("{name} single"), SpmvPlan::single_phase(&a, &p)));
-            plans.push((format!("{name} two"), SpmvPlan::two_phase(&a, &p)));
-            plans.push((format!("{name} mesh"), SpmvPlan::mesh_default(&a, &p)));
-        }
+        let mut plans = s2d_plans("stencil", &fem_like(1 << 14, 27.0, 27, 3), 8);
+        plans.extend(s2d_plans("denserow", &dense_row_matrix(&dense, 3), 64));
+        plans.extend(s2d_plans("rmat", &rmat(&RmatConfig::graph500(10, 8), 3).to_csr(), 16));
         plans
+    }
+
+    /// A plan of `k ≥ 2` ranks whose tasks all sit on the last rank.
+    /// The others own columns and rows and only exchange messages:
+    /// expand words to the last rank, its partials of their rows back.
+    fn last_rank_plan(k: usize) -> SpmvPlan {
+        let (n, last) = (64u32, k as u32 - 1);
+        let x_part: Vec<u32> = (0..n).map(|j| j % k as u32).collect();
+        let y_part: Vec<u32> = (0..n).map(|i| i / 3 % k as u32).collect();
+        let mut tasks = Vec::new();
+        for row in 0..n {
+            for col in [row, (row * 7 + 1) % n, (row * 13 + 5) % n] {
+                tasks.push(MultTask { row, col, val: f64::from(row + col) * 0.5 });
+            }
+        }
+        let owned_by = |part: &[u32], r: u32| (0..n).filter(|&i| part[i as usize] == r).collect();
+        let mut compute = vec![Vec::new(); k];
+        compute[k - 1] = tasks;
+        let expand = (0..last)
+            .map(|src| MsgSpec { src, dst: last, x_cols: owned_by(&x_part, src), y_rows: vec![] })
+            .collect();
+        let fold = (0..last)
+            .map(|dst| MsgSpec { src: last, dst, x_cols: vec![], y_rows: owned_by(&y_part, dst) })
+            .collect();
+        SpmvPlan {
+            k,
+            nrows: n as usize,
+            ncols: n as usize,
+            phases: vec![
+                PlanPhase::Comm(expand),
+                PlanPhase::Compute(compute),
+                PlanPhase::Comm(fold),
+            ],
+            x_part,
+            y_part,
+        }
     }
 
     /// The panic message `f` raises.
@@ -1042,11 +1005,22 @@ mod tests {
 
     /// Every plan a team of 2–4 compiles equals a team of one's, bit
     /// for bit (`Debug` texts compared), in every format (the dense-row
-    /// plans' dense-split kernels hold dense spans).
+    /// plans' dense-split kernels hold dense spans): the large plans,
+    /// plans of 1–3 ranks (teams wider than `K`), and plans whose
+    /// tasks all sit on the last rank (empty groups; ranks that have
+    /// messages but no tasks).
     #[test]
     fn compiled_plans_are_identical_at_every_team_size() {
+        let stencil = s2d_gen::fem::fem_like(1 << 10, 27.0, 27, 3);
+        let mut plans = team_plans();
+        for k in 1..=3 {
+            plans.extend(s2d_plans(&format!("stencil k={k}"), &stencil, k));
+        }
+        for k in [2, 4] {
+            plans.push((format!("last rank k={k}"), last_rank_plan(k)));
+        }
         let mut dense_spans = false;
-        for (name, plan) in team_plans() {
+        for (name, plan) in plans {
             for format in KernelFormat::all() {
                 let alone = CompiledPlan::compile_on(&plan, format, KernelIsa::Scalar, 1);
                 dense_spans |= alone.ranks.iter().flat_map(|rp| &rp.steps).any(|step| {
@@ -1063,33 +1037,85 @@ mod tests {
         assert!(dense_spans, "some dense-split kernel holds a dense span");
     }
 
+    /// The last-rank plan compiles to what its shape says: only the
+    /// last rank multiplies, the others send, fold and emit.
+    #[test]
+    fn ranks_without_tasks_send_fold_and_emit() {
+        let cp = CompiledPlan::compile(&last_rank_plan(4));
+        for (r, rp) in cp.ranks.iter().enumerate() {
+            let RankStep::Compute(kernel) = &rp.steps[1] else { panic!("a compute step") };
+            assert_eq!(kernel.ops() > 0, r == 3, "rank {r}");
+            if r < 3 {
+                let RankStep::Comm { folds, .. } = &rp.steps[2] else { panic!("a comm step") };
+                assert_eq!(folds.len(), rp.y_emit.len(), "rank {r} folds every row it owns");
+                assert!(folds.iter().all(|&(from, _)| from as usize >= cp.ranks[3].y_off));
+            }
+        }
+        assert_eq!(cp.total_ops(), 3 * 64);
+    }
+
+    /// Ranks with no work do not pull the cut: every group but those
+    /// left empty holds about an equal share of the work.
+    #[test]
+    fn groups_are_cut_over_zero_work_ranks() {
+        assert_eq!(group_ends(&[0, 0, 5, 0, 0, 5, 0], 2), [3, 7]);
+        assert_eq!(group_ends(&[0, 0, 4, 4], 2), [3, 4]);
+        // All the work on the last rank: the caller's group takes it.
+        assert_eq!(group_ends(&[0, 0, 0, 9], 4), [4, 4, 4, 4]);
+        // No work at all: every rank still falls into a group.
+        assert_eq!(group_ends(&[0, 0, 0], 3), [1, 1, 3]);
+        assert_eq!(group_ends(&[], 2), [0, 0]);
+    }
+
     /// Drops the expand words of one message to `dst` in a single-phase
     /// plan's communication phase: `dst` then multiplies by an `x` it
-    /// lacks.
+    /// lacks in the last phase.
     fn starve(plan: &mut SpmvPlan, dst: u32) {
         let PlanPhase::Comm(msgs) = &mut plan.phases[1] else { panic!("single-phase plan") };
         let m = msgs.iter_mut().find(|m| m.dst == dst && !m.x_cols.is_empty());
         m.expect("a message with expand words").x_cols.clear();
     }
 
+    /// Gives rank `rank` a task in a single-phase plan's first phase
+    /// that reads a column another rank owns: it lacks it there.
+    fn misread(plan: &mut SpmvPlan, rank: u32) {
+        let j = plan.x_part.iter().position(|&o| o != rank).expect("a foreign column") as u32;
+        let PlanPhase::Compute(tasks) = &mut plan.phases[0] else { panic!("single-phase plan") };
+        tasks[rank as usize].push(MultTask { row: 0, col: j, val: 1.0 });
+    }
+
     /// A plan bug found by a helper is raised with its own message, and
-    /// when several ranks fail, with the message of the rank a team of
-    /// one meets first.
+    /// when several ranks fail, in one phase or in different ones, with
+    /// the message of the rank a team of one lowers first: the lowest.
     #[test]
     fn plan_bugs_raise_the_same_panic_at_every_team_size() {
-        let (_, mut plan) = team_plans().swap_remove(0);
+        let (_, plan) = team_plans().swap_remove(0);
+        let last = plan.k as u32 - 1;
         let compile = |plan: &SpmvPlan, team| {
             panic_message(|| {
                 drop(CompiledPlan::compile_on(plan, KernelFormat::Auto, KernelIsa::Scalar, team))
             })
         };
+        let same_at_every_team = |plan: &SpmvPlan, rank: u32| {
+            let alone = compile(plan, 1);
+            assert!(alone.contains(&format!("processor {rank} lacks x")), "{alone}");
+            for team in 2..=4 {
+                assert_eq!(compile(plan, team), alone, "team {team}");
+            }
+        };
         // At team 2 the last rank is a helper's, the first the caller's.
-        let last = plan.k as u32 - 1;
+        let mut both = plan.clone();
         for dst in [last, 0] {
-            starve(&mut plan, dst);
-            let alone = compile(&plan, 1);
-            assert!(alone.contains(&format!("processor {dst} lacks x")), "{alone}");
-            assert_eq!(compile(&plan, 2), alone);
+            starve(&mut both, dst);
+            same_at_every_team(&both, dst);
+        }
+        // Two bugs on different ranks and phases: the lower rank's is
+        // raised, whether its phase comes first or last.
+        for (early, late) in [(2, last), (last, 1)] {
+            let mut two = plan.clone();
+            misread(&mut two, early);
+            starve(&mut two, late);
+            same_at_every_team(&two, early.min(late));
         }
     }
 
@@ -1169,13 +1195,15 @@ mod tests {
             MultTask { row: 1, col: 0, val: 2.0 },
             MultTask { row: 0, col: 0, val: 4.0 },
         ];
-        let segments = lower_tasks(&tasks, &mut Walk::new(&[0], 2, 1).focus(0));
-        assert!(segments.repeats, "row 0 heads two segments");
-        let kernel = segments.into_csr();
-        assert_eq!(kernel.rows, vec![0, 1, 0]);
-        assert_eq!(kernel.row_ptr, vec![0, 1, 2, 3]);
+        let (x_part, seeded, mut views) = ([0], [AtomicBool::new(false)], Views::new(1, 2));
+        let segments = Lowering::new(0, &x_part, &seeded, &mut views).tasks(&tasks);
+        // Row 0 heads two segments, so SELL falls back to the CSR slice.
+        let (kernel, _) = Kernel::lower(segments, KernelFormat::Sell, KernelIsa::Scalar);
+        let Kernel::Csr(csr) = &kernel else { panic!("a CSR slice, got {kernel:?}") };
+        assert_eq!(csr.rows, vec![0, 1, 0]);
+        assert_eq!(csr.row_ptr, vec![0, 1, 2, 3]);
         let mut y = vec![0.0, 0.0];
-        Kernel::Csr(kernel).run_batch(&[10.0], &mut y, 1);
+        kernel.run_batch(&[10.0], &mut y, 1);
         assert_eq!(y, vec![50.0, 20.0]);
     }
 

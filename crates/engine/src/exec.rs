@@ -180,6 +180,7 @@ fn phase_walk(
 pub(crate) mod tests {
     use super::*;
     use crate::pool::{ParallelEngine, PoolOptions};
+    use crate::KernelIsa;
     use s2d_core::fig1::{fig1_matrix, fig1_partition};
     use s2d_spmv::{SpmvOperator, SpmvPlan};
 
@@ -364,7 +365,7 @@ pub(crate) mod tests {
             let csr = CompiledPlan::compile(&plan);
             seq(&csr, 1).apply(&x, &mut want);
             for format in KernelFormat::all() {
-                let cp = CompiledPlan::compile_with(&plan, format);
+                let cp = CompiledPlan::compile_with_isa(&plan, format, KernelIsa::Auto);
                 assert_eq!(cp.format, format);
                 assert_eq!(cp.total_ops(), csr.total_ops(), "{format}: ops format-invariant");
                 for r in [1usize, 3, 8] {

@@ -33,6 +33,11 @@
 //! [`KernelFormat::Auto`] picks per kernel from row-length statistics
 //! ([`KernelStats`]) gathered at compile time.
 //!
+//! Every format, and the statistics, are built from one input: the
+//! segment table the compiler's walk leaves over one rank's task list
+//! (`TaskSegments`). There is no other way in — a kernel exists only as
+//! part of a compiled plan.
+//!
 //! # Bitwise contract
 //!
 //! Every format preserves the CSR slice's *per-row entry order* and
@@ -70,6 +75,8 @@
 //! scalar build of the same source, and the differential suite pins
 //! that with exact equality.
 
+use s2d_spmv::MultTask;
+
 /// Lane sentinel in [`SellKernel`]: this lane of the chunk is pure
 /// padding, its accumulator is discarded. Also the "no dense run" marker
 /// in [`DenseSplitKernel`] span descriptors.
@@ -95,7 +102,7 @@ pub const DENSE_MIN_RUN: usize = 8;
 ///
 /// The format is compiled into the buffer layout itself (chunk packing,
 /// padding, span tables), so it is chosen at
-/// [`CompiledPlan::compile_with`](crate::CompiledPlan::compile_with)
+/// [`CompiledPlan::compile_with_isa`](crate::CompiledPlan::compile_with_isa)
 /// time — not flipped at execution time.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum KernelFormat {
@@ -232,8 +239,7 @@ impl std::fmt::Display for KernelIsa {
 /// Row-length statistics of one kernel — the evidence
 /// [`KernelFormat::Auto`] decides from. The compiler gathers them once
 /// per kernel from its segment table and task list, before the kernel
-/// is built in any format; [`KernelStats::of`] runs the same routine on
-/// a CSR slice.
+/// is built in any format.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct KernelStats {
     /// Row segments in the kernel.
@@ -254,69 +260,90 @@ pub struct KernelStats {
 }
 
 impl KernelStats {
-    /// Gathers the statistics of a CSR slice — the same routine the
-    /// compiler runs on a task list under [`KernelFormat::Auto`].
-    pub fn of(csr: &CsrKernel) -> KernelStats {
-        KernelStats::gather(csr, SellLayout::of(&csr.row_ptr).padded)
-    }
-
-    /// The statistics of a kernel whose SELL lowering stores `padded`
-    /// entries.
-    fn gather<S: Segmented + ?Sized>(k: &S, padded: usize) -> KernelStats {
-        let rows = k.slots().len();
+    /// The statistics of kernel `k`, whose SELL lowering stores
+    /// `padded` entries.
+    fn gather(k: &TaskSegments, padded: usize) -> KernelStats {
+        let rows = k.slots.len();
         if rows == 0 {
             return KernelStats::default();
         }
-        let bounds = k.bounds();
-        let ops = bounds[rows] as usize;
-        let max_row = bounds.windows(2).map(|w| (w[1] - w[0]) as usize).max().unwrap_or(0);
-        let dense_entries = k.dense_entries();
+        let ops = k.bounds[rows] as usize;
+        let max_row = k.bounds.windows(2).map(|w| (w[1] - w[0]) as usize).max().unwrap_or(0);
         KernelStats {
             rows,
             ops,
             max_row,
             mean_row: ops as f64 / rows as f64,
-            dense_frac: dense_entries as f64 / ops as f64,
+            dense_frac: k.dense.entries as f64 / ops as f64,
             sell_fill: padded as f64 / ops.max(1) as f64,
         }
     }
 }
 
-/// A kernel on its way to a storage format: segment `s` covers entries
-/// `bounds()[s]..bounds()[s + 1]` and accumulates into `slots()[s]`.
-/// The compiler's walk yields one over the plan's task list; a
-/// [`CsrKernel`] is one too. [`Kernel::lower`] is the one lowering over
-/// either.
-pub(crate) trait Segmented {
-    /// Segment boundaries into the entries (`segments + 1` of them).
-    fn bounds(&self) -> &[u32];
+/// A kernel on its way to a storage format, as the compiler's walk
+/// leaves it: a segment table over one rank's task list. Segment `s`
+/// covers tasks `bounds[s]..bounds[s + 1]` and accumulates into local
+/// slot `slots[s]`. [`Kernel::lower`] builds every format from it.
+pub(crate) struct TaskSegments<'t> {
+    tasks: &'t [MultTask],
+    /// Segment boundaries into `tasks` (`segments + 1` of them).
+    bounds: Vec<u32>,
     /// Local `y` slot per segment.
-    fn slots(&self) -> &[u32];
-    /// `x` home of entry `e`.
-    fn col(&self, e: usize) -> u32;
-    /// Matrix value of entry `e`.
-    fn val(&self, e: usize) -> f64;
-    /// True when some slot heads more than one segment.
-    fn repeats(&self) -> bool;
-    /// Entries inside consecutive-column runs of at least
-    /// [`DENSE_MIN_RUN`] ([`DenseRuns`]).
-    fn dense_entries(&self) -> usize;
+    slots: Vec<u32>,
+    /// Some slot heads more than one segment.
+    repeats: bool,
+    /// Consecutive-column runs, counted segment by segment.
+    dense: DenseRuns,
+}
+
+impl<'t> TaskSegments<'t> {
+    /// The table of no segments yet over `tasks`.
+    pub(crate) fn new(tasks: &'t [MultTask]) -> TaskSegments<'t> {
+        TaskSegments {
+            tasks,
+            bounds: vec![0],
+            slots: Vec::new(),
+            repeats: false,
+            dense: DenseRuns::default(),
+        }
+    }
+
+    /// Appends the segment over the next `run` of tasks, accumulating
+    /// into `slot`; `repeat` says an earlier segment heads `slot` too.
+    pub(crate) fn push(&mut self, run: &[MultTask], slot: u32, repeat: bool) {
+        self.dense.segment(run.iter().map(|t| t.col));
+        self.repeats |= repeat;
+        self.slots.push(slot);
+        let end = self.bounds[self.bounds.len() - 1] as usize + run.len();
+        self.bounds.push(end as u32);
+    }
+
     /// The kernel as a CSR slice, every array at its final size.
-    fn into_csr(self) -> CsrKernel;
+    fn into_csr(mut self) -> CsrKernel {
+        self.bounds.shrink_to_fit();
+        self.slots.shrink_to_fit();
+        CsrKernel {
+            cols: self.tasks.iter().map(|t| t.col).collect(),
+            vals: self.tasks.iter().map(|t| t.val).collect(),
+            row_ptr: self.bounds,
+            rows: self.slots,
+            simd: false,
+        }
+    }
 }
 
 /// Counts the entries that lie in maximal consecutive-column runs of at
 /// least [`DENSE_MIN_RUN`], fed one segment at a time — the share a
 /// dense-span kernel executes without index loads.
 #[derive(Default)]
-pub(crate) struct DenseRuns {
+struct DenseRuns {
     /// Entries counted so far.
-    pub(crate) entries: usize,
+    entries: usize,
 }
 
 impl DenseRuns {
     /// Counts one segment's entries, given its columns in order.
-    pub(crate) fn segment(&mut self, cols: impl IntoIterator<Item = u32>) {
+    fn segment(&mut self, cols: impl IntoIterator<Item = u32>) {
         let mut cols = cols.into_iter();
         let Some(mut prev) = cols.next() else { return };
         let mut run = 1;
@@ -337,47 +364,6 @@ impl DenseRuns {
             self.entries += run;
         }
     }
-}
-
-impl Segmented for CsrKernel {
-    fn bounds(&self) -> &[u32] {
-        &self.row_ptr
-    }
-
-    fn slots(&self) -> &[u32] {
-        &self.rows
-    }
-
-    fn col(&self, e: usize) -> u32 {
-        self.cols[e]
-    }
-
-    fn val(&self, e: usize) -> f64 {
-        self.vals[e]
-    }
-
-    fn repeats(&self) -> bool {
-        has_repeats(&self.rows)
-    }
-
-    fn dense_entries(&self) -> usize {
-        let mut runs = DenseRuns::default();
-        for seg in self.row_ptr.windows(2) {
-            runs.segment(self.cols[seg[0] as usize..seg[1] as usize].iter().copied());
-        }
-        runs.entries
-    }
-
-    fn into_csr(self) -> CsrKernel {
-        self
-    }
-}
-
-/// True when a slot occurs twice in `slots`.
-fn has_repeats(slots: &[u32]) -> bool {
-    let mut seen = slots.to_vec();
-    seen.sort_unstable();
-    seen.windows(2).any(|w| w[0] == w[1])
 }
 
 /// Where a kernel's segments go in its SELL lowering, computed once per
@@ -465,12 +451,6 @@ impl Default for Kernel {
 }
 
 impl Kernel {
-    /// Lowers a CSR slice into `format` (resolving [`KernelFormat::Auto`]
-    /// per kernel) — `Kernel::lower` over the slice's own arrays.
-    pub fn from_csr_isa(csr: CsrKernel, format: KernelFormat, isa: KernelIsa) -> Kernel {
-        Kernel::lower(csr, format, isa).0
-    }
-
     /// The one lowering: builds kernel `k` straight into `format`, every
     /// array at its final size. [`KernelFormat::Auto`] gathers the
     /// [`KernelStats`] and the SELL layout once, picks from the stats
@@ -479,27 +459,27 @@ impl Kernel {
     /// format cannot represent the kernel faithfully (SELL with a
     /// repeated slot). `isa` is resolved against the running CPU once,
     /// here, and the verdict is stored in the lowered kernel.
-    pub(crate) fn lower<S: Segmented>(
-        k: S,
+    pub(crate) fn lower(
+        k: TaskSegments,
         format: KernelFormat,
         isa: KernelIsa,
     ) -> (Kernel, Option<KernelStats>) {
         let (format, layout, stats) = match format {
             KernelFormat::Auto => {
-                let layout = SellLayout::of(k.bounds());
+                let layout = SellLayout::of(&k.bounds);
                 let stats = KernelStats::gather(&k, layout.padded);
                 (auto_pick(&stats), Some(layout), Some(stats))
             }
             fixed => (fixed, None, None),
         };
         let mut kernel = match format {
-            KernelFormat::Sell if !k.repeats() => {
-                let layout = layout.unwrap_or_else(|| SellLayout::of(k.bounds()));
+            KernelFormat::Sell if !k.repeats => {
+                let layout = layout.unwrap_or_else(|| SellLayout::of(&k.bounds));
                 Kernel::Sell(SellKernel::pack(&k, &layout))
             }
             KernelFormat::CsrSlice | KernelFormat::Sell => Kernel::Csr(k.into_csr()),
             KernelFormat::DenseRowSplit => {
-                Kernel::DenseSplit(DenseSplitKernel::build(k.into_csr()))
+                Kernel::DenseSplit(DenseSplitKernel::split(k.into_csr()))
             }
             KernelFormat::Auto => unreachable!("resolved above"),
         };
@@ -761,18 +741,12 @@ pub struct SellKernel {
 }
 
 impl SellKernel {
-    /// Lowers a CSR slice. Returns `None` when the slice repeats a row
-    /// across segments (interleaved task lists) — reordering same-row
-    /// segments would regroup the accumulation, breaking the bitwise
-    /// contract.
-    pub fn build(csr: &CsrKernel) -> Option<SellKernel> {
-        (!csr.repeats()).then(|| SellKernel::pack(csr, &SellLayout::of(&csr.row_ptr)))
-    }
-
-    /// Packs kernel `k` (no repeated slot) along `layout`, entry by
-    /// entry into arrays allocated at their final size.
-    fn pack<S: Segmented + ?Sized>(k: &S, layout: &SellLayout) -> SellKernel {
-        let (bounds, slots) = (k.bounds(), k.slots());
+    /// Packs kernel `k` along `layout`, entry by entry into arrays
+    /// allocated at their final size. `k` must not repeat a slot:
+    /// reordering same-row segments would regroup the accumulation,
+    /// breaking the bitwise contract.
+    fn pack(k: &TaskSegments, layout: &SellLayout) -> SellKernel {
+        let (bounds, slots) = (&k.bounds, &k.slots);
         let nchunks = layout.order.len().div_ceil(SELL_C);
         let mut chunk_ptr = Vec::with_capacity(nchunks + 1);
         chunk_ptr.push(0u32);
@@ -802,9 +776,9 @@ impl SellKernel {
                         // Padding repeats the lane's last real column
                         // with val 0.0: `acc += 0.0 · x[c]` is a bitwise
                         // no-op for finite x (see the module docs).
-                        let src = lo + e.min(len - 1);
-                        cols.push(k.col(src));
-                        vals.push(if e < len { k.val(src) } else { 0.0 });
+                        let t = &k.tasks[lo + e.min(len - 1)];
+                        cols.push(t.col);
+                        vals.push(if e < len { t.val } else { 0.0 });
                     }
                 }
             }
@@ -943,9 +917,9 @@ pub struct DenseSplitKernel {
 }
 
 impl DenseSplitKernel {
-    /// Lowers a CSR slice (always succeeds; order is preserved). The
-    /// slice's `rows`, `cols` and `vals` become the kernel's own.
-    pub fn build(csr: CsrKernel) -> DenseSplitKernel {
+    /// Splits a CSR slice into spans (order is preserved). The slice's
+    /// `rows`, `cols` and `vals` become the kernel's own.
+    fn split(csr: CsrKernel) -> DenseSplitKernel {
         let CsrKernel { row_ptr, rows, cols, vals, .. } = csr;
         let mut k = DenseSplitKernel {
             seg_ptr: Vec::with_capacity(rows.len() + 1),
@@ -1251,31 +1225,78 @@ pub(crate) mod oracle {
 mod tests {
     use super::*;
 
-    /// Builds a CSR kernel from (row, col, val) triples in task order.
-    fn csr_of(tasks: &[(u32, u32, f64)]) -> CsrKernel {
+    /// (row, col, val) triples in task order, as a task list.
+    fn tasks_of(tuples: &[(u32, u32, f64)]) -> Vec<MultTask> {
+        tuples.iter().map(|&(row, col, val)| MultTask { row, col, val }).collect()
+    }
+
+    /// The CSR slice of `tasks`, each row its own slot: the oracle's
+    /// input.
+    fn csr_of(tasks: &[MultTask]) -> CsrKernel {
         let mut k = CsrKernel::default();
         k.row_ptr.push(0);
-        let mut current: Option<u32> = None;
-        for &(row, col, val) in tasks {
-            if current != Some(row) {
-                if current.is_some() {
-                    k.row_ptr.push(k.cols.len() as u32);
-                }
-                k.rows.push(row);
-                current = Some(row);
-            }
-            k.cols.push(col);
-            k.vals.push(val);
-        }
-        if current.is_some() {
+        for run in tasks.chunk_by(|a, b| a.row == b.row) {
+            k.rows.push(run[0].row);
+            k.cols.extend(run.iter().map(|t| t.col));
+            k.vals.extend(run.iter().map(|t| t.val));
             k.row_ptr.push(k.cols.len() as u32);
         }
         k
     }
 
+    /// The segment table the compiler's walk leaves for `tasks` when
+    /// each row is its own slot.
+    fn segments(tasks: &[MultTask]) -> TaskSegments<'_> {
+        let mut k = TaskSegments::new(tasks);
+        let mut seen = std::collections::HashSet::new();
+        for run in tasks.chunk_by(|a, b| a.row == b.row) {
+            k.push(run, run[0].row, !seen.insert(run[0].row));
+        }
+        k
+    }
+
+    /// Lowers `segments` into `format`, held to the oracle's lowering
+    /// of `csr`, the same kernel as a CSR slice: the kernel and, under
+    /// [`KernelFormat::Auto`], the statistics.
+    fn held_to_oracle(
+        segments: TaskSegments,
+        csr: CsrKernel,
+        format: KernelFormat,
+        isa: KernelIsa,
+    ) -> Kernel {
+        let (kernel, stats) = Kernel::lower(segments, format, isa);
+        let want_stats = (format == KernelFormat::Auto).then(|| oracle::stats_of(&csr));
+        assert_eq!(format!("{stats:?}"), format!("{want_stats:?}"), "{format} {isa}");
+        let want = oracle::from_csr_isa(csr, format, isa);
+        assert_eq!(format!("{kernel:?}"), format!("{want:?}"), "{format} {isa}");
+        kernel
+    }
+
+    /// Lowers `tasks`, each row its own slot, through the segment table.
+    fn lower(tasks: &[MultTask], format: KernelFormat, isa: KernelIsa) -> Kernel {
+        held_to_oracle(segments(tasks), csr_of(tasks), format, isa)
+    }
+
+    /// The two tasks `(0, 0, 1.0)`, `(0, 1, 2.0)` as one segment, then
+    /// an empty segment into slot 1 (a table the walk never makes), and
+    /// the same kernel as a CSR slice.
+    fn with_empty_segment(tasks: &[MultTask]) -> (TaskSegments<'_>, CsrKernel) {
+        let mut k = TaskSegments::new(tasks);
+        k.push(tasks, 0, false);
+        k.push(&[], 1, false);
+        let csr = CsrKernel {
+            row_ptr: vec![0, 2, 2],
+            rows: vec![0, 1],
+            cols: vec![0, 1],
+            vals: vec![1.0, 2.0],
+            simd: false,
+        };
+        (k, csr)
+    }
+
     /// An irregular kernel: row lengths 1..=7 over 14 rows, scattered
-    /// columns.
-    fn irregular(nx: u32) -> (CsrKernel, usize, usize) {
+    /// columns below `nx`.
+    fn irregular(nx: u32) -> Vec<MultTask> {
         let mut tasks = Vec::new();
         for row in 0..14u32 {
             let len = (row % 7 + 1) as usize;
@@ -1284,8 +1305,7 @@ mod tests {
                 tasks.push((row, col, (row as f64 + 1.0) * 0.25 - e as f64 * 0.5));
             }
         }
-        let k = csr_of(&tasks);
-        (k, nx as usize, 14)
+        tasks_of(&tasks)
     }
 
     /// The resolved "take the AVX2 batch paths" flag of a lowered kernel.
@@ -1343,23 +1363,24 @@ mod tests {
         // Every arm of the width dispatcher (r = 3 and 5 take the
         // strided fallback), over the irregular kernel and one with an
         // empty segment.
-        let (irr, irr_nx, irr_ny) = irregular(11);
-        let empty_seg = CsrKernel {
-            row_ptr: vec![0, 2, 2],
-            rows: vec![0, 1],
-            cols: vec![0, 1],
-            vals: vec![1.0, 2.0],
-            simd: false,
-        };
-        for (csr, nx, ny) in [(irr, irr_nx, irr_ny), (empty_seg, 2, 2)] {
+        let (irr, two) = (irregular(11), tasks_of(&[(0, 0, 1.0), (0, 1, 2.0)]));
+        for (tasks, nx, ny, empty) in [(&irr, 11, 14, false), (&two, 2, 2, true)] {
+            let build = |format, isa| {
+                if empty {
+                    let (segments, csr) = with_empty_segment(tasks);
+                    held_to_oracle(segments, csr, format, isa)
+                } else {
+                    lower(tasks, format, isa)
+                }
+            };
             for r in [1usize, 2, 3, 4, 5, 8] {
                 let x = x_for(nx, r);
                 for format in KernelFormat::all() {
-                    let scalar = Kernel::from_csr_isa(csr.clone(), format, KernelIsa::Scalar);
+                    let scalar = build(format, KernelIsa::Scalar);
                     assert!(!simd(&scalar));
                     let mut want = vec![0.1; ny * r];
                     scalar.run_batch(&x, &mut want, r);
-                    let k = Kernel::from_csr_isa(csr.clone(), format, KernelIsa::Auto);
+                    let k = build(format, KernelIsa::Auto);
                     assert_eq!(simd(&k), KernelIsa::avx2_available(), "{format}");
                     let mut got = vec![0.1; ny * r];
                     k.run_batch(&x, &mut got, r);
@@ -1371,19 +1392,19 @@ mod tests {
 
     #[test]
     fn every_format_matches_csr_bitwise_on_irregular_kernels() {
-        let (csr, nx, ny) = irregular(11);
-        let reference = Kernel::Csr(csr.clone());
+        let (tasks, nx, ny) = (irregular(11), 11, 14);
+        let reference = Kernel::Csr(csr_of(&tasks));
         for r in [1usize, 2, 3, 4, 5, 8] {
             let x = x_for(nx, r);
             let mut want = vec![0.1; ny * r];
             reference.run_batch(&x, &mut want, r);
             for format in KernelFormat::all() {
-                let k = Kernel::from_csr_isa(csr.clone(), format, KernelIsa::Auto);
+                let k = lower(&tasks, format, KernelIsa::Auto);
                 k.validate(nx, ny).unwrap();
                 let mut got = vec![0.1; ny * r];
                 k.run_batch(&x, &mut got, r);
                 assert_eq!(got, want, "{format} r={r}");
-                assert_eq!(k.ops(), csr.ops(), "{format}: ops must be format-invariant");
+                assert_eq!(k.ops(), tasks.len(), "{format}: ops must be format-invariant");
             }
         }
     }
@@ -1391,10 +1412,10 @@ mod tests {
     #[test]
     fn sell_rejects_interleaved_rows() {
         // Rows 0, 1, 0 — segment order carries accumulation grouping.
-        let csr = csr_of(&[(0, 0, 1.0), (1, 0, 2.0), (0, 1, 4.0)]);
-        assert!(SellKernel::build(&csr).is_none());
-        // from_csr_isa falls back to the CSR slice instead of failing.
-        let k = Kernel::from_csr_isa(csr, KernelFormat::Sell, KernelIsa::Auto);
+        let tasks = tasks_of(&[(0, 0, 1.0), (1, 0, 2.0), (0, 1, 4.0)]);
+        assert!(segments(&tasks).repeats);
+        // The SELL lowering falls back to the CSR slice instead of failing.
+        let k = lower(&tasks, KernelFormat::Sell, KernelIsa::Auto);
         assert!(matches!(k, Kernel::Csr(_)));
     }
 
@@ -1408,20 +1429,26 @@ mod tests {
         for e in 0..3u32 {
             tasks.push((1, e * 7, 1.0 - e as f64));
         }
-        let csr = csr_of(&tasks);
-        let k = DenseSplitKernel::build(csr.clone());
+        let tasks = tasks_of(&tasks);
+        let k = lower(&tasks, KernelFormat::DenseRowSplit, KernelIsa::Auto);
+        let Kernel::DenseSplit(split) = &k else { panic!("a dense-split kernel") };
         k.validate(24, 2).unwrap();
-        assert_eq!(k.span_col0, [3, NO_LANE], "the 12-entry run is the one dense span");
+        assert_eq!(split.span_col0, [3, NO_LANE], "the 12-entry run is the one dense span");
         let x = x_for(24, 1);
         let mut want = vec![0.0; 2];
-        Kernel::Csr(csr).run_batch(&x, &mut want, 1);
+        Kernel::Csr(csr_of(&tasks)).run_batch(&x, &mut want, 1);
         let mut got = vec![0.0; 2];
-        Kernel::DenseSplit(k).run_batch(&x, &mut got, 1);
+        k.run_batch(&x, &mut got, 1);
         assert_eq!(got, want);
     }
 
-    fn pick(csr: &CsrKernel) -> KernelFormat {
-        auto_pick(&KernelStats::of(csr))
+    /// The `auto` statistics of `tasks`, each row its own slot.
+    fn stats(tasks: &[MultTask]) -> KernelStats {
+        Kernel::lower(segments(tasks), KernelFormat::Auto, KernelIsa::Scalar).1.expect("auto")
+    }
+
+    fn pick(tuples: &[(u32, u32, f64)]) -> KernelFormat {
+        auto_pick(&stats(&tasks_of(tuples)))
     }
 
     #[test]
@@ -1433,16 +1460,14 @@ mod tests {
                 tasks.push((row, e, 1.0 + (row * 16 + e) as f64 * 0.01));
             }
         }
-        let dense = csr_of(&tasks);
-        assert_eq!(pick(&dense), KernelFormat::DenseRowSplit);
+        assert_eq!(pick(&tasks), KernelFormat::DenseRowSplit);
 
         // ONE huge split dense row — the flagship semi-2D shape: the
         // dense-run check must fire regardless of the row count (the
         // row floor gates only the SELL branch).
         let tasks: Vec<(u32, u32, f64)> =
             (0..512u32).map(|e| (0, e, 1.0 + e as f64 * 0.125)).collect();
-        let one_row = csr_of(&tasks);
-        assert_eq!(pick(&one_row), KernelFormat::DenseRowSplit);
+        assert_eq!(pick(&tasks), KernelFormat::DenseRowSplit);
 
         // Many short scattered rows, low padding → SELL.
         let mut tasks = Vec::new();
@@ -1451,42 +1476,37 @@ mod tests {
                 tasks.push((row, (row * 17 + e * 29) % 64, 0.5));
             }
         }
-        let short = csr_of(&tasks);
-        assert_eq!(pick(&short), KernelFormat::Sell);
+        assert_eq!(pick(&tasks), KernelFormat::Sell);
 
         // Tiny scattered kernel → CSR.
-        let tiny = csr_of(&[(0, 0, 1.0)]);
-        assert_eq!(pick(&tiny), KernelFormat::CsrSlice);
+        assert_eq!(pick(&[(0, 0, 1.0)]), KernelFormat::CsrSlice);
     }
 
     #[test]
     fn fixed_format_compiles_skip_stats_gathering() {
         // `kernel_stats` is the Auto policy's evidence; fixed-format
         // compiles must not pay the per-kernel σ-sort for it.
-        use s2d_spmv::{MultTask, PlanPhase, SpmvPlan};
+        use s2d_spmv::{PlanPhase, SpmvPlan};
         let plan = SpmvPlan {
             k: 1,
             nrows: 2,
             ncols: 2,
             x_part: vec![0, 0],
             y_part: vec![0, 0],
-            phases: vec![PlanPhase::Compute(vec![vec![
-                MultTask { row: 0, col: 0, val: 2.0 },
-                MultTask { row: 1, col: 1, val: 3.0 },
-            ]])],
+            phases: vec![PlanPhase::Compute(vec![tasks_of(&[(0, 0, 2.0), (1, 1, 3.0)])])],
         };
         let csr = crate::CompiledPlan::compile(&plan);
         assert!(csr.kernel_stats().is_empty());
-        let auto = crate::CompiledPlan::compile_with(&plan, KernelFormat::Auto);
+        let auto =
+            crate::CompiledPlan::compile_with_isa(&plan, KernelFormat::Auto, KernelIsa::Auto);
         assert_eq!(auto.kernel_stats().len(), 1);
         assert_eq!(auto.kernel_stats()[0].ops, 2);
     }
 
     #[test]
     fn empty_kernel_is_fine_in_every_format() {
-        let csr = CsrKernel { row_ptr: vec![0], ..CsrKernel::default() };
         for format in KernelFormat::all() {
-            let k = Kernel::from_csr_isa(csr.clone(), format, KernelIsa::Auto);
+            let k = lower(&[], format, KernelIsa::Auto);
             k.validate(0, 0).unwrap();
             let mut y: Vec<f64> = vec![];
             k.run_batch(&[], &mut y, 4);
@@ -1495,17 +1515,13 @@ mod tests {
 
         // An empty row *segment* inside a nonempty kernel: every
         // lowering accepts it and stays bitwise equal to the CSR slice.
-        let csr = CsrKernel {
-            row_ptr: vec![0, 2, 2],
-            rows: vec![0, 1],
-            cols: vec![0, 1],
-            vals: vec![1.0, 2.0],
-            simd: false,
-        };
+        let tasks = tasks_of(&[(0, 0, 1.0), (0, 1, 2.0)]);
+        let (_, csr) = with_empty_segment(&tasks);
         csr.validate(2, 2).unwrap();
-        let reference = Kernel::Csr(csr.clone());
+        let reference = Kernel::Csr(csr);
         for format in KernelFormat::all() {
-            let k = Kernel::from_csr_isa(csr.clone(), format, KernelIsa::Auto);
+            let (segments, csr) = with_empty_segment(&tasks);
+            let k = held_to_oracle(segments, csr, format, KernelIsa::Auto);
             k.validate(2, 2).unwrap();
             assert_eq!(k.ops(), 2, "{format}");
             for r in [1usize, 2, 3, 4, 8] {
@@ -1521,10 +1537,10 @@ mod tests {
 
     #[test]
     fn stats_describe_the_kernel() {
-        let (csr, ..) = irregular(11);
-        let st = KernelStats::of(&csr);
+        let tasks = irregular(11);
+        let st = stats(&tasks);
         assert_eq!(st.rows, 14);
-        assert_eq!(st.ops, csr.ops());
+        assert_eq!(st.ops, tasks.len());
         assert_eq!(st.max_row, 7);
         assert!(st.sell_fill >= 1.0);
         assert!((0.0..=1.0).contains(&st.dense_frac));

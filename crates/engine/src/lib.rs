@@ -56,7 +56,7 @@
 //! # Kernel formats
 //!
 //! The kernel body is a pluggable storage format, not a single CSR
-//! loop: [`CompiledPlan::compile_with`] lowers every compute phase to
+//! loop: [`CompiledPlan::compile_with_isa`] lowers every compute phase to
 //! the requested [`KernelFormat`], and the format is baked into the
 //! kernel's buffer layout (chunk packing, padding, span tables) —
 //! every executor (worker pool at any team size, the solver's
@@ -156,3 +156,12 @@ pub use formats::{
 pub use pool::{ParallelEngine, PoolOptions};
 pub use telemetry::ExecTelemetry;
 pub use threaded::{EndpointOperator, Payload, RankLocal};
+
+/// The CPUs this process may run on, read once. `available_parallelism`
+/// reads the cgroup quota files on every call, and on a thread pinned
+/// to one core it would answer 1: every engine constructor reads it
+/// here first, before any worker it spawns pins itself.
+pub(crate) fn cpu_count() -> usize {
+    static CPUS: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
+    *CPUS.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
+}

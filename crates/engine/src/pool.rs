@@ -519,7 +519,7 @@ fn pin_to_core(core: usize) {
     extern "C" {
         fn sched_setaffinity(pid: i32, cpusetsize: usize, mask: *const u64) -> i32;
     }
-    let cpus = std::thread::available_parallelism().map_or(1, |n| n.get()).min(MASK_WORDS * 64);
+    let cpus = crate::cpu_count().min(MASK_WORDS * 64);
     let core = core % cpus;
     let mut mask = [0u64; MASK_WORDS];
     mask[core / 64] |= 1u64 << (core % 64);
@@ -672,8 +672,8 @@ impl ParallelEngine {
         let plan = plan.into();
         validate_for_pool(&plan);
         let (width, pin, k) = (opts.width.max(1), opts.pin, plan.k);
-        let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
-        let threads = Backend::CompiledPool { threads: opts.threads, pin }.participants(k, cpus);
+        let threads = Backend::CompiledPool { threads: opts.threads, pin }
+            .participants(k, crate::cpu_count());
         let obs = opts.sink.map(|sink| ExecTelemetry::new(&plan, sink));
         // threads ≤ k: every participant owns a rank to record its
         // barrier waits under.
@@ -1076,6 +1076,7 @@ fn worker_loop(shared: &Shared, w: usize) {
 pub(crate) mod tests {
     use super::*;
     use crate::exec::tests::seq;
+    use crate::KernelIsa;
     use s2d_core::fig1::{fig1_matrix, fig1_partition};
     use s2d_spmv::SpmvPlan;
 
@@ -1373,7 +1374,7 @@ pub(crate) mod tests {
         let n = a.nrows();
         let part: Vec<u32> = (0..n).map(|i| (i * k / n) as u32).collect();
         let p = SpmvPartition::rowwise(&a, part.clone(), part, k);
-        CompiledPlan::compile_with(&SpmvPlan::single_phase(&a, &p), format)
+        CompiledPlan::compile_with_isa(&SpmvPlan::single_phase(&a, &p), format, KernelIsa::Auto)
     }
 
     #[test]

@@ -267,7 +267,7 @@ impl SpmvOperator for EndpointOperator {
 mod tests {
     use super::*;
     use crate::exec::tests::batch_input;
-    use crate::formats::KernelFormat;
+    use crate::formats::{KernelFormat, KernelIsa};
     use s2d_core::fig1::{fig1_matrix, fig1_partition};
     use s2d_core::optimal::s2d_optimal;
     use s2d_core::partition::SpmvPartition;
@@ -284,7 +284,7 @@ mod tests {
     /// compiled plan.
     fn assert_bitwise_seq_under_chaos(plan: &SpmvPlan, max_delay_us: u32, seeds: u64, what: &str) {
         for format in KernelFormat::all() {
-            let cp = Arc::new(CompiledPlan::compile_with(plan, format));
+            let cp = Arc::new(CompiledPlan::compile_with_isa(plan, format, KernelIsa::Auto));
             for r in [1usize, 4] {
                 let x = batch_input(plan.ncols, r, 13);
                 let mut want = vec![0.0; plan.nrows * r];

@@ -20,7 +20,7 @@ use std::sync::Arc;
 
 use s2d_core::optimal::s2d_optimal;
 use s2d_core::partition::SpmvPartition;
-use s2d_engine::{Backend, CompiledPlan, KernelFormat};
+use s2d_engine::{Backend, CompiledPlan, KernelFormat, KernelIsa};
 use s2d_gen::fem::fem_like;
 use s2d_gen::rmat::{rmat, RmatConfig};
 use s2d_sparse::{Coo, Csr};
@@ -92,7 +92,12 @@ fn build(
     width: usize,
     format: KernelFormat,
 ) -> Box<dyn SpmvOperator + Send> {
-    backend.build(plan, &Arc::new(CompiledPlan::compile_with(plan, format)), width, None)
+    backend.build(
+        plan,
+        &Arc::new(CompiledPlan::compile_with_isa(plan, format, KernelIsa::Auto)),
+        width,
+        None,
+    )
 }
 
 /// Runs the shared property set over one operator.

@@ -9,7 +9,9 @@
 //! control thread instead of deadlocking on a barrier.
 
 use s2d_core::optimal::s2d_optimal;
-use s2d_engine::{CompiledPlan, Kernel, KernelFormat, ParallelEngine, PoolOptions, RankStep};
+use s2d_engine::{
+    CompiledPlan, Kernel, KernelFormat, KernelIsa, ParallelEngine, PoolOptions, RankStep,
+};
 use s2d_gen::rmat::{rmat, RmatConfig};
 use s2d_sparse::Coo;
 use s2d_spmv::{SpmvOperator, SpmvPlan};
@@ -143,7 +145,7 @@ fn batch_width_does_not_change_a_column() {
 #[test]
 fn every_kernel_format_is_bitwise_deterministic_and_reproduces_csr() {
     // Two pins at once: (1) `CompiledPlan::compile` (the CSR default)
-    // reproduces `compile_with(_, CsrSlice)` exactly — today's results
+    // reproduces `compile_with_isa(_, CsrSlice, Auto)` exactly — today's results
     // are bitwise-preserved; (2) every format's pool result is bitwise
     // stable across thread counts AND bitwise equal to the CSR result
     // on finite inputs (the formats-module contract).
@@ -152,7 +154,7 @@ fn every_kernel_format_is_bitwise_deterministic_and_reproduces_csr() {
     let mut want = vec![0.0; n];
     pool(CompiledPlan::compile(&plan), 0, 1).apply_batch_iters(&x, &mut want, 1, 3);
     for format in KernelFormat::all() {
-        let cp = CompiledPlan::compile_with(&plan, format);
+        let cp = CompiledPlan::compile_with_isa(&plan, format, KernelIsa::Auto);
         for threads in [1usize, 3, 8] {
             let mut engine = pool(cp.clone(), threads, 1);
             let mut y = vec![0.0; n];

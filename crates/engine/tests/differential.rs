@@ -23,7 +23,7 @@ use std::sync::Arc;
 use proptest::prelude::*;
 use s2d_core::optimal::s2d_optimal;
 use s2d_core::partition::SpmvPartition;
-use s2d_engine::{Backend, CompiledPlan, KernelFormat};
+use s2d_engine::{Backend, CompiledPlan, KernelFormat, KernelIsa};
 use s2d_gen::fem::fem_like;
 use s2d_gen::powerlaw::power_law;
 use s2d_gen::rmat::{rmat, RmatConfig};
@@ -123,7 +123,7 @@ fn differential_check(
         }
         // One compilation per format: checked for op-count invariance
         // (padding never counts), then wrapped as the operator.
-        let cpf = CompiledPlan::compile_with(&plan, format);
+        let cpf = CompiledPlan::compile_with_isa(&plan, format, KernelIsa::Auto);
         prop_assert_eq!(cpf.total_ops(), plan.total_ops(), "{}/{}: op count drift", kind, format);
         ops.push((
             format!("compiled-seq/{format}"),
@@ -134,7 +134,7 @@ fn differential_check(
         "compiled-pool/auto".to_string(),
         Backend::CompiledPool { threads: 0, pin: false }.build(
             &plan,
-            &Arc::new(CompiledPlan::compile_with(&plan, KernelFormat::Auto)),
+            &Arc::new(CompiledPlan::compile_with_isa(&plan, KernelFormat::Auto, KernelIsa::Auto)),
             MAX_R,
             None,
         ),

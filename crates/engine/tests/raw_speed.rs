@@ -133,7 +133,7 @@ fn chunked_pool_is_bitwise_across_threads_chunks_and_repeats() {
         let plan = Arc::new(plan_for(&a, 4));
         let x = block_for(plan.ncols, 4, 31);
         let want = {
-            let cp = CompiledPlan::compile_with(&plan, KernelFormat::Auto);
+            let cp = CompiledPlan::compile_with_isa(&plan, KernelFormat::Auto, KernelIsa::Auto);
             let mut y = vec![0.0; plan.nrows * 4];
             Backend::CompiledSeq
                 .build(&plan, &Arc::new(cp), 4, None)
@@ -141,7 +141,7 @@ fn chunked_pool_is_bitwise_across_threads_chunks_and_repeats() {
             y
         };
         for threads in [1, 2, 3, 4] {
-            let cp = CompiledPlan::compile_with(&plan, KernelFormat::Auto);
+            let cp = CompiledPlan::compile_with_isa(&plan, KernelFormat::Auto, KernelIsa::Auto);
             let mut engine = ParallelEngine::with_options(
                 cp,
                 PoolOptions { threads, width: 4, ..PoolOptions::default() },
@@ -162,7 +162,7 @@ fn chunked_pool_is_bitwise_across_threads_chunks_and_repeats() {
 fn worker_loads_are_conserved_and_surface_through_the_operator() {
     let (_, a) = &matrices()[1];
     let plan = Arc::new(plan_for(a, 4));
-    let cp = CompiledPlan::compile_with(&plan, KernelFormat::CsrSlice);
+    let cp = CompiledPlan::compile_with_isa(&plan, KernelFormat::CsrSlice, KernelIsa::Auto);
     let total = cp.total_ops();
     let engine = ParallelEngine::with_options(
         cp.clone(),
@@ -196,7 +196,7 @@ fn pinned_pool_matches_unpinned_at_plan_level() {
     let x = block_for(plan.ncols, 4, 37);
     let mut outs = Vec::new();
     for pin in [false, true] {
-        let cp = CompiledPlan::compile_with(&plan, KernelFormat::Auto);
+        let cp = CompiledPlan::compile_with_isa(&plan, KernelFormat::Auto, KernelIsa::Auto);
         let mut op = ParallelEngine::with_options(
             cp,
             PoolOptions { threads: 2, width: 4, pin, ..PoolOptions::default() },

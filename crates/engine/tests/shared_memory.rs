@@ -18,7 +18,8 @@ use std::sync::Arc;
 use s2d_core::fig1::{fig1_matrix, fig1_partition};
 use s2d_core::optimal::s2d_optimal;
 use s2d_engine::{
-    Backend, CompiledPlan, EndpointOperator, KernelFormat, ParallelEngine, PoolOptions, RankStep,
+    Backend, CompiledPlan, EndpointOperator, KernelFormat, KernelIsa, ParallelEngine, PoolOptions,
+    RankStep,
 };
 use s2d_gen::denserow::{dense_row_matrix, DenseRowConfig};
 use s2d_runtime::ChaosConfig;
@@ -93,7 +94,7 @@ fn assert_every_driver_matches_the_mailbox(plan: SpmvPlan, what: &str) {
     let n = plan.nrows;
     let mut oracle = MailboxOperator::new(Arc::clone(&plan));
     for format in [KernelFormat::CsrSlice, KernelFormat::Auto] {
-        let cp = Arc::new(CompiledPlan::compile_with(&plan, format));
+        let cp = Arc::new(CompiledPlan::compile_with_isa(&plan, format, KernelIsa::Auto));
         let mut ws = Backend::CompiledSeq.build(&plan, &cp, 8, None);
         let mut pools: Vec<ParallelEngine> = (1..=3)
             .map(|threads| {
@@ -162,7 +163,7 @@ fn endpoint_walker_under_chaos_equals_compiled_seq_on_dense_rows() {
     let parts: Vec<u32> = (0..n).map(|i| (i * k / n) as u32).collect();
     let plan = Arc::new(SpmvPlan::single_phase(&a, &s2d_optimal(&a, &parts, &parts, k)));
     for format in KernelFormat::all() {
-        let cp = Arc::new(CompiledPlan::compile_with(&plan, format));
+        let cp = Arc::new(CompiledPlan::compile_with_isa(&plan, format, KernelIsa::Auto));
         for r in [1usize, 4] {
             let x = input(n, r);
             let mut want = vec![0.0; n * r];

@@ -10,7 +10,7 @@
 use std::sync::Arc;
 
 use s2d_core::optimal::s2d_optimal;
-use s2d_engine::{Backend, CompiledPlan, KernelFormat};
+use s2d_engine::{Backend, CompiledPlan, KernelFormat, KernelIsa};
 use s2d_gen::rmat::{rmat, RmatConfig};
 use s2d_obs::{Phase, TelemetrySink};
 use s2d_sparse::Csr;
@@ -39,7 +39,7 @@ fn build(
     format: KernelFormat,
     sink: Option<&Arc<TelemetrySink>>,
 ) -> Box<dyn SpmvOperator + Send> {
-    let cp = Arc::new(CompiledPlan::compile_with(plan, format));
+    let cp = Arc::new(CompiledPlan::compile_with_isa(plan, format, KernelIsa::Auto));
     backend.build(plan, &cp, width, sink.map(Arc::clone))
 }
 
